@@ -6,8 +6,8 @@
 //! Micro-batch requests are sampled two-hop subgraphs (the serving-time
 //! workload shape). The full-graph groups clear the engine's logits
 //! cache every iteration so the execution path itself is measured; the
-//! `sequential` row is single-threaded `Session::infer`, the numbered
-//! rows are `ParallelEngine` at that worker count.
+//! `sequential` row is a one-worker engine's `Session::infer`, the
+//! numbered rows are the same engine after `into_parallel(workers)`.
 //!
 //! The parallel rows measure **steady-state** serving deliberately: only
 //! the logits cache is cleared per iteration, so the engine's hot-vertex

@@ -100,7 +100,7 @@ pub struct RequestShape {
 /// Backends are `Send` and forkable: [`ExecutionBackend::fork`] produces
 /// an independent replica whose prepared weights and cached spectra are
 /// `Arc`-shared with the original (see [`blockgnn_nn::ExecMode`]), which
-/// is how the parallel serving engine places one backend per worker
+/// is how [`crate::Engine::into_parallel`] places one backend per worker
 /// thread without duplicating the model. The staged methods
 /// ([`ExecutionBackend::num_stages`] / [`ExecutionBackend::execute_stage`])
 /// expose the model's row-parallel inference stages
@@ -168,8 +168,8 @@ pub trait ExecutionBackend: Send {
     /// `num_arcs` arcs, `feature_dim`-wide inputs and `num_classes`
     /// outputs: the Eq. 3–7 [`SimReport`] and an energy estimate in
     /// joules. `None` for software backends, which model no hardware.
-    /// The partition-parallel scheduler calls this once per part and
-    /// merges with [`SimReport::merge`] (the §IV-C sub-graph accounting).
+    /// A partitioned full-graph pass calls this once per part and merges
+    /// with [`SimReport::merge`] (the §IV-C sub-graph accounting).
     fn charge(
         &self,
         _num_arcs: usize,

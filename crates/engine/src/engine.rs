@@ -5,9 +5,12 @@ use crate::backend::{
     SpectralBackend,
 };
 use crate::error::EngineError;
+use crate::parallel::Plan;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
 use crate::stats::ServeStats;
-use crate::versioned::{GraphEpoch, GraphHandle, ResidencyPolicy, SharedGraphState};
+use crate::versioned::{
+    lock_recover, GraphEpoch, GraphHandle, ResidencyPolicy, SharedGraphState,
+};
 use blockgnn_gnn::batch::MergedUniverse;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
@@ -17,7 +20,7 @@ use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::params::CirCoreParams;
 use blockgnn_perf::resources::DRAM_BYTES;
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configures and constructs an [`Engine`].
@@ -196,7 +199,8 @@ impl EngineBuilder {
         });
         Ok(Engine {
             shared: Arc::new(SharedGraphState::new(dataset, residency)),
-            backend,
+            workers: vec![backend],
+            plan: Arc::default(),
             model_kind,
             backend_kind: self.backend,
             fanouts: self.fanouts,
@@ -249,12 +253,23 @@ fn spectral_weight_bytes(model: &mut dyn GnnModel) -> usize {
 /// master, version-keyed full-graph logits cache), so a whole worker
 /// pool computes the full graph at most once per version and observes
 /// updates in the same total order.
+///
+/// As built, an engine runs every execution on one backend. Widening it
+/// with [`Engine::into_parallel`] changes *how* it executes — full-graph
+/// passes and large sampled universes are sharded over a §IV-C
+/// partition plan — and nothing else: same sessions, same coalescing,
+/// same deltas, bit-identical answers.
 pub struct Engine {
     /// Versioned graph state shared across the engine family (see
     /// [`crate::versioned`]): current epoch, mutable master, and the
     /// version-keyed full-graph cache.
     pub(crate) shared: Arc<SharedGraphState>,
-    pub(crate) backend: Box<dyn ExecutionBackend>,
+    /// One backend replica per worker thread; length 1 as built.
+    pub(crate) workers: Vec<Box<dyn ExecutionBackend>>,
+    /// The full-graph partition plan of the newest version a pass has
+    /// resolved, shared with every fork. Empty until a widened engine
+    /// (or a plan accessor) first needs one.
+    pub(crate) plan: Arc<Mutex<Option<Arc<Plan>>>>,
     pub(crate) model_kind: ModelKind,
     pub(crate) backend_kind: BackendKind,
     /// Fan-outs the cycle model charges for full-graph requests.
@@ -362,22 +377,23 @@ impl Engine {
     /// already invalidates it. Affects every [`Engine::fork`] replica —
     /// the cache is shared.
     pub fn clear_full_graph_cache(&self) {
-        *self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        *lock_recover(&self.shared.cache) = None;
     }
 
-    /// Forks an independent replica for another worker thread: the
+    /// Forks an independent replica for another worker thread: every
     /// backend's prepared weights and cached spectra are `Arc`-shared
     /// (see [`ExecutionBackend::fork`]), as is the whole versioned graph
-    /// state — snapshot, mutable master, and the version-keyed
-    /// full-graph logits cache. Forks execute concurrently and observe
-    /// graph updates in the same total order — this is how the serving
-    /// runtime places one engine per worker without duplicating the
-    /// model.
+    /// state — snapshot, mutable master, the version-keyed full-graph
+    /// logits cache — and the partition plan. Forks execute concurrently
+    /// and observe graph updates in the same total order — this is how
+    /// the serving runtime places one engine per worker without
+    /// duplicating the model.
     #[must_use]
     pub fn fork(&self) -> Engine {
         Engine {
             shared: Arc::clone(&self.shared),
-            backend: self.backend.fork(),
+            workers: self.workers.iter().map(|w| w.fork()).collect(),
+            plan: Arc::clone(&self.plan),
             model_kind: self.model_kind,
             backend_kind: self.backend_kind,
             fanouts: self.fanouts,
@@ -421,14 +437,14 @@ impl Engine {
                     SampledSubgraph::build(&epoch.dataset.graph, &request.nodes, s1, s2, seed);
                 let local_features = sub.gather_features(&epoch.dataset.features);
                 let shape = RequestShape { target_nodes: sub.batch_len, fanouts: (s1, s2) };
-                let out = self.backend.execute(&sub.graph, &local_features, shape);
+                let (out, _, parts) = self.execute_graph(&sub.graph, &local_features, shape);
                 let logits = crate::request::sampled_rows(&out.logits, &sub, &request.nodes);
                 Ok(ExecOutcome {
                     logits,
                     sim: out.sim,
                     energy_joules: out.energy_joules,
                     from_cache: false,
-                    parts: 1,
+                    parts,
                     batch_size: 1,
                     graph_version: epoch.version,
                     hot_rows: 0,
@@ -443,13 +459,13 @@ impl Engine {
     /// rather than duplicate the work; a delta bumps the version, so a
     /// stale entry can never answer).
     fn full_graph_outcome(&mut self, epoch: &GraphEpoch, nodes: &[usize]) -> ExecOutcome {
-        let mut guard = self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let shared = Arc::clone(&self.shared);
+        let mut guard = lock_recover(&shared.cache);
         let from_cache = matches!(&*guard, Some((v, _)) if *v == epoch.version);
+        let (mut parts, mut hot_rows) = (0, 0);
         if !from_cache {
-            let shape =
-                RequestShape { target_nodes: epoch.dataset.num_nodes(), fanouts: self.fanouts };
-            let out =
-                self.backend.execute(&epoch.dataset.graph, &epoch.dataset.features, shape);
+            let out;
+            (out, parts, hot_rows) = self.full_graph_pass(epoch);
             // A batch still draining an older version may pass through
             // here after a newer version was cached; it stores its own
             // version (hits require an exact match, so this only costs
@@ -468,10 +484,10 @@ impl Engine {
             sim,
             energy_joules,
             from_cache,
-            parts: usize::from(!from_cache),
+            parts,
             batch_size: 1,
             graph_version: epoch.version,
-            hot_rows: 0,
+            hot_rows,
         }
     }
 
@@ -565,6 +581,7 @@ impl Engine {
                     o.sim = None;
                     o.energy_joules = None;
                     o.parts = 0;
+                    o.hot_rows = 0;
                 }
             }
             outcomes[i] = Some(outcome);
@@ -604,8 +621,8 @@ impl Engine {
                 let local_features = sub.gather_features(&epoch.dataset.features);
                 timings.add("gather", gather_start.elapsed());
                 let shape = RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts };
-                let (out, execute_time) =
-                    self.backend.execute_timed(&sub.graph, &local_features, shape);
+                let (out, execute_time, parts) =
+                    self.execute_graph(&sub.graph, &local_features, shape);
                 timings.add("execute", execute_time);
                 let scatter_start = Instant::now();
                 let logits =
@@ -616,7 +633,7 @@ impl Engine {
                     sim: out.sim,
                     energy_joules: out.energy_joules,
                     from_cache: false,
-                    parts: 1,
+                    parts,
                     batch_size,
                     graph_version: epoch.version,
                     hot_rows: 0,
@@ -637,15 +654,15 @@ impl Engine {
                 // per-response cost matches solo execution exactly.
                 let shape =
                     RequestShape { target_nodes: merged.total_targets, fanouts: many[0].2 };
-                let (out, execute_time) =
-                    self.backend.execute_timed(&merged.graph, &merged_features, shape);
+                let (out, execute_time, parts) =
+                    self.execute_graph(&merged.graph, &merged_features, shape);
                 timings.add("execute", execute_time);
                 let scatter_start = Instant::now();
                 let feature_dim = epoch.dataset.feature_dim();
                 let num_classes = out.logits.cols();
                 for (block, (i, sub, fanouts)) in many.iter().enumerate() {
                     let logits = merged.scatter(&out.logits, block, sub, &requests[*i].nodes);
-                    let charge = self.backend.charge(
+                    let charge = self.workers[0].charge(
                         sub.graph.num_arcs(),
                         feature_dim,
                         num_classes,
@@ -660,7 +677,7 @@ impl Engine {
                         sim,
                         energy_joules,
                         from_cache: false,
-                        parts: 1,
+                        parts,
                         batch_size,
                         graph_version: epoch.version,
                         hot_rows: 0,
@@ -737,10 +754,11 @@ impl std::fmt::Debug for Engine {
             .field("backend", &self.backend_kind)
             .field("dataset", &epoch.dataset.name)
             .field("graph_version", &epoch.version)
+            .field("workers", &self.workers.len())
             .field(
                 "full_graph_cached",
                 &matches!(
-                    &*self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner),
+                    &*lock_recover(&self.shared.cache),
                     Some((v, _)) if *v == epoch.version
                 ),
             )

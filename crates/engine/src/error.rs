@@ -25,25 +25,20 @@ pub enum EngineError {
     },
     /// A sampled request carried no target nodes.
     EmptyRequest,
-    /// A parallel engine was requested with zero worker threads.
+    /// An engine (or a server pool) was asked for zero worker threads.
     NoWorkers,
     /// A graph update was rejected by the versioned graph (missing
     /// edge, out-of-range node, bad feature row, empty delta); the
     /// served graph stays at its previous version.
     Delta(DeltaError),
     /// A delta would grow the graph past the engine's feature-residency
-    /// budget (the §IV-B/§IV-C bound: graphs exceeding device memory
-    /// must be partitioned, which a live engine cannot do mid-flight).
+    /// budget (the §IV-B/§IV-C bound on what may be resident at all).
     GraphBudget {
         /// Bytes the grown graph would need resident.
         needed: usize,
         /// The configured budget.
         budget: usize,
     },
-    /// A delta was offered to an engine serving a frozen snapshot (the
-    /// partition-parallel engine plans its shards once and cannot
-    /// absorb mutations).
-    ImmutableGraph,
 }
 
 impl fmt::Display for EngineError {
@@ -56,7 +51,7 @@ impl fmt::Display for EngineError {
             }
             EngineError::EmptyRequest => write!(f, "sampled request carries no target nodes"),
             EngineError::NoWorkers => {
-                write!(f, "a parallel engine needs at least one worker thread")
+                write!(f, "an engine needs at least one worker thread")
             }
             EngineError::Delta(e) => write!(f, "graph update rejected: {e}"),
             EngineError::GraphBudget { needed, budget } => {
@@ -65,9 +60,6 @@ impl fmt::Display for EngineError {
                     "update would grow the graph past the residency budget \
                      ({needed} bytes needed, {budget} allowed)"
                 )
-            }
-            EngineError::ImmutableGraph => {
-                write!(f, "this engine serves a frozen graph snapshot; updates not supported")
             }
         }
     }

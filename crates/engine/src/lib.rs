@@ -25,14 +25,15 @@
 //!   [`InferResponse`] reports the [`InferResponse::graph_version`] it
 //!   was served from. [`GraphHandle`] applies deltas without owning an
 //!   engine replica (what the serving runtime holds).
-//! * [`Engine::into_parallel`] → [`ParallelEngine`] → [`ParallelSession`]
-//!   — partition-parallel serving (§IV-C): the graph is split into
-//!   memory-budgeted [`blockgnn_graph::GraphPart`]s, one forked backend
-//!   per worker thread executes the model's row-parallel stages over its
-//!   parts (prepared weights `Arc`-shared), and per-part logits merge
-//!   row-aligned — bit-identical to the sequential path — while per-part
-//!   [`blockgnn_accel::SimReport`]s merge by the paper's two-sub-graph
-//!   summation.
+//! * [`Engine::into_parallel`] — partition-parallel execution (§IV-C)
+//!   of the *same* engine: the graph is split into memory-budgeted
+//!   [`blockgnn_graph::GraphPart`]s, one forked backend per worker
+//!   thread executes the model's row-parallel stages over its parts
+//!   (prepared weights `Arc`-shared), and per-part logits merge
+//!   row-aligned — bit-identical to the one-worker path — while
+//!   per-part [`blockgnn_accel::SimReport`]s merge by the paper's
+//!   two-sub-graph summation. The plan follows the graph version, so a
+//!   widened engine still takes deltas, forks and coalesces.
 //!
 //! # Example: same weights, three substrates
 //!
@@ -78,8 +79,7 @@ pub use backend::{
 pub use engine::{CoalescedOutcome, Engine, EngineBuilder, Session, StageTiming};
 pub use error::EngineError;
 pub use parallel::{
-    ParallelEngine, ParallelSession, DEFAULT_HOT_CACHE_BYTES, DEFAULT_MIN_SHARD_ROWS,
-    DEFAULT_PART_BUDGET_BYTES,
+    DEFAULT_HOT_CACHE_BYTES, DEFAULT_MIN_SHARD_ROWS, DEFAULT_PART_BUDGET_BYTES,
 };
 pub use request::{
     assemble_response, validate_request, ExecOutcome, InferRequest, InferResponse, RequestMode,

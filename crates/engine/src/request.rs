@@ -1,6 +1,6 @@
 //! Request/response types of the serving API, plus the request-handling
-//! steps shared by the sequential and parallel engines (validation, row
-//! extraction, response assembly) — one implementation so the two paths
+//! steps shared by the solo and coalesced execution paths (validation,
+//! row extraction, response assembly) — one implementation so the two
 //! cannot drift.
 
 use crate::error::EngineError;
@@ -103,7 +103,7 @@ pub struct InferResponse {
     pub from_cache: bool,
     /// Number of graph parts executed to answer this request: 0 on cache
     /// hits, 1 on unpartitioned execution, and the partition size `k`
-    /// when the parallel engine sharded the computation (§IV-C).
+    /// when a widened engine sharded the computation (§IV-C).
     pub parts: usize,
     /// Number of requests coalesced into the execution that answered
     /// this one (1 when served alone).
@@ -120,9 +120,9 @@ pub struct InferResponse {
     /// was produced outside a traced serving path (direct
     /// [`crate::Session`] callers, or a server with tracing disabled).
     pub trace_id: u64,
-    /// Stage-output rows served from the parallel engine's hot-vertex
+    /// Stage-output rows served from a widened engine's hot-vertex
     /// aggregation cache instead of being recomputed (summed over
-    /// stages; 0 on sequential engines, cache hits, and sampled
+    /// stages; 0 on one-worker engines, cache hits, and sampled
     /// requests).
     pub hot_rows: usize,
 }
@@ -130,9 +130,8 @@ pub struct InferResponse {
 /// The raw outcome of executing one request — everything about the
 /// answer except timing, predictions, and stats, which
 /// [`assemble_response`] attaches. Produced by
-/// [`crate::Engine::execute_request`],
-/// [`crate::Engine::infer_coalesced`], and
-/// [`crate::ParallelEngine::execute_request`].
+/// [`crate::Engine::execute_request`] and
+/// [`crate::Engine::infer_coalesced`].
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
     /// One logits row per requested node, in request order.
@@ -203,9 +202,8 @@ pub(crate) fn sampled_rows(logits: &Matrix, sub: &SampledSubgraph, nodes: &[usiz
 
 /// Finishes a served request: attaches argmax predictions and the
 /// queue/compute timing split, folds the result into `stats`, and
-/// assembles the response. Shared by the sequential session, the
-/// parallel session, and the serving runtime's batcher, so their
-/// accounting cannot drift.
+/// assembles the response. Shared by [`crate::Session`] and the
+/// serving runtime's batcher, so their accounting cannot drift.
 pub fn assemble_response(
     outcome: ExecOutcome,
     queue_time: Duration,

@@ -174,7 +174,7 @@ pub struct ServeStats {
     /// Graph parts executed across all requests (0 per cache hit, 1 per
     /// unpartitioned execution, `k` per partition-parallel execution).
     pub parts_executed: usize,
-    /// Stage-output rows served from the parallel engine's hot-vertex
+    /// Stage-output rows served from a widened engine's hot-vertex
     /// aggregation cache instead of being recomputed.
     pub hot_rows_served: usize,
 }

@@ -29,7 +29,19 @@ use crate::error::EngineError;
 use blockgnn_graph::{Dataset, GraphDelta, VersionedGraph};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard when an earlier holder panicked
+/// (a full-graph pass runs a model under the logits-cache lock, and the
+/// serving runtime's `catch_unwind` fault domain survives that panic).
+/// Recovered state is safe for every lock in this crate: the epoch
+/// slot, the logits cache and the plan slot are only ever replaced
+/// wholesale; hot rows and cached logits are version-checked on every
+/// read; and the master copy is mutated only after its delta has been
+/// validated, by steps that cannot fail.
+pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Version-keyed cache of per-stage aggregated feature rows for
 /// high-degree hub vertices, shared across an engine family like the
@@ -72,7 +84,7 @@ impl HotVertexCache {
         num_stages: usize,
         stage: usize,
     ) -> Arc<HashMap<u32, Vec<f64>>> {
-        let state = self.inner.lock().expect("hot cache lock");
+        let state = lock_recover(&self.inner);
         if state.version == Some(version) && state.stages.len() == num_stages {
             if let Some(map) = state.stages.get(stage) {
                 return Arc::clone(map);
@@ -96,7 +108,7 @@ impl HotVertexCache {
         if rows.is_empty() {
             return;
         }
-        let mut state = self.inner.lock().expect("hot cache lock");
+        let mut state = lock_recover(&self.inner);
         match state.version {
             None => {
                 state.version = Some(version);
@@ -123,14 +135,14 @@ impl HotVertexCache {
     /// version is rejected. Runs inside `apply_delta` before the new
     /// epoch is visible.
     pub fn invalidate_to(&self, new_version: u64) {
-        let mut state = self.inner.lock().expect("hot cache lock");
+        let mut state = lock_recover(&self.inner);
         state.version = Some(new_version);
         state.stages.clear();
     }
 
     /// Total cached rows across all stages (test/introspection hook).
     pub fn cached_rows(&self) -> usize {
-        let state = self.inner.lock().expect("hot cache lock");
+        let state = lock_recover(&self.inner);
         state.stages.iter().map(|m| m.len()).sum()
     }
 }
@@ -178,10 +190,10 @@ pub(crate) struct SharedGraphState {
     /// of contending on the epoch lock with every worker.
     node_count: AtomicUsize,
     residency: Option<ResidencyPolicy>,
-    /// Hot-vertex aggregation cache shared by every parallel engine of
-    /// the family (see [`HotVertexCache`]); invalidated by
+    /// Hot-vertex aggregation cache shared by every engine of the
+    /// family (see [`HotVertexCache`]); invalidated by
     /// [`SharedGraphState::apply_delta`] like the logits cache.
-    pub(crate) hot: Arc<HotVertexCache>,
+    pub(crate) hot: HotVertexCache,
 }
 
 impl SharedGraphState {
@@ -194,7 +206,7 @@ impl SharedGraphState {
             cache: Mutex::new(None),
             node_count,
             residency,
-            hot: Arc::new(HotVertexCache::default()),
+            hot: HotVertexCache::default(),
         }
     }
 
@@ -202,7 +214,7 @@ impl SharedGraphState {
     /// the returned `Arc` for a whole micro-batch; updates swap the
     /// slot without disturbing holders.
     pub fn epoch(&self) -> Arc<GraphEpoch> {
-        Arc::clone(&self.current.lock().expect("epoch lock"))
+        Arc::clone(&lock_recover(&self.current))
     }
 
     /// The current version.
@@ -233,7 +245,7 @@ impl SharedGraphState {
     /// [`EngineError::GraphBudget`] when growth violates the residency
     /// budget. The served graph is untouched in both cases.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Arc<GraphEpoch>, EngineError> {
-        let mut master_slot = self.master.lock().expect("master lock");
+        let mut master_slot = lock_recover(&self.master);
         let master = match master_slot.as_mut() {
             Some(master) => master,
             None => {
@@ -279,11 +291,11 @@ impl SharedGraphState {
         // Strict invalidation *before* the new epoch is visible: no
         // reader can pair post-delta structure with pre-delta hot rows.
         self.hot.invalidate_to(version);
-        *self.current.lock().expect("epoch lock") = Arc::clone(&epoch);
+        *lock_recover(&self.current) = Arc::clone(&epoch);
         self.node_count.store(epoch.dataset.num_nodes(), Ordering::Release);
         // The cache is version-keyed (correct without this), but the old
         // version's logits are dead weight now — drop them eagerly.
-        *self.cache.lock().expect("cache lock") = None;
+        *lock_recover(&self.cache) = None;
         Ok(epoch)
     }
 }

@@ -15,8 +15,10 @@
 //! ```
 //!
 //! Every tenant owns a pool of [`Engine::fork`] replicas (prepared
-//! weights, versioned graph state, and the version-keyed full-graph
-//! logits cache are `Arc`-shared); a worker checks one out per batch,
+//! weights, versioned graph state, the version-keyed full-graph logits
+//! cache and — for an engine widened with [`Engine::into_parallel`] —
+//! the partition plan are `Arc`-shared); a worker checks one out per
+//! batch,
 //! so any worker can serve any tenant and tenants with no traffic cost
 //! nothing. Graph updates ([`Server::apply_delta`], `update@tenant`)
 //! swap the addressed tenant's shared snapshot **between micro-batches**
@@ -37,12 +39,10 @@ use crate::protocol::HealthReport;
 use crate::queue::{BatchLimits, QueueItem, RequestQueue, SubmitOptions};
 use crate::telemetry::{ServerStats, Telemetry};
 use crate::tenant::{
-    backend_kind_name, Tenant, TenantEngine, TenantInfo, TenantRegistry, TenantSpec,
-    DEFAULT_TENANT,
+    backend_kind_name, Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT,
 };
 use blockgnn_engine::{
     assemble_response, Engine, EngineError, GraphDelta, InferRequest, InferResponse,
-    ParallelEngine,
 };
 use blockgnn_gnn::ModelKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -171,9 +171,8 @@ impl Ticket {
 
 /// The concurrent serving runtime. Construct with [`Server::start`]
 /// (worker pool over a forked [`Engine`], which becomes the `default`
-/// tenant) or [`Server::start_parallel`] (single worker driving a
-/// [`ParallelEngine`]); add tenants with [`Server::deploy`]; submit
-/// through [`Server::handle`] / [`Server::handle_for`]; stop with
+/// tenant); add tenants with [`Server::deploy`]; submit through
+/// [`Server::handle`] / [`Server::handle_for`]; stop with
 /// [`Server::shutdown`].
 pub struct Server {
     queue: Arc<RequestQueue>,
@@ -218,38 +217,10 @@ impl Server {
             config.workers,
         );
         let default = registry.deploy(tenant)?;
-        Ok(Self::spawn(registry, default, config.workers, config))
+        Ok(Self::spawn(registry, default, config))
     }
 
-    /// Starts the runtime around a partition-parallel engine: a single
-    /// worker thread drives it (the engine parallelizes internally),
-    /// while admission control and telemetry work unchanged.
-    /// Micro-batching is forced off — the parallel engine cannot
-    /// coalesce, so dequeuing a group would only hold every reply back
-    /// until the whole group finished. The graph is a frozen snapshot:
-    /// [`Server::apply_delta`] is rejected with
-    /// [`EngineError::ImmutableGraph`].
-    #[must_use]
-    pub fn start_parallel(engine: ParallelEngine, config: ServerConfig) -> Self {
-        let config = ServerConfig { max_batch_requests: 1, ..config };
-        let registry = TenantRegistry::new(config.device_budget_bytes);
-        let tenant = Tenant::parallel(
-            registry.next_id(),
-            DEFAULT_TENANT,
-            1,
-            config.max_queue_depth,
-            engine,
-        );
-        let default = registry.deploy(tenant).expect("empty registry admits the first tenant");
-        Self::spawn(registry, default, 1, config)
-    }
-
-    fn spawn(
-        registry: TenantRegistry,
-        default: Arc<Tenant>,
-        worker_threads: usize,
-        config: ServerConfig,
-    ) -> Self {
+    fn spawn(registry: TenantRegistry, default: Arc<Tenant>, config: ServerConfig) -> Self {
         let registry = Arc::new(registry);
         let queue = Arc::new(RequestQueue::new(config.class_weights()));
         let limits = BatchLimits {
@@ -258,12 +229,12 @@ impl Server {
             max_nodes: config.max_batch_nodes.max(1),
             adaptive: config.adaptive_window,
         };
-        let recorder = Arc::new(Recorder::new(worker_threads, config.tracing));
-        let health = Arc::new(PoolHealth::new(worker_threads, &config));
+        let recorder = Arc::new(Recorder::new(config.workers, config.tracing));
+        let health = Arc::new(PoolHealth::new(config.workers, &config));
         let injector =
             config.faults.clone().map_or_else(FaultInjector::disabled, FaultInjector::new);
         let backoff = (config.restart_backoff, config.restart_backoff_max);
-        let workers = (0..worker_threads)
+        let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let recorder = Arc::clone(&recorder);
@@ -280,6 +251,9 @@ impl Server {
                             // retire: the items hold the Arc.
                             let tenant = Arc::clone(&batch[0].tenant);
                             let mut engine = tenant.engines.checkout();
+                            // The crash is booked before the batch's
+                            // typed replies go out, so `health` never
+                            // lags a reply a client already holds.
                             let crashed = serve_batch(
                                 &mut engine,
                                 batch,
@@ -287,25 +261,13 @@ impl Server {
                                 &recorder,
                                 i,
                                 &injector,
+                                || health.record_crash(&queue),
                             );
                             if crashed {
-                                // The replica may hold arbitrary state
-                                // from the interrupted execution:
-                                // replace it with a fresh fork (prepared
-                                // weights and the versioned graph are
-                                // Arc-shared immutable/epoch state, so
-                                // the fork serves identical bits) and
-                                // the pool never shrinks. The parallel
-                                // engine cannot fork; its snapshot state
-                                // is untouched by a request panic.
-                                let replacement = match &engine {
-                                    TenantEngine::Forked(e) => {
-                                        Some(TenantEngine::Forked(e.fork()))
-                                    }
-                                    TenantEngine::Parallel(_) => None,
-                                };
-                                tenant.engines.checkin(replacement.unwrap_or(engine));
-                                health.record_crash(&queue);
+                                // The interrupted replica is dropped
+                                // for a fresh fork serving identical
+                                // bits; the pool never shrinks.
+                                tenant.engines.checkin(tenant.fresh_replica());
                                 streak += 1;
                                 std::thread::sleep(restart_backoff(
                                     streak, backoff.0, backoff.1,
@@ -468,9 +430,8 @@ impl Server {
     /// # Errors
     ///
     /// [`EngineError::Delta`] / [`EngineError::GraphBudget`] (wrapped in
-    /// [`ServerError::Engine`]) for rejected deltas, or
-    /// [`EngineError::ImmutableGraph`] on a partition-parallel server.
-    /// The served graph is untouched on failure.
+    /// [`ServerError::Engine`]) for rejected deltas. The served graph is
+    /// untouched on failure.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<u64, ServerError> {
         self.handle().update(delta)
     }
@@ -945,11 +906,7 @@ impl ServerHandle {
         if self.tenant.is_retired() {
             return Err(ServerError::UnknownTenant { name: self.tenant.name.clone() });
         }
-        let Some(graph) = &self.tenant.graph else {
-            self.tenant.telemetry.with(|s| s.failed_updates += 1);
-            return Err(ServerError::Engine(EngineError::ImmutableGraph));
-        };
-        match graph.apply_delta_acked(delta) {
+        match self.tenant.graph.apply_delta_acked(delta) {
             Ok((version, num_nodes, num_arcs)) => {
                 self.tenant.telemetry.with(|s| s.updates += 1);
                 Ok(crate::UpdateAck {
@@ -1011,8 +968,7 @@ impl ServerHandle {
         self.tenant.num_nodes()
     }
 
-    /// Stored arcs in this tenant's current graph version (0 reported
-    /// for a frozen parallel snapshot, which exposes no live handle).
+    /// Stored arcs in this tenant's current graph version.
     #[must_use]
     pub fn num_arcs(&self) -> usize {
         self.tenant.num_arcs()
@@ -1039,17 +995,19 @@ impl std::fmt::Debug for ServerHandle {
 /// fault domain: a panic there — the engine's own or one injected by
 /// `injector` — converts every live request of the batch into a typed
 /// [`ServerError::WorkerCrashed`] reply (the connection never drops),
-/// books the crash in telemetry, pushes a `crashed` exemplar per traced
-/// request, and returns `true` so the worker loop can swap the replica
-/// and back off. Shedding and reply delivery stay outside the unwind
+/// books the crash in telemetry and through `on_crash` (before any
+/// reply), pushes a `crashed` exemplar per traced request, and returns
+/// `true` so the worker loop can swap the replica and back off.
+/// Shedding and reply delivery stay outside the unwind
 /// boundary — they own the queue items and must run exactly once.
 fn serve_batch(
-    engine: &mut TenantEngine,
+    engine: &mut Engine,
     batch: Vec<QueueItem>,
     telemetry: &Telemetry,
     recorder: &Recorder,
     worker: usize,
     injector: &FaultInjector,
+    on_crash: impl FnOnce(),
 ) -> bool {
     let exec_start = Instant::now();
     // Batches never span classes, so the whole batch's per-class
@@ -1128,19 +1086,8 @@ fn serve_batch(
             EngineFault::Latency(pause) => std::thread::sleep(pause),
             EngineFault::None | EngineFault::AllocFail => {}
         }
-        match engine {
-            TenantEngine::Forked(engine) => {
-                let coalesced = engine.infer_coalesced(&requests);
-                (coalesced.outcomes, coalesced.deduped, coalesced.stage_timings)
-            }
-            // The parallel engine shards each request across its own
-            // worker pool; `start_parallel` forces batches of one, so
-            // the group is a single request and nothing is
-            // deduplicated.
-            TenantEngine::Parallel(engine) => {
-                (requests.iter().map(|r| engine.execute_request(r)).collect(), 0, Vec::new())
-            }
-        }
+        let coalesced = engine.infer_coalesced(&requests);
+        (coalesced.outcomes, coalesced.deduped, coalesced.stage_timings)
     }));
     let (outcomes, deduped, stage_timings) = match executed {
         Ok(result) => result,
@@ -1150,6 +1097,7 @@ fn serve_batch(
             // connection — and a `crashed` exemplar survives in the
             // flight recorder.
             let crash_off = recorder.offset(Instant::now());
+            on_crash();
             telemetry.with(|s| {
                 s.failed += live.len();
                 s.class_mut(class).failed += live.len();
@@ -1186,8 +1134,8 @@ fn serve_batch(
     let compute_time = exec_start.elapsed();
     // Engine stage spans laid end-to-end from where assembly finished
     // (stage timings are durations; the sequence reconstructs the
-    // timeline). The parallel engine reports no per-stage split — its
-    // whole execution becomes one `execute` span.
+    // timeline). A batch in which no stage ran (every member failed
+    // validation) becomes one `execute` span.
     let stage_spans: Vec<Span> = if !tracing {
         Vec::new()
     } else if stage_timings.is_empty() {

@@ -67,7 +67,7 @@ pub struct ServerStats {
     pub degraded: bool,
     /// Partition load-balance factor of the served engine's full-graph
     /// plan (max part work / mean part work; `1.0` is a perfect split).
-    /// `0.0` when no partition-parallel engine is serving. Aggregate
+    /// `0.0` when the tenant's engine has one worker. Aggregate
     /// snapshots report the worst (largest) factor across tenants.
     pub part_balance: f64,
     /// Per-tenant rollups, keyed by tenant name — populated only on

@@ -23,7 +23,7 @@ use crate::error::ServerError;
 use crate::fault::lock_recover;
 use crate::queue::RequestQueue;
 use crate::telemetry::{ServerStats, Telemetry};
-use blockgnn_engine::{BackendKind, Engine, GraphHandle, ParallelEngine};
+use blockgnn_engine::{BackendKind, Engine, GraphHandle};
 use blockgnn_gnn::ModelKind;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -244,32 +244,23 @@ impl TenantSpec {
     }
 }
 
-/// What a worker executes a tenant's batches on: a forked sequential
-/// engine replica (checked out per batch), or the tenant's shared
-/// partition-parallel engine (pool of one; each request is already
-/// sharded across the parallel engine's own thread pool).
-pub(crate) enum TenantEngine {
-    Forked(Engine),
-    Parallel(Box<ParallelEngine>),
-}
-
 /// A checkout pool of engine replicas. Sized to the server's worker
 /// count at deploy, so with `workers` worker threads a checkout never
 /// blocks in steady state (there are never more concurrent batches than
 /// workers); the condvar covers the transient where a retire races a
 /// checkout.
 pub(crate) struct EnginePool {
-    idle: Mutex<Vec<TenantEngine>>,
+    idle: Mutex<Vec<Engine>>,
     returned: Condvar,
 }
 
 impl EnginePool {
-    fn new(engines: Vec<TenantEngine>) -> Self {
+    fn new(engines: Vec<Engine>) -> Self {
         Self { idle: Mutex::new(engines), returned: Condvar::new() }
     }
 
     /// Takes a replica for one batch.
-    pub fn checkout(&self) -> TenantEngine {
+    pub fn checkout(&self) -> Engine {
         let mut idle = lock_recover(&self.idle);
         loop {
             if let Some(engine) = idle.pop() {
@@ -280,7 +271,7 @@ impl EnginePool {
     }
 
     /// Returns a replica after a batch.
-    pub fn checkin(&self, engine: TenantEngine) {
+    pub fn checkin(&self, engine: Engine) {
         lock_recover(&self.idle).push(engine);
         self.returned.notify_one();
     }
@@ -299,12 +290,11 @@ pub(crate) struct Tenant {
     /// Per-tenant queued-request cap.
     pub max_queue_depth: usize,
     pub engines: EnginePool,
-    /// Live graph handle (`None` for a frozen partition-parallel
-    /// snapshot).
-    pub graph: Option<GraphHandle>,
-    /// Fallback node count / version for the frozen-snapshot case.
-    pub static_num_nodes: usize,
-    pub static_version: u64,
+    /// A replica no worker ever checks out: the source of crash
+    /// re-forks, and what `&self` introspection reads (the pool's
+    /// replicas may all be mid-batch).
+    template: Mutex<Engine>,
+    pub graph: GraphHandle,
     pub model_kind: ModelKind,
     pub backend_kind: BackendKind,
     /// Weight-side §IV-B footprint + per-node feature width, for live
@@ -317,15 +307,12 @@ pub(crate) struct Tenant {
     /// This tenant's private accumulator; the server's aggregate stats
     /// sum these across tenants.
     pub telemetry: Telemetry,
-    /// Partition load-balance factor of a parallel engine's full-graph
-    /// plan (0.0 for sequential tenants — no partition plan to judge).
-    part_balance: f64,
 }
 
 impl Tenant {
-    /// Wraps a sequential engine: the original becomes replica 0 and is
-    /// forked `replicas − 1` times (prepared weights and versioned graph
-    /// state are `Arc`-shared).
+    /// Wraps an engine: it is forked `replicas` times into the pool
+    /// (prepared weights, versioned graph state and the partition plan
+    /// are `Arc`-shared) and kept as the template.
     pub fn forked(
         id: u64,
         name: &str,
@@ -335,90 +322,50 @@ impl Tenant {
         replicas: usize,
     ) -> Self {
         let graph = engine.graph_handle();
-        let static_num_nodes = engine.dataset().num_nodes();
-        let static_version = engine.version();
         let model_kind = engine.model_kind();
         let backend_kind = engine.backend_kind();
         let weight_bytes = engine.weight_bytes();
         let feature_bytes_per_node =
             engine.dataset().feature_dim() * backend_kind.bytes_per_feature();
-        let mut pool = Vec::with_capacity(replicas.max(1));
-        for _ in 1..replicas {
-            pool.push(TenantEngine::Forked(engine.fork()));
-        }
-        pool.push(TenantEngine::Forked(engine));
+        let pool = (0..replicas.max(1)).map(|_| engine.fork()).collect();
         Self {
             id,
             name: name.to_string(),
             weight: weight.max(1),
             max_queue_depth: max_queue_depth.max(1),
             engines: EnginePool::new(pool),
-            graph: Some(graph),
-            static_num_nodes,
-            static_version,
+            template: Mutex::new(engine),
+            graph,
             model_kind,
             backend_kind,
             weight_bytes,
             feature_bytes_per_node,
             retired: AtomicBool::new(false),
             telemetry: Telemetry::new(),
-            part_balance: 0.0,
         }
     }
 
-    /// Wraps a partition-parallel engine (frozen snapshot, pool of one —
-    /// it parallelizes internally).
-    pub fn parallel(
-        id: u64,
-        name: &str,
-        weight: u32,
-        max_queue_depth: usize,
-        engine: ParallelEngine,
-    ) -> Self {
-        let static_num_nodes = engine.dataset().num_nodes();
-        let static_version = engine.version();
-        let model_kind = engine.model_kind();
-        let backend_kind = engine.backend_kind();
-        let weight_bytes = engine.resident_bytes()
-            - static_num_nodes
-                * engine.dataset().feature_dim()
-                * backend_kind.bytes_per_feature();
-        let feature_bytes_per_node =
-            engine.dataset().feature_dim() * backend_kind.bytes_per_feature();
-        let part_balance = engine.partition_balance();
-        Self {
-            id,
-            name: name.to_string(),
-            weight: weight.max(1),
-            max_queue_depth: max_queue_depth.max(1),
-            engines: EnginePool::new(vec![TenantEngine::Parallel(Box::new(engine))]),
-            graph: None,
-            static_num_nodes,
-            static_version,
-            model_kind,
-            backend_kind,
-            weight_bytes,
-            feature_bytes_per_node,
-            retired: AtomicBool::new(false),
-            telemetry: Telemetry::new(),
-            part_balance,
-        }
+    /// A fresh replica for the pool, replacing one whose execution
+    /// panicked (it may hold arbitrary state; the template never ran a
+    /// request, and everything it shares is immutable or epoch state).
+    pub fn fresh_replica(&self) -> Engine {
+        lock_recover(&self.template).fork()
     }
 
     /// Nodes in this tenant's current graph version — what request node
     /// ids are validated against.
     pub fn num_nodes(&self) -> usize {
-        self.graph.as_ref().map_or(self.static_num_nodes, GraphHandle::num_nodes)
+        self.graph.num_nodes()
     }
 
-    /// Stored arcs in the current version (0 for a frozen snapshot).
+    /// Stored arcs in the current version.
     pub fn num_arcs(&self) -> usize {
-        self.graph.as_ref().map_or(0, GraphHandle::num_arcs)
+        self.graph.num_arcs()
     }
 
     /// This tenant's current graph version.
     pub fn version(&self) -> u64 {
-        self.graph.as_ref().map_or(self.static_version, GraphHandle::version)
+        self.graph.version()
     }
 
     /// Live §IV-B/§IV-C residency footprint: packed weight spectra plus
@@ -433,11 +380,15 @@ impl Tenant {
     }
 
     /// This tenant's telemetry snapshot, stamped with its own version
-    /// and partition-balance factor.
+    /// and — over a widened engine — the current plan's balance factor
+    /// (0.0 on one worker: no partition to judge).
     pub fn stats(&self) -> ServerStats {
         let mut stats = self.telemetry.snapshot();
         stats.graph_version = self.version();
-        stats.part_balance = self.part_balance;
+        let engine = lock_recover(&self.template);
+        if engine.workers() > 1 {
+            stats.part_balance = engine.partition_balance();
+        }
         stats
     }
 }

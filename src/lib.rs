@@ -67,11 +67,12 @@
 //! [`EngineBuilder::build_with_model`]; see `examples/recommendation.rs`.
 //!
 //! For full-graph or large sampled workloads on a multi-core host,
-//! convert the engine into a partition-parallel one
-//! ([`Engine::into_parallel`]): the graph is sharded into §IV-C
-//! [`graph::GraphPart`]s and served by a worker-thread pool over
-//! `Arc`-shared prepared weights, with logits bit-identical to the
-//! sequential path.
+//! widen the engine ([`Engine::into_parallel`]): the graph is sharded
+//! into §IV-C [`graph::GraphPart`]s and executed by a worker-thread
+//! pool over `Arc`-shared prepared weights, with logits bit-identical
+//! to the one-worker path. It is still the same [`Engine`] — sessions,
+//! [`Engine::apply_delta`], [`Engine::fork`] and the [`Server`] work on
+//! it unchanged.
 //!
 //! ```
 //! use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};
@@ -80,12 +81,13 @@
 //! use std::sync::Arc;
 //!
 //! let dataset = Arc::new(datasets::cora_like_small(7));
-//! let engine = EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense)
+//! let mut engine = EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense)
 //!     .hidden_dim(16)
 //!     .build(dataset)
+//!     .unwrap()
+//!     .into_parallel(4)
 //!     .unwrap();
-//! let mut parallel = engine.into_parallel(4).unwrap();
-//! let mut session = parallel.session();
+//! let mut session = engine.session();
 //! let response = session.infer(&InferRequest::all_nodes()).unwrap();
 //! assert!(response.parts >= 4, "the full graph was sharded across workers");
 //! ```
@@ -127,7 +129,6 @@ pub use blockgnn_perf as perf;
 pub use blockgnn_server as server;
 
 pub use blockgnn_engine::{
-    BackendKind, Engine, EngineBuilder, InferRequest, InferResponse, ParallelEngine,
-    ParallelSession, ServeStats, Session,
+    BackendKind, Engine, EngineBuilder, InferRequest, InferResponse, ServeStats, Session,
 };
 pub use blockgnn_server::{Server, ServerConfig, TenantSpec};

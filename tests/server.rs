@@ -4,7 +4,8 @@
 //! with typed errors instead of blocking; telemetry must add up; and
 //! live graph updates must land atomically between micro-batches, with
 //! every response's reported version replaying bit-identically against
-//! that version's rebuilt graph.
+//! that version's rebuilt graph — all of it equally over an engine
+//! widened with `into_parallel`.
 
 use blockgnn::engine::{BackendKind, Engine, EngineBuilder, InferRequest, InferResponse};
 use blockgnn::gnn::ModelKind;
@@ -12,8 +13,8 @@ use blockgnn::graph::datasets;
 use blockgnn::graph::delta::{GraphDelta, VersionedGraph};
 use blockgnn::nn::Compression;
 use blockgnn::server::{
-    Client, RemoteResponse, Server, ServerConfig, ServerError, SloClass, SubmitOptions,
-    TcpServer,
+    Client, FaultPlan, RemoteResponse, Server, ServerConfig, ServerError, SloClass,
+    SubmitOptions, TcpServer,
 };
 use blockgnn_graph::Dataset;
 use proptest::prelude::*;
@@ -410,6 +411,73 @@ fn duplicate_requests_dedup_and_responses_split_latency() {
     let stats = server.shutdown();
     assert_eq!(stats.deduped, 3, "three of four shared the leader's execution");
     assert!(stats.serve.total_queue_time > Duration::ZERO);
+}
+
+#[test]
+fn one_engine_through_the_server() {
+    // An engine widened with `into_parallel` is still just an `Engine`
+    // to the server: it coalesces and dedups, takes updates, and a
+    // crashed replica is healed by re-forking it — every answer bit-
+    // identical to a fresh one-worker engine. The first batch panics
+    // (budget 1), so everything below runs on the healed pool.
+    let dataset = dataset();
+    let (kind, backend) = (ModelKind::Gcn, BackendKind::Dense);
+    let widened = engine_on(kind, backend, &dataset).into_parallel(2).expect("widens");
+    let server = Server::start(
+        widened,
+        // One worker and a long window make the coalescing deterministic.
+        ServerConfig::default()
+            .with_workers(1)
+            .with_batching(Duration::from_millis(50), 8)
+            .with_faults(Some(FaultPlan::new(0xF0_12).with_panics(1000, 1))),
+    )
+    .expect("server starts");
+    let handle = server.handle();
+    let all = InferRequest::all_nodes();
+    assert!(matches!(handle.infer(all.clone()), Err(ServerError::WorkerCrashed)));
+
+    // Park the worker on a full-graph pass (run as a partition plan),
+    // then queue eight two-target requests, duplicates adjacent.
+    let blocker = handle.submit(all.clone()).expect("admitted");
+    let requests: Vec<InferRequest> =
+        (0..8).map(|i| InferRequest::sampled(vec![i / 2, i / 2 + 40], 6, 4, 3)).collect();
+    let tickets: Vec<_> =
+        requests.iter().map(|r| handle.submit(r.clone()).expect("admitted")).collect();
+    let full = blocker.wait().expect("the healed pool serves");
+    assert!(full.parts >= 2, "the re-forked replica still runs the plan");
+    let full_request = std::slice::from_ref(&all);
+    let reference = sequential_reference(kind, backend, &dataset, full_request);
+    assert_bit_identical(&full, &reference[0], "healed full graph");
+    let reference = sequential_reference(kind, backend, &dataset, &requests);
+    for ((request, ticket), want) in requests.iter().zip(tickets).zip(&reference) {
+        let got = ticket.wait().expect("serves");
+        assert_bit_identical(&got, want, &format!("coalesced {request:?}"));
+    }
+
+    // Updates reach a widened engine, acknowledged with the true counts.
+    let delta = stress_delta(1, dataset.num_nodes(), dataset.feature_dim());
+    let mut mirror =
+        VersionedGraph::new(dataset.graph.clone(), dataset.features.clone(), true).unwrap();
+    mirror.apply(&delta).expect("valid delta");
+    let ack = handle.update_acked(&delta).expect("a widened engine takes updates");
+    assert_eq!((ack.version, ack.num_arcs), (1, mirror.graph().num_arcs()));
+    assert_eq!(handle.num_arcs(), mirror.graph().num_arcs());
+    let updated = Arc::new(Dataset {
+        graph: mirror.rebuild(),
+        features: mirror.features().clone(),
+        ..Dataset::clone(&dataset)
+    });
+    let after = handle.infer(all.clone()).expect("serves");
+    assert_eq!(after.graph_version, 1);
+    assert!(after.parts >= 2, "the new version runs under a rebuilt plan");
+    let reference = sequential_reference(kind, backend, &updated, full_request);
+    assert_bit_identical(&after, &reference[0], "post-update full graph");
+
+    let stats = server.shutdown();
+    assert!(stats.mean_batch_size() > 1.0, "mean batch {}", stats.mean_batch_size());
+    assert!(stats.deduped > 0, "adjacent duplicates share one execution");
+    assert_eq!((stats.worker_crashes, stats.restarts, stats.workers_alive), (1, 1, 1));
+    assert!(stats.part_balance >= 1.0, "stats read the live plan's balance");
 }
 
 /// Deterministic delta `k` of the update stress mix: pure rewires and

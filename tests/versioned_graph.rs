@@ -6,15 +6,21 @@
 //! four `ModelKind`s on all three backends. Plus the never-stale
 //! regressions: a cached-then-mutated graph cannot serve stale GCN `Â`
 //! normalization, a stale sampled interning, or a stale full-graph
-//! logits cache.
+//! logits cache. Engines widened with `into_parallel` are held to the
+//! same standard — plan, hot rows and sharded sampled executions follow
+//! the version — including under a concurrent writer, and a panicked
+//! full-graph pass must not wedge later updates.
 
 use blockgnn::engine::{BackendKind, Engine, EngineBuilder, EngineError, InferRequest};
-use blockgnn::gnn::ModelKind;
+use blockgnn::gnn::{build_model, GnnModel, ModelKind};
 use blockgnn::graph::delta::{DeltaError, GraphDelta, VersionedGraph};
 use blockgnn::graph::generate::Rng64;
-use blockgnn::graph::{Dataset, DatasetSpec};
-use blockgnn::nn::Compression;
+use blockgnn::graph::{CsrGraph, Dataset, DatasetSpec};
+use blockgnn::linalg::Matrix;
+use blockgnn::nn::{Compression, LinearLayer, Param};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SEED: u64 = 9;
@@ -364,19 +370,268 @@ fn residency_budget_rejects_growth_but_not_rewires() {
 }
 
 #[test]
-fn parallel_engine_freezes_the_conversion_time_version() {
+fn widened_engine_keeps_its_version_and_takes_deltas() {
+    // `into_parallel` changes how the engine executes, not what it
+    // serves: the conversion keeps the current version, and later
+    // deltas — through the engine or the family's handle — are served
+    // by the next pass under a plan rebuilt for that version.
     let dataset = Arc::new(small_dataset(70));
     let engine = engine_on(ModelKind::Gcn, BackendKind::Dense, Arc::clone(&dataset));
     engine.apply_delta(&GraphDelta::new().add_edge(0, 7)).expect("applies");
-    let parallel = engine.into_parallel(2).expect("converts");
-    assert_eq!(parallel.version(), 1, "snapshot taken at the current version");
-    assert_eq!(
-        parallel.apply_delta(&GraphDelta::new().add_edge(0, 8)),
-        Err(EngineError::ImmutableGraph),
-        "frozen snapshots reject deltas with a typed error"
-    );
-    let mut parallel = parallel;
-    let response =
-        parallel.session().infer(&InferRequest::full_graph(vec![0, 7])).expect("serves");
-    assert_eq!(response.graph_version, 1, "responses report the frozen version");
+    let mut widened = engine.into_parallel(2).expect("converts");
+    assert_eq!(widened.version(), 1, "conversion keeps the current version");
+    let before = widened.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert_eq!(before.graph_version, 1);
+    assert_eq!(widened.apply_delta(&GraphDelta::new().add_edge(0, 8)), Ok(2));
+    let grow = GraphDelta::new().append_node(vec![0.5; dataset.feature_dim()]).add_edge(3, 72);
+    assert_eq!(widened.graph_handle().apply_delta(&grow), Ok(3));
+    let after = widened.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert!(!after.from_cache, "a newer version never answers from the old cache");
+    assert_eq!(after.graph_version, 3, "responses report the version they were served from");
+    assert_eq!(after.logits.rows(), 73, "the plan covers the appended node");
+    let mut reference = engine_on(ModelKind::Gcn, BackendKind::Dense, widened.dataset());
+    let want = reference.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert_logits_bit_identical(&after.logits, &want.logits, "widened v3 full graph");
+}
+
+/// Delegates to a real model, but panics in the next `forward` once
+/// armed — an engine bug on demand, for fault-domain regressions.
+struct FusedModel {
+    inner: Box<dyn GnnModel>,
+    armed: Arc<AtomicBool>,
+}
+
+impl GnnModel for FusedModel {
+    fn kind(&self) -> ModelKind {
+        self.inner.kind()
+    }
+    fn hidden_dim(&self) -> usize {
+        self.inner.hidden_dim()
+    }
+    fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
+        assert!(
+            !self.armed.swap(false, Ordering::SeqCst),
+            "fused model: injected forward panic"
+        );
+        self.inner.forward(graph, features, train)
+    }
+    fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
+        self.inner.backward(graph, grad_logits)
+    }
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.inner.visit_params(f);
+    }
+    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
+        self.inner.visit_linear_layers(f);
+    }
+    fn clone_boxed(&self) -> Box<dyn GnnModel> {
+        Box::new(Self { inner: self.inner.clone_boxed(), armed: Arc::clone(&self.armed) })
+    }
+    fn num_stages(&self) -> usize {
+        self.inner.num_stages()
+    }
+    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
+        self.inner.stage_width(stage, feature_dim)
+    }
+    fn forward_stage(
+        &mut self,
+        stage: usize,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+    ) -> Matrix {
+        self.inner.forward_stage(stage, graph, input, rows)
+    }
+}
+
+#[test]
+fn a_panicked_full_graph_pass_does_not_wedge_updates() {
+    // The full-graph pass runs under the logits-cache lock, so a model
+    // panic there (which the serving runtime's `catch_unwind` survives)
+    // poisons it. Updates take the same lock while holding the master
+    // lock: unless poison is recovered, the next update panics, poisons
+    // the master too, and every later update panics forever.
+    let dataset = Arc::new(small_dataset(80));
+    let model = |seed| {
+        build_model(
+            ModelKind::Gcn,
+            dataset.feature_dim(),
+            HIDDEN,
+            dataset.num_classes,
+            Compression::BlockCirculant { block_size: BLOCK },
+            seed,
+        )
+        .expect("model builds")
+    };
+    let armed = Arc::new(AtomicBool::new(false));
+    let fused = FusedModel { inner: model(SEED), armed: Arc::clone(&armed) };
+    let builder = || EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense);
+    let mut engine =
+        builder().build_with_model(Box::new(fused), Arc::clone(&dataset)).expect("builds");
+    armed.store(true, Ordering::SeqCst);
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        let _ = engine.session().infer(&InferRequest::all_nodes());
+    }));
+    assert!(crashed.is_err(), "the armed model must panic inside the pass");
+
+    let mut mirror = Mirror::of(&dataset);
+    for (step, delta) in [
+        GraphDelta::new().add_edge(1, 50).add_edge(2, 51),
+        GraphDelta::new().set_feature_row(4, vec![0.25; dataset.feature_dim()]),
+    ]
+    .iter()
+    .enumerate()
+    {
+        assert_eq!(engine.apply_delta(delta), Ok(step as u64 + 1), "updates keep working");
+        mirror.apply(delta);
+    }
+    let got = engine.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert!(!got.from_cache);
+    assert_eq!(got.graph_version, 2);
+    let mut fresh = builder()
+        .build_with_model(model(SEED), Arc::new(mirror.rebuilt_dataset()))
+        .expect("builds");
+    let want = fresh.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert_logits_bit_identical(&got.logits, &want.logits, "post-panic full graph");
+}
+
+/// Step `step` of the widened-engine delta stream: the four delta kinds
+/// in turn, then random mixes of them.
+fn stream_delta(step: usize, versioned: &VersionedGraph, rng: &mut Rng64) -> GraphDelta {
+    let n = versioned.num_nodes();
+    let mut row = || (0..versioned.features().cols()).map(|_| rng.next_normal()).collect();
+    match step {
+        0 => GraphDelta::new().add_edge(1, n - 2).add_edge(n / 2, n / 3),
+        1 => {
+            let (u, v) = versioned.edges()[versioned.edges().len() / 2];
+            GraphDelta::new().remove_edge(u, v)
+        }
+        2 => GraphDelta::new().set_feature_row(n / 4, row()),
+        3 => GraphDelta::new().append_node(row()).add_edge(n, 0).add_edge(n, n / 2),
+        _ => random_delta(versioned, rng),
+    }
+}
+
+/// A sampled request over 40 distinct targets — above the 32-row
+/// sharding threshold, so a widened engine executes it staged.
+fn wide_sampled(num_nodes: usize, salt: usize) -> InferRequest {
+    let nodes: Vec<usize> = (0..40).map(|i| (i + salt) % num_nodes).collect();
+    InferRequest::sampled(nodes, 4, 3, salt as u64)
+}
+
+#[test]
+fn widened_engines_match_fresh_rebuilds_under_deltas() {
+    let all = InferRequest::all_nodes();
+    for kind in ModelKind::all() {
+        for backend in [BackendKind::Dense, BackendKind::Spectral] {
+            let dataset = Arc::new(small_dataset(17));
+            let mut engine = engine_on(kind, backend, Arc::clone(&dataset))
+                .into_parallel(3)
+                .expect("widens");
+            let mut mirror = Mirror::of(&dataset);
+            let mut rng = Rng64::new(0xD1FF);
+            // Warm every cache on version 0 so staleness would show.
+            engine.session().infer(&all).expect("warmup serves");
+            for step in 0..8 {
+                let delta = stream_delta(step, &mirror.versioned, &mut rng);
+                let version = engine.apply_delta(&delta).expect("valid delta applies");
+                mirror.apply(&delta);
+                assert_eq!(version, mirror.versioned.version());
+                let what = format!("{kind} {backend} v{version}");
+                // The reference: a fresh one-worker engine on the
+                // from-scratch rebuild of this version.
+                let mut reference =
+                    engine_on(kind, backend, Arc::new(mirror.rebuilt_dataset()));
+                let want = reference.session().infer(&all).expect("rebuilt serves");
+
+                let cold = engine.session().infer(&all).expect("widened serves");
+                assert_eq!(cold.graph_version, version, "{what}: reported version");
+                assert!(cold.parts >= 3, "{what}: the pass ran the plan");
+                assert_eq!(cold.hot_rows, 0, "{what}: no pre-delta row may be served");
+                assert_logits_bit_identical(&cold.logits, &want.logits, &what);
+
+                engine.clear_full_graph_cache();
+                let warm = engine.session().infer(&all).expect("widened serves");
+                assert_eq!(warm.graph_version, version, "{what}: reported version");
+                assert!(warm.hot_rows > 0, "{what}: this version's hub rows are reused");
+                assert_logits_bit_identical(&warm.logits, &want.logits, &what);
+
+                let request = wide_sampled(mirror.versioned.num_nodes(), step);
+                let got = engine.session().infer(&request).expect("widened serves");
+                let want = reference.session().infer(&request).expect("rebuilt serves");
+                assert_eq!(got.graph_version, version, "{what}: reported version");
+                assert!(got.parts >= 3, "{what}: 40 unique targets shard");
+                assert_logits_bit_identical(&got.logits, &want.logits, &what);
+                assert_eq!(got.predictions, want.predictions, "{what}: predictions");
+
+                let mut covered = vec![0usize; mirror.versioned.num_nodes()];
+                for part in engine.parts() {
+                    for &v in &part.nodes {
+                        covered[v as usize] += 1;
+                    }
+                }
+                assert!(covered.iter().all(|&c| c == 1), "{what}: parts tile the node set");
+            }
+            assert!(mirror.versioned.num_nodes() > dataset.num_nodes(), "the stream appended");
+        }
+    }
+}
+
+#[test]
+fn widened_engine_serves_consistent_versions_under_a_concurrent_writer() {
+    // A writer applies deltas through the family's handle while the
+    // widened engine serves; whichever version a response reports, its
+    // logits must be that version's reference, bit for bit. The reader
+    // hands the writer one token per pass, so each delta lands during
+    // or right after a pass that resolved the previous version.
+    let (kind, backend) = (ModelKind::GsPool, BackendKind::Spectral);
+    let dataset = Arc::new(small_dataset(23));
+    let mut mirror = Mirror::of(&dataset);
+    let mut rng = Rng64::new(0xC0C0);
+    let all = InferRequest::all_nodes();
+    let sampled = wide_sampled(dataset.num_nodes(), 5);
+    let mut deltas = Vec::new();
+    let mut references = Vec::new();
+    for step in 0..=6 {
+        let mut reference = engine_on(kind, backend, Arc::new(mirror.rebuilt_dataset()));
+        let mut session = reference.session();
+        references.push((
+            session.infer(&all).expect("rebuilt serves").logits,
+            session.infer(&sampled).expect("rebuilt serves").logits,
+        ));
+        if step < 6 {
+            let delta = stream_delta(step, &mirror.versioned, &mut rng);
+            mirror.apply(&delta);
+            deltas.push(delta);
+        }
+    }
+    let mut engine =
+        engine_on(kind, backend, Arc::clone(&dataset)).into_parallel(3).expect("widens");
+    let handle = engine.graph_handle();
+    let (token, tokens) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for delta in &deltas {
+                tokens.recv().expect("the reader outlives the writer");
+                handle.apply_delta(delta).expect("valid delta applies");
+            }
+        });
+        loop {
+            // The writer hangs up after its last delta; tokens past
+            // that point have nobody to wake.
+            let _ = token.send(());
+            engine.clear_full_graph_cache();
+            let full = engine.session().infer(&all).expect("widened serves");
+            let (want_full, _) = &references[full.graph_version as usize];
+            let what = format!("concurrent full graph v{}", full.graph_version);
+            assert_logits_bit_identical(&full.logits, want_full, &what);
+            let got = engine.session().infer(&sampled).expect("widened serves");
+            let (_, want_sampled) = &references[got.graph_version as usize];
+            let what = format!("concurrent sampled v{}", got.graph_version);
+            assert_logits_bit_identical(&got.logits, want_sampled, &what);
+            if got.graph_version == 6 {
+                break;
+            }
+        }
+    });
 }
