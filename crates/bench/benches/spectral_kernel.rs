@@ -7,7 +7,10 @@
 //! at the repository root: per block size, the mean matvec latency of
 //! all three kernels and the half-vs-full speedup. CI's bench smoke job
 //! parses that file and fails if the half-spectrum path regresses below
-//! the full-spectrum baseline it replaced (a coarse ≥ 1.0× guard).
+//! the full-spectrum baseline it replaced (a coarse ≥ 1.0× guard, on
+//! one-row calls). A second table, `rows_per_call`, records what the
+//! row-tiled kernel's amortisation is worth: the per-row cost of
+//! `matmul_into` at 1, 8 and 256 rows per call.
 
 use blockgnn_bench::json::{array, write_bench_file, JsonObject};
 use blockgnn_bench::timing::mean_secs;
@@ -24,6 +27,10 @@ use std::time::Duration;
 const DIM: usize = 256;
 /// Block sizes under test (small-to-mid compression ratios).
 const BLOCK_SIZES: [usize; 4] = [4, 8, 16, 32];
+/// The rows-per-call axis: one row, one tile, many tiles.
+const ROWS_PER_CALL: [usize; 3] = [1, 8, 256];
+/// Block sizes the rows-per-call axis is recorded at.
+const ROWS_BLOCK_SIZES: [usize; 2] = [16, 32];
 
 fn test_input(len: usize) -> Vec<f64> {
     (0..len).map(|i| ((i as f64 + 1.0) * 0.37).sin() * 2.0).collect()
@@ -93,12 +100,32 @@ fn emit_bench_json(_c: &mut Criterion) {
                 .render(),
         );
     }
+    let mut batched = Vec::new();
+    for n in ROWS_BLOCK_SIZES {
+        let half = kernels(n).half;
+        let mut scratch = SpectralScratch::new();
+        let row_us = ROWS_PER_CALL.map(|rows| {
+            let x = test_input(rows * DIM);
+            let mut y = vec![0.0; rows * DIM];
+            let call = mean_secs(iters / 4 / rows + 1, iters / rows + 1, || {
+                half.matmul_into(black_box(&x), None, &mut scratch, &mut y);
+            });
+            call * 1e6 / rows as f64
+        });
+        let mut row = JsonObject::new().int("block_size", n as u128);
+        for (rows, us) in ROWS_PER_CALL.iter().zip(row_us) {
+            row = row.num(&format!("row_us_r{rows}"), us);
+        }
+        row = row.num("r256_over_r1_speedup", row_us[0] / row_us[2]);
+        batched.push(row.render());
+    }
     let doc = JsonObject::new()
         .string("bench", "spectral_kernel")
         .int("out_dim", DIM as u128)
         .int("in_dim", DIM as u128)
         .int("host_cpus", std::thread::available_parallelism().map_or(0, |p| p.get() as u128))
         .raw("kernels", array(rows))
+        .raw("rows_per_call", array(batched))
         .render();
     let path = write_bench_file("spectral", &doc).expect("bench json writes");
     println!("wrote {}", path.display());

@@ -21,7 +21,9 @@
 //!   MACs, and accumulation *in the spectral domain* so only `p` IFFTs are
 //!   needed instead of `p·q`.
 //! * [`RealSpectralBlockCirculant`] — the §V RFFT refinement that keeps
-//!   only the non-redundant half-spectrum.
+//!   only the non-redundant half-spectrum, applied to a tile of feature
+//!   rows per transform pass: the one f64 kernel serving and training
+//!   both run.
 //! * [`FixedSpectralBlockCirculant`] — the same pipeline through Q16.16
 //!   fixed-point FFTs, bit-matching the FPGA datapath.
 //! * [`CompressionStats`] — the Table III storage-reduction (SR = n) and

@@ -11,24 +11,62 @@
 //! [`SpectralBlockCirculant`] implements that optimized Algorithm 1 with
 //! **full** complex spectra; it is kept as the explicit baseline the
 //! benchmarks and the CI perf guard compare against.
-//! [`RealSpectralBlockCirculant`] is the production path: the §V RFFT
-//! refinement with **packed Hermitian half-spectra**
-//! ([`blockgnn_fft::HalfSpectrum`], `n/2 + 1` bins), halving both the
-//! resident spectral bytes and the element-wise MAC work, plus a
-//! reusable [`SpectralScratch`] workspace so the steady-state serving
-//! loop performs zero heap allocations per row.
+//!
+//! [`RealSpectralBlockCirculant`] is the production kernel — the §V RFFT
+//! refinement over Hermitian half-spectra (`n/2 + 1` bins per block),
+//! batched over feature rows. It is the workspace's only f64
+//! half-spectrum MAC loop: [`RealSpectralBlockCirculant::matvec_into`]
+//! and `blockgnn_nn::CirculantDense` (prepared and training forward
+//! alike) all run [`RealSpectralBlockCirculant::matmul_into`].
+//!
+//! # What is stored where
+//!
+//! * **Weights** — one contiguous `Vec<Complex<f64>>`,
+//!   `[grid_row][grid_col][bin]`: the MAC of grid row `i` reads its
+//!   `q · (n/2 + 1)` weights front to back.
+//! * **Inputs** — `LANES` (8) rows at a time are transposed into
+//!   [`blockgnn_fft::ComplexLanes`] elements, `[grid_col][bin]` of them:
+//!   per bin the 8 rows' real parts side by side, then their imaginary
+//!   parts, so the **row (lane) index is innermost**. The RFFT
+//!   butterflies and untangle
+//!   ([`blockgnn_fft::RealFftPlan::forward_lanes`]), the spectral MAC
+//!   and the IRFFT are then plain `for lane in 0..LANES` loops over
+//!   `[f64; LANES]`: they vectorise without target flags, and every
+//!   twiddle and weight is loaded once per tile instead of once per row.
+//!   One grid row's accumulator has the same element type; both live in
+//!   the caller's [`SpectralScratch`].
+//! * Rows left over after the last full tile run through the **same
+//!   body at one lane** — the element is then a plain `Complex<f64>`, so
+//!   a one-row call pays for one row (and a weight layout that left only
+//!   the lane axis to vectorise, such as bin-major, would make exactly
+//!   that call slower).
+//!
+//! # Row independence
+//!
+//! A row's output bits depend only on that row and the weights — not on
+//! the batch size, its position in the batch, or its tile-mates. It holds
+//! because lanes never mix (no operation reads two lanes), every lane is
+//! given the same operations in the same order whatever the width (one
+//! generic body, [`blockgnn_fft::Lanes`]), and Rust never contracts
+//! `a*b + c` into a fused multiply-add or reassociates a sum.
+//! Coalesced-vs-single serving, staged-vs-monolithic passes and
+//! delta-vs-rebuild all lean on this; the tests below check it by
+//! `f64::to_bits`.
 
 use crate::error::CirculantError;
 use crate::matrix::BlockCirculantMatrix;
-use blockgnn_fft::{half_spectrum_bins, Complex, FftPlan, HalfSpectrum, RealFftPlan};
+use blockgnn_fft::{half_spectrum_bins, Complex, ComplexLanes, FftPlan, Lanes, RealFftPlan};
 
-/// Reusable workspace for half-spectrum circulant products: the padded
-/// tail block, the per-chunk input spectra, the spectral accumulator,
-/// and the IRFFT output block. Allocated once (lazily, on first use)
-/// and reused across rows, layers, and requests — the owner decides the
-/// sharing scope (each `CirculantDense` layer and each
-/// [`RealSpectralBlockCirculant`] caller holds its own, so forked
-/// serving replicas never contend).
+/// Rows per transform pass of [`RealSpectralBlockCirculant::matmul_into`]
+/// (4 and 16 both measured slower on the GS-Pool layer shapes).
+const LANES: usize = 8;
+
+/// Reusable workspace of the half-spectrum kernel: a tile's input
+/// spectra and one grid row's accumulator, at each of the two widths the
+/// kernel runs (see the module docs). Grown on first use and kept across
+/// rows, layers and requests — the owner decides the sharing scope (each
+/// `CirculantDense` layer and each [`RealSpectralBlockCirculant`] caller
+/// holds its own, so forked serving replicas never contend).
 ///
 /// `Clone` intentionally produces an **empty** scratch: cloning a
 /// prepared layer (how the serving engine forks per-worker replicas)
@@ -36,17 +74,8 @@ use blockgnn_fft::{half_spectrum_bins, Complex, FftPlan, HalfSpectrum, RealFftPl
 /// workspace on first use.
 #[derive(Debug, Default)]
 pub struct SpectralScratch {
-    /// One block of padded input for the trailing partial chunk.
-    pad: Vec<f64>,
-    /// Flat per-chunk input half-spectra, `chunks × bins`.
-    input_spectra: Vec<Complex<f64>>,
-    /// Spectral accumulator for one grid row (`bins` entries).
-    acc: Vec<Complex<f64>>,
-    /// IRFFT output block (`n` reals).
-    time: Vec<f64>,
-    /// Geometry the buffers are currently sized for.
-    block_size: usize,
-    chunks: usize,
+    tile: Vec<ComplexLanes<f64, LANES>>,
+    row: Vec<Complex<f64>>,
 }
 
 impl Clone for SpectralScratch {
@@ -56,84 +85,12 @@ impl Clone for SpectralScratch {
 }
 
 impl SpectralScratch {
-    /// A fresh, empty scratch; buffers grow on first
-    /// [`SpectralScratch::load_row`].
+    /// A fresh, empty scratch; the buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Sizes the buffers for `chunks` blocks of `block_size` (no-op when
-    /// already sized; capacity is retained across calls).
-    fn ensure(&mut self, block_size: usize, chunks: usize) {
-        if self.block_size == block_size && self.chunks == chunks {
-            return;
-        }
-        let bins = half_spectrum_bins(block_size);
-        self.pad.resize(block_size, 0.0);
-        self.input_spectra.resize(chunks * bins, Complex::zero());
-        self.acc.resize(bins, Complex::zero());
-        self.time.resize(block_size, 0.0);
-        self.block_size = block_size;
-        self.chunks = chunks;
-    }
-
-    /// Transforms one input row into `chunks` half-spectra held in the
-    /// scratch (zero-padding the trailing partial chunk). Aligned chunks
-    /// are transformed straight out of `row` — no copy; only a trailing
-    /// remainder goes through the pad buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is longer than `chunks * plan.len()`.
-    pub fn load_row(&mut self, plan: &RealFftPlan<f64>, row: &[f64], chunks: usize) {
-        let n = plan.len();
-        assert!(row.len() <= chunks * n, "row does not fit the chunk grid");
-        self.ensure(n, chunks);
-        let bins = half_spectrum_bins(n);
-        for j in 0..chunks {
-            let start = j * n;
-            let dst = &mut self.input_spectra[j * bins..(j + 1) * bins];
-            if start + n <= row.len() {
-                plan.forward_into(&row[start..start + n], dst)
-                    .expect("chunk length equals plan length");
-            } else {
-                let avail = row.len().saturating_sub(start);
-                self.pad[..avail].copy_from_slice(&row[start..]);
-                self.pad[avail..].fill(0.0);
-                plan.forward_into(&self.pad, dst).expect("pad length equals plan length");
-            }
-        }
-    }
-
-    /// The `j`-th input half-spectrum loaded by
-    /// [`SpectralScratch::load_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is outside the loaded chunk grid.
-    #[must_use]
-    pub fn spectrum(&self, j: usize) -> &[Complex<f64>] {
-        let bins = half_spectrum_bins(self.block_size);
-        &self.input_spectra[j * bins..(j + 1) * bins]
-    }
-
-    /// Splits the workspace into [`MacParts`] — the pieces the per-row
-    /// MAC loop needs to borrow simultaneously.
-    pub fn mac_parts(&mut self) -> MacParts<'_> {
-        (
-            &mut self.acc,
-            &mut self.time,
-            &self.input_spectra,
-            half_spectrum_bins(self.block_size),
-        )
-    }
 }
-
-/// Borrowed view of a [`SpectralScratch`] for the per-row MAC loop:
-/// `(spectral accumulator, IRFFT output block, loaded input spectra,
-/// bins per chunk)`.
-pub type MacParts<'a> = (&'a mut [Complex<f64>], &'a mut [f64], &'a [Complex<f64>], usize);
 
 /// Pre-computed spectral form of a [`BlockCirculantMatrix`] using the
 /// complex FFT (the paper's baseline CirCore datapath).
@@ -316,11 +273,21 @@ impl SpectralBlockCirculant {
 }
 
 /// Pre-computed spectral form using the **real** FFT (§V refinement):
-/// spectra are stored packed ([`HalfSpectrum`], `n/2 + 1` bins),
-/// halving MAC work and resident weight bytes relative to the complex
-/// path. This is the serving-grade kernel: pair it with a
-/// [`SpectralScratch`] via [`RealSpectralBlockCirculant::matvec_with`]
-/// and the steady-state loop allocates nothing per row.
+/// `n/2 + 1` bins per block instead of `n`, halving MAC work and resident
+/// weight bytes relative to the complex path, applied to a tile of rows
+/// per transform pass (layout and the row-independence contract are in
+/// the module docs). Pair it with a [`SpectralScratch`] and the
+/// steady-state loop allocates nothing.
+///
+/// ```
+/// use blockgnn_core::{BlockCirculantMatrix, RealSpectralBlockCirculant, SpectralScratch};
+/// let w = BlockCirculantMatrix::random(6, 10, 4, 5).unwrap();
+/// let kernel = RealSpectralBlockCirculant::new(&w).unwrap();
+/// let x: Vec<f64> = (0..3 * 10).map(|i| i as f64 * 0.1).collect(); // 3 rows
+/// let mut y = vec![0.0; 3 * 6];
+/// kernel.matmul_into(&x, None, &mut SpectralScratch::new(), &mut y);
+/// assert_eq!(&y[6..12], kernel.matvec(&x[10..20]).as_slice()); // row 1, alone
+/// ```
 #[derive(Debug, Clone)]
 pub struct RealSpectralBlockCirculant {
     out_dim: usize,
@@ -328,38 +295,66 @@ pub struct RealSpectralBlockCirculant {
     block_size: usize,
     grid_rows: usize,
     grid_cols: usize,
-    /// Packed half-spectra `Ŵ_ij`, row-major grid order.
-    spectra: Vec<HalfSpectrum<f64>>,
+    /// `Ŵ`, one contiguous buffer: block `(i, j)`'s bins at
+    /// `[(i·q + j)·bins .. +bins]`.
+    weights: Vec<Complex<f64>>,
     plan: RealFftPlan<f64>,
 }
 
 impl RealSpectralBlockCirculant {
-    /// Pre-computes the packed half-spectra `Ŵ`.
+    /// Pre-computes the half-spectra `Ŵ`.
     ///
     /// # Errors
     ///
     /// Returns [`CirculantError::BadBlockSize`] if the block size is not
     /// a power of two.
     pub fn new(matrix: &BlockCirculantMatrix) -> Result<Self, CirculantError> {
-        let n = matrix.block_size();
-        let plan = RealFftPlan::new(n).map_err(|_| CirculantError::BadBlockSize {
-            n,
+        let kernels: Vec<f64> =
+            matrix.iter_blocks().flat_map(|(_, _, block)| block.kernel()).copied().collect();
+        Self::from_kernels(matrix.out_dim(), matrix.in_dim(), matrix.block_size(), &kernels)
+    }
+
+    /// [`RealSpectralBlockCirculant::new`] from flat kernels — block
+    /// `(i, j)`'s first column at `[(i·q + j)·n .. +n]`, the layout a
+    /// trainable layer keeps its parameters in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CirculantError::BadBlockSize`] if `block_size` is not a
+    /// power of two, [`CirculantError::EmptyDimension`] if a dimension is
+    /// zero, and [`CirculantError::BadKernelLayout`] if `kernels` is not
+    /// `⌈N/n⌉ · ⌈M/n⌉ · n` long.
+    pub fn from_kernels(
+        out_dim: usize,
+        in_dim: usize,
+        block_size: usize,
+        kernels: &[f64],
+    ) -> Result<Self, CirculantError> {
+        let plan = RealFftPlan::new(block_size).map_err(|_| CirculantError::BadBlockSize {
+            n: block_size,
             reason: "real-spectral execution requires a power-of-two block size",
         })?;
-        let mut spectra = Vec::with_capacity(matrix.grid_rows() * matrix.grid_cols());
-        for (_, _, block) in matrix.iter_blocks() {
-            spectra
-                .push(plan.forward_half(block.kernel()).expect("kernel length matches plan"));
+        if out_dim == 0 || in_dim == 0 {
+            return Err(CirculantError::EmptyDimension);
         }
-        Ok(Self {
-            out_dim: matrix.out_dim(),
-            in_dim: matrix.in_dim(),
-            block_size: n,
-            grid_rows: matrix.grid_rows(),
-            grid_cols: matrix.grid_cols(),
-            spectra,
-            plan,
-        })
+        let (grid_rows, grid_cols) =
+            (out_dim.div_ceil(block_size), in_dim.div_ceil(block_size));
+        if kernels.len() != grid_rows * grid_cols * block_size {
+            return Err(CirculantError::BadKernelLayout {
+                what: format!(
+                    "expected {grid_rows}x{grid_cols} kernels of length {block_size}, got {} values",
+                    kernels.len()
+                ),
+            });
+        }
+        let bins = plan.spectrum_len();
+        let mut weights = vec![Complex::zero(); grid_rows * grid_cols * bins];
+        for (kernel, spectrum) in
+            kernels.chunks_exact(block_size).zip(weights.chunks_exact_mut(bins))
+        {
+            plan.forward_into(kernel, spectrum).expect("kernel length matches plan");
+        }
+        Ok(Self { out_dim, in_dim, block_size, grid_rows, grid_cols, weights, plan })
     }
 
     /// Logical output dimension `N`.
@@ -386,15 +381,16 @@ impl RealSpectralBlockCirculant {
         half_spectrum_bins(self.block_size)
     }
 
-    /// Borrows the packed half-spectrum `Ŵ_ij`.
+    /// Borrows the half-spectrum `Ŵ_ij` (`n/2 + 1` bins).
     ///
     /// # Panics
     ///
     /// Panics if `(i, j)` is outside the grid.
     #[must_use]
-    pub fn spectrum(&self, i: usize, j: usize) -> &HalfSpectrum<f64> {
+    pub fn spectrum(&self, i: usize, j: usize) -> &[Complex<f64>] {
         assert!(i < self.grid_rows && j < self.grid_cols, "spectrum index out of grid");
-        &self.spectra[i * self.grid_cols + j]
+        let bins = self.spectrum_len();
+        &self.weights[(i * self.grid_cols + j) * bins..][..bins]
     }
 
     /// Algorithm 1 over half-spectra with a fresh workspace: q RFFTs,
@@ -424,30 +420,106 @@ impl RealSpectralBlockCirculant {
     }
 
     /// Fully write-into form of the half-spectrum Algorithm 1: the
-    /// result lands in `out` (every entry overwritten).
+    /// result lands in `out` (every entry overwritten). The one-row call
+    /// of [`RealSpectralBlockCirculant::matmul_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim` or `out.len() != out_dim`.
     pub fn matvec_into(&self, x: &[f64], scratch: &mut SpectralScratch, out: &mut [f64]) {
         assert_eq!(x.len(), self.in_dim, "matvec input length must equal in_dim");
-        assert_eq!(out.len(), self.out_dim, "matvec output length must equal out_dim");
-        let n = self.block_size;
-        scratch.load_row(&self.plan, x, self.grid_cols);
-        let (acc, time, input_spectra, bins) = scratch.mac_parts();
-        for i in 0..self.grid_rows {
-            acc.fill(Complex::zero());
-            for j in 0..self.grid_cols {
-                let w = self.spectra[i * self.grid_cols + j].bins();
-                let xs = &input_spectra[j * bins..(j + 1) * bins];
-                for ((a, &wv), &xv) in acc.iter_mut().zip(w).zip(xs) {
-                    *a += wv * xv;
+        self.matmul_into(x, None, scratch, out);
+    }
+
+    /// Algorithm 1 over a batch: `out[r] = W·x[r] (+ bias)` for every
+    /// row of the row-major `rows × in_dim` input, written into the
+    /// row-major `rows × out_dim` output (every entry overwritten).
+    /// Full tiles of `LANES` (8) rows share each transform pass; the rest
+    /// run one row at a time through the same body, and either way a
+    /// row's bits are those of its own one-row call (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not a multiple of `in_dim`, `out.len()` is
+    /// not `rows · out_dim`, or `bias` is not `out_dim` long.
+    pub fn matmul_into(
+        &self,
+        x: &[f64],
+        bias: Option<&[f64]>,
+        scratch: &mut SpectralScratch,
+        out: &mut [f64],
+    ) {
+        let rows = x.len() / self.in_dim;
+        assert_eq!(x.len(), rows * self.in_dim, "matmul input must be whole rows of in_dim");
+        assert_eq!(out.len(), rows * self.out_dim, "matmul output must be rows × out_dim");
+        assert!(bias.is_none_or(|b| b.len() == self.out_dim), "bias length must equal out_dim");
+        let tiled = rows - rows % LANES;
+        for first in (0..tiled).step_by(LANES) {
+            self.tile(first, x, bias, &mut scratch.tile, out);
+        }
+        for first in tiled..rows {
+            self.tile(first, x, bias, &mut scratch.row, out);
+        }
+    }
+
+    /// Rows `first_row .. first_row + E::WIDTH` of
+    /// [`RealSpectralBlockCirculant::matmul_into`], one per lane.
+    fn tile<E: Lanes<f64>>(
+        &self,
+        first_row: usize,
+        x: &[f64],
+        bias: Option<&[f64]>,
+        buffer: &mut Vec<E>,
+        out: &mut [f64],
+    ) {
+        let (n, q, bins) = (self.block_size, self.grid_cols, self.spectrum_len());
+        buffer.resize((q + 1) * bins, E::ZERO);
+        let (spectra, acc) = buffer.split_at_mut(q * bins);
+
+        // Transpose the rows in, packed for the RFFT (samples 2k and 2k+1
+        // of a chunk are element k); the ragged last chunk is zero-padded.
+        for l in 0..E::WIDTH {
+            let row = &x[(first_row + l) * self.in_dim..][..self.in_dim];
+            for (chunk, packed) in row.chunks(n).zip(spectra.chunks_exact_mut(bins)) {
+                let sample = |t: usize| chunk.get(t).copied().unwrap_or(0.0);
+                for (k, z) in packed[..n.div_ceil(2)].iter_mut().enumerate() {
+                    z.set_lane(l, Complex::new(sample(2 * k), sample(2 * k + 1)));
                 }
             }
-            self.plan.inverse_into(acc, time).expect("accumulator matches spectrum len");
-            let start = i * n;
-            let take = n.min(self.out_dim - start);
-            out[start..start + take].copy_from_slice(&time[..take]);
+        }
+        for chunk in spectra.chunks_exact_mut(bins) {
+            self.plan.forward_lanes(chunk).expect("a chunk's bins match the plan");
+        }
+
+        for (i, w_row) in self.weights.chunks_exact(q * bins).enumerate() {
+            // Grid row i: Σ_j Ŵ_ij ∘ X̂_j with the weights read in order,
+            // then one IRFFT.
+            acc.fill(E::ZERO);
+            for (w_block, x_chunk) in w_row.chunks_exact(bins).zip(spectra.chunks_exact(bins)) {
+                for ((a, &w), x) in acc.iter_mut().zip(w_block).zip(x_chunk) {
+                    for l in 0..E::WIDTH {
+                        a.set_lane(l, a.lane(l) + w * x.lane(l));
+                    }
+                }
+            }
+            self.plan.inverse_lanes(acc).expect("the accumulator matches the plan");
+            // Transpose back out (the accumulator holds the packed signal
+            // again), truncating the last grid row to the logical output.
+            let (start, end) = (i * n, ((i + 1) * n).min(self.out_dim));
+            for l in 0..E::WIDTH {
+                let y = &mut out[(first_row + l) * self.out_dim..][start..end];
+                for (pair, z) in y.chunks_mut(2).zip(acc.iter()) {
+                    pair[0] = z.lane(l).re;
+                    if let Some(odd) = pair.get_mut(1) {
+                        *odd = z.lane(l).im;
+                    }
+                }
+                if let Some(bias) = bias {
+                    for (o, b) in y.iter_mut().zip(&bias[start..end]) {
+                        *o += b;
+                    }
+                }
+            }
         }
     }
 }
@@ -547,9 +619,79 @@ mod tests {
         let r = RealSpectralBlockCirculant::new(&m).unwrap();
         let mut scratch = SpectralScratch::new();
         let _ = r.matvec_with(&test_input(8), &mut scratch);
+        assert!(!scratch.row.is_empty());
         let clone = scratch.clone();
-        assert_eq!(clone.block_size, 0, "clone must not carry request-scoped buffers");
-        assert!(clone.input_spectra.is_empty());
+        assert!(clone.row.is_empty(), "clone must not carry request-scoped buffers");
+        assert!(clone.tile.is_empty());
+    }
+
+    /// A `rows × cols` row-major batch with a different scale per row, so
+    /// a lane reading its neighbour's data cannot go unnoticed.
+    fn test_batch(rows: usize, cols: usize) -> Vec<f64> {
+        (0..rows * cols)
+            .map(|i| ((i as f64 + 1.0) * 0.37).sin() * (1.0 + (i / cols) as f64))
+            .collect()
+    }
+
+    #[test]
+    fn rows_are_independent_of_batch_and_position() {
+        // Row r computed alone equals row r inside every batch size that
+        // puts it in a full tile, in the width-1 remainder, or both —
+        // bit for bit, with and without a bias, on ragged shapes too.
+        let shapes = [(5, 7, 1), (6, 10, 2), (10, 6, 4), (16, 24, 8), (64, 96, 16)];
+        let ragged = [(50, 30, 16), (33, 70, 32), (96, 130, 64)];
+        let mut scratch = SpectralScratch::new();
+        for (out_dim, in_dim, n) in shapes.into_iter().chain(ragged) {
+            let m = BlockCirculantMatrix::random(out_dim, in_dim, n, 7).unwrap();
+            let r = RealSpectralBlockCirculant::new(&m).unwrap();
+            let bias: Vec<f64> = (0..out_dim).map(|o| (o as f64 * 0.11).cos()).collect();
+            for rows in 1..=2 * LANES + 1 {
+                let x = test_batch(rows, in_dim);
+                for bias in [None, Some(bias.as_slice())] {
+                    let mut batched = vec![f64::NAN; rows * out_dim];
+                    r.matmul_into(&x, bias, &mut scratch, &mut batched);
+                    for (row, got) in x.chunks(in_dim).zip(batched.chunks(out_dim)) {
+                        let mut alone = vec![f64::NAN; out_dim];
+                        r.matmul_into(row, bias, &mut SpectralScratch::new(), &mut alone);
+                        let bits =
+                            |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(got),
+                            bits(&alone),
+                            "{out_dim}x{in_dim} n={n}: a row of a {rows}-row batch drifted"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bias_is_added_after_the_product() {
+        let m = BlockCirculantMatrix::random(10, 6, 4, 3).unwrap();
+        let r = RealSpectralBlockCirculant::new(&m).unwrap();
+        let x = test_input(6);
+        let bias: Vec<f64> = (0..10).map(|o| o as f64 - 4.5).collect();
+        let mut y = vec![0.0; 10];
+        r.matmul_into(&x, Some(&bias), &mut SpectralScratch::new(), &mut y);
+        let expect: Vec<f64> = r.matvec(&x).iter().zip(&bias).map(|(v, b)| v + b).collect();
+        assert_eq!(y, expect);
+    }
+
+    #[test]
+    fn from_kernels_matches_the_matrix_constructor() {
+        let m = BlockCirculantMatrix::random(10, 6, 4, 21).unwrap();
+        let flat: Vec<f64> =
+            m.iter_blocks().flat_map(|(_, _, b)| b.kernel().to_vec()).collect();
+        let a = RealSpectralBlockCirculant::new(&m).unwrap();
+        let b = RealSpectralBlockCirculant::from_kernels(10, 6, 4, &flat).unwrap();
+        assert_eq!(a.weights, b.weights);
+        assert!(matches!(
+            RealSpectralBlockCirculant::from_kernels(10, 6, 4, &flat[1..]).unwrap_err(),
+            CirculantError::BadKernelLayout { .. }
+        ));
+        assert!(RealSpectralBlockCirculant::from_kernels(9, 9, 3, &[0.0; 27]).is_err());
+        assert!(RealSpectralBlockCirculant::from_kernels(0, 4, 4, &[]).is_err());
     }
 
     #[test]
@@ -563,10 +705,10 @@ mod tests {
         }
         // The packed form stores exactly the non-redundant prefix.
         let r = RealSpectralBlockCirculant::new(&m).unwrap();
-        for (a, b) in r.spectrum(1, 0).bins().iter().zip(&expect) {
+        for (a, b) in r.spectrum(1, 0).iter().zip(&expect) {
             assert!(a.linf_distance(*b) < 1e-12);
         }
-        assert_eq!(r.spectrum(1, 0).bins().len(), 3);
+        assert_eq!(r.spectrum(1, 0).len(), 3);
     }
 
     #[test]
@@ -624,6 +766,28 @@ mod tests {
             let yh = half.matvec_with(&x, &mut scratch);
             prop_assert!(linf_distance(&full.matvec(&x), &yh) < 1e-8);
             prop_assert!(linf_distance(&m.matvec_direct(&x), &yh) < 1e-8);
+        }
+
+        #[test]
+        fn prop_batched_equals_direct(
+            seed in 0u64..500,
+            rows in 1usize..(2 * LANES + 2),
+            logn in 0u32..7,
+            out_dim in 1usize..130,
+            in_dim in 1usize..130,
+        ) {
+            // Every row of a batch — full tiles and the width-1 remainder
+            // — against the spatial-domain product, block sizes 1–64,
+            // both dimensions ragged more often than not.
+            let n = 1usize << logn;
+            let m = BlockCirculantMatrix::random(out_dim, in_dim, n, seed).unwrap();
+            let half = RealSpectralBlockCirculant::new(&m).unwrap();
+            let x = test_batch(rows, in_dim);
+            let mut y = vec![f64::NAN; rows * out_dim];
+            half.matmul_into(&x, None, &mut SpectralScratch::new(), &mut y);
+            for (row, got) in x.chunks(in_dim).zip(y.chunks(out_dim)) {
+                prop_assert!(linf_distance(&m.matvec_direct(row), got) <= 1e-9);
+            }
         }
     }
 }

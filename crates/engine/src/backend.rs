@@ -247,9 +247,8 @@ impl ExecutionBackend for DenseBackend {
 ///
 /// Steady-state `execute` performs zero spectral-path heap allocations:
 /// each prepared `CirculantDense` layer owns a
-/// [`blockgnn_core::SpectralScratch`] (padded tail block, per-chunk
-/// input half-spectra, spectral accumulator, IRFFT block) that is
-/// reused across rows and requests. [`ExecutionBackend::fork`] clones
+/// [`blockgnn_core::SpectralScratch`] (a row tile's input half-spectra
+/// and spectral accumulator) that is reused across rows and requests. [`ExecutionBackend::fork`] clones
 /// the model — prepared spectra stay `Arc`-shared, while each scratch
 /// clones *empty* — so every session/worker replica owns private hot
 /// buffers and forks never contend.

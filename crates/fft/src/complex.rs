@@ -122,6 +122,63 @@ impl<T: FftFloat> Complex<T> {
     }
 }
 
+/// `L` complex numbers side by side — the real parts, then the imaginary
+/// parts. A slice of these is `L` independent complex signals with the
+/// lane index innermost, which is what the lane-generic transforms
+/// ([`crate::RealFftPlan::forward_lanes`]) and the batched circulant
+/// kernel in `blockgnn-core` loop over: every operation is a plain
+/// `for lane in 0..L` over `[T; L]`, so it vectorises, and at `L = 1`
+/// the layout is exactly [`Complex`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ComplexLanes<T, const L: usize> {
+    /// Real parts, one per lane.
+    pub re: [T; L],
+    /// Imaginary parts, one per lane.
+    pub im: [T; L],
+}
+
+/// What the transforms are written over: an element holding
+/// [`Lanes::WIDTH`] complex numbers that are read and written one lane at
+/// a time. A plain [`Complex`] is the one-lane case, so the scalar
+/// transforms and the lane-generic ones are the same code, and
+/// [`ComplexLanes`] is the `L`-lane case.
+pub trait Lanes<T>: Copy {
+    /// How many complex numbers one element holds.
+    const WIDTH: usize;
+    /// Every lane `0 + 0i`.
+    const ZERO: Self;
+    /// Lane `l` (`l < WIDTH`).
+    fn lane(&self, l: usize) -> Complex<T>;
+    /// Overwrites lane `l` (`l < WIDTH`).
+    fn set_lane(&mut self, l: usize, value: Complex<T>);
+}
+
+impl<T: FftFloat> Lanes<T> for Complex<T> {
+    const WIDTH: usize = 1;
+    const ZERO: Self = Self { re: T::ZERO, im: T::ZERO };
+    #[inline]
+    fn lane(&self, _: usize) -> Complex<T> {
+        *self
+    }
+    #[inline]
+    fn set_lane(&mut self, _: usize, value: Complex<T>) {
+        *self = value;
+    }
+}
+
+impl<T: FftFloat, const L: usize> Lanes<T> for ComplexLanes<T, L> {
+    const WIDTH: usize = L;
+    const ZERO: Self = Self { re: [T::ZERO; L], im: [T::ZERO; L] };
+    #[inline]
+    fn lane(&self, l: usize) -> Complex<T> {
+        Complex { re: self.re[l], im: self.im[l] }
+    }
+    #[inline]
+    fn set_lane(&mut self, l: usize, value: Complex<T>) {
+        (self.re[l], self.im[l]) = (value.re, value.im);
+    }
+}
+
 impl<T: FftFloat> Add for Complex<T> {
     type Output = Self;
     #[inline]

@@ -14,7 +14,8 @@
 //! * [`real`] — real-input FFT (RFFT/IRFFT) exploiting conjugate symmetry,
 //!   implementing the §V "Use RFFT for Higher Speedup" discussion, with
 //!   allocation-free `forward_into`/`inverse_into` variants for serving
-//!   hot paths.
+//!   hot paths and `forward_lanes`/`inverse_lanes`, the same body over
+//!   [`ComplexLanes`] — several signals per pass, one per lane.
 //! * [`half`] — [`HalfSpectrum`], the packed `n/2 + 1`-bin Hermitian
 //!   half-spectrum the serving paths store and multiply.
 //! * [`fixed`] — Q16.16 fixed-point arithmetic matching the paper's 32-bit
@@ -50,7 +51,7 @@ pub mod half;
 pub mod plan;
 pub mod real;
 
-pub use complex::Complex;
+pub use complex::{Complex, ComplexLanes, Lanes};
 pub use fixed::Q16_16;
 pub use fixed_fft::{FixedFftPlan, FixedRealFftPlan};
 pub use float::FftFloat;

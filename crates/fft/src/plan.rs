@@ -11,7 +11,7 @@
 //! scaling); the inverse applies the conjugate twiddles and divides by
 //! `n`, so `inverse(forward(x)) == x`.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Lanes};
 use crate::float::FftFloat;
 use crate::is_power_of_two;
 use std::error::Error;
@@ -164,9 +164,7 @@ impl<T: FftFloat> FftPlan<T> {
     /// Returns [`FftError::LengthMismatch`] when the buffer length differs
     /// from the planned length.
     pub fn try_forward(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
-        self.check_len(data)?;
-        self.apply(data, Direction::Forward);
-        Ok(())
+        self.forward_lanes(data)
     }
 
     /// Fallible in-place inverse FFT.
@@ -176,13 +174,7 @@ impl<T: FftFloat> FftPlan<T> {
     /// Returns [`FftError::LengthMismatch`] when the buffer length differs
     /// from the planned length.
     pub fn try_inverse(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
-        self.check_len(data)?;
-        self.apply(data, Direction::Inverse);
-        let inv_n = T::ONE / T::from_usize(self.len);
-        for v in data.iter_mut() {
-            *v = v.scale(inv_n);
-        }
-        Ok(())
+        self.inverse_lanes(data)
     }
 
     /// Forward FFT of a real-valued slice, returning a fresh complex buffer.
@@ -204,7 +196,31 @@ impl<T: FftFloat> FftPlan<T> {
         Ok(buf)
     }
 
-    fn check_len(&self, data: &[Complex<T>]) -> Result<(), FftError> {
+    /// The forward transform of every lane of `data` at once (a plain
+    /// [`Complex`] buffer is the one-lane case). Each lane is given the
+    /// same operations in the same order whatever the width, so a
+    /// lane's bits do not depend on the width or on its lane-mates.
+    pub(crate) fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
+        self.check_len(data)?;
+        self.apply(data, Direction::Forward);
+        Ok(())
+    }
+
+    /// The inverse transform (scaled by `1/n`) of every lane of `data`;
+    /// see [`FftPlan::forward_lanes`].
+    pub(crate) fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
+        self.check_len(data)?;
+        self.apply(data, Direction::Inverse);
+        let inv_n = T::ONE / T::from_usize(self.len);
+        for v in data.iter_mut() {
+            for l in 0..E::WIDTH {
+                v.set_lane(l, v.lane(l).scale(inv_n));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_len<E>(&self, data: &[E]) -> Result<(), FftError> {
         if data.len() != self.len {
             Err(FftError::LengthMismatch { expected: self.len, got: data.len() })
         } else {
@@ -212,7 +228,7 @@ impl<T: FftFloat> FftPlan<T> {
         }
     }
 
-    fn apply(&self, data: &mut [Complex<T>], dir: Direction) {
+    fn apply<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
         let n = self.len;
         if n <= 1 {
             return;
@@ -229,7 +245,9 @@ impl<T: FftFloat> FftPlan<T> {
             Direction::Inverse => &self.twiddles_inv,
         };
         // Iterative butterflies. Stage with half-size m uses twiddle slice
-        // [m-1 .. 2m-1) because stages are packed 1,2,4,... entries.
+        // [m-1 .. 2m-1) because stages are packed 1,2,4,... entries. Each
+        // twiddle is loaded once for all lanes; the lane loop is innermost
+        // so it vectorises.
         let mut m = 1;
         let mut stage_base = 0;
         while m < n {
@@ -237,10 +255,13 @@ impl<T: FftFloat> FftPlan<T> {
             for start in (0..n).step_by(span) {
                 for k in 0..m {
                     let w = twiddles[stage_base + k];
-                    let a = data[start + k];
-                    let b = data[start + k + m] * w;
-                    data[start + k] = a + b;
-                    data[start + k + m] = a - b;
+                    let (lo, hi) = (data[start + k], data[start + k + m]);
+                    for l in 0..E::WIDTH {
+                        let a = lo.lane(l);
+                        let b = hi.lane(l) * w;
+                        data[start + k].set_lane(l, a + b);
+                        data[start + k + m].set_lane(l, a - b);
+                    }
                 }
             }
             stage_base += m;

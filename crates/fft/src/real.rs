@@ -19,8 +19,14 @@
 //! both transforms untangle *in place* inside the caller's buffers (the
 //! output buffer doubles as the packed work area), so a steady-state
 //! inference loop performs zero heap allocations per transform.
+//!
+//! Both are the one-lane case of [`RealFftPlan::forward_lanes`] /
+//! [`RealFftPlan::inverse_lanes`], which are written over
+//! [`crate::Lanes`] elements: on [`crate::ComplexLanes`] buffers they
+//! transform several independent signals per pass, one per lane, with
+//! each lane's bits those of the one-lane call.
 
-use crate::complex::Complex;
+use crate::complex::{Complex, Lanes};
 use crate::float::FftFloat;
 use crate::half::{half_spectrum_bins, HalfSpectrum};
 use crate::plan::{FftError, FftPlan};
@@ -131,50 +137,53 @@ impl<T: FftFloat> RealFftPlan<T> {
         if input.len() != self.len {
             return Err(FftError::LengthMismatch { expected: self.len, got: input.len() });
         }
-        if out.len() != self.spectrum_len() {
-            return Err(FftError::LengthMismatch {
-                expected: self.spectrum_len(),
-                got: out.len(),
-            });
+        self.check_bins(out)?;
+        // Pack: z[k] = x[2k] + i x[2k+1], in place in the output buffer
+        // (n = 1 has no pair: its one sample is the real part of z[0]).
+        out[0] = Complex::from_real(input[0]);
+        for (z, pair) in out.iter_mut().zip(input.chunks_exact(2)) {
+            *z = Complex::new(pair[0], pair[1]);
         }
-        if self.len == 1 {
-            out[0] = Complex::from_real(input[0]);
+        self.forward_lanes(out)
+    }
+
+    /// [`RealFftPlan::forward_into`] for every lane of `data` at once:
+    /// `ComplexLanes<T, L>` elements transform `L` independent signals,
+    /// lane `l` being signal `l`.
+    ///
+    /// On entry the first `n/2` elements hold each lane's **packed**
+    /// signal `z[k] = x[2k] + i·x[2k+1]` (for `n = 1`, `re` of element 0
+    /// is the sample); on return `data` holds the `n/2 + 1` bins. It is
+    /// the body `forward_into` itself runs at one lane, and no operation
+    /// reads two lanes, so a lane's bins equal `forward_into`'s bit for
+    /// bit whatever the width and whatever the other lanes hold; each
+    /// twiddle is loaded once per call instead of once per signal, and
+    /// the lane loops vectorise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `data` is not
+    /// `spectrum_len()` long.
+    pub fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
+        self.check_bins(data)?;
+        let half = self.len / 2;
+        if half == 0 {
+            for l in 0..E::WIDTH {
+                data[0].set_lane(l, Complex::from_real(data[0].lane(l).re));
+            }
             return Ok(());
         }
-        let half = self.len / 2;
-        // Pack: z[k] = x[2k] + i x[2k+1], in place in the output buffer.
-        for k in 0..half {
-            out[k] = Complex::new(input[2 * k], input[2 * k + 1]);
+        self.half_plan.forward_lanes(&mut data[..half])?;
+        // Untangle in place. Bin k reads z[k] and z[half-k], so k = 0
+        // goes alone (it also yields the Nyquist bin: W^{n/2} = -1, so
+        // X[n/2] = Xe[0] - Xo[0]) and then the mirror pairs.
+        let z0 = data[0];
+        for l in 0..E::WIDTH {
+            let z0 = z0.lane(l);
+            data[0].set_lane(l, untangle(z0, z0, self.twiddles[0]));
+            data[half].set_lane(l, Complex::from_real(z0.re) - Complex::from_real(z0.im));
         }
-        self.half_plan.try_forward(&mut out[..half])?;
-
-        let two = T::from_usize(2);
-        let inv_two = T::ONE / two;
-        // Untangle in place. Bin k reads z[k] and z[half-k], so process
-        // k = 0 alone (it also yields the Nyquist bin) and then the
-        // mirror pairs (k, half-k), saving both sources before either
-        // destination is overwritten. The per-bin arithmetic is the
-        // textbook even/odd split, identical to the allocating path.
-        let untangle = |zk: Complex<T>, zr: Complex<T>, tw: Complex<T>| {
-            let xe = (zk + zr.conj()).scale(inv_two);
-            let xo = (zk - zr.conj()).scale(inv_two).mul_i_neg();
-            xe + tw * xo
-        };
-        let z0 = out[0];
-        out[0] = untangle(z0, z0, self.twiddles[0]);
-        let nyquist = Complex::from_real(z0.re) - Complex::from_real(z0.im);
-        let mut k = 1;
-        while k <= half - k {
-            let zk = out[k];
-            let zr = out[half - k];
-            out[k] = untangle(zk, zr, self.twiddles[k]);
-            if k != half - k {
-                out[half - k] = untangle(zr, zk, self.twiddles[half - k]);
-            }
-            k += 1;
-        }
-        // Nyquist bin: W^{n/2} = -1, so X[n/2] = Xe[0] - Xo[0].
-        out[half] = nyquist;
+        self.mirror_pairs(data, untangle);
         Ok(())
     }
 
@@ -188,12 +197,7 @@ impl<T: FftFloat> RealFftPlan<T> {
     /// Returns [`FftError::LengthMismatch`] if
     /// `spectrum.len() != n/2 + 1`.
     pub fn inverse(&self, spectrum: &[Complex<T>]) -> Result<Vec<T>, FftError> {
-        if spectrum.len() != self.spectrum_len() {
-            return Err(FftError::LengthMismatch {
-                expected: self.spectrum_len(),
-                got: spectrum.len(),
-            });
-        }
+        self.check_bins(spectrum)?;
         let mut work = spectrum.to_vec();
         let mut out = vec![T::ZERO; self.len];
         self.inverse_into(&mut work, &mut out)?;
@@ -214,50 +218,97 @@ impl<T: FftFloat> RealFftPlan<T> {
         spectrum: &mut [Complex<T>],
         out: &mut [T],
     ) -> Result<(), FftError> {
-        if spectrum.len() != self.spectrum_len() {
-            return Err(FftError::LengthMismatch {
-                expected: self.spectrum_len(),
-                got: spectrum.len(),
-            });
-        }
         if out.len() != self.len {
             return Err(FftError::LengthMismatch { expected: self.len, got: out.len() });
         }
-        if self.len == 1 {
-            out[0] = spectrum[0].re;
-            return Ok(());
-        }
-        let half = self.len / 2;
-        let two = T::from_usize(2);
-        let inv_two = T::ONE / two;
-        // Rebuild the packed half-length spectrum Z[k] = Xe[k] + i·Xo[k]
-        // in place. Bin k reads X[k] and X[half-k]; k = 0 (which reads
-        // the Nyquist bin) goes first, then the mirror pairs.
-        let retangle = |xk: Complex<T>, xm: Complex<T>, tw: Complex<T>| {
-            let xr = xm.conj();
-            let xe = (xk + xr).scale(inv_two);
-            // Xo[k] = conj(W^k) * (X[k] - conj(X[half-k])) / 2
-            let xo = tw.conj() * (xk - xr).scale(inv_two);
-            xe + xo.mul_i()
-        };
-        spectrum[0] = retangle(spectrum[0], spectrum[half], self.twiddles[0]);
-        let mut k = 1;
-        while k <= half - k {
-            let xk = spectrum[k];
-            let xm = spectrum[half - k];
-            spectrum[k] = retangle(xk, xm, self.twiddles[k]);
-            if k != half - k {
-                spectrum[half - k] = retangle(xm, xk, self.twiddles[half - k]);
-            }
-            k += 1;
-        }
-        self.half_plan.try_inverse(&mut spectrum[..half])?;
-        for (k, v) in spectrum[..half].iter().enumerate() {
-            out[2 * k] = v.re;
-            out[2 * k + 1] = v.im;
+        self.inverse_lanes(spectrum)?;
+        // Unpack; n = 1 has no pair, only the real part of z[0].
+        out[0] = spectrum[0].re;
+        for (pair, z) in out.chunks_exact_mut(2).zip(spectrum.iter()) {
+            (pair[0], pair[1]) = (z.re, z.im);
         }
         Ok(())
     }
+
+    /// [`RealFftPlan::inverse_into`] for every lane of `data`: consumes
+    /// the bins and leaves each lane's packed signal in the first `n/2`
+    /// elements (`x[2k] = re`, `x[2k+1] = im` of element `k`; for `n = 1`
+    /// the sample is `re` of element 0). Widths and bit-equality as for
+    /// [`RealFftPlan::forward_lanes`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] if `data` is not
+    /// `spectrum_len()` long.
+    pub fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
+        self.check_bins(data)?;
+        let half = self.len / 2;
+        if half == 0 {
+            return Ok(());
+        }
+        // Rebuild the packed half-length spectrum Z[k] = Xe[k] + i·Xo[k]
+        // in place. Bin k reads X[k] and X[half-k]; k = 0 (which reads
+        // the Nyquist bin) goes first, then the mirror pairs.
+        let (x0, nyquist) = (data[0], data[half]);
+        for l in 0..E::WIDTH {
+            data[0].set_lane(l, retangle(x0.lane(l), nyquist.lane(l), self.twiddles[0]));
+        }
+        self.mirror_pairs(data, retangle);
+        self.half_plan.inverse_lanes(&mut data[..half])
+    }
+
+    /// Applies `f` in place to the mirror pairs `(k, n/2 − k)` for
+    /// `k ≥ 1`, loading both sources before either destination is
+    /// overwritten.
+    fn mirror_pairs<E: Lanes<T>>(
+        &self,
+        data: &mut [E],
+        f: impl Fn(Complex<T>, Complex<T>, Complex<T>) -> Complex<T>,
+    ) {
+        let half = self.len / 2;
+        let mut k = 1;
+        while k <= half - k {
+            let m = half - k;
+            let (vk, vm) = (data[k], data[m]);
+            for l in 0..E::WIDTH {
+                data[k].set_lane(l, f(vk.lane(l), vm.lane(l), self.twiddles[k]));
+                if k != m {
+                    data[m].set_lane(l, f(vm.lane(l), vk.lane(l), self.twiddles[m]));
+                }
+            }
+            k += 1;
+        }
+    }
+
+    fn check_bins<E>(&self, data: &[E]) -> Result<(), FftError> {
+        if data.len() == self.spectrum_len() {
+            Ok(())
+        } else {
+            Err(FftError::LengthMismatch { expected: self.spectrum_len(), got: data.len() })
+        }
+    }
+}
+
+/// One bin of the forward untangle — the textbook even/odd split
+/// `X[k] = Xe[k] + W^k·Xo[k]` from the packed transform's `Z[k]` and
+/// `Z[half-k]`.
+#[inline]
+fn untangle<T: FftFloat>(zk: Complex<T>, zr: Complex<T>, tw: Complex<T>) -> Complex<T> {
+    let inv_two = T::ONE / T::from_usize(2);
+    let xe = (zk + zr.conj()).scale(inv_two);
+    let xo = (zk - zr.conj()).scale(inv_two).mul_i_neg();
+    xe + tw * xo
+}
+
+/// One bin of the inverse retangle: `Z[k] = Xe[k] + i·Xo[k]` from `X[k]`
+/// and `X[half-k]`, with `Xo[k] = conj(W^k)·(X[k] − conj(X[half-k]))/2`.
+#[inline]
+fn retangle<T: FftFloat>(xk: Complex<T>, xm: Complex<T>, tw: Complex<T>) -> Complex<T> {
+    let inv_two = T::ONE / T::from_usize(2);
+    let xr = xm.conj();
+    let xe = (xk + xr).scale(inv_two);
+    let xo = tw.conj() * (xk - xr).scale(inv_two);
+    xe + xo.mul_i()
 }
 
 impl<T: FftFloat> Complex<T> {
@@ -273,6 +324,7 @@ impl<T: FftFloat> Complex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::ComplexLanes;
     use crate::dft::dft_reference;
     use proptest::prelude::*;
 
@@ -331,6 +383,70 @@ mod tests {
             plan.inverse_into(&mut work, &mut back_into).unwrap();
             assert_eq!(back, back_into, "inverse_into drifted at n={n}");
         }
+    }
+
+    /// Every lane of the lane-generic pair must equal the scalar
+    /// `forward_into`/`inverse_into` of that lane's signal, bit for bit.
+    fn check_lanes<const L: usize>(n: usize) {
+        let plan = RealFftPlan::<f64>::new(n).unwrap();
+        let signal = |l: usize| -> Vec<f64> {
+            (0..n).map(|t| ((t * L + l) as f64 * 0.61 + 0.2).sin() * (1.0 + l as f64)).collect()
+        };
+        let mut data =
+            vec![ComplexLanes { re: [f64::NAN; L], im: [f64::NAN; L] }; plan.spectrum_len()];
+        for l in 0..L {
+            let x = signal(l);
+            if n == 1 {
+                data[0].re[l] = x[0];
+            }
+            for k in 0..n / 2 {
+                data[k].set_lane(l, C::new(x[2 * k], x[2 * k + 1]));
+            }
+        }
+        plan.forward_lanes(&mut data).unwrap();
+        let bits = |c: C| (c.re.to_bits(), c.im.to_bits());
+        let mut scalar = Vec::new();
+        for l in 0..L {
+            let spec = plan.forward(&signal(l)).unwrap();
+            for (k, bin) in spec.iter().enumerate() {
+                assert_eq!(bits(data[k].lane(l)), bits(*bin), "n={n} L={L} lane {l} bin {k}");
+            }
+            scalar.push(spec);
+        }
+        // Inverse of a non-trivial spectrum: the square of the forward one.
+        for (l, spec) in scalar.iter_mut().enumerate() {
+            for (k, bin) in spec.iter_mut().enumerate() {
+                *bin = *bin * *bin;
+                data[k].set_lane(l, *bin);
+            }
+        }
+        plan.inverse_lanes(&mut data).unwrap();
+        for (l, spec) in scalar.iter_mut().enumerate() {
+            let mut time = vec![0.0; n];
+            plan.inverse_into(spec, &mut time).unwrap();
+            for (t, want) in time.iter().enumerate() {
+                let got = if t % 2 == 0 { data[t / 2].re[l] } else { data[t / 2].im[l] };
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} L={L} lane {l} sample {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_transforms_equal_the_scalar_ones_per_lane() {
+        for n in [1usize, 2, 4, 8, 16, 32, 64, 128] {
+            check_lanes::<1>(n);
+            check_lanes::<3>(n);
+            check_lanes::<8>(n);
+        }
+    }
+
+    #[test]
+    fn lane_transforms_validate_the_buffer_length() {
+        let plan = RealFftPlan::<f64>::new(8).unwrap();
+        let mut short = vec![ComplexLanes::<f64, 4>::ZERO; 4];
+        let err = FftError::LengthMismatch { expected: 5, got: 4 };
+        assert_eq!(plan.forward_lanes(&mut short), Err(err.clone()));
+        assert_eq!(plan.inverse_lanes(&mut short), Err(err));
     }
 
     #[test]

@@ -48,26 +48,11 @@ impl GsPoolLayer {
         let nodes = graph.num_nodes();
         let t = self.pool_act.forward(&self.pool.forward(h, train), train);
         let mut a = Matrix::zeros(nodes, self.pool_dim);
-        self.argmax = vec![0u32; nodes * self.pool_dim];
+        // Only `backward` reads the winners, so only training records them.
+        self.argmax = vec![0u32; if train { nodes * self.pool_dim } else { 0 }];
+        let mut winners = self.argmax.chunks_exact_mut(self.pool_dim);
         for v in 0..nodes {
-            let neigh = graph.neighbors(v);
-            // GraphSAGE falls back to the node itself when isolated.
-            let self_source = [v as u32];
-            let sources: &[u32] = if neigh.is_empty() { &self_source } else { neigh };
-            let arow = a.row_mut(v);
-            for (d, av) in arow.iter_mut().enumerate() {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_u = sources[0];
-                for &u in sources {
-                    let val = t[(u as usize, d)];
-                    if val > best {
-                        best = val;
-                        best_u = u;
-                    }
-                }
-                *av = best;
-                self.argmax[v * self.pool_dim + d] = best_u;
-            }
+            max_pool_neighbors(graph, &t, v, a.row_mut(v), winners.next());
         }
         let z = a.hconcat(h).expect("row counts match by construction");
         let y = self.comb.forward(&z, train);
@@ -137,8 +122,8 @@ impl GsPoolLayer {
     /// Aggregate-and-combine half-stage: element-wise max over each
     /// target's neighbors in the pooled columns of the full transform
     /// matrix, concatenated with the target's own feature columns, then
-    /// the combiner (+ activation). Max-pooling iterates sources in CSR
-    /// order, matching [`GsPoolLayer::forward`] exactly.
+    /// the combiner (+ activation). The max is [`max_pool_neighbors`],
+    /// the one [`GsPoolLayer::forward`] runs.
     fn stage_combine(&mut self, graph: &CsrGraph, input: &Matrix, rows: &[u32]) -> Matrix {
         assert_eq!(
             input.cols(),
@@ -148,27 +133,54 @@ impl GsPoolLayer {
         let mut z = Matrix::zeros(rows.len(), self.pool_dim + self.in_dim);
         for (i, &v) in rows.iter().enumerate() {
             let v = v as usize;
-            let neigh = graph.neighbors(v);
-            // GraphSAGE falls back to the node itself when isolated.
-            let self_source = [v as u32];
-            let sources: &[u32] = if neigh.is_empty() { &self_source } else { neigh };
             let zrow = z.row_mut(i);
-            for (d, zv) in zrow[..self.pool_dim].iter_mut().enumerate() {
-                let mut best = f64::NEG_INFINITY;
-                for &u in sources {
-                    let val = input[(u as usize, d)];
-                    if val > best {
-                        best = val;
-                    }
-                }
-                *zv = best;
-            }
+            max_pool_neighbors(graph, input, v, &mut zrow[..self.pool_dim], None);
             zrow[self.pool_dim..].copy_from_slice(&input.row(v)[self.pool_dim..]);
         }
         let y = self.comb.forward(&z, false);
         match &self.act {
             Some(act) => act.apply(&y),
             None => y,
+        }
+    }
+}
+
+/// `out[d] = max_{u ∈ N(v)} pooled[u][d]` over the first `out.len()`
+/// columns of `pooled` (an isolated `v` pools from itself, as GraphSAGE
+/// does), and with `winners`, the `u` that supplied each maximum.
+///
+/// Sources are walked outermost in CSR order and a contiguous row
+/// innermost; the compare is a strict `>` against a running maximum that
+/// starts at −∞, so the first of equal maxima wins and NaNs are skipped.
+fn max_pool_neighbors(
+    graph: &CsrGraph,
+    pooled: &Matrix,
+    v: usize,
+    out: &mut [f64],
+    mut winners: Option<&mut [u32]>,
+) {
+    let neigh = graph.neighbors(v);
+    let self_source = [v as u32];
+    let sources: &[u32] = if neigh.is_empty() { &self_source } else { neigh };
+    out.fill(f64::NEG_INFINITY);
+    if let Some(winners) = winners.as_deref_mut() {
+        winners.fill(sources[0]);
+    }
+    for &u in sources {
+        let row = &pooled.row(u as usize)[..out.len()];
+        match winners.as_deref_mut() {
+            None => {
+                for (best, &s) in out.iter_mut().zip(row) {
+                    *best = if s > *best { s } else { *best };
+                }
+            }
+            Some(winners) => {
+                for ((best, winner), &s) in out.iter_mut().zip(winners).zip(row) {
+                    if s > *best {
+                        (*best, *winner) = (s, u);
+                    }
+                }
+            }
         }
     }
 }
@@ -301,11 +313,25 @@ mod tests {
         let x = tiny_features(6, 4);
         let mut model =
             GsPool::new(4, 3, 2, CompressionPolicy::uniform(Compression::Dense), 7).unwrap();
-        let _ = model.forward(&g, &x, false);
+        let _ = model.forward(&g, &x, true);
         let l1 = &model.layer1;
         for d in 0..3 {
             assert_eq!(l1.argmax[5 * 3 + d], 0, "pendant must pool from its only neighbor");
         }
+    }
+
+    #[test]
+    fn inference_records_no_argmax_and_training_still_backpropagates() {
+        let g = tiny_graph();
+        let x = tiny_features(6, 5);
+        let mut model =
+            GsPool::new(5, 4, 3, CompressionPolicy::uniform(Compression::Dense), 2).unwrap();
+        let inferred = model.forward(&g, &x, false);
+        assert!(model.layer1.argmax.is_empty() && model.layer2.argmax.is_empty());
+        let trained = model.forward(&g, &x, true);
+        assert_eq!(model.layer1.argmax.len(), 6 * 4);
+        assert_eq!(inferred, trained, "recording the winners must not change the maxima");
+        check_model_gradients(&mut model, &g, &x, 1e-4);
     }
 
     #[test]

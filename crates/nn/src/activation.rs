@@ -107,7 +107,8 @@ impl ActivationLayer {
     /// which additionally snapshots input and output for `backward`).
     #[must_use]
     pub fn apply(&self, x: &Matrix) -> Matrix {
-        Matrix::from_fn(x.rows(), x.cols(), |i, j| self.kind.apply(x[(i, j)]))
+        let y = x.as_slice().iter().map(|&v| self.kind.apply(v)).collect();
+        Matrix::from_flat(x.rows(), x.cols(), y).expect("one output per input element")
     }
 
     /// Drops the backward-pass snapshots (e.g. before forking an
@@ -120,7 +121,7 @@ impl ActivationLayer {
 
 impl Layer for ActivationLayer {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let y = Matrix::from_fn(x.rows(), x.cols(), |i, j| self.kind.apply(x[(i, j)]));
+        let y = self.apply(x);
         if train {
             self.cached_input = Some(x.clone());
             self.cached_output = Some(y.clone());

@@ -14,19 +14,36 @@
 //!   so only `p·q` IFFTs are paid per backward pass)
 //!
 //! Every signal involved is real, so all spectra are Hermitian and the
-//! layer works exclusively on **packed half-spectra**
-//! ([`blockgnn_fft::HalfSpectrum`], `n/2 + 1` bins): element-wise
-//! products and conjugate-products of Hermitian spectra stay Hermitian,
-//! which halves the MAC work and the resident spectral bytes of every
-//! path above. The inference hot loop additionally runs inside a
-//! reusable [`blockgnn_core::SpectralScratch`] (owned per layer, cloned
-//! *empty* into serving forks), so steady-state forwards perform zero
-//! heap allocations per row.
+//! layer works exclusively on **half-spectra** (`n/2 + 1` bins):
+//! element-wise products and conjugate-products of Hermitian spectra
+//! stay Hermitian, which halves the MAC work and the resident spectral
+//! bytes of every path above.
+//!
+//! # What is stored where
+//!
+//! * The **parameters** are the flat time-domain kernels and the bias.
+//! * The **forward product is not implemented here**: prepared-spectral
+//!   inference and the training forward both hand the whole batch to
+//!   [`blockgnn_core::RealSpectralBlockCirculant::matmul_into`], the one
+//!   row-tiled half-spectrum kernel (contiguous spectral weights, a tile
+//!   of rows per transform pass — see `blockgnn_core::spectral`).
+//!   [`CirculantDense::prepare`] builds those weights once and keeps
+//!   them behind an `Arc` shared by every fork of the layer; the training
+//!   forward rebuilds them from the current kernels on each call.
+//! * The layer owns a [`blockgnn_core::SpectralScratch`] (cloned *empty*
+//!   into serving forks), so steady-state forwards allocate only their
+//!   output matrix.
+//! * For `backward`, the forward caches the weights it used and each
+//!   row's input half-spectra ([`blockgnn_fft::HalfSpectrum`]).
+//!
+//! Row independence — a row's output bits depend only on that row and
+//! the weights, never on the batch around it — is the kernel's contract
+//! and carries through this layer unchanged (the bias add is per row).
 
 use crate::error::NnError;
 use crate::layer::{ExecMode, Layer};
 use crate::param::Param;
-use blockgnn_core::{CompressionStats, SpectralScratch};
+use blockgnn_core::{CompressionStats, RealSpectralBlockCirculant, SpectralScratch};
 use blockgnn_fft::{is_power_of_two, Complex, HalfSpectrum, RealFftPlan};
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
@@ -38,9 +55,8 @@ struct Cache {
     /// `input_spectra[r][j]` = packed RFFT of sample `r`'s `j`-th
     /// sub-vector.
     input_spectra: Vec<Vec<HalfSpectrum<f64>>>,
-    /// Flat packed kernel spectra: block `(i, j)`'s `n/2 + 1` bins at
-    /// `[(i*q + j)*bins .. +bins]`.
-    kernel_spectra: Vec<Complex<f64>>,
+    /// The spectral weights `Ŵ` that forward ran with.
+    weights: RealSpectralBlockCirculant,
     batch: usize,
 }
 
@@ -48,16 +64,14 @@ struct Cache {
 /// the inference-frozen representation a serving backend executes. Held
 /// behind an `Arc` so per-worker clones of a prepared layer (the
 /// parallel serving engine forks one backend per worker) share a single
-/// copy of the decompressed weights / cached half-spectra.
+/// copy of the decompressed weights / spectral weights.
 #[derive(Debug, Clone)]
 enum Prepared {
     /// Decompressed `out_dim × in_dim` dense weight for GEMM execution.
     Gemm(Matrix),
-    /// Packed kernel half-spectra `Ŵ_ij`, cached so repeated forwards
-    /// skip the per-call kernel RFFTs of the training path. Stored flat
-    /// (block `(i, j)` at `[(i*q + j)*bins .. +bins]`, one contiguous
-    /// buffer) so the per-row MAC walks grid row `i` sequentially.
-    Spectral(Vec<Complex<f64>>),
+    /// The kernel half-spectra `Ŵ`, cached so repeated forwards skip
+    /// the per-call kernel RFFTs of the training path.
+    Spectral(RealSpectralBlockCirculant),
 }
 
 /// A block-circulant linear layer `y = W_bc·x + b` over batched rows.
@@ -200,7 +214,7 @@ impl CirculantDense {
         self.cache = None;
         self.prepared = Some(Arc::new(match mode {
             ExecMode::Gemm => Prepared::Gemm(self.to_block_circulant().to_dense()),
-            ExecMode::Spectral => Prepared::Spectral(self.kernel_spectra()),
+            ExecMode::Spectral => Prepared::Spectral(self.spectral_weights()),
         }));
     }
 
@@ -216,71 +230,33 @@ impl CirculantDense {
         self.prepared.is_some()
     }
 
-    fn kernel_spectra(&self) -> Vec<Complex<f64>> {
-        let bins = self.plan.spectrum_len();
-        let blocks = self.grid_rows * self.grid_cols;
-        let mut flat = vec![Complex::zero(); blocks * bins];
-        for (k, dst) in
-            self.kernels.data.chunks_exact(self.block_size).zip(flat.chunks_exact_mut(bins))
-        {
-            self.plan.forward_into(k, dst).expect("kernel chunk matches plan");
-        }
-        flat
+    /// The current kernels as the batched kernel's spectral weights.
+    fn spectral_weights(&self) -> RealSpectralBlockCirculant {
+        RealSpectralBlockCirculant::from_kernels(
+            self.out_dim,
+            self.in_dim,
+            self.block_size,
+            &self.kernels.data,
+        )
+        .expect("layer invariants guarantee a valid kernel layout")
     }
 
-    /// Algorithm 1 over a batch with the given packed kernel spectra;
-    /// when `capture` is provided, each row's input half-spectra are
-    /// appended to it (the training path needs them for the backward
-    /// pass). The hot loop runs entirely inside the layer's
-    /// [`SpectralScratch`]: per row, the only writes outside the scratch
-    /// land in the output matrix.
-    fn spectral_apply(
-        &mut self,
-        x: &Matrix,
-        kernel_spectra: &[Complex<f64>],
-        mut capture: Option<&mut Vec<Vec<HalfSpectrum<f64>>>>,
-    ) -> Matrix {
-        let n = self.block_size;
-        let (p, q) = (self.grid_rows, self.grid_cols);
+    /// `W·x + b` for every row of `x`, through the batched half-spectrum
+    /// kernel inside the layer's [`SpectralScratch`].
+    fn spectral_apply(&mut self, x: &Matrix, weights: &RealSpectralBlockCirculant) -> Matrix {
         let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        for r in 0..x.rows() {
-            self.scratch.load_row(&self.plan, x.row(r), q);
-            if let Some(spectra) = capture.as_deref_mut() {
-                spectra.push(
-                    (0..q)
-                        .map(|j| HalfSpectrum::from_bins(n, self.scratch.spectrum(j).to_vec()))
-                        .collect(),
-                );
-            }
-            let (acc, time, input_spectra, bins) = self.scratch.mac_parts();
-            let row_out = y.row_mut(r);
-            for i in 0..p {
-                acc.fill(Complex::zero());
-                // Grid row i's packed spectra are contiguous; walk them
-                // in lockstep with the q input half-spectra.
-                let krow = &kernel_spectra[i * q * bins..(i + 1) * q * bins];
-                for (w, xs) in krow.chunks_exact(bins).zip(input_spectra.chunks_exact(bins)) {
-                    for ((a, &wv), &xv) in acc.iter_mut().zip(w).zip(xs) {
-                        *a += wv * xv;
-                    }
-                }
-                self.plan.inverse_into(acc, time).expect("accumulator matches plan");
-                let start = i * n;
-                let take = n.min(self.out_dim - start);
-                for (o, (t, b)) in row_out[start..start + take]
-                    .iter_mut()
-                    .zip(time[..take].iter().zip(&self.bias.data[start..start + take]))
-                {
-                    *o = t + b;
-                }
-            }
-        }
+        weights.matmul_into(
+            x.as_slice(),
+            Some(&self.bias.data),
+            &mut self.scratch,
+            y.as_mut_slice(),
+        );
         y
     }
 
     /// Packed half-spectra of a padded row split into `chunks` blocks —
-    /// allocating; used by the training/backward path only (the
-    /// inference loop goes through the scratch instead).
+    /// allocating; what the training path keeps for, and transforms
+    /// gradients in, `backward`.
     fn split_spectra(&self, row: &[f64], chunks: usize) -> Vec<HalfSpectrum<f64>> {
         let n = self.block_size;
         let mut out = Vec::with_capacity(chunks);
@@ -320,15 +296,14 @@ impl Layer for CirculantDense {
                     }
                     y
                 }
-                Prepared::Spectral(kernel_spectra) => {
-                    self.spectral_apply(x, kernel_spectra, None)
-                }
+                Prepared::Spectral(weights) => self.spectral_apply(x, weights),
             };
         }
-        let kernel_spectra = self.kernel_spectra();
-        let mut input_spectra = Vec::with_capacity(x.rows());
-        let y = self.spectral_apply(x, &kernel_spectra, Some(&mut input_spectra));
-        self.cache = Some(Cache { input_spectra, kernel_spectra, batch: x.rows() });
+        let weights = self.spectral_weights();
+        let y = self.spectral_apply(x, &weights);
+        let input_spectra =
+            (0..x.rows()).map(|r| self.split_spectra(x.row(r), self.grid_cols)).collect();
+        self.cache = Some(Cache { input_spectra, weights, batch: x.rows() });
         y
     }
 
@@ -376,7 +351,7 @@ impl Layer for CirculantDense {
             for j in 0..q {
                 acc.fill(Complex::zero());
                 for (i, gi) in g_spectra.iter().enumerate() {
-                    let w = &cache.kernel_spectra[(i * q + j) * bins..(i * q + j + 1) * bins];
+                    let w = cache.weights.spectrum(i, j);
                     for ((a, &wv), &gv) in acc.iter_mut().zip(w).zip(gi.bins()) {
                         *a += wv.conj() * gv;
                     }
