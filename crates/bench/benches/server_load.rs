@@ -99,7 +99,6 @@ fn run_config(config: ServerConfig, label: &str) -> (String, f64) {
         .string("config", label)
         .int("max_batch", config.max_batch_requests as u128)
         .int("window_us", config.batch_window.as_micros())
-        .raw("adaptive", config.adaptive_window.to_string())
         .raw("tracing", config.tracing.to_string())
         .raw("faults_armed", config.faults.is_some().to_string())
         .int("workers", config.workers as u128)
@@ -182,7 +181,6 @@ fn run_multi_tenant(config: ServerConfig, label: &str) -> (String, f64) {
         .string("config", label)
         .int("max_batch", config.max_batch_requests as u128)
         .int("window_us", config.batch_window.as_micros())
-        .raw("adaptive", config.adaptive_window.to_string())
         .int("workers", config.workers as u128)
         .int("ok", report.ok as u128)
         .num("qps", qps)

@@ -1,13 +1,14 @@
-//! Pluggable execution backends: the interchangeable substrates the same
-//! GNN runs on.
+//! The execution substrate: one `Backend`, parameterised by
+//! [`BackendKind`].
 //!
 //! The paper's central claim is that one model executes equivalently on
 //! dense GEMM hardware, via Algorithm 1's spectral products, or on the
-//! CirCore accelerator. Each backend here owns a prepared copy of the
-//! model (see [`blockgnn_nn::ExecMode`]) and turns a computation graph +
-//! features into logits; the simulated-accelerator backend additionally
-//! returns the Eq. 3–7 cycle report and an energy estimate, so functional
-//! results and hardware cost come back from one call.
+//! CirCore accelerator. The substrates differ in how the weights are
+//! stored (see [`blockgnn_nn::ExecMode`]) and in whether a cost model
+//! rides along — nothing else — so there is one backend type: it owns a
+//! prepared copy of the model and turns a computation graph + features
+//! into logits, and when it carries the CirCore cost model the Eq. 3–7
+//! cycle report and an energy estimate come back from the same call.
 
 use crate::error::EngineError;
 use blockgnn_accel::{AccelError, BlockGnnAccelerator, GlobalBuffer, SimReport};
@@ -73,7 +74,7 @@ impl fmt::Display for BackendKind {
 
 /// What one backend execution produces.
 #[derive(Debug, Clone)]
-pub struct BackendOutput {
+pub(crate) struct BackendOutput {
     /// Logits over the executed computation graph (one row per node).
     pub logits: Matrix,
     /// Hardware cycle report, when the backend simulates one.
@@ -82,365 +83,149 @@ pub struct BackendOutput {
     pub energy_joules: Option<f64>,
 }
 
-/// Shape of the workload one request executes — what hardware cost
-/// models charge for. The cycle model (Eqs. 3–7) prices the full
+/// Shape of the workload one request executes — what the hardware cost
+/// model charges for. The cycle model (Eqs. 3–7) prices the full
 /// two-hop sampled aggregation *per target node*, so `target_nodes`
 /// counts requested (unique) nodes, not the materialized sub-universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestShape {
+pub(crate) struct RequestShape {
     /// Number of target nodes the request classifies.
     pub target_nodes: usize,
     /// Sampling fan-outs `(S₁, S₂)` of the executed workload.
     pub fanouts: (usize, usize),
 }
 
-/// An execution substrate: runs a prepared model over a computation
-/// graph.
-///
-/// Backends are `Send` and forkable: [`ExecutionBackend::fork`] produces
-/// an independent replica whose prepared weights and cached spectra are
-/// `Arc`-shared with the original (see [`blockgnn_nn::ExecMode`]), which
-/// is how [`crate::Engine::into_parallel`] places one backend per worker
-/// thread without duplicating the model. The staged methods
-/// ([`ExecutionBackend::num_stages`] / [`ExecutionBackend::execute_stage`])
-/// expose the model's row-parallel inference stages
-/// ([`blockgnn_gnn::GnnModel::forward_stage`]) so a scheduler can shard
-/// each stage's rows across workers and barrier between stages.
-pub trait ExecutionBackend: Send {
-    /// Which substrate this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Runs one inference pass over `graph`/`features`. Backends that
-    /// model hardware charge their cycle estimate with `shape`;
-    /// software backends ignore it.
-    fn execute(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        shape: RequestShape,
-    ) -> BackendOutput;
-
-    /// [`ExecutionBackend::execute`] plus the wall-clock time the call
-    /// took — the per-stage timing hook the coalesced batcher records
-    /// into request traces. The default wraps `execute` with two clock
-    /// reads and changes nothing about the output, so tracing can never
-    /// perturb the computed logits.
-    fn execute_timed(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        shape: RequestShape,
-    ) -> (BackendOutput, std::time::Duration) {
-        let start = std::time::Instant::now();
-        let out = self.execute(graph, features, shape);
-        (out, start.elapsed())
-    }
-
-    /// Forks an independent replica for another worker thread. Prepared
-    /// weights/spectra are shared (`Arc`), per-call scratch state is not.
-    fn fork(&self) -> Box<dyn ExecutionBackend>;
-
-    /// Precomputes per-graph state before a staged request (delegates to
-    /// [`blockgnn_gnn::GnnModel::prepare_graph`]); the scheduler calls
-    /// it once per worker per request so stages skip repeated
-    /// per-part recomputation.
-    fn prepare_graph(&mut self, graph: &CsrGraph);
-
-    /// Number of row-parallel inference stages of the underlying model.
-    fn num_stages(&self) -> usize;
-
-    /// Output width of stage `stage` at the given input feature width.
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize;
-
-    /// Computes stage `stage` output rows for target nodes `rows` from
-    /// the full previous-stage matrix `input` — bit-identical to the
-    /// corresponding slice of [`ExecutionBackend::execute`]'s logits
-    /// when chained over all stages.
-    fn execute_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix;
-
-    /// Hardware cost of serving `shape` over a computation graph with
-    /// `num_arcs` arcs, `feature_dim`-wide inputs and `num_classes`
-    /// outputs: the Eq. 3–7 [`SimReport`] and an energy estimate in
-    /// joules. `None` for software backends, which model no hardware.
-    /// A partitioned full-graph pass calls this once per part and merges
-    /// with [`SimReport::merge`] (the §IV-C sub-graph accounting).
-    fn charge(
-        &self,
-        _num_arcs: usize,
-        _feature_dim: usize,
-        _num_classes: usize,
-        _shape: RequestShape,
-    ) -> Option<(SimReport, f64)> {
-        None
-    }
-}
-
-/// Dense-GEMM backend: circulant weights are decompressed once at
-/// construction and every product runs as a dense matrix–vector kernel.
-pub struct DenseBackend {
-    model: Box<dyn GnnModel>,
-}
-
-impl DenseBackend {
-    /// Wraps and prepares `model` for dense execution.
-    #[must_use]
-    pub fn new(mut model: Box<dyn GnnModel>) -> Self {
-        model.prepare(ExecMode::Gemm);
-        Self { model }
-    }
-}
-
-impl ExecutionBackend for DenseBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Dense
-    }
-
-    fn execute(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        _shape: RequestShape,
-    ) -> BackendOutput {
-        BackendOutput {
-            logits: self.model.forward(graph, features, false),
-            sim: None,
-            energy_joules: None,
-        }
-    }
-
-    fn fork(&self) -> Box<dyn ExecutionBackend> {
-        Box::new(Self { model: self.model.clone_boxed() })
-    }
-
-    fn prepare_graph(&mut self, graph: &CsrGraph) {
-        self.model.prepare_graph(graph);
-    }
-
-    fn num_stages(&self) -> usize {
-        self.model.num_stages()
-    }
-
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
-        self.model.stage_width(stage, feature_dim)
-    }
-
-    fn execute_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix {
-        self.model.forward_stage(stage, graph, input, rows)
-    }
-}
-
-/// Spectral backend: Algorithm 1 with **packed half-spectrum** kernel
-/// caches and RFFT plans shared across calls (the software realization
-/// of the paper's compressed execution).
-///
-/// Steady-state `execute` performs zero spectral-path heap allocations:
-/// each prepared `CirculantDense` layer owns a
-/// [`blockgnn_core::SpectralScratch`] (a row tile's input half-spectra
-/// and spectral accumulator) that is reused across rows and requests. [`ExecutionBackend::fork`] clones
-/// the model — prepared spectra stay `Arc`-shared, while each scratch
-/// clones *empty* — so every session/worker replica owns private hot
-/// buffers and forks never contend.
-pub struct SpectralBackend {
-    model: Box<dyn GnnModel>,
-}
-
-impl SpectralBackend {
-    /// Wraps and prepares `model` for spectral execution.
-    #[must_use]
-    pub fn new(mut model: Box<dyn GnnModel>) -> Self {
-        model.prepare(ExecMode::Spectral);
-        Self { model }
-    }
-}
-
-impl ExecutionBackend for SpectralBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Spectral
-    }
-
-    fn execute(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        _shape: RequestShape,
-    ) -> BackendOutput {
-        BackendOutput {
-            logits: self.model.forward(graph, features, false),
-            sim: None,
-            energy_joules: None,
-        }
-    }
-
-    fn fork(&self) -> Box<dyn ExecutionBackend> {
-        Box::new(Self { model: self.model.clone_boxed() })
-    }
-
-    fn prepare_graph(&mut self, graph: &CsrGraph) {
-        self.model.prepare_graph(graph);
-    }
-
-    fn num_stages(&self) -> usize {
-        self.model.num_stages()
-    }
-
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
-        self.model.stage_width(stage, feature_dim)
-    }
-
-    fn execute_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix {
-        self.model.forward_stage(stage, graph, input, rows)
-    }
-}
-
-/// Simulated-accelerator backend: functional output via the spectral
-/// path (the computation CirCore performs), plus the Eq. 3–7 cycle model
-/// and an energy estimate for every executed request.
-///
-/// Functional execution shares the half-spectrum scratch machinery of
-/// [`SpectralBackend`] (per-layer workspaces, empty-cloning forks). The
-/// cycle model is analytic — Eqs. 3–7 price the *logical* FFT/MAC/IFFT
+/// The CirCore cost model a [`BackendKind::SimulatedAccel`] backend
+/// carries. It is analytic — Eqs. 3–7 price the *logical* FFT/MAC/IFFT
 /// work from the workload shape, never from the software data layout —
-/// so the packed representation changes wall-clock only: `SimReport`
-/// cycles and energy are bit-identical to the full-spectrum
-/// implementation's.
-///
-/// Construction performs the §IV-B deployability check: the model's
-/// circulant weight spectra must *co-reside* in the accelerator's
-/// 256 KB Weight Buffer (the whole-model residency the serving loop
-/// assumes), or the backend refuses to build.
-pub struct SimulatedAccelBackend {
-    model: Box<dyn GnnModel>,
+/// so how the functional pass stores its spectra changes wall-clock
+/// only, never cycles or energy.
+#[derive(Clone)]
+struct CostModel {
     accel: BlockGnnAccelerator,
     power_w: f64,
+    /// Hidden width of the per-request [`GnnWorkload`] charged for.
     hidden_dim: usize,
+    /// The circulant block size `n` the hardware executes (1 for a
+    /// fully dense model).
     block_size: usize,
 }
 
-impl SimulatedAccelBackend {
-    /// Wraps `model`, prepares it spectrally, and validates that all of
-    /// its circulant weight spectra co-reside in the Weight Buffer of
-    /// the given accelerator configuration.
-    ///
-    /// `hidden_dim` parameterizes the per-request [`GnnWorkload`] the
-    /// cycle model charges for; `block_size` is the circulant block size
-    /// `n` the hardware executes (1 for a fully dense model).
+/// An execution substrate: one prepared model, plus a cost model when
+/// the substrate is the simulated accelerator.
+///
+/// The three [`BackendKind`]s run the *same* code. The kind decides how
+/// [`Backend::new`] freezes the weights ([`ExecMode::Gemm`] decompresses
+/// circulant kernels to dense matrices; [`ExecMode::Spectral`] caches
+/// packed half-spectra and RFFT plans, so steady-state execution does no
+/// spectral-path allocation) and whether executions are also priced on
+/// CirCore. Staged execution reaches the model's row-parallel hooks
+/// ([`GnnModel::forward_stage`] and friends) through `model` directly.
+pub(crate) struct Backend {
+    kind: BackendKind,
+    pub(crate) model: Box<dyn GnnModel>,
+    /// `Some` exactly for [`BackendKind::SimulatedAccel`].
+    cost: Option<CostModel>,
+    /// Summed packed spectral footprint of the circulant layers (complex
+    /// Q16.16, 8 bytes per retained bin of each block's Hermitian
+    /// half-spectrum — the accounting of
+    /// `BlockGnnAccelerator::load_weights`); 0 for a fully dense model.
+    weight_bytes: usize,
+}
+
+impl Backend {
+    /// Freezes `model` into the prepared form `kind` implies. The
+    /// simulated accelerator additionally gets its cost model (`params`,
+    /// `coeffs`; hidden width and block size are read off the model) and
+    /// the §IV-B deployability check: all circulant weight spectra must
+    /// *co-reside* in the 256 KB Weight Buffer, the whole-model residency
+    /// the serving loop assumes.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Accel`] if the summed circulant spectra overflow
-    /// the Weight Buffer.
-    pub fn new(
+    /// [`EngineError::Accel`] if the summed spectra overflow the Weight
+    /// Buffer of a simulated accelerator.
+    pub(crate) fn new(
+        kind: BackendKind,
         mut model: Box<dyn GnnModel>,
         params: CirCoreParams,
         coeffs: HardwareCoeffs,
-        hidden_dim: usize,
-        block_size: usize,
     ) -> Result<Self, EngineError> {
-        model.prepare(ExecMode::Spectral);
-        let power_w = coeffs.accel_power_w;
-        let accel = BlockGnnAccelerator::new(params, coeffs.clone());
-        // Whole-model residency: sum every circulant layer's spectral
-        // footprint (complex Q16.16, 8 bytes per retained bin — the
-        // packed Hermitian half-spectrum of `n/2 + 1` bins per block,
-        // the same accounting as `BlockGnnAccelerator::load_weights`).
-        let mut spectral_bytes = 0usize;
+        let (mut weight_bytes, mut block_size) = (0usize, 1usize);
         model.visit_linear_layers(&mut |layer| {
             if let LinearLayer::Circulant(c) = layer {
-                spectral_bytes += c.spectral_weight_bytes();
+                weight_bytes += c.spectral_weight_bytes();
+                block_size = block_size.max(c.block_size());
             }
         });
-        if !GlobalBuffer::zc706().model_fits(spectral_bytes) {
+        let cost = (kind == BackendKind::SimulatedAccel).then(|| CostModel {
+            power_w: coeffs.accel_power_w,
+            accel: BlockGnnAccelerator::new(params, coeffs),
+            hidden_dim: model.hidden_dim(),
+            block_size,
+        });
+        if cost.is_some() && !GlobalBuffer::zc706().model_fits(weight_bytes) {
             return Err(EngineError::Accel(AccelError::WeightBufferOverflow {
-                needed: spectral_bytes,
+                needed: weight_bytes,
             }));
         }
-        Ok(Self { model, accel, power_w, hidden_dim, block_size })
+        model.prepare(match kind {
+            BackendKind::Dense => ExecMode::Gemm,
+            BackendKind::Spectral | BackendKind::SimulatedAccel => ExecMode::Spectral,
+        });
+        Ok(Self { kind, model, cost, weight_bytes })
     }
 
-    /// The configured accelerator (e.g. to inspect its parameters).
-    #[must_use]
-    pub fn accelerator(&self) -> &BlockGnnAccelerator {
-        &self.accel
-    }
-}
-
-impl ExecutionBackend for SimulatedAccelBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SimulatedAccel
+    pub(crate) fn kind(&self) -> BackendKind {
+        self.kind
     }
 
-    fn execute(
+    pub(crate) fn weight_bytes(&self) -> usize {
+        self.weight_bytes
+    }
+
+    /// Runs one inference pass over `graph`/`features`, charged on the
+    /// cost model (if any) for `shape`.
+    pub(crate) fn execute(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
         shape: RequestShape,
     ) -> BackendOutput {
         let logits = self.model.forward(graph, features, false);
-        let (sim, energy) = self
-            .charge(graph.num_arcs(), features.cols(), logits.cols(), shape)
-            .expect("the simulated accelerator always reports hardware cost");
-        BackendOutput { logits, sim: Some(sim), energy_joules: Some(energy) }
+        let (sim, energy_joules) =
+            self.charge(graph.num_arcs(), features.cols(), logits.cols(), shape).unzip();
+        BackendOutput { logits, sim, energy_joules }
     }
 
-    fn fork(&self) -> Box<dyn ExecutionBackend> {
-        // The residency check ran when the original was built; the fork
-        // serves the same weights, so it holds by construction.
-        Box::new(Self {
+    /// An independent replica for another worker thread or session.
+    /// Prepared weights and spectra stay `Arc`-shared (see [`ExecMode`]);
+    /// per-call scratch clones *empty*, so replicas own private hot
+    /// buffers and never contend. The residency check ran when the
+    /// original was built and the fork serves the same weights.
+    pub(crate) fn fork(&self) -> Self {
+        Self {
+            kind: self.kind,
             model: self.model.clone_boxed(),
-            accel: self.accel.clone(),
-            power_w: self.power_w,
-            hidden_dim: self.hidden_dim,
-            block_size: self.block_size,
-        })
+            cost: self.cost.clone(),
+            weight_bytes: self.weight_bytes,
+        }
     }
 
-    fn prepare_graph(&mut self, graph: &CsrGraph) {
-        self.model.prepare_graph(graph);
-    }
-
-    fn num_stages(&self) -> usize {
-        self.model.num_stages()
-    }
-
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
-        self.model.stage_width(stage, feature_dim)
-    }
-
-    fn execute_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix {
-        self.model.forward_stage(stage, graph, input, rows)
-    }
-
-    fn charge(
+    /// Hardware cost of serving `shape` over a computation graph with
+    /// `num_arcs` arcs, `feature_dim`-wide inputs and `num_classes`
+    /// outputs: the Eq. 3–7 [`SimReport`] and an energy estimate in
+    /// joules. `None` without a cost model. A partitioned full-graph
+    /// pass calls this once per part and merges with
+    /// [`SimReport::merge`] (the §IV-C sub-graph accounting).
+    pub(crate) fn charge(
         &self,
         num_arcs: usize,
         feature_dim: usize,
         num_classes: usize,
         shape: RequestShape,
     ) -> Option<(SimReport, f64)> {
+        let cost = self.cost.as_ref()?;
         // The workload is priced per *target* node (each already charged
         // its full two-hop sampled aggregation by the per-layer model),
         // not per materialized sub-universe node.
@@ -454,11 +239,59 @@ impl ExecutionBackend for SimulatedAccelBackend {
         let workload = GnnWorkload::new(
             self.model.kind(),
             &spec,
-            self.hidden_dim,
+            cost.hidden_dim,
             &[shape.fanouts.0, shape.fanouts.1],
         );
-        let sim = self.accel.simulate_workload(&workload, self.block_size);
-        let energy = sim.seconds * self.power_w;
+        let sim = cost.accel.simulate_workload(&workload, cost.block_size);
+        let energy = sim.seconds * cost.power_w;
         Some((sim, energy))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockgnn_gnn::{build_model, ModelKind};
+    use blockgnn_nn::Compression;
+
+    fn backend(kind: BackendKind, hidden: usize, n: usize) -> Result<Backend, EngineError> {
+        let compression = Compression::BlockCirculant { block_size: n };
+        let model = build_model(ModelKind::Gcn, 64, hidden, 7, compression, 3).expect("builds");
+        Backend::new(kind, model, CirCoreParams::base(), HardwareCoeffs::zc706())
+    }
+
+    #[test]
+    fn a_forked_accelerator_backend_charges_exactly_what_its_parent_does() {
+        let parent = backend(BackendKind::SimulatedAccel, 32, 8).expect("fits");
+        let fork = parent.fork();
+        let shape = RequestShape { target_nodes: 37, fanouts: (25, 10) };
+        let (sim, energy) = parent.charge(4_000, 64, 7, shape).expect("carries a cost model");
+        let (fork_sim, fork_energy) =
+            fork.charge(4_000, 64, 7, shape).expect("so does its fork");
+        assert!(sim.total_cycles > 0);
+        assert_eq!(sim, fork_sim);
+        assert_eq!(sim.seconds.to_bits(), fork_sim.seconds.to_bits());
+        assert_eq!(energy.to_bits(), fork_energy.to_bits());
+        // Software backends and their forks model no hardware.
+        let spectral = backend(BackendKind::Spectral, 32, 8).expect("builds");
+        assert!(spectral.charge(4_000, 64, 7, shape).is_none());
+        assert!(spectral.fork().charge(4_000, 64, 7, shape).is_none());
+    }
+
+    #[test]
+    fn only_the_accelerator_refuses_a_model_that_overflows_the_weight_buffer() {
+        let mut needed_by_software = Vec::new();
+        for kind in [BackendKind::Dense, BackendKind::Spectral] {
+            let accepted = backend(kind, 2048, 2).expect("software has no Weight Buffer");
+            assert_eq!(accepted.kind(), kind);
+            needed_by_software.push(accepted.weight_bytes());
+        }
+        match backend(BackendKind::SimulatedAccel, 2048, 2).map(|b| b.weight_bytes()) {
+            Err(EngineError::Accel(AccelError::WeightBufferOverflow { needed })) => {
+                assert_eq!(needed_by_software, [needed, needed]);
+                assert!(!GlobalBuffer::zc706().model_fits(needed));
+            }
+            other => panic!("expected a Weight-Buffer overflow, got {other:?}"),
+        }
     }
 }

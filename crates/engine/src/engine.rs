@@ -1,9 +1,6 @@
 //! `EngineBuilder` → [`Engine`] → [`Session`]: the serving flow.
 
-use crate::backend::{
-    BackendKind, DenseBackend, ExecutionBackend, RequestShape, SimulatedAccelBackend,
-    SpectralBackend,
-};
+use crate::backend::{Backend, BackendKind, RequestShape};
 use crate::error::EngineError;
 use crate::parallel::Plan;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
@@ -15,7 +12,7 @@ use blockgnn_gnn::batch::MergedUniverse;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::{Dataset, GraphDelta};
-use blockgnn_nn::{Compression, LinearLayer};
+use blockgnn_nn::Compression;
 use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::params::CirCoreParams;
 use blockgnn_perf::resources::DRAM_BYTES;
@@ -165,24 +162,10 @@ impl EngineBuilder {
     /// weights.
     pub fn build_with_model(
         self,
-        mut model: Box<dyn GnnModel>,
+        model: Box<dyn GnnModel>,
         dataset: Arc<Dataset>,
     ) -> Result<Engine, EngineError> {
-        let model_kind = model.kind();
-        let block_size = largest_block_size(model.as_mut());
-        let hidden_dim = model.hidden_dim();
-        let spectral_weight_bytes = spectral_weight_bytes(model.as_mut());
-        let backend: Box<dyn ExecutionBackend> = match self.backend {
-            BackendKind::Dense => Box::new(DenseBackend::new(model)),
-            BackendKind::Spectral => Box::new(SpectralBackend::new(model)),
-            BackendKind::SimulatedAccel => Box::new(SimulatedAccelBackend::new(
-                model,
-                self.circore,
-                self.coeffs,
-                hidden_dim,
-                block_size,
-            )?),
-        };
+        let backend = Backend::new(self.backend, model, self.circore, self.coeffs)?;
         // Graph updates that grow the node count re-run this residency
         // policy: the simulated accelerator is bounded by device DRAM
         // (§IV-C) unless overridden; software backends only check when
@@ -193,7 +176,7 @@ impl EngineBuilder {
             _ => None,
         };
         let residency = budget_bytes.map(|budget_bytes| ResidencyPolicy {
-            spectral_weight_bytes,
+            spectral_weight_bytes: backend.weight_bytes(),
             bytes_per_feature: self.backend.bytes_per_feature(),
             budget_bytes,
         });
@@ -201,37 +184,9 @@ impl EngineBuilder {
             shared: Arc::new(SharedGraphState::new(dataset, residency)),
             workers: vec![backend],
             plan: Arc::default(),
-            model_kind,
-            backend_kind: self.backend,
             fanouts: self.fanouts,
-            weight_bytes: spectral_weight_bytes,
         })
     }
-}
-
-/// The largest circulant block size in the model — the `n` the hardware
-/// cycle model executes (1 when every weight is dense).
-fn largest_block_size(model: &mut dyn GnnModel) -> usize {
-    let mut n = 1usize;
-    model.visit_linear_layers(&mut |layer| {
-        if let LinearLayer::Circulant(c) = layer {
-            n = n.max(c.block_size());
-        }
-    });
-    n
-}
-
-/// Summed packed spectral footprint of the model's circulant layers —
-/// the weight-side term of the residency budget (same accounting as the
-/// §IV-B Weight-Buffer check).
-fn spectral_weight_bytes(model: &mut dyn GnnModel) -> usize {
-    let mut bytes = 0usize;
-    model.visit_linear_layers(&mut |layer| {
-        if let LinearLayer::Circulant(c) = layer {
-            bytes += c.spectral_weight_bytes();
-        }
-    });
-    bytes
 }
 
 /// A prepared model bound to one (versioned) dataset and one execution
@@ -265,20 +220,13 @@ pub struct Engine {
     /// version-keyed full-graph cache.
     pub(crate) shared: Arc<SharedGraphState>,
     /// One backend replica per worker thread; length 1 as built.
-    pub(crate) workers: Vec<Box<dyn ExecutionBackend>>,
+    pub(crate) workers: Vec<Backend>,
     /// The full-graph partition plan of the newest version a pass has
     /// resolved, shared with every fork. Empty until a widened engine
     /// (or a plan accessor) first needs one.
     pub(crate) plan: Arc<Mutex<Option<Arc<Plan>>>>,
-    pub(crate) model_kind: ModelKind,
-    pub(crate) backend_kind: BackendKind,
     /// Fan-outs the cycle model charges for full-graph requests.
     pub(crate) fanouts: (usize, usize),
-    /// Summed packed spectral footprint of the circulant layers — the
-    /// weight-side term of the §IV-B residency accounting, retained even
-    /// when no per-engine budget is enforced so aggregate accountants
-    /// (the multi-tenant registry) can sum it across engines.
-    pub(crate) weight_bytes: usize,
 }
 
 impl Engine {
@@ -291,13 +239,13 @@ impl Engine {
     /// Which of the paper's four algorithms this engine serves.
     #[must_use]
     pub fn model_kind(&self) -> ModelKind {
-        self.model_kind
+        self.workers[0].model.kind()
     }
 
     /// Which execution substrate answers requests.
     #[must_use]
     pub fn backend_kind(&self) -> BackendKind {
-        self.backend_kind
+        self.workers[0].kind()
     }
 
     /// The currently served dataset snapshot (updates swap in a new
@@ -309,10 +257,12 @@ impl Engine {
 
     /// Summed packed spectral footprint of the model's circulant layers
     /// (0 when every weight is dense) — the weight-side term of the
-    /// §IV-B Weight-Buffer accounting.
+    /// §IV-B Weight-Buffer accounting, known for every backend so
+    /// aggregate accountants (the multi-tenant registry) can sum it
+    /// across engines.
     #[must_use]
     pub fn weight_bytes(&self) -> usize {
-        self.weight_bytes
+        self.workers[0].weight_bytes()
     }
 
     /// This engine family's current device-residency footprint under the
@@ -323,10 +273,10 @@ impl Engine {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         let epoch = self.shared.epoch();
-        self.weight_bytes
+        self.weight_bytes()
             + epoch.dataset.num_nodes()
                 * epoch.dataset.feature_dim()
-                * self.backend_kind.bytes_per_feature()
+                * self.backend_kind().bytes_per_feature()
     }
 
     /// The currently served graph version (0 until the first applied
@@ -382,7 +332,7 @@ impl Engine {
 
     /// Forks an independent replica for another worker thread: every
     /// backend's prepared weights and cached spectra are `Arc`-shared
-    /// (see [`ExecutionBackend::fork`]), as is the whole versioned graph
+    /// (see [`blockgnn_nn::ExecMode`]), as is the whole versioned graph
     /// state — snapshot, mutable master, the version-keyed full-graph
     /// logits cache — and the partition plan. Forks execute concurrently
     /// and observe graph updates in the same total order — this is how
@@ -392,19 +342,17 @@ impl Engine {
     pub fn fork(&self) -> Engine {
         Engine {
             shared: Arc::clone(&self.shared),
-            workers: self.workers.iter().map(|w| w.fork()).collect(),
+            workers: self.workers.iter().map(Backend::fork).collect(),
             plan: Arc::clone(&self.plan),
-            model_kind: self.model_kind,
-            backend_kind: self.backend_kind,
             fanouts: self.fanouts,
-            weight_bytes: self.weight_bytes,
         }
     }
 
     /// Resolves and executes one request, returning the raw
     /// [`ExecOutcome`] (logits, hardware report, cache provenance)
-    /// without response assembly — the building block [`Session::infer`]
-    /// and the serving runtime share.
+    /// without response assembly: a one-element
+    /// [`Engine::infer_coalesced`] batch, so solo and batched serving
+    /// are one code path.
     ///
     /// # Errors
     ///
@@ -414,43 +362,8 @@ impl Engine {
         &mut self,
         request: &InferRequest,
     ) -> Result<ExecOutcome, EngineError> {
-        let epoch = self.shared.epoch();
-        self.execute_request_on(&epoch, request)
-    }
-
-    /// Executes one request against a resolved snapshot — the shared
-    /// core of [`Engine::execute_request`] and the coalesced batcher
-    /// (which resolves one epoch for its whole batch, making updates
-    /// atomic between micro-batches).
-    fn execute_request_on(
-        &mut self,
-        epoch: &GraphEpoch,
-        request: &InferRequest,
-    ) -> Result<ExecOutcome, EngineError> {
-        crate::request::validate_request(request, epoch.dataset.num_nodes())?;
-        match request.mode {
-            RequestMode::FullGraph => Ok(self.full_graph_outcome(epoch, &request.nodes)),
-            RequestMode::Sampled { s1, s2, seed } => {
-                // The subgraph interns duplicate request nodes to one
-                // local row; `local_of` maps every request position back.
-                let sub =
-                    SampledSubgraph::build(&epoch.dataset.graph, &request.nodes, s1, s2, seed);
-                let local_features = sub.gather_features(&epoch.dataset.features);
-                let shape = RequestShape { target_nodes: sub.batch_len, fanouts: (s1, s2) };
-                let (out, _, parts) = self.execute_graph(&sub.graph, &local_features, shape);
-                let logits = crate::request::sampled_rows(&out.logits, &sub, &request.nodes);
-                Ok(ExecOutcome {
-                    logits,
-                    sim: out.sim,
-                    energy_joules: out.energy_joules,
-                    from_cache: false,
-                    parts,
-                    batch_size: 1,
-                    graph_version: epoch.version,
-                    hot_rows: 0,
-                })
-            }
-        }
+        let mut batch = self.infer_coalesced(std::slice::from_ref(request));
+        batch.outcomes.pop().expect("one outcome per request")
     }
 
     /// Answers one full-graph request through the shared version-keyed
@@ -502,10 +415,11 @@ impl Engine {
     /// cost re-charged on each request's own sub-universe shape.
     /// Full-graph requests are answered through the shared cache.
     ///
-    /// Every outcome is **bit-identical** to [`Engine::execute_request`]
-    /// on the same request: blocks preserve each sub-universe's exact
-    /// adjacency and neighbor order (see [`blockgnn_gnn::batch`]), and
-    /// the cycle model is a pure function of the per-request shape.
+    /// Every outcome is **bit-identical** to serving the same request
+    /// alone ([`Engine::execute_request`], a batch of one): blocks
+    /// preserve each sub-universe's exact adjacency and neighbor order
+    /// (see [`blockgnn_gnn::batch`]), and the cycle model is a pure
+    /// function of the per-request shape.
     ///
     /// Per-request errors (out-of-range nodes, empty sampled requests)
     /// fail only their own slot, never the batch.
@@ -662,16 +576,14 @@ impl Engine {
                 let num_classes = out.logits.cols();
                 for (block, (i, sub, fanouts)) in many.iter().enumerate() {
                     let logits = merged.scatter(&out.logits, block, sub, &requests[*i].nodes);
-                    let charge = self.workers[0].charge(
-                        sub.graph.num_arcs(),
-                        feature_dim,
-                        num_classes,
-                        RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts },
-                    );
-                    let (sim, energy_joules) = match charge {
-                        Some((sim, energy)) => (Some(sim), Some(energy)),
-                        None => (None, None),
-                    };
+                    let (sim, energy_joules) = self.workers[0]
+                        .charge(
+                            sub.graph.num_arcs(),
+                            feature_dim,
+                            num_classes,
+                            RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts },
+                        )
+                        .unzip();
                     outcomes[*i] = Some(Ok(ExecOutcome {
                         logits,
                         sim,
@@ -720,8 +632,7 @@ pub struct CoalescedOutcome {
 /// batch. Stage names are stable: `"sample"` (two-hop subgraph
 /// materialization), `"full_graph"` (cache lookup or full-graph pass),
 /// `"merge"` ([`MergedUniverse::build`]), `"gather"` (feature
-/// gathering), `"execute"` (the backend call, via
-/// [`crate::ExecutionBackend::execute_timed`]), and `"scatter"`
+/// gathering), `"execute"` (the backend call), and `"scatter"`
 /// (per-request logits extraction and hardware re-charge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
@@ -750,8 +661,8 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let epoch = self.shared.epoch();
         f.debug_struct("Engine")
-            .field("model", &self.model_kind)
-            .field("backend", &self.backend_kind)
+            .field("model", &self.model_kind())
+            .field("backend", &self.backend_kind())
             .field("dataset", &epoch.dataset.name)
             .field("graph_version", &epoch.version)
             .field("workers", &self.workers.len())

@@ -5,9 +5,10 @@
 //! the block-circulant spectral path of Algorithm 1, and the CirCore
 //! accelerator. This crate turns that premise into an API:
 //!
-//! * [`ExecutionBackend`] — the pluggable substrate trait, with
-//!   [`DenseBackend`], [`SpectralBackend`] (cached FFT plans and kernel
-//!   spectra reused across calls), and [`SimulatedAccelBackend`]
+//! * [`BackendKind`] — the substrate choice. There is one backend type
+//!   behind it: the kind decides how the weights are frozen (dense
+//!   matrices, or cached FFT plans and packed kernel spectra reused
+//!   across calls) and whether the CirCore cost model rides along
 //!   (functional output *and* the Eq. 3–7 cycle/energy report from one
 //!   call).
 //! * [`EngineBuilder`] → [`Engine`] → [`Session`] — the serving flow:
@@ -72,10 +73,7 @@ mod request;
 mod stats;
 mod versioned;
 
-pub use backend::{
-    BackendKind, BackendOutput, DenseBackend, ExecutionBackend, RequestShape,
-    SimulatedAccelBackend, SpectralBackend,
-};
+pub use backend::BackendKind;
 pub use engine::{CoalescedOutcome, Engine, EngineBuilder, Session, StageTiming};
 pub use error::EngineError;
 pub use parallel::{

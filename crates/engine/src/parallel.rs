@@ -61,7 +61,7 @@
 //! two-sub-graph Reddit evaluation, energy sums), reproducing the
 //! monolithic report exactly on cold caches.
 
-use crate::backend::{BackendOutput, ExecutionBackend, RequestShape};
+use crate::backend::{Backend, BackendOutput, RequestShape};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::versioned::{lock_recover, GraphEpoch, HotVertexCache};
@@ -196,12 +196,12 @@ impl Engine {
     pub fn device_resident_bytes(&self) -> usize {
         let epoch = self.shared.epoch();
         let width = self.plan_width(epoch.dataset.feature_dim());
-        let bytes = self.backend_kind.bytes_per_feature();
+        let bytes = self.backend_kind().bytes_per_feature();
         let plan = self.plan_for(&epoch);
         let peak_part =
             plan.parts.iter().map(|p| p.feature_bytes(width, bytes)).max().unwrap_or(0);
         let adjacency = CompressedCsr::encode(&epoch.dataset.graph).resident_bytes();
-        self.weight_bytes + adjacency + peak_part
+        self.weight_bytes() + adjacency + peak_part
     }
 
     /// On-device bytes of the current version's adjacency in the
@@ -261,9 +261,9 @@ impl Engine {
         // Hot vertices: the top-degree nodes whose cached stage rows fit
         // the byte budget. Rows are host-side f64 (8 B/scalar) across
         // every stage width; ties broken by node id for determinism.
-        let backend = &self.workers[0];
+        let model = &self.workers[0].model;
         let per_node_bytes: usize =
-            (0..backend.num_stages()).map(|s| backend.stage_width(s, feature_dim) * 8).sum();
+            (0..model.num_stages()).map(|s| model.stage_width(s, feature_dim) * 8).sum();
         let capacity = DEFAULT_HOT_CACHE_BYTES.checked_div(per_node_bytes).unwrap_or(0);
         let mut by_degree: Vec<u32> = (0..graph.num_nodes() as u32).collect();
         by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v as usize)), v));
@@ -278,9 +278,9 @@ impl Engine {
     /// can be wider than the input features, e.g. G-GCN's `[p ‖ q ‖ h]`
     /// transform rows) — the per-node width residency planning uses.
     fn plan_width(&self, feature_dim: usize) -> usize {
-        let backend = &self.workers[0];
-        (0..backend.num_stages())
-            .map(|s| backend.stage_width(s, feature_dim))
+        let model = &self.workers[0].model;
+        (0..model.num_stages())
+            .map(|s| model.stage_width(s, feature_dim))
             .fold(feature_dim, usize::max)
     }
 
@@ -296,7 +296,7 @@ impl Engine {
     fn plan_parts(&self, graph: &CsrGraph, feature_dim: usize) -> Vec<GraphPart> {
         let n = graph.num_nodes().max(1);
         let width = self.plan_width(feature_dim);
-        let bytes = self.backend_kind.bytes_per_feature();
+        let bytes = self.backend_kind().bytes_per_feature();
         let budget = DEFAULT_PART_BUDGET_BYTES;
         // No k below the halo-free pigeonhole bound can fit.
         let floor = (n * width * bytes).div_ceil(budget).clamp(1, n);
@@ -345,7 +345,7 @@ impl Engine {
         // contract as logits-cache hits): only computed targets are
         // charged.
         let (sim, energy_joules) = merge_part_charges(
-            self.workers[0].as_ref(),
+            &self.workers[0],
             dataset.graph.num_arcs(),
             dataset.feature_dim(),
             dataset.num_classes,
@@ -373,16 +373,16 @@ impl Engine {
         features: &Matrix,
         shape: RequestShape,
     ) -> (BackendOutput, Duration, usize) {
-        if self.workers.len() == 1 || shape.target_nodes < DEFAULT_MIN_SHARD_ROWS {
-            let (out, elapsed) = self.workers[0].execute_timed(graph, features, shape);
-            return (out, elapsed, 1);
-        }
         let start = Instant::now();
+        if self.workers.len() == 1 || shape.target_nodes < DEFAULT_MIN_SHARD_ROWS {
+            let out = self.workers[0].execute(graph, features, shape);
+            return (out, start.elapsed(), 1);
+        }
         let parts = self.plan_parts(graph, features.cols());
         let run = run_staged(&mut self.workers, graph, features, &parts, None);
-        let charge =
-            self.workers[0].charge(graph.num_arcs(), features.cols(), run.logits.cols(), shape);
-        let (sim, energy_joules) = charge.unzip();
+        let (sim, energy_joules) = self.workers[0]
+            .charge(graph.num_arcs(), features.cols(), run.logits.cols(), shape)
+            .unzip();
         let out = BackendOutput { logits: run.logits, sim, energy_joules };
         (out, start.elapsed(), parts.len())
     }
@@ -411,14 +411,14 @@ struct StagedRun {
 /// [`HotContext`], rows of flagged vertices whose cached stage output
 /// matches the graph version are copied instead of computed, and freshly
 /// computed flagged rows are published back — bit-identical either way,
-/// because cached rows were produced by the very same `execute_stage`
+/// because cached rows were produced by the very same `forward_stage`
 /// over the same canonical inputs.
 ///
 /// Degenerate plans skip the thread pool entirely: one part (nothing to
 /// fan out) or one worker (nothing to fan out *to*) runs inline on the
 /// caller thread, paying neither spawn nor merge-barrier overhead.
 fn run_staged(
-    workers: &mut [Box<dyn ExecutionBackend>],
+    workers: &mut [Backend],
     graph: &CsrGraph,
     features: &Matrix,
     parts: &[GraphPart],
@@ -426,14 +426,14 @@ fn run_staged(
 ) -> StagedRun {
     let n = graph.num_nodes();
     let num_workers = workers.len();
-    let num_stages = workers[0].num_stages();
+    let num_stages = workers[0].model.num_stages();
     let feature_dim = features.cols();
     let inline = parts.len() == 1 || num_workers == 1;
     let mut merged: Option<Matrix> = None;
     let mut hot_rows = 0usize;
     let mut computed_any = vec![false; n];
     for stage in 0..num_stages {
-        let width = workers[0].stage_width(stage, feature_dim);
+        let width = workers[0].model.stage_width(stage, feature_dim);
         let snapshot = hot.map(|h| h.cache.stage_snapshot(h.version, num_stages, stage));
         let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
@@ -462,13 +462,13 @@ fn run_staged(
             compute_rows.push(compute);
         }
         if inline {
-            let backend = &mut workers[0];
-            backend.prepare_graph(graph);
+            let model = &mut workers[0].model;
+            model.prepare_graph(graph);
             for rows in &compute_rows {
                 if rows.is_empty() {
                     continue;
                 }
-                let result = backend.execute_stage(stage, graph, input, rows);
+                let result = model.forward_stage(stage, graph, input, rows);
                 for (i, &v) in rows.iter().enumerate() {
                     out.row_mut(v as usize).copy_from_slice(result.row(i));
                 }
@@ -490,13 +490,12 @@ fn run_staged(
                         // worker (in parallel, not serially on the caller
                         // thread); it is idempotent, so later stages hit
                         // a warm cache.
-                        backend.prepare_graph(graph);
+                        let model = &mut backend.model;
+                        model.prepare_graph(graph);
                         assigned
                             .into_iter()
                             .filter(|rows| !rows.is_empty())
-                            .map(|rows| {
-                                (rows, backend.execute_stage(stage, graph, input, rows))
-                            })
+                            .map(|rows| (rows, model.forward_stage(stage, graph, input, rows)))
                             .collect::<Vec<_>>()
                     }));
                 }
@@ -541,7 +540,7 @@ fn run_staged(
 /// the reports (§IV-C: sub-graphs run in sequence on one accelerator,
 /// so cycles and energy sum). `None`/`None` for software backends.
 fn merge_part_charges(
-    backend: &dyn ExecutionBackend,
+    backend: &Backend,
     num_arcs: usize,
     feature_dim: usize,
     num_classes: usize,

@@ -52,10 +52,8 @@
 //! all converge for the run to pass.
 
 use blockgnn_engine::{GraphDelta, InferRequest};
-use blockgnn_server::tenant::{backend_kind_name, model_kind_name};
-use blockgnn_server::workload::{
-    ci_adversarial_spec, replay_tcp, replay_tcp_resilient, zipfian_pool, Trace,
-};
+use blockgnn_server::tenant::model_kind_name;
+use blockgnn_server::workload::{ci_adversarial_spec, replay_tcp, zipfian_pool, Trace};
 use blockgnn_server::{
     run_closed_loop, Client, ClientTimeouts, LoadConfig, RetryPolicy, SloClass, SubmitOptions,
     TenantSpec,
@@ -259,7 +257,7 @@ fn deploy(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
                 "ok tenant={} model={} backend={} nodes={} weight={} resident={}",
                 info.name,
                 model_kind_name(info.model),
-                backend_kind_name(info.backend),
+                info.backend.name(),
                 info.num_nodes,
                 info.weight,
                 info.resident_bytes
@@ -291,7 +289,7 @@ fn list(addr: SocketAddr) -> Result<(), String> {
             "tenant={} model={} backend={} version={} nodes={} weight={} depth={} resident={}",
             info.name,
             model_kind_name(info.model),
-            backend_kind_name(info.backend),
+            info.backend.name(),
             info.graph_version,
             info.num_nodes,
             info.weight,
@@ -556,16 +554,10 @@ fn replay(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
     if let Some(path) = save_file {
         std::fs::write(&path, trace.encode()).map_err(|e| format!("write {path:?}: {e}"))?;
     }
-    let report = match retry {
-        // The chaos driver: injected resets and crashed workers must
-        // all converge within the retry budget for the run to pass.
-        Some(attempts) => replay_tcp_resilient(
-            addr,
-            &trace,
-            &RetryPolicy { attempts: attempts.max(1), ..RetryPolicy::default() },
-        ),
-        None => replay_tcp(addr, &trace),
-    };
+    // With `--retry` this is the chaos driver: injected resets and
+    // crashed workers must all converge within the budget to pass.
+    let policy = RetryPolicy { attempts: retry.unwrap_or(1), ..RetryPolicy::default() };
+    let report = replay_tcp(addr, &trace, &policy);
     let gold_p99 = report.class_p99(SloClass::Gold);
     println!(
         "replay seed={} events={} sent={} ok={} shed={} typed_errors={} transport_errors={} \

@@ -27,6 +27,7 @@
 use blockgnn_engine::{BackendKind, EngineBuilder};
 use blockgnn_gnn::{Compression, ModelKind};
 use blockgnn_graph::datasets;
+use blockgnn_server::tenant::{parse_backend_kind, parse_model_kind};
 use blockgnn_server::{FaultPlan, Server, ServerConfig, TcpServer, TenantSpec};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -61,23 +62,8 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--dataset" => args.dataset = value("--dataset")?,
-            "--model" => {
-                args.model = match value("--model")?.as_str() {
-                    "gcn" => ModelKind::Gcn,
-                    "gs-pool" => ModelKind::GsPool,
-                    "g-gcn" => ModelKind::Ggcn,
-                    "gat" => ModelKind::Gat,
-                    other => return Err(format!("unknown model {other:?}")),
-                }
-            }
-            "--backend" => {
-                args.backend = match value("--backend")?.as_str() {
-                    "dense" => BackendKind::Dense,
-                    "spectral" => BackendKind::Spectral,
-                    "simulated-accel" => BackendKind::SimulatedAccel,
-                    other => return Err(format!("unknown backend {other:?}")),
-                }
-            }
+            "--model" => args.model = parse_model_kind(&value("--model")?)?,
+            "--backend" => args.backend = parse_backend_kind(&value("--backend")?)?,
             "--hidden" => args.hidden = parse(&value("--hidden")?)?,
             "--block" => args.block = parse(&value("--block")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,

@@ -29,8 +29,10 @@ pub struct ClassPolicy {
 /// whatever else is already queued (opportunistic coalescing — costs
 /// no latency), then keeps the batch open for at most
 /// [`ServerConfig::batch_window`] for stragglers, until
-/// [`ServerConfig::max_batch_requests`] requests or
-/// [`ServerConfig::max_batch_nodes`] summed target nodes are reached.
+/// [`ServerConfig::max_batch_requests`] requests or 1024 summed target
+/// nodes are reached. The straggler window adapts to queue pressure
+/// (AIMD: a hold a straggler joined doubles the window scale, a hold
+/// that expired empty halves it), never exceeding the configured window.
 /// A request cap of 1 disables coalescing — every request executes
 /// alone; a zero window merely disables the straggler wait.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +48,6 @@ pub struct ServerConfig {
     pub batch_window: Duration,
     /// Maximum requests coalesced into one execution.
     pub max_batch_requests: usize,
-    /// Maximum summed target nodes per coalesced execution (bounds the
-    /// merged universe's size; an all-nodes full-graph request counts
-    /// as one node here, since it serves from the shared cache).
-    pub max_batch_nodes: usize,
     /// Deadline applied to requests that do not carry their own; `None`
     /// means no default deadline.
     pub default_deadline: Option<Duration>,
@@ -64,11 +62,6 @@ pub struct ServerConfig {
     /// Per-class scheduling policies, indexed by [`SloClass::index`]
     /// (gold, silver, bronze).
     pub classes: [ClassPolicy; NUM_CLASSES],
-    /// Whether the straggler window adapts to queue pressure (AIMD: a
-    /// hold a straggler joined doubles the window scale, a hold that
-    /// expired empty halves it). On by default; off pins the window at
-    /// [`ServerConfig::batch_window`] exactly.
-    pub adaptive_window: bool,
     /// Whether the flight recorder traces requests: trace-id
     /// assignment, per-stage spans into the per-worker ring buffers,
     /// and slow/shed/failed exemplar retention. On by default (the
@@ -85,13 +78,6 @@ pub struct ServerConfig {
     /// How long after the last crash the breaker stays open before the
     /// pool is considered recovered.
     pub breaker_cooldown: Duration,
-    /// Base backoff a crashed worker sleeps before respawning; doubles
-    /// per consecutive crash up to
-    /// [`ServerConfig::restart_backoff_max`] and resets after a clean
-    /// batch.
-    pub restart_backoff: Duration,
-    /// Cap on the exponential respawn backoff.
-    pub restart_backoff_max: Duration,
     /// Deterministic fault plan injected into the compiled-in injection
     /// points (engine-stage panics/latency/allocation failures, socket
     /// resets/stalls). `None` (the default) leaves every injection point
@@ -109,7 +95,6 @@ impl Default for ServerConfig {
             max_queue_depth: 256,
             batch_window: Duration::from_micros(500),
             max_batch_requests: 8,
-            max_batch_nodes: 1024,
             default_deadline: None,
             device_budget_bytes: None,
             classes: [
@@ -117,13 +102,10 @@ impl Default for ServerConfig {
                 ClassPolicy { weight: 2, deadline: None },
                 ClassPolicy { weight: 1, deadline: None },
             ],
-            adaptive_window: true,
             tracing: true,
             breaker_threshold: 3,
             breaker_window: Duration::from_secs(10),
             breaker_cooldown: Duration::from_secs(2),
-            restart_backoff: Duration::from_millis(5),
-            restart_backoff_max: Duration::from_millis(200),
             faults: None,
         }
     }
@@ -152,13 +134,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-batch summed-target-node bound.
-    #[must_use]
-    pub fn with_max_batch_nodes(mut self, nodes: usize) -> Self {
-        self.max_batch_nodes = nodes;
-        self
-    }
-
     /// Sets the default per-request deadline.
     #[must_use]
     pub fn with_default_deadline(mut self, deadline: Option<Duration>) -> Self {
@@ -178,13 +153,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_class_policy(mut self, class: SloClass, policy: ClassPolicy) -> Self {
         self.classes[class.index()] = policy;
-        self
-    }
-
-    /// Enables or disables the adaptive straggler window.
-    #[must_use]
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> Self {
-        self.adaptive_window = adaptive;
         self
     }
 
@@ -208,14 +176,6 @@ impl ServerConfig {
         self.breaker_threshold = threshold.max(1);
         self.breaker_window = window;
         self.breaker_cooldown = cooldown;
-        self
-    }
-
-    /// Sets the crashed-worker respawn backoff (base, doubling to cap).
-    #[must_use]
-    pub fn with_restart_backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.restart_backoff = base;
-        self.restart_backoff_max = max.max(base);
         self
     }
 
@@ -268,12 +228,10 @@ mod tests {
             .with_workers(4)
             .with_max_queue_depth(16)
             .with_batching(Duration::from_millis(2), 32)
-            .with_max_batch_nodes(64)
             .with_default_deadline(Some(Duration::from_millis(100)));
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.max_queue_depth, 16);
         assert_eq!(cfg.max_batch_requests, 32);
-        assert_eq!(cfg.max_batch_nodes, 64);
         assert!(cfg.batching_enabled());
         assert!(!cfg.clone().unbatched().batching_enabled());
     }
@@ -292,9 +250,7 @@ mod tests {
         assert_eq!(cfg.class_deadline(SloClass::Gold), Some(Duration::from_millis(200)));
         assert_eq!(cfg.class_deadline(SloClass::Bronze), Some(Duration::from_secs(5)));
         assert_eq!(cfg.class_deadline(SloClass::Silver), Some(Duration::from_millis(100)));
-        assert!(cfg.adaptive_window, "adaptive window defaults on");
         assert!(cfg.tracing, "tracing defaults on");
-        assert!(!cfg.clone().with_tracing(false).tracing);
-        assert!(!cfg.with_adaptive_window(false).adaptive_window);
+        assert!(!cfg.with_tracing(false).tracing);
     }
 }

@@ -73,8 +73,8 @@ use crate::error::ServerError;
 use crate::queue::{SloClass, SubmitOptions};
 use crate::telemetry::ServerStats;
 use crate::tenant::{
-    backend_kind_name, model_kind_name, parse_backend_kind, parse_model_kind,
-    validate_tenant_name, TenantInfo, TenantSpec,
+    model_kind_name, parse_backend_kind, parse_model_kind, validate_tenant_name, TenantInfo,
+    TenantSpec,
 };
 use blockgnn_engine::{GraphDelta, InferRequest, InferResponse};
 use blockgnn_linalg::Matrix;
@@ -313,13 +313,21 @@ fn parse_pairs(csv: &str) -> Result<Vec<(usize, usize)>, String> {
         .collect()
 }
 
+/// Parses one feature row of an `update`. Only finite values enter the
+/// graph: a NaN or ±Inf feature would poison every logit downstream of
+/// its node, and both caches with them, until the next delta.
 fn parse_f64_row(csv: &str) -> Result<Vec<f64>, String> {
     csv.split(',')
         .filter(|w| !w.is_empty())
         .map(|w| {
-            u64::from_str_radix(w, 16)
+            let value = u64::from_str_radix(w, 16)
                 .map(f64::from_bits)
-                .map_err(|_| format!("bad hex feature word {w:?}"))
+                .map_err(|_| format!("bad hex feature word {w:?}"))?;
+            if value.is_finite() {
+                Ok(value)
+            } else {
+                Err(format!("non-finite feature word {w:?} ({value})"))
+            }
         })
         .collect()
 }
@@ -516,7 +524,7 @@ pub fn encode_deploy(spec: &TenantSpec) -> String {
         spec.name,
         spec.dataset,
         model_kind_name(spec.model),
-        backend_kind_name(spec.backend)
+        spec.backend.name()
     );
     if spec.weight != defaults.weight {
         let _ = write!(line, " weight={}", spec.weight);
@@ -544,7 +552,7 @@ pub fn encode_deploy_ack(info: &TenantInfo) -> String {
         "ok deploy tenant={} model={} backend={} version={} nodes={} weight={} resident={}",
         info.name,
         model_kind_name(info.model),
-        backend_kind_name(info.backend),
+        info.backend.name(),
         info.graph_version,
         info.num_nodes,
         info.weight,
@@ -626,7 +634,7 @@ pub fn encode_tenant_info(info: &TenantInfo) -> String {
         "{}:{}:{}:{}:{}:{}:{}:{}",
         info.name,
         model_kind_name(info.model),
-        backend_kind_name(info.backend),
+        info.backend.name(),
         info.graph_version,
         info.num_nodes,
         info.weight,
@@ -1422,6 +1430,13 @@ mod tests {
             "update feat=x:0",
             "update feat=1:zz",
             "update new=zz",
+            // Non-finite feature words: quiet/signalling NaN, ±Inf, in
+            // both clauses that carry feature rows.
+            "update feat=1:7ff8000000000000",
+            "update feat=1:3ff0000000000000,7ff0000000000001",
+            "update feat=1:7ff0000000000000",
+            "update new=fff0000000000000",
+            "update new=3ff0000000000000;0,fff8000000000000",
             "update wat=1",
             "update add=1:2 extra",
         ] {

@@ -38,9 +38,7 @@ use crate::observe::{
 use crate::protocol::HealthReport;
 use crate::queue::{BatchLimits, QueueItem, RequestQueue, SubmitOptions};
 use crate::telemetry::{ServerStats, Telemetry};
-use crate::tenant::{
-    backend_kind_name, Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT,
-};
+use crate::tenant::{Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT};
 use blockgnn_engine::{
     assemble_response, Engine, EngineError, GraphDelta, InferRequest, InferResponse,
 };
@@ -144,11 +142,27 @@ impl PoolHealth {
     }
 }
 
+/// Maximum summed target nodes per coalesced execution (bounds the
+/// merged universe's size; an all-nodes full-graph request counts as
+/// one node, since it serves from the shared cache).
+const MAX_BATCH_NODES: usize = 1024;
+
+/// The straggler window adapts to queue pressure (AIMD: a hold a
+/// straggler joined doubles the window scale, a hold that expired empty
+/// halves it) — what keeps batching from taxing a lightly loaded server.
+const ADAPTIVE_WINDOW: bool = true;
+
+/// Base backoff a crashed worker sleeps before respawning; doubles per
+/// consecutive crash up to [`RESTART_BACKOFF_MAX`] and resets after a
+/// clean batch.
+const RESTART_BACKOFF: Duration = Duration::from_millis(5);
+const RESTART_BACKOFF_MAX: Duration = Duration::from_millis(200);
+
 /// The respawn backoff for the n-th consecutive crash (1-based):
-/// `base × 2^(n−1)`, capped at `max`.
-fn restart_backoff(consecutive: u32, base: Duration, max: Duration) -> Duration {
-    let doubled = base.saturating_mul(1u32 << consecutive.saturating_sub(1).min(16));
-    doubled.min(max)
+/// `RESTART_BACKOFF × 2^(n−1)`, capped at [`RESTART_BACKOFF_MAX`].
+fn restart_backoff(consecutive: u32) -> Duration {
+    let doubled = RESTART_BACKOFF.saturating_mul(1u32 << consecutive.saturating_sub(1).min(16));
+    doubled.min(RESTART_BACKOFF_MAX)
 }
 
 /// A pending answer; blocks on [`Ticket::wait`].
@@ -226,14 +240,13 @@ impl Server {
         let limits = BatchLimits {
             window: config.batch_window,
             max_requests: config.max_batch_requests.max(1),
-            max_nodes: config.max_batch_nodes.max(1),
-            adaptive: config.adaptive_window,
+            max_nodes: MAX_BATCH_NODES,
+            adaptive: ADAPTIVE_WINDOW,
         };
         let recorder = Arc::new(Recorder::new(config.workers, config.tracing));
         let health = Arc::new(PoolHealth::new(config.workers, &config));
         let injector =
             config.faults.clone().map_or_else(FaultInjector::disabled, FaultInjector::new);
-        let backoff = (config.restart_backoff, config.restart_backoff_max);
         let workers = (0..config.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -269,9 +282,7 @@ impl Server {
                                 // bits; the pool never shrinks.
                                 tenant.engines.checkin(tenant.fresh_replica());
                                 streak += 1;
-                                std::thread::sleep(restart_backoff(
-                                    streak, backoff.0, backoff.1,
-                                ));
+                                std::thread::sleep(restart_backoff(streak));
                                 health.record_restart(&queue);
                             } else {
                                 streak = 0;
@@ -532,7 +543,7 @@ impl Server {
         );
         for (name, tenant) in self.registry.snapshot().iter() {
             let stats = tenant.stats();
-            let backend = backend_kind_name(tenant.backend_kind);
+            let backend = tenant.backend_kind.name();
             let labels: [(&str, &str); 2] = [("tenant", name.as_str()), ("backend", backend)];
             reg.counter(
                 "blockgnn_requests_submitted_total",

@@ -17,14 +17,28 @@ use crate::protocol::{
 use crate::server::{Server, ServerHandle};
 use crate::telemetry::ServerStats;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often blocked I/O re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// Longest accepted command line, LF excluded. The largest line any
+/// test, example or benchmark workload sends today is 1 131 bytes (the
+/// benchmark's `update_mix` delta: one edge added, one removed and one
+/// 64-wide feature row; the adversarial replay trace peaks at 99). A
+/// peer that exceeds the cap is answered `err protocol …` and its
+/// connection closed — buffering on would let it grow the line buffer
+/// without bound, and past the cap there is no line start left to
+/// re-synchronise on.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a refused connection is drained before it is dropped (see
+/// [`close_after_discarding`]).
+const LINGER: Duration = Duration::from_secs(1);
 
 /// A running TCP front end over a [`Server`].
 pub struct TcpServer {
@@ -163,7 +177,16 @@ fn serve_connection(
             Some(name) => server.handle_for(&name),
         }
     };
-    while let Some(line) = read_line_stoppable(&mut reader, &mut partial, stop)? {
+    loop {
+        let line = match read_line_stoppable(&mut reader, &mut partial, stop) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()),
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                write_reply(&mut writer, &encode_error(&ServerError::Protocol(e.to_string())))?;
+                return close_after_discarding(&mut reader, &writer, stop);
+            }
+            Err(e) => return Err(e),
+        };
         // The socket-layer injection point: one deterministic draw per
         // command line. A Reset drops the connection before any reply
         // (what a peer sees as ECONNRESET / EOF — the client's retry
@@ -182,8 +205,7 @@ fn serve_connection(
                 Err(e) => encode_error(&e),
             },
             Ok(Command::Shutdown) => {
-                writer.write_all(b"ok bye\n")?;
-                writer.flush()?;
+                write_reply(&mut writer, "ok bye")?;
                 stop.store(true, Ordering::SeqCst);
                 return Ok(());
             }
@@ -240,11 +262,46 @@ fn serve_connection(
             }
             Err(msg) => encode_error(&ServerError::Protocol(msg)),
         };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_reply(&mut writer, &reply)?;
+    }
+}
+
+fn write_reply(writer: &mut TcpStream, reply: &str) -> std::io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// Closes a refused connection so that the refusal arrives: closing
+/// with the peer's bytes still unread resets the connection, and a
+/// reset can destroy the reply just written before the peer reads it.
+/// So half-close, then discard what the peer still sends until it
+/// closes too — or [`LINGER`] passes, after which it gets the reset.
+fn close_after_discarding(
+    reader: &mut BufReader<TcpStream>,
+    writer: &TcpStream,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
+    writer.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + LINGER;
+    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
+        match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(available) => {
+                let n = available.len();
+                reader.consume(n);
+            }
+            Err(e) if is_poll_wakeup(&e) => {}
+            Err(e) => return Err(e),
+        }
     }
     Ok(())
+}
+
+/// Whether a read error is just the [`POLL_INTERVAL`] timeout (or a
+/// signal) waking the loop to re-check the stop flag.
+fn is_poll_wakeup(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
 }
 
 /// One iteration's outcome while assembling a line.
@@ -262,6 +319,11 @@ enum ReadStep {
 /// timeouts (unlike `BufReader::read_line`, which discards it on
 /// error) so the stop flag can be polled without losing bytes. `None`
 /// on EOF or stop.
+///
+/// # Errors
+///
+/// [`ErrorKind::InvalidData`] once a line passes [`MAX_LINE_BYTES`]
+/// (`partial` never holds more than the cap); other I/O errors as is.
 fn read_line_stoppable(
     reader: &mut BufReader<TcpStream>,
     partial: &mut Vec<u8>,
@@ -273,24 +335,22 @@ fn read_line_stoppable(
         }
         let step = match reader.fill_buf() {
             Ok([]) => ReadStep::Eof, // any partial line dies with the peer
-            Ok(available) => match available.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    partial.extend_from_slice(&available[..i]);
-                    ReadStep::Line(i + 1)
+            Ok(available) => {
+                let newline = available.iter().position(|&b| b == b'\n');
+                let body = &available[..newline.unwrap_or(available.len())];
+                if partial.len() + body.len() > MAX_LINE_BYTES {
+                    return Err(std::io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("line exceeds {MAX_LINE_BYTES} bytes"),
+                    ));
                 }
-                None => {
-                    partial.extend_from_slice(available);
-                    ReadStep::More(available.len())
+                partial.extend_from_slice(body);
+                match newline {
+                    Some(i) => ReadStep::Line(i + 1),
+                    None => ReadStep::More(body.len()),
                 }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                ReadStep::Retry
             }
+            Err(e) if is_poll_wakeup(&e) => ReadStep::Retry,
             Err(e) => return Err(e),
         };
         match step {

@@ -55,23 +55,8 @@ pub fn validate_tenant_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses a model name as the CLI and the `deploy` verb spell it.
-///
-/// # Errors
-///
-/// A message listing the accepted spellings.
-pub fn parse_model_kind(word: &str) -> Result<ModelKind, String> {
-    match word {
-        "gcn" => Ok(ModelKind::Gcn),
-        "gs-pool" => Ok(ModelKind::GsPool),
-        "g-gcn" => Ok(ModelKind::Ggcn),
-        "gat" => Ok(ModelKind::Gat),
-        other => Err(format!("unknown model {other:?} (gcn | gs-pool | g-gcn | gat)")),
-    }
-}
-
-/// The wire/CLI spelling of a model kind (inverse of
-/// [`parse_model_kind`]).
+/// The wire/CLI spelling of a model kind — the one table
+/// [`parse_model_kind`] reads too.
 #[must_use]
 pub fn model_kind_name(kind: ModelKind) -> &'static str {
     match kind {
@@ -82,29 +67,30 @@ pub fn model_kind_name(kind: ModelKind) -> &'static str {
     }
 }
 
-/// Parses a backend name as the CLI and the `deploy` verb spell it.
+/// Parses a model name as the CLI and the `deploy` verb spell it
+/// ([`model_kind_name`]).
+///
+/// # Errors
+///
+/// A message listing the accepted spellings.
+pub fn parse_model_kind(word: &str) -> Result<ModelKind, String> {
+    let all = ModelKind::all();
+    all.into_iter().find(|&k| model_kind_name(k) == word).ok_or_else(|| {
+        format!("unknown model {word:?} ({})", all.map(model_kind_name).join(" | "))
+    })
+}
+
+/// Parses a backend name as the CLI and the `deploy` verb spell it
+/// ([`BackendKind::name`]).
 ///
 /// # Errors
 ///
 /// A message listing the accepted spellings.
 pub fn parse_backend_kind(word: &str) -> Result<BackendKind, String> {
-    match word {
-        "dense" => Ok(BackendKind::Dense),
-        "spectral" => Ok(BackendKind::Spectral),
-        "simulated-accel" => Ok(BackendKind::SimulatedAccel),
-        other => Err(format!("unknown backend {other:?} (dense | spectral | simulated-accel)")),
-    }
-}
-
-/// The wire/CLI spelling of a backend kind (inverse of
-/// [`parse_backend_kind`]).
-#[must_use]
-pub fn backend_kind_name(kind: BackendKind) -> &'static str {
-    match kind {
-        BackendKind::Dense => "dense",
-        BackendKind::Spectral => "spectral",
-        BackendKind::SimulatedAccel => "simulated-accel",
-    }
+    let all = BackendKind::all();
+    all.into_iter().find(|k| k.name() == word).ok_or_else(|| {
+        format!("unknown backend {word:?} ({})", all.map(|k| k.name()).join(" | "))
+    })
 }
 
 /// Everything needed to deploy one tenant: what to serve (dataset ×
@@ -610,7 +596,7 @@ mod tests {
             assert_eq!(parse_model_kind(model_kind_name(kind)).unwrap(), kind);
         }
         for kind in [BackendKind::Dense, BackendKind::Spectral, BackendKind::SimulatedAccel] {
-            assert_eq!(parse_backend_kind(backend_kind_name(kind)).unwrap(), kind);
+            assert_eq!(parse_backend_kind(kind.name()).unwrap(), kind);
         }
     }
 

@@ -871,9 +871,9 @@ pub struct TrafficReport {
     pub transport_errors: usize,
     /// Updates acknowledged.
     pub updates_ok: usize,
-    /// Attempts recovered by the resilient driver (reconnect + re-send
-    /// after a reset, or re-submit after a crashed-worker reply). Plain
-    /// [`replay_tcp`] never retries, so there this stays zero.
+    /// Attempts recovered by [`replay_tcp`]'s retry budget (reconnect +
+    /// re-send after a reset, or re-submit after a crashed-worker
+    /// reply); zero under a one-attempt policy.
     pub retries: usize,
     /// Client-observed infer latency per class (gold, silver, bronze).
     pub class_latency: [LatencyHistogram; NUM_CLASSES],
@@ -952,79 +952,14 @@ impl RawConn {
 /// adversarial ones with typed `err` replies on a connection that stays
 /// open.
 ///
-/// # Panics
-///
-/// Panics if a client cannot connect (the replies themselves never
-/// panic — failures land in
-/// [`TrafficReport::transport_errors`]).
-#[must_use]
-pub fn replay_tcp(addr: SocketAddr, trace: &Trace) -> TrafficReport {
-    let start = Instant::now();
-    let reports = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..trace.clients)
-            .map(|c| {
-                let events: Vec<&TraceEvent> =
-                    trace.events.iter().filter(|e| e.client == c).collect();
-                scope.spawn(move || {
-                    let mut report = TrafficReport::default();
-                    if events.is_empty() {
-                        return report;
-                    }
-                    let mut conn = RawConn::connect(addr).expect("replay client connects");
-                    for event in events {
-                        let due = Duration::from_micros(event.at_us);
-                        let elapsed = start.elapsed();
-                        if due > elapsed {
-                            std::thread::sleep(due - elapsed);
-                        }
-                        report.sent += 1;
-                        let sent_at = Instant::now();
-                        let (outcome, infer_class) = match &event.op {
-                            TraceOp::Infer { request, options, tenant } => (
-                                conn.send_line(&encode_infer(
-                                    request,
-                                    *options,
-                                    tenant.as_deref(),
-                                )),
-                                Some(options.class),
-                            ),
-                            TraceOp::Update { delta, tenant } => {
-                                (conn.send_line(&encode_update(delta, tenant.as_deref())), None)
-                            }
-                            TraceOp::Malformed { line } => (conn.send_line(line), None),
-                            TraceOp::SlowLoris { line, chunks, pause_us } => {
-                                (conn.send_slow(line, *chunks, *pause_us), None)
-                            }
-                        };
-                        if outcome.is_err() {
-                            report.transport_errors += 1;
-                            continue;
-                        }
-                        match conn.read_reply() {
-                            Ok(reply) => classify(&reply, infer_class, sent_at, &mut report),
-                            Err(_) => report.transport_errors += 1,
-                        }
-                    }
-                    report
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("replay client thread")).collect::<Vec<_>>()
-    });
-    let mut merged = TrafficReport::default();
-    for r in &reports {
-        merged.merge(r);
-    }
-    merged
-}
-
-/// [`replay_tcp`] with graceful-degradation recovery: the chaos-lane
-/// driver. Each event gets up to [`RetryPolicy::attempts`](crate::client::RetryPolicy) tries —
-/// a dropped/reset connection redials and re-sends, a
-/// `err worker_crashed` reply re-submits on the intact connection, with
-/// the policy's jittered backoff between tries. Only *unrecovered*
-/// failures land in [`TrafficReport::transport_errors`]; every recovery
-/// increments [`TrafficReport::retries`].
+/// Each event gets up to [`RetryPolicy::attempts`](crate::client::RetryPolicy)
+/// tries — the chaos lane's graceful-degradation recovery; a one-attempt
+/// policy is a plain replay. A dropped/reset connection (or a failed
+/// connect) redials and re-sends, a `err worker_crashed` reply
+/// re-submits on the intact connection, with the policy's jittered
+/// backoff between tries. Only *unrecovered* failures land in
+/// [`TrafficReport::transport_errors`]; every recovery increments
+/// [`TrafficReport::retries`].
 ///
 /// Re-sending is exactly-once in effect: the server's socket-fault
 /// injection point fires *before* command dispatch, so a reset command
@@ -1036,7 +971,7 @@ pub fn replay_tcp(addr: SocketAddr, trace: &Trace) -> TrafficReport {
 /// Panics only if a replay thread itself panics; connection failures
 /// are consumed by the retry budget.
 #[must_use]
-pub fn replay_tcp_resilient(
+pub fn replay_tcp(
     addr: SocketAddr,
     trace: &Trace,
     policy: &crate::client::RetryPolicy,
@@ -1120,7 +1055,7 @@ pub fn replay_tcp_resilient(
     merged
 }
 
-/// One attempt of the resilient driver: (re)connect if needed, send the
+/// One attempt of [`replay_tcp`]: (re)connect if needed, send the
 /// line (slow-loris chunked only on the first try), read one reply. Any
 /// I/O failure collapses to `Err(())` — the caller's retry budget deals
 /// with it.

@@ -219,6 +219,32 @@ fn invalid_requests_are_rejected() {
 }
 
 #[test]
+fn execute_request_fails_typed_and_leaves_the_engine_untouched() {
+    // `execute_request` is a one-element coalesced batch; its slot's
+    // error must come back as the call's error, exactly as typed.
+    let ds = task();
+    let n = ds.num_nodes();
+    let mut engine = engine_for(ModelKind::Gcn, BackendKind::SimulatedAccel, &ds);
+    for (request, expected) in [
+        (
+            InferRequest::full_graph(vec![0, n]),
+            EngineError::NodeOutOfRange { node: n, num_nodes: n },
+        ),
+        (
+            InferRequest::sampled(vec![3, n + 7], 5, 3, 0),
+            EngineError::NodeOutOfRange { node: n + 7, num_nodes: n },
+        ),
+        (InferRequest::sampled(Vec::new(), 5, 3, 0), EngineError::EmptyRequest),
+    ] {
+        assert_eq!(engine.execute_request(&request).unwrap_err(), expected);
+    }
+    // Nothing was computed or cached on the way to those errors.
+    let first = engine.execute_request(&InferRequest::full_graph(vec![0])).expect("serves");
+    assert!(!first.from_cache && first.sim.is_some());
+    assert_eq!((first.batch_size, first.parts, first.graph_version), (1, 1, 0));
+}
+
+#[test]
 fn oversized_dense_weights_fail_accelerator_deployment() {
     // A fully dense model (n = 1) cannot fit the 256 KB Weight Buffer
     // once its matrices are large — the §IV-B deployability argument,

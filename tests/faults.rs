@@ -10,7 +10,7 @@
 
 use blockgnn::engine::{BackendKind, InferRequest};
 use blockgnn::gnn::ModelKind;
-use blockgnn::server::workload::{ci_adversarial_spec, replay_tcp, replay_tcp_resilient};
+use blockgnn::server::workload::{ci_adversarial_spec, replay_tcp};
 use blockgnn::server::{
     Client, ClientTimeouts, FaultPlan, RemoteResponse, RetryPolicy, Server, ServerConfig,
     ServerError, SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
@@ -272,8 +272,8 @@ fn chaos_replay_converges_and_the_pool_returns_to_full_strength() {
     spec.events = 240;
     let trace = spec.generate();
     let policy = RetryPolicy { attempts: 8, ..RetryPolicy::default() };
-    let report = replay_tcp_resilient(addr, &trace, &policy);
-    let calm = replay_tcp(twin_addr, &trace);
+    let report = replay_tcp(addr, &trace, &policy);
+    let calm = replay_tcp(twin_addr, &trace, &RetryPolicy { attempts: 1, ..policy });
 
     assert_eq!(report.sent, trace.events.len(), "every event was driven");
     assert_eq!(

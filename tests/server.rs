@@ -633,11 +633,28 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
         assert!(!reply.is_empty(), "connection died on {line:?}");
         reply.trim_end().to_string()
     };
+    // A full-width feature row, well-formed but for one NaN word and
+    // one +Inf word: nothing but the finiteness check can refuse it.
+    let one = format!("{:016x}", 1.0f64.to_bits());
+    let mut words = vec![one.as_str(); dataset.feature_dim()];
+    words[0] = "7ff8000000000000";
+    let nan_row = format!("update feat=0:{}", words.join(","));
+    words[0] = one.as_str();
+    words[3] = "7ff0000000000000";
+    let inf_node = format!("update new={}", words.join(","));
     for (line, kind) in [
         ("complete garbage", "err protocol"),
         ("update add=1-2", "err protocol"),
         ("update add=0:1 bogus=3", "err protocol"),
         ("update feat=0:nothex", "err protocol"),
+        (
+            nan_row.as_str(),
+            "err protocol protocol error: non-finite feature word \"7ff8000000000000\"",
+        ),
+        (
+            inf_node.as_str(),
+            "err protocol protocol error: non-finite feature word \"7ff0000000000000\"",
+        ),
         ("update add=0:999999999", "err engine"), // out-of-range node
         // Self-loop (5,5): the SBM generator never emits self-loops, so
         // this removal is guaranteed to miss.
@@ -661,6 +678,52 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
     assert_eq!(stats.graph_version, 1);
     assert_eq!(stats.updates, 1);
     assert_eq!(stats.failed_updates, 3, "engine-rejected updates are counted");
+    front.stop();
+}
+
+#[test]
+fn an_unterminated_line_is_refused_at_the_cap_while_others_keep_serving() {
+    // A peer that streams bytes and never sends LF used to grow the
+    // connection's line buffer without bound. It must get one typed
+    // refusal and a closed connection; everyone else carries on.
+    use std::io::{BufRead, BufReader, Read, Write};
+    let dataset = dataset();
+    let server = Arc::new(
+        Server::start(
+            engine_on(ModelKind::Gcn, BackendKind::Dense, &dataset),
+            ServerConfig::default(),
+        )
+        .expect("server starts"),
+    );
+    let front = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").expect("binds");
+    let mut bystander = Client::connect(front.local_addr()).expect("connects");
+    bystander.ping().expect("serves before the flood");
+
+    let hostile = std::net::TcpStream::connect(front.local_addr()).expect("connects");
+    hostile.set_read_timeout(Some(Duration::from_secs(10))).expect("sets timeout");
+    let mut writer = hostile.try_clone().expect("clones");
+    let chunk = [b'x'; 64 * 1024];
+    for _ in 0..32 {
+        // 2 MiB, no newline. The server may refuse mid-stream; whether
+        // the tail is still accepted is not the point.
+        if writer.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut reader = BufReader::new(hostile);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("the flood is answered, not buffered forever");
+    assert_eq!(reply.trim_end(), "err protocol protocol error: line exceeds 1048576 bytes");
+    let mut rest = Vec::new();
+    let closed = reader.read_to_end(&mut rest);
+    assert!(matches!(closed, Ok(0)), "the connection is closed after the refusal: {closed:?}");
+
+    // The other connection and new ones never noticed.
+    let request = InferRequest::sampled(vec![0, 5], 4, 2, 3);
+    let served = bystander.infer(&request).expect("bystander still serves");
+    assert_eq!(served.logits.rows(), 2);
+    Client::connect(front.local_addr()).expect("connects").ping().expect("new peers serve");
+    assert_eq!(server.stats().completed, 1);
     front.stop();
 }
 

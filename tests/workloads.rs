@@ -13,8 +13,8 @@ use blockgnn::server::workload::{
     Trace, TraceOp, WorkloadSpec,
 };
 use blockgnn::server::{
-    run_closed_loop, Client, LoadConfig, Server, ServerConfig, SloClass, SubmitOptions,
-    TcpServer, TenantSpec, DEFAULT_TENANT,
+    run_closed_loop, Client, LoadConfig, RetryPolicy, Server, ServerConfig, SloClass,
+    SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,7 +154,8 @@ fn adversarial_tcp_replay_earns_typed_errors_on_live_connections() {
     let addr = front.local_addr();
 
     let trace = adversarial_spec().generate();
-    let report = replay_tcp(addr, &trace);
+    let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
+    let report = replay_tcp(addr, &trace, &once);
     assert_eq!(report.sent, trace.events.len(), "every event was driven");
     assert_eq!(
         report.transport_errors, 0,
