@@ -185,7 +185,7 @@ pub(crate) fn full_graph_rows(logits: &Matrix, nodes: &[usize]) -> Matrix {
     if nodes.is_empty() {
         logits.clone()
     } else {
-        Matrix::from_fn(nodes.len(), logits.cols(), |i, j| logits[(nodes[i], j)])
+        logits.gather_rows(nodes.iter().copied())
     }
 }
 
@@ -193,11 +193,11 @@ pub(crate) fn full_graph_rows(logits: &Matrix, nodes: &[usize]) -> Matrix {
 /// output, mapping global ids through the subgraph's intern table
 /// (duplicate request nodes share one interned row).
 pub(crate) fn sampled_rows(logits: &Matrix, sub: &SampledSubgraph, nodes: &[usize]) -> Matrix {
-    Matrix::from_fn(nodes.len(), logits.cols(), |i, j| {
-        let local =
-            sub.local_of(nodes[i]).expect("request nodes are interned into the subgraph");
-        logits[(local, j)]
-    })
+    logits.gather_rows(
+        nodes.iter().map(|&node| {
+            sub.local_of(node).expect("request nodes are interned into the subgraph")
+        }),
+    )
 }
 
 /// Finishes a served request: attaches argmax predictions and the

@@ -43,8 +43,7 @@ impl NormalizedAdjacency {
     /// Write-into form of [`NormalizedAdjacency::apply`]: every entry of
     /// `out` is fully overwritten (the self-loop term assigns, neighbor
     /// terms accumulate), so callers can recycle an arbitrary buffer —
-    /// after a [`Matrix::resize`] — without zeroing it first. This is
-    /// the allocation-hoisted path GCN's serving forward uses.
+    /// after a [`Matrix::resize`] — without zeroing it first.
     ///
     /// # Panics
     ///
@@ -58,58 +57,19 @@ impl NormalizedAdjacency {
         }
     }
 
-    /// Row-restricted `Â · H`: output row `i` is the normalized sum for
-    /// target node `rows[i]`, reading neighbor rows from the *full*
-    /// matrix `h`. This is the per-part operator of the partition-
-    /// parallel serving path; each row is computed by exactly the same
-    /// arithmetic (and accumulation order) as [`NormalizedAdjacency::apply`],
-    /// so sharded execution is bit-identical to the full-graph pass.
+    /// Writes `(Â · H)_v` into `orow` — the one row kernel: the sum over
+    /// `N(v) ∪ {v}`, neighbors in CSR order, read from the *full* matrix
+    /// `h`. [`NormalizedAdjacency::apply`] is this over every row and
+    /// GCN's inference pass is this over a block of destination rows at
+    /// a time, monolithic or sharded, so all of them agree bit for bit.
+    /// The self-loop term *assigns* (overwriting whatever a recycled
+    /// buffer held) and neighbor terms accumulate, so `orow` needs no
+    /// pre-zeroing; columns of `h` beyond `orow.len()` are not read.
     ///
     /// # Panics
     ///
-    /// Panics if `h.rows()` differs from the graph's node count or a
-    /// target id is out of range.
-    #[must_use]
-    pub fn apply_rows(&self, graph: &CsrGraph, h: &Matrix, rows: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), h.cols());
-        self.apply_rows_into(graph, h, rows, &mut out);
-        out
-    }
-
-    /// Write-into form of [`NormalizedAdjacency::apply_rows`]; like
-    /// [`NormalizedAdjacency::apply_into`], every output row is fully
-    /// overwritten so the buffer needs no zeroing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h.rows()` differs from the graph's node count,
-    /// `out.shape() != (rows.len(), h.cols())`, or a target id is out of
-    /// range.
-    pub fn apply_rows_into(
-        &self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        rows: &[u32],
-        out: &mut Matrix,
-    ) {
-        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
-        assert_eq!(
-            out.shape(),
-            (rows.len(), h.cols()),
-            "output buffer shape must match the target row set"
-        );
-        for (i, &v) in rows.iter().enumerate() {
-            self.write_row(graph, h, v as usize, out.row_mut(i));
-        }
-    }
-
-    /// Writes `(Â · H)_v` into `orow` — the shared kernel of
-    /// [`NormalizedAdjacency::apply`] and
-    /// [`NormalizedAdjacency::apply_rows`] (one code path keeps the two
-    /// bit-identical). The self-loop term *assigns* (overwriting
-    /// whatever the recycled buffer held) and neighbor terms accumulate,
-    /// so rows need no pre-zeroing.
-    fn write_row(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
+    /// Panics if `v` or one of its neighbors is not a row of `h`.
+    pub fn write_row(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
         let cv = self.inv_sqrt_deg[v];
         // self-loop term overwrites the row
         {
@@ -184,8 +144,8 @@ mod tests {
     fn into_variants_fully_overwrite_dirty_buffers() {
         // The write-into kernels must not depend on the buffer's prior
         // contents: a poisoned recycled buffer must give bit-identical
-        // results to a fresh allocation, for both the full and the
-        // row-restricted operator.
+        // results to a fresh allocation, for the full operator and for
+        // the row kernel a block of destination rows is written with.
         let g =
             CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], true).unwrap();
         let a = NormalizedAdjacency::new(&g);
@@ -196,13 +156,11 @@ mod tests {
         a.apply_into(&g, &h, &mut dirty);
         assert_eq!(dirty, fresh, "recycled buffer drifted from fresh allocation");
 
-        let rows = [4u32, 0, 2];
-        let fresh_rows = a.apply_rows(&g, &h, &rows);
+        let rows = [4usize, 0, 2];
         let mut dirty_rows = Matrix::filled(3, 3, f64::NAN);
-        a.apply_rows_into(&g, &h, &rows, &mut dirty_rows);
-        assert_eq!(dirty_rows, fresh_rows);
         for (i, &v) in rows.iter().enumerate() {
-            assert_eq!(dirty_rows.row(i), fresh.row(v as usize), "row kernel must be shared");
+            a.write_row(&g, &h, v, dirty_rows.row_mut(i));
+            assert_eq!(dirty_rows.row(i), fresh.row(v), "row kernel must be shared");
         }
     }
 

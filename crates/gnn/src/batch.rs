@@ -65,7 +65,8 @@ impl MergedUniverse {
     }
 
     /// Gathers the merged universe's feature rows from the global
-    /// matrix. Row `offsets[i] + l` equals row `l` of block `i`'s solo
+    /// matrix (one row memcpy per merged node). Row `offsets[i] + l`
+    /// equals row `l` of block `i`'s solo
     /// [`SampledSubgraph::gather_features`] — bit-identical inputs.
     ///
     /// # Panics
@@ -73,9 +74,7 @@ impl MergedUniverse {
     /// Panics if `features` has fewer rows than the global graph.
     #[must_use]
     pub fn gather_features(&self, features: &Matrix) -> Matrix {
-        Matrix::from_fn(self.universe.len(), features.cols(), |i, j| {
-            features[(self.universe[i] as usize, j)]
-        })
+        features.gather_rows(self.universe.iter().map(|&g| g as usize))
     }
 
     /// Merged output row holding global node `global` of block `block`
@@ -101,12 +100,9 @@ impl MergedUniverse {
         sub: &SampledSubgraph,
         nodes: &[usize],
     ) -> Matrix {
-        Matrix::from_fn(nodes.len(), merged_logits.cols(), |i, j| {
-            let row = self
-                .row_of(block, sub, nodes[i])
-                .expect("request nodes are interned into their block");
-            merged_logits[(row, j)]
-        })
+        merged_logits.gather_rows(nodes.iter().map(|&node| {
+            self.row_of(block, sub, node).expect("request nodes are interned into their block")
+        }))
     }
 }
 

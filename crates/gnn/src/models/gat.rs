@@ -10,6 +10,7 @@
 //! `W_h` and attention vectors, the per-head aggregations are
 //! concatenated, and the combiner maps `heads·M → N`.
 
+use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
 use crate::models::{CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::init::InitRng;
@@ -76,17 +77,14 @@ impl GatHead {
         })
     }
 
-    /// Computes this head's attention-weighted aggregation `a_v` (an
-    /// `in_dim`-wide matrix) and caches everything backward needs.
-    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, train: bool) -> Matrix {
+    /// Training forward: this head's attention-weighted aggregation
+    /// `a_v` (an `in_dim`-wide matrix), caching everything `backward`
+    /// needs. The arithmetic reference for the inference kernel.
+    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
         let nodes = graph.num_nodes();
-        let s = self.w.forward(h, train);
-        self.ssrc = (0..nodes)
-            .map(|i| s.row(i).iter().zip(&self.a_src.data).map(|(a, b)| a * b).sum())
-            .collect();
-        self.sdst = (0..nodes)
-            .map(|j| s.row(j).iter().zip(&self.a_dst.data).map(|(a, b)| a * b).sum())
-            .collect();
+        let s = self.w.forward(h, true);
+        self.ssrc = (0..nodes).map(|i| score(s.row(i), &self.a_src)).collect();
+        self.sdst = (0..nodes).map(|j| score(s.row(j), &self.a_dst)).collect();
         self.pre = Vec::with_capacity(nodes);
         self.alpha = Vec::with_capacity(nodes);
         let mut a = Matrix::zeros(nodes, h.cols());
@@ -179,6 +177,12 @@ impl GatHead {
     }
 }
 
+/// One attention score `⟨W·h_v, a⟩` — the expression of the training and
+/// inference paths alike.
+fn score(projected: &[f64], a: &Param) -> f64 {
+    projected.iter().zip(&a.data).map(|(x, w)| x * w).sum()
+}
+
 /// Neighborhood including the self-loop, in deterministic order
 /// (self first).
 fn extended_neighbors(graph: &CsrGraph, v: usize) -> Vec<usize> {
@@ -230,22 +234,54 @@ impl GatLayer {
         })
     }
 
-    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, train: bool) -> Matrix {
+    /// Training forward: per-head full-size aggregations, their
+    /// concatenation, attention caches and a copy of the input, all of
+    /// which `backward` reads. The arithmetic reference for
+    /// [`GatLayer::infer`].
+    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
         let mut concat: Option<Matrix> = None;
         for head in &mut self.heads {
-            let a = head.forward(graph, h, train);
+            let a = head.forward_train(graph, h);
             concat = Some(match concat {
                 None => a,
                 Some(prev) => prev.hconcat(&a).expect("equal row counts"),
             });
         }
         self.h_cache = h.clone();
-        let y = self.comb.forward(&concat.expect("at least one head"), train);
+        let y = self.comb.forward(&concat.expect("at least one head"), true);
         match &mut self.act {
-            Some(act) => act.forward(&y, train),
+            Some(act) => act.forward(&y, true),
             None => y,
         }
+    }
+
+    /// Inference forward. The per-head attention scores (two scalars per
+    /// node and head) are the full-size intermediate — a softmax reads
+    /// the destination scores of neighbor rows; the per-head aggregations
+    /// and their concatenation exist a block at a time, and no logit,
+    /// softmax weight or copy of `h` is kept.
+    fn infer(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
+        assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
+        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
+        self.clear_backward_state();
+        let scores = self.scores(h);
+        self.combine(graph, &scores, Band::whole(h), 0..h.rows(), scratch)
+    }
+
+    /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` per row of `h`, where `sₖᵛ = ⟨Wₖ·h_v, a_src⟩`
+    /// and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`. Each head's projection `Wₖ·h` is
+    /// computed whole, reduced to its two score columns and dropped.
+    fn scores(&mut self, h: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(h.rows(), 2 * self.heads.len());
+        for (k, head) in self.heads.iter_mut().enumerate() {
+            let s = linear(&mut head.w, h);
+            for i in 0..h.rows() {
+                out[(i, 2 * k)] = score(s.row(i), &head.a_src);
+                out[(i, 2 * k + 1)] = score(s.row(i), &head.a_dst);
+            }
+        }
+        out
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
@@ -280,10 +316,11 @@ impl GatLayer {
         f(&mut self.comb);
     }
 
-    /// Drops request-scoped forward caches (attention scores, softmax
-    /// weights, input and activation snapshots) — called when forking
-    /// worker replicas, which never read another request's scratch.
-    fn clear_scratch(&mut self) {
+    /// Drops what the latest training forward kept for `backward`
+    /// (attention scores, softmax weights, input and activation
+    /// snapshots): inference passes and forked worker replicas never
+    /// read it.
+    fn clear_backward_state(&mut self) {
         self.h_cache = Matrix::zeros(0, 0);
         if let Some(act) = &mut self.act {
             act.clear_cached();
@@ -297,65 +334,66 @@ impl GatLayer {
         }
     }
 
-    /// Transform half-stage: per-head attention scores for each target
-    /// row — `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, … ‖ h_v]` where `sₖᵛ = ⟨Wₖ·h_v, a_src⟩`
-    /// and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`. Node-local, no neighbor reads.
+    /// Transform half-stage: `[scores ‖ h_v]` for each target row
+    /// ([`GatLayer::scores`]). Node-local, no neighbor reads.
     fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = Matrix::from_fn(rows.len(), input.cols(), |i, j| input[(rows[i] as usize, j)]);
-        let num_heads = self.heads.len();
-        let mut out = Matrix::zeros(rows.len(), 2 * num_heads + self.in_dim);
-        for (k, head) in self.heads.iter_mut().enumerate() {
-            let s = head.w.forward(&h, false);
-            for i in 0..rows.len() {
-                let srow = s.row(i);
-                out[(i, 2 * k)] = srow.iter().zip(&head.a_src.data).map(|(a, b)| a * b).sum();
-                out[(i, 2 * k + 1)] =
-                    srow.iter().zip(&head.a_dst.data).map(|(a, b)| a * b).sum();
-            }
-        }
-        for (i, &v) in rows.iter().enumerate() {
-            out.row_mut(i)[2 * num_heads..].copy_from_slice(input.row(v as usize));
-        }
-        out
+        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+        side_by_side(&[&self.scores(&h), &h])
     }
 
-    /// Aggregate-and-combine half-stage: per-head softmax attention over
-    /// each target's extended neighborhood, reading scores and features
-    /// from the full transform matrix, then the combiner (+ activation).
-    /// Score, softmax, and accumulation arithmetic match
-    /// [`GatHead::forward`] exactly.
-    fn stage_combine(&mut self, graph: &CsrGraph, input: &Matrix, rows: &[u32]) -> Matrix {
-        let num_heads = self.heads.len();
-        let off = 2 * num_heads;
+    /// Aggregate-and-combine half-stage over the `[scores ‖ features]`
+    /// transform matrix: [`GatLayer::combine`] with both of its sources
+    /// inside `input`.
+    fn stage_combine(
+        &mut self,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        let off = 2 * self.heads.len();
         assert_eq!(
             input.cols(),
             off + self.in_dim,
             "gat combine stage expects [scores ‖ features] input"
         );
-        let mut concat = Matrix::zeros(rows.len(), num_heads * self.in_dim);
-        for (i, &v) in rows.iter().enumerate() {
-            let v = v as usize;
-            let neigh = extended_neighbors(graph, v);
-            for k in 0..num_heads {
-                let pre: Vec<f64> = neigh
-                    .iter()
-                    .map(|&u| leaky(input[(v, 2 * k)] + input[(u, 2 * k + 1)]))
-                    .collect();
-                let alpha = blockgnn_linalg::vector::softmax(&pre);
-                let crow = &mut concat.row_mut(i)[k * self.in_dim..(k + 1) * self.in_dim];
-                for (&u, &al) in neigh.iter().zip(&alpha) {
-                    let hu = &input.row(u)[off..];
-                    for (o, &x) in crow.iter_mut().zip(hu) {
+        let features = Band::new(input, off, self.in_dim);
+        self.combine(graph, input, features, rows.iter().map(|&v| v as usize), scratch)
+    }
+
+    /// The layer's one aggregate-and-combine kernel, `ELU(W·(a⁰_v ‖ a¹_v ‖ …))`
+    /// for each destination row: per head `k`, softmax attention over
+    /// `{v} ∪ N(v)` (self first, then CSR order) from score columns
+    /// `2k`/`2k + 1` of `scores`, and the `features` rows summed under it
+    /// into the head's slice of the combiner's input row. Score, softmax
+    /// and accumulation arithmetic are [`GatHead::forward_train`]'s.
+    fn combine(
+        &mut self,
+        graph: &CsrGraph,
+        scores: &Matrix,
+        features: Band,
+        rows: impl ExactSizeIterator<Item = usize>,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        let in_dim = self.in_dim;
+        let mut alpha: Vec<f64> = Vec::new();
+        combine_blocks(&mut self.comb, self.act.as_deref(), scratch, rows, |v, z| {
+            let neigh =
+                || std::iter::once(v).chain(graph.neighbors(v).iter().map(|&u| u as usize));
+            z.fill(0.0);
+            for (k, a) in z.chunks_exact_mut(in_dim).enumerate() {
+                alpha.clear();
+                alpha.extend(
+                    neigh().map(|u| leaky(scores[(v, 2 * k)] + scores[(u, 2 * k + 1)])),
+                );
+                blockgnn_linalg::vector::softmax_in_place(&mut alpha);
+                for (u, &al) in neigh().zip(&alpha) {
+                    for (o, &x) in a.iter_mut().zip(features.row(u)) {
                         *o += al * x;
                     }
                 }
             }
-        }
-        let y = self.comb.forward(&concat, false);
-        match &self.act {
-            Some(act) => act.apply(&y),
-            None => y,
-        }
+        })
     }
 }
 
@@ -365,6 +403,8 @@ impl GatLayer {
 pub struct Gat {
     layer1: GatLayer,
     layer2: GatLayer,
+    /// Block buffers of the inference pass, shared by both layers.
+    scratch: BlockScratch,
 }
 
 impl Gat {
@@ -410,6 +450,7 @@ impl Gat {
                 true,
                 seed ^ 0xFACE,
             )?,
+            scratch: BlockScratch::default(),
         })
     }
 }
@@ -424,8 +465,12 @@ impl GnnModel for Gat {
     }
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        let h1 = self.layer1.forward(graph, features, train);
-        self.layer2.forward(graph, &h1, train)
+        if train {
+            let h1 = self.layer1.forward_train(graph, features);
+            return self.layer2.forward_train(graph, &h1);
+        }
+        let h1 = self.layer1.infer(graph, features, &mut self.scratch);
+        self.layer2.infer(graph, &h1, &mut self.scratch)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -445,8 +490,8 @@ impl GnnModel for Gat {
 
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
-        copy.layer1.clear_scratch();
-        copy.layer2.clear_scratch();
+        copy.layer1.clear_backward_state();
+        copy.layer2.clear_backward_state();
         Box::new(copy)
     }
 
@@ -478,9 +523,9 @@ impl GnnModel for Gat {
     ) -> Matrix {
         match stage {
             0 => self.layer1.stage_transform(input, rows),
-            1 => self.layer1.stage_combine(graph, input, rows),
+            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
             2 => self.layer2.stage_transform(input, rows),
-            3 => self.layer2.stage_combine(graph, input, rows),
+            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
             _ => panic!("GAT has 4 stages, got stage {stage}"),
         }
     }
@@ -507,12 +552,35 @@ mod tests {
         let x = tiny_features(6, 4);
         let mut model =
             Gat::new(4, 3, 2, CompressionPolicy::uniform(Compression::Dense), 5).unwrap();
-        let _ = model.forward(&g, &x, false);
+        let _ = model.forward(&g, &x, true);
         for alpha in &model.layer1.heads[0].alpha {
             let sum: f64 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
             assert!(alpha.iter().all(|&a| a >= 0.0));
         }
+    }
+
+    #[test]
+    fn inference_records_no_backward_state_and_training_still_backpropagates() {
+        let g = tiny_graph();
+        let x = tiny_features(6, 4);
+        let mut model =
+            Gat::with_heads(4, 3, 2, 2, CompressionPolicy::uniform(Compression::Dense), 2)
+                .unwrap();
+        let holds_nothing = |l: &GatLayer| {
+            l.h_cache.is_empty()
+                && l.heads
+                    .iter()
+                    .all(|h| h.pre.is_empty() && h.alpha.is_empty() && h.s_cache.is_empty())
+        };
+        let inferred = model.forward(&g, &x, false);
+        assert!(holds_nothing(&model.layer1) && holds_nothing(&model.layer2));
+        let trained = model.forward(&g, &x, true);
+        assert_eq!(model.layer1.heads[1].alpha.len(), 6);
+        assert_eq!(inferred, trained, "recording the attention must not change the sums");
+        let _ = model.forward(&g, &x, false);
+        assert!(holds_nothing(&model.layer1), "inference drops stale backward state");
+        check_model_gradients(&mut model, &g, &x, 2e-4);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! shows the smallest speedup on GCN.
 
 use crate::adjacency::NormalizedAdjacency;
+use crate::models::block::{combine_blocks, BlockScratch};
 use crate::models::{GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -23,11 +24,9 @@ pub struct Gcn {
     /// graph — even one with identical counts, or one reusing a freed
     /// allocation — can never hit stale coefficients.
     adj_cache: Option<(u64, NormalizedAdjacency)>,
-    /// Recycled aggregation output buffer for the inference forward
-    /// (`Â·H` is fully overwritten by `apply_into`, so one buffer serves
-    /// both layers across requests). Cleared on `clone_boxed` — forks
-    /// grow their own.
-    agg_scratch: Matrix,
+    /// Block buffer of the inference pass: `Â·H` exists one block of
+    /// destination rows at a time, as the combiner's input.
+    scratch: BlockScratch,
 }
 
 impl Gcn {
@@ -48,7 +47,7 @@ impl Gcn {
             act1: Relu::new(),
             lin2: LinearLayer::new(num_classes, hidden_dim, compression, seed ^ 0xBEEF)?,
             adj_cache: None,
-            agg_scratch: Matrix::default(),
+            scratch: BlockScratch::default(),
         })
     }
 
@@ -57,6 +56,31 @@ impl Gcn {
     #[must_use]
     pub fn combiner_layers(&self) -> (&LinearLayer, &LinearLayer) {
         (&self.lin1, &self.lin2)
+    }
+
+    /// Layer `stage`'s one aggregate-and-combine kernel: for each
+    /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
+    /// into the combiner's input block, then the combiner (+ ReLU on the
+    /// hidden layer). Needs [`GnnModel::prepare_graph`] to have run for
+    /// `graph`.
+    fn layer(
+        &mut self,
+        stage: usize,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: impl ExactSizeIterator<Item = usize>,
+    ) -> Matrix {
+        let (lin, act) = match stage {
+            0 => (&mut self.lin1, Some(&*self.act1)),
+            1 => (&mut self.lin2, None),
+            _ => panic!("GCN has 2 stages, got stage {stage}"),
+        };
+        assert_eq!(input.rows(), graph.num_nodes(), "feature rows must equal node count");
+        assert_eq!(input.cols(), lin.in_dim(), "gcn layer input width mismatch");
+        let (_, adj) = self.adj_cache.as_ref().expect("prepare_graph ran for this graph");
+        combine_blocks(lin, act, &mut self.scratch, rows, |v, z| {
+            adj.write_row(graph, input, v, z);
+        })
     }
 }
 
@@ -70,21 +94,20 @@ impl GnnModel for Gcn {
     }
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        // Reuse the instance-id-keyed coefficients and recycle one
-        // aggregation buffer for both layers: `apply_into` fully
-        // overwrites it, so a steady-state serving loop performs no
-        // aggregation allocations after the first request.
+        // Reuse the instance-id-keyed coefficients across requests.
         self.prepare_graph(graph);
-        let mut agg = std::mem::take(&mut self.agg_scratch);
-        let (_, adj) = self.adj_cache.as_ref().expect("just prepared");
-        agg.resize(features.rows(), features.cols());
-        adj.apply_into(graph, features, &mut agg);
-        let h1 = self.act1.forward(&self.lin1.forward(&agg, train), train);
-        agg.resize(h1.rows(), h1.cols());
-        adj.apply_into(graph, &h1, &mut agg);
-        let out = self.lin2.forward(&agg, train);
-        self.agg_scratch = agg;
-        out
+        if train {
+            // Full-size `Â·H` per layer: `backward` reads what the linear
+            // layers and the activation cache of it.
+            let (_, adj) = self.adj_cache.as_ref().expect("just prepared");
+            let a1 = adj.apply(graph, features);
+            let h1 = self.act1.forward(&self.lin1.forward(&a1, true), true);
+            return self.lin2.forward(&adj.apply(graph, &h1), true);
+        }
+        self.act1.clear_cached();
+        let nodes = graph.num_nodes();
+        let h1 = self.layer(0, graph, features, 0..nodes);
+        self.layer(1, graph, &h1, 0..nodes)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -113,7 +136,6 @@ impl GnnModel for Gcn {
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
         copy.act1.clear_cached();
-        copy.agg_scratch = Matrix::default();
         Box::new(copy)
     }
 
@@ -151,13 +173,7 @@ impl GnnModel for Gcn {
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
         self.prepare_graph(graph);
-        let (_, adj) = self.adj_cache.as_ref().expect("just prepared");
-        let a = adj.apply_rows(graph, input, rows);
-        match stage {
-            0 => self.act1.apply(&self.lin1.forward(&a, false)),
-            1 => self.lin2.forward(&a, false),
-            _ => panic!("GCN has 2 stages, got stage {stage}"),
-        }
+        self.layer(stage, graph, input, rows.iter().map(|&v| v as usize))
     }
 }
 

@@ -6,6 +6,7 @@
 //! neighbor, which is why G-GCN tops Table II's aggregation FLOPs
 //! (3.7 × 10¹²) and shows the paper's largest speedup (8.3× on Reddit).
 
+use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
 use crate::models::{CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -45,12 +46,15 @@ impl GgcnLayer {
         })
     }
 
-    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, train: bool) -> Matrix {
+    /// Training forward: full-size `p`, `q`, `a`, the per-arc gates and a
+    /// copy of the input, all of which `backward` reads. The arithmetic
+    /// reference for [`GgcnLayer::infer`].
+    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "g-gcn layer input width mismatch");
         let nodes = graph.num_nodes();
         let dim = self.in_dim;
-        let p = self.w_h.forward(h, train); // per-source gate term
-        let q = self.w_c.forward(h, train); // per-target gate term
+        let p = self.w_h.forward(h, true); // per-source gate term
+        let q = self.w_c.forward(h, true); // per-target gate term
         self.gates = vec![0.0; graph.num_arcs() * dim];
         let mut a = Matrix::zeros(nodes, dim);
         let mut arc = 0usize;
@@ -71,11 +75,26 @@ impl GgcnLayer {
             }
         }
         self.h_cache = h.clone();
-        let y = self.comb.forward(&a, train);
+        let y = self.comb.forward(&a, true);
         match &mut self.act {
-            Some(act) => act.forward(&y, train),
+            Some(act) => act.forward(&y, true),
             None => y,
         }
+    }
+
+    /// Inference forward. The gate terms `p = W_H·h` and `q = W_C·h` are
+    /// the full-size intermediates: the gated sum reads `p` at neighbor
+    /// rows, and `q` — per target — is kept whole too so that the kernel
+    /// indexes it by node exactly as the staged route does. `a` exists a
+    /// block at a time; no gate, and no copy of `h`, is kept.
+    fn infer(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
+        assert_eq!(h.cols(), self.in_dim, "g-gcn layer input width mismatch");
+        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
+        self.clear_backward_state();
+        let p = linear(&mut self.w_h, h);
+        let q = linear(&mut self.w_c, h);
+        let bands = [Band::whole(&p), Band::whole(&q), Band::whole(h)];
+        self.combine(graph, bands, 0..h.rows(), scratch)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
@@ -127,10 +146,10 @@ impl GgcnLayer {
         f(&mut self.comb);
     }
 
-    /// Drops request-scoped forward caches (per-arc gates, input and
-    /// activation snapshots) — called when forking worker replicas,
-    /// which never read another request's scratch.
-    fn clear_scratch(&mut self) {
+    /// Drops what the latest training forward kept for `backward`
+    /// (per-arc gates, input and activation snapshots): inference passes
+    /// and forked worker replicas never read it.
+    fn clear_backward_state(&mut self) {
         self.h_cache = Matrix::zeros(0, 0);
         self.gates = Vec::new();
         if let Some(act) = &mut self.act {
@@ -141,38 +160,51 @@ impl GgcnLayer {
     /// Transform half-stage: `[W_H·h_v ‖ W_C·h_v ‖ h_v]` per target row —
     /// node-local gate terms, no neighbor reads.
     fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = Matrix::from_fn(rows.len(), input.cols(), |i, j| input[(rows[i] as usize, j)]);
-        let p = self.w_h.forward(&h, false);
-        let q = self.w_c.forward(&h, false);
-        p.hconcat(&q).and_then(|pq| pq.hconcat(&h)).expect("row counts match by construction")
+        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+        let p = linear(&mut self.w_h, &h);
+        let q = linear(&mut self.w_c, &h);
+        side_by_side(&[&p, &q, &h])
     }
 
-    /// Aggregate-and-combine half-stage: gated neighbor sum reading
-    /// `[p ‖ q ‖ h]` columns of the full transform matrix, then the
-    /// combiner (+ activation). The gate expression matches
-    /// [`GgcnLayer::forward`] exactly.
-    fn stage_combine(&mut self, graph: &CsrGraph, input: &Matrix, rows: &[u32]) -> Matrix {
+    /// Aggregate-and-combine half-stage over the `[p ‖ q ‖ h]` transform
+    /// matrix: [`GgcnLayer::combine`] with all three sources inside
+    /// `input`.
+    fn stage_combine(
+        &mut self,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
         let dim = self.in_dim;
         assert_eq!(input.cols(), 3 * dim, "g-gcn combine stage expects [p ‖ q ‖ h] input");
-        let mut a = Matrix::zeros(rows.len(), dim);
-        for (i, &v) in rows.iter().enumerate() {
-            let v = v as usize;
-            let qv = &input.row(v)[dim..2 * dim];
+        let bands = [0, dim, 2 * dim].map(|offset| Band::new(input, offset, dim));
+        self.combine(graph, bands, rows.iter().map(|&v| v as usize), scratch)
+    }
+
+    /// The layer's one aggregate-and-combine kernel, `ReLU(W·a_v)` for
+    /// each destination row with `a_v = Σ_u σ(p_u + q_v) ⊙ h_u` summed in
+    /// CSR order into the combiner's input row; `[p, q, h]` say where the
+    /// gate terms and the features live. The gate expression is
+    /// [`GgcnLayer::forward_train`]'s.
+    fn combine(
+        &mut self,
+        graph: &CsrGraph,
+        [p, q, h]: [Band; 3],
+        rows: impl ExactSizeIterator<Item = usize>,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        combine_blocks(&mut self.comb, self.act.as_deref(), scratch, rows, |v, a| {
+            a.fill(0.0);
+            let qv = q.row(v);
             for &u in graph.neighbors(v) {
-                let urow = input.row(u as usize);
-                let (pu, hu) = (&urow[..dim], &urow[2 * dim..]);
-                let arow = a.row_mut(i);
-                for d in 0..dim {
-                    let gate = 1.0 / (1.0 + (-(pu[d] + qv[d])).exp());
-                    arow[d] += gate * hu[d];
+                let (pu, hu) = (p.row(u as usize), h.row(u as usize));
+                for (((o, &pd), &qd), &x) in a.iter_mut().zip(pu).zip(qv).zip(hu) {
+                    let gate = 1.0 / (1.0 + (-(pd + qd)).exp());
+                    *o += gate * x;
                 }
             }
-        }
-        let y = self.comb.forward(&a, false);
-        match &self.act {
-            Some(act) => act.apply(&y),
-            None => y,
-        }
+        })
     }
 }
 
@@ -181,6 +213,8 @@ impl GgcnLayer {
 pub struct Ggcn {
     layer1: GgcnLayer,
     layer2: GgcnLayer,
+    /// Block buffers of the inference pass, shared by both layers.
+    scratch: BlockScratch,
 }
 
 impl Ggcn {
@@ -199,6 +233,7 @@ impl Ggcn {
         Ok(Self {
             layer1: GgcnLayer::new(in_dim, hidden_dim, policy, false, seed)?,
             layer2: GgcnLayer::new(hidden_dim, num_classes, policy, true, seed ^ 0xD00D)?,
+            scratch: BlockScratch::default(),
         })
     }
 }
@@ -213,8 +248,12 @@ impl GnnModel for Ggcn {
     }
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        let h1 = self.layer1.forward(graph, features, train);
-        self.layer2.forward(graph, &h1, train)
+        if train {
+            let h1 = self.layer1.forward_train(graph, features);
+            return self.layer2.forward_train(graph, &h1);
+        }
+        let h1 = self.layer1.infer(graph, features, &mut self.scratch);
+        self.layer2.infer(graph, &h1, &mut self.scratch)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -234,8 +273,8 @@ impl GnnModel for Ggcn {
 
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
-        copy.layer1.clear_scratch();
-        copy.layer2.clear_scratch();
+        copy.layer1.clear_backward_state();
+        copy.layer2.clear_backward_state();
         Box::new(copy)
     }
 
@@ -265,9 +304,9 @@ impl GnnModel for Ggcn {
     ) -> Matrix {
         match stage {
             0 => self.layer1.stage_transform(input, rows),
-            1 => self.layer1.stage_combine(graph, input, rows),
+            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
             2 => self.layer2.stage_transform(input, rows),
-            3 => self.layer2.stage_combine(graph, input, rows),
+            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
             _ => panic!("G-GCN has 4 stages, got stage {stage}"),
         }
     }
@@ -294,9 +333,26 @@ mod tests {
         let x = tiny_features(6, 4);
         let mut model =
             Ggcn::new(4, 3, 2, CompressionPolicy::uniform(Compression::Dense), 9).unwrap();
-        let _ = model.forward(&g, &x, false);
+        let _ = model.forward(&g, &x, true);
         assert!(!model.layer1.gates.is_empty());
         assert!(model.layer1.gates.iter().all(|&g| (0.0..=1.0).contains(&g)));
+    }
+
+    #[test]
+    fn inference_records_no_backward_state_and_training_still_backpropagates() {
+        let g = tiny_graph();
+        let x = tiny_features(6, 4);
+        let mut model =
+            Ggcn::new(4, 3, 2, CompressionPolicy::uniform(Compression::Dense), 2).unwrap();
+        let holds_nothing = |l: &GgcnLayer| l.gates.is_empty() && l.h_cache.is_empty();
+        let inferred = model.forward(&g, &x, false);
+        assert!(holds_nothing(&model.layer1) && holds_nothing(&model.layer2));
+        let trained = model.forward(&g, &x, true);
+        assert_eq!(model.layer1.gates.len(), g.num_arcs() * 4);
+        assert_eq!(inferred, trained, "recording the gates must not change the sums");
+        let _ = model.forward(&g, &x, false);
+        assert!(holds_nothing(&model.layer1), "inference drops stale backward state");
+        check_model_gradients(&mut model, &g, &x, 1e-4);
     }
 
     #[test]

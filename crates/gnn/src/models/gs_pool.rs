@@ -5,6 +5,7 @@
 //! the FLOP-heaviest matrix in Table II) and the combiner `W` can be
 //! block-circulant.
 
+use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
 use crate::models::{CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -43,23 +44,44 @@ impl GsPoolLayer {
         })
     }
 
-    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, train: bool) -> Matrix {
+    /// Training forward: full-size `t`, `a` and `[a ‖ h]` plus the
+    /// max-pool winners, all of which `backward` reads. The arithmetic
+    /// reference for [`GsPoolLayer::infer`].
+    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
         let nodes = graph.num_nodes();
-        let t = self.pool_act.forward(&self.pool.forward(h, train), train);
+        let t = self.pool_act.forward(&self.pool.forward(h, true), true);
         let mut a = Matrix::zeros(nodes, self.pool_dim);
-        // Only `backward` reads the winners, so only training records them.
-        self.argmax = vec![0u32; if train { nodes * self.pool_dim } else { 0 }];
+        self.argmax = vec![0u32; nodes * self.pool_dim];
         let mut winners = self.argmax.chunks_exact_mut(self.pool_dim);
         for v in 0..nodes {
             max_pool_neighbors(graph, &t, v, a.row_mut(v), winners.next());
         }
         let z = a.hconcat(h).expect("row counts match by construction");
-        let y = self.comb.forward(&z, train);
+        let y = self.comb.forward(&z, true);
         match &mut self.act {
-            Some(act) => act.forward(&y, train),
+            Some(act) => act.forward(&y, true),
             None => y,
         }
+    }
+
+    /// Inference forward. `t = ReLU(W_pool·h + b)` is the one full-size
+    /// intermediate — the max-pool reads it at neighbor rows; `a` and
+    /// `[a ‖ h]` exist a block at a time, and nothing is kept for
+    /// `backward`.
+    fn infer(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
+        assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
+        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
+        self.clear_backward_state();
+        let t = self.pooled(h);
+        self.combine(graph, &t, Band::whole(h), 0..h.rows(), scratch)
+    }
+
+    /// `ReLU(W_pool·h + b)` for every row of `h`, activated in place.
+    fn pooled(&mut self, h: &Matrix) -> Matrix {
+        let mut t = linear(&mut self.pool, h);
+        self.pool_act.apply_in_place(t.as_mut_slice());
+        t
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
@@ -100,10 +122,11 @@ impl GsPoolLayer {
         f(&mut self.comb);
     }
 
-    /// Drops request-scoped scratch (max-pool argmax, activation
-    /// snapshots) — called when forking worker replicas, which never
-    /// read another request's scratch.
-    fn clear_scratch(&mut self) {
+    /// Drops what the latest training forward kept for `backward`
+    /// (max-pool argmax, activation snapshots): inference passes and
+    /// forked worker replicas never read it, and a `backward` that does
+    /// not follow a training forward should fail loudly, not use it.
+    fn clear_backward_state(&mut self) {
         self.argmax = Vec::new();
         self.pool_act.clear_cached();
         if let Some(act) = &mut self.act {
@@ -114,34 +137,47 @@ impl GsPoolLayer {
     /// Transform half-stage: `[ReLU(W_pool·h_v + b) ‖ h_v]` for each
     /// target row — node-local, no neighbor reads.
     fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = Matrix::from_fn(rows.len(), input.cols(), |i, j| input[(rows[i] as usize, j)]);
-        let t = self.pool_act.apply(&self.pool.forward(&h, false));
-        t.hconcat(&h).expect("row counts match by construction")
+        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+        side_by_side(&[&self.pooled(&h), &h])
     }
 
-    /// Aggregate-and-combine half-stage: element-wise max over each
-    /// target's neighbors in the pooled columns of the full transform
-    /// matrix, concatenated with the target's own feature columns, then
-    /// the combiner (+ activation). The max is [`max_pool_neighbors`],
-    /// the one [`GsPoolLayer::forward`] runs.
-    fn stage_combine(&mut self, graph: &CsrGraph, input: &Matrix, rows: &[u32]) -> Matrix {
+    /// Aggregate-and-combine half-stage over the `[pooled ‖ features]`
+    /// transform matrix: [`GsPoolLayer::combine`] with both of its
+    /// sources inside `input`.
+    fn stage_combine(
+        &mut self,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
         assert_eq!(
             input.cols(),
             self.pool_dim + self.in_dim,
             "gs-pool combine stage expects [pooled ‖ features] input"
         );
-        let mut z = Matrix::zeros(rows.len(), self.pool_dim + self.in_dim);
-        for (i, &v) in rows.iter().enumerate() {
-            let v = v as usize;
-            let zrow = z.row_mut(i);
-            max_pool_neighbors(graph, input, v, &mut zrow[..self.pool_dim], None);
-            zrow[self.pool_dim..].copy_from_slice(&input.row(v)[self.pool_dim..]);
-        }
-        let y = self.comb.forward(&z, false);
-        match &self.act {
-            Some(act) => act.apply(&y),
-            None => y,
-        }
+        let own = Band::new(input, self.pool_dim, self.in_dim);
+        self.combine(graph, input, own, rows.iter().map(|&v| v as usize), scratch)
+    }
+
+    /// The layer's one aggregate-and-combine kernel, `ReLU(W·(a_v ‖ h_v))`
+    /// for each destination row: [`max_pool_neighbors`] over the first
+    /// `pool_dim` columns of `pooled` writes `a_v` into the left of the
+    /// combiner's input row and `own` supplies `h_v` beside it.
+    fn combine(
+        &mut self,
+        graph: &CsrGraph,
+        pooled: &Matrix,
+        own: Band,
+        rows: impl ExactSizeIterator<Item = usize>,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        let pool_dim = self.pool_dim;
+        combine_blocks(&mut self.comb, self.act.as_deref(), scratch, rows, |v, z| {
+            let (a, h) = z.split_at_mut(pool_dim);
+            max_pool_neighbors(graph, pooled, v, a, None);
+            h.copy_from_slice(own.row(v));
+        })
     }
 }
 
@@ -191,6 +227,8 @@ fn max_pool_neighbors(
 pub struct GsPool {
     layer1: GsPoolLayer,
     layer2: GsPoolLayer,
+    /// Block buffers of the inference pass, shared by both layers.
+    scratch: BlockScratch,
 }
 
 impl GsPool {
@@ -216,6 +254,7 @@ impl GsPool {
                 true,
                 seed ^ 0xC0DE,
             )?,
+            scratch: BlockScratch::default(),
         })
     }
 }
@@ -230,8 +269,12 @@ impl GnnModel for GsPool {
     }
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        let h1 = self.layer1.forward(graph, features, train);
-        self.layer2.forward(graph, &h1, train)
+        if train {
+            let h1 = self.layer1.forward_train(graph, features);
+            return self.layer2.forward_train(graph, &h1);
+        }
+        let h1 = self.layer1.infer(graph, features, &mut self.scratch);
+        self.layer2.infer(graph, &h1, &mut self.scratch)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -251,8 +294,8 @@ impl GnnModel for GsPool {
 
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
-        copy.layer1.clear_scratch();
-        copy.layer2.clear_scratch();
+        copy.layer1.clear_backward_state();
+        copy.layer2.clear_backward_state();
         Box::new(copy)
     }
 
@@ -282,9 +325,9 @@ impl GnnModel for GsPool {
     ) -> Matrix {
         match stage {
             0 => self.layer1.stage_transform(input, rows),
-            1 => self.layer1.stage_combine(graph, input, rows),
+            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
             2 => self.layer2.stage_transform(input, rows),
-            3 => self.layer2.stage_combine(graph, input, rows),
+            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
             _ => panic!("GS-Pool has 4 stages, got stage {stage}"),
         }
     }

@@ -1,5 +1,6 @@
 //! The model zoo: GCN, GS-Pool, G-GCN, GAT (Table I).
 
+mod block;
 pub mod gat;
 pub mod gcn;
 pub mod ggcn;
@@ -84,6 +85,31 @@ impl fmt::Display for ModelKind {
 /// seam: a node-local transform stage (gate/pool/attention projections —
 /// no neighbor reads, zero halo) followed by an aggregate-and-combine
 /// stage (reads the transform matrix at `N(v) ∪ {v}` — a one-hop halo).
+/// The aggregate-and-combine stage and `forward(.., false)` run the same
+/// per-layer block kernel, so the two cannot drift.
+///
+/// # What an inference pass materialises
+///
+/// `forward(.., false)` streams every layer through 64-row blocks of
+/// destination nodes: a block is aggregated straight into the combiner's
+/// input, combined, and activated in place, in a block-size buffer the
+/// model reuses across layers and requests (cloned *empty* by
+/// [`GnnModel::clone_boxed`]). Full-size — one row per node — are only
+/// each layer's output and what an aggregation reads at *neighbor* rows:
+///
+/// * **GCN** — nothing else; `Â·H` exists a block at a time.
+/// * **GS-Pool** — `t = ReLU(W_pool·h)`, read by the max-pool.
+/// * **G-GCN** — the gate terms `p = W_H·h` (read per source) and
+///   `q = W_C·h` (per target; whole so that the kernel indexes it by
+///   node exactly as the staged route does).
+/// * **GAT** — two attention scores per node and head (each head's
+///   projection `W·h` is computed whole, reduced to them and dropped).
+///
+/// Nothing `backward` reads (argmax, gates, attention weights, input or
+/// activation snapshots) is recorded, and what a previous training
+/// forward left is dropped; `forward(.., true)` keeps all of it, at full
+/// size, and is the arithmetic reference the inference pass matches bit
+/// for bit.
 pub trait GnnModel: Send {
     /// Which algorithm this is.
     fn kind(&self) -> ModelKind;
@@ -380,9 +406,56 @@ mod tests {
         }
     }
 
+    /// Chains every inference stage over `shards` (each stage's rows
+    /// computed shard by shard and merged by node id before the next
+    /// stage reads them) — the partition-parallel execution shape.
+    fn chain_stages(
+        model: &mut dyn GnnModel,
+        g: &CsrGraph,
+        x: &Matrix,
+        shards: &[Vec<u32>],
+    ) -> Matrix {
+        let mut current = x.clone();
+        for stage in 0..model.num_stages() {
+            let width = model.stage_width(stage, x.cols());
+            let mut merged = Matrix::zeros(x.rows(), width);
+            for rows in shards {
+                let part = model.forward_stage(stage, g, &current, rows);
+                assert_eq!(part.shape(), (rows.len(), width), "stage {stage} shape");
+                for (i, &v) in rows.iter().enumerate() {
+                    merged.row_mut(v as usize).copy_from_slice(part.row(i));
+                }
+            }
+            current = merged;
+        }
+        current
+    }
+
+    /// `n` nodes with a hub (node 0), parallel arcs, a few chords and
+    /// isolated nodes (every third one).
+    fn hub_graph(n: usize) -> CsrGraph {
+        let mut edges = Vec::new();
+        for v in (1..n).filter(|v| v % 3 != 0) {
+            edges.push((0, v));
+            if v % 4 == 1 {
+                edges.push((0, v));
+            }
+            if v % 5 == 2 && v + 2 < n && (v + 2) % 3 != 0 {
+                edges.push((v, v + 2));
+            }
+        }
+        CsrGraph::from_edges(n, &edges, true).unwrap()
+    }
+
+    fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        let same =
+            a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "{what}: bits differ");
+    }
+
     #[test]
     fn staged_inference_matches_forward_bit_exactly() {
-        use blockgnn_linalg::Matrix;
         let g = testutil::tiny_graph();
         let x = testutil::tiny_features(6, 6);
         for kind in ModelKind::all() {
@@ -390,25 +463,107 @@ mod tests {
                 build_model(kind, 6, 4, 3, Compression::BlockCirculant { block_size: 2 }, 9)
                     .unwrap();
             let reference = model.forward(&g, &x, false);
-            // Shard every stage into two row blocks and merge — the
-            // partition-parallel execution shape.
-            let mut current = x.clone();
-            for stage in 0..model.num_stages() {
-                let width = model.stage_width(stage, x.cols());
-                let mut merged = Matrix::zeros(6, width);
-                for rows in [[0u32, 1, 2], [3u32, 4, 5]] {
-                    let part = model.forward_stage(stage, &g, &current, &rows);
-                    assert_eq!(part.shape(), (3, width), "{kind} stage {stage} shape");
-                    for (i, &v) in rows.iter().enumerate() {
-                        merged.row_mut(v as usize).copy_from_slice(part.row(i));
-                    }
-                }
-                current = merged;
-            }
+            let staged = chain_stages(model.as_mut(), &g, &x, &[vec![0, 1, 2], vec![3, 4, 5]]);
             assert_eq!(
-                current.linf_distance(&reference),
+                staged.linf_distance(&reference),
                 0.0,
                 "{kind} staged inference must be bit-identical to forward"
+            );
+        }
+    }
+
+    #[test]
+    fn every_route_agrees_bit_for_bit_at_every_block_boundary() {
+        // Sizes straddle the spectral tile (8) and the row block (64):
+        // empty shards, one-row tails, exactly full and just-over blocks.
+        // The training forward is the untouched arithmetic reference.
+        let compressions = [
+            Compression::Dense,
+            Compression::BlockCirculant { block_size: 2 },
+            Compression::BlockCirculant { block_size: 16 },
+        ];
+        for n in [1usize, 7, 8, 9, 63, 64, 65, 129, 200] {
+            let g = hub_graph(n);
+            let x = testutil::tiny_features(n, 20);
+            // Two uneven shards, neither contiguous nor sorted.
+            let (a, b): (Vec<u32>, Vec<u32>) = (0..n as u32).rev().partition(|v| v % 3 == 1);
+            let shards = [a, b];
+            for kind in ModelKind::all() {
+                for compression in compressions {
+                    let what = format!("{kind} {compression:?} n={n}");
+                    let mut model = build_model(kind, 20, 18, 5, compression, 7).unwrap();
+                    let trained = model.forward(&g, &x, true);
+                    let inferred = model.forward(&g, &x, false);
+                    assert_eq!(inferred.linf_distance(&trained), 0.0, "{what}: forward");
+                    let staged = chain_stages(model.as_mut(), &g, &x, &shards);
+                    assert_eq!(staged.linf_distance(&trained), 0.0, "{what}: staged");
+                    // Prepared copies are inference-only: two routes each.
+                    for mode in [ExecMode::Gemm, ExecMode::Spectral] {
+                        model.prepare(mode);
+                        let inferred = model.forward(&g, &x, false);
+                        let staged = chain_stages(model.as_mut(), &g, &x, &shards);
+                        assert_eq!(staged.linf_distance(&inferred), 0.0, "{what} {mode:?}");
+                        assert!(inferred.linf_distance(&trained) < 1e-9, "{what} {mode:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dirty_block_scratch_never_shows_in_the_next_answer() {
+        // Serve an all-NaN 200-node graph, then a finite 65-node one, on
+        // the same instance: every recycled block row is overwritten
+        // before it is read, so the second answer is a fresh instance's.
+        let (big, small) = (hub_graph(200), hub_graph(65));
+        let poison = Matrix::filled(200, 12, f64::NAN);
+        let x = testutil::tiny_features(65, 12);
+        let shards = [(0..40).collect::<Vec<u32>>(), (40..65).collect()];
+        for kind in ModelKind::all() {
+            for mode in [None, Some(ExecMode::Spectral)] {
+                let build = || {
+                    let compression = Compression::BlockCirculant { block_size: 4 };
+                    let mut model = build_model(kind, 12, 10, 4, compression, 3).unwrap();
+                    if let Some(mode) = mode {
+                        model.prepare(mode);
+                    }
+                    model
+                };
+                let (mut used, mut fresh) = (build(), build());
+                let _ = used.forward(&big, &poison, false);
+                let want = fresh.forward(&small, &x, false);
+                assert!(want.as_slice().iter().all(|v| v.is_finite()), "{kind}: finite");
+                assert_same_bits(&used.forward(&small, &x, false), &want, "forward");
+                let _ = chain_stages(used.as_mut(), &big, &poison, &[(0..200).collect()]);
+                assert_same_bits(
+                    &chain_stages(used.as_mut(), &small, &x, &shards),
+                    &want,
+                    "staged",
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_of_a_warm_model_answer_identically() {
+        // `clone_boxed` after the original has grown its block buffers on
+        // a larger request (they clone empty — `block::tests`): replica
+        // and original agree on both routes.
+        let (big, small) = (hub_graph(129), hub_graph(70));
+        let (xb, xs) = (testutil::tiny_features(129, 9), testutil::tiny_features(70, 9));
+        for kind in ModelKind::all() {
+            let compression = Compression::BlockCirculant { block_size: 8 };
+            let mut model = build_model(kind, 9, 8, 3, compression, 11).unwrap();
+            model.prepare(ExecMode::Spectral);
+            let _ = model.forward(&big, &xb, false);
+            let mut replica = model.clone_boxed();
+            let want = model.forward(&small, &xs, false);
+            assert_same_bits(&replica.forward(&small, &xs, false), &want, "replica forward");
+            let shards = [(0..70).collect::<Vec<u32>>()];
+            assert_same_bits(
+                &chain_stages(replica.as_mut(), &small, &xs, &shards),
+                &want,
+                "replica staged",
             );
         }
     }

@@ -10,9 +10,15 @@
 //! exactly the sampled edges — and running the unmodified full-batch
 //! models on it. Predictions are read off the batch rows.
 //!
-//! This is precisely the workload shape the hardware models charge for
-//! (S·q sub-vector FFTs per node, Eq. 3), so software inference and the
-//! cycle model describe the same computation.
+//! The sub-universe has the *neighborhoods* the hardware models charge
+//! for (S sampled neighbors per node, S·q sub-vector FFTs each, Eq. 3),
+//! but not their row count: Eqs. 3–7 charge the two-hop aggregation once
+//! per **target**, whereas the unmodified models run both layers over
+//! **every** row of the sub-universe — layer 2 also at the frontier rows
+//! nobody reads, layer 1 also at second-hop rows that no target's layer 2
+//! reaches. The software pass therefore does more transforms than the
+//! cycle model prices for the same request; the engine charges
+//! `target_nodes`, not materialized rows, for exactly that reason.
 
 use crate::models::GnnModel;
 use blockgnn_graph::{CsrGraph, NeighborSampler};
@@ -163,11 +169,7 @@ impl SampledSubgraph {
     /// Panics if `features` has fewer rows than the global graph.
     #[must_use]
     pub fn gather_features(&self, features: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.local_to_global.len(), features.cols());
-        for (i, &g) in self.local_to_global.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(features.row(g as usize));
-        }
-        out
+        features.gather_rows(self.local_to_global.iter().map(|&g| g as usize))
     }
 }
 
@@ -192,9 +194,8 @@ pub fn sampled_forward(
     let sub = SampledSubgraph::build(graph, batch, s1, s2, seed);
     let local_features = sub.gather_features(features);
     let logits = model.forward(&sub.graph, &local_features, false);
-    Matrix::from_fn(batch.len(), logits.cols(), |i, j| {
-        logits[(sub.local_of(batch[i]).expect("batch nodes are interned"), j)]
-    })
+    logits
+        .gather_rows(batch.iter().map(|&v| sub.local_of(v).expect("batch nodes are interned")))
 }
 
 #[cfg(test)]

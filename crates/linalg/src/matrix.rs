@@ -176,6 +176,30 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Copies the listed rows, in order (repeats allowed), into a new
+    /// matrix — one `memcpy` per row into an exactly-sized buffer. The
+    /// row gather of sampled sub-universes, merged micro-batches and
+    /// staged row shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed row is out of bounds.
+    #[must_use]
+    pub fn gather_rows<I>(&self, rows: I) -> Matrix
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let rows = rows.into_iter();
+        let count = rows.len();
+        let mut data = Vec::with_capacity(count * self.cols);
+        for i in rows {
+            data.extend_from_slice(self.row(i));
+        }
+        assert_eq!(data.len(), count * self.cols, "row iterator misreported its length");
+        Self { rows: count, cols: self.cols, data }
+    }
+
     /// Copies column `j` into a new vector.
     ///
     /// # Panics
@@ -505,6 +529,17 @@ mod tests {
         assert_eq!(c.row(0), &[1.0, 3.0, 4.0]);
         assert_eq!(c.row(1), &[2.0, 5.0, 6.0]);
         assert!(a.hconcat(&Matrix::zeros(3, 1)).is_err());
+    }
+
+    #[test]
+    fn gather_rows_copies_rows_in_order_with_repeats() {
+        let m = Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
+        let g = m.gather_rows([3usize, 0, 3]);
+        assert_eq!(g.shape(), (3, 3));
+        assert_eq!(g.row(0), m.row(3));
+        assert_eq!(g.row(1), m.row(0));
+        assert_eq!(g.row(2), m.row(3));
+        assert_eq!(m.gather_rows(std::iter::empty()).shape(), (0, 3));
     }
 
     #[test]

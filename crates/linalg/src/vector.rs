@@ -97,13 +97,22 @@ pub fn norm2(x: &[f64]) -> f64 {
 /// exponentiating). Returns an all-zero vector for empty input.
 #[must_use]
 pub fn softmax(x: &[f64]) -> Vec<f64> {
-    if x.is_empty() {
-        return Vec::new();
-    }
+    let mut y = x.to_vec();
+    softmax_in_place(&mut y);
+    y
+}
+
+/// [`softmax`] overwriting its input — the body of both, so a caller
+/// that recycles one buffer gets the allocating form's exact bits.
+pub fn softmax_in_place(x: &mut [f64]) {
     let m = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = x.iter().map(|v| (v - m).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    for v in x.iter_mut() {
+        *v = (*v - m).exp();
+    }
+    let sum: f64 = x.iter().sum();
+    for v in x.iter_mut() {
+        *v /= sum;
+    }
 }
 
 /// Maximum absolute difference between two vectors.

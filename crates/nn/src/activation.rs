@@ -102,13 +102,14 @@ impl ActivationLayer {
         Self { kind, cached_input: None, cached_output: None }
     }
 
-    /// Applies the activation without touching the backward-pass caches —
-    /// the inference fast path (identical values to [`Layer::forward`],
-    /// which additionally snapshots input and output for `backward`).
-    #[must_use]
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        let y = x.as_slice().iter().map(|&v| self.kind.apply(v)).collect();
-        Matrix::from_flat(x.rows(), x.cols(), y).expect("one output per input element")
+    /// Applies the activation to `values` where they lie, touching no
+    /// backward-pass cache — the inference path, and the one element-wise
+    /// loop: [`Layer::forward`] runs it on a copy of its input and then
+    /// snapshots input and output for `backward`.
+    pub fn apply_in_place(&self, values: &mut [f64]) {
+        for v in values {
+            *v = self.kind.apply(*v);
+        }
     }
 
     /// Drops the backward-pass snapshots (e.g. before forking an
@@ -121,7 +122,8 @@ impl ActivationLayer {
 
 impl Layer for ActivationLayer {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let y = self.apply(x);
+        let mut y = x.clone();
+        self.apply_in_place(y.as_mut_slice());
         if train {
             self.cached_input = Some(x.clone());
             self.cached_output = Some(y.clone());
@@ -159,18 +161,21 @@ macro_rules! named_activation {
             pub fn new() -> Self {
                 Self(ActivationLayer::new($kind))
             }
+        }
 
-            /// Applies the activation without touching the backward-pass
-            /// caches (see [`ActivationLayer::apply`]).
-            #[must_use]
-            pub fn apply(&self, x: &Matrix) -> Matrix {
-                self.0.apply(x)
+        /// The generic layer this one names a kind of: its inference
+        /// and cache methods, and a common type for callers that take
+        /// "some activation".
+        impl std::ops::Deref for $name {
+            type Target = ActivationLayer;
+            fn deref(&self) -> &ActivationLayer {
+                &self.0
             }
+        }
 
-            /// Drops the backward-pass snapshots (see
-            /// [`ActivationLayer::clear_cached`]).
-            pub fn clear_cached(&mut self) {
-                self.0.clear_cached()
+        impl std::ops::DerefMut for $name {
+            fn deref_mut(&mut self) -> &mut ActivationLayer {
+                &mut self.0
             }
         }
 

@@ -241,17 +241,49 @@ impl CirculantDense {
         .expect("layer invariants guarantee a valid kernel layout")
     }
 
-    /// `W·x + b` for every row of `x`, through the batched half-spectrum
-    /// kernel inside the layer's [`SpectralScratch`].
-    fn spectral_apply(&mut self, x: &Matrix, weights: &RealSpectralBlockCirculant) -> Matrix {
-        let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        weights.matmul_into(
-            x.as_slice(),
-            Some(&self.bias.data),
-            &mut self.scratch,
-            y.as_mut_slice(),
-        );
-        y
+    /// `W·x + b` for every row of the row-major `rows × in_dim` input,
+    /// written into the row-major `rows × out_dim` output (every entry
+    /// overwritten): the prepared representation when there is one,
+    /// spectral weights built from the current kernels otherwise. Nothing
+    /// is cached for `backward` — the write-into inference entry, over
+    /// the same kernel calls [`Layer::forward`] makes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not whole rows of `in_dim` or `out` is not
+    /// `rows · out_dim` long.
+    pub fn forward_into(&mut self, x: &[f64], out: &mut [f64]) {
+        match self.prepared.clone().as_deref() {
+            Some(Prepared::Gemm(w)) => {
+                let rows = x.len() / self.in_dim;
+                assert_eq!(x.len(), rows * self.in_dim, "input must be whole rows of in_dim");
+                assert_eq!(out.len(), rows * self.out_dim, "output must be rows × out_dim");
+                for (row, y) in
+                    x.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(self.out_dim))
+                {
+                    for (o, (ov, b)) in y.iter_mut().zip(&self.bias.data).enumerate() {
+                        let mut acc = 0.0;
+                        for (wv, xv) in w.row(o).iter().zip(row) {
+                            acc += wv * xv;
+                        }
+                        *ov = acc + b;
+                    }
+                }
+            }
+            Some(Prepared::Spectral(weights)) => self.spectral_apply(x, weights, out),
+            None => self.spectral_apply(x, &self.spectral_weights(), out),
+        }
+    }
+
+    /// `W·x + b` through the batched half-spectrum kernel inside the
+    /// layer's [`SpectralScratch`].
+    fn spectral_apply(
+        &mut self,
+        x: &[f64],
+        weights: &RealSpectralBlockCirculant,
+        out: &mut [f64],
+    ) {
+        weights.matmul_into(x, Some(&self.bias.data), &mut self.scratch, out);
     }
 
     /// Packed half-spectra of a padded row split into `chunks` blocks —
@@ -282,25 +314,14 @@ impl CirculantDense {
 impl Layer for CirculantDense {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "circulant forward input width mismatch");
-        if let Some(prepared) = self.prepared.clone() {
+        let mut y = Matrix::zeros(x.rows(), self.out_dim);
+        if self.prepared.is_some() {
             assert!(!train, "prepared circulant layers are inference-only");
-            return match prepared.as_ref() {
-                Prepared::Gemm(w) => {
-                    let mut y = Matrix::zeros(x.rows(), self.out_dim);
-                    for r in 0..x.rows() {
-                        let out = w.matvec(x.row(r));
-                        let row = y.row_mut(r);
-                        for (o, (v, b)) in out.iter().zip(&self.bias.data).enumerate() {
-                            row[o] = v + b;
-                        }
-                    }
-                    y
-                }
-                Prepared::Spectral(weights) => self.spectral_apply(x, weights),
-            };
+            self.forward_into(x.as_slice(), y.as_mut_slice());
+            return y;
         }
         let weights = self.spectral_weights();
-        let y = self.spectral_apply(x, &weights);
+        self.spectral_apply(x.as_slice(), &weights, y.as_mut_slice());
         let input_spectra =
             (0..x.rows()).map(|r| self.split_spectra(x.row(r), self.grid_cols)).collect();
         self.cache = Some(Cache { input_spectra, weights, batch: x.rows() });
@@ -479,6 +500,16 @@ mod tests {
         assert!(!layer.is_prepared());
         let back = layer.forward(&x, false);
         assert!(back.linf_distance(&reference) < 1e-15);
+    }
+
+    #[test]
+    fn forward_into_caches_no_backward_spectra() {
+        let mut layer = CirculantDense::new(10, 6, 4, 3).unwrap();
+        let x = Matrix::from_fn(3, 6, |i, j| ((i * 6 + j) as f64 * 0.31).cos());
+        let mut y = Matrix::filled(3, 10, f64::NAN);
+        layer.forward_into(x.as_slice(), y.as_mut_slice());
+        assert!(layer.cache.is_none(), "the write-into entry is inference-only");
+        assert_eq!(y, layer.forward(&x, false));
     }
 
     #[test]

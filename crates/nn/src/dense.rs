@@ -130,31 +130,47 @@ impl Dense {
     pub fn is_prepared(&self) -> bool {
         self.prepared.is_some()
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        assert_eq!(x.cols(), self.in_dim, "dense forward input width mismatch");
-        let (weight, bias): (&[f64], &[f64]) = if let Some(frozen) = &self.prepared {
-            assert!(!train, "prepared dense layers are inference-only");
-            (&frozen.weight, &frozen.bias)
-        } else {
-            self.cached_input = Some(x.clone());
-            (&self.weight.data, &self.bias.data)
+    /// `y = x·Wᵀ + b` for every row of the row-major `rows × in_dim`
+    /// input, written into the row-major `rows × out_dim` output (every
+    /// entry overwritten) with the frozen weights when prepared and the
+    /// live ones otherwise. Nothing is cached for `backward`; it is the
+    /// GEMM body [`Layer::forward`] runs too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not whole rows of `in_dim` or `out` is not
+    /// `rows · out_dim` long.
+    pub fn forward_into(&self, x: &[f64], out: &mut [f64]) {
+        let rows = x.len() / self.in_dim;
+        assert_eq!(x.len(), rows * self.in_dim, "dense input must be whole rows of in_dim");
+        assert_eq!(out.len(), rows * self.out_dim, "dense output must be rows × out_dim");
+        let (weight, bias): (&[f64], &[f64]) = match &self.prepared {
+            Some(frozen) => (&frozen.weight, &frozen.bias),
+            None => (&self.weight.data, &self.bias.data),
         };
-        let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let out = y.row_mut(r);
-            for (o, ov) in out.iter_mut().enumerate() {
-                let w = &weight[o * self.in_dim..(o + 1) * self.in_dim];
-                let mut acc = bias[o];
+        for (row, y) in x.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(self.out_dim)) {
+            for ((ov, w), &b) in y.iter_mut().zip(weight.chunks_exact(self.in_dim)).zip(bias) {
+                let mut acc = b;
                 for (wv, xv) in w.iter().zip(row) {
                     acc += wv * xv;
                 }
                 *ov = acc;
             }
         }
+    }
+}
+
+impl Layer for Dense {
+    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+        assert_eq!(x.cols(), self.in_dim, "dense forward input width mismatch");
+        if self.prepared.is_some() {
+            assert!(!train, "prepared dense layers are inference-only");
+        } else {
+            self.cached_input = Some(x.clone());
+        }
+        let mut y = Matrix::zeros(x.rows(), self.out_dim);
+        self.forward_into(x.as_slice(), y.as_mut_slice());
         y
     }
 
@@ -239,6 +255,16 @@ mod tests {
         assert_eq!(layer.num_params(), 12 + 3);
         assert_eq!(layer.weight_matrix().shape(), (3, 4));
         assert_eq!(layer.bias().len(), 3);
+    }
+
+    #[test]
+    fn forward_into_caches_no_backward_input() {
+        let mut layer = Dense::new(2, 3, 4);
+        let x = Matrix::from_fn(5, 3, |i, j| (i as f64 - j as f64) * 0.3);
+        let mut y = Matrix::filled(5, 2, f64::NAN);
+        layer.forward_into(x.as_slice(), y.as_mut_slice());
+        assert!(layer.cached_input.is_none(), "the write-into entry is inference-only");
+        assert_eq!(y, layer.forward(&x, false));
     }
 
     #[test]

@@ -172,6 +172,25 @@ impl LinearLayer {
             LinearLayer::Circulant(l) => l.is_prepared(),
         }
     }
+
+    /// Write-into inference forward: `W·x + b` for every row of the
+    /// row-major `rows × in_dim` input lands in the caller's row-major
+    /// `rows × out_dim` output (every entry overwritten), prepared or
+    /// not, and nothing is cached for `backward`. Each row's bits are
+    /// those [`Layer::forward`] produces for it in any batch (row
+    /// independence), so a caller may stream a matrix through in row
+    /// blocks and write each block where the result belongs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not whole rows of `in_dim` or `out` is not
+    /// `rows · out_dim` long.
+    pub fn forward_into(&mut self, x: &[f64], out: &mut [f64]) {
+        match self {
+            LinearLayer::Dense(l) => l.forward_into(x, out),
+            LinearLayer::Circulant(l) => l.forward_into(x, out),
+        }
+    }
 }
 
 impl Layer for LinearLayer {
@@ -278,6 +297,40 @@ mod tests {
         // dense has out*in + out params; circulant p*q*n + out
         assert_eq!(dense.num_params(), 4 * 6 + 4);
         assert_eq!(circ.num_params(), 2 * 3 * 2 + 4);
+    }
+
+    #[test]
+    fn forward_into_streams_uneven_blocks_to_forward_bits_in_every_mode() {
+        // 21 rows in blocks of 8 + 8 + 5: two full spectral tiles, a
+        // ragged one, and one-row tails — each row must carry the bits of
+        // the one-call `forward`, into a poisoned output buffer.
+        let x = Matrix::from_fn(21, 22, |i, j| ((i * 22 + j) as f64 * 0.23).sin());
+        for compression in [Compression::Dense, Compression::BlockCirculant { block_size: 8 }] {
+            let mut layer = LinearLayer::new(14, 22, compression, 5).unwrap();
+            layer.visit_params(&mut |p| {
+                if p.len() == 14 {
+                    p.data.iter_mut().enumerate().for_each(|(i, b)| *b = i as f64 * 0.07 - 0.4);
+                }
+            });
+            for mode in [None, Some(ExecMode::Gemm), Some(ExecMode::Spectral)] {
+                match mode {
+                    Some(mode) => layer.prepare(mode),
+                    None => layer.clear_prepared(),
+                }
+                let whole = layer.forward(&x, false);
+                let mut streamed = Matrix::filled(21, 14, f64::NAN);
+                for (xs, ys) in
+                    x.as_slice().chunks(8 * 22).zip(streamed.as_mut_slice().chunks_mut(8 * 14))
+                {
+                    layer.forward_into(xs, ys);
+                }
+                let same = whole.as_slice().iter().zip(streamed.as_slice());
+                assert!(
+                    same.map(|(a, b)| (a.to_bits(), b.to_bits())).all(|(a, b)| a == b),
+                    "{compression:?} {mode:?}: streamed blocks drifted from one forward"
+                );
+            }
+        }
     }
 
     #[test]

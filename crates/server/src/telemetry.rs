@@ -468,19 +468,26 @@ mod tests {
     #[test]
     fn concurrent_snapshots_stay_internally_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
 
         const THREADS: usize = 8;
         const PER_THREAD: usize = 400;
         let telemetry = Arc::new(Telemetry::new());
         let stop = Arc::new(AtomicBool::new(false));
-        // A reader thread snapshots continuously while writers hammer.
+        // The writers are held until the reader has taken its first
+        // snapshot, so it is running when they start rather than first
+        // scheduled after they have all finished.
+        let start = Arc::new(Barrier::new(THREADS + 1));
+        // A reader thread snapshots continuously while writers hammer,
+        // and once more after they are done.
         let reader = {
             let telemetry = Arc::clone(&telemetry);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut checked = 0_usize;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    let last = stop.load(Ordering::Relaxed);
                     let snap = telemetry.snapshot();
                     assert!(
                         snap.completed + snap.failed + snap.shed() <= snap.submitted,
@@ -499,6 +506,12 @@ mod tests {
                     let failed: usize = snap.classes.values().map(|c| c.failed).sum();
                     assert_eq!(failed, snap.failed, "class failures sum to aggregate");
                     checked += 1;
+                    if checked == 1 {
+                        start.wait();
+                    }
+                    if last {
+                        break;
+                    }
                 }
                 checked
             })
@@ -506,7 +519,9 @@ mod tests {
         let writers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let telemetry = Arc::clone(&telemetry);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     for i in 0..PER_THREAD {
                         let class = SloClass::ALL[(t + i) % SloClass::ALL.len()];
                         // Submission always lands first (as in
