@@ -116,7 +116,7 @@ impl CirCoreUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockgnn_core::SpectralBlockCirculant;
+    use blockgnn_core::reference::SpectralBlockCirculant;
     use blockgnn_linalg::vector::linf_distance;
 
     fn unit(rows: usize, cols: usize, n: usize) -> (CirCoreUnit, BlockCirculantMatrix) {

@@ -267,7 +267,7 @@ mod tests {
     fn fixed_path_tracks_float_path() {
         for (rows, cols, n) in [(8, 8, 4), (16, 12, 8), (32, 32, 16), (64, 64, 64)] {
             let m = BlockCirculantMatrix::random(rows, cols, n, 17).unwrap();
-            let float = crate::spectral::SpectralBlockCirculant::new(&m).unwrap();
+            let float = crate::reference::SpectralBlockCirculant::new(&m).unwrap();
             let fixed = FixedSpectralBlockCirculant::new(&m).unwrap();
             let x = small_input(cols);
             let yf = float.matvec(&x);

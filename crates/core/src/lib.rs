@@ -16,14 +16,16 @@
 //!   circulant subspace (used by compression-aware training).
 //! * [`BlockCirculantMatrix`] — the partitioned matrix with padding rules,
 //!   dense round-trips, and a direct (spatial-domain) product.
-//! * [`SpectralBlockCirculant`] — the paper's **Algorithm 1**: weights
+//! * [`RealSpectralBlockCirculant`] — the paper's **Algorithm 1**: weights
 //!   pre-transformed to the spectral domain (Ŵ), per-block element-wise
 //!   MACs, and accumulation *in the spectral domain* so only `p` IFFTs are
-//!   needed instead of `p·q`.
-//! * [`RealSpectralBlockCirculant`] — the §V RFFT refinement that keeps
+//!   needed instead of `p·q` — with the §V RFFT refinement that keeps
 //!   only the non-redundant half-spectrum, applied to a tile of feature
 //!   rows per transform pass: the one f64 kernel serving and training
 //!   both run.
+//! * [`reference::SpectralBlockCirculant`] — Algorithm 1 over full
+//!   complex spectra, one row at a time: the test oracle and the no-RFFT
+//!   arm of the §V ablation, on no serving path.
 //! * [`FixedSpectralBlockCirculant`] — the same pipeline through Q16.16
 //!   fixed-point FFTs, bit-matching the FPGA datapath.
 //! * [`CompressionStats`] — the Table III storage-reduction (SR = n) and
@@ -32,12 +34,12 @@
 //! # Example
 //!
 //! ```
-//! use blockgnn_core::{BlockCirculantMatrix, SpectralBlockCirculant};
+//! use blockgnn_core::{BlockCirculantMatrix, RealSpectralBlockCirculant};
 //!
 //! // 8 logical rows, 6 logical cols, block size 4: the constructor
 //! // zero-pads to a 2×2 grid of 4×4 circulant blocks.
 //! let bcm = BlockCirculantMatrix::random(8, 6, 4, 42).unwrap();
-//! let spectral = SpectralBlockCirculant::new(&bcm).unwrap();
+//! let spectral = RealSpectralBlockCirculant::new(&bcm).unwrap();
 //! let x: Vec<f64> = (0..6).map(|i| i as f64 * 0.1).collect();
 //! let direct = bcm.matvec_direct(&x);
 //! let fast = spectral.matvec(&x);
@@ -52,6 +54,7 @@ pub mod block;
 pub mod error;
 pub mod fixed;
 pub mod matrix;
+pub mod reference;
 pub mod spectral;
 pub mod stats;
 
@@ -59,5 +62,5 @@ pub use block::CirculantBlock;
 pub use error::CirculantError;
 pub use fixed::{FixedSpectralBlockCirculant, FixedSpectralScratch};
 pub use matrix::BlockCirculantMatrix;
-pub use spectral::{RealSpectralBlockCirculant, SpectralBlockCirculant, SpectralScratch};
+pub use spectral::{RealSpectralBlockCirculant, SpectralScratch};
 pub use stats::CompressionStats;

@@ -63,6 +63,14 @@ pub enum DeltaError {
         /// The offending row's length.
         got: usize,
     },
+    /// A feature-row update or appended node carried a NaN or ±Inf. One
+    /// such value would reach every logit its row aggregates into.
+    NonFiniteFeature {
+        /// The node whose row it is (an appended node's post-append id).
+        node: usize,
+        /// Column of the first non-finite value.
+        column: usize,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -77,6 +85,9 @@ impl fmt::Display for DeltaError {
             }
             DeltaError::FeatureDimMismatch { expected, got } => {
                 write!(f, "feature row of width {got} does not match feature dim {expected}")
+            }
+            DeltaError::NonFiniteFeature { node, column } => {
+                write!(f, "feature row of node {node} is not finite at column {column}")
             }
         }
     }
@@ -268,18 +279,23 @@ impl VersionedGraph {
         let old_n = self.graph.num_nodes();
         let new_n = old_n + delta.append_nodes.len();
         let dim = self.features.cols();
+        let check_row = |node: usize, row: &[f64]| {
+            if row.len() != dim {
+                return Err(DeltaError::FeatureDimMismatch { expected: dim, got: row.len() });
+            }
+            match row.iter().position(|x| !x.is_finite()) {
+                Some(column) => Err(DeltaError::NonFiniteFeature { node, column }),
+                None => Ok(()),
+            }
+        };
         for (node, row) in &delta.set_features {
             if *node >= new_n {
                 return Err(DeltaError::NodeOutOfRange { node: *node, num_nodes: new_n });
             }
-            if row.len() != dim {
-                return Err(DeltaError::FeatureDimMismatch { expected: dim, got: row.len() });
-            }
+            check_row(*node, row)?;
         }
-        for row in &delta.append_nodes {
-            if row.len() != dim {
-                return Err(DeltaError::FeatureDimMismatch { expected: dim, got: row.len() });
-            }
+        for (i, row) in delta.append_nodes.iter().enumerate() {
+            check_row(old_n + i, row)?;
         }
         // Expand undirected edges into both stored arcs (self-loops
         // once), exactly as `from_edges` does.
@@ -437,6 +453,7 @@ mod tests {
         let mut vg = seeded(3, &[(0, 1)]);
         let before_graph = vg.graph().clone();
         let before_id = vg.graph().instance_id();
+        let before_features = vg.features().clone();
         assert_eq!(vg.apply(&GraphDelta::new()), Err(DeltaError::EmptyDelta));
         assert_eq!(
             vg.apply(&GraphDelta::new().remove_edge(1, 2)),
@@ -454,12 +471,27 @@ mod tests {
             vg.apply(&GraphDelta::new().append_node(vec![1.0, 2.0])),
             Err(DeltaError::FeatureDimMismatch { expected: 3, got: 2 })
         );
+        // Non-finite values are refused beside the width checks, in an
+        // otherwise valid delta; an appended node reports its new id.
+        assert_eq!(
+            vg.apply(
+                &GraphDelta::new().add_edge(0, 2).set_feature_row(1, vec![0.0, f64::NAN, 1.0])
+            ),
+            Err(DeltaError::NonFiniteFeature { node: 1, column: 1 })
+        );
+        assert_eq!(
+            vg.apply(
+                &GraphDelta::new().append_node(vec![f64::INFINITY, 0.0, 0.0]).add_edge(3, 0)
+            ),
+            Err(DeltaError::NonFiniteFeature { node: 3, column: 0 })
+        );
         // A delta that fails *after* some valid ops must also not stick.
         assert!(vg.apply(&GraphDelta::new().add_edge(0, 2).remove_edge(0, 9999)).is_err());
         assert_eq!(vg.version(), 0);
         assert_eq!(*vg.graph(), before_graph);
         assert_eq!(vg.graph().instance_id(), before_id);
-        assert_eq!(vg.edges().len(), 1);
+        assert_eq!(*vg.features(), before_features);
+        assert_eq!(vg.edges(), [(0, 1)]);
     }
 
     #[test]

@@ -60,5 +60,5 @@ pub mod sample;
 pub use csr::{CompressedCsr, CsrGraph, GraphError};
 pub use dataset::{Dataset, DatasetSpec, SplitMasks};
 pub use delta::{DeltaError, GraphDelta, VersionedGraph};
-pub use partition::{GraphPart, PartitionError, PartitionStrategy};
+pub use partition::{GraphPart, PartitionError};
 pub use sample::NeighborSampler;

@@ -9,54 +9,15 @@
 //!
 //! Partitioning is contiguous-chunk based (node-id ranges), which
 //! matches the vertex-centric batch processing of the accelerator — the
-//! host streams each part's nodes in order. Cut placement varies by
-//! [`PartitionStrategy`]: equal node counts, degree-balanced edge work
-//! (the serving default — contiguous cuts placed on the prefix-summed
-//! degree curve so skewed graphs stop handing one worker all the hubs),
-//! or BFS growth for locality-sensitive workloads.
+//! host streams each part's nodes in order. Cuts fall either at equal
+//! node counts ([`partition_contiguous`], what the §IV-C budget search
+//! sizes) or at equal edge work ([`partition_degree_balanced`], what
+//! serving uses — contiguous cuts placed on the prefix-summed degree
+//! curve so skewed graphs stop handing one worker all the hubs).
 
 use crate::csr::CsrGraph;
 use std::error::Error;
 use std::fmt;
-
-/// How cut points are chosen when splitting a graph into parts.
-///
-/// Every strategy yields parts whose target sets tile the node range
-/// exactly once, so row-aligned merges of per-part results are
-/// bit-identical regardless of strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Equal node counts per part, ignoring degree skew.
-    Contiguous,
-    /// Contiguous ranges cut on cumulative *edge work* (node cost +
-    /// degree), so each part carries roughly equal aggregation work even
-    /// on power-law graphs. The serving default.
-    #[default]
-    DegreeBalanced,
-    /// BFS-grown parts for locality (fewer halo nodes on clustered
-    /// graphs); node order within a part is sorted, not contiguous.
-    Bfs,
-}
-
-impl PartitionStrategy {
-    /// Splits `graph` into `k` parts under this strategy. `node_cost` is
-    /// the per-node work floor added to each node's degree when
-    /// balancing (ignored by the other strategies); use the feature/
-    /// stage width so dense per-row compute is weighed against
-    /// aggregation traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    #[must_use]
-    pub fn partition(self, graph: &CsrGraph, k: usize, node_cost: usize) -> Vec<GraphPart> {
-        match self {
-            PartitionStrategy::Contiguous => partition_contiguous(graph, k),
-            PartitionStrategy::DegreeBalanced => partition_degree_balanced(graph, k, node_cost),
-            PartitionStrategy::Bfs => partition_bfs(graph, k),
-        }
-    }
-}
 
 /// Errors raised by partition planning.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,55 +172,6 @@ pub fn partition_balance(graph: &CsrGraph, parts: &[GraphPart], node_cost: usize
     max / (total as f64 / parts.len() as f64)
 }
 
-/// Grows parts by BFS from seed nodes, improving locality (fewer halo
-/// nodes for clustered graphs). Unreached nodes (isolated or in other
-/// components) are appended to the last part.
-///
-/// # Panics
-///
-/// Panics if `k` is zero.
-#[must_use]
-pub fn partition_bfs(graph: &CsrGraph, k: usize) -> Vec<GraphPart> {
-    assert!(k > 0, "partition count must be positive");
-    let n = graph.num_nodes();
-    let target = n.div_ceil(k);
-    let mut visited = vec![false; n];
-    let mut parts: Vec<Vec<u32>> = Vec::new();
-    let mut current: Vec<u32> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for seed in 0..n {
-        if visited[seed] {
-            continue;
-        }
-        visited[seed] = true;
-        queue.push_back(seed as u32);
-        while let Some(v) = queue.pop_front() {
-            current.push(v);
-            if current.len() >= target && parts.len() + 1 < k {
-                current.sort_unstable();
-                parts.push(std::mem::take(&mut current));
-            }
-            for &u in graph.neighbors(v as usize) {
-                if !visited[u as usize] {
-                    visited[u as usize] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-    }
-    if !current.is_empty() || parts.is_empty() {
-        current.sort_unstable();
-        parts.push(current);
-    }
-    parts
-        .into_iter()
-        .map(|nodes| {
-            let halo = collect_halo(graph, &nodes);
-            GraphPart { nodes, halo }
-        })
-        .collect()
-}
-
 /// Smallest `k` such that every contiguous part's resident features fit
 /// in `budget_bytes` at the given scalar width.
 ///
@@ -364,17 +276,6 @@ mod tests {
         assert_eq!(parts[0].halo.len(), 2);
         assert_eq!(parts[1].halo.len(), 2);
         assert_eq!(parts[0].resident_nodes(), 52);
-    }
-
-    #[test]
-    fn bfs_partition_covers_all_nodes() {
-        let g = rmat(256, 2000, RMAT_SOCIAL, 5);
-        let g = CsrGraph::from_edges(256, &g, true).unwrap();
-        let parts = partition_bfs(&g, 4);
-        let mut all: Vec<u32> = parts.iter().flat_map(|p| p.nodes.clone()).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 256, "every node appears exactly once");
     }
 
     #[test]
@@ -539,20 +440,5 @@ mod tests {
         let b = partition_balance(&g, &parts, 1);
         assert!((b - 1.0).abs() < 1e-9, "ring split should be perfect, got {b}");
         assert_eq!(partition_balance(&g, &[], 1), 1.0);
-    }
-
-    #[test]
-    fn strategy_dispatch_matches_direct_calls() {
-        let g = rmat_graph();
-        assert_eq!(
-            PartitionStrategy::Contiguous.partition(&g, 3, 9),
-            partition_contiguous(&g, 3)
-        );
-        assert_eq!(
-            PartitionStrategy::DegreeBalanced.partition(&g, 3, 9),
-            partition_degree_balanced(&g, 3, 9)
-        );
-        assert_eq!(PartitionStrategy::Bfs.partition(&g, 3, 9), partition_bfs(&g, 3));
-        assert_eq!(PartitionStrategy::default(), PartitionStrategy::DegreeBalanced);
     }
 }

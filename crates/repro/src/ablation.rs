@@ -11,7 +11,8 @@
 //!    aggregator weights recovers most accuracy while keeping most of
 //!    the FLOP savings; [`aggregator_only`] trains all three policies.
 
-use blockgnn_core::{BlockCirculantMatrix, RealSpectralBlockCirculant, SpectralBlockCirculant};
+use blockgnn_core::reference::SpectralBlockCirculant;
+use blockgnn_core::{BlockCirculantMatrix, RealSpectralBlockCirculant};
 use blockgnn_gnn::models::{build_model_with_policy, CompressionPolicy, ModelKind};
 use blockgnn_gnn::train::{train_node_classifier, TrainConfig};
 use blockgnn_gnn::Compression;

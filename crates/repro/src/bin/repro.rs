@@ -13,10 +13,10 @@
 //! repro all [--quick]     # everything above in paper order
 //! ```
 
-use blockgnn_bench::{
+use blockgnn_gnn::ModelKind;
+use blockgnn_repro::{
     ablation, fig6, fig7, quantization, table2, table3, table4, table5, table6,
 };
-use blockgnn_gnn::ModelKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

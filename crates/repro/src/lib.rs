@@ -15,14 +15,14 @@
 //! | [`quantization`] | Q16.16 deployment accuracy check (§IV-B's 32-bit fixed-point claim) |
 //!
 //! Run them all via the `repro` binary:
-//! `cargo run --release -p blockgnn-bench --bin repro -- all --quick`.
+//! `cargo run --release -p blockgnn-repro --bin repro -- all --quick`.
 //!
 //! # Example: regenerate Table IV
 //!
 //! ```
-//! let specs = blockgnn_bench::table4::run();
+//! let specs = blockgnn_repro::table4::run();
 //! assert_eq!(specs.len(), 4); // CR, CS, PB, RD
-//! let rendered = blockgnn_bench::table4::render(&specs);
+//! let rendered = blockgnn_repro::table4::render(&specs);
 //! assert!(rendered.contains("reddit-like"));
 //! ```
 
@@ -31,11 +31,9 @@
 pub mod ablation;
 pub mod fig6;
 pub mod fig7;
-pub mod json;
 pub mod quantization;
 pub mod table2;
 pub mod table3;
 pub mod table4;
 pub mod table5;
 pub mod table6;
-pub mod timing;

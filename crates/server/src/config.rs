@@ -65,8 +65,8 @@ pub struct ServerConfig {
     /// Whether the flight recorder traces requests: trace-id
     /// assignment, per-stage spans into the per-worker ring buffers,
     /// and slow/shed/failed exemplar retention. On by default (the
-    /// recorder is bounded-memory and costs < 2% throughput — see the
-    /// `server_load` overhead lane); off makes every recording path a
+    /// recorder is bounded-memory; its cost is the stack benchmark's
+    /// `trace.overhead_share`); off makes every recording path a
     /// no-op and responses carry `trace_id = 0`.
     pub tracing: bool,
     /// Crashes within [`ServerConfig::breaker_window`] that open the

@@ -24,7 +24,7 @@
 //!
 //! Every site is compiled into the real code path; with no plan
 //! configured the [`FaultInjector`] handle is a `None` and the check is
-//! one branch (the `server_load` bench pins the overhead ≥ 0.98×).
+//! one branch.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

@@ -135,36 +135,40 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         }
         None => (first, None),
     };
-    match verb {
-        "ping" => Ok(Command::Ping),
-        "stats" => Ok(Command::Stats(tenant)),
-        "shutdown" => Ok(Command::Shutdown),
-        "list" => Ok(Command::List),
-        "infer" => parse_infer(&mut words, tenant),
-        "update" => parse_update(&mut words, tenant),
-        "deploy" => parse_deploy(&mut words),
-        "metrics" => {
-            if let Some(extra) = words.next() {
-                return Err(format!("unexpected word {extra:?} after metrics"));
-            }
-            Ok(Command::Metrics)
-        }
-        "health" => {
-            if let Some(extra) = words.next() {
-                return Err(format!("unexpected word {extra:?} after health"));
-            }
-            Ok(Command::Health)
-        }
-        "trace" => parse_trace(&mut words),
+    // The three verbs with open-ended clauses consume the whole line
+    // themselves; every other verb takes a fixed prefix of it and shares
+    // one end-of-line check.
+    let command = match verb {
+        "infer" => return parse_infer(&mut words, tenant),
+        "update" => return parse_update(&mut words, tenant),
+        "deploy" => return parse_deploy(&mut words),
+        "ping" => Command::Ping,
+        "stats" => Command::Stats(tenant),
+        "shutdown" => Command::Shutdown,
+        "list" => Command::List,
+        "metrics" => Command::Metrics,
+        "health" => Command::Health,
+        "trace" => parse_trace(&mut words)?,
         "retire" => {
             let name = words.next().ok_or("retire needs a tenant name")?;
             validate_tenant_name(name)?;
-            if let Some(extra) = words.next() {
-                return Err(format!("unexpected word {extra:?} after retire name"));
-            }
-            Ok(Command::Retire(name.to_string()))
+            Command::Retire(name.to_string())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}")),
+    };
+    end_of_command(&mut words, verb)?;
+    Ok(command)
+}
+
+/// Refuses whatever follows a complete command: a verb that ignored its
+/// tail would obey `shutdown not-yet`.
+fn end_of_command<'a>(
+    words: &mut impl Iterator<Item = &'a str>,
+    verb: &str,
+) -> Result<(), String> {
+    match words.next() {
+        Some(extra) => Err(format!("unexpected word {extra:?} after {verb}")),
+        None => Ok(()),
     }
 }
 
@@ -193,9 +197,6 @@ fn parse_trace<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<Command,
             }
         }
     };
-    if let Some(extra) = words.next() {
-        return Err(format!("unexpected word {extra:?} after trace query"));
-    }
     Ok(Command::Trace(query))
 }
 
@@ -1479,6 +1480,10 @@ mod tests {
             "trace slow extra",
             "trace export x",
             "trace last=3 id=4",
+            "ping x",
+            "list all",
+            "stats@t extra",
+            "shutdown now",
         ] {
             assert!(parse_command(bad).is_err(), "{bad:?} must be a protocol error");
         }

@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use blockgnn::core::{BlockCirculantMatrix, SpectralBlockCirculant};
+use blockgnn::core::{BlockCirculantMatrix, RealSpectralBlockCirculant};
 use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};
 use blockgnn::gnn::ModelKind;
 use blockgnn::graph::datasets;
@@ -75,7 +75,7 @@ fn main() {
     for n in [16usize, 32, 64, 128] {
         let compressed = BlockCirculantMatrix::from_dense(&dense, n).expect("valid dimensions");
         let stats = compressed.stats();
-        let spectral = SpectralBlockCirculant::new(&compressed).expect("power-of-two n");
+        let spectral = RealSpectralBlockCirculant::new(&compressed).expect("power-of-two n");
         let x: Vec<f64> = (0..in_dim).map(|i| (i as f64 * 0.013).sin()).collect();
         let fast = spectral.matvec(&x);
         let reference = compressed.to_dense().matvec(&x);

@@ -112,7 +112,7 @@
 //! wraps both and adds batching, caching, and statistics.
 //!
 //! See `examples/` for end-to-end scenarios and
-//! `cargo run --release -p blockgnn-bench --bin repro -- all` for the
+//! `cargo run --release -p blockgnn-repro --bin repro -- all` for the
 //! full table/figure reproduction.
 
 #![deny(missing_docs)]

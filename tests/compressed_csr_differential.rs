@@ -7,7 +7,8 @@
 //! big graphs are *served* from, so any divergence here is silent
 //! wrong-answer territory, not a perf bug.
 
-use blockgnn::graph::{CompressedCsr, CsrGraph, PartitionStrategy};
+use blockgnn::graph::partition::{partition_contiguous, partition_degree_balanced};
+use blockgnn::graph::{CompressedCsr, CsrGraph};
 use proptest::prelude::*;
 
 /// Structural equality: same shape and, row by row, the same neighbor
@@ -97,22 +98,20 @@ proptest! {
         arcs in proptest::collection::vec((0usize..50, 0usize..50), 0..120),
         k in 1usize..6,
     ) {
-        // The serving path: every cut-placement strategy must plan the
-        // exact same parts (targets and halos) from the decoded graph.
+        // The serving path: both cut placements must plan the exact
+        // same parts (targets and halos) from the decoded graph.
         let graph = graph_from(num_nodes, &arcs);
         let decoded = round_trip(&graph);
-        for strategy in [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::DegreeBalanced,
-            PartitionStrategy::Bfs,
-        ] {
-            prop_assert_eq!(
-                strategy.partition(&graph, k, 16),
-                strategy.partition(&decoded, k, 16),
-                "{:?} plan diverged",
-                strategy
-            );
-        }
+        prop_assert_eq!(
+            partition_contiguous(&graph, k),
+            partition_contiguous(&decoded, k),
+            "contiguous plan diverged"
+        );
+        prop_assert_eq!(
+            partition_degree_balanced(&graph, k, 16),
+            partition_degree_balanced(&decoded, k, 16),
+            "degree-balanced plan diverged"
+        );
     }
 }
 

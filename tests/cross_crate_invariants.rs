@@ -2,7 +2,8 @@
 //! boundaries (algorithm ↔ workload accounting ↔ hardware models).
 
 use blockgnn::accel::{BlockGnnAccelerator, CpuModel, HyGcnModel};
-use blockgnn::core::{BlockCirculantMatrix, SpectralBlockCirculant};
+use blockgnn::core::reference::SpectralBlockCirculant;
+use blockgnn::core::BlockCirculantMatrix;
 use blockgnn::gnn::workload::GnnWorkload;
 use blockgnn::gnn::ModelKind;
 use blockgnn::graph::datasets;

@@ -4,7 +4,7 @@
 //! algorithm→hardware story of the paper in one test file.
 
 use blockgnn::accel::{BlockGnnAccelerator, PostOp};
-use blockgnn::core::SpectralBlockCirculant;
+use blockgnn::core::reference::SpectralBlockCirculant;
 use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};
 use blockgnn::gnn::train::{train_node_classifier, TrainConfig};
 use blockgnn::gnn::{build_model, Compression, ModelKind};

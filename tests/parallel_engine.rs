@@ -215,7 +215,7 @@ fn parallel_beats_sequential_wall_clock_when_cores_allow() {
     // The scaling claim, asserted only where it is physically possible:
     // with ≥ 4 cores, 4 workers must beat single-threaded full-graph
     // inference on the largest built-in dataset. On smaller hosts the
-    // `engine_throughput` bench still records the curve.
+    // stack benchmark's `engine.par2_*` rungs still time a widened pass.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cores < 4 {
         eprintln!("skipping wall-clock assertion: only {cores} core(s) available");

@@ -2,7 +2,7 @@
 //! module runs (quick configurations) and produces output with the
 //! paper's qualitative structure.
 
-use blockgnn_bench::{ablation, fig6, fig7, table2, table3, table4, table5, table6};
+use blockgnn_repro::{ablation, fig6, fig7, table2, table3, table4, table5, table6};
 
 #[test]
 fn table2_reproduces_profile_structure() {

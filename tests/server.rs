@@ -7,10 +7,12 @@
 //! that version's rebuilt graph — all of it equally over an engine
 //! widened with `into_parallel`.
 
-use blockgnn::engine::{BackendKind, Engine, EngineBuilder, InferRequest, InferResponse};
+use blockgnn::engine::{
+    BackendKind, Engine, EngineBuilder, EngineError, InferRequest, InferResponse,
+};
 use blockgnn::gnn::ModelKind;
 use blockgnn::graph::datasets;
-use blockgnn::graph::delta::{GraphDelta, VersionedGraph};
+use blockgnn::graph::delta::{DeltaError, GraphDelta, VersionedGraph};
 use blockgnn::nn::Compression;
 use blockgnn::server::{
     Client, FaultPlan, RemoteResponse, Server, ServerConfig, ServerError, SloClass,
@@ -661,12 +663,39 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
         ("update del=5:5", "err engine"),
         ("update", "err engine"), // empty delta
         ("\u{7f}\u{1}binary\u{2}junk", "err protocol"),
+        // A verb followed by words it has no use for is refused, not
+        // obeyed: this server must still be up for the lines below.
+        ("shutdown now", "err protocol"),
+        ("ping x", "err protocol"),
     ] {
         let reply = roundtrip(line);
         assert!(reply.starts_with(kind), "{line:?}: expected a {kind:?} reply, got {reply:?}");
     }
-    // The graph never budged...
+    // The in-process path has no parser in front of it, so the same two
+    // non-finite rows must be refused by the delta itself.
+    let mut row = vec![1.0; dataset.feature_dim()];
+    row[0] = f64::NAN;
+    let nan_row = GraphDelta::new().set_feature_row(0, row.clone());
+    row[0] = f64::INFINITY;
+    let inf_node = GraphDelta::new().append_node(row);
+    for delta in [nan_row, inf_node] {
+        let refused = server.handle().update(&delta);
+        assert!(
+            matches!(
+                refused,
+                Err(ServerError::Engine(EngineError::Delta(DeltaError::NonFiniteFeature {
+                    column: 0,
+                    ..
+                })))
+            ),
+            "got {refused:?}"
+        );
+    }
+    // The graph never budged, and no logit went non-finite...
     assert_eq!(server.graph_version(), 0);
+    let full = blockgnn::server::protocol::parse_response(&roundtrip("infer full all"))
+        .expect("full-graph read serves");
+    assert!(full.logits.as_slice().iter().all(|x| x.is_finite()));
     // ...the same connection still serves...
     let ack = roundtrip("update add=0:5,1:6");
     assert!(ack.starts_with("ok update tenant=default version=1 "), "got {ack:?}");
@@ -677,7 +706,7 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
     let stats = server.stats();
     assert_eq!(stats.graph_version, 1);
     assert_eq!(stats.updates, 1);
-    assert_eq!(stats.failed_updates, 3, "engine-rejected updates are counted");
+    assert_eq!(stats.failed_updates, 5, "engine-rejected updates are counted");
     front.stop();
 }
 
