@@ -25,6 +25,16 @@ pub enum EngineError {
     },
     /// A sampled request carried no target nodes.
     EmptyRequest,
+    /// A sampled request's fan-outs ask for more neighbour draws than
+    /// one request may (the sub-universe's buffers are sized by that
+    /// product before anything is sampled).
+    RequestTooLarge {
+        /// `targets × max(S₁, 1) × (1 + S₂)`, saturated at `usize::MAX`
+        /// when the product overflows.
+        arcs: usize,
+        /// The most one request may ask for.
+        max: usize,
+    },
     /// An engine (or a server pool) was asked for zero worker threads.
     NoWorkers,
     /// A graph update was rejected by the versioned graph (missing
@@ -50,6 +60,9 @@ impl fmt::Display for EngineError {
                 write!(f, "request node {node} out of range (graph has {num_nodes} nodes)")
             }
             EngineError::EmptyRequest => write!(f, "sampled request carries no target nodes"),
+            EngineError::RequestTooLarge { arcs, max } => {
+                write!(f, "sampled request asks for {arcs} neighbour draws (at most {max})")
+            }
             EngineError::NoWorkers => {
                 write!(f, "an engine needs at least one worker thread")
             }

@@ -163,18 +163,42 @@ pub(crate) fn validate_nodes(nodes: &[usize], num_nodes: usize) -> Result<(), En
     Ok(())
 }
 
+/// The most neighbour draws one sampled request may ask for, counted as
+/// `targets × max(S₁, 1) × (1 + S₂)` — an upper bound on the edges of
+/// its sub-universe *and* on every buffer
+/// [`SampledSubgraph::build`] reserves before it samples (`S₁ = 0`
+/// still reserves `S₂` draws, hence the `max`). The fan-outs are wire
+/// numbers: unbounded, one line asks the allocator for terabytes and
+/// the process aborts. 2²² is ~60× the largest request anywhere in this
+/// repository (the benchmark's 256 × 25 × 11 = 70 400) and holds the
+/// worst admitted request's reservation near 150 MB (two 16-byte edge
+/// slots per first-hop draw).
+const MAX_SAMPLED_ARCS: usize = 1 << 22;
+
 /// The single definition of request validity against a graph of
 /// `num_nodes` nodes: every named node must exist, and sampled requests
-/// must name at least one. Used by the engines before executing and by
-/// the serving runtime at admission, so the two can never drift.
+/// must name at least one and ask for at most `MAX_SAMPLED_ARCS` (2²²)
+/// neighbour draws. Used by the engines before executing and by the
+/// serving runtime at admission, so the two can never drift.
 ///
 /// # Errors
 ///
-/// [`EngineError::NodeOutOfRange`] or [`EngineError::EmptyRequest`].
+/// [`EngineError::NodeOutOfRange`], [`EngineError::EmptyRequest`] or
+/// [`EngineError::RequestTooLarge`].
 pub fn validate_request(request: &InferRequest, num_nodes: usize) -> Result<(), EngineError> {
     validate_nodes(&request.nodes, num_nodes)?;
-    if matches!(request.mode, RequestMode::Sampled { .. }) && request.nodes.is_empty() {
-        return Err(EngineError::EmptyRequest);
+    if let RequestMode::Sampled { s1, s2, .. } = request.mode {
+        if request.nodes.is_empty() {
+            return Err(EngineError::EmptyRequest);
+        }
+        let arcs = s2
+            .checked_add(1)
+            .and_then(|per_draw| per_draw.checked_mul(s1.max(1)))
+            .and_then(|per_target| per_target.checked_mul(request.nodes.len()))
+            .unwrap_or(usize::MAX);
+        if arcs > MAX_SAMPLED_ARCS {
+            return Err(EngineError::RequestTooLarge { arcs, max: MAX_SAMPLED_ARCS });
+        }
     }
     Ok(())
 }

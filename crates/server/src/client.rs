@@ -226,6 +226,16 @@ impl Client {
         }
     }
 
+    /// [`Client::roundtrip`] with the server's typed rejection surfaced:
+    /// an `err …` reply becomes the [`ServerError`] it encodes.
+    fn call(&mut self, line: &str) -> Result<String, ServerError> {
+        let reply = self.roundtrip(line)?;
+        if reply.starts_with("err ") {
+            return Err(parse_error(&reply)?);
+        }
+        Ok(reply)
+    }
+
     /// Sends one inference request to the default tenant and blocks for
     /// the answer.
     ///
@@ -266,10 +276,7 @@ impl Client {
         options: SubmitOptions,
         tenant: Option<&str>,
     ) -> Result<RemoteResponse, ServerError> {
-        let reply = self.roundtrip(&encode_infer(request, options, tenant))?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call(&encode_infer(request, options, tenant))?;
         parse_response(&reply)
     }
 
@@ -326,10 +333,7 @@ impl Client {
     ///
     /// Transport or protocol errors.
     pub fn health(&mut self) -> Result<HealthReport, ServerError> {
-        let reply = self.roundtrip("health")?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call("health")?;
         parse_health(&reply)
     }
 
@@ -359,10 +363,7 @@ impl Client {
         delta: &GraphDelta,
         tenant: Option<&str>,
     ) -> Result<UpdateAck, ServerError> {
-        let reply = self.roundtrip(&encode_update(delta, tenant))?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call(&encode_update(delta, tenant))?;
         parse_update_ack(&reply)
     }
 
@@ -375,10 +376,7 @@ impl Client {
     /// [`ServerError::TenantBudget`], a protocol error for a bad spec),
     /// or transport/protocol errors.
     pub fn deploy(&mut self, spec: &TenantSpec) -> Result<TenantInfo, ServerError> {
-        let reply = self.roundtrip(&encode_deploy(spec))?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call(&encode_deploy(spec))?;
         parse_deploy_ack(&reply)
     }
 
@@ -390,10 +388,7 @@ impl Client {
     /// [`ServerError::UnknownTenant`] for unknown names, a protocol
     /// error for the irremovable default tenant, or transport errors.
     pub fn retire(&mut self, tenant: &str) -> Result<String, ServerError> {
-        let reply = self.roundtrip(&format!("retire {tenant}"))?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call(&format!("retire {tenant}"))?;
         if reply.starts_with("ok retire ") {
             Ok(reply)
         } else {
@@ -408,10 +403,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on a malformed
     /// reply.
     pub fn list(&mut self) -> Result<Vec<TenantInfo>, ServerError> {
-        let reply = self.roundtrip("list")?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call("list")?;
         parse_list_reply(&reply)
     }
 
@@ -448,10 +440,7 @@ impl Client {
     /// As [`Client::stats`], plus [`ServerError::UnknownTenant`] when no
     /// such tenant is deployed.
     pub fn stats_tenant(&mut self, tenant: Option<&str>) -> Result<String, ServerError> {
-        let reply = self.roundtrip(&encode_stats(tenant))?;
-        if reply.starts_with("err ") {
-            return Err(parse_error(&reply)?);
-        }
+        let reply = self.call(&encode_stats(tenant))?;
         reply.strip_prefix("ok stats ").map(str::to_string).ok_or_else(|| {
             ServerError::Protocol(format!("expected stats reply, got {reply:?}"))
         })
@@ -460,10 +449,7 @@ impl Client {
     /// Sends a command whose reply is multi-line (`ok <verb> lines=N`
     /// header + N body lines) and returns the body lines.
     fn roundtrip_multi(&mut self, line: &str, verb: &str) -> Result<Vec<String>, ServerError> {
-        let header = self.roundtrip(line)?;
-        if header.starts_with("err ") {
-            return Err(parse_error(&header)?);
-        }
+        let header = self.call(line)?;
         let count: usize = header
             .strip_prefix(&format!("ok {verb} lines="))
             .and_then(|n| n.parse().ok())

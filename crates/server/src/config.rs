@@ -25,16 +25,17 @@ pub struct ClassPolicy {
 /// Tunables of the serving runtime: worker pool size, admission bounds,
 /// and the dynamic micro-batching policy.
 ///
-/// Batching semantics: a worker dequeuing a request first drains
-/// whatever else is already queued (opportunistic coalescing — costs
-/// no latency), then keeps the batch open for at most
+/// Batching semantics ([`crate::BatchLimits`] is these knobs as the
+/// batcher takes them): a worker dequeuing a request first drains
+/// whatever else its lane already has queued (opportunistic coalescing
+/// — costs no latency), then keeps the batch open for at most
 /// [`ServerConfig::batch_window`] for stragglers, until
 /// [`ServerConfig::max_batch_requests`] requests or 1024 summed target
-/// nodes are reached. The straggler window adapts to queue pressure
-/// (AIMD: a hold a straggler joined doubles the window scale, a hold
-/// that expired empty halves it), never exceeding the configured window.
-/// A request cap of 1 disables coalescing — every request executes
-/// alone; a zero window merely disables the straggler wait.
+/// nodes are reached. The straggler window always adapts to queue
+/// pressure (AIMD: a hold a straggler joined doubles the window scale,
+/// a hold that expired empty halves it), never exceeding the configured
+/// window. A request cap of 1 disables coalescing — every request
+/// executes alone; a zero window merely disables the straggler wait.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Worker threads, each owning a forked engine replica.
@@ -208,14 +209,6 @@ impl ServerConfig {
         self.max_batch_requests = 1;
         self
     }
-
-    /// Whether the configuration coalesces requests at all (a request
-    /// cap of 1 is the off switch; the window only tunes how long a
-    /// partial batch waits for stragglers).
-    #[must_use]
-    pub fn batching_enabled(&self) -> bool {
-        self.max_batch_requests > 1
-    }
 }
 
 #[cfg(test)]
@@ -232,8 +225,6 @@ mod tests {
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.max_queue_depth, 16);
         assert_eq!(cfg.max_batch_requests, 32);
-        assert!(cfg.batching_enabled());
-        assert!(!cfg.clone().unbatched().batching_enabled());
     }
 
     #[test]

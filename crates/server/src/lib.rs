@@ -50,10 +50,11 @@
 //! * **Workload harness** — [`workload`]: seeded, replayable traces
 //!   (zipfian popularity, bursty/diurnal open-loop arrivals, slow-loris
 //!   and malformed-line adversaries, deadline storms) with a
-//!   deterministic logical-time replay whose report — shed/dedup/batch
-//!   counters *and* a fingerprint over every served logits bit — is
-//!   identical across runs, plus a wall-clock TCP replay for liveness
-//!   checks against a live front end.
+//!   deterministic logical-time replay — the server's own batch-forming
+//!   code under the trace's clock ([`BatchLimits`]) — whose report —
+//!   shed/dedup/batch counters *and* a fingerprint over every served
+//!   logits bit — is identical across runs, plus a wall-clock TCP
+//!   replay for liveness checks against a live front end.
 //! * **Observability** — request tracing and a
 //!   metrics surface: every admitted request gets a process-unique
 //!   trace id (stamped on its response), typed per-stage [`Span`]s land
@@ -63,8 +64,9 @@
 //!   Chrome trace-event JSON ([`chrome_trace_json`]). A typed
 //!   [`MetricsRegistry`] renders the live telemetry as Prometheus text
 //!   exposition; the `metrics` and `trace` protocol verbs put both on
-//!   the wire. Tracing is on by default and costs < 2% throughput
-//!   ([`ServerConfig::tracing`] is the off switch).
+//!   the wire. Tracing is on by default ([`ServerConfig::tracing`] is
+//!   the off switch); what it costs is the stack benchmark's
+//!   `trace.overhead_share` rung, not a number quoted here.
 //! * **Fault tolerance** — panic-isolated worker fault domains: a
 //!   panic mid-batch converts every in-flight request of that batch
 //!   into a typed [`ServerError::WorkerCrashed`] reply (the connection
@@ -109,6 +111,7 @@
 
 #![deny(missing_docs)]
 
+mod batcher;
 mod client;
 mod config;
 mod error;
@@ -123,6 +126,7 @@ mod telemetry;
 pub mod tenant;
 pub mod workload;
 
+pub use batcher::BatchLimits;
 pub use client::{
     run_closed_loop, Client, ClientTimeouts, LoadConfig, LoadReport, RetryPolicy,
 };

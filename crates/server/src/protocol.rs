@@ -1331,7 +1331,17 @@ mod tests {
         let tenants = [None, Some("t0"), Some("traffic-2"), Some("a.b_c")];
         let models = [ModelKind::Gcn, ModelKind::GsPool, ModelKind::Gat];
         let backends = [BackendKind::Dense, BackendKind::Spectral, BackendKind::SimulatedAccel];
-        for _ in 0..600 {
+        // Numbers that would size a terabyte allocation *parse* — they
+        // are well-formed; refusing them is `validate_request`'s and
+        // `TenantSpec::build_engine`'s job — and ride the same
+        // truncate/garble bar as every other line.
+        let hostile = [
+            "infer sampled s1=1000000000000 s2=1 seed=0 nodes=0",
+            "infer sampled s1=18446744073709551615 s2=1 seed=0 nodes=0",
+            "infer sampled s1=9223372036854775807 s2=1 seed=0 nodes=0,1,2",
+            "deploy t=cora-small:gcn:dense hidden=1000000000000",
+        ];
+        for round in 0..600 {
             let n = 50;
             let mut delta = GraphDelta::new();
             for _ in 0..rng.next_below(4) {
@@ -1385,6 +1395,7 @@ mod tests {
                     2 => format!("trace id={:016x}", rng.next_u64()),
                     _ => ["trace slow", "trace export"][rng.next_below(2)].to_string(),
                 },
+                hostile[round % hostile.len()].to_string(),
             ];
             for line in &lines {
                 parse_command(line).expect("well-formed encodings parse");

@@ -28,6 +28,7 @@
 //! queue (new submissions shed with `ShuttingDown`), drains what was
 //! admitted, and joins the workers.
 
+use crate::batcher::{BatchLimits, Entry};
 use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::fault::{lock_recover, CircuitBreaker, EngineFault, FaultInjector};
@@ -36,7 +37,7 @@ use crate::observe::{
     TraceRecord, SLOW_THRESHOLD,
 };
 use crate::protocol::HealthReport;
-use crate::queue::{BatchLimits, QueueItem, RequestQueue, SubmitOptions};
+use crate::queue::{QueueItem, RequestQueue, SubmitOptions};
 use crate::telemetry::{ServerStats, Telemetry};
 use crate::tenant::{Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT};
 use blockgnn_engine::{
@@ -142,16 +143,6 @@ impl PoolHealth {
     }
 }
 
-/// Maximum summed target nodes per coalesced execution (bounds the
-/// merged universe's size; an all-nodes full-graph request counts as
-/// one node, since it serves from the shared cache).
-const MAX_BATCH_NODES: usize = 1024;
-
-/// The straggler window adapts to queue pressure (AIMD: a hold a
-/// straggler joined doubles the window scale, a hold that expired empty
-/// halves it) — what keeps batching from taxing a lightly loaded server.
-const ADAPTIVE_WINDOW: bool = true;
-
 /// Base backoff a crashed worker sleeps before respawning; doubles per
 /// consecutive crash up to [`RESTART_BACKOFF_MAX`] and resets after a
 /// clean batch.
@@ -236,13 +227,8 @@ impl Server {
 
     fn spawn(registry: TenantRegistry, default: Arc<Tenant>, config: ServerConfig) -> Self {
         let registry = Arc::new(registry);
-        let queue = Arc::new(RequestQueue::new(config.class_weights()));
-        let limits = BatchLimits {
-            window: config.batch_window,
-            max_requests: config.max_batch_requests.max(1),
-            max_nodes: MAX_BATCH_NODES,
-            adaptive: ADAPTIVE_WINDOW,
-        };
+        let queue: Arc<RequestQueue> = Arc::new(RequestQueue::new(config.class_weights()));
+        let limits = BatchLimits::from(&config);
         let recorder = Arc::new(Recorder::new(config.workers, config.tracing));
         let health = Arc::new(PoolHealth::new(config.workers, &config));
         let injector =
@@ -259,7 +245,7 @@ impl Server {
                         // Consecutive-crash streak driving the
                         // exponential backoff; a clean batch resets it.
                         let mut streak = 0u32;
-                        while let Some(batch) = queue.next_batch(limits) {
+                        while let Some(batch) = queue.next_batch(&limits) {
                             // The batch's tenant survives a concurrent
                             // retire: the items hold the Arc.
                             let tenant = Arc::clone(&batch[0].tenant);
@@ -839,14 +825,18 @@ impl ServerHandle {
         } else {
             TraceMeta::UNTRACED
         };
-        match self.queue.push(
-            Arc::clone(&self.tenant),
+        let nodes = request.nodes.len();
+        let item = QueueItem {
             request,
-            options.class,
+            tenant: Arc::clone(&self.tenant),
+            class: options.class,
             deadline,
+            enqueued_at: Instant::now(),
             trace,
-            tx,
-        ) {
+            responder: tx,
+        };
+        let entry = Entry { payload: item, nodes, deadline };
+        match self.queue.push(self.tenant.lane(options.class), entry) {
             Ok(()) => Ok(Ticket { rx }),
             Err(e) => {
                 if matches!(e, ServerError::Overloaded { .. }) {

@@ -19,9 +19,10 @@
 //! fit, or the deploy is rejected with a typed
 //! [`ServerError::TenantBudget`].
 
+use crate::batcher::Lane;
 use crate::error::ServerError;
 use crate::fault::lock_recover;
-use crate::queue::RequestQueue;
+use crate::queue::{RequestQueue, SloClass};
 use crate::telemetry::{ServerStats, Telemetry};
 use blockgnn_engine::{BackendKind, Engine, GraphHandle};
 use blockgnn_gnn::ModelKind;
@@ -92,6 +93,16 @@ pub fn parse_backend_kind(word: &str) -> Result<BackendKind, String> {
         format!("unknown backend {word:?} ({})", all.map(|k| k.name()).join(" | "))
     })
 }
+
+/// Widest hidden layer — and largest circulant block, which past the
+/// layer width is only padding — a [`TenantSpec`] may ask for. Both are
+/// wire numbers (`deploy … hidden= block=`) that size the model's
+/// weight and FFT-plan allocations: unbounded, one line asks the
+/// allocator for terabytes and the process aborts. 4096 is ~2.9× the
+/// widest model built anywhere in this repository (1 424, the §IV-B
+/// co-residency test); engines built directly through
+/// [`Engine::builder`] are not the wire's business and stay unbounded.
+const MAX_SPEC_WIDTH: usize = 4096;
 
 /// Everything needed to deploy one tenant: what to serve (dataset ×
 /// model × backend) and how to schedule it (fair-share weight,
@@ -208,9 +219,17 @@ impl TenantSpec {
     ///
     /// # Errors
     ///
-    /// [`ServerError::Protocol`] for an unknown dataset name,
-    /// [`ServerError::Engine`] for model/backend construction failures.
+    /// [`ServerError::Protocol`] for an unknown dataset name or a hidden
+    /// width / block size outside `1..=4096`, [`ServerError::Engine`]
+    /// for model/backend construction failures.
     pub fn build_engine(&self) -> Result<Engine, ServerError> {
+        for (what, value) in [("hidden", self.hidden_dim), ("block", self.block_size)] {
+            if !(1..=MAX_SPEC_WIDTH).contains(&value) {
+                return Err(ServerError::Protocol(format!(
+                    "{what}={value} is outside 1..={MAX_SPEC_WIDTH}"
+                )));
+            }
+        }
         let dataset = blockgnn_graph::datasets::small_by_name(&self.dataset, self.seed)
             .ok_or_else(|| {
                 ServerError::Protocol(format!(
@@ -329,6 +348,11 @@ impl Tenant {
             retired: AtomicBool::new(false),
             telemetry: Telemetry::new(),
         }
+    }
+
+    /// The admission-queue lane this tenant's `class` traffic joins.
+    pub fn lane(&self, class: SloClass) -> Lane {
+        Lane { tenant: self.id, class, weight: self.weight, max_depth: self.max_queue_depth }
     }
 
     /// A fresh replica for the pool, replacing one whose execution
@@ -502,7 +526,9 @@ impl TenantRegistry {
             tenant
         };
         tenant.retired.store(true, Ordering::Release);
-        queue.purge_tenant(tenant.id);
+        for item in queue.purge_tenant(tenant.id) {
+            item.respond(Err(ServerError::UnknownTenant { name: name.to_string() }));
+        }
         let finals = tenant.stats();
         lock_recover(&self.retired_stats).absorb(&finals);
         Ok(finals)
@@ -564,6 +590,10 @@ impl TenantRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::Entry;
+    use crate::observe::TraceMeta;
+    use crate::queue::QueueItem;
+    use blockgnn_engine::InferRequest;
     use blockgnn_graph::datasets;
 
     fn engine() -> Engine {
@@ -637,8 +667,27 @@ mod tests {
             registry.retire(DEFAULT_TENANT, &queue),
             Err(ServerError::Protocol(_))
         ));
-        // Retiring "a" frees its residency; "b" now fits.
+        // Retiring "a" answers what it still had queued, typed, and
+        // frees its residency; "b" now fits.
+        let a = registry.get("a").unwrap();
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let item = QueueItem {
+            request: InferRequest::full_graph(vec![0]),
+            tenant: Arc::clone(&a),
+            class: SloClass::Gold,
+            deadline: None,
+            enqueued_at: Instant::now(),
+            trace: TraceMeta::UNTRACED,
+            responder: tx,
+        };
+        let entry = Entry { nodes: 1, deadline: None, payload: item };
+        queue.push(a.lane(SloClass::Gold), entry).unwrap();
         registry.retire("a", &queue).unwrap();
+        assert_eq!(
+            rx.recv().unwrap().unwrap_err(),
+            ServerError::UnknownTenant { name: "a".into() }
+        );
+        assert_eq!(queue.depth(), 0);
         assert!(registry.get("a").is_err());
         let b = Tenant::forked(registry.next_id(), "b", 1, 8, engine(), 1);
         registry.deploy(b).unwrap();

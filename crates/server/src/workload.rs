@@ -15,13 +15,13 @@
 //! Two replay drivers consume a trace:
 //!
 //! - [`replay_logical`] executes the trace against in-process engines in
-//!   **logical time** — the reference semantics of the batcher (window,
-//!   request/node caps, per-tenant × per-class batches, deadline sheds)
-//!   with no wall clocks involved. Its [`ReplayReport`] (shed / dedup /
-//!   batch-size counters and an order-sensitive FNV-1a fingerprint over
-//!   every served logits bit) is **bit-identical across runs** of the
-//!   same trace, which is what lets a differential test pin the entire
-//!   serving pipeline's behaviour to a number.
+//!   **logical time**: the server's own batch-forming code
+//!   (`crate::batcher`) under the trace's microsecond clock, one virtual
+//!   worker, zero service time, no wall clock. Its [`ReplayReport`]
+//!   (shed / dedup / batch-size counters and an order-sensitive FNV-1a
+//!   fingerprint over every served logits bit) is **bit-identical
+//!   across runs** of the same trace, which is what lets a differential
+//!   test pin the server's batcher and the engine behind it to a number.
 //! - [`replay_tcp`] drives the trace against a live front end over real
 //!   sockets, honouring event times, slow-loris chunking, and
 //!   malformed-line floods. Its [`TrafficReport`] checks liveness
@@ -39,6 +39,8 @@
 //! fuzz corpus), slow-loris partial writes, and deadline storms — mix in
 //! at configurable rates.
 
+use crate::batcher::{BatchLimits, Batcher, Entry, Lane, Step};
+use crate::config::ServerConfig;
 use crate::protocol::{encode_infer, encode_update, parse_command, Command};
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
 use crate::tenant::DEFAULT_TENANT;
@@ -570,27 +572,6 @@ fn hex_unwrap(hex: &str) -> Result<String, String> {
     Ok(String::from_utf8_lossy(&bytes).into_owned())
 }
 
-/// Batching limits of the logical replay — the reference model of
-/// [`crate::ServerConfig`]'s batching knobs, in logical microseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct ReplayLimits {
-    /// Straggler window in logical microseconds: an infer joins the open
-    /// batch only if it arrives within this of the batch's first member.
-    pub window_us: u64,
-    /// Request cap per batch.
-    pub max_requests: usize,
-    /// Summed-target-node cap per batch.
-    pub max_nodes: usize,
-}
-
-impl Default for ReplayLimits {
-    /// Mirrors the server defaults: 500 µs window, 8 requests, 1024
-    /// nodes.
-    fn default() -> Self {
-        Self { window_us: 500, max_requests: 8, max_nodes: 1024 }
-    }
-}
-
 /// What a logical replay observed — every field deterministic for a
 /// given (trace, limits, engines) input, including the logits
 /// fingerprint.
@@ -642,203 +623,159 @@ impl ReplayReport {
     }
 }
 
-/// One member of the open logical batch.
+/// One admitted infer waiting in the replay's batcher.
 struct PendingInfer {
     request: InferRequest,
-    class: SloClass,
-    deadline_us: Option<u64>,
-    at_us: u64,
+    /// Absolute logical deadline: arrival + the request's own.
+    deadline: Option<Duration>,
 }
 
-/// Replays a trace against in-process engines in **logical time** — the
-/// batcher's reference semantics with no wall clock, so two runs over
-/// the same inputs produce byte-identical [`ReplayReport`]s. `engines`
-/// maps tenant names (use [`crate::DEFAULT_TENANT`] for unqualified
-/// traffic) to freshly built engines; they are mutated in place (updates
-/// apply, caches warm).
+/// Replays a trace against in-process engines in **logical time**: the
+/// server's own batch-forming code (`crate::batcher` — lanes, stride
+/// pick, caps, deadline-clamped adaptive hold) under `limits`, driven by
+/// the trace's microsecond clock instead of the wall clock, so two runs
+/// over the same inputs produce byte-identical [`ReplayReport`]s.
+/// `engines` maps tenant names (use [`crate::DEFAULT_TENANT`] for
+/// unqualified traffic) to freshly built engines; they are mutated in
+/// place (updates apply, caches warm).
 ///
-/// Batching model: events are processed in time order (slow-loris
-/// deliveries shifted by their dribble duration); consecutive infers
-/// sharing one `(tenant, class)` lane coalesce while they arrive within
-/// `limits.window_us` of the batch's first member and under its caps.
-/// Updates are barriers — they flush the open batch, exactly like the
-/// real server's between-batches version swap. A batch executes at the
-/// logical time its last member arrived; members whose deadline predates
-/// that are shed typed.
+/// Modelled around the batcher: **one** worker, **zero** service time,
+/// weight-1 tenants with unbounded lanes, default class weights. Events
+/// arrive in time order (slow-loris lines when their last chunk lands)
+/// and every arrival wakes the worker, as `push` notifies a sleeping
+/// one; a hold that runs out before the next arrival expires first, a
+/// tie goes to the arrival. Updates apply when they arrive, so a batch
+/// held open across one executes on the new version — the server's
+/// between-batches swap. A batch executes at the logical time it
+/// closed; members whose deadline has been reached by then are shed.
 pub fn replay_logical(
     engines: &mut BTreeMap<String, Engine>,
     trace: &Trace,
-    limits: &ReplayLimits,
+    limits: &BatchLimits,
 ) -> ReplayReport {
     let mut report = ReplayReport::default();
-    // Slow-loris lines deliver when their last chunk lands.
-    let mut ordered: Vec<(u64, &TraceEvent)> = trace
+    // A tenant's id is its position here (the map's name order).
+    let mut engines: Vec<(&String, &mut Engine)> = engines.iter_mut().collect();
+    let mut ordered: Vec<(Duration, &TraceEvent)> = trace
         .events
         .iter()
         .map(|event| {
-            let shift = match &event.op {
+            let dribble = match &event.op {
                 TraceOp::SlowLoris { chunks, pause_us, .. } => *pause_us * (*chunks as u64),
                 _ => 0,
             };
-            (event.at_us + shift, event)
+            (Duration::from_micros(event.at_us + dribble), event)
         })
         .collect();
     ordered.sort_by_key(|(at, event)| (*at, event.client));
-    let mut open: Vec<PendingInfer> = Vec::new();
-    let mut open_tenant = String::new();
-    let mut open_nodes = 0usize;
-    macro_rules! flush {
-        () => {
-            if !open.is_empty() {
-                let batch: Vec<PendingInfer> = std::mem::take(&mut open);
-                open_nodes = 0;
-                execute_batch(engines, &open_tenant, batch, &mut report);
+    let mut arrivals = ordered.into_iter().peekable();
+    let mut batcher = Batcher::new(ServerConfig::default().class_weights());
+    // The virtual worker: the batch it holds open, and when it asked to
+    // be woken (`None`: idle on an empty queue).
+    let mut forming = None;
+    let mut wake: Option<Duration> = None;
+    loop {
+        let arrival = arrivals.next_if(|(at, _)| wake.is_none_or(|due| *at <= due));
+        let now = match (arrival, wake) {
+            (Some((now, event)), _) => {
+                arrive(event, now, &mut batcher, &mut engines, &mut report);
+                now
             }
+            (None, Some(due)) => due,
+            (None, None) => break,
         };
-    }
-    for (at_us, event) in ordered {
-        let (request, options, tenant) = match &event.op {
-            TraceOp::Infer { request, options, tenant } => (request, *options, tenant),
-            TraceOp::Update { delta, tenant } => {
-                flush!();
-                let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                match engines.get_mut(name) {
-                    Some(engine) => match engine.apply_delta(delta) {
-                        Ok(_) => report.updates += 1,
-                        Err(_) => report.failed_updates += 1,
-                    },
-                    None => report.unknown_tenant += 1,
-                }
-                continue;
+        // Awake at `now`, the worker closes and executes every batch the
+        // batcher gives it, until it is told to hold or runs dry.
+        wake = loop {
+            let Some(mut open) = forming.take().or_else(|| batcher.begin()) else { break None };
+            if let Step::HoldUntil(until) = batcher.advance(&mut open, limits, now) {
+                forming = Some(open);
+                break Some(until);
             }
-            TraceOp::Malformed { line } => {
-                match parse_command(line) {
-                    Ok(_) => report.accidental_valid += 1,
-                    Err(_) => report.protocol_errors += 1,
-                }
-                continue;
-            }
-            TraceOp::SlowLoris { line, .. } => {
-                // The line reassembles whole; from here it is an
-                // ordinary command delivered at its shifted time.
-                match parse_command(line) {
-                    Ok(Command::Infer(request, options, tenant)) => {
-                        push_infer(
-                            engines,
-                            &mut open,
-                            &mut open_tenant,
-                            &mut open_nodes,
-                            &mut report,
-                            request,
-                            options,
-                            tenant.as_deref(),
-                            at_us,
-                            limits,
-                        );
-                    }
-                    Ok(_) => report.accidental_valid += 1,
-                    Err(_) => report.protocol_errors += 1,
-                }
-                continue;
-            }
+            let engine = &mut *engines[open.tenant as usize].1;
+            execute_batch(engine, open.class, batcher.finish(open), now, &mut report);
         };
-        push_infer(
-            engines,
-            &mut open,
-            &mut open_tenant,
-            &mut open_nodes,
-            &mut report,
-            request.clone(),
-            options,
-            tenant.as_deref(),
-            at_us,
-            limits,
-        );
-    }
-    // The final partial batch executes at shutdown, like a real drain.
-    if !open.is_empty() {
-        let batch: Vec<PendingInfer> = std::mem::take(&mut open);
-        execute_batch(engines, &open_tenant, batch, &mut report);
     }
     report
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_infer(
-    engines: &mut BTreeMap<String, Engine>,
-    open: &mut Vec<PendingInfer>,
-    open_tenant: &mut String,
-    open_nodes: &mut usize,
+/// One trace event taking effect at logical time `now`: infers are
+/// admitted to the batcher, updates applied, noise counted.
+fn arrive(
+    event: &TraceEvent,
+    now: Duration,
+    batcher: &mut Batcher<PendingInfer, Duration>,
+    engines: &mut [(&String, &mut Engine)],
     report: &mut ReplayReport,
-    request: InferRequest,
-    options: SubmitOptions,
-    tenant: Option<&str>,
-    at_us: u64,
-    limits: &ReplayLimits,
 ) {
+    // Lines that are not (or no longer) what they were generated as:
+    // rejected ones are protocol errors, chance-valid ones are counted,
+    // not executed.
+    let mut noise = |parsed: Result<Command, String>| match parsed {
+        Ok(_) => report.accidental_valid += 1,
+        Err(_) => report.protocol_errors += 1,
+    };
+    let (request, options, tenant) = match &event.op {
+        TraceOp::Infer { request, options, tenant } => {
+            (request.clone(), *options, tenant.clone())
+        }
+        TraceOp::Update { delta, tenant } => {
+            let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+            let engine = engines.iter_mut().find(|(n, _)| *n == name);
+            match engine.map(|(_, engine)| engine.apply_delta(delta)) {
+                Some(Ok(_)) => report.updates += 1,
+                Some(Err(_)) => report.failed_updates += 1,
+                None => report.unknown_tenant += 1,
+            }
+            return;
+        }
+        TraceOp::Malformed { line } => return noise(parse_command(line)),
+        // The line reassembles whole; from here it is an ordinary
+        // command delivered at its shifted time.
+        TraceOp::SlowLoris { line, .. } => match parse_command(line) {
+            Ok(Command::Infer(request, options, tenant)) => (request, options, tenant),
+            other => return noise(other),
+        },
+    };
     report.infers += 1;
-    let name = tenant.unwrap_or(DEFAULT_TENANT);
-    if !engines.contains_key(name) {
-        report.unknown_tenant += 1;
-        return;
-    }
-    let nodes = request.nodes.len().max(1);
-    // Flush when this request cannot ride the open batch: different
-    // (tenant, class) lane, caps reached, or it arrived after the
-    // window closed.
-    let joins = !open.is_empty()
-        && *open_tenant == name
-        && open[0].class == options.class
-        && open.len() < limits.max_requests
-        && *open_nodes + nodes <= limits.max_nodes
-        && at_us.saturating_sub(open[0].at_us) <= limits.window_us;
-    if !joins && !open.is_empty() {
-        let batch: Vec<PendingInfer> = std::mem::take(open);
-        *open_nodes = 0;
-        execute_batch(engines, open_tenant, batch, report);
-    }
-    if open.is_empty() {
-        *open_tenant = name.to_string();
-    }
-    *open_nodes += nodes;
-    open.push(PendingInfer {
-        request,
-        class: options.class,
-        deadline_us: options.deadline.map(|d| d.as_micros() as u64),
-        at_us,
-    });
+    let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+    let Some(id) = engines.iter().position(|(n, _)| *n == name) else {
+        return report.unknown_tenant += 1;
+    };
+    let lane =
+        Lane { tenant: id as u64, class: options.class, weight: 1, max_depth: usize::MAX };
+    let deadline = options.deadline.map(|d| now + d);
+    let nodes = request.nodes.len();
+    let entry = Entry { payload: PendingInfer { request, deadline }, nodes, deadline };
+    batcher.admit(lane, false, entry).expect("an open, unbounded lane admits");
 }
 
+/// Executes one closed batch at logical time `exec_at`, with the real
+/// server's deadline rule: a request is expired once execution time
+/// reaches enqueue + d — a zero deadline always sheds.
 fn execute_batch(
-    engines: &mut BTreeMap<String, Engine>,
-    tenant: &str,
+    engine: &mut Engine,
+    class: SloClass,
     batch: Vec<PendingInfer>,
+    exec_at: Duration,
     report: &mut ReplayReport,
 ) {
-    let engine = engines.get_mut(tenant).expect("batch tenant has an engine");
-    // The batch executes at the logical time its last member arrived —
-    // the moment the window closed.
-    let exec_at = batch.iter().map(|p| p.at_us).max().unwrap_or(0);
-    // Real-server semantics: the deadline instant is enqueue + d, and a
-    // request is expired once execution time reaches it — a zero
-    // deadline always sheds, a millisecond one survives the window.
-    let (live, expired): (Vec<_>, Vec<_>) = batch
-        .into_iter()
-        .partition(|p| p.deadline_us.is_none_or(|d| exec_at < p.at_us.saturating_add(d)));
+    let (live, expired): (Vec<_>, Vec<_>) =
+        batch.into_iter().partition(|p| p.deadline.is_none_or(|d| exec_at < d));
     report.shed_deadline += expired.len();
     if live.is_empty() {
         return;
     }
-    let requests: Vec<InferRequest> = live.iter().map(|p| p.request.clone()).collect();
+    let requests: Vec<InferRequest> = live.into_iter().map(|p| p.request).collect();
     let coalesced = engine.infer_coalesced(&requests);
     report.batches += 1;
-    *report.batch_size_counts.entry(live.len()).or_insert(0) += 1;
+    *report.batch_size_counts.entry(requests.len()).or_insert(0) += 1;
     report.deduped += coalesced.deduped;
-    for (pending, outcome) in live.iter().zip(coalesced.outcomes) {
+    for outcome in coalesced.outcomes {
         match outcome {
             Ok(outcome) => {
                 report.served += 1;
-                report.class_served[pending.class.index()] += 1;
+                report.class_served[class.index()] += 1;
                 report.fold_bits(outcome.logits.rows() as u64);
                 report.fold_bits(outcome.logits.cols() as u64);
                 for i in 0..outcome.logits.rows() {

@@ -235,13 +235,56 @@ fn execute_request_fails_typed_and_leaves_the_engine_untouched() {
             EngineError::NodeOutOfRange { node: n + 7, num_nodes: n },
         ),
         (InferRequest::sampled(Vec::new(), 5, 3, 0), EngineError::EmptyRequest),
+        // Fan-outs are refused by the draws they ask for — before the
+        // sub-universe reserves a byte for them: one over the 2²² cap,
+        // a product that overflows `usize`, and the S₁ = 0 corner,
+        // where S₂ alone sizes a buffer.
+        (
+            InferRequest::sampled(vec![0], 1 << 21, 2, 0),
+            EngineError::RequestTooLarge { arcs: 3 << 21, max: 1 << 22 },
+        ),
+        (
+            InferRequest::sampled(vec![0, 1, 2], usize::MAX / 2, 1, 0),
+            EngineError::RequestTooLarge { arcs: usize::MAX, max: 1 << 22 },
+        ),
+        (
+            InferRequest::sampled(vec![0], 0, 1_000_000_000_000, 0),
+            EngineError::RequestTooLarge { arcs: 1_000_000_000_001, max: 1 << 22 },
+        ),
     ] {
         assert_eq!(engine.execute_request(&request).unwrap_err(), expected);
     }
+    // The cap itself is admitted (2¹¹ × 2¹¹ draws around one target).
+    let at_cap = InferRequest::sampled(vec![0], 1 << 11, (1 << 11) - 1, 0);
+    assert_eq!(blockgnn::engine::validate_request(&at_cap, n), Ok(()));
     // Nothing was computed or cached on the way to those errors.
     let first = engine.execute_request(&InferRequest::full_graph(vec![0])).expect("serves");
     assert!(!first.from_cache && first.sim.is_some());
     assert_eq!((first.batch_size, first.parts, first.graph_version), (1, 1, 0));
+}
+
+#[test]
+fn deploy_specs_refuse_widths_that_would_abort_the_allocator() {
+    // `hidden=` and `block=` are wire numbers that size the model's
+    // weights and FFT plans; each is refused typed before the dataset
+    // is even generated.
+    use blockgnn::server::{ServerError, TenantSpec};
+    let spec = || TenantSpec::new("t", "cora-small", ModelKind::Gcn, BackendKind::Dense);
+    for (bad, what) in [
+        (spec().hidden_dim(1_000_000_000_000), "hidden=1000000000000"),
+        (spec().hidden_dim(4097), "hidden=4097"),
+        (spec().hidden_dim(0), "hidden=0"),
+        (spec().block_size(0), "block=0"),
+        (spec().block_size(1 << 40), "block=1099511627776"),
+    ] {
+        match bad.build_engine() {
+            Err(ServerError::Protocol(message)) => {
+                assert!(message.starts_with(what), "{message:?} should name {what}");
+            }
+            Err(other) => panic!("{what}: expected a protocol error, got {other:?}"),
+            Ok(_) => panic!("{what}: built"),
+        }
+    }
 }
 
 #[test]

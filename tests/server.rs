@@ -607,13 +607,30 @@ fn interleaved_updates_and_inference_replay_bit_identically() {
     }
 }
 
+/// One raw protocol connection: sends a line, returns the one-line
+/// reply, and fails the test if the server stopped answering on it.
+fn raw_connection(addr: std::net::SocketAddr) -> impl FnMut(&str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(addr).expect("connects");
+    let mut writer = stream.try_clone().expect("clones");
+    let mut reader = BufReader::new(stream);
+    move |line: &str| {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("server must keep answering");
+        assert!(!reply.is_empty(), "connection died on {line:?}");
+        reply.trim_end().to_string()
+    }
+}
+
 #[test]
 fn malformed_updates_never_poison_the_connection_or_graph() {
     // Raw protocol lines — garbage, truncated clauses, out-of-range
     // nodes, empty deltas — must each earn a typed `err` reply while
     // the connection stays usable and the shared graph stays at its
     // version. A valid update afterwards applies normally.
-    use std::io::{BufRead, BufReader, Write};
     let dataset = dataset();
     let server = Arc::new(
         Server::start(
@@ -623,18 +640,7 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
         .expect("server starts"),
     );
     let front = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").expect("binds");
-    let stream = std::net::TcpStream::connect(front.local_addr()).expect("connects");
-    let mut writer = stream.try_clone().expect("clones");
-    let mut reader = BufReader::new(stream);
-    let mut roundtrip = |line: &str| -> String {
-        writer.write_all(line.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).expect("server must keep answering");
-        assert!(!reply.is_empty(), "connection died on {line:?}");
-        reply.trim_end().to_string()
-    };
+    let mut roundtrip = raw_connection(front.local_addr());
     // A full-width feature row, well-formed but for one NaN word and
     // one +Inf word: nothing but the finiteness check can refuse it.
     let one = format!("{:016x}", 1.0f64.to_bits());
@@ -707,6 +713,49 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
     assert_eq!(stats.graph_version, 1);
     assert_eq!(stats.updates, 1);
     assert_eq!(stats.failed_updates, 5, "engine-rejected updates are counted");
+    front.stop();
+}
+
+#[test]
+fn hostile_wire_numbers_earn_typed_errors_not_an_aborted_process() {
+    // A failed allocation is an abort, not a panic: `catch_unwind` never
+    // sees it and every connection dies with the process. So numbers
+    // that size an allocation are refused before they reach one — each
+    // line below used to ask for terabytes (or overflow the product
+    // that would have) — and the same connection then serves a correct
+    // answer.
+    let dataset = dataset();
+    let server = Arc::new(
+        Server::start(
+            engine_on(ModelKind::Gcn, BackendKind::Dense, &dataset),
+            ServerConfig::default(),
+        )
+        .expect("server starts"),
+    );
+    let front = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").expect("binds");
+    let mut roundtrip = raw_connection(front.local_addr());
+    for (line, kind) in [
+        // 10¹² × 2 draws around one target: a 32 TB edge buffer.
+        ("infer sampled s1=1000000000000 s2=1 seed=0 nodes=0", "err engine"),
+        // A 96 TB weight matrix.
+        ("deploy t=cora-small:gcn:dense hidden=1000000000000", "err protocol"),
+        ("infer sampled s1=18446744073709551615 s2=1 seed=0 nodes=0", "err engine"),
+        // 3 × (2⁶³ − 1) × 2 overflows `usize` before it can be compared.
+        ("infer sampled s1=9223372036854775807 s2=1 seed=0 nodes=0,1,2", "err engine"),
+        // S₁ = 0 draws nothing, but S₂ still sizes the draw buffer.
+        ("infer sampled s1=0 s2=1000000000000 seed=0 nodes=0", "err engine"),
+        // A 2⁴⁰-point FFT plan.
+        ("deploy t=cora-small:gcn:dense block=1099511627776", "err protocol"),
+        ("deploy t=cora-small:gcn:dense block=0", "err protocol"),
+    ] {
+        let reply = roundtrip(line);
+        assert!(reply.starts_with(kind), "{line:?}: expected a {kind:?} reply, got {reply:?}");
+    }
+    let line = "infer sampled s1=4 s2=2 seed=3 nodes=0,5";
+    let served = blockgnn::server::protocol::parse_response(&roundtrip(line)).expect("serves");
+    let direct = server.handle().infer(InferRequest::sampled(vec![0, 5], 4, 2, 3)).unwrap();
+    assert_eq!(served.logits, direct.logits, "and the answer is the right one");
+    assert_eq!(server.tenants().len(), 1, "no refused deploy left a tenant behind");
     front.stop();
 }
 

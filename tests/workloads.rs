@@ -9,12 +9,12 @@
 use blockgnn::engine::{BackendKind, Engine, InferRequest};
 use blockgnn::gnn::ModelKind;
 use blockgnn::server::workload::{
-    ci_adversarial_spec, replay_logical, replay_tcp, zipfian_pool, ArrivalKind, ReplayLimits,
-    Trace, TraceOp, WorkloadSpec,
+    ci_adversarial_spec, replay_logical, replay_tcp, zipfian_pool, ArrivalKind, Trace,
+    TraceEvent, TraceOp, WorkloadSpec,
 };
 use blockgnn::server::{
-    run_closed_loop, Client, LoadConfig, RetryPolicy, Server, ServerConfig, SloClass,
-    SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
+    run_closed_loop, BatchLimits, Client, GraphDelta, LoadConfig, RetryPolicy, Server,
+    ServerConfig, SloClass, SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,7 +60,7 @@ fn seeded_trace_replays_bit_identically() {
     // on *every* counter — sheds, dedups, batch sizes, per-class served
     // — and on a fingerprint folded over every served logit's bits.
     let trace = adversarial_spec().generate();
-    let limits = ReplayLimits::default();
+    let limits = BatchLimits::default();
     let first = replay_logical(&mut engines(), &trace, &limits);
     let second = replay_logical(&mut engines(), &trace, &limits);
     assert_eq!(first, second, "two replays of one trace must match bit for bit");
@@ -91,7 +91,7 @@ fn decoded_traces_replay_identically_to_their_originals() {
     let trace = adversarial_spec().generate();
     let decoded = Trace::decode(&trace.encode()).expect("round trip");
     assert_eq!(decoded, trace);
-    let limits = ReplayLimits::default();
+    let limits = BatchLimits::default();
     let original = replay_logical(&mut engines(), &trace, &limits);
     let replayed = replay_logical(&mut engines(), &decoded, &limits);
     assert_eq!(original, replayed, "a decoded trace replays bit-identically");
@@ -113,12 +113,12 @@ fn batching_limits_shape_logical_batches() {
     let wide = replay_logical(
         &mut engines(),
         &trace,
-        &ReplayLimits { window_us: 5_000, max_requests: 8, max_nodes: 1024 },
+        &BatchLimits { window: Duration::from_micros(5_000), max_requests: 8, max_nodes: 1024 },
     );
     let serial = replay_logical(
         &mut engines(),
         &trace,
-        &ReplayLimits { window_us: 0, max_requests: 8, max_nodes: 1024 },
+        &BatchLimits { window: Duration::ZERO, max_requests: 8, max_nodes: 1024 },
     );
     assert!(
         wide.batch_size_counts.keys().max() > serial.batch_size_counts.keys().max(),
@@ -129,6 +129,51 @@ fn batching_limits_shape_logical_batches() {
     assert!(wide.batch_size_counts.keys().all(|&s| s <= 8), "request cap holds");
     assert_eq!(serial.deduped, 0, "serialized traffic has nothing to dedup");
     assert_eq!(wide.served + wide.engine_errors, serial.served + serial.engine_errors);
+}
+
+#[test]
+fn an_update_landing_during_a_hold_is_seen_by_the_held_batch() {
+    // The server swaps a graph version in *between* batches, and a
+    // batch resolves its version when it executes — after its hold. The
+    // replay must model that, not treat updates as barriers: a read
+    // admitted at t = 0 is held for the 500 µs window, an update that
+    // overwrites the row it reads lands at t = 100 µs, and the read's
+    // logits are those of the new version.
+    let width = engines()[DEFAULT_TENANT].dataset().feature_dim();
+    let read = |at_us| TraceEvent {
+        at_us,
+        client: 1,
+        op: TraceOp::Infer {
+            request: InferRequest::full_graph(vec![0]),
+            options: SubmitOptions::default(),
+            tenant: None,
+        },
+    };
+    let write = |at_us| TraceEvent {
+        at_us,
+        client: 0,
+        op: TraceOp::Update {
+            delta: GraphDelta::new().set_feature_row(0, vec![0.5; width]),
+            tenant: None,
+        },
+    };
+    let replay = |events: Vec<TraceEvent>| {
+        let report = replay_logical(
+            &mut engines(),
+            &Trace { seed: 0, clients: 2, events },
+            &BatchLimits::default(),
+        );
+        assert_eq!((report.served, report.updates, report.batches), (1, 1, 1), "{report:?}");
+        report.logits_fingerprint
+    };
+    let on_new_version = replay(vec![write(0), read(0)]);
+    let on_old_version = replay(vec![read(0), write(10_000)]);
+    let held_across_the_update = replay(vec![read(0), write(100)]);
+    assert_ne!(on_new_version, on_old_version, "the update changes what the read returns");
+    assert_eq!(
+        held_across_the_update, on_new_version,
+        "a batch held open across an update executes on the version it published"
+    );
 }
 
 #[test]
