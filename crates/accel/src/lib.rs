@@ -54,6 +54,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod buffer;
 pub mod circore;

@@ -49,6 +49,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod error;

@@ -75,7 +75,8 @@ impl fmt::Display for BackendKind {
 /// What one backend execution produces.
 #[derive(Debug, Clone)]
 pub(crate) struct BackendOutput {
-    /// Logits over the executed computation graph (one row per node).
+    /// Logits of the executed computation graph: one row per node, or
+    /// one per requested row ([`Backend::execute`]).
     pub logits: Matrix,
     /// Hardware cycle report, when the backend simulates one.
     pub sim: Option<SimReport>,
@@ -185,14 +186,20 @@ impl Backend {
     }
 
     /// Runs one inference pass over `graph`/`features`, charged on the
-    /// cost model (if any) for `shape`.
+    /// cost model (if any) for `shape`: logits for every node, or with
+    /// `rows`, one logits row per entry of `rows` with the model's last
+    /// stage computed there only ([`GnnModel::forward_at`]).
     pub(crate) fn execute(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
+        rows: Option<&[u32]>,
         shape: RequestShape,
     ) -> BackendOutput {
-        let logits = self.model.forward(graph, features, false);
+        let logits = match rows {
+            Some(rows) => self.model.forward_at(graph, features, rows),
+            None => self.model.forward(graph, features, false),
+        };
         let (sim, energy_joules) =
             self.charge(graph.num_arcs(), features.cols(), logits.cols(), shape).unzip();
         BackendOutput { logits, sim, energy_joules }

@@ -535,15 +535,14 @@ impl Engine {
                 let local_features = sub.gather_features(&epoch.dataset.features);
                 timings.add("gather", gather_start.elapsed());
                 let shape = RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts };
+                // The execution returns the request's rows, in request
+                // order: nothing is left to scatter.
+                let rows = crate::request::sampled_rows(sub, &requests[*i].nodes);
                 let (out, execute_time, parts) =
-                    self.execute_graph(&sub.graph, &local_features, shape);
+                    self.execute_graph(&sub.graph, &local_features, &rows, shape);
                 timings.add("execute", execute_time);
-                let scatter_start = Instant::now();
-                let logits =
-                    crate::request::sampled_rows(&out.logits, sub, &requests[*i].nodes);
-                timings.add("scatter", scatter_start.elapsed());
                 outcomes[*i] = Some(Ok(ExecOutcome {
-                    logits,
+                    logits: out.logits,
                     sim: out.sim,
                     energy_joules: out.energy_joules,
                     from_cache: false,
@@ -568,14 +567,27 @@ impl Engine {
                 // per-response cost matches solo execution exactly.
                 let shape =
                     RequestShape { target_nodes: merged.total_targets, fanouts: many[0].2 };
+                // Every member's target rows, member after member: the
+                // execution returns exactly these, so each member's
+                // logits are a contiguous run of its output.
+                let rows: Vec<u32> = many
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(block, (i, sub, _))| {
+                        merged.target_rows(block, sub, &requests[*i].nodes)
+                    })
+                    .collect();
                 let (out, execute_time, parts) =
-                    self.execute_graph(&merged.graph, &merged_features, shape);
+                    self.execute_graph(&merged.graph, &merged_features, &rows, shape);
                 timings.add("execute", execute_time);
                 let scatter_start = Instant::now();
                 let feature_dim = epoch.dataset.feature_dim();
                 let num_classes = out.logits.cols();
-                for (block, (i, sub, fanouts)) in many.iter().enumerate() {
-                    let logits = merged.scatter(&out.logits, block, sub, &requests[*i].nodes);
+                let mut first = 0;
+                for (i, sub, fanouts) in many {
+                    let len = requests[*i].nodes.len();
+                    let logits = out.logits.gather_rows(first..first + len);
+                    first += len;
                     let (sim, energy_joules) = self.workers[0]
                         .charge(
                             sub.graph.num_arcs(),
@@ -633,7 +645,9 @@ pub struct CoalescedOutcome {
 /// materialization), `"full_graph"` (cache lookup or full-graph pass),
 /// `"merge"` ([`MergedUniverse::build`]), `"gather"` (feature
 /// gathering), `"execute"` (the backend call), and `"scatter"`
-/// (per-request logits extraction and hardware re-charge).
+/// (a merged execution's per-request logits extraction and hardware
+/// re-charge; a lone sampled request's execution returns its rows
+/// directly and has no such stage).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
     /// Stable stage name.

@@ -63,6 +63,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod backend;
 #[allow(clippy::module_inception)]

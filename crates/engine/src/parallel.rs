@@ -325,7 +325,7 @@ impl Engine {
         if self.workers.len() == 1 {
             let shape =
                 RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
-            let out = self.workers[0].execute(&dataset.graph, &dataset.features, shape);
+            let out = self.workers[0].execute(&dataset.graph, &dataset.features, None, shape);
             return (out, 1, 0);
         }
         let plan = self.plan_for(epoch);
@@ -357,25 +357,29 @@ impl Engine {
     }
 
     /// Executes one sampled computation graph (a request's sub-universe
-    /// or a coalesced batch's merged universe), returning the output,
-    /// the execution's wall-clock time and the parts it ran as. The one
-    /// place that decides shard-or-not, from what it can observe: a
-    /// widened engine shards executions of at least
-    /// [`DEFAULT_MIN_SHARD_ROWS`] unique targets over a per-execution
-    /// plan; everything else runs whole on one worker. The hot-vertex
-    /// cache does not apply — sub-universe stage inputs depend on the
-    /// batch's sampled edges, not the canonical full-graph features —
-    /// and the hardware charge is the monolithic one, the cycle model
-    /// being a pure function of `shape`.
+    /// or a coalesced batch's merged universe), returning its logits at
+    /// `rows` (one output row per entry, in order), the execution's
+    /// wall-clock time and the parts it ran as. The one place that
+    /// decides shard-or-not, from what it can observe: a widened engine
+    /// shards executions of at least [`DEFAULT_MIN_SHARD_ROWS`] unique
+    /// targets over a per-execution plan (every stage over every row,
+    /// `rows` read off the merged result); everything else runs on one
+    /// worker, the last stage at `rows` only
+    /// ([`GnnModel::forward_at`](blockgnn_gnn::GnnModel::forward_at)).
+    /// The hot-vertex cache does not apply — sub-universe stage inputs
+    /// depend on the batch's sampled edges, not the canonical full-graph
+    /// features — and the hardware charge is the monolithic one, the
+    /// cycle model being a pure function of `shape`.
     pub(crate) fn execute_graph(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
+        rows: &[u32],
         shape: RequestShape,
     ) -> (BackendOutput, Duration, usize) {
         let start = Instant::now();
         if self.workers.len() == 1 || shape.target_nodes < DEFAULT_MIN_SHARD_ROWS {
-            let out = self.workers[0].execute(graph, features, shape);
+            let out = self.workers[0].execute(graph, features, Some(rows), shape);
             return (out, start.elapsed(), 1);
         }
         let parts = self.plan_parts(graph, features.cols());
@@ -383,7 +387,8 @@ impl Engine {
         let (sim, energy_joules) = self.workers[0]
             .charge(graph.num_arcs(), features.cols(), run.logits.cols(), shape)
             .unzip();
-        let out = BackendOutput { logits: run.logits, sim, energy_joules };
+        let logits = run.logits.gather_rows(rows.iter().map(|&row| row as usize));
+        let out = BackendOutput { logits, sim, energy_joules };
         (out, start.elapsed(), parts.len())
     }
 }

@@ -213,15 +213,16 @@ pub(crate) fn full_graph_rows(logits: &Matrix, nodes: &[usize]) -> Matrix {
     }
 }
 
-/// Reads one logits row per request position off a sampled sub-universe's
-/// output, mapping global ids through the subgraph's intern table
-/// (duplicate request nodes share one interned row).
-pub(crate) fn sampled_rows(logits: &Matrix, sub: &SampledSubgraph, nodes: &[usize]) -> Matrix {
-    logits.gather_rows(
-        nodes.iter().map(|&node| {
-            sub.local_of(node).expect("request nodes are interned into the subgraph")
-        }),
-    )
+/// The sub-universe row of every request position, in request order:
+/// global ids mapped through the subgraph's intern table (duplicate
+/// request nodes name one interned row twice).
+pub(crate) fn sampled_rows(sub: &SampledSubgraph, nodes: &[usize]) -> Vec<u32> {
+    nodes
+        .iter()
+        .map(|&node| {
+            sub.local_of(node).expect("request nodes are interned into the subgraph") as u32
+        })
+        .collect()
 }
 
 /// Finishes a served request: attaches argmax predictions and the

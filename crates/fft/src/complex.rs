@@ -127,8 +127,9 @@ impl<T: FftFloat> Complex<T> {
 /// lane index innermost, which is what the lane-generic transforms
 /// ([`crate::RealFftPlan::forward_lanes`]) and the batched circulant
 /// kernel in `blockgnn-core` loop over: every operation is a plain
-/// `for lane in 0..L` over `[T; L]`, so it vectorises, and at `L = 1`
-/// the layout is exactly [`Complex`].
+/// `for lane in 0..L` over `[T; L]`, so it vectorises (for the ISA of the
+/// kernel the accessors are inlined into — `blockgnn_linalg::isa`), and at
+/// `L = 1` the layout is exactly [`Complex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexLanes<T, const L: usize> {
     /// Real parts, one per lane.
@@ -156,11 +157,11 @@ pub trait Lanes<T>: Copy {
 impl<T: FftFloat> Lanes<T> for Complex<T> {
     const WIDTH: usize = 1;
     const ZERO: Self = Self { re: T::ZERO, im: T::ZERO };
-    #[inline]
+    #[inline(always)]
     fn lane(&self, _: usize) -> Complex<T> {
         *self
     }
-    #[inline]
+    #[inline(always)]
     fn set_lane(&mut self, _: usize, value: Complex<T>) {
         *self = value;
     }
@@ -169,11 +170,11 @@ impl<T: FftFloat> Lanes<T> for Complex<T> {
 impl<T: FftFloat, const L: usize> Lanes<T> for ComplexLanes<T, L> {
     const WIDTH: usize = L;
     const ZERO: Self = Self { re: [T::ZERO; L], im: [T::ZERO; L] };
-    #[inline]
+    #[inline(always)]
     fn lane(&self, l: usize) -> Complex<T> {
         Complex { re: self.re[l], im: self.im[l] }
     }
-    #[inline]
+    #[inline(always)]
     fn set_lane(&mut self, l: usize, value: Complex<T>) {
         (self.re[l], self.im[l]) = (value.re, value.im);
     }

@@ -15,7 +15,9 @@
 //!   implementing the §V "Use RFFT for Higher Speedup" discussion, with
 //!   allocation-free `forward_into`/`inverse_into` variants for serving
 //!   hot paths and `forward_lanes`/`inverse_lanes`, the same body over
-//!   [`ComplexLanes`] — several signals per pass, one per lane.
+//!   [`ComplexLanes`] — several signals per pass, one per lane — forced
+//!   inline, so that they compile for the ISA of the kernel that calls
+//!   them (`blockgnn_linalg::isa::dispatch`).
 //! * [`half`] — [`HalfSpectrum`], the packed `n/2 + 1`-bin Hermitian
 //!   half-spectrum the serving paths store and multiply.
 //! * [`fixed`] — Q16.16 fixed-point arithmetic matching the paper's 32-bit
@@ -41,6 +43,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod complex;
 pub mod dft;

@@ -200,6 +200,10 @@ impl<T: FftFloat> FftPlan<T> {
     /// [`Complex`] buffer is the one-lane case). Each lane is given the
     /// same operations in the same order whatever the width, so a
     /// lane's bits do not depend on the width or on its lane-mates.
+    /// Forced inline, like everything under it, so that the butterflies
+    /// compile for the ISA of the kernel that calls them
+    /// (`blockgnn_linalg::isa`).
+    #[inline(always)]
     pub(crate) fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
         self.check_len(data)?;
         self.apply(data, Direction::Forward);
@@ -208,6 +212,7 @@ impl<T: FftFloat> FftPlan<T> {
 
     /// The inverse transform (scaled by `1/n`) of every lane of `data`;
     /// see [`FftPlan::forward_lanes`].
+    #[inline(always)]
     pub(crate) fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
         self.check_len(data)?;
         self.apply(data, Direction::Inverse);
@@ -220,6 +225,7 @@ impl<T: FftFloat> FftPlan<T> {
         Ok(())
     }
 
+    #[inline(always)]
     fn check_len<E>(&self, data: &[E]) -> Result<(), FftError> {
         if data.len() != self.len {
             Err(FftError::LengthMismatch { expected: self.len, got: data.len() })
@@ -228,7 +234,27 @@ impl<T: FftFloat> FftPlan<T> {
         }
     }
 
+    /// The unscaled transform of every lane of `data`. Several lanes:
+    /// [`FftPlan::butterflies`] inlined into the caller, whatever ISA it
+    /// is compiled for. One lane: the same body as a function of its own,
+    /// where the compiler has always put it — flattened into the scalar
+    /// transforms it measured 57 → 83 ns per 16-point RFFT.
+    #[inline(always)]
     fn apply<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
+        if E::WIDTH == 1 {
+            self.butterflies_outlined(data, dir);
+        } else {
+            self.butterflies(data, dir);
+        }
+    }
+
+    #[inline(never)]
+    fn butterflies_outlined<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
+        self.butterflies(data, dir);
+    }
+
+    #[inline(always)]
+    fn butterflies<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
         let n = self.len;
         if n <= 1 {
             return;

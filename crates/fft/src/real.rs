@@ -158,12 +158,15 @@ impl<T: FftFloat> RealFftPlan<T> {
     /// reads two lanes, so a lane's bins equal `forward_into`'s bit for
     /// bit whatever the width and whatever the other lanes hold; each
     /// twiddle is loaded once per call instead of once per signal, and
-    /// the lane loops vectorise.
+    /// the lane loops vectorise — for the ISA of the caller: this and
+    /// [`RealFftPlan::inverse_lanes`] are forced inline so that a kernel
+    /// run through `blockgnn_linalg::isa::dispatch` carries them along.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `data` is not
     /// `spectrum_len()` long.
+    #[inline(always)]
     pub fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
         self.check_bins(data)?;
         let half = self.len / 2;
@@ -240,6 +243,7 @@ impl<T: FftFloat> RealFftPlan<T> {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data` is not
     /// `spectrum_len()` long.
+    #[inline(always)]
     pub fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
         self.check_bins(data)?;
         let half = self.len / 2;
@@ -260,6 +264,7 @@ impl<T: FftFloat> RealFftPlan<T> {
     /// Applies `f` in place to the mirror pairs `(k, n/2 − k)` for
     /// `k ≥ 1`, loading both sources before either destination is
     /// overwritten.
+    #[inline(always)]
     fn mirror_pairs<E: Lanes<T>>(
         &self,
         data: &mut [E],
@@ -280,6 +285,7 @@ impl<T: FftFloat> RealFftPlan<T> {
         }
     }
 
+    #[inline(always)]
     fn check_bins<E>(&self, data: &[E]) -> Result<(), FftError> {
         if data.len() == self.spectrum_len() {
             Ok(())
@@ -292,7 +298,7 @@ impl<T: FftFloat> RealFftPlan<T> {
 /// One bin of the forward untangle — the textbook even/odd split
 /// `X[k] = Xe[k] + W^k·Xo[k]` from the packed transform's `Z[k]` and
 /// `Z[half-k]`.
-#[inline]
+#[inline(always)]
 fn untangle<T: FftFloat>(zk: Complex<T>, zr: Complex<T>, tw: Complex<T>) -> Complex<T> {
     let inv_two = T::ONE / T::from_usize(2);
     let xe = (zk + zr.conj()).scale(inv_two);
@@ -302,7 +308,7 @@ fn untangle<T: FftFloat>(zk: Complex<T>, zr: Complex<T>, tw: Complex<T>) -> Comp
 
 /// One bin of the inverse retangle: `Z[k] = Xe[k] + i·Xo[k]` from `X[k]`
 /// and `X[half-k]`, with `Xo[k] = conj(W^k)·(X[k] − conj(X[half-k]))/2`.
-#[inline]
+#[inline(always)]
 fn retangle<T: FftFloat>(xk: Complex<T>, xm: Complex<T>, tw: Complex<T>) -> Complex<T> {
     let inv_two = T::ONE / T::from_usize(2);
     let xr = xm.conj();

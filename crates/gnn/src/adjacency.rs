@@ -7,7 +7,7 @@
 //! backward pass is the same operator applied to the output gradient.
 
 use blockgnn_graph::CsrGraph;
-use blockgnn_linalg::Matrix;
+use blockgnn_linalg::{isa, Matrix};
 
 /// The symmetric normalized adjacency `Â` with self-loops, applied
 /// row-batch-wise to feature matrices.
@@ -65,11 +65,24 @@ impl NormalizedAdjacency {
     /// The self-loop term *assigns* (overwriting whatever a recycled
     /// buffer held) and neighbor terms accumulate, so `orow` needs no
     /// pre-zeroing; columns of `h` beyond `orow.len()` are not read.
+    /// The arithmetic runs through [`isa::dispatch`]: AVX2 where the CPU
+    /// has it, the same bits either way.
     ///
     /// # Panics
     ///
     /// Panics if `v` or one of its neighbors is not a row of `h`.
     pub fn write_row(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
+        isa::dispatch(
+            #[inline(always)]
+            || self.row_sum(graph, h, v, orow),
+        );
+    }
+
+    /// The body of [`NormalizedAdjacency::write_row`], forced inline so
+    /// that it compiles for whichever ISA its caller runs; called
+    /// directly it is the build's baseline codegen.
+    #[inline(always)]
+    fn row_sum(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
         let cv = self.inv_sqrt_deg[v];
         // self-loop term overwrites the row
         {
@@ -99,6 +112,8 @@ impl NormalizedAdjacency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::testutil::hub_graph;
+    use proptest::prelude::*;
 
     fn triangle() -> CsrGraph {
         CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)], true).unwrap()
@@ -172,5 +187,33 @@ mod tests {
         let out = a.apply(&g, &h);
         assert_eq!(out[(0, 0)], 5.0);
         assert_eq!(out[(1, 0)], 7.0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_dispatched_write_row_equals_the_baseline_codegen(
+            seed in 0u64..1_000,
+            width in 1usize..71,
+            beside in 0usize..3,
+        ) {
+            // `write_row` (through `isa::dispatch`, AVX2 on a CPU that
+            // has it) against `row_sum` called directly (the build's
+            // baseline), bit for bit, into poisoned rows: hub, parallel
+            // arcs, isolated nodes, every vector-width remainder, and an
+            // output narrower than `h`.
+            let n = 23;
+            let g = hub_graph(n);
+            let a = NormalizedAdjacency::new(&g);
+            let h = Matrix::from_fn(n, width + beside, |i, j| {
+                ((seed as usize + i * 31 + j) as f64 * 0.37).sin() * (1.0 + i as f64)
+            });
+            for v in 0..n {
+                let (mut dispatched, mut baseline) = (vec![f64::NAN; width], vec![f64::NAN; width]);
+                a.write_row(&g, &h, v, &mut dispatched);
+                a.row_sum(&g, &h, v, &mut baseline);
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&dispatched), bits(&baseline), "node {}", v);
+            }
+        }
     }
 }

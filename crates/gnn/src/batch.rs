@@ -6,8 +6,9 @@
 //! [`CsrGraph`] ([`CsrGraph::block_diagonal`]) whose blocks are the
 //! per-request sub-universes, with one feature gather over the merged
 //! local numbering. One model forward over the merged universe then
-//! answers every request at once, and per-request logits are scattered
-//! back through [`MergedUniverse::row_of`].
+//! answers every request at once — its last layer only at the rows
+//! [`MergedUniverse::target_rows`] names, which is where each request's
+//! logits are read.
 //!
 //! # Why block-diagonal instead of interning shared nodes
 //!
@@ -85,24 +86,23 @@ impl MergedUniverse {
         sub.local_of(global).map(|l| self.offsets[block] + l)
     }
 
-    /// Scatters one request's logits rows out of the merged output:
-    /// one row per entry of `nodes` (request order, duplicates allowed),
-    /// read from block `block` of `merged_logits`.
+    /// The merged rows one request reads: one per entry of `nodes`
+    /// (request order, duplicates allowed), inside block `block`.
     ///
     /// # Panics
     ///
-    /// Panics if a node of `nodes` was not a target of block `block`.
-    #[must_use]
-    pub fn scatter(
-        &self,
-        merged_logits: &Matrix,
+    /// Panics (on iteration) if a node of `nodes` was not a target of
+    /// block `block`.
+    pub fn target_rows<'a>(
+        &'a self,
         block: usize,
-        sub: &SampledSubgraph,
-        nodes: &[usize],
-    ) -> Matrix {
-        merged_logits.gather_rows(nodes.iter().map(|&node| {
+        sub: &'a SampledSubgraph,
+        nodes: &'a [usize],
+    ) -> impl Iterator<Item = u32> + 'a {
+        nodes.iter().map(move |&node| {
             self.row_of(block, sub, node).expect("request nodes are interned into their block")
-        }))
+                as u32
+        })
     }
 }
 
@@ -140,12 +140,13 @@ mod tests {
     #[test]
     fn scatter_aligns_duplicate_nodes() {
         let ds = datasets::cora_like_small(6);
+        let first = SampledSubgraph::build(&ds.graph, &[9], 3, 2, 1);
         let sub = SampledSubgraph::build(&ds.graph, &[4, 4, 11], 3, 2, 1);
-        let m = MergedUniverse::build(&[&sub]);
-        let fake = Matrix::from_fn(m.universe.len(), 2, |i, j| (i * 10 + j) as f64);
-        let out = m.scatter(&fake, 0, &sub, &[4, 4, 11]);
-        assert_eq!(out.row(0), out.row(1), "duplicate positions share one interned row");
-        assert_ne!(out.row(0), out.row(2));
+        let m = MergedUniverse::build(&[&first, &sub]);
+        let rows: Vec<u32> = m.target_rows(1, &sub, &[4, 4, 11]).collect();
+        assert_eq!(rows[0], rows[1], "duplicate positions share one interned row");
+        assert_ne!(rows[0], rows[2]);
+        assert!(rows.iter().all(|&r| r as usize >= m.offsets[1]), "rows lie in their block");
     }
 
     // Coalesce/scatter row alignment with duplicate node ids across

@@ -48,6 +48,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adjacency;
 pub mod batch;

@@ -8,7 +8,7 @@
 use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
 use crate::models::{CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
-use blockgnn_linalg::Matrix;
+use blockgnn_linalg::{isa, Matrix};
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
 
 /// One GS-Pool layer.
@@ -185,38 +185,72 @@ impl GsPoolLayer {
 /// columns of `pooled` (an isolated `v` pools from itself, as GraphSAGE
 /// does), and with `winners`, the `u` that supplied each maximum.
 ///
-/// Sources are walked outermost in CSR order and a contiguous row
-/// innermost; the compare is a strict `>` against a running maximum that
-/// starts at −∞, so the first of equal maxima wins and NaNs are skipped.
+/// Sources are walked in CSR order; the compare is a strict `>` against
+/// a running maximum that starts at −∞, so the first of equal maxima
+/// wins and NaNs are skipped. Without `winners` (inference) the maxima
+/// are [`running_max`] run through [`isa::dispatch`].
 fn max_pool_neighbors(
     graph: &CsrGraph,
     pooled: &Matrix,
     v: usize,
     out: &mut [f64],
-    mut winners: Option<&mut [u32]>,
+    winners: Option<&mut [u32]>,
 ) {
     let neigh = graph.neighbors(v);
     let self_source = [v as u32];
     let sources: &[u32] = if neigh.is_empty() { &self_source } else { neigh };
+    let Some(winners) = winners else {
+        return isa::dispatch(
+            #[inline(always)]
+            || running_max(sources, pooled, out),
+        );
+    };
     out.fill(f64::NEG_INFINITY);
-    if let Some(winners) = winners.as_deref_mut() {
-        winners.fill(sources[0]);
-    }
+    winners.fill(sources[0]);
     for &u in sources {
         let row = &pooled.row(u as usize)[..out.len()];
-        match winners.as_deref_mut() {
-            None => {
-                for (best, &s) in out.iter_mut().zip(row) {
-                    *best = if s > *best { s } else { *best };
-                }
+        for ((best, winner), &s) in out.iter_mut().zip(winners.iter_mut()).zip(row) {
+            if s > *best {
+                (*best, *winner) = (s, u);
             }
-            Some(winners) => {
-                for ((best, winner), &s) in out.iter_mut().zip(winners).zip(row) {
-                    if s > *best {
-                        (*best, *winner) = (s, u);
-                    }
-                }
+        }
+    }
+}
+
+/// Columns per pass of [`running_max`]: 32 f64 are eight AVX2 registers,
+/// half the file, so a chunk's maxima stay in registers across sources.
+const MAX_CHUNK: usize = 32;
+
+/// The inference arm of [`max_pool_neighbors`]: `out[d]` becomes the
+/// maximum of column `d` over the `sources` rows of `pooled`. Columns go
+/// [`MAX_CHUNK`] at a time with the running maximum held in a local
+/// array — one load per source and one store per chunk instead of a
+/// load-max-store of `out` per source — and the remainder the plain
+/// way. Per column it is the same compares in the same order as the
+/// training arm, so the two agree bit for bit. Forced inline: it
+/// compiles for whichever ISA its caller runs.
+#[inline(always)]
+fn running_max(sources: &[u32], pooled: &Matrix, out: &mut [f64]) {
+    let (data, stride) = (pooled.as_slice(), pooled.cols());
+    let mut first_col = 0;
+    let mut chunks = out.chunks_exact_mut(MAX_CHUNK);
+    for chunk in &mut chunks {
+        let mut best = [f64::NEG_INFINITY; MAX_CHUNK];
+        for &u in sources {
+            let row = &data[u as usize * stride + first_col..][..MAX_CHUNK];
+            for (best, &s) in best.iter_mut().zip(row) {
+                *best = if s > *best { s } else { *best };
             }
+        }
+        chunk.copy_from_slice(&best);
+        first_col += MAX_CHUNK;
+    }
+    let rest = chunks.into_remainder();
+    rest.fill(f64::NEG_INFINITY);
+    for &u in sources {
+        let row = &data[u as usize * stride + first_col..][..rest.len()];
+        for (best, &s) in rest.iter_mut().zip(row) {
+            *best = if s > *best { s } else { *best };
         }
     }
 }
@@ -336,8 +370,11 @@ impl GnnModel for GsPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::testutil::{check_model_gradients, tiny_features, tiny_graph};
+    use crate::models::testutil::{
+        check_model_gradients, hub_graph, tiny_features, tiny_graph,
+    };
     use blockgnn_nn::Compression;
+    use proptest::prelude::*;
 
     #[test]
     fn forward_shape() {
@@ -403,5 +440,44 @@ mod tests {
             CompressionPolicy::aggregator_only(Compression::BlockCirculant { block_size: 2 });
         let mut model = GsPool::new(6, 4, 3, policy, 4).unwrap();
         check_model_gradients(&mut model, &g, &x, 1e-4);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_dispatched_max_pool_equals_the_baseline_codegen(
+            seed in 0u64..1_000,
+            width in 1usize..71,
+            beside in 0usize..3,
+        ) {
+            // The inference arm through `isa::dispatch` (AVX2 on a CPU
+            // that has it), `running_max` called directly (the build's
+            // baseline) and the training arm, bit for bit: a hub with
+            // parallel arcs, isolated nodes pooling from themselves, NaN
+            // and −∞ sources, widths on both sides of the 32-column chunk
+            // and a `pooled` wider than the pooled band.
+            let n = 23;
+            let g = hub_graph(n);
+            let mut rng = TestRng::for_test("max-pool-values");
+            let pooled = Matrix::from_fn(n, width + beside, |i, j| {
+                match (seed as usize + 7 * i + 3 * j) % 11 {
+                    0 => f64::NAN,
+                    1 => f64::NEG_INFINITY,
+                    _ => rng.next_unit() - 0.5,
+                }
+            });
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            for v in 0..n {
+                let mut dispatched = vec![f64::NAN; width];
+                max_pool_neighbors(&g, &pooled, v, &mut dispatched, None);
+                let own = [v as u32];
+                let sources = if g.neighbors(v).is_empty() { &own } else { g.neighbors(v) };
+                let mut baseline = vec![f64::NAN; width];
+                running_max(sources, &pooled, &mut baseline);
+                let (mut trained, mut winners) = (vec![f64::NAN; width], vec![0u32; width]);
+                max_pool_neighbors(&g, &pooled, v, &mut trained, Some(&mut winners));
+                prop_assert_eq!(bits(&dispatched), bits(&baseline), "node {}", v);
+                prop_assert_eq!(bits(&dispatched), bits(&trained), "node {}", v);
+            }
+        }
     }
 }

@@ -178,6 +178,31 @@ pub trait GnnModel: Send {
         rows: &[u32],
     ) -> Matrix;
 
+    /// `forward(graph, features, false)` read at `rows` — one output row
+    /// per entry, in order, duplicates allowed — without computing the
+    /// last stage anywhere else: every stage but the last is chained over
+    /// all rows (later stages read them at neighbors), the last runs at
+    /// `rows` only. Bit-identical to gathering `rows` from the full
+    /// forward, by the staged contract above. This is what a sampled
+    /// request runs: its targets are a handful of the sub-universe's
+    /// rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` has the wrong shape for `graph` or a row id
+    /// is out of range.
+    fn forward_at(&mut self, graph: &CsrGraph, features: &Matrix, rows: &[u32]) -> Matrix {
+        self.prepare_graph(graph);
+        let every_row: Vec<u32> = (0..graph.num_nodes() as u32).collect();
+        let last = self.num_stages() - 1;
+        let mut current: Option<Matrix> = None;
+        for stage in 0..last {
+            let input = current.as_ref().unwrap_or(features);
+            current = Some(self.forward_stage(stage, graph, input, &every_row));
+        }
+        self.forward_stage(last, graph, current.as_ref().unwrap_or(features), rows)
+    }
+
     /// Prepares every linear layer for inference under `mode` (see
     /// [`LinearLayer::prepare`]); the model becomes inference-only until
     /// [`GnnModel::clear_prepared`].
@@ -290,6 +315,22 @@ pub(crate) mod testutil {
             .unwrap()
     }
 
+    /// `n` nodes with a hub (node 0), parallel arcs, a few chords and
+    /// isolated nodes (every third one).
+    pub fn hub_graph(n: usize) -> CsrGraph {
+        let mut edges = Vec::new();
+        for v in (1..n).filter(|v| v % 3 != 0) {
+            edges.push((0, v));
+            if v % 4 == 1 {
+                edges.push((0, v));
+            }
+            if v % 5 == 2 && v + 2 < n && (v + 2) % 3 != 0 {
+                edges.push((v, v + 2));
+            }
+        }
+        CsrGraph::from_edges(n, &edges, true).unwrap()
+    }
+
     /// Deterministic smooth features away from activation kinks.
     pub fn tiny_features(nodes: usize, dim: usize) -> Matrix {
         Matrix::from_fn(nodes, dim, |i, j| ((i * dim + j) as f64 * 0.43 + 0.21).sin() * 0.7)
@@ -376,6 +417,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
+    use super::testutil::hub_graph;
     use super::*;
 
     #[test]
@@ -429,22 +471,6 @@ mod tests {
             current = merged;
         }
         current
-    }
-
-    /// `n` nodes with a hub (node 0), parallel arcs, a few chords and
-    /// isolated nodes (every third one).
-    fn hub_graph(n: usize) -> CsrGraph {
-        let mut edges = Vec::new();
-        for v in (1..n).filter(|v| v % 3 != 0) {
-            edges.push((0, v));
-            if v % 4 == 1 {
-                edges.push((0, v));
-            }
-            if v % 5 == 2 && v + 2 < n && (v + 2) % 3 != 0 {
-                edges.push((v, v + 2));
-            }
-        }
-        CsrGraph::from_edges(n, &edges, true).unwrap()
     }
 
     fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
@@ -505,6 +531,33 @@ mod tests {
                         assert_eq!(staged.linf_distance(&inferred), 0.0, "{what} {mode:?}");
                         assert!(inferred.linf_distance(&trained) < 1e-9, "{what} {mode:?}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_at_is_forward_read_at_those_rows() {
+        // Duplicate, unsorted, hub, isolated and tail rows; an empty list
+        // too. Sizes straddle the spectral tile and the row block.
+        for n in [1usize, 9, 65, 130] {
+            let g = hub_graph(n);
+            let x = testutil::tiny_features(n, 20);
+            let picks = [0, n - 1, n / 2, 0, n / 3, n - 1, 3 % n, n / 2];
+            let rows: Vec<u32> = picks.iter().map(|&v| v as u32).collect();
+            for kind in ModelKind::all() {
+                for mode in [ExecMode::Gemm, ExecMode::Spectral] {
+                    let what = format!("{kind} {mode:?} n={n}");
+                    let compression = Compression::BlockCirculant { block_size: 8 };
+                    let mut model = build_model(kind, 20, 18, 5, compression, 7).unwrap();
+                    model.prepare(mode);
+                    let full = model.forward(&g, &x, false);
+                    let want = full.gather_rows(rows.iter().map(|&v| v as usize));
+                    assert_same_bits(&model.forward_at(&g, &x, &rows), &want, &what);
+                    assert_eq!(model.forward_at(&g, &x, &[]).shape(), (0, 5), "{what}");
+                    // A replica that never ran `forward` agrees too.
+                    let mut replica = model.clone_boxed();
+                    assert_same_bits(&replica.forward_at(&g, &x, &rows), &want, &what);
                 }
             }
         }

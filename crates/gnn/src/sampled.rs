@@ -7,18 +7,21 @@
 //! neighbors per node. We realize this by materializing the *sampled
 //! computation graph* — a sub-universe containing the batch, its sampled
 //! 1-hop frontier, and the frontier's sampled 2-hop frontier, wired with
-//! exactly the sampled edges — and running the unmodified full-batch
-//! models on it. Predictions are read off the batch rows.
+//! exactly the sampled edges — and running the unmodified models on it:
+//! every stage but the last over the whole sub-universe, the last at the
+//! batch rows only ([`GnnModel::forward_at`]), which are the rows the
+//! predictions are read from.
 //!
 //! The sub-universe has the *neighborhoods* the hardware models charge
 //! for (S sampled neighbors per node, S·q sub-vector FFTs each, Eq. 3),
-//! but not their row count: Eqs. 3–7 charge the two-hop aggregation once
-//! per **target**, whereas the unmodified models run both layers over
-//! **every** row of the sub-universe — layer 2 also at the frontier rows
-//! nobody reads, layer 1 also at second-hop rows that no target's layer 2
-//! reaches. The software pass therefore does more transforms than the
-//! cycle model prices for the same request; the engine charges
-//! `target_nodes`, not materialized rows, for exactly that reason.
+//! but not yet their row count: Eqs. 3–7 charge the two-hop aggregation
+//! once per **target**. The last layer's aggregate-and-combine now runs
+//! at the targets; layer 1 (and the last layer's node-local transform)
+//! still runs at every row of the sub-universe, second-hop rows that no
+//! target's layer 2 reaches included. The software pass therefore still
+//! does more transforms than the cycle model prices for the same
+//! request; the engine charges `target_nodes`, not materialized rows, for
+//! exactly that reason.
 
 use crate::models::GnnModel;
 use blockgnn_graph::{CsrGraph, NeighborSampler};
@@ -193,9 +196,11 @@ pub fn sampled_forward(
 ) -> Matrix {
     let sub = SampledSubgraph::build(graph, batch, s1, s2, seed);
     let local_features = sub.gather_features(features);
-    let logits = model.forward(&sub.graph, &local_features, false);
-    logits
-        .gather_rows(batch.iter().map(|&v| sub.local_of(v).expect("batch nodes are interned")))
+    let rows: Vec<u32> = batch
+        .iter()
+        .map(|&v| sub.local_of(v).expect("batch nodes are interned") as u32)
+        .collect();
+    model.forward_at(&sub.graph, &local_features, &rows)
 }
 
 #[cfg(test)]

@@ -2,7 +2,9 @@
 //!
 //! Everything the uncompressed baseline needs: a row-major [`Matrix`] with
 //! GEMM/GEMV kernels, slice-level vector operations ([`vector`]), and the
-//! weight initializers used when training GNNs ([`init`]).
+//! weight initializers used when training GNNs ([`init`]) — and, because
+//! this is the one crate every kernel crate depends on, [`isa::dispatch`],
+//! which runs a lane kernel compiled for the vectors the CPU has.
 //!
 //! The paper compares block-circulant O(n log n) inference against dense
 //! O(n²) matrix–vector products (its CPU and HyGCN baselines); the kernels
@@ -21,8 +23,13 @@
 //! ```
 
 #![deny(missing_docs)]
+// The workspace's one `unsafe` block is the call into the
+// `target_feature` function of `isa::dispatch`; every other crate
+// forbids the keyword outright.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 pub mod init;
+pub mod isa;
 pub mod matrix;
 pub mod vector;
 

@@ -28,6 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod activation;
 pub mod circulant;

@@ -30,6 +30,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coeffs;
 pub mod cycles;

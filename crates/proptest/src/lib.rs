@@ -28,6 +28,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::ops::Range;
 

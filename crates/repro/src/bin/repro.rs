@@ -13,6 +13,8 @@
 //! repro all [--quick]     # everything above in paper order
 //! ```
 
+#![forbid(unsafe_code)]
+
 use blockgnn_gnn::ModelKind;
 use blockgnn_repro::{
     ablation, fig6, fig7, quantization, table2, table3, table4, table5, table6,

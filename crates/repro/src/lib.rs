@@ -27,6 +27,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod fig6;

@@ -51,6 +51,8 @@
 //! and jittered backoff, so injected resets and worker crashes must
 //! all converge for the run to pass.
 
+#![forbid(unsafe_code)]
+
 use blockgnn_engine::{GraphDelta, InferRequest};
 use blockgnn_server::tenant::model_kind_name;
 use blockgnn_server::workload::{ci_adversarial_spec, replay_tcp, zipfian_pool, Trace};

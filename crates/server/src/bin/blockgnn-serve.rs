@@ -24,6 +24,8 @@
 //! serves until a client sends `shutdown`, finally printing the
 //! telemetry summary.
 
+#![forbid(unsafe_code)]
+
 use blockgnn_engine::{BackendKind, EngineBuilder};
 use blockgnn_gnn::{Compression, ModelKind};
 use blockgnn_graph::datasets;

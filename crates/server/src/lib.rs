@@ -110,6 +110,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod batcher;
 mod client;

@@ -116,6 +116,7 @@
 //! full table/figure reproduction.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use blockgnn_accel as accel;
 pub use blockgnn_core as core;

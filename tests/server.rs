@@ -808,8 +808,10 @@ fn an_unterminated_line_is_refused_at_the_cap_while_others_keep_serving() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     // Coalesce/scatter alignment end to end: random request sets with
-    // duplicate node ids across requests, executed coalesced, must be
-    // bit-identical to solo execution.
+    // duplicate node ids within and across requests, executed coalesced
+    // (one merged universe whose last layer runs at the members' target
+    // rows only), must be bit-identical to solo execution — every model
+    // kind, dense and spectral.
     #[test]
     fn prop_infer_coalesced_matches_solo(
         picks in proptest::collection::vec((0usize..680, 0usize..680), 2..6),
@@ -820,10 +822,11 @@ proptest! {
             .iter()
             .map(|&(a, b)| InferRequest::sampled(vec![a, b, a], 4, 3, seed))
             .collect();
-        let mut engine = engine_on(ModelKind::Gcn, BackendKind::Dense, &dataset);
+        let kind = ModelKind::all()[seed as usize % 4];
+        let backend = [BackendKind::Dense, BackendKind::Spectral][picks.len() % 2];
+        let mut engine = engine_on(kind, backend, &dataset);
         let coalesced = engine.infer_coalesced(&requests);
-        let reference =
-            sequential_reference(ModelKind::Gcn, BackendKind::Dense, &dataset, &requests);
+        let reference = sequential_reference(kind, backend, &dataset, &requests);
         for (outcome, want) in coalesced.outcomes.iter().zip(&reference) {
             let got = outcome.as_ref().expect("outcome ok");
             prop_assert_eq!(got.logits.rows(), want.logits.rows());
