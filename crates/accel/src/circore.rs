@@ -2,15 +2,14 @@
 //!
 //! Functional path: the spectral weights are quantized to Q16.16 and
 //! "pre-loaded into the PEs" ([`blockgnn_core::FixedSpectralBlockCirculant`]
-//! plays the weight-stationary register file); every executed matvec runs
-//! genuine fixed-point FFT → element-wise MAC → IFFT arithmetic.
+//! plays the weight-stationary register file); every executed batch runs
+//! genuine fixed-point FFT → element-wise MAC → IFFT arithmetic — the
+//! shared spectral tile of `blockgnn_core` at `Q16_16`, one call per batch.
 //!
 //! Cycle path: Eqs. 3–5 via `blockgnn-perf`, evaluated for the unit's
 //! configured `{x, y, r, c, l}` parallelism.
 
-use blockgnn_core::{
-    BlockCirculantMatrix, CirculantError, FixedSpectralBlockCirculant, FixedSpectralScratch,
-};
+use blockgnn_core::{BlockCirculantMatrix, CirculantError, FixedSpectralBlockCirculant};
 use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::cycles::{layer_cycles, LayerCycles, LayerTask, MatvecCount};
 use blockgnn_perf::params::CirCoreParams;
@@ -21,9 +20,6 @@ pub struct CirCoreUnit {
     params: CirCoreParams,
     coeffs: HardwareCoeffs,
     weights: FixedSpectralBlockCirculant,
-    /// Reusable Q16.16 workspace — executed matvecs allocate no
-    /// spectral buffers after the first (`Clone` yields it empty).
-    scratch: FixedSpectralScratch,
     cycles: u64,
 }
 
@@ -44,7 +40,6 @@ impl CirCoreUnit {
             params,
             coeffs,
             weights: FixedSpectralBlockCirculant::new(weights)?,
-            scratch: FixedSpectralScratch::new(),
             cycles: 0,
         })
     }
@@ -58,7 +53,7 @@ impl CirCoreUnit {
     /// Circulant block size `n` of the loaded weights.
     #[must_use]
     pub fn block_size(&self) -> usize {
-        self.weights.block_size()
+        self.weights.kernel().block_size()
     }
 
     /// Total cycles charged so far.
@@ -80,8 +75,8 @@ impl CirCoreUnit {
         let task = LayerTask {
             matvecs: vec![MatvecCount {
                 count_per_node: count as f64,
-                out_dim: self.weights.out_dim(),
-                in_dim: self.weights.in_dim(),
+                out_dim: self.weights.kernel().out_dim(),
+                in_dim: self.weights.kernel().in_dim(),
             }],
             vpu_macs_per_node: 0.0,
         };
@@ -95,9 +90,8 @@ impl CirCoreUnit {
     ///
     /// Panics if `x.len()` differs from the weight's input dimension.
     pub fn execute(&mut self, x: &[f64]) -> Vec<f64> {
-        let cy = self.batch_cycles(1);
-        self.cycles += cy.bottleneck();
-        self.weights.matvec_with(x, &mut self.scratch)
+        self.cycles += self.batch_cycles(1).bottleneck();
+        self.weights.matvec(x)
     }
 
     /// Executes a batch, charging pipelined cycles (bottleneck-stage
@@ -107,9 +101,15 @@ impl CirCoreUnit {
     ///
     /// Panics if any row length differs from the weight's input dimension.
     pub fn execute_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let cy = self.batch_cycles(xs.len());
-        self.cycles += cy.bottleneck();
-        xs.iter().map(|x| self.weights.matvec_with(x, &mut self.scratch)).collect()
+        let kernel = self.weights.kernel();
+        assert!(
+            xs.iter().all(|x| x.len() == kernel.in_dim()),
+            "input length must equal in_dim"
+        );
+        let out_dim = kernel.out_dim();
+        self.cycles += self.batch_cycles(xs.len()).bottleneck();
+        let out = self.weights.matmul(&xs.concat());
+        out.chunks_exact(out_dim).map(<[f64]>::to_vec).collect()
     }
 }
 

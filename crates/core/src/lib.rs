@@ -21,13 +21,17 @@
 //!   MACs, and accumulation *in the spectral domain* so only `p` IFFTs are
 //!   needed instead of `p·q` — with the §V RFFT refinement that keeps
 //!   only the non-redundant half-spectrum, applied to a tile of feature
-//!   rows per transform pass: the one f64 kernel serving and training
-//!   both run.
+//!   rows per transform pass. It is generic over the scalar
+//!   (`blockgnn_fft::Scalar`), and it is the one kernel: f64 serving, the
+//!   Q16.16 datapath, and training's forward, `∂X` (on
+//!   [`RealSpectralBlockCirculant::transposed`]) and `∂W`
+//!   ([`RealSpectralBlockCirculant::kernel_grad_into`]) all run its tile.
 //! * [`reference::SpectralBlockCirculant`] — Algorithm 1 over full
 //!   complex spectra, one row at a time: the test oracle and the no-RFFT
 //!   arm of the §V ablation, on no serving path.
-//! * [`FixedSpectralBlockCirculant`] — the same pipeline through Q16.16
-//!   fixed-point FFTs, bit-matching the FPGA datapath.
+//! * [`FixedSpectralBlockCirculant`] — that kernel at `Q16_16` with the
+//!   f64 spectra rounded into it, behind float edges: the FPGA's 32-bit
+//!   fixed-point datapath, bit for bit.
 //! * [`CompressionStats`] — the Table III storage-reduction (SR = n) and
 //!   theoretical-computation-reduction (TCR = n/log₂n) accounting.
 //!
@@ -61,7 +65,7 @@ pub mod stats;
 
 pub use block::CirculantBlock;
 pub use error::CirculantError;
-pub use fixed::{FixedSpectralBlockCirculant, FixedSpectralScratch};
+pub use fixed::FixedSpectralBlockCirculant;
 pub use matrix::BlockCirculantMatrix;
 pub use spectral::{RealSpectralBlockCirculant, SpectralScratch};
 pub use stats::CompressionStats;

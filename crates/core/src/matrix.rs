@@ -194,18 +194,6 @@ impl BlockCirculantMatrix {
         self.grid_cols
     }
 
-    /// Padded output dimension `p·n`.
-    #[must_use]
-    pub fn padded_out_dim(&self) -> usize {
-        self.grid_rows * self.block_size
-    }
-
-    /// Padded input dimension `q·n`.
-    #[must_use]
-    pub fn padded_in_dim(&self) -> usize {
-        self.grid_cols * self.block_size
-    }
-
     /// Borrows the block at grid position `(i, j)`.
     ///
     /// # Panics
@@ -270,15 +258,6 @@ impl BlockCirculantMatrix {
         })
     }
 
-    /// Expands to the padded `p·n × q·n` dense matrix.
-    #[must_use]
-    pub fn to_dense_padded(&self) -> Matrix {
-        let n = self.block_size;
-        Matrix::from_fn(self.padded_out_dim(), self.padded_in_dim(), |i, j| {
-            self.block(i / n, j / n).entry(i % n, j % n)
-        })
-    }
-
     /// The transpose, still block-circulant: a `q × p` grid whose `(j, i)`
     /// block is the transpose of block `(i, j)`.
     ///
@@ -317,8 +296,8 @@ impl BlockCirculantMatrix {
         assert_eq!(x.len(), self.in_dim, "matvec input length must equal in_dim");
         let n = self.block_size;
         let mut padded_x = x.to_vec();
-        padded_x.resize(self.padded_in_dim(), 0.0);
-        let mut y = vec![0.0; self.padded_out_dim()];
+        padded_x.resize(self.grid_cols * n, 0.0);
+        let mut y = vec![0.0; self.grid_rows * n];
         for (i, j, block) in self.iter_blocks() {
             let sub = &padded_x[j * n..(j + 1) * n];
             let part = block.matvec(sub).expect("sub-vector length equals block size");
@@ -364,8 +343,6 @@ mod tests {
         let m = BlockCirculantMatrix::random(10, 6, 4, 0).unwrap();
         assert_eq!(m.grid_rows(), 3);
         assert_eq!(m.grid_cols(), 2);
-        assert_eq!(m.padded_out_dim(), 12);
-        assert_eq!(m.padded_in_dim(), 8);
         assert_eq!(m.out_dim(), 10);
         assert_eq!(m.in_dim(), 6);
         assert_eq!(m.block_size(), 4);
@@ -413,25 +390,17 @@ mod tests {
     }
 
     #[test]
-    fn padded_dense_agrees_with_logical_dense() {
-        let m = BlockCirculantMatrix::random(10, 6, 4, 9).unwrap();
-        let padded = m.to_dense_padded();
-        let logical = m.to_dense();
-        for i in 0..10 {
-            for j in 0..6 {
-                assert_eq!(padded[(i, j)], logical[(i, j)]);
-            }
-        }
-        assert_eq!(padded.shape(), (12, 8));
-    }
-
-    #[test]
     fn transpose_matches_padded_dense_transpose() {
         let m = BlockCirculantMatrix::random(10, 6, 4, 11).unwrap();
         let t = m.transpose();
         assert_eq!(t.out_dim(), 6);
         assert_eq!(t.in_dim(), 10);
-        assert_eq!(t.to_dense_padded().linf_distance(&m.to_dense_padded().transpose()), 0.0);
+        assert_eq!(t.to_dense().linf_distance(&m.to_dense().transpose()), 0.0);
+        // The padding rows and columns transpose with the rest: every
+        // block of the q × p grid is its mirror block's transpose.
+        for (j, i, block) in t.iter_blocks() {
+            assert_eq!(block.kernel(), m.block(i, j).transpose().kernel());
+        }
     }
 
     #[test]

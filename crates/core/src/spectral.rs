@@ -8,19 +8,34 @@
 //! required instead of `p·q` — the optimization the paper highlights over
 //! CirCNN’s original flow (its reference \[19\] made the same observation).
 //!
-//! [`RealSpectralBlockCirculant`] is the production kernel — the §V RFFT
-//! refinement over Hermitian half-spectra (`n/2 + 1` bins per block),
-//! batched over feature rows. It is the workspace's only f64
-//! half-spectrum MAC loop: [`RealSpectralBlockCirculant::matvec_into`]
-//! and `blockgnn_nn::CirculantDense` (prepared and training forward
-//! alike) all run [`RealSpectralBlockCirculant::matmul_into`]. The same
-//! algorithm over **full** complex spectra, one row at a time, is
+//! [`RealSpectralBlockCirculant`] is the kernel — the §V RFFT refinement
+//! over Hermitian half-spectra (`n/2 + 1` bins per block), batched over
+//! feature rows — and the workspace's only half-spectrum loop nest. It is
+//! generic over the [`Scalar`] it computes in, and every product the
+//! paper's one datapath serves is a call of it:
+//!
+//! * **f64 inference** — `blockgnn_nn::CirculantDense` (prepared and
+//!   unprepared alike) and [`RealSpectralBlockCirculant::matvec_into`] run
+//!   [`RealSpectralBlockCirculant::matmul_into`].
+//! * **The Q16.16 CirCore datapath** (§IV-B) is the same tile at
+//!   `T = Q16_16`: [`RealSpectralBlockCirculant::quantize`] rounds the f64
+//!   spectra into the Weight Buffer's format, and the RFFT butterflies,
+//!   the MAC and the IRFFT then saturate and round as the scalar does
+//!   (see [`crate::fixed`]).
+//! * **Training** — `∂X = G·W` is `matmul_into` on
+//!   [`RealSpectralBlockCirculant::transposed`] (`Bᵀ` has the conjugate
+//!   spectrum of `B`), and `∂W` is
+//!   [`RealSpectralBlockCirculant::kernel_grad_into`], the
+//!   cross-correlation `Σ_rows Ĝ_i ∘ conj(X̂_j)` accumulated over the same
+//!   tiles.
+//!
+//! The same algorithm over **full** complex spectra, one row at a time, is
 //! [`crate::reference::SpectralBlockCirculant`] — the oracle the tests
 //! below hold this kernel to.
 //!
 //! # What is stored where
 //!
-//! * **Weights** — one contiguous `Vec<Complex<f64>>`,
+//! * **Weights** — one contiguous `Vec<Complex<T>>`,
 //!   `[grid_row][grid_col][bin]`: the MAC of grid row `i` reads its
 //!   `q · (n/2 + 1)` weights front to back.
 //! * **Inputs** — `LANES` (8) rows at a time are transposed into
@@ -30,18 +45,18 @@
 //!   butterflies and untangle
 //!   ([`blockgnn_fft::RealFftPlan::forward_lanes`]), the spectral MAC
 //!   and the IRFFT are then plain `for lane in 0..LANES` loops over
-//!   `[f64; LANES]` — no intrinsics, nothing for a target flag to switch
+//!   `[T; LANES]` — no intrinsics, nothing for a target flag to switch
 //!   on — and every twiddle and weight is loaded once per tile instead
 //!   of once per row. One grid row's accumulator has the same element
 //!   type; both live in the caller's [`SpectralScratch`].
 //! * **Which vectors those loops become** is decided at run time: the
 //!   full tiles run through [`blockgnn_linalg::isa::dispatch`], with the
 //!   tile body and the lane transforms under it forced inline, so on a
-//!   CPU with AVX2 they execute as four-f64 vectors (an 8-row lane group
-//!   is two registers) and elsewhere as the build's baseline (SSE2: four
-//!   registers). Same source, no FMA either way.
+//!   CPU with AVX2 the f64 tiles execute as four-f64 vectors (an 8-row
+//!   lane group is two registers) and elsewhere as the build's baseline
+//!   (SSE2: four registers). Same source, no FMA either way.
 //! * Rows left over after the last full tile run through the **same
-//!   body at one lane** — the element is then a plain `Complex<f64>`, so
+//!   body at one lane** — the element is then a plain `Complex<T>`, so
 //!   a one-row call pays for one row (and a weight layout that left only
 //!   the lane axis to vectorise, such as bin-major, would make exactly
 //!   that call slower). They stay on the baseline codegen: one lane has
@@ -61,11 +76,13 @@
 //! Coalesced-vs-single serving, staged-vs-monolithic passes and
 //! delta-vs-rebuild all lean on this; the tests below check it by
 //! `f64::to_bits`, including the dispatched tiles against the same body
-//! called directly.
+//! called directly. The one reduction *across* rows, the kernel gradient,
+//! adds its lanes in row order for the same reason: the sum is then the
+//! one a row-at-a-time loop forms, whatever the tiling.
 
 use crate::error::CirculantError;
 use crate::matrix::BlockCirculantMatrix;
-use blockgnn_fft::{half_spectrum_bins, Complex, ComplexLanes, Lanes, RealFftPlan};
+use blockgnn_fft::{half_spectrum_bins, Complex, ComplexLanes, Lanes, RealFftPlan, Scalar};
 use blockgnn_linalg::isa;
 
 /// Rows per transform pass of [`RealSpectralBlockCirculant::matmul_into`]
@@ -74,28 +91,30 @@ const LANES: usize = 8;
 
 /// Reusable workspace of the half-spectrum kernel: a tile's input
 /// spectra and one grid row's accumulator, at each of the two widths the
-/// kernel runs (see the module docs). Grown on first use and kept across
-/// rows, layers and requests — the owner decides the sharing scope (each
-/// `CirculantDense` layer and each [`RealSpectralBlockCirculant`] caller
-/// holds its own, so forked serving replicas never contend).
+/// kernel runs (see the module docs), and the kernel gradient's `p·q`
+/// spectral sums. Grown on first use and kept across rows, layers and
+/// requests — the owner decides the sharing scope (each `CirculantDense`
+/// layer and each [`RealSpectralBlockCirculant`] caller holds its own, so
+/// forked serving replicas never contend).
 ///
 /// `Clone` intentionally produces an **empty** scratch: cloning a
 /// prepared layer (how the serving engine forks per-worker replicas)
 /// must not copy request-scoped buffers, and the clone re-grows its own
 /// workspace on first use.
 #[derive(Debug, Default)]
-pub struct SpectralScratch {
-    tile: Vec<ComplexLanes<f64, LANES>>,
-    row: Vec<Complex<f64>>,
+pub struct SpectralScratch<T = f64> {
+    tile: Vec<ComplexLanes<T, LANES>>,
+    row: Vec<Complex<T>>,
+    sums: Vec<Complex<T>>,
 }
 
-impl Clone for SpectralScratch {
+impl<T: Scalar> Clone for SpectralScratch<T> {
     fn clone(&self) -> Self {
         Self::default()
     }
 }
 
-impl SpectralScratch {
+impl<T: Scalar> SpectralScratch<T> {
     /// A fresh, empty scratch; the buffers grow on first use.
     #[must_use]
     pub fn new() -> Self {
@@ -120,7 +139,7 @@ impl SpectralScratch {
 /// assert_eq!(&y[6..12], kernel.matvec(&x[10..20]).as_slice()); // row 1, alone
 /// ```
 #[derive(Debug, Clone)]
-pub struct RealSpectralBlockCirculant {
+pub struct RealSpectralBlockCirculant<T: Scalar = f64> {
     out_dim: usize,
     in_dim: usize,
     block_size: usize,
@@ -128,11 +147,11 @@ pub struct RealSpectralBlockCirculant {
     grid_cols: usize,
     /// `Ŵ`, one contiguous buffer: block `(i, j)`'s bins at
     /// `[(i·q + j)·bins .. +bins]`.
-    weights: Vec<Complex<f64>>,
-    plan: RealFftPlan<f64>,
+    weights: Vec<Complex<T>>,
+    plan: RealFftPlan<T>,
 }
 
-impl RealSpectralBlockCirculant {
+impl RealSpectralBlockCirculant<f64> {
     /// Pre-computes the half-spectra `Ŵ`.
     ///
     /// # Errors
@@ -188,6 +207,27 @@ impl RealSpectralBlockCirculant {
         Ok(Self { out_dim, in_dim, block_size, grid_rows, grid_cols, weights, plan })
     }
 
+    /// The same weights rounded into another scalar — `Q16_16` for the
+    /// Weight Buffer of the FPGA datapath. `Ŵ` is computed offline at
+    /// full precision and only the stored copy is quantized; everything
+    /// the result then computes (on-line RFFTs, MAC, IRFFT) runs in `U`.
+    #[must_use]
+    pub fn quantize<U: Scalar>(&self) -> RealSpectralBlockCirculant<U> {
+        let round = |c: &Complex<f64>| Complex::new(U::from_f64(c.re), U::from_f64(c.im));
+        RealSpectralBlockCirculant {
+            out_dim: self.out_dim,
+            in_dim: self.in_dim,
+            block_size: self.block_size,
+            grid_rows: self.grid_rows,
+            grid_cols: self.grid_cols,
+            weights: self.weights.iter().map(round).collect(),
+            plan: RealFftPlan::new(self.block_size)
+                .expect("the block size built a plan before"),
+        }
+    }
+}
+
+impl<T: Scalar> RealSpectralBlockCirculant<T> {
     /// Logical output dimension `N`.
     #[must_use]
     pub fn out_dim(&self) -> usize {
@@ -218,10 +258,36 @@ impl RealSpectralBlockCirculant {
     ///
     /// Panics if `(i, j)` is outside the grid.
     #[must_use]
-    pub fn spectrum(&self, i: usize, j: usize) -> &[Complex<f64>] {
+    pub fn spectrum(&self, i: usize, j: usize) -> &[Complex<T>] {
         assert!(i < self.grid_rows && j < self.grid_cols, "spectrum index out of grid");
         let bins = self.spectrum_len();
         &self.weights[(i * self.grid_cols + j) * bins..][..bins]
+    }
+
+    /// The transpose `Wᵀ` (over the padded grid, truncated to `M × N`):
+    /// block `(j, i)` is block `(i, j)`'s transpose, whose spectrum — the
+    /// kernels being real — is the conjugate. Backpropagation's
+    /// `∂X = G·W` is `matmul_into` on it.
+    #[must_use]
+    pub fn transposed(&self) -> Self {
+        let (p, q, bins) = (self.grid_rows, self.grid_cols, self.spectrum_len());
+        let mut weights = Vec::with_capacity(self.weights.len());
+        for j in 0..q {
+            for i in 0..p {
+                weights.extend(
+                    self.weights[(i * q + j) * bins..][..bins].iter().map(|w| w.conj()),
+                );
+            }
+        }
+        Self {
+            out_dim: self.in_dim,
+            in_dim: self.out_dim,
+            block_size: self.block_size,
+            grid_rows: q,
+            grid_cols: p,
+            weights,
+            plan: self.plan.clone(),
+        }
     }
 
     /// Algorithm 1 over half-spectra with a fresh workspace: q RFFTs,
@@ -233,7 +299,7 @@ impl RealSpectralBlockCirculant {
     ///
     /// Panics if `x.len() != in_dim`.
     #[must_use]
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    pub fn matvec(&self, x: &[T]) -> Vec<T> {
         self.matvec_with(x, &mut SpectralScratch::new())
     }
 
@@ -244,8 +310,8 @@ impl RealSpectralBlockCirculant {
     ///
     /// Panics if `x.len() != in_dim`.
     #[must_use]
-    pub fn matvec_with(&self, x: &[f64], scratch: &mut SpectralScratch) -> Vec<f64> {
-        let mut y = vec![0.0; self.out_dim];
+    pub fn matvec_with(&self, x: &[T], scratch: &mut SpectralScratch<T>) -> Vec<T> {
+        let mut y = vec![T::ZERO; self.out_dim];
         self.matvec_into(x, scratch, &mut y);
         y
     }
@@ -257,7 +323,7 @@ impl RealSpectralBlockCirculant {
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim` or `out.len() != out_dim`.
-    pub fn matvec_into(&self, x: &[f64], scratch: &mut SpectralScratch, out: &mut [f64]) {
+    pub fn matvec_into(&self, x: &[T], scratch: &mut SpectralScratch<T>, out: &mut [T]) {
         assert_eq!(x.len(), self.in_dim, "matvec input length must equal in_dim");
         self.matmul_into(x, None, scratch, out);
     }
@@ -275,10 +341,10 @@ impl RealSpectralBlockCirculant {
     /// not `rows · out_dim`, or `bias` is not `out_dim` long.
     pub fn matmul_into(
         &self,
-        x: &[f64],
-        bias: Option<&[f64]>,
-        scratch: &mut SpectralScratch,
-        out: &mut [f64],
+        x: &[T],
+        bias: Option<&[T]>,
+        scratch: &mut SpectralScratch<T>,
+        out: &mut [T],
     ) {
         let rows = x.len() / self.in_dim;
         assert_eq!(x.len(), rows * self.in_dim, "matmul input must be whole rows of in_dim");
@@ -303,10 +369,10 @@ impl RealSpectralBlockCirculant {
     fn full_tiles(
         &self,
         tiled: usize,
-        x: &[f64],
-        bias: Option<&[f64]>,
-        buffer: &mut Vec<ComplexLanes<f64, LANES>>,
-        out: &mut [f64],
+        x: &[T],
+        bias: Option<&[T]>,
+        buffer: &mut Vec<ComplexLanes<T, LANES>>,
+        out: &mut [T],
     ) {
         for first in (0..tiled).step_by(LANES) {
             self.tile(first, x, bias, buffer, out);
@@ -320,32 +386,18 @@ impl RealSpectralBlockCirculant {
     /// one-lane instance is inlined into `matmul_into` itself and stays
     /// on the baseline.
     #[inline(always)]
-    fn tile<E: Lanes<f64>>(
+    fn tile<E: Lanes<T>>(
         &self,
         first_row: usize,
-        x: &[f64],
-        bias: Option<&[f64]>,
+        x: &[T],
+        bias: Option<&[T]>,
         buffer: &mut Vec<E>,
-        out: &mut [f64],
+        out: &mut [T],
     ) {
         let (n, q, bins) = (self.block_size, self.grid_cols, self.spectrum_len());
         buffer.resize((q + 1) * bins, E::ZERO);
         let (spectra, acc) = buffer.split_at_mut(q * bins);
-
-        // Transpose the rows in, packed for the RFFT (samples 2k and 2k+1
-        // of a chunk are element k); the ragged last chunk is zero-padded.
-        for l in 0..E::WIDTH {
-            let row = &x[(first_row + l) * self.in_dim..][..self.in_dim];
-            for (chunk, packed) in row.chunks(n).zip(spectra.chunks_exact_mut(bins)) {
-                let sample = |t: usize| chunk.get(t).copied().unwrap_or(0.0);
-                for (k, z) in packed[..n.div_ceil(2)].iter_mut().enumerate() {
-                    z.set_lane(l, Complex::new(sample(2 * k), sample(2 * k + 1)));
-                }
-            }
-        }
-        for chunk in spectra.chunks_exact_mut(bins) {
-            self.plan.forward_lanes(chunk).expect("a chunk's bins match the plan");
-        }
+        self.load_spectra(first_row, x, self.in_dim, spectra);
 
         for (i, w_row) in self.weights.chunks_exact(q * bins).enumerate() {
             // Grid row i: Σ_j Ŵ_ij ∘ X̂_j with the weights read in order,
@@ -354,7 +406,7 @@ impl RealSpectralBlockCirculant {
             for (w_block, x_chunk) in w_row.chunks_exact(bins).zip(spectra.chunks_exact(bins)) {
                 for ((a, &w), x) in acc.iter_mut().zip(w_block).zip(x_chunk) {
                     for l in 0..E::WIDTH {
-                        a.set_lane(l, a.lane(l) + w * x.lane(l));
+                        a.set_lane(l, a.lane(l).mul_add(w, x.lane(l)));
                     }
                 }
             }
@@ -371,8 +423,123 @@ impl RealSpectralBlockCirculant {
                     }
                 }
                 if let Some(bias) = bias {
-                    for (o, b) in y.iter_mut().zip(&bias[start..end]) {
-                        *o += b;
+                    for (o, &b) in y.iter_mut().zip(&bias[start..end]) {
+                        *o = *o + b;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Transposes rows `first_row .. first_row + E::WIDTH` of the
+    /// row-major `x` (rows of `width`) into `spectra` — one block-sized
+    /// chunk of bins per grid column, one row per lane — and transforms
+    /// every chunk. Rows go in packed for the RFFT (samples `2k` and
+    /// `2k+1` of a chunk are element `k`); the ragged last chunk is
+    /// zero-padded.
+    #[inline(always)]
+    fn load_spectra<E: Lanes<T>>(
+        &self,
+        first_row: usize,
+        x: &[T],
+        width: usize,
+        spectra: &mut [E],
+    ) {
+        let (n, bins) = (self.block_size, self.spectrum_len());
+        for l in 0..E::WIDTH {
+            let row = &x[(first_row + l) * width..][..width];
+            for (chunk, packed) in row.chunks(n).zip(spectra.chunks_exact_mut(bins)) {
+                let sample = |t: usize| chunk.get(t).copied().unwrap_or(T::ZERO);
+                for (k, z) in packed[..n.div_ceil(2)].iter_mut().enumerate() {
+                    z.set_lane(l, Complex::new(sample(2 * k), sample(2 * k + 1)));
+                }
+            }
+        }
+        for chunk in spectra.chunks_exact_mut(bins) {
+            self.plan.forward_lanes(chunk).expect("a chunk's bins match the plan");
+        }
+    }
+
+    /// The kernel gradient of `Y = X·Wᵀ`: adds
+    /// `IRFFT(Σ_rows Ĝ_i ∘ conj(X̂_j))` — the circular cross-correlation
+    /// of grid row `i` of `grad_out` with grid column `j` of `x`, summed
+    /// over the batch in the spectral domain, so `p·q` IRFFTs in all — to
+    /// block `(i, j)`'s slot of `kernel_grad` (the flat
+    /// [`RealSpectralBlockCirculant::from_kernels`] layout). Rows are
+    /// transformed a tile at a time like `matmul_into`'s; each sum takes
+    /// its rows in order (module docs). Only the geometry and the plan of
+    /// `self` are read, not the weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_out` and `x` are not the same number of whole rows
+    /// (of `out_dim` and `in_dim`) or `kernel_grad` is not `p·q·n` long.
+    pub fn kernel_grad_into(
+        &self,
+        grad_out: &[T],
+        x: &[T],
+        scratch: &mut SpectralScratch<T>,
+        kernel_grad: &mut [T],
+    ) {
+        let rows = x.len() / self.in_dim;
+        assert_eq!(x.len(), rows * self.in_dim, "input must be whole rows of in_dim");
+        assert_eq!(grad_out.len(), rows * self.out_dim, "gradient must be rows × out_dim");
+        let (n, bins) = (self.block_size, self.spectrum_len());
+        let blocks = self.grid_rows * self.grid_cols;
+        assert_eq!(kernel_grad.len(), blocks * n, "kernel gradient must be p·q·n long");
+        let SpectralScratch { tile, row, sums } = scratch;
+        sums.clear();
+        sums.resize(blocks * bins, Complex::zero());
+        let tiled = rows - rows % LANES;
+        isa::dispatch(
+            #[inline(always)]
+            || {
+                for first in (0..tiled).step_by(LANES) {
+                    self.correlate(first, grad_out, x, tile, sums);
+                }
+            },
+        );
+        for first in tiled..rows {
+            self.correlate(first, grad_out, x, row, sums);
+        }
+        for (spectrum, grad) in sums.chunks_exact_mut(bins).zip(kernel_grad.chunks_exact_mut(n))
+        {
+            self.plan.inverse_lanes(spectrum).expect("a block's sums match the plan");
+            for (pair, z) in grad.chunks_mut(2).zip(spectrum.iter()) {
+                pair[0] = pair[0] + z.re;
+                if let Some(odd) = pair.get_mut(1) {
+                    *odd = *odd + z.im;
+                }
+            }
+        }
+    }
+
+    /// Rows `first_row .. first_row + E::WIDTH` of
+    /// [`RealSpectralBlockCirculant::kernel_grad_into`]'s spectral sums:
+    /// `sums[i][j] += Ĝ_i ∘ conj(X̂_j)`, lane after lane.
+    #[inline(always)]
+    fn correlate<E: Lanes<T>>(
+        &self,
+        first_row: usize,
+        grad_out: &[T],
+        x: &[T],
+        buffer: &mut Vec<E>,
+        sums: &mut [Complex<T>],
+    ) {
+        let (p, q, bins) = (self.grid_rows, self.grid_cols, self.spectrum_len());
+        buffer.resize((p + q) * bins, E::ZERO);
+        let (g_spectra, x_spectra) = buffer.split_at_mut(p * bins);
+        self.load_spectra(first_row, grad_out, self.out_dim, g_spectra);
+        self.load_spectra(first_row, x, self.in_dim, x_spectra);
+        for (g_chunk, sums_row) in
+            g_spectra.chunks_exact(bins).zip(sums.chunks_exact_mut(q * bins))
+        {
+            for (x_chunk, sum) in
+                x_spectra.chunks_exact(bins).zip(sums_row.chunks_exact_mut(bins))
+            {
+                for ((s, g), x) in sum.iter_mut().zip(g_chunk).zip(x_chunk) {
+                    for l in 0..E::WIDTH {
+                        *s = s.mul_add(g.lane(l), x.lane(l).conj());
                     }
                 }
             }
@@ -582,6 +749,125 @@ mod tests {
         assert_eq!((r.out_dim(), r.in_dim()), (10, 6));
         assert_eq!(r.block_size(), 4);
         assert_eq!(r.matvec(&test_input(6)).len(), 10);
+    }
+
+    #[test]
+    fn transposed_weights_are_the_transposed_matrix() {
+        // Wᵀ built spectrally (grid transposed, bins conjugated) multiplies
+        // like the kernel of the transposed matrix, and transposing twice
+        // gives back the same spectra, bit for bit.
+        for (out_dim, in_dim, n) in [(5, 7, 1), (10, 6, 4), (50, 30, 16), (96, 130, 64)] {
+            let m = BlockCirculantMatrix::random(out_dim, in_dim, n, 19).unwrap();
+            let r = RealSpectralBlockCirculant::new(&m).unwrap();
+            let t = r.transposed();
+            assert_eq!((t.out_dim(), t.in_dim(), t.block_size()), (in_dim, out_dim, n));
+            assert_eq!(t.transposed().weights, r.weights);
+            let x = test_input(out_dim);
+            let via_matrix =
+                RealSpectralBlockCirculant::new(&m.transpose()).unwrap().matvec(&x);
+            assert!(linf_distance(&t.matvec(&x), &via_matrix) < 1e-12);
+            assert!(linf_distance(&t.matvec(&x), &m.to_dense().transpose().matvec(&x)) < 1e-9);
+        }
+    }
+
+    #[test]
+    fn kernel_gradient_is_the_batch_cross_correlation() {
+        // ∂c_ij[t] = Σ_rows Σ_s g_i[s]·x_j[(s − t) mod n] over the padded
+        // blocks, added onto what the gradient buffer already holds —
+        // whatever the tiling: 1, 8, 9 and 17 rows.
+        for (out_dim, in_dim, n) in [(3, 4, 1), (10, 6, 4), (50, 30, 16)] {
+            let m = BlockCirculantMatrix::random(out_dim, in_dim, n, 23).unwrap();
+            let r = RealSpectralBlockCirculant::new(&m).unwrap();
+            let (p, q) = (out_dim.div_ceil(n), in_dim.div_ceil(n));
+            let mut scratch = SpectralScratch::new();
+            for rows in [1usize, 8, 9, 17] {
+                let x = test_batch(rows, in_dim);
+                let g: Vec<f64> = test_batch(rows, out_dim).iter().map(|v| v * 0.5).collect();
+                let mut got = vec![1.0; p * q * n];
+                r.kernel_grad_into(&g, &x, &mut scratch, &mut got);
+                let at = |row: &[f64], i: usize| row.get(i).copied().unwrap_or(0.0);
+                for (b, t) in (0..p * q).flat_map(|b| (0..n).map(move |t| (b, t))) {
+                    let (i, j) = (b / q, b % q);
+                    let mut want = 1.0;
+                    for (g_row, x_row) in g.chunks(out_dim).zip(x.chunks(in_dim)) {
+                        for s in 0..n {
+                            want += at(g_row, i * n + s) * at(x_row, j * n + (s + n - t) % n);
+                        }
+                    }
+                    let err = (got[b * n + t] - want).abs();
+                    assert!(err < 1e-9, "{out_dim}x{in_dim} n={n} rows={rows}: block {b}[{t}]");
+                }
+            }
+        }
+    }
+
+    /// The numeric contract of the kernel at one scalar, over block sizes
+    /// 1–128 and input magnitudes from 1e-4 to the Q16.16 rails. `range`
+    /// is the largest magnitude the scalar holds. Where the unscaled
+    /// forward transform (≤ `n·|x|`) and the exact result both fit it,
+    /// `‖kernel − direct‖∞ ≤ bound(magnitude)`; where they do not, every
+    /// stage must clamp and none may wrap.
+    fn numeric_contract<T: Scalar>(range: f64, bound: impl Fn(f64) -> f64) {
+        let product = |m: &BlockCirculantMatrix, x: &[f64]| -> Vec<f64> {
+            let kernel = RealSpectralBlockCirculant::new(m).unwrap().quantize::<T>();
+            let x: Vec<T> = x.iter().map(|&v| T::from_f64(v)).collect();
+            let mut y = vec![T::ZERO; x.len() / m.in_dim() * m.out_dim()];
+            kernel.matmul_into(&x, None, &mut SpectralScratch::new(), &mut y);
+            y.into_iter().map(T::to_f64).collect()
+        };
+        for n in [1usize, 4, 16, 64, 128] {
+            for magnitude in [1e-4_f64, 1.0, 1e3, 32_767.0, -32_767.0] {
+                // Nine rows (a tile and a tail) of a shape ragged in both
+                // dimensions, row r scaled by (r + 1)/9 of the magnitude.
+                let (out_dim, in_dim) = (2 * n + 1, 3 * n - n / 2);
+                let m = BlockCirculantMatrix::random(out_dim, in_dim, n, 37).unwrap();
+                let x: Vec<f64> = test_batch(9, in_dim)
+                    .iter()
+                    .map(|v| T::from_f64(v * magnitude / 9.0).to_f64())
+                    .collect();
+                let exact: Vec<f64> =
+                    x.chunks(in_dim).flat_map(|r| m.matvec_direct(r)).collect();
+                let peak = exact.iter().fold(magnitude.abs(), |a, v| a.max(v.abs()));
+                if peak * (n as f64) < range {
+                    let worst = linf_distance(&exact, &product(&m, &x));
+                    assert!(
+                        worst <= bound(magnitude.abs()),
+                        "n={n} at {magnitude}: ‖kernel − direct‖∞ = {worst:e}"
+                    );
+                    continue;
+                }
+                // Out of range. A constant input against constant positive
+                // kernels keeps every bin but DC at zero, so the clamped
+                // pipeline's answer is known: the rail, divided by the
+                // IRFFT's n. A stage that wrapped would land elsewhere.
+                let kernels = vec![vec![0.5; n]; out_dim.div_ceil(n) * in_dim.div_ceil(n)];
+                let m =
+                    BlockCirculantMatrix::from_kernels(out_dim, in_dim, n, kernels).unwrap();
+                let clamped = magnitude.signum() * range / n as f64;
+                for v in product(&m, &vec![magnitude; 9 * in_dim]) {
+                    assert!(
+                        (v - clamped).abs() <= 0.01 * clamped.abs(),
+                        "n={n} at {magnitude}: {v} is not the clamped {clamped}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// f64: a few dozen ulps of the input magnitude (measured: ≤ 2.3e-16).
+    const F64_REL_BOUND: f64 = 1e-14;
+    /// Q16.16: eight ulps of rounding through the butterflies, the MAC
+    /// and the IRFFT (measured: ≤ 2.1), plus the weights' own rounding
+    /// (≤ 2⁻¹⁷ each) against the input magnitude (measured: ≤ 1.2e-5).
+    const Q16_ABS_BOUND: f64 = 8.0 / 65_536.0;
+    const Q16_REL_BOUND: f64 = 4e-5;
+
+    #[test]
+    fn numeric_contract_holds_for_f64_and_q16_16() {
+        numeric_contract::<f64>(f64::INFINITY, |m| F64_REL_BOUND * m);
+        numeric_contract::<blockgnn_fft::Q16_16>(32_768.0, |m| {
+            Q16_ABS_BOUND + Q16_REL_BOUND * m
+        });
     }
 
     proptest! {

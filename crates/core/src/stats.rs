@@ -107,14 +107,6 @@ impl CompressionStats {
             + self.grid_rows * self.grid_cols * mac_cost
             + self.grid_rows * fft_cost
     }
-
-    /// Measured operation ratio `dense_macs·2 / spectral_ops` (a dense MAC
-    /// is 2 real ops). For large matrices this approaches TCR up to the
-    /// constant factors the asymptotic ratio hides.
-    #[must_use]
-    pub fn measured_op_ratio(&self) -> f64 {
-        2.0 * self.dense_macs() as f64 / self.spectral_ops() as f64
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +162,6 @@ mod tests {
         for n in [16usize, 32, 64, 128] {
             let s = CompressionStats::for_matrix(512, 512, n);
             assert!(s.spectral_ops() < 2 * s.dense_macs(), "spectral should win at n={n}");
-            assert!(s.measured_op_ratio() > 1.0);
         }
     }
 

@@ -9,10 +9,13 @@
 //! `γ(l) = 16·l` DSP cost for `l` parallel complex MACs comes from).
 
 use crate::float::FftFloat;
+use crate::scalar::Scalar;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A complex number `re + i·im` over an [`FftFloat`] scalar.
+/// A complex number `re + i·im` over a [`Scalar`] — a float, or Q16.16
+/// (the arithmetic is then the scalar's own: saturating, 4 multiplies and
+/// 2 adds per product, the datapath a DSP-slice cluster implements).
 ///
 /// ```
 /// use blockgnn_fft::Complex;
@@ -28,7 +31,16 @@ pub struct Complex<T> {
     pub im: T,
 }
 
-impl<T: FftFloat> Complex<T> {
+impl<T: Copy + Neg<Output = T>> Complex<T> {
+    /// Complex conjugate `re - i·im` (of a value or of a twiddle word).
+    #[inline]
+    #[must_use]
+    pub fn conj(self) -> Self {
+        Self { re: self.re, im: -self.im }
+    }
+}
+
+impl<T: Scalar> Complex<T> {
     /// Creates a complex number from its real and imaginary parts.
     #[inline]
     #[must_use]
@@ -43,13 +55,6 @@ impl<T: FftFloat> Complex<T> {
         Self { re: T::ZERO, im: T::ZERO }
     }
 
-    /// The multiplicative identity `1 + 0i`.
-    #[inline]
-    #[must_use]
-    pub fn one() -> Self {
-        Self { re: T::ONE, im: T::ZERO }
-    }
-
     /// A purely real complex number.
     #[inline]
     #[must_use]
@@ -57,18 +62,63 @@ impl<T: FftFloat> Complex<T> {
         Self { re, im: T::ZERO }
     }
 
-    /// `e^{iθ} = cos θ + i·sin θ`, the twiddle-factor constructor.
+    /// Multiply–accumulate: `self + a * b`.
+    ///
+    /// This is exactly the per-element operation the CirCore systolic
+    /// array's "Parallel Mul-Add" units perform on spectral packs.
+    #[inline]
+    #[must_use]
+    pub fn mul_add(self, a: Self, b: Self) -> Self {
+        self + a * b
+    }
+
+    /// Multiplication by `i` (a 90° rotation) — a wire swap in hardware.
+    #[inline]
+    #[must_use]
+    pub fn mul_i(self) -> Self {
+        Self { re: -self.im, im: self.re }
+    }
+
+    /// Multiplication by `-i` (a −90° rotation); the RFFT untangling step
+    /// has `Xo = (Z[k] - conj(Z[N-k])) / (2i)`.
+    #[inline]
+    #[must_use]
+    pub fn mul_i_neg(self) -> Self {
+        Self { re: self.im, im: -self.re }
+    }
+
+    /// Multiplication by a twiddle factor in the scalar's coefficient
+    /// format ([`Scalar::mul_twiddle`] on the four partial products).
+    #[inline(always)]
+    #[must_use]
+    pub fn mul_twiddle(self, w: Complex<T::Twiddle>) -> Self {
+        Self {
+            re: self.re.mul_twiddle(w.re) - self.im.mul_twiddle(w.im),
+            im: self.re.mul_twiddle(w.im) + self.im.mul_twiddle(w.re),
+        }
+    }
+
+    /// Division of both parts by `2^log2` ([`Scalar::div_pow2`]).
+    #[inline(always)]
+    #[must_use]
+    pub fn div_pow2(self, log2: u32) -> Self {
+        Self { re: self.re.div_pow2(log2), im: self.im.div_pow2(log2) }
+    }
+}
+
+impl<T: FftFloat> Complex<T> {
+    /// The multiplicative identity `1 + 0i`.
+    #[inline]
+    #[must_use]
+    pub fn one() -> Self {
+        Self { re: T::ONE, im: T::ZERO }
+    }
+
+    /// `e^{iθ} = cos θ + i·sin θ`.
     #[inline]
     #[must_use]
     pub fn from_polar_unit(theta: T) -> Self {
         Self { re: theta.cos(), im: theta.sin() }
-    }
-
-    /// Complex conjugate `re - i·im`.
-    #[inline]
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Self { re: self.re, im: -self.im }
     }
 
     /// Squared magnitude `re² + im²`.
@@ -90,23 +140,6 @@ impl<T: FftFloat> Complex<T> {
     #[must_use]
     pub fn scale(self, k: T) -> Self {
         Self { re: self.re * k, im: self.im * k }
-    }
-
-    /// Fused multiply–accumulate: `self + a * b`.
-    ///
-    /// This is exactly the per-element operation the CirCore systolic
-    /// array's "Parallel Mul-Add" units perform on spectral packs.
-    #[inline]
-    #[must_use]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        self + a * b
-    }
-
-    /// Multiplication by `i` (a 90° rotation), cheaper than a full multiply.
-    #[inline]
-    #[must_use]
-    pub fn mul_i(self) -> Self {
-        Self { re: -self.im, im: self.re }
     }
 
     /// L∞ distance between two complex numbers, used by tests.
@@ -154,7 +187,7 @@ pub trait Lanes<T>: Copy {
     fn set_lane(&mut self, l: usize, value: Complex<T>);
 }
 
-impl<T: FftFloat> Lanes<T> for Complex<T> {
+impl<T: Scalar> Lanes<T> for Complex<T> {
     const WIDTH: usize = 1;
     const ZERO: Self = Self { re: T::ZERO, im: T::ZERO };
     #[inline(always)]
@@ -167,7 +200,7 @@ impl<T: FftFloat> Lanes<T> for Complex<T> {
     }
 }
 
-impl<T: FftFloat, const L: usize> Lanes<T> for ComplexLanes<T, L> {
+impl<T: Scalar, const L: usize> Lanes<T> for ComplexLanes<T, L> {
     const WIDTH: usize = L;
     const ZERO: Self = Self { re: [T::ZERO; L], im: [T::ZERO; L] };
     #[inline(always)]
@@ -180,7 +213,7 @@ impl<T: FftFloat, const L: usize> Lanes<T> for ComplexLanes<T, L> {
     }
 }
 
-impl<T: FftFloat> Add for Complex<T> {
+impl<T: Scalar> Add for Complex<T> {
     type Output = Self;
     #[inline]
     fn add(self, rhs: Self) -> Self {
@@ -196,7 +229,7 @@ impl<T: FftFloat> AddAssign for Complex<T> {
     }
 }
 
-impl<T: FftFloat> Sub for Complex<T> {
+impl<T: Scalar> Sub for Complex<T> {
     type Output = Self;
     #[inline]
     fn sub(self, rhs: Self) -> Self {
@@ -212,7 +245,7 @@ impl<T: FftFloat> SubAssign for Complex<T> {
     }
 }
 
-impl<T: FftFloat> Mul for Complex<T> {
+impl<T: Scalar> Mul for Complex<T> {
     type Output = Self;
     #[inline]
     fn mul(self, rhs: Self) -> Self {
@@ -242,7 +275,7 @@ impl<T: FftFloat> Div for Complex<T> {
     }
 }
 
-impl<T: FftFloat> Neg for Complex<T> {
+impl<T: Scalar> Neg for Complex<T> {
     type Output = Self;
     #[inline]
     fn neg(self) -> Self {

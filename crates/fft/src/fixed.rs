@@ -7,7 +7,9 @@
 //! the saturation logic a DSP48-based datapath would use).
 //!
 //! The functional mode of the hardware simulator runs every FFT butterfly
-//! and systolic MAC through this type, so quantization error observed in
+//! and systolic MAC through this type — as a [`crate::Scalar`]
+//! ([`crate::fixed_fft`]), it is what the generic plans and the
+//! block-circulant kernel compute in — so quantization error observed in
 //! end-to-end tests reflects what the bitstream would produce.
 
 use std::fmt;
@@ -60,7 +62,10 @@ impl Q16_16 {
     }
 
     /// Converts from `f64`, saturating at the representable range and
-    /// rounding to nearest.
+    /// rounding to nearest: `±∞` clamp to [`Q16_16::MAX`]/[`Q16_16::MIN`]
+    /// like any other out-of-range value. **NaN becomes zero** (neither
+    /// comparison holds and a float-to-int `as` maps NaN to 0), silently:
+    /// a caller that may hold NaN must check before quantizing.
     #[inline]
     #[must_use]
     pub fn from_f64(v: f64) -> Self {
@@ -72,14 +77,6 @@ impl Q16_16 {
         } else {
             Self(scaled as i32)
         }
-    }
-
-    /// Converts from an integer, saturating.
-    #[inline]
-    #[must_use]
-    pub fn from_int(v: i32) -> Self {
-        let wide = (v as i64) << FRAC_BITS;
-        Self::saturate(wide)
     }
 
     /// Converts to `f64` exactly (every Q16.16 value is representable).
@@ -197,12 +194,6 @@ impl fmt::Display for Q16_16 {
     }
 }
 
-impl From<i16> for Q16_16 {
-    fn from(v: i16) -> Self {
-        Self::from_int(v as i32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +224,10 @@ mod tests {
         let big = Q16_16::from_f64(30000.0);
         assert_eq!(big * big, Q16_16::MAX);
         assert_eq!(-Q16_16::MIN, Q16_16::MAX); // saturating negation
+                                               // Non-finite input: the infinities clamp, NaN quantizes to zero.
+        assert_eq!(Q16_16::from_f64(f64::INFINITY), Q16_16::MAX);
+        assert_eq!(Q16_16::from_f64(f64::NEG_INFINITY), Q16_16::MIN);
+        assert_eq!(Q16_16::from_f64(f64::NAN), Q16_16::ZERO);
     }
 
     #[test]
@@ -256,14 +251,6 @@ mod tests {
         let x = Q16_16::from_f64(2.0);
         let y = x.mul_qformat(c, 30);
         assert!((y.to_f64() - std::f64::consts::SQRT_2).abs() < 1e-4);
-    }
-
-    #[test]
-    fn int_conversion_saturates() {
-        assert_eq!(Q16_16::from_int(1).to_f64(), 1.0);
-        assert_eq!(Q16_16::from_int(40000), Q16_16::MAX);
-        assert_eq!(Q16_16::from_int(-40000), Q16_16::MIN);
-        assert_eq!(Q16_16::from(-3i16).to_f64(), -3.0);
     }
 
     proptest! {

@@ -1,448 +1,92 @@
-//! Fixed-point FFT matching the 32-bit datapath of the FPGA prototype.
+//! Q16.16 as a [`Scalar`]: the fixed-point FFT of the FPGA prototype.
 //!
-//! Data flows through the butterflies as [`FixedComplex`] (a pair of
-//! [`Q16_16`]); twiddle factors are stored in Q2.30 so the unit-circle
-//! coefficients keep 30 fractional bits, the standard arrangement in
-//! hardware FFT cores (data width ≠ coefficient width). The functional
-//! hardware simulator in `blockgnn-accel` uses this plan so every value it
-//! produces went through genuine fixed-point rounding/saturation.
+//! There is no separate fixed-point plan. [`crate::FftPlan`] and
+//! [`crate::RealFftPlan`] at `T = Q16_16` *are* the 32-bit datapath:
+//! data flows through the butterflies as `Complex<Q16_16>` with the
+//! type's saturating `+`/`-`/`*`, and this impl supplies what a hardware
+//! FFT core does differently from a float one. Twiddle factors are stored
+//! in Q2.30, so the unit-circle coefficients keep 30 fractional bits (data
+//! width ≠ coefficient width, the standard arrangement); a sample times a
+//! coefficient is one widening multiply rounded back to Q16.16; and the
+//! untangle's halving and the inverse's `1/n` are round-to-nearest
+//! arithmetic right shifts. The functional hardware simulator in
+//! `blockgnn-accel` runs on these, so every value it produces went through
+//! genuine fixed-point rounding and saturation.
 
 use crate::complex::Complex;
 use crate::fixed::Q16_16;
-use crate::is_power_of_two;
-use crate::plan::FftError;
+use crate::scalar::Scalar;
 
 /// Fractional bits used for twiddle-factor storage (Q2.30).
 pub const TWIDDLE_FRAC: u32 = 30;
 
-/// A complex number with Q16.16 components.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FixedComplex {
-    /// Real part.
-    pub re: Q16_16,
-    /// Imaginary part.
-    pub im: Q16_16,
-}
+impl Scalar for Q16_16 {
+    type Twiddle = i32;
+    const ZERO: Self = Q16_16::ZERO;
 
-impl FixedComplex {
-    /// Zero.
-    pub const ZERO: Self = Self { re: Q16_16::ZERO, im: Q16_16::ZERO };
-
-    /// Creates a fixed complex from parts.
     #[inline]
-    #[must_use]
-    pub fn new(re: Q16_16, im: Q16_16) -> Self {
-        Self { re, im }
+    fn from_f64(v: f64) -> Self {
+        Q16_16::from_f64(v)
     }
 
-    /// Quantizes a float complex into Q16.16.
-    #[must_use]
-    pub fn from_f64(c: Complex<f64>) -> Self {
-        Self { re: Q16_16::from_f64(c.re), im: Q16_16::from_f64(c.im) }
-    }
-
-    /// Converts back to a float complex.
-    #[must_use]
-    pub fn to_complex_f64(self) -> Complex<f64> {
-        Complex::new(self.re.to_f64(), self.im.to_f64())
-    }
-
-    /// Quantizes a real value.
-    #[must_use]
-    pub fn from_real_f64(re: f64) -> Self {
-        Self { re: Q16_16::from_f64(re), im: Q16_16::ZERO }
-    }
-
-    /// Fixed-point complex addition (saturating). Deliberately a named
-    /// method, not `std::ops` — saturating Q16.16 arithmetic should not
-    /// masquerade as ordinary `+`/`-`/`*`.
     #[inline]
-    #[must_use]
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, rhs: Self) -> Self {
-        Self { re: self.re + rhs.re, im: self.im + rhs.im }
+    fn to_f64(self) -> f64 {
+        Q16_16::to_f64(self)
     }
 
-    /// Fixed-point complex subtraction (saturating).
-    #[inline]
-    #[must_use]
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, rhs: Self) -> Self {
-        Self { re: self.re - rhs.re, im: self.im - rhs.im }
-    }
-
-    /// Fixed-point complex multiplication (4 multiplies, 2 adds — the
-    /// datapath a DSP-slice cluster implements).
-    #[inline]
-    #[must_use]
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, rhs: Self) -> Self {
-        Self {
-            re: self.re * rhs.re - self.im * rhs.im,
-            im: self.re * rhs.im + self.im * rhs.re,
-        }
-    }
-
-    /// Multiplies by a Q2.30 twiddle factor `(tw_re, tw_im)`.
-    #[inline]
-    #[must_use]
-    pub fn mul_twiddle(self, tw_re: i32, tw_im: i32) -> Self {
-        Self {
-            re: self.re.mul_qformat(tw_re, TWIDDLE_FRAC)
-                - self.im.mul_qformat(tw_im, TWIDDLE_FRAC),
-            im: self.re.mul_qformat(tw_im, TWIDDLE_FRAC)
-                + self.im.mul_qformat(tw_re, TWIDDLE_FRAC),
-        }
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Self { re: self.re, im: -self.im }
-    }
-
-    /// Multiplication by `i` (90° rotation) — a wire swap in hardware.
-    #[inline]
-    #[must_use]
-    pub fn mul_i(self) -> Self {
-        Self { re: -self.im, im: self.re }
-    }
-
-    /// Multiplication by `-i` (−90° rotation).
-    #[inline]
-    #[must_use]
-    pub fn mul_i_neg(self) -> Self {
-        Self { re: self.im, im: -self.re }
-    }
-
-    /// Division by two with round-to-nearest — the single arithmetic
-    /// right shift the RFFT untangling butterflies use.
-    #[inline]
-    #[must_use]
-    pub fn halve(self) -> Self {
-        let h = |x: Q16_16| Q16_16::from_bits(((i64::from(x.to_bits()) + 1) >> 1) as i32);
-        Self { re: h(self.re), im: h(self.im) }
-    }
-}
-
-/// A radix-2 fixed-point FFT plan with Q2.30 twiddle ROMs.
-///
-/// ```
-/// use blockgnn_fft::{FixedFftPlan, fixed_fft::FixedComplex};
-/// # fn main() -> Result<(), blockgnn_fft::FftError> {
-/// let plan = FixedFftPlan::new(8)?;
-/// let mut data: Vec<FixedComplex> =
-///     (0..8).map(|i| FixedComplex::from_real_f64(i as f64 * 0.25)).collect();
-/// let orig = data.clone();
-/// plan.forward(&mut data);
-/// plan.inverse(&mut data);
-/// for (a, b) in data.iter().zip(&orig) {
-///     assert!((a.re.to_f64() - b.re.to_f64()).abs() < 1e-3);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct FixedFftPlan {
-    len: usize,
-    bit_rev: Vec<u32>,
-    /// Stage-major `(re, im)` twiddles in Q2.30 for the forward direction.
-    twiddles_fwd: Vec<(i32, i32)>,
-    /// Conjugates for the inverse direction.
-    twiddles_inv: Vec<(i32, i32)>,
-}
-
-impl FixedFftPlan {
-    /// Builds a fixed-point plan of length `len`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::NotPowerOfTwo`] if `len` is not a power of two.
-    pub fn new(len: usize) -> Result<Self, FftError> {
-        if !is_power_of_two(len) {
-            return Err(FftError::NotPowerOfTwo { len });
-        }
-        let bits = len.trailing_zeros();
-        let mut bit_rev = Vec::with_capacity(len);
-        for i in 0..len {
-            bit_rev.push((i as u32).reverse_bits() >> (32 - bits.max(1)));
-        }
-        if len == 1 {
-            bit_rev[0] = 0;
-        }
+    fn twiddle(k: usize, n: usize) -> Complex<i32> {
         let q = |x: f64| -> i32 {
             let v = (x * (1i64 << TWIDDLE_FRAC) as f64).round();
             v.clamp(i32::MIN as f64, i32::MAX as f64) as i32
         };
-        let mut twiddles_fwd = Vec::with_capacity(len.saturating_sub(1));
-        let mut twiddles_inv = Vec::with_capacity(len.saturating_sub(1));
-        let mut m = 1usize;
-        while m < len {
-            for k in 0..m {
-                let theta = -std::f64::consts::PI * k as f64 / m as f64;
-                twiddles_fwd.push((q(theta.cos()), q(theta.sin())));
-                twiddles_inv.push((q(theta.cos()), q(-theta.sin())));
-            }
-            m <<= 1;
-        }
-        Ok(Self { len, bit_rev, twiddles_fwd, twiddles_inv })
+        let theta = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+        Complex { re: q(theta.cos()), im: q(theta.sin()) }
     }
 
-    /// The planned transform length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
+    #[inline(always)]
+    fn mul_twiddle(self, w: i32) -> Self {
+        self.mul_qformat(w, TWIDDLE_FRAC)
     }
 
-    /// Returns `true` for the degenerate length-0 plan (never constructible).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// In-place forward fixed-point FFT (unscaled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn forward(&self, data: &mut [FixedComplex]) {
-        assert_eq!(data.len(), self.len, "fixed fft buffer length mismatch");
-        self.apply(data, &self.twiddles_fwd);
-    }
-
-    /// In-place inverse fixed-point FFT (scaled by `1/n` via arithmetic
-    /// right shift, which is exact for power-of-two lengths).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn inverse(&self, data: &mut [FixedComplex]) {
-        assert_eq!(data.len(), self.len, "fixed fft buffer length mismatch");
-        self.apply(data, &self.twiddles_inv);
-        let shift = self.len.trailing_zeros();
-        for v in data.iter_mut() {
-            // Arithmetic shift divides by n with rounding toward -inf;
-            // adding half-ulp first gives round-to-nearest like hardware.
-            let round = |x: Q16_16| {
-                let bits = x.to_bits() as i64;
-                let half = 1i64 << (shift.saturating_sub(1));
-                let adjusted = if shift == 0 { bits } else { (bits + half) >> shift };
-                Q16_16::from_bits(adjusted.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
-            };
-            v.re = round(v.re);
-            v.im = round(v.im);
+    #[inline(always)]
+    fn div_pow2(self, log2: u32) -> Self {
+        if log2 == 0 {
+            return self;
         }
-    }
-
-    fn apply(&self, data: &mut [FixedComplex], twiddles: &[(i32, i32)]) {
-        let n = self.len;
-        if n <= 1 {
-            return;
-        }
-        for i in 0..n {
-            let r = self.bit_rev[i] as usize;
-            if r > i {
-                data.swap(i, r);
-            }
-        }
-        let mut m = 1usize;
-        let mut stage_base = 0usize;
-        while m < n {
-            let span = m << 1;
-            for start in (0..n).step_by(span) {
-                for k in 0..m {
-                    let (tw_re, tw_im) = twiddles[stage_base + k];
-                    let a = data[start + k];
-                    let b = data[start + k + m].mul_twiddle(tw_re, tw_im);
-                    data[start + k] = a.add(b);
-                    data[start + k + m] = a.sub(b);
-                }
-            }
-            stage_base += m;
-            m = span;
-        }
-    }
-}
-
-/// A fixed-point real-input FFT plan: the Q16.16 counterpart of
-/// [`crate::RealFftPlan`], producing the packed `n/2 + 1`-bin Hermitian
-/// half-spectrum through the same pack → half-length FFT → untangle
-/// datapath (see [`crate::half`]). This is what a CirCore built with
-/// RFFT channels would synthesize: half the butterflies, half the
-/// weight-stationary spectrum registers.
-///
-/// ```
-/// use blockgnn_fft::fixed_fft::FixedRealFftPlan;
-/// use blockgnn_fft::Q16_16;
-/// # fn main() -> Result<(), blockgnn_fft::FftError> {
-/// let plan = FixedRealFftPlan::new(8)?;
-/// let x: Vec<Q16_16> = (0..8).map(|i| Q16_16::from_f64(i as f64 * 0.5)).collect();
-/// let mut spectrum = vec![Default::default(); plan.spectrum_len()];
-/// plan.forward_into(&x, &mut spectrum);
-/// let mut back = vec![Q16_16::ZERO; 8];
-/// plan.inverse_into(&mut spectrum, &mut back);
-/// for (a, b) in back.iter().zip(&x) {
-///     assert!((a.to_f64() - b.to_f64()).abs() < 1e-3);
-/// }
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct FixedRealFftPlan {
-    len: usize,
-    half_plan: FixedFftPlan,
-    /// Untangling twiddles `e^{-2πik/n}` for `k = 0..n/2` in Q2.30.
-    twiddles: Vec<(i32, i32)>,
-}
-
-impl FixedRealFftPlan {
-    /// Builds a fixed-point RFFT plan of length `len` (the degenerate
-    /// `len = 1` plan is the identity, matching the float plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::NotPowerOfTwo`] if `len` is not a non-zero
-    /// power of two.
-    pub fn new(len: usize) -> Result<Self, FftError> {
-        if !is_power_of_two(len) {
-            return Err(FftError::NotPowerOfTwo { len });
-        }
-        let half = len / 2;
-        let half_plan = FixedFftPlan::new(half.max(1))?;
-        let q = |x: f64| -> i32 {
-            let v = (x * (1i64 << TWIDDLE_FRAC) as f64).round();
-            v.clamp(i32::MIN as f64, i32::MAX as f64) as i32
-        };
-        let twiddles = (0..half)
-            .map(|k| {
-                let theta = -2.0 * std::f64::consts::PI * k as f64 / len as f64;
-                (q(theta.cos()), q(theta.sin()))
-            })
-            .collect();
-        Ok(Self { len, half_plan, twiddles })
-    }
-
-    /// The real signal length this plan transforms.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Always `false`; plans cannot be built for length 0.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Number of bins in the packed half-spectrum (`n/2 + 1`).
-    #[must_use]
-    pub fn spectrum_len(&self) -> usize {
-        crate::half::half_spectrum_bins(self.len)
-    }
-
-    /// Allocation-free forward RFFT: `n` Q16.16 reals → `n/2 + 1` packed
-    /// bins. The output buffer doubles as the packed work area.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != n` or `out.len() != spectrum_len()`.
-    pub fn forward_into(&self, input: &[Q16_16], out: &mut [FixedComplex]) {
-        assert_eq!(input.len(), self.len, "fixed rfft input length mismatch");
-        assert_eq!(out.len(), self.spectrum_len(), "fixed rfft spectrum length mismatch");
-        if self.len == 1 {
-            out[0] = FixedComplex::new(input[0], Q16_16::ZERO);
-            return;
-        }
-        let half = self.len / 2;
-        for k in 0..half {
-            out[k] = FixedComplex::new(input[2 * k], input[2 * k + 1]);
-        }
-        self.half_plan.forward(&mut out[..half]);
-
-        let untangle = |zk: FixedComplex, zr: FixedComplex, tw: (i32, i32)| {
-            let xe = zk.add(zr.conj()).halve();
-            let xo = zk.sub(zr.conj()).halve().mul_i_neg();
-            xe.add(xo.mul_twiddle(tw.0, tw.1))
-        };
-        let z0 = out[0];
-        out[0] = untangle(z0, z0, self.twiddles[0]);
-        let nyquist = FixedComplex::new(z0.re - z0.im, Q16_16::ZERO);
-        let mut k = 1;
-        while k <= half - k {
-            let zk = out[k];
-            let zr = out[half - k];
-            out[k] = untangle(zk, zr, self.twiddles[k]);
-            if k != half - k {
-                out[half - k] = untangle(zr, zk, self.twiddles[half - k]);
-            }
-            k += 1;
-        }
-        out[half] = nyquist;
-    }
-
-    /// Allocation-free inverse RFFT (scaled by `1/n`). **Destroys
-    /// `spectrum`** — the packed half-length signal is rebuilt in place
-    /// inside it, mirroring [`crate::RealFftPlan::inverse_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len() != spectrum_len()` or `out.len() != n`.
-    pub fn inverse_into(&self, spectrum: &mut [FixedComplex], out: &mut [Q16_16]) {
-        assert_eq!(spectrum.len(), self.spectrum_len(), "fixed irfft spectrum length mismatch");
-        assert_eq!(out.len(), self.len, "fixed irfft output length mismatch");
-        if self.len == 1 {
-            out[0] = spectrum[0].re;
-            return;
-        }
-        let half = self.len / 2;
-        let retangle = |xk: FixedComplex, xm: FixedComplex, tw: (i32, i32)| {
-            let xr = xm.conj();
-            let xe = xk.add(xr).halve();
-            // conj(W^k) has twiddle (re, -im).
-            let xo = xk.sub(xr).halve().mul_twiddle(tw.0, -tw.1);
-            xe.add(xo.mul_i())
-        };
-        spectrum[0] = retangle(spectrum[0], spectrum[half], self.twiddles[0]);
-        let mut k = 1;
-        while k <= half - k {
-            let xk = spectrum[k];
-            let xm = spectrum[half - k];
-            spectrum[k] = retangle(xk, xm, self.twiddles[k]);
-            if k != half - k {
-                spectrum[half - k] = retangle(xm, xk, self.twiddles[half - k]);
-            }
-            k += 1;
-        }
-        self.half_plan.inverse(&mut spectrum[..half]);
-        for (k, v) in spectrum[..half].iter().enumerate() {
-            out[2 * k] = v.re;
-            out[2 * k + 1] = v.im;
-        }
+        // An arithmetic shift alone rounds toward −∞; adding half an ulp
+        // of the result first gives round-to-nearest, like the hardware.
+        // (The sum is formed in 64 bits and the quotient is at most 2³⁰.)
+        Q16_16::from_bits(((i64::from(self.to_bits()) + (1i64 << (log2 - 1))) >> log2) as i32)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FftPlan;
+    use crate::{FftPlan, RealFftPlan};
     use proptest::prelude::*;
 
-    fn quantize(values: &[f64]) -> Vec<FixedComplex> {
-        values.iter().map(|&v| FixedComplex::from_real_f64(v)).collect()
+    type QComplex = Complex<Q16_16>;
+
+    fn quantize(values: &[f64]) -> Vec<QComplex> {
+        values.iter().map(|&v| Complex::from_real(Q16_16::from_f64(v))).collect()
+    }
+
+    fn to_f64(c: QComplex) -> Complex<f64> {
+        Complex::new(c.re.to_f64(), c.im.to_f64())
     }
 
     #[test]
     fn rejects_non_power_of_two() {
-        assert!(FixedFftPlan::new(10).is_err());
-        assert!(FixedFftPlan::new(16).is_ok());
+        assert!(FftPlan::<Q16_16>::new(10).is_err());
+        assert!(FftPlan::<Q16_16>::new(16).is_ok());
     }
 
     #[test]
     fn matches_float_fft_for_small_signals() {
         for n in [4usize, 16, 64, 128] {
             let fplan = FftPlan::<f64>::new(n).unwrap();
-            let qplan = FixedFftPlan::new(n).unwrap();
+            let qplan = FftPlan::<Q16_16>::new(n).unwrap();
             let input: Vec<f64> =
                 (0..n).map(|i| ((i as f64 * 0.37).sin() * 2.0) - 0.5).collect();
             let mut float_buf: Vec<Complex<f64>> =
@@ -451,7 +95,7 @@ mod tests {
             let mut fixed_buf = quantize(&input);
             qplan.forward(&mut fixed_buf);
             for (f, q) in float_buf.iter().zip(&fixed_buf) {
-                let qc = q.to_complex_f64();
+                let qc = to_f64(*q);
                 // Error grows with log2(n) stages of rounding.
                 let tol = 1e-3 * (n as f64).log2().max(1.0);
                 assert!(f.linf_distance(qc) < tol, "n={n}: float={f} fixed={qc}");
@@ -462,7 +106,7 @@ mod tests {
     #[test]
     fn roundtrip_error_stays_small() {
         let n = 128;
-        let plan = FixedFftPlan::new(n).unwrap();
+        let plan = FftPlan::<Q16_16>::new(n).unwrap();
         let input: Vec<f64> = (0..n).map(|i| ((i * 13 % 29) as f64 / 29.0) - 0.5).collect();
         let mut buf = quantize(&input);
         plan.forward(&mut buf);
@@ -477,53 +121,58 @@ mod tests {
     fn fixed_complex_multiply_matches_float() {
         let a = Complex::new(1.25, -0.5);
         let b = Complex::new(-2.0, 0.75);
-        let fa = FixedComplex::from_f64(a);
-        let fb = FixedComplex::from_f64(b);
-        let prod = fa.mul(fb).to_complex_f64();
-        assert!(prod.linf_distance(a * b) < 1e-4);
+        let q = |c: Complex<f64>| Complex::new(Q16_16::from_f64(c.re), Q16_16::from_f64(c.im));
+        assert!(to_f64(q(a) * q(b)).linf_distance(a * b) < 1e-4);
+    }
+
+    #[test]
+    fn halving_and_inverse_scaling_round_to_nearest() {
+        let q = Q16_16::from_bits;
+        assert_eq!(q(5).div_pow2(0), q(5));
+        assert_eq!(q(5).div_pow2(1), q(3)); // 2.5 ulp rounds up
+        assert_eq!(q(-5).div_pow2(1), q(-2)); // −2.5 ulp rounds toward +∞, as a shift does
+        assert_eq!(q(6).div_pow2(2), q(2)); // 1.5 ulp
+        assert_eq!(Q16_16::MAX.div_pow2(1), q(1 << 30));
+        assert_eq!(Q16_16::MIN.div_pow2(6), q(-(1 << 25)));
     }
 
     #[test]
     fn real_plan_matches_float_half_spectrum() {
         for n in [2usize, 4, 16, 64] {
-            let fplan = crate::RealFftPlan::<f64>::new(n).unwrap();
-            let qplan = FixedRealFftPlan::new(n).unwrap();
+            let fplan = RealFftPlan::<f64>::new(n).unwrap();
+            let qplan = RealFftPlan::<Q16_16>::new(n).unwrap();
             let input: Vec<f64> =
                 (0..n).map(|i| ((i as f64 * 0.53).cos() * 1.5) - 0.2).collect();
             let float_spec = fplan.forward(&input).unwrap();
             let qx: Vec<Q16_16> = input.iter().map(|&v| Q16_16::from_f64(v)).collect();
-            let mut fixed_spec = vec![FixedComplex::ZERO; qplan.spectrum_len()];
-            qplan.forward_into(&qx, &mut fixed_spec);
+            let fixed_spec = qplan.forward(&qx).unwrap();
             assert_eq!(fixed_spec.len(), n / 2 + 1);
             let tol = 2e-3 * (n as f64).log2().max(1.0);
             for (f, q) in float_spec.iter().zip(&fixed_spec) {
-                assert!(f.linf_distance(q.to_complex_f64()) < tol, "n={n}");
+                assert!(f.linf_distance(to_f64(*q)) < tol, "n={n}");
             }
         }
     }
 
     #[test]
     fn real_plan_length_one_is_identity() {
-        let plan = FixedRealFftPlan::new(1).unwrap();
+        let plan = RealFftPlan::<Q16_16>::new(1).unwrap();
         let x = [Q16_16::from_f64(-2.5)];
-        let mut spec = vec![FixedComplex::ZERO; 1];
-        plan.forward_into(&x, &mut spec);
-        assert_eq!(spec[0].re, x[0]);
-        let mut back = [Q16_16::ZERO; 1];
-        plan.inverse_into(&mut spec, &mut back);
-        assert_eq!(back[0], x[0]);
+        let spec = plan.forward(&x).unwrap();
+        assert_eq!(spec, [Complex::from_real(x[0])]);
+        assert_eq!(plan.inverse(&spec).unwrap(), x);
     }
 
     #[test]
     fn real_plan_rejects_non_power_of_two() {
-        assert!(FixedRealFftPlan::new(0).is_err());
-        assert!(FixedRealFftPlan::new(6).is_err());
+        assert!(RealFftPlan::<Q16_16>::new(0).is_err());
+        assert!(RealFftPlan::<Q16_16>::new(6).is_err());
     }
 
     proptest! {
         #[test]
         fn prop_fixed_roundtrip(values in proptest::collection::vec(-10.0f64..10.0, 32)) {
-            let plan = FixedFftPlan::new(32).unwrap();
+            let plan = FftPlan::<Q16_16>::new(32).unwrap();
             let mut buf = quantize(&values);
             plan.forward(&mut buf);
             plan.inverse(&mut buf);
@@ -534,12 +183,9 @@ mod tests {
 
         #[test]
         fn prop_fixed_real_roundtrip(values in proptest::collection::vec(-10.0f64..10.0, 32)) {
-            let plan = FixedRealFftPlan::new(32).unwrap();
+            let plan = RealFftPlan::<Q16_16>::new(32).unwrap();
             let qx: Vec<Q16_16> = values.iter().map(|&v| Q16_16::from_f64(v)).collect();
-            let mut spec = vec![FixedComplex::ZERO; plan.spectrum_len()];
-            plan.forward_into(&qx, &mut spec);
-            let mut back = vec![Q16_16::ZERO; 32];
-            plan.inverse_into(&mut spec, &mut back);
+            let back = plan.inverse(&plan.forward(&qx).unwrap()).unwrap();
             for (q, &orig) in back.iter().zip(&values) {
                 prop_assert!((q.to_f64() - orig).abs() < 3e-3);
             }

@@ -1,55 +1,40 @@
-//! Floating-point abstraction so the FFT works for both `f32` and `f64`.
+//! The floating-point [`Scalar`]s, `f32` and `f64`.
 //!
 //! The algorithm-level experiments in the paper run in floating point
 //! (training uses full precision; Table III), while the FPGA prototype is
-//! 32-bit fixed point. Making the plan generic lets the same code serve
-//! the accuracy experiments (`f64`) and a faithful single-precision mode
-//! (`f32`) without duplicating butterflies.
+//! 32-bit fixed point. The plans are generic over [`Scalar`], so the same
+//! butterflies serve the accuracy experiments (`f64`), a faithful
+//! single-precision mode (`f32`) and the Q16.16 datapath
+//! ([`crate::fixed_fft`]). [`FftFloat`] adds what only a float can do —
+//! trigonometry, division, ordering — for the reference DFT and the
+//! complex-number helpers the tests use.
 
-use std::fmt::{Debug, Display};
+use crate::complex::Complex;
+use crate::scalar::Scalar;
+use std::fmt::Display;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{AddAssign, Div, DivAssign, MulAssign, SubAssign};
 
-/// Scalar floating-point trait required by the FFT kernels.
-///
-/// This is a deliberately small, sealed-in-practice trait: only `f32` and
-/// `f64` implement it, and only the operations the butterflies need are
-/// present.
+/// A floating-point [`Scalar`]. Sealed in practice: only `f32` and `f64`
+/// implement it.
 pub trait FftFloat:
-    Copy
-    + Clone
-    + Debug
+    Scalar
     + Display
-    + Default
-    + PartialEq
     + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
     + Div<Output = Self>
-    + Neg<Output = Self>
     + AddAssign
     + SubAssign
     + MulAssign
     + DivAssign
     + Sum
-    + Send
-    + Sync
-    + 'static
 {
-    /// Additive identity.
-    const ZERO: Self;
     /// Multiplicative identity.
     const ONE: Self;
     /// Archimedes' constant π.
     const PI: Self;
 
-    /// Lossy conversion from `usize`, used for twiddle angles and scaling.
+    /// Lossy conversion from `usize`, used for the reference DFT's angles.
     fn from_usize(v: usize) -> Self;
-    /// Lossy conversion from `f64`, used for constants.
-    fn from_f64(v: f64) -> Self;
-    /// Lossy conversion to `f64`, used when exporting results.
-    fn to_f64(self) -> f64;
     /// Sine.
     fn sin(self) -> Self;
     /// Cosine.
@@ -62,15 +47,10 @@ pub trait FftFloat:
 
 macro_rules! impl_fft_float {
     ($t:ty, $pi:expr) => {
-        impl FftFloat for $t {
+        impl Scalar for $t {
+            type Twiddle = $t;
             const ZERO: Self = 0.0;
-            const ONE: Self = 1.0;
-            const PI: Self = $pi;
 
-            #[inline]
-            fn from_usize(v: usize) -> Self {
-                v as $t
-            }
             #[inline]
             fn from_f64(v: f64) -> Self {
                 v as $t
@@ -78,6 +58,30 @@ macro_rules! impl_fft_float {
             #[inline]
             fn to_f64(self) -> f64 {
                 self as f64
+            }
+            #[inline]
+            fn twiddle(k: usize, n: usize) -> Complex<$t> {
+                let theta = -(2.0 * $pi * k as $t) / n as $t;
+                Complex { re: theta.cos(), im: theta.sin() }
+            }
+            #[inline(always)]
+            fn mul_twiddle(self, w: $t) -> Self {
+                self * w
+            }
+            #[inline(always)]
+            fn div_pow2(self, log2: u32) -> Self {
+                // 2^-log2 is exact, so this is the division, bit for bit.
+                self * (1.0 / (1u64 << log2) as $t)
+            }
+        }
+
+        impl FftFloat for $t {
+            const ONE: Self = 1.0;
+            const PI: Self = $pi;
+
+            #[inline]
+            fn from_usize(v: usize) -> Self {
+                v as $t
             }
             #[inline]
             fn sin(self) -> Self {

@@ -4,19 +4,15 @@
 //! `X[n-k] = conj(X[k])`. Only the first `n/2 + 1` bins carry
 //! information (`1` bin for the degenerate `n = 1`), so a serving path
 //! that stores and multiplies full spectra does twice the arithmetic
-//! and holds twice the bytes it needs. [`HalfSpectrum`] is the packed
-//! representation the paper's §V RFFT refinement implies: the
-//! non-redundant prefix of the spectrum, tagged with the logical signal
-//! length so the owning [`crate::RealFftPlan`] can reconstruct the
-//! mirrored half on the way back to the time domain.
+//! and holds twice the bytes it needs. The packed layout the paper's §V
+//! RFFT refinement implies is that non-redundant prefix, and it is the
+//! only form [`crate::RealFftPlan`] produces or consumes: a plain slice of
+//! [`half_spectrum_bins`]`(n)` complex bins, never expanded.
 //!
 //! Element-wise products of half-spectra of real signals stay Hermitian
 //! (the product's mirror bins are the conjugate products of the mirror
 //! bins), which is why Algorithm 1's spectral multiply–accumulate can
 //! run entirely on the packed form.
-
-use crate::complex::Complex;
-use crate::float::FftFloat;
 
 /// Number of non-redundant spectrum bins for a length-`n` real signal:
 /// `n/2 + 1` (which also yields `1` for the degenerate `n = 1`).
@@ -31,88 +27,10 @@ pub const fn half_spectrum_bins(n: usize) -> usize {
     n / 2 + 1
 }
 
-/// The packed non-redundant half of a real signal's spectrum:
-/// [`half_spectrum_bins`]`(n)` complex bins for a logical length of `n`.
-///
-/// Produced by [`crate::RealFftPlan::forward_half`]; consumed (packed,
-/// never expanded) by the spectral multiply–accumulate loops and
-/// [`crate::RealFftPlan::inverse`].
-///
-/// ```
-/// use blockgnn_fft::{HalfSpectrum, RealFftPlan};
-/// let plan = RealFftPlan::<f64>::new(8).unwrap();
-/// let spec: HalfSpectrum<f64> =
-///     plan.forward_half(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).unwrap();
-/// assert_eq!(spec.logical_len(), 8);
-/// assert_eq!(spec.bins().len(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct HalfSpectrum<T> {
-    logical_len: usize,
-    bins: Vec<Complex<T>>,
-}
-
-impl<T: FftFloat> HalfSpectrum<T> {
-    /// An all-zero half-spectrum for a length-`n` real signal.
-    #[must_use]
-    pub fn zeros(logical_len: usize) -> Self {
-        Self { logical_len, bins: vec![Complex::zero(); half_spectrum_bins(logical_len)] }
-    }
-
-    /// Wraps pre-computed bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins.len() != half_spectrum_bins(logical_len)`.
-    #[must_use]
-    pub fn from_bins(logical_len: usize, bins: Vec<Complex<T>>) -> Self {
-        assert_eq!(
-            bins.len(),
-            half_spectrum_bins(logical_len),
-            "half-spectrum bin count must match the logical length"
-        );
-        Self { logical_len, bins }
-    }
-
-    /// Length `n` of the real signal this spectrum describes.
-    #[must_use]
-    pub fn logical_len(&self) -> usize {
-        self.logical_len
-    }
-
-    /// The packed bins (`half_spectrum_bins(n)` of them).
-    #[must_use]
-    pub fn bins(&self) -> &[Complex<T>] {
-        &self.bins
-    }
-
-    /// Mutable access to the packed bins.
-    pub fn bins_mut(&mut self) -> &mut [Complex<T>] {
-        &mut self.bins
-    }
-
-    /// Reconstructs the full `n`-bin spectrum by conjugate mirroring —
-    /// test/debug aid; the hot paths never expand.
-    #[must_use]
-    pub fn expand(&self) -> Vec<Complex<T>> {
-        let n = self.logical_len;
-        (0..n)
-            .map(|k| {
-                let m = half_spectrum_bins(n);
-                if k < m {
-                    self.bins[k]
-                } else {
-                    self.bins[n - k].conj()
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RealFftPlan;
+    use crate::{Complex, RealFftPlan};
 
     #[test]
     fn bin_counts() {
@@ -123,30 +41,19 @@ mod tests {
     }
 
     #[test]
-    fn zeros_and_accessors() {
-        let mut s = HalfSpectrum::<f64>::zeros(8);
-        assert_eq!(s.logical_len(), 8);
-        assert_eq!(s.bins().len(), 5);
-        s.bins_mut()[0] = Complex::from_real(3.0);
-        assert_eq!(s.bins()[0].re, 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin count")]
-    fn from_bins_validates_length() {
-        let _ = HalfSpectrum::from_bins(8, vec![Complex::<f64>::zero(); 4]);
-    }
-
-    #[test]
     fn expand_reproduces_full_dft() {
+        // The packed bins, mirrored by X[n-k] = conj(X[k]), are the
+        // whole DFT — nothing the layout drops carries information.
         let n = 16;
         let plan = RealFftPlan::<f64>::new(n).unwrap();
         let x: Vec<f64> = (0..n).map(|i| ((i * 5 + 1) % 7) as f64 - 3.0).collect();
-        let half = plan.forward_half(&x).unwrap();
+        let half = plan.forward(&x).unwrap();
+        assert_eq!(half.len(), half_spectrum_bins(n));
         let full: Vec<Complex<f64>> = x.iter().map(|&v| Complex::from_real(v)).collect();
         let reference = crate::dft::dft_reference(&full);
-        for (a, b) in half.expand().iter().zip(&reference) {
-            assert!(a.linf_distance(*b) < 1e-8);
+        for (k, want) in reference.iter().enumerate() {
+            let got = if k < half.len() { half[k] } else { half[n - k].conj() };
+            assert!(got.linf_distance(*want) < 1e-8, "bin {k}");
         }
     }
 }

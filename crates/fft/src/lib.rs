@@ -6,8 +6,13 @@
 //! first row of the block. This crate provides everything needed for that
 //! pipeline, with no external FFT dependency:
 //!
-//! * [`Complex`] — a minimal complex-number type generic over [`FftFloat`]
-//!   (implemented for `f32` and `f64`).
+//! * [`Scalar`] — the arithmetic everything below is generic over: ring
+//!   operations plus the twiddle format, the twiddle multiply and the
+//!   power-of-two divide. `f32`/`f64` implement it ([`float`], with
+//!   [`FftFloat`] for what only a float can do) and so does [`Q16_16`]
+//!   ([`fixed_fft`]); one set of plans serves the float experiments and
+//!   the 32-bit fixed-point datapath alike.
+//! * [`Complex`] — a minimal complex-number type over a [`Scalar`].
 //! * [`FftPlan`] — a plan-based radix-2 Cooley–Tukey FFT with precomputed
 //!   twiddle factors and bit-reversal tables, mirroring how a streaming
 //!   hardware FFT core loads its coefficient ROMs once.
@@ -18,11 +23,12 @@
 //!   [`ComplexLanes`] — several signals per pass, one per lane — forced
 //!   inline, so that they compile for the ISA of the kernel that calls
 //!   them (`blockgnn_linalg::isa::dispatch`).
-//! * [`half`] — [`HalfSpectrum`], the packed `n/2 + 1`-bin Hermitian
-//!   half-spectrum the serving paths store and multiply.
-//! * [`fixed`] — Q16.16 fixed-point arithmetic matching the paper's 32-bit
-//!   fixed-point FPGA prototype, plus a bit-exercising fixed-point FFT used
-//!   by the functional hardware simulator.
+//! * [`half`] — the packed `n/2 + 1`-bin Hermitian half-spectrum layout
+//!   the serving paths store and multiply.
+//! * [`fixed`] — [`Q16_16`], saturating fixed-point arithmetic matching the
+//!   paper's 32-bit FPGA prototype; [`fixed_fft`] makes it a [`Scalar`]
+//!   (Q2.30 twiddles, rounding shifts), which is the whole of the
+//!   fixed-point FFT the functional hardware simulator runs.
 //! * [`dft`] — a naive O(n²) reference DFT used by the test-suite as a
 //!   ground truth.
 //!
@@ -53,14 +59,15 @@ pub mod float;
 pub mod half;
 pub mod plan;
 pub mod real;
+pub mod scalar;
 
 pub use complex::{Complex, ComplexLanes, Lanes};
 pub use fixed::Q16_16;
-pub use fixed_fft::{FixedFftPlan, FixedRealFftPlan};
 pub use float::FftFloat;
-pub use half::{half_spectrum_bins, HalfSpectrum};
+pub use half::half_spectrum_bins;
 pub use plan::{FftError, FftPlan};
 pub use real::RealFftPlan;
+pub use scalar::Scalar;
 
 /// Returns `true` when `n` is a power of two (and non-zero).
 ///

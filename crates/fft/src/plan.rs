@@ -12,8 +12,8 @@
 //! `n`, so `inverse(forward(x)) == x`.
 
 use crate::complex::{Complex, Lanes};
-use crate::float::FftFloat;
-use crate::is_power_of_two;
+use crate::scalar::Scalar;
+use crate::{is_power_of_two, log2_exact};
 use std::error::Error;
 use std::fmt;
 
@@ -56,7 +56,9 @@ enum Direction {
     Inverse,
 }
 
-/// A reusable radix-2 FFT plan for a fixed power-of-two length.
+/// A reusable radix-2 FFT plan for a fixed power-of-two length, over any
+/// [`Scalar`]: `f64`/`f32`, or [`crate::Q16_16`] for the FPGA's 32-bit
+/// fixed-point datapath (saturating butterflies, Q2.30 twiddle ROM).
 ///
 /// ```
 /// use blockgnn_fft::{Complex, FftPlan};
@@ -75,19 +77,21 @@ enum Direction {
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct FftPlan<T> {
+pub struct FftPlan<T: Scalar> {
     len: usize,
+    /// Butterfly stages, `log2 len`: the inverse divides by `2^stages`.
+    stages: u32,
     /// Bit-reversed index for every position (identity-skipping pairs are
     /// still stored; the apply loop swaps only when `rev > i`).
     bit_rev: Vec<u32>,
     /// Forward twiddles, laid out stage-major: for stage with half-size
     /// `m`, entries `w^0..w^{m-1}` with `w = e^{-2πi/(2m)}`.
-    twiddles_fwd: Vec<Complex<T>>,
+    twiddles_fwd: Vec<Complex<T::Twiddle>>,
     /// Conjugate twiddles for the inverse transform, same layout.
-    twiddles_inv: Vec<Complex<T>>,
+    twiddles_inv: Vec<Complex<T::Twiddle>>,
 }
 
-impl<T: FftFloat> FftPlan<T> {
+impl<T: Scalar> FftPlan<T> {
     /// Builds a plan for transforms of length `len`.
     ///
     /// # Errors
@@ -98,10 +102,10 @@ impl<T: FftFloat> FftPlan<T> {
         if !is_power_of_two(len) {
             return Err(FftError::NotPowerOfTwo { len });
         }
-        let bits = len.trailing_zeros();
+        let stages = log2_exact(len);
         let mut bit_rev = Vec::with_capacity(len);
         for i in 0..len {
-            bit_rev.push((i as u32).reverse_bits() >> (32 - bits.max(1)));
+            bit_rev.push((i as u32).reverse_bits() >> (32 - stages.max(1)));
         }
         if len == 1 {
             bit_rev[0] = 0;
@@ -112,17 +116,15 @@ impl<T: FftFloat> FftPlan<T> {
         let mut twiddles_inv = Vec::with_capacity(len.saturating_sub(1));
         let mut m = 1;
         while m < len {
-            let step = -(T::PI / T::from_usize(m));
             for k in 0..m {
-                let theta = step * T::from_usize(k);
-                let w = Complex::from_polar_unit(theta);
+                let w = T::twiddle(k, 2 * m);
                 twiddles_fwd.push(w);
                 twiddles_inv.push(w.conj());
             }
             m <<= 1;
         }
 
-        Ok(Self { len, bit_rev, twiddles_fwd, twiddles_inv })
+        Ok(Self { len, stages, bit_rev, twiddles_fwd, twiddles_inv })
     }
 
     /// The transform length this plan was built for.
@@ -141,40 +143,18 @@ impl<T: FftFloat> FftPlan<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` differs from the planned length. Use
-    /// [`FftPlan::try_forward`] for a fallible variant.
+    /// Panics if `data.len()` differs from the planned length.
     pub fn forward(&self, data: &mut [Complex<T>]) {
-        self.try_forward(data).expect("fft buffer length mismatch");
+        self.forward_lanes(data).expect("fft buffer length mismatch");
     }
 
     /// In-place inverse FFT (scaled by `1/n`).
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` differs from the planned length. Use
-    /// [`FftPlan::try_inverse`] for a fallible variant.
+    /// Panics if `data.len()` differs from the planned length.
     pub fn inverse(&self, data: &mut [Complex<T>]) {
-        self.try_inverse(data).expect("fft buffer length mismatch");
-    }
-
-    /// Fallible in-place forward FFT.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] when the buffer length differs
-    /// from the planned length.
-    pub fn try_forward(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
-        self.forward_lanes(data)
-    }
-
-    /// Fallible in-place inverse FFT.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] when the buffer length differs
-    /// from the planned length.
-    pub fn try_inverse(&self, data: &mut [Complex<T>]) -> Result<(), FftError> {
-        self.inverse_lanes(data)
+        self.inverse_lanes(data).expect("fft buffer length mismatch");
     }
 
     /// Forward FFT of a real-valued slice, returning a fresh complex buffer.
@@ -188,11 +168,8 @@ impl<T: FftFloat> FftPlan<T> {
     /// Returns [`FftError::LengthMismatch`] when `data.len()` differs from
     /// the planned length.
     pub fn forward_real(&self, data: &[T]) -> Result<Vec<Complex<T>>, FftError> {
-        if data.len() != self.len {
-            return Err(FftError::LengthMismatch { expected: self.len, got: data.len() });
-        }
         let mut buf: Vec<Complex<T>> = data.iter().map(|&x| Complex::from_real(x)).collect();
-        self.try_forward(&mut buf)?;
+        self.forward_lanes(&mut buf)?;
         Ok(buf)
     }
 
@@ -216,10 +193,9 @@ impl<T: FftFloat> FftPlan<T> {
     pub(crate) fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
         self.check_len(data)?;
         self.apply(data, Direction::Inverse);
-        let inv_n = T::ONE / T::from_usize(self.len);
         for v in data.iter_mut() {
             for l in 0..E::WIDTH {
-                v.set_lane(l, v.lane(l).scale(inv_n));
+                v.set_lane(l, v.lane(l).div_pow2(self.stages));
             }
         }
         Ok(())
@@ -284,7 +260,7 @@ impl<T: FftFloat> FftPlan<T> {
                     let (lo, hi) = (data[start + k], data[start + k + m]);
                     for l in 0..E::WIDTH {
                         let a = lo.lane(l);
-                        let b = hi.lane(l) * w;
+                        let b = hi.lane(l).mul_twiddle(w);
                         data[start + k].set_lane(l, a + b);
                         data[start + k + m].set_lane(l, a - b);
                     }
@@ -319,7 +295,7 @@ mod tests {
         let plan = FftPlan::<f64>::new(8).unwrap();
         let mut buf = vec![C::zero(); 4];
         assert_eq!(
-            plan.try_forward(&mut buf),
+            plan.forward_lanes(&mut buf),
             Err(FftError::LengthMismatch { expected: 8, got: 4 })
         );
         let err = FftError::LengthMismatch { expected: 8, got: 4 };

@@ -27,9 +27,9 @@
 //! each lane's bits those of the one-lane call.
 
 use crate::complex::{Complex, Lanes};
-use crate::float::FftFloat;
-use crate::half::{half_spectrum_bins, HalfSpectrum};
+use crate::half::half_spectrum_bins;
 use crate::plan::{FftError, FftPlan};
+use crate::scalar::Scalar;
 
 /// A reusable real-input FFT plan for a fixed power-of-two length.
 ///
@@ -37,7 +37,9 @@ use crate::plan::{FftError, FftPlan};
 /// (unscaled); the inverse maps them back (scaled by `1/n`). The
 /// degenerate `n = 1` plan is the identity (one purely real DC bin), so
 /// circulant layers with `block_size = 1` — the paper's uncompressed
-/// baseline — can run the same code path.
+/// baseline — can run the same code path. At `T = Q16_16` this is the
+/// CirCore's RFFT channel: the same pack → half-length FFT → untangle in
+/// saturating fixed point ([`crate::fixed_fft`]).
 ///
 /// ```
 /// use blockgnn_fft::RealFftPlan;
@@ -54,14 +56,14 @@ use crate::plan::{FftError, FftPlan};
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct RealFftPlan<T> {
+pub struct RealFftPlan<T: Scalar> {
     len: usize,
     half_plan: FftPlan<T>,
     /// `e^{-2πik/n}` for `k = 0..n/2`, the untangling twiddles.
-    twiddles: Vec<Complex<T>>,
+    twiddles: Vec<Complex<T::Twiddle>>,
 }
 
-impl<T: FftFloat> RealFftPlan<T> {
+impl<T: Scalar> RealFftPlan<T> {
     /// Builds an RFFT plan for real signals of length `len`.
     ///
     /// # Errors
@@ -74,12 +76,7 @@ impl<T: FftFloat> RealFftPlan<T> {
         }
         let half = len / 2;
         let half_plan = FftPlan::new(half.max(1))?;
-        let twiddles = (0..half)
-            .map(|k| {
-                let theta = -(T::from_usize(2) * T::PI * T::from_usize(k)) / T::from_usize(len);
-                Complex::from_polar_unit(theta)
-            })
-            .collect();
+        let twiddles = (0..half).map(|k| T::twiddle(k, len)).collect();
         Ok(Self { len, half_plan, twiddles })
     }
 
@@ -113,15 +110,6 @@ impl<T: FftFloat> RealFftPlan<T> {
         let mut out = vec![Complex::zero(); self.spectrum_len()];
         self.forward_into(input, &mut out)?;
         Ok(out)
-    }
-
-    /// Forward RFFT returning the packed [`HalfSpectrum`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `input.len() != n`.
-    pub fn forward_half(&self, input: &[T]) -> Result<HalfSpectrum<T>, FftError> {
-        Ok(HalfSpectrum::from_bins(self.len, self.forward(input)?))
     }
 
     /// Allocation-free forward RFFT into a caller-provided buffer of
@@ -268,7 +256,7 @@ impl<T: FftFloat> RealFftPlan<T> {
     fn mirror_pairs<E: Lanes<T>>(
         &self,
         data: &mut [E],
-        f: impl Fn(Complex<T>, Complex<T>, Complex<T>) -> Complex<T>,
+        f: impl Fn(Complex<T>, Complex<T>, Complex<T::Twiddle>) -> Complex<T>,
     ) {
         let half = self.len / 2;
         let mut k = 1;
@@ -299,32 +287,20 @@ impl<T: FftFloat> RealFftPlan<T> {
 /// `X[k] = Xe[k] + W^k·Xo[k]` from the packed transform's `Z[k]` and
 /// `Z[half-k]`.
 #[inline(always)]
-fn untangle<T: FftFloat>(zk: Complex<T>, zr: Complex<T>, tw: Complex<T>) -> Complex<T> {
-    let inv_two = T::ONE / T::from_usize(2);
-    let xe = (zk + zr.conj()).scale(inv_two);
-    let xo = (zk - zr.conj()).scale(inv_two).mul_i_neg();
-    xe + tw * xo
+fn untangle<T: Scalar>(zk: Complex<T>, zr: Complex<T>, tw: Complex<T::Twiddle>) -> Complex<T> {
+    let xe = (zk + zr.conj()).div_pow2(1);
+    let xo = (zk - zr.conj()).div_pow2(1).mul_i_neg();
+    xe + xo.mul_twiddle(tw)
 }
 
 /// One bin of the inverse retangle: `Z[k] = Xe[k] + i·Xo[k]` from `X[k]`
 /// and `X[half-k]`, with `Xo[k] = conj(W^k)·(X[k] − conj(X[half-k]))/2`.
 #[inline(always)]
-fn retangle<T: FftFloat>(xk: Complex<T>, xm: Complex<T>, tw: Complex<T>) -> Complex<T> {
-    let inv_two = T::ONE / T::from_usize(2);
+fn retangle<T: Scalar>(xk: Complex<T>, xm: Complex<T>, tw: Complex<T::Twiddle>) -> Complex<T> {
     let xr = xm.conj();
-    let xe = (xk + xr).scale(inv_two);
-    let xo = tw.conj() * (xk - xr).scale(inv_two);
+    let xe = (xk + xr).div_pow2(1);
+    let xo = (xk - xr).div_pow2(1).mul_twiddle(tw.conj());
     xe + xo.mul_i()
-}
-
-impl<T: FftFloat> Complex<T> {
-    /// Multiplication by `-i` (a −90° rotation); helper for the RFFT
-    /// untangling step where `Xo = (Z[k] - conj(Z[N-k])) / (2i)`.
-    #[inline]
-    #[must_use]
-    pub fn mul_i_neg(self) -> Self {
-        Self { re: self.im, im: -self.re }
-    }
 }
 
 #[cfg(test)]

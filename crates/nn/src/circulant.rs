@@ -13,28 +13,33 @@
 //!   cross-correlation, accumulated in the spectral domain over the batch
 //!   so only `p·q` IFFTs are paid per backward pass)
 //!
-//! Every signal involved is real, so all spectra are Hermitian and the
-//! layer works exclusively on **half-spectra** (`n/2 + 1` bins):
-//! element-wise products and conjugate-products of Hermitian spectra
-//! stay Hermitian, which halves the MAC work and the resident spectral
-//! bytes of every path above.
+//! Every signal involved is real, so all spectra are Hermitian and all
+//! three run on **half-spectra** (`n/2 + 1` bins): element-wise products
+//! and conjugate-products of Hermitian spectra stay Hermitian, which
+//! halves the MAC work and the resident spectral bytes of every path
+//! above.
 //!
 //! # What is stored where
 //!
 //! * The **parameters** are the flat time-domain kernels and the bias.
-//! * The **forward product is not implemented here**: prepared-spectral
+//! * **None of the three products is implemented here.** Prepared-spectral
 //!   inference and the training forward both hand the whole batch to
 //!   [`blockgnn_core::RealSpectralBlockCirculant::matmul_into`], the one
 //!   row-tiled half-spectrum kernel (contiguous spectral weights, a tile
-//!   of rows per transform pass — see `blockgnn_core::spectral`).
-//!   [`CirculantDense::prepare`] builds those weights once and keeps
+//!   of rows per transform pass — see `blockgnn_core::spectral`);
+//!   `backward` is the same call on the transposed weights
+//!   ([`blockgnn_core::RealSpectralBlockCirculant::transposed`]) for
+//!   `∂X`, and
+//!   [`blockgnn_core::RealSpectralBlockCirculant::kernel_grad_into`] for
+//!   `∂W`. [`CirculantDense::prepare`] builds the weights once and keeps
 //!   them behind an `Arc` shared by every fork of the layer; the training
 //!   forward rebuilds them from the current kernels on each call.
 //! * The layer owns a [`blockgnn_core::SpectralScratch`] (cloned *empty*
 //!   into serving forks), so steady-state forwards allocate only their
 //!   output matrix.
-//! * For `backward`, the forward caches the weights it used and each
-//!   row's input half-spectra ([`blockgnn_fft::HalfSpectrum`]).
+//! * For `backward`, the training forward caches the weights it ran with
+//!   and its input matrix; the input's spectra are recomputed a tile at a
+//!   time where the kernel gradient needs them, not kept per row.
 //!
 //! Row independence — a row's output bits depend only on that row and
 //! the weights, never on the batch around it — is the kernel's contract
@@ -44,7 +49,7 @@ use crate::error::NnError;
 use crate::layer::{ExecMode, Layer};
 use crate::param::Param;
 use blockgnn_core::{CompressionStats, RealSpectralBlockCirculant, SpectralScratch};
-use blockgnn_fft::{is_power_of_two, Complex, HalfSpectrum, RealFftPlan};
+use blockgnn_fft::is_power_of_two;
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
 use std::sync::Arc;
@@ -52,12 +57,10 @@ use std::sync::Arc;
 /// Cached state from the latest forward pass.
 #[derive(Debug, Clone)]
 struct Cache {
-    /// `input_spectra[r][j]` = packed RFFT of sample `r`'s `j`-th
-    /// sub-vector.
-    input_spectra: Vec<Vec<HalfSpectrum<f64>>>,
+    /// The batch forward ran on.
+    input: Matrix,
     /// The spectral weights `Ŵ` that forward ran with.
     weights: RealSpectralBlockCirculant,
-    batch: usize,
 }
 
 /// One-time weight transform installed by [`CirculantDense::prepare`]:
@@ -94,7 +97,6 @@ pub struct CirculantDense {
     /// Flattened kernels, block `(i, j)` at `[(i*q + j)*n .. +n]`.
     kernels: Param,
     bias: Param,
-    plan: RealFftPlan<f64>,
     cache: Option<Cache>,
     prepared: Option<Arc<Prepared>>,
     /// Per-layer half-spectrum workspace, reused across rows and
@@ -129,8 +131,6 @@ impl CirculantDense {
                 "block size {block_size} must be a power of two for spectral training"
             )));
         }
-        let plan =
-            RealFftPlan::new(block_size).expect("power-of-two block size was just validated");
         let grid_rows = out_dim.div_ceil(block_size);
         let grid_cols = in_dim.div_ceil(block_size);
         let bound =
@@ -147,7 +147,6 @@ impl CirculantDense {
             grid_cols,
             kernels: Param::new(kernels),
             bias: Param::new(vec![0.0; out_dim]),
-            plan,
             cache: None,
             prepared: None,
             scratch: SpectralScratch::new(),
@@ -285,30 +284,6 @@ impl CirculantDense {
     ) {
         weights.matmul_into(x, Some(&self.bias.data), &mut self.scratch, out);
     }
-
-    /// Packed half-spectra of a padded row split into `chunks` blocks —
-    /// allocating; what the training path keeps for, and transforms
-    /// gradients in, `backward`.
-    fn split_spectra(&self, row: &[f64], chunks: usize) -> Vec<HalfSpectrum<f64>> {
-        let n = self.block_size;
-        let mut out = Vec::with_capacity(chunks);
-        let mut pad = vec![0.0; n];
-        for j in 0..chunks {
-            let start = j * n;
-            if start + n <= row.len() {
-                // Aligned chunk: transform straight from the row.
-                out.push(
-                    self.plan.forward_half(&row[start..start + n]).expect("chunk matches plan"),
-                );
-            } else {
-                let avail = row.len().saturating_sub(start);
-                pad[..avail].copy_from_slice(&row[start..]);
-                pad[avail..].fill(0.0);
-                out.push(self.plan.forward_half(&pad).expect("pad matches plan"));
-            }
-        }
-        out
-    }
 }
 
 impl Layer for CirculantDense {
@@ -322,9 +297,7 @@ impl Layer for CirculantDense {
         }
         let weights = self.spectral_weights();
         self.spectral_apply(x.as_slice(), &weights, y.as_mut_slice());
-        let input_spectra =
-            (0..x.rows()).map(|r| self.split_spectra(x.row(r), self.grid_cols)).collect();
-        self.cache = Some(Cache { input_spectra, weights, batch: x.rows() });
+        self.cache = Some(Cache { input: x.clone(), weights });
         y
     }
 
@@ -333,65 +306,30 @@ impl Layer for CirculantDense {
             self.prepared.is_none(),
             "backward is unavailable on a prepared (inference-frozen) layer"
         );
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let n = self.block_size;
-        let bins = self.plan.spectrum_len();
-        let (p, q) = (self.grid_rows, self.grid_cols);
-        assert_eq!(grad_out.shape(), (cache.batch, self.out_dim), "grad shape mismatch");
-
-        // Packed spectral accumulator for kernel gradients:
-        // Σ_r Ĝ_i ∘ conj(X̂_j). Hermitian throughout (products of
-        // half-spectra of real signals), so half the bins suffice.
-        let mut kgrad_spec = vec![vec![Complex::<f64>::zero(); bins]; p * q];
-        let mut grad_in = Matrix::zeros(cache.batch, self.in_dim);
-        let mut time = vec![0.0; n];
-
-        for r in 0..cache.batch {
-            let g_row = grad_out.row(r);
-            // bias gradient over the logical output.
-            for (o, &gv) in g_row.iter().enumerate() {
-                self.bias.grad[o] += gv;
-            }
-            // Split/pad the grad row and transform (p half-spectra).
-            let g_spectra = self.split_spectra(g_row, p);
-            let x_spectra = &cache.input_spectra[r];
-
-            // Kernel gradient accumulation in the spectral domain.
-            for (i, gi) in g_spectra.iter().enumerate() {
-                for (j, xj) in x_spectra.iter().enumerate() {
-                    let acc = &mut kgrad_spec[i * q + j];
-                    for ((a, &gv), &xv) in acc.iter_mut().zip(gi.bins()).zip(xj.bins()) {
-                        *a += gv * xv.conj();
-                    }
-                }
-            }
-
-            // Input gradient: ∂x_j = IFFT( Σ_i conj(Ŵ_ij) ∘ Ĝ_i ).
-            let gi_row = grad_in.row_mut(r);
-            let mut acc = vec![Complex::zero(); bins];
-            for j in 0..q {
-                acc.fill(Complex::zero());
-                for (i, gi) in g_spectra.iter().enumerate() {
-                    let w = cache.weights.spectrum(i, j);
-                    for ((a, &wv), &gv) in acc.iter_mut().zip(w).zip(gi.bins()) {
-                        *a += wv.conj() * gv;
-                    }
-                }
-                self.plan.inverse_into(&mut acc, &mut time).expect("acc matches plan");
-                let start = j * n;
-                let take = n.min(self.in_dim.saturating_sub(start));
-                gi_row[start..start + take].copy_from_slice(&time[..take]);
+        let Cache { input, weights } =
+            self.cache.as_ref().expect("backward called before forward");
+        assert_eq!(grad_out.shape(), (input.rows(), self.out_dim), "grad shape mismatch");
+        // ∂b: column sums over the logical output.
+        for g_row in grad_out.as_slice().chunks_exact(self.out_dim) {
+            for (b, &gv) in self.bias.grad.iter_mut().zip(g_row) {
+                *b += gv;
             }
         }
-
-        // One IFFT per block finalizes the kernel gradients.
-        for (b, mut spec) in kgrad_spec.into_iter().enumerate() {
-            self.plan.inverse_into(&mut spec, &mut time).expect("spec matches plan");
-            let kg = &mut self.kernels.grad[b * n..(b + 1) * n];
-            for (g, c) in kg.iter_mut().zip(&time) {
-                *g += c;
-            }
-        }
+        // ∂W: Σ_batch Ĝ_i ∘ conj(X̂_j), one IRFFT per block.
+        weights.kernel_grad_into(
+            grad_out.as_slice(),
+            input.as_slice(),
+            &mut self.scratch,
+            &mut self.kernels.grad,
+        );
+        // ∂X = G·W: Algorithm 1 on the transposed weights.
+        let mut grad_in = Matrix::zeros(input.rows(), self.in_dim);
+        weights.transposed().matmul_into(
+            grad_out.as_slice(),
+            None,
+            &mut self.scratch,
+            grad_in.as_mut_slice(),
+        );
         grad_in
     }
 
@@ -514,20 +452,18 @@ mod tests {
 
     #[test]
     fn aligned_input_training_path_keeps_capture_and_gradients() {
-        // in_dim an exact multiple of n: every chunk is transformed
-        // straight from the row (no pad copy). The training path must
-        // still capture per-row half-spectra for backward, and the
-        // backward arithmetic over packed spectra must match the
+        // in_dim an exact multiple of n: no chunk is padded. The training
+        // path must capture what backward needs, and the backward
+        // arithmetic over packed spectra must match the
         // direct-convolution gradients.
         let (out_dim, in_dim, n) = (8, 16, 4);
         let mut layer = CirculantDense::new(out_dim, in_dim, n, 77).unwrap();
         let x = Matrix::from_fn(3, in_dim, |i, j| ((i * in_dim + j) as f64 * 0.29).cos());
         let y = layer.forward(&x, true);
-        // Captured spectra: one per row, q = in_dim/n chunks each, packed.
+        // Captured for backward: the batch itself and the weights it met.
         let cache = layer.cache.as_ref().expect("training forward caches");
-        assert_eq!(cache.input_spectra.len(), 3);
-        assert_eq!(cache.input_spectra[0].len(), in_dim / n);
-        assert_eq!(cache.input_spectra[0][0].bins().len(), n / 2 + 1);
+        assert_eq!(cache.input, x);
+        assert_eq!(cache.weights.spectrum_len(), n / 2 + 1);
         // Finite-difference check of the input gradient under L = Σ y.
         let gin = layer.backward(&Matrix::filled(3, out_dim, 1.0));
         let eps = 1e-6;

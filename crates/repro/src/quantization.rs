@@ -97,29 +97,23 @@ fn fixed_point_gcn_forward(model: &Gcn, dataset: &Dataset) -> Matrix {
     let (lin1, lin2) = model.combiner_layers();
     let (w1, b1) = export_circulant(lin1);
     let (w2, b2) = export_circulant(lin2);
-    let fx1 = FixedSpectralBlockCirculant::new(&w1).expect("power-of-two blocks");
-    let fx2 = FixedSpectralBlockCirculant::new(&w2).expect("power-of-two blocks");
+    let mut fx1 = FixedSpectralBlockCirculant::new(&w1).expect("power-of-two blocks");
+    let mut fx2 = FixedSpectralBlockCirculant::new(&w2).expect("power-of-two blocks");
 
+    // One batched call per layer on the shared Q16.16 tile; the VPU adds
+    // the bias (and applies ReLU after layer 1) in floats.
+    let layer = |fx: &mut FixedSpectralBlockCirculant, a: &Matrix, bias: &[f64], relu: bool| {
+        let mut h = fx.matmul(a.as_slice());
+        for row in h.chunks_exact_mut(bias.len()) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o = if relu { (*o + b).max(0.0) } else { *o + b };
+            }
+        }
+        Matrix::from_flat(dataset.num_nodes(), bias.len(), h).expect("one output row per node")
+    };
     let adj = NormalizedAdjacency::new(&dataset.graph);
-    let a1 = adj.apply(&dataset.graph, &dataset.features);
-    let mut h1 = Matrix::zeros(dataset.num_nodes(), w1.out_dim());
-    for v in 0..dataset.num_nodes() {
-        let y = fx1.matvec(a1.row(v));
-        let row = h1.row_mut(v);
-        for (d, (o, &bias)) in y.iter().zip(&b1).enumerate() {
-            row[d] = (o + bias).max(0.0); // VPU ReLU + bias
-        }
-    }
-    let a2 = adj.apply(&dataset.graph, &h1);
-    let mut logits = Matrix::zeros(dataset.num_nodes(), w2.out_dim());
-    for v in 0..dataset.num_nodes() {
-        let y = fx2.matvec(a2.row(v));
-        let row = logits.row_mut(v);
-        for (d, (o, &bias)) in y.iter().zip(&b2).enumerate() {
-            row[d] = o + bias;
-        }
-    }
-    logits
+    let h1 = layer(&mut fx1, &adj.apply(&dataset.graph, &dataset.features), &b1, true);
+    layer(&mut fx2, &adj.apply(&dataset.graph, &h1), &b2, false)
 }
 
 fn export_circulant(layer: &LinearLayer) -> (blockgnn_core::BlockCirculantMatrix, Vec<f64>) {

@@ -12,10 +12,12 @@
 //!   priorities/deadlines, typed shed-on-overload), p50/p95/p99
 //!   telemetry, and a TCP front end (`blockgnn-serve` +
 //!   `blockgnn-client` binaries).
-//! * [`fft`] — radix-2 FFT/RFFT, Q16.16 fixed point (no external FFT dep).
+//! * [`fft`] — radix-2 FFT/RFFT over one scalar trait: `f32`/`f64` and
+//!   Q16.16 fixed point share the plans (no external FFT dep).
 //! * [`linalg`] — dense matrices, the uncompressed baseline.
 //! * [`core`] — block-circulant matrices and Algorithm 1 (the paper's
-//!   algorithmic contribution).
+//!   algorithmic contribution): one spectral tile under f64 inference,
+//!   the Q16.16 datapath and both training gradients.
 //! * [`graph`] — CSR graphs, generators, Table IV dataset stand-ins,
 //!   neighbor sampling.
 //! * [`nn`] — layers/losses/optimizers with in-constraint circulant

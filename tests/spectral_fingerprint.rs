@@ -6,14 +6,14 @@
 //! Every constant below was recorded from the implementations that
 //! existed before both paths moved onto `core::spectral`'s tile — the
 //! stand-alone fixed-point plans and loop nest, and the per-row backward
-//! of `nn::CirculantDense`. They are the contract for any later kernel
-//! change: the functions under "the calls under test" may be re-pointed
-//! at a new entry point, the inputs and the constants may not change.
+//! of `nn::CirculantDense` — and has held, unedited, across that move.
+//! They are the contract for any later kernel change: the functions under
+//! "the calls under test" may be re-pointed at a new entry point, the
+//! inputs and the constants may not change.
 
 use blockgnn::accel::circore::CirCoreUnit;
-use blockgnn::core::{BlockCirculantMatrix, FixedSpectralBlockCirculant};
-use blockgnn::fft::fixed_fft::{FixedComplex, FixedRealFftPlan};
-use blockgnn::fft::Q16_16;
+use blockgnn::core::{BlockCirculantMatrix, FixedSpectralBlockCirculant, SpectralScratch};
+use blockgnn::fft::{Complex, RealFftPlan, Q16_16};
 use blockgnn::linalg::Matrix;
 use blockgnn::nn::{CirculantDense, Layer};
 use blockgnn::perf::coeffs::HardwareCoeffs;
@@ -23,28 +23,26 @@ use blockgnn::perf::params::CirCoreParams;
 
 /// Forward Q16.16 RFFT of `x`: the `n/2 + 1` bins as raw `(re, im)` bits.
 fn q16_rfft(x: &[Q16_16]) -> Vec<(i32, i32)> {
-    let plan = FixedRealFftPlan::new(x.len()).unwrap();
-    let mut bins = vec![FixedComplex::ZERO; plan.spectrum_len()];
-    plan.forward_into(x, &mut bins);
-    bins.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    let plan = RealFftPlan::<Q16_16>::new(x.len()).unwrap();
+    plan.forward(x).unwrap().iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
 }
 
 /// Inverse Q16.16 RFFT of raw `(re, im)` bins back to `n` samples.
 fn q16_irfft(n: usize, bins: &[(i32, i32)]) -> Vec<i32> {
-    let plan = FixedRealFftPlan::new(n).unwrap();
-    let mut bins: Vec<FixedComplex> = bins
+    let plan = RealFftPlan::<Q16_16>::new(n).unwrap();
+    let bins: Vec<Complex<Q16_16>> = bins
         .iter()
-        .map(|&(re, im)| FixedComplex::new(Q16_16::from_bits(re), Q16_16::from_bits(im)))
+        .map(|&(re, im)| Complex::new(Q16_16::from_bits(re), Q16_16::from_bits(im)))
         .collect();
-    let mut time = vec![Q16_16::ZERO; n];
-    plan.inverse_into(&mut bins, &mut time);
-    time.iter().map(|v| v.to_bits()).collect()
+    plan.inverse(&bins).unwrap().iter().map(|v| v.to_bits()).collect()
 }
 
 /// `W·x` for every row of the row-major batch `x`, entirely in Q16.16.
 fn q16_matmul(w: &BlockCirculantMatrix, x: &[Q16_16]) -> Vec<i32> {
     let fixed = FixedSpectralBlockCirculant::new(w).unwrap();
-    x.chunks(w.in_dim()).flat_map(|row| fixed.matvec_fixed(row)).map(Q16_16::to_bits).collect()
+    let mut y = vec![Q16_16::ZERO; x.len() / w.in_dim() * w.out_dim()];
+    fixed.kernel().matmul_into(x, None, &mut SpectralScratch::new(), &mut y);
+    y.into_iter().map(Q16_16::to_bits).collect()
 }
 
 /// One training step of a fresh layer on `(x, grad_out)`: the forward
