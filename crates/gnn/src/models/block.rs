@@ -1,4 +1,4 @@
-//! The row-block pipeline under every model's inference pass.
+//! The row-block pipeline under every model's forward pass.
 //!
 //! BlockGNN's accelerator never writes a node's aggregated vector `a_v`
 //! to memory: a block of nodes streams through the Node-Feature Buffer,
@@ -11,18 +11,18 @@
 //! concatenation, no activation copy.
 //!
 //! Every layer kind wraps it in exactly one kernel that differs only in
-//! how a destination row is aggregated, and both inference routes —
-//! `forward(.., false)` over all rows and `forward_stage` over a shard's
-//! row list — call that kernel, telling it through [`Band`]s where the
-//! matrices it reads at neighbor rows live. Monolithic and staged passes
-//! are therefore bit-identical because they are one body, and both are
-//! bit-identical to the training forward because each row is produced by
-//! the same operations in the same order and the linear layers are
-//! row-independent ([`LinearLayer::forward_into`]).
+//! how a destination row is aggregated, and every route calls that
+//! kernel: `forward(.., false)` over all rows, `forward_stage` over a
+//! shard's row list — telling it through [`Band`]s where the matrices it
+//! reads at neighbor rows live — and `forward(.., true)`, which runs all
+//! rows as one block and records what `backward` reads. The routes are
+//! bit-identical because they are one body: each row is produced by the
+//! same operations in the same order whatever block it lands in, and the
+//! linear layers are row-independent ([`LinearLayer::forward_into`]).
 
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::activation::ActivationLayer;
-use blockgnn_nn::LinearLayer;
+use blockgnn_nn::{Layer, LinearLayer};
 
 /// Destination rows per block. A multiple of `core::spectral`'s 8-row
 /// tile, so blocking adds no one-row tail calls to the combiner, and
@@ -85,14 +85,30 @@ impl Clone for BlockScratch {
 /// node `v`'s combiner-input row `z` (`comb.in_dim()` wide, holding
 /// arbitrary old values — it must overwrite all of it), `comb` maps the
 /// block to its output rows, and `act` (if any) runs over those in place.
+///
+/// With `train`, all of `rows` is one block in a full-size `z`, and
+/// `comb` and `act` run their training forwards over it, keeping what
+/// `backward` reads; the output bits are the blocked pass's.
 pub(super) fn combine_blocks(
     comb: &mut LinearLayer,
-    act: Option<&ActivationLayer>,
+    act: Option<&mut ActivationLayer>,
+    train: bool,
     scratch: &mut BlockScratch,
     mut rows: impl ExactSizeIterator<Item = usize>,
     mut aggregate: impl FnMut(usize, &mut [f64]),
 ) -> Matrix {
     let (width, out_dim) = (comb.in_dim(), comb.out_dim());
+    if train {
+        let mut z = Matrix::zeros(rows.len(), width);
+        for (zrow, v) in z.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+            aggregate(v, zrow);
+        }
+        let y = comb.forward(&z, true);
+        return match act {
+            Some(act) => act.forward(&y, true),
+            None => y,
+        };
+    }
     let mut out = Matrix::zeros(rows.len(), out_dim);
     let block_len = ROW_BLOCK.min(rows.len()) * width;
     if scratch.input.len() < block_len {
@@ -104,20 +120,24 @@ pub(super) fn combine_blocks(
             aggregate(v, zrow);
         }
         comb.forward_into(z, y);
-        if let Some(act) = act {
+        if let Some(act) = &act {
             act.apply_in_place(y);
         }
     }
     out
 }
 
-/// `W·x + b` for every row of `x` with nothing cached for `backward` —
-/// the node-local transforms whose output a later aggregation reads at
-/// neighbor rows, which is why they are computed whole.
-pub(super) fn linear(layer: &mut LinearLayer, x: &Matrix) -> Matrix {
-    let mut y = Matrix::zeros(x.rows(), layer.out_dim());
-    layer.forward_into(x.as_slice(), y.as_mut_slice());
-    y
+/// `backward` through what [`combine_blocks`]' training arm ran — the
+/// activation (if any), then the combiner: `∂L/∂z` from `∂L/∂output`.
+pub(super) fn combine_backward(
+    comb: &mut LinearLayer,
+    act: Option<&mut ActivationLayer>,
+    grad: &Matrix,
+) -> Matrix {
+    match act {
+        Some(act) => comb.backward(&act.backward(grad)),
+        None => comb.backward(grad),
+    }
 }
 
 /// Lays equally tall matrices side by side in one allocation — the
@@ -149,18 +169,25 @@ mod tests {
         // 2·ROW_BLOCK + 1 destination rows, in descending order.
         let rows = (0..2 * ROW_BLOCK + 1).rev();
         let mut seen = Vec::new();
-        let act = Tanh::new();
-        let out = combine_blocks(&mut comb, Some(&act), &mut scratch, rows.clone(), |v, z| {
-            seen.push(v);
-            z.fill(v as f64);
-        });
+        let mut act = Tanh::new();
+        let out = combine_blocks(
+            &mut comb,
+            Some(&mut act),
+            false,
+            &mut scratch,
+            rows.clone(),
+            |v, z| {
+                seen.push(v);
+                z.fill(v as f64);
+            },
+        );
         assert_eq!(
             seen,
             rows.clone().collect::<Vec<_>>(),
             "each row aggregated once, in order"
         );
         let whole = Matrix::from_fn(seen.len(), 2, |i, _| seen[i] as f64);
-        let mut want = linear(&mut comb, &whole);
+        let mut want = comb.forward(&whole, false);
         act.apply_in_place(want.as_mut_slice());
         assert_eq!(out, want, "blocked output rows land where the one-call rows do");
         assert_eq!(scratch.input.len(), ROW_BLOCK * 2, "one block, not one matrix");

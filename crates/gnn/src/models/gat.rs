@@ -10,8 +10,10 @@
 //! `W_h` and attention vectors, the per-head aggregations are
 //! concatenated, and the combiner maps `heads·M → N`.
 
-use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
-use crate::models::{CompressionPolicy, GnnModel, ModelKind};
+use crate::models::block::{
+    combine_backward, combine_blocks, side_by_side, Band, BlockScratch,
+};
+use crate::models::{CompressionPolicy, GnnLayer, ModelKind, TwoLayer};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
@@ -47,8 +49,6 @@ struct GatHead {
     att_dim: usize,
     // Forward caches.
     s_cache: Matrix,
-    ssrc: Vec<f64>,
-    sdst: Vec<f64>,
     /// Post-LeakyReLU attention logits per (node, self + neighbors) pair.
     pre: Vec<Vec<f64>>,
     /// Softmax weights, aligned with `pre`.
@@ -70,41 +70,9 @@ impl GatHead {
             a_dst: Param::new((0..att_dim).map(|_| rng.uniform(-bound, bound)).collect()),
             att_dim,
             s_cache: Matrix::zeros(0, 0),
-            ssrc: Vec::new(),
-            sdst: Vec::new(),
             pre: Vec::new(),
             alpha: Vec::new(),
         })
-    }
-
-    /// Training forward: this head's attention-weighted aggregation
-    /// `a_v` (an `in_dim`-wide matrix), caching everything `backward`
-    /// needs. The arithmetic reference for the inference kernel.
-    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
-        let nodes = graph.num_nodes();
-        let s = self.w.forward(h, true);
-        self.ssrc = (0..nodes).map(|i| score(s.row(i), &self.a_src)).collect();
-        self.sdst = (0..nodes).map(|j| score(s.row(j), &self.a_dst)).collect();
-        self.pre = Vec::with_capacity(nodes);
-        self.alpha = Vec::with_capacity(nodes);
-        let mut a = Matrix::zeros(nodes, h.cols());
-        for v in 0..nodes {
-            let neigh = extended_neighbors(graph, v);
-            let pre: Vec<f64> =
-                neigh.iter().map(|&u| leaky(self.ssrc[v] + self.sdst[u])).collect();
-            let alpha = blockgnn_linalg::vector::softmax(&pre);
-            let arow = a.row_mut(v);
-            for (&u, &al) in neigh.iter().zip(&alpha) {
-                let hu = h.row(u);
-                for (o, &x) in arow.iter_mut().zip(hu) {
-                    *o += al * x;
-                }
-            }
-            self.pre.push(pre);
-            self.alpha.push(alpha);
-        }
-        self.s_cache = s;
-        a
     }
 
     /// Backward through this head: consumes `∂L/∂a` for the head's slice,
@@ -119,19 +87,18 @@ impl GatHead {
         // iterator would obscure, not clarify.
         #[allow(clippy::needless_range_loop)]
         for v in 0..nodes {
-            let neigh = extended_neighbors(graph, v);
+            let neigh = || extended_neighbors(graph, v);
             let alpha = &self.alpha[v];
             let pre = &self.pre[v];
             let gav = ga.row(v);
             // ∂L/∂α_u = <ga_v, h_u>; ∂L/∂h_u += α_u · ga_v.
-            let grad_alpha: Vec<f64> = neigh
-                .iter()
-                .map(|&u| {
+            let grad_alpha: Vec<f64> = neigh()
+                .map(|u| {
                     let hu = h_cache.row(u);
                     gav.iter().zip(hu).map(|(a, b)| a * b).sum()
                 })
                 .collect();
-            for (&u, &al) in neigh.iter().zip(alpha) {
+            for (u, &al) in neigh().zip(alpha) {
                 let ghu = gh.row_mut(u);
                 for (o, &g) in ghu.iter_mut().zip(gav) {
                     *o += al * g;
@@ -141,9 +108,7 @@ impl GatHead {
             // post-LeakyReLU logits; leaky is sign-preserving, so the
             // stored sign recovers the derivative branch.
             let dot: f64 = alpha.iter().zip(&grad_alpha).map(|(a, g)| a * g).sum();
-            for ((&u, (&al, &gal)), &p) in
-                neigh.iter().zip(alpha.iter().zip(&grad_alpha)).zip(pre)
-            {
+            for ((u, (&al, &gal)), &p) in neigh().zip(alpha.iter().zip(&grad_alpha)).zip(pre) {
                 let ge = al * (gal - dot);
                 let gpre = ge * leaky_deriv(p);
                 g_ssrc[v] += gpre;
@@ -171,30 +136,21 @@ impl GatHead {
         f(&mut self.a_src);
         f(&mut self.a_dst);
     }
-
-    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
-        f(&mut self.w);
-    }
 }
 
-/// One attention score `⟨W·h_v, a⟩` — the expression of the training and
-/// inference paths alike.
+/// One attention score `⟨W·h_v, a⟩`.
 fn score(projected: &[f64], a: &Param) -> f64 {
     projected.iter().zip(&a.data).map(|(x, w)| x * w).sum()
 }
 
-/// Neighborhood including the self-loop, in deterministic order
-/// (self first).
-fn extended_neighbors(graph: &CsrGraph, v: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(graph.degree(v) + 1);
-    out.push(v);
-    out.extend(graph.neighbors(v).iter().map(|&u| u as usize));
-    out
+/// `{v} ∪ N(v)`: self first, then CSR order.
+fn extended_neighbors(graph: &CsrGraph, v: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::once(v).chain(graph.neighbors(v).iter().map(|&u| u as usize))
 }
 
 /// One GAT layer with one or more attention heads.
 #[derive(Debug, Clone)]
-struct GatLayer {
+pub(super) struct GatLayer {
     heads: Vec<GatHead>,
     /// Combiner (heads·in_dim → out_dim) over the concatenated
     /// per-head aggregations.
@@ -234,63 +190,104 @@ impl GatLayer {
         })
     }
 
-    /// Training forward: per-head full-size aggregations, their
-    /// concatenation, attention caches and a copy of the input, all of
-    /// which `backward` reads. The arithmetic reference for
-    /// [`GatLayer::infer`].
-    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
-        assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
-        let mut concat: Option<Matrix> = None;
-        for head in &mut self.heads {
-            let a = head.forward_train(graph, h);
-            concat = Some(match concat {
-                None => a,
-                Some(prev) => prev.hconcat(&a).expect("equal row counts"),
-            });
-        }
-        self.h_cache = h.clone();
-        let y = self.comb.forward(&concat.expect("at least one head"), true);
-        match &mut self.act {
-            Some(act) => act.forward(&y, true),
-            None => y,
-        }
-    }
-
-    /// Inference forward. The per-head attention scores (two scalars per
-    /// node and head) are the full-size intermediate — a softmax reads
-    /// the destination scores of neighbor rows; the per-head aggregations
-    /// and their concatenation exist a block at a time, and no logit,
-    /// softmax weight or copy of `h` is kept.
-    fn infer(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
-        assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
-        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
-        self.clear_backward_state();
-        let scores = self.scores(h);
-        self.combine(graph, &scores, Band::whole(h), 0..h.rows(), scratch)
-    }
-
     /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` per row of `h`, where `sₖᵛ = ⟨Wₖ·h_v, a_src⟩`
     /// and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`. Each head's projection `Wₖ·h` is
-    /// computed whole, reduced to its two score columns and dropped.
-    fn scores(&mut self, h: &Matrix) -> Matrix {
+    /// computed whole and reduced to its two score columns; with `train`
+    /// it runs the training forward and the head keeps it for `backward`.
+    fn scores(&mut self, h: &Matrix, train: bool) -> Matrix {
         let mut out = Matrix::zeros(h.rows(), 2 * self.heads.len());
         for (k, head) in self.heads.iter_mut().enumerate() {
-            let s = linear(&mut head.w, h);
+            let s = head.w.forward(h, train);
             for i in 0..h.rows() {
                 out[(i, 2 * k)] = score(s.row(i), &head.a_src);
                 out[(i, 2 * k + 1)] = score(s.row(i), &head.a_dst);
+            }
+            if train {
+                head.s_cache = s;
             }
         }
         out
     }
 
+    /// The layer's one aggregate-and-combine kernel, `ELU(W·(a⁰_v ‖ a¹_v ‖ …))`
+    /// for each destination row: per head `k`, softmax attention over
+    /// `{v} ∪ N(v)` (self first, then CSR order) from score columns
+    /// `2k`/`2k + 1` of `scores`, and the `features` rows summed under it
+    /// into the head's slice of the combiner's input row. With `train`
+    /// (rows `0..n`) each head records every row's logits and weights.
+    fn combine(
+        &mut self,
+        graph: &CsrGraph,
+        scores: &Matrix,
+        features: Band,
+        rows: impl ExactSizeIterator<Item = usize>,
+        train: bool,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        let in_dim = self.in_dim;
+        let mut heads = train.then_some(&mut self.heads);
+        let mut alpha: Vec<f64> = Vec::new();
+        combine_blocks(&mut self.comb, self.act.as_deref_mut(), train, scratch, rows, |v, z| {
+            z.fill(0.0);
+            for (k, a) in z.chunks_exact_mut(in_dim).enumerate() {
+                alpha.clear();
+                alpha.extend(
+                    extended_neighbors(graph, v)
+                        .map(|u| leaky(scores[(v, 2 * k)] + scores[(u, 2 * k + 1)])),
+                );
+                if let Some(heads) = heads.as_mut() {
+                    heads[k].pre.push(alpha.clone());
+                }
+                blockgnn_linalg::vector::softmax_in_place(&mut alpha);
+                if let Some(heads) = heads.as_mut() {
+                    heads[k].alpha.push(alpha.clone());
+                }
+                for (u, &al) in extended_neighbors(graph, v).zip(&alpha) {
+                    for (o, &x) in a.iter_mut().zip(features.row(u)) {
+                        *o += al * x;
+                    }
+                }
+            }
+        })
+    }
+}
+
+impl GnnLayer for GatLayer {
+    const KIND: ModelKind = ModelKind::Gat;
+
+    fn out_dim(&self) -> usize {
+        self.comb.out_dim()
+    }
+
+    fn transform_width(&self) -> usize {
+        2 * self.heads.len() + self.in_dim
+    }
+
+    /// The per-head attention scores (two scalars per node and head) are
+    /// the full-size intermediate of inference — a softmax reads the
+    /// destination scores of neighbor rows; the per-head aggregations and
+    /// their concatenation exist a block at a time. Training also keeps
+    /// each head's projection and a copy of `h`.
+    fn forward(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        train: bool,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
+        self.clear_backward_state();
+        let scores = self.scores(h, train);
+        let y = self.combine(graph, &scores, Band::whole(h), 0..h.rows(), train, scratch);
+        if train {
+            self.h_cache = h.clone();
+        }
+        y
+    }
+
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
         let nodes = graph.num_nodes();
-        let grad = match &mut self.act {
-            Some(act) => act.backward(grad),
-            None => grad.clone(),
-        };
-        let g_concat = self.comb.backward(&grad);
+        let g_concat = combine_backward(&mut self.comb, self.act.as_deref_mut(), grad);
         let mut gh = Matrix::zeros(nodes, self.in_dim);
         for (k, head) in self.heads.iter_mut().enumerate() {
             // Slice this head's columns out of the concatenated gradient.
@@ -311,15 +308,11 @@ impl GatLayer {
 
     fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
         for head in &mut self.heads {
-            head.visit_linear_layers(f);
+            f(&mut head.w);
         }
         f(&mut self.comb);
     }
 
-    /// Drops what the latest training forward kept for `backward`
-    /// (attention scores, softmax weights, input and activation
-    /// snapshots): inference passes and forked worker replicas never
-    /// read it.
     fn clear_backward_state(&mut self) {
         self.h_cache = Matrix::zeros(0, 0);
         if let Some(act) = &mut self.act {
@@ -327,23 +320,19 @@ impl GatLayer {
         }
         for head in &mut self.heads {
             head.s_cache = Matrix::zeros(0, 0);
-            head.ssrc = Vec::new();
-            head.sdst = Vec::new();
             head.pre = Vec::new();
             head.alpha = Vec::new();
         }
     }
 
-    /// Transform half-stage: `[scores ‖ h_v]` for each target row
-    /// ([`GatLayer::scores`]). Node-local, no neighbor reads.
+    /// `[scores ‖ h_v]` for each target row ([`GatLayer::scores`]).
     fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
         let h = input.gather_rows(rows.iter().map(|&v| v as usize));
-        side_by_side(&[&self.scores(&h), &h])
+        side_by_side(&[&self.scores(&h, false), &h])
     }
 
-    /// Aggregate-and-combine half-stage over the `[scores ‖ features]`
-    /// transform matrix: [`GatLayer::combine`] with both of its sources
-    /// inside `input`.
+    /// [`GatLayer::combine`] over the `[scores ‖ features]` transform
+    /// matrix.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
@@ -358,62 +347,17 @@ impl GatLayer {
             "gat combine stage expects [scores ‖ features] input"
         );
         let features = Band::new(input, off, self.in_dim);
-        self.combine(graph, input, features, rows.iter().map(|&v| v as usize), scratch)
-    }
-
-    /// The layer's one aggregate-and-combine kernel, `ELU(W·(a⁰_v ‖ a¹_v ‖ …))`
-    /// for each destination row: per head `k`, softmax attention over
-    /// `{v} ∪ N(v)` (self first, then CSR order) from score columns
-    /// `2k`/`2k + 1` of `scores`, and the `features` rows summed under it
-    /// into the head's slice of the combiner's input row. Score, softmax
-    /// and accumulation arithmetic are [`GatHead::forward_train`]'s.
-    fn combine(
-        &mut self,
-        graph: &CsrGraph,
-        scores: &Matrix,
-        features: Band,
-        rows: impl ExactSizeIterator<Item = usize>,
-        scratch: &mut BlockScratch,
-    ) -> Matrix {
-        let in_dim = self.in_dim;
-        let mut alpha: Vec<f64> = Vec::new();
-        combine_blocks(&mut self.comb, self.act.as_deref(), scratch, rows, |v, z| {
-            let neigh =
-                || std::iter::once(v).chain(graph.neighbors(v).iter().map(|&u| u as usize));
-            z.fill(0.0);
-            for (k, a) in z.chunks_exact_mut(in_dim).enumerate() {
-                alpha.clear();
-                alpha.extend(
-                    neigh().map(|u| leaky(scores[(v, 2 * k)] + scores[(u, 2 * k + 1)])),
-                );
-                blockgnn_linalg::vector::softmax_in_place(&mut alpha);
-                for (u, &al) in neigh().zip(&alpha) {
-                    for (o, &x) in a.iter_mut().zip(features.row(u)) {
-                        *o += al * x;
-                    }
-                }
-            }
-        })
+        self.combine(graph, input, features, rows.iter().map(|&v| v as usize), false, scratch)
     }
 }
 
 /// Two-layer GAT model with attention dimension equal to the hidden
 /// dimension.
-#[derive(Debug, Clone)]
-pub struct Gat {
-    layer1: GatLayer,
-    layer2: GatLayer,
-    /// Block buffers of the inference pass, shared by both layers.
-    scratch: BlockScratch,
-}
+pub(super) type Gat = TwoLayer<GatLayer>;
 
 impl Gat {
-    /// Builds a single-head model (the Table III training configuration).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction errors.
-    pub fn new(
+    /// A single-head model (the Table III training configuration).
+    pub(super) fn new(
         in_dim: usize,
         hidden_dim: usize,
         num_classes: usize,
@@ -423,13 +367,9 @@ impl Gat {
         Self::with_heads(in_dim, hidden_dim, num_classes, 1, policy, seed)
     }
 
-    /// Builds a multi-head model (the paper's profiling setup uses two
-    /// heads); per-head aggregations are concatenated before combination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction errors; `num_heads` must be ≥ 1.
-    pub fn with_heads(
+    /// A multi-head model (the paper's profiling setup uses two heads);
+    /// per-head aggregations are concatenated before combination.
+    pub(super) fn with_heads(
         in_dim: usize,
         hidden_dim: usize,
         num_classes: usize,
@@ -437,97 +377,13 @@ impl Gat {
         policy: CompressionPolicy,
         seed: u64,
     ) -> Result<Self, NnError> {
+        let layer =
+            |i, o, last, seed| GatLayer::new(i, hidden_dim, o, num_heads, policy, last, seed);
         Ok(Self {
-            layer1: GatLayer::new(
-                in_dim, hidden_dim, hidden_dim, num_heads, policy, false, seed,
-            )?,
-            layer2: GatLayer::new(
-                hidden_dim,
-                hidden_dim,
-                num_classes,
-                num_heads,
-                policy,
-                true,
-                seed ^ 0xFACE,
-            )?,
+            layer1: layer(in_dim, hidden_dim, false, seed)?,
+            layer2: layer(hidden_dim, num_classes, true, seed ^ 0xFACE)?,
             scratch: BlockScratch::default(),
         })
-    }
-}
-
-impl GnnModel for Gat {
-    fn kind(&self) -> ModelKind {
-        ModelKind::Gat
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.layer1.comb.out_dim()
-    }
-
-    fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        if train {
-            let h1 = self.layer1.forward_train(graph, features);
-            return self.layer2.forward_train(graph, &h1);
-        }
-        let h1 = self.layer1.infer(graph, features, &mut self.scratch);
-        self.layer2.infer(graph, &h1, &mut self.scratch)
-    }
-
-    fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
-        let g1 = self.layer2.backward(graph, grad_logits);
-        self.layer1.backward(graph, &g1)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.layer1.visit_params(f);
-        self.layer2.visit_params(f);
-    }
-
-    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
-        self.layer1.visit_linear_layers(f);
-        self.layer2.visit_linear_layers(f);
-    }
-
-    fn clone_boxed(&self) -> Box<dyn GnnModel> {
-        let mut copy = self.clone();
-        copy.layer1.clear_backward_state();
-        copy.layer2.clear_backward_state();
-        Box::new(copy)
-    }
-
-    // Each GAT layer splits at its natural seam: the node-local
-    // attention projections/scores (stage 0/2, zero halo) and the
-    // softmax-weighted neighbor aggregation + combiner (stage 1/3,
-    // one-hop halo reads).
-    fn num_stages(&self) -> usize {
-        4
-    }
-
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
-        let hidden = self.layer1.comb.out_dim();
-        match stage {
-            0 => 2 * self.layer1.heads.len() + feature_dim,
-            1 => hidden,
-            2 => 2 * self.layer2.heads.len() + hidden,
-            3 => self.layer2.comb.out_dim(),
-            _ => panic!("GAT has 4 stages, got stage {stage}"),
-        }
-    }
-
-    fn forward_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix {
-        match stage {
-            0 => self.layer1.stage_transform(input, rows),
-            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
-            2 => self.layer2.stage_transform(input, rows),
-            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
-            _ => panic!("GAT has 4 stages, got stage {stage}"),
-        }
     }
 }
 
@@ -535,6 +391,7 @@ impl GnnModel for Gat {
 mod tests {
     use super::*;
     use crate::models::testutil::{check_model_gradients, tiny_features, tiny_graph};
+    use crate::models::GnnModel;
     use blockgnn_nn::Compression;
 
     #[test]

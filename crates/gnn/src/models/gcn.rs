@@ -6,7 +6,7 @@
 //! shows the smallest speedup on GCN.
 
 use crate::adjacency::NormalizedAdjacency;
-use crate::models::block::{combine_blocks, BlockScratch};
+use crate::models::block::{combine_backward, combine_blocks, BlockScratch};
 use crate::models::{GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -61,24 +61,25 @@ impl Gcn {
     /// Layer `stage`'s one aggregate-and-combine kernel: for each
     /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
     /// into the combiner's input block, then the combiner (+ ReLU on the
-    /// hidden layer). Needs [`GnnModel::prepare_graph`] to have run for
-    /// `graph`.
+    /// hidden layer), through their training forwards with `train`. Needs
+    /// [`GnnModel::prepare_graph`] to have run for `graph`.
     fn layer(
         &mut self,
         stage: usize,
         graph: &CsrGraph,
         input: &Matrix,
         rows: impl ExactSizeIterator<Item = usize>,
+        train: bool,
     ) -> Matrix {
         let (lin, act) = match stage {
-            0 => (&mut self.lin1, Some(&*self.act1)),
+            0 => (&mut self.lin1, Some(&mut *self.act1)),
             1 => (&mut self.lin2, None),
             _ => panic!("GCN has 2 stages, got stage {stage}"),
         };
         assert_eq!(input.rows(), graph.num_nodes(), "feature rows must equal node count");
         assert_eq!(input.cols(), lin.in_dim(), "gcn layer input width mismatch");
         let (_, adj) = self.adj_cache.as_ref().expect("prepare_graph ran for this graph");
-        combine_blocks(lin, act, &mut self.scratch, rows, |v, z| {
+        combine_blocks(lin, act, train, &mut self.scratch, rows, |v, z| {
             adj.write_row(graph, input, v, z);
         })
     }
@@ -96,18 +97,12 @@ impl GnnModel for Gcn {
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
         // Reuse the instance-id-keyed coefficients across requests.
         self.prepare_graph(graph);
-        if train {
-            // Full-size `Â·H` per layer: `backward` reads what the linear
-            // layers and the activation cache of it.
-            let (_, adj) = self.adj_cache.as_ref().expect("just prepared");
-            let a1 = adj.apply(graph, features);
-            let h1 = self.act1.forward(&self.lin1.forward(&a1, true), true);
-            return self.lin2.forward(&adj.apply(graph, &h1), true);
+        if !train {
+            self.act1.clear_cached();
         }
-        self.act1.clear_cached();
         let nodes = graph.num_nodes();
-        let h1 = self.layer(0, graph, features, 0..nodes);
-        self.layer(1, graph, &h1, 0..nodes)
+        let h1 = self.layer(0, graph, features, 0..nodes, train);
+        self.layer(1, graph, &h1, 0..nodes, train)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -118,8 +113,7 @@ impl GnnModel for Gcn {
         let g_a2 = self.lin2.backward(grad_logits);
         // Â is symmetric, so ∂L/∂h1 = Â·∂L/∂a2.
         let g_h1 = adj.apply(graph, &g_a2);
-        let g_lin1_out = self.act1.backward(&g_h1);
-        let g_a1 = self.lin1.backward(&g_lin1_out);
+        let g_a1 = combine_backward(&mut self.lin1, Some(&mut *self.act1), &g_h1);
         adj.apply(graph, &g_a1)
     }
 
@@ -173,7 +167,7 @@ impl GnnModel for Gcn {
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
         self.prepare_graph(graph);
-        self.layer(stage, graph, input, rows.iter().map(|&v| v as usize))
+        self.layer(stage, graph, input, rows.iter().map(|&v| v as usize), false)
     }
 }
 

@@ -5,15 +5,17 @@
 //! the FLOP-heaviest matrix in Table II) and the combiner `W` can be
 //! block-circulant.
 
-use crate::models::block::{combine_blocks, linear, side_by_side, Band, BlockScratch};
-use crate::models::{CompressionPolicy, GnnModel, ModelKind};
+use crate::models::block::{
+    combine_backward, combine_blocks, side_by_side, Band, BlockScratch,
+};
+use crate::models::{CompressionPolicy, GnnLayer, ModelKind, TwoLayer};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::{isa, Matrix};
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
 
 /// One GS-Pool layer.
 #[derive(Debug, Clone)]
-struct GsPoolLayer {
+pub(super) struct GsPoolLayer {
     pool: LinearLayer,
     pool_act: Relu,
     comb: LinearLayer,
@@ -44,67 +46,83 @@ impl GsPoolLayer {
         })
     }
 
-    /// Training forward: full-size `t`, `a` and `[a ‖ h]` plus the
-    /// max-pool winners, all of which `backward` reads. The arithmetic
-    /// reference for [`GsPoolLayer::infer`].
-    fn forward_train(&mut self, graph: &CsrGraph, h: &Matrix) -> Matrix {
-        assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
-        let nodes = graph.num_nodes();
-        let t = self.pool_act.forward(&self.pool.forward(h, true), true);
-        let mut a = Matrix::zeros(nodes, self.pool_dim);
-        self.argmax = vec![0u32; nodes * self.pool_dim];
-        let mut winners = self.argmax.chunks_exact_mut(self.pool_dim);
-        for v in 0..nodes {
-            max_pool_neighbors(graph, &t, v, a.row_mut(v), winners.next());
+    /// `ReLU(W_pool·h + b)` for every row of `h`: activated in place, or
+    /// with `train` through the activation's training forward.
+    fn pooled(&mut self, h: &Matrix, train: bool) -> Matrix {
+        let mut t = self.pool.forward(h, train);
+        if train {
+            return self.pool_act.forward(&t, true);
         }
-        let z = a.hconcat(h).expect("row counts match by construction");
-        let y = self.comb.forward(&z, true);
-        match &mut self.act {
-            Some(act) => act.forward(&y, true),
-            None => y,
-        }
-    }
-
-    /// Inference forward. `t = ReLU(W_pool·h + b)` is the one full-size
-    /// intermediate — the max-pool reads it at neighbor rows; `a` and
-    /// `[a ‖ h]` exist a block at a time, and nothing is kept for
-    /// `backward`.
-    fn infer(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
-        assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
-        assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
-        self.clear_backward_state();
-        let t = self.pooled(h);
-        self.combine(graph, &t, Band::whole(h), 0..h.rows(), scratch)
-    }
-
-    /// `ReLU(W_pool·h + b)` for every row of `h`, activated in place.
-    fn pooled(&mut self, h: &Matrix) -> Matrix {
-        let mut t = linear(&mut self.pool, h);
         self.pool_act.apply_in_place(t.as_mut_slice());
         t
     }
 
+    /// The layer's one aggregate-and-combine kernel, `ReLU(W·(a_v ‖ h_v))`
+    /// for each destination row: [`max_pool_neighbors`] over the first
+    /// `pool_dim` columns of `pooled` writes `a_v` into the left of the
+    /// combiner's input row and `own` supplies `h_v` beside it. With
+    /// `train` (rows `0..n`) it records each row's winners in `argmax`.
+    fn combine(
+        &mut self,
+        graph: &CsrGraph,
+        pooled: &Matrix,
+        own: Band,
+        rows: impl ExactSizeIterator<Item = usize>,
+        train: bool,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        let pool_dim = self.pool_dim;
+        let mut winners = train.then(|| {
+            self.argmax = vec![0; pooled.rows() * pool_dim];
+            &mut self.argmax
+        });
+        combine_blocks(&mut self.comb, self.act.as_deref_mut(), train, scratch, rows, |v, z| {
+            let (a, h) = z.split_at_mut(pool_dim);
+            let won = winners.as_mut().map(|w| &mut w[v * pool_dim..][..pool_dim]);
+            max_pool_neighbors(graph, pooled, v, a, won);
+            h.copy_from_slice(own.row(v));
+        })
+    }
+}
+
+impl GnnLayer for GsPoolLayer {
+    const KIND: ModelKind = ModelKind::GsPool;
+
+    fn out_dim(&self) -> usize {
+        self.comb.out_dim()
+    }
+
+    fn transform_width(&self) -> usize {
+        self.pool_dim + self.in_dim
+    }
+
+    /// `t = ReLU(W_pool·h + b)` is the one full-size intermediate of
+    /// inference — the max-pool reads it at neighbor rows; `a` and
+    /// `[a ‖ h]` exist a block at a time.
+    fn forward(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        train: bool,
+        scratch: &mut BlockScratch,
+    ) -> Matrix {
+        assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
+        self.clear_backward_state();
+        let t = self.pooled(h, train);
+        self.combine(graph, &t, Band::whole(h), 0..h.rows(), train, scratch)
+    }
+
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
         let nodes = graph.num_nodes();
-        let grad = match &mut self.act {
-            Some(act) => act.backward(grad),
-            None => grad.clone(),
-        };
-        let gz = self.comb.backward(&grad);
-        // Split the concatenated gradient.
-        let mut ga = Matrix::zeros(nodes, self.pool_dim);
-        let mut gh = Matrix::zeros(nodes, self.in_dim);
-        for v in 0..nodes {
-            let row = gz.row(v);
-            ga.row_mut(v).copy_from_slice(&row[..self.pool_dim]);
-            gh.row_mut(v).copy_from_slice(&row[self.pool_dim..]);
-        }
-        // Max-pool routes gradients to the winning neighbor.
+        let gz = combine_backward(&mut self.comb, self.act.as_deref_mut(), grad);
+        // Split `∂[a ‖ h]`; the max-pool routes `∂a` to the winning neighbor.
         let mut gt = Matrix::zeros(nodes, self.pool_dim);
-        for v in 0..nodes {
-            for d in 0..self.pool_dim {
-                let u = self.argmax[v * self.pool_dim + d] as usize;
-                gt[(u, d)] += ga[(v, d)];
+        let mut gh = Matrix::zeros(nodes, self.in_dim);
+        for (v, winners) in self.argmax.chunks_exact(self.pool_dim).enumerate() {
+            let (ga, ghv) = gz.row(v).split_at(self.pool_dim);
+            gh.row_mut(v).copy_from_slice(ghv);
+            for (d, (&u, &g)) in winners.iter().zip(ga).enumerate() {
+                gt[(u as usize, d)] += g;
             }
         }
         let gt = self.pool_act.backward(&gt);
@@ -122,10 +140,6 @@ impl GsPoolLayer {
         f(&mut self.comb);
     }
 
-    /// Drops what the latest training forward kept for `backward`
-    /// (max-pool argmax, activation snapshots): inference passes and
-    /// forked worker replicas never read it, and a `backward` that does
-    /// not follow a training forward should fail loudly, not use it.
     fn clear_backward_state(&mut self) {
         self.argmax = Vec::new();
         self.pool_act.clear_cached();
@@ -134,16 +148,14 @@ impl GsPoolLayer {
         }
     }
 
-    /// Transform half-stage: `[ReLU(W_pool·h_v + b) ‖ h_v]` for each
-    /// target row — node-local, no neighbor reads.
+    /// `[ReLU(W_pool·h_v + b) ‖ h_v]` for each target row.
     fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
         let h = input.gather_rows(rows.iter().map(|&v| v as usize));
-        side_by_side(&[&self.pooled(&h), &h])
+        side_by_side(&[&self.pooled(&h, false), &h])
     }
 
-    /// Aggregate-and-combine half-stage over the `[pooled ‖ features]`
-    /// transform matrix: [`GsPoolLayer::combine`] with both of its
-    /// sources inside `input`.
+    /// [`GsPoolLayer::combine`] over the `[pooled ‖ features]` transform
+    /// matrix.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
@@ -157,27 +169,7 @@ impl GsPoolLayer {
             "gs-pool combine stage expects [pooled ‖ features] input"
         );
         let own = Band::new(input, self.pool_dim, self.in_dim);
-        self.combine(graph, input, own, rows.iter().map(|&v| v as usize), scratch)
-    }
-
-    /// The layer's one aggregate-and-combine kernel, `ReLU(W·(a_v ‖ h_v))`
-    /// for each destination row: [`max_pool_neighbors`] over the first
-    /// `pool_dim` columns of `pooled` writes `a_v` into the left of the
-    /// combiner's input row and `own` supplies `h_v` beside it.
-    fn combine(
-        &mut self,
-        graph: &CsrGraph,
-        pooled: &Matrix,
-        own: Band,
-        rows: impl ExactSizeIterator<Item = usize>,
-        scratch: &mut BlockScratch,
-    ) -> Matrix {
-        let pool_dim = self.pool_dim;
-        combine_blocks(&mut self.comb, self.act.as_deref(), scratch, rows, |v, z| {
-            let (a, h) = z.split_at_mut(pool_dim);
-            max_pool_neighbors(graph, pooled, v, a, None);
-            h.copy_from_slice(own.row(v));
-        })
+        self.combine(graph, input, own, rows.iter().map(|&v| v as usize), false, scratch)
     }
 }
 
@@ -257,113 +249,22 @@ fn running_max(sources: &[u32], pooled: &Matrix, out: &mut [f64]) {
 
 /// Two-layer GS-Pool model. The pooling dimension equals the hidden
 /// dimension for both layers (the GraphSAGE reference configuration).
-#[derive(Debug, Clone)]
-pub struct GsPool {
-    layer1: GsPoolLayer,
-    layer2: GsPoolLayer,
-    /// Block buffers of the inference pass, shared by both layers.
-    scratch: BlockScratch,
-}
+pub(super) type GsPool = TwoLayer<GsPoolLayer>;
 
 impl GsPool {
-    /// Builds the model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer-construction errors.
-    pub fn new(
+    pub(super) fn new(
         in_dim: usize,
         hidden_dim: usize,
         num_classes: usize,
         policy: CompressionPolicy,
         seed: u64,
     ) -> Result<Self, NnError> {
+        let layer = |i, o, last, seed| GsPoolLayer::new(i, hidden_dim, o, policy, last, seed);
         Ok(Self {
-            layer1: GsPoolLayer::new(in_dim, hidden_dim, hidden_dim, policy, false, seed)?,
-            layer2: GsPoolLayer::new(
-                hidden_dim,
-                hidden_dim,
-                num_classes,
-                policy,
-                true,
-                seed ^ 0xC0DE,
-            )?,
+            layer1: layer(in_dim, hidden_dim, false, seed)?,
+            layer2: layer(hidden_dim, num_classes, true, seed ^ 0xC0DE)?,
             scratch: BlockScratch::default(),
         })
-    }
-}
-
-impl GnnModel for GsPool {
-    fn kind(&self) -> ModelKind {
-        ModelKind::GsPool
-    }
-
-    fn hidden_dim(&self) -> usize {
-        self.layer1.comb.out_dim()
-    }
-
-    fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        if train {
-            let h1 = self.layer1.forward_train(graph, features);
-            return self.layer2.forward_train(graph, &h1);
-        }
-        let h1 = self.layer1.infer(graph, features, &mut self.scratch);
-        self.layer2.infer(graph, &h1, &mut self.scratch)
-    }
-
-    fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
-        let g1 = self.layer2.backward(graph, grad_logits);
-        self.layer1.backward(graph, &g1)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.layer1.visit_params(f);
-        self.layer2.visit_params(f);
-    }
-
-    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
-        self.layer1.visit_linear_layers(f);
-        self.layer2.visit_linear_layers(f);
-    }
-
-    fn clone_boxed(&self) -> Box<dyn GnnModel> {
-        let mut copy = self.clone();
-        copy.layer1.clear_backward_state();
-        copy.layer2.clear_backward_state();
-        Box::new(copy)
-    }
-
-    // Each GS-Pool layer splits at its natural seam: the node-local pool
-    // transform (stage 0/2, zero halo) and the max-pool + combiner
-    // (stage 1/3, one-hop halo reads).
-    fn num_stages(&self) -> usize {
-        4
-    }
-
-    fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
-        match stage {
-            0 => self.layer1.pool_dim + feature_dim,
-            1 => self.layer1.comb.out_dim(),
-            2 => self.layer2.pool_dim + self.layer1.comb.out_dim(),
-            3 => self.layer2.comb.out_dim(),
-            _ => panic!("GS-Pool has 4 stages, got stage {stage}"),
-        }
-    }
-
-    fn forward_stage(
-        &mut self,
-        stage: usize,
-        graph: &CsrGraph,
-        input: &Matrix,
-        rows: &[u32],
-    ) -> Matrix {
-        match stage {
-            0 => self.layer1.stage_transform(input, rows),
-            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
-            2 => self.layer2.stage_transform(input, rows),
-            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
-            _ => panic!("GS-Pool has 4 stages, got stage {stage}"),
-        }
     }
 }
 
@@ -373,6 +274,7 @@ mod tests {
     use crate::models::testutil::{
         check_model_gradients, hub_graph, tiny_features, tiny_graph,
     };
+    use crate::models::GnnModel;
     use blockgnn_nn::Compression;
     use proptest::prelude::*;
 

@@ -1,19 +1,20 @@
 //! The model zoo: GCN, GS-Pool, G-GCN, GAT (Table I).
 
 mod block;
-pub mod gat;
+mod gat;
 pub mod gcn;
-pub mod ggcn;
-pub mod gs_pool;
+mod ggcn;
+mod gs_pool;
 
-pub use gat::Gat;
 pub use gcn::Gcn;
-pub use ggcn::Ggcn;
-pub use gs_pool::GsPool;
 
+use block::BlockScratch;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Compression, ExecMode, LinearLayer, NnError, Param};
+use gat::Gat;
+use ggcn::Ggcn;
+use gs_pool::GsPool;
 use std::fmt;
 
 /// Which of the paper's four GNN algorithms a model implements.
@@ -85,8 +86,8 @@ impl fmt::Display for ModelKind {
 /// seam: a node-local transform stage (gate/pool/attention projections —
 /// no neighbor reads, zero halo) followed by an aggregate-and-combine
 /// stage (reads the transform matrix at `N(v) ∪ {v}` — a one-hop halo).
-/// The aggregate-and-combine stage and `forward(.., false)` run the same
-/// per-layer block kernel, so the two cannot drift.
+/// The aggregate-and-combine stage and both `forward` modes run the same
+/// per-layer block kernel, so they cannot drift.
 ///
 /// # What an inference pass materialises
 ///
@@ -105,11 +106,12 @@ impl fmt::Display for ModelKind {
 /// * **GAT** — two attention scores per node and head (each head's
 ///   projection `W·h` is computed whole, reduced to them and dropped).
 ///
-/// Nothing `backward` reads (argmax, gates, attention weights, input or
-/// activation snapshots) is recorded, and what a previous training
-/// forward left is dropped; `forward(.., true)` keeps all of it, at full
-/// size, and is the arithmetic reference the inference pass matches bit
-/// for bit.
+/// Nothing `backward` reads (max-pool winners, gates, attention logits
+/// and weights, input or activation snapshots) is recorded, and what a
+/// previous training forward left is dropped. `forward(.., true)` runs
+/// the same kernels with all rows as one block — a full-size combiner
+/// input — and records all of it; its bits are the inference pass's, and
+/// `tests/model_fingerprint.rs` pins them.
 pub trait GnnModel: Send {
     /// Which algorithm this is.
     fn kind(&self) -> ModelKind;
@@ -300,6 +302,133 @@ pub fn build_model_with_policy(
         ModelKind::Ggcn => Box::new(Ggcn::new(in_dim, hidden_dim, num_classes, policy, seed)?),
         ModelKind::Gat => Box::new(Gat::new(in_dim, hidden_dim, num_classes, policy, seed)?),
     })
+}
+
+/// What a two-layer model uses each of its layers for. GS-Pool, G-GCN
+/// and GAT implement it; [`TwoLayer`] wires any of them into a
+/// [`GnnModel`].
+trait GnnLayer: fmt::Debug + Clone + Send + 'static {
+    const KIND: ModelKind;
+
+    fn out_dim(&self) -> usize;
+
+    /// Width of [`GnnLayer::stage_transform`]'s output.
+    fn transform_width(&self) -> usize;
+
+    /// The layer over every node through its one aggregate-and-combine
+    /// kernel. With `train` it records what `backward` reads; without, it
+    /// records nothing and drops what an earlier training forward left.
+    fn forward(
+        &mut self,
+        graph: &CsrGraph,
+        h: &Matrix,
+        train: bool,
+        scratch: &mut BlockScratch,
+    ) -> Matrix;
+
+    /// `∂L/∂h` from `∂L/∂output`; must follow a training forward.
+    fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix;
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+
+    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer));
+
+    /// Drops what the latest training forward kept for `backward`.
+    fn clear_backward_state(&mut self);
+
+    /// The node-local half-stage: each target row's transform beside the
+    /// row itself.
+    fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix;
+
+    /// The aggregate-and-combine half-stage: the kernel with all of its
+    /// sources inside `input`.
+    fn stage_combine(
+        &mut self,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+    ) -> Matrix;
+}
+
+/// A two-layer model of one [`GnnLayer`] kind (the second layer without
+/// an activation). Each layer splits at its natural seam into two
+/// stages: the node-local transform (stage 0/2, zero halo) and the
+/// aggregation + combiner (stage 1/3, one-hop halo reads).
+#[derive(Debug, Clone)]
+struct TwoLayer<L> {
+    layer1: L,
+    layer2: L,
+    /// Block buffers of the inference pass, shared by both layers.
+    scratch: BlockScratch,
+}
+
+impl<L: GnnLayer> GnnModel for TwoLayer<L> {
+    fn kind(&self) -> ModelKind {
+        L::KIND
+    }
+
+    fn hidden_dim(&self) -> usize {
+        self.layer1.out_dim()
+    }
+
+    fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
+        assert_eq!(features.rows(), graph.num_nodes(), "feature rows must equal node count");
+        let h1 = self.layer1.forward(graph, features, train, &mut self.scratch);
+        self.layer2.forward(graph, &h1, train, &mut self.scratch)
+    }
+
+    fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
+        let g1 = self.layer2.backward(graph, grad_logits);
+        self.layer1.backward(graph, &g1)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.layer1.visit_params(f);
+        self.layer2.visit_params(f);
+    }
+
+    fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
+        self.layer1.visit_linear_layers(f);
+        self.layer2.visit_linear_layers(f);
+    }
+
+    fn clone_boxed(&self) -> Box<dyn GnnModel> {
+        let mut copy = self.clone();
+        copy.layer1.clear_backward_state();
+        copy.layer2.clear_backward_state();
+        Box::new(copy)
+    }
+
+    fn num_stages(&self) -> usize {
+        4
+    }
+
+    fn stage_width(&self, stage: usize, _feature_dim: usize) -> usize {
+        match stage {
+            0 => self.layer1.transform_width(),
+            1 => self.layer1.out_dim(),
+            2 => self.layer2.transform_width(),
+            3 => self.layer2.out_dim(),
+            _ => panic!("{} has 4 stages, got stage {stage}", L::KIND),
+        }
+    }
+
+    fn forward_stage(
+        &mut self,
+        stage: usize,
+        graph: &CsrGraph,
+        input: &Matrix,
+        rows: &[u32],
+    ) -> Matrix {
+        match stage {
+            0 => self.layer1.stage_transform(input, rows),
+            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
+            2 => self.layer2.stage_transform(input, rows),
+            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
+            _ => panic!("{} has 4 stages, got stage {stage}", L::KIND),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -502,7 +631,8 @@ mod tests {
     fn every_route_agrees_bit_for_bit_at_every_block_boundary() {
         // Sizes straddle the spectral tile (8) and the row block (64):
         // empty shards, one-row tails, exactly full and just-over blocks.
-        // The training forward is the untouched arithmetic reference.
+        // The training forward — all rows in one block, its bits pinned
+        // by `tests/model_fingerprint.rs` — is the reference.
         let compressions = [
             Compression::Dense,
             Compression::BlockCirculant { block_size: 2 },
@@ -568,10 +698,21 @@ mod tests {
         // Serve an all-NaN 200-node graph, then a finite 65-node one, on
         // the same instance: every recycled block row is overwritten
         // before it is read, so the second answer is a fresh instance's.
+        // The training route too: its full-size block and its recorders
+        // (winners, gates, attention) start over on every forward.
         let (big, small) = (hub_graph(200), hub_graph(65));
         let poison = Matrix::filled(200, 12, f64::NAN);
         let x = testutil::tiny_features(65, 12);
         let shards = [(0..40).collect::<Vec<u32>>(), (40..65).collect()];
+        let grad_logits = Matrix::from_fn(65, 4, |i, j| ((i * 4 + j) as f64 * 0.37).cos());
+        let training_step = |model: &mut dyn GnnModel| {
+            model.zero_grad();
+            let logits = model.forward(&small, &x, true);
+            let grad_x = model.backward(&small, &grad_logits);
+            let mut grads = Vec::new();
+            model.visit_params(&mut |p| grads.extend(p.grad.iter().map(|g| g.to_bits())));
+            (logits, grad_x, grads)
+        };
         for kind in ModelKind::all() {
             for mode in [None, Some(ExecMode::Spectral)] {
                 let build = || {
@@ -593,6 +734,14 @@ mod tests {
                     &want,
                     "staged",
                 );
+                if mode.is_none() {
+                    let _ = used.forward(&big, &poison, true);
+                    let (logits, grad_x, grads) = training_step(fresh.as_mut());
+                    let got = training_step(used.as_mut());
+                    assert_same_bits(&got.0, &logits, "training forward");
+                    assert_same_bits(&got.1, &grad_x, "backward");
+                    assert_eq!(got.2, grads, "{kind}: parameter gradients");
+                }
             }
         }
     }

@@ -289,9 +289,13 @@ impl CirculantDense {
 impl Layer for CirculantDense {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "circulant forward input width mismatch");
+        assert!(!(train && self.is_prepared()), "prepared circulant layers are inference-only");
         let mut y = Matrix::zeros(x.rows(), self.out_dim);
-        if self.prepared.is_some() {
-            assert!(!train, "prepared circulant layers are inference-only");
+        if !train {
+            // Inference forwards keep neither the input nor the weights
+            // they built, and drop a stale training cache, so a
+            // mismatched backward fails loudly.
+            self.cache = None;
             self.forward_into(x.as_slice(), y.as_mut_slice());
             return y;
         }
@@ -490,6 +494,17 @@ mod tests {
         let mut layer = CirculantDense::new(6, 8, 4, 2).unwrap();
         let x = Matrix::filled(2, 8, 0.25);
         layer.prepare(ExecMode::Spectral);
+        let _ = layer.forward(&x, false);
+        let _ = layer.backward(&Matrix::filled(2, 6, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_after_an_inference_forward_panics() {
+        // The inference forward drops the training cache before it.
+        let mut layer = CirculantDense::new(6, 8, 4, 2).unwrap();
+        let x = Matrix::filled(2, 8, 0.25);
+        let _ = layer.forward(&x, true);
         let _ = layer.forward(&x, false);
         let _ = layer.backward(&Matrix::filled(2, 6, 1.0));
     }

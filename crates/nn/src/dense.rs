@@ -108,8 +108,8 @@ impl Dense {
 
     /// Freezes the layer for inference: the current weights are
     /// snapshotted into an `Arc`-shared frozen copy (so per-worker clones
-    /// of a prepared layer share one allocation), forwards stop cloning
-    /// their input into the backward-pass cache, and `backward` panics
+    /// of a prepared layer share one allocation), training forwards are
+    /// rejected, and `backward` panics
     /// until [`Dense::clear_prepared`]. Parameter updates after `prepare`
     /// are not reflected until the layer is re-prepared.
     pub fn prepare(&mut self) {
@@ -164,11 +164,10 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         assert_eq!(x.cols(), self.in_dim, "dense forward input width mismatch");
-        if self.prepared.is_some() {
-            assert!(!train, "prepared dense layers are inference-only");
-        } else {
-            self.cached_input = Some(x.clone());
-        }
+        assert!(!(train && self.is_prepared()), "prepared dense layers are inference-only");
+        // Inference forwards snapshot nothing and drop a stale training
+        // snapshot, so a mismatched backward fails loudly.
+        self.cached_input = train.then(|| x.clone());
         let mut y = Matrix::zeros(x.rows(), self.out_dim);
         self.forward_into(x.as_slice(), y.as_mut_slice());
         y
@@ -265,6 +264,17 @@ mod tests {
         layer.forward_into(x.as_slice(), y.as_mut_slice());
         assert!(layer.cached_input.is_none(), "the write-into entry is inference-only");
         assert_eq!(y, layer.forward(&x, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn backward_after_an_inference_forward_panics() {
+        // The inference forward drops the training snapshot before it.
+        let mut layer = Dense::new(2, 3, 4);
+        let x = Matrix::filled(2, 3, 0.5);
+        let _ = layer.forward(&x, true);
+        let _ = layer.forward(&x, false);
+        let _ = layer.backward(&Matrix::filled(2, 2, 1.0));
     }
 
     #[test]

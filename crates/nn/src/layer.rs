@@ -8,11 +8,12 @@ use blockgnn_linalg::Matrix;
 
 /// A differentiable layer over batched inputs (rows = samples).
 ///
-/// Contract: `forward` caches whatever it needs; `backward` must be
-/// called with the gradient of the loss with respect to the *latest*
-/// forward output, returns the gradient with respect to that forward's
-/// input, and accumulates parameter gradients into the layer's
-/// [`Param`]s.
+/// Contract: a `train = true` forward caches whatever `backward` needs; a
+/// `train = false` one records nothing and drops what an earlier one
+/// recorded. `backward` must be called with the gradient of the loss with
+/// respect to the *latest* (training) forward output, returns the
+/// gradient with respect to that forward's input, and accumulates
+/// parameter gradients into the layer's [`Param`]s.
 pub trait Layer {
     /// Forward pass. `train` toggles training-only behaviour (dropout).
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
