@@ -54,11 +54,12 @@
 #![forbid(unsafe_code)]
 
 use blockgnn_engine::{GraphDelta, InferRequest};
+use blockgnn_server::protocol::{encode_health, parse_pairs, parse_trace_query};
 use blockgnn_server::tenant::model_kind_name;
 use blockgnn_server::workload::{ci_adversarial_spec, replay_tcp, zipfian_pool, Trace};
 use blockgnn_server::{
     run_closed_loop, Client, ClientTimeouts, LoadConfig, RetryPolicy, SloClass, SubmitOptions,
-    TenantSpec,
+    TenantSpec, TraceQuery,
 };
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -137,10 +138,7 @@ fn health(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
         return Err(format!("health takes no arguments, got {rest:?}"));
     }
     let report = connect(addr)?.health().map_err(|e| format!("err {e}"))?;
-    println!(
-        "ok health workers={} alive={} crashes={} restarts={} degraded={}",
-        report.workers, report.alive, report.crashes, report.restarts, report.degraded
-    );
+    println!("{}", encode_health(&report));
     if report.degraded {
         return Err("pool is degraded (circuit breaker open)".into());
     }
@@ -184,19 +182,6 @@ fn stats(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
 fn update(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
     let mut delta = GraphDelta::new();
     let mut tenant: Option<String> = None;
-    let parse_pairs = |v: &str| -> Result<Vec<(usize, usize)>, String> {
-        v.split(',')
-            .filter(|p| !p.is_empty())
-            .map(|p| {
-                let (u, w) =
-                    p.split_once(':').ok_or_else(|| format!("expected U:V, got {p:?}"))?;
-                Ok((
-                    u.parse().map_err(|_| format!("bad node id {u:?}"))?,
-                    w.parse().map_err(|_| format!("bad node id {w:?}"))?,
-                ))
-            })
-            .collect()
-    };
     let parse_row = |v: &str| -> Result<Vec<f64>, String> {
         v.split(',')
             .filter(|w| !w.is_empty())
@@ -381,31 +366,24 @@ fn metrics(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
 }
 
 fn trace(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
-    // The query words mirror the wire grammar (`last=N`, `id=HEX`,
-    // `slow`, `export`) so a CLI invocation reads like its protocol
-    // line; only `export` takes a flag (`--out FILE`).
-    let query = rest.first().map(String::as_str);
-    if rest.len() > 1 && query != Some("export") {
+    // The query word is the wire's own (`last=N`, `id=HEX`, `slow`,
+    // `export`), parsed by the protocol, so a CLI invocation reads like
+    // its protocol line; only `export` takes a flag (`--out FILE`).
+    let query = parse_trace_query(rest.first().map(String::as_str))?;
+    if rest.len() > 1 && query != TraceQuery::Export {
         return Err(format!("trace takes one query word, got {rest:?}"));
     }
     let mut client = connect(addr)?;
     match query {
-        None => print_lines(&client.trace_last(16).map_err(|e| format!("err {e}"))?),
-        Some(word) if word.starts_with("last=") => {
-            let n: usize = parse(&word["last=".len()..])?;
-            print_lines(&client.trace_last(n).map_err(|e| format!("err {e}"))?);
+        TraceQuery::Last(n) => {
+            print_lines(&client.trace_last(n).map_err(|e| format!("err {e}"))?)
         }
-        Some(word) if word.starts_with("id=") => {
-            let hex = &word["id=".len()..];
-            let id =
-                u64::from_str_radix(hex, 16).map_err(|_| format!("bad trace id {hex:?}"))?;
-            match client.trace_id(id).map_err(|e| format!("err {e}"))? {
-                Some(line) => println!("{line}"),
-                None => return Err(format!("trace {id:016x} not held by the recorder")),
-            }
-        }
-        Some("slow") => print_lines(&client.trace_slow().map_err(|e| format!("err {e}"))?),
-        Some("export") => {
+        TraceQuery::Id(id) => match client.trace_id(id).map_err(|e| format!("err {e}"))? {
+            Some(line) => println!("{line}"),
+            None => return Err(format!("trace {id:016x} not held by the recorder")),
+        },
+        TraceQuery::Slow => print_lines(&client.trace_slow().map_err(|e| format!("err {e}"))?),
+        TraceQuery::Export => {
             let mut out: Option<String> = None;
             let mut it = rest[1..].iter();
             while let Some(flag) = it.next() {
@@ -423,11 +401,6 @@ fn trace(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
                 }
                 None => println!("{json}"),
             }
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown trace query {other:?} (last=N | id=HEX | slow | export)"
-            ));
         }
     }
     Ok(())

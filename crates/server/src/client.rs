@@ -3,10 +3,10 @@
 
 use crate::error::ServerError;
 use crate::fault::splitmix;
+use crate::observe::TraceQuery;
 use crate::protocol::{
-    encode_deploy, encode_infer, encode_stats, encode_update, parse_deploy_ack, parse_error,
-    parse_health, parse_list_reply, parse_response, parse_update_ack, HealthReport,
-    RemoteResponse, UpdateAck,
+    parse_deploy_ack, parse_error, parse_health, parse_lines_header, parse_list_reply,
+    parse_response, parse_update_ack, Command, HealthReport, RemoteResponse, UpdateAck,
 };
 use crate::queue::SubmitOptions;
 use crate::tenant::{TenantInfo, TenantSpec};
@@ -209,31 +209,74 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, line: &str) -> Result<String, ServerError> {
-        let write = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush());
-        if let Err(e) = write {
+    /// Writes one request line and reads one reply line back, as it
+    /// came. With `dribble = Some((chunks, pause))` the line goes out in
+    /// `chunks` writes `pause` apart — the replay harness's slow-loris
+    /// client.
+    pub(crate) fn exchange(
+        &mut self,
+        line: &str,
+        dribble: Option<(usize, Duration)>,
+    ) -> Result<String, ServerError> {
+        let step = line.len().div_ceil(dribble.map_or(1, |(chunks, _)| chunks.max(1)));
+        let mut write = || {
+            for chunk in line.as_bytes().chunks(step.max(1)) {
+                self.writer.write_all(chunk)?;
+                self.writer.flush()?;
+                if let Some((_, pause)) = dribble {
+                    std::thread::sleep(pause);
+                }
+            }
+            self.writer.write_all(b"\n")?;
+            self.writer.flush()
+        };
+        if let Err(e) = write() {
             return Err(Self::transport_error(&e, self.timeouts.write));
         }
+        self.read_line()
+    }
+
+    fn read_line(&mut self) -> Result<String, ServerError> {
         let mut reply = String::new();
         match self.reader.read_line(&mut reply) {
             Ok(0) => Err(ServerError::Io("server closed the connection".into())),
-            Ok(_) => Ok(reply.trim_end().to_string()),
+            Ok(_) => {
+                reply.truncate(reply.trim_end().len());
+                Ok(reply)
+            }
             Err(e) => Err(Self::transport_error(&e, self.timeouts.read)),
         }
     }
 
-    /// [`Client::roundtrip`] with the server's typed rejection surfaced:
-    /// an `err …` reply becomes the [`ServerError`] it encodes.
-    fn call(&mut self, line: &str) -> Result<String, ServerError> {
-        let reply = self.roundtrip(line)?;
+    /// Sends `command`; an `err …` reply comes back as the
+    /// [`ServerError`] it encodes, any other as its line.
+    fn call(&mut self, command: &Command) -> Result<String, ServerError> {
+        let reply = self.exchange(&command.to_string(), None)?;
         if reply.starts_with("err ") {
             return Err(parse_error(&reply)?);
         }
         Ok(reply)
+    }
+
+    /// Sends a command whose reply is multi-line (`ok <verb> lines=N`
+    /// header + N body lines) and returns the body lines.
+    fn call_lines(
+        &mut self,
+        command: &Command,
+        verb: &str,
+    ) -> Result<Vec<String>, ServerError> {
+        let count = parse_lines_header(&self.call(command)?, verb)?;
+        (0..count).map(|_| self.read_line()).collect()
+    }
+
+    /// Sends a command whose only good reply is the fixed line `want`.
+    fn call_expecting(&mut self, command: &Command, want: &str) -> Result<(), ServerError> {
+        let reply = self.call(command)?;
+        if reply == want {
+            Ok(())
+        } else {
+            Err(ServerError::Protocol(format!("expected {want}, got {reply:?}")))
+        }
     }
 
     /// Sends one inference request to the default tenant and blocks for
@@ -276,8 +319,8 @@ impl Client {
         options: SubmitOptions,
         tenant: Option<&str>,
     ) -> Result<RemoteResponse, ServerError> {
-        let reply = self.call(&encode_infer(request, options, tenant))?;
-        parse_response(&reply)
+        let command = Command::Infer(request.clone(), options, tenant.map(str::to_string));
+        parse_response(&self.call(&command)?)
     }
 
     /// Submits an inference with idempotent retry under `policy`:
@@ -333,8 +376,7 @@ impl Client {
     ///
     /// Transport or protocol errors.
     pub fn health(&mut self) -> Result<HealthReport, ServerError> {
-        let reply = self.call("health")?;
-        parse_health(&reply)
+        parse_health(&self.call(&Command::Health)?)
     }
 
     /// Applies a graph delta to the default tenant, blocking for the ack
@@ -363,8 +405,8 @@ impl Client {
         delta: &GraphDelta,
         tenant: Option<&str>,
     ) -> Result<UpdateAck, ServerError> {
-        let reply = self.call(&encode_update(delta, tenant))?;
-        parse_update_ack(&reply)
+        let command = Command::Update(delta.clone(), tenant.map(str::to_string));
+        parse_update_ack(&self.call(&command)?)
     }
 
     /// Deploys a new tenant on the server; blocks for the ack describing
@@ -376,8 +418,7 @@ impl Client {
     /// [`ServerError::TenantBudget`], a protocol error for a bad spec),
     /// or transport/protocol errors.
     pub fn deploy(&mut self, spec: &TenantSpec) -> Result<TenantInfo, ServerError> {
-        let reply = self.call(&encode_deploy(spec))?;
-        parse_deploy_ack(&reply)
+        parse_deploy_ack(&self.call(&Command::Deploy(spec.clone()))?)
     }
 
     /// Retires a deployed tenant; returns the server's send-off line
@@ -388,7 +429,7 @@ impl Client {
     /// [`ServerError::UnknownTenant`] for unknown names, a protocol
     /// error for the irremovable default tenant, or transport errors.
     pub fn retire(&mut self, tenant: &str) -> Result<String, ServerError> {
-        let reply = self.call(&format!("retire {tenant}"))?;
+        let reply = self.call(&Command::Retire(tenant.to_string()))?;
         if reply.starts_with("ok retire ") {
             Ok(reply)
         } else {
@@ -403,8 +444,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on a malformed
     /// reply.
     pub fn list(&mut self) -> Result<Vec<TenantInfo>, ServerError> {
-        let reply = self.call("list")?;
-        parse_list_reply(&reply)
+        parse_list_reply(&self.call(&Command::List)?)
     }
 
     /// Liveness probe.
@@ -414,12 +454,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on a non-`pong`
     /// reply.
     pub fn ping(&mut self) -> Result<(), ServerError> {
-        let reply = self.roundtrip("ping")?;
-        if reply == "pong" {
-            Ok(())
-        } else {
-            Err(ServerError::Protocol(format!("expected pong, got {reply:?}")))
-        }
+        self.call_expecting(&Command::Ping, "pong")
     }
 
     /// Fetches the server's aggregate one-line telemetry summary.
@@ -440,32 +475,10 @@ impl Client {
     /// As [`Client::stats`], plus [`ServerError::UnknownTenant`] when no
     /// such tenant is deployed.
     pub fn stats_tenant(&mut self, tenant: Option<&str>) -> Result<String, ServerError> {
-        let reply = self.call(&encode_stats(tenant))?;
+        let reply = self.call(&Command::Stats(tenant.map(str::to_string)))?;
         reply.strip_prefix("ok stats ").map(str::to_string).ok_or_else(|| {
             ServerError::Protocol(format!("expected stats reply, got {reply:?}"))
         })
-    }
-
-    /// Sends a command whose reply is multi-line (`ok <verb> lines=N`
-    /// header + N body lines) and returns the body lines.
-    fn roundtrip_multi(&mut self, line: &str, verb: &str) -> Result<Vec<String>, ServerError> {
-        let header = self.call(line)?;
-        let count: usize = header
-            .strip_prefix(&format!("ok {verb} lines="))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| {
-                ServerError::Protocol(format!("expected ok {verb} lines=N, got {header:?}"))
-            })?;
-        let mut body = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Err(ServerError::Io("server closed mid-reply".into())),
-                Ok(_) => body.push(line.trim_end().to_string()),
-                Err(e) => return Err(Self::transport_error(&e, self.timeouts.read)),
-            }
-        }
-        Ok(body)
     }
 
     /// Fetches the Prometheus-style metrics exposition (one string,
@@ -476,7 +489,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on a malformed
     /// reply.
     pub fn metrics(&mut self) -> Result<String, ServerError> {
-        Ok(self.roundtrip_multi("metrics", "metrics")?.join("\n"))
+        Ok(self.call_lines(&Command::Metrics, "metrics")?.join("\n"))
     }
 
     /// Fetches the most recent `n` trace records (one
@@ -486,7 +499,7 @@ impl Client {
     ///
     /// As [`Client::metrics`].
     pub fn trace_last(&mut self, n: usize) -> Result<Vec<String>, ServerError> {
-        self.roundtrip_multi(&format!("trace last={n}"), "trace")
+        self.call_lines(&Command::Trace(TraceQuery::Last(n)), "trace")
     }
 
     /// Looks one trace up by id (the `trace_id` an infer reply carried).
@@ -496,7 +509,7 @@ impl Client {
     ///
     /// As [`Client::metrics`].
     pub fn trace_id(&mut self, id: u64) -> Result<Option<String>, ServerError> {
-        Ok(self.roundtrip_multi(&format!("trace id={id:016x}"), "trace")?.pop())
+        Ok(self.call_lines(&Command::Trace(TraceQuery::Id(id)), "trace")?.pop())
     }
 
     /// Fetches the retained slow/shed/failed trace exemplars.
@@ -505,7 +518,7 @@ impl Client {
     ///
     /// As [`Client::metrics`].
     pub fn trace_slow(&mut self) -> Result<Vec<String>, ServerError> {
-        self.roundtrip_multi("trace slow", "trace")
+        self.call_lines(&Command::Trace(TraceQuery::Slow), "trace")
     }
 
     /// Exports everything the flight recorder holds as one line of
@@ -515,7 +528,7 @@ impl Client {
     ///
     /// As [`Client::metrics`].
     pub fn trace_export(&mut self) -> Result<String, ServerError> {
-        let mut lines = self.roundtrip_multi("trace export", "trace")?;
+        let mut lines = self.call_lines(&Command::Trace(TraceQuery::Export), "trace")?;
         lines
             .pop()
             .ok_or_else(|| ServerError::Protocol("trace export returned an empty reply".into()))
@@ -528,12 +541,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on an unexpected
     /// reply.
     pub fn shutdown(&mut self) -> Result<(), ServerError> {
-        let reply = self.roundtrip("shutdown")?;
-        if reply == "ok bye" {
-            Ok(())
-        } else {
-            Err(ServerError::Protocol(format!("expected ok bye, got {reply:?}")))
-        }
+        self.call_expecting(&Command::Shutdown, "ok bye")
     }
 }
 

@@ -120,12 +120,6 @@ impl fmt::Display for ServerError {
 
 impl Error for ServerError {}
 
-/// The client-side face of the serving errors. [`crate::Client`]
-/// surfaces the same typed enum the server replies with — plus the
-/// purely client-side [`ServerError::Timeout`] — so this alias names
-/// the contract without forking the type.
-pub type ClientError = ServerError;
-
 impl From<EngineError> for ServerError {
     fn from(e: EngineError) -> Self {
         ServerError::Engine(e)

@@ -132,7 +132,7 @@ pub use client::{
     run_closed_loop, Client, ClientTimeouts, LoadConfig, LoadReport, RetryPolicy,
 };
 pub use config::{ClassPolicy, ServerConfig};
-pub use error::{ClientError, ServerError};
+pub use error::ServerError;
 pub use fault::{CircuitBreaker, EngineFault, FaultInjector, FaultPlan, SocketFault};
 pub use observe::{
     chrome_trace_json, MetricKind, MetricsRegistry, Recorder, Span, TraceOutcome, TraceQuery,

@@ -8,6 +8,13 @@
 //! replies: their `ok … lines=N` header says exactly how many body
 //! lines follow, so clients always know when a reply ends.
 //!
+//! [`Command`] is the verb table. [`parse_command`] reads a request line
+//! into one and its `Display` writes it back as the line that parses to
+//! it; the client, the workload traces and the fuzz corpus make their
+//! request lines through it. Replies are `key=value` words read by one
+//! field reader, which refuses a missing, repeated, malformed or unknown
+//! field.
+//!
 //! # Grammar
 //!
 //! ```text
@@ -58,8 +65,7 @@
 //!               SP "preds=" int ("," int)*
 //!               SP "logits=" row (";" row)*     row = hex64 ("," hex64)*
 //! kind      = "overloaded" | "deadline" | "shutting_down" | "canceled"
-//!           | "worker_crashed" | "timeout"
-//!           | "bad_request" | "engine" | "protocol" | "io"
+//!           | "worker_crashed" | "timeout" | "engine" | "protocol" | "io"
 //!           | "unknown_tenant" | "tenant_exists" | "tenant_budget"
 //! ```
 //!
@@ -70,6 +76,7 @@
 //! is bit-identical to an in-process [`blockgnn_engine::GraphDelta`].
 
 use crate::error::ServerError;
+use crate::observe::TraceQuery;
 use crate::queue::{SloClass, SubmitOptions};
 use crate::telemetry::ServerStats;
 use crate::tenant::{
@@ -78,12 +85,16 @@ use crate::tenant::{
 };
 use blockgnn_engine::{GraphDelta, InferRequest, InferResponse};
 use blockgnn_linalg::Matrix;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// A parsed client command. The `Option<String>` on `Infer`/`Update`/
 /// `Stats` is the `@tenant` qualifier; `None` addresses the `default`
 /// tenant.
+///
+/// `Display` is the one request encoder: it writes the line that
+/// [`parse_command`] reads back to this command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Run inference on the addressed tenant.
@@ -104,13 +115,38 @@ pub enum Command {
     Metrics,
     /// Query the flight recorder (recent / by-id / slow exemplars /
     /// Chrome trace-event export).
-    Trace(crate::observe::TraceQuery),
+    Trace(TraceQuery),
     /// One-line worker-pool health: alive count, crash/restart totals,
     /// and whether the supervision circuit breaker marks the pool
     /// degraded.
     Health,
     /// Stop the server cleanly.
     Shutdown,
+}
+
+impl fmt::Display for Command {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Command::Infer(request, options, tenant) => {
+                f.write_str(&encode_infer(request, *options, tenant.as_deref()))
+            }
+            Command::Update(delta, tenant) => {
+                f.write_str(&encode_update(delta, tenant.as_deref()))
+            }
+            Command::Deploy(spec) => f.write_str(&encode_deploy(spec)),
+            Command::Stats(tenant) => f.write_str(&qualified("stats", tenant.as_deref())),
+            Command::Retire(tenant) => write!(f, "retire {tenant}"),
+            Command::Trace(TraceQuery::Last(n)) => write!(f, "trace last={n}"),
+            Command::Trace(TraceQuery::Id(id)) => write!(f, "trace id={id:016x}"),
+            Command::Trace(TraceQuery::Slow) => f.write_str("trace slow"),
+            Command::Trace(TraceQuery::Export) => f.write_str("trace export"),
+            Command::Ping => f.write_str("ping"),
+            Command::List => f.write_str("list"),
+            Command::Metrics => f.write_str("metrics"),
+            Command::Health => f.write_str("health"),
+            Command::Shutdown => f.write_str("shutdown"),
+        }
+    }
 }
 
 /// Parses one request line.
@@ -148,7 +184,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         "list" => Command::List,
         "metrics" => Command::Metrics,
         "health" => Command::Health,
-        "trace" => parse_trace(&mut words)?,
+        "trace" => Command::Trace(parse_trace_query(words.next())?),
         "retire" => {
             let name = words.next().ok_or("retire needs a tenant name")?;
             validate_tenant_name(name)?;
@@ -175,9 +211,14 @@ fn end_of_command<'a>(
 /// Default record count for a bare `trace` command.
 const TRACE_DEFAULT_LAST: usize = 16;
 
-fn parse_trace<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<Command, String> {
-    use crate::observe::TraceQuery;
-    let query = match words.next() {
+/// Parses the `trace` verb's query word: `last=N`, `id=HEX`, `slow` or
+/// `export`; none asks for the most recent 16 records.
+///
+/// # Errors
+///
+/// A human-readable message for any other word.
+pub fn parse_trace_query(word: Option<&str>) -> Result<TraceQuery, String> {
+    Ok(match word {
         None => TraceQuery::Last(TRACE_DEFAULT_LAST),
         Some("slow") => TraceQuery::Slow,
         Some("export") => TraceQuery::Export,
@@ -196,8 +237,7 @@ fn parse_trace<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<Command,
                 ));
             }
         }
-    };
-    Ok(Command::Trace(query))
+    })
 }
 
 fn parse_infer<'a>(
@@ -300,7 +340,13 @@ fn parse_deploy<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<Command
     Ok(Command::Deploy(spec))
 }
 
-fn parse_pairs(csv: &str) -> Result<Vec<(usize, usize)>, String> {
+/// Parses an `add=`/`del=` edge list: `U:V` pairs, comma-separated (the
+/// client binary's `--add`/`--del` flags take the same spelling).
+///
+/// # Errors
+///
+/// A human-readable message naming the first malformed pair.
+pub fn parse_pairs(csv: &str) -> Result<Vec<(usize, usize)>, String> {
     csv.split(',')
         .filter(|p| !p.is_empty())
         .map(|p| {
@@ -333,11 +379,11 @@ fn parse_f64_row(csv: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// Pushes a command verb with an optional `@tenant` qualifier.
-fn push_verb(line: &mut String, verb: &str, tenant: Option<&str>) {
-    line.push_str(verb);
-    if let Some(name) = tenant {
-        let _ = write!(line, "@{name}");
+/// A verb with its optional `@tenant` qualifier.
+fn qualified(verb: &str, tenant: Option<&str>) -> String {
+    match tenant {
+        Some(name) => format!("{verb}@{name}"),
+        None => verb.to_string(),
     }
 }
 
@@ -347,8 +393,7 @@ fn push_verb(line: &mut String, verb: &str, tenant: Option<&str>) {
 /// the client built.
 #[must_use]
 pub fn encode_update(delta: &GraphDelta, tenant: Option<&str>) -> String {
-    let mut line = String::new();
-    push_verb(&mut line, "update", tenant);
+    let mut line = qualified("update", tenant);
     let push_pairs = |line: &mut String, key: &str, pairs: &[(usize, usize)]| {
         if pairs.is_empty() {
             return;
@@ -422,32 +467,13 @@ pub fn encode_update_ack(ack: &UpdateAck) -> String {
 ///
 /// [`ServerError::Protocol`] when the line does not match the grammar.
 pub fn parse_update_ack(line: &str) -> Result<UpdateAck, ServerError> {
-    let body = line.strip_prefix("ok update ").ok_or_else(|| {
-        ServerError::Protocol(format!("expected ok update reply, got {line:?}"))
-    })?;
-    let mut tenant = None;
-    let mut version = None;
-    let mut nodes = None;
-    let mut arcs = None;
-    for word in body.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
-        match key {
-            "tenant" => tenant = Some(value.to_string()),
-            "version" => version = Some(parse_u64(value)?),
-            "nodes" => nodes = Some(parse_usize(value)?),
-            "arcs" => arcs = Some(parse_usize(value)?),
-            other => {
-                return Err(ServerError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(UpdateAck {
-        tenant: tenant.ok_or_else(|| missing("tenant"))?,
-        version: version.ok_or_else(|| missing("version"))?,
-        num_nodes: nodes.ok_or_else(|| missing("nodes"))?,
-        num_arcs: arcs.ok_or_else(|| missing("arcs"))?,
+    Fields::read(line, "ok update ", |f| {
+        Ok(UpdateAck {
+            tenant: f.parse("tenant")?,
+            version: f.parse("version")?,
+            num_nodes: f.parse("nodes")?,
+            num_arcs: f.parse("arcs")?,
+        })
     })
 }
 
@@ -478,8 +504,7 @@ pub fn encode_infer(
     options: SubmitOptions,
     tenant: Option<&str>,
 ) -> String {
-    let mut line = String::new();
-    push_verb(&mut line, "infer", tenant);
+    let mut line = qualified("infer", tenant);
     line.push(' ');
     match request.mode {
         blockgnn_engine::RequestMode::FullGraph => {
@@ -499,17 +524,10 @@ pub fn encode_infer(
         let _ = write!(line, " class={}", options.class.name());
     }
     if let Some(d) = options.deadline {
-        let _ = write!(line, " deadline_ms={}", d.as_millis());
+        // Rounded up: the wire may loosen a deadline by under 1 ms, but
+        // never tighten it (a 900 µs deadline sent as 0 would always shed).
+        let _ = write!(line, " deadline_ms={}", d.as_nanos().div_ceil(1_000_000));
     }
-    line
-}
-
-/// Renders a `stats` request line (no newline), aggregate (`None`) or
-/// for one tenant.
-#[must_use]
-pub fn encode_stats(tenant: Option<&str>) -> String {
-    let mut line = String::new();
-    push_verb(&mut line, "stats", tenant);
     line
 }
 
@@ -568,49 +586,17 @@ pub fn encode_deploy_ack(info: &TenantInfo) -> String {
 ///
 /// [`ServerError::Protocol`] when the line does not match the grammar.
 pub fn parse_deploy_ack(line: &str) -> Result<TenantInfo, ServerError> {
-    let body = line.strip_prefix("ok deploy ").ok_or_else(|| {
-        ServerError::Protocol(format!("expected ok deploy reply, got {line:?}"))
-    })?;
-    let mut name = None;
-    let mut model = None;
-    let mut backend = None;
-    let mut version = None;
-    let mut nodes = None;
-    let mut weight = None;
-    let mut resident = None;
-    for word in body.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
-        match key {
-            "tenant" => name = Some(value.to_string()),
-            "model" => model = Some(parse_model_kind(value).map_err(ServerError::Protocol)?),
-            "backend" => {
-                backend = Some(parse_backend_kind(value).map_err(ServerError::Protocol)?);
-            }
-            "version" => version = Some(parse_u64(value)?),
-            "nodes" => nodes = Some(parse_usize(value)?),
-            "weight" => {
-                weight =
-                    Some(value.parse().map_err(|_| {
-                        ServerError::Protocol(format!("bad integer {value:?}"))
-                    })?);
-            }
-            "resident" => resident = Some(parse_usize(value)?),
-            other => {
-                return Err(ServerError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(TenantInfo {
-        name: name.ok_or_else(|| missing("tenant"))?,
-        model: model.ok_or_else(|| missing("model"))?,
-        backend: backend.ok_or_else(|| missing("backend"))?,
-        graph_version: version.ok_or_else(|| missing("version"))?,
-        num_nodes: nodes.ok_or_else(|| missing("nodes"))?,
-        weight: weight.ok_or_else(|| missing("weight"))?,
-        queue_depth: 0,
-        resident_bytes: resident.ok_or_else(|| missing("resident"))?,
+    Fields::read(line, "ok deploy ", |f| {
+        Ok(TenantInfo {
+            name: f.parse("tenant")?,
+            model: parse_model_kind(f.raw("model")?).map_err(ServerError::Protocol)?,
+            backend: parse_backend_kind(f.raw("backend")?).map_err(ServerError::Protocol)?,
+            graph_version: f.parse("version")?,
+            num_nodes: f.parse("nodes")?,
+            weight: f.parse("weight")?,
+            queue_depth: 0,
+            resident_bytes: f.parse("resident")?,
+        })
     })
 }
 
@@ -662,13 +648,11 @@ pub fn parse_tenant_info(segment: &str) -> Result<TenantInfo, ServerError> {
         name: name.to_string(),
         model: parse_model_kind(model).map_err(ServerError::Protocol)?,
         backend: parse_backend_kind(backend).map_err(ServerError::Protocol)?,
-        graph_version: parse_u64(version)?,
-        num_nodes: parse_usize(nodes)?,
-        weight: weight
-            .parse()
-            .map_err(|_| ServerError::Protocol(format!("bad integer {weight:?}")))?,
-        queue_depth: parse_usize(depth)?,
-        resident_bytes: parse_usize(resident)?,
+        graph_version: parse_value("version", version)?,
+        num_nodes: parse_value("nodes", nodes)?,
+        weight: parse_value("weight", weight)?,
+        queue_depth: parse_value("depth", depth)?,
+        resident_bytes: parse_value("resident", resident)?,
     })
 }
 
@@ -695,11 +679,11 @@ pub fn parse_list_reply(line: &str) -> Result<Vec<TenantInfo>, ServerError> {
         ServerError::Protocol(format!("expected ok list reply, got {line:?}"))
     })?;
     let mut words = body.split_whitespace();
-    let count_word = words.next().ok_or_else(|| missing("tenants"))?;
+    let count_word = words.next().unwrap_or_default();
     let count: usize = count_word
         .strip_prefix("tenants=")
         .ok_or_else(|| ServerError::Protocol(format!("expected tenants=…, got {count_word:?}")))
-        .and_then(parse_usize)?;
+        .and_then(|n| parse_value("tenants", n))?;
     let infos = words.map(parse_tenant_info).collect::<Result<Vec<_>, _>>()?;
     if infos.len() != count {
         return Err(ServerError::Protocol(format!(
@@ -788,12 +772,7 @@ pub fn encode_response(response: &InferResponse, tenant: &str) -> String {
         if i > 0 {
             line.push(';');
         }
-        for (j, v) in response.logits.row(i).iter().enumerate() {
-            if j > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{:016x}", v.to_bits());
-        }
+        push_hex_row(&mut line, response.logits.row(i));
     }
     line
 }
@@ -804,91 +783,37 @@ pub fn encode_response(response: &InferResponse, tenant: &str) -> String {
 ///
 /// [`ServerError::Protocol`] when the line does not match the grammar.
 pub fn parse_response(line: &str) -> Result<RemoteResponse, ServerError> {
-    let body = line
-        .strip_prefix("ok ")
-        .ok_or_else(|| ServerError::Protocol(format!("expected ok reply, got {line:?}")))?;
-    let mut rows = None;
-    let mut cols = None;
-    let mut queue_us = None;
-    let mut compute_us = None;
-    let mut from_cache = None;
-    let mut parts = None;
-    let mut batch = None;
-    let mut version = None;
-    let mut tenant = None;
-    let mut cycles = None;
-    let mut energy = None;
-    let mut trace_id = None;
-    let mut preds = None;
-    let mut logits_words = None;
-    for word in body.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
-        match key {
-            "rows" => rows = Some(parse_usize(value)?),
-            "cols" => cols = Some(parse_usize(value)?),
-            "queue_us" => queue_us = Some(parse_u64(value)?),
-            "compute_us" => compute_us = Some(parse_u64(value)?),
-            "from_cache" => from_cache = Some(value == "1"),
-            "parts" => parts = Some(parse_usize(value)?),
-            "batch" => batch = Some(parse_usize(value)?),
-            "version" => version = Some(parse_u64(value)?),
-            "tenant" => tenant = Some(value.to_string()),
-            "cycles" => cycles = Some(parse_u64(value)?),
-            "energy" => {
-                energy = Some(if value == "none" {
-                    None
-                } else {
-                    Some(f64::from_bits(parse_hex64(value)?))
-                });
-            }
-            "trace" => trace_id = Some(parse_hex64(value)?),
-            "preds" => {
-                preds = Some(
-                    value
-                        .split(',')
-                        .filter(|w| !w.is_empty())
-                        .map(parse_usize)
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
-            }
-            "logits" => logits_words = Some(value),
-            other => {
-                return Err(ServerError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    let rows = rows.ok_or_else(|| missing("rows"))?;
-    let cols = cols.ok_or_else(|| missing("cols"))?;
-    let logits_words = logits_words.ok_or_else(|| missing("logits"))?;
-    let mut data = Vec::with_capacity(rows * cols);
-    if !logits_words.is_empty() {
-        for row in logits_words.split(';') {
-            for word in row.split(',').filter(|w| !w.is_empty()) {
-                data.push(f64::from_bits(parse_hex64(word)?));
-            }
-        }
-    }
-    let logits = Matrix::from_flat(rows, cols, data)
-        .map_err(|e| ServerError::Protocol(format!("logits shape: {e}")))?;
-    let queue_time = Duration::from_micros(queue_us.ok_or_else(|| missing("queue_us"))?);
-    let compute_time = Duration::from_micros(compute_us.ok_or_else(|| missing("compute_us"))?);
-    Ok(RemoteResponse {
-        logits,
-        predictions: preds.ok_or_else(|| missing("preds"))?,
-        latency: queue_time + compute_time,
-        queue_time,
-        compute_time,
-        from_cache: from_cache.ok_or_else(|| missing("from_cache"))?,
-        parts: parts.ok_or_else(|| missing("parts"))?,
-        batch_size: batch.ok_or_else(|| missing("batch"))?,
-        graph_version: version.ok_or_else(|| missing("version"))?,
-        tenant: tenant.ok_or_else(|| missing("tenant"))?,
-        sim_cycles: cycles.ok_or_else(|| missing("cycles"))?,
-        energy_joules: energy.ok_or_else(|| missing("energy"))?,
-        // Absent on replies from pre-tracing servers — 0 means untraced.
-        trace_id: trace_id.unwrap_or(0),
+    Fields::read(line, "ok ", |f| {
+        let logits = f
+            .raw("logits")?
+            .split([';', ','])
+            .filter(|w| !w.is_empty())
+            .map(|w| parse_hex64(w).map(f64::from_bits))
+            .collect::<Result<_, _>>()?;
+        let logits = Matrix::from_flat(f.parse("rows")?, f.parse("cols")?, logits)
+            .map_err(|e| ServerError::Protocol(format!("logits shape: {e}")))?;
+        let queue_time = Duration::from_micros(f.parse("queue_us")?);
+        let compute_time = Duration::from_micros(f.parse("compute_us")?);
+        let preds = f.raw("preds")?.split(',').filter(|w| !w.is_empty());
+        Ok(RemoteResponse {
+            logits,
+            predictions: preds.map(|w| parse_value("preds", w)).collect::<Result<_, _>>()?,
+            latency: queue_time + compute_time,
+            queue_time,
+            compute_time,
+            from_cache: f.raw("from_cache")? == "1",
+            parts: f.parse("parts")?,
+            batch_size: f.parse("batch")?,
+            graph_version: f.parse("version")?,
+            tenant: f.parse("tenant")?,
+            sim_cycles: f.parse("cycles")?,
+            energy_joules: match f.raw("energy")? {
+                "none" => None,
+                bits => Some(f64::from_bits(parse_hex64(bits)?)),
+            },
+            // Absent on replies from pre-tracing servers — 0 means untraced.
+            trace_id: f.take("trace").map_or(Ok(0), parse_hex64)?,
+        })
     })
 }
 
@@ -925,56 +850,90 @@ pub fn encode_health(health: &HealthReport) -> String {
 ///
 /// [`ServerError::Protocol`] when the line does not match the grammar.
 pub fn parse_health(line: &str) -> Result<HealthReport, ServerError> {
-    let body = line.strip_prefix("ok health ").ok_or_else(|| {
-        ServerError::Protocol(format!("expected ok health reply, got {line:?}"))
-    })?;
-    let mut workers = None;
-    let mut alive = None;
-    let mut crashes = None;
-    let mut restarts = None;
-    let mut degraded = None;
-    for word in body.split_whitespace() {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
-        match key {
-            "workers" => workers = Some(parse_usize(value)?),
-            "alive" => alive = Some(parse_usize(value)?),
-            "crashes" => crashes = Some(parse_u64(value)?),
-            "restarts" => restarts = Some(parse_u64(value)?),
-            "degraded" => {
-                degraded = Some(match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(ServerError::Protocol(format!("bad degraded {other:?}")));
-                    }
-                });
-            }
-            other => {
-                return Err(ServerError::Protocol(format!("unknown field {other:?}")));
-            }
-        }
-    }
-    Ok(HealthReport {
-        workers: workers.ok_or_else(|| missing("workers"))?,
-        alive: alive.ok_or_else(|| missing("alive"))?,
-        crashes: crashes.ok_or_else(|| missing("crashes"))?,
-        restarts: restarts.ok_or_else(|| missing("restarts"))?,
-        degraded: degraded.ok_or_else(|| missing("degraded"))?,
+    Fields::read(line, "ok health ", |f| {
+        Ok(HealthReport {
+            workers: f.parse("workers")?,
+            alive: f.parse("alive")?,
+            crashes: f.parse("crashes")?,
+            restarts: f.parse("restarts")?,
+            degraded: f.parse("degraded")?,
+        })
     })
 }
 
-fn missing(field: &str) -> ServerError {
-    ServerError::Protocol(format!("reply missing {field}"))
+/// Frames a multi-line reply (`metrics`, `trace`): the `ok <verb>
+/// lines=N` header, then the N body lines, as one string.
+pub(crate) fn encode_lines<S: AsRef<str>>(verb: &str, body: &[S]) -> String {
+    let mut reply = format!("ok {verb} lines={}", body.len());
+    for line in body {
+        reply.push('\n');
+        reply.push_str(line.as_ref());
+    }
+    reply
 }
 
-fn parse_usize(v: &str) -> Result<usize, ServerError> {
-    v.parse().map_err(|_| ServerError::Protocol(format!("bad integer {v:?}")))
+/// Reads the header of an [`encode_lines`] reply: how many body lines
+/// follow it.
+pub(crate) fn parse_lines_header(line: &str, verb: &str) -> Result<usize, ServerError> {
+    Fields::read(line, &format!("ok {verb} "), |f| f.parse("lines"))
 }
 
-fn parse_u64(v: &str) -> Result<u64, ServerError> {
-    v.parse().map_err(|_| ServerError::Protocol(format!("bad integer {v:?}")))
+/// The reply field reader: the `key=value` words after a reply's fixed
+/// prefix, each read once by name. A missing, repeated, malformed or
+/// unknown field is a [`ServerError::Protocol`].
+pub(crate) struct Fields<'a> {
+    /// The fields nobody has read yet, in wire order.
+    unread: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `line` — which must start with `prefix` — through `build`,
+    /// then refuses any field `build` did not ask for.
+    pub(crate) fn read<T>(
+        line: &'a str,
+        prefix: &str,
+        build: impl FnOnce(&mut Self) -> Result<T, ServerError>,
+    ) -> Result<T, ServerError> {
+        let body = line.strip_prefix(prefix).ok_or_else(|| {
+            ServerError::Protocol(format!("expected {prefix:?}…, got {line:?}"))
+        })?;
+        let mut fields = Self { unread: Vec::new() };
+        for word in body.split_whitespace() {
+            let (key, value) = word
+                .split_once('=')
+                .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
+            if fields.unread.iter().any(|(k, _)| *k == key) {
+                return Err(ServerError::Protocol(format!("repeated field {key:?}")));
+            }
+            fields.unread.push((key, value));
+        }
+        let value = build(&mut fields)?;
+        match fields.unread.first() {
+            Some((key, _)) => Err(ServerError::Protocol(format!("unknown field {key:?}"))),
+            None => Ok(value),
+        }
+    }
+
+    /// The raw value of `key`, if the reply carries it.
+    fn take(&mut self, key: &str) -> Option<&'a str> {
+        let at = self.unread.iter().position(|(k, _)| *k == key)?;
+        Some(self.unread.remove(at).1)
+    }
+
+    /// The raw value of `key`, which the reply must carry.
+    fn raw(&mut self, key: &str) -> Result<&'a str, ServerError> {
+        self.take(key).ok_or_else(|| ServerError::Protocol(format!("reply missing {key}")))
+    }
+
+    /// The value of `key` as a `T`.
+    pub(crate) fn parse<T: FromStr>(&mut self, key: &str) -> Result<T, ServerError> {
+        parse_value(key, self.raw(key)?)
+    }
+}
+
+/// One reply value as a `T`; `key` names it in the error.
+fn parse_value<T: FromStr>(key: &str, value: &str) -> Result<T, ServerError> {
+    value.parse().map_err(|_| ServerError::Protocol(format!("bad {key} value {value:?}")))
 }
 
 fn parse_hex64(v: &str) -> Result<u64, ServerError> {
@@ -1008,6 +967,13 @@ pub fn encode_error(error: &ServerError) -> String {
         ServerError::TenantBudget { needed, budget } => {
             format!("err {kind} needed={needed} budget={budget}")
         }
+        // The kind word already says what failed, so these carry only
+        // the inner message: the client's rebuilt error then displays
+        // one prefix, not two.
+        ServerError::Engine(e) => format!("err {kind} {e}"),
+        ServerError::RemoteEngine(message)
+        | ServerError::Protocol(message)
+        | ServerError::Io(message) => format!("err {kind} {message}"),
         _ => format!("err {kind} {error}"),
     }
 }
@@ -1034,19 +1000,13 @@ pub fn parse_error(line: &str) -> Result<ServerError, ServerError> {
         "timeout" => ServerError::Timeout { waited: Duration::ZERO },
         "unknown_tenant" => ServerError::UnknownTenant { name: message.to_string() },
         "tenant_exists" => ServerError::TenantExists { name: message.to_string() },
-        "tenant_budget" => {
-            let mut needed = 0;
-            let mut budget = 0;
-            for word in message.split_whitespace() {
-                match word.split_once('=') {
-                    Some(("needed", v)) => needed = parse_usize(v)?,
-                    Some(("budget", v)) => budget = parse_usize(v)?,
-                    _ => {}
-                }
-            }
-            ServerError::TenantBudget { needed, budget }
-        }
-        "engine" | "bad_request" => ServerError::RemoteEngine(message.to_string()),
+        "tenant_budget" => Fields::read(message, "", |f| {
+            Ok(ServerError::TenantBudget {
+                needed: f.parse("needed")?,
+                budget: f.parse("budget")?,
+            })
+        })?,
+        "engine" => ServerError::RemoteEngine(message.to_string()),
         "protocol" => ServerError::Protocol(message.to_string()),
         "io" => ServerError::Io(message.to_string()),
         other => return Err(ServerError::Protocol(format!("unknown error kind {other:?}"))),
@@ -1056,8 +1016,9 @@ pub fn parse_error(line: &str) -> Result<ServerError, ServerError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockgnn_engine::{BackendKind, RequestMode};
+    use blockgnn_engine::{BackendKind, EngineError, RequestMode};
     use blockgnn_gnn::ModelKind;
+    use blockgnn_graph::generate::Rng64;
 
     #[test]
     fn infer_lines_round_trip() {
@@ -1128,7 +1089,7 @@ mod tests {
         }
         assert_eq!(parse_command("stats").unwrap(), Command::Stats(None));
         assert_eq!(
-            parse_command(&encode_stats(Some("t-1"))).unwrap(),
+            parse_command(&Command::Stats(Some("t-1".into())).to_string()).unwrap(),
             Command::Stats(Some("t-1".into()))
         );
         // The qualifier is only legal on infer/update/stats; names obey
@@ -1316,21 +1277,133 @@ mod tests {
         assert!(parse_update_ack("err engine nope").is_err());
     }
 
-    /// Fuzz-style robustness: valid update/infer/stats *and*
-    /// deploy/retire/list lines (with `@tenant` qualifiers and `class=`
-    /// clauses where the grammar allows them), their truncations, garbled
-    /// variants, and pure noise must all come back as `Ok`/`Err` — never
-    /// a panic — with a seeded RNG so any failure replays. (The
-    /// connection-level counterparts in `tests/server.rs` and
-    /// `tests/workloads.rs` prove rejected lines also never poison the
-    /// TCP session or the shared graph.)
+    /// One command of every variant with seeded random tenants, classes,
+    /// whole-ms deadlines, deltas, specs and trace queries: the corpus
+    /// the round-trip and fuzz tests draw their valid lines from.
+    fn corpus(rng: &mut Rng64) -> [Command; 11] {
+        let n = 50;
+        let tenants = [None, Some("t0"), Some("traffic-2"), Some("a.b_c")];
+        let tenant = |rng: &mut Rng64| tenants[rng.next_below(tenants.len())].map(String::from);
+        let mut delta = GraphDelta::new();
+        for _ in 0..rng.next_below(4) {
+            delta = delta.add_edge(rng.next_below(n), rng.next_below(n));
+        }
+        if rng.next_below(2) == 0 {
+            delta = delta.remove_edge(rng.next_below(n), rng.next_below(n));
+        }
+        if rng.next_below(2) == 0 {
+            let row: Vec<f64> = (0..rng.next_below(4)).map(|_| rng.next_normal()).collect();
+            delta = delta.set_feature_row(rng.next_below(n), row);
+        }
+        if rng.next_below(3) == 0 {
+            // An appended node has at least one feature: `new=` cannot
+            // spell an empty row.
+            delta = delta.append_node(vec![rng.next_normal(); rng.next_below(3) + 1]);
+        }
+        let nodes: Vec<usize> = (0..rng.next_below(3) + 1).map(|_| rng.next_below(n)).collect();
+        let request = match rng.next_below(3) {
+            0 => InferRequest::all_nodes(),
+            1 => InferRequest::full_graph(nodes),
+            _ => InferRequest::sampled(nodes, 4, 2, rng.next_u64()),
+        };
+        let options = SubmitOptions {
+            class: SloClass::ALL[rng.next_below(SloClass::ALL.len())],
+            deadline: (rng.next_below(2) == 0)
+                .then(|| Duration::from_millis(rng.next_below(500) as u64)),
+        };
+        let models = [ModelKind::Gcn, ModelKind::GsPool, ModelKind::Ggcn, ModelKind::Gat];
+        let backends = [BackendKind::Dense, BackendKind::Spectral, BackendKind::SimulatedAccel];
+        let mut spec = TenantSpec::new(
+            format!("fz{}", rng.next_below(8)),
+            ["cora-small", "pubmed-small"][rng.next_below(2)],
+            models[rng.next_below(models.len())],
+            backends[rng.next_below(backends.len())],
+        );
+        if rng.next_below(2) == 0 {
+            spec = spec.weight(rng.next_below(7) as u32 + 1).hidden_dim(rng.next_below(64) + 1);
+        }
+        if rng.next_below(3) == 0 {
+            spec = spec.max_queue_depth(rng.next_below(64) + 1).seed(rng.next_u64());
+            spec = spec.block_size(1 << rng.next_below(5));
+        }
+        let query = match rng.next_below(4) {
+            0 => TraceQuery::Last(rng.next_below(64)),
+            1 => TraceQuery::Id(rng.next_u64()),
+            2 => TraceQuery::Slow,
+            _ => TraceQuery::Export,
+        };
+        [
+            Command::Infer(request, options, tenant(rng)),
+            Command::Update(delta, tenant(rng)),
+            Command::Ping,
+            Command::Stats(tenant(rng)),
+            Command::Deploy(spec),
+            Command::Retire(format!("fz{}", rng.next_below(8))),
+            Command::List,
+            Command::Metrics,
+            Command::Trace(query),
+            Command::Health,
+            Command::Shutdown,
+        ]
+    }
+
+    #[test]
+    fn every_verb_round_trips_through_display() {
+        let mut rng = Rng64::new(0x7AB1E);
+        for _ in 0..500 {
+            for command in corpus(&mut rng) {
+                let line = command.to_string();
+                assert_eq!(parse_command(&line), Ok(command), "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn sub_millisecond_deadlines_never_tighten_on_the_wire() {
+        for micros in [900, 1_500, 1_000, 2_000_001] {
+            let sent = Duration::from_micros(micros);
+            let line =
+                encode_infer(&InferRequest::all_nodes(), SubmitOptions::deadline(sent), None);
+            let Ok(Command::Infer(_, options, _)) = parse_command(&line) else {
+                panic!("{line:?} does not parse")
+            };
+            let arrived = options.deadline.expect("the deadline crosses");
+            assert!(arrived >= sent, "{sent:?} arrived as {arrived:?}");
+            assert!(
+                arrived - sent < Duration::from_millis(1),
+                "{sent:?} arrived as {arrived:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_reply_reader_rejects_missing_repeated_and_unknown_fields() {
+        let read =
+            |line| Fields::read(line, "ok x ", |f| Ok((f.parse::<u8>("a")?, f.raw("b")?)));
+        assert_eq!(read("ok x a=1 b=two"), Ok((1, "two")));
+        assert_eq!(read("ok x b=two a=1"), Ok((1, "two")), "order is free");
+        for bad in [
+            "ok x a=1",
+            "ok x a=1 b=2 a=1",
+            "ok x a=1 b=2 c=3",
+            "ok x a=x b=2",
+            "ok x a=1 b",
+            "ok y a=1 b=2",
+        ] {
+            assert!(matches!(read(bad), Err(ServerError::Protocol(_))), "{bad:?}");
+        }
+    }
+
+    /// Fuzz-style robustness: every verb's valid lines (the seeded
+    /// [`corpus`], `@tenant` qualifiers and `class=` clauses included),
+    /// their truncations, garbled variants, and pure noise must all come
+    /// back as `Ok`/`Err` — never a panic — with a seeded RNG so any
+    /// failure replays. (The connection-level counterparts in
+    /// `tests/server.rs` and `tests/workloads.rs` prove rejected lines
+    /// also never poison the TCP session or the shared graph.)
     #[test]
     fn fuzzed_command_lines_never_panic() {
-        use blockgnn_graph::generate::Rng64;
         let mut rng = Rng64::new(0xF422_0B5E);
-        let tenants = [None, Some("t0"), Some("traffic-2"), Some("a.b_c")];
-        let models = [ModelKind::Gcn, ModelKind::GsPool, ModelKind::Gat];
-        let backends = [BackendKind::Dense, BackendKind::Spectral, BackendKind::SimulatedAccel];
         // Numbers that would size a terabyte allocation *parse* — they
         // are well-formed; refusing them is `validate_request`'s and
         // `TenantSpec::build_engine`'s job — and ride the same
@@ -1342,61 +1415,9 @@ mod tests {
             "deploy t=cora-small:gcn:dense hidden=1000000000000",
         ];
         for round in 0..600 {
-            let n = 50;
-            let mut delta = GraphDelta::new();
-            for _ in 0..rng.next_below(4) {
-                delta = delta.add_edge(rng.next_below(n), rng.next_below(n));
-            }
-            if rng.next_below(2) == 0 {
-                delta = delta.remove_edge(rng.next_below(n), rng.next_below(n));
-            }
-            if rng.next_below(2) == 0 {
-                let row: Vec<f64> = (0..rng.next_below(4)).map(|_| rng.next_normal()).collect();
-                delta = delta.set_feature_row(rng.next_below(n), row);
-            }
-            if rng.next_below(3) == 0 {
-                delta = delta.append_node(vec![rng.next_normal(); rng.next_below(3)]);
-            }
-            let tenant = tenants[rng.next_below(tenants.len())];
-            let options = SubmitOptions {
-                class: SloClass::ALL[rng.next_below(SloClass::ALL.len())],
-                deadline: (rng.next_below(2) == 0)
-                    .then(|| Duration::from_millis(rng.next_below(500) as u64)),
-            };
-            let mut spec = TenantSpec::new(
-                format!("fz{}", rng.next_below(8)),
-                "cora-small",
-                models[rng.next_below(models.len())],
-                backends[rng.next_below(backends.len())],
-            );
-            if rng.next_below(2) == 0 {
-                spec = spec.weight(rng.next_below(7) as u32 + 1);
-            }
-            if rng.next_below(3) == 0 {
-                spec = spec.max_queue_depth(rng.next_below(64) + 1).seed(rng.next_u64());
-            }
-            let lines = [
-                encode_update(&delta, tenant),
-                encode_infer(
-                    &InferRequest::sampled(vec![rng.next_below(n)], 4, 2, rng.next_u64()),
-                    options,
-                    tenant,
-                ),
-                encode_stats(tenant),
-                encode_deploy(&spec),
-                format!("retire fz{}", rng.next_below(8)),
-                "list".to_string(),
-                "metrics".to_string(),
-                "health".to_string(),
-                // Observability verbs: every valid trace query shape.
-                match rng.next_below(4) {
-                    0 => "trace".to_string(),
-                    1 => format!("trace last={}", rng.next_below(64)),
-                    2 => format!("trace id={:016x}", rng.next_u64()),
-                    _ => ["trace slow", "trace export"][rng.next_below(2)].to_string(),
-                },
-                hostile[round % hostile.len()].to_string(),
-            ];
+            let mut lines: Vec<String> =
+                corpus(&mut rng).iter().map(Command::to_string).collect();
+            lines.push(hostile[round % hostile.len()].to_string());
             for line in &lines {
                 parse_command(line).expect("well-formed encodings parse");
                 // Truncation at any byte (lines are ASCII).
@@ -1554,5 +1575,17 @@ mod tests {
             parse_error(&encode_error(&slow)).unwrap(),
             ServerError::Timeout { .. }
         ));
+        // The message-carrying kinds say their kind once: the wire has
+        // the kind word, the client-side `Display` one prefix.
+        let empty = format!("remote engine error: {}", EngineError::EmptyRequest);
+        for (sent, shown) in [
+            (ServerError::Protocol("line too long".into()), "protocol error: line too long"),
+            (ServerError::Io("reset".into()), "transport error: reset"),
+            (ServerError::RemoteEngine("bad node".into()), "remote engine error: bad node"),
+            (ServerError::Engine(EngineError::EmptyRequest), empty.as_str()),
+        ] {
+            assert_eq!(parse_error(&encode_error(&sent)).unwrap().to_string(), shown);
+        }
+        assert!(parse_error("err tenant_budget needed=10").is_err(), "missing budget");
     }
 }

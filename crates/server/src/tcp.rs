@@ -11,10 +11,10 @@
 use crate::error::ServerError;
 use crate::fault::SocketFault;
 use crate::protocol::{
-    encode_deploy_ack, encode_error, encode_health, encode_list_reply, encode_response,
-    encode_retire_ack, encode_update_ack, parse_command, Command,
+    encode_deploy_ack, encode_error, encode_health, encode_lines, encode_list_reply,
+    encode_response, encode_retire_ack, encode_update_ack, parse_command, Command,
 };
-use crate::server::{Server, ServerHandle};
+use crate::server::Server;
 use crate::telemetry::ServerStats;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -167,16 +167,6 @@ fn serve_connection(
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut partial = Vec::new();
-    // Resolves an `@tenant` qualifier to a submission handle; `None`
-    // addresses the default tenant. Resolution happens per command —
-    // the tenant may have been deployed (or retired) since the last
-    // line on this very connection.
-    let resolve = |tenant: Option<String>| -> Result<ServerHandle, ServerError> {
-        match tenant {
-            None => Ok(server.handle()),
-            Some(name) => server.handle_for(&name),
-        }
-    };
     loop {
         let line = match read_line_stoppable(&mut reader, &mut partial, stop) {
             Ok(Some(line)) => line,
@@ -196,74 +186,58 @@ fn serve_connection(
             SocketFault::Reset => return Ok(()),
             SocketFault::Stall(pause) => std::thread::sleep(pause),
         }
-        let reply = match parse_command(line.trim()) {
-            Ok(Command::Ping) => "pong".to_string(),
-            Ok(Command::Health) => encode_health(&server.health()),
-            Ok(Command::Stats(None)) => format!("ok stats {}", server.stats().summary()),
-            Ok(Command::Stats(Some(name))) => match server.tenant_stats(&name) {
-                Ok(stats) => format!("ok stats {}", stats.summary()),
-                Err(e) => encode_error(&e),
-            },
-            Ok(Command::Shutdown) => {
-                write_reply(&mut writer, "ok bye")?;
-                stop.store(true, Ordering::SeqCst);
-                return Ok(());
-            }
-            Ok(Command::Infer(request, options, tenant)) => match resolve(tenant) {
-                Ok(handle) => match handle.infer_with(request, options) {
-                    Ok(response) => encode_response(&response, handle.tenant_name()),
-                    Err(e) => encode_error(&e),
-                },
-                Err(e) => encode_error(&e),
-            },
-            // A rejected update answers with a typed error and the
-            // connection (and the addressed graph) carries on untouched.
-            // The ack's counts come from the exact epoch this delta
-            // published, so they stay consistent with its version even
-            // under concurrent updates.
-            Ok(Command::Update(delta, tenant)) => match resolve(tenant) {
-                Ok(handle) => match handle.update_acked(&delta) {
-                    Ok(ack) => encode_update_ack(&ack),
-                    Err(e) => encode_error(&e),
-                },
-                Err(e) => encode_error(&e),
-            },
-            Ok(Command::Deploy(spec)) => match server.deploy(&spec) {
-                Ok(handle) => encode_deploy_ack(&handle.info()),
-                Err(e) => encode_error(&e),
-            },
-            Ok(Command::Retire(name)) => match server.retire(&name) {
-                Ok(finals) => encode_retire_ack(&name, &finals),
-                Err(e) => encode_error(&e),
-            },
-            Ok(Command::List) => encode_list_reply(&server.tenants()),
-            // The observability verbs are the protocol's only multi-line
-            // replies: a `lines=N` header, then exactly N body lines —
-            // assembled as one string (the trailing write appends the
-            // final LF), so the reply hits the socket in one write.
-            Ok(Command::Metrics) => {
-                let body = server.metrics_text();
-                let lines = body.lines().count();
-                let mut reply = format!("ok metrics lines={lines}");
-                for line in body.lines() {
-                    reply.push('\n');
-                    reply.push_str(line);
-                }
-                reply
-            }
-            Ok(Command::Trace(query)) => {
-                let body = server.trace_lines(query);
-                let mut reply = format!("ok trace lines={}", body.len());
-                for line in &body {
-                    reply.push('\n');
-                    reply.push_str(line);
-                }
-                reply
-            }
-            Err(msg) => encode_error(&ServerError::Protocol(msg)),
-        };
-        write_reply(&mut writer, &reply)?;
+        let command = parse_command(line.trim()).map_err(ServerError::Protocol);
+        let shutdown = matches!(command, Ok(Command::Shutdown));
+        let reply = command.and_then(|command| answer(server, command));
+        write_reply(&mut writer, &reply.unwrap_or_else(|e| encode_error(&e)))?;
+        if shutdown {
+            stop.store(true, Ordering::SeqCst);
+            return Ok(());
+        }
     }
+}
+
+/// The reply to one command: every verb answers here, and every failure
+/// comes back as the [`ServerError`] the caller encodes. `Shutdown` is
+/// answered `ok bye`; stopping is the caller's part.
+fn answer(server: &Server, command: Command) -> Result<String, ServerError> {
+    // An `@tenant` qualifier resolves per command — the tenant may have
+    // been deployed (or retired) since the last line on this very
+    // connection; `None` addresses the default tenant.
+    let handle = |tenant: Option<String>| match tenant {
+        None => Ok(server.handle()),
+        Some(name) => server.handle_for(&name),
+    };
+    Ok(match command {
+        Command::Ping => "pong".to_string(),
+        Command::Health => encode_health(&server.health()),
+        Command::Stats(None) => format!("ok stats {}", server.stats().summary()),
+        Command::Stats(Some(name)) => {
+            format!("ok stats {}", server.tenant_stats(&name)?.summary())
+        }
+        Command::Shutdown => "ok bye".to_string(),
+        Command::Infer(request, options, tenant) => {
+            let handle = handle(tenant)?;
+            encode_response(&handle.infer_with(request, options)?, handle.tenant_name())
+        }
+        // A rejected update answers with a typed error and the connection
+        // (and the addressed graph) carries on untouched. The ack's counts
+        // come from the exact epoch this delta published, so they stay
+        // consistent with its version even under concurrent updates.
+        Command::Update(delta, tenant) => {
+            encode_update_ack(&handle(tenant)?.update_acked(&delta)?)
+        }
+        Command::Deploy(spec) => encode_deploy_ack(&server.deploy(&spec)?.info()),
+        Command::Retire(name) => encode_retire_ack(&name, &server.retire(&name)?),
+        Command::List => encode_list_reply(&server.tenants()),
+        // The observability verbs are the protocol's only multi-line
+        // replies, assembled as one string (the trailing write appends
+        // the final LF), so each hits the socket in one write.
+        Command::Metrics => {
+            encode_lines("metrics", &server.metrics_text().lines().collect::<Vec<_>>())
+        }
+        Command::Trace(query) => encode_lines("trace", &server.trace_lines(query)),
+    })
 }
 
 fn write_reply(writer: &mut TcpStream, reply: &str) -> std::io::Result<()> {

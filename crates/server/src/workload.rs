@@ -40,15 +40,15 @@
 //! at configurable rates.
 
 use crate::batcher::{BatchLimits, Batcher, Entry, Lane, Step};
+use crate::client::{Client, ClientTimeouts, RetryPolicy};
 use crate::config::ServerConfig;
-use crate::protocol::{encode_infer, encode_update, parse_command, Command};
+use crate::protocol::{encode_infer, encode_update, parse_command, Command, Fields};
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
 use crate::tenant::DEFAULT_TENANT;
 use blockgnn_engine::{Engine, GraphDelta, InferRequest, LatencyHistogram};
 use blockgnn_graph::generate::Rng64;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Open-loop arrival process shapes.
@@ -478,23 +478,11 @@ impl Trace {
     pub fn decode(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty trace")?;
-        let rest = header.strip_prefix("blockgnn-trace v1 ").ok_or("bad trace header")?;
-        let mut seed = None;
-        let mut clients = None;
-        let mut count = None;
-        for word in rest.split_whitespace() {
-            match word.split_once('=') {
-                Some(("seed", v)) => seed = v.parse().ok(),
-                Some(("clients", v)) => clients = v.parse().ok(),
-                Some(("events", v)) => count = v.parse().ok(),
-                _ => return Err(format!("bad header field {word:?}")),
-            }
-        }
-        let (seed, clients, count): (u64, u32, usize) = (
-            seed.ok_or("header missing seed")?,
-            clients.ok_or("header missing clients")?,
-            count.ok_or("header missing events")?,
-        );
+        let (seed, clients, count): (u64, u32, usize) =
+            Fields::read(header, "blockgnn-trace v1 ", |f| {
+                Ok((f.parse("seed")?, f.parse("clients")?, f.parse("events")?))
+            })
+            .map_err(|e| format!("bad trace header: {e}"))?;
         let mut events = Vec::with_capacity(count);
         for line in lines {
             if line.is_empty() {
@@ -837,61 +825,16 @@ impl TrafficReport {
     }
 }
 
-/// One raw client connection: line-oriented, but with byte-level write
-/// control so slow-loris and malformed traffic can cross as-is.
-struct RawConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl RawConn {
-    fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        Ok(Self { reader: BufReader::new(stream), writer })
-    }
-
-    fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
-    }
-
-    fn send_slow(&mut self, line: &str, chunks: usize, pause_us: u64) -> std::io::Result<()> {
-        let bytes = line.as_bytes();
-        let step = bytes.len().div_ceil(chunks.max(1)).max(1);
-        for chunk in bytes.chunks(step) {
-            self.writer.write_all(chunk)?;
-            self.writer.flush()?;
-            std::thread::sleep(Duration::from_micros(pause_us));
-        }
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
-    }
-
-    fn read_reply(&mut self) -> std::io::Result<String> {
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(reply.trim_end().to_string())
-    }
-}
-
-/// Replays a trace against a live TCP front end: one real connection per
-/// trace client, each sleeping to its events' times and classifying
-/// every reply. The server is expected to answer *every* line —
-/// adversarial ones with typed `err` replies on a connection that stays
-/// open.
+/// Replays a trace against a live TCP front end: one [`Client`]
+/// connection per trace client (no transport deadlines: an event waits
+/// as long as the server takes), each sleeping to its events' times and
+/// classifying every reply. The server is expected to answer *every*
+/// line — adversarial ones with typed `err` replies on a connection that
+/// stays open.
 ///
-/// Each event gets up to [`RetryPolicy::attempts`](crate::client::RetryPolicy)
-/// tries — the chaos lane's graceful-degradation recovery; a one-attempt
-/// policy is a plain replay. A dropped/reset connection (or a failed
+/// Each event gets up to [`RetryPolicy::attempts`] tries — the chaos
+/// lane's graceful-degradation recovery; a one-attempt policy is a plain
+/// replay. A dropped/reset connection (or a failed
 /// connect) redials and re-sends, a `err worker_crashed` reply
 /// re-submits on the intact connection, with the policy's jittered
 /// backoff between tries. Only *unrecovered* failures land in
@@ -908,11 +851,7 @@ impl RawConn {
 /// Panics only if a replay thread itself panics; connection failures
 /// are consumed by the retry budget.
 #[must_use]
-pub fn replay_tcp(
-    addr: SocketAddr,
-    trace: &Trace,
-    policy: &crate::client::RetryPolicy,
-) -> TrafficReport {
+pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> TrafficReport {
     let start = Instant::now();
     let reports = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..trace.clients)
@@ -921,7 +860,7 @@ pub fn replay_tcp(
                     trace.events.iter().filter(|e| e.client == c).collect();
                 scope.spawn(move || {
                     let mut report = TrafficReport::default();
-                    let mut conn: Option<RawConn> = None;
+                    let mut conn: Option<Client> = None;
                     for event in events {
                         let due = Duration::from_micros(event.at_us);
                         let elapsed = start.elapsed();
@@ -933,7 +872,7 @@ pub fn replay_tcp(
                         // retry re-sends byte-identical input. Slow-loris
                         // chunking only shapes the first try — retries
                         // are about delivery, not adversarial pacing.
-                        let (line, infer_class, slow) = match &event.op {
+                        let (line, infer_class, dribble) = match &event.op {
                             TraceOp::Infer { request, options, tenant } => (
                                 encode_infer(request, *options, tenant.as_deref()),
                                 Some(options.class),
@@ -943,15 +882,18 @@ pub fn replay_tcp(
                                 (encode_update(delta, tenant.as_deref()), None, None)
                             }
                             TraceOp::Malformed { line } => (line.clone(), None, None),
-                            TraceOp::SlowLoris { line, chunks, pause_us } => {
-                                (line.clone(), None, Some((*chunks, *pause_us)))
-                            }
+                            TraceOp::SlowLoris { line, chunks, pause_us } => (
+                                line.clone(),
+                                None,
+                                Some((*chunks, Duration::from_micros(*pause_us))),
+                            ),
                         };
                         let budget = policy.attempts.max(1);
                         let mut attempt = 0u32;
                         loop {
                             let sent_at = Instant::now();
-                            let step = drive_once(&mut conn, addr, &line, slow, attempt);
+                            let dribble = dribble.filter(|_| attempt == 0);
+                            let step = drive_once(&mut conn, addr, &line, dribble);
                             match step {
                                 Ok(reply)
                                     if reply.starts_with("err worker_crashed")
@@ -992,27 +934,20 @@ pub fn replay_tcp(
     merged
 }
 
-/// One attempt of [`replay_tcp`]: (re)connect if needed, send the
-/// line (slow-loris chunked only on the first try), read one reply. Any
-/// I/O failure collapses to `Err(())` — the caller's retry budget deals
-/// with it.
+/// One attempt of [`replay_tcp`]: (re)connect if needed, send the line
+/// (dribbled when asked), read one reply. Any transport failure
+/// collapses to `Err(())` — the caller's retry budget deals with it.
 fn drive_once(
-    conn: &mut Option<RawConn>,
+    conn: &mut Option<Client>,
     addr: SocketAddr,
     line: &str,
-    slow: Option<(usize, u64)>,
-    attempt: u32,
+    dribble: Option<(usize, Duration)>,
 ) -> Result<String, ()> {
     if conn.is_none() {
-        *conn = Some(RawConn::connect(addr).map_err(|_| ())?);
+        *conn = Some(Client::connect_with(addr, ClientTimeouts::none()).map_err(|_| ())?);
     }
-    let c = conn.as_mut().expect("connection just ensured");
-    let sent = match (slow, attempt) {
-        (Some((chunks, pause_us)), 0) => c.send_slow(line, chunks, pause_us),
-        _ => c.send_line(line),
-    };
-    sent.map_err(|_| ())?;
-    c.read_reply().map_err(|_| ())
+    let Some(client) = conn.as_mut() else { return Err(()) };
+    client.exchange(line, dribble).map_err(|_| ())
 }
 
 fn classify(

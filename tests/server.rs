@@ -655,14 +655,8 @@ fn malformed_updates_never_poison_the_connection_or_graph() {
         ("update add=1-2", "err protocol"),
         ("update add=0:1 bogus=3", "err protocol"),
         ("update feat=0:nothex", "err protocol"),
-        (
-            nan_row.as_str(),
-            "err protocol protocol error: non-finite feature word \"7ff8000000000000\"",
-        ),
-        (
-            inf_node.as_str(),
-            "err protocol protocol error: non-finite feature word \"7ff0000000000000\"",
-        ),
+        (nan_row.as_str(), "err protocol non-finite feature word \"7ff8000000000000\""),
+        (inf_node.as_str(), "err protocol non-finite feature word \"7ff0000000000000\""),
         ("update add=0:999999999", "err engine"), // out-of-range node
         // Self-loop (5,5): the SBM generator never emits self-loops, so
         // this removal is guaranteed to miss.
@@ -791,7 +785,7 @@ fn an_unterminated_line_is_refused_at_the_cap_while_others_keep_serving() {
     let mut reader = BufReader::new(hostile);
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("the flood is answered, not buffered forever");
-    assert_eq!(reply.trim_end(), "err protocol protocol error: line exceeds 1048576 bytes");
+    assert_eq!(reply.trim_end(), "err protocol line exceeds 1048576 bytes");
     let mut rest = Vec::new();
     let closed = reader.read_to_end(&mut rest);
     assert!(matches!(closed, Ok(0)), "the connection is closed after the refusal: {closed:?}");
