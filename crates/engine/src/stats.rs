@@ -129,16 +129,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> Duration {
         self.quantile(0.99)
     }
-
-    /// Non-empty buckets as `(bucket_floor, count)` pairs, for
-    /// machine-readable export.
-    pub fn iter_buckets(&self) -> impl Iterator<Item = (Duration, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Duration::from_micros(1u64 << i), c))
-    }
 }
 
 /// Counters a [`crate::Session`] accumulates across requests — the
@@ -365,7 +355,6 @@ mod tests {
         assert_eq!(h.p99(), Duration::from_millis(50));
         assert_eq!(h.max(), Some(Duration::from_millis(50)));
         assert_eq!(h.min(), Some(Duration::from_micros(100)));
-        assert!(h.iter_buckets().count() == 2);
     }
 
     #[test]

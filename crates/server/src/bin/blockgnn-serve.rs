@@ -160,7 +160,7 @@ fn main() -> ExitCode {
         match server.deploy(spec) {
             Ok(handle) => {
                 let info = handle.info();
-                eprintln!(
+                println!(
                     "deployed tenant {} · {} · {} backend · {} nodes · {} resident bytes",
                     info.name, info.model, info.backend, info.num_nodes, info.resident_bytes
                 );

@@ -17,7 +17,10 @@
 //!   each request alone.
 //! * **Telemetry** — [`ServerStats`]: latency histograms with
 //!   p50/p95/p99, the queue-time vs compute-time split, QPS, shed
-//!   counts, and the batch-size distribution.
+//!   counts, and the batch-size distribution. A request's fate is
+//!   recorded on one outcome path: its terminal [`TraceOutcome`] books
+//!   the aggregate counter and its class rollup together, and finishes
+//!   its trace record, in one call each.
 //! * **Streaming graph updates** — [`Server::apply_delta`] /
 //!   [`ServerHandle::update`] apply a [`GraphDelta`] to the served
 //!   graph atomically *between* micro-batches: in-flight batches finish
@@ -34,11 +37,12 @@
 //!   per-tenant lanes (stride scheduling, per-tenant depth caps); an
 //!   aggregate §IV-B/§IV-C residency accountant rejects over-budget
 //!   deploys with a typed [`ServerError::TenantBudget`]; and
-//!   [`ServerStats::tenants`] rolls up per-tenant QPS, latency
-//!   percentiles, sheds, and graph versions. The wire protocol grows
-//!   `deploy`/`retire`/`list` verbs and an optional `@tenant` qualifier
-//!   on `infer`/`update`/`stats` — absent means the `default` tenant,
-//!   so single-tenant clients work unchanged.
+//!   [`ServerStats::tenants`] holds each tenant's own snapshot (QPS,
+//!   latency percentiles, sheds, graph version, weight, queue depth).
+//!   The wire protocol grows `deploy`/`retire`/`list` verbs and an
+//!   optional `@tenant` qualifier on `infer`/`update`/`stats` — absent
+//!   means the `default` tenant, so single-tenant clients work
+//!   unchanged.
 //! * **SLO classes & adaptive batching** — every request carries an
 //!   [`SloClass`] (`gold`/`silver`/`bronze`, `class=` on the wire);
 //!   classes compose with the tenant lanes (lane weight = tenant weight
@@ -61,12 +65,13 @@
 //!   in per-worker fixed-size **flight recorder** rings
 //!   (overwrite-oldest, bounded memory), slow/shed/failed requests are
 //!   retained as per-class exemplars, and the whole recorder exports as
-//!   Chrome trace-event JSON ([`chrome_trace_json`]). A typed
-//!   [`MetricsRegistry`] renders the live telemetry as Prometheus text
-//!   exposition; the `metrics` and `trace` protocol verbs put both on
-//!   the wire. Tracing is on by default ([`ServerConfig::tracing`] is
-//!   the off switch); what it costs is the stack benchmark's
-//!   `trace.overhead_share` rung, not a number quoted here.
+//!   Chrome trace-event JSON ([`chrome_trace_json`]).
+//!   [`Server::metrics_text`] writes the live telemetry snapshots as
+//!   Prometheus text exposition, family by family; the `metrics` and
+//!   `trace` protocol verbs put both on the wire. Tracing is on by
+//!   default ([`ServerConfig::tracing`] is the off switch); what it
+//!   costs is the stack benchmark's `trace.overhead_share` rung, not a
+//!   number quoted here.
 //! * **Fault tolerance** — panic-isolated worker fault domains: a
 //!   panic mid-batch converts every in-flight request of that batch
 //!   into a typed [`ServerError::WorkerCrashed`] reply (the connection
@@ -135,14 +140,14 @@ pub use config::{ClassPolicy, ServerConfig};
 pub use error::ServerError;
 pub use fault::{CircuitBreaker, EngineFault, FaultInjector, FaultPlan, SocketFault};
 pub use observe::{
-    chrome_trace_json, MetricKind, MetricsRegistry, Recorder, Span, TraceOutcome, TraceQuery,
-    TraceRecord, EXEMPLAR_CAPACITY, RING_CAPACITY, SLOW_THRESHOLD,
+    chrome_trace_json, Recorder, Span, TraceOutcome, TraceQuery, TraceRecord,
+    EXEMPLAR_CAPACITY, RING_CAPACITY, SLOW_THRESHOLD,
 };
 pub use protocol::{HealthReport, RemoteResponse, UpdateAck};
 pub use queue::{SloClass, SubmitOptions};
 pub use server::{Server, ServerHandle, Ticket};
 pub use tcp::TcpServer;
-pub use telemetry::{ClassRollup, ServerStats, TenantRollup};
+pub use telemetry::{ClassRollup, ServerStats};
 pub use tenant::{TenantInfo, TenantSpec, DEFAULT_TENANT};
 // The delta type `update`/`Server::apply_delta` consume, re-exported so
 // serving callers need no direct engine/graph import.

@@ -26,12 +26,14 @@
 //!
 //! # Metrics
 //!
-//! [`MetricsRegistry`] is a small typed counter/gauge/summary registry
-//! rendered as Prometheus text exposition. The server populates it on
-//! demand from the same telemetry snapshots the `stats` verb reads
-//! (per-tenant, per-class, and aggregate), labelled by `tenant`,
-//! `class`, and `backend` — nothing is double-counted, and the metric
-//! names are stable (CI greps them).
+//! The Prometheus text exposition is written family by family, straight
+//! from the same telemetry snapshots the `stats` verb reads (aggregate,
+//! per-tenant, per-class): [`crate::Server::metrics_text`] walks its
+//! tables of families, and each family writes its `# HELP`/`# TYPE`
+//! header and samples through `write_family` (a counter when its name
+//! ends in `_total`, else a gauge) or `write_summary` (p50/p95/p99 plus
+//! `_count`). Labels are `tenant`, `class` and `backend`; nothing is
+//! double-counted, and the metric names are stable (CI greps them).
 
 use crate::fault::lock_recover;
 use crate::queue::SloClass;
@@ -246,13 +248,6 @@ impl Recorder {
         }
     }
 
-    /// Whether tracing is on (a disabled recorder assigns id 0 and
-    /// records nothing).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Assigns the next process-unique trace id (0 when disabled).
     pub fn assign(&self) -> u64 {
         if self.enabled {
@@ -274,30 +269,51 @@ impl Recorder {
         self.epoch.elapsed()
     }
 
-    /// Records a finished request into worker `worker`'s ring,
-    /// promoting it to the exemplar buffer when it is interesting: a
-    /// non-completed outcome, or `slow` (the caller compares the total
-    /// against the request's resolved deadline, falling back to
-    /// [`SLOW_THRESHOLD`] when it carries none). No-op when disabled.
-    pub fn record(&self, worker: usize, record: TraceRecord, slow: bool) {
-        if !self.enabled {
+    /// Records how one request left the pipeline: the admission span
+    /// `meta` carries, then `spans`, land in `worker`'s ring — or, for a
+    /// request that never reached a worker, straight in the exemplar
+    /// buffer. A ring record is also promoted to the exemplars when it is
+    /// interesting: a non-completed outcome, or `slow` (the caller
+    /// compares the total against the request's resolved deadline,
+    /// falling back to [`SLOW_THRESHOLD`] when it carries none). No-op
+    /// for an untraced request (id 0 — every request when disabled).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn finish(
+        &self,
+        worker: Option<usize>,
+        meta: &TraceMeta,
+        tenant: &str,
+        class: SloClass,
+        outcome: TraceOutcome,
+        batch_size: usize,
+        spans: &[Span],
+        slow: bool,
+    ) {
+        if meta.id == 0 {
             return;
         }
-        if record.outcome != TraceOutcome::Completed || slow {
+        let mut all = Vec::with_capacity(1 + spans.len());
+        all.push(Span {
+            stage: "admission",
+            start: meta.start,
+            end: meta.start + meta.admission,
+        });
+        all.extend_from_slice(spans);
+        let record = TraceRecord {
+            trace_id: meta.id,
+            tenant: tenant.to_string(),
+            class,
+            outcome,
+            batch_size,
+            spans: all,
+        };
+        let Some(worker) = worker else {
+            return self.promote(record);
+        };
+        if outcome != TraceOutcome::Completed || slow {
             self.promote(record.clone());
         }
-        let ring = &self.rings[worker % self.rings.len()];
-        lock_recover(ring).push(record);
-    }
-
-    /// Records a request shed before it reached any worker (overload at
-    /// admission) straight into the exemplar buffer. No-op when
-    /// disabled.
-    pub fn record_shed(&self, record: TraceRecord) {
-        if !self.enabled {
-            return;
-        }
-        self.promote(record);
+        lock_recover(&self.rings[worker % self.rings.len()]).push(record);
     }
 
     fn promote(&self, record: TraceRecord) {
@@ -419,161 +435,67 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     out
 }
 
-/// The exposition type of one metric family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// A monotonically increasing count.
-    Counter,
-    /// A point-in-time value.
-    Gauge,
-    /// A quantile summary (`{quantile="…"}` samples plus `_count`).
-    Summary,
-}
-
-impl MetricKind {
-    fn exposition_name(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Summary => "summary",
+/// Writes one Prometheus family: its `# HELP`/`# TYPE` header, then one
+/// line per `(labels, value)` sample (`labels` without braces, empty for
+/// none). A family whose name ends in `_total` is a counter, any other a
+/// gauge. A family with no samples writes nothing.
+pub(crate) fn write_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, f64)>,
+) {
+    let mut samples = samples.into_iter().peekable();
+    if samples.peek().is_some() {
+        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        for (labels, value) in samples {
+            write_sample(out, name, &labels, value);
         }
     }
 }
 
-/// One labelled sample of a metric family.
-#[derive(Debug, Clone)]
-struct Sample {
-    /// Rendered label set (`{a="x",b="y"}`), empty for unlabelled.
-    labels: String,
-    value: f64,
-}
-
-/// One named metric family: a kind, a help line, and its samples.
-#[derive(Debug, Clone)]
-struct Family {
-    kind: MetricKind,
-    help: &'static str,
-    samples: Vec<Sample>,
-}
-
-/// A typed counter/gauge/summary registry rendered as Prometheus text
-/// exposition. Families render in registration order; samples within a
-/// family in insertion order — both deterministic, so the exposition
-/// is stable and greppable.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    families: Vec<(String, Family)>,
-}
-
-/// Renders a label set as `{k="v",…}` (empty string for no labels).
-fn render_labels(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    out.push('}');
-    out
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn family(&mut self, name: &str, kind: MetricKind, help: &'static str) -> &mut Family {
-        if let Some(at) = self.families.iter().position(|(n, _)| n == name) {
-            let existing = &mut self.families[at].1;
-            debug_assert_eq!(existing.kind, kind, "metric {name} re-registered as {kind:?}");
-            existing
-        } else {
-            self.families.push((name.to_string(), Family { kind, help, samples: Vec::new() }));
-            &mut self.families.last_mut().expect("family just pushed").1
-        }
-    }
-
-    /// Adds a labelled counter sample.
-    pub fn counter(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        value: u64,
-    ) {
-        let labels = render_labels(labels);
-        self.family(name, MetricKind::Counter, help)
-            .samples
-            .push(Sample { labels, value: value as f64 });
-    }
-
-    /// Adds a labelled gauge sample.
-    pub fn gauge(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        value: f64,
-    ) {
-        let labels = render_labels(labels);
-        self.family(name, MetricKind::Gauge, help).samples.push(Sample { labels, value });
-    }
-
-    /// Adds a latency histogram as a quantile summary: `p50`/`p95`/`p99`
-    /// quantile samples in seconds plus a `_count` sample, all under the
-    /// given label set.
-    pub fn summary(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        histogram: &LatencyHistogram,
-    ) {
-        for (q, v) in
-            [("0.5", histogram.p50()), ("0.95", histogram.p95()), ("0.99", histogram.p99())]
-        {
-            let mut quantiled: Vec<(&str, &str)> = labels.to_vec();
-            quantiled.push(("quantile", q));
-            let labels = render_labels(&quantiled);
-            self.family(name, MetricKind::Summary, help)
-                .samples
-                .push(Sample { labels, value: v.as_secs_f64() });
-        }
-        // `_count` rides in the same family (summary convention), so it
-        // renders under the family's TYPE line without re-registering.
-        let labels = render_labels(labels);
-        let count = histogram.count();
-        self.family(name, MetricKind::Summary, help)
-            .samples
-            .push(Sample { labels: format!("__count__{labels}"), value: count as f64 });
-    }
-
-    /// Renders the registry as Prometheus text exposition (`# HELP` /
-    /// `# TYPE` headers, one sample per line, trailing newline).
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, family) in &self.families {
-            let _ = writeln!(out, "# HELP {name} {}", family.help);
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.exposition_name());
-            for sample in &family.samples {
-                if let Some(labels) = sample.labels.strip_prefix("__count__") {
-                    let _ = writeln!(out, "{name}_count{labels} {}", sample.value as u64);
-                } else if sample.value.fract() == 0.0 && sample.value.abs() < 1e15 {
-                    let _ = writeln!(out, "{name}{} {}", sample.labels, sample.value as i64);
-                } else {
-                    let _ = writeln!(out, "{name}{} {}", sample.labels, sample.value);
-                }
+/// Writes one latency family as a Prometheus summary: per sample, the
+/// p50/p95/p99 quantiles in seconds, then `_count`. A family with no
+/// samples writes nothing.
+pub(crate) fn write_summary<'a>(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, &'a LatencyHistogram)>,
+) {
+    let mut samples = samples.into_iter().peekable();
+    if samples.peek().is_some() {
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
+        for (labels, histogram) in samples {
+            let sep = if labels.is_empty() { "" } else { "," };
+            for (q, v) in
+                [("0.5", histogram.p50()), ("0.95", histogram.p95()), ("0.99", histogram.p99())]
+            {
+                write_sample(
+                    out,
+                    name,
+                    &format!("{labels}{sep}quantile=\"{q}\""),
+                    v.as_secs_f64(),
+                );
             }
+            write_sample(out, &format!("{name}_count"), &labels, histogram.count() as f64);
         }
-        out
     }
+}
+
+/// One sample line; whole values print without a fraction.
+fn write_sample(out: &mut String, name: &str, labels: &str, value: f64) {
+    let _ = if labels.is_empty() {
+        write!(out, "{name} ")
+    } else {
+        write!(out, "{name}{{{labels}}} ")
+    };
+    let _ = if value.fract() == 0.0 && value.abs() < 1e15 {
+        writeln!(out, "{}", value as i64)
+    } else {
+        writeln!(out, "{value}")
+    };
 }
 
 #[cfg(test)]
@@ -602,13 +524,49 @@ mod tests {
         }
     }
 
+    /// Finishes request `id` as `record(id, …)` would build it.
+    fn finish(
+        recorder: &Recorder,
+        worker: Option<usize>,
+        id: u64,
+        (class, outcome): (SloClass, TraceOutcome),
+        total_us: u64,
+        slow: bool,
+    ) {
+        let meta = TraceMeta {
+            id,
+            start: Duration::from_micros(10),
+            admission: Duration::from_micros(2),
+        };
+        let spans = &record(id, class, outcome, total_us).spans[1..];
+        recorder.finish(worker, &meta, "default", class, outcome, 1, spans, slow);
+    }
+
+    #[test]
+    fn finish_prepends_the_admission_span() {
+        let recorder = Recorder::new(1, true);
+        let id = recorder.assign();
+        finish(&recorder, Some(0), id, (SloClass::Gold, TraceOutcome::Completed), 40, false);
+        assert_eq!(
+            recorder.find(id),
+            Some(record(id, SloClass::Gold, TraceOutcome::Completed, 40))
+        );
+    }
+
     #[test]
     fn rings_bound_memory_and_overwrite_oldest() {
         let recorder = Recorder::new(1, true);
         for i in 0..(RING_CAPACITY as u64 + 50) {
             let id = recorder.assign();
             assert_eq!(id, i + 1, "ids are dense and start at 1");
-            recorder.record(0, record(id, SloClass::Silver, TraceOutcome::Completed, 5), false);
+            finish(
+                &recorder,
+                Some(0),
+                id,
+                (SloClass::Silver, TraceOutcome::Completed),
+                5,
+                false,
+            );
         }
         assert_eq!(recorder.recorded(), RING_CAPACITY, "overwrite-oldest caps the ring");
         let last = recorder.last(4);
@@ -627,16 +585,13 @@ mod tests {
         // is bounded per class.
         for _ in 0..(EXEMPLAR_CAPACITY + 10) {
             let id = recorder.assign();
-            recorder.record(
-                0,
-                record(id, SloClass::Gold, TraceOutcome::Completed, 500_000),
-                true,
-            );
+            let slow = (SloClass::Gold, TraceOutcome::Completed);
+            finish(&recorder, Some(0), id, slow, 500_000, true);
         }
         let failed = recorder.assign();
-        recorder.record(1, record(failed, SloClass::Bronze, TraceOutcome::Failed, 5), false);
+        finish(&recorder, Some(1), failed, (SloClass::Bronze, TraceOutcome::Failed), 5, false);
         let shed = recorder.assign();
-        recorder.record_shed(record(shed, SloClass::Bronze, TraceOutcome::ShedOverload, 2));
+        finish(&recorder, None, shed, (SloClass::Bronze, TraceOutcome::ShedOverload), 2, false);
         let counts = recorder.exemplar_counts();
         assert_eq!(counts[&SloClass::Gold], EXEMPLAR_CAPACITY, "per-class bound");
         assert_eq!(counts[&SloClass::Bronze], 2, "failed + shed both promote");
@@ -647,9 +602,10 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let recorder = Recorder::new(2, false);
-        assert_eq!(recorder.assign(), 0, "disabled tracing assigns id 0");
-        recorder.record(0, record(1, SloClass::Gold, TraceOutcome::Failed, 9), false);
-        recorder.record_shed(record(2, SloClass::Gold, TraceOutcome::ShedOverload, 9));
+        let id = recorder.assign();
+        assert_eq!(id, 0, "disabled tracing assigns id 0");
+        finish(&recorder, Some(0), id, (SloClass::Gold, TraceOutcome::Failed), 9, false);
+        finish(&recorder, None, id, (SloClass::Gold, TraceOutcome::ShedOverload), 9, false);
         assert_eq!(recorder.recorded(), 0);
         assert!(recorder.exemplars().is_empty());
         assert!(recorder.last(10).is_empty());
@@ -672,50 +628,5 @@ mod tests {
         for pair in r.spans.windows(2) {
             assert!(pair[0].start <= pair[1].start && pair[0].end <= pair[1].end);
         }
-    }
-
-    #[test]
-    fn registry_renders_stable_prometheus_text() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter(
-            "blockgnn_requests_submitted_total",
-            "Requests offered to the admission queue",
-            &[("tenant", "default"), ("backend", "dense")],
-            42,
-        );
-        reg.counter(
-            "blockgnn_requests_submitted_total",
-            "Requests offered to the admission queue",
-            &[("tenant", "traffic"), ("backend", "spectral")],
-            7,
-        );
-        reg.gauge("blockgnn_uptime_seconds", "Server uptime", &[], 1.5);
-        let mut hist = LatencyHistogram::default();
-        hist.record(Duration::from_micros(300));
-        hist.record(Duration::from_micros(900));
-        reg.summary("blockgnn_latency_seconds", "Served latency", &[("class", "gold")], &hist);
-        let text = reg.render();
-        assert!(text.contains("# TYPE blockgnn_requests_submitted_total counter"), "{text}");
-        assert!(
-            text.contains(
-                "blockgnn_requests_submitted_total{tenant=\"default\",backend=\"dense\"} 42"
-            ),
-            "{text}"
-        );
-        assert!(text.contains("# TYPE blockgnn_uptime_seconds gauge"), "{text}");
-        assert!(text.contains("blockgnn_uptime_seconds 1.5"), "{text}");
-        assert!(text.contains("# TYPE blockgnn_latency_seconds summary"), "{text}");
-        assert!(
-            text.contains("blockgnn_latency_seconds{class=\"gold\",quantile=\"0.5\"}"),
-            "{text}"
-        );
-        assert!(text.contains("blockgnn_latency_seconds_count{class=\"gold\"} 2"), "{text}");
-        // The exposition is deterministic.
-        let again = {
-            let mut reg = MetricsRegistry::new();
-            reg.gauge("blockgnn_uptime_seconds", "Server uptime", &[], 1.5);
-            reg.render()
-        };
-        assert_eq!(again, "# HELP blockgnn_uptime_seconds Server uptime\n# TYPE blockgnn_uptime_seconds gauge\nblockgnn_uptime_seconds 1.5\n");
     }
 }

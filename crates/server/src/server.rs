@@ -33,12 +33,12 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::fault::{lock_recover, CircuitBreaker, EngineFault, FaultInjector};
 use crate::observe::{
-    chrome_trace_json, MetricsRegistry, Recorder, Span, TraceMeta, TraceOutcome, TraceQuery,
-    TraceRecord, SLOW_THRESHOLD,
+    chrome_trace_json, write_family, write_summary, Recorder, Span, TraceMeta, TraceOutcome,
+    TraceQuery, TraceRecord, SLOW_THRESHOLD,
 };
 use crate::protocol::HealthReport;
 use crate::queue::{QueueItem, RequestQueue, SubmitOptions};
-use crate::telemetry::{ServerStats, Telemetry};
+use crate::telemetry::{ClassRollup, ServerStats};
 use crate::tenant::{Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT};
 use blockgnn_engine::{
     assemble_response, Engine, EngineError, GraphDelta, InferRequest, InferResponse,
@@ -133,13 +133,14 @@ impl PoolHealth {
         }
     }
 
-    /// Stamps the health identity fields onto an aggregate stats
-    /// snapshot.
-    fn stamp(&self, stats: &mut ServerStats, queue: &RequestQueue) {
+    /// Stamps the health identity fields onto a stats snapshot — the
+    /// aggregate or one tenant's: every tenant is served by the one pool.
+    fn stamp(&self, mut stats: ServerStats, queue: &RequestQueue) -> ServerStats {
         stats.workers_alive = self.alive.load(Ordering::Acquire);
         stats.worker_crashes = self.crashes.load(Ordering::Relaxed);
         stats.restarts = self.restarts.load(Ordering::Relaxed);
         stats.degraded = queue.is_degraded();
+        stats
     }
 }
 
@@ -155,6 +156,90 @@ fn restart_backoff(consecutive: u32) -> Duration {
     let doubled = RESTART_BACKOFF.saturating_mul(1u32 << consecutive.saturating_sub(1).min(16));
     doubled.min(RESTART_BACKOFF_MAX)
 }
+
+/// One metric family read straight from a snapshot: name, help, value.
+type Metric<T, V> = (&'static str, &'static str, fn(&T) -> V);
+
+/// The server-wide metric families, read from the aggregate snapshot.
+const GLOBAL_FAMILIES: &[Metric<ServerStats, f64>] = &[
+    ("blockgnn_uptime_seconds", "Seconds since the server started", |s| s.uptime.as_secs_f64()),
+    ("blockgnn_qps", "Completed requests per second of uptime", ServerStats::qps),
+    ("blockgnn_queue_depth", "Requests currently queued across all tenants", |s| {
+        s.queue_depth as f64
+    }),
+    (
+        "blockgnn_workers_alive",
+        "Workers currently serving (a crashed worker is down until its respawn \
+         backoff elapses)",
+        |s| s.workers_alive as f64,
+    ),
+    ("blockgnn_worker_crashes_total", "Worker panics caught at the batch boundary", |s| {
+        s.worker_crashes as f64
+    }),
+    (
+        "blockgnn_worker_restarts_total",
+        "Crashed-worker respawns (fresh engine fork after backoff)",
+        |s| s.restarts as f64,
+    ),
+    (
+        "blockgnn_pool_degraded",
+        "1 while the crash circuit breaker has the pool in brownout, else 0",
+        |s| f64::from(u8::from(s.degraded)),
+    ),
+];
+
+/// The per-tenant metric families, read from each tenant's snapshot: a
+/// `_total` family is labelled `{tenant,backend}`, any other `{tenant}`;
+/// a `None` value leaves the tenant out of the family.
+const TENANT_FAMILIES: &[Metric<ServerStats, Option<f64>>] = &[
+    (
+        "blockgnn_requests_submitted_total",
+        "Requests offered to the admission queue (including shed ones)",
+        |s| Some(s.submitted as f64),
+    ),
+    ("blockgnn_requests_completed_total", "Requests answered successfully", |s| {
+        Some(s.completed as f64)
+    }),
+    ("blockgnn_requests_failed_total", "Requests that failed in the engine", |s| {
+        Some(s.failed as f64)
+    }),
+    (
+        "blockgnn_requests_shed_total",
+        "Requests shed (admission overload + queued-deadline expiry)",
+        |s| Some(s.shed() as f64),
+    ),
+    ("blockgnn_batches_total", "Coalesced executions run", |s| Some(s.batches as f64)),
+    ("blockgnn_deduped_total", "Requests that shared an identical request's execution", |s| {
+        Some(s.deduped as f64)
+    }),
+    ("blockgnn_graph_updates_total", "Graph deltas applied", |s| Some(s.updates as f64)),
+    ("blockgnn_graph_version", "Graph version currently being served", |s| {
+        Some(s.graph_version as f64)
+    }),
+    ("blockgnn_tenant_queue_depth", "Requests currently queued in the tenant's lanes", |s| {
+        Some(s.queue_depth as f64)
+    }),
+    (
+        "blockgnn_partition_balance",
+        "Partition load-balance factor of the tenant's full-graph plan \
+         (max part work / mean part work; 1.0 is perfect)",
+        |s| (s.part_balance > 0.0).then_some(s.part_balance),
+    ),
+    (
+        "blockgnn_hot_rows_served_total",
+        "Stage rows served from the hot-vertex aggregation cache",
+        |s| Some(s.serve.hot_rows_served as f64),
+    ),
+];
+
+/// The per-class metric families, labelled `{tenant,class}`.
+const CLASS_FAMILIES: &[Metric<ClassRollup, f64>] = &[
+    ("blockgnn_class_requests_total", "Requests offered per SLO class", |c| c.submitted as f64),
+    ("blockgnn_class_completed_total", "Requests answered per SLO class", |c| {
+        c.completed as f64
+    }),
+    ("blockgnn_class_shed_total", "Requests shed per SLO class", |c| c.shed as f64),
+];
 
 /// A pending answer; blocks on [`Ticket::wait`].
 #[derive(Debug)]
@@ -256,7 +341,7 @@ impl Server {
                             let crashed = serve_batch(
                                 &mut engine,
                                 batch,
-                                &tenant.telemetry,
+                                &tenant,
                                 &recorder,
                                 i,
                                 &injector,
@@ -386,7 +471,7 @@ impl Server {
     ///
     /// [`ServerError::UnknownTenant`] when no such tenant is deployed.
     pub fn tenant_stats(&self, tenant: &str) -> Result<ServerStats, ServerError> {
-        Ok(self.registry.get(tenant)?.stats())
+        Ok(self.health.stamp(self.registry.get(tenant)?.stats(), &self.queue))
     }
 
     /// Sum of deployed tenants' §IV-B/§IV-C resident bytes — what the
@@ -440,14 +525,12 @@ impl Server {
     }
 
     /// Aggregate telemetry snapshot: every live tenant's counters (plus
-    /// retired tenants' final ones) summed, with a per-tenant
-    /// [`crate::TenantRollup`] under [`ServerStats::tenants`]. The
-    /// top-level `graph_version` mirrors the `default` tenant.
+    /// retired tenants' final ones) summed, with each live tenant's own
+    /// snapshot under [`ServerStats::tenants`]. The top-level
+    /// `graph_version` mirrors the `default` tenant.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.registry.global_stats(&self.queue);
-        self.health.stamp(&mut stats, &self.queue);
-        stats
+        self.health.stamp(self.registry.global_stats(&self.queue), &self.queue)
     }
 
     /// The worker pool's health: configured size, workers currently
@@ -484,184 +567,79 @@ impl Server {
     }
 
     /// Renders the full metrics exposition (Prometheus text format) from
-    /// the live telemetry: per-tenant counters labelled
-    /// `{tenant,backend}`, per-class counters and latency summaries
-    /// labelled `{tenant,class}`, aggregate summaries, and flight
-    /// recorder occupancy. Built on demand — nothing is double-counted
-    /// against the `stats` verb, which reads the same snapshots.
+    /// one aggregate snapshot, family by family: server-wide gauges and
+    /// counters, per-tenant counters labelled `{tenant,backend}` and
+    /// gauges labelled `{tenant}`, per-class counters and latency
+    /// summaries labelled `{tenant,class}`, aggregate summaries, and
+    /// flight recorder occupancy. Built on demand — nothing is
+    /// double-counted against the `stats` verb, which reads the same
+    /// snapshots.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        let mut reg = MetricsRegistry::new();
         let global = self.stats();
-        reg.gauge("blockgnn_uptime_seconds", "Seconds since the server started", &[], {
-            global.uptime.as_secs_f64()
-        });
-        reg.gauge("blockgnn_qps", "Completed requests per second of uptime", &[], global.qps());
-        reg.gauge(
-            "blockgnn_queue_depth",
-            "Requests currently queued across all tenants",
-            &[],
-            self.queue.depth() as f64,
-        );
-        reg.gauge(
-            "blockgnn_workers_alive",
-            "Workers currently serving (a crashed worker is down until its respawn backoff elapses)",
-            &[],
-            global.workers_alive as f64,
-        );
-        reg.counter(
-            "blockgnn_worker_crashes_total",
-            "Worker panics caught at the batch boundary",
-            &[],
-            global.worker_crashes,
-        );
-        reg.counter(
-            "blockgnn_worker_restarts_total",
-            "Crashed-worker respawns (fresh engine fork after backoff)",
-            &[],
-            global.restarts,
-        );
-        reg.gauge(
-            "blockgnn_pool_degraded",
-            "1 while the crash circuit breaker has the pool in brownout, else 0",
-            &[],
-            if global.degraded { 1.0 } else { 0.0 },
-        );
-        for (name, tenant) in self.registry.snapshot().iter() {
-            let stats = tenant.stats();
-            let backend = tenant.backend_kind.name();
-            let labels: [(&str, &str); 2] = [("tenant", name.as_str()), ("backend", backend)];
-            reg.counter(
-                "blockgnn_requests_submitted_total",
-                "Requests offered to the admission queue (including shed ones)",
-                &labels,
-                stats.submitted as u64,
-            );
-            reg.counter(
-                "blockgnn_requests_completed_total",
-                "Requests answered successfully",
-                &labels,
-                stats.completed as u64,
-            );
-            reg.counter(
-                "blockgnn_requests_failed_total",
-                "Requests that failed in the engine",
-                &labels,
-                stats.failed as u64,
-            );
-            reg.counter(
-                "blockgnn_requests_shed_total",
-                "Requests shed (admission overload + queued-deadline expiry)",
-                &labels,
-                stats.shed() as u64,
-            );
-            reg.counter(
-                "blockgnn_batches_total",
-                "Coalesced executions run",
-                &labels,
-                stats.batches as u64,
-            );
-            reg.counter(
-                "blockgnn_deduped_total",
-                "Requests that shared an identical request's execution",
-                &labels,
-                stats.deduped as u64,
-            );
-            reg.counter(
-                "blockgnn_graph_updates_total",
-                "Graph deltas applied",
-                &labels,
-                stats.updates as u64,
-            );
-            reg.gauge(
-                "blockgnn_graph_version",
-                "Graph version currently being served",
-                &[("tenant", name.as_str())],
-                stats.graph_version as f64,
-            );
-            reg.gauge(
-                "blockgnn_tenant_queue_depth",
-                "Requests currently queued in the tenant's lanes",
-                &[("tenant", name.as_str())],
-                self.queue.depth_of(tenant.id) as f64,
-            );
-            if stats.part_balance > 0.0 {
-                reg.gauge(
-                    "blockgnn_partition_balance",
-                    "Partition load-balance factor of the tenant's full-graph plan \
-                     (max part work / mean part work; 1.0 is perfect)",
-                    &[("tenant", name.as_str())],
-                    stats.part_balance,
-                );
-            }
-            reg.counter(
-                "blockgnn_hot_rows_served_total",
-                "Stage rows served from the hot-vertex aggregation cache",
-                &labels,
-                stats.serve.hot_rows_served as u64,
-            );
-            for (class, rollup) in &stats.classes {
-                let labels: [(&str, &str); 2] =
-                    [("tenant", name.as_str()), ("class", class.name())];
-                reg.counter(
-                    "blockgnn_class_requests_total",
-                    "Requests offered per SLO class",
-                    &labels,
-                    rollup.submitted as u64,
-                );
-                reg.counter(
-                    "blockgnn_class_completed_total",
-                    "Requests answered per SLO class",
-                    &labels,
-                    rollup.completed as u64,
-                );
-                reg.counter(
-                    "blockgnn_class_shed_total",
-                    "Requests shed per SLO class",
-                    &labels,
-                    rollup.shed as u64,
-                );
-                reg.summary(
-                    "blockgnn_class_latency_seconds",
-                    "End-to-end served latency per SLO class",
-                    &labels,
-                    &rollup.latency,
-                );
-            }
+        let registry = self.registry.snapshot();
+        // Each live tenant's snapshot beside its counter and gauge labels.
+        let tenants: Vec<_> = global
+            .tenants
+            .iter()
+            .filter_map(|(name, stats)| {
+                let backend = registry.get(name)?.backend_kind.name();
+                let gauge = format!("tenant=\"{name}\"");
+                Some((format!("{gauge},backend=\"{backend}\""), gauge, stats))
+            })
+            .collect();
+        let classes = || {
+            tenants.iter().flat_map(|(_, tenant, stats)| {
+                stats.classes.iter().map(move |(class, rollup)| {
+                    (format!("{tenant},class=\"{}\"", class.name()), rollup)
+                })
+            })
+        };
+        let mut out = String::new();
+        for (name, help, value) in GLOBAL_FAMILIES {
+            write_family(&mut out, name, help, [(String::new(), value(&global))]);
         }
-        reg.summary(
-            "blockgnn_latency_seconds",
-            "End-to-end served latency (queue + compute), all tenants",
-            &[],
-            &global.serve.latency_histogram,
-        );
-        reg.summary(
-            "blockgnn_queue_time_seconds",
-            "Time requests spent queued before execution",
-            &[],
-            &global.queue_time,
-        );
-        reg.summary(
-            "blockgnn_compute_time_seconds",
-            "Batch execution time requests rode on",
-            &[],
-            &global.compute_time,
-        );
-        reg.gauge(
-            "blockgnn_traces_recorded",
-            "Trace records currently held across the worker rings",
-            &[],
-            self.recorder.recorded() as f64,
-        );
-        for (class, count) in self.recorder.exemplar_counts() {
-            reg.gauge(
-                "blockgnn_trace_exemplars",
-                "Retained slow/shed/failed trace exemplars per SLO class",
-                &[("class", class.name())],
-                count as f64,
-            );
+        for (name, help, value) in TENANT_FAMILIES {
+            let samples = tenants.iter().filter_map(|(counter, gauge, stats)| {
+                let labels = if name.ends_with("_total") { counter } else { gauge };
+                Some((labels.clone(), value(stats)?))
+            });
+            write_family(&mut out, name, help, samples);
         }
-        reg.render()
+        for (name, help, value) in CLASS_FAMILIES {
+            write_family(&mut out, name, help, classes().map(|(l, rollup)| (l, value(rollup))));
+        }
+        let help = "End-to-end served latency per SLO class";
+        let samples = classes().map(|(labels, rollup)| (labels, &rollup.latency));
+        write_summary(&mut out, "blockgnn_class_latency_seconds", help, samples);
+        for (name, help, histogram) in [
+            (
+                "blockgnn_latency_seconds",
+                "End-to-end served latency (queue + compute), all tenants",
+                &global.serve.latency_histogram,
+            ),
+            (
+                "blockgnn_queue_time_seconds",
+                "Time requests spent queued before execution",
+                &global.queue_time,
+            ),
+            (
+                "blockgnn_compute_time_seconds",
+                "Batch execution time requests rode on",
+                &global.compute_time,
+            ),
+        ] {
+            write_summary(&mut out, name, help, [(String::new(), histogram)]);
+        }
+        let help = "Trace records currently held across the worker rings";
+        let recorded = self.recorder.recorded() as f64;
+        write_family(&mut out, "blockgnn_traces_recorded", help, [(String::new(), recorded)]);
+        let help = "Retained slow/shed/failed trace exemplars per SLO class";
+        let exemplars = self.recorder.exemplar_counts().into_iter();
+        let samples =
+            exemplars.map(|(class, n)| (format!("class=\"{}\"", class.name()), n as f64));
+        write_family(&mut out, "blockgnn_trace_exemplars", help, samples);
+        out
     }
 
     /// Answers a [`TraceQuery`] as wire lines (the `trace` verb's body):
@@ -780,7 +758,23 @@ impl ServerHandle {
         // tracing off the id is 0 and nothing else is touched.
         let trace_id = self.recorder.assign();
         let trace_start = if trace_id != 0 { self.recorder.now() } else { Duration::ZERO };
-        self.tenant.telemetry.record_submitted(options.class);
+        // The admission span closes when the request is refused or queued.
+        let admitted = || match trace_id {
+            0 => TraceMeta::UNTRACED,
+            id => TraceMeta {
+                id,
+                start: trace_start,
+                admission: self.recorder.now().saturating_sub(trace_start),
+            },
+        };
+        let class = options.class;
+        // A request refused at admission never reaches a worker, so its
+        // trace goes straight to the exemplars.
+        let refuse = |meta: &TraceMeta, outcome| {
+            self.tenant.telemetry.with(|s| s.book(class, outcome, 1));
+            self.recorder.finish(None, meta, &self.tenant.name, class, outcome, 0, &[], false);
+        };
+        self.tenant.telemetry.record_submitted(class);
         // Front-door validation with the engine's own validity rule, so
         // obviously bad requests fail at submission with a typed error
         // instead of occupying queue space (and the two paths cannot
@@ -789,72 +783,33 @@ impl ServerHandle {
         // the request's batch resolves (node counts only grow, so an
         // admitted request stays valid).
         if let Err(e) = blockgnn_engine::validate_request(&request, self.num_nodes()) {
-            self.tenant.telemetry.with(|s| {
-                s.failed += 1;
-                s.class_mut(options.class).failed += 1;
-            });
-            if trace_id != 0 {
-                self.recorder.record_shed(TraceRecord {
-                    trace_id,
-                    tenant: self.tenant.name.clone(),
-                    class: options.class,
-                    outcome: TraceOutcome::Failed,
-                    batch_size: 0,
-                    spans: vec![Span {
-                        stage: "admission",
-                        start: trace_start,
-                        end: self.recorder.now(),
-                    }],
-                });
-            }
+            refuse(&admitted(), TraceOutcome::Failed);
             return Err(ServerError::Engine(e));
         }
         // Deadline precedence: the request's own, else its class's
         // configured default, else the server-wide default.
         let deadline = options
             .deadline
-            .or_else(|| self.config.class_deadline(options.class))
+            .or_else(|| self.config.class_deadline(class))
             .map(|d| Instant::now() + d);
         let (tx, rx) = sync_channel(1);
-        let trace = if trace_id != 0 {
-            TraceMeta {
-                id: trace_id,
-                start: trace_start,
-                admission: self.recorder.now().saturating_sub(trace_start),
-            }
-        } else {
-            TraceMeta::UNTRACED
-        };
+        let trace = admitted();
         let nodes = request.nodes.len();
         let item = QueueItem {
             request,
             tenant: Arc::clone(&self.tenant),
-            class: options.class,
+            class,
             deadline,
             enqueued_at: Instant::now(),
             trace,
             responder: tx,
         };
         let entry = Entry { payload: item, nodes, deadline };
-        match self.queue.push(self.tenant.lane(options.class), entry) {
+        match self.queue.push(self.tenant.lane(class), entry) {
             Ok(()) => Ok(Ticket { rx }),
             Err(e) => {
                 if matches!(e, ServerError::Overloaded { .. }) {
-                    self.tenant.telemetry.record_shed_overload(options.class);
-                    if trace_id != 0 {
-                        self.recorder.record_shed(TraceRecord {
-                            trace_id,
-                            tenant: self.tenant.name.clone(),
-                            class: options.class,
-                            outcome: TraceOutcome::ShedOverload,
-                            batch_size: 0,
-                            spans: vec![Span {
-                                stage: "admission",
-                                start: trace.start,
-                                end: trace.start + trace.admission,
-                            }],
-                        });
-                    }
+                    refuse(&trace, TraceOutcome::ShedOverload);
                 }
                 Err(e)
             }
@@ -935,15 +890,13 @@ impl ServerHandle {
     /// [`ServerHandle::tenant_stats`]).
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.registry.global_stats(&self.queue);
-        self.health.stamp(&mut stats, &self.queue);
-        stats
+        self.health.stamp(self.registry.global_stats(&self.queue), &self.queue)
     }
 
     /// This tenant's private telemetry snapshot.
     #[must_use]
     pub fn tenant_stats(&self) -> ServerStats {
-        self.tenant.stats()
+        self.health.stamp(self.tenant.stats(), &self.queue)
     }
 
     /// A wire-friendly description of this handle's tenant (what the
@@ -988,9 +941,9 @@ impl std::fmt::Debug for ServerHandle {
 
 /// Executes one dequeued (single-tenant) batch: sheds expired requests,
 /// runs the rest as a coalesced execution, and delivers every answer.
-/// `telemetry` is the owning tenant's accumulator; finished trace
-/// records land in `recorder`'s ring for `worker` (this function is the
-/// ring's single writer).
+/// Every outcome is booked in `tenant`'s telemetry and finished in
+/// `recorder`'s ring for `worker` (this function is the ring's single
+/// writer).
 ///
 /// The engine execution (and only it) runs inside a `catch_unwind`
 /// fault domain: a panic there — the engine's own or one injected by
@@ -1004,7 +957,7 @@ impl std::fmt::Debug for ServerHandle {
 fn serve_batch(
     engine: &mut Engine,
     batch: Vec<QueueItem>,
-    telemetry: &Telemetry,
+    tenant: &Tenant,
     recorder: &Recorder,
     worker: usize,
     injector: &FaultInjector,
@@ -1014,41 +967,33 @@ fn serve_batch(
     // Batches never span classes, so the whole batch's per-class
     // accounting lands in one rollup.
     let class = batch[0].class;
-    let tracing = recorder.enabled();
-    let tenant_name = if tracing { batch[0].tenant.name.clone() } else { String::new() };
     // Offset of this batch's dequeue on the trace timeline: the end of
     // every member's `queued` span and the start of `assembly`.
     let exec_off = recorder.offset(exec_start);
+    let queued = |item: &QueueItem| Span {
+        stage: "queued",
+        start: recorder.offset(item.enqueued_at),
+        end: exec_off,
+    };
+    let finish = |meta: &TraceMeta, outcome, batch_size, spans: &[Span], slow| {
+        recorder.finish(
+            Some(worker),
+            meta,
+            &tenant.name,
+            class,
+            outcome,
+            batch_size,
+            spans,
+            slow,
+        );
+    };
     let (live, expired): (Vec<_>, Vec<_>) =
         batch.into_iter().partition(|item| !item.expired(exec_start));
     if !expired.is_empty() {
-        telemetry.with(|s| {
-            s.shed_deadline += expired.len();
-            s.class_mut(class).shed += expired.len();
-        });
+        tenant.telemetry.with(|s| s.book(class, TraceOutcome::ShedDeadline, expired.len()));
         for item in expired {
             let waited = exec_start.saturating_duration_since(item.enqueued_at);
-            if tracing && item.trace.id != 0 {
-                recorder.record(
-                    worker,
-                    TraceRecord {
-                        trace_id: item.trace.id,
-                        tenant: tenant_name.clone(),
-                        class,
-                        outcome: TraceOutcome::ShedDeadline,
-                        batch_size: 0,
-                        spans: vec![
-                            admission_span(&item.trace),
-                            Span {
-                                stage: "queued",
-                                start: recorder.offset(item.enqueued_at),
-                                end: exec_off,
-                            },
-                        ],
-                    },
-                    false,
-                );
-            }
+            finish(&item.trace, TraceOutcome::ShedDeadline, 0, &[queued(&item)], false);
             item.respond(Err(ServerError::DeadlineExceeded { waited }));
         }
     }
@@ -1060,160 +1005,100 @@ fn serve_batch(
     let assembly_off = recorder.offset(Instant::now());
     // The engine-stage injection point, compiled into the real path: a
     // drawn Panic unwinds exactly like an engine bug would, Latency
-    // stalls the execution, AllocFail turns the whole batch into typed
-    // engine errors without crossing the fault domain.
+    // stalls the execution, AllocFail refuses the whole batch without
+    // crossing the fault domain.
     let injected = injector.engine_fault();
-    if injected == EngineFault::AllocFail {
-        telemetry.with(|s| {
-            s.failed += live.len();
-            s.class_mut(class).failed += live.len();
-        });
-        for item in live {
-            item.respond(Err(ServerError::RemoteEngine(
-                "injected allocation failure at engine stage boundary".into(),
-            )));
-        }
-        return false;
-    }
     // Only the engine execution sits inside the unwind boundary; the
     // queue items stay outside it, so every in-flight request can still
     // be answered (typed) after a panic. `AssertUnwindSafe` is sound
     // here because a crashed replica is discarded, never reused — the
     // worker loop forks a replacement from the Arc-shared prepared
     // state.
-    let executed = catch_unwind(AssertUnwindSafe(|| {
-        match injected {
-            EngineFault::Panic => panic!("injected fault: engine stage panic"),
-            EngineFault::Latency(pause) => std::thread::sleep(pause),
-            EngineFault::None | EngineFault::AllocFail => {}
-        }
-        let coalesced = engine.infer_coalesced(&requests);
-        (coalesced.outcomes, coalesced.deduped, coalesced.stage_timings)
-    }));
-    let (outcomes, deduped, stage_timings) = match executed {
-        Ok(result) => result,
-        Err(_) => {
-            // The fault domain tripped: every in-flight request of this
-            // batch gets exactly one typed reply — never a dropped
-            // connection — and a `crashed` exemplar survives in the
-            // flight recorder.
-            let crash_off = recorder.offset(Instant::now());
-            on_crash();
-            telemetry.with(|s| {
-                s.failed += live.len();
-                s.class_mut(class).failed += live.len();
-            });
-            for item in live {
-                if tracing && item.trace.id != 0 {
-                    recorder.record(
-                        worker,
-                        TraceRecord {
-                            trace_id: item.trace.id,
-                            tenant: tenant_name.clone(),
-                            class,
-                            outcome: TraceOutcome::Crashed,
-                            batch_size: requests.len(),
-                            spans: vec![
-                                admission_span(&item.trace),
-                                Span {
-                                    stage: "queued",
-                                    start: recorder.offset(item.enqueued_at),
-                                    end: exec_off,
-                                },
-                                Span { stage: "execute", start: assembly_off, end: crash_off },
-                            ],
-                        },
-                        false,
-                    );
-                }
-                item.respond(Err(ServerError::WorkerCrashed));
+    let executed = (injected != EngineFault::AllocFail).then(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            match injected {
+                EngineFault::Panic => panic!("injected fault: engine stage panic"),
+                EngineFault::Latency(pause) => std::thread::sleep(pause),
+                EngineFault::None | EngineFault::AllocFail => {}
             }
-            return true;
+            let coalesced = engine.infer_coalesced(&requests);
+            (coalesced.outcomes, coalesced.deduped, coalesced.stage_timings)
+        }))
+    });
+    let (outcomes, deduped, stage_timings) = match executed {
+        Some(Ok(result)) => result,
+        refused => {
+            // An injected allocation failure (`None`) or a tripped fault
+            // domain: every in-flight request of this batch gets exactly
+            // one typed reply — never a dropped connection — and an
+            // exemplar in the flight recorder.
+            let execute = Span { stage: "execute", start: assembly_off, end: recorder.now() };
+            let crashed = refused.is_some();
+            let (outcome, error) = if crashed {
+                on_crash();
+                (TraceOutcome::Crashed, ServerError::WorkerCrashed)
+            } else {
+                let message = "injected allocation failure at engine stage boundary";
+                (TraceOutcome::Failed, ServerError::RemoteEngine(message.into()))
+            };
+            tenant.telemetry.with(|s| s.book(class, outcome, live.len()));
+            for item in live {
+                finish(
+                    &item.trace,
+                    outcome,
+                    requests.len(),
+                    &[queued(&item), execute.clone()],
+                    false,
+                );
+                item.respond(Err(error.clone()));
+            }
+            return crashed;
         }
     };
     let compute_end = Instant::now();
     let compute_time = exec_start.elapsed();
-    // Engine stage spans laid end-to-end from where assembly finished
-    // (stage timings are durations; the sequence reconstructs the
-    // timeline). A batch in which no stage ran (every member failed
-    // validation) becomes one `execute` span.
-    let stage_spans: Vec<Span> = if !tracing {
-        Vec::new()
-    } else if stage_timings.is_empty() {
-        vec![Span { stage: "execute", start: assembly_off, end: recorder.offset(compute_end) }]
-    } else {
-        let mut spans = Vec::with_capacity(stage_timings.len());
-        let mut cursor = assembly_off;
-        for timing in &stage_timings {
-            let end = cursor + timing.elapsed;
-            spans.push(Span { stage: timing.stage, start: cursor, end });
-            cursor = end;
-        }
-        spans
-    };
-    // Assemble every answer into worker-local accumulators first, so
+    // Assemble every answer into a worker-local accumulator first, so
     // the shared telemetry lock is taken once, briefly — response
     // assembly (argmax over logits) must not serialize the worker pool.
     // Counters fold BEFORE any answer is delivered: a caller that has
     // observed its response must also observe its completion in stats
     // (retire sendoffs and per-tenant rollups count on this).
     let batch_size = live.len();
-    let mut local = ServerStats::default();
+    let mut local = ServerStats { batches: 1, deduped, ..ServerStats::default() };
+    local.batch_size_counts.insert(batch_size, 1);
     let mut deliveries = Vec::with_capacity(batch_size);
-    // Trace context outlives delivery (`respond` consumes the item), so
-    // records are assembled after the answers are on the wire.
-    let mut traces: Vec<(TraceMeta, Instant, Option<Instant>, TraceOutcome)> = Vec::new();
     for (item, outcome) in live.into_iter().zip(outcomes) {
         let queue_time = exec_start.saturating_duration_since(item.enqueued_at);
-        match outcome {
+        let answer = match outcome {
             Ok(outcome) => {
                 local.queue_time.record(queue_time);
                 local.compute_time.record(compute_time);
-                local.completed += 1;
-                let rollup = local.class_mut(class);
-                rollup.completed += 1;
-                rollup.latency.record(queue_time + compute_time);
+                local.book(class, TraceOutcome::Completed, 1);
+                local.class_mut(class).latency.record(queue_time + compute_time);
                 let mut response =
                     assemble_response(outcome, queue_time, compute_time, &mut local.serve);
                 response.trace_id = item.trace.id;
-                if tracing && item.trace.id != 0 {
-                    traces.push((
-                        item.trace,
-                        item.enqueued_at,
-                        item.deadline,
-                        TraceOutcome::Completed,
-                    ));
-                }
-                deliveries.push((item, Ok(response)));
+                Ok(response)
             }
             Err(e) => {
-                local.failed += 1;
-                local.class_mut(class).failed += 1;
-                if tracing && item.trace.id != 0 {
-                    traces.push((
-                        item.trace,
-                        item.enqueued_at,
-                        item.deadline,
-                        TraceOutcome::Failed,
-                    ));
-                }
-                deliveries.push((item, Err(ServerError::Engine(e))));
+                local.book(class, TraceOutcome::Failed, 1);
+                Err(ServerError::Engine(e))
             }
-        }
+        };
+        deliveries.push((item, answer));
     }
-    telemetry.with(|stats| {
-        stats.batches += 1;
-        *stats.batch_size_counts.entry(batch_size).or_insert(0) += 1;
-        stats.deduped += deduped;
-        stats.completed += local.completed;
-        stats.failed += local.failed;
-        stats.serve.merge(&local.serve);
-        stats.queue_time.merge(&local.queue_time);
-        stats.compute_time.merge(&local.compute_time);
-        for (class, rollup) in &local.classes {
-            stats.class_mut(*class).merge(rollup);
-        }
-    });
+    tenant.telemetry.with(|stats| stats.absorb(&local));
+    // Trace context outlives delivery (`respond` consumes the item), so
+    // records are finished after the answers are on the wire.
+    let traces: Vec<_> = deliveries
+        .iter()
+        .filter(|(item, _)| item.trace.id != 0)
+        .map(|(item, answer)| {
+            let outcome =
+                if answer.is_ok() { TraceOutcome::Completed } else { TraceOutcome::Failed };
+            (item.trace, queued(item), item.deadline, outcome)
+        })
+        .collect();
     let write_start = Instant::now();
     for (item, answer) in deliveries {
         item.respond(answer);
@@ -1224,42 +1109,35 @@ fn serve_batch(
     // Ring writes happen strictly after every answer is delivered —
     // tracing never sits between a worker and a waiting caller.
     let write_end = Instant::now();
-    let write_span = Span {
-        stage: "response_write",
-        start: recorder.offset(write_start),
-        end: recorder.offset(write_end),
-    };
-    for (meta, enqueued_at, deadline, outcome) in traces {
-        let mut spans = Vec::with_capacity(3 + stage_spans.len() + 1);
-        spans.push(admission_span(&meta));
-        spans.push(Span {
-            stage: "queued",
-            start: recorder.offset(enqueued_at),
-            end: exec_off,
-        });
-        spans.push(Span { stage: "assembly", start: exec_off, end: assembly_off });
-        spans.extend(stage_spans.iter().cloned());
-        spans.push(write_span.clone());
-        let record = TraceRecord {
-            trace_id: meta.id,
-            tenant: tenant_name.clone(),
-            class,
-            outcome,
-            batch_size,
-            spans,
-        };
+    let write_off = recorder.offset(write_end);
+    // Members share every span after their own `queued` one (slot 0):
+    // assembly, the engine stages laid end-to-end from where assembly
+    // finished (stage timings are durations; the sequence reconstructs
+    // the timeline) — one `execute` span when no stage ran (every member
+    // failed validation) — and the response write.
+    let mut spans = vec![Span { stage: "queued", start: exec_off, end: exec_off }];
+    spans.push(Span { stage: "assembly", start: exec_off, end: assembly_off });
+    if stage_timings.is_empty() {
+        let end = recorder.offset(compute_end);
+        spans.push(Span { stage: "execute", start: assembly_off, end });
+    }
+    let mut cursor = assembly_off;
+    for timing in &stage_timings {
+        spans.push(Span { stage: timing.stage, start: cursor, end: cursor + timing.elapsed });
+        cursor += timing.elapsed;
+    }
+    let write =
+        Span { stage: "response_write", start: recorder.offset(write_start), end: write_off };
+    spans.push(write);
+    for (meta, queued, deadline, outcome) in traces {
+        spans[0] = queued;
         // Slow = missed its own deadline; with none, the fixed
         // threshold stands in.
         let slow = match deadline {
             Some(deadline) => write_end > deadline,
-            None => record.total() > SLOW_THRESHOLD,
+            None => write_off.saturating_sub(meta.start) > SLOW_THRESHOLD,
         };
-        recorder.record(worker, record, slow);
+        finish(&meta, outcome, batch_size, &spans, slow);
     }
     false
-}
-
-/// The admission span a [`TraceMeta`] carries through the queue.
-fn admission_span(meta: &TraceMeta) -> Span {
-    Span { stage: "admission", start: meta.start, end: meta.start + meta.admission }
 }

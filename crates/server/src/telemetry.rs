@@ -3,6 +3,7 @@
 //! snapshotted as [`ServerStats`].
 
 use crate::fault::lock_recover;
+use crate::observe::TraceOutcome;
 use crate::queue::SloClass;
 use blockgnn_engine::{LatencyHistogram, ServeStats};
 use std::collections::BTreeMap;
@@ -70,10 +71,17 @@ pub struct ServerStats {
     /// `0.0` when the tenant's engine has one worker. Aggregate
     /// snapshots report the worst (largest) factor across tenants.
     pub part_balance: f64,
-    /// Per-tenant rollups, keyed by tenant name — populated only on
-    /// aggregate snapshots of a multi-tenant server ([`crate::Server::stats`]);
-    /// empty on per-tenant snapshots and single-telemetry accumulators.
-    pub tenants: BTreeMap<String, TenantRollup>,
+    /// The tenant's weighted-fair share of the admission queue — an
+    /// identity field set on the per-tenant snapshots under
+    /// [`ServerStats::tenants`].
+    pub weight: u32,
+    /// Requests currently queued — the tenant's lanes on the snapshots
+    /// under [`ServerStats::tenants`], every lane on the aggregate.
+    pub queue_depth: usize,
+    /// Each live tenant's own snapshot, keyed by tenant name — populated
+    /// only on aggregate snapshots ([`crate::Server::stats`]); empty on
+    /// per-tenant snapshots and single-telemetry accumulators.
+    pub tenants: BTreeMap<String, ServerStats>,
     /// Per-SLO-class rollups (submission/completion/shed counters and a
     /// full latency histogram each), keyed by class. A class appears
     /// once it has seen traffic.
@@ -143,61 +151,6 @@ impl ClassRollup {
     }
 }
 
-/// One tenant's slice of an aggregate [`ServerStats`] snapshot: the
-/// counters fairness and isolation arguments are made from.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TenantRollup {
-    /// The tenant's weighted-fair share of the admission queue.
-    pub weight: u32,
-    /// Requests offered (including shed ones).
-    pub submitted: usize,
-    /// Requests answered successfully.
-    pub completed: usize,
-    /// Requests that failed in the engine.
-    pub failed: usize,
-    /// Requests shed (overload + deadline) from this tenant's lane.
-    pub shed: usize,
-    /// Completed requests per second of server uptime.
-    pub qps: f64,
-    /// Median served latency.
-    pub p50: Duration,
-    /// 95th-percentile served latency.
-    pub p95: Duration,
-    /// 99th-percentile served latency.
-    pub p99: Duration,
-    /// The tenant's own graph version (versions are per-tenant).
-    pub graph_version: u64,
-    /// Graph deltas applied to this tenant.
-    pub updates: usize,
-    /// Requests currently queued in this tenant's lane.
-    pub queue_depth: usize,
-}
-
-impl TenantRollup {
-    /// Renders the rollup as one colon-separated `stats` segment
-    /// (`tenant=` prefixed by the caller): counters first so smoke tests
-    /// can grep exact prefixes, float rates last.
-    #[must_use]
-    pub fn summary_fields(&self) -> String {
-        format!(
-            "w={}:requests={}:completed={}:failed={}:shed={}:version={}:updates={}:depth={}\
-             :qps={:.1}:p50_us={}:p95_us={}:p99_us={}",
-            self.weight,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.shed,
-            self.graph_version,
-            self.updates,
-            self.queue_depth,
-            self.qps,
-            self.p50.as_micros(),
-            self.p95.as_micros(),
-            self.p99.as_micros(),
-        )
-    }
-}
-
 impl ServerStats {
     /// Completed requests per second of server uptime.
     #[must_use]
@@ -235,7 +188,7 @@ impl ServerStats {
     ///
     /// **Contract**: `other` must be a per-tenant snapshot, i.e. its
     /// own [`ServerStats::tenants`] map must be empty. Per-tenant
-    /// rollups are *not* folded — absorbing an aggregate snapshot would
+    /// snapshots are *not* folded — absorbing an aggregate snapshot would
     /// silently drop its `tenants` breakdown (and double-count its
     /// summed counters on re-aggregation), so this is asserted in debug
     /// builds.
@@ -273,29 +226,29 @@ impl ServerStats {
         self.classes.entry(class).or_default()
     }
 
-    /// One tenant's rollup of this (per-tenant) snapshot.
-    #[must_use]
-    pub fn rollup(&self, weight: u32, queue_depth: usize) -> TenantRollup {
-        TenantRollup {
-            weight,
-            submitted: self.submitted,
-            completed: self.completed,
-            failed: self.failed,
-            shed: self.shed(),
-            qps: self.qps(),
-            p50: self.serve.p50(),
-            p95: self.serve.p95(),
-            p99: self.serve.p99(),
-            graph_version: self.graph_version,
-            updates: self.updates,
-            queue_depth,
-        }
+    /// Books `n` requests of `class` reaching the terminal `outcome` —
+    /// the one place an aggregate counter and its class rollup move
+    /// together. A crash counts as a failure; both shed kinds count as
+    /// the class's `shed`.
+    pub(crate) fn book(&mut self, class: SloClass, outcome: TraceOutcome, n: usize) {
+        let rollup = self.classes.entry(class).or_default();
+        let (total, by_class) = match outcome {
+            TraceOutcome::Completed => (&mut self.completed, &mut rollup.completed),
+            TraceOutcome::Failed | TraceOutcome::Crashed => {
+                (&mut self.failed, &mut rollup.failed)
+            }
+            TraceOutcome::ShedOverload => (&mut self.shed_overload, &mut rollup.shed),
+            TraceOutcome::ShedDeadline => (&mut self.shed_deadline, &mut rollup.shed),
+        };
+        *total += n;
+        *by_class += n;
     }
 
     /// One-line summary for logs and the `stats` protocol command. The
     /// single-tenant prefix is stable; aggregate snapshots of a
     /// multi-tenant server append one `tenant=NAME:…` segment per tenant
-    /// (colon-separated fields, see [`TenantRollup::summary_fields`]).
+    /// (colon-separated fields: counters first so smoke tests can grep
+    /// exact prefixes, float rates last).
     #[must_use]
     pub fn summary(&self) -> String {
         let mut line = format!(
@@ -337,8 +290,25 @@ impl ServerStats {
             }
             if !self.tenants.is_empty() {
                 let _ = write!(line, " tenants={}", self.tenants.len());
-                for (name, rollup) in &self.tenants {
-                    let _ = write!(line, " tenant={}:{}", name, rollup.summary_fields());
+                for (name, t) in &self.tenants {
+                    let _ = write!(
+                        line,
+                        " tenant={name}:w={}:requests={}:completed={}:failed={}:shed={}\
+                         :version={}:updates={}:depth={}\
+                         :qps={:.1}:p50_us={}:p95_us={}:p99_us={}",
+                        t.weight,
+                        t.submitted,
+                        t.completed,
+                        t.failed,
+                        t.shed(),
+                        t.graph_version,
+                        t.updates,
+                        t.queue_depth,
+                        t.qps(),
+                        t.serve.p50().as_micros(),
+                        t.serve.p95().as_micros(),
+                        t.serve.p99().as_micros(),
+                    );
                 }
             }
         }
@@ -378,12 +348,6 @@ impl Telemetry {
         stats.class_mut(class).submitted += 1;
     }
 
-    pub fn record_shed_overload(&self, class: SloClass) {
-        let mut stats = lock_recover(&self.inner);
-        stats.shed_overload += 1;
-        stats.class_mut(class).shed += 1;
-    }
-
     /// Runs `f` under the telemetry lock — how workers fold in a whole
     /// batch with one lock acquisition. The lock recovers from poison: a
     /// panicking neighbor must never wedge telemetry (counters are
@@ -402,8 +366,8 @@ mod tests {
         let t = Telemetry::new();
         t.record_submitted(SloClass::Gold);
         t.record_submitted(SloClass::Silver);
-        t.record_shed_overload(SloClass::Silver);
         t.with(|s| {
+            s.book(SloClass::Silver, TraceOutcome::ShedOverload, 1);
             s.completed += 1;
             s.batches += 1;
             *s.batch_size_counts.entry(4).or_insert(0) += 1;
@@ -456,15 +420,16 @@ mod tests {
     #[cfg(debug_assertions)]
     fn absorbing_an_aggregate_snapshot_is_a_contract_violation() {
         let mut aggregate = ServerStats::default();
-        aggregate.tenants.insert("t".into(), TenantRollup::default());
+        aggregate.tenants.insert("t".into(), ServerStats::default());
         ServerStats::default().absorb(&aggregate);
     }
 
     /// Mid-flight snapshots must always be *internally* consistent, no
     /// matter how the recording calls interleave across threads: every
     /// terminal counter (completed/failed/shed) trails submission, and
-    /// the per-class counters sum exactly to their aggregates — each
-    /// recording path updates both sides under one lock acquisition.
+    /// the per-class counters sum exactly to their aggregates — every
+    /// terminal outcome is booked through `book`, which moves both sides
+    /// under one lock acquisition.
     #[test]
     fn concurrent_snapshots_stay_internally_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -472,6 +437,13 @@ mod tests {
 
         const THREADS: usize = 8;
         const PER_THREAD: usize = 400;
+        const OUTCOMES: [TraceOutcome; 5] = [
+            TraceOutcome::Completed,
+            TraceOutcome::Failed,
+            TraceOutcome::ShedOverload,
+            TraceOutcome::ShedDeadline,
+            TraceOutcome::Crashed,
+        ];
         let telemetry = Arc::new(Telemetry::new());
         let stop = Arc::new(AtomicBool::new(false));
         // The writers are held until the reader has taken its first
@@ -527,23 +499,8 @@ mod tests {
                         // Submission always lands first (as in
                         // `submit_with`), then one terminal outcome.
                         telemetry.record_submitted(class);
-                        match i % 4 {
-                            0 => telemetry.record_shed_overload(class),
-                            1 => telemetry.with(|s| {
-                                s.failed += 1;
-                                s.class_mut(class).failed += 1;
-                            }),
-                            2 => telemetry.with(|s| {
-                                s.shed_deadline += 1;
-                                s.class_mut(class).shed += 1;
-                            }),
-                            _ => telemetry.with(|s| {
-                                s.completed += 1;
-                                let rollup = s.class_mut(class);
-                                rollup.completed += 1;
-                                rollup.latency.record(Duration::from_micros(50));
-                            }),
-                        }
+                        let outcome = OUTCOMES[(t + i) % OUTCOMES.len()];
+                        telemetry.with(|s| s.book(class, outcome, 1));
                     }
                 })
             })
@@ -560,6 +517,13 @@ mod tests {
             final_snap.completed + final_snap.failed + final_snap.shed(),
             THREADS * PER_THREAD,
             "every request reached exactly one terminal state"
+        );
+        let each = THREADS * PER_THREAD / OUTCOMES.len();
+        let snap = &final_snap;
+        assert_eq!(
+            (snap.completed, snap.failed, snap.shed_overload, snap.shed_deadline),
+            (each, 2 * each, each, each),
+            "a crash books as a failure, each shed kind as itself"
         );
     }
 }

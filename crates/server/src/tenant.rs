@@ -535,10 +535,11 @@ impl TenantRegistry {
     }
 
     /// The aggregate server snapshot: retired tenants' final counters
-    /// plus every live tenant's, with one [`crate::TenantRollup`] per
-    /// live tenant. The top-level `graph_version`/`updates` mirror the
-    /// default tenant (the one unqualified requests address), keeping
-    /// the single-tenant summary contract intact.
+    /// plus every live tenant's, with each live tenant's own snapshot —
+    /// stamped with its weight and queue depth — under
+    /// [`ServerStats::tenants`]. The top-level `graph_version` mirrors
+    /// the default tenant (the one unqualified requests address),
+    /// keeping the single-tenant summary contract intact.
     pub fn global_stats(&self, queue: &RequestQueue) -> ServerStats {
         let map = self.snapshot();
         let mut global = lock_recover(&self.retired_stats).clone();
@@ -546,15 +547,16 @@ impl TenantRegistry {
         // summary reported before multi-tenancy; keep absorbing every
         // tenant's into the total, but source version from the default.
         for (name, tenant) in map.iter() {
-            let stats = tenant.stats();
-            global
-                .tenants
-                .insert(name.clone(), stats.rollup(tenant.weight, queue.depth_of(tenant.id)));
+            let mut stats = tenant.stats();
+            stats.weight = tenant.weight;
+            stats.queue_depth = queue.depth_of(tenant.id);
             global.absorb(&stats);
             if name == DEFAULT_TENANT {
                 global.graph_version = stats.graph_version;
             }
+            global.tenants.insert(name.clone(), stats);
         }
+        global.queue_depth = queue.depth();
         global.uptime = self.started.elapsed();
         global
     }

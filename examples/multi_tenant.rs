@@ -86,7 +86,11 @@ fn main() {
     for (name, rollup) in &stats.tenants {
         println!(
             "tenant {:<8} w={} completed={} version={} p99={:?}",
-            name, rollup.weight, rollup.completed, rollup.graph_version, rollup.p99,
+            name,
+            rollup.weight,
+            rollup.completed,
+            rollup.graph_version,
+            rollup.serve.p99(),
         );
     }
 

@@ -239,6 +239,9 @@ fn injected_allocation_failures_answer_typed_without_crashing() {
     let stats = server.stats();
     assert_eq!(stats.worker_crashes, 0, "alloc failures never kill the worker");
     assert_eq!(stats.failed, 1, "… but they are counted as failed requests");
+    let slow = server.trace_lines(blockgnn::server::TraceQuery::Slow);
+    assert_eq!(slow.len(), 1, "… and each leaves a failed exemplar: {slow:?}");
+    assert!(slow[0].contains(" outcome=failed batch=1 "), "{}", slow[0]);
     front.stop();
     front.run_until_shutdown();
 }

@@ -119,9 +119,9 @@ fn scene() -> Server {
 const STATS: &str = "requests=8 completed=5 failed=1 shed_overload=1 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=5 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=1.02 class=gold:requests=5:completed=3:failed=0:shed=2:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=* class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* tenants=3 tenant=default:w=1:requests=4:completed=2:failed=1:shed=1:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=tiny:w=1:requests=3:completed=2:failed=0:shed=1:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=traffic:w=1:requests=1:completed=1:failed=0:shed=0:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=*";
 
 const STATS_AT: &[(&str, &str)] = &[
-    ("default", "requests=4 completed=2 failed=1 shed_overload=0 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=0 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=1.02 class=gold:requests=2:completed=1:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=*"),
-    ("tiny", "requests=3 completed=2 failed=0 shed_overload=1 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=0 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=gold:requests=3:completed=2:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=*"),
-    ("traffic", "requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=0 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
+    ("default", "requests=4 completed=2 failed=1 shed_overload=0 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=1.02 class=gold:requests=2:completed=1:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=*"),
+    ("tiny", "requests=3 completed=2 failed=0 shed_overload=1 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=gold:requests=3:completed=2:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=*"),
+    ("traffic", "requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
 ];
 
 const METRICS: &str = r##"# HELP blockgnn_uptime_seconds Seconds since the server started
@@ -276,5 +276,18 @@ fn a_fixed_scene_renders_pinned_stats_and_metrics() {
     }
     check("metrics", masked_metrics(&server.metrics_text()), METRICS);
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+    server.shutdown();
+}
+
+#[test]
+fn tenant_snapshots_report_the_shared_pool_health() {
+    let engine = EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense)
+        .hidden_dim(16)
+        .build(Arc::new(datasets::cora_like_small(11)))
+        .expect("engine builds");
+    let server =
+        Server::start(engine, ServerConfig::default().with_workers(2)).expect("starts");
+    assert_eq!(server.tenant_stats("default").expect("deployed").workers_alive, 2);
+    assert_eq!(server.handle().tenant_stats().workers_alive, 2);
     server.shutdown();
 }
