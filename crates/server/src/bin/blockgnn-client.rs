@@ -15,9 +15,7 @@
 //! blockgnn-client --addr HOST:PORT retire NAME
 //! blockgnn-client --addr HOST:PORT list
 //! blockgnn-client --addr HOST:PORT load --clients N --requests N
-//!                 [--workload closed|zipfian] [--class C] [--zipf EXP]
-//!                 [--pool N] [--s1 N] [--s2 N] [--nodes N]
-//!                 [--tenant NAME:WEIGHT …]
+//!                 [--class C] [--zipf EXP] [--nodes N] [--tenant NAME[:WEIGHT] …]
 //! blockgnn-client --addr HOST:PORT replay [--seed N] [--events N] [--nodes N]
 //!                 [--gold-deadline-ms D] [--trace FILE] [--save FILE]
 //!                 [--retry N] [--tenant NAME …]
@@ -28,16 +26,17 @@
 //! `infer` prints `ok rows=… preds=…` and exits 0 on success, `err …`
 //! and exits 1 on any rejection; `update` applies a graph delta
 //! (features as decimal floats) and prints the bumped version with the
-//! tenant it landed on; `deploy`/`retire`/`list` manage tenants; `load`
-//! runs the closed-loop generator (optionally fanned across a weighted
-//! tenant mix, with `--workload zipfian` drawing a duplicate-heavy
-//! zipfian request pool and `--class gold` tagging the traffic) and
-//! prints a summary line. `replay` drives the pinned adversarial
-//! workload trace — zipfian bursts, malformed floods, slow-loris
-//! clients, deadline storms — against the live server and fails unless
-//! every line earned a typed reply on an open connection and gold p99
-//! stayed under its deadline; `--trace` replays a saved trace file
-//! instead, `--save` writes the generated trace out for exact
+//! tenant it landed on; `deploy`/`retire`/`list` manage tenants. `load`
+//! and `replay` both generate a workload trace and drive it through
+//! `workload::replay_tcp`, then print one summary line. `load` is a
+//! closed loop: N clients × R zipfian infers (`--zipf 0` is uniform,
+//! seed `0xB10C`), all of one class (default silver), optionally fanned
+//! across a weighted tenant mix; it fails on any error but a typed shed.
+//! `replay` drives the pinned adversarial workload trace — zipfian
+//! bursts, malformed floods, slow-loris clients, deadline storms — and
+//! fails unless every line earned a typed reply on an open connection
+//! and gold p99 stayed under its deadline; `--trace` replays a saved
+//! trace file instead, `--save` writes the generated trace out for exact
 //! reproduction. `metrics` dumps the Prometheus text exposition;
 //! `trace` queries the flight recorder (`last=N` newest-first, the
 //! default; `id=HEX` one request; `slow` the retained slow/shed/failed
@@ -56,10 +55,11 @@
 use blockgnn_engine::{GraphDelta, InferRequest};
 use blockgnn_server::protocol::{encode_health, parse_pairs, parse_trace_query};
 use blockgnn_server::tenant::model_kind_name;
-use blockgnn_server::workload::{ci_adversarial_spec, replay_tcp, zipfian_pool, Trace};
+use blockgnn_server::workload::{
+    ci_adversarial_spec, replay_tcp, ArrivalKind, Trace, TrafficReport, WorkloadSpec,
+};
 use blockgnn_server::{
-    run_closed_loop, Client, ClientTimeouts, LoadConfig, RetryPolicy, SloClass, SubmitOptions,
-    TenantSpec, TraceQuery,
+    Client, ClientTimeouts, RetryPolicy, SloClass, SubmitOptions, TenantSpec, TraceQuery,
 };
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -67,7 +67,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The global `--timeout-ms` override, set once during argument
-/// parsing and read by every `connect` call.
+/// parsing and read through [`timeouts`].
 static TIMEOUTS: OnceLock<ClientTimeouts> = OnceLock::new();
 
 fn main() -> ExitCode {
@@ -128,9 +128,13 @@ fn run() -> Result<(), String> {
     }
 }
 
+/// The `--timeout-ms` override, else the library's bounded default.
+fn timeouts() -> ClientTimeouts {
+    TIMEOUTS.get().copied().unwrap_or_default()
+}
+
 fn connect(addr: SocketAddr) -> Result<Client, String> {
-    let timeouts = TIMEOUTS.get().copied().unwrap_or_default();
-    Client::connect_with(addr, timeouts).map_err(|e| format!("err connect {addr}: {e}"))
+    Client::connect_with(addr, timeouts()).map_err(|e| format!("err connect {addr}: {e}"))
 }
 
 fn health(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
@@ -155,8 +159,8 @@ fn usage() -> String {
      | deploy NAME=DATASET:MODEL:BACKEND [--weight N] [--depth N] [--hidden N] [--block N] \
        [--seed N] \
      | retire NAME | list \
-     | load --clients N --requests N [--workload closed|zipfian] [--class C] [--zipf EXP] \
-       [--pool N] [--s1 N] [--s2 N] [--nodes N] [--tenant NAME:WEIGHT ...] \
+     | load --clients N --requests N [--class C] [--zipf EXP] [--nodes N] \
+       [--tenant NAME[:WEIGHT] ...] \
      | replay [--seed N] [--events N] [--nodes N] [--gold-deadline-ms D] [--trace FILE] \
        [--save FILE] [--retry N] [--tenant NAME ...] \
      | metrics \
@@ -414,75 +418,64 @@ fn print_lines(lines: &[String]) {
 }
 
 fn load(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
-    let mut clients = 8usize;
+    // Events lie microseconds apart, so each is overdue before the reply
+    // to the last one lands: every client runs a closed loop.
+    let mut spec =
+        WorkloadSpec::new(0xB10C, 0, 64).with_arrival(ArrivalKind::Uniform, 1).with_clients(8);
     let mut requests = 32usize;
-    let mut pool = 8usize;
-    let mut s1 = 10usize;
-    let mut s2 = 5usize;
-    let mut nodes = 64usize;
-    let mut zipf = 1.0f64;
-    let mut workload = "closed".to_string();
-    let mut options = SubmitOptions::default();
-    let mut tenants: Vec<(String, u32)> = Vec::new();
+    let mut class = SloClass::Silver;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let v = it.next().ok_or(format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--tenant" => {
-                // NAME:WEIGHT; repeatable to build a mix.
-                let (name, weight) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("expected NAME:WEIGHT, got {v:?}"))?;
-                tenants.push((name.to_string(), parse(weight)?));
+                // NAME[:WEIGHT], repeatable: the name is listed WEIGHT
+                // times, and the spec's uniform pick draws in proportion.
+                let (name, weight) = match v.split_once(':') {
+                    Some((name, weight)) => (name, parse::<usize>(weight)?),
+                    None => (v.as_str(), 1),
+                };
+                spec.tenants.extend(std::iter::repeat_n(name.to_string(), weight.max(1)));
             }
-            "--workload" => {
-                if v != "closed" && v != "zipfian" {
-                    return Err(format!("unknown workload {v:?} (closed | zipfian)"));
-                }
-                workload = v.clone();
-            }
-            "--class" => options.class = SloClass::parse(v)?,
-            "--zipf" => zipf = parse(v)?,
-            "--clients" => clients = parse(v)?,
+            "--class" => class = SloClass::parse(v)?,
+            "--zipf" => spec = spec.with_zipf(parse(v)?),
+            "--clients" => spec = spec.with_clients(parse(v)?),
             "--requests" => requests = parse(v)?,
-            "--pool" => pool = parse(v)?,
-            "--s1" => s1 = parse(v)?,
-            "--s2" => s2 = parse(v)?,
-            "--nodes" => nodes = parse(v)?,
+            "--nodes" => spec.num_nodes = parse(v)?,
             other => return Err(format!("unknown load flag {other:?}")),
         }
     }
-    let pool: Vec<InferRequest> = if workload == "zipfian" {
-        // Duplicate-heavy zipfian popularity: concurrent clients collide
-        // on the hot head, which is what the batcher's dedup exploits.
-        zipfian_pool(nodes, pool.max(1), s1, s2, zipf, 0xB10C)
-    } else {
-        (0..pool.max(1))
-            .map(|i| InferRequest::sampled(vec![i * 7, i * 7 + 1], s1, s2, i as u64))
-            .collect()
-    };
-    let report = run_closed_loop(
-        addr,
-        &LoadConfig::new(clients, requests, pool).with_tenants(tenants).with_options(options),
-    );
+    spec.events = spec.clients as usize * requests;
+    let trace = spec.with_class_mix(SloClass::ALL.map(|c| u32::from(c == class))).generate();
+    let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
+    let report = replay_tcp(addr, &trace, &once, timeouts());
+    summarize("load", &trace, &report);
+    let failed = report.typed_errors + report.transport_errors;
+    if failed > 0 {
+        return Err(format!("{failed} load requests failed"));
+    }
+    Ok(())
+}
+
+/// The one summary line both traffic verbs print.
+fn summarize(verb: &str, trace: &Trace, report: &TrafficReport) {
     println!(
-        "load workload={} class={} sent={} ok={} shed={} errors={} qps={:.1} \
-         p50_us={} p95_us={} p99_us={}",
-        workload,
-        options.class,
+        "{verb} seed={} events={} sent={} ok={} shed={} typed_errors={} transport_errors={} \
+         updates_ok={} retries={} qps={:.1} gold_p99_us={} silver_p99_us={} bronze_p99_us={}",
+        trace.seed,
+        trace.events.len(),
         report.sent,
         report.ok,
         report.shed,
-        report.errors,
+        report.typed_errors,
+        report.transport_errors,
+        report.updates_ok,
+        report.retries,
         report.qps(),
-        report.latency.p50().as_micros(),
-        report.latency.p95().as_micros(),
-        report.latency.p99().as_micros(),
+        report.class_p99(SloClass::Gold).as_micros(),
+        report.class_p99(SloClass::Silver).as_micros(),
+        report.class_p99(SloClass::Bronze).as_micros(),
     );
-    if report.errors > 0 {
-        return Err(format!("{} load requests failed", report.errors));
-    }
-    Ok(())
 }
 
 fn replay(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
@@ -532,24 +525,9 @@ fn replay(addr: SocketAddr, rest: &[String]) -> Result<(), String> {
     // With `--retry` this is the chaos driver: injected resets and
     // crashed workers must all converge within the budget to pass.
     let policy = RetryPolicy { attempts: retry.unwrap_or(1), ..RetryPolicy::default() };
-    let report = replay_tcp(addr, &trace, &policy);
+    let report = replay_tcp(addr, &trace, &policy, timeouts());
+    summarize("replay", &trace, &report);
     let gold_p99 = report.class_p99(SloClass::Gold);
-    println!(
-        "replay seed={} events={} sent={} ok={} shed={} typed_errors={} transport_errors={} \
-         updates_ok={} retries={} gold_p99_us={} silver_p99_us={} bronze_p99_us={}",
-        trace.seed,
-        trace.events.len(),
-        report.sent,
-        report.ok,
-        report.shed,
-        report.typed_errors,
-        report.transport_errors,
-        report.updates_ok,
-        report.retries,
-        gold_p99.as_micros(),
-        report.class_p99(SloClass::Silver).as_micros(),
-        report.class_p99(SloClass::Bronze).as_micros(),
-    );
     if report.transport_errors > 0 {
         return Err(format!(
             "{} transport errors: the server dropped connections under adversarial load",

@@ -1,5 +1,5 @@
-//! TCP client for the serving front end, plus a closed-loop load
-//! generator used by the throughput benchmark and the CI smoke test.
+//! TCP client for the serving front end: one blocking connection, its
+//! transport deadlines, and the idempotent retry policy.
 
 use crate::error::ServerError;
 use crate::fault::splitmix;
@@ -10,10 +10,10 @@ use crate::protocol::{
 };
 use crate::queue::SubmitOptions;
 use crate::tenant::{TenantInfo, TenantSpec};
-use blockgnn_engine::{GraphDelta, InferRequest, LatencyHistogram};
+use blockgnn_engine::{GraphDelta, InferRequest};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client-side transport deadlines. Every [`Client`] carries one: the
 /// default bounds every phase (no more indefinite blocking on a hung
@@ -542,188 +542,5 @@ impl Client {
     /// reply.
     pub fn shutdown(&mut self) -> Result<(), ServerError> {
         self.call_expecting(&Command::Shutdown, "ok bye")
-    }
-}
-
-/// Closed-loop load-generation parameters: each client thread sends its
-/// next request only after the previous answer arrives.
-#[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Requests each client sends.
-    pub requests_per_client: usize,
-    /// The request mix; client `c` draws round-robin starting at
-    /// offset `c`, so concurrent clients overlap on the same requests —
-    /// the duplicate-heavy serving mix the batcher's dedup exploits.
-    pub pool: Vec<InferRequest>,
-    /// Weighted tenant mix: each request is addressed to one of these
-    /// tenants, chosen deterministically by request index in proportion
-    /// to the weights. Empty means every request goes to the default
-    /// tenant (the single-tenant lanes use this).
-    pub tenants: Vec<(String, u32)>,
-    /// Submission options (SLO class / explicit deadline) every request
-    /// carries.
-    pub options: SubmitOptions,
-}
-
-impl LoadConfig {
-    /// A single-tenant (default-tenant) load config.
-    #[must_use]
-    pub fn new(clients: usize, requests_per_client: usize, pool: Vec<InferRequest>) -> Self {
-        Self {
-            clients,
-            requests_per_client,
-            pool,
-            tenants: Vec::new(),
-            options: SubmitOptions::default(),
-        }
-    }
-
-    /// Addresses the load at a weighted tenant mix instead of the
-    /// default tenant.
-    #[must_use]
-    pub fn with_tenants(mut self, tenants: Vec<(String, u32)>) -> Self {
-        self.tenants = tenants;
-        self
-    }
-
-    /// Sets the submission options (class/deadline) every request
-    /// carries.
-    #[must_use]
-    pub fn with_options(mut self, options: SubmitOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The tenant request `i` of client `c` addresses (`None` = the
-    /// default tenant): a deterministic weighted round-robin, so a rerun
-    /// replays the identical per-tenant request sequence.
-    #[must_use]
-    pub fn tenant_for(&self, c: usize, i: usize) -> Option<&str> {
-        if self.tenants.is_empty() {
-            return None;
-        }
-        let total: u64 = self.tenants.iter().map(|(_, w)| u64::from((*w).max(1))).sum();
-        let mut slot = ((c + i * 7) as u64) % total;
-        for (name, weight) in &self.tenants {
-            let weight = u64::from((*weight).max(1));
-            if slot < weight {
-                return Some(name);
-            }
-            slot -= weight;
-        }
-        unreachable!("slot < total by construction")
-    }
-}
-
-/// What a load run observed, client-side.
-#[derive(Debug, Clone, Default)]
-pub struct LoadReport {
-    /// Requests sent.
-    pub sent: usize,
-    /// Successful answers.
-    pub ok: usize,
-    /// Typed sheds (overload/deadline) — expected under overload.
-    pub shed: usize,
-    /// Anything else (engine, protocol, transport).
-    pub errors: usize,
-    /// Wall-clock of the whole run.
-    pub elapsed: Duration,
-    /// Client-observed end-to-end latency distribution.
-    pub latency: LatencyHistogram,
-}
-
-impl LoadReport {
-    /// Successful answers per second of wall-clock.
-    #[must_use]
-    pub fn qps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ok as f64 / secs
-        }
-    }
-}
-
-/// Runs a closed-loop load test against a front end: spawns
-/// `cfg.clients` connections, drives them to completion, and merges the
-/// per-client observations. With a tenant mix configured, requests fan
-/// out across the named tenants in weight proportion.
-///
-/// # Panics
-///
-/// Panics if the pool is empty or a client cannot connect.
-#[must_use]
-pub fn run_closed_loop(addr: std::net::SocketAddr, cfg: &LoadConfig) -> LoadReport {
-    assert!(!cfg.pool.is_empty(), "load pool must not be empty");
-    let start = Instant::now();
-    let reports = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("load client connects");
-                    let mut report = LoadReport::default();
-                    for i in 0..cfg.requests_per_client {
-                        let request = &cfg.pool[(c + i) % cfg.pool.len()];
-                        let tenant = cfg.tenant_for(c, i);
-                        let sent_at = Instant::now();
-                        report.sent += 1;
-                        match client.infer_tenant(request, cfg.options, tenant) {
-                            Ok(_) => {
-                                report.ok += 1;
-                                report.latency.record(sent_at.elapsed());
-                            }
-                            Err(
-                                ServerError::Overloaded { .. }
-                                | ServerError::DeadlineExceeded { .. },
-                            ) => report.shed += 1,
-                            Err(_) => report.errors += 1,
-                        }
-                    }
-                    report
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("load client thread")).collect::<Vec<_>>()
-    });
-    let mut merged = LoadReport { elapsed: start.elapsed(), ..LoadReport::default() };
-    for r in reports {
-        merged.sent += r.sent;
-        merged.ok += r.ok;
-        merged.shed += r.shed;
-        merged.errors += r.errors;
-        merged.latency.merge(&r.latency);
-    }
-    merged
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tenant_mix_is_deterministic_and_weight_proportional() {
-        let cfg = LoadConfig::new(1, 0, vec![InferRequest::all_nodes()])
-            .with_tenants(vec![("a".into(), 3), ("b".into(), 1)]);
-        let mut counts = std::collections::BTreeMap::new();
-        for c in 0..4 {
-            for i in 0..100 {
-                let t = cfg.tenant_for(c, i).unwrap().to_string();
-                assert_eq!(cfg.tenant_for(c, i), Some(t.as_str()), "deterministic");
-                *counts.entry(t).or_insert(0usize) += 1;
-            }
-        }
-        // 3:1 weights over 400 draws: a gets 300 ± rounding of the
-        // deterministic cycle, b the rest.
-        let a = counts["a"];
-        let b = counts["b"];
-        assert_eq!(a + b, 400);
-        assert!(a > 2 * b, "weight-3 tenant dominates: a={a} b={b}");
-        // No mix = default tenant for every request.
-        let plain = LoadConfig::new(2, 5, vec![InferRequest::all_nodes()]);
-        assert_eq!(plain.tenant_for(0, 0), None);
-        assert_eq!(plain.tenant_for(1, 4), None);
     }
 }

@@ -89,9 +89,9 @@
 //!   errors.
 //! * **A TCP front end** — [`TcpServer`] speaks the line protocol of
 //!   [`protocol`] (logits cross as `f64` bit patterns, so remote
-//!   answers stay bit-identical); [`Client`] and the closed-loop
-//!   [`run_closed_loop`] load generator drive it; the `blockgnn-serve`
-//!   and `blockgnn-client` binaries wrap both.
+//!   answers stay bit-identical); [`Client`] and the one trace driver,
+//!   [`workload::replay_tcp`], drive it; the `blockgnn-serve` and
+//!   `blockgnn-client` binaries wrap both.
 //!
 //! # Example: in-process serving
 //!
@@ -133,9 +133,7 @@ pub mod tenant;
 pub mod workload;
 
 pub use batcher::BatchLimits;
-pub use client::{
-    run_closed_loop, Client, ClientTimeouts, LoadConfig, LoadReport, RetryPolicy,
-};
+pub use client::{Client, ClientTimeouts, RetryPolicy};
 pub use config::{ClassPolicy, ServerConfig};
 pub use error::ServerError;
 pub use fault::{CircuitBreaker, EngineFault, FaultInjector, FaultPlan, SocketFault};

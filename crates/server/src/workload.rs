@@ -26,7 +26,8 @@
 //!   sockets, honouring event times, slow-loris chunking, and
 //!   malformed-line floods. Its [`TrafficReport`] checks liveness
 //!   properties instead: typed errors only, zero transport failures,
-//!   per-class latency distributions.
+//!   per-class latency distributions. It is the one wall-clock driver,
+//!   behind both `blockgnn-client replay` and the closed-loop `load`.
 //!
 //! # Traffic shapes
 //!
@@ -34,7 +35,10 @@
 //! skewed real-world popularity is what makes the batcher's dedup and
 //! the full-graph cache earn their keep. Arrivals are open-loop:
 //! uniform-exponential, bursty (alternating hot/quiet phases), or
-//! diurnal (sinusoidally modulated rate) per [`ArrivalKind`].
+//! diurnal (sinusoidally modulated rate) per [`ArrivalKind`]. A mean gap
+//! far below a reply's round trip closes the loop: [`replay_tcp`] sleeps
+//! only while an event is not yet due, so each client sends its next
+//! event the moment the previous reply lands.
 //! Adversarial events — malformed lines (extending the seeded protocol
 //! fuzz corpus), slow-loris partial writes, and deadline storms — mix in
 //! at configurable rates.
@@ -42,7 +46,10 @@
 use crate::batcher::{BatchLimits, Batcher, Entry, Lane, Step};
 use crate::client::{Client, ClientTimeouts, RetryPolicy};
 use crate::config::ServerConfig;
-use crate::protocol::{encode_infer, encode_update, parse_command, Command, Fields};
+use crate::error::ServerError;
+use crate::protocol::{
+    encode_infer, encode_update, parse_command, parse_error, Command, Fields,
+};
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
 use crate::tenant::DEFAULT_TENANT;
 use blockgnn_engine::{Engine, GraphDelta, InferRequest, LatencyHistogram};
@@ -83,8 +90,8 @@ pub struct WorkloadSpec {
     pub arrival: ArrivalKind,
     /// Mean inter-arrival gap in microseconds.
     pub mean_gap_us: u64,
-    /// Tenant names traffic fans out across (uniformly); empty addresses
-    /// only the default tenant.
+    /// Tenant names traffic fans out across (uniformly, so a name listed
+    /// k times draws k shares); empty addresses only the default tenant.
     pub tenants: Vec<String>,
     /// Relative class frequencies (gold, silver, bronze).
     pub class_mix: [u32; NUM_CLASSES],
@@ -802,6 +809,8 @@ pub struct TrafficReport {
     pub retries: usize,
     /// Client-observed infer latency per class (gold, silver, bronze).
     pub class_latency: [LatencyHistogram; NUM_CLASSES],
+    /// Wall-clock of the whole replay.
+    pub elapsed: Duration,
 }
 
 impl TrafficReport {
@@ -809,6 +818,17 @@ impl TrafficReport {
     #[must_use]
     pub fn class_p99(&self, class: SloClass) -> Duration {
         self.class_latency[class.index()].p99()
+    }
+
+    /// `ok` replies per second of wall-clock.
+    #[must_use]
+    pub fn qps(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        if secs == 0.0 {
+            0.0
+        } else {
+            self.ok as f64 / secs
+        }
     }
 
     fn merge(&mut self, other: &TrafficReport) {
@@ -825,12 +845,12 @@ impl TrafficReport {
     }
 }
 
-/// Replays a trace against a live TCP front end: one [`Client`]
-/// connection per trace client (no transport deadlines: an event waits
-/// as long as the server takes), each sleeping to its events' times and
-/// classifying every reply. The server is expected to answer *every*
-/// line — adversarial ones with typed `err` replies on a connection that
-/// stays open.
+/// Replays a trace against a live TCP front end: one sequential
+/// [`Client`] connection per trace client, dialled with `timeouts`, each
+/// sleeping only while its next event is not yet due and classifying
+/// every reply. The server is expected to answer *every* line —
+/// adversarial ones with typed `err` replies on a connection that stays
+/// open.
 ///
 /// Each event gets up to [`RetryPolicy::attempts`] tries — the chaos
 /// lane's graceful-degradation recovery; a one-attempt policy is a plain
@@ -839,7 +859,8 @@ impl TrafficReport {
 /// re-submits on the intact connection, with the policy's jittered
 /// backoff between tries. Only *unrecovered* failures land in
 /// [`TrafficReport::transport_errors`]; every recovery increments
-/// [`TrafficReport::retries`].
+/// [`TrafficReport::retries`]. A failed connection is never reused, so a
+/// reply that arrives after its deadline cannot answer a later event.
 ///
 /// Re-sending is exactly-once in effect: the server's socket-fault
 /// injection point fires *before* command dispatch, so a reset command
@@ -851,7 +872,12 @@ impl TrafficReport {
 /// Panics only if a replay thread itself panics; connection failures
 /// are consumed by the retry budget.
 #[must_use]
-pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> TrafficReport {
+pub fn replay_tcp(
+    addr: SocketAddr,
+    trace: &Trace,
+    policy: &RetryPolicy,
+    timeouts: ClientTimeouts,
+) -> TrafficReport {
     let start = Instant::now();
     let reports = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..trace.clients)
@@ -893,11 +919,13 @@ pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> Traf
                         loop {
                             let sent_at = Instant::now();
                             let dribble = dribble.filter(|_| attempt == 0);
-                            let step = drive_once(&mut conn, addr, &line, dribble);
+                            let step = drive_once(&mut conn, addr, timeouts, &line, dribble);
                             match step {
                                 Ok(reply)
-                                    if reply.starts_with("err worker_crashed")
-                                        && attempt + 1 < budget =>
+                                    if matches!(
+                                        parse_error(&reply),
+                                        Ok(ServerError::WorkerCrashed)
+                                    ) && attempt + 1 < budget =>
                                 {
                                     report.retries += 1;
                                     std::thread::sleep(policy.backoff(attempt));
@@ -908,8 +936,6 @@ pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> Traf
                                     break;
                                 }
                                 Err(()) if attempt + 1 < budget => {
-                                    // Transport state is suspect — redial.
-                                    conn = None;
                                     report.retries += 1;
                                     std::thread::sleep(policy.backoff(attempt));
                                     attempt += 1;
@@ -927,7 +953,7 @@ pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> Traf
             .collect();
         handles.into_iter().map(|h| h.join().expect("replay client thread")).collect::<Vec<_>>()
     });
-    let mut merged = TrafficReport::default();
+    let mut merged = TrafficReport { elapsed: start.elapsed(), ..TrafficReport::default() };
     for r in &reports {
         merged.merge(r);
     }
@@ -935,19 +961,21 @@ pub fn replay_tcp(addr: SocketAddr, trace: &Trace, policy: &RetryPolicy) -> Traf
 }
 
 /// One attempt of [`replay_tcp`]: (re)connect if needed, send the line
-/// (dribbled when asked), read one reply. Any transport failure
+/// (dribbled when asked), read one reply. Any transport failure drops
+/// the connection (its state is suspect, so the next try redials) and
 /// collapses to `Err(())` — the caller's retry budget deals with it.
 fn drive_once(
     conn: &mut Option<Client>,
     addr: SocketAddr,
+    timeouts: ClientTimeouts,
     line: &str,
     dribble: Option<(usize, Duration)>,
 ) -> Result<String, ()> {
     if conn.is_none() {
-        *conn = Some(Client::connect_with(addr, ClientTimeouts::none()).map_err(|_| ())?);
+        *conn = Some(Client::connect_with(addr, timeouts).map_err(|_| ())?);
     }
     let Some(client) = conn.as_mut() else { return Err(()) };
-    client.exchange(line, dribble).map_err(|_| ())
+    client.exchange(line, dribble).map_err(|_| *conn = None)
 }
 
 fn classify(
@@ -966,37 +994,17 @@ fn classify(
         if let Some(class) = infer_class {
             report.class_latency[class.index()].record(sent_at.elapsed());
         }
-    } else if reply.starts_with("err overloaded") || reply.starts_with("err deadline") {
-        report.shed += 1;
     } else if reply.starts_with("err ") {
-        report.typed_errors += 1;
+        match parse_error(reply) {
+            Ok(ServerError::Overloaded { .. } | ServerError::DeadlineExceeded { .. }) => {
+                report.shed += 1;
+            }
+            _ => report.typed_errors += 1,
+        }
     } else {
         // An unparseable reply is as bad as a dropped connection.
         report.transport_errors += 1;
     }
-}
-
-/// A duplicate-heavy zipfian request pool for the closed-loop load
-/// generator: `pool_size` sampled requests whose target nodes follow a
-/// zipfian popularity law, so concurrent clients collide on the hot
-/// head — the mix the batcher's dedup exploits.
-#[must_use]
-pub fn zipfian_pool(
-    num_nodes: usize,
-    pool_size: usize,
-    s1: usize,
-    s2: usize,
-    exponent: f64,
-    seed: u64,
-) -> Vec<InferRequest> {
-    let mut rng = Rng64::new(seed);
-    let zipf = Zipf::new(num_nodes, exponent);
-    (0..pool_size.max(1))
-        .map(|_| {
-            let nodes = vec![zipf.sample(&mut rng), zipf.sample(&mut rng)];
-            InferRequest::sampled(nodes, s1, s2, rng.next_u64())
-        })
-        .collect()
 }
 
 /// The pinned adversarial spec the CI `workload-replay` lane (and the
@@ -1018,6 +1026,7 @@ pub fn ci_adversarial_spec(num_nodes: usize) -> WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_error;
 
     #[test]
     fn traces_are_deterministic_and_round_trip() {
@@ -1056,6 +1065,41 @@ mod tests {
     }
 
     #[test]
+    fn err_replies_classify_by_their_typed_kind() {
+        let tally = |reply: &str| {
+            let mut report = TrafficReport::default();
+            classify(reply, None, Instant::now(), &mut report);
+            (report.shed, report.typed_errors, report.transport_errors)
+        };
+        let sheds = [
+            ServerError::Overloaded { depth: 4, max_depth: 4 },
+            ServerError::DeadlineExceeded { waited: Duration::from_millis(3) },
+        ];
+        for error in &sheds {
+            assert_eq!(tally(&encode_error(error)), (1, 0, 0), "{error:?}");
+        }
+        let typed = [
+            ServerError::ShuttingDown,
+            ServerError::Canceled,
+            ServerError::WorkerCrashed,
+            ServerError::Timeout { waited: Duration::from_millis(3) },
+            ServerError::UnknownTenant { name: "ghost".into() },
+            ServerError::TenantExists { name: "twin".into() },
+            ServerError::TenantBudget { needed: 9, budget: 4 },
+            ServerError::RemoteEngine("node 99 out of range".into()),
+            ServerError::Protocol("bad line".into()),
+            ServerError::Io("reset".into()),
+        ];
+        for error in &typed {
+            assert_eq!(tally(&encode_error(error)), (0, 1, 0), "{error:?}");
+        }
+        // An `err` line of no known kind is still typed; a line that is
+        // no reply at all is a transport failure.
+        assert_eq!(tally("err overloadedish x"), (0, 1, 0));
+        assert_eq!(tally("garbage"), (0, 0, 1));
+    }
+
+    #[test]
     fn arrival_processes_shape_the_gaps() {
         let base = WorkloadSpec::new(11, 400, 50);
         let span = |arrival| {
@@ -1085,15 +1129,25 @@ mod tests {
 
     #[test]
     fn class_mix_and_deadline_storms_materialize() {
-        let spec =
-            WorkloadSpec::new(3, 600, 40).with_class_mix([8, 1, 1]).with_adversarial(0, 0, 100);
+        // A tenant listed three times is drawn three times as often: the
+        // weighted mix `blockgnn-client load --tenant NAME:WEIGHT` builds.
+        let tenants = ["hot", "hot", "hot", "cold"].map(String::from).to_vec();
+        let spec = WorkloadSpec::new(3, 600, 40)
+            .with_class_mix([8, 1, 1])
+            .with_adversarial(0, 0, 100)
+            .with_tenants(tenants);
         let trace = spec.generate();
+        assert_eq!(trace, spec.generate(), "same spec, same tenant draws");
         let mut gold = 0usize;
         let mut storm = 0usize;
         let mut total = 0usize;
+        let mut hot = 0usize;
         for event in &trace.events {
-            if let TraceOp::Infer { options, .. } = &event.op {
+            if let TraceOp::Infer { options, tenant, .. } = &event.op {
                 total += 1;
+                if tenant.as_deref() == Some("hot") {
+                    hot += 1;
+                }
                 if options.class == SloClass::Gold {
                     gold += 1;
                 }
@@ -1105,5 +1159,7 @@ mod tests {
         }
         assert!(gold * 2 > total, "8:1:1 mix makes gold the majority: {gold}/{total}");
         assert!(storm > 20, "a 10% storm rate shows up: {storm}");
+        let cold = total - hot;
+        assert!(hot > 2 * cold, "the weight-3 tenant dominates: hot={hot} cold={cold}");
     }
 }

@@ -275,8 +275,9 @@ fn chaos_replay_converges_and_the_pool_returns_to_full_strength() {
     spec.events = 240;
     let trace = spec.generate();
     let policy = RetryPolicy { attempts: 8, ..RetryPolicy::default() };
-    let report = replay_tcp(addr, &trace, &policy);
-    let calm = replay_tcp(twin_addr, &trace, &RetryPolicy { attempts: 1, ..policy });
+    let timeouts = ClientTimeouts::default();
+    let report = replay_tcp(addr, &trace, &policy, timeouts);
+    let calm = replay_tcp(twin_addr, &trace, &RetryPolicy { attempts: 1, ..policy }, timeouts);
 
     assert_eq!(report.sent, trace.events.len(), "every event was driven");
     assert_eq!(

@@ -9,15 +9,16 @@
 use blockgnn::engine::{BackendKind, Engine, InferRequest};
 use blockgnn::gnn::ModelKind;
 use blockgnn::server::workload::{
-    ci_adversarial_spec, replay_logical, replay_tcp, zipfian_pool, ArrivalKind, Trace,
-    TraceEvent, TraceOp, WorkloadSpec,
+    ci_adversarial_spec, replay_logical, replay_tcp, ArrivalKind, Trace, TraceEvent, TraceOp,
+    WorkloadSpec,
 };
 use blockgnn::server::{
-    run_closed_loop, BatchLimits, Client, GraphDelta, LoadConfig, RetryPolicy, Server,
-    ServerConfig, SloClass, SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
+    BatchLimits, Client, ClientTimeouts, GraphDelta, RetryPolicy, Server, ServerConfig,
+    SloClass, SubmitOptions, TcpServer, TenantSpec, DEFAULT_TENANT,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::net::TcpListener;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The two-tenant roster the replay tests run against: the default
@@ -200,7 +201,7 @@ fn adversarial_tcp_replay_earns_typed_errors_on_live_connections() {
 
     let trace = adversarial_spec().generate();
     let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
-    let report = replay_tcp(addr, &trace, &once);
+    let report = replay_tcp(addr, &trace, &once, ClientTimeouts::default());
     assert_eq!(report.sent, trace.events.len(), "every event was driven");
     assert_eq!(
         report.transport_errors, 0,
@@ -232,16 +233,15 @@ fn adversarial_tcp_replay_earns_typed_errors_on_live_connections() {
 
 #[test]
 fn zipfian_gold_load_rides_the_closed_loop_generator() {
-    // The load-generator path of the harness: a duplicate-heavy zipfian
-    // pool tagged gold drives the closed loop; everything serves and
-    // the gold rollup shows up in the stats line.
-    let pool = zipfian_pool(600, 16, 6, 3, 1.2, 42);
-    assert_eq!(pool.len(), 16);
-    let distinct: std::collections::BTreeSet<usize> = pool.iter().map(|r| r.nodes[0]).collect();
-    assert!(
-        distinct.len() < pool.len(),
-        "zipfian popularity collides on the hot head: {distinct:?}"
-    );
+    // `blockgnn-client load`'s trace: zipfian gold infers microseconds
+    // apart, so every event is overdue and each client runs a closed
+    // loop; everything serves and the gold rollup shows up in stats.
+    let trace = WorkloadSpec::new(0xB10C, 30, 600)
+        .with_arrival(ArrivalKind::Uniform, 1)
+        .with_clients(3)
+        .with_zipf(1.2)
+        .with_class_mix([1, 0, 0])
+        .generate();
 
     let spec = &roster()[0];
     let server = Arc::new(
@@ -253,10 +253,8 @@ fn zipfian_gold_load_rides_the_closed_loop_generator() {
     );
     let front = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").expect("binds");
     let addr = front.local_addr();
-    let report = run_closed_loop(
-        addr,
-        &LoadConfig::new(3, 10, pool).with_options(SubmitOptions::class(SloClass::Gold)),
-    );
+    let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
+    let report = replay_tcp(addr, &trace, &once, ClientTimeouts::default());
     assert_eq!(report.ok, report.sent, "gold zipfian load fully serves: {report:?}");
     let mut client = Client::connect(addr).expect("client connects");
     let stats = client.stats().expect("stats");
@@ -266,4 +264,25 @@ fn zipfian_gold_load_rides_the_closed_loop_generator() {
     );
     client.shutdown().expect("clean shutdown");
     front.run_until_shutdown();
+}
+
+#[test]
+fn replay_honours_the_client_read_deadline() {
+    // A peer that completes every handshake and never answers: only the
+    // read deadline ends each exchange, so every event must come back a
+    // transport error instead of hanging the replay.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let addr = listener.local_addr().expect("local addr");
+    // Every accepted stream stays open for the life of the test binary.
+    std::thread::spawn(move || listener.incoming().collect::<Vec<_>>());
+    let trace = WorkloadSpec::new(5, 4, 40).with_clients(2).generate();
+    let (done, report) = mpsc::channel();
+    std::thread::spawn(move || {
+        let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
+        let timeouts = ClientTimeouts::all(Duration::from_millis(200));
+        done.send(replay_tcp(addr, &trace, &once, timeouts)).expect("test is waiting");
+    });
+    let report = report.recv_timeout(Duration::from_secs(10)).expect("the replay hung");
+    assert_eq!(report.sent, 4, "every event was driven: {report:?}");
+    assert_eq!(report.transport_errors, 4, "every event timed out: {report:?}");
 }
