@@ -1,12 +1,18 @@
 //! TCP client for the serving front end: one blocking connection, its
 //! transport deadlines, and the idempotent retry policy.
+//!
+//! One write per frame: a request line and its LF leave in a single
+//! `write_all` ([`crate::protocol`]'s framing helper), so the server's
+//! connection thread wakes once per request. Only the replay harness's
+//! slow-loris path still writes a line in pieces.
 
 use crate::error::ServerError;
 use crate::fault::splitmix;
 use crate::observe::TraceQuery;
 use crate::protocol::{
     parse_deploy_ack, parse_error, parse_health, parse_lines_header, parse_list_reply,
-    parse_response, parse_update_ack, Command, HealthReport, RemoteResponse, UpdateAck,
+    parse_response, parse_update_ack, write_frame, Command, HealthReport, RemoteResponse,
+    UpdateAck,
 };
 use crate::queue::SubmitOptions;
 use crate::tenant::{TenantInfo, TenantSpec};
@@ -115,6 +121,24 @@ impl RetryPolicy {
     }
 }
 
+/// Sends one request line as one frame ([`write_frame`]), or — with
+/// `dribble = Some((chunks, pause))` — as `chunks` writes `pause` apart
+/// and then the LF on its own.
+fn send_line(
+    writer: &mut impl Write,
+    line: &str,
+    dribble: Option<(usize, Duration)>,
+) -> std::io::Result<()> {
+    let Some((chunks, pause)) = dribble else { return write_frame(writer, line) };
+    for chunk in line.as_bytes().chunks(line.len().div_ceil(chunks.max(1)).max(1)) {
+        writer.write_all(chunk)?;
+        writer.flush()?;
+        std::thread::sleep(pause);
+    }
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
 /// A blocking client over one TCP connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -218,19 +242,7 @@ impl Client {
         line: &str,
         dribble: Option<(usize, Duration)>,
     ) -> Result<String, ServerError> {
-        let step = line.len().div_ceil(dribble.map_or(1, |(chunks, _)| chunks.max(1)));
-        let mut write = || {
-            for chunk in line.as_bytes().chunks(step.max(1)) {
-                self.writer.write_all(chunk)?;
-                self.writer.flush()?;
-                if let Some((_, pause)) = dribble {
-                    std::thread::sleep(pause);
-                }
-            }
-            self.writer.write_all(b"\n")?;
-            self.writer.flush()
-        };
-        if let Err(e) = write() {
+        if let Err(e) = send_line(&mut self.writer, line, dribble) {
             return Err(Self::transport_error(&e, self.timeouts.write));
         }
         self.read_line()
@@ -542,5 +554,32 @@ impl Client {
     /// reply.
     pub fn shutdown(&mut self) -> Result<(), ServerError> {
         self.call_expecting(&Command::Shutdown, "ok bye")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::tests::{framed, CallLog};
+
+    #[test]
+    fn a_request_is_one_write_holding_its_lf() {
+        let line = Command::Infer(
+            InferRequest::sampled(vec![3, 1], 10, 5, 42),
+            SubmitOptions::default(),
+            Some("traffic".into()),
+        )
+        .to_string();
+        let mut log = CallLog::new();
+        send_line(&mut log, &line, None).unwrap();
+        assert_eq!(log.calls, vec![framed(&line)]);
+    }
+
+    #[test]
+    fn a_dribbled_request_sends_its_chunks_then_the_lf() {
+        let mut log = CallLog::new();
+        send_line(&mut log, "infer full 0", Some((3, Duration::ZERO))).unwrap();
+        let calls: Vec<&[u8]> = log.calls.iter().map(Vec::as_slice).collect();
+        assert_eq!(calls, [&b"infe"[..], b"r fu", b"ll 0", b"\n"]);
     }
 }

@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Per-worker ring capacity: the last this-many requests served by each
@@ -226,6 +226,10 @@ pub struct Recorder {
     /// worker); the mutex only arbitrates against readers, so workers
     /// never contend with each other on the hot path.
     rings: Vec<Mutex<Ring>>,
+    /// One delivery gate per ring ([`Recorder::delivering`]): every
+    /// reader passes all of them first, so a caller that holds its
+    /// answer also finds its trace.
+    gates: Vec<Mutex<()>>,
     /// Slow/shed/failed exemplars, keyed by class, bounded per class.
     exemplars: Mutex<BTreeMap<SloClass, VecDeque<TraceRecord>>>,
     /// When false, every recording call is a no-op and ids stay 0 —
@@ -243,6 +247,7 @@ impl Recorder {
             rings: (0..workers.max(1))
                 .map(|_| Mutex::new(Ring { slots: VecDeque::with_capacity(RING_CAPACITY) }))
                 .collect(),
+            gates: (0..workers.max(1)).map(|_| Mutex::new(())).collect(),
             exemplars: Mutex::new(BTreeMap::new()),
             enabled,
         }
@@ -316,6 +321,22 @@ impl Recorder {
         lock_recover(&self.rings[worker % self.rings.len()]).push(record);
     }
 
+    /// Closes `worker`'s delivery gate until the guard drops. A worker
+    /// that answers its callers before it writes their records holds
+    /// this across both, and readers wait at the gate: a caller reading
+    /// the recorder right after its answer arrived would otherwise race
+    /// the record it is looking for.
+    pub(crate) fn delivering(&self, worker: usize) -> MutexGuard<'_, ()> {
+        lock_recover(&self.gates[worker % self.gates.len()])
+    }
+
+    /// Waits out every delivery in progress (see [`Recorder::delivering`]).
+    fn settle(&self) {
+        for gate in &self.gates {
+            drop(lock_recover(gate));
+        }
+    }
+
     fn promote(&self, record: TraceRecord) {
         let mut exemplars = lock_recover(&self.exemplars);
         let slot = exemplars.entry(record.class).or_default();
@@ -329,6 +350,7 @@ impl Recorder {
     /// first (by trace id — ids are assigned monotonically).
     #[must_use]
     pub fn last(&self, n: usize) -> Vec<TraceRecord> {
+        self.settle();
         let mut all: Vec<TraceRecord> = Vec::new();
         for ring in &self.rings {
             all.extend(lock_recover(ring).slots.iter().cloned());
@@ -342,6 +364,7 @@ impl Recorder {
     /// exemplar buffer (a shed request only ever lives there).
     #[must_use]
     pub fn find(&self, trace_id: u64) -> Option<TraceRecord> {
+        self.settle();
         for ring in &self.rings {
             let ring = lock_recover(ring);
             if let Some(r) = ring.slots.iter().rev().find(|r| r.trace_id == trace_id) {
@@ -356,6 +379,7 @@ impl Recorder {
     /// within a class.
     #[must_use]
     pub fn exemplars(&self) -> Vec<TraceRecord> {
+        self.settle();
         let exemplars = lock_recover(&self.exemplars);
         exemplars.values().flatten().cloned().collect()
     }
@@ -363,6 +387,7 @@ impl Recorder {
     /// Per-class exemplar occupancy (for the metrics exposition).
     #[must_use]
     pub fn exemplar_counts(&self) -> BTreeMap<SloClass, usize> {
+        self.settle();
         let exemplars = lock_recover(&self.exemplars);
         exemplars.iter().map(|(c, v)| (*c, v.len())).collect()
     }
@@ -371,6 +396,7 @@ impl Recorder {
     /// [`RING_CAPACITY`]).
     #[must_use]
     pub fn recorded(&self) -> usize {
+        self.settle();
         self.rings.iter().map(|r| lock_recover(r).slots.len()).sum()
     }
 }
@@ -551,6 +577,23 @@ mod tests {
             recorder.find(id),
             Some(record(id, SloClass::Gold, TraceOutcome::Completed, 40))
         );
+    }
+
+    #[test]
+    fn readers_wait_out_a_delivery_in_progress() {
+        // A worker answers first and writes the record after; a reader
+        // arriving in between sees the record, not the gap.
+        let recorder = std::sync::Arc::new(Recorder::new(1, true));
+        let id = recorder.assign();
+        let delivering = recorder.delivering(0);
+        let reader = {
+            let recorder = std::sync::Arc::clone(&recorder);
+            std::thread::spawn(move || (recorder.recorded(), recorder.find(id).is_some()))
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        finish(&recorder, Some(0), id, (SloClass::Silver, TraceOutcome::Completed), 5, false);
+        drop(delivering);
+        assert_eq!(reader.join().unwrap(), (1, true));
     }
 
     #[test]

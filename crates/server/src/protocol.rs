@@ -872,6 +872,19 @@ pub(crate) fn encode_lines<S: AsRef<str>>(verb: &str, body: &[S]) -> String {
     reply
 }
 
+/// Writes one wire frame — `line` and its LF — as a single `write_all`:
+/// every request, reply (multi-line ones whole) and refusal crosses the
+/// socket this way. Both ends run `TCP_NODELAY`, so a separate write
+/// for the LF would go out as a second segment, and the reader could
+/// wake for a body with no line end only to sleep again.
+pub(crate) fn write_frame(writer: &mut impl std::io::Write, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
+    writer.flush()
+}
+
 /// Reads the header of an [`encode_lines`] reply: how many body lines
 /// follow it.
 pub(crate) fn parse_lines_header(line: &str, verb: &str) -> Result<usize, ServerError> {
@@ -1014,11 +1027,80 @@ pub fn parse_error(line: &str) -> Result<ServerError, ServerError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use blockgnn_engine::{BackendKind, EngineError, RequestMode};
     use blockgnn_gnn::ModelKind;
     use blockgnn_graph::generate::Rng64;
+
+    /// A `Write` that records every `write` call, taking at most `limit`
+    /// bytes from each.
+    pub(crate) struct CallLog {
+        pub calls: Vec<Vec<u8>>,
+        limit: usize,
+    }
+
+    impl CallLog {
+        pub fn new() -> Self {
+            Self::taking(usize::MAX)
+        }
+
+        pub fn taking(limit: usize) -> Self {
+            Self { calls: Vec::new(), limit }
+        }
+
+        /// Every byte written, in order.
+        pub fn bytes(&self) -> Vec<u8> {
+            self.calls.concat()
+        }
+    }
+
+    impl std::io::Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.limit);
+            self.calls.push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The frame `line` must go out as: the line and its LF.
+    pub(crate) fn framed(line: &str) -> Vec<u8> {
+        format!("{line}\n").into_bytes()
+    }
+
+    #[test]
+    fn every_frame_is_one_write_holding_its_lf() {
+        // The server's single-line replies, a multi-line reply (framed
+        // whole), the protocol-error refusal and a request line.
+        let health =
+            HealthReport { workers: 2, alive: 2, crashes: 0, restarts: 0, degraded: false };
+        let frames = [
+            "pong".to_string(),
+            encode_health(&health),
+            encode_lines("metrics", &["# TYPE blockgnn_up gauge", "blockgnn_up 1"]),
+            encode_error(&ServerError::Protocol("line exceeds 1048576 bytes".into())),
+            Command::Infer(InferRequest::all_nodes(), SubmitOptions::default(), None)
+                .to_string(),
+        ];
+        for line in &frames {
+            let mut log = CallLog::new();
+            write_frame(&mut log, line).unwrap();
+            assert_eq!(log.calls, vec![framed(line)], "{line:?}");
+        }
+    }
+
+    #[test]
+    fn a_frame_arrives_whole_through_one_byte_writes() {
+        let line = encode_lines("trace", &["t1", "t2"]);
+        let mut log = CallLog::taking(1);
+        write_frame(&mut log, &line).unwrap();
+        assert_eq!(log.calls.len(), line.len() + 1, "write_all retries the short writes");
+        assert_eq!(log.bytes(), framed(&line));
+    }
 
     #[test]
     fn infer_lines_round_trip() {

@@ -550,20 +550,38 @@ mod tests {
         let limits = BatchLimits { window: ms(250), max_requests: 8, max_nodes: usize::MAX };
         let batch = q.next_batch(&limits);
         assert_eq!(batch.members, vec![0]);
-        assert_eq!(
-            batch.holds,
-            vec![ms(105)],
-            "the straggler hold is capped at the member's deadline, not the window"
+        assert!(
+            batch.holds.is_empty(),
+            "a deadline inside the window closes the batch at once, not at the deadline \
+             (where the executor would shed it): {:?}",
+            batch.holds
         );
-        // A later member with an earlier deadline pulls the hold in.
+        // A straggler with a deadline inside the window closes the held
+        // batch it joins.
         q.admit(t, S, false, None, 1).unwrap();
         let mut forming = q.batcher.begin().unwrap();
         let until = q.batcher.advance(&mut forming, &limits, q.now);
-        assert_eq!(until, Step::HoldUntil(q.now + ms(125)), "halved once by the empty hold");
+        assert_eq!(until, Step::HoldUntil(q.now + ms(250)), "no hold has expired empty yet");
         q.admit(t, S, false, Some(q.now + ms(7)), 2).unwrap();
         let until = q.batcher.advance(&mut forming, &limits, q.now + ms(1));
-        assert_eq!(until, Step::HoldUntil(q.now + ms(7)));
+        assert_eq!(until, Step::Close);
         assert_eq!(q.batcher.finish(forming), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_deadline_at_the_window_end_closes_and_one_past_it_holds() {
+        let mut q = Sim::new(WEIGHTS);
+        let t = (0, 1, 4);
+        let limits = BatchLimits { window: us(640), max_requests: 8, max_nodes: usize::MAX };
+        q.now = ms(3);
+        q.admit(t, S, false, Some(ms(3) + us(640)), 0).unwrap();
+        let batch = q.next_batch(&limits);
+        assert_eq!((batch.members, batch.holds), (vec![0], vec![]), "at the end closes");
+        q.admit(t, S, false, Some(ms(3) + us(641)), 1).unwrap();
+        let batch = q.next_batch(&limits);
+        assert_eq!(batch.members, vec![1]);
+        assert_eq!(batch.holds, vec![ms(3) + us(640)], "past the end holds the whole window");
+        assert!(q.now < ms(3) + us(641), "and closes before the deadline it spared");
     }
 
     #[test]

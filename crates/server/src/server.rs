@@ -1100,6 +1100,9 @@ fn serve_batch(
         })
         .collect();
     let write_start = Instant::now();
+    // Held until the records below are written, so no reader of the
+    // recorder sees an answer delivered before its trace.
+    let _delivering = recorder.delivering(worker);
     for (item, answer) in deliveries {
         item.respond(answer);
     }

@@ -7,16 +7,25 @@
 //! a closed-loop serving client needs. A `shutdown` command (or
 //! [`TcpServer::stop`]) stops the accept loop, joins every connection
 //! thread, and shuts the serving runtime down cleanly.
+//!
+//! One write per frame: every reply — single-line, the multi-line
+//! `metrics`/`trace` ones whole, and the protocol-error refusal — leaves
+//! with its LF in a single `write_all` ([`crate::protocol`]'s framing
+//! helper), so the client wakes once per reply.
+//!
+//! The accept loop outlives failed accepts: an error such as `EMFILE`
+//! under descriptor pressure backs off and retries, and only the stop
+//! flag ends the loop.
 
 use crate::error::ServerError;
 use crate::fault::SocketFault;
 use crate::protocol::{
     encode_deploy_ack, encode_error, encode_health, encode_lines, encode_list_reply,
-    encode_response, encode_retire_ack, encode_update_ack, parse_command, Command,
+    encode_response, encode_retire_ack, encode_update_ack, parse_command, write_frame, Command,
 };
 use crate::server::Server;
 use crate::telemetry::ServerStats;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -54,7 +63,8 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and a failure to spawn the accept
+    /// thread.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -65,8 +75,7 @@ impl TcpServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("blockgnn-accept".into())
-                .spawn(move || accept_loop(&listener, &server, &stop))
-                .expect("accept thread spawns")
+                .spawn(move || accept_loop(&listener, &server, &stop))?
         };
         Ok(Self { server, addr, stop, accept_handle: Some(accept_handle) })
     }
@@ -120,22 +129,29 @@ fn accept_loop(listener: &TcpListener, server: &Arc<Server>, stop: &Arc<AtomicBo
             Ok((stream, _peer)) => {
                 let server = Arc::clone(server);
                 let stop = Arc::clone(stop);
-                let handle = std::thread::Builder::new()
-                    .name("blockgnn-conn".into())
-                    .spawn(move || {
+                // A thread that cannot spawn drops its closure, and the
+                // stream in it: that one connection closes, the loop
+                // serves on.
+                let spawned =
+                    std::thread::Builder::new().name("blockgnn-conn".into()).spawn(move || {
                         let _ = serve_connection(stream, &server, &stop);
-                    })
-                    .expect("connection thread spawns");
-                connections.push(handle);
+                    });
+                connections.extend(spawned.ok());
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+            Err(e) => {
                 // Idle: reap finished connection threads so a long-lived
                 // daemon does not accumulate one dead handle per client
-                // that ever connected, then nap until the next poll.
+                // that ever connected, then nap until the next poll. Any
+                // other error (`EMFILE`, `ENFILE`, an aborted handshake)
+                // leaves the listener intact: back off for a poll
+                // interval, so descriptors can free up, and accept again.
                 reap_finished(&mut connections);
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(if e.kind() == ErrorKind::WouldBlock {
+                    Duration::from_millis(2)
+                } else {
+                    POLL_INTERVAL
+                });
             }
-            Err(_) => break,
         }
     }
     for handle in connections {
@@ -172,7 +188,7 @@ fn serve_connection(
             Ok(Some(line)) => line,
             Ok(None) => return Ok(()),
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                write_reply(&mut writer, &encode_error(&ServerError::Protocol(e.to_string())))?;
+                write_frame(&mut writer, &encode_error(&ServerError::Protocol(e.to_string())))?;
                 return close_after_discarding(&mut reader, &writer, stop);
             }
             Err(e) => return Err(e),
@@ -189,7 +205,7 @@ fn serve_connection(
         let command = parse_command(line.trim()).map_err(ServerError::Protocol);
         let shutdown = matches!(command, Ok(Command::Shutdown));
         let reply = command.and_then(|command| answer(server, command));
-        write_reply(&mut writer, &reply.unwrap_or_else(|e| encode_error(&e)))?;
+        write_frame(&mut writer, &reply.unwrap_or_else(|e| encode_error(&e)))?;
         if shutdown {
             stop.store(true, Ordering::SeqCst);
             return Ok(());
@@ -231,19 +247,13 @@ fn answer(server: &Server, command: Command) -> Result<String, ServerError> {
         Command::Retire(name) => encode_retire_ack(&name, &server.retire(&name)?),
         Command::List => encode_list_reply(&server.tenants()),
         // The observability verbs are the protocol's only multi-line
-        // replies, assembled as one string (the trailing write appends
-        // the final LF), so each hits the socket in one write.
+        // replies, assembled as one string that `write_frame` sends with
+        // its final LF, so each hits the socket in one write.
         Command::Metrics => {
             encode_lines("metrics", &server.metrics_text().lines().collect::<Vec<_>>())
         }
         Command::Trace(query) => encode_lines("trace", &server.trace_lines(query)),
     })
-}
-
-fn write_reply(writer: &mut TcpStream, reply: &str) -> std::io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Closes a refused connection so that the refusal arrives: closing

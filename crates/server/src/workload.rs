@@ -627,7 +627,7 @@ struct PendingInfer {
 
 /// Replays a trace against in-process engines in **logical time**: the
 /// server's own batch-forming code (`crate::batcher` — lanes, stride
-/// pick, caps, deadline-clamped adaptive hold) under `limits`, driven by
+/// pick, caps, deadline-aware adaptive hold) under `limits`, driven by
 /// the trace's microsecond clock instead of the wall clock, so two runs
 /// over the same inputs produce byte-identical [`ReplayReport`]s.
 /// `engines` maps tenant names (use [`crate::DEFAULT_TENANT`] for

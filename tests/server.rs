@@ -320,6 +320,28 @@ fn expired_deadlines_shed_with_typed_error() {
 }
 
 #[test]
+fn a_deadline_inside_the_straggler_window_is_served_not_shed() {
+    // An idle worker with a 50 ms straggler window and a lone request
+    // due in 40 ms: the batch closes at once and serves it, rather than
+    // holding until the deadline and shedding it there.
+    let dataset = dataset();
+    let server = Server::start(
+        engine_on(ModelKind::Gcn, BackendKind::Dense, &dataset),
+        ServerConfig::default().with_workers(1).with_batching(Duration::from_millis(50), 8),
+    )
+    .expect("server starts");
+    let deadline = Duration::from_millis(40);
+    let ticket = server
+        .handle()
+        .submit_with(InferRequest::sampled(vec![1], 4, 2, 9), SubmitOptions::deadline(deadline))
+        .expect("admitted");
+    let response = ticket.wait().expect("served inside its deadline");
+    assert!(response.queue_time < deadline, "queued {:?}", response.queue_time);
+    let stats = server.shutdown();
+    assert_eq!(stats.shed_deadline, 0);
+}
+
+#[test]
 fn classes_order_queued_requests() {
     // Occupy a single worker, then race a bronze and a gold request;
     // the gold one must execute first (both class lanes start at the
