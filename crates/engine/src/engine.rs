@@ -2,7 +2,6 @@
 
 use crate::backend::{Backend, BackendKind, RequestShape};
 use crate::error::EngineError;
-use crate::parallel::Plan;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
 use crate::stats::ServeStats;
 use crate::versioned::{
@@ -12,12 +11,12 @@ use blockgnn_gnn::batch::MergedUniverse;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::{Dataset, GraphDelta};
-use blockgnn_nn::Compression;
+use blockgnn_nn::{Compression, NnError};
 use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::params::CirCoreParams;
 use blockgnn_perf::resources::DRAM_BYTES;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configures and constructs an [`Engine`].
@@ -158,13 +157,21 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Accel`] if the simulated accelerator rejects the
-    /// weights.
+    /// [`EngineError::Build`] for a dataset whose feature rows disagree
+    /// with its node count; [`EngineError::Accel`] if the simulated
+    /// accelerator rejects the weights.
     pub fn build_with_model(
         self,
         model: Box<dyn GnnModel>,
         dataset: Arc<Dataset>,
     ) -> Result<Engine, EngineError> {
+        if dataset.features.rows() != dataset.num_nodes() {
+            return Err(EngineError::Build(NnError::new(format!(
+                "dataset has {} feature rows for {} nodes",
+                dataset.features.rows(),
+                dataset.num_nodes()
+            ))));
+        }
         let backend = Backend::new(self.backend, model, self.circore, self.coeffs)?;
         // Graph updates that grow the node count re-run this residency
         // policy: the simulated accelerator is bounded by device DRAM
@@ -183,7 +190,6 @@ impl EngineBuilder {
         Ok(Engine {
             shared: Arc::new(SharedGraphState::new(dataset, residency)),
             workers: vec![backend],
-            plan: Arc::default(),
             fanouts: self.fanouts,
         })
     }
@@ -205,9 +211,9 @@ impl EngineBuilder {
 /// Open a session with [`Engine::session`], or fork replicas for
 /// concurrent serving with [`Engine::fork`]: forks share the prepared
 /// weights *and* the versioned graph state (current snapshot, mutable
-/// master, version-keyed full-graph logits cache), so a whole worker
-/// pool computes the full graph at most once per version and observes
-/// updates in the same total order.
+/// master), and each snapshot carries its own full-graph logits, so a
+/// whole worker pool computes the full graph at most once per version
+/// and observes updates in the same total order.
 ///
 /// As built, an engine runs every execution on one backend. Widening it
 /// with [`Engine::into_parallel`] changes *how* it executes — full-graph
@@ -216,15 +222,11 @@ impl EngineBuilder {
 /// same deltas, bit-identical answers.
 pub struct Engine {
     /// Versioned graph state shared across the engine family (see
-    /// [`crate::versioned`]): current epoch, mutable master, and the
-    /// version-keyed full-graph cache.
+    /// [`crate::versioned`]): the current epoch with its caches, and the
+    /// mutable master.
     pub(crate) shared: Arc<SharedGraphState>,
     /// One backend replica per worker thread; length 1 as built.
     pub(crate) workers: Vec<Backend>,
-    /// The full-graph partition plan of the newest version a pass has
-    /// resolved, shared with every fork. Empty until a widened engine
-    /// (or a plan accessor) first needs one.
-    pub(crate) plan: Arc<Mutex<Option<Arc<Plan>>>>,
     /// Fan-outs the cycle model charges for full-graph requests.
     pub(crate) fanouts: (usize, usize),
 }
@@ -289,10 +291,10 @@ impl Engine {
     /// Applies a [`GraphDelta`] atomically and publishes the new graph
     /// version, returning it. The swap happens between micro-batches:
     /// executions already in flight finish on the version they resolved,
-    /// the next batch (on every fork) sees the new one. The full-graph
-    /// logits cache is version-keyed, so the next full-graph request
-    /// recomputes; when the delta grows the node count, the §IV-B/§IV-C
-    /// feature-residency check re-runs first (see
+    /// the next batch (on every fork) sees the new one. The new version
+    /// starts with no cached logits, hot rows or plan, so the next
+    /// full-graph request recomputes; when the delta grows the node
+    /// count, the §IV-B/§IV-C feature-residency check re-runs first (see
     /// [`EngineBuilder::graph_budget_bytes`]).
     ///
     /// # Errors
@@ -320,21 +322,21 @@ impl Engine {
         Session { engine: self, stats: ServeStats::default() }
     }
 
-    /// Drops the full-graph logits cache so the next full-graph request
-    /// recomputes (and re-charges the hardware models). Useful for
-    /// benchmarking the execution path itself; regular serving never
-    /// needs this — the cache is version-keyed and [`Engine::apply_delta`]
-    /// already invalidates it. Affects every [`Engine::fork`] replica —
-    /// the cache is shared.
+    /// Drops the current version's full-graph logits so the next
+    /// full-graph request recomputes (and re-charges the hardware
+    /// models). Useful for benchmarking the execution path itself;
+    /// regular serving never needs this — the logits live on their
+    /// epoch, and [`Engine::apply_delta`] publishes a fresh one. Affects
+    /// every [`Engine::fork`] replica — the epoch is shared.
     pub fn clear_full_graph_cache(&self) {
-        *lock_recover(&self.shared.cache) = None;
+        *lock_recover(&self.shared.epoch().logits) = None;
     }
 
     /// Forks an independent replica for another worker thread: every
     /// backend's prepared weights and cached spectra are `Arc`-shared
     /// (see [`blockgnn_nn::ExecMode`]), as is the whole versioned graph
-    /// state — snapshot, mutable master, the version-keyed full-graph
-    /// logits cache — and the partition plan. Forks execute concurrently
+    /// state — the snapshot with its logits, hot rows and partition
+    /// plans, and the mutable master. Forks execute concurrently
     /// and observe graph updates in the same total order — this is how
     /// the serving runtime places one engine per worker without
     /// duplicating the model.
@@ -343,7 +345,6 @@ impl Engine {
         Engine {
             shared: Arc::clone(&self.shared),
             workers: self.workers.iter().map(Backend::fork).collect(),
-            plan: Arc::clone(&self.plan),
             fanouts: self.fanouts,
         }
     }
@@ -366,26 +367,18 @@ impl Engine {
         batch.outcomes.pop().expect("one outcome per request")
     }
 
-    /// Answers one full-graph request through the shared version-keyed
-    /// cache, computing the full-graph pass under the cache lock if the
-    /// snapshot's version is not the cached one (concurrent forks block
-    /// rather than duplicate the work; a delta bumps the version, so a
-    /// stale entry can never answer).
+    /// Answers one full-graph request from `epoch`'s logits, computing
+    /// the full-graph pass under the epoch's logits lock when it has none
+    /// yet (concurrent forks block rather than duplicate the work).
     fn full_graph_outcome(&mut self, epoch: &GraphEpoch, nodes: &[usize]) -> ExecOutcome {
-        let shared = Arc::clone(&self.shared);
-        let mut guard = lock_recover(&shared.cache);
-        let from_cache = matches!(&*guard, Some((v, _)) if *v == epoch.version);
+        let mut slot = lock_recover(&epoch.logits);
+        let from_cache = slot.is_some();
         let (mut parts, mut hot_rows) = (0, 0);
-        if !from_cache {
+        let cached = slot.get_or_insert_with(|| {
             let out;
             (out, parts, hot_rows) = self.full_graph_pass(epoch);
-            // A batch still draining an older version may pass through
-            // here after a newer version was cached; it stores its own
-            // version (hits require an exact match, so this only costs
-            // the newer version one recomputation, never correctness).
-            *guard = Some((epoch.version, out));
-        }
-        let (_, cached) = guard.as_ref().expect("just populated");
+            out
+        });
         let logits = crate::request::full_graph_rows(&cached.logits, nodes);
         // Cache hits cost the hardware nothing — only the fresh
         // computation carries its cycle/energy report, so summing
@@ -413,7 +406,7 @@ impl Engine {
     /// [`MergedUniverse`] and answered by a single backend execution,
     /// with per-request logits scattered back and per-request hardware
     /// cost re-charged on each request's own sub-universe shape.
-    /// Full-graph requests are answered through the shared cache.
+    /// Full-graph requests are answered from the epoch's logits.
     ///
     /// Every outcome is **bit-identical** to serving the same request
     /// alone ([`Engine::execute_request`], a batch of one): blocks
@@ -674,19 +667,14 @@ impl StageAccum {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let epoch = self.shared.epoch();
+        let full_graph_cached = lock_recover(&epoch.logits).is_some();
         f.debug_struct("Engine")
             .field("model", &self.model_kind())
             .field("backend", &self.backend_kind())
             .field("dataset", &epoch.dataset.name)
             .field("graph_version", &epoch.version)
             .field("workers", &self.workers.len())
-            .field(
-                "full_graph_cached",
-                &matches!(
-                    &*lock_recover(&self.shared.cache),
-                    Some((v, _)) if *v == epoch.version
-                ),
-            )
+            .field("full_graph_cached", &full_graph_cached)
             .finish()
     }
 }
@@ -747,5 +735,60 @@ impl Session<'_> {
     #[must_use]
     pub fn finish(self) -> ServeStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::versioned::lock_recover;
+    use crate::{BackendKind, EngineBuilder, EngineError, GraphDelta, InferRequest};
+    use blockgnn_gnn::ModelKind;
+    use blockgnn_graph::datasets;
+    use blockgnn_linalg::Matrix;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_straggler_on_the_old_epoch_leaves_the_new_epochs_caches_alone() {
+        let dataset = Arc::new(datasets::cora_like_small(5));
+        let builder = EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense).hidden_dim(8);
+        let all = InferRequest::all_nodes();
+        let delta = GraphDelta::new().add_edge(0, 9);
+
+        // A batch that resolved version 0 finishes its pass after version
+        // 1's logits are cached: they must stay cached.
+        let mut engine = builder.clone().build(Arc::clone(&dataset)).expect("builds");
+        let old = engine.shared.epoch();
+        engine.apply_delta(&delta).expect("applies");
+        assert!(!engine.execute_request(&all).expect("serves").from_cache);
+        let straggler = engine.full_graph_outcome(&old, &[]);
+        assert_eq!((straggler.graph_version, straggler.from_cache), (0, false));
+        let next = engine.execute_request(&all).expect("serves");
+        assert_eq!((next.graph_version, next.from_cache), (1, true));
+
+        // A staged pass on the old epoch publishes hot rows to that epoch
+        // only, and leaves the new epoch's plan in place.
+        let mut widened =
+            builder.build(dataset).expect("builds").into_parallel(2).expect("widens");
+        let old = widened.shared.epoch();
+        widened.apply_delta(&delta).expect("applies");
+        assert!(widened.parts().len() >= 2);
+        let plan = |e: &crate::Engine| Arc::clone(&lock_recover(&e.shared.epoch().plans)[&2]);
+        let before = plan(&widened);
+        let straggler = widened.full_graph_outcome(&old, &[]);
+        assert_eq!((straggler.graph_version, straggler.from_cache), (0, false));
+        assert!(lock_recover(&old.hot).iter().any(|rows| !rows.is_empty()));
+        assert_eq!(widened.hot_cached_rows(), 0);
+        assert!(Arc::ptr_eq(&before, &plan(&widened)));
+    }
+
+    #[test]
+    fn a_dataset_whose_features_disagree_with_its_graph_is_refused() {
+        let mut dataset = datasets::cora_like_small(5);
+        let n = dataset.num_nodes();
+        dataset.features = Matrix::zeros(n - 1, dataset.feature_dim());
+        let built = EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense)
+            .hidden_dim(8)
+            .build(Arc::new(dataset));
+        assert!(matches!(built, Err(EngineError::Build(_))), "{built:?}");
     }
 }

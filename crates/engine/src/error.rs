@@ -11,7 +11,8 @@ use std::fmt;
 /// [`crate::Session::infer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// Model construction failed (bad dimensions or block size).
+    /// Model construction failed (bad dimensions or block size), or the
+    /// dataset's feature rows disagree with its node count.
     Build(NnError),
     /// The simulated accelerator rejected the prepared weights (e.g.
     /// Weight Buffer overflow — the §IV-B deployability check).

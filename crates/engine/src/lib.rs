@@ -22,7 +22,7 @@
 //!   [`GraphDelta`] (edge add/remove, feature updates, appended nodes)
 //!   atomically: a new snapshot with a bumped version is published for
 //!   the *next* micro-batch, in-flight requests finish on the old one,
-//!   the full-graph logits cache is version-keyed, and every
+//!   the full-graph logits live on their version's epoch, and every
 //!   [`InferResponse`] reports the [`InferResponse::graph_version`] it
 //!   was served from. [`GraphHandle`] applies deltas without owning an
 //!   engine replica (what the serving runtime holds).

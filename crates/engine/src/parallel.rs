@@ -20,8 +20,8 @@
 //! and a one-worker engine never builds or touches any of this.
 //!
 //! The plan is a pure function of (graph version, worker count), so it
-//! is keyed by version exactly like the logits cache: the first
-//! full-graph pass that resolves a newer epoch rebuilds it, and
+//! lives on its epoch, one per worker count: the first pass that
+//! resolves a new epoch builds that epoch's plan, and
 //! [`Engine::apply_delta`] needs no hook.
 //!
 //! # Why stages instead of running the whole model per part
@@ -45,13 +45,12 @@
 //! the merged stage `s − 1` output), so a hub vertex's stage row is a
 //! pure function of the graph version. The plan flags the
 //! highest-degree vertices (up to [`DEFAULT_HOT_CACHE_BYTES`] of rows);
-//! their stage rows live in a version-keyed cache shared across the
-//! whole engine family — like the full-graph logits cache — and are
-//! copied instead of re-aggregated. `apply_delta` invalidates strictly
-//! before publishing the new epoch, and a pass still running on the old
-//! epoch can neither read nor publish rows. Sampled requests never touch
-//! the cache: their sub-universe inputs are batch-dependent, not
-//! canonical.
+//! their stage rows live on the epoch — like its full-graph logits,
+//! shared by every fork that resolved it — and are copied instead of
+//! re-aggregated. `apply_delta` publishes a new epoch with no rows, and
+//! a pass still running on the old epoch reads and publishes the old
+//! epoch's rows only. Sampled requests never touch the cache: their
+//! sub-universe inputs are batch-dependent, not canonical.
 //!
 //! Per-part hardware cost is still accounted the §IV-C way: the
 //! simulated accelerator charges each part's *computed* target nodes
@@ -64,7 +63,7 @@
 use crate::backend::{Backend, BackendOutput, RequestShape};
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::versioned::{lock_recover, GraphEpoch, HotVertexCache};
+use crate::versioned::{lock_recover, GraphEpoch};
 use blockgnn_accel::SimReport;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
@@ -94,9 +93,8 @@ pub const DEFAULT_MIN_SHARD_ROWS: usize = 32;
 pub const DEFAULT_HOT_CACHE_BYTES: usize = NODE_FEATURE_BUFFER_BYTES / 2;
 
 /// How a widened engine executes one graph version's full-graph pass.
+#[derive(Debug)]
 pub(crate) struct Plan {
-    /// The graph version the plan was built from.
-    version: u64,
     /// Budget-fit, degree-balanced parts tiling the node set.
     parts: Vec<GraphPart>,
     /// Load-balance factor of `parts` (max part work / mean part work).
@@ -151,10 +149,8 @@ impl Engine {
         while self.workers.len() < workers {
             self.workers.push(self.workers[0].fork());
         }
-        // The plan depends on the worker count: one-worker forks of
-        // this family keep the slot they share, this engine starts a
-        // fresh one (and fills it now rather than on the first request).
-        self.plan = Arc::default();
+        // Build this worker count's plan now rather than on the first
+        // request.
         if workers > 1 {
             self.current_plan();
         }
@@ -214,46 +210,40 @@ impl Engine {
         CompressedCsr::encode(&self.shared.epoch().dataset.graph).resident_bytes()
     }
 
-    /// Drops every hot-vertex row (family-wide — the cache is shared).
-    /// [`Engine::clear_full_graph_cache`] deliberately leaves them warm —
-    /// that models steady-state serving; this is for cold-start
-    /// measurements.
+    /// Drops the current version's hot-vertex rows (family-wide — the
+    /// epoch is shared). [`Engine::clear_full_graph_cache`] deliberately
+    /// leaves them warm — that models steady-state serving; this is for
+    /// cold-start measurements.
     pub fn clear_hot_cache(&self) {
-        self.shared.hot.invalidate_to(self.version());
+        lock_recover(&self.shared.epoch().hot).clear();
     }
 
-    /// Rows currently held by the family's hot-vertex cache, across all
-    /// stages (introspection hook).
+    /// Hot-vertex rows the current version holds, across all stages
+    /// (introspection hook).
     #[must_use]
     pub fn hot_cached_rows(&self) -> usize {
-        self.shared.hot.cached_rows()
+        lock_recover(&self.shared.epoch().hot).iter().map(|rows| rows.len()).sum()
     }
 
     fn current_plan(&self) -> Arc<Plan> {
         self.plan_for(&self.shared.epoch())
     }
 
-    /// The plan for `epoch`: the shared slot's when its version matches,
-    /// else a fresh one — published to the slot unless the slot already
-    /// holds a newer version (a batch still draining an older epoch
-    /// plans for itself without evicting the current plan).
+    /// `epoch`'s plan for this engine's worker count, built on first
+    /// use.
     fn plan_for(&self, epoch: &GraphEpoch) -> Arc<Plan> {
-        let mut slot = lock_recover(&self.plan);
-        if let Some(plan) = slot.as_ref().filter(|p| p.version == epoch.version) {
-            return Arc::clone(plan);
-        }
-        let plan = Arc::new(self.build_plan(epoch.version, &epoch.dataset));
-        if slot.as_ref().is_none_or(|p| p.version < epoch.version) {
-            *slot = Some(Arc::clone(&plan));
-        }
-        plan
+        let mut plans = lock_recover(&epoch.plans);
+        let plan = plans
+            .entry(self.workers.len())
+            .or_insert_with(|| Arc::new(self.build_plan(&epoch.dataset)));
+        Arc::clone(plan)
     }
 
-    fn build_plan(&self, version: u64, dataset: &Dataset) -> Plan {
+    fn build_plan(&self, dataset: &Dataset) -> Plan {
         let graph = &dataset.graph;
         if self.workers.len() == 1 {
             let parts = partition_contiguous(graph, 1);
-            return Plan { version, parts, balance: 1.0, hot_flags: Vec::new() };
+            return Plan { parts, balance: 1.0, hot_flags: Vec::new() };
         }
         let feature_dim = dataset.feature_dim();
         let parts = self.plan_parts(graph, feature_dim);
@@ -271,7 +261,7 @@ impl Engine {
         for &v in by_degree.iter().take(capacity) {
             hot_flags[v as usize] = true;
         }
-        Plan { version, parts, balance, hot_flags }
+        Plan { parts, balance, hot_flags }
     }
 
     /// The widest row any inference stage materializes (stage outputs
@@ -329,11 +319,7 @@ impl Engine {
             return (out, 1, 0);
         }
         let plan = self.plan_for(epoch);
-        let hot = HotContext {
-            cache: &self.shared.hot,
-            version: epoch.version,
-            flags: &plan.hot_flags,
-        };
+        let hot = HotContext { epoch, flags: &plan.hot_flags };
         let run = run_staged(
             &mut self.workers,
             &dataset.graph,
@@ -395,8 +381,8 @@ impl Engine {
 
 /// Hot-vertex cache wiring for one staged run (full-graph path only).
 struct HotContext<'a> {
-    cache: &'a HotVertexCache,
-    version: u64,
+    /// The epoch whose rows the run reads and publishes.
+    epoch: &'a GraphEpoch,
     flags: &'a [bool],
 }
 
@@ -413,11 +399,11 @@ struct StagedRun {
 /// Executes the model's inference stages over `parts`, fanning each
 /// stage's parts out to the worker pool and merging the output rows
 /// (row-aligned by global node id) before the next stage starts. With a
-/// [`HotContext`], rows of flagged vertices whose cached stage output
-/// matches the graph version are copied instead of computed, and freshly
-/// computed flagged rows are published back — bit-identical either way,
-/// because cached rows were produced by the very same `forward_stage`
-/// over the same canonical inputs.
+/// [`HotContext`], rows of flagged vertices cached on the epoch are
+/// copied instead of computed, and freshly computed flagged rows are
+/// published back — bit-identical either way, because cached rows were
+/// produced by the very same `forward_stage` over the same canonical
+/// inputs.
 ///
 /// Degenerate plans skip the thread pool entirely: one part (nothing to
 /// fan out) or one worker (nothing to fan out *to*) runs inline on the
@@ -439,7 +425,7 @@ fn run_staged(
     let mut computed_any = vec![false; n];
     for stage in 0..num_stages {
         let width = workers[0].model.stage_width(stage, feature_dim);
-        let snapshot = hot.map(|h| h.cache.stage_snapshot(h.version, num_stages, stage));
+        let snapshot = hot.and_then(|h| lock_recover(&h.epoch.hot).get(stage).cloned());
         let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
         // Split every part's targets into cache hits and compute rows;
@@ -525,8 +511,12 @@ fn run_staged(
                 }
             }
         }
-        if let Some(h) = hot {
-            h.cache.publish(h.version, num_stages, stage, publish);
+        if let Some(h) = hot.filter(|_| !publish.is_empty()) {
+            let mut stages = lock_recover(&h.epoch.hot);
+            if stages.len() <= stage {
+                stages.resize_with(stage + 1, Arc::default);
+            }
+            Arc::make_mut(&mut stages[stage]).extend(publish);
         }
         merged = Some(out);
     }
@@ -572,6 +562,7 @@ fn merge_part_charges(
 
 #[cfg(test)]
 mod tests {
+    use crate::versioned::lock_recover;
     use crate::{BackendKind, EngineBuilder, GraphDelta, InferRequest};
     use blockgnn_gnn::ModelKind;
     use blockgnn_graph::datasets;
@@ -593,15 +584,17 @@ mod tests {
         for request in &requests {
             engine.execute_request(request).expect("serves");
         }
+        assert!(lock_recover(&engine.shared.epoch().plans).is_empty());
         engine.apply_delta(&GraphDelta::new().add_edge(0, 9)).expect("applies");
         assert!(fork.infer_coalesced(&requests).outcomes.iter().all(Result::is_ok));
-        assert!(engine.plan.lock().expect("never poisoned").is_none());
+        assert!(lock_recover(&engine.shared.epoch().plans).is_empty());
         assert_eq!(engine.hot_cached_rows(), 0);
-        // Widening builds the current version's plan, in a slot of its
-        // own: the one-worker fork's stays empty.
+        // Widening builds the current epoch's plan for two workers, and
+        // no one-worker plan was ever built.
         let widened = engine.into_parallel(2).expect("widens");
-        let plan = widened.plan.lock().expect("never poisoned").clone().expect("built eagerly");
-        assert_eq!((plan.version, plan.parts.len() >= 2), (1, true));
-        assert!(fork.plan.lock().expect("never poisoned").is_none());
+        let epoch = widened.shared.epoch();
+        let plans = lock_recover(&epoch.plans);
+        assert_eq!((epoch.version, plans.len()), (1, 1));
+        assert!(plans[&2].parts.len() >= 2);
     }
 }

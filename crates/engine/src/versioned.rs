@@ -11,13 +11,15 @@
 //! * `master` is the lazily built mutable copy
 //!   ([`blockgnn_graph::VersionedGraph`]) deltas apply to. Engines that
 //!   never mutate never pay for it.
-//! * `cache` is the full-graph logits cache, **keyed by version**: a
-//!   hit requires an exact version match, so a delta can never serve
-//!   stale logits. (Per-graph model caches — GCN's `Â` normalization,
-//!   sampled-subgraph interning — key on
-//!   [`blockgnn_graph::CsrGraph::instance_id`], and every applied delta
-//!   produces a graph with a fresh id, so they are version-safe by
-//!   construction.)
+//! * Each epoch owns what is computed from it: the full-graph logits,
+//!   the hot-vertex stage rows and the partition plans (see
+//!   [`GraphEpoch`]). A delta publishes a fresh epoch with empty
+//!   caches, so no cache compares versions and a delta never serves
+//!   stale logits; the old epoch's caches die with its last holder.
+//!   (Per-graph model caches — GCN's `Â` normalization, sampled-subgraph
+//!   interning — key on [`blockgnn_graph::CsrGraph::instance_id`], and
+//!   every applied delta produces a graph with a fresh id, so they are
+//!   version-safe by construction.)
 //! * `residency` re-runs the §IV-B/§IV-C feature-residency check when a
 //!   delta grows the node count: the grown graph's resident features
 //!   (plus the model's packed weight spectra) must still fit the
@@ -26,134 +28,63 @@
 
 use crate::backend::BackendOutput;
 use crate::error::EngineError;
+use crate::parallel::Plan;
 use blockgnn_graph::{Dataset, GraphDelta, VersionedGraph};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard when an earlier holder panicked
-/// (a full-graph pass runs a model under the logits-cache lock, and the
-/// serving runtime's `catch_unwind` fault domain survives that panic).
-/// Recovered state is safe for every lock in this crate: the epoch
-/// slot, the logits cache and the plan slot are only ever replaced
-/// wholesale; hot rows and cached logits are version-checked on every
-/// read; and the master copy is mutated only after its delta has been
-/// validated, by steps that cannot fail.
+/// (a full-graph pass runs a model under its epoch's logits lock, and
+/// the serving runtime's `catch_unwind` fault domain survives that
+/// panic). Recovered state is safe for every lock in this crate: the
+/// epoch slot, an epoch's logits and its plans are only ever written
+/// whole (a pass that panics leaves the logits empty); hot rows are
+/// inserted row by row, each row whole; and the master copy is mutated
+/// only after its delta has been validated, by steps that cannot fail.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Version-keyed cache of per-stage aggregated feature rows for
-/// high-degree hub vertices, shared across an engine family like the
-/// full-graph logits cache.
+/// One stage's hot-vertex rows: node id → that node's stage-output row.
+pub(crate) type HotRows = HashMap<u32, Vec<f64>>;
+
+/// One immutable serving snapshot: what a micro-batch executes against,
+/// and the caches computed from it.
 ///
-/// Staged full-graph execution recomputes every hub's aggregation on
-/// every request even though hub rows dominate the work on power-law
-/// graphs. This cache keeps the computed stage outputs of a bounded set
-/// of hot vertices; a staged run copies cached rows instead of
-/// re-aggregating them. Correctness rests on two facts: (1) a stage
-/// row's value is a pure function of (graph version, stage, input
-/// matrix), and full-graph stage inputs are canonical (stage 0 reads the
-/// dataset features, stage `s` reads the full merged stage `s − 1`
-/// output); (2) entries are **version-keyed with strict invalidation** —
-/// [`HotVertexCache::invalidate_to`] runs inside `apply_delta` before
-/// the new epoch is published, and a publish from an engine still
-/// holding a stale version is rejected, so a delta can never see or
-/// leave stale rows.
-#[derive(Debug, Default)]
-pub(crate) struct HotVertexCache {
-    inner: Mutex<HotState>,
-}
-
-#[derive(Debug, Default)]
-struct HotState {
-    /// Version the cached rows belong to; `None` until first use.
-    version: Option<u64>,
-    /// One map per model stage: node id → that node's stage-output row.
-    /// `Arc` so staged runs snapshot a stage map without holding the
-    /// lock while computing.
-    stages: Vec<Arc<HashMap<u32, Vec<f64>>>>,
-}
-
-impl HotVertexCache {
-    /// Snapshot of the cached rows for `stage` at `version`; empty when
-    /// the cache holds a different version (or nothing yet).
-    pub fn stage_snapshot(
-        &self,
-        version: u64,
-        num_stages: usize,
-        stage: usize,
-    ) -> Arc<HashMap<u32, Vec<f64>>> {
-        let state = lock_recover(&self.inner);
-        if state.version == Some(version) && state.stages.len() == num_stages {
-            if let Some(map) = state.stages.get(stage) {
-                return Arc::clone(map);
-            }
-        }
-        Arc::new(HashMap::new())
-    }
-
-    /// Publishes freshly computed rows for `stage` at `version`. Adopts
-    /// the version when the cache is empty; merges when it matches;
-    /// **rejects silently** when it differs — an engine that resolved an
-    /// older epoch (a delta landed mid-run) must not poison the cache,
-    /// and the invalidated cache must not resurrect pre-delta rows.
-    pub fn publish(
-        &self,
-        version: u64,
-        num_stages: usize,
-        stage: usize,
-        rows: Vec<(u32, Vec<f64>)>,
-    ) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut state = lock_recover(&self.inner);
-        match state.version {
-            None => {
-                state.version = Some(version);
-                state.stages = (0..num_stages).map(|_| Arc::new(HashMap::new())).collect();
-            }
-            Some(v) if v == version => {
-                if state.stages.len() != num_stages {
-                    state.stages = (0..num_stages).map(|_| Arc::new(HashMap::new())).collect();
-                }
-            }
-            Some(_) => return,
-        }
-        let Some(slot) = state.stages.get_mut(stage) else {
-            return;
-        };
-        let map = Arc::make_mut(slot);
-        for (node, row) in rows {
-            map.insert(node, row);
-        }
-    }
-
-    /// Drops every cached row and pins the cache to `new_version`, so a
-    /// straggler publish from an engine still computing against the old
-    /// version is rejected. Runs inside `apply_delta` before the new
-    /// epoch is visible.
-    pub fn invalidate_to(&self, new_version: u64) {
-        let mut state = lock_recover(&self.inner);
-        state.version = Some(new_version);
-        state.stages.clear();
-    }
-
-    /// Total cached rows across all stages (test/introspection hook).
-    pub fn cached_rows(&self) -> usize {
-        let state = lock_recover(&self.inner);
-        state.stages.iter().map(|m| m.len()).sum()
-    }
-}
-
-/// One immutable serving snapshot: what a micro-batch executes against.
+/// Each cache is a pure function of this version's graph (and, for a
+/// plan, the worker count), so it hangs off the epoch: an `Arc` shared
+/// by every fork that resolved it. A batch still draining an old epoch
+/// reads and fills that epoch's caches only; it can neither serve nor
+/// evict another version's entries.
 #[derive(Debug)]
 pub(crate) struct GraphEpoch {
     /// The frozen dataset of this version.
     pub dataset: Arc<Dataset>,
     /// Monotone version (0 until the first applied delta).
     pub version: u64,
+    /// This version's full-graph logits once a pass has computed them.
+    /// The pass runs under this lock, so concurrent forks wait for it
+    /// instead of computing it twice.
+    pub logits: Mutex<Option<BackendOutput>>,
+    /// Hot-vertex stage rows (see [`crate::parallel`]), one map per
+    /// stage, each behind an `Arc` so a staged run snapshots a stage
+    /// without holding the lock while it computes.
+    pub hot: Mutex<Vec<Arc<HotRows>>>,
+    /// The §IV-C partition plan, one per worker count.
+    pub plans: Mutex<HashMap<usize, Arc<Plan>>>,
+}
+
+impl GraphEpoch {
+    fn new(dataset: Arc<Dataset>, version: u64) -> Self {
+        Self {
+            dataset,
+            version,
+            logits: Mutex::default(),
+            hot: Mutex::default(),
+            plans: Mutex::default(),
+        }
+    }
 }
 
 /// The §IV-B/§IV-C feature-residency policy re-checked on node growth.
@@ -182,18 +113,11 @@ struct MasterState {
 pub(crate) struct SharedGraphState {
     master: Mutex<Option<MasterState>>,
     current: Mutex<Arc<GraphEpoch>>,
-    /// Version-keyed full-graph logits cache. Holds the most recently
-    /// *computed* version; hits require an exact version match.
-    pub(crate) cache: Mutex<Option<(u64, BackendOutput)>>,
     /// Current node count mirrored out of the epoch, so the serving
     /// runtime's per-submission admission check reads an atomic instead
     /// of contending on the epoch lock with every worker.
     node_count: AtomicUsize,
     residency: Option<ResidencyPolicy>,
-    /// Hot-vertex aggregation cache shared by every engine of the
-    /// family (see [`HotVertexCache`]); invalidated by
-    /// [`SharedGraphState::apply_delta`] like the logits cache.
-    pub(crate) hot: HotVertexCache,
 }
 
 impl SharedGraphState {
@@ -202,11 +126,9 @@ impl SharedGraphState {
         let node_count = AtomicUsize::new(dataset.num_nodes());
         Self {
             master: Mutex::new(None),
-            current: Mutex::new(Arc::new(GraphEpoch { dataset, version: 0 })),
-            cache: Mutex::new(None),
+            current: Mutex::new(Arc::new(GraphEpoch::new(dataset, 0))),
             node_count,
             residency,
-            hot: HotVertexCache::default(),
         }
     }
 
@@ -258,6 +180,10 @@ impl SharedGraphState {
                     epoch.dataset.features.clone(),
                     true,
                 )
+                // Unreachable: `EngineBuilder::build_with_model` refuses a
+                // dataset whose feature rows differ from its node count,
+                // and only this method publishes later epochs, from a
+                // `VersionedGraph` that keeps the two equal.
                 .expect("dataset graph and features agree on the node count");
                 master_slot
                     .insert(MasterState { versioned, labels: epoch.dataset.labels.clone() })
@@ -287,15 +213,9 @@ impl SharedGraphState {
             masks: template.dataset.masks.clone(),
             name: template.dataset.name.clone(),
         });
-        let epoch = Arc::new(GraphEpoch { dataset, version });
-        // Strict invalidation *before* the new epoch is visible: no
-        // reader can pair post-delta structure with pre-delta hot rows.
-        self.hot.invalidate_to(version);
+        let epoch = Arc::new(GraphEpoch::new(dataset, version));
         *lock_recover(&self.current) = Arc::clone(&epoch);
         self.node_count.store(epoch.dataset.num_nodes(), Ordering::Release);
-        // The cache is version-keyed (correct without this), but the old
-        // version's logits are dead weight now — drop them eagerly.
-        *lock_recover(&self.cache) = None;
         Ok(epoch)
     }
 }

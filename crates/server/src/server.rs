@@ -15,12 +15,11 @@
 //! ```
 //!
 //! Every tenant owns a pool of [`Engine::fork`] replicas (prepared
-//! weights, versioned graph state, the version-keyed full-graph logits
-//! cache and — for an engine widened with [`Engine::into_parallel`] —
-//! the partition plan are `Arc`-shared); a worker checks one out per
-//! batch,
-//! so any worker can serve any tenant and tenants with no traffic cost
-//! nothing. Graph updates ([`Server::apply_delta`], `update@tenant`)
+//! weights and versioned graph state are `Arc`-shared, and each graph
+//! epoch carries its own full-graph logits, hot rows and — for an
+//! engine widened with [`Engine::into_parallel`] — partition plan); a
+//! worker checks one out per batch, so any worker can serve any tenant
+//! and tenants with no traffic cost nothing. Graph updates ([`Server::apply_delta`], `update@tenant`)
 //! swap the addressed tenant's shared snapshot **between micro-batches**
 //! and never touch another tenant's state; likewise
 //! [`Server::deploy`]/[`Server::retire`] swap the registry map without
@@ -903,16 +902,7 @@ impl ServerHandle {
     /// `deploy` ack and `list` report).
     #[must_use]
     pub fn info(&self) -> TenantInfo {
-        TenantInfo {
-            name: self.tenant.name.clone(),
-            model: self.tenant.model_kind,
-            backend: self.tenant.backend_kind,
-            graph_version: self.tenant.version(),
-            num_nodes: self.tenant.num_nodes(),
-            weight: self.tenant.weight,
-            queue_depth: self.queue.depth_of(self.tenant.id),
-            resident_bytes: self.tenant.resident_bytes(),
-        }
+        self.tenant.info(&self.queue)
     }
 
     /// Nodes in this tenant's current graph version (the bound request

@@ -316,8 +316,9 @@ pub(crate) struct Tenant {
 
 impl Tenant {
     /// Wraps an engine: it is forked `replicas` times into the pool
-    /// (prepared weights, versioned graph state and the partition plan
-    /// are `Arc`-shared) and kept as the template.
+    /// (prepared weights and the versioned graph state, whose epochs
+    /// carry the partition plans, are `Arc`-shared) and kept as the
+    /// template.
     pub fn forked(
         id: u64,
         name: &str,
@@ -383,6 +384,21 @@ impl Tenant {
     /// it).
     pub fn resident_bytes(&self) -> usize {
         self.weight_bytes + self.num_nodes() * self.feature_bytes_per_node
+    }
+
+    /// A wire-friendly description of this tenant (what the `deploy`
+    /// ack and `list` report), its queue depth read off `queue`.
+    pub fn info(&self, queue: &RequestQueue) -> TenantInfo {
+        TenantInfo {
+            name: self.name.clone(),
+            model: self.model_kind,
+            backend: self.backend_kind,
+            graph_version: self.version(),
+            num_nodes: self.num_nodes(),
+            weight: self.weight,
+            queue_depth: queue.depth_of(self.id),
+            resident_bytes: self.resident_bytes(),
+        }
     }
 
     pub fn is_retired(&self) -> bool {
@@ -563,19 +579,7 @@ impl TenantRegistry {
 
     /// Public descriptions of every deployed tenant, in name order.
     pub fn infos(&self, queue: &RequestQueue) -> Vec<TenantInfo> {
-        self.snapshot()
-            .values()
-            .map(|t| TenantInfo {
-                name: t.name.clone(),
-                model: t.model_kind,
-                backend: t.backend_kind,
-                graph_version: t.version(),
-                num_nodes: t.num_nodes(),
-                weight: t.weight,
-                queue_depth: queue.depth_of(t.id),
-                resident_bytes: t.resident_bytes(),
-            })
-            .collect()
+        self.snapshot().values().map(|t| t.info(queue)).collect()
     }
 
     /// Sum of deployed tenants' resident bytes (what the accountant
