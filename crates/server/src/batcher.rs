@@ -1,15 +1,15 @@
 //! Batch forming as a **pure state machine**: the whole micro-batching
 //! policy — lanes, stride pick, drain under the caps, deadline-aware
 //! straggler hold, AIMD window scale, brownout ladder, purge — with
-//! time passed in as a value. Nothing here locks, blocks or reads a
-//! clock, so one copy of the policy runs under two drivers:
-//! [`crate::queue`]'s `RequestQueue` calls it under a mutex with the
-//! real clock and parks on a condvar when told [`Step::HoldUntil`];
-//! [`crate::workload::replay_logical`] calls it with the trace's clock.
-//! `P` is the queued payload; `T` any time type that orders and adds a
-//! [`Duration`] (`Instant` and `Duration` both do). One batch is `begin`
-//! → `advance` (again after every wake-up, while it answers `HoldUntil`)
-//! → `finish`. The tests are `queue::tests`.
+//! time passed in as an [`Instant`]. Nothing here locks, blocks or
+//! reads a clock, so one copy of the policy runs under two drivers:
+//! [`crate::queue`]'s `RequestQueue` calls it under a mutex with
+//! `Instant::now()` and parks on a condvar when told
+//! [`Step::HoldUntil`]; [`crate::workload::replay_logical`] calls it
+//! with the trace's clock, an origin plus each event's offset. `P` is
+//! the queued payload. One batch is `begin` → `advance` (again after
+//! every wake-up, while it answers `HoldUntil`) → `finish`. The tests
+//! are `queue::tests`.
 //!
 //! # Class → lane → stride composition
 //!
@@ -47,8 +47,7 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::queue::{SloClass, NUM_CLASSES};
 use std::collections::{BTreeMap, VecDeque};
-use std::ops::Add;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pass-value increment for a weight-1 lane per dequeued request.
 /// Lane pass advances by `STRIDE / weight`, so larger weights advance
@@ -119,20 +118,20 @@ pub(crate) struct Lane {
 }
 
 /// One queued request as the policy sees it.
-pub(crate) struct Entry<P, T> {
+pub(crate) struct Entry<P> {
     pub payload: P,
     /// Target nodes named; 0 ("every node") costs 1 against the cap.
     pub nodes: usize,
     /// Absolute deadline, if any; a batch never holds for stragglers
     /// up to it.
-    pub deadline: Option<T>,
+    pub deadline: Option<Instant>,
 }
 
 /// One `(tenant, class)` FIFO lane. Lanes persist until their tenant is
 /// purged: an empty lane keeps its pass, so going briefly idle earns no
 /// scheduling credit.
-struct ClassLane<P, T> {
-    items: VecDeque<Entry<P, T>>,
+struct ClassLane<P> {
+    items: VecDeque<Entry<P>>,
     /// Stride-scheduling pass value; the non-empty lane with the lowest
     /// pass is served next.
     pass: u64,
@@ -142,24 +141,24 @@ struct ClassLane<P, T> {
 
 /// A batch being formed: [`Batcher::begin`] opens it, `advance` grows
 /// it, `finish` takes its `members` (admission order, all of one lane).
-pub(crate) struct Forming<P, T> {
+pub(crate) struct Forming<P> {
     pub tenant: u64,
     pub class: SloClass,
     members: Vec<P>,
     nodes: usize,
     /// When the straggler window runs out; fixed by the first `advance`
     /// at the window scale of that moment.
-    window_ends: Option<T>,
+    window_ends: Option<Instant>,
     /// The earliest member deadline.
-    deadline: Option<T>,
+    deadline: Option<Instant>,
     /// The AIMD inputs: whether a hold was requested, and whether a
     /// member joined after one.
     waited: bool,
     straggler_joined: bool,
 }
 
-impl<P, T: Copy + Ord> Forming<P, T> {
-    fn join(&mut self, entry: Entry<P, T>) {
+impl<P> Forming<P> {
+    fn join(&mut self, entry: Entry<P>) {
         self.nodes += entry.nodes;
         self.deadline = self.deadline.into_iter().chain(entry.deadline).min();
         self.straggler_joined |= self.waited;
@@ -169,12 +168,12 @@ impl<P, T: Copy + Ord> Forming<P, T> {
 
 /// What [`Batcher::advance`] tells its driver to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step<T> {
+pub(crate) enum Step {
     /// The batch is complete: call [`Batcher::finish`].
     Close,
     /// Wait until this time *or* the next admission, whichever is
     /// first, then call [`Batcher::advance`] again.
-    HoldUntil(T),
+    HoldUntil(Instant),
 }
 
 /// The brownout ladder: one class's effective share of a tenant's depth
@@ -190,8 +189,8 @@ fn degraded_depth_cap(max_depth: usize, class: SloClass) -> usize {
 }
 
 /// The queue state and every decision made on it.
-pub(crate) struct Batcher<P, T> {
-    lanes: BTreeMap<(u64, SloClass), ClassLane<P, T>>,
+pub(crate) struct Batcher<P> {
+    lanes: BTreeMap<(u64, SloClass), ClassLane<P>>,
     /// Per-class scheduling weights (indexed by [`SloClass::index`]),
     /// composed multiplicatively with tenant weights.
     class_weights: [u64; NUM_CLASSES],
@@ -206,7 +205,7 @@ pub(crate) struct Batcher<P, T> {
     window_scale: u32,
 }
 
-impl<P, T: Copy + Ord + Add<Duration, Output = T>> Batcher<P, T> {
+impl<P> Batcher<P> {
     pub fn new(class_weights: [u32; NUM_CLASSES]) -> Self {
         Self {
             lanes: BTreeMap::new(),
@@ -225,7 +224,7 @@ impl<P, T: Copy + Ord + Add<Duration, Output = T>> Batcher<P, T> {
         &mut self,
         lane: Lane,
         degraded: bool,
-        entry: Entry<P, T>,
+        entry: Entry<P>,
     ) -> Result<(), ServerError> {
         if self.closed {
             return Err(ServerError::ShuttingDown);
@@ -257,7 +256,7 @@ impl<P, T: Copy + Ord + Add<Duration, Output = T>> Batcher<P, T> {
     /// Picks the weighted-fair lane — the non-empty one with the lowest
     /// pass, ties broken by tenant id, then class rank — and opens a
     /// batch with its head. `None` when nothing is queued.
-    pub fn begin(&mut self) -> Option<Forming<P, T>> {
+    pub fn begin(&mut self) -> Option<Forming<P>> {
         let (pass, tenant, class) = self
             .lanes
             .iter()
@@ -290,10 +289,10 @@ impl<P, T: Copy + Ord + Add<Duration, Output = T>> Batcher<P, T> {
     /// (`now >= deadline`), so such a batch closes at once instead.
     pub fn advance(
         &mut self,
-        forming: &mut Forming<P, T>,
+        forming: &mut Forming<P>,
         limits: &BatchLimits,
-        now: T,
-    ) -> Step<T> {
+        now: Instant,
+    ) -> Step {
         let window = limits.window / WINDOW_SCALE_FULL * self.window_scale;
         let window_ends = *forming.window_ends.get_or_insert(now + window);
         loop {
@@ -326,7 +325,7 @@ impl<P, T: Copy + Ord + Add<Duration, Output = T>> Batcher<P, T> {
     /// hold a straggler joined doubles the window scale (pressure), one
     /// that expired empty halves it (idle), down to the probe floor. The
     /// lane is charged `STRIDE / weight` per member — all of fairness.
-    pub fn finish(&mut self, forming: Forming<P, T>) -> Vec<P> {
+    pub fn finish(&mut self, forming: Forming<P>) -> Vec<P> {
         if forming.straggler_joined {
             self.window_scale = (self.window_scale * 2).min(WINDOW_SCALE_FULL);
         } else if forming.waited {

@@ -54,8 +54,8 @@
 //! * **Workload harness** — [`workload`]: seeded, replayable traces
 //!   (zipfian popularity, bursty/diurnal open-loop arrivals, slow-loris
 //!   and malformed-line adversaries, deadline storms) with a
-//!   deterministic logical-time replay — the server's own batch-forming
-//!   code under the trace's clock ([`BatchLimits`]) — whose report —
+//!   deterministic logical-time replay — the server's own admission and
+//!   batch code under the trace's clock ([`BatchLimits`]) — whose report —
 //!   shed/dedup/batch counters *and* a fingerprint over every served
 //!   logits bit — is identical across runs, plus a wall-clock TCP
 //!   replay for liveness checks against a live front end.

@@ -158,18 +158,13 @@ impl QueueItem {
     pub fn respond(self, result: Result<InferResponse, ServerError>) {
         let _ = self.responder.send(result);
     }
-
-    /// Whether the deadline has passed as of `now`.
-    pub fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
 }
 
 /// The bounded admission queue shared by submitters and workers: one
 /// [`Batcher`] on the real clock behind a mutex. Generic over the
 /// payload only so its tests can queue plain ids.
 pub(crate) struct RequestQueue<P = QueueItem> {
-    batcher: Mutex<Batcher<P, Instant>>,
+    batcher: Mutex<Batcher<P>>,
     available: Condvar,
     /// Brownout flag: while set, admission caps ladder down by class.
     /// Outside the mutex so the per-batch health poll stays one load.
@@ -198,7 +193,7 @@ impl<P> RequestQueue<P> {
 
     /// Admits one request into its lane or sheds it typed
     /// ([`Batcher::admit`]), and wakes a worker. Never blocks.
-    pub fn push(&self, lane: Lane, entry: Entry<P, Instant>) -> Result<(), ServerError> {
+    pub fn push(&self, lane: Lane, entry: Entry<P>) -> Result<(), ServerError> {
         let degraded = self.is_degraded();
         lock_recover(&self.batcher).admit(lane, degraded, entry)?;
         self.available.notify_one();
@@ -261,10 +256,12 @@ impl<P> RequestQueue<P> {
 #[cfg(test)]
 mod tests {
     // The policy cases drive the pure `Batcher` directly — ids for
-    // payloads, a hand-advanced `Duration` for the clock, no thread, no
-    // `Instant` — and so pin exact hold times. Only the last three go
-    // through the threaded shell, and are about the shell.
+    // payloads, a hand-advanced clock, no thread — and so pin exact
+    // hold times. Only the last three go through the threaded shell,
+    // and are about the shell.
     use super::*;
+    use crate::batcher::Forming;
+    use std::ops::{Deref, DerefMut};
 
     /// Default class weights used by queue tests (the
     /// [`crate::ServerConfig`] defaults: gold 4, silver 2, bronze 1).
@@ -294,15 +291,60 @@ mod tests {
         holds: Vec<Duration>,
     }
 
-    /// The policy under test with its clock (time since the test began).
+    /// The policy under test with its clock: `now` is the time since
+    /// the test began, which the batcher sees as `origin + now`.
     struct Sim {
-        batcher: Batcher<usize, Duration>,
+        batcher: Clocked,
         now: Duration,
+    }
+
+    /// The batcher with every `Instant` it takes or answers read as an
+    /// offset from `origin`.
+    struct Clocked {
+        batcher: Batcher<usize>,
+        origin: Instant,
+    }
+
+    /// [`crate::batcher::Step`] on the offset clock.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Step {
+        Close,
+        HoldUntil(Duration),
+    }
+
+    impl Clocked {
+        fn advance(
+            &mut self,
+            forming: &mut Forming<usize>,
+            limits: &BatchLimits,
+            now: Duration,
+        ) -> Step {
+            match self.batcher.advance(forming, limits, self.origin + now) {
+                crate::batcher::Step::Close => Step::Close,
+                crate::batcher::Step::HoldUntil(until) => Step::HoldUntil(until - self.origin),
+            }
+        }
+    }
+
+    impl Deref for Clocked {
+        type Target = Batcher<usize>;
+
+        fn deref(&self) -> &Batcher<usize> {
+            &self.batcher
+        }
+    }
+
+    impl DerefMut for Clocked {
+        fn deref_mut(&mut self) -> &mut Batcher<usize> {
+            &mut self.batcher
+        }
     }
 
     impl Sim {
         fn new(class_weights: [u32; NUM_CLASSES]) -> Self {
-            Self { batcher: Batcher::new(class_weights), now: Duration::ZERO }
+            let batcher =
+                Clocked { batcher: Batcher::new(class_weights), origin: Instant::now() };
+            Self { batcher, now: Duration::ZERO }
         }
 
         fn admit(
@@ -314,6 +356,7 @@ mod tests {
             id: usize,
         ) -> Result<(), ServerError> {
             let lane = Lane { tenant, class, weight, max_depth };
+            let deadline = deadline.map(|d| self.batcher.origin + d);
             self.batcher.admit(lane, degraded, Entry { payload: id, nodes: 1, deadline })
         }
 

@@ -27,7 +27,7 @@
 //! queue (new submissions shed with `ShuttingDown`), drains what was
 //! admitted, and joins the workers.
 
-use crate::batcher::{BatchLimits, Entry};
+use crate::batcher::{BatchLimits, Entry, Lane};
 use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::fault::{lock_recover, CircuitBreaker, EngineFault, FaultInjector};
@@ -330,33 +330,23 @@ impl Server {
                         // exponential backoff; a clean batch resets it.
                         let mut streak = 0u32;
                         while let Some(batch) = queue.next_batch(&limits) {
-                            // The batch's tenant survives a concurrent
-                            // retire: the items hold the Arc.
-                            let tenant = Arc::clone(&batch[0].tenant);
-                            let mut engine = tenant.engines.checkout();
                             // The crash is booked before the batch's
                             // typed replies go out, so `health` never
                             // lags a reply a client already holds.
-                            let crashed = serve_batch(
-                                &mut engine,
+                            let crash = || health.record_crash(&queue);
+                            if serve_batch(
                                 batch,
-                                &tenant,
                                 &recorder,
                                 i,
                                 &injector,
-                                || health.record_crash(&queue),
-                            );
-                            if crashed {
-                                // The interrupted replica is dropped
-                                // for a fresh fork serving identical
-                                // bits; the pool never shrinks.
-                                tenant.engines.checkin(tenant.fresh_replica());
+                                Instant::now(),
+                                crash,
+                            ) {
                                 streak += 1;
                                 std::thread::sleep(restart_backoff(streak));
                                 health.record_restart(&queue);
                             } else {
                                 streak = 0;
-                                tenant.engines.checkin(engine);
                                 health.tick(&queue);
                             }
                         }
@@ -749,70 +739,9 @@ impl ServerHandle {
         request: InferRequest,
         options: SubmitOptions,
     ) -> Result<Ticket, ServerError> {
-        if self.tenant.is_retired() {
-            return Err(ServerError::UnknownTenant { name: self.tenant.name.clone() });
-        }
-        // Trace-id assignment is the first act of admission, so the
-        // admission span covers validation + deadline resolution. With
-        // tracing off the id is 0 and nothing else is touched.
-        let trace_id = self.recorder.assign();
-        let trace_start = if trace_id != 0 { self.recorder.now() } else { Duration::ZERO };
-        // The admission span closes when the request is refused or queued.
-        let admitted = || match trace_id {
-            0 => TraceMeta::UNTRACED,
-            id => TraceMeta {
-                id,
-                start: trace_start,
-                admission: self.recorder.now().saturating_sub(trace_start),
-            },
-        };
-        let class = options.class;
-        // A request refused at admission never reaches a worker, so its
-        // trace goes straight to the exemplars.
-        let refuse = |meta: &TraceMeta, outcome| {
-            self.tenant.telemetry.with(|s| s.book(class, outcome, 1));
-            self.recorder.finish(None, meta, &self.tenant.name, class, outcome, 0, &[], false);
-        };
-        self.tenant.telemetry.record_submitted(class);
-        // Front-door validation with the engine's own validity rule, so
-        // obviously bad requests fail at submission with a typed error
-        // instead of occupying queue space (and the two paths cannot
-        // drift). Validated against the *addressed tenant's* current
-        // node count; the engine re-validates against whatever version
-        // the request's batch resolves (node counts only grow, so an
-        // admitted request stays valid).
-        if let Err(e) = blockgnn_engine::validate_request(&request, self.num_nodes()) {
-            refuse(&admitted(), TraceOutcome::Failed);
-            return Err(ServerError::Engine(e));
-        }
-        // Deadline precedence: the request's own, else its class's
-        // configured default, else the server-wide default.
-        let deadline = options
-            .deadline
-            .or_else(|| self.config.class_deadline(class))
-            .map(|d| Instant::now() + d);
-        let (tx, rx) = sync_channel(1);
-        let trace = admitted();
-        let nodes = request.nodes.len();
-        let item = QueueItem {
-            request,
-            tenant: Arc::clone(&self.tenant),
-            class,
-            deadline,
-            enqueued_at: Instant::now(),
-            trace,
-            responder: tx,
-        };
-        let entry = Entry { payload: item, nodes, deadline };
-        match self.queue.push(self.tenant.lane(class), entry) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(e) => {
-                if matches!(e, ServerError::Overloaded { .. }) {
-                    refuse(&trace, TraceOutcome::ShedOverload);
-                }
-                Err(e)
-            }
-        }
+        let now = Instant::now();
+        let push = |lane, entry| self.queue.push(lane, entry);
+        admit(&self.tenant, &self.config, &self.recorder, request, options, now, push)
     }
 
     /// Submits and blocks for the answer.
@@ -858,24 +787,7 @@ impl ServerHandle {
     ///
     /// As [`Server::apply_delta`].
     pub fn update_acked(&self, delta: &GraphDelta) -> Result<crate::UpdateAck, ServerError> {
-        if self.tenant.is_retired() {
-            return Err(ServerError::UnknownTenant { name: self.tenant.name.clone() });
-        }
-        match self.tenant.graph.apply_delta_acked(delta) {
-            Ok((version, num_nodes, num_arcs)) => {
-                self.tenant.telemetry.with(|s| s.updates += 1);
-                Ok(crate::UpdateAck {
-                    tenant: self.tenant.name.clone(),
-                    version,
-                    num_nodes,
-                    num_arcs,
-                })
-            }
-            Err(e) => {
-                self.tenant.telemetry.with(|s| s.failed_updates += 1);
-                Err(ServerError::Engine(e))
-            }
-        }
+        self.tenant.update(delta)
     }
 
     /// This tenant's currently served graph version.
@@ -929,33 +841,115 @@ impl std::fmt::Debug for ServerHandle {
     }
 }
 
-/// Executes one dequeued (single-tenant) batch: sheds expired requests,
-/// runs the rest as a coalesced execution, and delivers every answer.
-/// Every outcome is booked in `tenant`'s telemetry and finished in
-/// `recorder`'s ring for `worker` (this function is the ring's single
-/// writer).
+/// Admits one request to `tenant` at `now`, then `push`es it into the
+/// tenant's lane for its class: the server at `Instant::now()` into its
+/// queue, [`crate::workload::replay_logical`] at the trace's clock into
+/// its batcher. A refused request is booked and never reaches a worker.
+///
+/// # Errors
+///
+/// As [`ServerHandle::submit`], plus whatever `push` refuses.
+pub(crate) fn admit(
+    tenant: &Arc<Tenant>,
+    config: &ServerConfig,
+    recorder: &Recorder,
+    request: InferRequest,
+    options: SubmitOptions,
+    now: Instant,
+    push: impl FnOnce(Lane, Entry<QueueItem>) -> Result<(), ServerError>,
+) -> Result<Ticket, ServerError> {
+    if tenant.is_retired() {
+        return Err(ServerError::UnknownTenant { name: tenant.name.clone() });
+    }
+    // Trace-id assignment is the first act of admission, so the
+    // admission span covers validation + deadline resolution. With
+    // tracing off the id is 0 and nothing else is touched.
+    let trace_id = recorder.assign();
+    let trace_start = if trace_id != 0 { recorder.offset(now) } else { Duration::ZERO };
+    // The admission span closes when the request is refused or queued.
+    let admitted = || match trace_id {
+        0 => TraceMeta::UNTRACED,
+        id => TraceMeta {
+            id,
+            start: trace_start,
+            admission: recorder.now().saturating_sub(trace_start),
+        },
+    };
+    let class = options.class;
+    // A request refused at admission never reaches a worker, so its
+    // trace goes straight to the exemplars.
+    let refuse = |meta: &TraceMeta, outcome| {
+        tenant.telemetry.with(|s| s.book(class, outcome, 1));
+        recorder.finish(None, meta, &tenant.name, class, outcome, 0, &[], false);
+    };
+    tenant.telemetry.record_submitted(class);
+    // Front-door validation with the engine's own validity rule, so
+    // obviously bad requests fail at submission with a typed error
+    // instead of occupying queue space (and the two paths cannot
+    // drift). Validated against the *addressed tenant's* current node
+    // count; the engine re-validates against whatever version the
+    // request's batch resolves (node counts only grow, so an admitted
+    // request stays valid).
+    if let Err(e) = blockgnn_engine::validate_request(&request, tenant.num_nodes()) {
+        refuse(&admitted(), TraceOutcome::Failed);
+        return Err(ServerError::Engine(e));
+    }
+    // Deadline precedence: the request's own, else its class's
+    // configured default, else the server-wide default.
+    let deadline = options.deadline.or_else(|| config.class_deadline(class)).map(|d| now + d);
+    let (tx, rx) = sync_channel(1);
+    let trace = admitted();
+    let nodes = request.nodes.len();
+    let item = QueueItem {
+        request,
+        tenant: Arc::clone(tenant),
+        class,
+        deadline,
+        enqueued_at: now,
+        trace,
+        responder: tx,
+    };
+    match push(tenant.lane(class), Entry { payload: item, nodes, deadline }) {
+        Ok(()) => Ok(Ticket { rx }),
+        Err(e) => {
+            if matches!(e, ServerError::Overloaded { .. }) {
+                refuse(&trace, TraceOutcome::ShedOverload);
+            }
+            Err(e)
+        }
+    }
+}
+
+/// Executes one dequeued (single-tenant) batch at `exec_start` — a
+/// worker's `Instant::now()`, or the trace's clock in
+/// [`crate::workload::replay_logical`]: sheds expired requests, runs
+/// the rest as a coalesced execution on a replica checked out of the
+/// tenant's pool, and delivers every answer. Every outcome is booked in
+/// the tenant's telemetry and finished in `recorder`'s ring for
+/// `worker` (this function is the ring's single writer).
 ///
 /// The engine execution (and only it) runs inside a `catch_unwind`
 /// fault domain: a panic there — the engine's own or one injected by
-/// `injector` — converts every live request of the batch into a typed
-/// [`ServerError::WorkerCrashed`] reply (the connection never drops),
-/// books the crash in telemetry and through `on_crash` (before any
-/// reply), pushes a `crashed` exemplar per traced request, and returns
-/// `true` so the worker loop can swap the replica and back off.
-/// Shedding and reply delivery stay outside the unwind
-/// boundary — they own the queue items and must run exactly once.
-fn serve_batch(
-    engine: &mut Engine,
+/// `injector` — swaps a fresh fork in for the interrupted replica (the
+/// pool never shrinks), converts every live request of the batch into a
+/// typed [`ServerError::WorkerCrashed`] reply (the connection never
+/// drops), books the crash in telemetry and through `on_crash` (before
+/// any reply), pushes a `crashed` exemplar per traced request, and
+/// returns `true` so the worker loop can back off. Shedding and reply
+/// delivery stay outside the unwind boundary — they own the queue items
+/// and must run exactly once.
+pub(crate) fn serve_batch(
     batch: Vec<QueueItem>,
-    tenant: &Tenant,
     recorder: &Recorder,
     worker: usize,
     injector: &FaultInjector,
+    exec_start: Instant,
     on_crash: impl FnOnce(),
 ) -> bool {
-    let exec_start = Instant::now();
-    // Batches never span classes, so the whole batch's per-class
-    // accounting lands in one rollup.
+    // The batch's tenant survives a concurrent retire: the items hold
+    // the Arc. Batches never span classes, so the whole batch's
+    // per-class accounting lands in one rollup.
+    let tenant = Arc::clone(&batch[0].tenant);
     let class = batch[0].class;
     // Offset of this batch's dequeue on the trace timeline: the end of
     // every member's `queued` span and the start of `assembly`.
@@ -978,7 +972,7 @@ fn serve_batch(
         );
     };
     let (live, expired): (Vec<_>, Vec<_>) =
-        batch.into_iter().partition(|item| !item.expired(exec_start));
+        batch.into_iter().partition(|item| item.deadline.is_none_or(|d| exec_start < d));
     if !expired.is_empty() {
         tenant.telemetry.with(|s| s.book(class, TraceOutcome::ShedDeadline, expired.len()));
         for item in expired {
@@ -1001,9 +995,8 @@ fn serve_batch(
     // Only the engine execution sits inside the unwind boundary; the
     // queue items stay outside it, so every in-flight request can still
     // be answered (typed) after a panic. `AssertUnwindSafe` is sound
-    // here because a crashed replica is discarded, never reused — the
-    // worker loop forks a replacement from the Arc-shared prepared
-    // state.
+    // here because a crashed replica is discarded, never reused.
+    let mut engine = tenant.engines.checkout();
     let executed = (injected != EngineFault::AllocFail).then(|| {
         catch_unwind(AssertUnwindSafe(|| {
             match injected {
@@ -1016,7 +1009,10 @@ fn serve_batch(
         }))
     });
     let (outcomes, deduped, stage_timings) = match executed {
-        Some(Ok(result)) => result,
+        Some(Ok(result)) => {
+            tenant.engines.checkin(engine);
+            result
+        }
         refused => {
             // An injected allocation failure (`None`) or a tripped fault
             // domain: every in-flight request of this batch gets exactly
@@ -1024,6 +1020,9 @@ fn serve_batch(
             // exemplar in the flight recorder.
             let execute = Span { stage: "execute", start: assembly_off, end: recorder.now() };
             let crashed = refused.is_some();
+            // The interrupted replica is dropped for a fresh fork
+            // serving identical bits; the pool never shrinks.
+            tenant.engines.checkin(if crashed { tenant.fresh_replica() } else { engine });
             let (outcome, error) = if crashed {
                 on_crash();
                 (TraceOutcome::Crashed, ServerError::WorkerCrashed)
@@ -1046,7 +1045,7 @@ fn serve_batch(
         }
     };
     let compute_end = Instant::now();
-    let compute_time = exec_start.elapsed();
+    let compute_time = compute_end.saturating_duration_since(exec_start);
     // Assemble every answer into a worker-local accumulator first, so
     // the shared telemetry lock is taken once, briefly — response
     // assembly (argmax over logits) must not serialize the worker pool.

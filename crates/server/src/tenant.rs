@@ -22,9 +22,10 @@
 use crate::batcher::Lane;
 use crate::error::ServerError;
 use crate::fault::lock_recover;
+use crate::protocol::UpdateAck;
 use crate::queue::{RequestQueue, SloClass};
 use crate::telemetry::{ServerStats, Telemetry};
-use blockgnn_engine::{BackendKind, Engine, GraphHandle};
+use blockgnn_engine::{BackendKind, Engine, GraphDelta, GraphHandle};
 use blockgnn_gnn::ModelKind;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -403,6 +404,22 @@ impl Tenant {
 
     pub fn is_retired(&self) -> bool {
         self.retired.load(Ordering::Acquire)
+    }
+
+    /// Applies a graph delta and books it — `updates` on success,
+    /// `failed_updates` on a rejected delta — returning the ack of
+    /// exactly the epoch it published.
+    pub fn update(&self, delta: &GraphDelta) -> Result<UpdateAck, ServerError> {
+        if self.is_retired() {
+            return Err(ServerError::UnknownTenant { name: self.name.clone() });
+        }
+        let applied = self.graph.apply_delta_acked(delta);
+        self.telemetry.with(|s| match applied {
+            Ok(_) => s.updates += 1,
+            Err(_) => s.failed_updates += 1,
+        });
+        let (version, num_nodes, num_arcs) = applied?;
+        Ok(UpdateAck { tenant: self.name.clone(), version, num_nodes, num_arcs })
     }
 
     /// This tenant's telemetry snapshot, stamped with its own version

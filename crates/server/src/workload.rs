@@ -15,13 +15,14 @@
 //! Two replay drivers consume a trace:
 //!
 //! - [`replay_logical`] executes the trace against in-process engines in
-//!   **logical time**: the server's own batch-forming code
-//!   (`crate::batcher`) under the trace's microsecond clock, one virtual
-//!   worker, zero service time, no wall clock. Its [`ReplayReport`]
-//!   (shed / dedup / batch-size counters and an order-sensitive FNV-1a
+//!   **logical time**: the server's own admission, batch forming, batch
+//!   execution and update booking, on one virtual worker with zero
+//!   service time, handed the trace's microsecond clock wherever the
+//!   server passes `Instant::now()`. Its [`ReplayReport`] (the tenants'
+//!   shed / dedup / batch-size counters and an order-sensitive FNV-1a
 //!   fingerprint over every served logits bit) is **bit-identical
 //!   across runs** of the same trace, which is what lets a differential
-//!   test pin the server's batcher and the engine behind it to a number.
+//!   test pin the server and the engine behind it to a number.
 //! - [`replay_tcp`] drives the trace against a live front end over real
 //!   sockets, honouring event times, slow-loris chunking, and
 //!   malformed-line floods. Its [`TrafficReport`] checks liveness
@@ -43,19 +44,24 @@
 //! fuzz corpus), slow-loris partial writes, and deadline storms — mix in
 //! at configurable rates.
 
-use crate::batcher::{BatchLimits, Batcher, Entry, Lane, Step};
+use crate::batcher::{BatchLimits, Batcher, Step};
 use crate::client::{Client, ClientTimeouts, RetryPolicy};
 use crate::config::ServerConfig;
 use crate::error::ServerError;
+use crate::fault::FaultInjector;
+use crate::observe::Recorder;
 use crate::protocol::{
     encode_infer, encode_update, parse_command, parse_error, Command, Fields,
 };
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
-use crate::tenant::DEFAULT_TENANT;
+use crate::server::{admit, serve_batch};
+use crate::telemetry::ServerStats;
+use crate::tenant::{Tenant, DEFAULT_TENANT};
 use blockgnn_engine::{Engine, GraphDelta, InferRequest, LatencyHistogram};
 use blockgnn_graph::generate::Rng64;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Open-loop arrival process shapes.
@@ -569,17 +575,19 @@ fn hex_unwrap(hex: &str) -> Result<String, String> {
 
 /// What a logical replay observed — every field deterministic for a
 /// given (trace, limits, engines) input, including the logits
-/// fingerprint.
+/// fingerprint. The replay counts only what no tenant receives; the
+/// rest is read off the tenants' [`crate::ServerStats`] counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Infer events processed.
+    /// Infer requests offered to a deployed tenant's admission.
     pub infers: usize,
     /// Requests answered with logits.
     pub served: usize,
-    /// Requests shed because their deadline predated their batch's
-    /// logical execution time.
+    /// Requests shed because their deadline had been reached at their
+    /// batch's logical execution time.
     pub shed_deadline: usize,
-    /// Requests the engine rejected (invalid nodes, …).
+    /// Requests refused at admission (invalid nodes, …) or failed in
+    /// the engine.
     pub engine_errors: usize,
     /// Malformed lines correctly rejected by the parser.
     pub protocol_errors: usize,
@@ -601,57 +609,48 @@ pub struct ReplayReport {
     /// Served requests per class (gold, silver, bronze).
     pub class_served: [usize; NUM_CLASSES],
     /// Order-sensitive FNV-1a over every served response's logits bits
-    /// (plus shape) — the "per-request logits bits" of the replay
-    /// contract in one word.
+    /// (plus shape), in admission order — the "per-request logits bits"
+    /// of the replay contract in one word.
     pub logits_fingerprint: u64,
 }
 
-impl ReplayReport {
-    fn fold_bits(&mut self, word: u64) {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        if self.logits_fingerprint == 0 {
-            self.logits_fingerprint = FNV_OFFSET;
-        }
-        self.logits_fingerprint ^= word;
-        self.logits_fingerprint = self.logits_fingerprint.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// One admitted infer waiting in the replay's batcher.
-struct PendingInfer {
-    request: InferRequest,
-    /// Absolute logical deadline: arrival + the request's own.
-    deadline: Option<Duration>,
-}
-
-/// Replays a trace against in-process engines in **logical time**: the
-/// server's own batch-forming code (`crate::batcher` — lanes, stride
-/// pick, caps, deadline-aware adaptive hold) under `limits`, driven by
-/// the trace's microsecond clock instead of the wall clock, so two runs
-/// over the same inputs produce byte-identical [`ReplayReport`]s.
-/// `engines` maps tenant names (use [`crate::DEFAULT_TENANT`] for
-/// unqualified traffic) to freshly built engines; they are mutated in
-/// place (updates apply, caches warm).
+/// Replays a trace against in-process engines in **logical time**,
+/// through the server's own admission, batch and update code on one
+/// virtual worker: the batcher forms batches under `limits`, and every
+/// step reads the trace's clock (an origin plus each event's offset)
+/// where the threaded server reads `Instant::now()`, so two runs over
+/// the same inputs produce byte-identical [`ReplayReport`]s. `engines`
+/// maps tenant names (use [`crate::DEFAULT_TENANT`] for unqualified
+/// traffic) to freshly built engines; each serves through a fork that
+/// shares its graph epochs, so updates apply and caches warm in place.
 ///
-/// Modelled around the batcher: **one** worker, **zero** service time,
-/// weight-1 tenants with unbounded lanes, default class weights. Events
-/// arrive in time order (slow-loris lines when their last chunk lands)
-/// and every arrival wakes the worker, as `push` notifies a sleeping
-/// one; a hold that runs out before the next arrival expires first, a
-/// tie goes to the arrival. Updates apply when they arrive, so a batch
-/// held open across one executes on the new version — the server's
-/// between-batches swap. A batch executes at the logical time it
-/// closed; members whose deadline has been reached by then are shed.
+/// Modelled around that code: **zero** service time, weight-1 tenants
+/// with unbounded lanes, [`ServerConfig::default`]'s class weights and
+/// deadlines. Events arrive in time order (slow-loris lines when their
+/// last chunk lands) and every arrival wakes the worker, as `push`
+/// notifies a sleeping one; a hold that runs out before the next
+/// arrival expires first, a tie goes to the arrival. Updates apply when
+/// they arrive, so a batch held open across one executes on the new
+/// version — the server's between-batches swap. A batch executes at the
+/// logical time it closed, which is when its members' deadlines shed.
 pub fn replay_logical(
     engines: &mut BTreeMap<String, Engine>,
     trace: &Trace,
     limits: &BatchLimits,
 ) -> ReplayReport {
-    let mut report = ReplayReport::default();
+    let config = ServerConfig::default();
     // A tenant's id is its position here (the map's name order).
-    let mut engines: Vec<(&String, &mut Engine)> = engines.iter_mut().collect();
-    let mut ordered: Vec<(Duration, &TraceEvent)> = trace
+    let tenants: Vec<Arc<Tenant>> = engines
+        .iter()
+        .enumerate()
+        .map(|(id, (name, engine))| {
+            Arc::new(Tenant::forked(id as u64, name, 1, usize::MAX, engine.fork(), 1))
+        })
+        .collect();
+    let recorder = Recorder::new(1, false);
+    let injector = FaultInjector::disabled();
+    let origin = Instant::now();
+    let mut ordered: Vec<(Instant, &TraceEvent)> = trace
         .events
         .iter()
         .map(|event| {
@@ -659,21 +658,30 @@ pub fn replay_logical(
                 TraceOp::SlowLoris { chunks, pause_us, .. } => *pause_us * (*chunks as u64),
                 _ => 0,
             };
-            (Duration::from_micros(event.at_us + dribble), event)
+            (origin + Duration::from_micros(event.at_us + dribble), event)
         })
         .collect();
     ordered.sort_by_key(|(at, event)| (*at, event.client));
     let mut arrivals = ordered.into_iter().peekable();
-    let mut batcher = Batcher::new(ServerConfig::default().class_weights());
+    let mut batcher = Batcher::new(config.class_weights());
+    let mut report = ReplayReport::default();
+    let mut tickets = Vec::new();
     // The virtual worker: the batch it holds open, and when it asked to
     // be woken (`None`: idle on an empty queue).
     let mut forming = None;
-    let mut wake: Option<Duration> = None;
+    let mut wake: Option<Instant> = None;
     loop {
         let arrival = arrivals.next_if(|(at, _)| wake.is_none_or(|due| *at <= due));
         let now = match (arrival, wake) {
             (Some((now, event)), _) => {
-                arrive(event, now, &mut batcher, &mut engines, &mut report);
+                if let Some((tenant, request, options)) = arrive(event, &tenants, &mut report) {
+                    let push = |lane, entry| batcher.admit(lane, false, entry);
+                    // A refused request is booked by its tenant and has
+                    // no ticket.
+                    let admitted =
+                        admit(tenant, &config, &recorder, request, options, now, push);
+                    tickets.extend(admitted.ok());
+                }
                 now
             }
             (None, Some(due)) => due,
@@ -687,42 +695,70 @@ pub fn replay_logical(
                 forming = Some(open);
                 break Some(until);
             }
-            let engine = &mut *engines[open.tenant as usize].1;
-            execute_batch(engine, open.class, batcher.finish(open), now, &mut report);
+            serve_batch(batcher.finish(open), &recorder, 0, &injector, now, || {});
         };
     }
-    report
+    // 64-bit FNV-1a over each answer's shape and logits bits.
+    let fnv = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let answers = tickets.into_iter().filter_map(|ticket| ticket.wait().ok());
+    let fingerprint = answers.fold(0xcbf2_9ce4_8422_2325, |hash, answer| {
+        let logits = &answer.logits;
+        let bits = logits.as_slice().iter().map(|v| v.to_bits());
+        [logits.rows() as u64, logits.cols() as u64].into_iter().chain(bits).fold(hash, fnv)
+    });
+    let mut booked = ServerStats::default();
+    for tenant in &tenants {
+        booked.absorb(&tenant.telemetry.snapshot());
+    }
+    let class_served = |class| booked.classes.get(&class).map_or(0, |c| c.completed);
+    ReplayReport {
+        infers: booked.submitted,
+        served: booked.completed,
+        shed_deadline: booked.shed_deadline,
+        engine_errors: booked.failed,
+        updates: booked.updates,
+        failed_updates: booked.failed_updates,
+        batches: booked.batches,
+        deduped: booked.deduped,
+        batch_size_counts: booked.batch_size_counts,
+        class_served: SloClass::ALL.map(class_served),
+        logits_fingerprint: fingerprint,
+        ..report
+    }
 }
 
-/// One trace event taking effect at logical time `now`: infers are
-/// admitted to the batcher, updates applied, noise counted.
-fn arrive(
+/// One trace event taking effect: an update is applied and booked by
+/// its tenant, what no deployed tenant receives is counted in `report`,
+/// and an infer is handed back with its tenant for admission.
+fn arrive<'a>(
     event: &TraceEvent,
-    now: Duration,
-    batcher: &mut Batcher<PendingInfer, Duration>,
-    engines: &mut [(&String, &mut Engine)],
+    tenants: &'a [Arc<Tenant>],
     report: &mut ReplayReport,
-) {
+) -> Option<(&'a Arc<Tenant>, InferRequest, SubmitOptions)> {
+    let find = |name: &Option<String>, report: &mut ReplayReport| {
+        let name = name.as_deref().unwrap_or(DEFAULT_TENANT);
+        let tenant = tenants.iter().find(|tenant| tenant.name == name);
+        report.unknown_tenant += usize::from(tenant.is_none());
+        tenant
+    };
     // Lines that are not (or no longer) what they were generated as:
     // rejected ones are protocol errors, chance-valid ones are counted,
     // not executed.
-    let mut noise = |parsed: Result<Command, String>| match parsed {
-        Ok(_) => report.accidental_valid += 1,
-        Err(_) => report.protocol_errors += 1,
+    let mut noise = |parsed: Result<Command, String>| {
+        match parsed {
+            Ok(_) => report.accidental_valid += 1,
+            Err(_) => report.protocol_errors += 1,
+        }
+        None
     };
-    let (request, options, tenant) = match &event.op {
+    let (request, options, name) = match &event.op {
         TraceOp::Infer { request, options, tenant } => {
             (request.clone(), *options, tenant.clone())
         }
         TraceOp::Update { delta, tenant } => {
-            let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-            let engine = engines.iter_mut().find(|(n, _)| *n == name);
-            match engine.map(|(_, engine)| engine.apply_delta(delta)) {
-                Some(Ok(_)) => report.updates += 1,
-                Some(Err(_)) => report.failed_updates += 1,
-                None => report.unknown_tenant += 1,
-            }
-            return;
+            // A rejected delta is booked as a failed update.
+            let _ = find(tenant, report)?.update(delta);
+            return None;
         }
         TraceOp::Malformed { line } => return noise(parse_command(line)),
         // The line reassembles whole; from here it is an ordinary
@@ -732,56 +768,7 @@ fn arrive(
             other => return noise(other),
         },
     };
-    report.infers += 1;
-    let name = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-    let Some(id) = engines.iter().position(|(n, _)| *n == name) else {
-        return report.unknown_tenant += 1;
-    };
-    let lane =
-        Lane { tenant: id as u64, class: options.class, weight: 1, max_depth: usize::MAX };
-    let deadline = options.deadline.map(|d| now + d);
-    let nodes = request.nodes.len();
-    let entry = Entry { payload: PendingInfer { request, deadline }, nodes, deadline };
-    batcher.admit(lane, false, entry).expect("an open, unbounded lane admits");
-}
-
-/// Executes one closed batch at logical time `exec_at`, with the real
-/// server's deadline rule: a request is expired once execution time
-/// reaches enqueue + d — a zero deadline always sheds.
-fn execute_batch(
-    engine: &mut Engine,
-    class: SloClass,
-    batch: Vec<PendingInfer>,
-    exec_at: Duration,
-    report: &mut ReplayReport,
-) {
-    let (live, expired): (Vec<_>, Vec<_>) =
-        batch.into_iter().partition(|p| p.deadline.is_none_or(|d| exec_at < d));
-    report.shed_deadline += expired.len();
-    if live.is_empty() {
-        return;
-    }
-    let requests: Vec<InferRequest> = live.into_iter().map(|p| p.request).collect();
-    let coalesced = engine.infer_coalesced(&requests);
-    report.batches += 1;
-    *report.batch_size_counts.entry(requests.len()).or_insert(0) += 1;
-    report.deduped += coalesced.deduped;
-    for outcome in coalesced.outcomes {
-        match outcome {
-            Ok(outcome) => {
-                report.served += 1;
-                report.class_served[class.index()] += 1;
-                report.fold_bits(outcome.logits.rows() as u64);
-                report.fold_bits(outcome.logits.cols() as u64);
-                for i in 0..outcome.logits.rows() {
-                    for v in outcome.logits.row(i) {
-                        report.fold_bits(v.to_bits());
-                    }
-                }
-            }
-            Err(_) => report.engine_errors += 1,
-        }
-    }
+    Some((find(&name, report)?, request, options))
 }
 
 /// What a wall-clock TCP replay observed. Unlike [`ReplayReport`] this

@@ -178,6 +178,89 @@ fn an_update_landing_during_a_hold_is_seen_by_the_held_batch() {
 }
 
 #[test]
+fn a_request_refused_at_admission_never_joins_a_replayed_batch() {
+    // Two reads at t = 0 on the default tenant; its graph has no node
+    // 99 999, so the server refuses that read at admission and runs the
+    // other in a batch of one.
+    let read = |client, node| TraceEvent {
+        at_us: 0,
+        client,
+        op: TraceOp::Infer {
+            request: InferRequest::full_graph(vec![node]),
+            options: SubmitOptions::default(),
+            tenant: None,
+        },
+    };
+    let trace = Trace { seed: 0, clients: 2, events: vec![read(0, 0), read(1, 99_999)] };
+    let report = replay_logical(&mut engines(), &trace, &BatchLimits::default());
+    assert_eq!(report.batch_size_counts, BTreeMap::from([(1, 1)]), "{report:?}");
+    assert_eq!(report.engine_errors, 1, "{report:?}");
+}
+
+#[test]
+fn the_logical_replay_books_what_the_server_books() {
+    // One client over both tenants, unbatched on both sides, so the
+    // live server meets the events one at a time and every count is
+    // free of wall-clock timing. Node ids run past the default tenant's
+    // 680 nodes, so some reads and updates are refused there.
+    let trace = WorkloadSpec::new(0xD1FF, 160, 800)
+        .with_clients(1)
+        .with_tenants(vec![DEFAULT_TENANT.into(), "traffic".into()])
+        .with_updates(80, 0)
+        .with_adversarial(0, 60, 0)
+        .generate();
+    let has = |f: fn(&TraceOp) -> bool| trace.events.iter().any(|e| f(&e.op));
+    assert!(has(|op| matches!(op, TraceOp::Update { .. })));
+    assert!(has(|op| matches!(op, TraceOp::SlowLoris { .. })));
+    let unbatched =
+        BatchLimits { window: Duration::ZERO, max_requests: 1, ..Default::default() };
+    let replayed = replay_logical(&mut engines(), &trace, &unbatched);
+
+    let specs = roster();
+    let server = Arc::new(
+        Server::start(
+            specs[0].build_engine().expect("default engine"),
+            ServerConfig::default().with_workers(1).unbatched(),
+        )
+        .expect("server starts"),
+    );
+    for spec in &specs[1..] {
+        server.deploy(spec).expect("tenant deploys");
+    }
+    let front = TcpServer::bind(Arc::clone(&server), "127.0.0.1:0").expect("binds");
+    let once = RetryPolicy { attempts: 1, ..RetryPolicy::default() };
+    let traffic = replay_tcp(front.local_addr(), &trace, &once, ClientTimeouts::default());
+    assert_eq!(traffic.transport_errors, 0, "{traffic:?}");
+    let booked = server.stats();
+    let replay = (
+        replayed.infers,
+        replayed.served,
+        replayed.engine_errors,
+        replayed.shed_deadline,
+        replayed.batches,
+        &replayed.batch_size_counts,
+        replayed.updates,
+        replayed.failed_updates,
+    );
+    let live = (
+        booked.submitted,
+        booked.completed,
+        booked.failed,
+        booked.shed_deadline,
+        booked.batches,
+        &booked.batch_size_counts,
+        booked.updates,
+        booked.failed_updates,
+    );
+    assert_eq!(replay, live, "replay {replayed:?} against the server's {}", booked.summary());
+    assert!(replayed.served > 100 && replayed.updates > 0, "{replayed:?}");
+    assert!(replayed.engine_errors > 0, "the trace meets an admission refusal: {replayed:?}");
+    let mut client = Client::connect(front.local_addr()).expect("client connects");
+    client.shutdown().expect("clean shutdown");
+    front.run_until_shutdown();
+}
+
+#[test]
 fn adversarial_tcp_replay_earns_typed_errors_on_live_connections() {
     // The wall-clock half of the contract: drive the full adversarial
     // trace — malformed floods, slow-loris dribbles, deadline storms,
