@@ -15,7 +15,6 @@ use blockgnn_perf::resources::{NODE_FEATURE_BUFFER_BYTES, WEIGHT_BUFFER_BYTES};
 pub struct GlobalBuffer {
     wb_capacity: usize,
     nfb_capacity: usize,
-    wb_used: usize,
     nfb_used: usize,
 }
 
@@ -29,18 +28,7 @@ impl GlobalBuffer {
     /// Custom capacities (bytes).
     #[must_use]
     pub fn with_capacity(wb_bytes: usize, nfb_bytes: usize) -> Self {
-        Self { wb_capacity: wb_bytes, nfb_capacity: nfb_bytes, wb_used: 0, nfb_used: 0 }
-    }
-
-    /// Attempts to reserve weight-buffer space; `false` if it would
-    /// overflow.
-    #[must_use]
-    pub fn reserve_weights(&mut self, bytes: usize) -> bool {
-        if self.wb_used + bytes > self.wb_capacity {
-            return false;
-        }
-        self.wb_used += bytes;
-        true
+        Self { wb_capacity: wb_bytes, nfb_capacity: nfb_bytes, nfb_used: 0 }
     }
 
     /// Attempts to reserve node-feature space (half the NFB — the other
@@ -57,18 +45,6 @@ impl GlobalBuffer {
     /// Frees all feature reservations (a ping-pong swap).
     pub fn swap_feature_banks(&mut self) {
         self.nfb_used = 0;
-    }
-
-    /// Weight bytes in use.
-    #[must_use]
-    pub fn weight_bytes_used(&self) -> usize {
-        self.wb_used
-    }
-
-    /// Feature bytes in use (current bank).
-    #[must_use]
-    pub fn feature_bytes_used(&self) -> usize {
-        self.nfb_used
     }
 
     /// Whether a compressed model of `spectral_weight_bytes` fits the WB —
@@ -138,14 +114,10 @@ mod tests {
     #[test]
     fn reservation_tracking() {
         let mut buf = GlobalBuffer::with_capacity(100, 100);
-        assert!(buf.reserve_weights(60));
-        assert!(!buf.reserve_weights(50));
-        assert_eq!(buf.weight_bytes_used(), 60);
         // NFB ping-pong: only half usable per bank.
         assert!(buf.reserve_features(50));
         assert!(!buf.reserve_features(10));
         buf.swap_feature_banks();
-        assert_eq!(buf.feature_bytes_used(), 0);
         assert!(buf.reserve_features(40));
     }
 

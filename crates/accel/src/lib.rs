@@ -1,35 +1,29 @@
-//! The BlockGNN accelerator (Figure 3) as a functional + cycle-level
-//! simulator, plus the paper's comparison architectures.
+//! The BlockGNN accelerator (Figure 3) as a performance model plus a
+//! functional Q16.16 datapath, and the paper's comparison architectures.
 //!
-//! The FPGA prototype cannot ship in a source reproduction, so this crate
-//! simulates it at the same granularity the paper's own performance model
-//! works at — cycles of the three-stage CirCore pipeline, VPU lanes, and
-//! buffer/DRAM traffic — while the *functional* path pushes real numbers
-//! through Q16.16 fixed-point FFT/MAC/IFFT datapaths so results carry
-//! true hardware quantization error.
+//! The FPGA prototype cannot ship in a source reproduction. Its cost is
+//! the paper's own performance model (Eqs. 3–7, `blockgnn-perf`),
+//! evaluated in one place — [`BlockGnnAccelerator::simulate_workload`] —
+//! while the *functional* path pushes real numbers through the Q16.16
+//! fixed-point FFT → MAC → IFFT datapath so results carry true hardware
+//! quantization error.
 //!
 //! Components (§III-C):
 //!
-//! * [`CirCoreUnit`] — weight-stationary spectral matvec engine: x-channel
-//!   FFT stage, r×c systolic MAC array with pack size l, y-channel IFFT
-//!   stage. Functional results are bit-matched to
-//!   [`blockgnn_core::FixedSpectralBlockCirculant`].
-//! * [`Vpu`] — m-lane SIMD-16 vector unit (activations, gating,
-//!   max-pooling, bias).
+//! * [`BlockGnnAccelerator`] — CirCore + VPU + Global Buffer: prices a
+//!   [`blockgnn_gnn::workload::GnnWorkload`] with Eqs. 3–7 and DRAM
+//!   overlap, and executes functional layers on weights held as
+//!   [`blockgnn_core::FixedSpectralBlockCirculant`] followed by a VPU
+//!   activation ([`PostOp`]).
 //! * [`GlobalBuffer`] — 256 KB Weight Buffer + 512 KB ping-pong
-//!   Node-Feature Buffer with a DRAM bandwidth model.
-//! * [`BlockGnnAccelerator`] — the command-driven system: estimates
-//!   end-to-end latency for a [`blockgnn_gnn::workload::GnnWorkload`] and
-//!   executes functional layers.
-//! * [`CommandProcessor`] — Figure 3's Cmd FIFO: ordered host commands,
-//!   multi-slot weight residency, tagged batch completions.
+//!   Node-Feature Buffer, with [`DramModel`] for the bandwidth behind it.
 //! * [`HyGcnModel`] — the scaled-down HyGCN baseline (6-lane SIMD-16
 //!   aggregation engine + 4×32 systolic combination engine).
 //! * [`CpuModel`] — the Xeon Gold 5220 roofline baseline (TensorFlow
 //!   GraphSAGE efficiency, 125 W).
 //! * [`energy`] — Nodes/J accounting for Figure 7.
 //!
-//! # Example: cycle-model a workload, then merge a §IV-C split
+//! # Example: price a workload, then merge a §IV-C split
 //!
 //! ```
 //! use blockgnn_accel::{BlockGnnAccelerator, SimReport};
@@ -57,18 +51,12 @@
 #![forbid(unsafe_code)]
 
 pub mod buffer;
-pub mod circore;
-pub mod command;
 pub mod cpu;
 pub mod energy;
 pub mod hygcn;
 pub mod system;
-pub mod vpu;
 
 pub use buffer::{DramModel, GlobalBuffer};
-pub use circore::CirCoreUnit;
-pub use command::{Command, CommandProcessor, Completion};
 pub use cpu::CpuModel;
 pub use hygcn::HyGcnModel;
 pub use system::{AccelError, BlockGnnAccelerator, LayerReport, PostOp, SimReport};
-pub use vpu::Vpu;

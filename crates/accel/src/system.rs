@@ -1,23 +1,23 @@
-//! The BlockGNN system (Figure 3): command-driven accelerator with
+//! The BlockGNN system (Figure 3): CirCore + VPU + Global Buffer with
 //! vertex-centric batch processing.
 //!
-//! Two complementary views are provided:
+//! Two views, one cost source:
 //!
-//! * **Cycle simulation** ([`BlockGnnAccelerator::simulate_workload`]) —
-//!   evaluates the full Eq. 3–7 pipeline model for a
+//! * **Performance model** ([`BlockGnnAccelerator::simulate_workload`]) —
+//!   evaluates the Eq. 3–7 pipeline model of `blockgnn-perf` for a
 //!   [`GnnWorkload`], layer by layer, overlapping DRAM prefetch with
 //!   compute exactly as the §III-C prefetching argument assumes. This is
-//!   what regenerates Figures 6 and 7.
+//!   what regenerates Figures 6 and 7, and the only place this crate
+//!   counts cycles.
 //! * **Functional execution** ([`BlockGnnAccelerator::load_weights`] +
 //!   [`BlockGnnAccelerator::process_batch`]) — real numbers through the
-//!   Q16.16 CirCore and the VPU, with Weight-Buffer/NFB capacity checks,
-//!   so tests can verify the hardware datapath end-to-end against the
-//!   software reference.
+//!   Q16.16 spectral datapath ([`FixedSpectralBlockCirculant`]: FFT →
+//!   element-wise MAC → IFFT) and the VPU's activation, with
+//!   Weight-Buffer/NFB capacity checks, so tests can verify the hardware
+//!   datapath end-to-end against the software reference.
 
 use crate::buffer::{DramModel, GlobalBuffer};
-use crate::circore::CirCoreUnit;
-use crate::vpu::Vpu;
-use blockgnn_core::BlockCirculantMatrix;
+use blockgnn_core::{BlockCirculantMatrix, FixedSpectralBlockCirculant};
 use blockgnn_gnn::workload::GnnWorkload;
 use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::cycles::{layer_cycles, LayerCycles, LayerTask, MatvecCount};
@@ -77,7 +77,35 @@ pub enum PostOp {
     Sigmoid,
 }
 
-/// Per-layer entry of a cycle-simulation report.
+impl PostOp {
+    /// Applies the activation element-wise, as the VPU's lanes do.
+    fn apply(self, x: &mut [f64]) {
+        match self {
+            PostOp::None => {}
+            PostOp::Relu => {
+                for v in x {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+            PostOp::Elu => {
+                for v in x {
+                    if *v < 0.0 {
+                        *v = v.exp() - 1.0;
+                    }
+                }
+            }
+            PostOp::Sigmoid => {
+                for v in x {
+                    *v = 1.0 / (1.0 + (-*v).exp());
+                }
+            }
+        }
+    }
+}
+
+/// Per-layer entry of a performance-model report.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerReport {
     /// Pipeline-stage cycles per node (Eqs. 3–6).
@@ -137,31 +165,33 @@ impl SimReport {
     }
 }
 
-/// The accelerator: CirCore + VPU + Global Buffer behind a command
-/// interface.
+/// The accelerator: CirCore + VPU + Global Buffer.
 #[derive(Debug, Clone)]
 pub struct BlockGnnAccelerator {
     params: CirCoreParams,
     coeffs: HardwareCoeffs,
     dram: DramModel,
     buffer: GlobalBuffer,
-    circore: Option<CirCoreUnit>,
-    vpu: Vpu,
+    /// The loaded weights as CirCore's PEs hold them: Q16.16 spectra.
+    weights: Option<FixedSpectralBlockCirculant>,
 }
 
 impl BlockGnnAccelerator {
     /// Builds an accelerator with the given CirCore configuration on the
     /// ZC706 memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.m` (the VPU's SIMD-16 lanes) is zero.
     #[must_use]
     pub fn new(params: CirCoreParams, coeffs: HardwareCoeffs) -> Self {
-        let vpu = Vpu::new(params.m);
+        assert!(params.m > 0, "the VPU needs at least one lane");
         Self {
             params,
             coeffs,
             dram: DramModel::zc706(),
             buffer: GlobalBuffer::zc706(),
-            circore: None,
-            vpu,
+            weights: None,
         }
     }
 
@@ -172,12 +202,12 @@ impl BlockGnnAccelerator {
     }
 
     // ------------------------------------------------------------------
-    // Functional interface (the Cmd-FIFO path of Figure 3).
+    // Functional interface (the Q16.16 datapath of Figure 3).
     // ------------------------------------------------------------------
 
     /// Loads a block-circulant weight matrix: checks the Weight Buffer
     /// capacity against the spectral storage footprint (complex Q16.16,
-    /// 8 bytes per retained bin) and compiles the weights for CirCore.
+    /// 8 bytes per retained bin) and quantizes the spectra to Q16.16.
     ///
     /// # Errors
     ///
@@ -188,58 +218,44 @@ impl BlockGnnAccelerator {
         if !self.buffer.model_fits(spectral_bytes) {
             return Err(AccelError::WeightBufferOverflow { needed: spectral_bytes });
         }
-        let unit = CirCoreUnit::new(self.params, self.coeffs.clone(), weights)
+        let fixed = FixedSpectralBlockCirculant::new(weights)
             .map_err(|e| AccelError::BadWeights(e.to_string()))?;
-        self.circore = Some(unit);
+        self.weights = Some(fixed);
         Ok(())
     }
 
-    /// Streams a feature batch through CirCore and the VPU post-op,
-    /// returning outputs and charging cycles (compute overlapped with the
-    /// DRAM transfer of the batch).
+    /// Streams a feature batch through the Q16.16 datapath and the VPU
+    /// post-op, one row of output per row of `features`.
     ///
     /// # Errors
     ///
     /// [`AccelError::NoWeightsLoaded`] before a `load_weights`;
     /// [`AccelError::FeatureBufferOverflow`] if the batch exceeds an NFB
     /// bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row length differs from the weight's input dimension.
     pub fn process_batch(
         &mut self,
         features: &[Vec<f64>],
         post: PostOp,
     ) -> Result<Vec<Vec<f64>>, AccelError> {
-        let circore = self.circore.as_mut().ok_or(AccelError::NoWeightsLoaded)?;
+        let weights = self.weights.as_mut().ok_or(AccelError::NoWeightsLoaded)?;
         let batch_bytes: usize = features.iter().map(|f| f.len() * 4).sum();
         self.buffer.swap_feature_banks();
         if !self.buffer.reserve_features(batch_bytes) {
             return Err(AccelError::FeatureBufferOverflow { needed: batch_bytes });
         }
-        let mut out = circore.execute_batch(features);
-        for row in &mut out {
-            match post {
-                PostOp::None => {}
-                PostOp::Relu => self.vpu.relu(row),
-                PostOp::Elu => self.vpu.elu(row),
-                PostOp::Sigmoid => self.vpu.sigmoid(row),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Cycles consumed by the functional interface so far (CirCore + VPU,
-    /// which run as pipeline stages — the charge is their maximum —
-    /// overlapped with DRAM prefetch).
-    #[must_use]
-    pub fn functional_cycles(&self) -> u64 {
-        let compute = match &self.circore {
-            Some(c) => c.cycles().max(self.vpu.cycles()),
-            None => self.vpu.cycles(),
-        };
-        self.dram.overlapped_cycles(compute, self.buffer.feature_bytes_used() as f64)
+        let (in_dim, out_dim) = (weights.kernel().in_dim(), weights.kernel().out_dim());
+        assert!(features.iter().all(|x| x.len() == in_dim), "input length must equal in_dim");
+        let mut out = weights.matmul(&features.concat());
+        post.apply(&mut out);
+        Ok(out.chunks_exact(out_dim).map(<[f64]>::to_vec).collect())
     }
 
     // ------------------------------------------------------------------
-    // Cycle-model interface (Figures 6/7).
+    // Performance-model interface (Figures 6/7).
     // ------------------------------------------------------------------
 
     /// Converts one workload layer into the perf-model task: all weight
@@ -276,7 +292,7 @@ impl BlockGnnAccelerator {
             let bytes =
                 (layer.agg.input_floats_per_node + layer.comb.input_floats_per_node) * 4.0;
             let dram = self.dram.transfer_cycles(bytes);
-            let effective = stages.bottleneck().max(dram);
+            let effective = self.dram.overlapped_cycles(stages.bottleneck(), bytes);
             per_node_total += effective;
             layers.push(LayerReport { stages, dram, effective });
         }
@@ -317,7 +333,34 @@ mod tests {
             }
             assert!(linf_distance(y, &expect) < 2e-2);
         }
-        assert!(acc.functional_cycles() > 0);
+    }
+
+    #[test]
+    fn relu_sigmoid_elu_functional() {
+        let mut x = vec![-1.0, 2.0];
+        PostOp::Relu.apply(&mut x);
+        assert_eq!(x, vec![0.0, 2.0]);
+        let mut s = vec![0.0];
+        PostOp::Sigmoid.apply(&mut s);
+        assert!((s[0] - 0.5).abs() < 1e-12);
+        let mut e = vec![-1.0, 1.0];
+        PostOp::Elu.apply(&mut e);
+        assert!((e[0] - ((-1.0f64).exp() - 1.0)).abs() < 1e-12);
+        assert_eq!(e[1], 1.0);
+    }
+
+    #[test]
+    fn rejects_non_power_of_two_blocks() {
+        let mut acc = accel();
+        let w = BlockCirculantMatrix::random(9, 9, 3, 0).unwrap();
+        assert!(matches!(acc.load_weights(&w).unwrap_err(), AccelError::BadWeights(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn zero_lanes_rejected() {
+        let params = CirCoreParams { m: 0, ..CirCoreParams::base() };
+        let _ = BlockGnnAccelerator::new(params, HardwareCoeffs::zc706());
     }
 
     #[test]

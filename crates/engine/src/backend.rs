@@ -200,8 +200,7 @@ impl Backend {
             Some(rows) => self.model.forward_at(graph, features, rows),
             None => self.model.forward(graph, features, false),
         };
-        let (sim, energy_joules) =
-            self.charge(graph.num_arcs(), features.cols(), logits.cols(), shape).unzip();
+        let (sim, energy_joules) = self.charge(features.cols(), shape).unzip();
         BackendOutput { logits, sim, energy_joules }
     }
 
@@ -219,30 +218,22 @@ impl Backend {
         }
     }
 
-    /// Hardware cost of serving `shape` over a computation graph with
-    /// `num_arcs` arcs, `feature_dim`-wide inputs and `num_classes`
-    /// outputs: the Eq. 3–7 [`SimReport`] and an energy estimate in
-    /// joules. `None` without a cost model. A partitioned full-graph
-    /// pass calls this once per part and merges with
-    /// [`SimReport::merge`] (the §IV-C sub-graph accounting).
+    /// Hardware cost of serving `shape` over `feature_dim`-wide inputs:
+    /// the Eq. 3–7 [`SimReport`] and an energy estimate in joules. `None`
+    /// without a cost model. A partitioned full-graph pass calls this
+    /// once per part and merges with [`SimReport::merge`] (the §IV-C
+    /// sub-graph accounting).
     pub(crate) fn charge(
         &self,
-        num_arcs: usize,
         feature_dim: usize,
-        num_classes: usize,
         shape: RequestShape,
     ) -> Option<(SimReport, f64)> {
         let cost = self.cost.as_ref()?;
         // The workload is priced per *target* node (each already charged
         // its full two-hop sampled aggregation by the per-layer model),
-        // not per materialized sub-universe node.
-        let spec = DatasetSpec::new(
-            "request",
-            shape.target_nodes,
-            num_arcs / 2,
-            feature_dim,
-            num_classes,
-        );
+        // not per materialized sub-universe node. The workload reads only
+        // the node count and feature width; edges and classes stay 0.
+        let spec = DatasetSpec::new("request", shape.target_nodes, 0, feature_dim, 0);
         let workload = GnnWorkload::new(
             self.model.kind(),
             &spec,
@@ -272,17 +263,16 @@ mod tests {
         let parent = backend(BackendKind::SimulatedAccel, 32, 8).expect("fits");
         let fork = parent.fork();
         let shape = RequestShape { target_nodes: 37, fanouts: (25, 10) };
-        let (sim, energy) = parent.charge(4_000, 64, 7, shape).expect("carries a cost model");
-        let (fork_sim, fork_energy) =
-            fork.charge(4_000, 64, 7, shape).expect("so does its fork");
+        let (sim, energy) = parent.charge(64, shape).expect("carries a cost model");
+        let (fork_sim, fork_energy) = fork.charge(64, shape).expect("so does its fork");
         assert!(sim.total_cycles > 0);
         assert_eq!(sim, fork_sim);
         assert_eq!(sim.seconds.to_bits(), fork_sim.seconds.to_bits());
         assert_eq!(energy.to_bits(), fork_energy.to_bits());
         // Software backends and their forks model no hardware.
         let spectral = backend(BackendKind::Spectral, 32, 8).expect("builds");
-        assert!(spectral.charge(4_000, 64, 7, shape).is_none());
-        assert!(spectral.fork().charge(4_000, 64, 7, shape).is_none());
+        assert!(spectral.charge(64, shape).is_none());
+        assert!(spectral.fork().charge(64, shape).is_none());
     }
 
     #[test]

@@ -575,7 +575,6 @@ impl Engine {
                 timings.add("execute", execute_time);
                 let scatter_start = Instant::now();
                 let feature_dim = epoch.dataset.feature_dim();
-                let num_classes = out.logits.cols();
                 let mut first = 0;
                 for (i, sub, fanouts) in many {
                     let len = requests[*i].nodes.len();
@@ -583,9 +582,7 @@ impl Engine {
                     first += len;
                     let (sim, energy_joules) = self.workers[0]
                         .charge(
-                            sub.graph.num_arcs(),
                             feature_dim,
-                            num_classes,
                             RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts },
                         )
                         .unzip();

@@ -332,9 +332,7 @@ impl Engine {
         // charged.
         let (sim, energy_joules) = merge_part_charges(
             &self.workers[0],
-            dataset.graph.num_arcs(),
             dataset.feature_dim(),
-            dataset.num_classes,
             self.fanouts,
             run.computed_per_part.into_iter(),
         );
@@ -370,9 +368,7 @@ impl Engine {
         }
         let parts = self.plan_parts(graph, features.cols());
         let run = run_staged(&mut self.workers, graph, features, &parts, None);
-        let (sim, energy_joules) = self.workers[0]
-            .charge(graph.num_arcs(), features.cols(), run.logits.cols(), shape)
-            .unzip();
+        let (sim, energy_joules) = self.workers[0].charge(features.cols(), shape).unzip();
         let logits = run.logits.gather_rows(rows.iter().map(|&row| row as usize));
         let out = BackendOutput { logits, sim, energy_joules };
         (out, start.elapsed(), parts.len())
@@ -536,9 +532,7 @@ fn run_staged(
 /// so cycles and energy sum). `None`/`None` for software backends.
 fn merge_part_charges(
     backend: &Backend,
-    num_arcs: usize,
     feature_dim: usize,
-    num_classes: usize,
     fanouts: (usize, usize),
     part_targets: impl Iterator<Item = usize>,
 ) -> (Option<SimReport>, Option<f64>) {
@@ -546,7 +540,7 @@ fn merge_part_charges(
     let mut energy_total = 0.0;
     for targets in part_targets.filter(|&t| t > 0) {
         let shape = RequestShape { target_nodes: targets, fanouts };
-        match backend.charge(num_arcs, feature_dim, num_classes, shape) {
+        match backend.charge(feature_dim, shape) {
             Some((sim, energy)) => {
                 reports.push(sim);
                 energy_total += energy;

@@ -214,7 +214,7 @@ mod tests {
             max.opt_speedup_vs_hygcn()
         );
         // The paper's headline data point: 8.3× on G-GCN/RD. Our
-        // simulator must land in its neighbourhood.
+        // performance model must land in its neighbourhood.
         assert!(
             (5.0..13.0).contains(&ggcn_rd.opt_speedup_vs_hygcn()),
             "G-GCN/RD speedup {:.1} vs paper's 8.3",

@@ -251,9 +251,6 @@ struct InjectorInner {
     plan: FaultPlan,
     engine: SiteState,
     socket: SiteState,
-    latencies: AtomicU64,
-    alloc_fails: AtomicU64,
-    stalls: AtomicU64,
 }
 
 /// The handle the hot paths consult. Cloning is cheap; a disabled
@@ -283,9 +280,6 @@ impl FaultInjector {
                 plan,
                 engine: SiteState::default(),
                 socket: SiteState::default(),
-                latencies: AtomicU64::new(0),
-                alloc_fails: AtomicU64::new(0),
-                stalls: AtomicU64::new(0),
             })),
         }
     }
@@ -315,11 +309,9 @@ impl FaultInjector {
             return EngineFault::None;
         }
         if roll < plan.panic_permille + plan.latency_permille {
-            inner.latencies.fetch_add(1, Ordering::Relaxed);
             return EngineFault::Latency(Duration::from_micros(plan.latency_us));
         }
         if roll < stacked {
-            inner.alloc_fails.fetch_add(1, Ordering::Relaxed);
             return EngineFault::AllocFail;
         }
         EngineFault::None
@@ -343,7 +335,6 @@ impl FaultInjector {
             return SocketFault::None;
         }
         if roll < plan.reset_permille + plan.stall_permille {
-            inner.stalls.fetch_add(1, Ordering::Relaxed);
             return SocketFault::Stall(Duration::from_micros(plan.stall_us));
         }
         SocketFault::None

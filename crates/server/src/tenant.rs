@@ -303,10 +303,6 @@ pub(crate) struct Tenant {
     pub graph: GraphHandle,
     pub model_kind: ModelKind,
     pub backend_kind: BackendKind,
-    /// Weight-side §IV-B footprint + per-node feature width, for live
-    /// residency accounting (features grow with appended nodes).
-    weight_bytes: usize,
-    feature_bytes_per_node: usize,
     /// Flipped by retire: new submissions are rejected with
     /// [`ServerError::UnknownTenant`]; in-flight work completes.
     pub retired: AtomicBool,
@@ -331,9 +327,6 @@ impl Tenant {
         let graph = engine.graph_handle();
         let model_kind = engine.model_kind();
         let backend_kind = engine.backend_kind();
-        let weight_bytes = engine.weight_bytes();
-        let feature_bytes_per_node =
-            engine.dataset().feature_dim() * backend_kind.bytes_per_feature();
         let pool = (0..replicas.max(1)).map(|_| engine.fork()).collect();
         Self {
             id,
@@ -345,8 +338,6 @@ impl Tenant {
             graph,
             model_kind,
             backend_kind,
-            weight_bytes,
-            feature_bytes_per_node,
             retired: AtomicBool::new(false),
             telemetry: Telemetry::new(),
         }
@@ -380,11 +371,11 @@ impl Tenant {
         self.graph.version()
     }
 
-    /// Live §IV-B/§IV-C residency footprint: packed weight spectra plus
-    /// the *current* version's features (deltas that append nodes grow
-    /// it).
+    /// Live §IV-B/§IV-C residency footprint
+    /// ([`Engine::resident_bytes`]): packed weight spectra plus the
+    /// *current* version's features (deltas that append nodes grow it).
     pub fn resident_bytes(&self) -> usize {
-        self.weight_bytes + self.num_nodes() * self.feature_bytes_per_node
+        lock_recover(&self.template).resident_bytes()
     }
 
     /// A wire-friendly description of this tenant (what the `deploy`

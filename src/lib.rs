@@ -25,8 +25,9 @@
 //! * [`gnn`] — the Table I model zoo (GCN, GS-Pool, G-GCN, GAT),
 //!   training, profiling, hardware workload export.
 //! * [`perf`] — the §III-D performance & resource model with DSE.
-//! * [`accel`] — the CirCore/VPU/BlockGNN simulator plus HyGCN and CPU
-//!   baselines (the paper's hardware contribution).
+//! * [`accel`] — the BlockGNN accelerator (the paper's hardware
+//!   contribution): its Eq. 3–7 cost and its Q16.16 functional
+//!   datapath, plus HyGCN and CPU baselines.
 //!
 //! # Quickstart
 //!

@@ -315,7 +315,7 @@ fn oversized_dense_weights_fail_accelerator_deployment() {
 fn weight_buffer_check_requires_whole_model_residency() {
     // Two layers that fit individually but not together must be
     // rejected: the serving loop assumes the whole model stays resident
-    // (the CommandProcessor's cumulative slot accounting).
+    // (the §IV-B claim that the WB holds every layer at once).
     let spec = blockgnn::graph::DatasetSpec::new("wb-co-residency", 50, 200, 602, 41);
     let ds = Arc::new(blockgnn::graph::Dataset::synthesize(&spec, 0.7, 1.0, 3));
     // GCN 602 -> 1424 -> 41 at n = 16 under *packed* half-spectrum

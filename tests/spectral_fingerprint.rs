@@ -11,13 +11,10 @@
 //! "the calls under test" may be re-pointed at a new entry point, the
 //! inputs and the constants may not change.
 
-use blockgnn::accel::circore::CirCoreUnit;
 use blockgnn::core::{BlockCirculantMatrix, FixedSpectralBlockCirculant, SpectralScratch};
 use blockgnn::fft::{Complex, RealFftPlan, Q16_16};
 use blockgnn::linalg::Matrix;
 use blockgnn::nn::{CirculantDense, Layer};
-use blockgnn::perf::coeffs::HardwareCoeffs;
-use blockgnn::perf::params::CirCoreParams;
 
 // ---- the calls under test ---------------------------------------------
 
@@ -171,22 +168,19 @@ fn q16_matmul_bits_are_pinned() {
 }
 
 #[test]
-fn circore_execute_batch_bits_and_cycles_are_pinned() {
-    // (output bits of a 9-row batch, cycles charged for it plus one single)
-    let pinned: [(u64, u64); 3] =
-        [(0x78217851cac348fd, 120), (0x838a6b9931b5fae6, 272), (0x89c73044245e2811, 804)];
+fn circore_batch_bits_are_pinned() {
+    // Output bits of a 9-row batch through the Q16.16 datapath.
+    let pinned: [u64; 3] = [0x78217851cac348fd, 0x838a6b9931b5fae6, 0x89c73044245e2811];
     let got = SHAPES.map(|(out_dim, in_dim, n)| {
         let w = BlockCirculantMatrix::random(out_dim, in_dim, n, 31).unwrap();
-        let mut unit =
-            CirCoreUnit::new(CirCoreParams::base(), HardwareCoeffs::zc706(), &w).unwrap();
+        let mut fixed = FixedSpectralBlockCirculant::new(&w).unwrap();
         let x = f64_matrix(9, in_dim, 0xbeef + n as u64);
-        let rows: Vec<Vec<f64>> = (0..9).map(|r| x.row(r).to_vec()).collect();
-        let batch = unit.execute_batch(&rows);
-        // One row alone is the same arithmetic, charged as a batch of one.
-        assert_eq!(fnv_f64(&unit.execute(&rows[4])), fnv_f64(&batch[4]));
-        (fnv_f64(&batch.concat()), unit.cycles())
+        let batch = fixed.matmul(x.as_slice());
+        // One row alone is the same arithmetic.
+        assert_eq!(fnv_f64(&fixed.matvec(x.row(4))), fnv_f64(&batch[4 * out_dim..5 * out_dim]));
+        fnv_f64(&batch)
     });
-    assert_eq!(got, pinned, "CirCore batch bits or cycles moved: {got:#x?}");
+    assert_eq!(got, pinned, "CirCore batch bits moved: {got:#x?}");
 }
 
 #[test]
