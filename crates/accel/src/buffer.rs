@@ -8,43 +8,21 @@
 //! the NFB is a ping-pong pair, loads overlap compute, and a layer's
 //! memory time only surfaces when it exceeds its compute time.
 
-use blockgnn_perf::resources::{NODE_FEATURE_BUFFER_BYTES, WEIGHT_BUFFER_BYTES};
+use blockgnn_perf::resources::WEIGHT_BUFFER_BYTES;
 
-/// Capacity-tracked on-chip buffer pair.
+/// The Global Buffer's Weight Buffer capacity: whether a compressed
+/// model deploys at all. The NFB's effect — streamed features — is
+/// priced by [`DramModel`].
 #[derive(Debug, Clone)]
 pub struct GlobalBuffer {
     wb_capacity: usize,
-    nfb_capacity: usize,
-    nfb_used: usize,
 }
 
 impl GlobalBuffer {
-    /// The prototype's sizes: 256 KB WB, 512 KB NFB.
+    /// The prototype's 256 KB Weight Buffer.
     #[must_use]
     pub fn zc706() -> Self {
-        Self::with_capacity(WEIGHT_BUFFER_BYTES, NODE_FEATURE_BUFFER_BYTES)
-    }
-
-    /// Custom capacities (bytes).
-    #[must_use]
-    pub fn with_capacity(wb_bytes: usize, nfb_bytes: usize) -> Self {
-        Self { wb_capacity: wb_bytes, nfb_capacity: nfb_bytes, nfb_used: 0 }
-    }
-
-    /// Attempts to reserve node-feature space (half the NFB — the other
-    /// half is the ping-pong partner being filled by DMA).
-    #[must_use]
-    pub fn reserve_features(&mut self, bytes: usize) -> bool {
-        if self.nfb_used + bytes > self.nfb_capacity / 2 {
-            return false;
-        }
-        self.nfb_used += bytes;
-        true
-    }
-
-    /// Frees all feature reservations (a ping-pong swap).
-    pub fn swap_feature_banks(&mut self) {
-        self.nfb_used = 0;
+        Self { wb_capacity: WEIGHT_BUFFER_BYTES }
     }
 
     /// Whether a compressed model of `spectral_weight_bytes` fits the WB —
@@ -109,16 +87,6 @@ mod tests {
         let dense_bytes = 2 * 512 * 512 * 4;
         assert!(buf.model_fits(compressed_bytes));
         assert!(!buf.model_fits(dense_bytes));
-    }
-
-    #[test]
-    fn reservation_tracking() {
-        let mut buf = GlobalBuffer::with_capacity(100, 100);
-        // NFB ping-pong: only half usable per bank.
-        assert!(buf.reserve_features(50));
-        assert!(!buf.reserve_features(10));
-        buf.swap_feature_banks();
-        assert!(buf.reserve_features(40));
     }
 
     #[test]

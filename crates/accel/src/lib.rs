@@ -1,22 +1,23 @@
-//! The BlockGNN accelerator (Figure 3) as a performance model plus a
-//! functional Q16.16 datapath, and the paper's comparison architectures.
+//! The BlockGNN accelerator (Figure 3) and the paper's comparison
+//! architectures, as models.
 //!
 //! The FPGA prototype cannot ship in a source reproduction. Its cost is
 //! the paper's own performance model (Eqs. 3–7, `blockgnn-perf`),
-//! evaluated in one place — [`BlockGnnAccelerator::simulate_workload`] —
-//! while the *functional* path pushes real numbers through the Q16.16
-//! fixed-point FFT → MAC → IFFT datapath so results carry true hardware
-//! quantization error.
+//! evaluated in one place — [`BlockGnnAccelerator::simulate_workload`].
+//! Its arithmetic, the Q16.16 FFT → MAC → IFFT datapath, is not here:
+//! the serving engine's `SimulatedAccel` backend runs every circulant
+//! weight product through it (`blockgnn_nn::ExecMode::FixedSpectral`),
+//! so served answers carry true hardware quantization error, and prices
+//! each request with this crate.
 //!
 //! Components (§III-C):
 //!
 //! * [`BlockGnnAccelerator`] — CirCore + VPU + Global Buffer: prices a
 //!   [`blockgnn_gnn::workload::GnnWorkload`] with Eqs. 3–7 and DRAM
-//!   overlap, and executes functional layers on weights held as
-//!   [`blockgnn_core::FixedSpectralBlockCirculant`] followed by a VPU
-//!   activation ([`PostOp`]).
-//! * [`GlobalBuffer`] — 256 KB Weight Buffer + 512 KB ping-pong
-//!   Node-Feature Buffer, with [`DramModel`] for the bandwidth behind it.
+//!   overlap.
+//! * [`GlobalBuffer`] — the 256 KB Weight Buffer a compressed model must
+//!   fit, with [`DramModel`] for the bandwidth behind the ping-pong
+//!   Node-Feature Buffer.
 //! * [`HyGcnModel`] — the scaled-down HyGCN baseline (6-lane SIMD-16
 //!   aggregation engine + 4×32 systolic combination engine).
 //! * [`CpuModel`] — the Xeon Gold 5220 roofline baseline (TensorFlow
@@ -59,4 +60,4 @@ pub mod system;
 pub use buffer::{DramModel, GlobalBuffer};
 pub use cpu::CpuModel;
 pub use hygcn::HyGcnModel;
-pub use system::{AccelError, BlockGnnAccelerator, LayerReport, PostOp, SimReport};
+pub use system::{AccelError, BlockGnnAccelerator, LayerReport, SimReport};

@@ -1,23 +1,16 @@
 //! The BlockGNN system (Figure 3): CirCore + VPU + Global Buffer with
-//! vertex-centric batch processing.
+//! vertex-centric batch processing, as a performance model.
 //!
-//! Two views, one cost source:
-//!
-//! * **Performance model** ([`BlockGnnAccelerator::simulate_workload`]) —
-//!   evaluates the Eq. 3–7 pipeline model of `blockgnn-perf` for a
-//!   [`GnnWorkload`], layer by layer, overlapping DRAM prefetch with
-//!   compute exactly as the §III-C prefetching argument assumes. This is
-//!   what regenerates Figures 6 and 7, and the only place this crate
-//!   counts cycles.
-//! * **Functional execution** ([`BlockGnnAccelerator::load_weights`] +
-//!   [`BlockGnnAccelerator::process_batch`]) — real numbers through the
-//!   Q16.16 spectral datapath ([`FixedSpectralBlockCirculant`]: FFT →
-//!   element-wise MAC → IFFT) and the VPU's activation, with
-//!   Weight-Buffer/NFB capacity checks, so tests can verify the hardware
-//!   datapath end-to-end against the software reference.
+//! [`BlockGnnAccelerator::simulate_workload`] evaluates the Eq. 3–7
+//! pipeline model of `blockgnn-perf` for a [`GnnWorkload`], layer by
+//! layer, overlapping DRAM prefetch with compute exactly as the §III-C
+//! prefetching argument assumes. This is what regenerates Figures 6 and
+//! 7, and the only place this crate counts cycles. The accelerator's
+//! arithmetic — Q16.16 spectral products behind f64 edges — is the
+//! serving engine's `SimulatedAccel` backend, which charges its requests
+//! here.
 
-use crate::buffer::{DramModel, GlobalBuffer};
-use blockgnn_core::{BlockCirculantMatrix, FixedSpectralBlockCirculant};
+use crate::buffer::DramModel;
 use blockgnn_gnn::workload::GnnWorkload;
 use blockgnn_perf::coeffs::HardwareCoeffs;
 use blockgnn_perf::cycles::{layer_cycles, LayerCycles, LayerTask, MatvecCount};
@@ -25,7 +18,7 @@ use blockgnn_perf::params::CirCoreParams;
 use std::error::Error;
 use std::fmt;
 
-/// Errors from the functional accelerator interface.
+/// Why a model cannot deploy on the accelerator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccelError {
     /// The spectral weights exceed the 256 KB Weight Buffer.
@@ -33,18 +26,6 @@ pub enum AccelError {
         /// Bytes the weights need.
         needed: usize,
     },
-    /// A feature batch exceeds the ping-pong half of the NFB.
-    FeatureBufferOverflow {
-        /// Bytes the batch needs.
-        needed: usize,
-    },
-    /// `process_batch` called before `load_weights`.
-    NoWeightsLoaded,
-    /// The weight matrix could not be compiled for CirCore.
-    BadWeights(
-        /// Underlying reason.
-        String,
-    ),
 }
 
 impl fmt::Display for AccelError {
@@ -53,57 +34,11 @@ impl fmt::Display for AccelError {
             AccelError::WeightBufferOverflow { needed } => {
                 write!(f, "spectral weights need {needed} bytes, exceeding the weight buffer")
             }
-            AccelError::FeatureBufferOverflow { needed } => {
-                write!(f, "feature batch needs {needed} bytes, exceeding the NFB bank")
-            }
-            AccelError::NoWeightsLoaded => write!(f, "no weights loaded"),
-            AccelError::BadWeights(why) => write!(f, "weights rejected: {why}"),
         }
     }
 }
 
 impl Error for AccelError {}
-
-/// Non-linearity applied by the VPU after a combination matvec.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PostOp {
-    /// No activation (logits layer).
-    None,
-    /// ReLU (GCN/GS-Pool/G-GCN combiners).
-    Relu,
-    /// ELU (GAT combiner).
-    Elu,
-    /// Sigmoid (G-GCN gates).
-    Sigmoid,
-}
-
-impl PostOp {
-    /// Applies the activation element-wise, as the VPU's lanes do.
-    fn apply(self, x: &mut [f64]) {
-        match self {
-            PostOp::None => {}
-            PostOp::Relu => {
-                for v in x {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            PostOp::Elu => {
-                for v in x {
-                    if *v < 0.0 {
-                        *v = v.exp() - 1.0;
-                    }
-                }
-            }
-            PostOp::Sigmoid => {
-                for v in x {
-                    *v = 1.0 / (1.0 + (-*v).exp());
-                }
-            }
-        }
-    }
-}
 
 /// Per-layer entry of a performance-model report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,9 +106,6 @@ pub struct BlockGnnAccelerator {
     params: CirCoreParams,
     coeffs: HardwareCoeffs,
     dram: DramModel,
-    buffer: GlobalBuffer,
-    /// The loaded weights as CirCore's PEs hold them: Q16.16 spectra.
-    weights: Option<FixedSpectralBlockCirculant>,
 }
 
 impl BlockGnnAccelerator {
@@ -186,13 +118,7 @@ impl BlockGnnAccelerator {
     #[must_use]
     pub fn new(params: CirCoreParams, coeffs: HardwareCoeffs) -> Self {
         assert!(params.m > 0, "the VPU needs at least one lane");
-        Self {
-            params,
-            coeffs,
-            dram: DramModel::zc706(),
-            buffer: GlobalBuffer::zc706(),
-            weights: None,
-        }
+        Self { params, coeffs, dram: DramModel::zc706() }
     }
 
     /// The configured parameters.
@@ -200,63 +126,6 @@ impl BlockGnnAccelerator {
     pub fn params(&self) -> &CirCoreParams {
         &self.params
     }
-
-    // ------------------------------------------------------------------
-    // Functional interface (the Q16.16 datapath of Figure 3).
-    // ------------------------------------------------------------------
-
-    /// Loads a block-circulant weight matrix: checks the Weight Buffer
-    /// capacity against the spectral storage footprint (complex Q16.16,
-    /// 8 bytes per retained bin) and quantizes the spectra to Q16.16.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::WeightBufferOverflow`] if the spectra do not fit;
-    /// [`AccelError::BadWeights`] for non-power-of-two blocks.
-    pub fn load_weights(&mut self, weights: &BlockCirculantMatrix) -> Result<(), AccelError> {
-        let spectral_bytes = weights.spectral_weight_bytes();
-        if !self.buffer.model_fits(spectral_bytes) {
-            return Err(AccelError::WeightBufferOverflow { needed: spectral_bytes });
-        }
-        let fixed = FixedSpectralBlockCirculant::new(weights)
-            .map_err(|e| AccelError::BadWeights(e.to_string()))?;
-        self.weights = Some(fixed);
-        Ok(())
-    }
-
-    /// Streams a feature batch through the Q16.16 datapath and the VPU
-    /// post-op, one row of output per row of `features`.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::NoWeightsLoaded`] before a `load_weights`;
-    /// [`AccelError::FeatureBufferOverflow`] if the batch exceeds an NFB
-    /// bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row length differs from the weight's input dimension.
-    pub fn process_batch(
-        &mut self,
-        features: &[Vec<f64>],
-        post: PostOp,
-    ) -> Result<Vec<Vec<f64>>, AccelError> {
-        let weights = self.weights.as_mut().ok_or(AccelError::NoWeightsLoaded)?;
-        let batch_bytes: usize = features.iter().map(|f| f.len() * 4).sum();
-        self.buffer.swap_feature_banks();
-        if !self.buffer.reserve_features(batch_bytes) {
-            return Err(AccelError::FeatureBufferOverflow { needed: batch_bytes });
-        }
-        let (in_dim, out_dim) = (weights.kernel().in_dim(), weights.kernel().out_dim());
-        assert!(features.iter().all(|x| x.len() == in_dim), "input length must equal in_dim");
-        let mut out = weights.matmul(&features.concat());
-        post.apply(&mut out);
-        Ok(out.chunks_exact(out_dim).map(<[f64]>::to_vec).collect())
-    }
-
-    // ------------------------------------------------------------------
-    // Performance-model interface (Figures 6/7).
-    // ------------------------------------------------------------------
 
     /// Converts one workload layer into the perf-model task: all weight
     /// products (aggregation + combination) stream through CirCore, all
@@ -309,51 +178,13 @@ impl BlockGnnAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::GlobalBuffer;
+    use blockgnn_core::BlockCirculantMatrix;
     use blockgnn_gnn::ModelKind;
     use blockgnn_graph::datasets;
-    use blockgnn_linalg::vector::linf_distance;
 
     fn accel() -> BlockGnnAccelerator {
         BlockGnnAccelerator::new(CirCoreParams::base(), HardwareCoeffs::zc706())
-    }
-
-    #[test]
-    fn functional_layer_matches_software_reference() {
-        let mut acc = accel();
-        let w = BlockCirculantMatrix::random(64, 48, 16, 5).unwrap();
-        acc.load_weights(&w).unwrap();
-        let batch: Vec<Vec<f64>> = (0..4)
-            .map(|b| (0..48).map(|i| ((b * 48 + i) as f64 * 0.07).sin()).collect())
-            .collect();
-        let out = acc.process_batch(&batch, PostOp::Relu).unwrap();
-        for (x, y) in batch.iter().zip(&out) {
-            let mut expect = w.matvec_direct(x);
-            for v in &mut expect {
-                *v = v.max(0.0);
-            }
-            assert!(linf_distance(y, &expect) < 2e-2);
-        }
-    }
-
-    #[test]
-    fn relu_sigmoid_elu_functional() {
-        let mut x = vec![-1.0, 2.0];
-        PostOp::Relu.apply(&mut x);
-        assert_eq!(x, vec![0.0, 2.0]);
-        let mut s = vec![0.0];
-        PostOp::Sigmoid.apply(&mut s);
-        assert!((s[0] - 0.5).abs() < 1e-12);
-        let mut e = vec![-1.0, 1.0];
-        PostOp::Elu.apply(&mut e);
-        assert!((e[0] - ((-1.0f64).exp() - 1.0)).abs() < 1e-12);
-        assert_eq!(e[1], 1.0);
-    }
-
-    #[test]
-    fn rejects_non_power_of_two_blocks() {
-        let mut acc = accel();
-        let w = BlockCirculantMatrix::random(9, 9, 3, 0).unwrap();
-        assert!(matches!(acc.load_weights(&w).unwrap_err(), AccelError::BadWeights(_)));
     }
 
     #[test]
@@ -364,41 +195,15 @@ mod tests {
     }
 
     #[test]
-    fn process_before_load_fails() {
-        let mut acc = accel();
-        assert_eq!(
-            acc.process_batch(&[vec![0.0; 4]], PostOp::None).unwrap_err(),
-            AccelError::NoWeightsLoaded
-        );
-    }
-
-    #[test]
     fn dense_weights_blow_the_weight_buffer() {
         // n = 1 means "dense" storage: 512·512 spectra bins of 8 bytes =
         // 2 MB >> 256 KB. The WB capacity check is the §IV-B argument
         // that only *compressed* models fit on-chip.
-        let mut acc = accel();
+        let wb = GlobalBuffer::zc706();
         let dense = BlockCirculantMatrix::random(512, 512, 1, 0).unwrap();
-        assert!(matches!(
-            acc.load_weights(&dense).unwrap_err(),
-            AccelError::WeightBufferOverflow { .. }
-        ));
+        assert!(!wb.model_fits(dense.spectral_weight_bytes()));
         let compressed = BlockCirculantMatrix::random(512, 512, 128, 0).unwrap();
-        assert!(acc.load_weights(&compressed).is_ok());
-    }
-
-    #[test]
-    fn oversized_batches_are_rejected() {
-        let mut acc = accel();
-        let w = BlockCirculantMatrix::random(16, 16, 8, 1).unwrap();
-        acc.load_weights(&w).unwrap();
-        // One bank is 256 KB → 65,536 floats; a 100×16 batch fits,
-        // a 5000×16 batch (320 KB) does not.
-        assert!(acc.process_batch(&vec![vec![0.0; 16]; 100], PostOp::None).is_ok());
-        assert!(matches!(
-            acc.process_batch(&vec![vec![0.0; 16]; 5000], PostOp::None).unwrap_err(),
-            AccelError::FeatureBufferOverflow { .. }
-        ));
+        assert!(wb.model_fits(compressed.spectral_weight_bytes()));
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! half-spectrum (`n/2 + 1` bins per block — conjugate-symmetric bins
 //! would be redundant registers in hardware).
 //!
-//! [`FixedSpectralBlockCirculant`] is that kernel with float edges
-//! (quantize → compute → dequantize), which is how the functional mode of
-//! the hardware simulator and the deployment-accuracy experiment feed it,
-//! so their outputs carry genuine quantization error rather than
-//! idealized floats.
+//! The float edges — quantize the f64 input, run the Q16.16 kernel,
+//! dequantize, then add the bias in f64 as the VPU does — are written
+//! once, as [`RealSpectralBlockCirculant::matmul_f64_into`]. The serving
+//! engine's accelerator backend (a circulant layer prepared for
+//! `ExecMode::FixedSpectral` in `blockgnn_nn`) and
+//! [`FixedSpectralBlockCirculant`] both call it, so their outputs carry
+//! the datapath's quantization error rather than idealized floats.
 
 use crate::error::CirculantError;
 use crate::matrix::BlockCirculantMatrix;
@@ -81,10 +83,48 @@ impl FixedSpectralBlockCirculant {
     ///
     /// Panics if `x.len()` is not a multiple of `in_dim`.
     pub fn matmul(&mut self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; x.len() / self.kernel.in_dim() * self.kernel.out_dim()];
+        self.kernel.matmul_f64_into(x, None, &mut self.scratch, &mut y);
+        y
+    }
+}
+
+impl RealSpectralBlockCirculant<Q16_16> {
+    /// [`RealSpectralBlockCirculant::matmul_into`] in Q16.16 behind f64
+    /// edges: every input value is rounded into Q16.16, the batch runs
+    /// through the fixed-point tile, each output is dequantized, and
+    /// `bias` (if any) is then added in f64 — the VPU's bias add, after
+    /// CirCore. Row-major `rows × in_dim` in, `rows × out_dim` out (every
+    /// entry overwritten); a row's bits depend only on that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` is not a multiple of `in_dim`, `out.len()` is
+    /// not `rows · out_dim`, or `bias` is not `out_dim` long.
+    pub fn matmul_f64_into(
+        &self,
+        x: &[f64],
+        bias: Option<&[f64]>,
+        scratch: &mut SpectralScratch<Q16_16>,
+        out: &mut [f64],
+    ) {
+        assert!(
+            bias.is_none_or(|b| b.len() == self.out_dim()),
+            "bias length must equal out_dim"
+        );
         let qx: Vec<Q16_16> = x.iter().map(|&v| Q16_16::from_f64(v)).collect();
-        let mut qy = vec![Q16_16::ZERO; x.len() / self.kernel.in_dim() * self.kernel.out_dim()];
-        self.kernel.matmul_into(&qx, None, &mut self.scratch, &mut qy);
-        qy.into_iter().map(Q16_16::to_f64).collect()
+        let mut qy = vec![Q16_16::ZERO; out.len()];
+        self.matmul_into(&qx, None, scratch, &mut qy);
+        for (o, q) in out.iter_mut().zip(qy) {
+            *o = q.to_f64();
+        }
+        if let Some(bias) = bias {
+            for row in out.chunks_exact_mut(bias.len()) {
+                for (o, b) in row.iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
+        }
     }
 }
 

@@ -97,9 +97,6 @@ impl SpectralBlockCirculant {
 
     /// Borrows the pre-computed spectrum `Ŵ_ij`.
     ///
-    /// The hardware simulator loads these into the systolic array's
-    /// weight-stationary registers.
-    ///
     /// # Panics
     ///
     /// Panics if `(i, j)` is outside the grid.

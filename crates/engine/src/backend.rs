@@ -4,11 +4,13 @@
 //! The paper's central claim is that one model executes equivalently on
 //! dense GEMM hardware, via Algorithm 1's spectral products, or on the
 //! CirCore accelerator. The substrates differ in how the weights are
-//! stored (see [`blockgnn_nn::ExecMode`]) and in whether a cost model
-//! rides along — nothing else — so there is one backend type: it owns a
-//! prepared copy of the model and turns a computation graph + features
-//! into logits, and when it carries the CirCore cost model the Eq. 3–7
-//! cycle report and an energy estimate come back from the same call.
+//! stored and in which scalar the weight products run (one
+//! [`blockgnn_nn::ExecMode`] per [`BackendKind`]), and in whether a cost
+//! model rides along — nothing else — so there is one backend type: it
+//! owns a prepared copy of the model and turns a computation graph +
+//! features into logits, and when it carries the CirCore cost model the
+//! Eq. 3–7 cycle report and an energy estimate come back from the same
+//! call.
 
 use crate::error::EngineError;
 use blockgnn_accel::{AccelError, BlockGnnAccelerator, GlobalBuffer, SimReport};
@@ -29,8 +31,11 @@ pub enum BackendKind {
     /// Algorithm 1 (FFT → spectral MAC → IFFT) with kernel spectra
     /// cached across calls.
     Spectral,
-    /// Spectral execution plus the CirCore cycle/energy model: responses
-    /// carry a [`SimReport`].
+    /// The accelerator: Algorithm 1 in CirCore's Q16.16 arithmetic
+    /// (§IV-B) plus the CirCore cycle/energy model, so responses carry a
+    /// [`SimReport`]. Only the circulant weight products run in Q16.16
+    /// ([`ExecMode::FixedSpectral`]); aggregation, activations, biases
+    /// and any dense layer stay f64.
     SimulatedAccel,
 }
 
@@ -98,8 +103,8 @@ pub(crate) struct RequestShape {
 
 /// The CirCore cost model a [`BackendKind::SimulatedAccel`] backend
 /// carries. It is analytic — Eqs. 3–7 price the *logical* FFT/MAC/IFFT
-/// work from the workload shape, never from the software data layout —
-/// so how the functional pass stores its spectra changes wall-clock
+/// work from the workload shape, never from the software data layout or
+/// scalar — so how the Q16.16 pass stores its spectra changes wall-clock
 /// only, never cycles or energy.
 #[derive(Clone)]
 struct CostModel {
@@ -119,8 +124,8 @@ struct CostModel {
 /// [`Backend::new`] freezes the weights ([`ExecMode::Gemm`] decompresses
 /// circulant kernels to dense matrices; [`ExecMode::Spectral`] caches
 /// packed half-spectra and RFFT plans, so steady-state execution does no
-/// spectral-path allocation) and whether executions are also priced on
-/// CirCore. Staged execution reaches the model's row-parallel hooks
+/// spectral-path allocation; [`ExecMode::FixedSpectral`] caches them in
+/// Q16.16) and whether executions are also priced on CirCore. Staged execution reaches the model's row-parallel hooks
 /// ([`GnnModel::forward_stage`] and friends) through `model` directly.
 pub(crate) struct Backend {
     kind: BackendKind,
@@ -129,8 +134,8 @@ pub(crate) struct Backend {
     cost: Option<CostModel>,
     /// Summed packed spectral footprint of the circulant layers (complex
     /// Q16.16, 8 bytes per retained bin of each block's Hermitian
-    /// half-spectrum — the accounting of
-    /// `BlockGnnAccelerator::load_weights`); 0 for a fully dense model.
+    /// half-spectrum, as the Weight Buffer stores it); 0 for a fully
+    /// dense model.
     weight_bytes: usize,
 }
 
@@ -172,7 +177,8 @@ impl Backend {
         }
         model.prepare(match kind {
             BackendKind::Dense => ExecMode::Gemm,
-            BackendKind::Spectral | BackendKind::SimulatedAccel => ExecMode::Spectral,
+            BackendKind::Spectral => ExecMode::Spectral,
+            BackendKind::SimulatedAccel => ExecMode::FixedSpectral,
         });
         Ok(Self { kind, model, cost, weight_bytes })
     }

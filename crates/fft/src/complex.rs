@@ -1,10 +1,10 @@
 //! A minimal complex-number type.
 //!
 //! We implement complex arithmetic from scratch instead of pulling in
-//! `num-complex`: the FFT kernels, the spectral weight storage in
-//! `blockgnn-core`, and the systolic-array functional model all operate on
-//! this type, and keeping it local lets the hardware simulator mirror the
-//! exact multiply–accumulate structure a DSP slice performs (4 real
+//! `num-complex`: the FFT kernels and the spectral weight storage in
+//! `blockgnn-core`, f64 and Q16.16 alike, operate on this type, and
+//! keeping it local lets the Q16.16 datapath mirror the exact
+//! multiply–accumulate structure a DSP slice performs (4 real
 //! multiplies + 2 adds per complex MAC, which is where the paper's
 //! `γ(l) = 16·l` DSP cost for `l` parallel complex MACs comes from).
 

@@ -6,11 +6,12 @@
 //! saturating arithmetic (overflow clamps instead of wrapping, matching
 //! the saturation logic a DSP48-based datapath would use).
 //!
-//! The functional mode of the hardware simulator runs every FFT butterfly
-//! and systolic MAC through this type — as a [`crate::Scalar`]
-//! ([`crate::fixed_fft`]), it is what the generic plans and the
-//! block-circulant kernel compute in — so quantization error observed in
-//! end-to-end tests reflects what the bitstream would produce.
+//! The serving engine's simulated-accelerator backend runs every FFT
+//! butterfly and spectral MAC of its weight products through this type —
+//! as a [`crate::Scalar`] ([`crate::fixed_fft`]), it is what the generic
+//! plans and the block-circulant kernel compute in — so quantization
+//! error observed in end-to-end tests reflects what the bitstream would
+//! produce.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};

@@ -9,9 +9,9 @@
 //! width ≠ coefficient width, the standard arrangement); a sample times a
 //! coefficient is one widening multiply rounded back to Q16.16; and the
 //! untangle's halving and the inverse's `1/n` are round-to-nearest
-//! arithmetic right shifts. The functional hardware simulator in
-//! `blockgnn-accel` runs on these, so every value it produces went through
-//! genuine fixed-point rounding and saturation.
+//! arithmetic right shifts. The serving engine's simulated-accelerator
+//! backend runs its weight products on these, so every value it produces
+//! went through genuine fixed-point rounding and saturation.
 
 use crate::complex::Complex;
 use crate::fixed::Q16_16;

@@ -28,7 +28,7 @@
 //! * [`fixed`] — [`Q16_16`], saturating fixed-point arithmetic matching the
 //!   paper's 32-bit FPGA prototype; [`fixed_fft`] makes it a [`Scalar`]
 //!   (Q2.30 twiddles, rounding shifts), which is the whole of the
-//!   fixed-point FFT the functional hardware simulator runs.
+//!   fixed-point FFT the simulated-accelerator backend runs.
 //! * [`dft`] — a naive O(n²) reference DFT used by the test-suite as a
 //!   ground truth.
 //!

@@ -51,13 +51,6 @@ impl Gcn {
         })
     }
 
-    /// Borrows the two combiner layers, e.g. to export trained weights
-    /// for hardware deployment.
-    #[must_use]
-    pub fn combiner_layers(&self) -> (&LinearLayer, &LinearLayer) {
-        (&self.lin1, &self.lin2)
-    }
-
     /// Layer `stage`'s one aggregate-and-combine kernel: for each
     /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
     /// into the combiner's input block, then the combiner (+ ReLU on the

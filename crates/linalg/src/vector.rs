@@ -1,9 +1,8 @@
 //! Slice-level vector kernels.
 //!
-//! These free functions are the scalar building blocks of both the
-//! software GNN implementations and the VPU functional model (the paper's
-//! VPU executes exactly these ops: vector–vector add/multiply, scalar
-//! scaling, max-pooling, and non-linear activations).
+//! These free functions are scalar building blocks of the software GNN
+//! implementations — the vector work the paper's VPU executes:
+//! vector–vector add/multiply, scalar scaling, max-pooling.
 
 /// Dot product `Σ aᵢ·bᵢ`.
 ///

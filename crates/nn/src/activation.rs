@@ -15,11 +15,6 @@ use blockgnn_linalg::Matrix;
 pub enum Activation {
     /// `max(0, x)`.
     Relu,
-    /// `x` if positive else `alpha·x`.
-    LeakyRelu(
-        /// Negative-side slope.
-        f64,
-    ),
     /// `1 / (1 + e^{-x})`.
     Sigmoid,
     /// `x` if positive else `alpha·(e^x − 1)`.
@@ -37,13 +32,6 @@ impl Activation {
     pub fn apply(&self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu(a) => {
-                if x > 0.0 {
-                    x
-                } else {
-                    a * x
-                }
-            }
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Elu(a) => {
                 if x > 0.0 {
@@ -65,13 +53,6 @@ impl Activation {
                     1.0
                 } else {
                     0.0
-                }
-            }
-            Activation::LeakyRelu(a) => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    *a
                 }
             }
             Activation::Sigmoid => y * (1.0 - y),
@@ -206,11 +187,6 @@ named_activation!(
     Activation::Relu
 );
 named_activation!(
-    /// Leaky ReLU with slope 0.2, used inside GAT attention scoring.
-    LeakyRelu,
-    Activation::LeakyRelu(0.2)
-);
-named_activation!(
     /// Sigmoid layer, the σ of G-GCN's edge gates.
     Sigmoid,
     Activation::Sigmoid
@@ -234,7 +210,6 @@ mod tests {
     fn scalar_values() {
         assert_eq!(Activation::Relu.apply(-2.0), 0.0);
         assert_eq!(Activation::Relu.apply(3.0), 3.0);
-        assert_eq!(Activation::LeakyRelu(0.1).apply(-2.0), -0.2);
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
         assert!((Activation::Elu(1.0).apply(-1.0) - (1.0f64.exp().recip() - 1.0)).abs() < 1e-9);
         assert_eq!(Activation::Tanh.apply(0.0), 0.0);
@@ -242,13 +217,8 @@ mod tests {
 
     #[test]
     fn derivatives_match_finite_differences() {
-        let kinds = [
-            Activation::Relu,
-            Activation::LeakyRelu(0.2),
-            Activation::Sigmoid,
-            Activation::Elu(1.0),
-            Activation::Tanh,
-        ];
+        let kinds =
+            [Activation::Relu, Activation::Sigmoid, Activation::Elu(1.0), Activation::Tanh];
         let eps = 1e-6;
         for kind in kinds {
             for &x in &[-2.0, -0.5, 0.3, 1.7] {
@@ -278,7 +248,6 @@ mod tests {
     #[test]
     fn default_constructors() {
         let _ = Relu::default();
-        let _ = LeakyRelu::default();
         let _ = Sigmoid::default();
         let _ = Elu::default();
         let _ = Tanh::default();

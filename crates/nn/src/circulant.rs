@@ -34,9 +34,13 @@
 //!   `∂W`. [`CirculantDense::prepare`] builds the weights once and keeps
 //!   them behind an `Arc` shared by every fork of the layer; the training
 //!   forward rebuilds them from the current kernels on each call.
-//! * The layer owns a [`blockgnn_core::SpectralScratch`] (cloned *empty*
-//!   into serving forks), so steady-state forwards allocate only their
-//!   output matrix.
+//! * Prepared for [`ExecMode::FixedSpectral`], the layer serves the
+//!   accelerator's arithmetic: the same `Ŵ` quantized to Q16.16 and
+//!   [`blockgnn_core::RealSpectralBlockCirculant::matmul_f64_into`]'s
+//!   float edges (quantize → the Q16.16 tile → dequantize → f64 bias).
+//! * The layer owns a [`blockgnn_core::SpectralScratch`] per scalar, f64
+//!   and Q16.16 (each cloned *empty* into serving forks), so
+//!   steady-state f64 forwards allocate only their output matrix.
 //! * For `backward`, the training forward caches the weights it ran with
 //!   and its input matrix; the input's spectra are recomputed a tile at a
 //!   time where the kernel gradient needs them, not kept per row.
@@ -49,7 +53,7 @@ use crate::error::NnError;
 use crate::layer::{ExecMode, Layer};
 use crate::param::Param;
 use blockgnn_core::{CompressionStats, RealSpectralBlockCirculant, SpectralScratch};
-use blockgnn_fft::is_power_of_two;
+use blockgnn_fft::{is_power_of_two, Q16_16};
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
 use std::sync::Arc;
@@ -75,6 +79,9 @@ enum Prepared {
     /// The kernel half-spectra `Ŵ`, cached so repeated forwards skip
     /// the per-call kernel RFFTs of the training path.
     Spectral(RealSpectralBlockCirculant),
+    /// The same half-spectra rounded into Q16.16, as the accelerator's
+    /// Weight Buffer holds them.
+    FixedSpectral(RealSpectralBlockCirculant<Q16_16>),
 }
 
 /// A block-circulant linear layer `y = W_bc·x + b` over batched rows.
@@ -104,6 +111,9 @@ pub struct CirculantDense {
     /// forked serving replicas grow their own on first use and never
     /// share hot buffers.
     scratch: SpectralScratch,
+    /// The same workspace for [`ExecMode::FixedSpectral`]'s Q16.16 tile,
+    /// cloned empty alike.
+    fixed_scratch: SpectralScratch<Q16_16>,
 }
 
 impl CirculantDense {
@@ -150,6 +160,7 @@ impl CirculantDense {
             cache: None,
             prepared: None,
             scratch: SpectralScratch::new(),
+            fixed_scratch: SpectralScratch::new(),
         })
     }
 
@@ -214,6 +225,9 @@ impl CirculantDense {
         self.prepared = Some(Arc::new(match mode {
             ExecMode::Gemm => Prepared::Gemm(self.to_block_circulant().to_dense()),
             ExecMode::Spectral => Prepared::Spectral(self.spectral_weights()),
+            ExecMode::FixedSpectral => {
+                Prepared::FixedSpectral(self.spectral_weights().quantize::<Q16_16>())
+            }
         }));
     }
 
@@ -270,6 +284,9 @@ impl CirculantDense {
                 }
             }
             Some(Prepared::Spectral(weights)) => self.spectral_apply(x, weights, out),
+            Some(Prepared::FixedSpectral(weights)) => {
+                weights.matmul_f64_into(x, Some(&self.bias.data), &mut self.fixed_scratch, out);
+            }
             None => self.spectral_apply(x, &self.spectral_weights(), out),
         }
     }
@@ -437,6 +454,21 @@ mod tests {
         layer.prepare(ExecMode::Gemm);
         let gemm = layer.forward(&x, false);
         assert!(gemm.linf_distance(&reference) < 1e-9, "decompressed GEMM drifted");
+
+        // Q16.16: the core datapath's float-edged product plus the f64
+        // bias, bit for bit, and within quantization of the f64 answer.
+        layer.prepare(ExecMode::FixedSpectral);
+        let fixed = layer.forward(&x, false);
+        let mut datapath =
+            blockgnn_core::FixedSpectralBlockCirculant::new(&layer.to_block_circulant())
+                .unwrap();
+        let mut want = datapath.matmul(x.as_slice());
+        for row in want.chunks_exact_mut(14) {
+            row.iter_mut().zip(layer.bias()).for_each(|(o, b)| *o += b);
+        }
+        assert_eq!(fixed.as_slice(), &want[..], "fixed-point layer left the datapath");
+        let drift = fixed.linf_distance(&reference);
+        assert!(drift > 0.0 && drift < 1e-3, "Q16.16 drift {drift:e}");
 
         layer.clear_prepared();
         assert!(!layer.is_prepared());

@@ -15,7 +15,8 @@ use blockgnn_linalg::Matrix;
 /// gradient with respect to that forward's input, and accumulates
 /// parameter gradients into the layer's [`Param`]s.
 pub trait Layer {
-    /// Forward pass. `train` toggles training-only behaviour (dropout).
+    /// Forward pass. `train` toggles training-only behaviour (caching
+    /// for `backward`).
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
 
     /// Backward pass; returns `∂L/∂input` given `∂L/∂output`.
@@ -38,7 +39,8 @@ pub trait Layer {
 }
 
 /// How a prepared (inference-frozen) linear layer executes its product —
-/// the execution-substrate knob the serving engine's backends turn.
+/// the execution-substrate knob the serving engine's backends turn, one
+/// mode per backend kind.
 ///
 /// Preparation is a one-time weight transform: backends call
 /// [`LinearLayer::prepare`] once after training, and every subsequent
@@ -52,6 +54,11 @@ pub enum ExecMode {
     /// Algorithm 1: FFT → spectral MAC → IFFT with kernel spectra cached
     /// across calls.
     Spectral,
+    /// Algorithm 1 in the accelerator's arithmetic (§IV-B): the cached
+    /// spectra rounded once into Q16.16, every transform and MAC in
+    /// Q16.16, f64 only at the edges (input quantized, output
+    /// dequantized, bias added in f64).
+    FixedSpectral,
 }
 
 /// Weight-matrix compression choice for linear layers — the paper's
@@ -141,10 +148,11 @@ impl LinearLayer {
     /// One-time weight transform for inference serving: freezes the
     /// current weights into the representation `mode` executes fastest.
     ///
-    /// Dense layers already execute as GEMM under either mode, so for
-    /// them preparation only drops the backward-pass input cache;
-    /// circulant layers either decompress to a dense matrix (`Gemm`) or
-    /// cache their kernel spectra (`Spectral`). A prepared layer is
+    /// Dense layers execute as f64 GEMM under every mode, so for them
+    /// preparation only drops the backward-pass input cache; circulant
+    /// layers either decompress to a dense matrix (`Gemm`), cache their
+    /// kernel spectra (`Spectral`), or cache them in Q16.16
+    /// (`FixedSpectral`). A prepared layer is
     /// inference-only:
     /// `backward` panics until [`LinearLayer::clear_prepared`] is called,
     /// and parameter updates after `prepare` are not reflected until the
@@ -313,7 +321,12 @@ mod tests {
                     p.data.iter_mut().enumerate().for_each(|(i, b)| *b = i as f64 * 0.07 - 0.4);
                 }
             });
-            for mode in [None, Some(ExecMode::Gemm), Some(ExecMode::Spectral)] {
+            for mode in [
+                None,
+                Some(ExecMode::Gemm),
+                Some(ExecMode::Spectral),
+                Some(ExecMode::FixedSpectral),
+            ] {
                 match mode {
                     Some(mode) => layer.prepare(mode),
                     None => layer.clear_prepared(),

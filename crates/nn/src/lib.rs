@@ -9,7 +9,7 @@
 //! parameters *are* the circulant kernels (gradients are computed
 //! directly in kernel space via FFT correlation, so the constraint can
 //! never be violated), the activations of Table I, softmax cross-entropy,
-//! and SGD/Adam optimizers.
+//! and the Adam optimizer.
 //!
 //! No autograd tape: GNN layers compose a handful of primitives, and
 //! explicit backward passes keep every gradient inspectable (the
@@ -33,7 +33,6 @@
 pub mod activation;
 pub mod circulant;
 pub mod dense;
-pub mod dropout;
 pub mod error;
 pub mod gradcheck;
 pub mod layer;
@@ -41,12 +40,11 @@ pub mod loss;
 pub mod optim;
 pub mod param;
 
-pub use activation::{Activation, Elu, LeakyRelu, Relu, Sigmoid, Tanh};
+pub use activation::{Activation, Elu, Relu, Sigmoid, Tanh};
 pub use circulant::CirculantDense;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use layer::{Compression, ExecMode, Layer, LinearLayer, Sequential};
 pub use loss::softmax_cross_entropy;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use param::Param;

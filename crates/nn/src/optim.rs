@@ -1,4 +1,4 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The optimizer: Adam.
 //!
 //! Optimizers attach state to parameters by visit order: every call to
 //! [`Optimizer::step`] must visit the same parameters in the same order
@@ -13,51 +13,6 @@ pub trait Optimizer {
     /// in the model's parameters, then leaves gradients untouched (call
     /// [`Layer::zero_grad`] before the next backward pass).
     fn step(&mut self, model: &mut dyn Layer);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Creates plain SGD.
-    #[must_use]
-    pub fn new(lr: f64) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// Creates SGD with momentum.
-    #[must_use]
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
-        let mut idx = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        model.visit_params(&mut |p: &mut Param| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; p.len()]);
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(v.len(), p.len(), "parameter shape changed between steps");
-            for ((vi, di), gi) in v.iter_mut().zip(&mut p.data).zip(&p.grad) {
-                *vi = momentum * *vi + gi;
-                *di -= lr * *vi;
-            }
-            idx += 1;
-        });
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -148,37 +103,6 @@ mod tests {
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
             f(&mut self.w);
         }
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut model = Quadratic::new(0.0);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            model.compute_grad();
-            opt.step(&mut model);
-        }
-        assert!((model.value() - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let mut plain = Quadratic::new(0.0);
-        let mut fast = Quadratic::new(0.0);
-        let mut sgd = Sgd::new(0.02);
-        let mut mom = Sgd::with_momentum(0.02, 0.9);
-        for _ in 0..30 {
-            plain.compute_grad();
-            sgd.step(&mut plain);
-            fast.compute_grad();
-            mom.step(&mut fast);
-        }
-        assert!(
-            (fast.value() - 3.0).abs() < (plain.value() - 3.0).abs(),
-            "momentum {} vs plain {}",
-            fast.value(),
-            plain.value()
-        );
     }
 
     #[test]

@@ -72,10 +72,7 @@ fn run_table3(quick: bool) {
 
 fn run_quantization(quick: bool) {
     let (hidden, epochs) = if quick { (32, 30) } else { (64, 80) };
-    print!(
-        "{}",
-        quantization::render(&quantization::gcn_fixed_point_accuracy(16, hidden, epochs, 7))
-    );
+    print!("{}", quantization::render(&quantization::run(16, hidden, epochs, 7)));
 }
 
 fn run_ablations(quick: bool) {

@@ -2,8 +2,10 @@
 //!
 //! Builds the same GCN behind each [`BackendKind`], serves identical
 //! requests through `Engine`/`Session`, and shows that predictions agree
-//! while only the simulated accelerator reports hardware cost. Ends with
-//! the classic Table III compression accounting on a raw weight matrix.
+//! (Spectral to f64 rounding, the simulated accelerator within its
+//! Q16.16 quantization) while only the simulated accelerator reports
+//! hardware cost. Ends with the classic Table III compression accounting
+//! on a raw weight matrix.
 //!
 //! ```text
 //! cargo run --release --example quickstart

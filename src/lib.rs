@@ -40,8 +40,9 @@
 //! All inference goes through the engine: pick a model, a compression
 //! policy, and an execution backend; build an [`Engine`] over a dataset;
 //! open a [`Session`] and serve requests. The same weights answer on
-//! every backend — swapping [`BackendKind`] swaps the substrate, not the
-//! predictions.
+//! every backend — swapping [`BackendKind`] swaps the substrate (Dense and
+//! Spectral agree to f64 rounding; the simulated accelerator answers in
+//! its Q16.16 arithmetic), not the function.
 //!
 //! ```
 //! use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};

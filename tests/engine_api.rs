@@ -2,10 +2,12 @@
 //! across all four model kinds, simulated-accelerator reporting, session
 //! statistics, caching, and error handling.
 
+use blockgnn::core::{BlockCirculantMatrix, FixedSpectralBlockCirculant};
 use blockgnn::engine::{BackendKind, EngineBuilder, EngineError, InferRequest, RequestMode};
-use blockgnn::gnn::ModelKind;
+use blockgnn::gnn::{build_model, GnnModel, ModelKind, NormalizedAdjacency};
 use blockgnn::graph::{datasets, Dataset};
-use blockgnn::nn::Compression;
+use blockgnn::linalg::Matrix;
+use blockgnn::nn::{Compression, ExecMode, LinearLayer};
 use std::sync::Arc;
 
 fn task() -> Arc<Dataset> {
@@ -17,12 +19,63 @@ fn engine_for(
     backend: BackendKind,
     dataset: &Arc<Dataset>,
 ) -> blockgnn::engine::Engine {
+    engine_at(kind, backend, dataset, 8)
+}
+
+/// `engine_for` at circulant block size `block_size`.
+fn engine_at(
+    kind: ModelKind,
+    backend: BackendKind,
+    dataset: &Arc<Dataset>,
+    block_size: usize,
+) -> blockgnn::engine::Engine {
     EngineBuilder::new(kind, backend)
         .hidden_dim(16)
-        .compression(Compression::BlockCirculant { block_size: 8 })
+        .compression(Compression::BlockCirculant { block_size })
         .seed(77)
         .build(Arc::clone(dataset))
         .expect("engine builds")
+}
+
+/// The model `engine_for` serves, unprepared.
+fn model_for(kind: ModelKind, dataset: &Dataset) -> Box<dyn GnnModel> {
+    let compression = Compression::BlockCirculant { block_size: 8 };
+    build_model(kind, dataset.feature_dim(), 16, dataset.num_classes, compression, 77)
+        .expect("model builds")
+}
+
+/// GCN wired by hand from the accelerator's parts: `Â` in f64, each
+/// combiner's Q16.16 product on [`FixedSpectralBlockCirculant`], then the
+/// bias (and ReLU after layer 1) in f64 — an oracle for the simulated
+/// accelerator that shares none of `gnn::models`' layer code.
+fn q16_16_gcn_oracle(model: &mut dyn GnnModel, dataset: &Dataset) -> Matrix {
+    let mut combiners: Vec<(BlockCirculantMatrix, Vec<f64>)> = Vec::new();
+    model.visit_linear_layers(&mut |layer| match layer {
+        LinearLayer::Circulant(c) => {
+            combiners.push((c.to_block_circulant(), c.bias().to_vec()))
+        }
+        LinearLayer::Dense(_) => panic!("the oracle deploys block-circulant layers"),
+    });
+    let [(w1, b1), (w2, b2)] = <[_; 2]>::try_from(combiners).expect("GCN has two combiners");
+    let layer = |w: &BlockCirculantMatrix, a: &Matrix, bias: &[f64], relu: bool| {
+        let mut fx = FixedSpectralBlockCirculant::new(w).expect("power-of-two blocks");
+        let mut h = fx.matmul(a.as_slice());
+        for row in h.chunks_exact_mut(bias.len()) {
+            for (o, &b) in row.iter_mut().zip(bias) {
+                *o = if relu { (*o + b).max(0.0) } else { *o + b };
+            }
+        }
+        Matrix::from_flat(dataset.num_nodes(), bias.len(), h).expect("one output row per node")
+    };
+    let adj = NormalizedAdjacency::new(&dataset.graph);
+    let h1 = layer(&w1, &adj.apply(&dataset.graph, &dataset.features), &b1, true);
+    layer(&w2, &adj.apply(&dataset.graph, &h1), &b2, false)
+}
+
+fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape");
+    let same = a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits());
+    assert!(same, "{what}: bits differ");
 }
 
 #[test]
@@ -46,25 +99,64 @@ fn dense_and_spectral_backends_agree_for_every_model_kind() {
 }
 
 #[test]
-fn simulated_accel_matches_spectral_and_reports_cycles() {
+fn simulated_accel_answers_in_q16_16_and_reports_cycles() {
+    // The accelerator backend answers in the accelerator's arithmetic:
+    // at the requested rows, bit for bit what the model computes with
+    // its circulant products prepared in Q16.16 — and, for GCN, what the
+    // hand-wired datapath oracle computes.
     let ds = task();
-    let request = InferRequest::full_graph(vec![1, 2, 3, 500]);
+    let rows = [1usize, 2, 3, 500];
+    let request = InferRequest::full_graph(rows.to_vec());
     for kind in ModelKind::all() {
-        let mut spectral = engine_for(kind, BackendKind::Spectral, &ds);
         let mut accel = engine_for(kind, BackendKind::SimulatedAccel, &ds);
-        let a = spectral.session().infer(&request).expect("spectral serves");
         let b = accel.session().infer(&request).expect("accel serves");
-        // Identical spectral execution path => bit-identical logits.
-        assert_eq!(
-            a.logits.linf_distance(&b.logits),
-            0.0,
-            "{kind}: accel functional output diverged from spectral"
-        );
+        let mut model = model_for(kind, &ds);
+        if kind == ModelKind::Gcn {
+            let oracle = q16_16_gcn_oracle(model.as_mut(), &ds);
+            assert_same_bits(&b.logits, &oracle.gather_rows(rows), "GCN against the oracle");
+        }
+        model.prepare(ExecMode::FixedSpectral);
+        let want = model.forward(&ds.graph, &ds.features, false).gather_rows(rows);
+        assert_same_bits(&b.logits, &want, &format!("{kind} against its Q16.16 forward"));
         let sim = b.sim.expect("accel backend must report");
         assert!(sim.total_cycles > 0, "{kind}: zero-cycle report");
         assert!(sim.seconds > 0.0 && sim.nodes_per_second() > 0.0);
         assert!(b.energy_joules.unwrap() > 0.0, "{kind}: zero-energy report");
+        let a = engine_for(kind, BackendKind::Spectral, &ds).session().infer(&request).unwrap();
         assert!(a.energy_joules.is_none());
+    }
+}
+
+/// ‖Spectral − Dense‖∞ over whole-model logits: f64 FFT rounding only
+/// (the worst case below measures 5.6e-16).
+const SPECTRAL_BOUND: f64 = 1e-12;
+
+/// ‖SimulatedAccel − Dense‖∞ over whole-model logits: the Q16.16
+/// datapath's quantization (the worst case below measures 1.0e-4).
+const ACCEL_BOUND: f64 = 1e-3;
+
+#[test]
+fn every_backend_stays_within_its_bound_of_dense() {
+    let ds = task();
+    let all = InferRequest::all_nodes();
+    for kind in ModelKind::all() {
+        for block_size in [4, 8, 16, 32] {
+            let logits = |backend| {
+                let mut engine = engine_at(kind, backend, &ds, block_size);
+                engine.session().infer(&all).expect("a full-graph pass serves").logits
+            };
+            let dense = logits(BackendKind::Dense);
+            for (backend, bound) in [
+                (BackendKind::Spectral, SPECTRAL_BOUND),
+                (BackendKind::SimulatedAccel, ACCEL_BOUND),
+            ] {
+                let drift = logits(backend).linf_distance(&dense);
+                assert!(
+                    drift <= bound,
+                    "{kind} n={block_size} {backend}: {drift:.3e} > {bound:e}"
+                );
+            }
+        }
     }
 }
 
