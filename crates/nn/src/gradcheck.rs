@@ -126,7 +126,6 @@ mod tests {
     use crate::activation::{Elu, Sigmoid, Tanh};
     use crate::circulant::CirculantDense;
     use crate::dense::Dense;
-    use crate::layer::{Compression, LinearLayer, Sequential};
 
     fn smooth_input(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |i, j| ((i * cols + j) as f64 * 0.31).sin() * 0.8)
@@ -169,18 +168,5 @@ mod tests {
             let report = check_layer_gradients(layer.as_mut(), &input, 1e-5, 4);
             assert!(report.passes(1e-5), "{report:?}");
         }
-    }
-
-    #[test]
-    fn composed_stack_passes() {
-        let mut model = Sequential::new()
-            .push(
-                LinearLayer::new(6, 8, Compression::BlockCirculant { block_size: 4 }, 5)
-                    .unwrap(),
-            )
-            .push(Tanh::new())
-            .push(LinearLayer::new(3, 6, Compression::Dense, 6).unwrap());
-        let report = check_layer_gradients(&mut model, &smooth_input(2, 8), 1e-5, 5);
-        assert!(report.passes(1e-5), "{report:?}");
     }
 }

@@ -1,4 +1,4 @@
-//! The layer abstraction, the dense/circulant switch, and `Sequential`.
+//! The layer abstraction and the dense/circulant switch.
 
 use crate::circulant::CirculantDense;
 use crate::dense::Dense;
@@ -225,73 +225,9 @@ impl Layer for LinearLayer {
     }
 }
 
-/// A stack of layers applied in order.
-#[derive(Default)]
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
-}
-
-impl Sequential {
-    /// Creates an empty stack.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { layers: Vec::new() }
-    }
-
-    /// Appends a layer, returning `self` for chaining.
-    #[must_use]
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Number of layers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// `true` when the stack is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Sequential {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Sequential({} layers)", self.layers.len())
-    }
-}
-
-impl Layer for Sequential {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Relu;
 
     #[test]
     fn linear_layer_dispatch() {
@@ -359,21 +295,5 @@ mod tests {
     fn compression_block_size() {
         assert_eq!(Compression::Dense.block_size(), 1);
         assert_eq!(Compression::BlockCirculant { block_size: 64 }.block_size(), 64);
-    }
-
-    #[test]
-    fn sequential_composes() {
-        let mut model = Sequential::new()
-            .push(LinearLayer::new(5, 3, Compression::Dense, 2).unwrap())
-            .push(Relu::new())
-            .push(LinearLayer::new(2, 5, Compression::Dense, 3).unwrap());
-        assert_eq!(model.len(), 3);
-        assert!(!model.is_empty());
-        let x = Matrix::from_fn(4, 3, |i, j| (i + j) as f64 * 0.25 - 0.5);
-        let y = model.forward(&x, true);
-        assert_eq!(y.shape(), (4, 2));
-        let gin = model.backward(&Matrix::filled(4, 2, 1.0));
-        assert_eq!(gin.shape(), (4, 3));
-        assert!(format!("{model:?}").contains("3 layers"));
     }
 }

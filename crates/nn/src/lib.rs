@@ -13,7 +13,8 @@
 //!
 //! No autograd tape: GNN layers compose a handful of primitives, and
 //! explicit backward passes keep every gradient inspectable (the
-//! [`gradcheck`] module verifies them all against finite differences).
+//! test-only `gradcheck` module verifies them against finite
+//! differences).
 //!
 //! # Example
 //!
@@ -34,7 +35,8 @@ pub mod activation;
 pub mod circulant;
 pub mod dense;
 pub mod error;
-pub mod gradcheck;
+#[cfg(test)]
+mod gradcheck;
 pub mod layer;
 pub mod loss;
 pub mod optim;
@@ -44,7 +46,7 @@ pub use activation::{Activation, Elu, Relu, Sigmoid, Tanh};
 pub use circulant::CirculantDense;
 pub use dense::Dense;
 pub use error::NnError;
-pub use layer::{Compression, ExecMode, Layer, LinearLayer, Sequential};
+pub use layer::{Compression, ExecMode, Layer, LinearLayer};
 pub use loss::softmax_cross_entropy;
 pub use optim::{Adam, Optimizer};
 pub use param::Param;

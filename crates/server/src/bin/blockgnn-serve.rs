@@ -26,11 +26,13 @@
 
 #![forbid(unsafe_code)]
 
-use blockgnn_engine::{BackendKind, EngineBuilder};
-use blockgnn_gnn::{Compression, ModelKind};
+use blockgnn_engine::BackendKind;
+use blockgnn_gnn::ModelKind;
 use blockgnn_graph::datasets;
 use blockgnn_server::tenant::{parse_backend_kind, parse_model_kind};
-use blockgnn_server::{FaultPlan, Server, ServerConfig, TcpServer, TenantSpec};
+use blockgnn_server::{
+    FaultPlan, Server, ServerConfig, ServerError, TcpServer, TenantSpec, DEFAULT_TENANT,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,34 +123,31 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let Some(dataset) = datasets::small_by_name(&args.dataset, args.seed) else {
-        eprintln!(
-            "error: unknown dataset {:?} (expected one of {})",
-            args.dataset,
-            datasets::small_names().join(", ")
-        );
-        return ExitCode::from(2);
+    let engine = match TenantSpec::new(DEFAULT_TENANT, &args.dataset, args.model, args.backend)
+        .hidden_dim(args.hidden)
+        .block_size(args.block)
+        .seed(args.seed)
+        .build_engine()
+    {
+        Ok(engine) => engine,
+        // An unknown dataset or an out-of-range width is a usage error.
+        Err(ServerError::Protocol(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+        Err(e) => {
+            eprintln!("error: engine failed to build: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     eprintln!(
         "serving {} · {} backend · dataset {} ({} nodes) · {} workers",
         args.model,
         args.backend,
         args.dataset,
-        dataset.num_nodes(),
+        engine.dataset().num_nodes(),
         args.config.workers,
     );
-    let engine = match EngineBuilder::new(args.model, args.backend)
-        .hidden_dim(args.hidden)
-        .compression(Compression::BlockCirculant { block_size: args.block })
-        .seed(args.seed)
-        .build(Arc::new(dataset))
-    {
-        Ok(engine) => engine,
-        Err(e) => {
-            eprintln!("error: engine failed to build: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let server = match Server::start(engine, args.config) {
         Ok(server) => Arc::new(server),
         Err(e) => {

@@ -1,26 +1,8 @@
 //! Serving-runtime configuration.
 
 use crate::fault::FaultPlan;
-use crate::queue::{SloClass, NUM_CLASSES};
+use crate::queue::SloClass;
 use std::time::Duration;
-
-/// One SLO class's scheduling policy: its weight in the class → lane →
-/// stride composition and its default deadline.
-///
-/// The class weight multiplies the tenant weight to form the lane's
-/// stride divisor, so gold:silver:bronze weights of 4:2:1 give gold 4×
-/// bronze's service *within* each tenant's weighted-fair share. The
-/// class deadline applies to requests in that class that carry none of
-/// their own; it takes precedence over
-/// [`ServerConfig::default_deadline`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassPolicy {
-    /// Scheduling weight (clamped to ≥ 1 by the queue).
-    pub weight: u32,
-    /// Default deadline for requests in this class; `None` defers to the
-    /// server-wide default.
-    pub deadline: Option<Duration>,
-}
 
 /// Tunables of the serving runtime: worker pool size, admission bounds,
 /// and the dynamic micro-batching policy.
@@ -60,9 +42,6 @@ pub struct ServerConfig {
     /// disables the aggregate check — each engine still enforces its own
     /// per-engine budget on graph growth.
     pub device_budget_bytes: Option<usize>,
-    /// Per-class scheduling policies, indexed by [`SloClass::index`]
-    /// (gold, silver, bronze).
-    pub classes: [ClassPolicy; NUM_CLASSES],
     /// Whether the flight recorder traces requests: trace-id
     /// assignment, per-stage spans into the per-worker ring buffers,
     /// and slow/shed/failed exemplar retention. On by default (the
@@ -88,8 +67,8 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     /// Two workers, depth-256 admission queue, a 500 µs adaptive batch
-    /// window coalescing up to 8 requests / 1024 nodes, no default
-    /// deadline, and 4:2:1 class weights with a 200 ms gold deadline.
+    /// window coalescing up to 8 requests / 1024 nodes, and no default
+    /// deadline (gold still carries [`SloClass::GOLD_DEADLINE`]).
     fn default() -> Self {
         Self {
             workers: 2,
@@ -98,11 +77,6 @@ impl Default for ServerConfig {
             max_batch_requests: 8,
             default_deadline: None,
             device_budget_bytes: None,
-            classes: [
-                ClassPolicy { weight: 4, deadline: Some(Duration::from_millis(200)) },
-                ClassPolicy { weight: 2, deadline: None },
-                ClassPolicy { weight: 1, deadline: None },
-            ],
             tracing: true,
             breaker_threshold: 3,
             breaker_window: Duration::from_secs(10),
@@ -150,13 +124,6 @@ impl ServerConfig {
         self
     }
 
-    /// Replaces one class's scheduling policy.
-    #[must_use]
-    pub fn with_class_policy(mut self, class: SloClass, policy: ClassPolicy) -> Self {
-        self.classes[class.index()] = policy;
-        self
-    }
-
     /// Enables or disables request tracing (the flight recorder).
     #[must_use]
     pub fn with_tracing(mut self, tracing: bool) -> Self {
@@ -188,17 +155,12 @@ impl ServerConfig {
         self
     }
 
-    /// The per-class scheduling weights, indexed by [`SloClass::index`].
-    #[must_use]
-    pub fn class_weights(&self) -> [u32; NUM_CLASSES] {
-        self.classes.map(|p| p.weight)
-    }
-
-    /// The default deadline for one class (the class's own, else the
-    /// server-wide default).
+    /// The default deadline for one class: gold's
+    /// [`SloClass::GOLD_DEADLINE`], else the server-wide default.
     #[must_use]
     pub fn class_deadline(&self, class: SloClass) -> Option<Duration> {
-        self.classes[class.index()].deadline.or(self.default_deadline)
+        let own = (class == SloClass::Gold).then_some(SloClass::GOLD_DEADLINE);
+        own.or(self.default_deadline)
     }
 
     /// Disables micro-batching: every request executes alone (the
@@ -229,17 +191,11 @@ mod tests {
 
     #[test]
     fn class_policies_resolve_deadlines_by_precedence() {
-        let cfg = ServerConfig::default()
-            .with_default_deadline(Some(Duration::from_millis(100)))
-            .with_class_policy(
-                SloClass::Bronze,
-                ClassPolicy { weight: 1, deadline: Some(Duration::from_secs(5)) },
-            );
-        assert_eq!(cfg.class_weights(), [4, 2, 1]);
-        // Gold keeps its own 200 ms deadline, bronze its explicit 5 s,
-        // silver falls back to the server-wide default.
+        let cfg =
+            ServerConfig::default().with_default_deadline(Some(Duration::from_millis(100)));
+        // Gold keeps its own 200 ms deadline, silver falls back to the
+        // server-wide default.
         assert_eq!(cfg.class_deadline(SloClass::Gold), Some(Duration::from_millis(200)));
-        assert_eq!(cfg.class_deadline(SloClass::Bronze), Some(Duration::from_secs(5)));
         assert_eq!(cfg.class_deadline(SloClass::Silver), Some(Duration::from_millis(100)));
         assert!(cfg.tracing, "tracing defaults on");
         assert!(!cfg.with_tracing(false).tracing);

@@ -46,8 +46,9 @@
 //! * **SLO classes & adaptive batching** — every request carries an
 //!   [`SloClass`] (`gold`/`silver`/`bronze`, `class=` on the wire);
 //!   classes compose with the tenant lanes (lane weight = tenant weight
-//!   × class weight, batches never span classes), carry per-class
-//!   default deadlines ([`ClassPolicy`]), and roll up per-class
+//!   × class weight, [`SloClass::WEIGHTS`], batches never span
+//!   classes), gold carries a default deadline
+//!   ([`SloClass::GOLD_DEADLINE`]), and all roll up per-class
 //!   p50/p95/p99 in [`ServerStats::classes`]. The straggler window is
 //!   **adaptive**: it widens when holds pay off and collapses when they
 //!   expire empty, so batching never taxes closed-loop traffic.
@@ -134,7 +135,7 @@ pub mod workload;
 
 pub use batcher::BatchLimits;
 pub use client::{Client, ClientTimeouts, RetryPolicy};
-pub use config::{ClassPolicy, ServerConfig};
+pub use config::ServerConfig;
 pub use error::ServerError;
 pub use fault::{CircuitBreaker, EngineFault, FaultInjector, FaultPlan, SocketFault};
 pub use observe::{

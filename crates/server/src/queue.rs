@@ -32,12 +32,13 @@ pub(crate) const NUM_CLASSES: usize = 3;
 /// replace bare integer priorities.
 ///
 /// Classes compose with tenant weights in the admission queue (see the
-/// module docs) and carry a per-class default deadline
-/// ([`crate::ClassPolicy`]); telemetry reports per-class p50/p95/p99.
+/// module docs) through [`SloClass::WEIGHTS`], gold carries
+/// [`SloClass::GOLD_DEADLINE`], and telemetry reports per-class
+/// p50/p95/p99.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SloClass {
     /// Latency-critical traffic: largest scheduling weight, and the only
-    /// class with a default deadline out of the box.
+    /// class with a default deadline.
     Gold,
     /// The default class for unlabelled traffic.
     Silver,
@@ -49,6 +50,17 @@ impl SloClass {
     /// Every class, in rank order (gold first).
     pub const ALL: [SloClass; NUM_CLASSES] =
         [SloClass::Gold, SloClass::Silver, SloClass::Bronze];
+
+    /// Scheduling weights, indexed by [`SloClass::index`]. A class weight
+    /// multiplies the tenant weight to form the lane's stride divisor,
+    /// so 4:2:1 gives gold 4× bronze's service *within* each tenant's
+    /// weighted-fair share.
+    pub const WEIGHTS: [u32; NUM_CLASSES] = [4, 2, 1];
+
+    /// Gold's default deadline, for gold requests that carry none of
+    /// their own; it takes precedence over
+    /// [`crate::ServerConfig::default_deadline`].
+    pub const GOLD_DEADLINE: Duration = Duration::from_millis(200);
 
     /// Stable index of this class (gold 0, silver 1, bronze 2) — the
     /// rank used for deterministic tie-breaking and policy arrays.
@@ -108,7 +120,7 @@ pub struct SubmitOptions {
     pub class: SloClass,
     /// Deadline relative to submission; a request still queued when it
     /// expires is shed with [`ServerError::DeadlineExceeded`]. `None`
-    /// falls back to the class's configured deadline, then the server's
+    /// falls back to gold's [`SloClass::GOLD_DEADLINE`], then the server's
     /// default.
     pub deadline: Option<Duration>,
 }
@@ -172,9 +184,9 @@ pub(crate) struct RequestQueue<P = QueueItem> {
 }
 
 impl<P> RequestQueue<P> {
-    pub fn new(class_weights: [u32; NUM_CLASSES]) -> Self {
+    pub fn new() -> Self {
         Self {
-            batcher: Mutex::new(Batcher::new(class_weights)),
+            batcher: Mutex::new(Batcher::new(SloClass::WEIGHTS)),
             available: Condvar::new(),
             degraded: AtomicBool::new(false),
         }
@@ -262,10 +274,6 @@ mod tests {
     use super::*;
     use crate::batcher::Forming;
     use std::ops::{Deref, DerefMut};
-
-    /// Default class weights used by queue tests (the
-    /// [`crate::ServerConfig`] defaults: gold 4, silver 2, bronze 1).
-    const WEIGHTS: [u32; NUM_CLASSES] = [4, 2, 1];
 
     const S: SloClass = SloClass::Silver;
 
@@ -400,7 +408,7 @@ mod tests {
         // dequeue is still gold (pass tie broken by class rank), and
         // gold's 4:1 weight gives it 4 of the first 5 slots without
         // starving bronze.
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 16);
         for i in 0..4 {
             q.push(t, i, SloClass::Bronze).unwrap();
@@ -417,7 +425,7 @@ mod tests {
 
     #[test]
     fn fifo_is_preserved_within_a_class() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 16);
         // Interleave gold and bronze admissions; within each class the
         // ids must come back in admission order.
@@ -472,7 +480,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_immediately_per_tenant() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let a = (0, 1, 2);
         let b = (1, 1, 2);
         q.push(a, 0, S).unwrap();
@@ -494,7 +502,7 @@ mod tests {
 
     #[test]
     fn batch_dequeue_coalesces_up_to_caps() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 16);
         for i in 0..5 {
             q.push(t, i, S).unwrap();
@@ -518,7 +526,7 @@ mod tests {
 
     #[test]
     fn batches_never_span_tenants_or_classes() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let a = (0, 1, 16);
         let b = (1, 1, 16);
         q.push(a, 0, S).unwrap();
@@ -544,7 +552,7 @@ mod tests {
 
     #[test]
     fn stride_scheduling_honors_weights() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let light = (0, 1, 64);
         let heavy = (1, 3, 64);
         for i in 0..12 {
@@ -563,7 +571,7 @@ mod tests {
 
     #[test]
     fn idle_lane_rejoins_at_current_virtual_time() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let a = (0, 1, 64);
         let b = (1, 1, 64);
         // Drive lane a far ahead in virtual time while b is idle.
@@ -586,7 +594,7 @@ mod tests {
 
     #[test]
     fn straggler_wait_never_outlives_a_deadline() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 4);
         q.now = ms(100);
         q.admit(t, S, false, Some(ms(105)), 0).unwrap();
@@ -613,7 +621,7 @@ mod tests {
 
     #[test]
     fn a_deadline_at_the_window_end_closes_and_one_past_it_holds() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 4);
         let limits = BatchLimits { window: us(640), max_requests: 8, max_nodes: usize::MAX };
         q.now = ms(3);
@@ -633,7 +641,7 @@ mod tests {
         // and closes its batch at once rather than holding it; the
         // server's batch executor turns it into a typed DeadlineExceeded
         // through the responder.
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         q.now = ms(10);
         q.admit((0, 1, 4), S, false, Some(ms(9)), 0).unwrap();
         let limits = BatchLimits { window: ms(250), max_requests: 8, max_nodes: usize::MAX };
@@ -644,7 +652,7 @@ mod tests {
 
     #[test]
     fn brownout_sheds_bronze_before_silver_before_gold() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 8);
         let mut degraded = |class, id| q.admit(t, class, true, None, id);
         // Bronze's cap ladders down to 8/4 = 2.
@@ -674,7 +682,7 @@ mod tests {
 
     #[test]
     fn adaptive_window_collapses_when_holds_expire_empty() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 16);
         let limits = BatchLimits { window: us(6400), max_requests: 4, max_nodes: usize::MAX };
         // Closed-loop shape: one request at a time, every hold expires
@@ -693,7 +701,7 @@ mod tests {
 
     #[test]
     fn adaptive_window_recovers_when_stragglers_arrive() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 16);
         let limits = BatchLimits { window: ms(640), max_requests: 2, max_nodes: usize::MAX };
         // Collapse the scale first.
@@ -727,7 +735,7 @@ mod tests {
         // queued and however the clock moves, `advance` closes at once,
         // so nothing that arrives later can share (or dedup into) an
         // earlier batch.
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let limits = BatchLimits { window: Duration::ZERO, max_requests: 8, max_nodes: 4 };
         let mut served = 0;
         for round in 0..40usize {
@@ -751,7 +759,7 @@ mod tests {
 
     #[test]
     fn closing_ends_holds_and_rejects_admissions() {
-        let mut q = Sim::new(WEIGHTS);
+        let mut q = Sim::new(SloClass::WEIGHTS);
         let t = (0, 1, 4);
         let limits = BatchLimits { window: ms(20), max_requests: 8, max_nodes: usize::MAX };
         q.push(t, 7, S).unwrap();
@@ -771,7 +779,7 @@ mod tests {
 
     #[test]
     fn close_rejects_new_but_drains_old() {
-        let q = RequestQueue::new(WEIGHTS);
+        let q = RequestQueue::new();
         shell_push(&q, 0, 7).unwrap();
         q.close();
         assert_eq!(shell_push(&q, 0, 8).unwrap_err(), ServerError::ShuttingDown);
@@ -785,7 +793,7 @@ mod tests {
         // tenant comes back to the caller — who answers each with a
         // typed `UnknownTenant` (`tenant::tests` checks that half) — and
         // other lanes are untouched.
-        let q = RequestQueue::new(WEIGHTS);
+        let q = RequestQueue::new();
         shell_push(&q, 0, 0).unwrap();
         let gold = Lane { tenant: 0, class: SloClass::Gold, weight: 1, max_depth: 16 };
         q.push(gold, Entry { payload: 1, nodes: 1, deadline: None }).unwrap();
@@ -802,7 +810,7 @@ mod tests {
         // a hold must be woken by an admission and take it. The window
         // is far longer than the test may run, so a lost wake-up hangs
         // into the harness timeout rather than passing late.
-        let q = RequestQueue::new(WEIGHTS);
+        let q = RequestQueue::new();
         let limits = BatchLimits { window: ms(60_000), max_requests: 2, max_nodes: usize::MAX };
         shell_push(&q, 0, 1).unwrap();
         std::thread::scope(|scope| {

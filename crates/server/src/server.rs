@@ -311,7 +311,7 @@ impl Server {
 
     fn spawn(registry: TenantRegistry, default: Arc<Tenant>, config: ServerConfig) -> Self {
         let registry = Arc::new(registry);
-        let queue: Arc<RequestQueue> = Arc::new(RequestQueue::new(config.class_weights()));
+        let queue: Arc<RequestQueue> = Arc::new(RequestQueue::new());
         let limits = BatchLimits::from(&config);
         let recorder = Arc::new(Recorder::new(config.workers, config.tracing));
         let health = Arc::new(PoolHealth::new(config.workers, &config));

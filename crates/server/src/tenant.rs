@@ -646,7 +646,7 @@ mod tests {
 
     #[test]
     fn registry_swaps_maps_and_accounts_residency() {
-        let queue = RequestQueue::new([4, 2, 1]);
+        let queue = RequestQueue::new();
         let tiny_budget = {
             // Budget fits exactly one copy of the test engine.
             let e = engine();

@@ -6,19 +6,23 @@
 //!
 //! A [`WorkloadSpec`] is a pure value; [`WorkloadSpec::generate`] maps
 //! it through a seeded SplitMix64 stream to a [`Trace`] — the same spec
-//! always yields byte-identical traces. A trace serializes with
-//! [`Trace::encode`] (one line per event, reusing the wire protocol's
-//! own encoders for the request payloads) and decodes back with
-//! [`Trace::decode`], so a failing trace can be stored in a bug report
-//! and re-driven as-is.
+//! always yields byte-identical traces. A trace event is the request
+//! line one client sends at one time, exactly as the TCP front end reads
+//! it: well-formed events are written by [`Command`]'s `Display`, the
+//! one request encoder, and adversarial ones are the raw bytes. A trace
+//! serializes with [`Trace::encode`] (one event per line, the request
+//! line verbatim) and decodes back with [`Trace::decode`], so a failing
+//! trace can be stored in a bug report and re-driven as-is.
 //!
-//! Two replay drivers consume a trace:
+//! Two replay drivers consume a trace, and both read every line the way
+//! the server does, with [`parse_command`]:
 //!
 //! - [`replay_logical`] executes the trace against in-process engines in
 //!   **logical time**: the server's own admission, batch forming, batch
 //!   execution and update booking, on one virtual worker with zero
 //!   service time, handed the trace's microsecond clock wherever the
-//!   server passes `Instant::now()`. Its [`ReplayReport`] (the tenants'
+//!   server passes `Instant::now()`. A garbled line that happens to parse
+//!   is executed like any other. Its [`ReplayReport`] (the tenants'
 //!   shed / dedup / batch-size counters and an order-sensitive FNV-1a
 //!   fingerprint over every served logits bit) is **bit-identical
 //!   across runs** of the same trace, which is what lets a differential
@@ -50,9 +54,7 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::fault::FaultInjector;
 use crate::observe::Recorder;
-use crate::protocol::{
-    encode_infer, encode_update, parse_command, parse_error, Command, Fields,
-};
+use crate::protocol::{parse_command, parse_error, Command, Fields};
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
 use crate::server::{admit, serve_batch};
 use crate::telemetry::ServerStats;
@@ -60,6 +62,7 @@ use crate::tenant::{Tenant, DEFAULT_TENANT};
 use blockgnn_engine::{Engine, GraphDelta, InferRequest, LatencyHistogram};
 use blockgnn_graph::generate::Rng64;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -212,8 +215,8 @@ impl WorkloadSpec {
         for i in 0..self.events {
             at_us += self.gap_us(&mut rng, i);
             let client = rng.next_below(self.clients.max(1) as usize) as u32;
-            let op = self.pick_op(&mut rng, &zipf);
-            events.push(TraceEvent { at_us, client, op });
+            let (line, dribble) = self.pick_line(&mut rng, &zipf);
+            events.push(TraceEvent { at_us, client, line, dribble });
         }
         Trace { seed: self.seed, clients: self.clients.max(1), events }
     }
@@ -243,45 +246,35 @@ impl WorkloadSpec {
         (-mean * (1.0 - u).ln()).max(0.0) as u64 + 1
     }
 
-    fn pick_op(&self, rng: &mut Rng64, zipf: &Zipf) -> TraceOp {
+    fn pick_line(&self, rng: &mut Rng64, zipf: &Zipf) -> (String, Option<Dribble>) {
         let roll = rng.next_below(1000) as u32;
         let malformed_at = self.malformed_permille;
         let slow_at = malformed_at + self.slow_loris_permille;
         let storm_at = slow_at + self.deadline_storm_permille;
         let update_at = storm_at + self.update_permille;
         if roll < malformed_at {
-            return TraceOp::Malformed { line: self.malformed_line(rng, zipf) };
+            return (self.malformed_line(rng, zipf), None);
         }
         if roll < slow_at {
-            let (request, options, tenant) = self.infer_parts(rng, zipf);
-            return TraceOp::SlowLoris {
-                line: encode_infer(&request, options, tenant.as_deref()),
-                chunks: rng.next_below(5) + 2,
-                pause_us: 200 + rng.next_below(800) as u64,
-            };
+            let line = self.infer(rng, zipf, false).to_string();
+            let chunks = rng.next_below(5) + 2;
+            let pause_us = 200 + rng.next_below(800) as u64;
+            return (line, Some(Dribble { chunks, pause_us }));
         }
-        if roll < storm_at {
-            // Deadline storm: bronze traffic with ~zero deadlines; the
-            // server must shed it typed, never crash or stall.
-            let (request, _, tenant) = self.infer_parts(rng, zipf);
-            let options = SubmitOptions {
-                class: SloClass::Bronze,
-                deadline: Some(Duration::from_millis(rng.next_below(2) as u64)),
-            };
-            return TraceOp::Infer { request, options, tenant };
-        }
-        if roll < update_at {
-            return TraceOp::Update { delta: self.delta(rng, zipf), tenant: self.tenant(rng) };
-        }
-        let (request, options, tenant) = self.infer_parts(rng, zipf);
-        TraceOp::Infer { request, options, tenant }
+        let command = if roll < storm_at {
+            self.infer(rng, zipf, true)
+        } else if roll < update_at {
+            Command::Update(self.delta(rng, zipf), self.tenant(rng))
+        } else {
+            self.infer(rng, zipf, false)
+        };
+        (command.to_string(), None)
     }
 
-    fn infer_parts(
-        &self,
-        rng: &mut Rng64,
-        zipf: &Zipf,
-    ) -> (InferRequest, SubmitOptions, Option<String>) {
+    /// An infer command. A deadline-`storm` one rides bronze with a ~zero
+    /// deadline the server must shed typed, never crash or stall on; its
+    /// class is drawn all the same, then overridden.
+    fn infer(&self, rng: &mut Rng64, zipf: &Zipf, storm: bool) -> Command {
         let count = rng.next_below(3) + 1;
         let nodes: Vec<usize> = (0..count).map(|_| zipf.sample(rng)).collect();
         let request = if (rng.next_below(1000) as u32) < self.sampled_permille {
@@ -297,8 +290,13 @@ impl WorkloadSpec {
         } else {
             InferRequest::full_graph(nodes)
         };
-        let options = SubmitOptions { class: self.class(rng), deadline: None };
-        (request, options, self.tenant(rng))
+        let mut options = SubmitOptions { class: self.class(rng), deadline: None };
+        let tenant = self.tenant(rng);
+        if storm {
+            let deadline = Duration::from_millis(rng.next_below(2) as u64);
+            options = SubmitOptions { class: SloClass::Bronze, deadline: Some(deadline) };
+        }
+        Command::Infer(request, options, tenant)
     }
 
     fn class(&self, rng: &mut Rng64) -> SloClass {
@@ -346,15 +344,14 @@ impl WorkloadSpec {
         } else {
             // A valid infer line with one garbled byte — the nastier
             // corpus, because it is *almost* well-formed.
-            let (request, options, tenant) = self.infer_parts(rng, zipf);
-            let mut bytes = encode_infer(&request, options, tenant.as_deref()).into_bytes();
+            let mut bytes = self.infer(rng, zipf, false).to_string().into_bytes();
             let at = rng.next_below(bytes.len());
             bytes[at] = (rng.next_below(94) + 33) as u8;
             String::from_utf8_lossy(&bytes).into_owned()
         };
         // Never let chance assemble a line that would mutate or stop the
-        // server mid-replay; everything else (even accidentally valid
-        // infers) is fair game.
+        // server mid-replay; everything else (even chance-valid infers,
+        // which both replays execute) is fair game.
         match parse_command(&line) {
             Ok(Command::Shutdown | Command::Deploy(_) | Command::Retire(_)) => {
                 format!("~{line}")
@@ -391,52 +388,30 @@ impl Zipf {
     }
 }
 
-/// One workload event.
+/// One workload event: the request line one client sends at one time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Microseconds since trace start when the event fires.
+    /// Microseconds since trace start when the client starts sending.
     pub at_us: u64,
-    /// The client connection that performs it.
+    /// The client connection that sends it.
     pub client: u32,
-    /// What it does.
-    pub op: TraceOp,
+    /// The request line (no newline) exactly as the server reads it:
+    /// a [`Command`]'s `Display` for well-formed traffic, noise or a
+    /// garbled command for malformed traffic.
+    pub line: String,
+    /// `Some` for a slow-loris client, which dribbles the line out in
+    /// chunks instead of sending it whole.
+    pub dribble: Option<Dribble>,
 }
 
-/// An event's payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceOp {
-    /// A well-formed inference request.
-    Infer {
-        /// The request.
-        request: InferRequest,
-        /// Class / deadline options.
-        options: SubmitOptions,
-        /// Addressed tenant (`None` = default).
-        tenant: Option<String>,
-    },
-    /// A well-formed graph update.
-    Update {
-        /// The delta.
-        delta: GraphDelta,
-        /// Addressed tenant (`None` = default).
-        tenant: Option<String>,
-    },
-    /// A malformed (or chance-valid garbled) line the server must answer
-    /// without dropping the connection.
-    Malformed {
-        /// The raw line (no newline).
-        line: String,
-    },
-    /// A valid line dribbled out in chunks with pauses between them — a
-    /// slow-loris client the line assembler must tolerate.
-    SlowLoris {
-        /// The full line (no newline).
-        line: String,
-        /// Write chunks the line is split into.
-        chunks: usize,
-        /// Pause between chunks, microseconds.
-        pause_us: u64,
-    },
+/// How a slow-loris client dribbles its line: the line assembler must
+/// tolerate it, and the line arrives when the last chunk lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dribble {
+    /// Write chunks the line is split into.
+    pub chunks: usize,
+    /// Pause between chunks, microseconds.
+    pub pause_us: u64,
 }
 
 /// A generated (or decoded) workload: replayable, serializable,
@@ -452,38 +427,32 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Serializes the trace, one event per line. Infer/update payloads
-    /// reuse the wire protocol's own encoding, so the trace format
-    /// inherits its round-trip guarantees (hex `f64` bits and all);
-    /// malformed and slow-loris payloads are hex-wrapped so arbitrary
-    /// bytes survive.
+    /// Serializes the trace under a `blockgnn-trace v2` header, one event
+    /// per line: `AT CLIENT - LINE` for a line sent whole, `AT CLIENT
+    /// CHUNKS:PAUSE_US LINE` for a dribbled one. The request line is
+    /// written verbatim, so the file is the wire traffic (hex `f64` bits
+    /// and all) and inherits the protocol's round-trip guarantees.
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = format!(
-            "blockgnn-trace v1 seed={} clients={} events={}\n",
+            "blockgnn-trace v2 seed={} clients={} events={}\n",
             self.seed,
             self.clients,
             self.events.len()
         );
-        for event in &self.events {
-            let body = match &event.op {
-                TraceOp::Infer { request, options, tenant } => {
-                    format!("cmd {}", encode_infer(request, *options, tenant.as_deref()))
-                }
-                TraceOp::Update { delta, tenant } => {
-                    format!("cmd {}", encode_update(delta, tenant.as_deref()))
-                }
-                TraceOp::Malformed { line } => format!("malformed {}", hex_wrap(line)),
-                TraceOp::SlowLoris { line, chunks, pause_us } => {
-                    format!("slowloris {chunks} {pause_us} {}", hex_wrap(line))
+        for TraceEvent { at_us, client, line, dribble } in &self.events {
+            let _ = match dribble {
+                None => writeln!(out, "{at_us} {client} - {line}"),
+                Some(Dribble { chunks, pause_us }) => {
+                    writeln!(out, "{at_us} {client} {chunks}:{pause_us} {line}")
                 }
             };
-            out.push_str(&format!("{} {} {body}\n", event.at_us, event.client));
         }
         out
     }
 
-    /// Decodes a serialized trace.
+    /// Decodes a serialized trace (v2 only: the header check refuses any
+    /// other version).
     ///
     /// # Errors
     ///
@@ -492,53 +461,14 @@ impl Trace {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty trace")?;
         let (seed, clients, count): (u64, u32, usize) =
-            Fields::read(header, "blockgnn-trace v1 ", |f| {
+            Fields::read(header, "blockgnn-trace v2 ", |f| {
                 Ok((f.parse("seed")?, f.parse("clients")?, f.parse("events")?))
             })
             .map_err(|e| format!("bad trace header: {e}"))?;
-        let mut events = Vec::with_capacity(count);
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ' ');
-            let at_us: u64 = parts
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(|| format!("bad event time in {line:?}"))?;
-            let client: u32 = parts
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(|| format!("bad client id in {line:?}"))?;
-            let body = parts.next().ok_or_else(|| format!("truncated event {line:?}"))?;
-            let op = if let Some(cmd) = body.strip_prefix("cmd ") {
-                match parse_command(cmd).map_err(|e| format!("bad trace command: {e}"))? {
-                    Command::Infer(request, options, tenant) => {
-                        TraceOp::Infer { request, options, tenant }
-                    }
-                    Command::Update(delta, tenant) => TraceOp::Update { delta, tenant },
-                    other => return Err(format!("unsupported trace command {other:?}")),
-                }
-            } else if let Some(hex) = body.strip_prefix("malformed ") {
-                TraceOp::Malformed { line: hex_unwrap(hex)? }
-            } else if let Some(rest) = body.strip_prefix("slowloris ") {
-                let mut words = rest.splitn(3, ' ');
-                let chunks = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| format!("bad slowloris chunks in {line:?}"))?;
-                let pause_us = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| format!("bad slowloris pause in {line:?}"))?;
-                let hex =
-                    words.next().ok_or_else(|| format!("truncated slowloris {line:?}"))?;
-                TraceOp::SlowLoris { line: hex_unwrap(hex)?, chunks, pause_us }
-            } else {
-                return Err(format!("unknown event body {body:?}"));
-            };
-            events.push(TraceEvent { at_us, client, op });
-        }
+        let events = lines
+            .filter(|line| !line.is_empty())
+            .map(|line| decode_event(line).ok_or_else(|| format!("bad trace event {line:?}")))
+            .collect::<Result<Vec<_>, _>>()?;
         if events.len() != count {
             return Err(format!(
                 "header claims {count} events but trace carries {}",
@@ -549,28 +479,19 @@ impl Trace {
     }
 }
 
-fn hex_wrap(s: &str) -> String {
-    if s.is_empty() {
-        return "-".into();
-    }
-    let mut out = String::with_capacity(s.len() * 2);
-    for b in s.as_bytes() {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_unwrap(hex: &str) -> Result<String, String> {
-    if hex == "-" {
-        return Ok(String::new());
-    }
-    if !hex.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex payload {hex:?}"));
-    }
-    let bytes: Result<Vec<u8>, _> =
-        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16)).collect();
-    let bytes = bytes.map_err(|_| format!("bad hex payload {hex:?}"))?;
-    Ok(String::from_utf8_lossy(&bytes).into_owned())
+/// One `AT CLIENT DRIBBLE LINE` event line; `None` if it is malformed.
+fn decode_event(text: &str) -> Option<TraceEvent> {
+    let mut words = text.splitn(4, ' ');
+    let at_us = words.next()?.parse().ok()?;
+    let client = words.next()?.parse().ok()?;
+    let dribble = match words.next()? {
+        "-" => None,
+        chunking => {
+            let (chunks, pause_us) = chunking.split_once(':')?;
+            Some(Dribble { chunks: chunks.parse().ok()?, pause_us: pause_us.parse().ok()? })
+        }
+    };
+    Some(TraceEvent { at_us, client, line: words.next()?.to_string(), dribble })
 }
 
 /// What a logical replay observed — every field deterministic for a
@@ -589,12 +510,13 @@ pub struct ReplayReport {
     /// Requests refused at admission (invalid nodes, …) or failed in
     /// the engine.
     pub engine_errors: usize,
-    /// Malformed lines correctly rejected by the parser.
+    /// Lines the parser rejected.
     pub protocol_errors: usize,
-    /// Malformed lines that happened to parse (garbling left them
-    /// valid); they are counted, not executed.
-    pub accidental_valid: usize,
-    /// Events addressed to a tenant with no engine.
+    /// Lines that parse as a verb other than `infer` or `update` (a
+    /// garbled line can read as `ping`, `stats`, …); nothing executes
+    /// them here.
+    pub other_verbs: usize,
+    /// Infer and update lines addressed to a tenant with no engine.
     pub unknown_tenant: usize,
     /// Updates applied.
     pub updates: usize,
@@ -625,11 +547,12 @@ pub struct ReplayReport {
 /// shares its graph epochs, so updates apply and caches warm in place.
 ///
 /// Modelled around that code: **zero** service time, weight-1 tenants
-/// with unbounded lanes, [`ServerConfig::default`]'s class weights and
-/// deadlines. Events arrive in time order (slow-loris lines when their
-/// last chunk lands) and every arrival wakes the worker, as `push`
-/// notifies a sleeping one; a hold that runs out before the next
-/// arrival expires first, a tie goes to the arrival. Updates apply when
+/// with unbounded lanes, [`SloClass::WEIGHTS`] and
+/// [`ServerConfig::default`]'s deadlines. Events arrive in time order
+/// (slow-loris lines when their last chunk lands) and every arrival
+/// wakes the worker, as `push` notifies a sleeping one; a hold that
+/// runs out before the next arrival expires first, a tie goes to the
+/// arrival. Updates apply when
 /// they arrive, so a batch held open across one executes on the new
 /// version — the server's between-batches swap. A batch executes at the
 /// logical time it closed, which is when its members' deadlines shed.
@@ -654,16 +577,13 @@ pub fn replay_logical(
         .events
         .iter()
         .map(|event| {
-            let dribble = match &event.op {
-                TraceOp::SlowLoris { chunks, pause_us, .. } => *pause_us * (*chunks as u64),
-                _ => 0,
-            };
+            let dribble = event.dribble.map_or(0, |d| d.pause_us * d.chunks as u64);
             (origin + Duration::from_micros(event.at_us + dribble), event)
         })
         .collect();
     ordered.sort_by_key(|(at, event)| (*at, event.client));
     let mut arrivals = ordered.into_iter().peekable();
-    let mut batcher = Batcher::new(config.class_weights());
+    let mut batcher = Batcher::new(SloClass::WEIGHTS);
     let mut report = ReplayReport::default();
     let mut tickets = Vec::new();
     // The virtual worker: the batch it holds open, and when it asked to
@@ -727,48 +647,37 @@ pub fn replay_logical(
     }
 }
 
-/// One trace event taking effect: an update is applied and booked by
-/// its tenant, what no deployed tenant receives is counted in `report`,
-/// and an infer is handed back with its tenant for admission.
+/// One trace line taking effect, read as `tcp::serve_connection` reads
+/// it: an update is applied and booked by its tenant, what no deployed
+/// tenant receives is counted in `report`, and an infer is handed back
+/// with its tenant for admission.
 fn arrive<'a>(
     event: &TraceEvent,
     tenants: &'a [Arc<Tenant>],
     report: &mut ReplayReport,
 ) -> Option<(&'a Arc<Tenant>, InferRequest, SubmitOptions)> {
-    let find = |name: &Option<String>, report: &mut ReplayReport| {
+    let mut find = |name: Option<String>| {
         let name = name.as_deref().unwrap_or(DEFAULT_TENANT);
         let tenant = tenants.iter().find(|tenant| tenant.name == name);
         report.unknown_tenant += usize::from(tenant.is_none());
         tenant
     };
-    // Lines that are not (or no longer) what they were generated as:
-    // rejected ones are protocol errors, chance-valid ones are counted,
-    // not executed.
-    let mut noise = |parsed: Result<Command, String>| {
-        match parsed {
-            Ok(_) => report.accidental_valid += 1,
-            Err(_) => report.protocol_errors += 1,
-        }
-        None
-    };
-    let (request, options, name) = match &event.op {
-        TraceOp::Infer { request, options, tenant } => {
-            (request.clone(), *options, tenant.clone())
-        }
-        TraceOp::Update { delta, tenant } => {
+    match parse_command(event.line.trim()) {
+        Ok(Command::Infer(request, options, name)) => Some((find(name)?, request, options)),
+        Ok(Command::Update(delta, name)) => {
             // A rejected delta is booked as a failed update.
-            let _ = find(tenant, report)?.update(delta);
-            return None;
+            let _ = find(name)?.update(&delta);
+            None
         }
-        TraceOp::Malformed { line } => return noise(parse_command(line)),
-        // The line reassembles whole; from here it is an ordinary
-        // command delivered at its shifted time.
-        TraceOp::SlowLoris { line, .. } => match parse_command(line) {
-            Ok(Command::Infer(request, options, tenant)) => (request, options, tenant),
-            other => return noise(other),
-        },
-    };
-    Some((find(&name, report)?, request, options))
+        Ok(_) => {
+            report.other_verbs += 1;
+            None
+        }
+        Err(_) => {
+            report.protocol_errors += 1;
+            None
+        }
+    }
 }
 
 /// What a wall-clock TCP replay observed. Unlike [`ReplayReport`] this
@@ -885,28 +794,21 @@ pub fn replay_tcp(
                         // retry re-sends byte-identical input. Slow-loris
                         // chunking only shapes the first try — retries
                         // are about delivery, not adversarial pacing.
-                        let (line, infer_class, dribble) = match &event.op {
-                            TraceOp::Infer { request, options, tenant } => (
-                                encode_infer(request, *options, tenant.as_deref()),
-                                Some(options.class),
-                                None,
-                            ),
-                            TraceOp::Update { delta, tenant } => {
-                                (encode_update(delta, tenant.as_deref()), None, None)
-                            }
-                            TraceOp::Malformed { line } => (line.clone(), None, None),
-                            TraceOp::SlowLoris { line, chunks, pause_us } => (
-                                line.clone(),
-                                None,
-                                Some((*chunks, Duration::from_micros(*pause_us))),
-                            ),
+                        // Class latency is read off infers sent whole.
+                        let infer_class = match (event.dribble, parse_command(&event.line)) {
+                            (None, Ok(Command::Infer(_, options, _))) => Some(options.class),
+                            _ => None,
                         };
+                        let dribble = event
+                            .dribble
+                            .map(|d| (d.chunks, Duration::from_micros(d.pause_us)));
                         let budget = policy.attempts.max(1);
                         let mut attempt = 0u32;
                         loop {
                             let sent_at = Instant::now();
                             let dribble = dribble.filter(|_| attempt == 0);
-                            let step = drive_once(&mut conn, addr, timeouts, &line, dribble);
+                            let line = &event.line;
+                            let step = drive_once(&mut conn, addr, timeouts, line, dribble);
                             match step {
                                 Ok(reply)
                                     if matches!(
@@ -1024,12 +926,12 @@ mod tests {
         assert_eq!(a.encode(), b.encode(), "… and identical serialization");
         let decoded = Trace::decode(&a.encode()).unwrap();
         assert_eq!(decoded, a, "decode inverts encode exactly");
-        // The adversarial mix actually contains every op flavour.
-        let has = |f: fn(&TraceOp) -> bool| a.events.iter().any(|e| f(&e.op));
-        assert!(has(|op| matches!(op, TraceOp::Infer { .. })));
-        assert!(has(|op| matches!(op, TraceOp::Update { .. })));
-        assert!(has(|op| matches!(op, TraceOp::Malformed { .. })));
-        assert!(has(|op| matches!(op, TraceOp::SlowLoris { .. })));
+        // The adversarial mix actually contains every event flavour.
+        let has = |f: fn(&TraceEvent) -> bool| a.events.iter().any(f);
+        assert!(has(|e| matches!(parse_command(&e.line), Ok(Command::Infer(..)))));
+        assert!(has(|e| matches!(parse_command(&e.line), Ok(Command::Update(..)))));
+        assert!(has(|e| parse_command(&e.line).is_err()));
+        assert!(has(|e| e.dribble.is_some()));
         // Times are non-decreasing (open-loop arrivals accumulate).
         assert!(a.events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
     }
@@ -1105,12 +1007,10 @@ mod tests {
         // Malformed payloads can never assemble into lifecycle commands.
         let adv = base.clone().with_adversarial(1000, 0, 0).generate();
         for event in &adv.events {
-            if let TraceOp::Malformed { line } = &event.op {
-                assert!(!matches!(
-                    parse_command(line),
-                    Ok(Command::Shutdown | Command::Deploy(_) | Command::Retire(_))
-                ));
-            }
+            assert!(!matches!(
+                parse_command(&event.line),
+                Ok(Command::Shutdown | Command::Deploy(_) | Command::Retire(_))
+            ));
         }
     }
 
@@ -1130,7 +1030,7 @@ mod tests {
         let mut total = 0usize;
         let mut hot = 0usize;
         for event in &trace.events {
-            if let TraceOp::Infer { options, tenant, .. } = &event.op {
+            if let Ok(Command::Infer(_, options, tenant)) = parse_command(&event.line) {
                 total += 1;
                 if tenant.as_deref() == Some("hot") {
                     hot += 1;

@@ -8,8 +8,9 @@
 
 use blockgnn::engine::{BackendKind, Engine, InferRequest};
 use blockgnn::gnn::ModelKind;
+use blockgnn::server::protocol::{parse_command, Command};
 use blockgnn::server::workload::{
-    ci_adversarial_spec, replay_logical, replay_tcp, ArrivalKind, Trace, TraceEvent, TraceOp,
+    ci_adversarial_spec, replay_logical, replay_tcp, ArrivalKind, Trace, TraceEvent,
     WorkloadSpec,
 };
 use blockgnn::server::{
@@ -71,7 +72,20 @@ fn seeded_trace_replays_bit_identically() {
     assert!(first.shed_deadline > 0, "the deadline storm sheds: {first:?}");
     assert!(first.protocol_errors > 0, "malformed lines are rejected: {first:?}");
     assert!(first.updates > 0, "updates apply: {first:?}");
-    assert_eq!(first.unknown_tenant, 0, "every event addresses a deployed tenant");
+    // Only a garbled `@tenant` that still parses (2 lines here) meets
+    // no engine.
+    let names: Vec<String> = roster().into_iter().map(|spec| spec.name).collect();
+    let strangers = trace
+        .events
+        .iter()
+        .filter(|e| match parse_command(&e.line) {
+            Ok(Command::Infer(_, _, Some(name)) | Command::Update(_, Some(name))) => {
+                !names.contains(&name)
+            }
+            _ => false,
+        })
+        .count();
+    assert_eq!(first.unknown_tenant, strangers, "{first:?}");
     let by_size: usize = first.batch_size_counts.values().sum();
     assert_eq!(by_size, first.batches, "batch histogram adds up");
     assert!(
@@ -107,7 +121,7 @@ fn batching_limits_shape_logical_batches() {
         .with_class_mix([0, 1, 0]);
     let trace = spec.generate();
     for event in &trace.events {
-        if let TraceOp::Infer { options, .. } = &event.op {
+        if let Ok(Command::Infer(_, options, _)) = parse_command(&event.line) {
             assert_eq!(options.class, SloClass::Silver, "a zero-weight mix never draws");
         }
     }
@@ -144,19 +158,16 @@ fn an_update_landing_during_a_hold_is_seen_by_the_held_batch() {
     let read = |at_us| TraceEvent {
         at_us,
         client: 1,
-        op: TraceOp::Infer {
-            request: InferRequest::full_graph(vec![0]),
-            options: SubmitOptions::default(),
-            tenant: None,
-        },
+        line: Command::Infer(InferRequest::full_graph(vec![0]), SubmitOptions::default(), None)
+            .to_string(),
+        dribble: None,
     };
     let write = |at_us| TraceEvent {
         at_us,
         client: 0,
-        op: TraceOp::Update {
-            delta: GraphDelta::new().set_feature_row(0, vec![0.5; width]),
-            tenant: None,
-        },
+        line: Command::Update(GraphDelta::new().set_feature_row(0, vec![0.5; width]), None)
+            .to_string(),
+        dribble: None,
     };
     let replay = |events: Vec<TraceEvent>| {
         let report = replay_logical(
@@ -185,11 +196,13 @@ fn a_request_refused_at_admission_never_joins_a_replayed_batch() {
     let read = |client, node| TraceEvent {
         at_us: 0,
         client,
-        op: TraceOp::Infer {
-            request: InferRequest::full_graph(vec![node]),
-            options: SubmitOptions::default(),
-            tenant: None,
-        },
+        line: Command::Infer(
+            InferRequest::full_graph(vec![node]),
+            SubmitOptions::default(),
+            None,
+        )
+        .to_string(),
+        dribble: None,
     };
     let trace = Trace { seed: 0, clients: 2, events: vec![read(0, 0), read(1, 99_999)] };
     let report = replay_logical(&mut engines(), &trace, &BatchLimits::default());
@@ -202,21 +215,36 @@ fn the_logical_replay_books_what_the_server_books() {
     // One client over both tenants, unbatched on both sides, so the
     // live server meets the events one at a time and every count is
     // free of wall-clock timing. Node ids run past the default tenant's
-    // 680 nodes, so some reads and updates are refused there.
-    let trace = WorkloadSpec::new(0xD1FF, 160, 800)
+    // 680 nodes, so some reads and updates are refused there. Malformed
+    // lines ride along, and seed 0x1 garbles two of them into infers
+    // that still parse on a deployed tenant, which both sides serve.
+    let trace = WorkloadSpec::new(0x1, 160, 800)
         .with_clients(1)
         .with_tenants(vec![DEFAULT_TENANT.into(), "traffic".into()])
         .with_updates(80, 0)
-        .with_adversarial(0, 60, 0)
+        .with_adversarial(120, 60, 0)
         .generate();
-    let has = |f: fn(&TraceOp) -> bool| trace.events.iter().any(|e| f(&e.op));
-    assert!(has(|op| matches!(op, TraceOp::Update { .. })));
-    assert!(has(|op| matches!(op, TraceOp::SlowLoris { .. })));
+    let has = |f: fn(&TraceEvent) -> bool| trace.events.iter().any(f);
+    assert!(has(|e| matches!(parse_command(&e.line), Ok(Command::Update(..)))));
+    assert!(has(|e| e.dribble.is_some()));
+    assert!(has(|e| parse_command(&e.line).is_err()));
+    let specs = roster();
+    let roster_infers = trace
+        .events
+        .iter()
+        .filter(|e| match parse_command(&e.line) {
+            Ok(Command::Infer(_, _, name)) => {
+                let name = name.as_deref().unwrap_or(DEFAULT_TENANT);
+                specs.iter().any(|spec| spec.name == name)
+            }
+            _ => false,
+        })
+        .count();
     let unbatched =
         BatchLimits { window: Duration::ZERO, max_requests: 1, ..Default::default() };
     let replayed = replay_logical(&mut engines(), &trace, &unbatched);
+    assert_eq!(replayed.infers, roster_infers, "every infer on a roster tenant is offered");
 
-    let specs = roster();
     let server = Arc::new(
         Server::start(
             specs[0].build_engine().expect("default engine"),
