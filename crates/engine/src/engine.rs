@@ -4,9 +4,7 @@ use crate::backend::{Backend, BackendKind, RequestShape};
 use crate::error::EngineError;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
 use crate::stats::ServeStats;
-use crate::versioned::{
-    lock_recover, GraphEpoch, GraphHandle, ResidencyPolicy, SharedGraphState,
-};
+use crate::versioned::{lock_recover, GraphEpoch, GraphHandle, Residency, SharedGraphState};
 use blockgnn_gnn::batch::MergedUniverse;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
@@ -173,8 +171,8 @@ impl EngineBuilder {
             ))));
         }
         let backend = Backend::new(self.backend, model, self.circore, self.coeffs)?;
-        // Graph updates that grow the node count re-run this residency
-        // policy: the simulated accelerator is bounded by device DRAM
+        // Graph updates that grow the node count re-run the residency
+        // check: the simulated accelerator is bounded by device DRAM
         // (§IV-C) unless overridden; software backends only check when
         // the caller set an explicit budget.
         let budget_bytes = match (self.backend, self.graph_budget) {
@@ -182,11 +180,11 @@ impl EngineBuilder {
             (BackendKind::SimulatedAccel, None) => Some(DRAM_BYTES),
             _ => None,
         };
-        let residency = budget_bytes.map(|budget_bytes| ResidencyPolicy {
-            spectral_weight_bytes: backend.weight_bytes(),
+        let residency = Residency {
+            weight_bytes: backend.weight_bytes(),
             bytes_per_feature: self.backend.bytes_per_feature(),
             budget_bytes,
-        });
+        };
         Ok(Engine {
             shared: Arc::new(SharedGraphState::new(dataset, residency)),
             workers: vec![backend],
@@ -210,10 +208,10 @@ impl EngineBuilder {
 ///
 /// Open a session with [`Engine::session`], or fork replicas for
 /// concurrent serving with [`Engine::fork`]: forks share the prepared
-/// weights *and* the versioned graph state (current snapshot, mutable
-/// master), and each snapshot carries its own full-graph logits, so a
-/// whole worker pool computes the full graph at most once per version
-/// and observes updates in the same total order.
+/// weights *and* the versioned graph state (the current snapshot), and
+/// each snapshot carries its own full-graph logits, so a whole worker
+/// pool computes the full graph at most once per version and observes
+/// updates in the same total order.
 ///
 /// As built, an engine runs every execution on one backend. Widening it
 /// with [`Engine::into_parallel`] changes *how* it executes — full-graph
@@ -223,7 +221,7 @@ impl EngineBuilder {
 pub struct Engine {
     /// Versioned graph state shared across the engine family (see
     /// [`crate::versioned`]): the current epoch with its caches, and the
-    /// mutable master.
+    /// residency rule.
     pub(crate) shared: Arc<SharedGraphState>,
     /// One backend replica per worker thread; length 1 as built.
     pub(crate) workers: Vec<Backend>,
@@ -274,11 +272,8 @@ impl Engine {
     /// sums this across deployed engines against one device budget.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        let epoch = self.shared.epoch();
-        self.weight_bytes()
-            + epoch.dataset.num_nodes()
-                * epoch.dataset.feature_dim()
-                * self.backend_kind().bytes_per_feature()
+        let dataset = &self.shared.epoch().dataset;
+        self.shared.residency.bytes(dataset.num_nodes(), dataset.feature_dim())
     }
 
     /// The currently served graph version (0 until the first applied
@@ -292,8 +287,8 @@ impl Engine {
     /// version, returning it. The swap happens between micro-batches:
     /// executions already in flight finish on the version they resolved,
     /// the next batch (on every fork) sees the new one. The new version
-    /// starts with no cached logits, hot rows or plan, so the next
-    /// full-graph request recomputes; when the delta grows the node
+    /// starts with no cached logits or plan, so the next full-graph
+    /// request recomputes; when the delta grows the node
     /// count, the §IV-B/§IV-C feature-residency check re-runs first (see
     /// [`EngineBuilder::graph_budget_bytes`]).
     ///
@@ -335,11 +330,10 @@ impl Engine {
     /// Forks an independent replica for another worker thread: every
     /// backend's prepared weights and cached spectra are `Arc`-shared
     /// (see [`blockgnn_nn::ExecMode`]), as is the whole versioned graph
-    /// state — the snapshot with its logits, hot rows and partition
-    /// plans, and the mutable master. Forks execute concurrently
-    /// and observe graph updates in the same total order — this is how
-    /// the serving runtime places one engine per worker without
-    /// duplicating the model.
+    /// state — the snapshot with its logits and partition plans. Forks
+    /// execute concurrently and observe graph updates in the same total
+    /// order — this is how the serving runtime places one engine per
+    /// worker without duplicating the model.
     #[must_use]
     pub fn fork(&self) -> Engine {
         Engine {
@@ -373,10 +367,10 @@ impl Engine {
     fn full_graph_outcome(&mut self, epoch: &GraphEpoch, nodes: &[usize]) -> ExecOutcome {
         let mut slot = lock_recover(&epoch.logits);
         let from_cache = slot.is_some();
-        let (mut parts, mut hot_rows) = (0, 0);
+        let mut parts = 0;
         let cached = slot.get_or_insert_with(|| {
             let out;
-            (out, parts, hot_rows) = self.full_graph_pass(epoch);
+            (out, parts) = self.full_graph_pass(epoch);
             out
         });
         let logits = crate::request::full_graph_rows(&cached.logits, nodes);
@@ -393,7 +387,6 @@ impl Engine {
             parts,
             batch_size: 1,
             graph_version: epoch.version,
-            hot_rows,
         }
     }
 
@@ -488,7 +481,6 @@ impl Engine {
                     o.sim = None;
                     o.energy_joules = None;
                     o.parts = 0;
-                    o.hot_rows = 0;
                 }
             }
             outcomes[i] = Some(outcome);
@@ -542,7 +534,6 @@ impl Engine {
                     parts,
                     batch_size,
                     graph_version: epoch.version,
-                    hot_rows: 0,
                 }));
                 sub.local_to_global.len()
             }
@@ -594,7 +585,6 @@ impl Engine {
                         parts,
                         batch_size,
                         graph_version: epoch.version,
-                        hot_rows: 0,
                     }));
                 }
                 timings.add("scatter", scatter_start.elapsed());
@@ -762,8 +752,8 @@ mod tests {
         let next = engine.execute_request(&all).expect("serves");
         assert_eq!((next.graph_version, next.from_cache), (1, true));
 
-        // A staged pass on the old epoch publishes hot rows to that epoch
-        // only, and leaves the new epoch's plan in place.
+        // A staged pass on the old epoch leaves the new epoch's plan in
+        // place.
         let mut widened =
             builder.build(dataset).expect("builds").into_parallel(2).expect("widens");
         let old = widened.shared.epoch();
@@ -773,8 +763,6 @@ mod tests {
         let before = plan(&widened);
         let straggler = widened.full_graph_outcome(&old, &[]);
         assert_eq!((straggler.graph_version, straggler.from_cache), (0, false));
-        assert!(lock_recover(&old.hot).iter().any(|rows| !rows.is_empty()));
-        assert_eq!(widened.hot_cached_rows(), 0);
         assert!(Arc::ptr_eq(&before, &plan(&widened)));
     }
 

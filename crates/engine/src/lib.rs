@@ -77,9 +77,7 @@ mod versioned;
 pub use backend::BackendKind;
 pub use engine::{CoalescedOutcome, Engine, EngineBuilder, Session, StageTiming};
 pub use error::EngineError;
-pub use parallel::{
-    DEFAULT_HOT_CACHE_BYTES, DEFAULT_MIN_SHARD_ROWS, DEFAULT_PART_BUDGET_BYTES,
-};
+pub use parallel::{DEFAULT_MIN_SHARD_ROWS, DEFAULT_PART_BUDGET_BYTES};
 pub use request::{
     assemble_response, validate_request, ExecOutcome, InferRequest, InferResponse, RequestMode,
     PAPER_FANOUTS,

@@ -37,28 +37,16 @@
 //! **bit-identical** to a one-worker engine's (each row's FFTs see the
 //! same inputs on the spectral paths too).
 //!
-//! # Hot-vertex aggregation cache
+//! # Hardware accounting
 //!
-//! Row-granular staging also makes per-row result caching expressible —
-//! something the monolithic `forward` cannot do. Full-graph stage inputs
-//! are canonical (stage 0 reads the dataset features, stage `s` reads
-//! the merged stage `s − 1` output), so a hub vertex's stage row is a
-//! pure function of the graph version. The plan flags the
-//! highest-degree vertices (up to [`DEFAULT_HOT_CACHE_BYTES`] of rows);
-//! their stage rows live on the epoch — like its full-graph logits,
-//! shared by every fork that resolved it — and are copied instead of
-//! re-aggregated. `apply_delta` publishes a new epoch with no rows, and
-//! a pass still running on the old epoch reads and publishes the old
-//! epoch's rows only. Sampled requests never touch the cache: their
-//! sub-universe inputs are batch-dependent, not canonical.
-//!
-//! Per-part hardware cost is still accounted the §IV-C way: the
-//! simulated accelerator charges each part's *computed* target nodes
-//! separately (rows served from the hot cache cost the hardware nothing,
-//! exactly like logits-cache hits) and the per-part [`SimReport`]s merge
-//! by summation ([`SimReport::merge`] — cycles combine as in the paper's
-//! two-sub-graph Reddit evaluation, energy sums), reproducing the
-//! monolithic report exactly on cold caches.
+//! Per-part hardware cost is accounted the §IV-C way: the simulated
+//! accelerator charges each part's target nodes separately and the
+//! per-part [`SimReport`]s merge by summation ([`SimReport::merge`] —
+//! cycles combine as in the paper's two-sub-graph Reddit evaluation,
+//! energy sums), reproducing the monolithic report exactly. Like the
+//! paper's accelerator, which keeps no aggregation cache (§III-C: "we
+//! just leverage node prefetching"), every pass runs every stage over
+//! every part, so a repeated pass is billed like the first.
 
 use crate::backend::{Backend, BackendOutput, RequestShape};
 use crate::engine::Engine;
@@ -87,11 +75,6 @@ pub const DEFAULT_PART_BUDGET_BYTES: usize = NODE_FEATURE_BUFFER_BYTES / 2;
 /// length — a request of 100 duplicates of one node is a 1-row batch.
 pub const DEFAULT_MIN_SHARD_ROWS: usize = 32;
 
-/// Hot-vertex cache budget: the other bank of the §IV-B Node-Feature
-/// Buffer (cached aggregation rows are reused feature-like state, so
-/// they are accounted against feature storage, not weights).
-pub const DEFAULT_HOT_CACHE_BYTES: usize = NODE_FEATURE_BUFFER_BYTES / 2;
-
 /// How a widened engine executes one graph version's full-graph pass.
 #[derive(Debug)]
 pub(crate) struct Plan {
@@ -99,9 +82,6 @@ pub(crate) struct Plan {
     parts: Vec<GraphPart>,
     /// Load-balance factor of `parts` (max part work / mean part work).
     balance: f64,
-    /// `hot_flags[v]`: whether node `v` qualifies for hot caching (a
-    /// top-degree node within [`DEFAULT_HOT_CACHE_BYTES`]).
-    hot_flags: Vec<bool>,
 }
 
 impl Engine {
@@ -210,20 +190,11 @@ impl Engine {
         CompressedCsr::encode(&self.shared.epoch().dataset.graph).resident_bytes()
     }
 
-    /// Drops the current version's hot-vertex rows (family-wide — the
-    /// epoch is shared). [`Engine::clear_full_graph_cache`] deliberately
-    /// leaves them warm — that models steady-state serving; this is for
-    /// cold-start measurements.
-    pub fn clear_hot_cache(&self) {
-        lock_recover(&self.shared.epoch().hot).clear();
-    }
-
-    /// Hot-vertex rows the current version holds, across all stages
-    /// (introspection hook).
-    #[must_use]
-    pub fn hot_cached_rows(&self) -> usize {
-        lock_recover(&self.shared.epoch().hot).iter().map(|rows| rows.len()).sum()
-    }
+    /// Does nothing: widened engines keep no hot-vertex cache, so every
+    /// full-graph pass is cold. Kept only because the stack benchmark's
+    /// `engine.par2_*` rungs still call it; it goes once the next
+    /// benchmark change drops that call.
+    pub fn clear_hot_cache(&self) {}
 
     fn current_plan(&self) -> Arc<Plan> {
         self.plan_for(&self.shared.epoch())
@@ -243,25 +214,12 @@ impl Engine {
         let graph = &dataset.graph;
         if self.workers.len() == 1 {
             let parts = partition_contiguous(graph, 1);
-            return Plan { parts, balance: 1.0, hot_flags: Vec::new() };
+            return Plan { parts, balance: 1.0 };
         }
         let feature_dim = dataset.feature_dim();
         let parts = self.plan_parts(graph, feature_dim);
         let balance = partition_balance(graph, &parts, self.plan_width(feature_dim));
-        // Hot vertices: the top-degree nodes whose cached stage rows fit
-        // the byte budget. Rows are host-side f64 (8 B/scalar) across
-        // every stage width; ties broken by node id for determinism.
-        let model = &self.workers[0].model;
-        let per_node_bytes: usize =
-            (0..model.num_stages()).map(|s| model.stage_width(s, feature_dim) * 8).sum();
-        let capacity = DEFAULT_HOT_CACHE_BYTES.checked_div(per_node_bytes).unwrap_or(0);
-        let mut by_degree: Vec<u32> = (0..graph.num_nodes() as u32).collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v as usize)), v));
-        let mut hot_flags = vec![false; graph.num_nodes()];
-        for &v in by_degree.iter().take(capacity) {
-            hot_flags[v as usize] = true;
-        }
-        Plan { parts, balance, hot_flags }
+        Plan { parts, balance }
     }
 
     /// The widest row any inference stage materializes (stage outputs
@@ -303,41 +261,28 @@ impl Engine {
         }
     }
 
-    /// One uncached full-graph pass over `epoch`, returning the output,
-    /// the parts executed and the rows served from the hot-vertex cache.
-    /// One worker runs the monolithic `forward`; a widened engine runs
-    /// the version's plan.
-    pub(crate) fn full_graph_pass(
-        &mut self,
-        epoch: &GraphEpoch,
-    ) -> (BackendOutput, usize, usize) {
+    /// One uncached full-graph pass over `epoch`, returning the output
+    /// and the parts executed. One worker runs the monolithic `forward`;
+    /// a widened engine runs the version's plan and charges every part's
+    /// targets.
+    pub(crate) fn full_graph_pass(&mut self, epoch: &GraphEpoch) -> (BackendOutput, usize) {
         let dataset = &epoch.dataset;
         if self.workers.len() == 1 {
             let shape =
                 RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
             let out = self.workers[0].execute(&dataset.graph, &dataset.features, None, shape);
-            return (out, 1, 0);
+            return (out, 1);
         }
         let plan = self.plan_for(epoch);
-        let hot = HotContext { epoch, flags: &plan.hot_flags };
-        let run = run_staged(
-            &mut self.workers,
-            &dataset.graph,
-            &dataset.features,
-            &plan.parts,
-            Some(&hot),
-        );
-        // Rows served from the hot cache cost the hardware nothing (same
-        // contract as logits-cache hits): only computed targets are
-        // charged.
+        let logits =
+            run_staged(&mut self.workers, &dataset.graph, &dataset.features, &plan.parts);
         let (sim, energy_joules) = merge_part_charges(
             &self.workers[0],
             dataset.feature_dim(),
             self.fanouts,
-            run.computed_per_part.into_iter(),
+            plan.parts.iter().map(|part| part.nodes.len()),
         );
-        let out = BackendOutput { logits: run.logits, sim, energy_joules };
-        (out, plan.parts.len(), run.hot_rows)
+        (BackendOutput { logits, sim, energy_joules }, plan.parts.len())
     }
 
     /// Executes one sampled computation graph (a request's sub-universe
@@ -350,10 +295,8 @@ impl Engine {
     /// `rows` read off the merged result); everything else runs on one
     /// worker, the last stage at `rows` only
     /// ([`GnnModel::forward_at`](blockgnn_gnn::GnnModel::forward_at)).
-    /// The hot-vertex cache does not apply — sub-universe stage inputs
-    /// depend on the batch's sampled edges, not the canonical full-graph
-    /// features — and the hardware charge is the monolithic one, the
-    /// cycle model being a pure function of `shape`.
+    /// The hardware charge is the monolithic one, the cycle model being
+    /// a pure function of `shape`.
     pub(crate) fn execute_graph(
         &mut self,
         graph: &CsrGraph,
@@ -367,39 +310,18 @@ impl Engine {
             return (out, start.elapsed(), 1);
         }
         let parts = self.plan_parts(graph, features.cols());
-        let run = run_staged(&mut self.workers, graph, features, &parts, None);
+        let merged = run_staged(&mut self.workers, graph, features, &parts);
         let (sim, energy_joules) = self.workers[0].charge(features.cols(), shape).unzip();
-        let logits = run.logits.gather_rows(rows.iter().map(|&row| row as usize));
+        let logits = merged.gather_rows(rows.iter().map(|&row| row as usize));
         let out = BackendOutput { logits, sim, energy_joules };
         (out, start.elapsed(), parts.len())
     }
 }
 
-/// Hot-vertex cache wiring for one staged run (full-graph path only).
-struct HotContext<'a> {
-    /// The epoch whose rows the run reads and publishes.
-    epoch: &'a GraphEpoch,
-    flags: &'a [bool],
-}
-
-/// Result of one staged execution.
-struct StagedRun {
-    logits: Matrix,
-    /// Row-copies served from the hot-vertex cache, summed over stages.
-    hot_rows: usize,
-    /// Per part, how many of its target nodes were computed in at least
-    /// one stage (the hardware-charged count; fully-cached nodes are 0).
-    computed_per_part: Vec<usize>,
-}
-
 /// Executes the model's inference stages over `parts`, fanning each
 /// stage's parts out to the worker pool and merging the output rows
-/// (row-aligned by global node id) before the next stage starts. With a
-/// [`HotContext`], rows of flagged vertices cached on the epoch are
-/// copied instead of computed, and freshly computed flagged rows are
-/// published back — bit-identical either way, because cached rows were
-/// produced by the very same `forward_stage` over the same canonical
-/// inputs.
+/// (row-aligned by global node id) before the next stage starts; returns
+/// the last stage's merged matrix.
 ///
 /// Degenerate plans skip the thread pool entirely: one part (nothing to
 /// fan out) or one worker (nothing to fan out *to*) runs inline on the
@@ -409,54 +331,23 @@ fn run_staged(
     graph: &CsrGraph,
     features: &Matrix,
     parts: &[GraphPart],
-    hot: Option<&HotContext>,
-) -> StagedRun {
+) -> Matrix {
     let n = graph.num_nodes();
     let num_workers = workers.len();
     let num_stages = workers[0].model.num_stages();
     let feature_dim = features.cols();
     let inline = parts.len() == 1 || num_workers == 1;
     let mut merged: Option<Matrix> = None;
-    let mut hot_rows = 0usize;
-    let mut computed_any = vec![false; n];
     for stage in 0..num_stages {
         let width = workers[0].model.stage_width(stage, feature_dim);
-        let snapshot = hot.and_then(|h| lock_recover(&h.epoch.hot).get(stage).cloned());
         let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
-        // Split every part's targets into cache hits and compute rows;
-        // copy the hits up front (they only depend on the cache, not on
-        // this stage's compute).
-        let mut compute_rows: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
-        for part in parts {
-            let mut compute = Vec::with_capacity(part.nodes.len());
-            for &v in &part.nodes {
-                let cached = hot.zip(snapshot.as_ref()).and_then(|(h, snap)| {
-                    if h.flags[v as usize] {
-                        snap.get(&v).filter(|row| row.len() == width)
-                    } else {
-                        None
-                    }
-                });
-                match cached {
-                    Some(row) => {
-                        out.row_mut(v as usize).copy_from_slice(row);
-                        hot_rows += 1;
-                    }
-                    None => compute.push(v),
-                }
-            }
-            compute_rows.push(compute);
-        }
         if inline {
             let model = &mut workers[0].model;
             model.prepare_graph(graph);
-            for rows in &compute_rows {
-                if rows.is_empty() {
-                    continue;
-                }
-                let result = model.forward_stage(stage, graph, input, rows);
-                for (i, &v) in rows.iter().enumerate() {
+            for part in parts {
+                let result = model.forward_stage(stage, graph, input, &part.nodes);
+                for (i, &v) in part.nodes.iter().enumerate() {
                     out.row_mut(v as usize).copy_from_slice(result.row(i));
                 }
             }
@@ -467,9 +358,13 @@ fn run_staged(
                     // Round-robin assignment: degree-balanced parts are
                     // near-equal in work, so stride-W interleaving
                     // balances the load.
-                    let assigned: Vec<&Vec<u32>> =
-                        compute_rows.iter().skip(w).step_by(num_workers).collect();
-                    if assigned.iter().all(|rows| rows.is_empty()) {
+                    let assigned: Vec<&[u32]> = parts
+                        .iter()
+                        .skip(w)
+                        .step_by(num_workers)
+                        .map(|part| part.nodes.as_slice())
+                        .collect();
+                    if assigned.is_empty() {
                         continue;
                     }
                     handles.push(scope.spawn(move || {
@@ -481,7 +376,6 @@ fn run_staged(
                         model.prepare_graph(graph);
                         assigned
                             .into_iter()
-                            .filter(|rows| !rows.is_empty())
                             .map(|rows| (rows, model.forward_stage(stage, graph, input, rows)))
                             .collect::<Vec<_>>()
                     }));
@@ -495,36 +389,9 @@ fn run_staged(
                 }
             });
         }
-        // Publish freshly computed rows of flagged vertices for the next
-        // request (one lock per stage), and record who was computed for
-        // the hardware charge.
-        let mut publish: Vec<(u32, Vec<f64>)> = Vec::new();
-        for rows in &compute_rows {
-            for &v in rows {
-                computed_any[v as usize] = true;
-                if hot.is_some_and(|h| h.flags[v as usize]) {
-                    publish.push((v, out.row(v as usize).to_vec()));
-                }
-            }
-        }
-        if let Some(h) = hot.filter(|_| !publish.is_empty()) {
-            let mut stages = lock_recover(&h.epoch.hot);
-            if stages.len() <= stage {
-                stages.resize_with(stage + 1, Arc::default);
-            }
-            Arc::make_mut(&mut stages[stage]).extend(publish);
-        }
         merged = Some(out);
     }
-    let computed_per_part = parts
-        .iter()
-        .map(|p| p.nodes.iter().filter(|&&v| computed_any[v as usize]).count())
-        .collect();
-    StagedRun {
-        logits: merged.expect("models have at least one stage"),
-        hot_rows,
-        computed_per_part,
-    }
+    merged.expect("models have at least one stage")
 }
 
 /// Charges each part's target nodes on the hardware model and merges
@@ -538,7 +405,7 @@ fn merge_part_charges(
 ) -> (Option<SimReport>, Option<f64>) {
     let mut reports = Vec::new();
     let mut energy_total = 0.0;
-    for targets in part_targets.filter(|&t| t > 0) {
+    for targets in part_targets {
         let shape = RequestShape { target_nodes: targets, fanouts };
         match backend.charge(feature_dim, shape) {
             Some((sim, energy)) => {
@@ -582,7 +449,6 @@ mod tests {
         engine.apply_delta(&GraphDelta::new().add_edge(0, 9)).expect("applies");
         assert!(fork.infer_coalesced(&requests).outcomes.iter().all(Result::is_ok));
         assert!(lock_recover(&engine.shared.epoch().plans).is_empty());
-        assert_eq!(engine.hot_cached_rows(), 0);
         // Widening builds the current epoch's plan for two workers, and
         // no one-worker plan was ever built.
         let widened = engine.into_parallel(2).expect("widens");

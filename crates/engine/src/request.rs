@@ -120,10 +120,9 @@ pub struct InferResponse {
     /// was produced outside a traced serving path (direct
     /// [`crate::Session`] callers, or a server with tracing disabled).
     pub trace_id: u64,
-    /// Stage-output rows served from a widened engine's hot-vertex
-    /// aggregation cache instead of being recomputed (summed over
-    /// stages; 0 on one-worker engines, cache hits, and sampled
-    /// requests).
+    /// Always 0: engines keep no hot-vertex cache. Kept only because the
+    /// stack benchmark's `engine.hot_rows` rung still reads it; it goes
+    /// once the next benchmark change drops that rung.
     pub hot_rows: usize,
 }
 
@@ -149,8 +148,6 @@ pub struct ExecOutcome {
     /// Graph version the execution resolved (see
     /// [`InferResponse::graph_version`]).
     pub graph_version: u64,
-    /// Hot-vertex cache row hits (see [`InferResponse::hot_rows`]).
-    pub hot_rows: usize,
 }
 
 /// Rejects requests naming nodes outside the served graph.
@@ -243,7 +240,6 @@ pub fn assemble_response(
         parts,
         batch_size,
         graph_version,
-        hot_rows,
     } = outcome;
     let predictions: Vec<usize> = (0..logits.rows())
         .map(|i| argmax(logits.row(i)).expect("logits rows are non-empty"))
@@ -263,7 +259,7 @@ pub fn assemble_response(
         // Trace ids belong to the serving runtime: it stamps the id on
         // the response after assembly, so direct sessions stay at 0.
         trace_id: 0,
-        hot_rows,
+        hot_rows: 0,
     };
     stats.record_response(&response);
     response

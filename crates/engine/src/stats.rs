@@ -164,9 +164,6 @@ pub struct ServeStats {
     /// Graph parts executed across all requests (0 per cache hit, 1 per
     /// unpartitioned execution, `k` per partition-parallel execution).
     pub parts_executed: usize,
-    /// Stage-output rows served from a widened engine's hot-vertex
-    /// aggregation cache instead of being recomputed.
-    pub hot_rows_served: usize,
 }
 
 impl ServeStats {
@@ -184,7 +181,6 @@ impl ServeStats {
         self.max_latency = self.max_latency.max(response.latency);
         self.latency_histogram.record(response.latency);
         self.parts_executed += response.parts;
-        self.hot_rows_served += response.hot_rows;
         if response.from_cache {
             self.full_graph_cache_hits += 1;
         } else {
@@ -211,7 +207,6 @@ impl ServeStats {
         self.simulated_cycles += other.simulated_cycles;
         self.simulated_energy_joules += other.simulated_energy_joules;
         self.parts_executed += other.parts_executed;
-        self.hot_rows_served += other.hot_rows_served;
     }
 
     /// Serving throughput in nodes per second of summed per-request

@@ -8,28 +8,29 @@
 //!   snapshot plus its version. Workers resolve it once per micro-batch
 //!   and keep their `Arc` for the whole batch, so an update lands
 //!   *between* batches, never inside one.
-//! * `master` is the lazily built mutable copy
-//!   ([`blockgnn_graph::VersionedGraph`]) deltas apply to. Engines that
-//!   never mutate never pay for it.
-//! * Each epoch owns what is computed from it: the full-graph logits,
-//!   the hot-vertex stage rows and the partition plans (see
-//!   [`GraphEpoch`]). A delta publishes a fresh epoch with empty
+//! * Each epoch holds only what a request reads: the dataset, the
+//!   version, the full-graph logits and the partition plans (see
+//!   [`GraphEpoch`]). A delta derives the next epoch from the current
+//!   one through [`GraphDelta::apply_to`] and publishes it with empty
 //!   caches, so no cache compares versions and a delta never serves
 //!   stale logits; the old epoch's caches die with its last holder.
 //!   (Per-graph model caches — GCN's `Â` normalization, sampled-subgraph
 //!   interning — key on [`blockgnn_graph::CsrGraph::instance_id`], and
 //!   every applied delta produces a graph with a fresh id, so they are
 //!   version-safe by construction.)
-//! * `residency` re-runs the §IV-B/§IV-C feature-residency check when a
-//!   delta grows the node count: the grown graph's resident features
-//!   (plus the model's packed weight spectra) must still fit the
-//!   configured device-memory budget, or the delta is rejected with
-//!   [`EngineError::GraphBudget`] before anything mutates.
+//! * `writer` serializes deltas, so versions stay unique and totally
+//!   ordered.
+//! * `residency` is the §IV-B/§IV-C feature-residency rule: packed weight
+//!   spectra plus the graph's resident features. It is what
+//!   [`crate::Engine::resident_bytes`] reports, and with a budget it
+//!   re-runs when a delta grows the node count: the grown graph must
+//!   still fit, or the delta is rejected with
+//!   [`EngineError::GraphBudget`] before anything is published.
 
 use crate::backend::BackendOutput;
 use crate::error::EngineError;
 use crate::parallel::Plan;
-use blockgnn_graph::{Dataset, GraphDelta, VersionedGraph};
+use blockgnn_graph::{Dataset, GraphDelta};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -39,15 +40,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// the serving runtime's `catch_unwind` fault domain survives that
 /// panic). Recovered state is safe for every lock in this crate: the
 /// epoch slot, an epoch's logits and its plans are only ever written
-/// whole (a pass that panics leaves the logits empty); hot rows are
-/// inserted row by row, each row whole; and the master copy is mutated
-/// only after its delta has been validated, by steps that cannot fail.
+/// whole (a pass that panics leaves the logits empty), and the writer
+/// lock guards no data — a delta that panics publishes nothing.
 pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// One stage's hot-vertex rows: node id → that node's stage-output row.
-pub(crate) type HotRows = HashMap<u32, Vec<f64>>;
 
 /// One immutable serving snapshot: what a micro-batch executes against,
 /// and the caches computed from it.
@@ -67,66 +64,57 @@ pub(crate) struct GraphEpoch {
     /// The pass runs under this lock, so concurrent forks wait for it
     /// instead of computing it twice.
     pub logits: Mutex<Option<BackendOutput>>,
-    /// Hot-vertex stage rows (see [`crate::parallel`]), one map per
-    /// stage, each behind an `Arc` so a staged run snapshots a stage
-    /// without holding the lock while it computes.
-    pub hot: Mutex<Vec<Arc<HotRows>>>,
     /// The §IV-C partition plan, one per worker count.
     pub plans: Mutex<HashMap<usize, Arc<Plan>>>,
 }
 
 impl GraphEpoch {
     fn new(dataset: Arc<Dataset>, version: u64) -> Self {
-        Self {
-            dataset,
-            version,
-            logits: Mutex::default(),
-            hot: Mutex::default(),
-            plans: Mutex::default(),
-        }
+        Self { dataset, version, logits: Mutex::default(), plans: Mutex::default() }
     }
 }
 
-/// The §IV-B/§IV-C feature-residency policy re-checked on node growth.
+/// The §IV-B/§IV-C feature-residency rule of an engine family.
 #[derive(Debug, Clone)]
-pub(crate) struct ResidencyPolicy {
+pub(crate) struct Residency {
     /// Packed spectral weight bytes of the served model (resident for
     /// the engine's whole lifetime).
-    pub spectral_weight_bytes: usize,
+    pub weight_bytes: usize,
     /// Bytes per feature scalar at the backend's number format.
     pub bytes_per_feature: usize,
-    /// Device-memory budget in bytes.
-    pub budget_bytes: usize,
+    /// Device-memory budget in bytes node growth is checked against, if
+    /// any.
+    pub budget_bytes: Option<usize>,
 }
 
-/// The mutable master copy deltas apply to. Labels of appended nodes
-/// get placeholder class 0 — labels drive training, never inference.
-#[derive(Debug)]
-struct MasterState {
-    versioned: VersionedGraph,
-    labels: Vec<usize>,
+impl Residency {
+    /// Resident bytes of `nodes` feature rows of width `feature_dim`
+    /// beside the packed weight spectra.
+    pub fn bytes(&self, nodes: usize, feature_dim: usize) -> usize {
+        self.weight_bytes + nodes * feature_dim * self.bytes_per_feature
+    }
 }
 
 /// Versioned graph state shared across an engine family (see the module
 /// docs for the field roles).
 #[derive(Debug)]
 pub(crate) struct SharedGraphState {
-    master: Mutex<Option<MasterState>>,
     current: Mutex<Arc<GraphEpoch>>,
+    writer: Mutex<()>,
     /// Current node count mirrored out of the epoch, so the serving
     /// runtime's per-submission admission check reads an atomic instead
     /// of contending on the epoch lock with every worker.
     node_count: AtomicUsize,
-    residency: Option<ResidencyPolicy>,
+    pub residency: Residency,
 }
 
 impl SharedGraphState {
     /// Wraps `dataset` as version 0.
-    pub fn new(dataset: Arc<Dataset>, residency: Option<ResidencyPolicy>) -> Self {
+    pub fn new(dataset: Arc<Dataset>, residency: Residency) -> Self {
         let node_count = AtomicUsize::new(dataset.num_nodes());
         Self {
-            master: Mutex::new(None),
             current: Mutex::new(Arc::new(GraphEpoch::new(dataset, 0))),
+            writer: Mutex::new(()),
             node_count,
             residency,
         }
@@ -156,10 +144,13 @@ impl SharedGraphState {
     /// Applies one delta atomically and publishes the new epoch,
     /// returning it (callers wanting to describe the post-delta graph —
     /// version, node/arc counts — read them off the returned epoch, a
-    /// consistent snapshot even under concurrent further updates).
-    /// Deltas serialize on the master lock, so returned versions are
-    /// unique and totally ordered; readers see either the old epoch or
-    /// the new one, never a mix.
+    /// consistent snapshot even under concurrent further updates). The
+    /// next epoch is derived from the current one: its features are
+    /// cloned once and [`GraphDelta::apply_to`] splices the graph and
+    /// writes the rows; appended nodes get placeholder label 0 (labels
+    /// drive training, never inference). Deltas serialize on the writer
+    /// lock, so returned versions are unique and totally ordered;
+    /// readers see either the old epoch or the new one, never a mix.
     ///
     /// # Errors
     ///
@@ -167,53 +158,31 @@ impl SharedGraphState {
     /// [`EngineError::GraphBudget`] when growth violates the residency
     /// budget. The served graph is untouched in both cases.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Arc<GraphEpoch>, EngineError> {
-        let mut master_slot = lock_recover(&self.master);
-        let master = match master_slot.as_mut() {
-            Some(master) => master,
-            None => {
-                // First mutation: materialize the master copy from the
-                // current epoch (version 0 by construction — only this
-                // method ever bumps it).
-                let epoch = self.epoch();
-                let versioned = VersionedGraph::new(
-                    epoch.dataset.graph.clone(),
-                    epoch.dataset.features.clone(),
-                    true,
-                )
-                // Unreachable: `EngineBuilder::build_with_model` refuses a
-                // dataset whose feature rows differ from its node count,
-                // and only this method publishes later epochs, from a
-                // `VersionedGraph` that keeps the two equal.
-                .expect("dataset graph and features agree on the node count");
-                master_slot
-                    .insert(MasterState { versioned, labels: epoch.dataset.labels.clone() })
-            }
-        };
-        if let Some(policy) = &self.residency {
-            let grown = master.versioned.num_nodes() + delta.append_nodes.len();
+        let _writer = lock_recover(&self.writer);
+        let current = self.epoch();
+        let old = &current.dataset;
+        if let Some(budget) = self.residency.budget_bytes {
             if !delta.append_nodes.is_empty() {
-                let needed = policy.spectral_weight_bytes
-                    + grown * master.versioned.features().cols() * policy.bytes_per_feature;
-                if needed > policy.budget_bytes {
-                    return Err(EngineError::GraphBudget {
-                        needed,
-                        budget: policy.budget_bytes,
-                    });
+                let grown = old.num_nodes() + delta.append_nodes.len();
+                let needed = self.residency.bytes(grown, old.feature_dim());
+                if needed > budget {
+                    return Err(EngineError::GraphBudget { needed, budget });
                 }
             }
         }
-        let version = master.versioned.apply(delta)?;
-        master.labels.resize(master.versioned.num_nodes(), 0);
-        let template = self.epoch();
+        let mut features = old.features.clone();
+        let graph = delta.apply_to(&old.graph, &mut features, true)?;
+        let mut labels = old.labels.clone();
+        labels.resize(graph.num_nodes(), 0);
         let dataset = Arc::new(Dataset {
-            graph: master.versioned.graph().clone(),
-            features: master.versioned.features().clone(),
-            labels: master.labels.clone(),
-            num_classes: template.dataset.num_classes,
-            masks: template.dataset.masks.clone(),
-            name: template.dataset.name.clone(),
+            graph,
+            features,
+            labels,
+            num_classes: old.num_classes,
+            masks: old.masks.clone(),
+            name: old.name.clone(),
         });
-        let epoch = Arc::new(GraphEpoch::new(dataset, version));
+        let epoch = Arc::new(GraphEpoch::new(dataset, current.version + 1));
         *lock_recover(&self.current) = Arc::clone(&epoch);
         self.node_count.store(epoch.dataset.num_nodes(), Ordering::Release);
         Ok(epoch)

@@ -159,7 +159,7 @@ pub(super) fn side_by_side(parts: &[&Matrix]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockgnn_nn::{Compression, Tanh};
+    use blockgnn_nn::{Compression, Relu};
 
     #[test]
     fn a_warm_scratch_clones_empty_and_blocks_cover_every_row_once() {
@@ -169,7 +169,7 @@ mod tests {
         // 2·ROW_BLOCK + 1 destination rows, in descending order.
         let rows = (0..2 * ROW_BLOCK + 1).rev();
         let mut seen = Vec::new();
-        let mut act = Tanh::new();
+        let mut act = Relu::new();
         let out = combine_blocks(
             &mut comb,
             Some(&mut act),

@@ -1,5 +1,5 @@
 //! Streaming graph mutation: [`GraphDelta`] batches of edge and feature
-//! changes, applied through a [`VersionedGraph`].
+//! changes, applied by one shared step, [`GraphDelta::apply_to`].
 //!
 //! Real serving traffic mutates its graph — edges and feature rows
 //! arrive continuously — while every layer above (engine caches, the
@@ -11,21 +11,23 @@
 //!   overwrites, and appended nodes. Within one delta, node ids refer to
 //!   the graph *after* its appends, so a new node can be wired up in the
 //!   same delta that creates it.
-//! * A [`VersionedGraph`] owns the mutable master copy (CSR adjacency,
-//!   feature matrix, canonical edge list) and applies deltas
-//!   **incrementally** via [`CsrGraph::splice`] — the hot path — while
-//!   [`VersionedGraph::rebuild`] reconstructs the adjacency from the
-//!   edge list with [`CsrGraph::from_edges`], the reference
-//!   implementation the differential test harness compares against.
-//!   The two are structurally identical at every version.
-//! * Every applied delta bumps a monotone [`VersionedGraph::version`],
-//!   and every produced [`CsrGraph`] draws a fresh
+//! * [`GraphDelta::apply_to`] is the delta step: it validates the delta,
+//!   splices the adjacency **incrementally** via [`CsrGraph::splice`]
+//!   into a new graph, and writes the feature rows in place. A serving
+//!   engine derives each graph version from the previous one through it.
+//! * A [`VersionedGraph`] is the reference mirror: the same step plus a
+//!   canonical edge list and a version counter, so
+//!   [`VersionedGraph::rebuild`] can reconstruct the adjacency with
+//!   [`CsrGraph::from_edges`] — the reference implementation the
+//!   differential test harness compares the splice against. The two are
+//!   structurally identical at every version.
+//! * Every produced [`CsrGraph`] draws a fresh
 //!   [`CsrGraph::instance_id`], so id-keyed caches (GCN's `Â`
 //!   normalization, sampled-subgraph interning) can never serve a stale
 //!   version.
 //!
 //! Deltas are all-or-nothing: validation runs before any state mutates,
-//! so a rejected delta leaves the graph at its previous version.
+//! so a rejected delta leaves the graph and features as they were.
 
 use crate::csr::{CsrGraph, GraphError};
 use blockgnn_linalg::Matrix;
@@ -96,7 +98,7 @@ impl fmt::Display for DeltaError {
 impl Error for DeltaError {}
 
 /// A batch of graph mutations, applied atomically by
-/// [`VersionedGraph::apply`].
+/// [`GraphDelta::apply_to`].
 ///
 /// Node ids in every field refer to the graph *after* this delta's
 /// [`GraphDelta::append_nodes`] (appended nodes take ids
@@ -171,17 +173,109 @@ impl GraphDelta {
             + self.set_features.len()
             + self.append_nodes.len()
     }
+
+    /// The one delta step: validates this delta against `graph` and
+    /// `features` (its row count must be the graph's node count), splices
+    /// the adjacency into a new [`CsrGraph`] (fresh
+    /// [`CsrGraph::instance_id`]) and, only once everything validated,
+    /// writes the appended and overwritten rows into `features` in place.
+    /// With `undirected`, each edge names both stored arcs (self-loops
+    /// once), exactly as [`CsrGraph::from_edges`] stores them.
+    ///
+    /// ```
+    /// use blockgnn_graph::{CsrGraph, GraphDelta};
+    /// use blockgnn_linalg::Matrix;
+    ///
+    /// let g = CsrGraph::from_edges(2, &[(0, 1)], true).unwrap();
+    /// let mut features = Matrix::zeros(2, 3);
+    /// let delta = GraphDelta::new().append_node(vec![1.0; 3]).add_edge(2, 0);
+    /// let next = delta.apply_to(&g, &mut features, true).unwrap();
+    /// assert!(next.has_edge(0, 2) && next.has_edge(2, 0));
+    /// assert_eq!(features.row(2), &[1.0; 3]);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Any [`DeltaError`] (a feature matrix whose row count disagrees
+    /// with the graph is [`DeltaError::NodeOutOfRange`], as in
+    /// [`VersionedGraph::new`]); `features` is untouched on failure.
+    pub fn apply_to(
+        &self,
+        graph: &CsrGraph,
+        features: &mut Matrix,
+        undirected: bool,
+    ) -> Result<CsrGraph, DeltaError> {
+        if self.is_empty() {
+            return Err(DeltaError::EmptyDelta);
+        }
+        let old_n = graph.num_nodes();
+        if features.rows() != old_n {
+            return Err(DeltaError::NodeOutOfRange { node: features.rows(), num_nodes: old_n });
+        }
+        let new_n = old_n + self.append_nodes.len();
+        let dim = features.cols();
+        let check_row = |node: usize, row: &[f64]| {
+            if row.len() != dim {
+                return Err(DeltaError::FeatureDimMismatch { expected: dim, got: row.len() });
+            }
+            match row.iter().position(|x| !x.is_finite()) {
+                Some(column) => Err(DeltaError::NonFiniteFeature { node, column }),
+                None => Ok(()),
+            }
+        };
+        for (node, row) in &self.set_features {
+            if *node >= new_n {
+                return Err(DeltaError::NodeOutOfRange { node: *node, num_nodes: new_n });
+            }
+            check_row(*node, row)?;
+        }
+        for (i, row) in self.append_nodes.iter().enumerate() {
+            check_row(old_n + i, row)?;
+        }
+        let expand = |edges: &[(usize, usize)]| -> Vec<(usize, usize)> {
+            let mut arcs = Vec::with_capacity(edges.len() * 2);
+            for &(u, v) in edges {
+                arcs.push((u, v));
+                if undirected && u != v {
+                    arcs.push((v, u));
+                }
+            }
+            arcs
+        };
+        let next = graph
+            .splice(new_n, &expand(&self.add_edges), &expand(&self.remove_edges))
+            .map_err(|e| match e {
+            GraphError::NodeOutOfRange { node, num_nodes } => {
+                DeltaError::NodeOutOfRange { node, num_nodes }
+            }
+            GraphError::MissingArc { u, v } => DeltaError::MissingEdge { u, v },
+        })?;
+        // Validated; write. Appends first, then overwrites (a row both
+        // appended and set ends up set, matching the "appends happen
+        // first" id semantics). Growing at an unchanged column count keeps
+        // every existing row, and every appended row is written here.
+        if !self.append_nodes.is_empty() {
+            features.resize(new_n, dim);
+            for (i, row) in self.append_nodes.iter().enumerate() {
+                features.row_mut(old_n + i).copy_from_slice(row);
+            }
+        }
+        for (node, row) in &self.set_features {
+            features.row_mut(*node).copy_from_slice(row);
+        }
+        Ok(next)
+    }
 }
 
-/// A mutable graph + feature matrix with a monotone version counter:
-/// the master copy streaming updates apply to.
+/// A mutable graph + feature matrix with a monotone version counter
+/// and the canonical edge list: the reference mirror tests rebuild from.
 ///
-/// Each successful [`VersionedGraph::apply`] produces a brand-new
-/// [`CsrGraph`] (incrementally spliced, fresh
-/// [`CsrGraph::instance_id`]) and bumps [`VersionedGraph::version`] by
-/// one; readers holding clones of the previous graph are unaffected,
-/// which is what lets a serving engine swap versions between
-/// micro-batches while in-flight requests finish on the old one.
+/// Each successful [`VersionedGraph::apply`] runs the shared step
+/// [`GraphDelta::apply_to`] — a brand-new [`CsrGraph`] (incrementally
+/// spliced, fresh [`CsrGraph::instance_id`]), feature rows written in
+/// place — keeps the edge list in step and bumps
+/// [`VersionedGraph::version`] by one; readers holding clones of the
+/// previous graph are unaffected.
 ///
 /// ```
 /// use blockgnn_graph::{CsrGraph, GraphDelta, VersionedGraph};
@@ -273,66 +367,7 @@ impl VersionedGraph {
     /// Any [`DeltaError`]; the graph, features, and version are
     /// untouched on failure.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<u64, DeltaError> {
-        if delta.is_empty() {
-            return Err(DeltaError::EmptyDelta);
-        }
-        let old_n = self.graph.num_nodes();
-        let new_n = old_n + delta.append_nodes.len();
-        let dim = self.features.cols();
-        let check_row = |node: usize, row: &[f64]| {
-            if row.len() != dim {
-                return Err(DeltaError::FeatureDimMismatch { expected: dim, got: row.len() });
-            }
-            match row.iter().position(|x| !x.is_finite()) {
-                Some(column) => Err(DeltaError::NonFiniteFeature { node, column }),
-                None => Ok(()),
-            }
-        };
-        for (node, row) in &delta.set_features {
-            if *node >= new_n {
-                return Err(DeltaError::NodeOutOfRange { node: *node, num_nodes: new_n });
-            }
-            check_row(*node, row)?;
-        }
-        for (i, row) in delta.append_nodes.iter().enumerate() {
-            check_row(old_n + i, row)?;
-        }
-        // Expand undirected edges into both stored arcs (self-loops
-        // once), exactly as `from_edges` does.
-        let expand = |edges: &[(usize, usize)]| -> Vec<(usize, usize)> {
-            let mut arcs = Vec::with_capacity(edges.len() * 2);
-            for &(u, v) in edges {
-                arcs.push((u, v));
-                if self.undirected && u != v {
-                    arcs.push((v, u));
-                }
-            }
-            arcs
-        };
-        let new_graph = self
-            .graph
-            .splice(new_n, &expand(&delta.add_edges), &expand(&delta.remove_edges))
-            .map_err(|e| match e {
-                GraphError::NodeOutOfRange { node, num_nodes } => {
-                    DeltaError::NodeOutOfRange { node, num_nodes }
-                }
-                GraphError::MissingArc { u, v } => DeltaError::MissingEdge { u, v },
-            })?;
-
-        // Splice validated; mutate. Features first: append rows, then
-        // overwrite updated ones (a row both appended and set ends up
-        // set, matching the "appends happen first" id semantics).
-        if !delta.append_nodes.is_empty() {
-            let mut grown = Matrix::zeros(new_n, dim);
-            grown.as_mut_slice()[..old_n * dim].copy_from_slice(self.features.as_slice());
-            for (i, row) in delta.append_nodes.iter().enumerate() {
-                grown.row_mut(old_n + i).copy_from_slice(row);
-            }
-            self.features = grown;
-        }
-        for (node, row) in &delta.set_features {
-            self.features.row_mut(*node).copy_from_slice(row);
-        }
+        let next = delta.apply_to(&self.graph, &mut self.features, self.undirected)?;
         // Keep the canonical edge list in step: adds append, removals
         // delete one matching occurrence (either orientation on an
         // undirected graph). The splice already proved each removal has
@@ -346,7 +381,7 @@ impl VersionedGraph {
                 .expect("splice validated every removal");
             self.edges.swap_remove(at);
         }
-        self.graph = new_graph;
+        self.graph = next;
         self.version += 1;
         Ok(self.version)
     }
@@ -492,6 +527,15 @@ mod tests {
         assert_eq!(vg.graph().instance_id(), before_id);
         assert_eq!(*vg.features(), before_features);
         assert_eq!(vg.edges(), [(0, 1)]);
+        // The shared step refuses a valid feature row beside a missing
+        // edge before it writes a row into the caller's features.
+        let mut features = before_features.clone();
+        let delta = GraphDelta::new().set_feature_row(0, vec![5.0; 3]).remove_edge(1, 2);
+        assert_eq!(
+            delta.apply_to(vg.graph(), &mut features, true),
+            Err(DeltaError::MissingEdge { u: 1, v: 2 })
+        );
+        assert_eq!(features, before_features);
     }
 
     #[test]

@@ -148,7 +148,8 @@ impl Matrix {
     /// unspecified (a mix of retained old data and zeros) — this is the
     /// buffer-recycling primitive for write-into kernels that overwrite
     /// every entry (e.g. `NormalizedAdjacency::apply_into` in
-    /// `blockgnn-gnn`), not a semantic resize.
+    /// `blockgnn-gnn`), not a semantic resize. The one exception: growing
+    /// `rows` at an unchanged `cols` keeps every existing row.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;

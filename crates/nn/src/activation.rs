@@ -22,8 +22,6 @@ pub enum Activation {
         /// Negative-side scale.
         f64,
     ),
-    /// Hyperbolic tangent.
-    Tanh,
 }
 
 impl Activation {
@@ -40,7 +38,6 @@ impl Activation {
                     a * (x.exp() - 1.0)
                 }
             }
-            Activation::Tanh => x.tanh(),
         }
     }
 
@@ -63,7 +60,6 @@ impl Activation {
                     y + a
                 }
             }
-            Activation::Tanh => 1.0 - y * y,
         }
     }
 }
@@ -196,11 +192,6 @@ named_activation!(
     Elu,
     Activation::Elu(1.0)
 );
-named_activation!(
-    /// Tanh layer.
-    Tanh,
-    Activation::Tanh
-);
 
 #[cfg(test)]
 mod tests {
@@ -212,13 +203,11 @@ mod tests {
         assert_eq!(Activation::Relu.apply(3.0), 3.0);
         assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
         assert!((Activation::Elu(1.0).apply(-1.0) - (1.0f64.exp().recip() - 1.0)).abs() < 1e-9);
-        assert_eq!(Activation::Tanh.apply(0.0), 0.0);
     }
 
     #[test]
     fn derivatives_match_finite_differences() {
-        let kinds =
-            [Activation::Relu, Activation::Sigmoid, Activation::Elu(1.0), Activation::Tanh];
+        let kinds = [Activation::Relu, Activation::Sigmoid, Activation::Elu(1.0)];
         let eps = 1e-6;
         for kind in kinds {
             for &x in &[-2.0, -0.5, 0.3, 1.7] {
@@ -250,6 +239,5 @@ mod tests {
         let _ = Relu::default();
         let _ = Sigmoid::default();
         let _ = Elu::default();
-        let _ = Tanh::default();
     }
 }

@@ -42,7 +42,7 @@ pub mod loss;
 pub mod optim;
 pub mod param;
 
-pub use activation::{Activation, Elu, Relu, Sigmoid, Tanh};
+pub use activation::{Activation, Elu, Relu, Sigmoid};
 pub use circulant::CirculantDense;
 pub use dense::Dense;
 pub use error::NnError;

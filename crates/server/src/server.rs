@@ -16,8 +16,8 @@
 //!
 //! Every tenant owns a pool of [`Engine::fork`] replicas (prepared
 //! weights and versioned graph state are `Arc`-shared, and each graph
-//! epoch carries its own full-graph logits, hot rows and — for an
-//! engine widened with [`Engine::into_parallel`] — partition plan); a
+//! epoch carries its own full-graph logits and — for an engine widened
+//! with [`Engine::into_parallel`] — partition plan); a
 //! worker checks one out per batch, so any worker can serve any tenant
 //! and tenants with no traffic cost nothing. Graph updates ([`Server::apply_delta`], `update@tenant`)
 //! swap the addressed tenant's shared snapshot **between micro-batches**
@@ -223,11 +223,6 @@ const TENANT_FAMILIES: &[Metric<ServerStats, Option<f64>>] = &[
         "Partition load-balance factor of the tenant's full-graph plan \
          (max part work / mean part work; 1.0 is perfect)",
         |s| (s.part_balance > 0.0).then_some(s.part_balance),
-    ),
-    (
-        "blockgnn_hot_rows_served_total",
-        "Stage rows served from the hot-vertex aggregation cache",
-        |s| Some(s.serve.hot_rows_served as f64),
     ),
 ];
 

@@ -280,11 +280,7 @@ impl ServerStats {
                 " workers_alive={} worker_crashes={} restarts={} degraded={}",
                 self.workers_alive, self.worker_crashes, self.restarts, self.degraded
             );
-            let _ = write!(
-                line,
-                " hot_rows={} part_balance={:.2}",
-                self.serve.hot_rows_served, self.part_balance
-            );
+            let _ = write!(line, " part_balance={:.2}", self.part_balance);
             for (class, rollup) in &self.classes {
                 let _ = write!(line, " class={}:{}", class.name(), rollup.summary_fields());
             }

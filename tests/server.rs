@@ -579,7 +579,7 @@ fn interleaved_updates_and_inference_replay_bit_identically() {
     let mut published = published.into_inner().unwrap();
     published.sort_by_key(|(v, _)| *v);
     // Published versions are exactly 1..=N: every update bumped by one,
-    // serialized on the master lock.
+    // serialized on the writer lock.
     let max_version = published.len() as u64;
     for (i, (v, _)) in published.iter().enumerate() {
         assert_eq!(*v, i as u64 + 1, "versions must be contiguous");

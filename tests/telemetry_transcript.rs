@@ -116,12 +116,12 @@ fn scene() -> Server {
     server
 }
 
-const STATS: &str = "requests=8 completed=5 failed=1 shed_overload=1 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=5 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=1.02 class=gold:requests=5:completed=3:failed=0:shed=2:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=* class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* tenants=3 tenant=default:w=1:requests=4:completed=2:failed=1:shed=1:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=tiny:w=1:requests=3:completed=2:failed=0:shed=1:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=traffic:w=1:requests=1:completed=1:failed=0:shed=0:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=*";
+const STATS: &str = "requests=8 completed=5 failed=1 shed_overload=1 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=5 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=1.02 class=gold:requests=5:completed=3:failed=0:shed=2:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=* class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* tenants=3 tenant=default:w=1:requests=4:completed=2:failed=1:shed=1:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=tiny:w=1:requests=3:completed=2:failed=0:shed=1:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=traffic:w=1:requests=1:completed=1:failed=0:shed=0:version=0:updates=0:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=*";
 
 const STATS_AT: &[(&str, &str)] = &[
-    ("default", "requests=4 completed=2 failed=1 shed_overload=0 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=1.02 class=gold:requests=2:completed=1:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=*"),
-    ("tiny", "requests=3 completed=2 failed=0 shed_overload=1 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=gold:requests=3:completed=2:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=*"),
-    ("traffic", "requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
+    ("default", "requests=4 completed=2 failed=1 shed_overload=0 shed_deadline=1 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=1 updates=1 failed_updates=1 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=1.02 class=gold:requests=2:completed=1:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=* class=silver:requests=2:completed=1:failed=1:shed=0:p50_us=*:p95_us=*:p99_us=*"),
+    ("tiny", "requests=3 completed=2 failed=0 shed_overload=1 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=2 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=0.00 class=gold:requests=3:completed=2:failed=0:shed=1:p50_us=*:p95_us=*:p99_us=*"),
+    ("traffic", "requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=1.00 deduped=0 version=0 updates=0 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
 ];
 
 const METRICS: &str = r##"# HELP blockgnn_uptime_seconds Seconds since the server started
@@ -193,11 +193,6 @@ blockgnn_tenant_queue_depth{tenant="traffic"} 0
 # HELP blockgnn_partition_balance Partition load-balance factor of the tenant's full-graph plan (max part work / mean part work; 1.0 is perfect)
 # TYPE blockgnn_partition_balance gauge
 blockgnn_partition_balance{tenant="default"} 1.024885915932088
-# HELP blockgnn_hot_rows_served_total Stage rows served from the hot-vertex aggregation cache
-# TYPE blockgnn_hot_rows_served_total counter
-blockgnn_hot_rows_served_total{tenant="default",backend="dense"} 0
-blockgnn_hot_rows_served_total{tenant="tiny",backend="dense"} 0
-blockgnn_hot_rows_served_total{tenant="traffic",backend="spectral"} 0
 # HELP blockgnn_class_requests_total Requests offered per SLO class
 # TYPE blockgnn_class_requests_total counter
 blockgnn_class_requests_total{tenant="default",class="gold"} 2

@@ -7,7 +7,7 @@
 //! regressions: a cached-then-mutated graph cannot serve stale GCN `Â`
 //! normalization, a stale sampled interning, or a stale full-graph
 //! logits cache. Engines widened with `into_parallel` are held to the
-//! same standard — plan, hot rows and sharded sampled executions follow
+//! same standard — plan and sharded sampled executions follow
 //! the version — including under a concurrent writer, and a panicked
 //! full-graph pass must not wedge later updates.
 
@@ -313,6 +313,9 @@ fn rejected_deltas_leave_the_version_and_graph_untouched() {
     let dataset = Arc::new(small_dataset(50));
     let engine = engine_on(ModelKind::Gcn, BackendKind::Dense, Arc::clone(&dataset));
     let n = dataset.num_nodes();
+    // Rejections are checked against a derived epoch, not only the built one.
+    engine.apply_delta(&GraphDelta::new().add_edge(0, n - 1)).expect("applies");
+    let derived = engine.dataset();
     assert_eq!(
         engine.apply_delta(&GraphDelta::new()),
         Err(EngineError::Delta(DeltaError::EmptyDelta))
@@ -325,8 +328,17 @@ fn rejected_deltas_leave_the_version_and_graph_untouched() {
         engine.apply_delta(&GraphDelta::new().remove_edge(0, 0)),
         Err(EngineError::Delta(DeltaError::MissingEdge { .. }))
     ));
-    assert_eq!(engine.version(), 0, "failed deltas must not bump the version");
-    assert_eq!(engine.dataset().graph, dataset.graph, "or touch the adjacency");
+    // A valid feature row beside a missing edge: nothing of it may stick.
+    let row = vec![0.5; dataset.feature_dim()];
+    assert!(matches!(
+        engine.apply_delta(&GraphDelta::new().set_feature_row(1, row).remove_edge(0, 0)),
+        Err(EngineError::Delta(DeltaError::MissingEdge { .. }))
+    ));
+    assert_eq!(engine.version(), 1, "failed deltas must not bump the version");
+    assert_eq!(engine.dataset().graph, derived.graph, "or touch the adjacency");
+    let bits =
+        |d: &Dataset| d.features.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&engine.dataset()), bits(&derived), "or the features");
 }
 
 #[test]
@@ -448,9 +460,8 @@ impl GnnModel for FusedModel {
 fn a_panicked_full_graph_pass_does_not_wedge_updates() {
     // The full-graph pass runs under the logits-cache lock, so a model
     // panic there (which the serving runtime's `catch_unwind` survives)
-    // poisons it. Updates take the same lock while holding the master
-    // lock: unless poison is recovered, the next update panics, poisons
-    // the master too, and every later update panics forever.
+    // poisons it. Updates and later passes must recover that poison, or
+    // the engine stays wedged for good.
     let dataset = Arc::new(small_dataset(80));
     let model = |seed| {
         build_model(
@@ -547,14 +558,12 @@ fn widened_engines_match_fresh_rebuilds_under_deltas() {
                 let cold = engine.session().infer(&all).expect("widened serves");
                 assert_eq!(cold.graph_version, version, "{what}: reported version");
                 assert!(cold.parts >= 3, "{what}: the pass ran the plan");
-                assert_eq!(cold.hot_rows, 0, "{what}: no pre-delta row may be served");
                 assert_logits_bit_identical(&cold.logits, &want.logits, &what);
 
                 engine.clear_full_graph_cache();
-                let warm = engine.session().infer(&all).expect("widened serves");
-                assert_eq!(warm.graph_version, version, "{what}: reported version");
-                assert!(warm.hot_rows > 0, "{what}: this version's hub rows are reused");
-                assert_logits_bit_identical(&warm.logits, &want.logits, &what);
+                let repeated = engine.session().infer(&all).expect("widened serves");
+                assert_eq!(repeated.graph_version, version, "{what}: reported version");
+                assert_logits_bit_identical(&repeated.logits, &want.logits, &what);
 
                 let request = wide_sampled(mirror.versioned.num_nodes(), step);
                 let got = engine.session().infer(&request).expect("widened serves");

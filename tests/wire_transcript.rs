@@ -357,8 +357,8 @@ const VALID: &[(&str, &str)] = &[
     ("update add=0:5", "ok update tenant=default version=1 nodes=680 arcs=5282"),
     ("update@traffic add=1:2", "ok update tenant=traffic version=1 nodes=830 arcs=2362"),
     ("infer full 0,1", "ok rows=2 cols=7 queue_us=* compute_us=* from_cache=0 parts=1 batch=1 version=1 tenant=default cycles=0 energy=none trace=* preds=4,3 logits=3f4f355385c9f02a,bf61a435b1183d4c,3f623839aa9fc7e4,3f656a752b955646,3f67f0f0566eeac7,bf6c70aca902652d,bf5fce889479f54e;3f55d5a656fe06a6,3f5689d24fbf6a58,bf6bc03455604488,3f6735f13d6ba8e3,bf5a139a78a0d545,bf78c75f937de2af,bf65c04b2f229278"),
-    ("stats", "ok stats requests=5 completed=5 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=5 mean_batch=* deduped=0 version=1 updates=2 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=gold:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* class=silver:requests=3:completed=3:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* tenants=2 tenant=default:w=1:requests=4:completed=4:failed=0:shed=0:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=traffic:w=1:requests=1:completed=1:failed=0:shed=0:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=*"),
-    ("stats@traffic", "ok stats requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=* deduped=0 version=1 updates=1 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false hot_rows=0 part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
+    ("stats", "ok stats requests=5 completed=5 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=5 mean_batch=* deduped=0 version=1 updates=2 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=0.00 class=gold:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* class=silver:requests=3:completed=3:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=* tenants=2 tenant=default:w=1:requests=4:completed=4:failed=0:shed=0:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=* tenant=traffic:w=1:requests=1:completed=1:failed=0:shed=0:version=1:updates=1:depth=0:qps=*:p50_us=*:p95_us=*:p99_us=*"),
+    ("stats@traffic", "ok stats requests=1 completed=1 failed=0 shed_overload=0 shed_deadline=0 qps=* p50_us=* p95_us=* p99_us=* mean_queue_us=* mean_compute_us=* batches=1 mean_batch=* deduped=0 version=1 updates=1 failed_updates=0 workers_alive=1 worker_crashes=0 restarts=0 degraded=false part_balance=0.00 class=bronze:requests=1:completed=1:failed=0:shed=0:p50_us=*:p95_us=*:p99_us=*"),
     ("deploy scratch=cora-small:gcn:dense weight=2", "ok deploy tenant=scratch model=gcn backend=dense version=0 nodes=680 weight=2 resident=524320"),
     ("list", "ok list tenants=3 default:gcn:dense:1:680:1:0:523280 scratch:gcn:dense:0:680:2:0:524320 traffic:gs-pool:dense:1:830:1:0:852960"),
     ("retire scratch", "ok retire tenant=scratch requests=0 completed=0 shed=0"),
