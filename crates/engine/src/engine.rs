@@ -214,10 +214,10 @@ impl EngineBuilder {
 /// updates in the same total order.
 ///
 /// As built, an engine runs every execution on one backend. Widening it
-/// with [`Engine::into_parallel`] changes *how* it executes — full-graph
-/// passes and large sampled universes are sharded over a §IV-C
-/// partition plan — and nothing else: same sessions, same coalescing,
-/// same deltas, bit-identical answers.
+/// with [`Engine::into_parallel`] changes *how* its full-graph passes
+/// execute — sharded over a §IV-C partition plan — and nothing else:
+/// same sampled path, same sessions, same coalescing, same deltas,
+/// bit-identical answers.
 pub struct Engine {
     /// Versioned graph state shared across the engine family (see
     /// [`crate::versioned`]): the current epoch with its caches, and the
@@ -523,15 +523,16 @@ impl Engine {
                 // The execution returns the request's rows, in request
                 // order: nothing is left to scatter.
                 let rows = crate::request::sampled_rows(sub, &requests[*i].nodes);
-                let (out, execute_time, parts) =
-                    self.execute_graph(&sub.graph, &local_features, &rows, shape);
-                timings.add("execute", execute_time);
+                let execute_start = Instant::now();
+                let out =
+                    self.workers[0].execute(&sub.graph, &local_features, Some(&rows), shape);
+                timings.add("execute", execute_start.elapsed());
                 outcomes[*i] = Some(Ok(ExecOutcome {
                     logits: out.logits,
                     sim: out.sim,
                     energy_joules: out.energy_joules,
                     from_cache: false,
-                    parts,
+                    parts: 1,
                     batch_size,
                     graph_version: epoch.version,
                 }));
@@ -561,9 +562,14 @@ impl Engine {
                         merged.target_rows(block, sub, &requests[*i].nodes)
                     })
                     .collect();
-                let (out, execute_time, parts) =
-                    self.execute_graph(&merged.graph, &merged_features, &rows, shape);
-                timings.add("execute", execute_time);
+                let execute_start = Instant::now();
+                let out = self.workers[0].execute(
+                    &merged.graph,
+                    &merged_features,
+                    Some(&rows),
+                    shape,
+                );
+                timings.add("execute", execute_start.elapsed());
                 let scatter_start = Instant::now();
                 let feature_dim = epoch.dataset.feature_dim();
                 let mut first = 0;
@@ -582,7 +588,7 @@ impl Engine {
                         sim,
                         energy_joules,
                         from_cache: false,
-                        parts,
+                        parts: 1,
                         batch_size,
                         graph_version: epoch.version,
                     }));

@@ -26,8 +26,8 @@
 //!   [`InferResponse`] reports the [`InferResponse::graph_version`] it
 //!   was served from. [`GraphHandle`] applies deltas without owning an
 //!   engine replica (what the serving runtime holds).
-//! * [`Engine::into_parallel`] — partition-parallel execution (§IV-C)
-//!   of the *same* engine: the graph is split into memory-budgeted
+//! * [`Engine::into_parallel`] — partition-parallel full-graph passes
+//!   (§IV-C) on the *same* engine: the graph is split into memory-budgeted
 //!   [`blockgnn_graph::GraphPart`]s, one forked backend per worker
 //!   thread executes the model's row-parallel stages over its parts
 //!   (prepared weights `Arc`-shared), and per-part logits merge
@@ -77,7 +77,7 @@ mod versioned;
 pub use backend::BackendKind;
 pub use engine::{CoalescedOutcome, Engine, EngineBuilder, Session, StageTiming};
 pub use error::EngineError;
-pub use parallel::{DEFAULT_MIN_SHARD_ROWS, DEFAULT_PART_BUDGET_BYTES};
+pub use parallel::DEFAULT_PART_BUDGET_BYTES;
 pub use request::{
     assemble_response, validate_request, ExecOutcome, InferRequest, InferResponse, RequestMode,
     PAPER_FANOUTS,

@@ -1,5 +1,5 @@
-//! Partition-parallel execution: how one [`Engine`] runs a graph across
-//! worker threads.
+//! Partition-parallel execution: how one [`Engine`] runs a full-graph
+//! pass across worker threads.
 //!
 //! §IV-C partitions graphs that exceed the accelerator's memory into
 //! sub-graphs processed independently — partitioning is *how one
@@ -14,10 +14,11 @@
 //! graphs stop handing one worker all the hubs — running the model's
 //! row-parallel inference stages over a [`std::thread::scope`] pool with
 //! a barrier between stages. Sampled executions (solo or a coalesced
-//! batch's merged universe) with at least [`DEFAULT_MIN_SHARD_ROWS`]
-//! unique targets are sharded the same way. Everything else about the
-//! engine — sessions, coalescing, forks, graph deltas — is unchanged,
-//! and a one-worker engine never builds or touches any of this.
+//! batch's merged universe) are what the paper serves on one
+//! accelerator, and they run on the first replica exactly as on a
+//! one-worker engine. Everything else about the engine — sessions,
+//! coalescing, forks, graph deltas — is unchanged, and a one-worker
+//! engine never builds or touches any of this.
 //!
 //! The plan is a pure function of (graph version, worker count), so it
 //! lives on its epoch, one per worker count: the first pass that
@@ -56,24 +57,15 @@ use blockgnn_accel::SimReport;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
 };
-use blockgnn_graph::{CompressedCsr, CsrGraph, Dataset};
+use blockgnn_graph::{CsrGraph, Dataset};
 use blockgnn_linalg::Matrix;
 use blockgnn_perf::resources::NODE_FEATURE_BUFFER_BYTES;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Per-part feature-residency budget: one bank of the §IV-B
 /// Node-Feature Buffer (the 512 KB NFB is a ping-pong pair, so half is
 /// usable while the other half is being filled by DMA).
 pub const DEFAULT_PART_BUDGET_BYTES: usize = NODE_FEATURE_BUFFER_BYTES / 2;
-
-/// Sampled executions with at least this many unique target nodes are
-/// sharded across workers; smaller micro-batches run on one worker
-/// (their sub-universes are too small to amortize the fan-out). The
-/// threshold is compared against the **unique** target count (the
-/// sampled sub-universe's interned batch length), not the raw request
-/// length — a request of 100 duplicates of one node is a 1-row batch.
-pub const DEFAULT_MIN_SHARD_ROWS: usize = 32;
 
 /// How a widened engine executes one graph version's full-graph pass.
 #[derive(Debug)]
@@ -89,8 +81,8 @@ impl Engine {
     /// backend is forked until there is one replica per worker (forks
     /// share the prepared weights and cached spectra behind `Arc`s, so
     /// this is cheap in memory), and full-graph passes from now on run
-    /// the partition plan — the smallest degree-balanced split that is
-    /// at least `workers` parts **and** fits every part's resident
+    /// the partition plan — a degree-balanced split that is at least
+    /// `workers` parts **and** fits every part's resident
     /// features (targets + one-hop halo, at the backend's
     /// [`crate::BackendKind::bytes_per_feature`] scalar width) in
     /// [`DEFAULT_PART_BUDGET_BYTES`]. The plan follows the graph
@@ -176,18 +168,16 @@ impl Engine {
         let plan = self.plan_for(&epoch);
         let peak_part =
             plan.parts.iter().map(|p| p.feature_bytes(width, bytes)).max().unwrap_or(0);
-        let adjacency = CompressedCsr::encode(&epoch.dataset.graph).resident_bytes();
-        self.weight_bytes() + adjacency + peak_part
+        self.weight_bytes() + epoch.dataset.graph.compressed_adjacency_bytes() + peak_part
     }
 
     /// On-device bytes of the current version's adjacency in the
-    /// delta-varint [`CompressedCsr`] layout big graphs are accounted
-    /// (and shipped) in; compare against
-    /// [`blockgnn_graph::CsrGraph::adjacency_bytes`] for the
-    /// compression win.
+    /// delta-varint layout big graphs are accounted in
+    /// ([`CsrGraph::compressed_adjacency_bytes`]); compare against
+    /// [`CsrGraph::adjacency_bytes`] for the compression win.
     #[must_use]
     pub fn compressed_adjacency_bytes(&self) -> usize {
-        CompressedCsr::encode(&self.shared.epoch().dataset.graph).resident_bytes()
+        self.shared.epoch().dataset.graph.compressed_adjacency_bytes()
     }
 
     /// Does nothing: widened engines keep no hot-vertex cache, so every
@@ -234,13 +224,12 @@ impl Engine {
 
     /// Partitions `graph` into degree-balanced parts: at least one per
     /// worker, all fitting [`DEFAULT_PART_BUDGET_BYTES`] at
-    /// [`Engine::plan_width`]. Applied to the full graph once per
-    /// version and to each sharded sampled sub-universe — a per-request
-    /// cost, so `k` is found by geometric escalation from the halo-free
-    /// pigeonhole bound (a bounded number of partition passes) rather
-    /// than the exact-smallest-`k` linear scan of
-    /// [`blockgnn_graph::partition::parts_needed_for_budget`]; budget
-    /// fit, not minimality, is what the serving path needs.
+    /// [`Engine::plan_width`]. Runs once per graph version. `k` is found
+    /// by geometric escalation from the halo-free pigeonhole bound, not
+    /// by the exact-smallest-`k` scan of
+    /// [`blockgnn_graph::partition::parts_needed_for_budget`]: the
+    /// search decides the cuts, so changing it would move every plan
+    /// and the [`Engine::partition_balance`] that telemetry reports.
     fn plan_parts(&self, graph: &CsrGraph, feature_dim: usize) -> Vec<GraphPart> {
         let n = graph.num_nodes().max(1);
         let width = self.plan_width(feature_dim);
@@ -284,48 +273,12 @@ impl Engine {
         );
         (BackendOutput { logits, sim, energy_joules }, plan.parts.len())
     }
-
-    /// Executes one sampled computation graph (a request's sub-universe
-    /// or a coalesced batch's merged universe), returning its logits at
-    /// `rows` (one output row per entry, in order), the execution's
-    /// wall-clock time and the parts it ran as. The one place that
-    /// decides shard-or-not, from what it can observe: a widened engine
-    /// shards executions of at least [`DEFAULT_MIN_SHARD_ROWS`] unique
-    /// targets over a per-execution plan (every stage over every row,
-    /// `rows` read off the merged result); everything else runs on one
-    /// worker, the last stage at `rows` only
-    /// ([`GnnModel::forward_at`](blockgnn_gnn::GnnModel::forward_at)).
-    /// The hardware charge is the monolithic one, the cycle model being
-    /// a pure function of `shape`.
-    pub(crate) fn execute_graph(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        rows: &[u32],
-        shape: RequestShape,
-    ) -> (BackendOutput, Duration, usize) {
-        let start = Instant::now();
-        if self.workers.len() == 1 || shape.target_nodes < DEFAULT_MIN_SHARD_ROWS {
-            let out = self.workers[0].execute(graph, features, Some(rows), shape);
-            return (out, start.elapsed(), 1);
-        }
-        let parts = self.plan_parts(graph, features.cols());
-        let merged = run_staged(&mut self.workers, graph, features, &parts);
-        let (sim, energy_joules) = self.workers[0].charge(features.cols(), shape).unzip();
-        let logits = merged.gather_rows(rows.iter().map(|&row| row as usize));
-        let out = BackendOutput { logits, sim, energy_joules };
-        (out, start.elapsed(), parts.len())
-    }
 }
 
 /// Executes the model's inference stages over `parts`, fanning each
 /// stage's parts out to the worker pool and merging the output rows
 /// (row-aligned by global node id) before the next stage starts; returns
 /// the last stage's merged matrix.
-///
-/// Degenerate plans skip the thread pool entirely: one part (nothing to
-/// fan out) or one worker (nothing to fan out *to*) runs inline on the
-/// caller thread, paying neither spawn nor merge-barrier overhead.
 fn run_staged(
     workers: &mut [Backend],
     graph: &CsrGraph,
@@ -336,61 +289,54 @@ fn run_staged(
     let num_workers = workers.len();
     let num_stages = workers[0].model.num_stages();
     let feature_dim = features.cols();
-    let inline = parts.len() == 1 || num_workers == 1;
     let mut merged: Option<Matrix> = None;
     for stage in 0..num_stages {
         let width = workers[0].model.stage_width(stage, feature_dim);
         let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
-        if inline {
-            let model = &mut workers[0].model;
-            model.prepare_graph(graph);
-            for part in parts {
-                let result = model.forward_stage(stage, graph, input, &part.nodes);
-                for (i, &v) in part.nodes.iter().enumerate() {
-                    out.row_mut(v as usize).copy_from_slice(result.row(i));
+        std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(num_workers);
+            for (w, backend) in workers.iter_mut().enumerate() {
+                // Round-robin assignment: degree-balanced parts are
+                // near-equal in work, so stride-W interleaving balances
+                // the load.
+                let assigned: Vec<&[u32]> = parts
+                    .iter()
+                    .skip(w)
+                    .step_by(num_workers)
+                    .map(|part| part.nodes.as_slice())
+                    .collect();
+                if assigned.is_empty() {
+                    continue;
+                }
+                handles.push(scope.spawn(move || {
+                    // Per-graph precomputation happens inside the worker
+                    // (in parallel, not serially on the caller thread);
+                    // it is idempotent, so later stages hit a warm cache.
+                    let model = &mut backend.model;
+                    model.prepare_graph(graph);
+                    assigned
+                        .into_iter()
+                        .map(|rows| (rows, model.forward_stage(stage, graph, input, rows)))
+                        .collect::<Vec<_>>()
+                }));
+            }
+            for handle in handles {
+                // A worker's panic is the model's: re-raise its own
+                // payload, so the caller's fault domain sees that panic
+                // rather than a second one raised by the join.
+                let results = handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                for (rows, result) in results {
+                    for (i, &v) in rows.iter().enumerate() {
+                        out.row_mut(v as usize).copy_from_slice(result.row(i));
+                    }
                 }
             }
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(num_workers);
-                for (w, backend) in workers.iter_mut().enumerate() {
-                    // Round-robin assignment: degree-balanced parts are
-                    // near-equal in work, so stride-W interleaving
-                    // balances the load.
-                    let assigned: Vec<&[u32]> = parts
-                        .iter()
-                        .skip(w)
-                        .step_by(num_workers)
-                        .map(|part| part.nodes.as_slice())
-                        .collect();
-                    if assigned.is_empty() {
-                        continue;
-                    }
-                    handles.push(scope.spawn(move || {
-                        // Per-graph precomputation happens inside the
-                        // worker (in parallel, not serially on the caller
-                        // thread); it is idempotent, so later stages hit
-                        // a warm cache.
-                        let model = &mut backend.model;
-                        model.prepare_graph(graph);
-                        assigned
-                            .into_iter()
-                            .map(|rows| (rows, model.forward_stage(stage, graph, input, rows)))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for handle in handles {
-                    for (rows, result) in handle.join().expect("worker thread panicked") {
-                        for (i, &v) in rows.iter().enumerate() {
-                            out.row_mut(v as usize).copy_from_slice(result.row(i));
-                        }
-                    }
-                }
-            });
-        }
+        });
         merged = Some(out);
     }
+    // Unreachable: `GnnModel::num_stages` is at least one (the last stage
+    // produces the logits), so the loop above ran and set `merged`.
     merged.expect("models have at least one stage")
 }
 

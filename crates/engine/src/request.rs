@@ -102,8 +102,9 @@ pub struct InferResponse {
     /// Whether the logits were served from the engine's full-graph cache.
     pub from_cache: bool,
     /// Number of graph parts executed to answer this request: 0 on cache
-    /// hits, 1 on unpartitioned execution, and the partition size `k`
-    /// when a widened engine sharded the computation (§IV-C).
+    /// hits, 1 on unpartitioned execution (every sampled one), and the
+    /// partition size `k` when a widened engine ran a full-graph pass
+    /// (§IV-C).
     pub parts: usize,
     /// Number of requests coalesced into the execution that answered
     /// this one (1 when served alone).

@@ -162,7 +162,8 @@ pub struct ServeStats {
     /// Simulated accelerator energy in joules (fresh executions only).
     pub simulated_energy_joules: f64,
     /// Graph parts executed across all requests (0 per cache hit, 1 per
-    /// unpartitioned execution, `k` per partition-parallel execution).
+    /// unpartitioned execution, `k` per partition-parallel full-graph
+    /// pass).
     pub parts_executed: usize,
 }
 

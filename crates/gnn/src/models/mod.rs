@@ -150,7 +150,8 @@ pub trait GnnModel: Send {
     /// called. Models without per-graph precomputation ignore it.
     fn prepare_graph(&mut self, _graph: &CsrGraph) {}
 
-    /// Number of row-parallel inference stages (see the trait docs).
+    /// Number of row-parallel inference stages (see the trait docs):
+    /// at least one, since the last stage produces the logits.
     fn num_stages(&self) -> usize;
 
     /// Output width (columns) of stage `stage`, given the width of the

@@ -356,140 +356,46 @@ impl CsrGraph {
     /// Bytes the adjacency occupies in the uncompressed on-device layout
     /// the residency model assumes: a `u32` offset table of `n + 1`
     /// entries plus one `u32` per stored arc. This is the accounting
-    /// baseline [`CompressedCsr::resident_bytes`] is measured against.
+    /// baseline [`CsrGraph::compressed_adjacency_bytes`] is measured
+    /// against.
     #[must_use]
     pub fn adjacency_bytes(&self) -> usize {
         (self.num_nodes + 1) * 4 + self.targets.len() * 4
     }
-}
 
-/// Delta-encoded adjacency: per row, the first neighbor is stored as a
-/// raw LEB128 varint and each subsequent neighbor as the varint *gap*
-/// from its predecessor. Rows in a [`CsrGraph`] are sorted, so gaps are
-/// non-negative and — on the locally clustered graphs GNN workloads see
-/// — small, which makes most gap varints a single byte against the flat
-/// layout's four.
-///
-/// The encoding is lossless: [`CompressedCsr::decode`] reconstructs a
-/// graph structurally equal to the source (parallel edges encode as
-/// zero gaps and survive the round trip). The differential test harness
-/// pins this across `splice`/`block_diagonal`/partition round trips.
-///
-/// ```
-/// use blockgnn_graph::{CompressedCsr, CsrGraph};
-/// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 3)], true).unwrap();
-/// let c = CompressedCsr::encode(&g);
-/// assert_eq!(c.decode(), g);
-/// assert_eq!(c.row(0), g.neighbors(0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedCsr {
-    num_nodes: usize,
-    num_arcs: usize,
-    /// Byte offset of each row's varint run in `data` (`n + 1` entries).
-    row_offsets: Vec<usize>,
-    /// Concatenated LEB128 varints: per row, first neighbor then gaps.
-    data: Vec<u8>,
-}
-
-fn push_varint(data: &mut Vec<u8>, mut v: u32) {
-    while v >= 0x80 {
-        data.push((v & 0x7f) as u8 | 0x80);
-        v >>= 7;
-    }
-    data.push(v as u8);
-}
-
-fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
-    let mut v = 0u32;
-    let mut shift = 0u32;
-    loop {
-        let byte = data[*pos];
-        *pos += 1;
-        v |= u32::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
-}
-
-impl CompressedCsr {
-    /// Compresses a graph's column indices into the delta-varint layout.
+    /// Bytes the adjacency occupies in the delta-varint on-device layout
+    /// big graphs are accounted in: per row, the first neighbor as a
+    /// LEB128 varint and each later neighbor as the varint *gap* from
+    /// its predecessor, plus a `u32` row table of `n + 1` entries. Rows
+    /// are sorted, so gaps are non-negative (a parallel edge is a zero
+    /// gap) and, on locally clustered graphs, mostly one byte against
+    /// the flat layout's four. Only the size is modelled; nothing is
+    /// encoded.
+    ///
+    /// ```
+    /// use blockgnn_graph::CsrGraph;
+    /// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 3)], true).unwrap();
+    /// // Six one-byte varints plus a five-entry row table.
+    /// assert_eq!(g.compressed_adjacency_bytes(), 6 + 5 * 4);
+    /// ```
     #[must_use]
-    pub fn encode(graph: &CsrGraph) -> Self {
-        let mut row_offsets = Vec::with_capacity(graph.num_nodes + 1);
-        row_offsets.push(0usize);
-        let mut data = Vec::with_capacity(graph.targets.len());
-        for u in 0..graph.num_nodes {
-            let row = graph.neighbors(u);
+    pub fn compressed_adjacency_bytes(&self) -> usize {
+        let mut bytes = (self.num_nodes + 1) * 4;
+        for u in 0..self.num_nodes {
+            // The first neighbor is its own delta from zero.
             let mut prev = 0u32;
-            for (i, &v) in row.iter().enumerate() {
-                // Sorted rows make every gap non-negative; parallel
-                // edges encode as a zero gap.
-                push_varint(&mut data, if i == 0 { v } else { v - prev });
+            for &v in self.neighbors(u) {
+                bytes += varint_len(v - prev);
                 prev = v;
             }
-            row_offsets.push(data.len());
         }
-        Self { num_nodes: graph.num_nodes, num_arcs: graph.targets.len(), row_offsets, data }
+        bytes
     }
+}
 
-    /// Reconstructs the uncompressed graph. The result draws a fresh
-    /// [`CsrGraph::instance_id`] (it is a new construction) but is
-    /// structurally equal to the encoded source.
-    #[must_use]
-    pub fn decode(&self) -> CsrGraph {
-        let mut offsets = Vec::with_capacity(self.num_nodes + 1);
-        offsets.push(0usize);
-        let mut targets = Vec::with_capacity(self.num_arcs);
-        for u in 0..self.num_nodes {
-            targets.extend(self.row(u));
-            offsets.push(targets.len());
-        }
-        let id = NEXT_GRAPH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        CsrGraph { num_nodes: self.num_nodes, offsets, targets, id }
-    }
-
-    /// Decodes one row's sorted neighbor list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    #[must_use]
-    pub fn row(&self, u: usize) -> Vec<u32> {
-        assert!(u < self.num_nodes, "node {u} out of range");
-        let (mut pos, end) = (self.row_offsets[u], self.row_offsets[u + 1]);
-        let mut out = Vec::new();
-        let mut prev = 0u32;
-        while pos < end {
-            let delta = read_varint(&self.data, &mut pos);
-            let v = if out.is_empty() { delta } else { prev + delta };
-            out.push(v);
-            prev = v;
-        }
-        out
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Number of encoded arcs.
-    #[must_use]
-    pub fn num_arcs(&self) -> usize {
-        self.num_arcs
-    }
-
-    /// Bytes this adjacency occupies on device: the varint stream plus a
-    /// `u32` row-offset table (`n + 1` entries). Compare against
-    /// [`CsrGraph::adjacency_bytes`] for the compression win.
-    #[must_use]
-    pub fn resident_bytes(&self) -> usize {
-        self.data.len() + (self.num_nodes + 1) * 4
-    }
+/// LEB128 length of `v`: one byte per started 7-bit group, at least one.
+fn varint_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 #[cfg(test)]
@@ -596,52 +502,36 @@ mod tests {
     }
 
     #[test]
-    fn compressed_round_trip_is_structural_identity() {
-        let g =
-            CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (0, 5), (4, 4)], true).unwrap();
-        let c = CompressedCsr::encode(&g);
-        assert_eq!(c.num_nodes(), g.num_nodes());
-        assert_eq!(c.num_arcs(), g.num_arcs());
-        let back = c.decode();
-        assert_eq!(back, g);
-        assert_ne!(back.instance_id(), g.instance_id());
-        for u in 0..g.num_nodes() {
-            assert_eq!(c.row(u), g.neighbors(u));
-        }
-    }
-
-    #[test]
     fn compressed_empty_graph() {
+        // Just the one-entry row table.
         let g = CsrGraph::from_edges(0, &[], true).unwrap();
-        let c = CompressedCsr::encode(&g);
-        assert_eq!(c.num_nodes(), 0);
-        assert_eq!(c.num_arcs(), 0);
-        assert_eq!(c.decode(), g);
-        assert_eq!(c.resident_bytes(), 4); // just the 1-entry offset table
+        assert_eq!(g.compressed_adjacency_bytes(), 4);
     }
 
     #[test]
     fn compressed_keeps_parallel_edges_and_self_loops() {
-        // Parallel edges produce zero gaps; both occurrences must survive.
+        // Rows [0, 1, 1], [] and [2]: a self-loop is an ordinary first
+        // neighbor and a parallel edge a one-byte zero gap.
         let g = CsrGraph::from_edges(3, &[(0, 1), (0, 1), (0, 0), (2, 2)], false).unwrap();
-        let c = CompressedCsr::encode(&g);
-        assert_eq!(c.row(0), &[0, 1, 1]);
-        assert_eq!(c.decode(), g);
+        assert_eq!(g.compressed_adjacency_bytes(), 3 + 1 + 4 * 4);
     }
 
     #[test]
     fn compressed_beats_flat_layout_on_clustered_rows() {
-        // A ring's gaps are tiny, so every varint is one byte: the
-        // stream must come in well under 4 bytes/arc plus table.
+        // A ring's gaps are tiny, so nearly every varint is one byte:
+        // the stream must come in well under 4 bytes/arc plus table.
         let edges: Vec<(usize, usize)> = (0..500).map(|i| (i, (i + 1) % 500)).collect();
         let g = CsrGraph::from_edges(500, &edges, true).unwrap();
-        let c = CompressedCsr::encode(&g);
-        assert!(
-            c.resident_bytes() < g.adjacency_bytes(),
-            "compressed {} >= flat {}",
-            c.resident_bytes(),
-            g.adjacency_bytes()
-        );
+        let (compressed, flat) = (g.compressed_adjacency_bytes(), g.adjacency_bytes());
+        assert!(compressed < flat, "compressed {compressed} >= flat {flat}");
+    }
+
+    #[test]
+    fn varint_len_counts_seven_bit_groups() {
+        let cases = [(0, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (u32::MAX, 5)];
+        for (v, len) in cases {
+            assert_eq!(varint_len(v), len, "{v}");
+        }
     }
 
     #[test]
@@ -651,15 +541,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_compressed_round_trip(
-            edges in proptest::collection::vec((0usize..40, 0usize..40), 0..120)
-        ) {
-            let g = CsrGraph::from_edges(40, &edges, true).unwrap();
-            let c = CompressedCsr::encode(&g);
-            prop_assert_eq!(c.decode(), g);
-        }
-
         #[test]
         fn prop_undirected_symmetry(
             edges in proptest::collection::vec((0usize..20, 0usize..20), 0..60)

@@ -58,7 +58,7 @@ pub mod generate;
 pub mod partition;
 pub mod sample;
 
-pub use csr::{CompressedCsr, CsrGraph, GraphError};
+pub use csr::{CsrGraph, GraphError};
 pub use dataset::{Dataset, DatasetSpec, SplitMasks};
 pub use delta::{DeltaError, GraphDelta, VersionedGraph};
 pub use partition::{GraphPart, PartitionError};

@@ -70,13 +70,13 @@
 //! To serve a *trained* model, train it first and hand it to
 //! [`EngineBuilder::build_with_model`]; see `examples/recommendation.rs`.
 //!
-//! For full-graph or large sampled workloads on a multi-core host,
-//! widen the engine ([`Engine::into_parallel`]): the graph is sharded
-//! into §IV-C [`graph::GraphPart`]s and executed by a worker-thread
-//! pool over `Arc`-shared prepared weights, with logits bit-identical
-//! to the one-worker path. It is still the same [`Engine`] — sessions,
-//! [`Engine::apply_delta`], [`Engine::fork`] and the [`Server`] work on
-//! it unchanged.
+//! For full-graph passes on a multi-core host, widen the engine
+//! ([`Engine::into_parallel`]): the graph is sharded into §IV-C
+//! [`graph::GraphPart`]s and executed by a worker-thread pool over
+//! `Arc`-shared prepared weights, with logits bit-identical to the
+//! one-worker path. Sampled requests run on one worker, as before. It
+//! is still the same [`Engine`] — sessions, [`Engine::apply_delta`],
+//! [`Engine::fork`] and the [`Server`] work on it unchanged.
 //!
 //! ```
 //! use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};

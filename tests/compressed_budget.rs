@@ -1,15 +1,16 @@
-//! The compressed-CSR payoff, end to end: a graph 16× the pubmed-small
+//! The §IV-C residency model, end to end: a graph 16× the pubmed-small
 //! stand-in must *serve* — correctly, partition-parallel — while its
-//! instantaneous device residency (packed weights + compressed
-//! adjacency + one streamed part's feature window) stays inside the
-//! §IV-B on-chip budget, where the flat u32 adjacency provably would
-//! not fit. This is the acceptance gate for the delta-varint layout:
-//! not that it is smaller in the abstract, but that it is the thing
-//! that makes a ≥10×-pubmed graph servable at all.
+//! modelled instantaneous device residency (packed weights +
+//! delta-varint adjacency + one streamed part's feature window) stays
+//! inside the §IV-B on-chip budget, where the flat u32 adjacency would
+//! not fit. The adjacency term is a byte count
+//! ([`CsrGraph::compressed_adjacency_bytes`]); no kernel reads a
+//! compressed row. Its numbers are pinned, so a drift in the residency
+//! model fails here.
 
 use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};
 use blockgnn::gnn::ModelKind;
-use blockgnn::graph::{Dataset, DatasetSpec};
+use blockgnn::graph::{CsrGraph, Dataset, DatasetSpec};
 use blockgnn::nn::Compression;
 use blockgnn::perf::resources::{NODE_FEATURE_BUFFER_BYTES, WEIGHT_BUFFER_BYTES};
 use std::sync::Arc;
@@ -50,6 +51,8 @@ fn sixteen_x_pubmed_serves_inside_the_device_budget_only_when_compressed() {
     // The compression win is real on this graph…
     let flat = ds.graph.adjacency_bytes();
     let packed = parallel.compressed_adjacency_bytes();
+    assert_eq!(packed, ds.graph.compressed_adjacency_bytes());
+    assert_eq!((packed, flat), (413_022, 693_124), "the adjacency size model moved");
     assert!(
         packed < flat,
         "delta-varint adjacency ({packed} B) must undercut the flat u32 layout ({flat} B)"
@@ -58,6 +61,7 @@ fn sixteen_x_pubmed_serves_inside_the_device_budget_only_when_compressed() {
     // …and it is exactly what brings residency inside the budget: with
     // the flat adjacency swapped in, the same accounting blows it.
     let resident = parallel.device_resident_bytes();
+    assert_eq!(resident, 618_694, "the residency model moved");
     assert!(
         resident <= DEVICE_BUDGET_BYTES,
         "compressed residency ({resident} B) must fit the §IV-B budget \
@@ -101,4 +105,25 @@ fn per_part_feature_windows_respect_the_streaming_budget() {
         assert!(part.feature_bytes(width, bytes) <= budget, "part window exceeds budget");
     }
     assert!(parallel.partition_balance() >= 1.0);
+}
+
+#[test]
+fn resident_bytes_accounts_the_row_table_and_payload() {
+    // The accounting contract the §IV-B budget check leans on: the
+    // compressed footprint is the varint payload plus a u32 row table,
+    // and on gap-friendly (locally clustered) graphs it undercuts the
+    // flat u32 adjacency. 2 676 bytes: a 401-entry row table, then per
+    // row a first-neighbor varint (two bytes once the id reaches 128)
+    // and a one-byte gap of 2 (two bytes in rows 0 and 399, gap 398).
+    let ring: Vec<(usize, usize)> = (0..400).map(|u| (u, (u + 1) % 400)).collect();
+    let graph = CsrGraph::from_edges(400, &ring, true).expect("builds");
+    let compressed = graph.compressed_adjacency_bytes();
+    assert_eq!(compressed, 2_676, "the adjacency size model moved");
+    assert!(compressed >= (graph.num_nodes() + 1) * 4);
+    assert!(
+        compressed < graph.adjacency_bytes(),
+        "ring adjacency should compress well below the flat layout \
+         ({compressed} vs {} bytes)",
+        graph.adjacency_bytes()
+    );
 }

@@ -1,8 +1,9 @@
-//! Partition-parallel serving parity: sharded full-graph (and sampled)
-//! inference must reproduce the single-threaded path — bit-identically
-//! on the dense backend, within FFT tolerance on the spectral paths —
-//! for all four model kinds, including degenerate `k = 1` partitions,
-//! overlapping halos, and merged hardware reports.
+//! Partition-parallel serving parity: sharded full-graph inference must
+//! reproduce the single-threaded path bit for bit, on the dense and the
+//! spectral backends, for all four model kinds, including degenerate
+//! `k = 1` partitions, overlapping halos, and merged hardware reports.
+//! A widened engine's sampled requests run the one-worker path and are
+//! billed like it.
 
 use blockgnn::engine::{
     BackendKind, Engine, EngineBuilder, EngineError, GraphDelta, InferRequest,
@@ -12,7 +13,6 @@ use blockgnn::gnn::ModelKind;
 use blockgnn::graph::partition::partition_degree_balanced;
 use blockgnn::graph::{datasets, Dataset};
 use blockgnn::nn::Compression;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn task() -> Arc<Dataset> {
@@ -106,18 +106,26 @@ fn simulated_accel_merged_report_equals_the_sequential_report() {
     // per-node linear), and energy must sum to the sequential estimate.
     // A repeated pass (logits cache dropped) is billed like the first:
     // the accelerator has no aggregation cache, so every node costs again.
+    // A 150-target sampled request on the widened engine is charged
+    // exactly as on the one-worker engine.
     let ds = task();
     let request = InferRequest::all_nodes();
+    let sampled = InferRequest::sampled((0..150).collect::<Vec<usize>>(), 5, 3, 7);
     for kind in ModelKind::all() {
-        let sequential = engine_for(kind, BackendKind::SimulatedAccel, &ds)
-            .session()
-            .infer(&request)
-            .expect("serves");
+        let mut sequential = engine_for(kind, BackendKind::SimulatedAccel, &ds);
+        let mut session = sequential.session();
+        let full_reference = session.infer(&request).expect("serves");
+        let sampled_reference = session.infer(&sampled).expect("serves");
         let mut parallel = parallel_for(kind, BackendKind::SimulatedAccel, &ds, 4);
         let sharded = parallel.session().infer(&request).expect("serves");
         parallel.clear_full_graph_cache();
         let repeated = parallel.session().infer(&request).expect("serves");
-        for (pass, response) in [("first", sharded), ("repeated", repeated)] {
+        let widened_sampled = parallel.session().infer(&sampled).expect("serves");
+        for (pass, response, sequential) in [
+            ("first", sharded, &full_reference),
+            ("repeated", repeated, &full_reference),
+            ("sampled", widened_sampled, &sampled_reference),
+        ] {
             let what = format!("{kind} {pass} pass");
             assert!(!response.from_cache, "{what}: a real pass");
             assert_eq!(response.logits.linf_distance(&sequential.logits), 0.0, "{what} logits");
@@ -132,54 +140,6 @@ fn simulated_accel_merged_report_equals_the_sequential_report() {
             assert!((seq_e - par_e).abs() < 1e-9 * seq_e.abs().max(1.0), "{what}: energy");
         }
     }
-}
-
-#[test]
-fn large_sampled_requests_shard_and_match_the_sequential_sampled_path() {
-    // Same sampling seed => same sub-universe; the sharded staged
-    // execution must reproduce the one-worker result bit-for-bit.
-    let ds = task();
-    let nodes: Vec<usize> = (0..200).map(|i| (i * 7) % ds.num_nodes()).collect();
-    let request = InferRequest::sampled(nodes, 6, 4, 99);
-    for kind in ModelKind::all() {
-        let sequential = engine_for(kind, BackendKind::Dense, &ds)
-            .session()
-            .infer(&request)
-            .expect("serves");
-        let mut parallel = parallel_for(kind, BackendKind::Dense, &ds, 4);
-        let sharded = parallel.session().infer(&request).expect("serves");
-        assert!(sharded.parts >= 4, "{kind}: a 200-node batch should shard");
-        assert_eq!(
-            sharded.logits.linf_distance(&sequential.logits),
-            0.0,
-            "{kind} sampled parity"
-        );
-    }
-    // Below the sharding threshold a single worker answers.
-    let mut parallel = parallel_for(ModelKind::Gcn, BackendKind::Dense, &ds, 4);
-    let micro = parallel
-        .session()
-        .infer(&InferRequest::sampled(vec![1, 2, 3], 6, 4, 99))
-        .expect("serves");
-    assert_eq!(micro.parts, 1, "micro-batches stay on one worker");
-}
-
-#[test]
-fn sharded_sampled_hardware_charge_equals_sequential() {
-    let ds = task();
-    let nodes: Vec<usize> = (0..150).collect();
-    let request = InferRequest::sampled(nodes, 5, 3, 7);
-    let sequential = engine_for(ModelKind::GsPool, BackendKind::SimulatedAccel, &ds)
-        .session()
-        .infer(&request)
-        .expect("serves");
-    let mut parallel = parallel_for(ModelKind::GsPool, BackendKind::SimulatedAccel, &ds, 3);
-    let sharded = parallel.session().infer(&request).expect("serves");
-    assert_eq!(
-        sharded.sim.unwrap().total_cycles,
-        sequential.sim.unwrap().total_cycles,
-        "per-part charges must sum to the sequential sampled charge"
-    );
 }
 
 #[test]
@@ -322,39 +282,5 @@ fn memory_budget_forces_finer_partitions_than_the_worker_count() {
             part.feature_bytes(width, bytes) <= DEFAULT_PART_BUDGET_BYTES,
             "part residency exceeds the budget"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-    // Sharding pins on the *unique* interned target count, not the raw
-    // request length: a batch of duplicates is a tiny sub-universe and
-    // must stay on one worker — and answer exactly like the sequential
-    // sampled path either way.
-    #[test]
-    fn prop_sampled_sharding_counts_unique_targets_not_raw_length(
-        base in proptest::collection::vec(0usize..200, 4..12),
-        copies in 8usize..16,
-    ) {
-        let ds = Arc::new(datasets::cora_like_small(6));
-        let n = ds.num_nodes();
-        let mut nodes = Vec::new();
-        for _ in 0..copies {
-            nodes.extend(base.iter().map(|&v| v % n));
-        }
-        prop_assert!(nodes.len() >= 32, "raw length clears the shard threshold");
-        let request = InferRequest::sampled(nodes, 6, 4, 17);
-        let sequential = engine_for(ModelKind::Gcn, BackendKind::Dense, &ds)
-            .session()
-            .infer(&request)
-            .expect("serves");
-        let mut parallel = parallel_for(ModelKind::Gcn, BackendKind::Dense, &ds, 4);
-        let sharded = parallel.session().infer(&request).expect("serves");
-        prop_assert_eq!(
-            sharded.parts, 1,
-            "at most 11 unique targets is below the 32-row threshold"
-        );
-        prop_assert_eq!(sharded.logits.linf_distance(&sequential.logits), 0.0);
-        prop_assert_eq!(sharded.predictions, sequential.predictions);
     }
 }

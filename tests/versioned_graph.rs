@@ -7,9 +7,10 @@
 //! regressions: a cached-then-mutated graph cannot serve stale GCN `Â`
 //! normalization, a stale sampled interning, or a stale full-graph
 //! logits cache. Engines widened with `into_parallel` are held to the
-//! same standard — plan and sharded sampled executions follow
-//! the version — including under a concurrent writer, and a panicked
-//! full-graph pass must not wedge later updates.
+//! same standard — the plan and sampled executions follow the version —
+//! including under a concurrent writer. A panicked full-graph pass must
+//! not wedge later updates, and a widened pass re-raises its worker's
+//! own panic.
 
 use blockgnn::engine::{BackendKind, Engine, EngineBuilder, EngineError, InferRequest};
 use blockgnn::gnn::{build_model, GnnModel, ModelKind};
@@ -406,8 +407,10 @@ fn widened_engine_keeps_its_version_and_takes_deltas() {
     assert_logits_bit_identical(&after.logits, &want.logits, "widened v3 full graph");
 }
 
-/// Delegates to a real model, but panics in the next `forward` once
-/// armed — an engine bug on demand, for fault-domain regressions.
+/// Delegates to a real model, but panics in the next `forward` or
+/// `forward_stage` once armed — an engine bug on demand, for
+/// fault-domain regressions. Clones share the fuse, so exactly one
+/// replica of a widened engine panics.
 struct FusedModel {
     inner: Box<dyn GnnModel>,
     armed: Arc<AtomicBool>,
@@ -452,6 +455,7 @@ impl GnnModel for FusedModel {
         input: &Matrix,
         rows: &[u32],
     ) -> Matrix {
+        assert!(!self.armed.swap(false, Ordering::SeqCst), "fused model: injected stage panic");
         self.inner.forward_stage(stage, graph, input, rows)
     }
 }
@@ -506,6 +510,49 @@ fn a_panicked_full_graph_pass_does_not_wedge_updates() {
     assert_logits_bit_identical(&got.logits, &want.logits, "post-panic full graph");
 }
 
+#[test]
+fn a_widened_pass_reraises_its_workers_own_panic() {
+    // A model panic on one worker thread of a staged pass must reach the
+    // caller (the serving runtime's `catch_unwind`) as that panic, with
+    // its own payload, and leave the engine serving bit-identical passes.
+    let dataset = Arc::new(small_dataset(81));
+    let model = || {
+        build_model(
+            ModelKind::Gcn,
+            dataset.feature_dim(),
+            HIDDEN,
+            dataset.num_classes,
+            Compression::BlockCirculant { block_size: BLOCK },
+            SEED,
+        )
+        .expect("model builds")
+    };
+    let armed = Arc::new(AtomicBool::new(false));
+    let fused = FusedModel { inner: model(), armed: Arc::clone(&armed) };
+    let builder = || EngineBuilder::new(ModelKind::Gcn, BackendKind::Dense);
+    let mut engine = builder()
+        .build_with_model(Box::new(fused), Arc::clone(&dataset))
+        .expect("builds")
+        .into_parallel(2)
+        .expect("widens");
+    armed.store(true, Ordering::SeqCst);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        let _ = engine.session().infer(&InferRequest::all_nodes());
+    }))
+    .expect_err("the armed stage panics inside the pass");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    assert_eq!(message, Some("fused model: injected stage panic"));
+
+    let got = engine.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert!(got.parts >= 2, "the pass ran the plan");
+    let mut fresh = builder().build_with_model(model(), dataset).expect("builds");
+    let want = fresh.session().infer(&InferRequest::all_nodes()).expect("serves");
+    assert_logits_bit_identical(&got.logits, &want.logits, "post-panic widened pass");
+}
+
 /// Step `step` of the widened-engine delta stream: the four delta kinds
 /// in turn, then random mixes of them.
 fn stream_delta(step: usize, versioned: &VersionedGraph, rng: &mut Rng64) -> GraphDelta {
@@ -523,8 +570,8 @@ fn stream_delta(step: usize, versioned: &VersionedGraph, rng: &mut Rng64) -> Gra
     }
 }
 
-/// A sampled request over 40 distinct targets — above the 32-row
-/// sharding threshold, so a widened engine executes it staged.
+/// A sampled request over 40 distinct targets, which a widened engine
+/// runs on one worker like every sampled request.
 fn wide_sampled(num_nodes: usize, salt: usize) -> InferRequest {
     let nodes: Vec<usize> = (0..40).map(|i| (i + salt) % num_nodes).collect();
     InferRequest::sampled(nodes, 4, 3, salt as u64)
@@ -569,7 +616,7 @@ fn widened_engines_match_fresh_rebuilds_under_deltas() {
                 let got = engine.session().infer(&request).expect("widened serves");
                 let want = reference.session().infer(&request).expect("rebuilt serves");
                 assert_eq!(got.graph_version, version, "{what}: reported version");
-                assert!(got.parts >= 3, "{what}: 40 unique targets shard");
+                assert_eq!(got.parts, 1, "{what}: sampled requests run on one worker");
                 assert_logits_bit_identical(&got.logits, &want.logits, &what);
                 assert_eq!(got.predictions, want.predictions, "{what}: predictions");
 
