@@ -193,8 +193,8 @@ impl Backend {
 
     /// Runs one inference pass over `graph`/`features`, charged on the
     /// cost model (if any) for `shape`: logits for every node, or with
-    /// `rows`, one logits row per entry of `rows` with the model's last
-    /// stage computed there only ([`GnnModel::forward_at`]).
+    /// `rows`, one logits row per entry of `rows`, each stage computed
+    /// only at the rows those read ([`GnnModel::forward_at`]).
     pub(crate) fn execute(
         &mut self,
         graph: &CsrGraph,

@@ -358,6 +358,8 @@ impl Engine {
         request: &InferRequest,
     ) -> Result<ExecOutcome, EngineError> {
         let mut batch = self.infer_coalesced(std::slice::from_ref(request));
+        // Unreachable: `infer_coalesced` returns one outcome per request
+        // (its slots are `0..requests.len()`), so a batch of one yields one.
         batch.outcomes.pop().expect("one outcome per request")
     }
 
@@ -467,6 +469,10 @@ impl Engine {
         drop(leaders);
         let deduped = followers.len();
         for (i, leader) in followers {
+            // Unreachable: a leader's slot is filled in the loop above
+            // (an invalid request, a full-graph read) or by
+            // `execute_sampled_group` (every unique sampled request), both
+            // before this loop; followers only ever name leaders.
             let mut outcome =
                 outcomes[leader].clone().expect("leader outcome resolved before followers");
             // A duplicate full-graph request served alone would be a
@@ -486,6 +492,8 @@ impl Engine {
             outcomes[i] = Some(outcome);
         }
         CoalescedOutcome {
+            // Unreachable: every request is a leader, filled as above, or
+            // a follower, filled from its leader in the loop just above.
             outcomes: outcomes
                 .into_iter()
                 .map(|o| o.expect("every request slot resolved"))

@@ -218,6 +218,9 @@ pub(crate) fn sampled_rows(sub: &SampledSubgraph, nodes: &[usize]) -> Vec<u32> {
     nodes
         .iter()
         .map(|&node| {
+            // Unreachable: `SampledSubgraph::build` interns every batch
+            // node before it samples, and `nodes` is the batch it was
+            // built from.
             sub.local_of(node).expect("request nodes are interned into the subgraph") as u32
         })
         .collect()
@@ -227,6 +230,11 @@ pub(crate) fn sampled_rows(sub: &SampledSubgraph, nodes: &[usize]) -> Vec<u32> {
 /// queue/compute timing split, folds the result into `stats`, and
 /// assembles the response. Shared by [`crate::Session`] and the
 /// serving runtime's batcher, so their accounting cannot drift.
+///
+/// # Panics
+///
+/// Panics if `outcome.logits` has a row but no columns, which no
+/// engine produces.
 pub fn assemble_response(
     outcome: ExecOutcome,
     queue_time: Duration,
@@ -242,6 +250,10 @@ pub fn assemble_response(
         batch_size,
         graph_version,
     } = outcome;
+    // Unreachable for an engine's outcome: `argmax` is `None` only on an
+    // empty row, and an engine's logits row has one column per class.
+    // Every model has at least one, since building a layer with a zero
+    // dimension fails.
     let predictions: Vec<usize> = (0..logits.rows())
         .map(|i| argmax(logits.row(i)).expect("logits rows are non-empty"))
         .collect();

@@ -6,9 +6,10 @@
 //! [`CsrGraph`] ([`CsrGraph::block_diagonal`]) whose blocks are the
 //! per-request sub-universes, with one feature gather over the merged
 //! local numbering. One model forward over the merged universe then
-//! answers every request at once — its last layer only at the rows
-//! [`MergedUniverse::target_rows`] names, which is where each request's
-//! logits are read.
+//! answers every request at once, computed only where the rows
+//! [`MergedUniverse::target_rows`] names read (see
+//! [`crate::GnnModel::forward_at`]) — those rows are where each
+//! request's logits are read.
 //!
 //! # Why block-diagonal instead of interning shared nodes
 //!

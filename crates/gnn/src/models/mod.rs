@@ -74,11 +74,13 @@ impl fmt::Display for ModelKind {
 /// Every model also exposes its forward pass as a sequence of
 /// *row-parallel stages* ([`GnnModel::num_stages`] /
 /// [`GnnModel::forward_stage`]): stage `s` computes any subset of its
-/// output rows from the **full** output matrix of stage `s − 1` (stage 0
-/// reads the input features). Within a stage, rows are independent —
-/// each target row reads only its own neighborhood of the previous
-/// stage's matrix — so a scheduler can shard a stage's rows across
-/// worker threads and barrier between stages. The contract is
+/// output rows from the node-indexed output matrix of stage `s − 1`
+/// (stage 0 reads the input features). Within a stage, rows are
+/// independent — each target row reads the previous stage's matrix only
+/// at its own row and, if [`GnnModel::stage_reads_neighbors`], at its
+/// neighbours — so a scheduler can shard a stage's rows across worker
+/// threads and barrier between stages, and [`GnnModel::forward_at`] can
+/// leave every row no later stage reads uncomputed. The contract is
 /// *bit-exactness*: chaining every stage over all rows must reproduce
 /// `forward(graph, features, false)` exactly, which is what makes
 /// partition-parallel serving indistinguishable from the sequential
@@ -181,14 +183,62 @@ pub trait GnnModel: Send {
         rows: &[u32],
     ) -> Matrix;
 
+    /// Whether stage `stage` reads its input at a target's graph
+    /// neighbours (an aggregation) and not only at the target's own row
+    /// (a node-local transform). [`GnnModel::stage_rows`] widens a row
+    /// list by one hop below each stage that does. `true`, the default,
+    /// is always correct; `false` on a node-local stage spares the stage
+    /// below it that hop.
+    fn stage_reads_neighbors(&self, _stage: usize) -> bool {
+        true
+    }
+
+    /// The rows each stage computes when [`GnnModel::forward_at`] is asked
+    /// for `rows`, one list per stage. The last stage's list is `rows`
+    /// itself, order and duplicates kept. Stage `s − 1`'s list is stage
+    /// `s`'s rows, plus their neighbours in `graph` when stage `s` reads
+    /// neighbours, sorted and each row once: exactly the rows of its
+    /// output that a later stage reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row id is out of range for `graph`.
+    fn stage_rows(&self, graph: &CsrGraph, rows: &[u32]) -> Vec<Vec<u32>> {
+        let mut lists = Vec::with_capacity(self.num_stages());
+        let mut listed = vec![false; graph.num_nodes()];
+        let mut read = rows.to_vec();
+        for stage in (1..self.num_stages()).rev() {
+            let hop = self.stage_reads_neighbors(stage);
+            let sources = |v: u32| {
+                let halo = if hop { graph.neighbors(v as usize) } else { &[] };
+                std::iter::once(v).chain(halo.iter().copied())
+            };
+            let mut below = Vec::new();
+            for u in read.iter().flat_map(|&v| sources(v)) {
+                if !std::mem::replace(&mut listed[u as usize], true) {
+                    below.push(u);
+                }
+            }
+            for &u in &below {
+                listed[u as usize] = false;
+            }
+            below.sort_unstable();
+            lists.push(std::mem::replace(&mut read, below));
+        }
+        lists.push(read);
+        lists.reverse();
+        lists
+    }
+
     /// `forward(graph, features, false)` read at `rows` — one output row
-    /// per entry, in order, duplicates allowed — without computing the
-    /// last stage anywhere else: every stage but the last is chained over
-    /// all rows (later stages read them at neighbors), the last runs at
-    /// `rows` only. Bit-identical to gathering `rows` from the full
-    /// forward, by the staged contract above. This is what a sampled
-    /// request runs: its targets are a handful of the sub-universe's
-    /// rows.
+    /// per entry, in order, duplicates allowed — computing each stage only
+    /// at its [`GnnModel::stage_rows`] list: the last stage at `rows`, each
+    /// earlier one at the rows a later stage reads. Every row is still
+    /// produced by the same kernel as in the full forward, so the result
+    /// is bit-identical to gathering `rows` from it, by the staged
+    /// contract above. This is what a sampled request runs: its targets
+    /// and their one- and two-hop halos are a fraction of the
+    /// sub-universe's rows.
     ///
     /// # Panics
     ///
@@ -196,14 +246,21 @@ pub trait GnnModel: Send {
     /// is out of range.
     fn forward_at(&mut self, graph: &CsrGraph, features: &Matrix, rows: &[u32]) -> Matrix {
         self.prepare_graph(graph);
-        let every_row: Vec<u32> = (0..graph.num_nodes() as u32).collect();
-        let last = self.num_stages() - 1;
+        let lists = self.stage_rows(graph, rows);
+        let last = lists.len() - 1;
         let mut current: Option<Matrix> = None;
-        for stage in 0..last {
-            let input = current.as_ref().unwrap_or(features);
-            current = Some(self.forward_stage(stage, graph, input, &every_row));
+        for (stage, at) in lists[..last].iter().enumerate() {
+            let computed =
+                self.forward_stage(stage, graph, current.as_ref().unwrap_or(features), at);
+            // The next stage reads its input by node id; rows that no
+            // later stage reads stay zero.
+            let mut output = Matrix::zeros(graph.num_nodes(), computed.cols());
+            for (i, &v) in at.iter().enumerate() {
+                output.row_mut(v as usize).copy_from_slice(computed.row(i));
+            }
+            current = Some(output);
         }
-        self.forward_stage(last, graph, current.as_ref().unwrap_or(features), rows)
+        self.forward_stage(last, graph, current.as_ref().unwrap_or(features), &lists[last])
     }
 
     /// Prepares every linear layer for inference under `mode` (see
@@ -415,6 +472,11 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         }
     }
 
+    /// Stages 0 and 2 are the node-local transforms.
+    fn stage_reads_neighbors(&self, stage: usize) -> bool {
+        stage % 2 == 1
+    }
+
     fn forward_stage(
         &mut self,
         stage: usize,
@@ -549,6 +611,9 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::hub_graph;
     use super::*;
+    use crate::batch::MergedUniverse;
+    use crate::sampled::SampledSubgraph;
+    use proptest::prelude::*;
 
     #[test]
     fn kind_names_match_paper() {
@@ -702,6 +767,97 @@ mod tests {
                     // A replica that never ran `forward` agrees too.
                     let mut replica = model.clone_boxed();
                     assert_same_bits(&replica.forward_at(&g, &x, &rows), &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stage_rows_lists_exactly_the_rows_a_later_stage_reads() {
+        // A star (hub 0, leaves 1–3), a path 4–5–6–7–8, and isolated 9
+        // and 10. The targets repeat 1, are unsorted and include 9.
+        let edges = [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (6, 7), (7, 8)];
+        let g = CsrGraph::from_edges(11, &edges, true).unwrap();
+        let targets = [5, 1, 9, 1];
+        let halo = vec![0, 1, 4, 5, 6, 9];
+        for kind in ModelKind::all() {
+            let model = build_model(kind, 4, 4, 2, Compression::Dense, 1).unwrap();
+            let want = if kind == ModelKind::Gcn {
+                vec![halo.clone(), targets.to_vec()]
+            } else {
+                // Stage 2 is node-local, so stage 1 computes stage 2's
+                // rows; stage 0 adds their halo, which leaves out 8 and 10.
+                let two_hops = vec![0, 1, 2, 3, 4, 5, 6, 7, 9];
+                vec![two_hops, halo.clone(), halo.clone(), targets.to_vec()]
+            };
+            assert_eq!(model.stage_rows(&g, &targets), want, "{kind}");
+            let nothing: Vec<Vec<u32>> = vec![Vec::new(); want.len()];
+            assert_eq!(model.stage_rows(&g, &[]), nothing, "{kind}");
+        }
+    }
+
+    /// The oracle for `forward_at`: every stage but the last chained over
+    /// every row of `g`, the last at `rows`.
+    fn every_row_forward_at(
+        model: &mut dyn GnnModel,
+        g: &CsrGraph,
+        x: &Matrix,
+        rows: &[u32],
+    ) -> Matrix {
+        model.prepare_graph(g);
+        let every_row: Vec<u32> = (0..g.num_nodes() as u32).collect();
+        let last = model.num_stages() - 1;
+        let mut current: Option<Matrix> = None;
+        for stage in 0..last {
+            let input = current.as_ref().unwrap_or(x);
+            current = Some(model.forward_stage(stage, g, input, &every_row));
+        }
+        model.forward_stage(last, g, current.as_ref().unwrap_or(x), rows)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_forward_at_matches_the_every_row_chain(
+            shape in (1usize..80, 0u64..1_000),
+            arcs in collection::vec((0usize..1_000, 0usize..1_000), 0..160),
+            targets in collection::vec(0usize..1_000, 0..10),
+            batches in collection::vec(collection::vec(0usize..1_000, 1..4), 3..6),
+        ) {
+            let (n, seed) = shape;
+            // The last quarter of the nodes is isolated, and a third of
+            // the arcs leave hub 0 (self-loops and parallel arcs kept).
+            let wired = n - n / 4;
+            let edges: Vec<(usize, usize)> = arcs
+                .iter()
+                .map(|&(a, b)| (if a % 3 == 0 { 0 } else { a % wired }, b % wired))
+                .collect();
+            let g = CsrGraph::from_edges(n, &edges, true).unwrap();
+            let x = testutil::tiny_features(n, 12);
+            // Duplicate, unsorted and isolated targets, or none.
+            let rows: Vec<u32> = targets.iter().map(|&v| (v % n) as u32).collect();
+            let batches: Vec<Vec<usize>> =
+                batches.iter().map(|b| b.iter().map(|&v| v % n).collect()).collect();
+            let subs: Vec<SampledSubgraph> =
+                batches.iter().map(|b| SampledSubgraph::build(&g, b, 3, 2, seed)).collect();
+            let merged = MergedUniverse::build(&subs.iter().collect::<Vec<_>>());
+            let merged_x = merged.gather_features(&x);
+            let merged_rows: Vec<u32> = subs
+                .iter()
+                .zip(&batches)
+                .enumerate()
+                .flat_map(|(block, (sub, b))| merged.target_rows(block, sub, b))
+                .collect();
+            let compression = Compression::BlockCirculant { block_size: 4 };
+            for kind in ModelKind::all() {
+                let mut model = build_model(kind, 12, 8, 3, compression, seed).unwrap();
+                for (mode, _) in PREPARED_MODES {
+                    model.prepare(mode);
+                    let universes = [(&g, &x, &rows), (&merged.graph, &merged_x, &merged_rows)];
+                    for (graph, features, at) in universes {
+                        let what = format!("{kind} {mode:?} n={n} on {} rows", graph.num_nodes());
+                        let want = every_row_forward_at(model.as_mut(), graph, features, at);
+                        assert_same_bits(&model.forward_at(graph, features, at), &want, &what);
+                    }
                 }
             }
         }

@@ -7,21 +7,10 @@
 //! neighbors per node. We realize this by materializing the *sampled
 //! computation graph* — a sub-universe containing the batch, its sampled
 //! 1-hop frontier, and the frontier's sampled 2-hop frontier, wired with
-//! exactly the sampled edges — and running the unmodified models on it:
-//! every stage but the last over the whole sub-universe, the last at the
-//! batch rows only ([`GnnModel::forward_at`]), which are the rows the
-//! predictions are read from.
-//!
-//! The sub-universe has the *neighborhoods* the hardware models charge
-//! for (S sampled neighbors per node, S·q sub-vector FFTs each, Eq. 3),
-//! but not yet their row count: Eqs. 3–7 charge the two-hop aggregation
-//! once per **target**. The last layer's aggregate-and-combine now runs
-//! at the targets; layer 1 (and the last layer's node-local transform)
-//! still runs at every row of the sub-universe, second-hop rows that no
-//! target's layer 2 reaches included. The software pass therefore still
-//! does more transforms than the cycle model prices for the same
-//! request; the engine charges `target_nodes`, not materialized rows, for
-//! exactly that reason.
+//! exactly the sampled edges — and running the unmodified models on it
+//! at the batch rows ([`GnnModel::forward_at`]): the last stage at the
+//! targets, each earlier stage only at the rows a later one reads (for
+//! layer 1, the targets and their sampled neighbours).
 
 use crate::models::GnnModel;
 use blockgnn_graph::{CsrGraph, NeighborSampler};
