@@ -80,8 +80,7 @@ impl fmt::Display for BackendKind {
 /// What one backend execution produces.
 #[derive(Debug, Clone)]
 pub(crate) struct BackendOutput {
-    /// Logits of the executed computation graph: one row per node, or
-    /// one per requested row ([`Backend::execute`]).
+    /// Logits of the executed computation graph: one row per node.
     pub logits: Matrix,
     /// Hardware cycle report, when the backend simulates one.
     pub sim: Option<SimReport>,
@@ -191,21 +190,15 @@ impl Backend {
         self.weight_bytes
     }
 
-    /// Runs one inference pass over `graph`/`features`, charged on the
-    /// cost model (if any) for `shape`: logits for every node, or with
-    /// `rows`, one logits row per entry of `rows`, each stage computed
-    /// only at the rows those read ([`GnnModel::forward_at`]).
+    /// Runs one full inference pass over `graph`/`features`, charged on
+    /// the cost model (if any) for `shape`: logits for every node.
     pub(crate) fn execute(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
-        rows: Option<&[u32]>,
         shape: RequestShape,
     ) -> BackendOutput {
-        let logits = match rows {
-            Some(rows) => self.model.forward_at(graph, features, rows),
-            None => self.model.forward(graph, features, false),
-        };
+        let logits = self.model.forward(graph, features, false);
         let (sim, energy_joules) = self.charge(features.cols(), shape).unzip();
         BackendOutput { logits, sim, energy_joules }
     }

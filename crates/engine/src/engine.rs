@@ -5,8 +5,7 @@ use crate::error::EngineError;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
 use crate::stats::ServeStats;
 use crate::versioned::{lock_recover, GraphEpoch, GraphHandle, Residency, SharedGraphState};
-use blockgnn_gnn::batch::MergedUniverse;
-use blockgnn_gnn::sampled::SampledSubgraph;
+use blockgnn_gnn::batch::{SampledBlock, UniverseBuilder};
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
 use blockgnn_graph::{Dataset, GraphDelta};
 use blockgnn_nn::{Compression, NnError};
@@ -189,6 +188,7 @@ impl EngineBuilder {
             shared: Arc::new(SharedGraphState::new(dataset, residency)),
             workers: vec![backend],
             fanouts: self.fanouts,
+            universe: UniverseBuilder::default(),
         })
     }
 }
@@ -227,6 +227,9 @@ pub struct Engine {
     pub(crate) workers: Vec<Backend>,
     /// Fan-outs the cycle model charges for full-graph requests.
     pub(crate) fanouts: (usize, usize),
+    /// This replica's reused sampler: every sampled batch is one
+    /// universe it builds (see [`blockgnn_gnn::batch`]).
+    pub(crate) universe: UniverseBuilder,
 }
 
 impl Engine {
@@ -340,6 +343,7 @@ impl Engine {
             shared: Arc::clone(&self.shared),
             workers: self.workers.iter().map(Backend::fork).collect(),
             fanouts: self.fanouts,
+            universe: UniverseBuilder::default(),
         }
     }
 
@@ -396,11 +400,11 @@ impl Engine {
     /// dynamic batcher's compute core.
     ///
     /// Duplicate requests (equal nodes *and* mode) are deduplicated to a
-    /// single execution; the remaining unique sampled requests'
-    /// sub-universes are concatenated into one block-diagonal
-    /// [`MergedUniverse`] and answered by a single backend execution,
-    /// with per-request logits scattered back and per-request hardware
-    /// cost re-charged on each request's own sub-universe shape.
+    /// single execution; the remaining unique sampled requests are
+    /// sampled as the blocks of one universe (a lone one is a one-block
+    /// universe) and answered by a single model execution that reads the
+    /// epoch's features in place, with per-request logits scattered back
+    /// and per-request hardware cost charged on each request's own shape.
     /// Full-graph requests are answered from the epoch's logits.
     ///
     /// Every outcome is **bit-identical** to serving the same request
@@ -425,8 +429,8 @@ impl Engine {
         // indexes answered by cloning the leader's outcome.
         let mut leaders: HashMap<&InferRequest, usize> = HashMap::new();
         let mut followers: Vec<(usize, usize)> = Vec::new();
-        // Unique sampled requests awaiting the merged execution.
-        let mut sampled: Vec<(usize, SampledSubgraph, (usize, usize))> = Vec::new();
+        // Unique sampled requests awaiting the universe execution.
+        let mut sampled: Vec<(usize, SampledBlock)> = Vec::new();
         let mut unique_executions = 0usize;
         let mut timings = StageAccum::default();
         for (i, request) in requests.iter().enumerate() {
@@ -440,9 +444,9 @@ impl Engine {
                 outcomes[i] = Some(Err(e));
                 continue;
             }
+            unique_executions += 1;
             match request.mode {
                 RequestMode::FullGraph => {
-                    unique_executions += 1;
                     let start = Instant::now();
                     let mut outcome = self.full_graph_outcome(&epoch, &request.nodes);
                     timings.add("full_graph", start.elapsed());
@@ -450,22 +454,17 @@ impl Engine {
                     outcomes[i] = Some(Ok(outcome));
                 }
                 RequestMode::Sampled { s1, s2, seed } => {
-                    unique_executions += 1;
-                    let start = Instant::now();
-                    let sub = SampledSubgraph::build(
-                        &epoch.dataset.graph,
-                        &request.nodes,
-                        s1,
-                        s2,
-                        seed,
-                    );
-                    timings.add("sample", start.elapsed());
-                    sampled.push((i, sub, (s1, s2)));
+                    sampled.push((i, SampledBlock { nodes: &request.nodes, s1, s2, seed }));
                 }
             }
         }
-        let merged_universe_nodes =
-            self.execute_sampled_group(&epoch, requests, &mut outcomes, &sampled, &mut timings);
+        let merged_universe_nodes = self.execute_sampled_group(
+            &epoch,
+            batch_size,
+            &mut outcomes,
+            &sampled,
+            &mut timings,
+        );
         drop(leaders);
         let deduped = followers.len();
         for (i, leader) in followers {
@@ -506,105 +505,55 @@ impl Engine {
     }
 
     /// Runs the unique sampled requests of a coalesced batch as one
-    /// merged-universe execution (or a direct single-subgraph execution
-    /// when only one is left after dedup), filling their outcome slots.
-    /// Returns the executed universe's node count.
+    /// universe execution, filling their outcome slots. Returns the
+    /// universe's node count.
     fn execute_sampled_group(
         &mut self,
         epoch: &GraphEpoch,
-        requests: &[InferRequest],
+        batch_size: usize,
         outcomes: &mut [Option<Result<ExecOutcome, EngineError>>],
-        sampled: &[(usize, SampledSubgraph, (usize, usize))],
+        sampled: &[(usize, SampledBlock)],
         timings: &mut StageAccum,
     ) -> usize {
-        let batch_size = requests.len();
-        match sampled {
-            [] => 0,
-            [(i, sub, fanouts)] => {
-                // One unique sampled request: execute its sub-universe
-                // directly (bit-identical to the merged path, without
-                // copying the adjacency into a one-block merge).
-                let gather_start = Instant::now();
-                let local_features = sub.gather_features(&epoch.dataset.features);
-                timings.add("gather", gather_start.elapsed());
-                let shape = RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts };
-                // The execution returns the request's rows, in request
-                // order: nothing is left to scatter.
-                let rows = crate::request::sampled_rows(sub, &requests[*i].nodes);
-                let execute_start = Instant::now();
-                let out =
-                    self.workers[0].execute(&sub.graph, &local_features, Some(&rows), shape);
-                timings.add("execute", execute_start.elapsed());
-                outcomes[*i] = Some(Ok(ExecOutcome {
-                    logits: out.logits,
-                    sim: out.sim,
-                    energy_joules: out.energy_joules,
-                    from_cache: false,
-                    parts: 1,
-                    batch_size,
-                    graph_version: epoch.version,
-                }));
-                sub.local_to_global.len()
-            }
-            many => {
-                let merge_start = Instant::now();
-                let subs: Vec<&SampledSubgraph> = many.iter().map(|(_, sub, _)| sub).collect();
-                let merged = MergedUniverse::build(&subs);
-                timings.add("merge", merge_start.elapsed());
-                let gather_start = Instant::now();
-                let merged_features = merged.gather_features(&epoch.dataset.features);
-                timings.add("gather", gather_start.elapsed());
-                // The merged call's own hardware charge describes the
-                // whole universe; it is discarded and each request is
-                // re-charged below on its own sub-universe shape, so
-                // per-response cost matches solo execution exactly.
-                let shape =
-                    RequestShape { target_nodes: merged.total_targets, fanouts: many[0].2 };
-                // Every member's target rows, member after member: the
-                // execution returns exactly these, so each member's
-                // logits are a contiguous run of its output.
-                let rows: Vec<u32> = many
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(block, (i, sub, _))| {
-                        merged.target_rows(block, sub, &requests[*i].nodes)
-                    })
-                    .collect();
-                let execute_start = Instant::now();
-                let out = self.workers[0].execute(
-                    &merged.graph,
-                    &merged_features,
-                    Some(&rows),
-                    shape,
-                );
-                timings.add("execute", execute_start.elapsed());
-                let scatter_start = Instant::now();
-                let feature_dim = epoch.dataset.feature_dim();
-                let mut first = 0;
-                for (i, sub, fanouts) in many {
-                    let len = requests[*i].nodes.len();
-                    let logits = out.logits.gather_rows(first..first + len);
-                    first += len;
-                    let (sim, energy_joules) = self.workers[0]
-                        .charge(
-                            feature_dim,
-                            RequestShape { target_nodes: sub.batch_len, fanouts: *fanouts },
-                        )
-                        .unzip();
-                    outcomes[*i] = Some(Ok(ExecOutcome {
-                        logits,
-                        sim,
-                        energy_joules,
-                        from_cache: false,
-                        parts: 1,
-                        batch_size,
-                        graph_version: epoch.version,
-                    }));
-                }
-                timings.add("scatter", scatter_start.elapsed());
-                merged.universe.len()
-            }
+        if sampled.is_empty() {
+            return 0;
         }
+        let start = Instant::now();
+        let universe = self.universe.build(&epoch.dataset.graph, sampled.iter().map(|s| s.1));
+        timings.add("sample", start.elapsed());
+        let start = Instant::now();
+        // Every member's target rows, member after member: the execution
+        // returns exactly these, so each member's logits are a contiguous
+        // run of its output.
+        let logits = self.workers[0].model.forward_at_indexed(
+            universe.graph,
+            &epoch.dataset.features,
+            Some(universe.local_to_global),
+            universe.rows,
+        );
+        timings.add("execute", start.elapsed());
+        let start = Instant::now();
+        let feature_dim = epoch.dataset.feature_dim();
+        let mut first = 0;
+        for (&(i, block), &targets) in sampled.iter().zip(universe.unique_targets) {
+            let len = block.nodes.len();
+            let shape = RequestShape { target_nodes: targets, fanouts: (block.s1, block.s2) };
+            let (sim, energy_joules) = self.workers[0].charge(feature_dim, shape).unzip();
+            outcomes[i] = Some(Ok(ExecOutcome {
+                logits: logits.gather_rows(first..first + len),
+                sim,
+                energy_joules,
+                from_cache: false,
+                parts: 1,
+                batch_size,
+                graph_version: epoch.version,
+            }));
+            first += len;
+        }
+        timings.add("scatter", start.elapsed());
+        let nodes = universe.local_to_global.len();
+        self.universe.release_oversized();
+        nodes
     }
 }
 
@@ -635,13 +584,10 @@ pub struct CoalescedOutcome {
 }
 
 /// Summed wall-clock time one named engine stage took across a coalesced
-/// batch. Stage names are stable: `"sample"` (two-hop subgraph
-/// materialization), `"full_graph"` (cache lookup or full-graph pass),
-/// `"merge"` ([`MergedUniverse::build`]), `"gather"` (feature
-/// gathering), `"execute"` (the backend call), and `"scatter"`
-/// (a merged execution's per-request logits extraction and hardware
-/// re-charge; a lone sampled request's execution returns its rows
-/// directly and has no such stage).
+/// batch. Stage names are stable: `"sample"` (building the batch's
+/// sampled universe), `"full_graph"` (cache lookup or full-graph pass),
+/// `"execute"` (the model call, which reads features in place), and
+/// `"scatter"` (per-request logits extraction and hardware charge).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageTiming {
     /// Stable stage name.
@@ -741,8 +687,10 @@ impl Session<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::CoalescedOutcome;
     use crate::versioned::lock_recover;
     use crate::{BackendKind, EngineBuilder, EngineError, GraphDelta, InferRequest};
+    use blockgnn_gnn::batch::{SampledBlock, KEPT_SCRATCH_BYTES};
     use blockgnn_gnn::ModelKind;
     use blockgnn_graph::datasets;
     use blockgnn_linalg::Matrix;
@@ -778,6 +726,108 @@ mod tests {
         let straggler = widened.full_graph_outcome(&old, &[]);
         assert_eq!((straggler.graph_version, straggler.from_cache), (0, false));
         assert!(Arc::ptr_eq(&before, &plan(&widened)));
+    }
+
+    /// Fills every replica's kept stage matrices with NaN, after checking
+    /// there is something to fill.
+    fn poison_stage_buffers(engine: &mut crate::Engine) {
+        for worker in &mut engine.workers {
+            let kept =
+                worker.model.stage_buffers().expect("the zoo's models keep stage buffers");
+            assert!(kept.iter().any(|m| !m.is_empty()), "a served batch left stage rows");
+            for matrix in kept.iter_mut() {
+                matrix.as_mut_slice().fill(f64::NAN);
+            }
+        }
+    }
+
+    fn assert_same_answers(got: &CoalescedOutcome, want: &CoalescedOutcome, what: &str) {
+        assert_eq!(got.merged_universe_nodes, want.merged_universe_nodes, "{what}: universe");
+        for (got, want) in got.outcomes.iter().zip(&want.outcomes) {
+            let (got, want) = (got.as_ref().expect("serves"), want.as_ref().expect("serves"));
+            let bits =
+                |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(got.logits.shape(), want.logits.shape(), "{what}: shape");
+            assert_eq!(bits(&got.logits), bits(&want.logits), "{what}: logits");
+            assert_eq!(got.sim, want.sim, "{what}: cycle report");
+        }
+    }
+
+    #[test]
+    fn stale_scratch_never_shows_in_a_sampled_answer() {
+        // A replica whose stage buffers hold NaN and whose intern table
+        // holds stamps from a larger graph answers as a fresh engine does:
+        // on the built epoch, after a node-append delta, and on a fork.
+        let dataset = Arc::new(datasets::cora_like_small(5));
+        let larger = datasets::pubmed_like_small(2);
+        let n = dataset.num_nodes();
+        let grow =
+            GraphDelta::new().append_node(vec![0.25; dataset.feature_dim()]).add_edge(n, 3);
+        let batch = |newest: usize| {
+            vec![
+                InferRequest::sampled(vec![3, 7, 3], 5, 3, 11),
+                InferRequest::sampled(vec![newest, 40], 4, 2, 12),
+                InferRequest::sampled(vec![3, 7, 3], 5, 3, 11),
+                InferRequest::paper_sampled(vec![newest], 13),
+            ]
+        };
+        let everything: Vec<usize> = (0..larger.num_nodes()).collect();
+        for kind in ModelKind::all() {
+            for backend in BackendKind::all() {
+                let what = format!("{kind} {backend}");
+                let builder = EngineBuilder::new(kind, backend).hidden_dim(8);
+                let mut used = builder.clone().build(Arc::clone(&dataset)).expect("builds");
+                let wide = SampledBlock { nodes: &everything, s1: 3, s2: 2, seed: 1 };
+                let _ = used.universe.build(&larger.graph, [wide]);
+                let _ = used.infer_coalesced(&batch(n - 1));
+                poison_stage_buffers(&mut used);
+                let mut fresh = builder.clone().build(Arc::clone(&dataset)).expect("builds");
+                let want = fresh.infer_coalesced(&batch(n - 1));
+                assert_same_answers(&used.infer_coalesced(&batch(n - 1)), &want, &what);
+
+                used.apply_delta(&grow).expect("appends a node");
+                poison_stage_buffers(&mut used);
+                let mut fresh = builder.clone().build(used.dataset()).expect("builds");
+                let want = fresh.infer_coalesced(&batch(n));
+                assert_same_answers(&used.infer_coalesced(&batch(n)), &want, &what);
+
+                let mut fork = used.fork();
+                let _ = fork.universe.build(&larger.graph, [wide]);
+                let _ = fork.infer_coalesced(&batch(n - 1));
+                poison_stage_buffers(&mut fork);
+                assert_same_answers(&fork.infer_coalesced(&batch(n)), &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_keeps_a_bounded_scratch_after_the_largest_admitted_batch() {
+        // 16 targets × 262 144 first-hop draws is exactly the admission
+        // cap: 32 MiB of arcs, released after its batch; a normal batch
+        // then leaves a fraction of the bound.
+        let dataset = Arc::new(datasets::cora_like_small(5));
+        let mut engine = EngineBuilder::new(ModelKind::Gcn, BackendKind::Spectral)
+            .hidden_dim(8)
+            .build(dataset)
+            .expect("builds");
+        let largest = InferRequest::sampled((0..16).collect::<Vec<_>>(), 1 << 18, 0, 3);
+        let refused = InferRequest::sampled((0..17).collect::<Vec<_>>(), 1 << 18, 0, 3);
+        let num_nodes = engine.dataset().num_nodes();
+        assert!(crate::request::validate_request(&largest, num_nodes).is_ok());
+        assert!(crate::request::validate_request(&refused, num_nodes).is_err());
+        let outcome = engine.infer_coalesced(&[largest]);
+        assert!(outcome.outcomes[0].is_ok());
+        let stage_bytes = |engine: &mut crate::Engine| -> usize {
+            let kept = engine.workers[0].model.stage_buffers().expect("kept");
+            kept.iter().map(|m| m.capacity() * 8).sum()
+        };
+        assert!(engine.universe.kept_bytes() <= 8, "the oversized buffers are released");
+        let normal: Vec<InferRequest> =
+            (0..8).map(|i| InferRequest::paper_sampled(vec![i, i + 100], i as u64)).collect();
+        let _ = engine.infer_coalesced(&normal);
+        for kept in [engine.universe.kept_bytes(), stage_bytes(&mut engine)] {
+            assert!(kept > 0 && kept < KEPT_SCRATCH_BYTES, "kept {kept} bytes");
+        }
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl Engine {
         if self.workers.len() == 1 {
             let shape =
                 RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
-            let out = self.workers[0].execute(&dataset.graph, &dataset.features, None, shape);
+            let out = self.workers[0].execute(&dataset.graph, &dataset.features, shape);
             return (out, 1);
         }
         let plan = self.plan_for(epoch);

@@ -1,12 +1,11 @@
 //! Request/response types of the serving API, plus the request-handling
 //! steps shared by the solo and coalesced execution paths (validation,
-//! row extraction, response assembly) — one implementation so the two
-//! cannot drift.
+//! full-graph row extraction, response assembly) — one implementation so
+//! the two cannot drift.
 
 use crate::error::EngineError;
 use crate::stats::ServeStats;
 use blockgnn_accel::SimReport;
-use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_linalg::vector::argmax;
 use blockgnn_linalg::Matrix;
 use std::time::Duration;
@@ -163,14 +162,17 @@ pub(crate) fn validate_nodes(nodes: &[usize], num_nodes: usize) -> Result<(), En
 
 /// The most neighbour draws one sampled request may ask for, counted as
 /// `targets × max(S₁, 1) × (1 + S₂)` — an upper bound on the edges of
-/// its sub-universe *and* on every buffer
-/// [`SampledSubgraph::build`] reserves before it samples (`S₁ = 0`
-/// still reserves `S₂` draws, hence the `max`). The fan-outs are wire
-/// numbers: unbounded, one line asks the allocator for terabytes and
-/// the process aborts. 2²² is ~60× the largest request anywhere in this
-/// repository (the benchmark's 256 × 25 × 11 = 70 400) and holds the
-/// worst admitted request's reservation near 150 MB (two 16-byte edge
-/// slots per first-hop draw).
+/// its block of a sampled universe (`S₁ = 0` draws nothing; the `max`
+/// only keeps the count conservative). The fan-outs are wire numbers:
+/// unbounded, one line asks the allocator for terabytes and the process
+/// aborts. 2²² is ~60× the largest request anywhere in this repository
+/// (the benchmark's 256 × 25 × 11 = 70 400). All a replica's
+/// [`blockgnn_gnn::batch::UniverseBuilder`] reserves ahead of sampling is
+/// one 8-byte arc slot per draw (`targets × S₁` before the first hop,
+/// `frontier × S₂` before the second), so the worst admitted request
+/// reserves 32 MiB, and its CSR (two 4-byte targets per arc) as much
+/// again; buffers past [`blockgnn_gnn::batch::KEPT_SCRATCH_BYTES`] are
+/// released after the batch.
 const MAX_SAMPLED_ARCS: usize = 1 << 22;
 
 /// The single definition of request validity against a graph of
@@ -209,21 +211,6 @@ pub(crate) fn full_graph_rows(logits: &Matrix, nodes: &[usize]) -> Matrix {
     } else {
         logits.gather_rows(nodes.iter().copied())
     }
-}
-
-/// The sub-universe row of every request position, in request order:
-/// global ids mapped through the subgraph's intern table (duplicate
-/// request nodes name one interned row twice).
-pub(crate) fn sampled_rows(sub: &SampledSubgraph, nodes: &[usize]) -> Vec<u32> {
-    nodes
-        .iter()
-        .map(|&node| {
-            // Unreachable: `SampledSubgraph::build` interns every batch
-            // node before it samples, and `nodes` is the batch it was
-            // built from.
-            sub.local_of(node).expect("request nodes are interned into the subgraph") as u32
-        })
-        .collect()
 }
 
 /// Finishes a served request: attaches argmax predictions and the

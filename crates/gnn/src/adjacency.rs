@@ -6,6 +6,7 @@
 //! `Â = D̃^{-1/2}(A + I)D̃^{-1/2}`. Because `Â` is symmetric, the
 //! backward pass is the same operator applied to the output gradient.
 
+use crate::models::Band;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::{isa, Matrix};
 
@@ -53,25 +54,27 @@ impl NormalizedAdjacency {
         assert_eq!(h.rows(), graph.num_nodes(), "feature rows must equal node count");
         assert_eq!(out.shape(), h.shape(), "output buffer shape must match input");
         for v in 0..graph.num_nodes() {
-            self.write_row(graph, h, v, out.row_mut(v));
+            self.write_row(graph, Band::whole(h), v, out.row_mut(v));
         }
     }
 
     /// Writes `(Â · H)_v` into `orow` — the one row kernel: the sum over
-    /// `N(v) ∪ {v}`, neighbors in CSR order, read from the *full* matrix
-    /// `h`. [`NormalizedAdjacency::apply`] is this over every row and
-    /// GCN's inference pass is this over a block of destination rows at
-    /// a time, monolithic or sharded, so all of them agree bit for bit.
-    /// The self-loop term *assigns* (overwriting whatever a recycled
-    /// buffer held) and neighbor terms accumulate, so `orow` needs no
-    /// pre-zeroing; columns of `h` beyond `orow.len()` are not read.
-    /// The arithmetic runs through [`isa::dispatch`]: AVX2 where the CPU
-    /// has it, the same bits either way.
+    /// `N(v) ∪ {v}`, neighbors in CSR order, each node's row read from
+    /// the band `h` (a node-indexed matrix, or a graph-wide one through a
+    /// sampled universe's local→global index). [`NormalizedAdjacency::apply`]
+    /// is this over every row and GCN's inference pass is this over a
+    /// block of destination rows at a time, monolithic, sharded or
+    /// sampled, so all of them agree bit for bit. The self-loop term
+    /// *assigns* (overwriting whatever a recycled buffer held) and
+    /// neighbor terms accumulate, so `orow` needs no pre-zeroing; columns
+    /// of `h` beyond `orow.len()` are not read. The arithmetic runs
+    /// through [`isa::dispatch`]: AVX2 where the CPU has it, the same
+    /// bits either way.
     ///
     /// # Panics
     ///
-    /// Panics if `v` or one of its neighbors is not a row of `h`.
-    pub fn write_row(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
+    /// Panics if `v` or one of its neighbors has no row in `h`.
+    pub(crate) fn write_row(&self, graph: &CsrGraph, h: Band, v: usize, orow: &mut [f64]) {
         isa::dispatch(
             #[inline(always)]
             || self.row_sum(graph, h, v, orow),
@@ -82,7 +85,7 @@ impl NormalizedAdjacency {
     /// that it compiles for whichever ISA its caller runs; called
     /// directly it is the build's baseline codegen.
     #[inline(always)]
-    fn row_sum(&self, graph: &CsrGraph, h: &Matrix, v: usize, orow: &mut [f64]) {
+    fn row_sum(&self, graph: &CsrGraph, h: Band, v: usize, orow: &mut [f64]) {
         let cv = self.inv_sqrt_deg[v];
         // self-loop term overwrites the row
         {
@@ -174,7 +177,7 @@ mod tests {
         let rows = [4usize, 0, 2];
         let mut dirty_rows = Matrix::filled(3, 3, f64::NAN);
         for (i, &v) in rows.iter().enumerate() {
-            a.write_row(&g, &h, v, dirty_rows.row_mut(i));
+            a.write_row(&g, Band::whole(&h), v, dirty_rows.row_mut(i));
             assert_eq!(dirty_rows.row(i), fresh.row(v), "row kernel must be shared");
         }
     }
@@ -209,8 +212,8 @@ mod tests {
             });
             for v in 0..n {
                 let (mut dispatched, mut baseline) = (vec![f64::NAN; width], vec![f64::NAN; width]);
-                a.write_row(&g, &h, v, &mut dispatched);
-                a.row_sum(&g, &h, v, &mut baseline);
+                a.write_row(&g, Band::whole(&h), v, &mut dispatched);
+                a.row_sum(&g, Band::whole(&h), v, &mut baseline);
                 let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&dispatched), bits(&baseline), "node {}", v);
             }

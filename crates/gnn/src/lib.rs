@@ -23,8 +23,9 @@
 //!   hardware performance models.
 //! * [`sampled`] — mini-batch inference over sampled two-hop computation
 //!   graphs (S₁/S₂ fan-outs), the workload shape the accelerator runs.
-//! * [`batch`] — coalesced execution of several sampled requests over a
-//!   merged node universe, the serving batcher's compute core.
+//! * [`batch`] — a serving replica's reused sampler: it samples a
+//!   micro-batch's requests as the blocks of one node universe, the
+//!   serving batcher's compute core.
 //!
 //! # Example
 //!

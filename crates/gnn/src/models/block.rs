@@ -31,47 +31,80 @@ use blockgnn_nn::{Layer, LinearLayer};
 /// beside the weights between being aggregated and being transformed.
 const ROW_BLOCK: usize = 64;
 
-/// Columns `offset .. offset + width` of a matrix with one row per node.
+/// Columns `offset .. offset + width` of a matrix with one row per node,
+/// read either at the node's own row or, through an index, at row
+/// `index[v]`.
 ///
 /// The monolithic pass keeps what an aggregation reads in matrices of
 /// its own; a staged pass finds the same values side by side in the
-/// previous stage's output. A kernel that takes bands reads either.
+/// previous stage's output. A sampled universe's stage 0 reads its
+/// nodes' features in place, from the graph-wide matrix through the
+/// universe's local→global ids. A kernel that takes bands reads any of
+/// them.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Band<'a> {
+pub(crate) struct Band<'a> {
     matrix: &'a Matrix,
     offset: usize,
     width: usize,
+    index: Option<&'a [u32]>,
 }
 
 impl<'a> Band<'a> {
     /// # Panics
     ///
     /// Panics if the columns are not all inside `matrix`.
-    pub(super) fn new(matrix: &'a Matrix, offset: usize, width: usize) -> Self {
+    pub(crate) fn new(matrix: &'a Matrix, offset: usize, width: usize) -> Self {
         assert!(offset + width <= matrix.cols(), "band exceeds the matrix width");
-        Self { matrix, offset, width }
+        Self { matrix, offset, width, index: None }
     }
 
     /// Every column of `matrix`.
-    pub(super) fn whole(matrix: &'a Matrix) -> Self {
+    pub(crate) fn whole(matrix: &'a Matrix) -> Self {
         Self::new(matrix, 0, matrix.cols())
     }
 
+    /// Every column of `matrix`, node `v` at row `index[v]`.
+    pub(crate) fn indexed(matrix: &'a Matrix, index: &'a [u32]) -> Self {
+        Self { index: Some(index), ..Self::whole(matrix) }
+    }
+
+    /// How many nodes the band holds a row for.
+    pub(crate) fn nodes(&self) -> usize {
+        self.index.map_or(self.matrix.rows(), <[u32]>::len)
+    }
+
+    /// The band's width.
+    pub(crate) fn width(&self) -> usize {
+        self.width
+    }
+
     /// Node `v`'s slice of the band.
-    pub(super) fn row(&self, v: usize) -> &'a [f64] {
-        &self.matrix.row(v)[self.offset..self.offset + self.width]
+    pub(crate) fn row(&self, v: usize) -> &'a [f64] {
+        let at = self.index.map_or(v, |index| index[v] as usize);
+        &self.matrix.row(at)[self.offset..self.offset + self.width]
+    }
+
+    /// Copies the rows of nodes `rows`, in order, into a matrix.
+    pub(crate) fn gather(&self, rows: &[u32]) -> Matrix {
+        let mut out = Matrix::zeros(rows.len(), self.width);
+        for (i, &v) in rows.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(self.row(v as usize));
+        }
+        out
     }
 }
 
-/// The block-size working memory of a model's inference pass: one
-/// combiner-input block, reused across blocks, layers and requests.
-/// Every row of it is fully overwritten before it is read, so what an
-/// earlier request left behind never shows. Clones *empty* (like
-/// `core::SpectralScratch`), so `clone_boxed` replicas grow their own
-/// and workers never share a hot buffer.
+/// The reused working memory of a model's inference pass: one
+/// combiner-input block, reused across blocks, layers and requests, and
+/// the node-indexed stage matrices [`crate::GnnModel::forward_at`] keeps
+/// between calls. Every row of either is fully overwritten before it is
+/// read, so what an earlier request left behind never shows. Clones
+/// *empty* (like `core::SpectralScratch`), so `clone_boxed` replicas grow
+/// their own and workers never share a hot buffer.
 #[derive(Debug, Default)]
 pub(super) struct BlockScratch {
     input: Vec<f64>,
+    pub(super) stages: Vec<Matrix>,
 }
 
 impl Clone for BlockScratch {

@@ -326,8 +326,8 @@ impl GnnLayer for GatLayer {
     }
 
     /// `[scores ‖ h_v]` for each target row ([`GatLayer::scores`]).
-    fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
+        let h = input.gather(rows);
         side_by_side(&[&self.scores(&h, false), &h])
     }
 

@@ -6,7 +6,7 @@
 //! shows the smallest speedup on GCN.
 
 use crate::adjacency::NormalizedAdjacency;
-use crate::models::block::{combine_backward, combine_blocks, BlockScratch};
+use crate::models::block::{combine_backward, combine_blocks, Band, BlockScratch};
 use crate::models::{GnnModel, ModelKind};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -60,7 +60,7 @@ impl Gcn {
         &mut self,
         stage: usize,
         graph: &CsrGraph,
-        input: &Matrix,
+        input: Band,
         rows: impl ExactSizeIterator<Item = usize>,
         train: bool,
     ) -> Matrix {
@@ -69,8 +69,8 @@ impl Gcn {
             1 => (&mut self.lin2, None),
             _ => panic!("GCN has 2 stages, got stage {stage}"),
         };
-        assert_eq!(input.rows(), graph.num_nodes(), "feature rows must equal node count");
-        assert_eq!(input.cols(), lin.in_dim(), "gcn layer input width mismatch");
+        assert!(input.nodes() >= graph.num_nodes(), "every node needs an input row");
+        assert_eq!(input.width(), lin.in_dim(), "gcn layer input width mismatch");
         let (_, adj) = self.adj_cache.as_ref().expect("prepare_graph ran for this graph");
         combine_blocks(lin, act, train, &mut self.scratch, rows, |v, z| {
             adj.write_row(graph, input, v, z);
@@ -94,8 +94,9 @@ impl GnnModel for Gcn {
             self.act1.clear_cached();
         }
         let nodes = graph.num_nodes();
-        let h1 = self.layer(0, graph, features, 0..nodes, train);
-        self.layer(1, graph, &h1, 0..nodes, train)
+        assert_eq!(features.rows(), nodes, "feature rows must equal node count");
+        let h1 = self.layer(0, graph, Band::whole(features), 0..nodes, train);
+        self.layer(1, graph, Band::whole(&h1), 0..nodes, train)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -160,7 +161,23 @@ impl GnnModel for Gcn {
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
         self.prepare_graph(graph);
-        self.layer(stage, graph, input, rows.iter().map(|&v| v as usize), false)
+        self.layer(stage, graph, Band::whole(input), rows.iter().map(|&v| v as usize), false)
+    }
+
+    fn first_stage_indexed(
+        &mut self,
+        graph: &CsrGraph,
+        features: &Matrix,
+        index: &[u32],
+        rows: &[u32],
+    ) -> Matrix {
+        self.prepare_graph(graph);
+        let input = Band::indexed(features, index);
+        self.layer(0, graph, input, rows.iter().map(|&v| v as usize), false)
+    }
+
+    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
+        Some(&mut self.scratch.stages)
     }
 }
 

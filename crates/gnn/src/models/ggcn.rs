@@ -184,8 +184,8 @@ impl GnnLayer for GgcnLayer {
     }
 
     /// `[W_H·h_v ‖ W_C·h_v ‖ h_v]` per target row.
-    fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
+        let h = input.gather(rows);
         let [p, q] = [&mut self.w_h, &mut self.w_c].map(|w| w.forward(&h, false));
         side_by_side(&[&p, &q, &h])
     }

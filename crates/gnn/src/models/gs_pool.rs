@@ -149,8 +149,8 @@ impl GnnLayer for GsPoolLayer {
     }
 
     /// `[ReLU(W_pool·h_v + b) ‖ h_v]` for each target row.
-    fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix {
-        let h = input.gather_rows(rows.iter().map(|&v| v as usize));
+    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
+        let h = input.gather(rows);
         side_by_side(&[&self.pooled(&h, false), &h])
     }
 

@@ -8,6 +8,7 @@ mod gs_pool;
 
 pub use gcn::Gcn;
 
+pub(crate) use block::Band;
 use block::BlockScratch;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -166,15 +167,17 @@ pub trait GnnModel: Send {
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize;
 
     /// Computes stage `stage` output rows for target nodes `rows`,
-    /// reading the full previous-stage matrix `input` (the feature
-    /// matrix when `stage == 0`). Returns one output row per entry of
-    /// `rows`, in order. Inference-only (no backward caches are
-    /// maintained for the training path).
+    /// reading the node-indexed previous-stage matrix `input` (the
+    /// feature matrix when `stage == 0`) at rows below the graph's node
+    /// count; rows past it are never read, so a kept buffer taller than
+    /// this graph serves. Returns one output row per entry of `rows`, in
+    /// order. Inference-only (no backward caches are maintained for the
+    /// training path).
     ///
     /// # Panics
     ///
-    /// Panics if `stage >= num_stages()`, `input` has the wrong row
-    /// count or width, or a target id is out of range.
+    /// Panics if `stage >= num_stages()`, `input` has too few rows or the
+    /// wrong width, or a target id is out of range.
     fn forward_stage(
         &mut self,
         stage: usize,
@@ -182,6 +185,34 @@ pub trait GnnModel: Send {
         input: &Matrix,
         rows: &[u32],
     ) -> Matrix;
+
+    /// Stage 0 ([`GnnModel::forward_stage`]) reading node `v`'s feature
+    /// row at `features.row(index[v])` — how a sampled universe's first
+    /// stage reads the graph-wide feature matrix through the universe's
+    /// local→global ids, copying no feature row. The default gathers the
+    /// universe's rows first; the zoo's models read in place.
+    ///
+    /// # Panics
+    ///
+    /// As [`GnnModel::forward_stage`], with `index` one entry per node of
+    /// `graph`, each a row of `features`.
+    fn first_stage_indexed(
+        &mut self,
+        graph: &CsrGraph,
+        features: &Matrix,
+        index: &[u32],
+        rows: &[u32],
+    ) -> Matrix {
+        let gathered = features.gather_rows(index.iter().map(|&g| g as usize));
+        self.forward_stage(0, graph, &gathered, rows)
+    }
+
+    /// The node-indexed stage matrices [`GnnModel::forward_at`] keeps from
+    /// call to call, grown and never zeroed. `None`, the default, makes it
+    /// allocate them per call.
+    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
+        None
+    }
 
     /// Whether stage `stage` reads its input at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
@@ -238,29 +269,66 @@ pub trait GnnModel: Send {
     /// is bit-identical to gathering `rows` from it, by the staged
     /// contract above. This is what a sampled request runs: its targets
     /// and their one- and two-hop halos are a fraction of the
-    /// sub-universe's rows.
+    /// sub-universe's rows. The identity-index case of
+    /// [`GnnModel::forward_at_indexed`].
     ///
     /// # Panics
     ///
     /// Panics if `features` has the wrong shape for `graph` or a row id
     /// is out of range.
     fn forward_at(&mut self, graph: &CsrGraph, features: &Matrix, rows: &[u32]) -> Matrix {
+        self.forward_at_indexed(graph, features, None, rows)
+    }
+
+    /// [`GnnModel::forward_at`] over a graph whose node `v` has feature
+    /// row `features.row(index[v])` (with `index`, else row `v`): a
+    /// sampled universe answered from the graph-wide feature matrix, read
+    /// in place at stage 0 ([`GnnModel::first_stage_indexed`]).
+    ///
+    /// Each earlier stage's rows are written into a node-indexed matrix
+    /// of [`GnnModel::stage_buffers`], which is grown and never zeroed:
+    /// the next stage reads it only at the rows just written. Matrices
+    /// that outgrow [`crate::batch::KEPT_SCRATCH_BYTES`] together are
+    /// released before the call returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` (through `index`) has the wrong shape for
+    /// `graph` or a row id is out of range.
+    fn forward_at_indexed(
+        &mut self,
+        graph: &CsrGraph,
+        features: &Matrix,
+        index: Option<&[u32]>,
+        rows: &[u32],
+    ) -> Matrix {
         self.prepare_graph(graph);
         let lists = self.stage_rows(graph, rows);
         let last = lists.len() - 1;
-        let mut current: Option<Matrix> = None;
+        let mut kept = self.stage_buffers().map(std::mem::take).unwrap_or_default();
+        kept.resize_with(last, Matrix::default);
+        let nodes = graph.num_nodes();
         for (stage, at) in lists[..last].iter().enumerate() {
-            let computed =
-                self.forward_stage(stage, graph, current.as_ref().unwrap_or(features), at);
-            // The next stage reads its input by node id; rows that no
-            // later stage reads stay zero.
-            let mut output = Matrix::zeros(graph.num_nodes(), computed.cols());
-            for (i, &v) in at.iter().enumerate() {
-                output.row_mut(v as usize).copy_from_slice(computed.row(i));
+            let computed = run_stage(self, stage, graph, features, index, &kept, at);
+            let buffer = &mut kept[stage];
+            let cols = computed.cols();
+            let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
+            if buffer.shape() != (height, cols) {
+                buffer.resize(height, cols);
             }
-            current = Some(output);
+            for (i, &v) in at.iter().enumerate() {
+                buffer.row_mut(v as usize).copy_from_slice(computed.row(i));
+            }
         }
-        self.forward_stage(last, graph, current.as_ref().unwrap_or(features), &lists[last])
+        let out = run_stage(self, last, graph, features, index, &kept, &lists[last]);
+        let kept_bytes: usize = kept.iter().map(|m| m.capacity() * 8).sum();
+        if kept_bytes > crate::batch::KEPT_SCRATCH_BYTES {
+            kept = Vec::new();
+        }
+        if let Some(slot) = self.stage_buffers() {
+            *slot = kept;
+        }
+        out
     }
 
     /// Prepares every linear layer for inference under `mode` (see
@@ -286,6 +354,25 @@ pub trait GnnModel: Send {
         let mut total = 0;
         self.visit_params(&mut |p| total += p.len());
         total
+    }
+}
+
+/// Stage `stage` of [`GnnModel::forward_at_indexed`]: stage 0 reads the
+/// features (through `index`, if any), every later stage the kept
+/// node-indexed output of the stage below it.
+fn run_stage<M: GnnModel + ?Sized>(
+    model: &mut M,
+    stage: usize,
+    graph: &CsrGraph,
+    features: &Matrix,
+    index: Option<&[u32]>,
+    kept: &[Matrix],
+    rows: &[u32],
+) -> Matrix {
+    match (stage.checked_sub(1), index) {
+        (Some(below), _) => model.forward_stage(stage, graph, &kept[below], rows),
+        (None, Some(index)) => model.first_stage_indexed(graph, features, index, rows),
+        (None, None) => model.forward_stage(0, graph, features, rows),
     }
 }
 
@@ -396,7 +483,7 @@ trait GnnLayer: fmt::Debug + Clone + Send + 'static {
 
     /// The node-local half-stage: each target row's transform beside the
     /// row itself.
-    fn stage_transform(&mut self, input: &Matrix, rows: &[u32]) -> Matrix;
+    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix;
 
     /// The aggregate-and-combine half-stage: the kernel with all of its
     /// sources inside `input`.
@@ -485,12 +572,26 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         rows: &[u32],
     ) -> Matrix {
         match stage {
-            0 => self.layer1.stage_transform(input, rows),
+            0 => self.layer1.stage_transform(Band::whole(input), rows),
             1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
-            2 => self.layer2.stage_transform(input, rows),
+            2 => self.layer2.stage_transform(Band::whole(input), rows),
             3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
             _ => panic!("{} has 4 stages, got stage {stage}", L::KIND),
         }
+    }
+
+    fn first_stage_indexed(
+        &mut self,
+        _graph: &CsrGraph,
+        features: &Matrix,
+        index: &[u32],
+        rows: &[u32],
+    ) -> Matrix {
+        self.layer1.stage_transform(Band::indexed(features, index), rows)
+    }
+
+    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
+        Some(&mut self.scratch.stages)
     }
 }
 
@@ -768,6 +869,31 @@ mod tests {
                     let mut replica = model.clone_boxed();
                     assert_same_bits(&replica.forward_at(&g, &x, &rows), &want, &what);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_at_releases_stage_buffers_past_the_bound() {
+        // A 36 000-node universe leaves GCN a 36 000 × 64 stage-0 matrix
+        // (18.4 MB), past the bound: released. A small call then keeps
+        // its own, and both answers are the full forward's.
+        let kept_bytes = |model: &mut dyn GnnModel| -> usize {
+            let kept = model.stage_buffers().expect("GCN keeps stage buffers");
+            kept.iter().map(|m| m.capacity() * 8).sum()
+        };
+        let mut model = build_model(ModelKind::Gcn, 4, 64, 2, Compression::Dense, 1).unwrap();
+        for n in [36_000, 130] {
+            let (g, x) = (hub_graph(n), testutil::tiny_features(n, 4));
+            let rows = [0, n as u32 - 1, 7];
+            let want =
+                model.forward(&g, &x, false).gather_rows(rows.iter().map(|&v| v as usize));
+            assert_same_bits(&model.forward_at(&g, &x, &rows), &want, &format!("n={n}"));
+            let kept = kept_bytes(model.as_mut());
+            if n > 1_000 {
+                assert_eq!(kept, 0, "n={n}: released");
+            } else {
+                assert!(kept > 0 && kept < crate::batch::KEPT_SCRATCH_BYTES, "n={n}: {kept}");
             }
         }
     }

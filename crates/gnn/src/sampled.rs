@@ -8,16 +8,24 @@
 //! computation graph* — a sub-universe containing the batch, its sampled
 //! 1-hop frontier, and the frontier's sampled 2-hop frontier, wired with
 //! exactly the sampled edges — and running the unmodified models on it
-//! at the batch rows ([`GnnModel::forward_at`]): the last stage at the
-//! targets, each earlier stage only at the rows a later one reads (for
-//! layer 1, the targets and their sampled neighbours).
+//! at the batch rows ([`GnnModel::forward_at_indexed`]): the last stage
+//! at the targets, each earlier stage only at the rows a later one reads
+//! (for layer 1, the targets and their sampled neighbours), and stage 0
+//! reading the graph's own feature matrix through the sub-universe's
+//! local→global ids, as the accelerator streams a node's features into
+//! its Node-Feature Buffer by address. [`crate::batch::UniverseBuilder`]
+//! does the sampling; a request is one block of a universe.
 
+use crate::batch::{SampledBlock, UniverseBuilder};
 use crate::models::GnnModel;
-use blockgnn_graph::{CsrGraph, NeighborSampler};
+use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
-use std::collections::HashMap;
 
-/// The materialized sampled computation graph for one mini-batch.
+/// The materialized sampled computation graph for one mini-batch, built
+/// as a one-block universe by a fresh [`UniverseBuilder`]. Serving
+/// samples through a replica's reused builder instead; this owned form
+/// stays as the reference [`crate::batch::MergedUniverse`] merges in
+/// tests, and for the stack benchmark's ladder, which times it.
 #[derive(Debug, Clone)]
 pub struct SampledSubgraph {
     /// The sampled adjacency over renumbered local ids.
@@ -29,128 +37,32 @@ pub struct SampledSubgraph {
     /// node — map request positions back with
     /// [`SampledSubgraph::local_of`]).
     pub batch_len: usize,
-    /// Global id → local id for every interned node.
-    local_of: InternTable,
-}
-
-/// Sentinel for "not interned" in the direct-indexed table.
-const NOT_INTERNED: u32 = u32::MAX;
-
-/// Largest graph for which the direct-indexed intern table is used
-/// (128 KB of `u32`s). A request interns thousands of (frequently
-/// repeated) ids, so on graphs this size a flat table beats the hash
-/// map's per-lookup hashing by a wide margin and its `O(|V|)`
-/// alloc+memset stays in the microsecond range; past this size the
-/// memset would rival a small request's entire inference, so larger
-/// graphs keep the map.
-const FLAT_INTERN_MAX_NODES: usize = 1 << 15;
-
-/// Global→local intern table: flat and direct-indexed on graphs small
-/// enough that an `O(|V|)` table is cheap, a hash map beyond that.
-/// Both variants intern in first-occurrence order, so the local
-/// numbering (and therefore every downstream result) is identical.
-#[derive(Debug, Clone)]
-enum InternTable {
-    /// `table[global]` is the local id, or [`NOT_INTERNED`].
-    Flat(Vec<u32>),
-    Map(HashMap<u32, u32>),
-}
-
-impl InternTable {
-    fn for_graph(num_nodes: usize) -> Self {
-        if num_nodes <= FLAT_INTERN_MAX_NODES {
-            InternTable::Flat(vec![NOT_INTERNED; num_nodes])
-        } else {
-            InternTable::Map(HashMap::new())
-        }
-    }
-
-    /// Interns `g` (first-occurrence order) and returns its local id.
-    fn intern(&mut self, g: u32, local_to_global: &mut Vec<u32>) -> u32 {
-        match self {
-            InternTable::Flat(table) => {
-                let slot = &mut table[g as usize];
-                if *slot == NOT_INTERNED {
-                    local_to_global.push(g);
-                    *slot = (local_to_global.len() - 1) as u32;
-                }
-                *slot
-            }
-            InternTable::Map(map) => *map.entry(g).or_insert_with(|| {
-                local_to_global.push(g);
-                (local_to_global.len() - 1) as u32
-            }),
-        }
-    }
-
-    fn get(&self, global: usize) -> Option<usize> {
-        match self {
-            InternTable::Flat(table) => {
-                table.get(global).copied().filter(|&l| l != NOT_INTERNED).map(|l| l as usize)
-            }
-            InternTable::Map(map) => {
-                u32::try_from(global).ok().and_then(|g| map.get(&g)).map(|&l| l as usize)
-            }
-        }
-    }
 }
 
 impl SampledSubgraph {
     /// Builds the two-hop sampled sub-universe for `batch` with fan-outs
     /// `s1`, `s2` (sampling with replacement; duplicate draws collapse
-    /// into parallel edges, preserving GraphSAGE's weighting).
+    /// into parallel edges, preserving GraphSAGE's weighting): one block
+    /// of [`UniverseBuilder::build`].
     ///
     /// # Panics
     ///
     /// Panics if a batch node is out of range.
     #[must_use]
     pub fn build(graph: &CsrGraph, batch: &[usize], s1: usize, s2: usize, seed: u64) -> Self {
-        let sampler = NeighborSampler::new(graph, seed);
-        let mut local_of = InternTable::for_graph(graph.num_nodes());
-        let mut local_to_global: Vec<u32> = Vec::new();
-        // Batch nodes first, so logits rows 0..batch_len are the batch
-        // (each unique node once, in first-occurrence order).
-        for &v in batch {
-            assert!(v < graph.num_nodes(), "batch node {v} out of range");
-            let _ = local_of.intern(v as u32, &mut local_to_global);
-        }
-        let batch_len = local_to_global.len();
-        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(batch_len * s1 * 2);
-        // Hop 1: sampled neighbors of the unique batch nodes (sampling
-        // per unique node, so duplicated batch entries don't oversample
-        // their neighborhood).
-        let mut frontier: Vec<u32> = Vec::with_capacity(batch_len * s1);
-        let mut draws: Vec<u32> = Vec::with_capacity(s1.max(s2));
-        for lv in 0..batch_len {
-            let v = local_to_global[lv] as usize;
-            sampler.sample_into(v, s1, &mut draws);
-            for &u in &draws {
-                let lu = local_of.intern(u, &mut local_to_global) as usize;
-                edges.push((lv, lu));
-                frontier.push(u);
-            }
-        }
-        frontier.sort_unstable();
-        frontier.dedup();
-        // Hop 2: sampled neighbors of the frontier.
-        for &u in &frontier {
-            let lu = local_of.intern(u, &mut local_to_global) as usize;
-            sampler.sample_into(u as usize, s2, &mut draws);
-            for &w in &draws {
-                let lw = local_of.intern(w, &mut local_to_global) as usize;
-                edges.push((lu, lw));
-            }
-        }
-        let graph = CsrGraph::from_edges(local_to_global.len(), &edges, true)
-            .expect("locally renumbered endpoints are in range");
-        Self { graph, local_to_global, batch_len, local_of }
+        let mut builder = UniverseBuilder::default();
+        let block = SampledBlock { nodes: batch, s1, s2, seed };
+        let batch_len = builder.build(graph, [block]).unique_targets.iter().sum();
+        let (graph, local_to_global) = builder.into_universe();
+        Self { graph, local_to_global, batch_len }
     }
 
     /// Local row of global node `global`, if it was interned into the
-    /// sub-universe (batch nodes always are).
+    /// sub-universe (batch nodes always are). A linear scan of
+    /// `local_to_global`: this form is for tests and the ladder.
     #[must_use]
     pub fn local_of(&self, global: usize) -> Option<usize> {
-        self.local_of.get(global)
+        self.local_to_global.iter().position(|&g| g as usize == global)
     }
 
     /// Gathers the sub-universe's feature rows from the global matrix
@@ -167,7 +79,8 @@ impl SampledSubgraph {
 
 /// Runs sampled two-hop inference for `batch`, returning one logits row
 /// per batch entry, in batch order (duplicate entries get identical
-/// rows).
+/// rows). Stage 0 reads `features` in place through the sub-universe's
+/// local→global ids.
 ///
 /// # Panics
 ///
@@ -183,13 +96,14 @@ pub fn sampled_forward(
     s2: usize,
     seed: u64,
 ) -> Matrix {
-    let sub = SampledSubgraph::build(graph, batch, s1, s2, seed);
-    let local_features = sub.gather_features(features);
-    let rows: Vec<u32> = batch
-        .iter()
-        .map(|&v| sub.local_of(v).expect("batch nodes are interned") as u32)
-        .collect();
-    model.forward_at(&sub.graph, &local_features, &rows)
+    let mut builder = UniverseBuilder::default();
+    let universe = builder.build(graph, [SampledBlock { nodes: batch, s1, s2, seed }]);
+    model.forward_at_indexed(
+        universe.graph,
+        features,
+        Some(universe.local_to_global),
+        universe.rows,
+    )
 }
 
 #[cfg(test)]
@@ -218,22 +132,6 @@ mod tests {
         // Every batch node got its s1 sampled arcs (with replacement, so
         // parallel arcs count individually) plus hop-2 reverse arcs.
         assert!(sub.graph.degree(0) >= 4);
-    }
-
-    #[test]
-    fn huge_graphs_fall_back_to_the_map_intern_table() {
-        // Above FLAT_INTERN_MAX_NODES the build must not allocate an
-        // O(|V|) table per request; the map variant interns with the
-        // same first-occurrence numbering.
-        let n = FLAT_INTERN_MAX_NODES + 1;
-        let g = CsrGraph::from_edges(n, &[(0, 1), (1, 2), (2, 0), (n - 1, 0)], true).unwrap();
-        let sub = SampledSubgraph::build(&g, &[n - 1, 0, 2], 3, 2, 7);
-        assert!(matches!(sub.local_of, InternTable::Map(_)));
-        assert_eq!(sub.batch_len, 3);
-        assert_eq!(&sub.local_to_global[..3], &[(n - 1) as u32, 0, 2]);
-        assert_eq!(sub.local_of(n - 1), Some(0));
-        assert_eq!(sub.local_of(0), Some(1));
-        assert_eq!(sub.local_of(n - 2), None);
     }
 
     #[test]

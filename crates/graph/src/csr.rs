@@ -73,6 +73,14 @@ impl PartialEq for CsrGraph {
 
 impl Eq for CsrGraph {}
 
+/// The empty graph, under a fresh [`CsrGraph::instance_id`].
+impl Default for CsrGraph {
+    fn default() -> Self {
+        let id = NEXT_GRAPH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Self { num_nodes: 0, offsets: vec![0], targets: Vec::new(), id }
+    }
+}
+
 /// Source of process-unique [`CsrGraph::instance_id`] values.
 static NEXT_GRAPH_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
@@ -101,33 +109,63 @@ impl CsrGraph {
                 return Err(GraphError::NodeOutOfRange { node: v, num_nodes });
             }
         }
-        let mut degree = vec![0usize; num_nodes];
-        for &(u, v) in edges {
-            degree[u] += 1;
+        let mut graph = Self::default();
+        graph.refill(num_nodes, edges.iter().copied(), undirected);
+        Ok(graph)
+    }
+
+    /// Rebuilds this graph in place as [`CsrGraph::from_edges`]`(num_nodes,
+    /// arcs, true)` would build it, reusing its row and target buffers:
+    /// the same rows, bit for bit, under a fresh
+    /// [`CsrGraph::instance_id`]. A sampling loop that builds one small
+    /// graph per request rebuilds one instance instead of allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is ≥ `num_nodes`.
+    pub fn rebuild_undirected(&mut self, num_nodes: usize, arcs: &[(u32, u32)]) {
+        self.refill(num_nodes, arcs.iter().map(|&(u, v)| (u as usize, v as usize)), true);
+    }
+
+    /// The one CSR fill: counts degrees into `offsets`, places each arc
+    /// at its row's cursor (the row starts, advanced in place and shifted
+    /// back afterwards), then sorts every row.
+    fn refill(
+        &mut self,
+        num_nodes: usize,
+        edges: impl Iterator<Item = (usize, usize)> + Clone,
+        undirected: bool,
+    ) {
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(num_nodes + 1, 0);
+        for (u, v) in edges.clone() {
+            offsets[u + 1] += 1;
             if undirected && u != v {
-                degree[v] += 1;
+                offsets[v + 1] += 1;
             }
         }
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
-        offsets.push(0usize);
-        for d in &degree {
-            offsets.push(offsets.last().unwrap() + d);
+        for u in 1..=num_nodes {
+            offsets[u] += offsets[u - 1];
         }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; *offsets.last().unwrap()];
-        for &(u, v) in edges {
-            targets[cursor[u]] = v as u32;
-            cursor[u] += 1;
+        self.targets.clear();
+        self.targets.resize(offsets[num_nodes], 0);
+        for (u, v) in edges {
+            self.targets[offsets[u]] = v as u32;
+            offsets[u] += 1;
             if undirected && u != v {
-                targets[cursor[v]] = u as u32;
-                cursor[v] += 1;
+                self.targets[offsets[v]] = u as u32;
+                offsets[v] += 1;
             }
         }
+        // Each cursor now sits at the next row's start.
+        offsets.copy_within(0..num_nodes, 1);
+        offsets[0] = 0;
         for u in 0..num_nodes {
-            targets[offsets[u]..offsets[u + 1]].sort_unstable();
+            self.targets[offsets[u]..offsets[u + 1]].sort_unstable();
         }
-        let id = NEXT_GRAPH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Ok(Self { num_nodes, offsets, targets, id })
+        self.num_nodes = num_nodes;
+        self.id = NEXT_GRAPH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Concatenates graphs into one block-diagonal graph: block `i`'s
@@ -274,6 +312,14 @@ impl CsrGraph {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
+    }
+
+    /// Heap bytes the graph holds (its buffers' capacities), which can
+    /// exceed what its rows use after a [`CsrGraph::rebuild_undirected`]
+    /// to a smaller graph.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>() + self.targets.capacity() * 4
     }
 
     /// Number of stored arcs (an undirected edge counts twice).
@@ -558,6 +604,25 @@ mod tests {
             let g = CsrGraph::from_edges(15, &edges, false).unwrap();
             let total: usize = (0..15).map(|u| g.degree(u)).sum();
             prop_assert_eq!(total, g.num_arcs());
+        }
+
+        #[test]
+        fn prop_an_in_place_rebuild_is_from_edges(
+            before in proptest::collection::vec((0usize..30, 0usize..30), 0..80),
+            arcs in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+            n in 12usize..40,
+        ) {
+            // A warm instance over a different graph (more or fewer nodes
+            // and arcs) rebuilds to exactly the fresh build, under a new id.
+            let mut g = CsrGraph::from_edges(30, &before, true).unwrap();
+            let old_id = g.instance_id();
+            g.rebuild_undirected(n, &arcs);
+            let edges: Vec<(usize, usize)> =
+                arcs.iter().map(|&(u, v)| (u as usize, v as usize)).collect();
+            prop_assert_eq!(&g, &CsrGraph::from_edges(n, &edges, true).unwrap());
+            prop_assert!(g.instance_id() != old_id);
+            g.rebuild_undirected(0, &[]);
+            prop_assert_eq!(&g, &CsrGraph::default());
         }
     }
 }

@@ -143,6 +143,13 @@ impl Matrix {
         self.data.is_empty()
     }
 
+    /// Entries the matrix's buffer holds room for — at least
+    /// [`Matrix::len`], more after a [`Matrix::resize`] that shrank it.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Reshapes in place to `rows × cols`, reusing the existing
     /// allocation where possible. Entry values after the call are
     /// unspecified (a mix of retained old data and zeros) — this is the

@@ -84,8 +84,8 @@ impl TraceMeta {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// Stable stage name: `admission`, `queued`, `assembly`, an engine
-    /// stage (`sample`, `full_graph`, `merge`, `gather`, `execute`,
-    /// `scatter`), or `response_write`.
+    /// stage (`sample`, `full_graph`, `execute`, `scatter`), or
+    /// `response_write`.
     pub stage: &'static str,
     /// Offset of the stage start from the recorder epoch.
     pub start: Duration,
