@@ -24,9 +24,10 @@ use blockgnn_perf::params::CirCoreParams;
 use std::fmt;
 
 /// Which execution substrate a backend represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Dense GEMM over decompressed weights — the uncompressed baseline.
+    #[default]
     Dense,
     /// Algorithm 1 (FFT → spectral MAC → IFFT) with kernel spectra
     /// cached across calls.

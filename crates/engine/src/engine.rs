@@ -297,6 +297,7 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::OverCap`] for a delta past a per-delta cap;
     /// [`EngineError::Delta`] for invalid deltas (missing edge,
     /// out-of-range node, bad feature width, empty delta);
     /// [`EngineError::GraphBudget`] when growth violates the residency

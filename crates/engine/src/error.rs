@@ -36,6 +36,17 @@ pub enum EngineError {
         /// The most one request may ask for.
         max: usize,
     },
+    /// A request or graph delta carries more of something than one may:
+    /// explicit full-graph targets, or a delta's edge pairs, overwritten
+    /// feature rows or appended nodes.
+    OverCap {
+        /// What was counted.
+        what: &'static str,
+        /// How many the request or delta carries.
+        count: usize,
+        /// The most one may carry.
+        max: usize,
+    },
     /// An engine (or a server pool) was asked for zero worker threads.
     NoWorkers,
     /// A graph update was rejected by the versioned graph (missing
@@ -63,6 +74,9 @@ impl fmt::Display for EngineError {
             EngineError::EmptyRequest => write!(f, "sampled request carries no target nodes"),
             EngineError::RequestTooLarge { arcs, max } => {
                 write!(f, "sampled request asks for {arcs} neighbour draws (at most {max})")
+            }
+            EngineError::OverCap { what, count, max } => {
+                write!(f, "{count} {what} exceed the cap of {max}")
             }
             EngineError::NoWorkers => {
                 write!(f, "an engine needs at least one worker thread")

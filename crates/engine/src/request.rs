@@ -6,6 +6,7 @@
 use crate::error::EngineError;
 use crate::stats::ServeStats;
 use blockgnn_accel::SimReport;
+use blockgnn_graph::GraphDelta;
 use blockgnn_linalg::vector::argmax;
 use blockgnn_linalg::Matrix;
 use std::time::Duration;
@@ -175,18 +176,48 @@ pub(crate) fn validate_nodes(nodes: &[usize], num_nodes: usize) -> Result<(), En
 /// released after the batch.
 const MAX_SAMPLED_ARCS: usize = 1 << 22;
 
+/// The most targets an explicit full-graph request may name (`all`, the
+/// empty list, is not a list and is not capped). The list costs the
+/// sender two bytes a target and the server a logits row each: unbounded,
+/// one 1 MiB `infer full 0,0,0,…` line names ~500 k targets and asks for
+/// a ~60 MB reply. 4 096 is 16× the largest request anywhere in this
+/// repository, the benchmark ladder's 256-target sampled requests; the
+/// largest explicit full-graph list is `tests/engine_api.rs`'s 4 rows.
+const MAX_FULL_TARGETS: usize = 4096;
+
+/// The most edge pairs, added plus removed, one graph delta may carry:
+/// ~200× the largest delta anywhere in this repository, the 20 added
+/// edges of `tests/versioned_graph.rs`'s
+/// `stale_sampled_interning_cannot_survive_mutation`.
+const MAX_DELTA_EDGES: usize = 4096;
+
+/// The most feature rows one graph delta may overwrite. No delta in this
+/// repository sets more than one (the benchmark's `update_mix` writer
+/// sets one per delta).
+const MAX_DELTA_FEATURE_ROWS: usize = 1024;
+
+/// The most nodes one graph delta may append. No delta in this
+/// repository appends more than one (`tests/versioned_graph.rs`'s growth
+/// steps).
+const MAX_DELTA_APPENDED_ROWS: usize = 1024;
+
 /// The single definition of request validity against a graph of
-/// `num_nodes` nodes: every named node must exist, and sampled requests
-/// must name at least one and ask for at most `MAX_SAMPLED_ARCS` (2²²)
-/// neighbour draws. Used by the engines before executing and by the
-/// serving runtime at admission, so the two can never drift.
+/// `num_nodes` nodes: every named node must exist, an explicit
+/// full-graph list names at most `MAX_FULL_TARGETS` (4 096), and sampled
+/// requests must name at least one and ask for at most
+/// `MAX_SAMPLED_ARCS` (2²²) neighbour draws. Used by the engines before
+/// executing and by the serving runtime at admission, so the two can
+/// never drift.
 ///
 /// # Errors
 ///
-/// [`EngineError::NodeOutOfRange`], [`EngineError::EmptyRequest`] or
-/// [`EngineError::RequestTooLarge`].
+/// [`EngineError::NodeOutOfRange`], [`EngineError::OverCap`],
+/// [`EngineError::EmptyRequest`] or [`EngineError::RequestTooLarge`].
 pub fn validate_request(request: &InferRequest, num_nodes: usize) -> Result<(), EngineError> {
     validate_nodes(&request.nodes, num_nodes)?;
+    if request.mode == RequestMode::FullGraph {
+        over_cap("full-graph targets", request.nodes.len(), MAX_FULL_TARGETS)?;
+    }
     if let RequestMode::Sampled { s1, s2, .. } = request.mode {
         if request.nodes.is_empty() {
             return Err(EngineError::EmptyRequest);
@@ -201,6 +232,27 @@ pub fn validate_request(request: &InferRequest, num_nodes: usize) -> Result<(), 
         }
     }
     Ok(())
+}
+
+/// Refuses a graph delta over a per-delta cap (edge pairs, overwritten
+/// feature rows, appended nodes) before anything is applied.
+///
+/// # Errors
+///
+/// [`EngineError::OverCap`] naming the first cap exceeded.
+pub(crate) fn validate_delta(delta: &GraphDelta) -> Result<(), EngineError> {
+    let edges = delta.add_edges.len() + delta.remove_edges.len();
+    over_cap("delta edge pairs", edges, MAX_DELTA_EDGES)?;
+    over_cap("delta feature rows", delta.set_features.len(), MAX_DELTA_FEATURE_ROWS)?;
+    over_cap("delta appended nodes", delta.append_nodes.len(), MAX_DELTA_APPENDED_ROWS)
+}
+
+fn over_cap(what: &'static str, count: usize, max: usize) -> Result<(), EngineError> {
+    if count > max {
+        Err(EngineError::OverCap { what, count, max })
+    } else {
+        Ok(())
+    }
 }
 
 /// Reads the requested rows off a full-graph logits matrix; an empty
@@ -277,5 +329,60 @@ mod tests {
         assert!(InferRequest::all_nodes().nodes.is_empty());
         let s = InferRequest::paper_sampled(vec![3], 9);
         assert_eq!(s.mode, RequestMode::Sampled { s1: 25, s2: 10, seed: 9 });
+    }
+
+    #[test]
+    fn a_full_graph_list_past_its_cap_is_refused() {
+        let at_cap = InferRequest::full_graph(vec![0; MAX_FULL_TARGETS]);
+        assert_eq!(validate_request(&at_cap, 1), Ok(()));
+        let over = InferRequest::full_graph(vec![0; MAX_FULL_TARGETS + 1]);
+        let refused = EngineError::OverCap {
+            what: "full-graph targets",
+            count: MAX_FULL_TARGETS + 1,
+            max: MAX_FULL_TARGETS,
+        };
+        assert_eq!(validate_request(&over, 1), Err(refused));
+        assert_eq!(validate_request(&InferRequest::all_nodes(), 1), Ok(()), "`all` is no list");
+    }
+
+    #[test]
+    fn a_delta_past_its_edge_cap_is_refused() {
+        let mut delta = GraphDelta::new();
+        delta.add_edges = vec![(0, 1); MAX_DELTA_EDGES / 2];
+        delta.remove_edges = vec![(0, 1); MAX_DELTA_EDGES / 2];
+        assert_eq!(validate_delta(&delta), Ok(()));
+        delta.remove_edges.push((0, 1));
+        let count = MAX_DELTA_EDGES + 1;
+        let refused =
+            EngineError::OverCap { what: "delta edge pairs", count, max: MAX_DELTA_EDGES };
+        assert_eq!(validate_delta(&delta), Err(refused));
+    }
+
+    #[test]
+    fn a_delta_past_its_feature_row_cap_is_refused() {
+        let mut delta = GraphDelta::new();
+        delta.set_features = vec![(0, vec![0.0]); MAX_DELTA_FEATURE_ROWS];
+        assert_eq!(validate_delta(&delta), Ok(()));
+        delta.set_features.push((0, vec![0.0]));
+        let refused = EngineError::OverCap {
+            what: "delta feature rows",
+            count: MAX_DELTA_FEATURE_ROWS + 1,
+            max: MAX_DELTA_FEATURE_ROWS,
+        };
+        assert_eq!(validate_delta(&delta), Err(refused));
+    }
+
+    #[test]
+    fn a_delta_past_its_appended_node_cap_is_refused() {
+        let mut delta = GraphDelta::new();
+        delta.append_nodes = vec![vec![0.0]; MAX_DELTA_APPENDED_ROWS];
+        assert_eq!(validate_delta(&delta), Ok(()));
+        delta.append_nodes.push(vec![0.0]);
+        let refused = EngineError::OverCap {
+            what: "delta appended nodes",
+            count: MAX_DELTA_APPENDED_ROWS + 1,
+            max: MAX_DELTA_APPENDED_ROWS,
+        };
+        assert_eq!(validate_delta(&delta), Err(refused));
     }
 }

@@ -154,10 +154,12 @@ impl SharedGraphState {
     ///
     /// # Errors
     ///
+    /// [`EngineError::OverCap`] for a delta past a per-delta cap;
     /// [`EngineError::Delta`] for invalid deltas;
     /// [`EngineError::GraphBudget`] when growth violates the residency
-    /// budget. The served graph is untouched in both cases.
+    /// budget. The served graph is untouched in every case.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Arc<GraphEpoch>, EngineError> {
+        crate::request::validate_delta(delta)?;
         let _writer = lock_recover(&self.writer);
         let current = self.epoch();
         let old = &current.dataset;
@@ -206,8 +208,9 @@ impl GraphHandle {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Delta`] or [`EngineError::GraphBudget`]; the
-    /// served graph is untouched on failure.
+    /// [`EngineError::OverCap`], [`EngineError::Delta`] or
+    /// [`EngineError::GraphBudget`]; the served graph is untouched on
+    /// failure.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<u64, EngineError> {
         Ok(self.shared.apply_delta(delta)?.version)
     }

@@ -19,9 +19,10 @@ use gs_pool::GsPool;
 use std::fmt;
 
 /// Which of the paper's four GNN algorithms a model implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Graph Convolutional Network (Kipf & Welling).
+    #[default]
     Gcn,
     /// GraphSAGE with the max-pooling aggregator.
     GsPool,

@@ -10,9 +10,8 @@ use crate::error::ServerError;
 use crate::fault::splitmix;
 use crate::observe::TraceQuery;
 use crate::protocol::{
-    parse_deploy_ack, parse_error, parse_health, parse_lines_header, parse_list_reply,
-    parse_response, parse_update_ack, write_frame, Command, HealthReport, RemoteResponse,
-    UpdateAck,
+    decode_list, parse_error, parse_response, take_plain, write_frame, Command, Fields,
+    HealthReport, RemoteResponse, UpdateAck, DEPLOY_ACK, HEALTH, RETIRE_ACK, UPDATE_ACK,
 };
 use crate::queue::SubmitOptions;
 use crate::tenant::{TenantInfo, TenantSpec};
@@ -277,7 +276,9 @@ impl Client {
         command: &Command,
         verb: &str,
     ) -> Result<Vec<String>, ServerError> {
-        let count = parse_lines_header(&self.call(command)?, verb)?;
+        let header = self.call(command)?;
+        let prefix = format!("ok {verb} ");
+        let count = Fields::read(&header, &prefix, |f| f.spelled("lines", take_plain))?;
         (0..count).map(|_| self.read_line()).collect()
     }
 
@@ -388,7 +389,7 @@ impl Client {
     ///
     /// Transport or protocol errors.
     pub fn health(&mut self) -> Result<HealthReport, ServerError> {
-        parse_health(&self.call(&Command::Health)?)
+        HEALTH.decode(&self.call(&Command::Health)?)
     }
 
     /// Applies a graph delta to the default tenant, blocking for the ack
@@ -418,7 +419,7 @@ impl Client {
         tenant: Option<&str>,
     ) -> Result<UpdateAck, ServerError> {
         let command = Command::Update(delta.clone(), tenant.map(str::to_string));
-        parse_update_ack(&self.call(&command)?)
+        UPDATE_ACK.decode(&self.call(&command)?)
     }
 
     /// Deploys a new tenant on the server; blocks for the ack describing
@@ -430,7 +431,7 @@ impl Client {
     /// [`ServerError::TenantBudget`], a protocol error for a bad spec),
     /// or transport/protocol errors.
     pub fn deploy(&mut self, spec: &TenantSpec) -> Result<TenantInfo, ServerError> {
-        parse_deploy_ack(&self.call(&Command::Deploy(spec.clone()))?)
+        DEPLOY_ACK.decode(&self.call(&Command::Deploy(spec.clone()))?)
     }
 
     /// Retires a deployed tenant; returns the server's send-off line
@@ -442,11 +443,8 @@ impl Client {
     /// error for the irremovable default tenant, or transport errors.
     pub fn retire(&mut self, tenant: &str) -> Result<String, ServerError> {
         let reply = self.call(&Command::Retire(tenant.to_string()))?;
-        if reply.starts_with("ok retire ") {
-            Ok(reply)
-        } else {
-            Err(ServerError::Protocol(format!("expected ok retire reply, got {reply:?}")))
-        }
+        RETIRE_ACK.decode(&reply)?;
+        Ok(reply)
     }
 
     /// Fetches the deployed-tenant roster.
@@ -456,7 +454,7 @@ impl Client {
     /// Transport errors, or [`ServerError::Protocol`] on a malformed
     /// reply.
     pub fn list(&mut self) -> Result<Vec<TenantInfo>, ServerError> {
-        parse_list_reply(&self.call(&Command::List)?)
+        decode_list(&self.call(&Command::List)?)
     }
 
     /// Liveness probe.

@@ -76,7 +76,8 @@ pub enum ServerError {
     RemoteEngine(String),
     /// A malformed protocol line (client or server side).
     Protocol(String),
-    /// A transport failure, with the rendered I/O error.
+    /// An I/O failure — the transport, or the OS refusing a worker
+    /// thread — with the rendered error.
     Io(String),
 }
 
@@ -113,7 +114,7 @@ impl fmt::Display for ServerError {
             ServerError::Engine(e) => write!(f, "engine error: {e}"),
             ServerError::RemoteEngine(m) => write!(f, "remote engine error: {m}"),
             ServerError::Protocol(m) => write!(f, "protocol error: {m}"),
-            ServerError::Io(m) => write!(f, "transport error: {m}"),
+            ServerError::Io(m) => write!(f, "I/O error: {m}"),
         }
     }
 }

@@ -197,20 +197,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// The pinned chaos plan the CI `chaos` lane drives: a handful of
-    /// worker panics and connection resets plus background latency, all
-    /// from one frozen seed, calibrated so a PR-7 adversarial replay
-    /// observes ≥ 3 crashes and several resets yet converges.
-    #[must_use]
-    pub fn ci_chaos() -> Self {
-        FaultPlan::new(0xC4A0_5F17)
-            .with_panics(120, 6)
-            .with_latency(40, 400)
-            .with_alloc_failures(20)
-            .with_resets(60, 8)
-            .with_stalls(20, 800)
-    }
 }
 
 /// What an engine-stage draw decided.
@@ -350,30 +336,6 @@ impl FaultInjector {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < max).then_some(n + 1))
             .is_ok()
     }
-
-    /// Panics injected so far (for tests and the `health` surface).
-    #[must_use]
-    pub fn injected_panics(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            if i.plan.panic_permille > 0 {
-                u64::from(i.engine.fired.load(Ordering::Relaxed))
-            } else {
-                0
-            }
-        })
-    }
-
-    /// Connection resets injected so far.
-    #[must_use]
-    pub fn injected_resets(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| {
-            if i.plan.reset_permille > 0 {
-                u64::from(i.socket.fired.load(Ordering::Relaxed))
-            } else {
-                0
-            }
-        })
-    }
 }
 
 /// The supervision circuit breaker: opens (pool degraded) once
@@ -408,7 +370,9 @@ impl CircuitBreaker {
     /// afterwards.
     pub fn record_crash(&mut self, now: Instant) -> bool {
         self.crashes.push_back(now);
-        self.prune(now);
+        while self.crashes.front().is_some_and(|&t| now.duration_since(t) > self.window) {
+            self.crashes.pop_front();
+        }
         if self.crashes.len() >= self.threshold {
             self.open_until = Some(now + self.cooldown);
         }
@@ -426,21 +390,23 @@ impl CircuitBreaker {
         }
         self.open_until.is_some()
     }
-
-    fn prune(&mut self, now: Instant) {
-        while let Some(&front) = self.crashes.front() {
-            if now.duration_since(front) > self.window {
-                self.crashes.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pinned chaos plan the CI `chaos` lane drives (its `--faults`
+    /// spec): a handful of worker panics and connection resets plus
+    /// background latency, all from one frozen seed.
+    fn ci_chaos() -> FaultPlan {
+        FaultPlan::new(0xC4A0_5F17)
+            .with_panics(120, 6)
+            .with_latency(40, 400)
+            .with_alloc_failures(20)
+            .with_resets(60, 8)
+            .with_stalls(20, 800)
+    }
 
     #[test]
     fn plans_parse_and_round_trip_the_ci_spec() {
@@ -449,7 +415,7 @@ mod tests {
              alloc=20,reset=60,max_resets=8,stall=20,stall_us=800",
         )
         .unwrap();
-        assert_eq!(plan, FaultPlan::ci_chaos());
+        assert_eq!(plan, ci_chaos());
         assert!(FaultPlan::parse("").is_err());
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("panic=abc").is_err());
@@ -461,8 +427,8 @@ mod tests {
 
     #[test]
     fn draws_are_deterministic_per_site() {
-        let a = FaultInjector::new(FaultPlan::ci_chaos());
-        let b = FaultInjector::new(FaultPlan::ci_chaos());
+        let a = FaultInjector::new(ci_chaos());
+        let b = FaultInjector::new(ci_chaos());
         let seq_a: Vec<EngineFault> = (0..200).map(|_| a.engine_fault()).collect();
         let seq_b: Vec<EngineFault> = (0..200).map(|_| b.engine_fault()).collect();
         assert_eq!(seq_a, seq_b, "same plan → same engine fault sequence");
@@ -470,8 +436,10 @@ mod tests {
         let socket_b: Vec<SocketFault> = (0..200).map(|_| b.socket_fault()).collect();
         assert_eq!(socket_a, socket_b, "same plan → same socket fault sequence");
         // Budgets cap the panics and resets.
-        assert_eq!(a.injected_panics(), 6, "panic budget of the CI plan");
-        assert!(a.injected_resets() <= 8, "reset budget of the CI plan");
+        let panics = seq_a.iter().filter(|f| **f == EngineFault::Panic).count();
+        assert_eq!(panics, 6, "panic budget of the CI plan");
+        let resets = socket_a.iter().filter(|f| **f == SocketFault::Reset).count();
+        assert!(resets <= 8, "reset budget of the CI plan");
         assert!(seq_a.contains(&EngineFault::Panic));
         assert!(seq_a.contains(&EngineFault::Latency(Duration::from_micros(400))));
     }

@@ -17,7 +17,9 @@
 //!   each request alone.
 //! * **Telemetry** — [`ServerStats`]: latency histograms with
 //!   p50/p95/p99, the queue-time vs compute-time split, QPS, shed
-//!   counts, and the batch-size distribution. A request's fate is
+//!   counts, and the batch-size distribution. Every exported number is
+//!   a row of one counter table per scope (server, tenant, class), which
+//!   the `stats` line and [`Server::metrics_text`] both render. A request's fate is
 //!   recorded on one outcome path: its terminal [`TraceOutcome`] books
 //!   the aggregate counter and its class rollup together, and finishes
 //!   its trace record, in one call each.

@@ -28,12 +28,13 @@
 //!
 //! The Prometheus text exposition is written family by family, straight
 //! from the same telemetry snapshots the `stats` verb reads (aggregate,
-//! per-tenant, per-class): [`crate::Server::metrics_text`] walks its
-//! tables of families, and each family writes its `# HELP`/`# TYPE`
-//! header and samples through `write_family` (a counter when its name
-//! ends in `_total`, else a gauge) or `write_summary` (p50/p95/p99 plus
-//! `_count`). Labels are `tenant`, `class` and `backend`; nothing is
-//! double-counted, and the metric names are stable (CI greps them).
+//! per-tenant, per-class): [`crate::Server::metrics_text`] walks the
+//! telemetry counter tables, whose rows also make the `stats` line, and
+//! each family writes its `# HELP`/`# TYPE` header and samples through
+//! `write_family` (a counter or a gauge, as its row's kind says) or
+//! `write_summary` (p50/p95/p99 plus `_count`). Labels are `tenant`,
+//! `class` and `backend`; nothing is double-counted, and the metric
+//! names are stable (CI greps them).
 
 use crate::fault::lock_recover;
 use crate::queue::SloClass;
@@ -461,19 +462,19 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Writes one Prometheus family: its `# HELP`/`# TYPE` header, then one
-/// line per `(labels, value)` sample (`labels` without braces, empty for
-/// none). A family whose name ends in `_total` is a counter, any other a
-/// gauge. A family with no samples writes nothing.
+/// Writes one Prometheus family of type `kind` (`counter` or `gauge`):
+/// its `# HELP`/`# TYPE` header, then one line per `(labels, value)`
+/// sample (`labels` without braces, empty for none). A family with no
+/// samples writes nothing.
 pub(crate) fn write_family(
     out: &mut String,
     name: &str,
     help: &str,
+    kind: &str,
     samples: impl IntoIterator<Item = (String, f64)>,
 ) {
     let mut samples = samples.into_iter().peekable();
     if samples.peek().is_some() {
-        let kind = if name.ends_with("_total") { "counter" } else { "gauge" };
         let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
         for (labels, value) in samples {
             write_sample(out, name, &labels, value);

@@ -11,9 +11,15 @@
 //! [`Command`] is the verb table. [`parse_command`] reads a request line
 //! into one and its `Display` writes it back as the line that parses to
 //! it; the client, the workload traces and the fuzz corpus make their
-//! request lines through it. Replies are `key=value` words read by one
-//! field reader, which refuses a missing, repeated, malformed or unknown
-//! field.
+//! request lines through it.
+//!
+//! Every `key=value` reply is a `Record`: a prefix and an ordered table
+//! of fields, each a key, how its value is written and how it is read
+//! back. One codec writes each reply from its table and reads it back
+//! through one field reader that refuses a missing, repeated, malformed
+//! or unknown field. The `list` reply's tenants are `TENANT_SEGMENT`
+//! records with their values `:`-joined; `stats` is the counter tables'
+//! rendering ([`crate::ServerStats::summary`]).
 //!
 //! # Grammar
 //!
@@ -40,33 +46,17 @@
 //! tenant    = 1*(ALPHA / DIGIT / "-" / "_" / ".")
 //! trace     = "trace" [SP ("last=" int | "id=" hex64 | "slow" | "export")]
 //!
-//! reply     = "ok" SP infer-reply | "pong" | "ok stats " summary
-//!           | "ok update tenant=" tenant SP "version=" int
-//!             SP "nodes=" int SP "arcs=" int
-//!           | "ok deploy tenant=" tenant SP "model=" model
-//!             SP "backend=" backend SP "version=" int SP "nodes=" int
-//!             SP "weight=" int SP "resident=" int
-//!           | "ok retire tenant=" tenant SP "requests=" int
-//!             SP "completed=" int SP "shed=" int
-//!           | "ok list tenants=" int (SP info)*
+//! reply     = record | "pong" | "ok bye" | "ok stats " summary
+//!           | "ok list tenants=" int (SP segment)*
 //!           | "ok metrics lines=" int LF *(exposition-line LF)
 //!           | "ok trace lines=" int LF *(trace-line LF)
-//!           | "ok health workers=" int SP "alive=" int SP "crashes=" int
-//!             SP "restarts=" int SP "degraded=" ("true"|"false")
-//!           | "ok bye" | "err" SP kind SP message
-//! info      = tenant ":" model ":" backend ":" version ":" nodes
-//!             ":" weight ":" depth ":" resident
-//! infer-reply = "rows=" int SP "cols=" int SP "queue_us=" int
-//!               SP "compute_us=" int SP "from_cache=" ("0"|"1")
-//!               SP "parts=" int SP "batch=" int SP "version=" int
-//!               SP "tenant=" tenant SP "cycles=" int
-//!               SP "energy=" ("none" | hex64)
-//!               SP "trace=" hex64
-//!               SP "preds=" int ("," int)*
-//!               SP "logits=" row (";" row)*     row = hex64 ("," hex64)*
+//!           | "err" SP kind SP message
+//! record    = prefix field (SP field)*    field   = key "=" value
+//! segment   = value (":" value)*          (one per TENANT_SEGMENT row)
 //! kind      = "overloaded" | "deadline" | "shutting_down" | "canceled"
 //!           | "worker_crashed" | "timeout" | "engine" | "protocol" | "io"
-//!           | "unknown_tenant" | "tenant_exists" | "tenant_budget"
+//!           | "unknown_tenant" | "tenant_exists"
+//!           | "tenant_budget"             (message = BUDGET's fields)
 //! ```
 //!
 //! An absent `@tenant` qualifier addresses the `default` tenant
@@ -78,12 +68,12 @@
 use crate::error::ServerError;
 use crate::observe::TraceQuery;
 use crate::queue::{SloClass, SubmitOptions};
-use crate::telemetry::ServerStats;
 use crate::tenant::{
     model_kind_name, parse_backend_kind, parse_model_kind, validate_tenant_name, TenantInfo,
     TenantSpec,
 };
-use blockgnn_engine::{GraphDelta, InferRequest, InferResponse};
+use blockgnn_engine::{BackendKind, GraphDelta, InferRequest, InferResponse};
+use blockgnn_gnn::ModelKind;
 use blockgnn_linalg::Matrix;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
@@ -192,19 +182,10 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         }
         other => return Err(format!("unknown command {other:?}")),
     };
-    end_of_command(&mut words, verb)?;
-    Ok(command)
-}
-
-/// Refuses whatever follows a complete command: a verb that ignored its
-/// tail would obey `shutdown not-yet`.
-fn end_of_command<'a>(
-    words: &mut impl Iterator<Item = &'a str>,
-    verb: &str,
-) -> Result<(), String> {
+    // A verb that ignored its tail would obey `shutdown not-yet`.
     match words.next() {
         Some(extra) => Err(format!("unexpected word {extra:?} after {verb}")),
-        None => Ok(()),
+        None => Ok(command),
     }
 }
 
@@ -265,13 +246,13 @@ fn parse_infer<'a>(
     };
     let mut options = SubmitOptions::default();
     for word in rest {
-        if let Some(v) = word.strip_prefix("class=") {
-            options.class = SloClass::parse(v)?;
-        } else if let Some(v) = word.strip_prefix("deadline_ms=") {
-            let ms: u64 = v.parse().map_err(|_| format!("bad deadline_ms {v:?}"))?;
-            options.deadline = Some(Duration::from_millis(ms));
-        } else {
-            return Err(format!("unknown option {word:?}"));
+        match word.split_once('=') {
+            Some(("class", v)) => options.class = SloClass::parse(v)?,
+            Some(("deadline_ms", v)) => {
+                let ms = v.parse().map_err(|_| format!("bad deadline_ms {v:?}"))?;
+                options.deadline = Some(Duration::from_millis(ms));
+            }
+            _ => return Err(format!("unknown option {word:?}")),
         }
     }
     Ok(Command::Infer(request, options, tenant))
@@ -283,34 +264,27 @@ fn parse_update<'a>(
 ) -> Result<Command, String> {
     let mut delta = GraphDelta::new();
     for word in words {
-        if let Some(v) = word.strip_prefix("add=") {
-            delta.add_edges.extend(parse_pairs(v)?);
-        } else if let Some(v) = word.strip_prefix("del=") {
-            delta.remove_edges.extend(parse_pairs(v)?);
-        } else if let Some(v) = word.strip_prefix("feat=") {
-            let rows: Vec<(usize, Vec<f64>)> = v
-                .split(';')
-                .filter(|r| !r.is_empty())
-                .map(|r| {
-                    let (node, row) = r
+        let unknown = || format!("unknown update clause {word:?}");
+        let (key, value) = word.split_once('=').ok_or_else(unknown)?;
+        let rows = value.split(';').filter(|r| !r.is_empty());
+        match key {
+            "add" => delta.add_edges.extend(parse_pairs(value)?),
+            "del" => delta.remove_edges.extend(parse_pairs(value)?),
+            "feat" => {
+                for row in rows {
+                    let (node, row) = row
                         .split_once(':')
-                        .ok_or_else(|| format!("expected NODE:row, got {r:?}"))?;
-                    Ok((
-                        node.parse::<usize>().map_err(|_| format!("bad node id {node:?}"))?,
-                        parse_f64_row(row)?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-            delta.set_features.extend(rows);
-        } else if let Some(v) = word.strip_prefix("new=") {
-            let rows: Vec<Vec<f64>> = v
-                .split(';')
-                .filter(|r| !r.is_empty())
-                .map(parse_f64_row)
-                .collect::<Result<_, String>>()?;
-            delta.append_nodes.extend(rows);
-        } else {
-            return Err(format!("unknown update clause {word:?}"));
+                        .ok_or_else(|| format!("expected NODE:row, got {row:?}"))?;
+                    let node = node.parse().map_err(|_| format!("bad node id {node:?}"))?;
+                    delta.set_features.push((node, parse_f64_row(row)?));
+                }
+            }
+            "new" => {
+                for row in rows {
+                    delta.append_nodes.push(parse_f64_row(row)?);
+                }
+            }
+            _ => return Err(unknown()),
         }
     }
     // An empty delta is syntactically valid; the engine rejects it with
@@ -323,19 +297,17 @@ fn parse_deploy<'a>(words: &mut impl Iterator<Item = &'a str>) -> Result<Command
     let compact = words.next().ok_or("deploy needs name=dataset:model:backend")?;
     let mut spec = TenantSpec::parse_compact(compact)?;
     for word in words {
-        if let Some(v) = word.strip_prefix("weight=") {
-            spec = spec.weight(v.parse().map_err(|_| format!("bad weight {v:?}"))?);
-        } else if let Some(v) = word.strip_prefix("depth=") {
-            spec = spec.max_queue_depth(v.parse().map_err(|_| format!("bad depth {v:?}"))?);
-        } else if let Some(v) = word.strip_prefix("hidden=") {
-            spec = spec.hidden_dim(v.parse().map_err(|_| format!("bad hidden {v:?}"))?);
-        } else if let Some(v) = word.strip_prefix("block=") {
-            spec = spec.block_size(v.parse().map_err(|_| format!("bad block {v:?}"))?);
-        } else if let Some(v) = word.strip_prefix("seed=") {
-            spec = spec.seed(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
-        } else {
-            return Err(format!("unknown deploy option {word:?}"));
-        }
+        let unknown = || format!("unknown deploy option {word:?}");
+        let (key, v) = word.split_once('=').ok_or_else(unknown)?;
+        let bad = |_| format!("bad {key} {v:?}");
+        spec = match key {
+            "weight" => spec.weight(v.parse().map_err(bad)?),
+            "depth" => spec.max_queue_depth(v.parse().map_err(bad)?),
+            "hidden" => spec.hidden_dim(v.parse().map_err(bad)?),
+            "block" => spec.block_size(v.parse().map_err(bad)?),
+            "seed" => spec.seed(v.parse().map_err(bad)?),
+            _ => return Err(unknown()),
+        };
     }
     Ok(Command::Deploy(spec))
 }
@@ -394,87 +366,46 @@ fn qualified(verb: &str, tenant: Option<&str>) -> String {
 #[must_use]
 pub fn encode_update(delta: &GraphDelta, tenant: Option<&str>) -> String {
     let mut line = qualified("update", tenant);
-    let push_pairs = |line: &mut String, key: &str, pairs: &[(usize, usize)]| {
-        if pairs.is_empty() {
-            return;
-        }
-        let _ = write!(line, " {key}=");
-        for (i, (u, v)) in pairs.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{u}:{v}");
-        }
+    let pairs = |out: &mut String, (u, v): &(usize, usize)| {
+        let _ = write!(out, "{u}:{v}");
     };
-    push_pairs(&mut line, "add", &delta.add_edges);
-    push_pairs(&mut line, "del", &delta.remove_edges);
+    for (key, edges) in [("add", &delta.add_edges), ("del", &delta.remove_edges)] {
+        if !edges.is_empty() {
+            let _ = write!(line, " {key}=");
+            put_joined(&mut line, edges, ',', pairs);
+        }
+    }
     if !delta.set_features.is_empty() {
         line.push_str(" feat=");
-        for (i, (node, row)) in delta.set_features.iter().enumerate() {
-            if i > 0 {
-                line.push(';');
-            }
-            let _ = write!(line, "{node}:");
-            push_hex_row(&mut line, row);
-        }
+        put_joined(&mut line, &delta.set_features, ';', |out, (node, row)| {
+            let _ = write!(out, "{node}:");
+            push_hex_row(out, row);
+        });
     }
     if !delta.append_nodes.is_empty() {
         line.push_str(" new=");
-        for (i, row) in delta.append_nodes.iter().enumerate() {
-            if i > 0 {
-                line.push(';');
-            }
-            push_hex_row(&mut line, row);
-        }
+        put_joined(&mut line, &delta.append_nodes, ';', |out, row| push_hex_row(out, row));
     }
     line
 }
 
-fn push_hex_row(line: &mut String, row: &[f64]) {
-    for (j, v) in row.iter().enumerate() {
-        if j > 0 {
-            line.push(',');
+/// Writes `items` with `put`, `separator`-joined.
+pub(crate) fn put_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    separator: char,
+    mut put: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(separator);
         }
-        let _ = write!(line, "{:016x}", v.to_bits());
+        put(out, item);
     }
 }
 
-/// What a successful `update` reply carries back to the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdateAck {
-    /// The tenant whose graph the delta was applied to.
-    pub tenant: String,
-    /// The newly published graph version.
-    pub version: u64,
-    /// Node count after the delta.
-    pub num_nodes: usize,
-    /// Stored arc count after the delta.
-    pub num_arcs: usize,
-}
-
-/// Renders an applied update as an `ok update` reply line (no newline).
-#[must_use]
-pub fn encode_update_ack(ack: &UpdateAck) -> String {
-    format!(
-        "ok update tenant={} version={} nodes={} arcs={}",
-        ack.tenant, ack.version, ack.num_nodes, ack.num_arcs
-    )
-}
-
-/// Parses an `ok update` reply back into an [`UpdateAck`].
-///
-/// # Errors
-///
-/// [`ServerError::Protocol`] when the line does not match the grammar.
-pub fn parse_update_ack(line: &str) -> Result<UpdateAck, ServerError> {
-    Fields::read(line, "ok update ", |f| {
-        Ok(UpdateAck {
-            tenant: f.parse("tenant")?,
-            version: f.parse("version")?,
-            num_nodes: f.parse("nodes")?,
-            num_arcs: f.parse("arcs")?,
-        })
-    })
+fn push_hex_row(out: &mut String, row: &[f64]) {
+    put_joined(out, row, ',', |out, v| put_hex(out, &v.to_bits()));
 }
 
 fn parse_kv<T: std::str::FromStr>(word: Option<&str>, key: &str) -> Result<T, String> {
@@ -563,150 +494,27 @@ pub fn encode_deploy(spec: &TenantSpec) -> String {
     line
 }
 
-/// Renders a successful deploy as an `ok deploy` reply line (no
-/// newline).
-#[must_use]
-pub fn encode_deploy_ack(info: &TenantInfo) -> String {
-    format!(
-        "ok deploy tenant={} model={} backend={} version={} nodes={} weight={} resident={}",
-        info.name,
-        model_kind_name(info.model),
-        info.backend.name(),
-        info.graph_version,
-        info.num_nodes,
-        info.weight,
-        info.resident_bytes
-    )
+fn push_csv(out: &mut String, nodes: &[usize]) {
+    put_joined(out, nodes, ',', put_plain);
 }
 
-/// Parses an `ok deploy` reply back into a [`TenantInfo`] (queue depth
-/// is zero — the tenant was just born).
-///
-/// # Errors
-///
-/// [`ServerError::Protocol`] when the line does not match the grammar.
-pub fn parse_deploy_ack(line: &str) -> Result<TenantInfo, ServerError> {
-    Fields::read(line, "ok deploy ", |f| {
-        Ok(TenantInfo {
-            name: f.parse("tenant")?,
-            model: parse_model_kind(f.raw("model")?).map_err(ServerError::Protocol)?,
-            backend: parse_backend_kind(f.raw("backend")?).map_err(ServerError::Protocol)?,
-            graph_version: f.parse("version")?,
-            num_nodes: f.parse("nodes")?,
-            weight: f.parse("weight")?,
-            queue_depth: 0,
-            resident_bytes: f.parse("resident")?,
-        })
-    })
-}
-
-/// Renders a retired tenant's send-off as an `ok retire` reply line (no
-/// newline), carrying its lifetime counters.
-#[must_use]
-pub fn encode_retire_ack(tenant: &str, finals: &ServerStats) -> String {
-    format!(
-        "ok retire tenant={} requests={} completed={} shed={}",
-        tenant,
-        finals.submitted,
-        finals.completed,
-        finals.shed()
-    )
-}
-
-/// Renders one tenant's description as a colon-separated `list` segment
-/// (`name:model:backend:version:nodes:weight:depth:resident`).
-#[must_use]
-pub fn encode_tenant_info(info: &TenantInfo) -> String {
-    format!(
-        "{}:{}:{}:{}:{}:{}:{}:{}",
-        info.name,
-        model_kind_name(info.model),
-        info.backend.name(),
-        info.graph_version,
-        info.num_nodes,
-        info.weight,
-        info.queue_depth,
-        info.resident_bytes
-    )
-}
-
-/// Parses one colon-separated `list` segment back into a
-/// [`TenantInfo`].
-///
-/// # Errors
-///
-/// [`ServerError::Protocol`] when the segment does not have exactly the
-/// grammar's eight fields.
-pub fn parse_tenant_info(segment: &str) -> Result<TenantInfo, ServerError> {
-    let parts: Vec<&str> = segment.split(':').collect();
-    let [name, model, backend, version, nodes, weight, depth, resident] = parts[..] else {
-        return Err(ServerError::Protocol(format!(
-            "expected name:model:backend:version:nodes:weight:depth:resident, got {segment:?}"
-        )));
-    };
-    Ok(TenantInfo {
-        name: name.to_string(),
-        model: parse_model_kind(model).map_err(ServerError::Protocol)?,
-        backend: parse_backend_kind(backend).map_err(ServerError::Protocol)?,
-        graph_version: parse_value("version", version)?,
-        num_nodes: parse_value("nodes", nodes)?,
-        weight: parse_value("weight", weight)?,
-        queue_depth: parse_value("depth", depth)?,
-        resident_bytes: parse_value("resident", resident)?,
-    })
-}
-
-/// Renders the deployed-tenant roster as an `ok list` reply line (no
-/// newline).
-#[must_use]
-pub fn encode_list_reply(infos: &[TenantInfo]) -> String {
-    let mut line = format!("ok list tenants={}", infos.len());
-    for info in infos {
-        line.push(' ');
-        line.push_str(&encode_tenant_info(info));
-    }
-    line
-}
-
-/// Parses an `ok list` reply back into the tenant roster.
-///
-/// # Errors
-///
-/// [`ServerError::Protocol`] on grammar mismatch, including a roster
-/// shorter or longer than its own `tenants=` count.
-pub fn parse_list_reply(line: &str) -> Result<Vec<TenantInfo>, ServerError> {
-    let body = line.strip_prefix("ok list ").ok_or_else(|| {
-        ServerError::Protocol(format!("expected ok list reply, got {line:?}"))
-    })?;
-    let mut words = body.split_whitespace();
-    let count_word = words.next().unwrap_or_default();
-    let count: usize = count_word
-        .strip_prefix("tenants=")
-        .ok_or_else(|| ServerError::Protocol(format!("expected tenants=…, got {count_word:?}")))
-        .and_then(|n| parse_value("tenants", n))?;
-    let infos = words.map(parse_tenant_info).collect::<Result<Vec<_>, _>>()?;
-    if infos.len() != count {
-        return Err(ServerError::Protocol(format!(
-            "list reply claims {count} tenants but carries {}",
-            infos.len()
-        )));
-    }
-    Ok(infos)
-}
-
-fn push_csv(line: &mut String, nodes: &[usize]) {
-    for (i, n) in nodes.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        let _ = write!(line, "{n}");
-    }
+/// What a successful `update` reply carries back to the client.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UpdateAck {
+    /// The tenant whose graph the delta was applied to.
+    pub tenant: String,
+    /// The newly published graph version.
+    pub version: u64,
+    /// Node count after the delta.
+    pub num_nodes: usize,
+    /// Stored arc count after the delta.
+    pub num_arcs: usize,
 }
 
 /// What the client reconstructs from an `ok` infer reply: the response
 /// minus the per-layer hardware report (its total cycles and energy
 /// cross the wire as scalars).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RemoteResponse {
     /// One logits row per requested node — bit-identical to the
     /// server-side matrix.
@@ -739,86 +547,30 @@ pub struct RemoteResponse {
     pub trace_id: u64,
 }
 
-/// Renders a served response as an `ok` reply line (no newline),
-/// echoing the tenant that served it.
-#[must_use]
-pub fn encode_response(response: &InferResponse, tenant: &str) -> String {
-    let mut line = format!(
-        "ok rows={} cols={} queue_us={} compute_us={} from_cache={} parts={} batch={} \
-         version={} tenant={} cycles={}",
-        response.logits.rows(),
-        response.logits.cols(),
-        response.queue_time.as_micros(),
-        response.compute_time.as_micros(),
-        u8::from(response.from_cache),
-        response.parts,
-        response.batch_size,
-        response.graph_version,
-        tenant,
-        response.sim.as_ref().map_or(0, |s| s.total_cycles),
-    );
-    match response.energy_joules {
-        // Energy crosses as bits so the round-trip is exact.
-        Some(e) => {
-            let _ = write!(line, " energy={:016x}", e.to_bits());
+impl RemoteResponse {
+    /// The reply `tenant` sends for a served `response`: the record the
+    /// client reads back.
+    pub(crate) fn served(response: InferResponse, tenant: &str) -> Self {
+        Self {
+            logits: response.logits,
+            predictions: response.predictions,
+            latency: response.latency,
+            queue_time: response.queue_time,
+            compute_time: response.compute_time,
+            from_cache: response.from_cache,
+            parts: response.parts,
+            batch_size: response.batch_size,
+            graph_version: response.graph_version,
+            tenant: tenant.to_string(),
+            sim_cycles: response.sim.map_or(0, |s| s.total_cycles),
+            energy_joules: response.energy_joules,
+            trace_id: response.trace_id,
         }
-        None => line.push_str(" energy=none"),
     }
-    let _ = write!(line, " trace={:016x}", response.trace_id);
-    line.push_str(" preds=");
-    push_csv(&mut line, &response.predictions);
-    line.push_str(" logits=");
-    for i in 0..response.logits.rows() {
-        if i > 0 {
-            line.push(';');
-        }
-        push_hex_row(&mut line, response.logits.row(i));
-    }
-    line
-}
-
-/// Parses an `ok` infer reply back into a [`RemoteResponse`].
-///
-/// # Errors
-///
-/// [`ServerError::Protocol`] when the line does not match the grammar.
-pub fn parse_response(line: &str) -> Result<RemoteResponse, ServerError> {
-    Fields::read(line, "ok ", |f| {
-        let logits = f
-            .raw("logits")?
-            .split([';', ','])
-            .filter(|w| !w.is_empty())
-            .map(|w| parse_hex64(w).map(f64::from_bits))
-            .collect::<Result<_, _>>()?;
-        let logits = Matrix::from_flat(f.parse("rows")?, f.parse("cols")?, logits)
-            .map_err(|e| ServerError::Protocol(format!("logits shape: {e}")))?;
-        let queue_time = Duration::from_micros(f.parse("queue_us")?);
-        let compute_time = Duration::from_micros(f.parse("compute_us")?);
-        let preds = f.raw("preds")?.split(',').filter(|w| !w.is_empty());
-        Ok(RemoteResponse {
-            logits,
-            predictions: preds.map(|w| parse_value("preds", w)).collect::<Result<_, _>>()?,
-            latency: queue_time + compute_time,
-            queue_time,
-            compute_time,
-            from_cache: f.raw("from_cache")? == "1",
-            parts: f.parse("parts")?,
-            batch_size: f.parse("batch")?,
-            graph_version: f.parse("version")?,
-            tenant: f.parse("tenant")?,
-            sim_cycles: f.parse("cycles")?,
-            energy_joules: match f.raw("energy")? {
-                "none" => None,
-                bits => Some(f64::from_bits(parse_hex64(bits)?)),
-            },
-            // Absent on replies from pre-tracing servers — 0 means untraced.
-            trace_id: f.take("trace").map_or(Ok(0), parse_hex64)?,
-        })
-    })
 }
 
 /// What the `health` verb reports: the worker pool's supervision state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Configured worker count.
     pub workers: usize,
@@ -834,31 +586,330 @@ pub struct HealthReport {
     pub degraded: bool,
 }
 
-/// Renders a pool-health report as an `ok health` reply line (no
-/// newline).
-#[must_use]
-pub fn encode_health(health: &HealthReport) -> String {
-    format!(
-        "ok health workers={} alive={} crashes={} restarts={} degraded={}",
-        health.workers, health.alive, health.crashes, health.restarts, health.degraded
-    )
+/// A field's value as `Display` writes it.
+pub(crate) fn put_plain<V: fmt::Display>(out: &mut String, value: &V) {
+    let _ = write!(out, "{value}");
 }
 
-/// Parses an `ok health` reply back into a [`HealthReport`].
+/// A field's value as `FromStr` reads it.
+pub(crate) fn take_plain<V: FromStr>(word: &str) -> Option<V> {
+    word.parse().ok()
+}
+
+fn put_model(out: &mut String, kind: &ModelKind) {
+    out.push_str(model_kind_name(*kind));
+}
+
+fn put_backend(out: &mut String, kind: &BackendKind) {
+    out.push_str(kind.name());
+}
+
+/// A duration in whole microseconds.
+fn put_micros(out: &mut String, duration: &Duration) {
+    let _ = write!(out, "{}", duration.as_micros());
+}
+
+fn take_micros(word: &str) -> Option<Duration> {
+    word.parse().ok().map(Duration::from_micros)
+}
+
+/// A flag spelled `0` or `1`.
+fn put_bit(out: &mut String, bit: &bool) {
+    out.push(if *bit { '1' } else { '0' });
+}
+
+fn take_bit(word: &str) -> Option<bool> {
+    match word {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    }
+}
+
+fn put_hex(out: &mut String, value: &u64) {
+    let _ = write!(out, "{value:016x}");
+}
+
+fn hex64(word: &str) -> Option<u64> {
+    u64::from_str_radix(word, 16).ok()
+}
+
+/// `none`, or the `f64` bit pattern in hex, so the value crosses exactly.
+fn put_energy(out: &mut String, energy: &Option<f64>) {
+    match energy {
+        Some(joules) => put_hex(out, &joules.to_bits()),
+        None => out.push_str("none"),
+    }
+}
+
+fn take_energy(word: &str) -> Option<Option<f64>> {
+    match word {
+        "none" => Some(None),
+        bits => hex64(bits).map(|b| Some(f64::from_bits(b))),
+    }
+}
+
+/// Reads a field's value back; `None` when it is malformed.
+type Take<V> = fn(&str) -> Option<V>;
+
+/// One row of a record's field table: the key, how the value is written
+/// from the record, and how it is read back into one.
+pub(crate) struct Field<T> {
+    pub(crate) key: &'static str,
+    pub(crate) put: fn(&T, &mut String),
+    pub(crate) take: fn(&mut T, &mut Fields<'_>) -> Result<(), ServerError>,
+}
+
+/// The field `$key`, holding the value at `record.$path`, written by
+/// `$put` and read back by `$take` (`Display` and `FromStr` unless
+/// given).
+macro_rules! field {
+    ($key:literal, $($path:tt).+) => {
+        field!($key, $($path).+, $crate::protocol::put_plain, $crate::protocol::take_plain)
+    };
+    ($key:literal, $($path:tt).+, $put:expr, $take:expr) => {
+        $crate::protocol::Field {
+            key: $key,
+            put: |record, out| $put(out, &record.$($path).+),
+            take: |record, fields| {
+                record.$($path).+ = fields.spelled($key, $take)?;
+                Ok(())
+            },
+        }
+    };
+}
+pub(crate) use field;
+
+/// A reply record described once: its prefix and its fields in wire
+/// order, which both [`Record::encode`] and [`Record::decode`] walk.
+pub(crate) struct Record<T: 'static> {
+    pub(crate) prefix: &'static str,
+    pub(crate) fields: &'static [Field<T>],
+}
+
+impl<T: Default> Record<T> {
+    /// The reply line (no newline): the prefix, then `key=value` per
+    /// field, space-separated.
+    pub(crate) fn encode(&self, record: &T) -> String {
+        // Room for a typical value per field, so a short reply is written
+        // without regrowing the line.
+        let mut line = String::with_capacity(self.prefix.len() + 24 * self.fields.len());
+        line.push_str(self.prefix);
+        self.write(record, &mut line, ' ', true);
+        line
+    }
+
+    /// Reads a reply line back, refusing a wrong prefix and a missing,
+    /// repeated, malformed or unknown field.
+    pub(crate) fn decode(&self, line: &str) -> Result<T, ServerError> {
+        Fields::read(line, self.prefix, |fields| self.take(fields))
+    }
+
+    /// Writes the record's values in table order, `separator`-joined,
+    /// each after its `key=` when `keyed`.
+    fn write(&self, record: &T, out: &mut String, separator: char, keyed: bool) {
+        put_joined(out, self.fields, separator, |out, field| {
+            if keyed {
+                out.push_str(field.key);
+                out.push('=');
+            }
+            (field.put)(record, out);
+        });
+    }
+
+    fn take(&self, fields: &mut Fields<'_>) -> Result<T, ServerError> {
+        let mut record = T::default();
+        for field in self.fields {
+            (field.take)(&mut record, fields)?;
+        }
+        Ok(record)
+    }
+}
+
+/// `ok update tenant= version= nodes= arcs=`.
+pub(crate) const UPDATE_ACK: Record<UpdateAck> = Record {
+    prefix: "ok update ",
+    fields: &[
+        field!("tenant", tenant),
+        field!("version", version),
+        field!("nodes", num_nodes),
+        field!("arcs", num_arcs),
+    ],
+};
+
+/// `ok deploy tenant= model= backend= version= nodes= weight= resident=`
+/// — a [`TENANT_SEGMENT`] without the queue depth, which is zero for a
+/// tenant just born.
+pub(crate) const DEPLOY_ACK: Record<TenantInfo> = Record {
+    prefix: "ok deploy ",
+    fields: &[
+        field!("tenant", name),
+        field!("model", model, put_model, |w| parse_model_kind(w).ok()),
+        field!("backend", backend, put_backend, |w| parse_backend_kind(w).ok()),
+        field!("version", graph_version),
+        field!("nodes", num_nodes),
+        field!("weight", weight),
+        field!("resident", resident_bytes),
+    ],
+};
+
+/// One tenant of the `list` reply,
+/// `name:model:backend:version:nodes:weight:depth:resident`.
+const TENANT_SEGMENT: Record<TenantInfo> = Record {
+    prefix: "",
+    fields: &[
+        field!("tenant", name),
+        field!("model", model, put_model, |w| parse_model_kind(w).ok()),
+        field!("backend", backend, put_backend, |w| parse_backend_kind(w).ok()),
+        field!("version", graph_version),
+        field!("nodes", num_nodes),
+        field!("weight", weight),
+        field!("depth", queue_depth),
+        field!("resident", resident_bytes),
+    ],
+};
+
+/// `ok retire tenant= requests= completed= shed=`: a retired tenant's
+/// lifetime counters.
+pub(crate) const RETIRE_ACK: Record<(String, usize, usize, usize)> = Record {
+    prefix: "ok retire ",
+    fields: &[
+        field!("tenant", 0),
+        field!("requests", 1),
+        field!("completed", 2),
+        field!("shed", 3),
+    ],
+};
+
+/// `ok health workers= alive= crashes= restarts= degraded=`.
+pub(crate) const HEALTH: Record<HealthReport> = Record {
+    prefix: "ok health ",
+    fields: &[
+        field!("workers", workers),
+        field!("alive", alive),
+        field!("crashes", crashes),
+        field!("restarts", restarts),
+        field!("degraded", degraded),
+    ],
+};
+
+/// The infer reply. `rows` and `cols` are read with `logits`, which
+/// they shape; [`parse_response`] rebuilds `latency` as queue + compute.
+pub(crate) const INFER_REPLY: Record<RemoteResponse> = Record {
+    prefix: "ok ",
+    fields: &[
+        shape("rows", |r, out| put_plain(out, &r.logits.rows())),
+        shape("cols", |r, out| put_plain(out, &r.logits.cols())),
+        field!("queue_us", queue_time, put_micros, take_micros),
+        field!("compute_us", compute_time, put_micros, take_micros),
+        field!("from_cache", from_cache, put_bit, take_bit),
+        field!("parts", parts),
+        field!("batch", batch_size),
+        field!("version", graph_version),
+        field!("tenant", tenant),
+        field!("cycles", sim_cycles),
+        field!("energy", energy_joules, put_energy, take_energy),
+        field!("trace", trace_id, put_hex, hex64),
+        field!("preds", predictions, push_csv, |w| parse_nodes(w).ok()),
+        Field {
+            key: "logits",
+            put: |r, out| {
+                put_joined(out, 0..r.logits.rows(), ';', |out, i| {
+                    push_hex_row(out, r.logits.row(i));
+                })
+            },
+            take: |r, fields| {
+                let (rows, cols) =
+                    (fields.spelled("rows", take_plain)?, fields.spelled("cols", take_plain)?);
+                let words = fields.raw("logits")?.split([';', ',']).filter(|w| !w.is_empty());
+                let data = words
+                    .map(|w| hex64(w).map(f64::from_bits).ok_or_else(|| bad_value("logits", w)))
+                    .collect::<Result<_, _>>()?;
+                r.logits = Matrix::from_flat(rows, cols, data)
+                    .map_err(|e| protocol_error(format!("logits shape: {e}")))?;
+                Ok(())
+            },
+        },
+    ],
+};
+
+/// A field of the infer reply's logits shape, read back by `logits`.
+const fn shape(
+    key: &'static str,
+    put: fn(&RemoteResponse, &mut String),
+) -> Field<RemoteResponse> {
+    Field { key, put, take: |_, _| Ok(()) }
+}
+
+/// The body of an `err tenant_budget` reply: `needed= budget=`.
+const BUDGET: Record<(usize, usize)> =
+    Record { prefix: "", fields: &[field!("needed", 0), field!("budget", 1)] };
+
+/// Renders a served response as an `ok` reply line (no newline),
+/// echoing the tenant that served it.
+#[must_use]
+pub fn encode_response(response: &InferResponse, tenant: &str) -> String {
+    INFER_REPLY.encode(&RemoteResponse::served(response.clone(), tenant))
+}
+
+/// Parses an `ok` infer reply back into a [`RemoteResponse`].
 ///
 /// # Errors
 ///
 /// [`ServerError::Protocol`] when the line does not match the grammar.
-pub fn parse_health(line: &str) -> Result<HealthReport, ServerError> {
-    Fields::read(line, "ok health ", |f| {
-        Ok(HealthReport {
-            workers: f.parse("workers")?,
-            alive: f.parse("alive")?,
-            crashes: f.parse("crashes")?,
-            restarts: f.parse("restarts")?,
-            degraded: f.parse("degraded")?,
+pub fn parse_response(line: &str) -> Result<RemoteResponse, ServerError> {
+    let response = INFER_REPLY.decode(line)?;
+    Ok(RemoteResponse { latency: response.queue_time + response.compute_time, ..response })
+}
+
+/// Renders a pool-health report as an `ok health` reply line (no
+/// newline).
+#[must_use]
+pub fn encode_health(health: &HealthReport) -> String {
+    HEALTH.encode(health)
+}
+
+/// The `list` reply: the tenant count, then one [`TENANT_SEGMENT`] per
+/// tenant.
+pub(crate) fn encode_list(infos: &[TenantInfo]) -> String {
+    let mut line = format!("ok list tenants={}", infos.len());
+    for info in infos {
+        line.push(' ');
+        TENANT_SEGMENT.write(info, &mut line, ':', false);
+    }
+    line
+}
+
+/// Reads a `list` reply back, refusing a roster that disagrees with its
+/// own count.
+pub(crate) fn decode_list(line: &str) -> Result<Vec<TenantInfo>, ServerError> {
+    let body = line
+        .strip_prefix("ok list ")
+        .ok_or_else(|| protocol_error(format!("expected ok list reply, got {line:?}")))?;
+    let mut words = body.split_whitespace();
+    let count: usize = parse_kv(words.next(), "tenants").map_err(protocol_error)?;
+    // Each segment holds one value per field, in table order.
+    let fields = TENANT_SEGMENT.fields;
+    let infos = words
+        .map(|segment| {
+            let values: Vec<&str> = segment.split(':').collect();
+            if values.len() != fields.len() {
+                let expected = fields.len();
+                return Err(protocol_error(format!(
+                    "expected {expected} values, got {segment:?}"
+                )));
+            }
+            let unread = fields.iter().map(|f| f.key).zip(values).collect();
+            TENANT_SEGMENT.take(&mut Fields { unread })
         })
-    })
+        .collect::<Result<Vec<_>, _>>()?;
+    if infos.len() != count {
+        return Err(protocol_error(format!(
+            "list reply claims {count} tenants but carries {}",
+            infos.len()
+        )));
+    }
+    Ok(infos)
 }
 
 /// Frames a multi-line reply (`metrics`, `trace`): the `ok <verb>
@@ -885,12 +936,6 @@ pub(crate) fn write_frame(writer: &mut impl std::io::Write, line: &str) -> std::
     writer.flush()
 }
 
-/// Reads the header of an [`encode_lines`] reply: how many body lines
-/// follow it.
-pub(crate) fn parse_lines_header(line: &str, verb: &str) -> Result<usize, ServerError> {
-    Fields::read(line, &format!("ok {verb} "), |f| f.parse("lines"))
-}
-
 /// The reply field reader: the `key=value` words after a reply's fixed
 /// prefix, each read once by name. A missing, repeated, malformed or
 /// unknown field is a [`ServerError::Protocol`].
@@ -907,122 +952,108 @@ impl<'a> Fields<'a> {
         prefix: &str,
         build: impl FnOnce(&mut Self) -> Result<T, ServerError>,
     ) -> Result<T, ServerError> {
-        let body = line.strip_prefix(prefix).ok_or_else(|| {
-            ServerError::Protocol(format!("expected {prefix:?}…, got {line:?}"))
-        })?;
+        let body = line
+            .strip_prefix(prefix)
+            .ok_or_else(|| protocol_error(format!("expected {prefix:?}…, got {line:?}")))?;
         let mut fields = Self { unread: Vec::new() };
         for word in body.split_whitespace() {
             let (key, value) = word
                 .split_once('=')
-                .ok_or_else(|| ServerError::Protocol(format!("bad field {word:?}")))?;
+                .ok_or_else(|| protocol_error(format!("bad field {word:?}")))?;
             if fields.unread.iter().any(|(k, _)| *k == key) {
-                return Err(ServerError::Protocol(format!("repeated field {key:?}")));
+                return Err(protocol_error(format!("repeated field {key:?}")));
             }
             fields.unread.push((key, value));
         }
         let value = build(&mut fields)?;
         match fields.unread.first() {
-            Some((key, _)) => Err(ServerError::Protocol(format!("unknown field {key:?}"))),
+            Some((key, _)) => Err(protocol_error(format!("unknown field {key:?}"))),
             None => Ok(value),
         }
     }
 
-    /// The raw value of `key`, if the reply carries it.
-    fn take(&mut self, key: &str) -> Option<&'a str> {
-        let at = self.unread.iter().position(|(k, _)| *k == key)?;
-        Some(self.unread.remove(at).1)
-    }
-
     /// The raw value of `key`, which the reply must carry.
     fn raw(&mut self, key: &str) -> Result<&'a str, ServerError> {
-        self.take(key).ok_or_else(|| ServerError::Protocol(format!("reply missing {key}")))
+        let at = self.unread.iter().position(|(k, _)| *k == key);
+        let at = at.ok_or_else(|| protocol_error(format!("reply missing {key}")))?;
+        Ok(self.unread.remove(at).1)
     }
 
-    /// The value of `key` as a `T`.
-    pub(crate) fn parse<T: FromStr>(&mut self, key: &str) -> Result<T, ServerError> {
-        parse_value(key, self.raw(key)?)
+    /// The value of `key`, read by `take`.
+    pub(crate) fn spelled<V>(&mut self, key: &str, take: Take<V>) -> Result<V, ServerError> {
+        let word = self.raw(key)?;
+        take(word).ok_or_else(|| bad_value(key, word))
     }
 }
 
-/// One reply value as a `T`; `key` names it in the error.
-fn parse_value<T: FromStr>(key: &str, value: &str) -> Result<T, ServerError> {
-    value.parse().map_err(|_| ServerError::Protocol(format!("bad {key} value {value:?}")))
+fn protocol_error(message: String) -> ServerError {
+    ServerError::Protocol(message)
 }
 
-fn parse_hex64(v: &str) -> Result<u64, ServerError> {
-    u64::from_str_radix(v, 16).map_err(|_| ServerError::Protocol(format!("bad hex word {v:?}")))
+fn bad_value(key: &str, word: &str) -> ServerError {
+    protocol_error(format!("bad {key} value {word:?}"))
 }
 
-/// Renders an error as an `err` reply line (no newline).
+/// Renders an error as an `err` reply line (no newline): the kind word,
+/// then the message. Tenant errors carry machine-readable fields instead
+/// of prose (names are charset-validated and never contain spaces), so
+/// [`parse_error`] rebuilds them exactly; the message-carrying kinds
+/// carry only their inner message, so the client's rebuilt error
+/// displays one prefix, not two.
 #[must_use]
 pub fn encode_error(error: &ServerError) -> String {
-    let kind = match error {
-        ServerError::Overloaded { .. } => "overloaded",
-        ServerError::DeadlineExceeded { .. } => "deadline",
-        ServerError::ShuttingDown => "shutting_down",
-        ServerError::Canceled => "canceled",
-        ServerError::WorkerCrashed => "worker_crashed",
-        ServerError::Timeout { .. } => "timeout",
-        ServerError::UnknownTenant { .. } => "unknown_tenant",
-        ServerError::TenantExists { .. } => "tenant_exists",
-        ServerError::TenantBudget { .. } => "tenant_budget",
-        ServerError::Engine(_) | ServerError::RemoteEngine(_) => "engine",
-        ServerError::Protocol(_) => "protocol",
-        ServerError::Io(_) => "io",
+    use ServerError as E;
+    let (kind, message) = match error {
+        E::Overloaded { .. } => ("overloaded", error.to_string()),
+        E::DeadlineExceeded { .. } => ("deadline", error.to_string()),
+        E::ShuttingDown => ("shutting_down", error.to_string()),
+        E::Canceled => ("canceled", error.to_string()),
+        E::WorkerCrashed => ("worker_crashed", error.to_string()),
+        E::Timeout { .. } => ("timeout", error.to_string()),
+        E::UnknownTenant { name } => ("unknown_tenant", name.clone()),
+        E::TenantExists { name } => ("tenant_exists", name.clone()),
+        E::TenantBudget { needed, budget } => {
+            ("tenant_budget", BUDGET.encode(&(*needed, *budget)))
+        }
+        E::Engine(e) => ("engine", e.to_string()),
+        E::RemoteEngine(message) => ("engine", message.clone()),
+        E::Protocol(message) => ("protocol", message.clone()),
+        E::Io(message) => ("io", message.clone()),
     };
-    // Tenant errors carry machine-readable fields instead of prose, so
-    // the client-side parse rebuilds the exact typed error (names are
-    // charset-validated and never contain spaces).
-    match error {
-        ServerError::UnknownTenant { name } | ServerError::TenantExists { name } => {
-            format!("err {kind} {name}")
-        }
-        ServerError::TenantBudget { needed, budget } => {
-            format!("err {kind} needed={needed} budget={budget}")
-        }
-        // The kind word already says what failed, so these carry only
-        // the inner message: the client's rebuilt error then displays
-        // one prefix, not two.
-        ServerError::Engine(e) => format!("err {kind} {e}"),
-        ServerError::RemoteEngine(message)
-        | ServerError::Protocol(message)
-        | ServerError::Io(message) => format!("err {kind} {message}"),
-        _ => format!("err {kind} {error}"),
-    }
+    format!("err {kind} {message}")
 }
 
 /// Parses an `err` reply back into its typed kind. Tenant errors
-/// rebuild exactly (name / budget numbers cross the wire); detail
-/// fields that do not cross — exact depths, waits — come back zeroed;
-/// the *kind* is what retry logic branches on.
+/// rebuild exactly; detail fields that do not cross — exact depths,
+/// waits — come back zeroed; the *kind* is what retry logic branches on.
 ///
 /// # Errors
 ///
-/// [`ServerError::Protocol`] when the line is not an `err` reply.
+/// [`ServerError::Protocol`] when the line is not an `err` reply of a
+/// known kind.
 pub fn parse_error(line: &str) -> Result<ServerError, ServerError> {
+    use ServerError as E;
     let body = line
         .strip_prefix("err ")
-        .ok_or_else(|| ServerError::Protocol(format!("expected err reply, got {line:?}")))?;
+        .ok_or_else(|| protocol_error(format!("expected err reply, got {line:?}")))?;
     let (kind, message) = body.split_once(' ').unwrap_or((body, ""));
     Ok(match kind {
-        "overloaded" => ServerError::Overloaded { depth: 0, max_depth: 0 },
-        "deadline" => ServerError::DeadlineExceeded { waited: Duration::ZERO },
-        "shutting_down" => ServerError::ShuttingDown,
-        "canceled" => ServerError::Canceled,
-        "worker_crashed" => ServerError::WorkerCrashed,
-        "timeout" => ServerError::Timeout { waited: Duration::ZERO },
-        "unknown_tenant" => ServerError::UnknownTenant { name: message.to_string() },
-        "tenant_exists" => ServerError::TenantExists { name: message.to_string() },
-        "tenant_budget" => Fields::read(message, "", |f| {
-            Ok(ServerError::TenantBudget {
-                needed: f.parse("needed")?,
-                budget: f.parse("budget")?,
-            })
-        })?,
-        "engine" => ServerError::RemoteEngine(message.to_string()),
-        "protocol" => ServerError::Protocol(message.to_string()),
-        "io" => ServerError::Io(message.to_string()),
-        other => return Err(ServerError::Protocol(format!("unknown error kind {other:?}"))),
+        "overloaded" => E::Overloaded { depth: 0, max_depth: 0 },
+        "deadline" => E::DeadlineExceeded { waited: Duration::ZERO },
+        "shutting_down" => E::ShuttingDown,
+        "canceled" => E::Canceled,
+        "worker_crashed" => E::WorkerCrashed,
+        "timeout" => E::Timeout { waited: Duration::ZERO },
+        "unknown_tenant" => E::UnknownTenant { name: message.to_string() },
+        "tenant_exists" => E::TenantExists { name: message.to_string() },
+        "tenant_budget" => {
+            let (needed, budget) = BUDGET.decode(message)?;
+            E::TenantBudget { needed, budget }
+        }
+        "engine" => E::RemoteEngine(message.to_string()),
+        "protocol" => E::Protocol(message.to_string()),
+        "io" => E::Io(message.to_string()),
+        other => return Err(protocol_error(format!("unknown error kind {other:?}"))),
     })
 }
 
@@ -1221,86 +1252,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deploy_and_list_acks_round_trip() {
-        let info = TenantInfo {
-            name: "traffic".into(),
-            model: ModelKind::GsPool,
-            backend: BackendKind::SimulatedAccel,
-            graph_version: 4,
-            num_nodes: 61,
-            weight: 3,
-            queue_depth: 0,
-            resident_bytes: 123_456,
-        };
-        assert_eq!(parse_deploy_ack(&encode_deploy_ack(&info)).unwrap(), info);
-        let other = TenantInfo {
-            name: "default".into(),
-            model: ModelKind::Gcn,
-            backend: BackendKind::Dense,
-            graph_version: 0,
-            num_nodes: 60,
-            weight: 1,
-            queue_depth: 2,
-            resident_bytes: 98_765,
-        };
-        let roster = vec![other, info];
-        assert_eq!(parse_list_reply(&encode_list_reply(&roster)).unwrap(), roster);
-        assert_eq!(parse_list_reply("ok list tenants=0").unwrap(), Vec::new());
-        // A roster that disagrees with its own count is a protocol error.
-        assert!(parse_list_reply("ok list tenants=2 a:gcn:dense:0:1:1:0:9").is_err());
-        assert!(parse_list_reply("ok list tenants=0 a:gcn:dense:0:1:1:0:9").is_err());
-        assert!(parse_tenant_info("a:gcn:dense:0:1:1:0").is_err(), "seven fields");
-        assert!(parse_deploy_ack("ok deploy tenant=a model=gcn").is_err(), "missing fields");
-    }
-
-    #[test]
     fn simple_commands_parse() {
         assert_eq!(parse_command("ping").unwrap(), Command::Ping);
         assert_eq!(parse_command("stats").unwrap(), Command::Stats(None));
         assert_eq!(parse_command("shutdown").unwrap(), Command::Shutdown);
-        assert!(parse_command("nonsense").is_err());
-        assert!(parse_command("infer sideways 1,2").is_err());
-        assert!(parse_command("infer sampled s1=a s2=2 seed=3 nodes=1").is_err());
-    }
-
-    #[test]
-    fn responses_round_trip_bit_exactly() {
-        let logits = Matrix::from_fn(2, 3, |i, j| {
-            // Awkward values: negatives, subnormals, long fractions.
-            (i as f64 - 0.5) * (j as f64 + 1.0) * 0.123_456_789 + f64::MIN_POSITIVE
-        });
-        let response = InferResponse {
-            logits: logits.clone(),
-            predictions: vec![2, 0],
-            latency: Duration::from_micros(30),
-            queue_time: Duration::from_micros(10),
-            compute_time: Duration::from_micros(20),
-            sim: None,
-            energy_joules: Some(1.25e-3),
-            from_cache: false,
-            parts: 1,
-            batch_size: 4,
-            graph_version: 17,
-            trace_id: 0xDEAD_BEEF,
-            hot_rows: 0,
-        };
-        let line = encode_response(&response, "traffic");
-        assert!(line.contains(" trace=00000000deadbeef "), "{line}");
-        let remote = parse_response(&line).unwrap();
-        assert_eq!(remote.logits, logits, "logits survive the wire bit-exactly");
-        assert_eq!(remote.predictions, vec![2, 0]);
-        assert_eq!(remote.queue_time, Duration::from_micros(10));
-        assert_eq!(remote.compute_time, Duration::from_micros(20));
-        assert_eq!(remote.latency, Duration::from_micros(30));
-        assert_eq!(remote.batch_size, 4);
-        assert_eq!(remote.graph_version, 17);
-        assert_eq!(remote.tenant, "traffic", "replies echo the serving tenant");
-        assert_eq!(remote.energy_joules, Some(1.25e-3));
-        assert_eq!(remote.trace_id, 0xDEAD_BEEF, "the trace id rides the reply");
-        assert!(!remote.from_cache);
-        // A reply from a pre-tracing server (no trace=) still parses.
-        let stripped = line.replace(" trace=00000000deadbeef", "");
-        assert_eq!(parse_response(&stripped).unwrap().trace_id, 0);
+        assert_eq!(parse_command("health").unwrap(), Command::Health);
+        for bad in [
+            "nonsense",
+            "infer sideways 1,2",
+            "infer sampled s1=a s2=2 seed=3 nodes=1",
+            "health now",
+            "health@t",
+            "healthy",
+            "health degraded",
+        ] {
+            assert!(parse_command(bad).is_err(), "{bad:?} must be a protocol error");
+        }
     }
 
     #[test]
@@ -1340,23 +1307,6 @@ pub(crate) mod tests {
         assert!(parse_command("update bogus=1").is_err());
         assert!(parse_command("update feat=1").is_err());
         assert!(parse_command("update new=xyz").is_err());
-    }
-
-    #[test]
-    fn update_acks_round_trip() {
-        let ack =
-            UpdateAck { tenant: "default".into(), version: 9, num_nodes: 120, num_arcs: 512 };
-        assert_eq!(
-            encode_update_ack(&ack),
-            "ok update tenant=default version=9 nodes=120 arcs=512"
-        );
-        assert_eq!(parse_update_ack(&encode_update_ack(&ack)).unwrap(), ack);
-        assert!(
-            parse_update_ack("ok update version=1 nodes=2 arcs=3").is_err(),
-            "missing tenant"
-        );
-        assert!(parse_update_ack("ok update tenant=a version=1 nodes=2").is_err(), "no arcs");
-        assert!(parse_update_ack("err engine nope").is_err());
     }
 
     /// One command of every variant with seeded random tenants, classes,
@@ -1460,8 +1410,11 @@ pub(crate) mod tests {
 
     #[test]
     fn the_reply_reader_rejects_missing_repeated_and_unknown_fields() {
-        let read =
-            |line| Fields::read(line, "ok x ", |f| Ok((f.parse::<u8>("a")?, f.raw("b")?)));
+        let read = |line| {
+            Fields::read(line, "ok x ", |f| {
+                Ok((f.spelled("a", take_plain::<u32>)?, f.raw("b")?))
+            })
+        };
         assert_eq!(read("ok x a=1 b=two"), Ok((1, "two")));
         assert_eq!(read("ok x b=two a=1"), Ok((1, "two")), "order is free");
         for bad in [
@@ -1603,71 +1556,222 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn health_commands_and_replies_round_trip() {
-        assert_eq!(parse_command("health").unwrap(), Command::Health);
-        for bad in ["health now", "health@t", "healthy", "health degraded"] {
-            assert!(parse_command(bad).is_err(), "{bad:?} must be a protocol error");
+    /// Every character the wire allows in a tenant name.
+    const NAME_CHARS: &[u8] =
+        b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.";
+
+    fn name(rng: &mut Rng64) -> String {
+        let len = rng.next_below(12) + 1;
+        (0..len).map(|_| NAME_CHARS[rng.next_below(NAME_CHARS.len())] as char).collect()
+    }
+
+    /// A number of `T`'s width: an edge value or a random one.
+    fn edge_u64(rng: &mut Rng64) -> u64 {
+        [0, 1, u64::MAX, rng.next_u64()][rng.next_below(4)]
+    }
+
+    fn edge_usize(rng: &mut Rng64) -> usize {
+        [0, 1, usize::MAX, rng.next_below(1 << 20)][rng.next_below(4)]
+    }
+
+    /// An `f64` whose bits the wire must carry exactly: NaNs with
+    /// payloads, ±0, ±∞, subnormals, or any bit pattern.
+    fn awkward_f64(rng: &mut Rng64) -> f64 {
+        let bits = [
+            f64::NAN.to_bits(),
+            0x7ff0_0000_0000_0001 | rng.next_below(1 << 20) as u64,
+            0xfff8_0000_0000_0000,
+            (-0.0f64).to_bits(),
+            0,
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            1,
+            rng.next_u64(),
+        ];
+        f64::from_bits(bits[rng.next_below(bits.len())])
+    }
+
+    fn tenant_info(rng: &mut Rng64, tenant: String) -> TenantInfo {
+        let models = ModelKind::all();
+        let backends = BackendKind::all();
+        TenantInfo {
+            name: tenant,
+            model: models[rng.next_below(models.len())],
+            backend: backends[rng.next_below(backends.len())],
+            graph_version: edge_u64(rng),
+            num_nodes: edge_usize(rng),
+            weight: [1, u32::MAX, rng.next_below(64) as u32][rng.next_below(3)],
+            queue_depth: edge_usize(rng),
+            resident_bytes: edge_usize(rng),
         }
-        let report =
-            HealthReport { workers: 2, alive: 1, crashes: 3, restarts: 2, degraded: true };
-        let line = encode_health(&report);
-        assert_eq!(line, "ok health workers=2 alive=1 crashes=3 restarts=2 degraded=true");
-        assert_eq!(parse_health(&line).unwrap(), report);
-        assert!(parse_health("ok health workers=2 alive=2").is_err(), "missing fields");
-        assert!(parse_health(
-            "ok health workers=2 alive=2 crashes=0 restarts=0 degraded=maybe"
-        )
-        .is_err());
-        assert!(parse_health("err io nope").is_err());
+    }
+
+    fn remote_response(rng: &mut Rng64, tenant: String) -> RemoteResponse {
+        let (rows, cols) = (rng.next_below(4), rng.next_below(4));
+        let logits = Matrix::from_fn(rows, cols, |_, _| awkward_f64(rng));
+        let queue_time = Duration::from_micros(edge_u64(rng) >> 2);
+        let compute_time = Duration::from_micros(edge_u64(rng) >> 2);
+        RemoteResponse {
+            logits,
+            predictions: (0..rows).map(|_| edge_usize(rng)).collect(),
+            latency: queue_time + compute_time,
+            queue_time,
+            compute_time,
+            from_cache: rng.next_below(2) == 0,
+            parts: edge_usize(rng),
+            batch_size: edge_usize(rng),
+            graph_version: edge_u64(rng),
+            tenant,
+            sim_cycles: edge_u64(rng),
+            energy_joules: (rng.next_below(2) == 0).then(|| awkward_f64(rng)),
+            trace_id: edge_u64(rng),
+        }
+    }
+
+    /// `RemoteResponse` equality with every float compared by its bits.
+    fn same_bits(a: &RemoteResponse, b: &RemoteResponse) -> bool {
+        let bits = |r: &RemoteResponse| {
+            let logits: Vec<u64> = (0..r.logits.rows())
+                .flat_map(|i| r.logits.row(i))
+                .map(|v| v.to_bits())
+                .collect();
+            let rest = RemoteResponse {
+                logits: Matrix::zeros(r.logits.rows(), r.logits.cols()),
+                energy_joules: None,
+                ..r.clone()
+            };
+            (logits, r.energy_joules.map(f64::to_bits), rest)
+        };
+        bits(a) == bits(b)
+    }
+
+    /// Decodes `line` through `record` after dropping each field, after
+    /// repeating each, and after appending an unknown one: every variant
+    /// must be refused.
+    fn assert_refuses_malformed<T: Default>(record: &Record<T>, line: &str) {
+        let words: Vec<&str> = line[record.prefix.len()..].split(' ').collect();
+        let refused = |words: &[&str]| {
+            let line = format!("{}{}", record.prefix, words.join(" "));
+            assert!(matches!(record.decode(&line), Err(ServerError::Protocol(_))), "{line:?}");
+        };
+        for i in 0..words.len() {
+            let mut missing = words.clone();
+            missing.remove(i);
+            refused(&missing);
+            let mut repeated = words.clone();
+            repeated.push(words[i]);
+            refused(&repeated);
+        }
+        refused(&[words.as_slice(), &["colour=blue"]].concat());
     }
 
     #[test]
-    fn errors_round_trip_to_kind() {
-        let shed = ServerError::Overloaded { depth: 9, max_depth: 9 };
-        assert!(matches!(
-            parse_error(&encode_error(&shed)).unwrap(),
-            ServerError::Overloaded { .. }
-        ));
-        let late = ServerError::DeadlineExceeded { waited: Duration::from_millis(1) };
-        assert!(matches!(
-            parse_error(&encode_error(&late)).unwrap(),
-            ServerError::DeadlineExceeded { .. }
-        ));
-        assert_eq!(
-            parse_error(&encode_error(&ServerError::ShuttingDown)).unwrap(),
-            ServerError::ShuttingDown
-        );
-        // The tenant-lifecycle kinds rebuild exactly: names and budget
-        // numbers cross the wire as machine-readable fields.
-        let ghost = ServerError::UnknownTenant { name: "ghost".into() };
-        assert_eq!(parse_error(&encode_error(&ghost)).unwrap(), ghost);
-        let dup = ServerError::TenantExists { name: "dup".into() };
-        assert_eq!(parse_error(&encode_error(&dup)).unwrap(), dup);
-        let fat = ServerError::TenantBudget { needed: 10, budget: 5 };
-        assert_eq!(parse_error(&encode_error(&fat)).unwrap(), fat);
-        // The fault-domain kinds: a crashed worker's typed reply and the
-        // client-side timeout both round-trip to their kind.
-        assert_eq!(
-            parse_error(&encode_error(&ServerError::WorkerCrashed)).unwrap(),
-            ServerError::WorkerCrashed
-        );
-        let slow = ServerError::Timeout { waited: Duration::from_millis(250) };
-        assert!(matches!(
-            parse_error(&encode_error(&slow)).unwrap(),
-            ServerError::Timeout { .. }
-        ));
-        // The message-carrying kinds say their kind once: the wire has
-        // the kind word, the client-side `Display` one prefix.
-        let empty = format!("remote engine error: {}", EngineError::EmptyRequest);
-        for (sent, shown) in [
-            (ServerError::Protocol("line too long".into()), "protocol error: line too long"),
-            (ServerError::Io("reset".into()), "transport error: reset"),
-            (ServerError::RemoteEngine("bad node".into()), "remote engine error: bad node"),
-            (ServerError::Engine(EngineError::EmptyRequest), empty.as_str()),
-        ] {
-            assert_eq!(parse_error(&encode_error(&sent)).unwrap().to_string(), shown);
+    fn prop_every_reply_record_round_trips_and_refuses_malformed_fields() {
+        let mut rng = Rng64::new(0x2E_C0D5);
+        let every_char = String::from_utf8(NAME_CHARS.to_vec()).unwrap();
+        for round in 0..300 {
+            let mut tenant = || if round == 0 { every_char.clone() } else { name(&mut rng) };
+            let (t1, t2, t3, t4, t5) = (tenant(), tenant(), tenant(), tenant(), tenant());
+
+            let ack = UpdateAck {
+                tenant: t1,
+                version: edge_u64(&mut rng),
+                num_nodes: edge_usize(&mut rng),
+                num_arcs: edge_usize(&mut rng),
+            };
+            let line = UPDATE_ACK.encode(&ack);
+            assert_eq!(UPDATE_ACK.decode(&line), Ok(ack), "{line}");
+            assert_refuses_malformed(&UPDATE_ACK, &line);
+
+            // The deploy ack leaves the queue depth off: a tenant just
+            // born has none.
+            let info = TenantInfo { queue_depth: 0, ..tenant_info(&mut rng, t2) };
+            let line = DEPLOY_ACK.encode(&info);
+            assert_eq!(DEPLOY_ACK.decode(&line), Ok(info), "{line}");
+            assert_refuses_malformed(&DEPLOY_ACK, &line);
+
+            let roster: Vec<TenantInfo> = (0..rng.next_below(4))
+                .map(|_| {
+                    let tenant = name(&mut rng);
+                    tenant_info(&mut rng, tenant)
+                })
+                .collect();
+            let line = encode_list(&roster);
+            assert_eq!(decode_list(&line).as_ref(), Ok(&roster), "{line}");
+            if let Some(last) = line.rfind(' ').filter(|_| !roster.is_empty()) {
+                let short = &line[..line.rfind(':').unwrap()];
+                assert!(decode_list(short).is_err(), "a segment missing a value: {short}");
+                assert!(decode_list(&format!("{line}:0")).is_err(), "a segment with an extra");
+                assert!(decode_list(&line[..last]).is_err(), "a roster short of its count");
+            }
+
+            let retire = (t3, edge_usize(&mut rng), edge_usize(&mut rng), edge_usize(&mut rng));
+            let line = RETIRE_ACK.encode(&retire);
+            assert_eq!(RETIRE_ACK.decode(&line), Ok(retire), "{line}");
+            assert_refuses_malformed(&RETIRE_ACK, &line);
+
+            let health = HealthReport {
+                workers: edge_usize(&mut rng),
+                alive: edge_usize(&mut rng),
+                crashes: edge_u64(&mut rng),
+                restarts: edge_u64(&mut rng),
+                degraded: rng.next_below(2) == 0,
+            };
+            let line = encode_health(&health);
+            assert_eq!(HEALTH.decode(&line), Ok(health), "{line}");
+            assert_refuses_malformed(&HEALTH, &line);
+
+            let response = remote_response(&mut rng, t4);
+            let line = INFER_REPLY.encode(&response);
+            let decoded = parse_response(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert!(same_bits(&decoded, &response), "{line}\n{decoded:?}\n{response:?}");
+            assert_refuses_malformed(&INFER_REPLY, &line);
+
+            let budget = (edge_usize(&mut rng), edge_usize(&mut rng));
+            let line = BUDGET.encode(&budget);
+            assert_eq!(BUDGET.decode(&line), Ok(budget), "{line}");
+            assert_refuses_malformed(&BUDGET, &line);
+
+            // Every error kind comes back as its kind; tenant errors and
+            // the message-carrying kinds come back whole.
+            let message = format!("{} {}", name(&mut rng), name(&mut rng));
+            let exact = [
+                ServerError::ShuttingDown,
+                ServerError::Canceled,
+                ServerError::WorkerCrashed,
+                ServerError::UnknownTenant { name: t5.clone() },
+                ServerError::TenantExists { name: t5 },
+                ServerError::TenantBudget { needed: budget.0, budget: budget.1 },
+                ServerError::RemoteEngine(message.clone()),
+                ServerError::Protocol(message.clone()),
+                ServerError::Io(message),
+            ];
+            for error in exact {
+                assert_eq!(parse_error(&encode_error(&error)), Ok(error.clone()), "{error:?}");
+            }
+            let zeroed = [
+                (
+                    ServerError::Overloaded { depth: edge_usize(&mut rng), max_depth: 9 },
+                    ServerError::Overloaded { depth: 0, max_depth: 0 },
+                ),
+                (
+                    ServerError::DeadlineExceeded { waited: Duration::from_millis(3) },
+                    ServerError::DeadlineExceeded { waited: Duration::ZERO },
+                ),
+                (
+                    ServerError::Timeout { waited: Duration::from_millis(250) },
+                    ServerError::Timeout { waited: Duration::ZERO },
+                ),
+                (
+                    ServerError::Engine(EngineError::EmptyRequest),
+                    ServerError::RemoteEngine(EngineError::EmptyRequest.to_string()),
+                ),
+            ];
+            for (sent, rebuilt) in zeroed {
+                assert_eq!(parse_error(&encode_error(&sent)), Ok(rebuilt), "{sent:?}");
+            }
         }
-        assert!(parse_error("err tenant_budget needed=10").is_err(), "missing budget");
+        assert!(parse_error("err nonsense kind").is_err());
+        assert!(parse_error("ok health workers=1").is_err());
     }
 }

@@ -37,12 +37,15 @@ use crate::observe::{
 };
 use crate::protocol::HealthReport;
 use crate::queue::{QueueItem, RequestQueue, SubmitOptions};
-use crate::telemetry::{ClassRollup, ServerStats};
+use crate::telemetry::{
+    write_families, ServerStats, CLASS_COUNTERS, SERVER_COUNTERS, TENANT_COUNTERS,
+};
 use crate::tenant::{Tenant, TenantInfo, TenantRegistry, TenantSpec, DEFAULT_TENANT};
 use blockgnn_engine::{
     assemble_response, Engine, EngineError, GraphDelta, InferRequest, InferResponse,
 };
 use blockgnn_gnn::ModelKind;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -121,8 +124,9 @@ impl PoolHealth {
         }
     }
 
+    /// The pool's state: what `health` replies, and what every stats
+    /// snapshot carries (every tenant is served by the one pool).
     fn report(&self, queue: &RequestQueue) -> HealthReport {
-        self.refresh(queue);
         HealthReport {
             workers: self.workers,
             alive: self.alive.load(Ordering::Acquire),
@@ -132,13 +136,12 @@ impl PoolHealth {
         }
     }
 
-    /// Stamps the health identity fields onto a stats snapshot — the
-    /// aggregate or one tenant's: every tenant is served by the one pool.
+    /// Stamps the pool's state onto a stats snapshot, the aggregate or
+    /// one tenant's.
     fn stamp(&self, mut stats: ServerStats, queue: &RequestQueue) -> ServerStats {
-        stats.workers_alive = self.alive.load(Ordering::Acquire);
-        stats.worker_crashes = self.crashes.load(Ordering::Relaxed);
-        stats.restarts = self.restarts.load(Ordering::Relaxed);
-        stats.degraded = queue.is_degraded();
+        let pool = self.report(queue);
+        (stats.workers_alive, stats.worker_crashes) = (pool.alive, pool.crashes);
+        (stats.restarts, stats.degraded) = (pool.restarts, pool.degraded);
         stats
     }
 }
@@ -155,85 +158,6 @@ fn restart_backoff(consecutive: u32) -> Duration {
     let doubled = RESTART_BACKOFF.saturating_mul(1u32 << consecutive.saturating_sub(1).min(16));
     doubled.min(RESTART_BACKOFF_MAX)
 }
-
-/// One metric family read straight from a snapshot: name, help, value.
-type Metric<T, V> = (&'static str, &'static str, fn(&T) -> V);
-
-/// The server-wide metric families, read from the aggregate snapshot.
-const GLOBAL_FAMILIES: &[Metric<ServerStats, f64>] = &[
-    ("blockgnn_uptime_seconds", "Seconds since the server started", |s| s.uptime.as_secs_f64()),
-    ("blockgnn_qps", "Completed requests per second of uptime", ServerStats::qps),
-    ("blockgnn_queue_depth", "Requests currently queued across all tenants", |s| {
-        s.queue_depth as f64
-    }),
-    (
-        "blockgnn_workers_alive",
-        "Workers currently serving (a crashed worker is down until its respawn \
-         backoff elapses)",
-        |s| s.workers_alive as f64,
-    ),
-    ("blockgnn_worker_crashes_total", "Worker panics caught at the batch boundary", |s| {
-        s.worker_crashes as f64
-    }),
-    (
-        "blockgnn_worker_restarts_total",
-        "Crashed-worker respawns (fresh engine fork after backoff)",
-        |s| s.restarts as f64,
-    ),
-    (
-        "blockgnn_pool_degraded",
-        "1 while the crash circuit breaker has the pool in brownout, else 0",
-        |s| f64::from(u8::from(s.degraded)),
-    ),
-];
-
-/// The per-tenant metric families, read from each tenant's snapshot: a
-/// `_total` family is labelled `{tenant,backend}`, any other `{tenant}`;
-/// a `None` value leaves the tenant out of the family.
-const TENANT_FAMILIES: &[Metric<ServerStats, Option<f64>>] = &[
-    (
-        "blockgnn_requests_submitted_total",
-        "Requests offered to the admission queue (including shed ones)",
-        |s| Some(s.submitted as f64),
-    ),
-    ("blockgnn_requests_completed_total", "Requests answered successfully", |s| {
-        Some(s.completed as f64)
-    }),
-    ("blockgnn_requests_failed_total", "Requests that failed in the engine", |s| {
-        Some(s.failed as f64)
-    }),
-    (
-        "blockgnn_requests_shed_total",
-        "Requests shed (admission overload + queued-deadline expiry)",
-        |s| Some(s.shed() as f64),
-    ),
-    ("blockgnn_batches_total", "Coalesced executions run", |s| Some(s.batches as f64)),
-    ("blockgnn_deduped_total", "Requests that shared an identical request's execution", |s| {
-        Some(s.deduped as f64)
-    }),
-    ("blockgnn_graph_updates_total", "Graph deltas applied", |s| Some(s.updates as f64)),
-    ("blockgnn_graph_version", "Graph version currently being served", |s| {
-        Some(s.graph_version as f64)
-    }),
-    ("blockgnn_tenant_queue_depth", "Requests currently queued in the tenant's lanes", |s| {
-        Some(s.queue_depth as f64)
-    }),
-    (
-        "blockgnn_partition_balance",
-        "Partition load-balance factor of the tenant's full-graph plan \
-         (max part work / mean part work; 1.0 is perfect)",
-        |s| (s.part_balance > 0.0).then_some(s.part_balance),
-    ),
-];
-
-/// The per-class metric families, labelled `{tenant,class}`.
-const CLASS_FAMILIES: &[Metric<ClassRollup, f64>] = &[
-    ("blockgnn_class_requests_total", "Requests offered per SLO class", |c| c.submitted as f64),
-    ("blockgnn_class_completed_total", "Requests answered per SLO class", |c| {
-        c.completed as f64
-    }),
-    ("blockgnn_class_shed_total", "Requests shed per SLO class", |c| c.shed as f64),
-];
 
 /// A pending answer; blocks on [`Ticket::wait`].
 #[derive(Debug)]
@@ -286,8 +210,22 @@ impl Server {
     /// [`EngineError::NoWorkers`] (as [`ServerError::Engine`]) when
     /// `config.workers` is zero; [`ServerError::TenantBudget`] when the
     /// engine alone overflows a configured
-    /// [`ServerConfig::device_budget_bytes`].
+    /// [`ServerConfig::device_budget_bytes`]; [`ServerError::Io`] when the
+    /// OS refuses a worker thread, after the workers already started are
+    /// stopped and joined.
     pub fn start(engine: Engine, config: ServerConfig) -> Result<Self, ServerError> {
+        Self::start_with(engine, config, |i, work| {
+            std::thread::Builder::new().name(format!("blockgnn-worker-{i}")).spawn(work)
+        })
+    }
+
+    /// [`Server::start`], with `spawn(i, work)` starting worker `i`'s
+    /// thread.
+    fn start_with(
+        engine: Engine,
+        config: ServerConfig,
+        mut spawn: impl FnMut(usize, Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>,
+    ) -> Result<Self, ServerError> {
         if config.workers == 0 {
             return Err(ServerError::Engine(EngineError::NoWorkers));
         }
@@ -301,10 +239,6 @@ impl Server {
             config.workers,
         );
         let default = registry.deploy(tenant)?;
-        Ok(Self::spawn(registry, default, config))
-    }
-
-    fn spawn(registry: TenantRegistry, default: Arc<Tenant>, config: ServerConfig) -> Self {
         let registry = Arc::new(registry);
         let queue: Arc<RequestQueue> = Arc::new(RequestQueue::new());
         let limits = BatchLimits::from(&config);
@@ -312,44 +246,47 @@ impl Server {
         let health = Arc::new(PoolHealth::new(config.workers, &config));
         let injector =
             config.faults.clone().map_or_else(FaultInjector::disabled, FaultInjector::new);
-        let workers = (0..config.workers)
-            .map(|i| {
+        let mut workers = Vec::with_capacity(config.workers);
+        for i in 0..config.workers {
+            let work = {
                 let queue = Arc::clone(&queue);
                 let recorder = Arc::clone(&recorder);
                 let health = Arc::clone(&health);
                 let injector = injector.clone();
-                std::thread::Builder::new()
-                    .name(format!("blockgnn-worker-{i}"))
-                    .spawn(move || {
-                        // Consecutive-crash streak driving the
-                        // exponential backoff; a clean batch resets it.
-                        let mut streak = 0u32;
-                        while let Some(batch) = queue.next_batch(&limits) {
-                            // The crash is booked before the batch's
-                            // typed replies go out, so `health` never
-                            // lags a reply a client already holds.
-                            let crash = || health.record_crash(&queue);
-                            if serve_batch(
-                                batch,
-                                &recorder,
-                                i,
-                                &injector,
-                                Instant::now(),
-                                crash,
-                            ) {
-                                streak += 1;
-                                std::thread::sleep(restart_backoff(streak));
-                                health.record_restart(&queue);
-                            } else {
-                                streak = 0;
-                                health.tick(&queue);
-                            }
+                move || {
+                    // Consecutive-crash streak driving the exponential
+                    // backoff; a clean batch resets it.
+                    let mut streak = 0u32;
+                    while let Some(batch) = queue.next_batch(&limits) {
+                        // The crash is booked before the batch's typed
+                        // replies go out, so `health` never lags a reply
+                        // a client already holds.
+                        let crash = || health.record_crash(&queue);
+                        if serve_batch(batch, &recorder, i, &injector, Instant::now(), crash) {
+                            streak += 1;
+                            std::thread::sleep(restart_backoff(streak));
+                            health.record_restart(&queue);
+                        } else {
+                            streak = 0;
+                            health.tick(&queue);
                         }
-                    })
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        Self {
+                    }
+                }
+            };
+            match spawn(i, Box::new(work)) {
+                Ok(handle) => workers.push(handle),
+                Err(e) => {
+                    queue.close();
+                    for handle in workers {
+                        let _ = handle.join();
+                    }
+                    return Err(ServerError::Io(format!(
+                        "worker thread {i} did not start: {e}"
+                    )));
+                }
+            }
+        }
+        Ok(Self {
             queue,
             registry,
             workers: Mutex::new(workers),
@@ -358,7 +295,7 @@ impl Server {
             recorder,
             health,
             injector,
-        }
+        })
     }
 
     /// A submission handle on the `default` tenant (what unqualified
@@ -401,21 +338,6 @@ impl Server {
     /// [`ServerError::Protocol`]/[`ServerError::Engine`] for a bad spec.
     pub fn deploy(&self, spec: &TenantSpec) -> Result<ServerHandle, ServerError> {
         let engine = spec.build_engine()?;
-        self.deploy_engine(spec, engine)
-    }
-
-    /// Deploys a tenant around a caller-built engine (custom dataset,
-    /// trained model, non-default accelerator config, …). Only the
-    /// spec's `name`, `weight`, and `max_queue_depth` are used.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::deploy`], minus the spec-build failures.
-    pub fn deploy_engine(
-        &self,
-        spec: &TenantSpec,
-        engine: Engine,
-    ) -> Result<ServerHandle, ServerError> {
         let tenant = Tenant::forked(
             self.registry.next_id(),
             &spec.name,
@@ -479,12 +401,6 @@ impl Server {
         self.default.model_kind
     }
 
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// Applies a [`GraphDelta`] to the `default` tenant's graph: the new
     /// version is published atomically **between micro-batches** —
     /// batches already executing finish on the version they resolved at
@@ -526,6 +442,7 @@ impl Server {
     /// traffic to tick it over.
     #[must_use]
     pub fn health(&self) -> HealthReport {
+        self.health.refresh(&self.queue);
         self.health.report(&self.queue)
     }
 
@@ -551,18 +468,16 @@ impl Server {
     }
 
     /// Renders the full metrics exposition (Prometheus text format) from
-    /// one aggregate snapshot, family by family: server-wide gauges and
-    /// counters, per-tenant counters labelled `{tenant,backend}` and
-    /// gauges labelled `{tenant}`, per-class counters and latency
-    /// summaries labelled `{tenant,class}`, aggregate summaries, and
-    /// flight recorder occupancy. Built on demand — nothing is
-    /// double-counted against the `stats` verb, which reads the same
-    /// snapshots.
+    /// one aggregate snapshot, family by family: the families of the
+    /// server, tenant and class counter tables (the rows the `stats` line
+    /// renders too; a tenant's counters labelled `{tenant,backend}` and
+    /// its gauges `{tenant}`, a class's `{tenant,class}`), the latency
+    /// summaries, and flight recorder occupancy. Built on demand.
     #[must_use]
     pub fn metrics_text(&self) -> String {
         let global = self.stats();
         let registry = self.registry.snapshot();
-        // Each live tenant's snapshot beside its counter and gauge labels.
+        // Each live tenant's snapshot under its counter and gauge labels.
         let tenants: Vec<_> = global
             .tenants
             .iter()
@@ -572,29 +487,22 @@ impl Server {
                 Some((format!("{gauge},backend=\"{backend}\""), gauge, stats))
             })
             .collect();
-        let classes = || {
-            tenants.iter().flat_map(|(_, tenant, stats)| {
+        let classes: Vec<_> = tenants
+            .iter()
+            .flat_map(|(_, tenant, stats)| {
                 stats.classes.iter().map(move |(class, rollup)| {
-                    (format!("{tenant},class=\"{}\"", class.name()), rollup)
+                    let labels = format!("{tenant},class=\"{}\"", class.name());
+                    (labels.clone(), labels, rollup)
                 })
             })
-        };
+            .collect();
         let mut out = String::new();
-        for (name, help, value) in GLOBAL_FAMILIES {
-            write_family(&mut out, name, help, [(String::new(), value(&global))]);
-        }
-        for (name, help, value) in TENANT_FAMILIES {
-            let samples = tenants.iter().filter_map(|(counter, gauge, stats)| {
-                let labels = if name.ends_with("_total") { counter } else { gauge };
-                Some((labels.clone(), value(stats)?))
-            });
-            write_family(&mut out, name, help, samples);
-        }
-        for (name, help, value) in CLASS_FAMILIES {
-            write_family(&mut out, name, help, classes().map(|(l, rollup)| (l, value(rollup))));
-        }
+        write_families(&mut out, SERVER_COUNTERS, &[(String::new(), String::new(), &global)]);
+        write_families(&mut out, TENANT_COUNTERS, &tenants);
+        write_families(&mut out, CLASS_COUNTERS, &classes);
         let help = "End-to-end served latency per SLO class";
-        let samples = classes().map(|(labels, rollup)| (labels, &rollup.latency));
+        let samples =
+            classes.iter().map(|(labels, _, rollup)| (labels.clone(), &rollup.latency));
         write_summary(&mut out, "blockgnn_class_latency_seconds", help, samples);
         for (name, help, histogram) in [
             (
@@ -617,12 +525,13 @@ impl Server {
         }
         let help = "Trace records currently held across the worker rings";
         let recorded = self.recorder.recorded() as f64;
-        write_family(&mut out, "blockgnn_traces_recorded", help, [(String::new(), recorded)]);
+        let samples = [(String::new(), recorded)];
+        write_family(&mut out, "blockgnn_traces_recorded", help, "gauge", samples);
         let help = "Retained slow/shed/failed trace exemplars per SLO class";
         let exemplars = self.recorder.exemplar_counts().into_iter();
         let samples =
             exemplars.map(|(class, n)| (format!("class=\"{}\"", class.name()), n as f64));
-        write_family(&mut out, "blockgnn_trace_exemplars", help, samples);
+        write_family(&mut out, "blockgnn_trace_exemplars", help, "gauge", samples);
         out
     }
 
@@ -1127,4 +1036,42 @@ pub(crate) fn serve_batch(
         finish(&meta, outcome, batch_size, &spans, slow);
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockgnn_engine::BackendKind;
+    use blockgnn_graph::datasets;
+    use std::sync::atomic::AtomicBool;
+
+    #[test]
+    fn a_refused_worker_thread_fails_start_typed_after_joining_the_started_ones() {
+        let engine = Engine::builder(ModelKind::Gcn, BackendKind::Dense)
+            .hidden_dim(8)
+            .build(Arc::new(datasets::cora_like_small(3)))
+            .unwrap();
+        let joined = Arc::new(AtomicBool::new(false));
+        let config = ServerConfig::default().with_workers(3);
+        let started = Server::start_with(engine, config, |i, work| {
+            if i == 1 {
+                return Err(io::Error::other("no threads left"));
+            }
+            let joined = Arc::clone(&joined);
+            std::thread::Builder::new().spawn(move || {
+                work();
+                joined.store(true, Ordering::SeqCst);
+            })
+        });
+        match started {
+            Err(ServerError::Io(message)) => {
+                assert!(message.contains("worker thread 1"), "{message}");
+            }
+            other => panic!("expected a typed spawn failure, got {other:?}"),
+        }
+        assert!(
+            joined.load(Ordering::SeqCst),
+            "worker 0 ran out and was joined before start returned"
+        );
+    }
 }

@@ -20,8 +20,8 @@
 use crate::error::ServerError;
 use crate::fault::SocketFault;
 use crate::protocol::{
-    encode_deploy_ack, encode_error, encode_health, encode_lines, encode_list_reply,
-    encode_response, encode_retire_ack, encode_update_ack, parse_command, write_frame, Command,
+    encode_error, encode_lines, encode_list, parse_command, write_frame, Command,
+    RemoteResponse, DEPLOY_ACK, HEALTH, INFER_REPLY, RETIRE_ACK, UPDATE_ACK,
 };
 use crate::server::Server;
 use crate::telemetry::ServerStats;
@@ -226,7 +226,7 @@ fn answer(server: &Server, command: Command) -> Result<String, ServerError> {
     };
     Ok(match command {
         Command::Ping => "pong".to_string(),
-        Command::Health => encode_health(&server.health()),
+        Command::Health => HEALTH.encode(&server.health()),
         Command::Stats(None) => format!("ok stats {}", server.stats().summary()),
         Command::Stats(Some(name)) => {
             format!("ok stats {}", server.tenant_stats(&name)?.summary())
@@ -234,18 +234,22 @@ fn answer(server: &Server, command: Command) -> Result<String, ServerError> {
         Command::Shutdown => "ok bye".to_string(),
         Command::Infer(request, options, tenant) => {
             let handle = handle(tenant)?;
-            encode_response(&handle.infer_with(request, options)?, handle.tenant_name())
+            let response = handle.infer_with(request, options)?;
+            INFER_REPLY.encode(&RemoteResponse::served(response, handle.tenant_name()))
         }
         // A rejected update answers with a typed error and the connection
         // (and the addressed graph) carries on untouched. The ack's counts
         // come from the exact epoch this delta published, so they stay
         // consistent with its version even under concurrent updates.
         Command::Update(delta, tenant) => {
-            encode_update_ack(&handle(tenant)?.update_acked(&delta)?)
+            UPDATE_ACK.encode(&handle(tenant)?.update_acked(&delta)?)
         }
-        Command::Deploy(spec) => encode_deploy_ack(&server.deploy(&spec)?.info()),
-        Command::Retire(name) => encode_retire_ack(&name, &server.retire(&name)?),
-        Command::List => encode_list_reply(&server.tenants()),
+        Command::Deploy(spec) => DEPLOY_ACK.encode(&server.deploy(&spec)?.info()),
+        Command::Retire(name) => {
+            let finals = server.retire(&name)?;
+            RETIRE_ACK.encode(&(name, finals.submitted, finals.completed, finals.shed()))
+        }
+        Command::List => encode_list(&server.tenants()),
         // The observability verbs are the protocol's only multi-line
         // replies, assembled as one string that `write_frame` sends with
         // its final LF, so each hits the socket in one write.

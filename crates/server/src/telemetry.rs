@@ -1,12 +1,23 @@
 //! Server telemetry: queue/compute latency split, shed accounting,
 //! per-SLO-class latency rollups, and the batch-size distribution,
 //! snapshotted as [`ServerStats`].
+//!
+//! Every exported number is a row of one counter table per scope —
+//! `SERVER_COUNTERS` (any snapshot), `TENANT_COUNTERS` (each tenant of
+//! the aggregate) and `CLASS_COUNTERS` (each class rollup) — giving its
+//! `stats` key, its Prometheus family and help, its kind and how to read
+//! it off the snapshot. The `stats` line ([`ServerStats::summary`]) is
+//! the rows' keys in table order, and [`crate::Server::metrics_text`]
+//! writes the rows' families in the same order, so a counter is added,
+//! renamed or removed in one place.
 
 use crate::fault::lock_recover;
-use crate::observe::TraceOutcome;
+use crate::observe::{write_family, TraceOutcome};
+use crate::protocol::put_joined;
 use crate::queue::SloClass;
 use blockgnn_engine::{LatencyHistogram, ServeStats};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -106,24 +117,6 @@ pub struct ClassRollup {
 }
 
 impl ClassRollup {
-    /// Median served latency for the class.
-    #[must_use]
-    pub fn p50(&self) -> Duration {
-        self.latency.p50()
-    }
-
-    /// 95th-percentile served latency for the class.
-    #[must_use]
-    pub fn p95(&self) -> Duration {
-        self.latency.p95()
-    }
-
-    /// 99th-percentile served latency for the class.
-    #[must_use]
-    pub fn p99(&self) -> Duration {
-        self.latency.p99()
-    }
-
     /// Folds another rollup's counters into this one.
     pub fn merge(&mut self, other: &ClassRollup) {
         self.submitted += other.submitted;
@@ -131,23 +124,6 @@ impl ClassRollup {
         self.shed += other.shed;
         self.failed += other.failed;
         self.latency.merge(&other.latency);
-    }
-
-    /// Renders the rollup as one colon-separated `stats` segment
-    /// (`class=` prefixed by the caller): counters first, percentiles
-    /// last.
-    #[must_use]
-    pub fn summary_fields(&self) -> String {
-        format!(
-            "requests={}:completed={}:failed={}:shed={}:p50_us={}:p95_us={}:p99_us={}",
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.shed,
-            self.p50().as_micros(),
-            self.p95().as_micros(),
-            self.p99().as_micros(),
-        )
     }
 }
 
@@ -244,79 +220,201 @@ impl ServerStats {
         *by_class += n;
     }
 
-    /// One-line summary for logs and the `stats` protocol command. The
-    /// single-tenant prefix is stable; aggregate snapshots of a
-    /// multi-tenant server append one `tenant=NAME:…` segment per tenant
-    /// (colon-separated fields: counters first so smoke tests can grep
-    /// exact prefixes, float rates last).
+    /// One-line summary for logs and the `stats` protocol command: the
+    /// server counters, a `class=NAME:` segment per class, and on an
+    /// aggregate snapshot `tenants=N` and a `tenant=NAME:` segment each.
     #[must_use]
     pub fn summary(&self) -> String {
-        let mut line = format!(
-            "requests={} completed={} failed={} shed_overload={} shed_deadline={} \
-             qps={:.1} p50_us={} p95_us={} p99_us={} mean_queue_us={} mean_compute_us={} \
-             batches={} mean_batch={:.2} deduped={} version={} updates={} failed_updates={}",
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.shed_overload,
-            self.shed_deadline,
-            self.qps(),
-            self.serve.p50().as_micros(),
-            self.serve.p95().as_micros(),
-            self.serve.p99().as_micros(),
-            mean_micros(self.serve.total_queue_time, self.serve.requests),
-            mean_micros(self.serve.total_compute_time, self.serve.requests),
-            self.batches,
-            self.mean_batch_size(),
-            self.deduped,
-            self.graph_version,
-            self.updates,
-            self.failed_updates,
-        );
-        {
-            use std::fmt::Write as _;
-            let _ = write!(
-                line,
-                " workers_alive={} worker_crashes={} restarts={} degraded={}",
-                self.workers_alive, self.worker_crashes, self.restarts, self.degraded
-            );
-            let _ = write!(line, " part_balance={:.2}", self.part_balance);
-            for (class, rollup) in &self.classes {
-                let _ = write!(line, " class={}:{}", class.name(), rollup.summary_fields());
-            }
-            if !self.tenants.is_empty() {
-                let _ = write!(line, " tenants={}", self.tenants.len());
-                for (name, t) in &self.tenants {
-                    let _ = write!(
-                        line,
-                        " tenant={name}:w={}:requests={}:completed={}:failed={}:shed={}\
-                         :version={}:updates={}:depth={}\
-                         :qps={:.1}:p50_us={}:p95_us={}:p99_us={}",
-                        t.weight,
-                        t.submitted,
-                        t.completed,
-                        t.failed,
-                        t.shed(),
-                        t.graph_version,
-                        t.updates,
-                        t.queue_depth,
-                        t.qps(),
-                        t.serve.p50().as_micros(),
-                        t.serve.p95().as_micros(),
-                        t.serve.p99().as_micros(),
-                    );
-                }
+        let mut line = String::new();
+        write_tokens(&mut line, SERVER_COUNTERS, self, ' ');
+        for (class, rollup) in &self.classes {
+            let _ = write!(line, " class={}:", class.name());
+            write_tokens(&mut line, CLASS_COUNTERS, rollup, ':');
+        }
+        if !self.tenants.is_empty() {
+            let _ = write!(line, " tenants={}", self.tenants.len());
+            for (name, tenant) in &self.tenants {
+                let _ = write!(line, " tenant={name}:");
+                write_tokens(&mut line, TENANT_COUNTERS, tenant, ':');
             }
         }
         line
     }
 }
 
-fn mean_micros(total: Duration, count: usize) -> u128 {
+/// How a counter row is exported and printed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Kind {
+    /// A Prometheus `counter`; a whole number on the `stats` line.
+    Counter,
+    /// A Prometheus `gauge`; a whole number on the `stats` line.
+    Gauge,
+    /// A gauge printed on the `stats` line with one decimal.
+    Rate,
+    /// A gauge printed on the `stats` line with two decimals.
+    Ratio,
+    /// A gauge exported as 1 or 0 and printed `true` or `false`.
+    Flag,
+}
+
+/// One exported number of a scope: its `stats` key, its Prometheus
+/// family and help, its [`Kind`], and how to read it off a snapshot. A
+/// row with no key stays off the `stats` line; one with no family is not
+/// exported. A reading of NaN leaves the sample out of its family.
+pub(crate) struct Counter<S> {
+    key: Option<&'static str>,
+    family: Option<(&'static str, &'static str)>,
+    kind: Kind,
+    get: fn(&S) -> f64,
+}
+
+/// A counter table, one row per `key kind getter;`: a key of `_` keeps
+/// the row off the `stats` line, and `=> "family" "help"` before the `;`
+/// exports it.
+macro_rules! counters {
+    (@key _) => { None };
+    (@key $key:literal) => { Some($key) };
+    (@family) => { None };
+    (@family $family:literal $help:literal) => { Some(($family, $help)) };
+    ($($key:tt $kind:ident $get:expr $(=> $family:literal $help:literal)?;)*) => {
+        &[$(Counter {
+            key: counters!(@key $key),
+            family: counters!(@family $($family $help)?),
+            kind: Kind::$kind,
+            get: $get,
+        }),*]
+    };
+}
+
+fn micros(d: Duration) -> f64 {
+    d.as_micros() as f64
+}
+
+fn mean_micros(total: Duration, count: usize) -> f64 {
     if count == 0 {
-        0
+        0.0
     } else {
-        total.as_micros() / count as u128
+        (total.as_micros() / count as u128) as f64
+    }
+}
+
+/// The server scope: the `stats` line of any snapshot (the aggregate
+/// or one tenant's) and the server-wide families of the aggregate.
+pub(crate) const SERVER_COUNTERS: &[Counter<ServerStats>] = counters![
+    "requests" Counter |s| s.submitted as f64;
+    "completed" Counter |s| s.completed as f64;
+    "failed" Counter |s| s.failed as f64;
+    "shed_overload" Counter |s| s.shed_overload as f64;
+    "shed_deadline" Counter |s| s.shed_deadline as f64;
+    _ Gauge |s| s.uptime.as_secs_f64()
+        => "blockgnn_uptime_seconds" "Seconds since the server started";
+    "qps" Rate ServerStats::qps => "blockgnn_qps" "Completed requests per second of uptime";
+    _ Gauge |s| s.queue_depth as f64
+        => "blockgnn_queue_depth" "Requests currently queued across all tenants";
+    "p50_us" Gauge |s| micros(s.serve.p50());
+    "p95_us" Gauge |s| micros(s.serve.p95());
+    "p99_us" Gauge |s| micros(s.serve.p99());
+    "mean_queue_us" Gauge |s| mean_micros(s.serve.total_queue_time, s.serve.requests);
+    "mean_compute_us" Gauge |s| mean_micros(s.serve.total_compute_time, s.serve.requests);
+    "batches" Counter |s| s.batches as f64;
+    "mean_batch" Ratio ServerStats::mean_batch_size;
+    "deduped" Counter |s| s.deduped as f64;
+    "version" Gauge |s| s.graph_version as f64;
+    "updates" Counter |s| s.updates as f64;
+    "failed_updates" Counter |s| s.failed_updates as f64;
+    "workers_alive" Gauge |s| s.workers_alive as f64 => "blockgnn_workers_alive"
+        "Workers currently serving (a crashed worker is down until its respawn \
+         backoff elapses)";
+    "worker_crashes" Counter |s| s.worker_crashes as f64
+        => "blockgnn_worker_crashes_total" "Worker panics caught at the batch boundary";
+    "restarts" Counter |s| s.restarts as f64 => "blockgnn_worker_restarts_total"
+        "Crashed-worker respawns (fresh engine fork after backoff)";
+    "degraded" Flag |s| f64::from(u8::from(s.degraded)) => "blockgnn_pool_degraded"
+        "1 while the crash circuit breaker has the pool in brownout, else 0";
+    "part_balance" Ratio |s| s.part_balance;
+];
+
+/// The tenant scope: each tenant's `tenant=NAME:` segment of the
+/// aggregate `stats` line and its families, a counter labelled
+/// `{tenant,backend}` and a gauge `{tenant}`. The graph version is two
+/// rows because the line prints it before `updates` and the exposition
+/// after.
+pub(crate) const TENANT_COUNTERS: &[Counter<ServerStats>] = counters![
+    "w" Gauge |s| f64::from(s.weight);
+    "requests" Counter |s| s.submitted as f64 => "blockgnn_requests_submitted_total"
+        "Requests offered to the admission queue (including shed ones)";
+    "completed" Counter |s| s.completed as f64
+        => "blockgnn_requests_completed_total" "Requests answered successfully";
+    "failed" Counter |s| s.failed as f64
+        => "blockgnn_requests_failed_total" "Requests that failed in the engine";
+    "shed" Counter |s| s.shed() as f64 => "blockgnn_requests_shed_total"
+        "Requests shed (admission overload + queued-deadline expiry)";
+    _ Counter |s| s.batches as f64 => "blockgnn_batches_total" "Coalesced executions run";
+    _ Counter |s| s.deduped as f64 => "blockgnn_deduped_total"
+        "Requests that shared an identical request's execution";
+    "version" Gauge |s| s.graph_version as f64;
+    "updates" Counter |s| s.updates as f64
+        => "blockgnn_graph_updates_total" "Graph deltas applied";
+    _ Gauge |s| s.graph_version as f64
+        => "blockgnn_graph_version" "Graph version currently being served";
+    "depth" Gauge |s| s.queue_depth as f64
+        => "blockgnn_tenant_queue_depth" "Requests currently queued in the tenant's lanes";
+    _ Gauge |s| if s.part_balance > 0.0 { s.part_balance } else { f64::NAN }
+        => "blockgnn_partition_balance"
+        "Partition load-balance factor of the tenant's full-graph plan \
+         (max part work / mean part work; 1.0 is perfect)";
+    "qps" Rate ServerStats::qps;
+    "p50_us" Gauge |s| micros(s.serve.p50());
+    "p95_us" Gauge |s| micros(s.serve.p95());
+    "p99_us" Gauge |s| micros(s.serve.p99());
+];
+
+/// The class scope: each `class=NAME:` segment of the `stats` line and
+/// the per-class families, labelled `{tenant,class}`.
+pub(crate) const CLASS_COUNTERS: &[Counter<ClassRollup>] = counters![
+    "requests" Counter |c| c.submitted as f64
+        => "blockgnn_class_requests_total" "Requests offered per SLO class";
+    "completed" Counter |c| c.completed as f64
+        => "blockgnn_class_completed_total" "Requests answered per SLO class";
+    "failed" Counter |c| c.failed as f64;
+    "shed" Counter |c| c.shed as f64
+        => "blockgnn_class_shed_total" "Requests shed per SLO class";
+    "p50_us" Gauge |c| micros(c.latency.p50());
+    "p95_us" Gauge |c| micros(c.latency.p95());
+    "p99_us" Gauge |c| micros(c.latency.p99());
+];
+
+/// Writes the `stats` tokens of `scope` read off `snapshot`,
+/// `separator`-joined.
+fn write_tokens<S>(out: &mut String, scope: &[Counter<S>], snapshot: &S, separator: char) {
+    let rows = scope.iter().filter_map(|row| Some((row.key?, row.kind, (row.get)(snapshot))));
+    put_joined(out, rows, separator, |out, (key, kind, value)| {
+        let _ = match kind {
+            Kind::Counter | Kind::Gauge => write!(out, "{key}={}", value as u64),
+            Kind::Rate => write!(out, "{key}={value:.1}"),
+            Kind::Ratio => write!(out, "{key}={value:.2}"),
+            Kind::Flag => write!(out, "{key}={}", value != 0.0),
+        };
+    });
+}
+
+/// Writes every family of `scope`, one sample per snapshot: a counter
+/// under the first labels of its `(counter labels, gauge labels,
+/// snapshot)`, a gauge under the second.
+pub(crate) fn write_families<S>(
+    out: &mut String,
+    scope: &[Counter<S>],
+    samples: &[(String, String, &S)],
+) {
+    for row in scope {
+        let Some((name, help)) = row.family else { continue };
+        let counter = row.kind == Kind::Counter;
+        let readings = samples.iter().filter_map(|(counter_labels, gauge_labels, snapshot)| {
+            let value = (row.get)(snapshot);
+            let labels = if counter { counter_labels } else { gauge_labels };
+            (!value.is_nan()).then(|| (labels.clone(), value))
+        });
+        write_family(out, name, help, if counter { "counter" } else { "gauge" }, readings);
     }
 }
 
@@ -401,8 +499,8 @@ mod tests {
         a.absorb(&b);
         let gold = &a.classes[&SloClass::Gold];
         assert_eq!((gold.submitted, gold.completed, gold.shed), (4, 3, 1));
-        assert!(gold.p50() >= Duration::from_micros(100));
-        assert!(gold.p99() >= gold.p50());
+        assert!(gold.latency.p50() >= Duration::from_micros(100));
+        assert!(gold.latency.p99() >= gold.latency.p50());
         assert_eq!(a.classes[&SloClass::Bronze].submitted, 2);
         // Classes render in rank order: gold before bronze.
         let line = a.summary();

@@ -429,7 +429,7 @@ impl Tenant {
 
 /// A public, wire-friendly description of one deployed tenant (what
 /// `list` reports).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantInfo {
     /// Registry name.
     pub name: String,

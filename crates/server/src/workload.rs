@@ -54,7 +54,7 @@ use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::fault::FaultInjector;
 use crate::observe::Recorder;
-use crate::protocol::{parse_command, parse_error, Command, Fields};
+use crate::protocol::{field, parse_command, parse_error, Command, Record};
 use crate::queue::{SloClass, SubmitOptions, NUM_CLASSES};
 use crate::server::{admit, serve_batch};
 use crate::telemetry::ServerStats;
@@ -426,6 +426,12 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
 }
 
+/// A trace file's first line, `blockgnn-trace v2 seed= clients= events=`.
+const TRACE_HEADER: Record<(u64, u32, usize)> = Record {
+    prefix: "blockgnn-trace v2 ",
+    fields: &[field!("seed", 0), field!("clients", 1), field!("events", 2)],
+};
+
 impl Trace {
     /// Serializes the trace under a `blockgnn-trace v2` header, one event
     /// per line: `AT CLIENT - LINE` for a line sent whole, `AT CLIENT
@@ -434,12 +440,8 @@ impl Trace {
     /// and all) and inherits the protocol's round-trip guarantees.
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "blockgnn-trace v2 seed={} clients={} events={}\n",
-            self.seed,
-            self.clients,
-            self.events.len()
-        );
+        let mut out = TRACE_HEADER.encode(&(self.seed, self.clients, self.events.len()));
+        out.push('\n');
         for TraceEvent { at_us, client, line, dribble } in &self.events {
             let _ = match dribble {
                 None => writeln!(out, "{at_us} {client} - {line}"),
@@ -460,11 +462,8 @@ impl Trace {
     pub fn decode(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty trace")?;
-        let (seed, clients, count): (u64, u32, usize) =
-            Fields::read(header, "blockgnn-trace v2 ", |f| {
-                Ok((f.parse("seed")?, f.parse("clients")?, f.parse("events")?))
-            })
-            .map_err(|e| format!("bad trace header: {e}"))?;
+        let (seed, clients, count) =
+            TRACE_HEADER.decode(header).map_err(|e| format!("bad trace header: {e}"))?;
         let events = lines
             .filter(|line| !line.is_empty())
             .map(|line| decode_event(line).ok_or_else(|| format!("bad trace event {line:?}")))

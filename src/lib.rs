@@ -102,9 +102,13 @@
 //! of [`Engine::fork`] replicas coalesces them into micro-batches whose
 //! answers are bit-identical to solo execution, and a TCP front end
 //! ([`server::TcpServer`], spoken by the `blockgnn-serve`/
-//! `blockgnn-client` binaries) exposes it all over the wire. See
-//! `examples/serving.rs` and the "Serving runtime" section of
-//! `docs/ARCHITECTURE.md`.
+//! `blockgnn-client` binaries) exposes it all over the wire. Each
+//! `key=value` reply is one field table of [`server::protocol`]'s record
+//! codec, which both writes and reads it; the `stats` line, the
+//! Prometheus exposition ([`Server::metrics_text`]) and the pool counters
+//! under `health` are renderings of one counter table per scope (server,
+//! tenant, SLO class). See `examples/serving.rs` and the "Serving
+//! runtime" section of `docs/ARCHITECTURE.md`.
 //!
 //! Lower-level entry points remain available for research code: the
 //! compression types in [`core`] (see `examples/quickstart.rs` for the
