@@ -13,6 +13,7 @@
 //! call.
 
 use crate::error::EngineError;
+use crate::versioned::GraphEpoch;
 use blockgnn_accel::{AccelError, BlockGnnAccelerator, GlobalBuffer, SimReport};
 use blockgnn_gnn::workload::GnnWorkload;
 use blockgnn_gnn::GnnModel;
@@ -202,6 +203,15 @@ impl Backend {
         let logits = self.model.forward(graph, features, false);
         let (sim, energy_joules) = self.charge(features.cols(), shape).unzip();
         BackendOutput { logits, sim, energy_joules }
+    }
+
+    /// Points the model's node-local row reads at `epoch`'s row table,
+    /// or, with `None`, back at computing them per call. A no-op for a
+    /// model that reads no such rows.
+    pub(crate) fn attach(&mut self, epoch: Option<&GraphEpoch>) {
+        if let Some(width) = self.model.row_table_width() {
+            self.model.attach_row_table(epoch.map(|epoch| epoch.row_table(width)));
+        }
     }
 
     /// An independent replica for another worker thread or session.

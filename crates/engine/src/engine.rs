@@ -321,14 +321,18 @@ impl Engine {
         Session { engine: self, stats: ServeStats::default() }
     }
 
-    /// Drops the current version's full-graph logits so the next
-    /// full-graph request recomputes (and re-charges the hardware
-    /// models). Useful for benchmarking the execution path itself;
-    /// regular serving never needs this — the logits live on their
-    /// epoch, and [`Engine::apply_delta`] publishes a fresh one. Affects
-    /// every [`Engine::fork`] replica — the epoch is shared.
+    /// Drops the current version's full-graph logits and its table of
+    /// first-layer rows, so the next full-graph request recomputes every
+    /// stage (and re-charges the hardware models). Useful for
+    /// benchmarking the execution path itself; regular serving never
+    /// needs this — both live on their epoch, and [`Engine::apply_delta`]
+    /// publishes a fresh one. Affects every [`Engine::fork`] replica — the
+    /// epoch is shared.
     pub fn clear_full_graph_cache(&self) {
-        *lock_recover(&self.shared.epoch().logits) = None;
+        let epoch = self.shared.epoch();
+        *lock_recover(&epoch.logits) = None;
+        let emptied = epoch.take_rows_emptied(epoch.dataset.num_nodes());
+        *lock_recover(&epoch.rows) = emptied;
     }
 
     /// Forks an independent replica for another worker thread: every
@@ -526,12 +530,15 @@ impl Engine {
         // Every member's target rows, member after member: the execution
         // returns exactly these, so each member's logits are a contiguous
         // run of its output.
-        let logits = self.workers[0].model.forward_at_indexed(
+        let worker = &mut self.workers[0];
+        worker.attach(Some(epoch));
+        let logits = worker.model.forward_at_indexed(
             universe.graph,
             &epoch.dataset.features,
             Some(universe.local_to_global),
             universe.rows,
         );
+        worker.attach(None);
         timings.add("execute", start.elapsed());
         let start = Instant::now();
         let feature_dim = epoch.dataset.feature_dim();
@@ -689,9 +696,10 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::CoalescedOutcome;
+    use crate::request::RequestMode;
     use crate::versioned::lock_recover;
     use crate::{BackendKind, EngineBuilder, EngineError, GraphDelta, InferRequest};
-    use blockgnn_gnn::batch::{SampledBlock, KEPT_SCRATCH_BYTES};
+    use blockgnn_gnn::batch::{SampledBlock, UniverseBuilder, KEPT_SCRATCH_BYTES};
     use blockgnn_gnn::ModelKind;
     use blockgnn_graph::datasets;
     use blockgnn_linalg::Matrix;
@@ -799,6 +807,59 @@ mod tests {
                 assert_same_answers(&fork.infer_coalesced(&batch(n)), &want, &what);
             }
         }
+    }
+
+    #[test]
+    fn a_cold_a_warm_and_a_fork_warmed_row_table_answer_as_computing_every_row() {
+        // The oracle: the model with no table attached (a `clone_boxed`
+        // replica), over the universe the batch samples into.
+        let dataset = Arc::new(datasets::cora_like_small(5));
+        let batch = [
+            InferRequest::sampled(vec![3, 7, 3], 5, 3, 11),
+            InferRequest::paper_sampled(vec![40, 41], 12),
+        ];
+        let builder = EngineBuilder::new(ModelKind::Gcn, BackendKind::Spectral).hidden_dim(8);
+        let mut engine = builder.clone().build(Arc::clone(&dataset)).expect("builds");
+        let blocks = batch.iter().map(|request| match request.mode {
+            RequestMode::Sampled { s1, s2, seed } => {
+                SampledBlock { nodes: &request.nodes, s1, s2, seed }
+            }
+            RequestMode::FullGraph => unreachable!("the batch is sampled"),
+        });
+        let mut universe = UniverseBuilder::default();
+        let universe = universe.build(&dataset.graph, blocks);
+        let want = engine.workers[0].model.clone_boxed().forward_at_indexed(
+            universe.graph,
+            &dataset.features,
+            Some(universe.local_to_global),
+            universe.rows,
+        );
+        let answer = |engine: &mut crate::Engine| {
+            let outcome = engine.infer_coalesced(&batch);
+            let rows: Vec<Matrix> =
+                outcome.outcomes.into_iter().map(|o| o.expect("serves").logits).collect();
+            let bits = rows.iter().flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()));
+            bits.collect::<Vec<_>>()
+        };
+        let want: Vec<u64> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        let rows_present = |engine: &crate::Engine| {
+            lock_recover(&engine.shared.epoch().rows).as_ref().map_or(0, |t| t.rows_present())
+        };
+
+        assert_eq!(rows_present(&engine), 0);
+        assert_eq!(answer(&mut engine), want, "cold");
+        let filled = rows_present(&engine);
+        assert!(filled > 0, "the cold answer filled the table");
+        assert_eq!(answer(&mut engine), want, "warm");
+        assert_eq!(rows_present(&engine), filled, "the warm answer computed no row");
+
+        let mut original = builder.build(dataset).expect("builds");
+        let mut fork = original.fork();
+        assert_eq!(answer(&mut fork), want, "the fork, cold");
+        assert_eq!(rows_present(&original), filled, "the fork filled the shared table");
+        assert_eq!(answer(&mut original), want, "warmed by the fork");
+        original.clear_full_graph_cache();
+        assert_eq!(rows_present(&original), 0, "clearing the cache empties the table");
     }
 
     #[test]

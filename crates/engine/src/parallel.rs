@@ -259,12 +259,17 @@ impl Engine {
         if self.workers.len() == 1 {
             let shape =
                 RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
-            let out = self.workers[0].execute(&dataset.graph, &dataset.features, shape);
+            let worker = &mut self.workers[0];
+            worker.attach(Some(epoch));
+            let out = worker.execute(&dataset.graph, &dataset.features, shape);
+            worker.attach(None);
             return (out, 1);
         }
         let plan = self.plan_for(epoch);
+        self.workers.iter_mut().for_each(|worker| worker.attach(Some(epoch)));
         let logits =
             run_staged(&mut self.workers, &dataset.graph, &dataset.features, &plan.parts);
+        self.workers.iter_mut().for_each(|worker| worker.attach(None));
         let (sim, energy_joules) = merge_part_charges(
             &self.workers[0],
             dataset.feature_dim(),

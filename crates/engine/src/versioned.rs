@@ -9,11 +9,12 @@
 //!   and keep their `Arc` for the whole batch, so an update lands
 //!   *between* batches, never inside one.
 //! * Each epoch holds only what a request reads: the dataset, the
-//!   version, the full-graph logits and the partition plans (see
-//!   [`GraphEpoch`]). A delta derives the next epoch from the current
-//!   one through [`GraphDelta::apply_to`] and publishes it with empty
-//!   caches, so no cache compares versions and a delta never serves
-//!   stale logits; the old epoch's caches die with its last holder.
+//!   version, the full-graph logits, the partition plans and the model's
+//!   table of node-local first-layer rows (see [`GraphEpoch`]). A delta
+//!   derives the next epoch from the current one through
+//!   [`GraphDelta::apply_to`] and publishes it with empty caches, so no
+//!   cache compares versions and a delta never serves stale logits or
+//!   rows; the old epoch's caches die with its last holder.
 //!   (Per-graph model caches — GCN's `Â` normalization, sampled-subgraph
 //!   interning — key on [`blockgnn_graph::CsrGraph::instance_id`], and
 //!   every applied delta produces a graph with a fresh id, so they are
@@ -30,6 +31,7 @@
 use crate::backend::BackendOutput;
 use crate::error::EngineError;
 use crate::parallel::Plan;
+use blockgnn_gnn::RowTable;
 use blockgnn_graph::{Dataset, GraphDelta};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,11 +68,37 @@ pub(crate) struct GraphEpoch {
     pub logits: Mutex<Option<BackendOutput>>,
     /// The §IV-C partition plan, one per worker count.
     pub plans: Mutex<HashMap<usize, Arc<Plan>>>,
+    /// The served model's node-local first-layer rows of this version's
+    /// features ([`RowTable`]), made empty on first use when the model
+    /// reads any. Sampled batches, full passes and widened passes all
+    /// fill and read it; a fork's batch shares it.
+    pub rows: Mutex<Option<Arc<RowTable>>>,
 }
 
 impl GraphEpoch {
     fn new(dataset: Arc<Dataset>, version: u64) -> Self {
-        Self { dataset, version, logits: Mutex::default(), plans: Mutex::default() }
+        Self {
+            dataset,
+            version,
+            logits: Mutex::default(),
+            plans: Mutex::default(),
+            rows: Mutex::default(),
+        }
+    }
+
+    /// This epoch's row table for `width`-wide rows.
+    pub fn row_table(&self, width: usize) -> Arc<RowTable> {
+        let mut slot = lock_recover(&self.rows);
+        let nodes = self.dataset.num_nodes();
+        Arc::clone(slot.get_or_insert_with(|| Arc::new(RowTable::new(nodes, width))))
+    }
+
+    /// Takes this epoch's row table, emptied for a graph of `nodes` nodes,
+    /// when no batch holds it: the table that replaces it reuses its
+    /// storage. A batch that then reads this epoch starts a fresh one.
+    pub fn take_rows_emptied(&self, nodes: usize) -> Option<Arc<RowTable>> {
+        let table = lock_recover(&self.rows).take()?;
+        Arc::try_unwrap(table).ok().map(|table| Arc::new(table.emptied(nodes)))
     }
 }
 
@@ -185,6 +213,7 @@ impl SharedGraphState {
             name: old.name.clone(),
         });
         let epoch = Arc::new(GraphEpoch::new(dataset, current.version + 1));
+        *lock_recover(&epoch.rows) = current.take_rows_emptied(epoch.dataset.num_nodes());
         *lock_recover(&self.current) = Arc::clone(&epoch);
         self.node_count.store(epoch.dataset.num_nodes(), Ordering::Release);
         Ok(epoch)

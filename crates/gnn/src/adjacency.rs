@@ -12,7 +12,7 @@ use blockgnn_linalg::{isa, Matrix};
 
 /// The symmetric normalized adjacency `Â` with self-loops, applied
 /// row-batch-wise to feature matrices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NormalizedAdjacency {
     /// `1/√(deg+1)` per node, precomputed.
     inv_sqrt_deg: Vec<f64>,
@@ -22,10 +22,20 @@ impl NormalizedAdjacency {
     /// Precomputes normalization coefficients for `graph`.
     #[must_use]
     pub fn new(graph: &CsrGraph) -> Self {
-        let inv_sqrt_deg = (0..graph.num_nodes())
-            .map(|v| 1.0 / ((graph.degree(v) + 1) as f64).sqrt())
-            .collect();
-        Self { inv_sqrt_deg }
+        let mut adj = Self { inv_sqrt_deg: Vec::new() };
+        adj.refill(graph);
+        adj
+    }
+
+    /// Recomputes the coefficients for `graph` in place, reusing the
+    /// kept vector: what [`NormalizedAdjacency::new`] would build, bit
+    /// for bit. A model that serves one sampled universe per batch
+    /// refills one instance instead of allocating.
+    pub fn refill(&mut self, graph: &CsrGraph) {
+        self.inv_sqrt_deg.clear();
+        self.inv_sqrt_deg.extend(
+            (0..graph.num_nodes()).map(|v| 1.0 / ((graph.degree(v) + 1) as f64).sqrt()),
+        );
     }
 
     /// Applies `Â · H` (features as rows: output row `v` is the

@@ -56,6 +56,7 @@ pub mod batch;
 pub mod models;
 pub mod profile;
 pub mod sampled;
+pub mod table;
 pub mod train;
 pub mod workload;
 
@@ -64,6 +65,7 @@ pub use models::{
     build_model, build_model_with_policy, CompressionPolicy, GnnModel, ModelKind,
 };
 pub use nn_reexports::Compression;
+pub use table::RowTable;
 
 mod nn_reexports {
     pub use blockgnn_nn::Compression;

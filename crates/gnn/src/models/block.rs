@@ -19,7 +19,22 @@
 //! bit-identical because they are one body: each row is produced by the
 //! same operations in the same order whatever block it lands in, and the
 //! linear layers are row-independent ([`LinearLayer::forward_into`]).
+//!
+//! One layer leaves this pipeline on one backend: a GCN prepared for
+//! `ExecMode::Spectral` runs its first layer transform-first (see
+//! [`crate::models::gcn`]). Its `T = X·W₁` rows stream through
+//! [`transform_blocks`], and every route of that prepared model — the
+//! fused `forward`, `forward_stage`, `forward_at_indexed` and the widened
+//! pass — aggregates them through its one kernel, `Gcn::first_layer_from`,
+//! so those routes agree bit for bit with each other, not with the other
+//! modes. The routes that keep the paper's order through
+//! [`combine_blocks`] are pinned bit for bit elsewhere: training by
+//! `tests/model_fingerprint.rs`, the Dense backend by the hex logits of
+//! `tests/wire_transcript.rs` and `tests/telemetry_transcript.rs`, and the
+//! simulated accelerator by `tests/engine_api.rs`'s hand-wired Q16.16 GCN
+//! oracle.
 
+use super::StageScratch;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::activation::ActivationLayer;
 use blockgnn_nn::{Layer, LinearLayer};
@@ -29,7 +44,7 @@ use blockgnn_nn::{Layer, LinearLayer};
 /// small enough that a block of the widest combiner input in use
 /// (GS-Pool's `[a ‖ h]`, 64 × 160 f64 = 80 KB) stays resident in L2
 /// beside the weights between being aggregated and being transformed.
-const ROW_BLOCK: usize = 64;
+pub(super) const ROW_BLOCK: usize = 64;
 
 /// Columns `offset .. offset + width` of a matrix with one row per node,
 /// read either at the node's own row or, through an index, at row
@@ -68,6 +83,11 @@ impl<'a> Band<'a> {
         Self { index: Some(index), ..Self::whole(matrix) }
     }
 
+    /// [`Band::indexed`] with an index, else [`Band::whole`].
+    pub(crate) fn with_index(matrix: &'a Matrix, index: Option<&'a [u32]>) -> Self {
+        Self { index, ..Self::whole(matrix) }
+    }
+
     /// How many nodes the band holds a row for.
     pub(crate) fn nodes(&self) -> usize {
         self.index.map_or(self.matrix.rows(), <[u32]>::len)
@@ -96,15 +116,15 @@ impl<'a> Band<'a> {
 
 /// The reused working memory of a model's inference pass: one
 /// combiner-input block, reused across blocks, layers and requests, and
-/// the node-indexed stage matrices [`crate::GnnModel::forward_at`] keeps
-/// between calls. Every row of either is fully overwritten before it is
-/// read, so what an earlier request left behind never shows. Clones
-/// *empty* (like `core::SpectralScratch`), so `clone_boxed` replicas grow
-/// their own and workers never share a hot buffer.
+/// what [`crate::GnnModel::forward_at`] keeps between calls. Every row of
+/// either is fully overwritten before it is read, so what an earlier
+/// request left behind never shows. Clones *empty* (like
+/// `core::SpectralScratch`), so `clone_boxed` replicas grow their own and
+/// workers never share a hot buffer.
 #[derive(Debug, Default)]
 pub(super) struct BlockScratch {
     input: Vec<f64>,
-    pub(super) stages: Vec<Matrix>,
+    pub(super) stage: StageScratch,
 }
 
 impl Clone for BlockScratch {
@@ -127,11 +147,11 @@ pub(super) fn combine_blocks(
     act: Option<&mut ActivationLayer>,
     train: bool,
     scratch: &mut BlockScratch,
-    mut rows: impl ExactSizeIterator<Item = usize>,
+    rows: impl ExactSizeIterator<Item = usize>,
     mut aggregate: impl FnMut(usize, &mut [f64]),
 ) -> Matrix {
-    let (width, out_dim) = (comb.in_dim(), comb.out_dim());
     if train {
+        let width = comb.in_dim();
         let mut z = Matrix::zeros(rows.len(), width);
         for (zrow, v) in z.as_mut_slice().chunks_exact_mut(width).zip(rows) {
             aggregate(v, zrow);
@@ -142,6 +162,48 @@ pub(super) fn combine_blocks(
             None => y,
         };
     }
+    stream_blocks(comb, scratch, rows, aggregate, |comb, z, y| {
+        comb.forward_into(z, y);
+        if let Some(act) = &act {
+            act.apply_in_place(y);
+        }
+    })
+}
+
+/// `W·x` without the bias ([`LinearLayer::product_into`]) at `nodes`,
+/// one output row each, in order, node `v`'s input row read at
+/// `input.row(v)` and streamed through the combiner-input block as in
+/// [`combine_blocks`].
+pub(super) fn transform_blocks(
+    comb: &mut LinearLayer,
+    scratch: &mut BlockScratch,
+    input: Band,
+    nodes: &[u32],
+) -> Matrix {
+    let rows = nodes.iter().map(|&v| v as usize);
+    stream_blocks(
+        comb,
+        scratch,
+        rows,
+        |v, z| z.copy_from_slice(input.row(v)),
+        |comb, z, y| {
+            comb.product_into(z, y);
+        },
+    )
+}
+
+/// The inference block loop under [`combine_blocks`] and
+/// [`transform_blocks`]: per block of [`ROW_BLOCK`] rows, `fill(v, z)`
+/// writes node `v`'s `comb.in_dim()`-wide input row and `apply(comb, z,
+/// y)` maps the block to its output rows.
+fn stream_blocks(
+    comb: &mut LinearLayer,
+    scratch: &mut BlockScratch,
+    mut rows: impl ExactSizeIterator<Item = usize>,
+    mut fill: impl FnMut(usize, &mut [f64]),
+    mut apply: impl FnMut(&mut LinearLayer, &[f64], &mut [f64]),
+) -> Matrix {
+    let (width, out_dim) = (comb.in_dim(), comb.out_dim());
     let mut out = Matrix::zeros(rows.len(), out_dim);
     let block_len = ROW_BLOCK.min(rows.len()) * width;
     if scratch.input.len() < block_len {
@@ -150,12 +212,9 @@ pub(super) fn combine_blocks(
     for y in out.as_mut_slice().chunks_mut(ROW_BLOCK * out_dim) {
         let z = &mut scratch.input[..y.len() / out_dim * width];
         for (zrow, v) in z.chunks_exact_mut(width).zip(rows.by_ref()) {
-            aggregate(v, zrow);
+            fill(v, zrow);
         }
-        comb.forward_into(z, y);
-        if let Some(act) = &act {
-            act.apply_in_place(y);
-        }
+        apply(comb, z, y);
     }
     out
 }

@@ -4,13 +4,41 @@
 //! GCN's aggregator has no weights (Table I), so compression only
 //! touches the two combiner matrices — the reason the paper's Figure 6
 //! shows the smallest speedup on GCN.
+//!
+//! # Two orders for the first layer
+//!
+//! The paper aggregates, then combines: `h₁ = ReLU(W₁·(Â·X) + b₁)`. The
+//! training route, [`ExecMode::Gemm`] (the Dense backend) and
+//! [`ExecMode::FixedSpectral`] (the simulated accelerator) run that
+//! order, and tests pin each of them: `tests/model_fingerprint.rs` the
+//! training bits, the wire and telemetry transcripts the Dense backend's
+//! hex logits, and `tests/engine_api.rs`'s hand-wired Q16.16 oracle the
+//! accelerator's.
+//!
+//! Prepared for [`ExecMode::Spectral`], the first layer combines first:
+//! `h₁ = ReLU(Â·T + b₁)` with `T = X·W₁`, computed without the bias. It is
+//! the same map rounded in a different order. The aggregation then runs
+//! at the hidden width instead of the input width (the per-layer order
+//! choice of VersaGNN and GNNIE, PAPERS.md), and row `u` of `T` depends
+//! only on node `u`'s features, so the serving engine keeps `T` in one
+//! [`RowTable`] per graph version and a request transforms only the rows
+//! no earlier request read. Every route of the prepared model — `forward`,
+//! `forward_stage`, `first_stage_indexed` (so `forward_at_indexed`) and
+//! the widened pass — reads `T` rows through one kernel,
+//! `Gcn::first_layer_from`, whether they come from a table or are
+//! computed for the call, so the routes agree bit for bit. The second
+//! layer keeps the paper's order everywhere.
 
 use crate::adjacency::NormalizedAdjacency;
-use crate::models::block::{combine_backward, combine_blocks, Band, BlockScratch};
-use crate::models::{GnnModel, ModelKind};
+use crate::models::block::{
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, ROW_BLOCK,
+};
+use crate::models::{widen, GnnModel, ModelKind, StageScratch};
+use crate::table::RowTable;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
-use blockgnn_nn::{Compression, Layer, LinearLayer, NnError, Param, Relu};
+use blockgnn_nn::{Compression, ExecMode, Layer, LinearLayer, NnError, Param, Relu};
+use std::sync::Arc;
 
 /// Two-layer GCN: `logits = W₂·Â·ReLU(W₁·Â·X)`.
 #[derive(Debug, Clone)]
@@ -18,15 +46,55 @@ pub struct Gcn {
     lin1: LinearLayer,
     act1: Relu,
     lin2: LinearLayer,
-    /// `Â` coefficients cached by [`GnnModel::prepare_graph`], keyed by
-    /// the graph's process-unique [`CsrGraph::instance_id`] so staged
-    /// execution skips the per-part recomputation while a different
-    /// graph — even one with identical counts, or one reusing a freed
-    /// allocation — can never hit stale coefficients.
-    adj_cache: Option<(u64, NormalizedAdjacency)>,
+    /// `Â` coefficients of the graph whose process-unique
+    /// [`CsrGraph::instance_id`] is `adj_graph`, set by
+    /// [`GnnModel::prepare_graph`] and refilled in place when a call names
+    /// another graph, so staged execution skips the per-part
+    /// recomputation while a different graph — even one with identical
+    /// counts, or one reusing a freed allocation — can never hit stale
+    /// coefficients.
+    adj: NormalizedAdjacency,
+    adj_graph: Option<u64>,
+    /// Whether the first layer runs transform-first: prepared for
+    /// [`ExecMode::Spectral`] (see the module docs).
+    transform_first: bool,
+    /// The graph version's `T` rows the serving engine attached, if any.
+    table: Option<Arc<RowTable>>,
     /// Block buffer of the inference pass: `Â·H` exists one block of
     /// destination rows at a time, as the combiner's input.
     scratch: BlockScratch,
+    /// The transform-first layer's reused lists.
+    first: FirstScratch,
+}
+
+/// Lists the transform-first layer reuses from call to call: the nodes
+/// whose `T` rows a call reads, those a table lacks and will keep, those
+/// past its cap, each node's row in the call's computed `T`, and
+/// [`widen`]'s marks. Clones empty.
+#[derive(Debug, Default)]
+struct FirstScratch {
+    sources: Vec<u32>,
+    missing: Vec<u32>,
+    spill: Vec<u32>,
+    at: Vec<u32>,
+    marks: Vec<bool>,
+}
+
+impl Clone for FirstScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl FirstScratch {
+    /// Lists the nodes whose `T` rows destination `rows` read — each row
+    /// and its neighbours, once — unless `rows` is `None`, whose sources
+    /// (every node) are listed already.
+    fn list_sources(&mut self, graph: &CsrGraph, rows: Option<&[u32]>) {
+        if let Some(rows) = rows {
+            widen(graph, rows, true, &mut self.marks, &mut self.sources);
+        }
+    }
 }
 
 impl Gcn {
@@ -46,12 +114,16 @@ impl Gcn {
             lin1: LinearLayer::new(hidden_dim, in_dim, compression, seed)?,
             act1: Relu::new(),
             lin2: LinearLayer::new(num_classes, hidden_dim, compression, seed ^ 0xBEEF)?,
-            adj_cache: None,
+            adj: NormalizedAdjacency::default(),
+            adj_graph: None,
+            transform_first: false,
+            table: None,
             scratch: BlockScratch::default(),
+            first: FirstScratch::default(),
         })
     }
 
-    /// Layer `stage`'s one aggregate-and-combine kernel: for each
+    /// Layer `stage`'s aggregate-and-combine kernel: for each
     /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
     /// into the combiner's input block, then the combiner (+ ReLU on the
     /// hidden layer), through their training forwards with `train`. Needs
@@ -71,10 +143,191 @@ impl Gcn {
         };
         assert!(input.nodes() >= graph.num_nodes(), "every node needs an input row");
         assert_eq!(input.width(), lin.in_dim(), "gcn layer input width mismatch");
-        let (_, adj) = self.adj_cache.as_ref().expect("prepare_graph ran for this graph");
+        assert_eq!(
+            self.adj_graph,
+            Some(graph.instance_id()),
+            "prepare_graph ran for this graph"
+        );
+        let adj = &self.adj;
         combine_blocks(lin, act, train, &mut self.scratch, rows, |v, z| {
             adj.write_row(graph, input, v, z);
         })
+    }
+
+    /// Layer 1 at `rows` (every node when `None`): the rest of the
+    /// paper's order, or transform-first when prepared for it. Node `v`'s
+    /// feature row is `features.row(index[v])` with `index`, else
+    /// `features.row(v)`.
+    fn first_layer(
+        &mut self,
+        graph: &CsrGraph,
+        features: &Matrix,
+        index: Option<&[u32]>,
+        rows: Option<&[u32]>,
+    ) -> Matrix {
+        self.prepare_graph(graph);
+        let input = Band::with_index(features, index);
+        if !self.transform_first {
+            return match rows {
+                Some(rows) => {
+                    self.layer(0, graph, input, rows.iter().map(|&v| v as usize), false)
+                }
+                None => self.layer(0, graph, input, 0..graph.num_nodes(), false),
+            };
+        }
+        // A full pass's rows, which are also its sources, are listed up
+        // front; a row list's sources only when a call needs them.
+        let mut first = std::mem::take(&mut self.first);
+        first.sources.clear();
+        if rows.is_none() {
+            first.sources.extend(0..graph.num_nodes() as u32);
+        }
+        let out = match self.table.clone() {
+            Some(table) => {
+                self.first_layer_tabled(&table, graph, features, index, rows, &mut first)
+            }
+            None => {
+                first.list_sources(graph, rows);
+                let computed =
+                    transform_blocks(&mut self.lin1, &mut self.scratch, input, &first.sources);
+                self.first_layer_computed(graph, &computed, rows, &mut first)
+            }
+        };
+        self.first = first;
+        out
+    }
+
+    /// Transform-first layer 1 reading `T` rows from `table`, keyed by
+    /// feature row. When every row the call reads is present, they are
+    /// read in place. Otherwise the missing ones are computed outside the
+    /// table's lock and written under short write locks, then read in
+    /// place — or, when one is past the table's cap, the call's rows are
+    /// copied into one compact matrix, from the table or computed for the
+    /// call, and read there.
+    fn first_layer_tabled(
+        &mut self,
+        table: &RowTable,
+        graph: &CsrGraph,
+        features: &Matrix,
+        index: Option<&[u32]>,
+        rows: Option<&[u32]>,
+        first: &mut FirstScratch,
+    ) -> Matrix {
+        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
+        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
+        {
+            let slab = table.read();
+            let present = |v: &u32| slab.has(key(*v));
+            let complete = match rows {
+                Some(rows) => rows
+                    .iter()
+                    .all(|&v| present(&v) && graph.neighbors(v as usize).iter().all(present)),
+                None => first.sources.iter().all(present),
+            };
+            if complete {
+                return self.first_layer_from(
+                    graph,
+                    Band::with_index(slab.rows(), index),
+                    rows,
+                    first,
+                );
+            }
+            first.list_sources(graph, rows);
+            first.missing.clear();
+            first.missing.extend(first.sources.iter().filter(|v| !present(v)));
+        }
+        // Rows the cap keeps are transformed a block at a time outside the
+        // lock and written under a short write lock each; the others are
+        // transformed for this call only.
+        first.spill.clear();
+        first.missing.retain(|&v| {
+            table.keeps(key(v)) || {
+                first.spill.push(v);
+                false
+            }
+        });
+        let input = Band::with_index(features, index);
+        let width = table.width();
+        for block in first.missing.chunks(ROW_BLOCK) {
+            let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, block);
+            let mut slab = table.write();
+            for (row, &v) in computed.as_slice().chunks(width).zip(block) {
+                slab.put(key(v), row);
+            }
+        }
+        let slab = table.read();
+        if first.spill.is_empty() {
+            return self.first_layer_from(
+                graph,
+                Band::with_index(slab.rows(), index),
+                rows,
+                first,
+            );
+        }
+        // `spill` lists, in `sources` order, the rows the table lacks, so
+        // one cursor tells which row comes from where.
+        let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, &first.spill);
+        let mut compact = Matrix::zeros(first.sources.len(), width);
+        let mut spilled = first.spill.iter().zip(computed.as_slice().chunks(width));
+        let mut next = spilled.next();
+        for (out, &v) in compact.as_mut_slice().chunks_mut(width).zip(&first.sources) {
+            match next {
+                Some((&u, row)) if u == v => {
+                    out.copy_from_slice(row);
+                    next = spilled.next();
+                }
+                _ => out.copy_from_slice(slab.rows().row(key(v))),
+            }
+        }
+        drop(slab);
+        self.first_layer_computed(graph, &compact, rows, first)
+    }
+
+    /// Transform-first layer 1 from `computed`, the `T` rows of
+    /// `first.sources` in order.
+    fn first_layer_computed(
+        &self,
+        graph: &CsrGraph,
+        computed: &Matrix,
+        rows: Option<&[u32]>,
+        first: &mut FirstScratch,
+    ) -> Matrix {
+        first.at.resize(graph.num_nodes(), 0);
+        for (i, &v) in first.sources.iter().enumerate() {
+            first.at[v as usize] = i as u32;
+        }
+        self.first_layer_from(graph, Band::indexed(computed, &first.at), rows, first)
+    }
+
+    /// The transform-first layer 1's one kernel: for each destination row
+    /// `v` of `rows` (every node when `None`, which `first.sources` then
+    /// lists in order), the `Â`-row of `t` (node `u`'s `T` row at
+    /// `t.row(u)`, [`NormalizedAdjacency::write_row`]), plus `b₁`, through
+    /// ReLU. Needs [`GnnModel::prepare_graph`] to have run for `graph`.
+    fn first_layer_from(
+        &self,
+        graph: &CsrGraph,
+        t: Band,
+        rows: Option<&[u32]>,
+        first: &FirstScratch,
+    ) -> Matrix {
+        let rows = rows.unwrap_or(&first.sources);
+        assert_eq!(
+            self.adj_graph,
+            Some(graph.instance_id()),
+            "prepare_graph ran for this graph"
+        );
+        let width = self.lin1.out_dim();
+        let bias = self.lin1.bias();
+        let mut out = Matrix::zeros(rows.len(), width);
+        for (orow, &v) in out.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+            self.adj.write_row(graph, t, v as usize, orow);
+            for (o, b) in orow.iter_mut().zip(bias) {
+                *o += b;
+            }
+            self.act1.apply_in_place(orow);
+        }
+        out
     }
 }
 
@@ -95,7 +348,11 @@ impl GnnModel for Gcn {
         }
         let nodes = graph.num_nodes();
         assert_eq!(features.rows(), nodes, "feature rows must equal node count");
-        let h1 = self.layer(0, graph, Band::whole(features), 0..nodes, train);
+        let h1 = if train {
+            self.layer(0, graph, Band::whole(features), 0..nodes, true)
+        } else {
+            self.first_layer(graph, features, None, None)
+        };
         self.layer(1, graph, Band::whole(&h1), 0..nodes, train)
     }
 
@@ -103,7 +360,7 @@ impl GnnModel for Gcn {
         // Reuse the coefficients the preceding forward cached for this
         // graph (instance-id keyed, so never stale).
         self.prepare_graph(graph);
-        let (_, adj) = self.adj_cache.as_ref().expect("just prepared");
+        let adj = &self.adj;
         let g_a2 = self.lin2.backward(grad_logits);
         // Â is symmetric, so ∂L/∂h1 = Â·∂L/∂a2.
         let g_h1 = adj.apply(graph, &g_a2);
@@ -124,20 +381,42 @@ impl GnnModel for Gcn {
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
         copy.act1.clear_cached();
+        copy.table = None;
         Box::new(copy)
     }
 
     fn prepare_graph(&mut self, graph: &CsrGraph) {
         // Idempotent: repeat preparations for the same graph (one per
         // request in the parallel scheduler) cost O(1).
-        if !matches!(&self.adj_cache, Some((id, _)) if *id == graph.instance_id()) {
-            self.adj_cache = Some((graph.instance_id(), NormalizedAdjacency::new(graph)));
+        if self.adj_graph != Some(graph.instance_id()) {
+            self.adj.refill(graph);
+            self.adj_graph = Some(graph.instance_id());
         }
     }
 
+    fn prepare(&mut self, mode: ExecMode) {
+        self.visit_linear_layers(&mut |l| l.prepare(mode));
+        self.transform_first = mode == ExecMode::Spectral;
+    }
+
+    fn clear_prepared(&mut self) {
+        self.visit_linear_layers(&mut LinearLayer::clear_prepared);
+        self.transform_first = false;
+        self.table = None;
+    }
+
+    fn row_table_width(&self) -> Option<usize> {
+        self.transform_first.then(|| self.lin1.out_dim())
+    }
+
+    fn attach_row_table(&mut self, table: Option<Arc<RowTable>>) {
+        self.table = table;
+    }
+
     // GCN's aggregator has no weights, so each layer is a single
-    // row-parallel stage: `Â`-rows then the combiner matvec. Stage `s`
-    // reads the full previous hidden matrix only at `N(v) ∪ {v}`.
+    // row-parallel stage: `Â`-rows then the combiner matvec (or, for a
+    // transform-first layer 1, `T` rows then `Â`-rows). Stage `s` reads
+    // the full previous hidden matrix only at `N(v) ∪ {v}`.
     fn num_stages(&self) -> usize {
         2
     }
@@ -157,6 +436,9 @@ impl GnnModel for Gcn {
         input: &Matrix,
         rows: &[u32],
     ) -> Matrix {
+        if stage == 0 {
+            return self.first_layer(graph, input, None, Some(rows));
+        }
         // Idempotent: a hit on the instance-id key is O(1), so callers
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
@@ -171,20 +453,104 @@ impl GnnModel for Gcn {
         index: &[u32],
         rows: &[u32],
     ) -> Matrix {
-        self.prepare_graph(graph);
-        let input = Band::indexed(features, index);
-        self.layer(0, graph, input, rows.iter().map(|&v| v as usize), false)
+        self.first_layer(graph, features, Some(index), Some(rows))
     }
 
-    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
-        Some(&mut self.scratch.stages)
+    fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
+        Some(&mut self.scratch.stage)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::testutil::{check_model_gradients, tiny_features, tiny_graph};
+    use crate::batch::{SampledBlock, UniverseBuilder};
+    use crate::models::testutil::{
+        check_model_gradients, hub_graph, tiny_features, tiny_graph,
+    };
+
+    /// The answers a transform-first GCN gives on one graph by every
+    /// route, the fullest last: a sampled universe's
+    /// `forward_at_indexed`, `forward_at`, shards of stages and a full
+    /// forward.
+    fn every_route(model: &mut Gcn, g: &CsrGraph, x: &Matrix) -> Vec<Matrix> {
+        let n = g.num_nodes() as u32;
+        let blocks = [[3usize, 90, 3], [n as usize - 1, 40, 41]];
+        let mut builder = UniverseBuilder::default();
+        let universe = builder
+            .build(g, blocks.iter().map(|nodes| SampledBlock { nodes, s1: 4, s2: 3, seed: 5 }));
+        let sampled = model.forward_at_indexed(
+            universe.graph,
+            x,
+            Some(universe.local_to_global),
+            universe.rows,
+        );
+        let at = model.forward_at(g, x, &[0, n - 1, n / 2, 0, 7]);
+        let (a, b): (Vec<u32>, Vec<u32>) = (0..n).rev().partition(|v| v % 3 == 1);
+        let mut staged = x.clone();
+        for stage in 0..2 {
+            let mut merged = Matrix::zeros(g.num_nodes(), model.stage_width(stage, x.cols()));
+            for rows in [&a, &b] {
+                let part = model.forward_stage(stage, g, &staged, rows);
+                for (i, &v) in rows.iter().enumerate() {
+                    merged.row_mut(v as usize).copy_from_slice(part.row(i));
+                }
+            }
+            staged = merged;
+        }
+        vec![sampled, at, staged, model.forward(g, x, false)]
+    }
+
+    fn bits(answers: &[Matrix]) -> Vec<Vec<u64>> {
+        answers.iter().map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    /// A GCN prepared for the Spectral backend on a 130-node hub graph,
+    /// with what it answers on every route with no table attached.
+    fn spectral_gcn() -> (Gcn, CsrGraph, Matrix, Vec<Vec<u64>>) {
+        let (g, x) = (hub_graph(130), tiny_features(130, 20));
+        let compression = Compression::BlockCirculant { block_size: 4 };
+        let mut model = Gcn::new(20, 12, 5, compression, 7).unwrap();
+        model.prepare(ExecMode::Spectral);
+        assert_eq!(model.row_table_width(), Some(12));
+        let want = bits(&every_route(&mut model, &g, &x));
+        (model, g, x, want)
+    }
+
+    #[test]
+    fn absent_table_rows_are_never_read() {
+        // Every row the table lacks is NaN before the routes run: a route
+        // reading one would answer NaN. Cold, each route fills what it
+        // reads and the next reads some of those; warm, every route reads
+        // rows a full forward filled.
+        let (mut model, g, x, want) = spectral_gcn();
+        let table = Arc::new(RowTable::new(130, 12));
+        model.attach_row_table(Some(Arc::clone(&table)));
+        for pass in ["cold", "warm"] {
+            table.poison_absent_rows();
+            assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "{pass}");
+            assert_eq!(table.rows_present(), 130, "{pass}: a full forward fills every row");
+        }
+    }
+
+    #[test]
+    fn a_table_past_its_cap_answers_as_an_unbounded_one() {
+        // Room for 40 of 130 rows: the routes read the rest from their own
+        // scratch. Absent rows are NaN, so no route reads one from the
+        // table either.
+        let (mut model, g, x, want) = spectral_gcn();
+        let table = Arc::new(RowTable::with_capacity(130, 12, 40 * 12 * 8));
+        model.attach_row_table(Some(Arc::clone(&table)));
+        for pass in ["cold", "warm"] {
+            table.poison_absent_rows();
+            assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "{pass}");
+        }
+        assert_eq!(table.rows_present(), 40, "the cap's rows are kept, no more");
+        // An unbounded table answers the same.
+        let unbounded = Arc::new(RowTable::new(130, 12));
+        model.attach_row_table(Some(unbounded));
+        assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "unbounded");
+    }
 
     #[test]
     fn forward_shape() {

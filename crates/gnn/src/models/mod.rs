@@ -8,6 +8,7 @@ mod gs_pool;
 
 pub use gcn::Gcn;
 
+use crate::table::RowTable;
 pub(crate) use block::Band;
 use block::BlockScratch;
 use blockgnn_graph::CsrGraph;
@@ -17,6 +18,7 @@ use gat::Gat;
 use ggcn::Ggcn;
 use gs_pool::GsPool;
 use std::fmt;
+use std::sync::Arc;
 
 /// Which of the paper's four GNN algorithms a model implements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -91,7 +93,10 @@ impl fmt::Display for ModelKind {
 /// no neighbor reads, zero halo) followed by an aggregate-and-combine
 /// stage (reads the transform matrix at `N(v) ∪ {v}` — a one-hop halo).
 /// The aggregate-and-combine stage and both `forward` modes run the same
-/// per-layer block kernel, so they cannot drift.
+/// per-layer block kernel, so they cannot drift. A GCN prepared for
+/// [`ExecMode::Spectral`] runs its first layer transform-first through
+/// one kernel of its own on every route (see [`gcn`]), reading its
+/// node-local rows from an attached [`RowTable`] or computing them.
 ///
 /// # What an inference pass materialises
 ///
@@ -102,7 +107,9 @@ impl fmt::Display for ModelKind {
 /// [`GnnModel::clone_boxed`]). Full-size — one row per node — are only
 /// each layer's output and what an aggregation reads at *neighbor* rows:
 ///
-/// * **GCN** — nothing else; `Â·H` exists a block at a time.
+/// * **GCN** — nothing else; `Â·H` exists a block at a time. Prepared
+///   for [`ExecMode::Spectral`], layer 1 also reads `T = X·W₁` at every
+///   source row, from an attached [`RowTable`] or computed for the call.
 /// * **GS-Pool** — `t = ReLU(W_pool·h)`, read by the max-pool.
 /// * **G-GCN** — the gate terms `p = W_H·h` (read per source) and
 ///   `q = W_C·h` (per target; whole so that the kernel indexes it by
@@ -208,12 +215,34 @@ pub trait GnnModel: Send {
         self.forward_stage(0, graph, &gathered, rows)
     }
 
-    /// The node-indexed stage matrices [`GnnModel::forward_at`] keeps from
-    /// call to call, grown and never zeroed. `None`, the default, makes it
-    /// allocate them per call.
-    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
+    /// What [`GnnModel::forward_at`] keeps from call to call. `None`, the
+    /// default, makes it allocate per call.
+    fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
         None
     }
+
+    /// The node-indexed stage matrices of [`GnnModel::stage_scratch`],
+    /// grown and never zeroed.
+    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
+        self.stage_scratch().map(|scratch| &mut scratch.stages)
+    }
+
+    /// Width of the node-local rows this prepared model reads from a
+    /// [`RowTable`] when one is attached, or `None` (the default) when it
+    /// reads none. A GCN prepared for [`ExecMode::Spectral`] reads its
+    /// first layer's `T = X·W₁` rows.
+    fn row_table_width(&self) -> Option<usize> {
+        None
+    }
+
+    /// Reads node-local rows from `table` until the next call, or, with
+    /// `None`, computes them per call. The table belongs to one graph
+    /// version and is keyed by the rows of its feature matrix, so the
+    /// calls made while it is attached must pass that matrix: the serving
+    /// engine attaches its epoch's table around each call on the epoch's
+    /// features and detaches it after. Models that read no such rows
+    /// ignore it.
+    fn attach_row_table(&mut self, _table: Option<Arc<RowTable>>) {}
 
     /// Whether stage `stage` reads its input at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
@@ -236,29 +265,8 @@ pub trait GnnModel: Send {
     ///
     /// Panics if a row id is out of range for `graph`.
     fn stage_rows(&self, graph: &CsrGraph, rows: &[u32]) -> Vec<Vec<u32>> {
-        let mut lists = Vec::with_capacity(self.num_stages());
-        let mut listed = vec![false; graph.num_nodes()];
-        let mut read = rows.to_vec();
-        for stage in (1..self.num_stages()).rev() {
-            let hop = self.stage_reads_neighbors(stage);
-            let sources = |v: u32| {
-                let halo = if hop { graph.neighbors(v as usize) } else { &[] };
-                std::iter::once(v).chain(halo.iter().copied())
-            };
-            let mut below = Vec::new();
-            for u in read.iter().flat_map(|&v| sources(v)) {
-                if !std::mem::replace(&mut listed[u as usize], true) {
-                    below.push(u);
-                }
-            }
-            for &u in &below {
-                listed[u as usize] = false;
-            }
-            below.sort_unstable();
-            lists.push(std::mem::replace(&mut read, below));
-        }
-        lists.push(read);
-        lists.reverse();
+        let mut lists = Vec::new();
+        stage_rows_into(self, graph, rows, &mut Vec::new(), &mut lists);
         lists
     }
 
@@ -304,13 +312,14 @@ pub trait GnnModel: Send {
         rows: &[u32],
     ) -> Matrix {
         self.prepare_graph(graph);
-        let lists = self.stage_rows(graph, rows);
+        let mut scratch = self.stage_scratch().map(std::mem::take).unwrap_or_default();
+        let StageScratch { stages: kept, lists, marks } = &mut scratch;
+        stage_rows_into(self, graph, rows, marks, lists);
         let last = lists.len() - 1;
-        let mut kept = self.stage_buffers().map(std::mem::take).unwrap_or_default();
         kept.resize_with(last, Matrix::default);
         let nodes = graph.num_nodes();
         for (stage, at) in lists[..last].iter().enumerate() {
-            let computed = run_stage(self, stage, graph, features, index, &kept, at);
+            let computed = run_stage(self, stage, graph, features, index, kept, at);
             let buffer = &mut kept[stage];
             let cols = computed.cols();
             let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
@@ -321,13 +330,12 @@ pub trait GnnModel: Send {
                 buffer.row_mut(v as usize).copy_from_slice(computed.row(i));
             }
         }
-        let out = run_stage(self, last, graph, features, index, &kept, &lists[last]);
-        let kept_bytes: usize = kept.iter().map(|m| m.capacity() * 8).sum();
-        if kept_bytes > crate::batch::KEPT_SCRATCH_BYTES {
-            kept = Vec::new();
+        let out = run_stage(self, last, graph, features, index, kept, &lists[last]);
+        if scratch.bytes() > crate::batch::KEPT_SCRATCH_BYTES {
+            scratch = StageScratch::default();
         }
-        if let Some(slot) = self.stage_buffers() {
-            *slot = kept;
+        if let Some(slot) = self.stage_scratch() {
+            *slot = scratch;
         }
         out
     }
@@ -355,6 +363,79 @@ pub trait GnnModel: Send {
         let mut total = 0;
         self.visit_params(&mut |p| total += p.len());
         total
+    }
+}
+
+/// What [`GnnModel::forward_at`] reuses from call to call: the
+/// node-indexed stage matrices, one row list per stage and the marks the
+/// lists are deduplicated with (left all clear between calls).
+#[derive(Debug, Default)]
+pub struct StageScratch {
+    stages: Vec<Matrix>,
+    lists: Vec<Vec<u32>>,
+    marks: Vec<bool>,
+}
+
+impl StageScratch {
+    /// Bytes of everything kept.
+    fn bytes(&self) -> usize {
+        let matrices: usize = self.stages.iter().map(|m| m.capacity() * 8).sum();
+        let lists: usize = self.lists.iter().map(|l| l.capacity() * 4).sum();
+        matrices + lists + self.marks.capacity()
+    }
+}
+
+/// [`GnnModel::stage_rows`] into reused `lists` (one per stage after the
+/// call), deduplicating through `marks`.
+fn stage_rows_into<M: GnnModel + ?Sized>(
+    model: &M,
+    graph: &CsrGraph,
+    rows: &[u32],
+    marks: &mut Vec<bool>,
+    lists: &mut Vec<Vec<u32>>,
+) {
+    let last = model.num_stages() - 1;
+    lists.resize_with(last + 1, Vec::new);
+    lists[last].clear();
+    lists[last].extend_from_slice(rows);
+    for stage in (1..=last).rev() {
+        let (below, above) = lists.split_at_mut(stage);
+        let below = &mut below[stage - 1];
+        widen(graph, &above[0], model.stage_reads_neighbors(stage), marks, below);
+        below.sort_unstable();
+    }
+}
+
+/// Lists in `out` every row of `rows` and, with `hop`, every neighbour of
+/// one in `graph`, each once, in first-seen order. `marks` is grown to the
+/// graph's node count and left all clear.
+///
+/// # Panics
+///
+/// Panics if a row id is out of range for `graph`.
+pub(crate) fn widen(
+    graph: &CsrGraph,
+    rows: &[u32],
+    hop: bool,
+    marks: &mut Vec<bool>,
+    out: &mut Vec<u32>,
+) {
+    let nodes = graph.num_nodes();
+    if marks.len() < nodes {
+        marks.resize(nodes, false);
+    }
+    out.clear();
+    for &v in rows {
+        assert!((v as usize) < nodes, "row {v} out of range for {nodes} nodes");
+        let halo = if hop { graph.neighbors(v as usize) } else { &[] };
+        for u in std::iter::once(v).chain(halo.iter().copied()) {
+            if !std::mem::replace(&mut marks[u as usize], true) {
+                out.push(u);
+            }
+        }
+    }
+    for &u in out.iter() {
+        marks[u as usize] = false;
     }
 }
 
@@ -591,8 +672,8 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         self.layer1.stage_transform(Band::indexed(features, index), rows)
     }
 
-    fn stage_buffers(&mut self) -> Option<&mut Vec<Matrix>> {
-        Some(&mut self.scratch.stages)
+    fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
+        Some(&mut self.scratch.stage)
     }
 }
 

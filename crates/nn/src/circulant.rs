@@ -266,6 +266,20 @@ impl CirculantDense {
     /// Panics if `x` is not whole rows of `in_dim` or `out` is not
     /// `rows · out_dim` long.
     pub fn forward_into(&mut self, x: &[f64], out: &mut [f64]) {
+        self.apply_into(x, true, out);
+    }
+
+    /// [`CirculantDense::forward_into`] without the bias: `W·x`.
+    ///
+    /// # Panics
+    ///
+    /// As [`CirculantDense::forward_into`].
+    pub fn product_into(&mut self, x: &[f64], out: &mut [f64]) {
+        self.apply_into(x, false, out);
+    }
+
+    /// `W·x`, plus the bias when `biased`, in the prepared representation.
+    fn apply_into(&mut self, x: &[f64], biased: bool, out: &mut [f64]) {
         match self.prepared.clone().as_deref() {
             Some(Prepared::Gemm(w)) => {
                 let rows = x.len() / self.in_dim;
@@ -279,27 +293,30 @@ impl CirculantDense {
                         for (wv, xv) in w.row(o).iter().zip(row) {
                             acc += wv * xv;
                         }
-                        *ov = acc + b;
+                        *ov = if biased { acc + b } else { acc };
                     }
                 }
             }
-            Some(Prepared::Spectral(weights)) => self.spectral_apply(x, weights, out),
+            Some(Prepared::Spectral(weights)) => self.spectral_apply(x, weights, biased, out),
             Some(Prepared::FixedSpectral(weights)) => {
-                weights.matmul_f64_into(x, Some(&self.bias.data), &mut self.fixed_scratch, out);
+                let bias = biased.then_some(self.bias.data.as_slice());
+                weights.matmul_f64_into(x, bias, &mut self.fixed_scratch, out);
             }
-            None => self.spectral_apply(x, &self.spectral_weights(), out),
+            None => self.spectral_apply(x, &self.spectral_weights(), biased, out),
         }
     }
 
-    /// `W·x + b` through the batched half-spectrum kernel inside the
-    /// layer's [`SpectralScratch`].
+    /// `W·x`, plus `b` when `biased`, through the batched half-spectrum
+    /// kernel inside the layer's [`SpectralScratch`].
     fn spectral_apply(
         &mut self,
         x: &[f64],
         weights: &RealSpectralBlockCirculant,
+        biased: bool,
         out: &mut [f64],
     ) {
-        weights.matmul_into(x, Some(&self.bias.data), &mut self.scratch, out);
+        let bias = biased.then_some(self.bias.data.as_slice());
+        weights.matmul_into(x, bias, &mut self.scratch, out);
     }
 }
 
@@ -317,7 +334,7 @@ impl Layer for CirculantDense {
             return y;
         }
         let weights = self.spectral_weights();
-        self.spectral_apply(x.as_slice(), &weights, y.as_mut_slice());
+        self.spectral_apply(x.as_slice(), &weights, true, y.as_mut_slice());
         self.cache = Some(Cache { input: x.clone(), weights });
         y
     }

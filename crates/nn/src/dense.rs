@@ -142,6 +142,26 @@ impl Dense {
     /// Panics if `x` is not whole rows of `in_dim` or `out` is not
     /// `rows · out_dim` long.
     pub fn forward_into(&self, x: &[f64], out: &mut [f64]) {
+        self.apply_into(x, true, out);
+    }
+
+    /// [`Dense::forward_into`] without the bias: `y = x·Wᵀ`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Dense::forward_into`].
+    pub fn product_into(&self, x: &[f64], out: &mut [f64]) {
+        self.apply_into(x, false, out);
+    }
+
+    /// The bias [`Dense::forward_into`] adds: the frozen one when
+    /// prepared, the live one otherwise.
+    pub(crate) fn applied_bias(&self) -> &[f64] {
+        self.prepared.as_ref().map_or(&self.bias.data, |frozen| &frozen.bias)
+    }
+
+    /// `x·Wᵀ`, each output starting from its bias when `biased`.
+    fn apply_into(&self, x: &[f64], biased: bool, out: &mut [f64]) {
         let rows = x.len() / self.in_dim;
         assert_eq!(x.len(), rows * self.in_dim, "dense input must be whole rows of in_dim");
         assert_eq!(out.len(), rows * self.out_dim, "dense output must be rows × out_dim");
@@ -151,7 +171,7 @@ impl Dense {
         };
         for (row, y) in x.chunks_exact(self.in_dim).zip(out.chunks_exact_mut(self.out_dim)) {
             for ((ov, w), &b) in y.iter_mut().zip(weight.chunks_exact(self.in_dim)).zip(bias) {
-                let mut acc = b;
+                let mut acc = if biased { b } else { 0.0 };
                 for (wv, xv) in w.iter().zip(row) {
                     acc += wv * xv;
                 }

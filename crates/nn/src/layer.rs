@@ -200,6 +200,30 @@ impl LinearLayer {
             LinearLayer::Circulant(l) => l.forward_into(x, out),
         }
     }
+
+    /// [`LinearLayer::forward_into`] without the bias: `W·x` for every
+    /// row, through the same product, row-independent alike. A caller
+    /// that reorders `W·(Σ x)` into `Σ (W·x)` adds [`LinearLayer::bias`]
+    /// after its sum.
+    ///
+    /// # Panics
+    ///
+    /// As [`LinearLayer::forward_into`].
+    pub fn product_into(&mut self, x: &[f64], out: &mut [f64]) {
+        match self {
+            LinearLayer::Dense(l) => l.product_into(x, out),
+            LinearLayer::Circulant(l) => l.product_into(x, out),
+        }
+    }
+
+    /// The bias [`LinearLayer::forward_into`] adds.
+    #[must_use]
+    pub fn bias(&self) -> &[f64] {
+        match self {
+            LinearLayer::Dense(l) => l.applied_bias(),
+            LinearLayer::Circulant(l) => l.bias(),
+        }
+    }
 }
 
 impl Layer for LinearLayer {

@@ -10,7 +10,8 @@
 //! same standard — the plan and sampled executions follow the version —
 //! including under a concurrent writer. A panicked full-graph pass must
 //! not wedge later updates, and a widened pass re-raises its worker's
-//! own panic.
+//! own panic. The Spectral GCN's table of transformed feature rows starts
+//! over after every delta kind.
 
 use blockgnn::engine::{BackendKind, Engine, EngineBuilder, EngineError, InferRequest};
 use blockgnn::gnn::{build_model, GnnModel, ModelKind};
@@ -631,6 +632,46 @@ fn widened_engines_match_fresh_rebuilds_under_deltas() {
             assert!(mirror.versioned.num_nodes() > dataset.num_nodes(), "the stream appended");
         }
     }
+}
+
+#[test]
+fn spectral_gcn_row_tables_start_over_after_every_delta_kind() {
+    // The Spectral GCN keeps its first layer's transformed feature rows in
+    // a table per graph version. Warm it by sampled and full reads, apply
+    // one delta of each kind (edge add, edge remove, feature overwrite,
+    // node append) and compare against a fresh engine on the rebuilt
+    // dataset: sampled first, on the new version's cold table, then full,
+    // then sampled again on the warm one.
+    let all = InferRequest::all_nodes();
+    let dataset = Arc::new(small_dataset(23));
+    let mut engine = engine_on(ModelKind::Gcn, BackendKind::Spectral, Arc::clone(&dataset));
+    let mut mirror = Mirror::of(&dataset);
+    let mut rng = Rng64::new(0x7AB1E);
+    for step in 0..4 {
+        let n = mirror.versioned.num_nodes();
+        engine.session().infer(&wide_sampled(n, step)).expect("warms sampled rows");
+        engine.session().infer(&all).expect("warms every row");
+        let delta = stream_delta(step, &mirror.versioned, &mut rng);
+        let version = engine.apply_delta(&delta).expect("valid delta applies");
+        mirror.apply(&delta);
+        let mut reference = engine_on(
+            ModelKind::Gcn,
+            BackendKind::Spectral,
+            Arc::new(mirror.rebuilt_dataset()),
+        );
+        let n = mirror.versioned.num_nodes();
+        // Every target and its neighbours, the node a delta touched among
+        // them: the overwritten row is n / 4 and the appended node n − 1.
+        let touched = InferRequest::sampled(vec![n / 4, n - 1, 1, n / 2], 6, 4, step as u64);
+        for request in [&touched, &all, &wide_sampled(n, step), &touched] {
+            let what = format!("step {step} v{version} {request:?}");
+            let got = engine.session().infer(request).expect("serves");
+            let want = reference.session().infer(request).expect("rebuilt serves");
+            assert_eq!(got.graph_version, version, "{what}: reported version");
+            assert_logits_bit_identical(&got.logits, &want.logits, &what);
+        }
+    }
+    assert!(mirror.versioned.num_nodes() > dataset.num_nodes(), "the stream appended");
 }
 
 #[test]

@@ -435,7 +435,7 @@ const BAD: &[(&str, &str)] = &[
     ("list all", "err protocol"),
     ("stats@t extra", "err protocol"),
     ("shutdown now", "err protocol"),
-    // protocol::tests::health_commands_and_replies_round_trip
+    // protocol::tests::simple_commands_parse (its health lines)
     ("health now", "err protocol"),
     ("health@t", "err protocol"),
     ("healthy", "err protocol"),
