@@ -879,15 +879,11 @@ mod tests {
         assert!(crate::request::validate_request(&refused, num_nodes).is_err());
         let outcome = engine.infer_coalesced(&[largest]);
         assert!(outcome.outcomes[0].is_ok());
-        let stage_bytes = |engine: &mut crate::Engine| -> usize {
-            let kept = engine.workers[0].model.stage_buffers().expect("kept");
-            kept.iter().map(|m| m.capacity() * 8).sum()
-        };
         assert!(engine.universe.kept_bytes() <= 8, "the oversized buffers are released");
         let normal: Vec<InferRequest> =
             (0..8).map(|i| InferRequest::paper_sampled(vec![i, i + 100], i as u64)).collect();
         let _ = engine.infer_coalesced(&normal);
-        for kept in [engine.universe.kept_bytes(), stage_bytes(&mut engine)] {
+        for kept in [engine.universe.kept_bytes(), engine.workers[0].model.scratch_bytes()] {
             assert!(kept > 0 && kept < KEPT_SCRATCH_BYTES, "kept {kept} bytes");
         }
     }

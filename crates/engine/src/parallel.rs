@@ -54,6 +54,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::versioned::{lock_recover, GraphEpoch};
 use blockgnn_accel::SimReport;
+use blockgnn_gnn::GnnModel;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
 };
@@ -283,7 +284,10 @@ impl Engine {
 /// Executes the model's inference stages over `parts`, fanning each
 /// stage's parts out to the worker pool and merging the output rows
 /// (row-aligned by global node id) before the next stage starts; returns
-/// the last stage's merged matrix.
+/// the last stage's merged matrix. A model that reads node-local rows
+/// from a table has each part's own rows filled first
+/// ([`GnnModel::fill_row_table`]), so stage 0 finds its halo's rows
+/// there instead of computing them again.
 fn run_staged(
     workers: &mut [Backend],
     graph: &CsrGraph,
@@ -291,58 +295,73 @@ fn run_staged(
     parts: &[GraphPart],
 ) -> Matrix {
     let n = graph.num_nodes();
-    let num_workers = workers.len();
     let num_stages = workers[0].model.num_stages();
     let feature_dim = features.cols();
+    if workers[0].model.row_table_width().is_some() {
+        fan_out(workers, graph, parts, |model, rows| model.fill_row_table(features, rows));
+    }
     let mut merged: Option<Matrix> = None;
     for stage in 0..num_stages {
         let width = workers[0].model.stage_width(stage, feature_dim);
         let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(num_workers);
-            for (w, backend) in workers.iter_mut().enumerate() {
-                // Round-robin assignment: degree-balanced parts are
-                // near-equal in work, so stride-W interleaving balances
-                // the load.
-                let assigned: Vec<&[u32]> = parts
-                    .iter()
-                    .skip(w)
-                    .step_by(num_workers)
-                    .map(|part| part.nodes.as_slice())
-                    .collect();
-                if assigned.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    // Per-graph precomputation happens inside the worker
-                    // (in parallel, not serially on the caller thread);
-                    // it is idempotent, so later stages hit a warm cache.
-                    let model = &mut backend.model;
-                    model.prepare_graph(graph);
-                    assigned
-                        .into_iter()
-                        .map(|rows| (rows, model.forward_stage(stage, graph, input, rows)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                // A worker's panic is the model's: re-raise its own
-                // payload, so the caller's fault domain sees that panic
-                // rather than a second one raised by the join.
-                let results = handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                for (rows, result) in results {
-                    for (i, &v) in rows.iter().enumerate() {
-                        out.row_mut(v as usize).copy_from_slice(result.row(i));
-                    }
-                }
-            }
+        let results = fan_out(workers, graph, parts, |model, rows| {
+            model.forward_stage(stage, graph, input, rows)
         });
+        for (rows, result) in results {
+            for (i, &v) in rows.iter().enumerate() {
+                out.row_mut(v as usize).copy_from_slice(result.row(i));
+            }
+        }
         merged = Some(out);
     }
     // Unreachable: `GnnModel::num_stages` is at least one (the last stage
     // produces the logits), so the loop above ran and set `merged`.
     merged.expect("models have at least one stage")
+}
+
+/// Runs `task` on every part's rows over a [`std::thread::scope`] pool,
+/// one thread per worker, and returns each part's rows with its result.
+fn fan_out<'p, R: Send>(
+    workers: &mut [Backend],
+    graph: &CsrGraph,
+    parts: &'p [GraphPart],
+    task: impl Fn(&mut dyn GnnModel, &'p [u32]) -> R + Sync,
+) -> Vec<(&'p [u32], R)> {
+    let num_workers = workers.len();
+    let task = &task;
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(num_workers);
+        for (w, backend) in workers.iter_mut().enumerate() {
+            // Round-robin assignment: degree-balanced parts are
+            // near-equal in work, so stride-W interleaving balances
+            // the load.
+            let assigned: Vec<&[u32]> = parts
+                .iter()
+                .skip(w)
+                .step_by(num_workers)
+                .map(|part| part.nodes.as_slice())
+                .collect();
+            if assigned.is_empty() {
+                continue;
+            }
+            handles.push(scope.spawn(move || {
+                // Per-graph precomputation happens inside the worker
+                // (in parallel, not serially on the caller thread);
+                // it is idempotent, so later calls hit a warm cache.
+                let model = backend.model.as_mut();
+                model.prepare_graph(graph);
+                assigned.into_iter().map(|rows| (rows, task(model, rows))).collect::<Vec<_>>()
+            }));
+        }
+        // A worker's panic is the model's: re-raise its own payload, so
+        // the caller's fault domain sees that panic rather than a second
+        // one raised by the join.
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// Charges each part's target nodes on the hardware model and merges

@@ -70,8 +70,8 @@ pub(crate) struct GraphEpoch {
     pub plans: Mutex<HashMap<usize, Arc<Plan>>>,
     /// The served model's node-local first-layer rows of this version's
     /// features ([`RowTable`]), made empty on first use when the model
-    /// reads any. Sampled batches, full passes and widened passes all
-    /// fill and read it; a fork's batch shares it.
+    /// reads any and the table fits its cap. Sampled batches, full passes
+    /// and widened passes all fill and read it; a fork's batch shares it.
     pub rows: Mutex<Option<Arc<RowTable>>>,
 }
 
@@ -86,11 +86,14 @@ impl GraphEpoch {
         }
     }
 
-    /// This epoch's row table for `width`-wide rows.
-    pub fn row_table(&self, width: usize) -> Arc<RowTable> {
+    /// This epoch's row table for `width`-wide rows, or `None` when it
+    /// would pass [`blockgnn_gnn::table::ROW_TABLE_BYTES`].
+    pub fn row_table(&self, width: usize) -> Option<Arc<RowTable>> {
         let mut slot = lock_recover(&self.rows);
-        let nodes = self.dataset.num_nodes();
-        Arc::clone(slot.get_or_insert_with(|| Arc::new(RowTable::new(nodes, width))))
+        if slot.is_none() {
+            *slot = RowTable::new(self.dataset.num_nodes(), width).map(Arc::new);
+        }
+        slot.clone()
     }
 
     /// Takes this epoch's row table, emptied for a graph of `nodes` nodes,
@@ -98,7 +101,7 @@ impl GraphEpoch {
     /// storage. A batch that then reads this epoch starts a fresh one.
     pub fn take_rows_emptied(&self, nodes: usize) -> Option<Arc<RowTable>> {
         let table = lock_recover(&self.rows).take()?;
-        Arc::try_unwrap(table).ok().map(|table| Arc::new(table.emptied(nodes)))
+        Arc::try_unwrap(table).ok()?.emptied(nodes).map(Arc::new)
     }
 }
 

@@ -25,7 +25,7 @@
 //! [`crate::models::gcn`]). Its `T = X·W₁` rows stream through
 //! [`transform_blocks`], and every route of that prepared model — the
 //! fused `forward`, `forward_stage`, `forward_at_indexed` and the widened
-//! pass — aggregates them through its one kernel, `Gcn::first_layer_from`,
+//! pass — aggregates them through its one kernel, `Gcn::first_rows_into`,
 //! so those routes agree bit for bit with each other, not with the other
 //! modes. The routes that keep the paper's order through
 //! [`combine_blocks`] are pinned bit for bit elsewhere: training by

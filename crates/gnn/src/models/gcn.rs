@@ -25,11 +25,12 @@
 //! no earlier request read. Every route of the prepared model — `forward`,
 //! `forward_stage`, `first_stage_indexed` (so `forward_at_indexed`) and
 //! the widened pass — reads `T` rows through one kernel,
-//! `Gcn::first_layer_from`, whether they come from a table or are
+//! `Gcn::first_rows_into`, whether they come from a table or are
 //! computed for the call, so the routes agree bit for bit. The second
 //! layer keeps the paper's order everywhere.
 
 use crate::adjacency::NormalizedAdjacency;
+use crate::batch::KEPT_SCRATCH_BYTES;
 use crate::models::block::{
     combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, ROW_BLOCK,
 };
@@ -68,14 +69,14 @@ pub struct Gcn {
 }
 
 /// Lists the transform-first layer reuses from call to call: the nodes
-/// whose `T` rows a call reads, those a table lacks and will keep, those
-/// past its cap, each node's row in the call's computed `T`, and
-/// [`widen`]'s marks. Clones empty.
+/// whose `T` rows a call reads, those a table lacks, each node's row in
+/// the call's computed `T`, and [`widen`]'s marks. Clones empty; released
+/// after a call that leaves them past [`KEPT_SCRATCH_BYTES`], as
+/// [`GnnModel::forward_at_indexed`] releases its stage scratch.
 #[derive(Debug, Default)]
 struct FirstScratch {
     sources: Vec<u32>,
     missing: Vec<u32>,
-    spill: Vec<u32>,
     at: Vec<u32>,
     marks: Vec<bool>,
 }
@@ -94,6 +95,12 @@ impl FirstScratch {
         if let Some(rows) = rows {
             widen(graph, rows, true, &mut self.marks, &mut self.sources);
         }
+    }
+
+    /// Bytes of everything kept.
+    fn bytes(&self) -> usize {
+        let lists = self.sources.capacity() + self.missing.capacity() + self.at.capacity();
+        lists * 4 + self.marks.capacity()
     }
 }
 
@@ -190,20 +197,58 @@ impl Gcn {
                 first.list_sources(graph, rows);
                 let computed =
                     transform_blocks(&mut self.lin1, &mut self.scratch, input, &first.sources);
-                self.first_layer_computed(graph, &computed, rows, &mut first)
+                first.at.resize(graph.num_nodes(), 0);
+                for (i, &v) in first.sources.iter().enumerate() {
+                    first.at[v as usize] = i as u32;
+                }
+                let rows = rows.unwrap_or(&first.sources);
+                let mut out = Matrix::zeros(rows.len(), self.lin1.out_dim());
+                let t = Band::indexed(&computed, &first.at);
+                self.first_rows_into(graph, t, rows, out.as_mut_slice());
+                out
             }
         };
-        self.first = first;
+        self.keep_first(first);
         out
     }
 
+    /// Keeps `first` for the next call unless it has grown past
+    /// [`KEPT_SCRATCH_BYTES`].
+    fn keep_first(&mut self, first: FirstScratch) {
+        if first.bytes() <= KEPT_SCRATCH_BYTES {
+            self.first = first;
+        }
+    }
+
+    /// Transforms the `T` rows of `nodes` (node `v`'s feature row through
+    /// `index`, as in [`Gcn::first_layer`]) a block at a time outside
+    /// `table`'s lock, and writes each block under a short write lock.
+    fn fill(
+        &mut self,
+        table: &RowTable,
+        features: &Matrix,
+        index: Option<&[u32]>,
+        nodes: &[u32],
+    ) {
+        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
+        let input = Band::with_index(features, index);
+        let width = table.width();
+        for block in nodes.chunks(ROW_BLOCK) {
+            let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, block);
+            let mut slab = table.write();
+            for (row, &v) in computed.as_slice().chunks(width).zip(block) {
+                slab.put(key(v), row);
+            }
+        }
+    }
+
     /// Transform-first layer 1 reading `T` rows from `table`, keyed by
-    /// feature row. When every row the call reads is present, they are
-    /// read in place. Otherwise the missing ones are computed outside the
-    /// table's lock and written under short write locks, then read in
-    /// place — or, when one is past the table's cap, the call's rows are
-    /// copied into one compact matrix, from the table or computed for the
-    /// call, and read there.
+    /// feature row. Rows the table lacks are filled first
+    /// ([`Gcn::fill`]); a call whose rows are all present lists no
+    /// sources. Then every row
+    /// is read in place, one block of destination rows per read lock, so
+    /// a replica filling its own missing rows waits for one block of this
+    /// call's aggregation, not all of it.
     fn first_layer_tabled(
         &mut self,
         table: &RowTable,
@@ -215,6 +260,7 @@ impl Gcn {
     ) -> Matrix {
         assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
         let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
+        first.missing.clear();
         {
             let slab = table.read();
             let present = |v: &u32| slab.has(key(*v));
@@ -224,94 +270,29 @@ impl Gcn {
                     .all(|&v| present(&v) && graph.neighbors(v as usize).iter().all(present)),
                 None => first.sources.iter().all(present),
             };
-            if complete {
-                return self.first_layer_from(
-                    graph,
-                    Band::with_index(slab.rows(), index),
-                    rows,
-                    first,
-                );
+            if !complete {
+                first.list_sources(graph, rows);
+                first.missing.extend(first.sources.iter().filter(|v| !present(v)));
             }
-            first.list_sources(graph, rows);
-            first.missing.clear();
-            first.missing.extend(first.sources.iter().filter(|v| !present(v)));
         }
-        // Rows the cap keeps are transformed a block at a time outside the
-        // lock and written under a short write lock each; the others are
-        // transformed for this call only.
-        first.spill.clear();
-        first.missing.retain(|&v| {
-            table.keeps(key(v)) || {
-                first.spill.push(v);
-                false
-            }
-        });
-        let input = Band::with_index(features, index);
+        self.fill(table, features, index, &first.missing);
         let width = table.width();
-        for block in first.missing.chunks(ROW_BLOCK) {
-            let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, block);
-            let mut slab = table.write();
-            for (row, &v) in computed.as_slice().chunks(width).zip(block) {
-                slab.put(key(v), row);
-            }
+        let rows = rows.unwrap_or(&first.sources);
+        let mut out = Matrix::zeros(rows.len(), width);
+        for (at, block) in (0..rows.len()).step_by(ROW_BLOCK).zip(rows.chunks(ROW_BLOCK)) {
+            let slab = table.read();
+            let t = Band::with_index(slab.rows(), index);
+            self.first_rows_into(graph, t, block, &mut out.as_mut_slice()[at * width..]);
         }
-        let slab = table.read();
-        if first.spill.is_empty() {
-            return self.first_layer_from(
-                graph,
-                Band::with_index(slab.rows(), index),
-                rows,
-                first,
-            );
-        }
-        // `spill` lists, in `sources` order, the rows the table lacks, so
-        // one cursor tells which row comes from where.
-        let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, &first.spill);
-        let mut compact = Matrix::zeros(first.sources.len(), width);
-        let mut spilled = first.spill.iter().zip(computed.as_slice().chunks(width));
-        let mut next = spilled.next();
-        for (out, &v) in compact.as_mut_slice().chunks_mut(width).zip(&first.sources) {
-            match next {
-                Some((&u, row)) if u == v => {
-                    out.copy_from_slice(row);
-                    next = spilled.next();
-                }
-                _ => out.copy_from_slice(slab.rows().row(key(v))),
-            }
-        }
-        drop(slab);
-        self.first_layer_computed(graph, &compact, rows, first)
-    }
-
-    /// Transform-first layer 1 from `computed`, the `T` rows of
-    /// `first.sources` in order.
-    fn first_layer_computed(
-        &self,
-        graph: &CsrGraph,
-        computed: &Matrix,
-        rows: Option<&[u32]>,
-        first: &mut FirstScratch,
-    ) -> Matrix {
-        first.at.resize(graph.num_nodes(), 0);
-        for (i, &v) in first.sources.iter().enumerate() {
-            first.at[v as usize] = i as u32;
-        }
-        self.first_layer_from(graph, Band::indexed(computed, &first.at), rows, first)
+        out
     }
 
     /// The transform-first layer 1's one kernel: for each destination row
-    /// `v` of `rows` (every node when `None`, which `first.sources` then
-    /// lists in order), the `Â`-row of `t` (node `u`'s `T` row at
-    /// `t.row(u)`, [`NormalizedAdjacency::write_row`]), plus `b₁`, through
-    /// ReLU. Needs [`GnnModel::prepare_graph`] to have run for `graph`.
-    fn first_layer_from(
-        &self,
-        graph: &CsrGraph,
-        t: Band,
-        rows: Option<&[u32]>,
-        first: &FirstScratch,
-    ) -> Matrix {
-        let rows = rows.unwrap_or(&first.sources);
+    /// `v` of `rows`, the `Â`-row of `t` (node `u`'s `T` row at `t.row(u)`,
+    /// [`NormalizedAdjacency::write_row`]), plus `b₁`, through ReLU, into
+    /// the next row of `out`. Needs [`GnnModel::prepare_graph`] to have
+    /// run for `graph`.
+    fn first_rows_into(&self, graph: &CsrGraph, t: Band, rows: &[u32], out: &mut [f64]) {
         assert_eq!(
             self.adj_graph,
             Some(graph.instance_id()),
@@ -319,15 +300,13 @@ impl Gcn {
         );
         let width = self.lin1.out_dim();
         let bias = self.lin1.bias();
-        let mut out = Matrix::zeros(rows.len(), width);
-        for (orow, &v) in out.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+        for (orow, &v) in out.chunks_exact_mut(width).zip(rows) {
             self.adj.write_row(graph, t, v as usize, orow);
             for (o, b) in orow.iter_mut().zip(bias) {
                 *o += b;
             }
             self.act1.apply_in_place(orow);
         }
-        out
     }
 }
 
@@ -413,6 +392,19 @@ impl GnnModel for Gcn {
         self.table = table;
     }
 
+    fn fill_row_table(&mut self, features: &Matrix, rows: &[u32]) {
+        let Some(table) = self.table.clone() else { return };
+        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
+        let mut first = std::mem::take(&mut self.first);
+        first.missing.clear();
+        {
+            let slab = table.read();
+            first.missing.extend(rows.iter().filter(|&&v| !slab.has(v as usize)));
+        }
+        self.fill(&table, features, None, &first.missing);
+        self.keep_first(first);
+    }
+
     // GCN's aggregator has no weights, so each layer is a single
     // row-parallel stage: `Â`-rows then the combiner matvec (or, for a
     // transform-first layer 1, `T` rows then `Â`-rows). Stage `s` reads
@@ -458,6 +450,10 @@ impl GnnModel for Gcn {
 
     fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
         Some(&mut self.scratch.stage)
+    }
+
+    fn scratch_bytes(&mut self) -> usize {
+        self.scratch.stage.bytes() + self.first.bytes()
     }
 }
 
@@ -524,7 +520,7 @@ mod tests {
         // reads and the next reads some of those; warm, every route reads
         // rows a full forward filled.
         let (mut model, g, x, want) = spectral_gcn();
-        let table = Arc::new(RowTable::new(130, 12));
+        let table = Arc::new(RowTable::new(130, 12).expect("fits"));
         model.attach_row_table(Some(Arc::clone(&table)));
         for pass in ["cold", "warm"] {
             table.poison_absent_rows();
@@ -534,22 +530,39 @@ mod tests {
     }
 
     #[test]
-    fn a_table_past_its_cap_answers_as_an_unbounded_one() {
-        // Room for 40 of 130 rows: the routes read the rest from their own
-        // scratch. Absent rows are NaN, so no route reads one from the
-        // table either.
+    fn filling_a_part_computes_its_own_rows_and_no_halo() {
+        // What a widened pass runs before stage 0: each part's own rows,
+        // so no two workers compute one row.
         let (mut model, g, x, want) = spectral_gcn();
-        let table = Arc::new(RowTable::with_capacity(130, 12, 40 * 12 * 8));
+        let table = Arc::new(RowTable::new(130, 12).expect("fits"));
         model.attach_row_table(Some(Arc::clone(&table)));
-        for pass in ["cold", "warm"] {
-            table.poison_absent_rows();
-            assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "{pass}");
+        let (evens, odds): (Vec<u32>, Vec<u32>) = (0..130).partition(|v| v % 2 == 0);
+        model.fill_row_table(&x, &evens);
+        assert_eq!(table.rows_present(), 65);
+        assert!(evens.iter().all(|&v| table.read().has(v as usize)));
+        model.fill_row_table(&x, &odds);
+        assert_eq!(table.rows_present(), 130);
+        assert_eq!(bits(&every_route(&mut model, &g, &x)), want);
+        model.attach_row_table(None);
+        model.fill_row_table(&x, &evens);
+    }
+
+    #[test]
+    fn first_layer_lists_past_the_bound_are_released() {
+        // Lists a huge universe left (reserved, never touched) go after
+        // the next call; a small call then keeps its own, and both answer
+        // as before.
+        let (mut model, g, x, want) = spectral_gcn();
+        let n = g.num_nodes() as u32;
+        let rows = [0, n - 1, n / 2, 0, 7];
+        model.first.sources.reserve(KEPT_SCRATCH_BYTES / 4);
+        assert!(model.first.bytes() > KEPT_SCRATCH_BYTES);
+        for pass in ["released", "kept"] {
+            assert_eq!(bits(&[model.forward_at(&g, &x, &rows)])[0], want[1], "{pass}");
+            let kept = model.first.bytes() + model.scratch_bytes();
+            assert!(kept > 0 && kept < KEPT_SCRATCH_BYTES, "{pass}: {kept} bytes");
         }
-        assert_eq!(table.rows_present(), 40, "the cap's rows are kept, no more");
-        // An unbounded table answers the same.
-        let unbounded = Arc::new(RowTable::new(130, 12));
-        model.attach_row_table(Some(unbounded));
-        assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "unbounded");
+        assert_eq!(model.scratch_bytes(), model.scratch.stage.bytes() + model.first.bytes());
     }
 
     #[test]

@@ -227,6 +227,14 @@ pub trait GnnModel: Send {
         self.stage_scratch().map(|scratch| &mut scratch.stages)
     }
 
+    /// Bytes of the sampled-path buffers this model keeps from call to
+    /// call: its [`GnnModel::stage_scratch`], and a transform-first GCN's
+    /// first-layer lists. Each part is released after a call that leaves
+    /// it past [`crate::batch::KEPT_SCRATCH_BYTES`].
+    fn scratch_bytes(&mut self) -> usize {
+        self.stage_scratch().map_or(0, |scratch| scratch.bytes())
+    }
+
     /// Width of the node-local rows this prepared model reads from a
     /// [`RowTable`] when one is attached, or `None` (the default) when it
     /// reads none. A GCN prepared for [`ExecMode::Spectral`] reads its
@@ -243,6 +251,14 @@ pub trait GnnModel: Send {
     /// features and detaches it after. Models that read no such rows
     /// ignore it.
     fn attach_row_table(&mut self, _table: Option<Arc<RowTable>>) {}
+
+    /// Writes into the attached [`RowTable`] the node-local rows of
+    /// `rows` (rows of `features`, the matrix the table belongs to) that
+    /// it lacks, reading no neighbour. A widened pass runs it over every
+    /// part before stage 0, so no two workers compute the same row and
+    /// none writes the table while another aggregates. A no-op with no
+    /// table attached, and for models that read none (the default).
+    fn fill_row_table(&mut self, _features: &Matrix, _rows: &[u32]) {}
 
     /// Whether stage `stage` reads its input at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
@@ -378,7 +394,7 @@ pub struct StageScratch {
 
 impl StageScratch {
     /// Bytes of everything kept.
-    fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         let matrices: usize = self.stages.iter().map(|m| m.capacity() * 8).sum();
         let lists: usize = self.lists.iter().map(|l| l.capacity() * 4).sum();
         matrices + lists + self.marks.capacity()

@@ -9,7 +9,9 @@
 //! filled the first time a request reads it and tracked by a presence
 //! bitmap; the serving engine holds one per graph epoch, shared by every
 //! replica that serves it, and a new version (or a cleared cache) starts
-//! an empty one. A full-graph pass fills every kept row.
+//! an empty one. A full-graph pass fills every row. A version whose
+//! table would pass [`ROW_TABLE_BYTES`] gets none, and its requests
+//! compute the rows they read.
 //!
 //! This is GNNIE's graph-specific caching (PAPERS.md), applied where it
 //! is exact: a kept row holds the bits the computing path would produce.
@@ -19,34 +21,32 @@
 use blockgnn_linalg::Matrix;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// The most a [`RowTable`] keeps, in bytes (128 MiB): the rows of nodes
-/// `0 .. ROW_TABLE_BYTES / (8·width)`. Reddit (232 965 nodes) fits whole
-/// at hidden 64 (119 MB); at the paper's hidden 512 the whole table would
-/// take 232 965 × 512 × 8 B ≈ 0.95 GB, so only its first 32 768 nodes'
-/// rows are kept. A row past the cap is computed into the request's own
-/// scratch through the same kernel, and not kept.
+/// The most a [`RowTable`] may take, in bytes (128 MiB). A graph version
+/// whose whole table would be larger gets none, and every request
+/// computes the rows it reads through the same kernel, so the answers
+/// are the same bits. Reddit (232 965 nodes) fits at hidden 64 (119 MB);
+/// at the paper's hidden 512 its table would take
+/// 232 965 × 512 × 8 B ≈ 0.95 GB, so it is served without one. Keeping a
+/// part of a larger table pays only if requests keep reading that part;
+/// no workload here measures which part that would be.
 pub const ROW_TABLE_BYTES: usize = 128 << 20;
 
 /// Node-local rows of one graph version, filled on first touch and
 /// shared across threads (see the module docs). Readers hold a read lock
-/// while they read rows in place; a request that finds rows missing
-/// computes them outside the lock and writes them under a short write
-/// lock. A row, once present, never changes.
+/// while they read rows in place, at most one block of destination rows
+/// at a time; a request that finds rows missing computes them outside
+/// the lock and writes them under a short write lock. A row, once
+/// present, never changes.
 #[derive(Debug)]
 pub struct RowTable {
     nodes: usize,
     width: usize,
-    /// Rows the byte cap allows.
-    cap_rows: usize,
-    /// Nodes `0..kept` have a slot: `min(nodes, cap_rows)`.
-    kept: usize,
     slab: RwLock<Slab>,
 }
 
-/// A [`RowTable`]'s storage: `kept × width` rows, node-indexed, and one
-/// presence bit per kept node. Both are allocated on the first write, so
-/// a table nobody fills costs nothing, and kept by
-/// [`RowTable::emptied`].
+/// A [`RowTable`]'s storage: `nodes × width` rows, node-indexed, and one
+/// presence bit per node. Both are allocated on the first write, so a
+/// table nobody fills costs nothing, and kept by [`RowTable::emptied`].
 #[derive(Debug, Default)]
 pub(crate) struct Slab {
     present: Vec<u64>,
@@ -55,26 +55,24 @@ pub(crate) struct Slab {
 
 impl RowTable {
     /// An empty table for a graph of `nodes` nodes with `width`-wide rows,
-    /// keeping at most [`ROW_TABLE_BYTES`].
+    /// or `None` when the whole table would take more than
+    /// [`ROW_TABLE_BYTES`].
     #[must_use]
-    pub fn new(nodes: usize, width: usize) -> Self {
-        Self::with_capacity(nodes, width, ROW_TABLE_BYTES)
-    }
-
-    /// [`RowTable::new`] keeping at most `bytes` of rows.
-    pub(crate) fn with_capacity(nodes: usize, width: usize, bytes: usize) -> Self {
-        let cap_rows = bytes / (8 * width.max(1));
-        Self { nodes, width, cap_rows, kept: nodes.min(cap_rows), slab: RwLock::default() }
+    pub fn new(nodes: usize, width: usize) -> Option<Self> {
+        let bytes = nodes.checked_mul(width)?.checked_mul(8)?;
+        (bytes <= ROW_TABLE_BYTES).then(|| Self { nodes, width, slab: RwLock::default() })
     }
 
     /// This table with no row present, for a graph of `nodes` nodes,
     /// keeping its storage: the next graph version's table reuses its
-    /// predecessor's pages instead of faulting in fresh ones.
+    /// predecessor's pages instead of faulting in fresh ones. `None` when
+    /// the grown graph's table would pass [`ROW_TABLE_BYTES`].
     #[must_use]
-    pub fn emptied(self, nodes: usize) -> Self {
+    pub fn emptied(self, nodes: usize) -> Option<Self> {
+        let emptied = Self::new(nodes, self.width)?;
         let mut slab = self.slab.into_inner().unwrap_or_else(PoisonError::into_inner);
         slab.present.clear();
-        Self { nodes, kept: nodes.min(self.cap_rows), slab: RwLock::new(slab), ..self }
+        Some(Self { slab: RwLock::new(slab), ..emptied })
     }
 
     /// Node count of the graph version the table belongs to.
@@ -95,11 +93,6 @@ impl RowTable {
         self.read().present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Whether node `node`'s row has a slot under the cap.
-    pub(crate) fn keeps(&self, node: usize) -> bool {
-        node < self.kept
-    }
-
     /// The storage, to read rows in place. A panic under the write lock
     /// leaves at most a row written without its presence bit, so a
     /// poisoned lock is recovered.
@@ -111,12 +104,12 @@ impl RowTable {
     /// the storage [`RowTable::emptied`] kept.
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Slab> {
         let mut slab = self.slab.write().unwrap_or_else(PoisonError::into_inner);
-        if slab.present.is_empty() && self.kept > 0 {
-            slab.present.resize(self.kept.div_ceil(64), 0);
+        if slab.present.is_empty() && self.nodes > 0 {
+            slab.present.resize(self.nodes.div_ceil(64), 0);
             if slab.rows.is_empty() {
-                slab.rows = Matrix::zeros(self.kept, self.width);
+                slab.rows = Matrix::zeros(self.nodes, self.width);
             } else {
-                slab.rows.resize(self.kept, self.width);
+                slab.rows.resize(self.nodes, self.width);
             }
         }
         slab
@@ -127,7 +120,7 @@ impl RowTable {
     #[cfg(test)]
     pub(crate) fn poison_absent_rows(&self) {
         let mut slab = self.write();
-        for node in 0..self.kept {
+        for node in 0..self.nodes {
             if !slab.has(node) {
                 slab.rows.row_mut(node).fill(f64::NAN);
             }
@@ -136,7 +129,7 @@ impl RowTable {
 }
 
 impl Slab {
-    /// Whether node `node`'s row is present (never, past the cap).
+    /// Whether node `node`'s row is present.
     pub(crate) fn has(&self, node: usize) -> bool {
         self.present.get(node / 64).is_some_and(|word| word >> (node % 64) & 1 == 1)
     }
@@ -152,8 +145,7 @@ impl Slab {
     ///
     /// # Panics
     ///
-    /// Panics if `node` has no slot under the cap or `row` has the wrong
-    /// width.
+    /// Panics if `node` is out of range or `row` has the wrong width.
     pub(crate) fn put(&mut self, node: usize, row: &[f64]) {
         if !self.has(node) {
             self.rows.row_mut(node).copy_from_slice(row);
@@ -167,12 +159,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_table_keeps_rows_up_to_its_cap_and_allocates_on_first_write() {
-        // 10 nodes of width 4 under a 3-row cap: nodes 0–2 have slots.
-        let table = RowTable::with_capacity(10, 4, 3 * 4 * 8);
+    fn a_table_allocates_on_first_write_and_keeps_its_storage_when_emptied() {
+        let table = RowTable::new(10, 4).expect("fits");
         assert_eq!(table.rows_present(), 0);
         assert!(table.read().rows().is_empty(), "nothing is allocated before a write");
-        assert!(table.keeps(2) && !table.keeps(3));
         table.write().put(2, &[1.0, 2.0, 3.0, 4.0]);
         table.write().put(2, &[9.0; 4]);
         let slab = table.read();
@@ -180,14 +170,29 @@ mod tests {
         assert_eq!(slab.rows().row(2), &[1.0, 2.0, 3.0, 4.0], "a present row never changes");
         drop(slab);
         assert_eq!(table.rows_present(), 1);
-        assert_eq!(table.read().rows().shape(), (3, 4), "a slot per kept node");
-        // Emptied for a grown graph: no row present, the storage kept.
+        assert_eq!(table.read().rows().shape(), (10, 4), "a slot per node");
+        // Emptied for the next version: no row present, the storage kept.
         let storage = table.read().rows().as_slice().as_ptr();
-        let table = table.emptied(11);
-        assert_eq!((table.nodes(), table.rows_present()), (11, 0));
+        let table = table.emptied(10).expect("fits");
+        assert_eq!((table.nodes(), table.rows_present()), (10, 0));
         assert!(!table.read().has(2));
         table.write().put(1, &[5.0; 4]);
         assert_eq!(table.read().rows().as_slice().as_ptr(), storage, "the same pages");
-        assert_eq!(RowTable::new(5, 8).width(), 8);
+        // Emptied for a grown graph: a slot for the new node.
+        let table = table.emptied(11).expect("fits");
+        table.write().put(10, &[6.0; 4]);
+        assert_eq!((table.nodes(), table.width(), table.rows_present()), (11, 4, 1));
+        assert_eq!(table.read().rows().shape(), (11, 4));
+    }
+
+    #[test]
+    fn a_graph_whose_table_passes_the_cap_gets_none() {
+        // 8-wide rows take 64 B a node: the cap holds this many nodes.
+        let most = ROW_TABLE_BYTES / 64;
+        assert!(RowTable::new(most, 8).is_some());
+        assert!(RowTable::new(most + 1, 8).is_none());
+        assert!(RowTable::new(usize::MAX / 4, 8).is_none(), "no overflow");
+        let table = RowTable::new(most, 8).expect("fits");
+        assert!(table.emptied(most + 1).is_none(), "a node append past the cap");
     }
 }
