@@ -50,11 +50,24 @@
 //!   of once per row. One grid row's accumulator has the same element
 //!   type; both live in the caller's [`SpectralScratch`].
 //! * **Which vectors those loops become** is decided at run time: the
-//!   full tiles run through [`blockgnn_linalg::isa::dispatch`], with the
-//!   tile body and the lane transforms under it forced inline, so on a
-//!   CPU with AVX2 the f64 tiles execute as four-f64 vectors (an 8-row
-//!   lane group is two registers) and elsewhere as the build's baseline
-//!   (SSE2: four registers). Same source, no FMA either way.
+//!   full tiles run through [`blockgnn_linalg::isa::Arm::run`] on the
+//!   widest arm the CPU has, with the tile body and the lane transforms
+//!   under it forced inline, so on a CPU with AVX-512F an 8-row lane group
+//!   of f64 is one register, with AVX2 two, and elsewhere the build's
+//!   baseline (SSE2: four). Same source, no FMA on any arm.
+//! * **The block size is compiled in.** The tile body — the load
+//!   transpose, the RFFT, the MAC, the IRFFT and the write-out — is one
+//!   generic body over `const N`, instantiated for each power of two from
+//!   1 to 128 (every size the layers use) and, at `N = 0`, for any other
+//!   size, read at run time. The lane transforms take the length as an
+//!   argument, so under a compiled-in size every loop of the tile has a
+//!   constant trip count and the bit reversal is a fixed list of swaps;
+//!   the load copies whole blocks a pair at a time (only a ragged last
+//!   chunk is padded sample by sample) and the write-out stores whole
+//!   pairs. GS-Pool's BC16 products (64×96 and 64×160 over 1 344 rows,
+//!   pinned to one CPU) took 650/977 µs on the AVX2 arm at a run-time
+//!   size, 567/882 µs with the size compiled in, and 388/630 µs on the
+//!   AVX-512F arm.
 //! * Rows left over after the last full tile run through the **same
 //!   body at one lane** — the element is then a plain `Complex<T>`, so
 //!   a one-row call pays for one row (and a weight layout that left only
@@ -67,27 +80,54 @@
 //!
 //! A row's output bits depend only on that row and the weights — not on
 //! the batch size, its position in the batch, or its tile-mates, nor on
-//! the ISA the tile was compiled for. It holds because lanes never mix
-//! (no operation reads two lanes), every lane is given the same
-//! operations in the same order whatever the width (one generic body,
-//! [`blockgnn_fft::Lanes`]), Rust never contracts `a*b + c` into a fused
-//! multiply-add or reassociates a sum, and a vector add, multiply or
-//! subtract is the scalar one per lane at any register width.
-//! Coalesced-vs-single serving, staged-vs-monolithic passes and
-//! delta-vs-rebuild all lean on this; the tests below check it by
-//! `f64::to_bits`, including the dispatched tiles against the same body
-//! called directly. The one reduction *across* rows, the kernel gradient,
-//! adds its lanes in row order for the same reason: the sum is then the
+//! the ISA arm or the block size the tile was compiled for. It holds
+//! because lanes never mix (no operation reads two lanes), every lane is
+//! given the same operations in the same order whatever the width (one
+//! generic body, [`blockgnn_fft::Lanes`]), Rust never contracts
+//! `a*b + c` into a fused multiply-add or reassociates a sum, and a
+//! vector add, multiply or subtract is the scalar one per lane at any
+//! register width. Coalesced-vs-single serving, staged-vs-monolithic
+//! passes and delta-vs-rebuild all lean on this; the tests below check it
+//! by `f64::to_bits`, including every arm the CPU runs, with the size
+//! compiled in and read at run time, against the baseline codegen. The
+//! one reduction *across* rows, the kernel gradient, adds its lanes in
+//! row order for the same reason: the sum is then the
 //! one a row-at-a-time loop forms, whatever the tiling.
 
 use crate::error::CirculantError;
 use crate::matrix::BlockCirculantMatrix;
 use blockgnn_fft::{half_spectrum_bins, Complex, ComplexLanes, Lanes, RealFftPlan, Scalar};
-use blockgnn_linalg::isa;
+use blockgnn_linalg::isa::Arm;
 
-/// Rows per transform pass of [`RealSpectralBlockCirculant::matmul_into`]
-/// (4 and 16 both measured slower on the GS-Pool layer shapes).
+/// Rows per transform pass of [`RealSpectralBlockCirculant::matmul_into`]:
+/// one AVX-512F register of f64 per lane group. 16 measured slower on this
+/// tile — 5-s `full_offline` pairs read 468–524 k nodes/s at 8 against
+/// 434–485 k at 16, 8 ahead in 4/4 — and 4 was slower on the tile before.
 const LANES: usize = 8;
+
+/// Evaluates `$body` with `$N` a constant: the block size `$n` for each
+/// power of two from 1 to 128 (every size the layers use, so each gets a
+/// tile body of its own with its loop bounds compiled in), 0 for any
+/// other, which the body reads as "the kernel's own, at run time".
+macro_rules! with_block_size {
+    ($n:expr, $N:ident => $body:expr) => {
+        match $n {
+            1 => with_block_size!(@ 1, $N => $body),
+            2 => with_block_size!(@ 2, $N => $body),
+            4 => with_block_size!(@ 4, $N => $body),
+            8 => with_block_size!(@ 8, $N => $body),
+            16 => with_block_size!(@ 16, $N => $body),
+            32 => with_block_size!(@ 32, $N => $body),
+            64 => with_block_size!(@ 64, $N => $body),
+            128 => with_block_size!(@ 128, $N => $body),
+            _ => with_block_size!(@ 0, $N => $body),
+        }
+    };
+    (@ $size:literal, $N:ident => $body:expr) => {{
+        const $N: usize = $size;
+        $body
+    }};
+}
 
 /// Reusable workspace of the half-spectrum kernel: a tile's input
 /// spectra and one grid row's accumulator, at each of the two widths the
@@ -350,43 +390,59 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         assert_eq!(x.len(), rows * self.in_dim, "matmul input must be whole rows of in_dim");
         assert_eq!(out.len(), rows * self.out_dim, "matmul output must be rows × out_dim");
         assert!(bias.is_none_or(|b| b.len() == self.out_dim), "bias length must equal out_dim");
+        with_block_size!(self.block_size, N => {
+            self.matmul_on::<N>(Arm::widest(), x, bias, scratch, out)
+        });
+    }
+
+    /// [`RealSpectralBlockCirculant::matmul_into`] with the full tiles
+    /// compiled for `arm` and the block size compiled in as `N` (`0`:
+    /// read at run time) — the one body every arm and size runs, which
+    /// is how the tests hold each to the baseline's bits.
+    fn matmul_on<const N: usize>(
+        &self,
+        arm: Arm,
+        x: &[T],
+        bias: Option<&[T]>,
+        scratch: &mut SpectralScratch<T>,
+        out: &mut [T],
+    ) {
+        let rows = x.len() / self.in_dim;
         let tiled = rows - rows % LANES;
-        isa::dispatch(
+        let tile = &mut scratch.tile;
+        arm.run(
             #[inline(always)]
-            || self.full_tiles(tiled, x, bias, &mut scratch.tile, out),
+            || {
+                for first in (0..tiled).step_by(LANES) {
+                    self.tile::<N, _>(first, x, bias, tile, out);
+                }
+            },
         );
         for first in tiled..rows {
-            self.tile(first, x, bias, &mut scratch.row, out);
+            self.tile::<N, _>(first, x, bias, &mut scratch.row, out);
         }
     }
 
-    /// The first `tiled` rows (a multiple of `LANES`) of
-    /// [`RealSpectralBlockCirculant::matmul_into`], a tile at a time —
-    /// the body `matmul_into` runs through [`isa::dispatch`]. Called
-    /// directly it is the same source compiled for the build's baseline,
-    /// which is how the tests hold the two codegens to the same bits.
+    /// The block size the body compiled for `N` runs at: `N`, or the
+    /// kernel's own when `N` is 0 (a size `with_block_size!` does not
+    /// compile in).
     #[inline(always)]
-    fn full_tiles(
-        &self,
-        tiled: usize,
-        x: &[T],
-        bias: Option<&[T]>,
-        buffer: &mut Vec<ComplexLanes<T, LANES>>,
-        out: &mut [T],
-    ) {
-        for first in (0..tiled).step_by(LANES) {
-            self.tile(first, x, bias, buffer, out);
+    fn len<const N: usize>(&self) -> usize {
+        if N == 0 {
+            self.block_size
+        } else {
+            debug_assert_eq!(N, self.block_size, "a tile compiled for another block size");
+            N
         }
     }
 
     /// Rows `first_row .. first_row + E::WIDTH` of
     /// [`RealSpectralBlockCirculant::matmul_into`], one per lane. Forced
     /// inline (with the lane transforms under it) so that the 8-lane
-    /// instance compiles for the ISA [`isa::dispatch`] picked; the
-    /// one-lane instance is inlined into `matmul_into` itself and stays
-    /// on the baseline.
+    /// instance compiles for the arm [`Arm::run`] was given; the
+    /// one-lane instance stays on the baseline.
     #[inline(always)]
-    fn tile<E: Lanes<T>>(
+    fn tile<const N: usize, E: Lanes<T>>(
         &self,
         first_row: usize,
         x: &[T],
@@ -394,10 +450,12 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         buffer: &mut Vec<E>,
         out: &mut [T],
     ) {
-        let (n, q, bins) = (self.block_size, self.grid_cols, self.spectrum_len());
+        let (n, q) = (self.len::<N>(), self.grid_cols);
+        let bins = half_spectrum_bins(n);
         buffer.resize((q + 1) * bins, E::ZERO);
         let (spectra, acc) = buffer.split_at_mut(q * bins);
-        self.load_spectra(first_row, x, self.in_dim, spectra);
+        let acc = &mut acc[..bins];
+        self.load_spectra(n, first_row, x, self.in_dim, spectra);
 
         for (i, w_row) in self.weights.chunks_exact(q * bins).enumerate() {
             // Grid row i: Σ_j Ŵ_ij ∘ X̂_j with the weights read in order,
@@ -410,18 +468,13 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
                     }
                 }
             }
-            self.plan.inverse_lanes(acc).expect("the accumulator matches the plan");
+            self.plan.inverse_lanes(n, acc).expect("the accumulator matches the plan");
             // Transpose back out (the accumulator holds the packed signal
             // again), truncating the last grid row to the logical output.
             let (start, end) = (i * n, ((i + 1) * n).min(self.out_dim));
             for l in 0..E::WIDTH {
                 let y = &mut out[(first_row + l) * self.out_dim..][start..end];
-                for (pair, z) in y.chunks_mut(2).zip(acc.iter()) {
-                    pair[0] = z.lane(l).re;
-                    if let Some(odd) = pair.get_mut(1) {
-                        *odd = z.lane(l).im;
-                    }
-                }
+                unpack(y, acc, l, |o, v| *o = v);
                 if let Some(bias) = bias {
                     for (o, &b) in y.iter_mut().zip(&bias[start..end]) {
                         *o = *o + b;
@@ -434,21 +487,33 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
     /// Transposes rows `first_row .. first_row + E::WIDTH` of the
     /// row-major `x` (rows of `width`) into `spectra` — one block-sized
     /// chunk of bins per grid column, one row per lane — and transforms
-    /// every chunk. Rows go in packed for the RFFT (samples `2k` and
-    /// `2k+1` of a chunk are element `k`); the ragged last chunk is
-    /// zero-padded.
+    /// every chunk at block size `n`. Rows go in packed for the RFFT
+    /// (samples `2k` and `2k+1` of a chunk are element `k`): a whole
+    /// block a pair at a time, the ragged last chunk zero-padded.
     #[inline(always)]
     fn load_spectra<E: Lanes<T>>(
         &self,
+        n: usize,
         first_row: usize,
         x: &[T],
         width: usize,
         spectra: &mut [E],
     ) {
-        let (n, bins) = (self.block_size, self.spectrum_len());
+        let bins = half_spectrum_bins(n);
         for l in 0..E::WIDTH {
             let row = &x[(first_row + l) * width..][..width];
             for (chunk, packed) in row.chunks(n).zip(spectra.chunks_exact_mut(bins)) {
+                if chunk.len() == n {
+                    // Its pairs, or at n = 1 its one sample.
+                    let (pairs, single) = chunk.as_chunks::<2>();
+                    for (z, &[even, odd]) in packed.iter_mut().zip(pairs) {
+                        z.set_lane(l, Complex::new(even, odd));
+                    }
+                    if let [sample] = single {
+                        packed[0].set_lane(l, Complex::from_real(*sample));
+                    }
+                    continue;
+                }
                 let sample = |t: usize| chunk.get(t).copied().unwrap_or(T::ZERO);
                 for (k, z) in packed[..n.div_ceil(2)].iter_mut().enumerate() {
                     z.set_lane(l, Complex::new(sample(2 * k), sample(2 * k + 1)));
@@ -456,7 +521,7 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
             }
         }
         for chunk in spectra.chunks_exact_mut(bins) {
-            self.plan.forward_lanes(chunk).expect("a chunk's bins match the plan");
+            self.plan.forward_lanes(n, chunk).expect("a chunk's bins match the plan");
         }
     }
 
@@ -484,33 +549,50 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         let rows = x.len() / self.in_dim;
         assert_eq!(x.len(), rows * self.in_dim, "input must be whole rows of in_dim");
         assert_eq!(grad_out.len(), rows * self.out_dim, "gradient must be rows × out_dim");
-        let (n, bins) = (self.block_size, self.spectrum_len());
         let blocks = self.grid_rows * self.grid_cols;
-        assert_eq!(kernel_grad.len(), blocks * n, "kernel gradient must be p·q·n long");
+        assert_eq!(
+            kernel_grad.len(),
+            blocks * self.block_size,
+            "kernel gradient must be p·q·n long"
+        );
+        with_block_size!(self.block_size, N => {
+            self.kernel_grad_on::<N>(Arm::widest(), grad_out, x, scratch, kernel_grad)
+        });
+    }
+
+    /// [`RealSpectralBlockCirculant::kernel_grad_into`] with the full
+    /// tiles compiled for `arm` and the block size compiled in as `N`, as
+    /// [`RealSpectralBlockCirculant::matmul_on`] is for `matmul_into`.
+    fn kernel_grad_on<const N: usize>(
+        &self,
+        arm: Arm,
+        grad_out: &[T],
+        x: &[T],
+        scratch: &mut SpectralScratch<T>,
+        kernel_grad: &mut [T],
+    ) {
+        let rows = x.len() / self.in_dim;
+        let n = self.len::<N>();
+        let bins = half_spectrum_bins(n);
         let SpectralScratch { tile, row, sums } = scratch;
         sums.clear();
-        sums.resize(blocks * bins, Complex::zero());
+        sums.resize(self.grid_rows * self.grid_cols * bins, Complex::zero());
         let tiled = rows - rows % LANES;
-        isa::dispatch(
+        arm.run(
             #[inline(always)]
             || {
                 for first in (0..tiled).step_by(LANES) {
-                    self.correlate(first, grad_out, x, tile, sums);
+                    self.correlate::<N, _>(first, grad_out, x, tile, sums);
                 }
             },
         );
         for first in tiled..rows {
-            self.correlate(first, grad_out, x, row, sums);
+            self.correlate::<N, _>(first, grad_out, x, row, sums);
         }
         for (spectrum, grad) in sums.chunks_exact_mut(bins).zip(kernel_grad.chunks_exact_mut(n))
         {
-            self.plan.inverse_lanes(spectrum).expect("a block's sums match the plan");
-            for (pair, z) in grad.chunks_mut(2).zip(spectrum.iter()) {
-                pair[0] = pair[0] + z.re;
-                if let Some(odd) = pair.get_mut(1) {
-                    *odd = *odd + z.im;
-                }
-            }
+            self.plan.inverse_lanes(n, spectrum).expect("a block's sums match the plan");
+            unpack(grad, spectrum, 0, |o, v| *o = *o + v);
         }
     }
 
@@ -518,7 +600,7 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
     /// [`RealSpectralBlockCirculant::kernel_grad_into`]'s spectral sums:
     /// `sums[i][j] += Ĝ_i ∘ conj(X̂_j)`, lane after lane.
     #[inline(always)]
-    fn correlate<E: Lanes<T>>(
+    fn correlate<const N: usize, E: Lanes<T>>(
         &self,
         first_row: usize,
         grad_out: &[T],
@@ -526,11 +608,12 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         buffer: &mut Vec<E>,
         sums: &mut [Complex<T>],
     ) {
-        let (p, q, bins) = (self.grid_rows, self.grid_cols, self.spectrum_len());
+        let (n, p, q) = (self.len::<N>(), self.grid_rows, self.grid_cols);
+        let bins = half_spectrum_bins(n);
         buffer.resize((p + q) * bins, E::ZERO);
         let (g_spectra, x_spectra) = buffer.split_at_mut(p * bins);
-        self.load_spectra(first_row, grad_out, self.out_dim, g_spectra);
-        self.load_spectra(first_row, x, self.in_dim, x_spectra);
+        self.load_spectra(n, first_row, grad_out, self.out_dim, g_spectra);
+        self.load_spectra(n, first_row, x, self.in_dim, x_spectra);
         for (g_chunk, sums_row) in
             g_spectra.chunks_exact(bins).zip(sums.chunks_exact_mut(q * bins))
         {
@@ -544,6 +627,23 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
                 }
             }
         }
+    }
+}
+
+/// Writes lane `l` of the packed signal `z` (sample `2k` is the real part
+/// of element `k`, sample `2k + 1` its imaginary part) over `y` through
+/// `put(slot, sample)`, a whole pair at a time; an odd-length `y` (a
+/// truncated last block, or `n = 1`) takes one more real part.
+#[inline(always)]
+fn unpack<T: Scalar, E: Lanes<T>>(y: &mut [T], z: &[E], l: usize, put: impl Fn(&mut T, T)) {
+    let (pairs, single) = y.as_chunks_mut::<2>();
+    for ([even, odd], z) in pairs.iter_mut().zip(z) {
+        let v = z.lane(l);
+        put(even, v.re);
+        put(odd, v.im);
+    }
+    if let [last] = single {
+        put(last, z[pairs.len()].lane(l).re);
     }
 }
 
@@ -916,32 +1016,49 @@ mod tests {
         fn prop_dispatched_tiles_equal_the_baseline_codegen(
             seed in 0u64..500,
             rows in 1usize..18,
-            logn in 0u32..7,
+            logn in 0u32..8,
             out_dim in 1usize..130,
             in_dim in 1usize..130,
             with_bias in 0u32..2,
         ) {
-            // `matmul_into` (full tiles through `isa::dispatch`, AVX2 on a
-            // CPU that has it) against the same tile body called directly
-            // (compiled for the build's baseline), bit for bit: 1..=17
-            // rows run zero to two tiles and a tail, dimensions ragged.
+            // The product and the kernel gradient on every arm this CPU
+            // runs, each with the block size compiled in and read at run
+            // time, against the baseline codegen at run time, bit for bit
+            // — and `matmul_into`/`kernel_grad_into` (the widest arm,
+            // the size compiled in) with them. 1..=17 rows run zero to
+            // two tiles and a tail; block sizes 1–128, dimensions ragged.
             let n = 1usize << logn;
             let m = BlockCirculantMatrix::random(out_dim, in_dim, n, seed).unwrap();
             let r = RealSpectralBlockCirculant::new(&m).unwrap();
             let x = test_batch(rows, in_dim);
+            let g = test_batch(rows, out_dim);
             let bias: Vec<f64> = (0..out_dim).map(|o| (o as f64 * 0.11).cos()).collect();
             let bias = (with_bias == 1).then_some(bias.as_slice());
-            let mut dispatched = vec![f64::NAN; rows * out_dim];
-            r.matmul_into(&x, bias, &mut SpectralScratch::new(), &mut dispatched);
-            let mut baseline = vec![f64::NAN; rows * out_dim];
-            let mut scratch = SpectralScratch::new();
-            let tiled = rows - rows % LANES;
-            r.full_tiles(tiled, &x, bias, &mut scratch.tile, &mut baseline);
-            for first in tiled..rows {
-                r.tile(first, &x, bias, &mut scratch.row, &mut baseline);
-            }
+            let blocks = out_dim.div_ceil(n) * in_dim.div_ceil(n) * n;
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&dispatched), bits(&baseline));
+            let run = |arm: Arm, sized: bool| {
+                let (mut y, mut grad) = (vec![f64::NAN; rows * out_dim], vec![0.5; blocks]);
+                let scratch = &mut SpectralScratch::new();
+                if sized {
+                    with_block_size!(n, N => {
+                        r.matmul_on::<N>(arm, &x, bias, scratch, &mut y);
+                        r.kernel_grad_on::<N>(arm, &g, &x, scratch, &mut grad);
+                    });
+                } else {
+                    r.matmul_on::<0>(arm, &x, bias, scratch, &mut y);
+                    r.kernel_grad_on::<0>(arm, &g, &x, scratch, &mut grad);
+                }
+                (bits(&y), bits(&grad))
+            };
+            let baseline = run(Arm::Baseline, false);
+            for arm in Arm::supported() {
+                prop_assert_eq!(&run(arm, true), &baseline, "{:?} arm, size compiled in", arm);
+                prop_assert_eq!(&run(arm, false), &baseline, "{:?} arm, size at run time", arm);
+            }
+            let (mut y, mut grad) = (vec![f64::NAN; rows * out_dim], vec![0.5; blocks]);
+            r.matmul_into(&x, bias, &mut SpectralScratch::new(), &mut y);
+            r.kernel_grad_into(&g, &x, &mut SpectralScratch::new(), &mut grad);
+            prop_assert_eq!((bits(&y), bits(&grad)), baseline);
         }
 
         #[test]

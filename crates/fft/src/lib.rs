@@ -14,15 +14,18 @@
 //!   the 32-bit fixed-point datapath alike.
 //! * [`Complex`] — a minimal complex-number type over a [`Scalar`].
 //! * [`FftPlan`] — a plan-based radix-2 Cooley–Tukey FFT with precomputed
-//!   twiddle factors and bit-reversal tables, mirroring how a streaming
-//!   hardware FFT core loads its coefficient ROMs once.
+//!   twiddle factors (the bit reversal is computed from the length),
+//!   mirroring how a streaming hardware FFT core loads its coefficient
+//!   ROMs once.
 //! * [`real`] — real-input FFT (RFFT/IRFFT) exploiting conjugate symmetry,
 //!   implementing the §V "Use RFFT for Higher Speedup" discussion, with
 //!   allocation-free `forward_into`/`inverse_into` variants for serving
 //!   hot paths and `forward_lanes`/`inverse_lanes`, the same body over
 //!   [`ComplexLanes`] — several signals per pass, one per lane — forced
 //!   inline, so that they compile for the ISA of the kernel that calls
-//!   them (`blockgnn_linalg::isa::dispatch`).
+//!   them (`blockgnn_linalg::isa::dispatch`), and taking the length as an
+//!   argument, so that a caller that knows it at compile time gets loops
+//!   of constant trip count.
 //! * [`half`] — the packed `n/2 + 1`-bin Hermitian half-spectrum layout
 //!   the serving paths store and multiply.
 //! * [`fixed`] — [`Q16_16`], saturating fixed-point arithmetic matching the

@@ -1,19 +1,26 @@
 //! Plan-based radix-2 Cooley–Tukey FFT.
 //!
-//! A [`FftPlan`] precomputes the bit-reversal permutation and the twiddle
-//! factors for a fixed power-of-two length, then applies the transform
-//! in-place to as many buffers as needed. This mirrors the hardware
-//! structure: the Xilinx FFT IP the paper instantiates loads its twiddle
-//! ROM once per configuration, and every CirCore FFT channel of the same
-//! block size shares that configuration.
+//! A [`FftPlan`] precomputes the twiddle factors for a fixed power-of-two
+//! length, then applies the transform in-place to as many buffers as
+//! needed. This mirrors the hardware structure: the Xilinx FFT IP the
+//! paper instantiates loads its twiddle ROM once per configuration, and
+//! every CirCore FFT channel of the same block size shares that
+//! configuration.
+//!
+//! The bit-reversal permutation is not stored: swap `i ↔ r` for every
+//! `r = reverse(i) > i` over the `log2 n` index bits, computed from the
+//! length. A caller that knows the length at compile time — the
+//! block-circulant tile of `blockgnn-core`, compiled per block size — gets
+//! a fixed list of swaps, as the FFT IP's input reorder is fixed wiring
+//! for its one configured size.
 //!
 //! The forward transform computes `X[k] = Σ_j x[j]·e^{-2πi jk/n}` (no
 //! scaling); the inverse applies the conjugate twiddles and divides by
 //! `n`, so `inverse(forward(x)) == x`.
 
 use crate::complex::{Complex, Lanes};
+use crate::is_power_of_two;
 use crate::scalar::Scalar;
-use crate::{is_power_of_two, log2_exact};
 use std::error::Error;
 use std::fmt;
 
@@ -79,11 +86,6 @@ enum Direction {
 #[derive(Debug, Clone)]
 pub struct FftPlan<T: Scalar> {
     len: usize,
-    /// Butterfly stages, `log2 len`: the inverse divides by `2^stages`.
-    stages: u32,
-    /// Bit-reversed index for every position (identity-skipping pairs are
-    /// still stored; the apply loop swaps only when `rev > i`).
-    bit_rev: Vec<u32>,
     /// Forward twiddles, laid out stage-major: for stage with half-size
     /// `m`, entries `w^0..w^{m-1}` with `w = e^{-2πi/(2m)}`.
     twiddles_fwd: Vec<Complex<T::Twiddle>>,
@@ -102,15 +104,6 @@ impl<T: Scalar> FftPlan<T> {
         if !is_power_of_two(len) {
             return Err(FftError::NotPowerOfTwo { len });
         }
-        let stages = log2_exact(len);
-        let mut bit_rev = Vec::with_capacity(len);
-        for i in 0..len {
-            bit_rev.push((i as u32).reverse_bits() >> (32 - stages.max(1)));
-        }
-        if len == 1 {
-            bit_rev[0] = 0;
-        }
-
         // Stage-major twiddle layout: total entries = 1 + 2 + 4 + ... + len/2 = len - 1.
         let mut twiddles_fwd = Vec::with_capacity(len.saturating_sub(1));
         let mut twiddles_inv = Vec::with_capacity(len.saturating_sub(1));
@@ -124,7 +117,7 @@ impl<T: Scalar> FftPlan<T> {
             m <<= 1;
         }
 
-        Ok(Self { len, stages, bit_rev, twiddles_fwd, twiddles_inv })
+        Ok(Self { len, twiddles_fwd, twiddles_inv })
     }
 
     /// The transform length this plan was built for.
@@ -145,7 +138,7 @@ impl<T: Scalar> FftPlan<T> {
     ///
     /// Panics if `data.len()` differs from the planned length.
     pub fn forward(&self, data: &mut [Complex<T>]) {
-        self.forward_lanes(data).expect("fft buffer length mismatch");
+        self.forward_lanes(self.len, data).expect("fft buffer length mismatch");
     }
 
     /// In-place inverse FFT (scaled by `1/n`).
@@ -154,7 +147,7 @@ impl<T: Scalar> FftPlan<T> {
     ///
     /// Panics if `data.len()` differs from the planned length.
     pub fn inverse(&self, data: &mut [Complex<T>]) {
-        self.inverse_lanes(data).expect("fft buffer length mismatch");
+        self.inverse_lanes(self.len, data).expect("fft buffer length mismatch");
     }
 
     /// Forward FFT of a real-valued slice, returning a fresh complex buffer.
@@ -169,7 +162,7 @@ impl<T: Scalar> FftPlan<T> {
     /// the planned length.
     pub fn forward_real(&self, data: &[T]) -> Result<Vec<Complex<T>>, FftError> {
         let mut buf: Vec<Complex<T>> = data.iter().map(|&x| Complex::from_real(x)).collect();
-        self.forward_lanes(&mut buf)?;
+        self.forward_lanes(self.len, &mut buf)?;
         Ok(buf)
     }
 
@@ -180,31 +173,43 @@ impl<T: Scalar> FftPlan<T> {
     /// Forced inline, like everything under it, so that the butterflies
     /// compile for the ISA of the kernel that calls them
     /// (`blockgnn_linalg::isa`).
+    ///
+    /// `len` is the plan's length, passed in so that a caller that knows
+    /// it at compile time (the block-circulant tile, per block size) gets
+    /// loops of constant trip count and a bit reversal the compiler folds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not [`FftPlan::len`].
     #[inline(always)]
-    pub(crate) fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
-        self.check_len(data)?;
-        self.apply(data, Direction::Forward);
+    pub(crate) fn forward_lanes<E: Lanes<T>>(
+        &self,
+        len: usize,
+        data: &mut [E],
+    ) -> Result<(), FftError> {
+        self.check_len(len, data)?;
+        self.apply(len, data, Direction::Forward);
         Ok(())
     }
 
     /// The inverse transform (scaled by `1/n`) of every lane of `data`;
     /// see [`FftPlan::forward_lanes`].
     #[inline(always)]
-    pub(crate) fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
-        self.check_len(data)?;
-        self.apply(data, Direction::Inverse);
-        for v in data.iter_mut() {
-            for l in 0..E::WIDTH {
-                v.set_lane(l, v.lane(l).div_pow2(self.stages));
-            }
-        }
+    pub(crate) fn inverse_lanes<E: Lanes<T>>(
+        &self,
+        len: usize,
+        data: &mut [E],
+    ) -> Result<(), FftError> {
+        self.check_len(len, data)?;
+        self.apply(len, data, Direction::Inverse);
         Ok(())
     }
 
     #[inline(always)]
-    fn check_len<E>(&self, data: &[E]) -> Result<(), FftError> {
-        if data.len() != self.len {
-            Err(FftError::LengthMismatch { expected: self.len, got: data.len() })
+    fn check_len<E>(&self, len: usize, data: &[E]) -> Result<(), FftError> {
+        assert_eq!(len, self.len, "a lane transform is given its plan's length");
+        if data.len() != len {
+            Err(FftError::LengthMismatch { expected: len, got: data.len() })
         } else {
             Ok(())
         }
@@ -216,58 +221,84 @@ impl<T: Scalar> FftPlan<T> {
     /// where the compiler has always put it — flattened into the scalar
     /// transforms it measured 57 → 83 ns per 16-point RFFT.
     #[inline(always)]
-    fn apply<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
+    fn apply<E: Lanes<T>>(&self, len: usize, data: &mut [E], dir: Direction) {
         if E::WIDTH == 1 {
-            self.butterflies_outlined(data, dir);
+            self.butterflies_outlined(len, data, dir);
         } else {
-            self.butterflies(data, dir);
+            self.butterflies(len, data, dir);
         }
     }
 
     #[inline(never)]
-    fn butterflies_outlined<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
-        self.butterflies(data, dir);
+    fn butterflies_outlined<E: Lanes<T>>(&self, len: usize, data: &mut [E], dir: Direction) {
+        self.butterflies(len, data, dir);
     }
 
+    /// Bit-reversal permutation, then the butterflies, of the `len`
+    /// elements of `data` (`len` a power of two, the plan's length), and
+    /// for the inverse the division by `len`. The permutation is computed
+    /// from `len` — no table — so at a compile-time `len` it is a fixed
+    /// list of swaps.
     #[inline(always)]
-    fn butterflies<E: Lanes<T>>(&self, data: &mut [E], dir: Direction) {
-        let n = self.len;
-        if n <= 1 {
+    fn butterflies<E: Lanes<T>>(&self, len: usize, data: &mut [E], dir: Direction) {
+        if len <= 1 {
             return;
         }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let r = self.bit_rev[i] as usize;
+        let data = &mut data[..len];
+        let shift = usize::BITS - len.trailing_zeros();
+        for i in 0..len {
+            let r = i.reverse_bits() >> shift;
             if r > i {
                 data.swap(i, r);
             }
         }
         let twiddles = match dir {
-            Direction::Forward => &self.twiddles_fwd,
-            Direction::Inverse => &self.twiddles_inv,
+            Direction::Forward => &self.twiddles_fwd[..len - 1],
+            Direction::Inverse => &self.twiddles_inv[..len - 1],
         };
         // Iterative butterflies. Stage with half-size m uses twiddle slice
-        // [m-1 .. 2m-1) because stages are packed 1,2,4,... entries. Each
-        // twiddle is loaded once for all lanes; the lane loop is innermost
-        // so it vectorises.
+        // [m-1 .. 2m-1) because stages are packed 1,2,4,... entries.
         let mut m = 1;
-        let mut stage_base = 0;
-        while m < n {
-            let span = m << 1;
-            for start in (0..n).step_by(span) {
-                for k in 0..m {
-                    let w = twiddles[stage_base + k];
-                    let (lo, hi) = (data[start + k], data[start + k + m]);
-                    for l in 0..E::WIDTH {
-                        let a = lo.lane(l);
-                        let b = hi.lane(l).mul_twiddle(w);
-                        data[start + k].set_lane(l, a + b);
-                        data[start + k + m].set_lane(l, a - b);
-                    }
-                }
+        while 2 * m < len {
+            stage(data, m, &twiddles[m - 1..2 * m - 1], |v| v);
+            m *= 2;
+        }
+        // The last stage. The inverse divides its outputs by `len` as it
+        // writes them: per value the same two operations, in the same
+        // order, as a scaling pass of its own, without the pass.
+        let last = &twiddles[m - 1..];
+        match dir {
+            Direction::Forward => stage(data, m, last, |v| v),
+            Direction::Inverse => {
+                let stages = len.trailing_zeros();
+                stage(data, m, last, |v: Complex<T>| v.div_pow2(stages));
             }
-            stage_base += m;
-            m = span;
+        }
+    }
+}
+
+/// One radix-2 stage of half-size `m` over `data`: every group of `2m`
+/// elements takes the butterflies `(lo, hi) ← (a + w·b, a − w·b)` with
+/// `stage`'s twiddles, each output passed through `finish`. Each twiddle
+/// is loaded once for all lanes, and the lane loop is innermost, so it
+/// vectorises.
+#[inline(always)]
+fn stage<T: Scalar, E: Lanes<T>>(
+    data: &mut [E],
+    m: usize,
+    stage: &[Complex<T::Twiddle>],
+    finish: impl Fn(Complex<T>) -> Complex<T>,
+) {
+    for group in data.chunks_exact_mut(2 * m) {
+        let (lows, highs) = group.split_at_mut(m);
+        for ((lo, hi), &w) in lows.iter_mut().zip(highs).zip(stage) {
+            let (x, y) = (*lo, *hi);
+            for l in 0..E::WIDTH {
+                let a = x.lane(l);
+                let b = y.lane(l).mul_twiddle(w);
+                lo.set_lane(l, finish(a + b));
+                hi.set_lane(l, finish(a - b));
+            }
         }
     }
 }
@@ -295,7 +326,7 @@ mod tests {
         let plan = FftPlan::<f64>::new(8).unwrap();
         let mut buf = vec![C::zero(); 4];
         assert_eq!(
-            plan.forward_lanes(&mut buf),
+            plan.forward_lanes(8, &mut buf),
             Err(FftError::LengthMismatch { expected: 8, got: 4 })
         );
         let err = FftError::LengthMismatch { expected: 8, got: 4 };

@@ -125,14 +125,14 @@ impl<T: Scalar> RealFftPlan<T> {
         if input.len() != self.len {
             return Err(FftError::LengthMismatch { expected: self.len, got: input.len() });
         }
-        self.check_bins(out)?;
+        self.check_bins(self.len, out)?;
         // Pack: z[k] = x[2k] + i x[2k+1], in place in the output buffer
         // (n = 1 has no pair: its one sample is the real part of z[0]).
         out[0] = Complex::from_real(input[0]);
         for (z, pair) in out.iter_mut().zip(input.chunks_exact(2)) {
             *z = Complex::new(pair[0], pair[1]);
         }
-        self.forward_lanes(out)
+        self.forward_lanes(self.len, out)
     }
 
     /// [`RealFftPlan::forward_into`] for every lane of `data` at once:
@@ -150,31 +150,45 @@ impl<T: Scalar> RealFftPlan<T> {
     /// [`RealFftPlan::inverse_lanes`] are forced inline so that a kernel
     /// run through `blockgnn_linalg::isa::dispatch` carries them along.
     ///
+    /// `len` is [`RealFftPlan::len`], passed in so that a caller that knows
+    /// it at compile time (the block-circulant tile compiles one body per
+    /// block size) runs the untangle, the butterflies and the bit
+    /// reversal under it at constant trip counts.
+    ///
     /// # Errors
     ///
     /// Returns [`FftError::LengthMismatch`] if `data` is not
     /// `spectrum_len()` long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not the plan's length.
     #[inline(always)]
-    pub fn forward_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
-        self.check_bins(data)?;
-        let half = self.len / 2;
+    pub fn forward_lanes<E: Lanes<T>>(
+        &self,
+        len: usize,
+        data: &mut [E],
+    ) -> Result<(), FftError> {
+        self.check_bins(len, data)?;
+        let half = len / 2;
         if half == 0 {
             for l in 0..E::WIDTH {
                 data[0].set_lane(l, Complex::from_real(data[0].lane(l).re));
             }
             return Ok(());
         }
-        self.half_plan.forward_lanes(&mut data[..half])?;
+        self.half_plan.forward_lanes(half, &mut data[..half])?;
         // Untangle in place. Bin k reads z[k] and z[half-k], so k = 0
         // goes alone (it also yields the Nyquist bin: W^{n/2} = -1, so
         // X[n/2] = Xe[0] - Xo[0]) and then the mirror pairs.
-        let z0 = data[0];
+        let (z0, mut dc, mut nyquist) = (data[0], E::ZERO, E::ZERO);
         for l in 0..E::WIDTH {
             let z0 = z0.lane(l);
-            data[0].set_lane(l, untangle(z0, z0, self.twiddles[0]));
-            data[half].set_lane(l, Complex::from_real(z0.re) - Complex::from_real(z0.im));
+            dc.set_lane(l, untangle(z0, z0, self.twiddles[0]));
+            nyquist.set_lane(l, Complex::from_real(z0.re) - Complex::from_real(z0.im));
         }
-        self.mirror_pairs(data, untangle);
+        (data[0], data[half]) = (dc, nyquist);
+        self.mirror_pairs(half, data, untangle);
         Ok(())
     }
 
@@ -188,7 +202,7 @@ impl<T: Scalar> RealFftPlan<T> {
     /// Returns [`FftError::LengthMismatch`] if
     /// `spectrum.len() != n/2 + 1`.
     pub fn inverse(&self, spectrum: &[Complex<T>]) -> Result<Vec<T>, FftError> {
-        self.check_bins(spectrum)?;
+        self.check_bins(self.len, spectrum)?;
         let mut work = spectrum.to_vec();
         let mut out = vec![T::ZERO; self.len];
         self.inverse_into(&mut work, &mut out)?;
@@ -212,7 +226,7 @@ impl<T: Scalar> RealFftPlan<T> {
         if out.len() != self.len {
             return Err(FftError::LengthMismatch { expected: self.len, got: out.len() });
         }
-        self.inverse_lanes(spectrum)?;
+        self.inverse_lanes(self.len, spectrum)?;
         // Unpack; n = 1 has no pair, only the real part of z[0].
         out[0] = spectrum[0].re;
         for (pair, z) in out.chunks_exact_mut(2).zip(spectrum.iter()) {
@@ -231,54 +245,66 @@ impl<T: Scalar> RealFftPlan<T> {
     ///
     /// Returns [`FftError::LengthMismatch`] if `data` is not
     /// `spectrum_len()` long.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not the plan's length.
     #[inline(always)]
-    pub fn inverse_lanes<E: Lanes<T>>(&self, data: &mut [E]) -> Result<(), FftError> {
-        self.check_bins(data)?;
-        let half = self.len / 2;
+    pub fn inverse_lanes<E: Lanes<T>>(
+        &self,
+        len: usize,
+        data: &mut [E],
+    ) -> Result<(), FftError> {
+        self.check_bins(len, data)?;
+        let half = len / 2;
         if half == 0 {
             return Ok(());
         }
         // Rebuild the packed half-length spectrum Z[k] = Xe[k] + i·Xo[k]
         // in place. Bin k reads X[k] and X[half-k]; k = 0 (which reads
         // the Nyquist bin) goes first, then the mirror pairs.
-        let (x0, nyquist) = (data[0], data[half]);
+        let (x0, nyquist, mut z0) = (data[0], data[half], E::ZERO);
         for l in 0..E::WIDTH {
-            data[0].set_lane(l, retangle(x0.lane(l), nyquist.lane(l), self.twiddles[0]));
+            z0.set_lane(l, retangle(x0.lane(l), nyquist.lane(l), self.twiddles[0]));
         }
-        self.mirror_pairs(data, retangle);
-        self.half_plan.inverse_lanes(&mut data[..half])
+        data[0] = z0;
+        self.mirror_pairs(half, data, retangle);
+        self.half_plan.inverse_lanes(half, &mut data[..half])
     }
 
-    /// Applies `f` in place to the mirror pairs `(k, n/2 − k)` for
+    /// Applies `f` in place to the mirror pairs `(k, half − k)` for
     /// `k ≥ 1`, loading both sources before either destination is
     /// overwritten.
     #[inline(always)]
     fn mirror_pairs<E: Lanes<T>>(
         &self,
+        half: usize,
         data: &mut [E],
         f: impl Fn(Complex<T>, Complex<T>, Complex<T::Twiddle>) -> Complex<T>,
     ) {
-        let half = self.len / 2;
+        let (data, twiddles) = (&mut data[..=half], &self.twiddles[..half]);
         let mut k = 1;
         while k <= half - k {
             let m = half - k;
-            let (vk, vm) = (data[k], data[m]);
+            let (vk, vm, mut yk, mut ym) = (data[k], data[m], E::ZERO, E::ZERO);
             for l in 0..E::WIDTH {
-                data[k].set_lane(l, f(vk.lane(l), vm.lane(l), self.twiddles[k]));
-                if k != m {
-                    data[m].set_lane(l, f(vm.lane(l), vk.lane(l), self.twiddles[m]));
-                }
+                yk.set_lane(l, f(vk.lane(l), vm.lane(l), twiddles[k]));
+                ym.set_lane(l, f(vm.lane(l), vk.lane(l), twiddles[m]));
             }
+            // At k = m the pair is one bin, and `ym` equals `yk`.
+            (data[k], data[m]) = (yk, ym);
             k += 1;
         }
     }
 
     #[inline(always)]
-    fn check_bins<E>(&self, data: &[E]) -> Result<(), FftError> {
-        if data.len() == self.spectrum_len() {
+    fn check_bins<E>(&self, len: usize, data: &[E]) -> Result<(), FftError> {
+        assert_eq!(len, self.len, "a lane transform is given its plan's length");
+        let bins = half_spectrum_bins(len);
+        if data.len() == bins {
             Ok(())
         } else {
-            Err(FftError::LengthMismatch { expected: self.spectrum_len(), got: data.len() })
+            Err(FftError::LengthMismatch { expected: bins, got: data.len() })
         }
     }
 }
@@ -385,7 +411,7 @@ mod tests {
                 data[k].set_lane(l, C::new(x[2 * k], x[2 * k + 1]));
             }
         }
-        plan.forward_lanes(&mut data).unwrap();
+        plan.forward_lanes(n, &mut data).unwrap();
         let bits = |c: C| (c.re.to_bits(), c.im.to_bits());
         let mut scalar = Vec::new();
         for l in 0..L {
@@ -402,7 +428,7 @@ mod tests {
                 data[k].set_lane(l, *bin);
             }
         }
-        plan.inverse_lanes(&mut data).unwrap();
+        plan.inverse_lanes(n, &mut data).unwrap();
         for (l, spec) in scalar.iter_mut().enumerate() {
             let mut time = vec![0.0; n];
             plan.inverse_into(spec, &mut time).unwrap();
@@ -427,8 +453,8 @@ mod tests {
         let plan = RealFftPlan::<f64>::new(8).unwrap();
         let mut short = vec![ComplexLanes::<f64, 4>::ZERO; 4];
         let err = FftError::LengthMismatch { expected: 5, got: 4 };
-        assert_eq!(plan.forward_lanes(&mut short), Err(err.clone()));
-        assert_eq!(plan.inverse_lanes(&mut short), Err(err));
+        assert_eq!(plan.forward_lanes(8, &mut short), Err(err.clone()));
+        assert_eq!(plan.inverse_lanes(8, &mut short), Err(err));
     }
 
     #[test]

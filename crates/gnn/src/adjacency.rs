@@ -78,8 +78,8 @@ impl NormalizedAdjacency {
     /// *assigns* (overwriting whatever a recycled buffer held) and
     /// neighbor terms accumulate, so `orow` needs no pre-zeroing; columns
     /// of `h` beyond `orow.len()` are not read. The arithmetic runs
-    /// through [`isa::dispatch`]: AVX2 where the CPU has it, the same
-    /// bits either way.
+    /// through [`isa::dispatch`]: AVX-512F or AVX2 where the CPU has it,
+    /// the same bits on every arm.
     ///
     /// # Panics
     ///
@@ -126,6 +126,7 @@ impl NormalizedAdjacency {
 mod tests {
     use super::*;
     use crate::models::testutil::hub_graph;
+    use blockgnn_linalg::isa::Arm;
     use proptest::prelude::*;
 
     fn triangle() -> CsrGraph {
@@ -209,23 +210,32 @@ mod tests {
             width in 1usize..71,
             beside in 0usize..3,
         ) {
-            // `write_row` (through `isa::dispatch`, AVX2 on a CPU that
-            // has it) against `row_sum` called directly (the build's
-            // baseline), bit for bit, into poisoned rows: hub, parallel
-            // arcs, isolated nodes, every vector-width remainder, and an
-            // output narrower than `h`.
+            // `row_sum` on every arm this CPU runs, and `write_row`
+            // (through `isa::dispatch`, the widest), against `row_sum`
+            // called directly (the build's baseline), bit for bit, into
+            // poisoned rows: hub, parallel arcs, isolated nodes, every
+            // vector-width remainder, and an output narrower than `h`.
             let n = 23;
             let g = hub_graph(n);
             let a = NormalizedAdjacency::new(&g);
             let h = Matrix::from_fn(n, width + beside, |i, j| {
                 ((seed as usize + i * 31 + j) as f64 * 0.37).sin() * (1.0 + i as f64)
             });
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             for v in 0..n {
-                let (mut dispatched, mut baseline) = (vec![f64::NAN; width], vec![f64::NAN; width]);
-                a.write_row(&g, Band::whole(&h), v, &mut dispatched);
+                let mut baseline = vec![f64::NAN; width];
                 a.row_sum(&g, Band::whole(&h), v, &mut baseline);
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                let mut dispatched = vec![f64::NAN; width];
+                a.write_row(&g, Band::whole(&h), v, &mut dispatched);
                 prop_assert_eq!(bits(&dispatched), bits(&baseline), "node {}", v);
+                for arm in Arm::supported() {
+                    let mut on_arm = vec![f64::NAN; width];
+                    arm.run(
+                        #[inline(always)]
+                        || a.row_sum(&g, Band::whole(&h), v, &mut on_arm),
+                    );
+                    prop_assert_eq!(bits(&on_arm), bits(&baseline), "node {} on {:?}", v, arm);
+                }
             }
         }
     }

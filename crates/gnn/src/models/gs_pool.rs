@@ -210,7 +210,8 @@ fn max_pool_neighbors(
 }
 
 /// Columns per pass of [`running_max`]: 32 f64 are eight AVX2 registers,
-/// half the file, so a chunk's maxima stay in registers across sources.
+/// half the file (four of AVX-512F's 32), so a chunk's maxima stay in
+/// registers across sources.
 const MAX_CHUNK: usize = 32;
 
 /// The inference arm of [`max_pool_neighbors`]: `out[d]` becomes the
@@ -275,6 +276,7 @@ mod tests {
         check_model_gradients, hub_graph, tiny_features, tiny_graph,
     };
     use crate::models::GnnModel;
+    use blockgnn_linalg::isa::Arm;
     use blockgnn_nn::Compression;
     use proptest::prelude::*;
 
@@ -351,9 +353,10 @@ mod tests {
             width in 1usize..71,
             beside in 0usize..3,
         ) {
-            // The inference arm through `isa::dispatch` (AVX2 on a CPU
-            // that has it), `running_max` called directly (the build's
-            // baseline) and the training arm, bit for bit: a hub with
+            // The inference arm through `isa::dispatch` (the widest ISA
+            // arm), `running_max` on every arm this CPU runs and called
+            // directly (the build's baseline), and the training arm, bit
+            // for bit: a hub with
             // parallel arcs, isolated nodes pooling from themselves, NaN
             // and −∞ sources, widths on both sides of the 32-column chunk
             // and a `pooled` wider than the pooled band.
@@ -379,6 +382,14 @@ mod tests {
                 max_pool_neighbors(&g, &pooled, v, &mut trained, Some(&mut winners));
                 prop_assert_eq!(bits(&dispatched), bits(&baseline), "node {}", v);
                 prop_assert_eq!(bits(&dispatched), bits(&trained), "node {}", v);
+                for arm in Arm::supported() {
+                    let mut on_arm = vec![f64::NAN; width];
+                    arm.run(
+                        #[inline(always)]
+                        || running_max(sources, &pooled, &mut on_arm),
+                    );
+                    prop_assert_eq!(bits(&on_arm), bits(&baseline), "node {} on {:?}", v, arm);
+                }
             }
         }
     }

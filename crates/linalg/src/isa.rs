@@ -1,21 +1,24 @@
-//! One source, two codegens: run a lane kernel compiled for the vectors
+//! One source, three codegens: run a lane kernel compiled for the vectors
 //! the CPU has.
 //!
 //! The lane kernels of this workspace (the `Lanes` transforms of
 //! `blockgnn-fft` under the block-circulant tile of `blockgnn-core`, the
 //! per-row aggregations of `blockgnn-gnn`) are plain loops over slices
-//! and `[f64; L]` arrays. Built without target
-//! flags they compile for the x86-64 baseline — SSE2, two f64 per
-//! register — whatever the machine can do. [`dispatch`] runs such a
-//! kernel from inside a function compiled with AVX2 enabled (four f64 per
-//! register, twice the registers' worth of lanes) when the CPU reports
-//! it, and as-is otherwise.
+//! and `[f64; L]` arrays. Built without target flags they compile for the
+//! x86-64 baseline — SSE2, two f64 per register — whatever the machine
+//! can do. [`dispatch`] runs such a kernel from inside a function compiled
+//! for the widest [`Arm`] the CPU reports: AVX-512F (eight f64 per
+//! register, 32 registers), else AVX2 (four f64 per register), else the
+//! kernel as built.
 //!
-//! Nothing else changes: AVX2 is enabled **without FMA**, Rust never
-//! contracts `a*b + c` or reassociates a sum, and every vector add,
-//! multiply and compare is IEEE-exact per lane at either width — so a
-//! kernel's output bits are the same on both paths, which the callers'
-//! tests check by `f64::to_bits` against the kernel called directly.
+//! Nothing else changes, so a kernel's output bits are the same on every
+//! arm. Rust never contracts `a*b + c` into a fused multiply-add, nor
+//! reassociates a sum, whatever the target features allow: AVX-512F
+//! implies FMA, and the AVX-512F arm still fuses nothing, because no FMA
+//! is ever asked for (the AVX2 arm does not even enable it). Every vector
+//! add, multiply, subtract and compare is IEEE-exact per lane at any
+//! width. The callers' tests hold each arm the CPU supports to the kernel
+//! called directly by `f64::to_bits` ([`Arm::supported`], [`Arm::run`]).
 //!
 //! Only code **inlined into** the closure is recompiled: a function the
 //! closure merely calls keeps its own (baseline) codegen. Kernels routed
@@ -23,10 +26,86 @@
 //! arithmetic, and the closure itself is written
 //! `#[inline(always)] || ..`.
 
-/// Runs `kernel` — compiled for AVX2 when the CPU has it, as compiled for
-/// the build's baseline otherwise. Same source either way, so the same
-/// result bits (module docs); detection is a cached flag test, cheap
-/// enough to pay per row.
+/// A codegen a lane kernel can run on, widest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arm {
+    /// AVX-512F: eight f64 per register.
+    Avx512f,
+    /// AVX2: four f64 per register.
+    Avx2,
+    /// The build's own target (SSE2 on x86-64).
+    Baseline,
+}
+
+impl Arm {
+    /// Every arm, widest first.
+    const ALL: [Arm; 3] = [Arm::Avx512f, Arm::Avx2, Arm::Baseline];
+
+    /// The arm's name as the CPU feature it needs (`"baseline"` needs
+    /// none).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Arm::Avx512f => "avx512f",
+            Arm::Avx2 => "avx2",
+            Arm::Baseline => "baseline",
+        }
+    }
+
+    /// Whether this CPU can run the arm. Detection is a cached flag test.
+    #[must_use]
+    #[inline]
+    pub fn is_supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            Arm::Baseline => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every arm this CPU can run, widest first: what a test holds to
+    /// the baseline.
+    pub fn supported() -> impl Iterator<Item = Arm> {
+        Self::ALL.into_iter().filter(|arm| arm.is_supported())
+    }
+
+    /// The widest arm this CPU can run — the one [`dispatch`] takes.
+    #[must_use]
+    #[inline]
+    pub fn widest() -> Arm {
+        Self::ALL.into_iter().find(|arm| arm.is_supported()).unwrap_or(Arm::Baseline)
+    }
+
+    /// Runs `kernel` with everything inlined into it compiled for this
+    /// arm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this CPU cannot run the arm ([`Arm::is_supported`]).
+    #[inline]
+    #[allow(unsafe_code)]
+    pub fn run<R>(self, kernel: impl FnOnce() -> R) -> R {
+        assert!(self.is_supported(), "this CPU cannot run the {} arm", self.name());
+        match self {
+            // SAFETY: `avx512f` requires only that the CPU executing it
+            // supports AVX-512F, which `is_supported` just confirmed.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512f => unsafe { avx512f(kernel) },
+            // SAFETY: as above, for AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => unsafe { avx2(kernel) },
+            _ => kernel(),
+        }
+    }
+}
+
+/// Runs `kernel` compiled for the widest [`Arm`] the CPU has. Same source
+/// on every arm, so the same result bits (module docs); detection is a
+/// cached flag test, cheap enough to pay per row.
 ///
 /// ```
 /// let mut y = [1.0, 2.0, 3.0];
@@ -37,14 +116,14 @@
 /// assert_eq!(y, [2.0, 4.0, 6.0]);
 /// ```
 #[inline]
-#[allow(unsafe_code)]
 pub fn dispatch<R>(kernel: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2` requires only that the CPU executing it supports
-        // AVX2, which `is_x86_feature_detected!("avx2")` just confirmed.
-        return unsafe { avx2(kernel) };
-    }
+    Arm::widest().run(kernel)
+}
+
+/// `kernel`, with everything inlined into it compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512f<R>(kernel: impl FnOnce() -> R) -> R {
     kernel()
 }
 
@@ -55,14 +134,11 @@ fn avx2<R>(kernel: impl FnOnce() -> R) -> R {
     kernel()
 }
 
-/// Which codegen [`dispatch`] runs on this CPU: `"avx2"` or `"baseline"`.
+/// Which codegen [`dispatch`] runs on this CPU: `"avx512f"`, `"avx2"` or
+/// `"baseline"`.
 #[must_use]
 pub fn path() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "baseline"
+    Arm::widest().name()
 }
 
 #[cfg(test)]
@@ -71,10 +147,16 @@ mod tests {
 
     #[test]
     fn dispatch_returns_what_the_kernel_returns_and_reports_its_path() {
-        // Printed under `--nocapture` in CI, so a runner without AVX2 —
-        // which exercises only the fallback — is visible in the log.
-        println!("isa::dispatch runs lane kernels on: {}", path());
-        assert!(["avx2", "baseline"].contains(&path()));
+        // Printed under `--nocapture` in CI: the widest arm, and every arm
+        // the bit-equality tests ran, so a runner without AVX-512F — which
+        // tests only AVX2 and the baseline — says so in the log.
+        let arms: Vec<&str> = Arm::supported().map(Arm::name).collect();
+        println!(
+            "isa::dispatch runs lane kernels on: {} (arms tested: {})",
+            path(),
+            arms.join(", ")
+        );
+        assert!(["avx512f", "avx2", "baseline"].contains(&path()));
         let x = [1.5_f64, -2.25, 3.0, 0.125, 7.0];
         let mut y = [0.0; 5];
         let sum = dispatch(
@@ -89,5 +171,24 @@ mod tests {
         let want: Vec<f64> = x.iter().map(|v| v * 3.0 + 1.0).collect();
         assert_eq!(y.as_slice(), want.as_slice());
         assert_eq!(sum.to_bits(), want.iter().sum::<f64>().to_bits());
+    }
+
+    #[test]
+    fn every_supported_arm_runs_the_kernel_and_dispatch_takes_the_widest() {
+        let supported: Vec<Arm> = Arm::supported().collect();
+        assert_eq!(supported.first(), Some(&Arm::widest()));
+        assert_eq!(supported.last(), Some(&Arm::Baseline));
+        assert_eq!(path(), Arm::widest().name());
+        // A product and a sum in the order written, on every arm.
+        let x: Vec<f64> = (0..37).map(|i| (f64::from(i) * 0.37).sin()).collect();
+        let kernel = |x: &[f64]| x.iter().fold(0.25, |acc, v| acc + v * 1.5);
+        let baseline = kernel(&x).to_bits();
+        for arm in supported {
+            let got = arm.run(
+                #[inline(always)]
+                || kernel(&x),
+            );
+            assert_eq!(got.to_bits(), baseline, "{arm:?}");
+        }
     }
 }

@@ -23,8 +23,8 @@
 //! ```
 
 #![deny(missing_docs)]
-// The workspace's one `unsafe` block is the call into the
-// `target_feature` function of `isa::dispatch`; every other crate
+// The workspace's only `unsafe` blocks are the calls into the
+// `target_feature` functions of `isa::Arm::run`; every other crate
 // forbids the keyword outright.
 #![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
