@@ -54,7 +54,11 @@
 //!   widest arm the CPU has, with the tile body and the lane transforms
 //!   under it forced inline, so on a CPU with AVX-512F an 8-row lane group
 //!   of f64 is one register, with AVX2 two, and elsewhere the build's
-//!   baseline (SSE2: four). Same source, no FMA on any arm.
+//!   baseline (SSE2: four). Same source, no FMA on any arm. AVX-512F is
+//!   taken at block sizes up to 32 only: above that a butterfly stage is
+//!   too long to unroll, LLVM vectorises it across butterflies with
+//!   gathers and scatters instead of across lanes, and the AVX2 codegen
+//!   measured as fast at 64 and faster at 128 and at run-time sizes.
 //! * **The block size is compiled in.** The tile body — the load
 //!   transpose, the RFFT, the MAC, the IRFFT and the write-out — is one
 //!   generic body over `const N`, instantiated for each power of two from
@@ -127,6 +131,18 @@ macro_rules! with_block_size {
         const $N: usize = $size;
         $body
     }};
+}
+
+/// The arm the tile instance `block` (`with_block_size!`'s `N`, 0 at a
+/// run-time size) runs on: the widest the CPU has for `block` 1 to 32,
+/// AVX2 at most otherwise. Above 32 the butterfly stages are too long to
+/// unroll,
+/// and on AVX-512F LLVM vectorises them across butterflies, with gathers
+/// and scatters, instead of across lanes: products at 64, 128 and 256
+/// measured 1.03–1.11×, 1.48–1.55× and 1.56–1.61× their AVX2 time, and
+/// 0.67–0.77× at every size from 1 to 32 (pinned, three processes).
+fn tile_arm(block: usize) -> Arm {
+    Arm::widest_up_to(if (1..=32).contains(&block) { Arm::Avx512f } else { Arm::Avx2 })
 }
 
 /// Reusable workspace of the half-spectrum kernel: a tile's input
@@ -391,7 +407,7 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         assert_eq!(out.len(), rows * self.out_dim, "matmul output must be rows × out_dim");
         assert!(bias.is_none_or(|b| b.len() == self.out_dim), "bias length must equal out_dim");
         with_block_size!(self.block_size, N => {
-            self.matmul_on::<N>(Arm::widest(), x, bias, scratch, out)
+            self.matmul_on::<N>(tile_arm(N), x, bias, scratch, out)
         });
     }
 
@@ -556,7 +572,7 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
             "kernel gradient must be p·q·n long"
         );
         with_block_size!(self.block_size, N => {
-            self.kernel_grad_on::<N>(Arm::widest(), grad_out, x, scratch, kernel_grad)
+            self.kernel_grad_on::<N>(tile_arm(N), grad_out, x, scratch, kernel_grad)
         });
     }
 

@@ -161,9 +161,17 @@ impl<T: FftFloat> Complex<T> {
 /// ([`crate::RealFftPlan::forward_lanes`]) and the batched circulant
 /// kernel in `blockgnn-core` loop over: every operation is a plain
 /// `for lane in 0..L` over `[T; L]`, so it vectorises (for the ISA of the
-/// kernel the accessors are inlined into — `blockgnn_linalg::isa`), and at
-/// `L = 1` the layout is exactly [`Complex`].
+/// kernel the accessors are inlined into — `blockgnn_linalg::isa`). The
+/// one-lane case is [`Complex`] itself.
+///
+/// Every element starts on a 64-byte cache line, so at eight f64 lanes its
+/// real parts are one line and its imaginary parts the next, and a 512-bit
+/// load or store never straddles two lines, wherever the allocator put the
+/// buffer. Left at f64 alignment, the AVX-512F tile's speed hung on the
+/// buffer's address: a 64×96 BC4 product read 1.41–1.53× its AVX2 time in
+/// six processes and 0.87× in a seventh; aligned, 0.72–0.76× in each of six.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
 pub struct ComplexLanes<T, const L: usize> {
     /// Real parts, one per lane.
     pub re: [T; L],

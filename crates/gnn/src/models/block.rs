@@ -162,14 +162,12 @@ pub(super) fn combine_blocks(
             None => y,
         };
     }
-    let mut out = Matrix::zeros(rows.len(), comb.out_dim());
-    stream_blocks(comb, scratch, rows, aggregate, out.as_mut_slice(), |comb, z, y| {
+    stream_blocks(comb, scratch, rows, aggregate, |comb, z, y| {
         comb.forward_into(z, y);
         if let Some(act) = &act {
             act.apply_in_place(y);
         }
-    });
-    out
+    })
 }
 
 /// `W·x` without the bias ([`LinearLayer::product_into`]) at `nodes`,
@@ -182,51 +180,43 @@ pub(super) fn transform_blocks(
     input: Band,
     nodes: &[u32],
 ) -> Matrix {
-    let mut out = Matrix::zeros(nodes.len(), comb.out_dim());
-    transform_into(comb, scratch, input, nodes, out.as_mut_slice());
-    out
-}
-
-/// [`transform_blocks`] into `out`, `nodes.len() · comb.out_dim()` long
-/// (every entry overwritten).
-pub(super) fn transform_into(
-    comb: &mut LinearLayer,
-    scratch: &mut BlockScratch,
-    input: Band,
-    nodes: &[u32],
-    out: &mut [f64],
-) {
     let rows = nodes.iter().map(|&v| v as usize);
-    let fill = |v, z: &mut [f64]| z.copy_from_slice(input.row(v));
-    stream_blocks(comb, scratch, rows, fill, out, |comb, z, y| comb.product_into(z, y));
+    stream_blocks(
+        comb,
+        scratch,
+        rows,
+        |v, z| z.copy_from_slice(input.row(v)),
+        |comb, z, y| {
+            comb.product_into(z, y);
+        },
+    )
 }
 
 /// The inference block loop under [`combine_blocks`] and
 /// [`transform_blocks`]: per block of [`ROW_BLOCK`] rows, `fill(v, z)`
 /// writes node `v`'s `comb.in_dim()`-wide input row and `apply(comb, z,
-/// y)` maps the block to its rows of `out` (`rows.len() · comb.out_dim()`
-/// long).
+/// y)` maps the block to its output rows.
 fn stream_blocks(
     comb: &mut LinearLayer,
     scratch: &mut BlockScratch,
     mut rows: impl ExactSizeIterator<Item = usize>,
     mut fill: impl FnMut(usize, &mut [f64]),
-    out: &mut [f64],
     mut apply: impl FnMut(&mut LinearLayer, &[f64], &mut [f64]),
-) {
+) -> Matrix {
     let (width, out_dim) = (comb.in_dim(), comb.out_dim());
-    assert_eq!(out.len(), rows.len() * out_dim, "one output row per input row");
+    let mut out = Matrix::zeros(rows.len(), out_dim);
     let block_len = ROW_BLOCK.min(rows.len()) * width;
     if scratch.input.len() < block_len {
         scratch.input.resize(block_len, 0.0);
     }
-    for y in out.chunks_mut(ROW_BLOCK * out_dim) {
+    for y in out.as_mut_slice().chunks_mut(ROW_BLOCK * out_dim) {
         let z = &mut scratch.input[..y.len() / out_dim * width];
         for (zrow, v) in z.chunks_exact_mut(width).zip(rows.by_ref()) {
             fill(v, zrow);
         }
         apply(comb, z, y);
     }
+    out
 }
 
 /// `backward` through what [`combine_blocks`]' training arm ran — the

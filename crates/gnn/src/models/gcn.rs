@@ -32,8 +32,7 @@
 use crate::adjacency::NormalizedAdjacency;
 use crate::batch::KEPT_SCRATCH_BYTES;
 use crate::models::block::{
-    combine_backward, combine_blocks, transform_blocks, transform_into, Band, BlockScratch,
-    ROW_BLOCK,
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, ROW_BLOCK,
 };
 use crate::models::{widen, GnnModel, ModelKind, StageScratch};
 use crate::table::RowTable;
@@ -71,18 +70,15 @@ pub struct Gcn {
 
 /// Lists the transform-first layer reuses from call to call: the nodes
 /// whose `T` rows a call reads, those a table lacks, each node's row in
-/// the call's computed `T`, and [`widen`]'s marks — and the block of `T`
-/// rows [`Gcn::fill`] computes before it copies them into a table.
-/// Clones empty; released after a call that leaves them past
-/// [`KEPT_SCRATCH_BYTES`], as [`GnnModel::forward_at_indexed`] releases
-/// its stage scratch.
+/// the call's computed `T`, and [`widen`]'s marks. Clones empty; released
+/// after a call that leaves them past [`KEPT_SCRATCH_BYTES`], as
+/// [`GnnModel::forward_at_indexed`] releases its stage scratch.
 #[derive(Debug, Default)]
 struct FirstScratch {
     sources: Vec<u32>,
     missing: Vec<u32>,
     at: Vec<u32>,
     marks: Vec<bool>,
-    block: Vec<f64>,
 }
 
 impl Clone for FirstScratch {
@@ -104,7 +100,7 @@ impl FirstScratch {
     /// Bytes of everything kept.
     fn bytes(&self) -> usize {
         let lists = self.sources.capacity() + self.missing.capacity() + self.at.capacity();
-        lists * 4 + self.marks.capacity() + self.block.capacity() * 8
+        lists * 4 + self.marks.capacity()
     }
 }
 
@@ -224,25 +220,23 @@ impl Gcn {
         }
     }
 
-    /// Transforms the `T` rows of `first.missing` (node `v`'s feature row
-    /// through `index`, as in [`Gcn::first_layer`]) a block at a time
-    /// into `first.block`, outside `table`'s lock, and copies each block
-    /// in under a short write lock.
+    /// Transforms the `T` rows of `nodes` (node `v`'s feature row through
+    /// `index`, as in [`Gcn::first_layer`]) a block at a time outside
+    /// `table`'s lock, and writes each block under a short write lock.
     fn fill(
         &mut self,
         table: &RowTable,
         features: &Matrix,
         index: Option<&[u32]>,
-        first: &mut FirstScratch,
+        nodes: &[u32],
     ) {
         let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
         let input = Band::with_index(features, index);
         let width = table.width();
-        for nodes in first.missing.chunks(ROW_BLOCK) {
-            first.block.resize(nodes.len() * width, 0.0);
-            transform_into(&mut self.lin1, &mut self.scratch, input, nodes, &mut first.block);
+        for block in nodes.chunks(ROW_BLOCK) {
+            let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, block);
             let mut slab = table.write();
-            for (row, &v) in first.block.chunks_exact(width).zip(nodes) {
+            for (row, &v) in computed.as_slice().chunks(width).zip(block) {
                 slab.put(key(v), row);
             }
         }
@@ -281,7 +275,7 @@ impl Gcn {
                 first.missing.extend(first.sources.iter().filter(|v| !present(v)));
             }
         }
-        self.fill(table, features, index, first);
+        self.fill(table, features, index, &first.missing);
         let width = table.width();
         let rows = rows.unwrap_or(&first.sources);
         let mut out = Matrix::zeros(rows.len(), width);
@@ -407,7 +401,7 @@ impl GnnModel for Gcn {
             let slab = table.read();
             first.missing.extend(rows.iter().filter(|&&v| !slab.has(v as usize)));
         }
-        self.fill(&table, features, None, &mut first);
+        self.fill(&table, features, None, &first.missing);
         self.keep_first(first);
     }
 
