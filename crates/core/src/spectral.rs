@@ -136,11 +136,10 @@ macro_rules! with_block_size {
 /// The arm the tile instance `block` (`with_block_size!`'s `N`, 0 at a
 /// run-time size) runs on: the widest the CPU has for `block` 1 to 32,
 /// AVX2 at most otherwise. Above 32 the butterfly stages are too long to
-/// unroll,
-/// and on AVX-512F LLVM vectorises them across butterflies, with gathers
-/// and scatters, instead of across lanes: products at 64, 128 and 256
-/// measured 1.03–1.11×, 1.48–1.55× and 1.56–1.61× their AVX2 time, and
-/// 0.67–0.77× at every size from 1 to 32 (pinned, three processes).
+/// unroll, and on AVX-512F LLVM vectorises them across butterflies, with
+/// gathers and scatters, instead of across lanes: products at 64, 128 and
+/// 256 measured 1.03–1.11×, 1.48–1.55× and 1.56–1.61× their AVX2 time,
+/// and 0.67–0.77× at every size from 1 to 32 (pinned, three processes).
 fn tile_arm(block: usize) -> Arm {
     Arm::widest_up_to(if (1..=32).contains(&block) { Arm::Avx512f } else { Arm::Avx2 })
 }
