@@ -31,10 +31,11 @@
 //! its logits in isolation; on anything but spatially local graphs that
 //! closure approaches the whole graph, and per-part redundant compute
 //! erases the parallel win. Instead each stage computes only its own
-//! rows and reads the previous stage's **merged** matrix at a one-hop
+//! rows, writing them in place into one node-indexed matrix per stage,
+//! and reads the **merged** matrices of the stages below at a one-hop
 //! halo ([`GnnModel::forward_stage`](blockgnn_gnn::GnnModel::forward_stage)) —
 //! zero redundant arithmetic, and every row is produced by exactly the
-//! same operations as the monolithic pass, so merged logits are
+//! same operations as the one-worker pass, so merged logits are
 //! **bit-identical** to a one-worker engine's (each row's FFTs see the
 //! same inputs on the spectral paths too).
 //!
@@ -54,6 +55,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::versioned::{lock_recover, GraphEpoch};
 use blockgnn_accel::SimReport;
+use blockgnn_gnn::models::{StageInputs, StageOut};
 use blockgnn_gnn::GnnModel;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
@@ -89,7 +91,8 @@ impl Engine {
     /// [`DEFAULT_PART_BUDGET_BYTES`]. The plan follows the graph
     /// version, so [`Engine::apply_delta`], [`Engine::fork`] and
     /// [`Engine::infer_coalesced`] keep working. `into_parallel(1)`
-    /// leaves a one-worker engine, which runs the monolithic pass.
+    /// leaves a one-worker engine, which runs every stage over every row
+    /// on the calling thread.
     ///
     /// ```
     /// use blockgnn_engine::{BackendKind, EngineBuilder, GraphDelta, InferRequest};
@@ -213,14 +216,22 @@ impl Engine {
         Plan { parts, balance }
     }
 
-    /// The widest row any inference stage materializes (stage outputs
-    /// can be wider than the input features, e.g. G-GCN's `[p ‖ q ‖ h]`
-    /// transform rows) — the per-node width residency planning uses.
+    /// The widest row any inference stage holds resident — the per-node
+    /// width residency planning uses. A stage's output row, and beside a
+    /// node-local stage's output the input row it was computed from,
+    /// which the aggregation above it reads too (GS-Pool's `t` with `h`,
+    /// G-GCN's `[p ‖ q]` with `h`).
     fn plan_width(&self, feature_dim: usize) -> usize {
         let model = &self.workers[0].model;
-        (0..model.num_stages())
-            .map(|s| model.stage_width(s, feature_dim))
-            .fold(feature_dim, usize::max)
+        let mut input = feature_dim;
+        let mut widest = feature_dim;
+        for stage in 0..model.num_stages() {
+            let width = model.stage_width(stage, feature_dim);
+            let beside = if model.stage_reads_neighbors(stage) { 0 } else { input };
+            widest = widest.max(width + beside);
+            input = width;
+        }
+        widest
     }
 
     /// Partitions `graph` into degree-balanced parts: at least one per
@@ -252,7 +263,7 @@ impl Engine {
     }
 
     /// One uncached full-graph pass over `epoch`, returning the output
-    /// and the parts executed. One worker runs the monolithic `forward`;
+    /// and the parts executed. One worker runs the model's `forward`;
     /// a widened engine runs the version's plan and charges every part's
     /// targets.
     pub(crate) fn full_graph_pass(&mut self, epoch: &GraphEpoch) -> (BackendOutput, usize) {
@@ -282,12 +293,17 @@ impl Engine {
 }
 
 /// Executes the model's inference stages over `parts`, fanning each
-/// stage's parts out to the worker pool and merging the output rows
-/// (row-aligned by global node id) before the next stage starts; returns
-/// the last stage's merged matrix. A model that reads node-local rows
-/// from a table has each part's own rows filled first
-/// ([`GnnModel::fill_row_table`]), so stage 0 finds its halo's rows
-/// there instead of computing them again.
+/// stage's parts out to the worker pool: each part's rows are written in
+/// place into the stage's node-indexed matrix, which the stages above
+/// read once every part is done; returns the last stage's matrix. A model
+/// that reads node-local rows from a table has each part's own rows
+/// filled first ([`GnnModel::fill_row_table`]), so stage 0 finds its
+/// halo's rows there instead of computing them again.
+///
+/// # Panics
+///
+/// Panics unless `parts` tile the nodes in order, each a run of
+/// consecutive ids (as [`partition_degree_balanced`] cuts them).
 fn run_staged(
     workers: &mut [Backend],
     graph: &CsrGraph,
@@ -295,73 +311,74 @@ fn run_staged(
     parts: &[GraphPart],
 ) -> Matrix {
     let n = graph.num_nodes();
-    let num_stages = workers[0].model.num_stages();
     let feature_dim = features.cols();
     if workers[0].model.row_table_width().is_some() {
-        fan_out(workers, graph, parts, |model, rows| model.fill_row_table(features, rows));
+        let rows = parts.iter().map(|part| part.nodes.as_slice()).collect();
+        fan_out(workers, graph, rows, |model, rows| model.fill_row_table(features, rows));
     }
-    let mut merged: Option<Matrix> = None;
-    for stage in 0..num_stages {
+    let tiled = parts.iter().flat_map(|part| &part.nodes).map(|&v| v as usize).eq(0..n);
+    assert!(tiled, "parts must tile the nodes in order, each a run of consecutive ids");
+    let mut outputs: Vec<Matrix> = Vec::new();
+    for stage in 0..workers[0].model.num_stages() {
         let width = workers[0].model.stage_width(stage, feature_dim);
-        let input: &Matrix = merged.as_ref().unwrap_or(features);
         let mut out = Matrix::zeros(n, width);
-        let results = fan_out(workers, graph, parts, |model, rows| {
-            model.forward_stage(stage, graph, input, rows)
+        let mut rest = out.as_mut_slice();
+        let jobs = parts.iter().map(|part| {
+            let (mine, after) =
+                std::mem::take(&mut rest).split_at_mut(part.nodes.len() * width);
+            rest = after;
+            (part.nodes.as_slice(), mine)
         });
-        for (rows, result) in results {
-            for (i, &v) in rows.iter().enumerate() {
-                out.row_mut(v as usize).copy_from_slice(result.row(i));
-            }
-        }
-        merged = Some(out);
+        let inputs = StageInputs { features, index: None, below: &outputs };
+        fan_out(workers, graph, jobs.collect(), |model, (rows, mine)| {
+            model.forward_stage(stage, graph, inputs, rows, StageOut::listed(mine));
+        });
+        outputs.push(out);
     }
-    // Unreachable: `GnnModel::num_stages` is at least one (the last stage
-    // produces the logits), so the loop above ran and set `merged`.
-    merged.expect("models have at least one stage")
+    // `GnnModel::num_stages` is at least one (the last stage produces the
+    // logits), so the loop above pushed one.
+    outputs.pop().expect("models have at least one stage")
 }
 
-/// Runs `task` on every part's rows over a [`std::thread::scope`] pool,
-/// one thread per worker, and returns each part's rows with its result.
-fn fan_out<'p, R: Send>(
+/// Runs `task` on every job over a [`std::thread::scope`] pool, one
+/// thread per worker, job `i` on worker `i mod workers`.
+fn fan_out<J: Send>(
     workers: &mut [Backend],
     graph: &CsrGraph,
-    parts: &'p [GraphPart],
-    task: impl Fn(&mut dyn GnnModel, &'p [u32]) -> R + Sync,
-) -> Vec<(&'p [u32], R)> {
+    jobs: Vec<J>,
+    task: impl Fn(&mut dyn GnnModel, J) + Sync,
+) {
     let num_workers = workers.len();
+    let mut assigned: Vec<Vec<J>> = (0..num_workers).map(|_| Vec::new()).collect();
+    // Round-robin assignment: degree-balanced parts are near-equal in
+    // work, so stride-W interleaving balances the load.
+    for (i, job) in jobs.into_iter().enumerate() {
+        assigned[i % num_workers].push(job);
+    }
     let task = &task;
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_workers);
-        for (w, backend) in workers.iter_mut().enumerate() {
-            // Round-robin assignment: degree-balanced parts are
-            // near-equal in work, so stride-W interleaving balances
-            // the load.
-            let assigned: Vec<&[u32]> = parts
-                .iter()
-                .skip(w)
-                .step_by(num_workers)
-                .map(|part| part.nodes.as_slice())
-                .collect();
-            if assigned.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                // Per-graph precomputation happens inside the worker
-                // (in parallel, not serially on the caller thread);
-                // it is idempotent, so later calls hit a warm cache.
-                let model = backend.model.as_mut();
-                model.prepare_graph(graph);
-                assigned.into_iter().map(|rows| (rows, task(model, rows))).collect::<Vec<_>>()
-            }));
-        }
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .zip(assigned)
+            .filter(|(_, jobs)| !jobs.is_empty())
+            .map(|(backend, jobs)| {
+                scope.spawn(move || {
+                    // Per-graph precomputation happens inside the worker
+                    // (in parallel, not serially on the caller thread);
+                    // it is idempotent, so later calls hit a warm cache.
+                    let model = backend.model.as_mut();
+                    model.prepare_graph(graph);
+                    jobs.into_iter().for_each(|job| task(model, job));
+                })
+            })
+            .collect();
         // A worker's panic is the model's: re-raise its own payload, so
         // the caller's fault domain sees that panic rather than a second
         // one raised by the join.
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+        for handle in handles {
+            handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
+    });
 }
 
 /// Charges each part's target nodes on the hardware model and merges

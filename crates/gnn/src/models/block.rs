@@ -12,19 +12,24 @@
 //!
 //! Every layer kind wraps it in exactly one kernel that differs only in
 //! how a destination row is aggregated, and every route calls that
-//! kernel: `forward(.., false)` over all rows, `forward_stage` over a
-//! shard's row list — telling it through [`Band`]s where the matrices it
-//! reads at neighbor rows live — and `forward(.., true)`, which runs all
-//! rows as one block and records what `backward` reads. The routes are
-//! bit-identical because they are one body: each row is produced by the
-//! same operations in the same order whatever block it lands in, and the
+//! kernel: the staged pass ([`crate::GnnModel::forward_stage`]) over a
+//! stage's row list — every row for a full-graph `forward(.., false)`,
+//! a shard's rows for the widened pass, the rows a later stage reads for
+//! `forward_at` — telling it through [`Band`]s where the matrices it
+//! reads at neighbor rows live, and `forward(.., true)`, which runs all
+//! rows as one block and records what `backward` reads. The node-local
+//! transform before each aggregation streams its input rows through the
+//! same block ([`transform_blocks`]). Both write each output row where
+//! the caller's [`StageOut`] puts it. The routes are bit-identical
+//! because they are one body: each row is produced by the same
+//! operations in the same order whatever block it lands in, and the
 //! linear layers are row-independent ([`LinearLayer::forward_into`]).
 //!
 //! One layer leaves this pipeline on one backend: a GCN prepared for
 //! `ExecMode::Spectral` runs its first layer transform-first (see
 //! [`crate::models::gcn`]). Its `T = X·W₁` rows stream through
-//! [`transform_blocks`], and every route of that prepared model — the
-//! fused `forward`, `forward_stage`, `forward_at_indexed` and the widened
+//! [`transform_blocks`], and every route of that prepared model — a
+//! full `forward`, `forward_stage`, `forward_at_indexed` and the widened
 //! pass — aggregates them through its one kernel, `Gcn::first_rows_into`,
 //! so those routes agree bit for bit with each other, not with the other
 //! modes. The routes that keep the paper's order through
@@ -34,7 +39,7 @@
 //! simulated accelerator by `tests/engine_api.rs`'s hand-wired Q16.16 GCN
 //! oracle.
 
-use super::StageScratch;
+use super::{StageOut, StageScratch};
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::activation::ActivationLayer;
 use blockgnn_nn::{Layer, LinearLayer};
@@ -50,12 +55,11 @@ pub(super) const ROW_BLOCK: usize = 64;
 /// read either at the node's own row or, through an index, at row
 /// `index[v]`.
 ///
-/// The monolithic pass keeps what an aggregation reads in matrices of
-/// its own; a staged pass finds the same values side by side in the
-/// previous stage's output. A sampled universe's stage 0 reads its
-/// nodes' features in place, from the graph-wide matrix through the
-/// universe's local→global ids. A kernel that takes bands reads any of
-/// them.
+/// A kernel reads what an aggregation needs at neighbor rows through
+/// bands: a stage's node-indexed output, the columns of it one term of
+/// the aggregation uses (G-GCN's `p` and `q` halves), or, for a sampled
+/// universe's stage 0, the graph-wide feature matrix through the
+/// universe's local→global ids.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Band<'a> {
     matrix: &'a Matrix,
@@ -78,12 +82,8 @@ impl<'a> Band<'a> {
         Self::new(matrix, 0, matrix.cols())
     }
 
-    /// Every column of `matrix`, node `v` at row `index[v]`.
-    pub(crate) fn indexed(matrix: &'a Matrix, index: &'a [u32]) -> Self {
-        Self { index: Some(index), ..Self::whole(matrix) }
-    }
-
-    /// [`Band::indexed`] with an index, else [`Band::whole`].
+    /// Every column of `matrix`, node `v` at row `index[v]` with an
+    /// index, else at row `v`.
     pub(crate) fn with_index(matrix: &'a Matrix, index: Option<&'a [u32]>) -> Self {
         Self { index, ..Self::whole(matrix) }
     }
@@ -104,26 +104,35 @@ impl<'a> Band<'a> {
         &self.matrix.row(at)[self.offset..self.offset + self.width]
     }
 
-    /// Copies the rows of nodes `rows`, in order, into a matrix.
-    pub(crate) fn gather(&self, rows: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(rows.len(), self.width);
-        for (i, &v) in rows.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(v as usize));
-        }
-        out
+    /// The rows of `nodes` as one slice of the matrix, when the band is
+    /// every column of an unindexed matrix and `nodes` are one run of
+    /// ids.
+    fn run(&self, nodes: &[usize]) -> Option<&'a [f64]> {
+        let whole = self.index.is_none() && self.width == self.matrix.cols();
+        let first = *nodes.first()?;
+        (whole && consecutive(nodes))
+            .then(|| &self.matrix.as_slice()[first * self.width..][..nodes.len() * self.width])
     }
 }
 
-/// The reused working memory of a model's inference pass: one
-/// combiner-input block, reused across blocks, layers and requests, and
-/// what [`crate::GnnModel::forward_at`] keeps between calls. Every row of
-/// either is fully overwritten before it is read, so what an earlier
-/// request left behind never shows. Clones *empty* (like
+/// Whether `nodes` are one run of ids, each one past the one before.
+pub(super) fn consecutive(nodes: &[usize]) -> bool {
+    nodes.windows(2).all(|pair| pair[1] == pair[0] + 1)
+}
+
+/// The reused working memory of a model's inference pass: one input
+/// block and one output block, reused across blocks, layers and requests,
+/// a block-sized spare for kernels that project a block before reducing
+/// it, and what [`crate::GnnModel::forward_at`] keeps between calls.
+/// Every row of any of them is fully overwritten before it is read, so
+/// what an earlier request left behind never shows. Clones *empty* (like
 /// `core::SpectralScratch`), so `clone_boxed` replicas grow their own and
 /// workers never share a hot buffer.
 #[derive(Debug, Default)]
 pub(super) struct BlockScratch {
     input: Vec<f64>,
+    output: Vec<f64>,
+    spare: Vec<f64>,
     pub(super) stage: StageScratch,
 }
 
@@ -133,90 +142,135 @@ impl Clone for BlockScratch {
     }
 }
 
-/// Aggregate-and-combine over destination `rows`, one output row each,
-/// in order. Per block of [`ROW_BLOCK`] rows: `aggregate(v, z)` fills
-/// node `v`'s combiner-input row `z` (`comb.in_dim()` wide, holding
-/// arbitrary old values — it must overwrite all of it), `comb` maps the
-/// block to its output rows, and `act` (if any) runs over those in place.
+/// Where a layer kernel sends its output rows.
+pub(super) enum Output<'o> {
+    /// Training: all rows as one block through the layers' training
+    /// forwards, which keep what `backward` reads; the output matrix
+    /// replaces the one given.
+    Recorded(&'o mut Matrix),
+    /// Inference: a block at a time, each row where the [`StageOut`]
+    /// puts it.
+    Rows(StageOut<'o>),
+}
+
+impl Output<'_> {
+    /// Whether this is the training forward, which records.
+    pub(super) fn records(&self) -> bool {
+        matches!(self, Output::Recorded(_))
+    }
+}
+
+/// Aggregate-and-combine over destination `rows`. Per block of
+/// [`ROW_BLOCK`] rows: `aggregate(v, z)` fills node `v`'s combiner-input
+/// row `z` (`comb.in_dim()` wide, holding arbitrary old values — it must
+/// overwrite all of it), `comb` maps the block to its output rows, and
+/// `act` (if any) runs over those in place.
 ///
-/// With `train`, all of `rows` is one block in a full-size `z`, and
-/// `comb` and `act` run their training forwards over it, keeping what
-/// `backward` reads; the output bits are the blocked pass's.
+/// [`Output::Recorded`] runs all of `rows` as one block in a full-size
+/// `z`, and `comb` and `act` run their training forwards over it,
+/// keeping what `backward` reads; the output bits are the blocked pass's.
 pub(super) fn combine_blocks(
     comb: &mut LinearLayer,
     act: Option<&mut ActivationLayer>,
-    train: bool,
+    out: Output,
     scratch: &mut BlockScratch,
     rows: impl ExactSizeIterator<Item = usize>,
     mut aggregate: impl FnMut(usize, &mut [f64]),
-) -> Matrix {
-    if train {
-        let width = comb.in_dim();
-        let mut z = Matrix::zeros(rows.len(), width);
-        for (zrow, v) in z.as_mut_slice().chunks_exact_mut(width).zip(rows) {
-            aggregate(v, zrow);
+) {
+    let width = comb.in_dim();
+    let out = match out {
+        Output::Rows(out) => out,
+        Output::Recorded(y) => {
+            let mut z = Matrix::zeros(rows.len(), width);
+            for (zrow, v) in z.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+                aggregate(v, zrow);
+            }
+            let combined = comb.forward(&z, true);
+            *y = match act {
+                Some(act) => act.forward(&combined, true),
+                None => combined,
+            };
+            return;
         }
-        let y = comb.forward(&z, true);
-        return match act {
-            Some(act) => act.forward(&y, true),
-            None => y,
-        };
-    }
-    stream_blocks(comb, scratch, rows, aggregate, |comb, z, y| {
+    };
+    let shape = (width, comb.out_dim());
+    let apply = |z: &[f64], y: &mut [f64], _: &mut Vec<f64>| {
         comb.forward_into(z, y);
         if let Some(act) = &act {
             act.apply_in_place(y);
         }
-    })
+    };
+    stream_blocks(scratch, shape, rows, out, aggregate, |_| None, apply);
 }
 
-/// `W·x` without the bias ([`LinearLayer::product_into`]) at `nodes`,
-/// one output row each, in order, node `v`'s input row read at
-/// `input.row(v)` and streamed through the combiner-input block as in
-/// [`combine_blocks`].
+/// A node-local transform at `rows`: node `v`'s input row `input.row(v)`
+/// is streamed into the input block as in [`combine_blocks`] — or, for a
+/// block of consecutive rows of a whole matrix, read where it lies — and
+/// `apply(x, y, spare)` maps each block to its `out_width`-wide output
+/// rows, with a reused block-sized `spare` to project into.
 pub(super) fn transform_blocks(
-    comb: &mut LinearLayer,
     scratch: &mut BlockScratch,
     input: Band,
-    nodes: &[u32],
-) -> Matrix {
-    let rows = nodes.iter().map(|&v| v as usize);
-    stream_blocks(
-        comb,
-        scratch,
-        rows,
-        |v, z| z.copy_from_slice(input.row(v)),
-        |comb, z, y| {
-            comb.product_into(z, y);
-        },
-    )
+    rows: &[u32],
+    out_width: usize,
+    out: StageOut,
+    apply: impl FnMut(&[f64], &mut [f64], &mut Vec<f64>),
+) {
+    let (rows, shape) = (rows.iter().map(|&v| v as usize), (input.width(), out_width));
+    let fill = |v, z: &mut [f64]| z.copy_from_slice(input.row(v));
+    stream_blocks(scratch, shape, rows, out, fill, |nodes| input.run(nodes), apply);
 }
 
 /// The inference block loop under [`combine_blocks`] and
-/// [`transform_blocks`]: per block of [`ROW_BLOCK`] rows, `fill(v, z)`
-/// writes node `v`'s `comb.in_dim()`-wide input row and `apply(comb, z,
-/// y)` maps the block to its output rows.
-fn stream_blocks(
-    comb: &mut LinearLayer,
+/// [`transform_blocks`]: per block of [`ROW_BLOCK`] rows, the block's
+/// `width`-wide input rows are `direct(nodes)` where that is `Some`, else
+/// `fill(v, z)` writes node `v`'s into the input block, and `apply(x, y,
+/// spare)` maps them to the block's `out_width`-wide output rows. A block
+/// whose rows land one after another in `out` is written there directly;
+/// any other goes through the output block and is copied row by row.
+fn stream_blocks<'i>(
     scratch: &mut BlockScratch,
+    (width, out_width): (usize, usize),
     mut rows: impl ExactSizeIterator<Item = usize>,
+    mut out: StageOut,
     mut fill: impl FnMut(usize, &mut [f64]),
-    mut apply: impl FnMut(&mut LinearLayer, &[f64], &mut [f64]),
-) -> Matrix {
-    let (width, out_dim) = (comb.in_dim(), comb.out_dim());
-    let mut out = Matrix::zeros(rows.len(), out_dim);
-    let block_len = ROW_BLOCK.min(rows.len()) * width;
-    if scratch.input.len() < block_len {
-        scratch.input.resize(block_len, 0.0);
+    direct: impl Fn(&[usize]) -> Option<&'i [f64]>,
+    mut apply: impl FnMut(&[f64], &mut [f64], &mut Vec<f64>),
+) {
+    let BlockScratch { input, output, spare, .. } = scratch;
+    let block_rows = ROW_BLOCK.min(rows.len());
+    if input.len() < block_rows * width {
+        input.resize(block_rows * width, 0.0);
     }
-    for y in out.as_mut_slice().chunks_mut(ROW_BLOCK * out_dim) {
-        let z = &mut scratch.input[..y.len() / out_dim * width];
-        for (zrow, v) in z.chunks_exact_mut(width).zip(rows.by_ref()) {
-            fill(v, zrow);
+    let mut nodes = [0usize; ROW_BLOCK];
+    let mut first = 0;
+    loop {
+        let len = nodes.iter_mut().zip(rows.by_ref()).map(|(slot, v)| *slot = v).count();
+        if len == 0 {
+            return;
         }
-        apply(comb, z, y);
+        let block = &nodes[..len];
+        let x = direct(block).unwrap_or_else(|| {
+            let z = &mut input[..len * width];
+            for (zrow, &v) in z.chunks_exact_mut(width).zip(block) {
+                fill(v, zrow);
+            }
+            z
+        });
+        if let Some(y) = out.run_mut(first, block, out_width) {
+            apply(x, y, spare);
+        } else {
+            if output.len() < len * out_width {
+                output.resize(ROW_BLOCK * out_width, 0.0);
+            }
+            let y = &mut output[..len * out_width];
+            apply(x, y, spare);
+            for (i, (yrow, &v)) in y.chunks_exact(out_width).zip(block).enumerate() {
+                out.row_mut(first + i, v, out_width).copy_from_slice(yrow);
+            }
+        }
+        first += len;
     }
-    out
 }
 
 /// `backward` through what [`combine_blocks`]' training arm ran — the
@@ -232,22 +286,6 @@ pub(super) fn combine_backward(
     }
 }
 
-/// Lays equally tall matrices side by side in one allocation — the
-/// `[transform ‖ features]` layout a transform half-stage hands to its
-/// combine half-stage.
-pub(super) fn side_by_side(parts: &[&Matrix]) -> Matrix {
-    let rows = parts[0].rows();
-    assert!(parts.iter().all(|p| p.rows() == rows), "parts must be equally tall");
-    let cols = parts.iter().map(|p| p.cols()).sum();
-    let mut data = Vec::with_capacity(rows * cols);
-    for i in 0..rows {
-        for part in parts {
-            data.extend_from_slice(part.row(i));
-        }
-    }
-    Matrix::from_flat(rows, cols, data).expect("every row holds every part's columns")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,14 +296,16 @@ mod tests {
         let mut comb = LinearLayer::new(3, 2, Compression::Dense, 1).unwrap();
         let mut scratch = BlockScratch::default();
         assert_eq!(scratch.input.capacity(), 0);
-        // 2·ROW_BLOCK + 1 destination rows, in descending order.
+        // 2·ROW_BLOCK + 1 destination rows, in descending order, written
+        // by node into a poisoned buffer: no block is consecutive.
         let rows = (0..2 * ROW_BLOCK + 1).rev();
         let mut seen = Vec::new();
         let mut act = Relu::new();
-        let out = combine_blocks(
+        let mut out = vec![f64::NAN; rows.len() * 3];
+        combine_blocks(
             &mut comb,
             Some(&mut act),
-            false,
+            Output::Rows(StageOut::by_node(&mut out)),
             &mut scratch,
             rows.clone(),
             |v, z| {
@@ -278,21 +318,12 @@ mod tests {
             rows.clone().collect::<Vec<_>>(),
             "each row aggregated once, in order"
         );
-        let whole = Matrix::from_fn(seen.len(), 2, |i, _| seen[i] as f64);
+        let whole = Matrix::from_fn(seen.len(), 2, |v, _| v as f64);
         let mut want = comb.forward(&whole, false);
         act.apply_in_place(want.as_mut_slice());
-        assert_eq!(out, want, "blocked output rows land where the one-call rows do");
+        assert_eq!(out, want.as_slice(), "blocked output rows land where the one-call rows do");
         assert_eq!(scratch.input.len(), ROW_BLOCK * 2, "one block, not one matrix");
+        assert_eq!(scratch.output.len(), ROW_BLOCK * 3, "one output block");
         assert_eq!(scratch.clone().input.capacity(), 0, "replicas grow their own buffers");
-    }
-
-    #[test]
-    fn side_by_side_lays_rows_out_part_by_part() {
-        let a = Matrix::from_fn(2, 1, |i, _| i as f64);
-        let b = Matrix::from_fn(2, 2, |i, j| (10 * (i + 1) + j) as f64);
-        let m = side_by_side(&[&a, &b, &a]);
-        assert_eq!(m.row(0), &[0.0, 10.0, 11.0, 0.0]);
-        assert_eq!(m.row(1), &[1.0, 20.0, 21.0, 1.0]);
-        assert_eq!(side_by_side(&[&Matrix::zeros(0, 3), &Matrix::zeros(0, 2)]).shape(), (0, 5));
     }
 }

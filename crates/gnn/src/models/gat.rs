@@ -11,9 +11,9 @@
 //! concatenated, and the combiner maps `heads·M → N`.
 
 use crate::models::block::{
-    combine_backward, combine_blocks, side_by_side, Band, BlockScratch,
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output,
 };
-use crate::models::{CompressionPolicy, GnnLayer, ModelKind, TwoLayer};
+use crate::models::{CompressionPolicy, GnnLayer, ModelKind, StageOut, TwoLayer};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
@@ -190,44 +190,27 @@ impl GatLayer {
         })
     }
 
-    /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` per row of `h`, where `sₖᵛ = ⟨Wₖ·h_v, a_src⟩`
-    /// and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`. Each head's projection `Wₖ·h` is
-    /// computed whole and reduced to its two score columns; with `train`
-    /// it runs the training forward and the head keeps it for `backward`.
-    fn scores(&mut self, h: &Matrix, train: bool) -> Matrix {
-        let mut out = Matrix::zeros(h.rows(), 2 * self.heads.len());
-        for (k, head) in self.heads.iter_mut().enumerate() {
-            let s = head.w.forward(h, train);
-            for i in 0..h.rows() {
-                out[(i, 2 * k)] = score(s.row(i), &head.a_src);
-                out[(i, 2 * k + 1)] = score(s.row(i), &head.a_dst);
-            }
-            if train {
-                head.s_cache = s;
-            }
-        }
-        out
-    }
-
     /// The layer's one aggregate-and-combine kernel, `ELU(W·(a⁰_v ‖ a¹_v ‖ …))`
     /// for each destination row: per head `k`, softmax attention over
     /// `{v} ∪ N(v)` (self first, then CSR order) from score columns
     /// `2k`/`2k + 1` of `scores`, and the `features` rows summed under it
-    /// into the head's slice of the combiner's input row. With `train`
-    /// (rows `0..n`) each head records every row's logits and weights.
+    /// into the head's slice of the combiner's input row. Recording (rows
+    /// `0..n`), each head keeps every row's logits and weights.
     fn combine(
         &mut self,
         graph: &CsrGraph,
         scores: &Matrix,
         features: Band,
         rows: impl ExactSizeIterator<Item = usize>,
-        train: bool,
+        out: Output,
         scratch: &mut BlockScratch,
-    ) -> Matrix {
+    ) {
+        assert_eq!(scores.cols(), 2 * self.heads.len(), "gat combine reads two scores a head");
+        assert_eq!(features.width(), self.in_dim, "gat layer input width mismatch");
         let in_dim = self.in_dim;
-        let mut heads = train.then_some(&mut self.heads);
+        let mut heads = out.records().then_some(&mut self.heads);
         let mut alpha: Vec<f64> = Vec::new();
-        combine_blocks(&mut self.comb, self.act.as_deref_mut(), train, scratch, rows, |v, z| {
+        combine_blocks(&mut self.comb, self.act.as_deref_mut(), out, scratch, rows, |v, z| {
             z.fill(0.0);
             for (k, a) in z.chunks_exact_mut(in_dim).enumerate() {
                 alpha.clear();
@@ -248,7 +231,7 @@ impl GatLayer {
                     }
                 }
             }
-        })
+        });
     }
 }
 
@@ -260,28 +243,34 @@ impl GnnLayer for GatLayer {
     }
 
     fn transform_width(&self) -> usize {
-        2 * self.heads.len() + self.in_dim
+        2 * self.heads.len()
     }
 
-    /// The per-head attention scores (two scalars per node and head) are
-    /// the full-size intermediate of inference — a softmax reads the
-    /// destination scores of neighbor rows; the per-head aggregations and
-    /// their concatenation exist a block at a time. Training also keeps
-    /// each head's projection and a copy of `h`.
-    fn forward(
-        &mut self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        train: bool,
-        scratch: &mut BlockScratch,
-    ) -> Matrix {
+    /// Each head's projection `Wₖ·h` over every row, kept for `backward`
+    /// and reduced to its two score columns, then the kernel; `h` is kept
+    /// too.
+    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
         self.clear_backward_state();
-        let scores = self.scores(h, train);
-        let y = self.combine(graph, &scores, Band::whole(h), 0..h.rows(), train, scratch);
-        if train {
-            self.h_cache = h.clone();
+        let mut scores = Matrix::zeros(h.rows(), 2 * self.heads.len());
+        for (k, head) in self.heads.iter_mut().enumerate() {
+            let s = head.w.forward(h, true);
+            for i in 0..h.rows() {
+                scores[(i, 2 * k)] = score(s.row(i), &head.a_src);
+                scores[(i, 2 * k + 1)] = score(s.row(i), &head.a_dst);
+            }
+            head.s_cache = s;
         }
+        let mut y = Matrix::default();
+        self.combine(
+            graph,
+            &scores,
+            Band::whole(h),
+            0..h.rows(),
+            Output::Recorded(&mut y),
+            scratch,
+        );
+        self.h_cache = h.clone();
         y
     }
 
@@ -325,29 +314,48 @@ impl GnnLayer for GatLayer {
         }
     }
 
-    /// `[scores ‖ h_v]` for each target row ([`GatLayer::scores`]).
-    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
-        let h = input.gather(rows);
-        side_by_side(&[&self.scores(&h, false), &h])
+    /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` for each target row, where
+    /// `sₖᵛ = ⟨Wₖ·h_v, a_src⟩` and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`: the full-size
+    /// intermediate of a layer, since a softmax reads the destination
+    /// scores of neighbor rows. Each head's projection of a block lands
+    /// in the spare block and is reduced to its two columns there; the
+    /// per-head aggregations and their concatenation exist a block at a
+    /// time.
+    fn stage_transform(
+        &mut self,
+        h: Band,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+        out: StageOut,
+    ) {
+        assert_eq!(h.width(), self.in_dim, "gat layer input width mismatch");
+        let (width, heads) = (2 * self.heads.len(), &mut self.heads);
+        transform_blocks(scratch, h, rows, width, out, |z, scores, spare| {
+            let len = scores.len() / width;
+            for (k, head) in heads.iter_mut().enumerate() {
+                spare.resize(len * head.att_dim, 0.0);
+                head.w.forward_into(z, spare);
+                let projected = spare.chunks_exact(head.att_dim);
+                for (pair, s) in scores.chunks_exact_mut(width).zip(projected) {
+                    pair[2 * k] = score(s, &head.a_src);
+                    pair[2 * k + 1] = score(s, &head.a_dst);
+                }
+            }
+        });
     }
 
-    /// [`GatLayer::combine`] over the `[scores ‖ features]` transform
-    /// matrix.
+    /// [`GatLayer::combine`] over the score rows and the layer input.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
-        input: &Matrix,
+        transform: &Matrix,
+        h: Band,
         rows: &[u32],
         scratch: &mut BlockScratch,
-    ) -> Matrix {
-        let off = 2 * self.heads.len();
-        assert_eq!(
-            input.cols(),
-            off + self.in_dim,
-            "gat combine stage expects [scores ‖ features] input"
-        );
-        let features = Band::new(input, off, self.in_dim);
-        self.combine(graph, input, features, rows.iter().map(|&v| v as usize), false, scratch)
+        out: StageOut,
+    ) {
+        let rows = rows.iter().map(|&v| v as usize);
+        self.combine(graph, transform, h, rows, Output::Rows(out), scratch);
     }
 }
 

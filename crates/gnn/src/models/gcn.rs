@@ -22,9 +22,9 @@
 //! choice of VersaGNN and GNNIE, PAPERS.md), and row `u` of `T` depends
 //! only on node `u`'s features, so the serving engine keeps `T` in one
 //! [`RowTable`] per graph version and a request transforms only the rows
-//! no earlier request read. Every route of the prepared model — `forward`,
-//! `forward_stage`, `first_stage_indexed` (so `forward_at_indexed`) and
-//! the widened pass — reads `T` rows through one kernel,
+//! no earlier request read. Every route of the prepared model — a full
+//! `forward`, `forward_stage` (so `forward_at_indexed`) and the widened
+//! pass — reads `T` rows through one kernel,
 //! `Gcn::first_rows_into`, whether they come from a table or are
 //! computed for the call, so the routes agree bit for bit. The second
 //! layer keeps the paper's order everywhere.
@@ -32,9 +32,11 @@
 use crate::adjacency::NormalizedAdjacency;
 use crate::batch::KEPT_SCRATCH_BYTES;
 use crate::models::block::{
-    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, ROW_BLOCK,
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output, ROW_BLOCK,
 };
-use crate::models::{widen, GnnModel, ModelKind, StageScratch};
+use crate::models::{
+    fit_rows, staged_pass, widen, GnnModel, ModelKind, StageInputs, StageOut, StageScratch,
+};
 use crate::table::RowTable;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -64,21 +66,23 @@ pub struct Gcn {
     /// Block buffer of the inference pass: `Â·H` exists one block of
     /// destination rows at a time, as the combiner's input.
     scratch: BlockScratch,
-    /// The transform-first layer's reused lists.
+    /// The transform-first layer's reused buffers.
     first: FirstScratch,
 }
 
-/// Lists the transform-first layer reuses from call to call: the nodes
-/// whose `T` rows a call reads, those a table lacks, each node's row in
-/// the call's computed `T`, and [`widen`]'s marks. Clones empty; released
-/// after a call that leaves them past [`KEPT_SCRATCH_BYTES`], as
+/// What the transform-first layer reuses from call to call: the nodes
+/// whose `T` rows a call reads, those a table lacks, [`widen`]'s marks,
+/// the node-indexed `T` rows computed when no table is attached, and the
+/// block a table's missing rows are transformed into. Clones empty;
+/// released after a call that leaves it past [`KEPT_SCRATCH_BYTES`], as
 /// [`GnnModel::forward_at_indexed`] releases its stage scratch.
 #[derive(Debug, Default)]
 struct FirstScratch {
     sources: Vec<u32>,
     missing: Vec<u32>,
-    at: Vec<u32>,
     marks: Vec<bool>,
+    t: Matrix,
+    block: Vec<f64>,
 }
 
 impl Clone for FirstScratch {
@@ -89,18 +93,22 @@ impl Clone for FirstScratch {
 
 impl FirstScratch {
     /// Lists the nodes whose `T` rows destination `rows` read — each row
-    /// and its neighbours, once — unless `rows` is `None`, whose sources
-    /// (every node) are listed already.
-    fn list_sources(&mut self, graph: &CsrGraph, rows: Option<&[u32]>) {
-        if let Some(rows) = rows {
+    /// and its neighbours, once. A list at least as long as the graph (a
+    /// full pass) reads every node, which is listed walking no arc.
+    fn list_sources(&mut self, graph: &CsrGraph, rows: &[u32]) {
+        let nodes = graph.num_nodes();
+        if rows.len() >= nodes {
+            self.sources.clear();
+            self.sources.extend(0..nodes as u32);
+        } else {
             widen(graph, rows, true, &mut self.marks, &mut self.sources);
         }
     }
 
     /// Bytes of everything kept.
     fn bytes(&self) -> usize {
-        let lists = self.sources.capacity() + self.missing.capacity() + self.at.capacity();
-        lists * 4 + self.marks.capacity()
+        let lists = self.sources.capacity() + self.missing.capacity();
+        lists * 4 + self.marks.capacity() + (self.t.capacity() + self.block.capacity()) * 8
     }
 }
 
@@ -133,16 +141,16 @@ impl Gcn {
     /// Layer `stage`'s aggregate-and-combine kernel: for each
     /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
     /// into the combiner's input block, then the combiner (+ ReLU on the
-    /// hidden layer), through their training forwards with `train`. Needs
-    /// [`GnnModel::prepare_graph`] to have run for `graph`.
+    /// hidden layer), through their training forwards when recording.
+    /// Needs [`GnnModel::prepare_graph`] to have run for `graph`.
     fn layer(
         &mut self,
         stage: usize,
         graph: &CsrGraph,
         input: Band,
         rows: impl ExactSizeIterator<Item = usize>,
-        train: bool,
-    ) -> Matrix {
+        out: Output,
+    ) {
         let (lin, act) = match stage {
             0 => (&mut self.lin1, Some(&mut *self.act1)),
             1 => (&mut self.lin2, None),
@@ -156,60 +164,53 @@ impl Gcn {
             "prepare_graph ran for this graph"
         );
         let adj = &self.adj;
-        combine_blocks(lin, act, train, &mut self.scratch, rows, |v, z| {
+        combine_blocks(lin, act, out, &mut self.scratch, rows, |v, z| {
             adj.write_row(graph, input, v, z);
-        })
+        });
     }
 
-    /// Layer 1 at `rows` (every node when `None`): the rest of the
-    /// paper's order, or transform-first when prepared for it. Node `v`'s
-    /// feature row is `features.row(index[v])` with `index`, else
-    /// `features.row(v)`.
+    /// Layer 1 at `rows`: the rest of the paper's order, or
+    /// transform-first when prepared for it. Node `v`'s feature row is
+    /// `features.row(index[v])` with `index`, else `features.row(v)`.
     fn first_layer(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
         index: Option<&[u32]>,
-        rows: Option<&[u32]>,
-    ) -> Matrix {
-        self.prepare_graph(graph);
+        rows: &[u32],
+        mut out: StageOut,
+    ) {
         let input = Band::with_index(features, index);
         if !self.transform_first {
-            return match rows {
-                Some(rows) => {
-                    self.layer(0, graph, input, rows.iter().map(|&v| v as usize), false)
-                }
-                None => self.layer(0, graph, input, 0..graph.num_nodes(), false),
-            };
+            let rows = rows.iter().map(|&v| v as usize);
+            return self.layer(0, graph, input, rows, Output::Rows(out));
         }
-        // A full pass's rows, which are also its sources, are listed up
-        // front; a row list's sources only when a call needs them.
         let mut first = std::mem::take(&mut self.first);
-        first.sources.clear();
-        if rows.is_none() {
-            first.sources.extend(0..graph.num_nodes() as u32);
-        }
-        let out = match self.table.clone() {
+        match self.table.clone() {
             Some(table) => {
-                self.first_layer_tabled(&table, graph, features, index, rows, &mut first)
+                self.first_layer_tabled(&table, graph, features, index, rows, &mut first, out);
             }
             None => {
                 first.list_sources(graph, rows);
-                let computed =
-                    transform_blocks(&mut self.lin1, &mut self.scratch, input, &first.sources);
-                first.at.resize(graph.num_nodes(), 0);
-                for (i, &v) in first.sources.iter().enumerate() {
-                    first.at[v as usize] = i as u32;
-                }
-                let rows = rows.unwrap_or(&first.sources);
-                let mut out = Matrix::zeros(rows.len(), self.lin1.out_dim());
-                let t = Band::indexed(&computed, &first.at);
-                self.first_rows_into(graph, t, rows, out.as_mut_slice());
-                out
+                fit_rows(&mut first.t, graph.num_nodes(), self.lin1.out_dim());
+                self.transform(
+                    input,
+                    &first.sources,
+                    StageOut::by_node(first.t.as_mut_slice()),
+                );
+                self.first_rows_into(graph, Band::whole(&first.t), 0, rows, &mut out);
             }
-        };
+        }
         self.keep_first(first);
-        out
+    }
+
+    /// The `T` rows of `nodes` — `W₁·x` without the bias, node `v`'s
+    /// input row at `input.row(v)` — streamed through the input block.
+    fn transform(&mut self, input: Band, nodes: &[u32], out: StageOut) {
+        let (width, lin1) = (self.lin1.out_dim(), &mut self.lin1);
+        transform_blocks(&mut self.scratch, input, nodes, width, out, |z, y, _| {
+            lin1.product_into(z, y);
+        });
     }
 
     /// Keeps `first` for the next call unless it has grown past
@@ -221,22 +222,25 @@ impl Gcn {
     }
 
     /// Transforms the `T` rows of `nodes` (node `v`'s feature row through
-    /// `index`, as in [`Gcn::first_layer`]) a block at a time outside
-    /// `table`'s lock, and writes each block under a short write lock.
+    /// `index`, as in [`Gcn::first_layer`]) a block at a time into `block`
+    /// outside `table`'s lock, and writes each block under a short write
+    /// lock.
     fn fill(
         &mut self,
         table: &RowTable,
         features: &Matrix,
         index: Option<&[u32]>,
         nodes: &[u32],
+        block: &mut Vec<f64>,
     ) {
         let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
         let input = Band::with_index(features, index);
         let width = table.width();
-        for block in nodes.chunks(ROW_BLOCK) {
-            let computed = transform_blocks(&mut self.lin1, &mut self.scratch, input, block);
+        for chunk in nodes.chunks(ROW_BLOCK) {
+            block.resize(chunk.len() * width, 0.0);
+            self.transform(input, chunk, StageOut::listed(block));
             let mut slab = table.write();
-            for (row, &v) in computed.as_slice().chunks(width).zip(block) {
+            for (row, &v) in block.chunks(width).zip(chunk) {
                 slab.put(key(v), row);
             }
         }
@@ -244,55 +248,58 @@ impl Gcn {
 
     /// Transform-first layer 1 reading `T` rows from `table`, keyed by
     /// feature row. Rows the table lacks are filled first
-    /// ([`Gcn::fill`]); a call whose rows are all present lists no
-    /// sources. Then every row
-    /// is read in place, one block of destination rows per read lock, so
-    /// a replica filling its own missing rows waits for one block of this
+    /// ([`Gcn::fill`]); a call that finds the table full walks no row, and
+    /// one whose rows are all present lists no sources. Then every row is
+    /// read in place, one block of destination rows per read lock, so a
+    /// replica filling its own missing rows waits for one block of this
     /// call's aggregation, not all of it.
+    #[allow(clippy::too_many_arguments)]
     fn first_layer_tabled(
         &mut self,
         table: &RowTable,
         graph: &CsrGraph,
         features: &Matrix,
         index: Option<&[u32]>,
-        rows: Option<&[u32]>,
+        rows: &[u32],
         first: &mut FirstScratch,
-    ) -> Matrix {
+        mut out: StageOut,
+    ) {
         assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
         let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
         first.missing.clear();
         {
             let slab = table.read();
             let present = |v: &u32| slab.has(key(*v));
-            let complete = match rows {
-                Some(rows) => rows
+            let complete = slab.rows_present() == table.nodes()
+                || rows
                     .iter()
-                    .all(|&v| present(&v) && graph.neighbors(v as usize).iter().all(present)),
-                None => first.sources.iter().all(present),
-            };
+                    .all(|&v| present(&v) && graph.neighbors(v as usize).iter().all(present));
             if !complete {
                 first.list_sources(graph, rows);
                 first.missing.extend(first.sources.iter().filter(|v| !present(v)));
             }
         }
-        self.fill(table, features, index, &first.missing);
-        let width = table.width();
-        let rows = rows.unwrap_or(&first.sources);
-        let mut out = Matrix::zeros(rows.len(), width);
+        self.fill(table, features, index, &first.missing, &mut first.block);
         for (at, block) in (0..rows.len()).step_by(ROW_BLOCK).zip(rows.chunks(ROW_BLOCK)) {
             let slab = table.read();
             let t = Band::with_index(slab.rows(), index);
-            self.first_rows_into(graph, t, block, &mut out.as_mut_slice()[at * width..]);
+            self.first_rows_into(graph, t, at, block, &mut out);
         }
-        out
     }
 
     /// The transform-first layer 1's one kernel: for each destination row
-    /// `v` of `rows`, the `Â`-row of `t` (node `u`'s `T` row at `t.row(u)`,
-    /// [`NormalizedAdjacency::write_row`]), plus `b₁`, through ReLU, into
-    /// the next row of `out`. Needs [`GnnModel::prepare_graph`] to have
-    /// run for `graph`.
-    fn first_rows_into(&self, graph: &CsrGraph, t: Band, rows: &[u32], out: &mut [f64]) {
+    /// `v` of `rows` — the call's rows `first..` — the `Â`-row of `t`
+    /// (node `u`'s `T` row at `t.row(u)`, [`NormalizedAdjacency::write_row`]),
+    /// plus `b₁`, through ReLU, into the row `out` puts it. Needs
+    /// [`GnnModel::prepare_graph`] to have run for `graph`.
+    fn first_rows_into(
+        &self,
+        graph: &CsrGraph,
+        t: Band,
+        first: usize,
+        rows: &[u32],
+        out: &mut StageOut,
+    ) {
         assert_eq!(
             self.adj_graph,
             Some(graph.instance_id()),
@@ -300,7 +307,8 @@ impl Gcn {
         );
         let width = self.lin1.out_dim();
         let bias = self.lin1.bias();
-        for (orow, &v) in out.chunks_exact_mut(width).zip(rows) {
+        for (i, &v) in rows.iter().enumerate() {
+            let orow = out.row_mut(first + i, v as usize, width);
             self.adj.write_row(graph, t, v as usize, orow);
             for (o, b) in orow.iter_mut().zip(bias) {
                 *o += b;
@@ -320,19 +328,18 @@ impl GnnModel for Gcn {
     }
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
-        // Reuse the instance-id-keyed coefficients across requests.
-        self.prepare_graph(graph);
-        if !train {
-            self.act1.clear_cached();
-        }
         let nodes = graph.num_nodes();
         assert_eq!(features.rows(), nodes, "feature rows must equal node count");
-        let h1 = if train {
-            self.layer(0, graph, Band::whole(features), 0..nodes, true)
-        } else {
-            self.first_layer(graph, features, None, None)
-        };
-        self.layer(1, graph, Band::whole(&h1), 0..nodes, train)
+        if !train {
+            self.act1.clear_cached();
+            return staged_pass(self, graph, features, None, None);
+        }
+        // Reuse the instance-id-keyed coefficients across requests.
+        self.prepare_graph(graph);
+        let (mut h1, mut logits) = (Matrix::default(), Matrix::default());
+        self.layer(0, graph, Band::whole(features), 0..nodes, Output::Recorded(&mut h1));
+        self.layer(1, graph, Band::whole(&h1), 0..nodes, Output::Recorded(&mut logits));
+        logits
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -401,7 +408,7 @@ impl GnnModel for Gcn {
             let slab = table.read();
             first.missing.extend(rows.iter().filter(|&&v| !slab.has(v as usize)));
         }
-        self.fill(&table, features, None, &first.missing);
+        self.fill(&table, features, None, &first.missing, &mut first.block);
         self.keep_first(first);
     }
 
@@ -425,27 +432,19 @@ impl GnnModel for Gcn {
         &mut self,
         stage: usize,
         graph: &CsrGraph,
-        input: &Matrix,
+        inputs: StageInputs<'_>,
         rows: &[u32],
-    ) -> Matrix {
-        if stage == 0 {
-            return self.first_layer(graph, input, None, Some(rows));
-        }
+        out: StageOut<'_>,
+    ) {
         // Idempotent: a hit on the instance-id key is O(1), so callers
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
         self.prepare_graph(graph);
-        self.layer(stage, graph, Band::whole(input), rows.iter().map(|&v| v as usize), false)
-    }
-
-    fn first_stage_indexed(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        index: &[u32],
-        rows: &[u32],
-    ) -> Matrix {
-        self.first_layer(graph, features, Some(index), Some(rows))
+        if stage == 0 {
+            return self.first_layer(graph, inputs.features, inputs.index, rows, out);
+        }
+        let rows = rows.iter().map(|&v| v as usize);
+        self.layer(stage, graph, Band::whole(&inputs.below[0]), rows, Output::Rows(out));
     }
 
     fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
@@ -462,7 +461,7 @@ mod tests {
     use super::*;
     use crate::batch::{SampledBlock, UniverseBuilder};
     use crate::models::testutil::{
-        check_model_gradients, hub_graph, tiny_features, tiny_graph,
+        chain_stages, check_model_gradients, hub_graph, tiny_features, tiny_graph,
     };
 
     /// The answers a transform-first GCN gives on one graph by every
@@ -483,17 +482,7 @@ mod tests {
         );
         let at = model.forward_at(g, x, &[0, n - 1, n / 2, 0, 7]);
         let (a, b): (Vec<u32>, Vec<u32>) = (0..n).rev().partition(|v| v % 3 == 1);
-        let mut staged = x.clone();
-        for stage in 0..2 {
-            let mut merged = Matrix::zeros(g.num_nodes(), model.stage_width(stage, x.cols()));
-            for rows in [&a, &b] {
-                let part = model.forward_stage(stage, g, &staged, rows);
-                for (i, &v) in rows.iter().enumerate() {
-                    merged.row_mut(v as usize).copy_from_slice(part.row(i));
-                }
-            }
-            staged = merged;
-        }
+        let staged = chain_stages(model, g, x, &[a, b]);
         vec![sampled, at, staged, model.forward(g, x, false)]
     }
 

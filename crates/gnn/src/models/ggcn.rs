@@ -7,9 +7,9 @@
 //! (3.7 × 10¹²) and shows the paper's largest speedup (8.3× on Reddit).
 
 use crate::models::block::{
-    combine_backward, combine_blocks, side_by_side, Band, BlockScratch,
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output,
 };
-use crate::models::{CompressionPolicy, GnnLayer, ModelKind, TwoLayer};
+use crate::models::{CompressionPolicy, GnnLayer, ModelKind, StageOut, TwoLayer};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
@@ -51,28 +51,29 @@ impl GgcnLayer {
     /// The layer's one aggregate-and-combine kernel, `ReLU(W·a_v)` for
     /// each destination row with `a_v = Σ_u σ(p_u + q_v) ⊙ h_u` summed in
     /// CSR order into the combiner's input row; `[p, q, h]` say where the
-    /// gate terms and the features live. With `train` (rows `0..n`) it
-    /// records every gate, arc-major, in `gates`.
+    /// gate terms and the features live. Recording (rows `0..n`), it
+    /// keeps every gate, arc-major, in `gates`.
     fn combine(
         &mut self,
         graph: &CsrGraph,
         [p, q, h]: [Band; 3],
         rows: impl ExactSizeIterator<Item = usize>,
-        train: bool,
+        out: Output,
         scratch: &mut BlockScratch,
-    ) -> Matrix {
-        let mut gates = train.then(|| {
+    ) {
+        assert_eq!(h.width(), self.in_dim, "g-gcn layer input width mismatch");
+        let mut gates = out.records().then(|| {
             self.gates = Vec::with_capacity(graph.num_arcs() * self.in_dim);
             &mut self.gates
         });
-        combine_blocks(&mut self.comb, self.act.as_deref_mut(), train, scratch, rows, |v, a| {
+        combine_blocks(&mut self.comb, self.act.as_deref_mut(), out, scratch, rows, |v, a| {
             let sources =
                 graph.neighbors(v).iter().map(|&u| (p.row(u as usize), h.row(u as usize)));
             match gates.as_mut() {
                 None => gated_sum(sources, q.row(v), a, |_| {}),
                 Some(gates) => gated_sum(sources, q.row(v), a, |gate| gates.push(gate)),
             }
-        })
+        });
     }
 }
 
@@ -104,29 +105,19 @@ impl GnnLayer for GgcnLayer {
     }
 
     fn transform_width(&self) -> usize {
-        3 * self.in_dim
+        2 * self.in_dim
     }
 
-    /// The gate terms `p = W_H·h` and `q = W_C·h` are the full-size
-    /// intermediates of inference: the gated sum reads `p` at neighbor
-    /// rows, and `q` — per target — is kept whole too so that the kernel
-    /// indexes it by node exactly as the staged route does. `a` exists a
-    /// block at a time. Training also keeps a copy of `h`.
-    fn forward(
-        &mut self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        train: bool,
-        scratch: &mut BlockScratch,
-    ) -> Matrix {
+    /// The gate terms `p = W_H·h` and `q = W_C·h` over every row, then
+    /// the kernel; `h` is kept for the gate gradients.
+    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "g-gcn layer input width mismatch");
         self.clear_backward_state();
-        let [p, q] = [&mut self.w_h, &mut self.w_c].map(|w| w.forward(h, train));
+        let [p, q] = [&mut self.w_h, &mut self.w_c].map(|w| w.forward(h, true));
         let bands = [Band::whole(&p), Band::whole(&q), Band::whole(h)];
-        let y = self.combine(graph, bands, 0..h.rows(), train, scratch);
-        if train {
-            self.h_cache = h.clone();
-        }
+        let mut y = Matrix::default();
+        self.combine(graph, bands, 0..h.rows(), Output::Recorded(&mut y), scratch);
+        self.h_cache = h.clone();
         y
     }
 
@@ -183,25 +174,48 @@ impl GnnLayer for GgcnLayer {
         }
     }
 
-    /// `[W_H·h_v ‖ W_C·h_v ‖ h_v]` per target row.
-    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
-        let h = input.gather(rows);
-        let [p, q] = [&mut self.w_h, &mut self.w_c].map(|w| w.forward(&h, false));
-        side_by_side(&[&p, &q, &h])
+    /// `[p_v ‖ q_v] = [W_H·h_v ‖ W_C·h_v]` per target row: the full-size
+    /// intermediate of a layer. The gated sum reads `p` at neighbor rows
+    /// and `q` at the target's own; `a` exists a block at a time. Each
+    /// half is projected into the spare block and laid into its columns.
+    fn stage_transform(
+        &mut self,
+        h: Band,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+        out: StageOut,
+    ) {
+        let dim = self.in_dim;
+        assert_eq!(h.width(), dim, "g-gcn layer input width mismatch");
+        let mut gates = [&mut self.w_h, &mut self.w_c];
+        transform_blocks(scratch, h, rows, 2 * dim, out, |z, pq, spare| {
+            spare.resize(z.len(), 0.0);
+            for (half, w) in gates.iter_mut().enumerate() {
+                w.forward_into(z, spare);
+                for (row, projected) in
+                    pq.chunks_exact_mut(2 * dim).zip(spare.chunks_exact(dim))
+                {
+                    row[half * dim..][..dim].copy_from_slice(projected);
+                }
+            }
+        });
     }
 
-    /// [`GgcnLayer::combine`] over the `[p ‖ q ‖ h]` transform matrix.
+    /// [`GgcnLayer::combine`] over the `[p ‖ q]` rows and the layer input.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
-        input: &Matrix,
+        transform: &Matrix,
+        h: Band,
         rows: &[u32],
         scratch: &mut BlockScratch,
-    ) -> Matrix {
+        out: StageOut,
+    ) {
         let dim = self.in_dim;
-        assert_eq!(input.cols(), 3 * dim, "g-gcn combine stage expects [p ‖ q ‖ h] input");
-        let bands = [0, dim, 2 * dim].map(|offset| Band::new(input, offset, dim));
-        self.combine(graph, bands, rows.iter().map(|&v| v as usize), false, scratch)
+        assert_eq!(transform.cols(), 2 * dim, "g-gcn combine stage expects [p ‖ q] rows");
+        let [p, q] = [0, dim].map(|offset| Band::new(transform, offset, dim));
+        let rows = rows.iter().map(|&v| v as usize);
+        self.combine(graph, [p, q, h], rows, Output::Rows(out), scratch);
     }
 }
 

@@ -6,9 +6,9 @@
 //! block-circulant.
 
 use crate::models::block::{
-    combine_backward, combine_blocks, side_by_side, Band, BlockScratch,
+    combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output,
 };
-use crate::models::{CompressionPolicy, GnnLayer, ModelKind, TwoLayer};
+use crate::models::{CompressionPolicy, GnnLayer, ModelKind, StageOut, TwoLayer};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::{isa, Matrix};
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
@@ -46,42 +46,33 @@ impl GsPoolLayer {
         })
     }
 
-    /// `ReLU(W_pool·h + b)` for every row of `h`: activated in place, or
-    /// with `train` through the activation's training forward.
-    fn pooled(&mut self, h: &Matrix, train: bool) -> Matrix {
-        let mut t = self.pool.forward(h, train);
-        if train {
-            return self.pool_act.forward(&t, true);
-        }
-        self.pool_act.apply_in_place(t.as_mut_slice());
-        t
-    }
-
     /// The layer's one aggregate-and-combine kernel, `ReLU(W·(a_v ‖ h_v))`
-    /// for each destination row: [`max_pool_neighbors`] over the first
-    /// `pool_dim` columns of `pooled` writes `a_v` into the left of the
-    /// combiner's input row and `own` supplies `h_v` beside it. With
-    /// `train` (rows `0..n`) it records each row's winners in `argmax`.
+    /// for each destination row: [`max_pool_neighbors`] over the pooled
+    /// rows `t` writes `a_v` into the left of the combiner's input row and
+    /// `own` supplies `h_v` beside it. Recording (rows `0..n`), it keeps
+    /// each row's winners in `argmax`.
     fn combine(
         &mut self,
         graph: &CsrGraph,
-        pooled: &Matrix,
+        t: &Matrix,
         own: Band,
         rows: impl ExactSizeIterator<Item = usize>,
-        train: bool,
+        out: Output,
         scratch: &mut BlockScratch,
-    ) -> Matrix {
+    ) {
+        assert_eq!(t.cols(), self.pool_dim, "gs-pool combine reads the pooled rows");
+        assert_eq!(own.width(), self.in_dim, "gs-pool layer input width mismatch");
         let pool_dim = self.pool_dim;
-        let mut winners = train.then(|| {
-            self.argmax = vec![0; pooled.rows() * pool_dim];
+        let mut winners = out.records().then(|| {
+            self.argmax = vec![0; t.rows() * pool_dim];
             &mut self.argmax
         });
-        combine_blocks(&mut self.comb, self.act.as_deref_mut(), train, scratch, rows, |v, z| {
+        combine_blocks(&mut self.comb, self.act.as_deref_mut(), out, scratch, rows, |v, z| {
             let (a, h) = z.split_at_mut(pool_dim);
             let won = winners.as_mut().map(|w| &mut w[v * pool_dim..][..pool_dim]);
-            max_pool_neighbors(graph, pooled, v, a, won);
+            max_pool_neighbors(graph, t, v, a, won);
             h.copy_from_slice(own.row(v));
-        })
+        });
     }
 }
 
@@ -93,23 +84,18 @@ impl GnnLayer for GsPoolLayer {
     }
 
     fn transform_width(&self) -> usize {
-        self.pool_dim + self.in_dim
+        self.pool_dim
     }
 
-    /// `t = ReLU(W_pool·h + b)` is the one full-size intermediate of
-    /// inference — the max-pool reads it at neighbor rows; `a` and
-    /// `[a ‖ h]` exist a block at a time.
-    fn forward(
-        &mut self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        train: bool,
-        scratch: &mut BlockScratch,
-    ) -> Matrix {
+    /// `t = ReLU(W_pool·h + b)` over every row, then the kernel.
+    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "gs-pool layer input width mismatch");
         self.clear_backward_state();
-        let t = self.pooled(h, train);
-        self.combine(graph, &t, Band::whole(h), 0..h.rows(), train, scratch)
+        let t = self.pool.forward(h, true);
+        let t = self.pool_act.forward(&t, true);
+        let mut y = Matrix::default();
+        self.combine(graph, &t, Band::whole(h), 0..h.rows(), Output::Recorded(&mut y), scratch);
+        y
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix {
@@ -148,28 +134,36 @@ impl GnnLayer for GsPoolLayer {
         }
     }
 
-    /// `[ReLU(W_pool·h_v + b) ‖ h_v]` for each target row.
-    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix {
-        let h = input.gather(rows);
-        side_by_side(&[&self.pooled(&h, false), &h])
+    /// `t_v = ReLU(W_pool·h_v + b)` for each target row: the one
+    /// full-size intermediate of a layer, which the max-pool reads at
+    /// neighbor rows; `a` and `[a ‖ h]` exist a block at a time.
+    fn stage_transform(
+        &mut self,
+        h: Band,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+        out: StageOut,
+    ) {
+        assert_eq!(h.width(), self.in_dim, "gs-pool layer input width mismatch");
+        let (pool, pool_act) = (&mut self.pool, &self.pool_act);
+        transform_blocks(scratch, h, rows, self.pool_dim, out, |z, t, _| {
+            pool.forward_into(z, t);
+            pool_act.apply_in_place(t);
+        });
     }
 
-    /// [`GsPoolLayer::combine`] over the `[pooled ‖ features]` transform
-    /// matrix.
+    /// [`GsPoolLayer::combine`] over the pooled rows and the layer input.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
-        input: &Matrix,
+        transform: &Matrix,
+        h: Band,
         rows: &[u32],
         scratch: &mut BlockScratch,
-    ) -> Matrix {
-        assert_eq!(
-            input.cols(),
-            self.pool_dim + self.in_dim,
-            "gs-pool combine stage expects [pooled ‖ features] input"
-        );
-        let own = Band::new(input, self.pool_dim, self.in_dim);
-        self.combine(graph, input, own, rows.iter().map(|&v| v as usize), false, scratch)
+        out: StageOut,
+    ) {
+        let rows = rows.iter().map(|&v| v as usize);
+        self.combine(graph, transform, h, rows, Output::Rows(out), scratch);
     }
 }
 

@@ -75,54 +75,57 @@ impl fmt::Display for ModelKind {
 ///
 /// # Staged row-parallel inference
 ///
-/// Every model also exposes its forward pass as a sequence of
-/// *row-parallel stages* ([`GnnModel::num_stages`] /
-/// [`GnnModel::forward_stage`]): stage `s` computes any subset of its
-/// output rows from the node-indexed output matrix of stage `s − 1`
-/// (stage 0 reads the input features). Within a stage, rows are
-/// independent — each target row reads the previous stage's matrix only
-/// at its own row and, if [`GnnModel::stage_reads_neighbors`], at its
+/// Every model runs inference as a sequence of *row-parallel stages*
+/// ([`GnnModel::num_stages`] / [`GnnModel::forward_stage`]): stage `s`
+/// computes any subset of its output rows from the features and the
+/// node-indexed outputs of the stages below it ([`StageInputs`]). Within
+/// a stage, rows are independent — each target row reads those matrices
+/// only at its own row and, if [`GnnModel::stage_reads_neighbors`], at its
 /// neighbours — so a scheduler can shard a stage's rows across worker
 /// threads and barrier between stages, and [`GnnModel::forward_at`] can
-/// leave every row no later stage reads uncomputed. The contract is
-/// *bit-exactness*: chaining every stage over all rows must reproduce
-/// `forward(graph, features, false)` exactly, which is what makes
-/// partition-parallel serving indistinguishable from the sequential
-/// path. Models achieve this by splitting each GNN layer at its natural
-/// seam: a node-local transform stage (gate/pool/attention projections —
-/// no neighbor reads, zero halo) followed by an aggregate-and-combine
-/// stage (reads the transform matrix at `N(v) ∪ {v}` — a one-hop halo).
-/// The aggregate-and-combine stage and both `forward` modes run the same
-/// per-layer block kernel, so they cannot drift. A GCN prepared for
-/// [`ExecMode::Spectral`] runs its first layer transform-first through
-/// one kernel of its own on every route (see [`gcn`]), reading its
-/// node-local rows from an attached [`RowTable`] or computing them.
+/// leave every row no later stage reads uncomputed. This is the one
+/// inference body: `forward(graph, features, false)` runs every stage
+/// over every row, and the contract is *bit-exactness* — any shard of a
+/// stage's rows gets the bits the full pass gives them, which is what
+/// makes partition-parallel serving indistinguishable from the
+/// sequential path. Models split each GNN layer at its natural seam: a
+/// node-local transform stage (gate/pool/attention projections — no
+/// neighbor reads, zero halo) followed by an aggregate-and-combine stage
+/// that reads the transform at `N(v) ∪ {v}` (a one-hop halo) and the
+/// layer's own input beside it. The aggregate-and-combine stage and the
+/// training forward run the same per-layer block kernel, so they cannot
+/// drift. A GCN prepared for [`ExecMode::Spectral`] runs its first layer
+/// transform-first through one kernel of its own on every route (see
+/// [`gcn`]), reading its node-local rows from an attached [`RowTable`] or
+/// computing them.
 ///
 /// # What an inference pass materialises
 ///
-/// `forward(.., false)` streams every layer through 64-row blocks of
-/// destination nodes: a block is aggregated straight into the combiner's
-/// input, combined, and activated in place, in a block-size buffer the
-/// model reuses across layers and requests (cloned *empty* by
-/// [`GnnModel::clone_boxed`]). Full-size — one row per node — are only
-/// each layer's output and what an aggregation reads at *neighbor* rows:
+/// Each stage streams its rows through 64-row blocks: a block of
+/// destination rows is aggregated straight into the combiner's input,
+/// combined, activated in place and written where its rows belong, in
+/// block-size buffers the model reuses across stages and requests
+/// (cloned *empty* by [`GnnModel::clone_boxed`]). Full-size — one row
+/// per node — are only each stage's output, kept by the model from call
+/// to call ([`GnnModel::stage_buffers`]), and the logits:
 ///
-/// * **GCN** — nothing else; `Â·H` exists a block at a time. Prepared
+/// * **GCN** — the hidden layer; `Â·H` exists a block at a time. Prepared
 ///   for [`ExecMode::Spectral`], layer 1 also reads `T = X·W₁` at every
-///   source row, from an attached [`RowTable`] or computed for the call.
+///   source row, from an attached [`RowTable`] or computed into a kept
+///   node-indexed matrix.
 /// * **GS-Pool** — `t = ReLU(W_pool·h)`, read by the max-pool.
-/// * **G-GCN** — the gate terms `p = W_H·h` (read per source) and
-///   `q = W_C·h` (per target; whole so that the kernel indexes it by
-///   node exactly as the staged route does).
+/// * **G-GCN** — the gate terms `[p ‖ q]`, `p = W_H·h` (read per source)
+///   and `q = W_C·h` (per target).
 /// * **GAT** — two attention scores per node and head (each head's
-///   projection `W·h` is computed whole, reduced to them and dropped).
+///   projection `W·h` exists a block at a time).
 ///
-/// Nothing `backward` reads (max-pool winners, gates, attention logits
-/// and weights, input or activation snapshots) is recorded, and what a
-/// previous training forward left is dropped. `forward(.., true)` runs
-/// the same kernels with all rows as one block — a full-size combiner
-/// input — and records all of it; its bits are the inference pass's, and
-/// `tests/model_fingerprint.rs` pins them.
+/// and, for the two-layer kinds, the hidden layer. A warm full pass
+/// allocates only its logits. Nothing `backward` reads (max-pool winners,
+/// gates, attention logits and weights, input or activation snapshots) is
+/// recorded, and what a previous training forward left is dropped.
+/// `forward(.., true)` runs the same kernels with all rows as one block —
+/// a full-size combiner input — and records all of it; its bits are the
+/// inference pass's, and `tests/model_fingerprint.rs` pins them.
 pub trait GnnModel: Send {
     /// Which algorithm this is.
     fn kind(&self) -> ModelKind;
@@ -131,7 +134,9 @@ pub trait GnnModel: Send {
     /// the per-layer dimension the hardware workload models charge with.
     fn hidden_dim(&self) -> usize;
 
-    /// Full-batch forward pass over all nodes.
+    /// Full-batch forward pass over all nodes: with `train`, the
+    /// recording forward `backward` follows; without, every inference
+    /// stage over every row.
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix;
 
     /// Backward pass; must follow a `forward` on the same graph/features.
@@ -174,46 +179,25 @@ pub trait GnnModel: Send {
     /// Panics if `stage >= num_stages()`.
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize;
 
-    /// Computes stage `stage` output rows for target nodes `rows`,
-    /// reading the node-indexed previous-stage matrix `input` (the
-    /// feature matrix when `stage == 0`) at rows below the graph's node
-    /// count; rows past it are never read, so a kept buffer taller than
-    /// this graph serves. Returns one output row per entry of `rows`, in
-    /// order. Inference-only (no backward caches are maintained for the
-    /// training path).
+    /// Computes stage `stage`'s output rows for target nodes `rows`,
+    /// writing each where `out` puts it, [`GnnModel::stage_width`] wide.
+    /// It reads `inputs` only at rows below the graph's node count, so
+    /// kept buffers taller than this graph serve. Inference-only (no
+    /// backward caches are maintained for the training path).
     ///
     /// # Panics
     ///
-    /// Panics if `stage >= num_stages()`, `input` has too few rows or the
-    /// wrong width, or a target id is out of range.
+    /// Panics if `stage >= num_stages()`, `inputs` lacks a stage below
+    /// this one or has too few rows or the wrong widths, a target id is
+    /// out of range, or `out` is too short for the rows it puts.
     fn forward_stage(
         &mut self,
         stage: usize,
         graph: &CsrGraph,
-        input: &Matrix,
+        inputs: StageInputs<'_>,
         rows: &[u32],
-    ) -> Matrix;
-
-    /// Stage 0 ([`GnnModel::forward_stage`]) reading node `v`'s feature
-    /// row at `features.row(index[v])` — how a sampled universe's first
-    /// stage reads the graph-wide feature matrix through the universe's
-    /// local→global ids, copying no feature row. The default gathers the
-    /// universe's rows first; the zoo's models read in place.
-    ///
-    /// # Panics
-    ///
-    /// As [`GnnModel::forward_stage`], with `index` one entry per node of
-    /// `graph`, each a row of `features`.
-    fn first_stage_indexed(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        index: &[u32],
-        rows: &[u32],
-    ) -> Matrix {
-        let gathered = features.gather_rows(index.iter().map(|&g| g as usize));
-        self.forward_stage(0, graph, &gathered, rows)
-    }
+        out: StageOut<'_>,
+    );
 
     /// What [`GnnModel::forward_at`] keeps from call to call. `None`, the
     /// default, makes it allocate per call.
@@ -227,10 +211,10 @@ pub trait GnnModel: Send {
         self.stage_scratch().map(|scratch| &mut scratch.stages)
     }
 
-    /// Bytes of the sampled-path buffers this model keeps from call to
+    /// Bytes of the inference buffers this model keeps from call to
     /// call: its [`GnnModel::stage_scratch`], and a transform-first GCN's
-    /// first-layer lists. Each part is released after a call that leaves
-    /// it past [`crate::batch::KEPT_SCRATCH_BYTES`].
+    /// first-layer scratch. Each part is released after a call that
+    /// leaves it past [`crate::batch::KEPT_SCRATCH_BYTES`].
     fn scratch_bytes(&mut self) -> usize {
         self.stage_scratch().map_or(0, |scratch| scratch.bytes())
     }
@@ -260,7 +244,7 @@ pub trait GnnModel: Send {
     /// table attached, and for models that read none (the default).
     fn fill_row_table(&mut self, _features: &Matrix, _rows: &[u32]) {}
 
-    /// Whether stage `stage` reads its input at a target's graph
+    /// Whether stage `stage` reads its inputs at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
     /// (a node-local transform). [`GnnModel::stage_rows`] widens a row
     /// list by one hop below each stage that does. `true`, the default,
@@ -289,13 +273,12 @@ pub trait GnnModel: Send {
     /// `forward(graph, features, false)` read at `rows` — one output row
     /// per entry, in order, duplicates allowed — computing each stage only
     /// at its [`GnnModel::stage_rows`] list: the last stage at `rows`, each
-    /// earlier one at the rows a later stage reads. Every row is still
-    /// produced by the same kernel as in the full forward, so the result
-    /// is bit-identical to gathering `rows` from it, by the staged
-    /// contract above. This is what a sampled request runs: its targets
-    /// and their one- and two-hop halos are a fraction of the
-    /// sub-universe's rows. The identity-index case of
-    /// [`GnnModel::forward_at_indexed`].
+    /// earlier one at the rows a later stage reads. Every row is produced
+    /// by the same kernel as in the full forward, so the result is
+    /// bit-identical to gathering `rows` from it, by the staged contract
+    /// above. This is what a sampled request runs: its targets and their
+    /// one- and two-hop halos are a fraction of the sub-universe's rows.
+    /// The identity-index case of [`GnnModel::forward_at_indexed`].
     ///
     /// # Panics
     ///
@@ -308,13 +291,13 @@ pub trait GnnModel: Send {
     /// [`GnnModel::forward_at`] over a graph whose node `v` has feature
     /// row `features.row(index[v])` (with `index`, else row `v`): a
     /// sampled universe answered from the graph-wide feature matrix, read
-    /// in place at stage 0 ([`GnnModel::first_stage_indexed`]).
+    /// in place at stage 0.
     ///
-    /// Each earlier stage's rows are written into a node-indexed matrix
-    /// of [`GnnModel::stage_buffers`], which is grown and never zeroed:
-    /// the next stage reads it only at the rows just written. Matrices
-    /// that outgrow [`crate::batch::KEPT_SCRATCH_BYTES`] together are
-    /// released before the call returns.
+    /// Each earlier stage writes its rows into a node-indexed matrix of
+    /// [`GnnModel::stage_buffers`], which is grown and never zeroed: later
+    /// stages read it only at the rows just written. Matrices that
+    /// outgrow [`crate::batch::KEPT_SCRATCH_BYTES`] together are released
+    /// before the call returns.
     ///
     /// # Panics
     ///
@@ -327,33 +310,7 @@ pub trait GnnModel: Send {
         index: Option<&[u32]>,
         rows: &[u32],
     ) -> Matrix {
-        self.prepare_graph(graph);
-        let mut scratch = self.stage_scratch().map(std::mem::take).unwrap_or_default();
-        let StageScratch { stages: kept, lists, marks } = &mut scratch;
-        stage_rows_into(self, graph, rows, marks, lists);
-        let last = lists.len() - 1;
-        kept.resize_with(last, Matrix::default);
-        let nodes = graph.num_nodes();
-        for (stage, at) in lists[..last].iter().enumerate() {
-            let computed = run_stage(self, stage, graph, features, index, kept, at);
-            let buffer = &mut kept[stage];
-            let cols = computed.cols();
-            let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
-            if buffer.shape() != (height, cols) {
-                buffer.resize(height, cols);
-            }
-            for (i, &v) in at.iter().enumerate() {
-                buffer.row_mut(v as usize).copy_from_slice(computed.row(i));
-            }
-        }
-        let out = run_stage(self, last, graph, features, index, kept, &lists[last]);
-        if scratch.bytes() > crate::batch::KEPT_SCRATCH_BYTES {
-            scratch = StageScratch::default();
-        }
-        if let Some(slot) = self.stage_scratch() {
-            *slot = scratch;
-        }
-        out
+        staged_pass(self, graph, features, index, Some(rows))
     }
 
     /// Prepares every linear layer for inference under `mode` (see
@@ -379,6 +336,58 @@ pub trait GnnModel: Send {
         let mut total = 0;
         self.visit_params(&mut |p| total += p.len());
         total
+    }
+}
+
+/// What a stage reads ([`GnnModel::forward_stage`]): the features, and
+/// the node-indexed output of every stage below it.
+#[derive(Debug, Clone, Copy)]
+pub struct StageInputs<'a> {
+    /// The feature matrix.
+    pub features: &'a Matrix,
+    /// Node `v`'s feature row is `features.row(index[v])` with an index
+    /// (a sampled universe's local→global ids), else `features.row(v)`.
+    pub index: Option<&'a [u32]>,
+    /// Stage `k`'s output at `below[k]`, one row per node, for every
+    /// stage `k` below the one computed.
+    pub below: &'a [Matrix],
+}
+
+/// Where [`GnnModel::forward_stage`] writes its output rows, each
+/// [`GnnModel::stage_width`] wide: listed — the output of `rows[i]` at
+/// row `i` — or by node, node `v`'s at row `v`.
+#[derive(Debug)]
+pub struct StageOut<'a> {
+    rows: &'a mut [f64],
+    by_node: bool,
+}
+
+impl<'a> StageOut<'a> {
+    /// Row `i` of `rows` for the stage's `i`-th row.
+    pub fn listed(rows: &'a mut [f64]) -> Self {
+        Self { rows, by_node: false }
+    }
+
+    /// Row `v` of `rows` for node `v`.
+    pub fn by_node(rows: &'a mut [f64]) -> Self {
+        Self { rows, by_node: true }
+    }
+
+    /// The `width`-wide output row of the stage's `i`-th row, node `v`.
+    pub(crate) fn row_mut(&mut self, i: usize, v: usize, width: usize) -> &mut [f64] {
+        let at = if self.by_node { v } else { i };
+        &mut self.rows[at * width..][..width]
+    }
+
+    /// The output rows of the stage's rows `first..`, nodes `nodes`, as
+    /// one run when they lie one after another, else `None`.
+    fn run_mut(&mut self, first: usize, nodes: &[usize], width: usize) -> Option<&mut [f64]> {
+        let start = match nodes.first() {
+            Some(&v) if self.by_node => v,
+            _ => first,
+        };
+        (!self.by_node || block::consecutive(nodes))
+            .then(|| &mut self.rows[start * width..][..nodes.len() * width])
     }
 }
 
@@ -455,22 +464,61 @@ pub(crate) fn widen(
     }
 }
 
-/// Stage `stage` of [`GnnModel::forward_at_indexed`]: stage 0 reads the
-/// features (through `index`, if any), every later stage the kept
-/// node-indexed output of the stage below it.
-fn run_stage<M: GnnModel + ?Sized>(
+/// The staged pass under [`GnnModel::forward_at_indexed`] (`rows`) and
+/// every model's inference `forward` (`None`: every stage at every row,
+/// `0..n`, listing no arc). Every stage but the last writes by node into
+/// its kept matrix of [`GnnModel::stage_scratch`]; the last writes the
+/// returned rows, listed.
+fn staged_pass<M: GnnModel + ?Sized>(
     model: &mut M,
-    stage: usize,
     graph: &CsrGraph,
     features: &Matrix,
     index: Option<&[u32]>,
-    kept: &[Matrix],
-    rows: &[u32],
+    rows: Option<&[u32]>,
 ) -> Matrix {
-    match (stage.checked_sub(1), index) {
-        (Some(below), _) => model.forward_stage(stage, graph, &kept[below], rows),
-        (None, Some(index)) => model.first_stage_indexed(graph, features, index, rows),
-        (None, None) => model.forward_stage(0, graph, features, rows),
+    model.prepare_graph(graph);
+    let mut scratch = model.stage_scratch().map(std::mem::take).unwrap_or_default();
+    let StageScratch { stages: kept, lists, marks } = &mut scratch;
+    let nodes = graph.num_nodes();
+    match rows {
+        Some(rows) => stage_rows_into(model, graph, rows, marks, lists),
+        None => {
+            lists.resize_with(lists.len().max(1), Vec::new);
+            lists[0].clear();
+            lists[0].extend(0..nodes as u32);
+        }
+    }
+    let list = |stage: usize| &lists[if rows.is_some() { stage } else { 0 }];
+    let last = model.num_stages() - 1;
+    let feature_dim = features.cols();
+    let inputs = StageInputs { features, index, below: &[] };
+    kept.resize_with(last, Matrix::default);
+    for stage in 0..last {
+        let (below, above) = kept.split_at_mut(stage);
+        fit_rows(&mut above[0], nodes, model.stage_width(stage, feature_dim));
+        let out = StageOut::by_node(above[0].as_mut_slice());
+        model.forward_stage(stage, graph, StageInputs { below, ..inputs }, list(stage), out);
+    }
+    let at = list(last);
+    let mut out = Matrix::zeros(at.len(), model.stage_width(last, feature_dim));
+    let inputs = StageInputs { below: kept, ..inputs };
+    model.forward_stage(last, graph, inputs, at, StageOut::listed(out.as_mut_slice()));
+    if scratch.bytes() > crate::batch::KEPT_SCRATCH_BYTES {
+        scratch = StageScratch::default();
+    }
+    if let Some(slot) = model.stage_scratch() {
+        *slot = scratch;
+    }
+    out
+}
+
+/// Shapes a kept node-indexed `buffer` to hold at least `nodes` rows of
+/// `cols`, never zeroing it: a buffer of that width keeps a taller
+/// height, one of another width is reshaped.
+fn fit_rows(buffer: &mut Matrix, nodes: usize, cols: usize) {
+    let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
+    if buffer.shape() != (height, cols) {
+        buffer.resize(height, cols);
     }
 }
 
@@ -558,16 +606,9 @@ trait GnnLayer: fmt::Debug + Clone + Send + 'static {
     /// Width of [`GnnLayer::stage_transform`]'s output.
     fn transform_width(&self) -> usize;
 
-    /// The layer over every node through its one aggregate-and-combine
-    /// kernel. With `train` it records what `backward` reads; without, it
-    /// records nothing and drops what an earlier training forward left.
-    fn forward(
-        &mut self,
-        graph: &CsrGraph,
-        h: &Matrix,
-        train: bool,
-        scratch: &mut BlockScratch,
-    ) -> Matrix;
+    /// The training forward over every node, through the layer's one
+    /// aggregate-and-combine kernel, recording what `backward` reads.
+    fn forward(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix;
 
     /// `∂L/∂h` from `∂L/∂output`; must follow a training forward.
     fn backward(&mut self, graph: &CsrGraph, grad: &Matrix) -> Matrix;
@@ -579,25 +620,35 @@ trait GnnLayer: fmt::Debug + Clone + Send + 'static {
     /// Drops what the latest training forward kept for `backward`.
     fn clear_backward_state(&mut self);
 
-    /// The node-local half-stage: each target row's transform beside the
-    /// row itself.
-    fn stage_transform(&mut self, input: Band, rows: &[u32]) -> Matrix;
+    /// The node-local half-stage: each target row's transform of its
+    /// input row `h.row(v)`, streamed through the input block.
+    fn stage_transform(
+        &mut self,
+        h: Band,
+        rows: &[u32],
+        scratch: &mut BlockScratch,
+        out: StageOut,
+    );
 
-    /// The aggregate-and-combine half-stage: the kernel with all of its
-    /// sources inside `input`.
+    /// The aggregate-and-combine half-stage: the kernel reading the
+    /// node-indexed `transform` the half-stage before wrote, and the
+    /// layer's input `h` beside it.
     fn stage_combine(
         &mut self,
         graph: &CsrGraph,
-        input: &Matrix,
+        transform: &Matrix,
+        h: Band,
         rows: &[u32],
         scratch: &mut BlockScratch,
-    ) -> Matrix;
+        out: StageOut,
+    );
 }
 
 /// A two-layer model of one [`GnnLayer`] kind (the second layer without
 /// an activation). Each layer splits at its natural seam into two
 /// stages: the node-local transform (stage 0/2, zero halo) and the
-/// aggregation + combiner (stage 1/3, one-hop halo reads).
+/// aggregation + combiner (stage 1/3, one-hop halo reads of the
+/// transform and of the layer's input).
 #[derive(Debug, Clone)]
 struct TwoLayer<L> {
     layer1: L,
@@ -617,8 +668,13 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
 
     fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
         assert_eq!(features.rows(), graph.num_nodes(), "feature rows must equal node count");
-        let h1 = self.layer1.forward(graph, features, train, &mut self.scratch);
-        self.layer2.forward(graph, &h1, train, &mut self.scratch)
+        if !train {
+            self.layer1.clear_backward_state();
+            self.layer2.clear_backward_state();
+            return staged_pass(self, graph, features, None, None);
+        }
+        let h1 = self.layer1.forward(graph, features, &mut self.scratch);
+        self.layer2.forward(graph, &h1, &mut self.scratch)
     }
 
     fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
@@ -666,26 +722,24 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         &mut self,
         stage: usize,
         graph: &CsrGraph,
-        input: &Matrix,
+        inputs: StageInputs<'_>,
         rows: &[u32],
-    ) -> Matrix {
+        out: StageOut<'_>,
+    ) {
+        let features = Band::with_index(inputs.features, inputs.index);
+        let hidden = || Band::whole(&inputs.below[1]);
+        let scratch = &mut self.scratch;
         match stage {
-            0 => self.layer1.stage_transform(Band::whole(input), rows),
-            1 => self.layer1.stage_combine(graph, input, rows, &mut self.scratch),
-            2 => self.layer2.stage_transform(Band::whole(input), rows),
-            3 => self.layer2.stage_combine(graph, input, rows, &mut self.scratch),
+            0 => self.layer1.stage_transform(features, rows, scratch, out),
+            1 => {
+                self.layer1.stage_combine(graph, &inputs.below[0], features, rows, scratch, out)
+            }
+            2 => self.layer2.stage_transform(hidden(), rows, scratch, out),
+            3 => {
+                self.layer2.stage_combine(graph, &inputs.below[2], hidden(), rows, scratch, out)
+            }
             _ => panic!("{} has 4 stages, got stage {stage}", L::KIND),
         }
-    }
-
-    fn first_stage_indexed(
-        &mut self,
-        _graph: &CsrGraph,
-        features: &Matrix,
-        index: &[u32],
-        rows: &[u32],
-    ) -> Matrix {
-        self.layer1.stage_transform(Band::indexed(features, index), rows)
     }
 
     fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
@@ -720,6 +774,45 @@ pub(crate) mod testutil {
             }
         }
         CsrGraph::from_edges(n, &edges, true).unwrap()
+    }
+
+    /// Chains every inference stage over `shards`, each stage's rows
+    /// computed shard by shard into one node-indexed matrix, which the
+    /// stages above read — the partition-parallel execution shape. Even
+    /// shards write by node, odd ones listed into a part of their own that
+    /// is copied in, so both layouts are exercised.
+    pub fn chain_stages(
+        model: &mut dyn GnnModel,
+        g: &CsrGraph,
+        x: &Matrix,
+        shards: &[Vec<u32>],
+    ) -> Matrix {
+        let mut below = Vec::new();
+        for stage in 0..model.num_stages() {
+            let width = model.stage_width(stage, x.cols());
+            let mut merged = Matrix::filled(x.rows(), width, f64::NAN);
+            for (i, rows) in shards.iter().enumerate() {
+                let inputs = StageInputs { features: x, index: None, below: &below };
+                if i % 2 == 0 {
+                    let out = StageOut::by_node(merged.as_mut_slice());
+                    model.forward_stage(stage, g, inputs, rows, out);
+                    continue;
+                }
+                let mut part = Matrix::filled(rows.len(), width, f64::NAN);
+                model.forward_stage(
+                    stage,
+                    g,
+                    inputs,
+                    rows,
+                    StageOut::listed(part.as_mut_slice()),
+                );
+                for (i, &v) in rows.iter().enumerate() {
+                    merged.row_mut(v as usize).copy_from_slice(part.row(i));
+                }
+            }
+            below.push(merged);
+        }
+        below.pop().expect("models have at least one stage")
     }
 
     /// Deterministic smooth features away from activation kinks.
@@ -808,7 +901,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::hub_graph;
+    use super::testutil::{chain_stages, hub_graph};
     use super::*;
     use crate::batch::MergedUniverse;
     use crate::sampled::SampledSubgraph;
@@ -840,31 +933,6 @@ mod tests {
             assert_eq!(model.kind(), kind);
             assert!(model.num_params() > 0);
         }
-    }
-
-    /// Chains every inference stage over `shards` (each stage's rows
-    /// computed shard by shard and merged by node id before the next
-    /// stage reads them) — the partition-parallel execution shape.
-    fn chain_stages(
-        model: &mut dyn GnnModel,
-        g: &CsrGraph,
-        x: &Matrix,
-        shards: &[Vec<u32>],
-    ) -> Matrix {
-        let mut current = x.clone();
-        for stage in 0..model.num_stages() {
-            let width = model.stage_width(stage, x.cols());
-            let mut merged = Matrix::zeros(x.rows(), width);
-            for rows in shards {
-                let part = model.forward_stage(stage, g, &current, rows);
-                assert_eq!(part.shape(), (rows.len(), width), "stage {stage} shape");
-                for (i, &v) in rows.iter().enumerate() {
-                    merged.row_mut(v as usize).copy_from_slice(part.row(i));
-                }
-            }
-            current = merged;
-        }
-        current
     }
 
     fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
@@ -926,17 +994,20 @@ mod tests {
                 for compression in compressions {
                     let what = format!("{kind} {compression:?} n={n}");
                     let mut model = build_model(kind, 20, 18, 5, compression, 7).unwrap();
-                    let trained = model.forward(&g, &x, true);
+                    // The recording forward and the inference pass,
+                    // whichever runs first.
                     let inferred = model.forward(&g, &x, false);
-                    assert_eq!(inferred.linf_distance(&trained), 0.0, "{what}: forward");
+                    let trained = model.forward(&g, &x, true);
+                    assert_same_bits(&inferred, &trained, &format!("{what}: forward"));
+                    assert_same_bits(&model.forward(&g, &x, false), &trained, &what);
                     let staged = chain_stages(model.as_mut(), &g, &x, &shards);
-                    assert_eq!(staged.linf_distance(&trained), 0.0, "{what}: staged");
+                    assert_same_bits(&staged, &trained, &format!("{what}: staged"));
                     // Prepared copies are inference-only: two routes each.
                     for (mode, bound) in PREPARED_MODES {
                         model.prepare(mode);
                         let inferred = model.forward(&g, &x, false);
                         let staged = chain_stages(model.as_mut(), &g, &x, &shards);
-                        assert_eq!(staged.linf_distance(&inferred), 0.0, "{what} {mode:?}");
+                        assert_same_bits(&staged, &inferred, &format!("{what} {mode:?}"));
                         assert!(inferred.linf_distance(&trained) < bound, "{what} {mode:?}");
                     }
                 }
@@ -1031,12 +1102,15 @@ mod tests {
         model.prepare_graph(g);
         let every_row: Vec<u32> = (0..g.num_nodes() as u32).collect();
         let last = model.num_stages() - 1;
-        let mut current: Option<Matrix> = None;
-        for stage in 0..last {
-            let input = current.as_ref().unwrap_or(x);
-            current = Some(model.forward_stage(stage, g, input, &every_row));
+        let mut below = Vec::new();
+        for stage in 0..=last {
+            let at = if stage == last { rows } else { &every_row };
+            let mut out = Matrix::zeros(at.len(), model.stage_width(stage, x.cols()));
+            let inputs = StageInputs { features: x, index: None, below: &below };
+            model.forward_stage(stage, g, inputs, at, StageOut::listed(out.as_mut_slice()));
+            below.push(out);
         }
-        model.forward_stage(last, g, current.as_ref().unwrap_or(x), rows)
+        below.pop().expect("models have at least one stage")
     }
 
     proptest! {

@@ -50,6 +50,8 @@ pub struct RowTable {
 #[derive(Debug, Default)]
 pub(crate) struct Slab {
     present: Vec<u64>,
+    /// How many presence bits are set.
+    count: usize,
     rows: Matrix,
 }
 
@@ -72,6 +74,7 @@ impl RowTable {
         let emptied = Self::new(nodes, self.width)?;
         let mut slab = self.slab.into_inner().unwrap_or_else(PoisonError::into_inner);
         slab.present.clear();
+        slab.count = 0;
         Some(Self { slab: RwLock::new(slab), ..emptied })
     }
 
@@ -90,7 +93,7 @@ impl RowTable {
     /// How many rows are present.
     #[must_use]
     pub fn rows_present(&self) -> usize {
-        self.read().present.iter().map(|w| w.count_ones() as usize).sum()
+        self.read().rows_present()
     }
 
     /// The storage, to read rows in place. A panic under the write lock
@@ -134,6 +137,12 @@ impl Slab {
         self.present.get(node / 64).is_some_and(|word| word >> (node % 64) & 1 == 1)
     }
 
+    /// How many rows are present: the table's node count once every
+    /// row is, which a reader checks instead of walking its rows.
+    pub(crate) fn rows_present(&self) -> usize {
+        self.count
+    }
+
     /// The node-indexed rows: row `node` is valid where
     /// [`Slab::has`]`(node)`.
     pub(crate) fn rows(&self) -> &Matrix {
@@ -150,6 +159,7 @@ impl Slab {
         if !self.has(node) {
             self.rows.row_mut(node).copy_from_slice(row);
             self.present[node / 64] |= 1 << (node % 64);
+            self.count += 1;
         }
     }
 }

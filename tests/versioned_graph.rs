@@ -14,6 +14,7 @@
 //! over after every delta kind.
 
 use blockgnn::engine::{BackendKind, Engine, EngineBuilder, EngineError, InferRequest};
+use blockgnn::gnn::models::{StageInputs, StageOut};
 use blockgnn::gnn::{build_model, GnnModel, ModelKind};
 use blockgnn::graph::delta::{DeltaError, GraphDelta, VersionedGraph};
 use blockgnn::graph::generate::Rng64;
@@ -453,11 +454,12 @@ impl GnnModel for FusedModel {
         &mut self,
         stage: usize,
         graph: &CsrGraph,
-        input: &Matrix,
+        inputs: StageInputs<'_>,
         rows: &[u32],
-    ) -> Matrix {
+        out: StageOut<'_>,
+    ) {
         assert!(!self.armed.swap(false, Ordering::SeqCst), "fused model: injected stage panic");
-        self.inner.forward_stage(stage, graph, input, rows)
+        self.inner.forward_stage(stage, graph, inputs, rows, out);
     }
 }
 
