@@ -136,6 +136,19 @@ impl GatHead {
         f(&mut self.a_src);
         f(&mut self.a_dst);
     }
+
+    /// Reduces each `att_dim`-wide row of `projected` (`Wₖ·h_v`) to this
+    /// head's two scores, `⟨Wₖ·h_v, a_src⟩` and `⟨Wₖ·h_v, a_dst⟩`, in
+    /// columns `2k` and `2k + 1` of the matching `width`-wide row of
+    /// `scores`.
+    fn reduce(&self, k: usize, projected: &[f64], scores: &mut [f64], width: usize) {
+        for (pair, s) in
+            scores.chunks_exact_mut(width).zip(projected.chunks_exact(self.att_dim))
+        {
+            pair[2 * k] = score(s, &self.a_src);
+            pair[2 * k + 1] = score(s, &self.a_dst);
+        }
+    }
 }
 
 /// One attention score `⟨W·h_v, a⟩`.
@@ -252,24 +265,14 @@ impl GnnLayer for GatLayer {
     fn forward(&mut self, graph: &CsrGraph, h: &Matrix, scratch: &mut BlockScratch) -> Matrix {
         assert_eq!(h.cols(), self.in_dim, "gat layer input width mismatch");
         self.clear_backward_state();
-        let mut scores = Matrix::zeros(h.rows(), 2 * self.heads.len());
+        let width = 2 * self.heads.len();
+        let mut scores = Matrix::zeros(h.rows(), width);
         for (k, head) in self.heads.iter_mut().enumerate() {
-            let s = head.w.forward(h, true);
-            for i in 0..h.rows() {
-                scores[(i, 2 * k)] = score(s.row(i), &head.a_src);
-                scores[(i, 2 * k + 1)] = score(s.row(i), &head.a_dst);
-            }
-            head.s_cache = s;
+            head.s_cache = head.w.forward(h, true);
+            head.reduce(k, head.s_cache.as_slice(), scores.as_mut_slice(), width);
         }
-        let mut y = Matrix::default();
-        self.combine(
-            graph,
-            &scores,
-            Band::whole(h),
-            0..h.rows(),
-            Output::Recorded(&mut y),
-            scratch,
-        );
+        let (mut y, rows) = (Matrix::default(), 0..h.rows());
+        self.combine(graph, &scores, Band::whole(h), rows, Output::Recorded(&mut y), scratch);
         self.h_cache = h.clone();
         y
     }
@@ -314,13 +317,11 @@ impl GnnLayer for GatLayer {
         }
     }
 
-    /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` for each target row, where
-    /// `sₖᵛ = ⟨Wₖ·h_v, a_src⟩` and `dₖᵛ = ⟨Wₖ·h_v, a_dst⟩`: the full-size
-    /// intermediate of a layer, since a softmax reads the destination
-    /// scores of neighbor rows. Each head's projection of a block lands
-    /// in the spare block and is reduced to its two columns there; the
-    /// per-head aggregations and their concatenation exist a block at a
-    /// time.
+    /// `[s₀ᵛ, d₀ᵛ, s₁ᵛ, d₁ᵛ, …]` for each target row ([`GatHead::reduce`]):
+    /// the full-size intermediate of a layer, since a softmax reads the
+    /// destination scores of neighbor rows. Each head's projection of a
+    /// block lands in the spare block and is reduced there; the per-head
+    /// aggregations and their concatenation exist a block at a time.
     fn stage_transform(
         &mut self,
         h: Band,
@@ -335,11 +336,7 @@ impl GnnLayer for GatLayer {
             for (k, head) in heads.iter_mut().enumerate() {
                 spare.resize(len * head.att_dim, 0.0);
                 head.w.forward_into(z, spare);
-                let projected = spare.chunks_exact(head.att_dim);
-                for (pair, s) in scores.chunks_exact_mut(width).zip(projected) {
-                    pair[2 * k] = score(s, &head.a_src);
-                    pair[2 * k + 1] = score(s, &head.a_dst);
-                }
+                head.reduce(k, spare, scores, width);
             }
         });
     }

@@ -374,7 +374,7 @@ impl<'a> StageOut<'a> {
     }
 
     /// The `width`-wide output row of the stage's `i`-th row, node `v`.
-    pub(crate) fn row_mut(&mut self, i: usize, v: usize, width: usize) -> &mut [f64] {
+    fn row_mut(&mut self, i: usize, v: usize, width: usize) -> &mut [f64] {
         let at = if self.by_node { v } else { i };
         &mut self.rows[at * width..][..width]
     }
