@@ -23,6 +23,7 @@ use crate::error::CirculantError;
 use crate::matrix::BlockCirculantMatrix;
 use crate::spectral::{RealSpectralBlockCirculant, SpectralScratch};
 use blockgnn_fft::Q16_16;
+use std::mem::take;
 
 /// Q16.16 spectral form of a [`BlockCirculantMatrix`] with packed
 /// half-spectrum weights, taking and returning `f64`. Owns the kernel's
@@ -95,7 +96,9 @@ impl RealSpectralBlockCirculant<Q16_16> {
     /// through the fixed-point tile, each output is dequantized, and
     /// `bias` (if any) is then added in f64 — the VPU's bias add, after
     /// CirCore. Row-major `rows × in_dim` in, `rows × out_dim` out (every
-    /// entry overwritten); a row's bits depend only on that row.
+    /// entry overwritten); a row's bits depend only on that row. The
+    /// quantized input and output are staged in `scratch`, so a warm call
+    /// allocates nothing.
     ///
     /// # Panics
     ///
@@ -112,12 +115,16 @@ impl RealSpectralBlockCirculant<Q16_16> {
             bias.is_none_or(|b| b.len() == self.out_dim()),
             "bias length must equal out_dim"
         );
-        let qx: Vec<Q16_16> = x.iter().map(|&v| Q16_16::from_f64(v)).collect();
-        let mut qy = vec![Q16_16::ZERO; out.len()];
+        let (mut qx, mut qy) = (take(&mut scratch.input), take(&mut scratch.output));
+        qx.clear();
+        qx.extend(x.iter().map(|&v| Q16_16::from_f64(v)));
+        qy.clear();
+        qy.resize(out.len(), Q16_16::ZERO);
         self.matmul_into(&qx, None, scratch, &mut qy);
-        for (o, q) in out.iter_mut().zip(qy) {
+        for (o, q) in out.iter_mut().zip(&qy) {
             *o = q.to_f64();
         }
+        (scratch.input, scratch.output) = (qx, qy);
         if let Some(bias) = bias {
             for row in out.chunks_exact_mut(bias.len()) {
                 for (o, b) in row.iter_mut().zip(bias) {

@@ -146,8 +146,10 @@ fn tile_arm(block: usize) -> Arm {
 
 /// Reusable workspace of the half-spectrum kernel: a tile's input
 /// spectra and one grid row's accumulator, at each of the two widths the
-/// kernel runs (see the module docs), and the kernel gradient's `p·q`
-/// spectral sums. Grown on first use and kept across rows, layers and
+/// kernel runs (see the module docs), the kernel gradient's `p·q`
+/// spectral sums, and the Q16.16 product's quantized input and output
+/// (`RealSpectralBlockCirculant::<Q16_16>::matmul_f64_into`; empty in
+/// every other use). Grown on first use and kept across rows, layers and
 /// requests — the owner decides the sharing scope (each `CirculantDense`
 /// layer and each [`RealSpectralBlockCirculant`] caller holds its own, so
 /// forked serving replicas never contend).
@@ -161,6 +163,8 @@ pub struct SpectralScratch<T = f64> {
     tile: Vec<ComplexLanes<T, LANES>>,
     row: Vec<Complex<T>>,
     sums: Vec<Complex<T>>,
+    pub(crate) input: Vec<T>,
+    pub(crate) output: Vec<T>,
 }
 
 impl<T: Scalar> Clone for SpectralScratch<T> {
@@ -589,7 +593,7 @@ impl<T: Scalar> RealSpectralBlockCirculant<T> {
         let rows = x.len() / self.in_dim;
         let n = self.len::<N>();
         let bins = half_spectrum_bins(n);
-        let SpectralScratch { tile, row, sums } = scratch;
+        let SpectralScratch { tile, row, sums, .. } = scratch;
         sums.clear();
         sums.resize(self.grid_rows * self.grid_cols * bins, Complex::zero());
         let tiled = rows - rows % LANES;

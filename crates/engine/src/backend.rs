@@ -207,8 +207,8 @@ impl Backend {
 
     /// Points the model's node-local row reads at `epoch`'s row table,
     /// or, with `None` or past the table's cap, back at computing them
-    /// per call. A no-op for a
-    /// model that reads no such rows.
+    /// per call. The engine attaches it around sampled batches only. A
+    /// no-op for a model that reads no such rows.
     pub(crate) fn attach(&mut self, epoch: Option<&GraphEpoch>) {
         if let Some(width) = self.model.row_table_width() {
             self.model.attach_row_table(epoch.and_then(|epoch| epoch.row_table(width)));

@@ -321,13 +321,14 @@ impl Engine {
         Session { engine: self, stats: ServeStats::default() }
     }
 
-    /// Drops the current version's full-graph logits and its table of
-    /// first-layer rows, so the next full-graph request recomputes every
-    /// stage (and re-charges the hardware models). Useful for
-    /// benchmarking the execution path itself; regular serving never
-    /// needs this — both live on their epoch, and [`Engine::apply_delta`]
-    /// publishes a fresh one. Affects every [`Engine::fork`] replica — the
-    /// epoch is shared.
+    /// Drops the current version's full-graph logits, so the next
+    /// full-graph request recomputes every stage (and re-charges the
+    /// hardware models), and empties its table of first-layer rows, so the
+    /// next sampled batch transforms every row it reads (full passes
+    /// neither read nor fill the table). Useful for benchmarking the
+    /// execution path itself; regular serving never needs this — both
+    /// live on their epoch, and [`Engine::apply_delta`] publishes a fresh
+    /// one. Affects every [`Engine::fork`] replica — the epoch is shared.
     pub fn clear_full_graph_cache(&self) {
         let epoch = self.shared.epoch();
         *lock_recover(&epoch.logits) = None;
@@ -846,7 +847,14 @@ mod tests {
             lock_recover(&engine.shared.epoch().rows).as_ref().map_or(0, |t| t.rows_present())
         };
 
-        assert_eq!(rows_present(&engine), 0);
+        // Full passes, on one worker and on two, compute `T` into stage
+        // matrices and leave the table alone.
+        let all = InferRequest::all_nodes();
+        assert!(!engine.execute_request(&all).expect("serves").from_cache);
+        let mut engine = engine.into_parallel(2).expect("widens");
+        engine.clear_full_graph_cache();
+        assert!(engine.execute_request(&all).expect("serves").parts >= 2);
+        assert_eq!(rows_present(&engine), 0, "full passes fill no row");
         assert_eq!(answer(&mut engine), want, "cold");
         let filled = rows_present(&engine);
         assert!(filled > 0, "the cold answer filled the table");

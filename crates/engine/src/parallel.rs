@@ -55,7 +55,8 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::versioned::{lock_recover, GraphEpoch};
 use blockgnn_accel::SimReport;
-use blockgnn_gnn::models::{StageInputs, StageOut};
+use blockgnn_gnn::batch::KEPT_SCRATCH_BYTES;
+use blockgnn_gnn::models::{fit_rows, StageInputs, StageOut};
 use blockgnn_gnn::GnnModel;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
@@ -218,9 +219,10 @@ impl Engine {
 
     /// The widest row any inference stage holds resident — the per-node
     /// width residency planning uses. A stage's output row, and beside a
-    /// node-local stage's output the input row it was computed from,
-    /// which the aggregation above it reads too (GS-Pool's `t` with `h`,
-    /// G-GCN's `[p ‖ q]` with `h`).
+    /// node-local stage's output the input row it was computed from: both
+    /// are resident while the stage runs, and the two-layer kinds'
+    /// aggregation above reads both (GS-Pool's `t` with `h`, G-GCN's
+    /// `[p ‖ q]` with `h`).
     fn plan_width(&self, feature_dim: usize) -> usize {
         let model = &self.workers[0].model;
         let mut input = feature_dim;
@@ -271,17 +273,12 @@ impl Engine {
         if self.workers.len() == 1 {
             let shape =
                 RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
-            let worker = &mut self.workers[0];
-            worker.attach(Some(epoch));
-            let out = worker.execute(&dataset.graph, &dataset.features, shape);
-            worker.attach(None);
+            let out = self.workers[0].execute(&dataset.graph, &dataset.features, shape);
             return (out, 1);
         }
         let plan = self.plan_for(epoch);
-        self.workers.iter_mut().for_each(|worker| worker.attach(Some(epoch)));
         let logits =
             run_staged(&mut self.workers, &dataset.graph, &dataset.features, &plan.parts);
-        self.workers.iter_mut().for_each(|worker| worker.attach(None));
         let (sim, energy_joules) = merge_part_charges(
             &self.workers[0],
             dataset.feature_dim(),
@@ -295,10 +292,10 @@ impl Engine {
 /// Executes the model's inference stages over `parts`, fanning each
 /// stage's parts out to the worker pool: each part's rows are written in
 /// place into the stage's node-indexed matrix, which the stages above
-/// read once every part is done; returns the last stage's matrix. A model
-/// that reads node-local rows from a table has each part's own rows
-/// filled first ([`GnnModel::fill_row_table`]), so stage 0 finds its
-/// halo's rows there instead of computing them again.
+/// read once every part is done; returns the last stage's matrix. The
+/// matrices below it are the first replica's kept stage matrices
+/// ([`GnnModel::stage_buffers`]), grown and never zeroed as a one-worker
+/// pass keeps them, and released past [`KEPT_SCRATCH_BYTES`].
 ///
 /// # Panics
 ///
@@ -312,16 +309,23 @@ fn run_staged(
 ) -> Matrix {
     let n = graph.num_nodes();
     let feature_dim = features.cols();
-    if workers[0].model.row_table_width().is_some() {
-        let rows = parts.iter().map(|part| part.nodes.as_slice()).collect();
-        fan_out(workers, graph, rows, |model, rows| model.fill_row_table(features, rows));
-    }
     let tiled = parts.iter().flat_map(|part| &part.nodes).map(|&v| v as usize).eq(0..n);
     assert!(tiled, "parts must tile the nodes in order, each a run of consecutive ids");
-    let mut outputs: Vec<Matrix> = Vec::new();
-    for stage in 0..workers[0].model.num_stages() {
+    let model = &mut workers[0].model;
+    let last = model.num_stages() - 1;
+    let mut logits = Matrix::zeros(n, model.stage_width(last, feature_dim));
+    let mut kept = model.stage_buffers().map(std::mem::take).unwrap_or_default();
+    kept.resize_with(last, Matrix::default);
+    for stage in 0..=last {
         let width = workers[0].model.stage_width(stage, feature_dim);
-        let mut out = Matrix::zeros(n, width);
+        let (below, above) = kept.split_at_mut(stage);
+        let out = match above.first_mut() {
+            Some(out) => {
+                fit_rows(out, n, width);
+                out
+            }
+            None => &mut logits,
+        };
         let mut rest = out.as_mut_slice();
         let jobs = parts.iter().map(|part| {
             let (mine, after) =
@@ -329,15 +333,17 @@ fn run_staged(
             rest = after;
             (part.nodes.as_slice(), mine)
         });
-        let inputs = StageInputs { features, index: None, below: &outputs };
+        let inputs = StageInputs { features, index: None, below };
         fan_out(workers, graph, jobs.collect(), |model, (rows, mine)| {
             model.forward_stage(stage, graph, inputs, rows, StageOut::listed(mine));
         });
-        outputs.push(out);
     }
-    // `GnnModel::num_stages` is at least one (the last stage produces the
-    // logits), so the loop above pushed one.
-    outputs.pop().expect("models have at least one stage")
+    let bytes: usize = kept.iter().map(|m| m.capacity() * 8).sum();
+    if let Some(slot) = workers[0].model.stage_buffers().filter(|_| bytes <= KEPT_SCRATCH_BYTES)
+    {
+        *slot = kept;
+    }
+    logits
 }
 
 /// Runs `task` on every job over a [`std::thread::scope`] pool, one

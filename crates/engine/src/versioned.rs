@@ -70,8 +70,9 @@ pub(crate) struct GraphEpoch {
     pub plans: Mutex<HashMap<usize, Arc<Plan>>>,
     /// The served model's node-local first-layer rows of this version's
     /// features ([`RowTable`]), made empty on first use when the model
-    /// reads any and the table fits its cap. Sampled batches, full passes
-    /// and widened passes all fill and read it; a fork's batch shares it.
+    /// reads any and the table fits its cap. Sampled batches fill and read
+    /// it, a fork's sharing it; full and widened passes compute their rows
+    /// into stage matrices and leave it alone.
     pub rows: Mutex<Option<Arc<RowTable>>>,
 }
 

@@ -44,9 +44,9 @@ use blockgnn_linalg::Matrix;
 
 /// What a replica's reused sampled-path buffers may keep between batches,
 /// per owner: a [`UniverseBuilder`]'s batch-sized buffers, a model's
-/// [`crate::GnnModel::stage_scratch`], and a transform-first GCN's
-/// first-layer lists ([`crate::GnnModel::scratch_bytes`] counts the last
-/// two). It is one default batch's worth —
+/// [`crate::GnnModel::stage_scratch`], and what a transform-first GCN
+/// keeps for filling a row table ([`crate::GnnModel::scratch_bytes`]
+/// counts the last two). It is one default batch's worth —
 /// eight requests of 1 024 targets each, sampled at the paper's fan-outs
 /// (25 × (1 + 10) draws per target), in 8-byte arc slots: 17.2 MiB. An
 /// owner whose buffers outgrow it together releases them all after the

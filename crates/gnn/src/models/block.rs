@@ -25,19 +25,16 @@
 //! operations in the same order whatever block it lands in, and the
 //! linear layers are row-independent ([`LinearLayer::forward_into`]).
 //!
-//! One layer leaves this pipeline on one backend: a GCN prepared for
+//! One layer runs in another order on one backend: a GCN prepared for
 //! `ExecMode::Spectral` runs its first layer transform-first (see
-//! [`crate::models::gcn`]). Its `T = X·W₁` rows stream through
-//! [`transform_blocks`], and every route of that prepared model — a
-//! full `forward`, `forward_stage`, `forward_at_indexed` and the widened
-//! pass — aggregates them through its one kernel, `Gcn::first_rows_into`,
-//! so those routes agree bit for bit with each other, not with the other
-//! modes. The routes that keep the paper's order through
-//! [`combine_blocks`] are pinned bit for bit elsewhere: training by
-//! `tests/model_fingerprint.rs`, the Dense backend by the hex logits of
-//! `tests/wire_transcript.rs` and `tests/telemetry_transcript.rs`, and the
-//! simulated accelerator by `tests/engine_api.rs`'s hand-wired Q16.16 GCN
-//! oracle.
+//! [`crate::models::gcn`]) — its `T = X·W₁` rows are a node-local stage
+//! through [`transform_blocks`], aggregated by the stage after it — so its
+//! routes agree bit for bit with each other, not with the other modes. The
+//! routes that keep the paper's order through [`combine_blocks`] are
+//! pinned bit for bit elsewhere: training by `tests/model_fingerprint.rs`,
+//! the Dense backend by the hex logits of `tests/wire_transcript.rs` and
+//! `tests/telemetry_transcript.rs`, and the simulated accelerator by
+//! `tests/engine_api.rs`'s hand-wired Q16.16 GCN oracle.
 
 use super::{StageOut, StageScratch};
 use blockgnn_linalg::Matrix;

@@ -10,33 +10,31 @@
 //! The paper aggregates, then combines: `h₁ = ReLU(W₁·(Â·X) + b₁)`. The
 //! training route, [`ExecMode::Gemm`] (the Dense backend) and
 //! [`ExecMode::FixedSpectral`] (the simulated accelerator) run that
-//! order, and tests pin each of them: `tests/model_fingerprint.rs` the
-//! training bits, the wire and telemetry transcripts the Dense backend's
-//! hex logits, and `tests/engine_api.rs`'s hand-wired Q16.16 oracle the
-//! accelerator's.
+//! order, one stage per layer, and tests pin each of them:
+//! `tests/model_fingerprint.rs` the training bits, the wire and telemetry
+//! transcripts the Dense backend's hex logits, and `tests/engine_api.rs`'s
+//! hand-wired Q16.16 oracle the accelerator's.
 //!
 //! Prepared for [`ExecMode::Spectral`], the first layer combines first:
 //! `h₁ = ReLU(Â·T + b₁)` with `T = X·W₁`, computed without the bias. It is
 //! the same map rounded in a different order. The aggregation then runs
 //! at the hidden width instead of the input width (the per-layer order
-//! choice of VersaGNN and GNNIE, PAPERS.md), and row `u` of `T` depends
-//! only on node `u`'s features, so the serving engine keeps `T` in one
-//! [`RowTable`] per graph version and a request transforms only the rows
-//! no earlier request read. Every route of the prepared model — a full
-//! `forward`, `forward_stage` (so `forward_at_indexed`) and the widened
-//! pass — reads `T` rows through one kernel,
-//! `Gcn::first_rows_into`, whether they come from a table or are
-//! computed for the call, so the routes agree bit for bit. The second
-//! layer keeps the paper's order everywhere.
+//! choice of VersaGNN and GNNIE, PAPERS.md). The layer is two stages like
+//! any other: a node-local stage 0 writes `T` by node, and stage 1
+//! aggregates it through one kernel, `Gcn::first_rows_into`, so every
+//! route of the prepared model agrees bit for bit. Row `u` of `T` depends
+//! only on node `u`'s features, so the serving engine attaches one
+//! [`RowTable`] per graph version around its sampled batches: stage 0
+//! then transforms only the rows no earlier batch put in the table, and
+//! stage 1 reads `T` from the table in place. Full-graph passes attach
+//! none. The second layer keeps the paper's order everywhere.
 
 use crate::adjacency::NormalizedAdjacency;
 use crate::batch::KEPT_SCRATCH_BYTES;
 use crate::models::block::{
     combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output, ROW_BLOCK,
 };
-use crate::models::{
-    fit_rows, staged_pass, widen, GnnModel, ModelKind, StageInputs, StageOut, StageScratch,
-};
+use crate::models::{staged_pass, GnnModel, ModelKind, StageInputs, StageOut, StageScratch};
 use crate::table::RowTable;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
@@ -66,22 +64,18 @@ pub struct Gcn {
     /// Block buffer of the inference pass: `Â·H` exists one block of
     /// destination rows at a time, as the combiner's input.
     scratch: BlockScratch,
-    /// The transform-first layer's reused buffers.
+    /// What filling a table reuses.
     first: FirstScratch,
 }
 
-/// What the transform-first layer reuses from call to call: the nodes
-/// whose `T` rows a call reads, those a table lacks, [`widen`]'s marks,
-/// the node-indexed `T` rows computed when no table is attached, and the
-/// block a table's missing rows are transformed into. Clones empty;
-/// released after a call that leaves it past [`KEPT_SCRATCH_BYTES`], as
-/// [`GnnModel::forward_at_indexed`] releases its stage scratch.
+/// What a transform-first stage 0 reuses from call to call when a table
+/// is attached: the rows of its list the table lacks, and the block they
+/// are transformed into. Clones empty; released after a call that leaves
+/// it past [`KEPT_SCRATCH_BYTES`], as [`GnnModel::forward_at_indexed`]
+/// releases its stage scratch.
 #[derive(Debug, Default)]
 struct FirstScratch {
-    sources: Vec<u32>,
     missing: Vec<u32>,
-    marks: Vec<bool>,
-    t: Matrix,
     block: Vec<f64>,
 }
 
@@ -92,23 +86,9 @@ impl Clone for FirstScratch {
 }
 
 impl FirstScratch {
-    /// Lists the nodes whose `T` rows destination `rows` read — each row
-    /// and its neighbours, once. A list at least as long as the graph (a
-    /// full pass) reads every node, which is listed walking no arc.
-    fn list_sources(&mut self, graph: &CsrGraph, rows: &[u32]) {
-        let nodes = graph.num_nodes();
-        if rows.len() >= nodes {
-            self.sources.clear();
-            self.sources.extend(0..nodes as u32);
-        } else {
-            widen(graph, rows, true, &mut self.marks, &mut self.sources);
-        }
-    }
-
     /// Bytes of everything kept.
     fn bytes(&self) -> usize {
-        let lists = self.sources.capacity() + self.missing.capacity();
-        lists * 4 + self.marks.capacity() + (self.t.capacity() + self.block.capacity()) * 8
+        self.missing.capacity() * 4 + self.block.capacity() * 8
     }
 }
 
@@ -138,23 +118,24 @@ impl Gcn {
         })
     }
 
-    /// Layer `stage`'s aggregate-and-combine kernel: for each
-    /// destination row, `Â`-row of `input` ([`NormalizedAdjacency::write_row`])
-    /// into the combiner's input block, then the combiner (+ ReLU on the
-    /// hidden layer), through their training forwards when recording.
-    /// Needs [`GnnModel::prepare_graph`] to have run for `graph`.
+    /// Layer `layer`'s aggregate-and-combine kernel in the paper's order:
+    /// for each destination row, `Â`-row of `input`
+    /// ([`NormalizedAdjacency::write_row`]) into the combiner's input
+    /// block, then the combiner (+ ReLU on the hidden layer), through
+    /// their training forwards when recording. Needs
+    /// [`GnnModel::prepare_graph`] to have run for `graph`.
     fn layer(
         &mut self,
-        stage: usize,
+        layer: usize,
         graph: &CsrGraph,
         input: Band,
         rows: impl ExactSizeIterator<Item = usize>,
         out: Output,
     ) {
-        let (lin, act) = match stage {
+        let (lin, act) = match layer {
             0 => (&mut self.lin1, Some(&mut *self.act1)),
             1 => (&mut self.lin2, None),
-            _ => panic!("GCN has 2 stages, got stage {stage}"),
+            _ => panic!("GCN has 2 layers, got layer {layer}"),
         };
         assert!(input.nodes() >= graph.num_nodes(), "every node needs an input row");
         assert_eq!(input.width(), lin.in_dim(), "gcn layer input width mismatch");
@@ -169,39 +150,35 @@ impl Gcn {
         });
     }
 
-    /// Layer 1 at `rows`: the rest of the paper's order, or
-    /// transform-first when prepared for it. Node `v`'s feature row is
-    /// `features.row(index[v])` with `index`, else `features.row(v)`.
-    fn first_layer(
+    /// Transform-first stage 0: the `T` rows of `rows` — `W₁·x` without
+    /// the bias, node `v`'s feature row through `index` as in
+    /// [`StageInputs`]. With a table attached they go into the table
+    /// instead of `out`: those it lacks are filled ([`Gcn::fill`]), and a
+    /// call that finds it full walks no row.
+    fn first_transform(
         &mut self,
-        graph: &CsrGraph,
         features: &Matrix,
         index: Option<&[u32]>,
         rows: &[u32],
-        mut out: StageOut,
+        out: StageOut,
     ) {
-        let input = Band::with_index(features, index);
-        if !self.transform_first {
-            let rows = rows.iter().map(|&v| v as usize);
-            return self.layer(0, graph, input, rows, Output::Rows(out));
-        }
+        let Some(table) = self.table.clone() else {
+            return self.transform(Band::with_index(features, index), rows, out);
+        };
+        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
+        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
         let mut first = std::mem::take(&mut self.first);
-        match self.table.clone() {
-            Some(table) => {
-                self.first_layer_tabled(&table, graph, features, index, rows, &mut first, out);
-            }
-            None => {
-                first.list_sources(graph, rows);
-                fit_rows(&mut first.t, graph.num_nodes(), self.lin1.out_dim());
-                self.transform(
-                    input,
-                    &first.sources,
-                    StageOut::by_node(first.t.as_mut_slice()),
-                );
-                self.first_rows_into(graph, Band::whole(&first.t), 0, rows, &mut out);
+        first.missing.clear();
+        {
+            let slab = table.read();
+            if slab.rows_present() < table.nodes() {
+                first.missing.extend(rows.iter().filter(|&&v| !slab.has(key(v))));
             }
         }
-        self.keep_first(first);
+        self.fill(&table, features, index, &first.missing, &mut first.block);
+        if first.bytes() <= KEPT_SCRATCH_BYTES {
+            self.first = first;
+        }
     }
 
     /// The `T` rows of `nodes` — `W₁·x` without the bias, node `v`'s
@@ -213,18 +190,9 @@ impl Gcn {
         });
     }
 
-    /// Keeps `first` for the next call unless it has grown past
-    /// [`KEPT_SCRATCH_BYTES`].
-    fn keep_first(&mut self, first: FirstScratch) {
-        if first.bytes() <= KEPT_SCRATCH_BYTES {
-            self.first = first;
-        }
-    }
-
     /// Transforms the `T` rows of `nodes` (node `v`'s feature row through
-    /// `index`, as in [`Gcn::first_layer`]) a block at a time into `block`
-    /// outside `table`'s lock, and writes each block under a short write
-    /// lock.
+    /// `index`) a block at a time into `block` outside `table`'s lock, and
+    /// writes each block under a short write lock.
     fn fill(
         &mut self,
         table: &RowTable,
@@ -246,43 +214,30 @@ impl Gcn {
         }
     }
 
-    /// Transform-first layer 1 reading `T` rows from `table`, keyed by
-    /// feature row. Rows the table lacks are filled first
-    /// ([`Gcn::fill`]); a call that finds the table full walks no row, and
-    /// one whose rows are all present lists no sources. Then every row is
-    /// read in place, one block of destination rows per read lock, so a
-    /// replica filling its own missing rows waits for one block of this
-    /// call's aggregation, not all of it.
-    #[allow(clippy::too_many_arguments)]
-    fn first_layer_tabled(
-        &mut self,
-        table: &RowTable,
+    /// Transform-first stage 1, `ReLU(Â·T + b₁)` at `rows`: `T` read from
+    /// stage 0's node-indexed output, or, with a table attached, in place
+    /// from the table, keyed by feature row, one block of destination
+    /// rows per read lock, so a replica filling its own missing rows waits
+    /// for one block of this call's aggregation, not all of it.
+    fn first_aggregate(
+        &self,
         graph: &CsrGraph,
-        features: &Matrix,
-        index: Option<&[u32]>,
+        inputs: StageInputs,
         rows: &[u32],
-        first: &mut FirstScratch,
         mut out: StageOut,
     ) {
-        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
-        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
-        first.missing.clear();
-        {
-            let slab = table.read();
-            let present = |v: &u32| slab.has(key(*v));
-            let complete = slab.rows_present() == table.nodes()
-                || rows
-                    .iter()
-                    .all(|&v| present(&v) && graph.neighbors(v as usize).iter().all(present));
-            if !complete {
-                first.list_sources(graph, rows);
-                first.missing.extend(first.sources.iter().filter(|v| !present(v)));
-            }
-        }
-        self.fill(table, features, index, &first.missing, &mut first.block);
+        let Some(table) = &self.table else {
+            return self.first_rows_into(
+                graph,
+                Band::whole(&inputs.below[0]),
+                0,
+                rows,
+                &mut out,
+            );
+        };
         for (at, block) in (0..rows.len()).step_by(ROW_BLOCK).zip(rows.chunks(ROW_BLOCK)) {
             let slab = table.read();
-            let t = Band::with_index(slab.rows(), index);
+            let t = Band::with_index(slab.rows(), inputs.index);
             self.first_rows_into(graph, t, at, block, &mut out);
         }
     }
@@ -399,33 +354,28 @@ impl GnnModel for Gcn {
         self.table = table;
     }
 
-    fn fill_row_table(&mut self, features: &Matrix, rows: &[u32]) {
-        let Some(table) = self.table.clone() else { return };
-        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
-        let mut first = std::mem::take(&mut self.first);
-        first.missing.clear();
-        {
-            let slab = table.read();
-            first.missing.extend(rows.iter().filter(|&&v| !slab.has(v as usize)));
-        }
-        self.fill(&table, features, None, &first.missing, &mut first.block);
-        self.keep_first(first);
-    }
-
-    // GCN's aggregator has no weights, so each layer is a single
-    // row-parallel stage: `Â`-rows then the combiner matvec (or, for a
-    // transform-first layer 1, `T` rows then `Â`-rows). Stage `s` reads
-    // the full previous hidden matrix only at `N(v) ∪ {v}`.
+    // GCN's aggregator has no weights, so each layer in the paper's order
+    // is a single row-parallel stage: `Â`-rows then the combiner matvec,
+    // reading the previous stage's matrix only at `N(v) ∪ {v}`. A
+    // transform-first layer 1 is two: node-local `T` rows, then their
+    // `Â`-rows.
     fn num_stages(&self) -> usize {
-        2
+        2 + usize::from(self.transform_first)
     }
 
     fn stage_width(&self, stage: usize, _feature_dim: usize) -> usize {
-        match stage {
-            0 => self.lin1.out_dim(),
-            1 => self.lin2.out_dim(),
-            _ => panic!("GCN has 2 stages, got stage {stage}"),
+        let last = self.num_stages() - 1;
+        assert!(stage <= last, "GCN has {} stages, got stage {stage}", last + 1);
+        if stage == last {
+            self.lin2.out_dim()
+        } else {
+            self.lin1.out_dim()
         }
+    }
+
+    /// A transform-first stage 0 is node-local.
+    fn stage_reads_neighbors(&self, stage: usize) -> bool {
+        !(self.transform_first && stage == 0)
     }
 
     fn forward_stage(
@@ -440,11 +390,22 @@ impl GnnModel for Gcn {
         // that never prepared explicitly still pay the normalization
         // build only once per graph.
         self.prepare_graph(graph);
-        if stage == 0 {
-            return self.first_layer(graph, inputs.features, inputs.index, rows, out);
+        let last = self.num_stages() - 1;
+        let (features, index) = (inputs.features, inputs.index);
+        let listed = rows.iter().map(|&v| v as usize);
+        match stage {
+            0 if self.transform_first => self.first_transform(features, index, rows, out),
+            1 if self.transform_first => self.first_aggregate(graph, inputs, rows, out),
+            0 => {
+                let input = Band::with_index(features, index);
+                self.layer(0, graph, input, listed, Output::Rows(out));
+            }
+            _ if stage == last => {
+                let input = Band::whole(&inputs.below[stage - 1]);
+                self.layer(1, graph, input, listed, Output::Rows(out));
+            }
+            _ => panic!("GCN has {} stages, got stage {stage}", last + 1),
         }
-        let rows = rows.iter().map(|&v| v as usize);
-        self.layer(stage, graph, Band::whole(&inputs.below[0]), rows, Output::Rows(out));
     }
 
     fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
@@ -516,42 +477,6 @@ mod tests {
             assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "{pass}");
             assert_eq!(table.rows_present(), 130, "{pass}: a full forward fills every row");
         }
-    }
-
-    #[test]
-    fn filling_a_part_computes_its_own_rows_and_no_halo() {
-        // What a widened pass runs before stage 0: each part's own rows,
-        // so no two workers compute one row.
-        let (mut model, g, x, want) = spectral_gcn();
-        let table = Arc::new(RowTable::new(130, 12).expect("fits"));
-        model.attach_row_table(Some(Arc::clone(&table)));
-        let (evens, odds): (Vec<u32>, Vec<u32>) = (0..130).partition(|v| v % 2 == 0);
-        model.fill_row_table(&x, &evens);
-        assert_eq!(table.rows_present(), 65);
-        assert!(evens.iter().all(|&v| table.read().has(v as usize)));
-        model.fill_row_table(&x, &odds);
-        assert_eq!(table.rows_present(), 130);
-        assert_eq!(bits(&every_route(&mut model, &g, &x)), want);
-        model.attach_row_table(None);
-        model.fill_row_table(&x, &evens);
-    }
-
-    #[test]
-    fn first_layer_lists_past_the_bound_are_released() {
-        // Lists a huge universe left (reserved, never touched) go after
-        // the next call; a small call then keeps its own, and both answer
-        // as before.
-        let (mut model, g, x, want) = spectral_gcn();
-        let n = g.num_nodes() as u32;
-        let rows = [0, n - 1, n / 2, 0, 7];
-        model.first.sources.reserve(KEPT_SCRATCH_BYTES / 4);
-        assert!(model.first.bytes() > KEPT_SCRATCH_BYTES);
-        for pass in ["released", "kept"] {
-            assert_eq!(bits(&[model.forward_at(&g, &x, &rows)])[0], want[1], "{pass}");
-            let kept = model.first.bytes() + model.scratch_bytes();
-            assert!(kept > 0 && kept < KEPT_SCRATCH_BYTES, "{pass}: {kept} bytes");
-        }
-        assert_eq!(model.scratch_bytes(), model.scratch.stage.bytes() + model.first.bytes());
     }
 
     #[test]

@@ -95,9 +95,7 @@ impl fmt::Display for ModelKind {
 /// layer's own input beside it. The aggregate-and-combine stage and the
 /// training forward run the same per-layer block kernel, so they cannot
 /// drift. A GCN prepared for [`ExecMode::Spectral`] runs its first layer
-/// transform-first through one kernel of its own on every route (see
-/// [`gcn`]), reading its node-local rows from an attached [`RowTable`] or
-/// computing them.
+/// transform-first, in the same two stages (see [`gcn`]).
 ///
 /// # What an inference pass materialises
 ///
@@ -110,9 +108,9 @@ impl fmt::Display for ModelKind {
 /// to call ([`GnnModel::stage_buffers`]), and the logits:
 ///
 /// * **GCN** — the hidden layer; `Â·H` exists a block at a time. Prepared
-///   for [`ExecMode::Spectral`], layer 1 also reads `T = X·W₁` at every
-///   source row, from an attached [`RowTable`] or computed into a kept
-///   node-indexed matrix.
+///   for [`ExecMode::Spectral`], also `T = X·W₁`, read by the aggregation,
+///   or, with a [`RowTable`] attached (sampled batches only), the rows of
+///   it the table lacks, put there instead.
 /// * **GS-Pool** — `t = ReLU(W_pool·h)`, read by the max-pool.
 /// * **G-GCN** — the gate terms `[p ‖ q]`, `p = W_H·h` (read per source)
 ///   and `q = W_C·h` (per target).
@@ -212,8 +210,8 @@ pub trait GnnModel: Send {
     }
 
     /// Bytes of the inference buffers this model keeps from call to
-    /// call: its [`GnnModel::stage_scratch`], and a transform-first GCN's
-    /// first-layer scratch. Each part is released after a call that
+    /// call: its [`GnnModel::stage_scratch`], and what a transform-first
+    /// GCN keeps for filling a table. Each part is released after a call that
     /// leaves it past [`crate::batch::KEPT_SCRATCH_BYTES`].
     fn scratch_bytes(&mut self) -> usize {
         self.stage_scratch().map_or(0, |scratch| scratch.bytes())
@@ -228,21 +226,13 @@ pub trait GnnModel: Send {
     }
 
     /// Reads node-local rows from `table` until the next call, or, with
-    /// `None`, computes them per call. The table belongs to one graph
-    /// version and is keyed by the rows of its feature matrix, so the
-    /// calls made while it is attached must pass that matrix: the serving
-    /// engine attaches its epoch's table around each call on the epoch's
-    /// features and detaches it after. Models that read no such rows
-    /// ignore it.
+    /// `None`, computes them per call into a stage matrix. The table
+    /// belongs to one graph version and is keyed by the rows of its
+    /// feature matrix, so the calls made while it is attached must pass
+    /// that matrix: the serving engine attaches its epoch's table around
+    /// each sampled batch on the epoch's features and detaches it after.
+    /// Models that read no such rows ignore it.
     fn attach_row_table(&mut self, _table: Option<Arc<RowTable>>) {}
-
-    /// Writes into the attached [`RowTable`] the node-local rows of
-    /// `rows` (rows of `features`, the matrix the table belongs to) that
-    /// it lacks, reading no neighbour. A widened pass runs it over every
-    /// part before stage 0, so no two workers compute the same row and
-    /// none writes the table while another aggregates. A no-op with no
-    /// table attached, and for models that read none (the default).
-    fn fill_row_table(&mut self, _features: &Matrix, _rows: &[u32]) {}
 
     /// Whether stage `stage` reads its inputs at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
@@ -438,13 +428,7 @@ fn stage_rows_into<M: GnnModel + ?Sized>(
 /// # Panics
 ///
 /// Panics if a row id is out of range for `graph`.
-pub(crate) fn widen(
-    graph: &CsrGraph,
-    rows: &[u32],
-    hop: bool,
-    marks: &mut Vec<bool>,
-    out: &mut Vec<u32>,
-) {
+fn widen(graph: &CsrGraph, rows: &[u32], hop: bool, marks: &mut Vec<bool>, out: &mut Vec<u32>) {
     let nodes = graph.num_nodes();
     if marks.len() < nodes {
         marks.resize(nodes, false);
@@ -515,7 +499,7 @@ fn staged_pass<M: GnnModel + ?Sized>(
 /// Shapes a kept node-indexed `buffer` to hold at least `nodes` rows of
 /// `cols`, never zeroing it: a buffer of that width keeps a taller
 /// height, one of another width is reshaped.
-fn fit_rows(buffer: &mut Matrix, nodes: usize, cols: usize) {
+pub fn fit_rows(buffer: &mut Matrix, nodes: usize, cols: usize) {
     let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
     if buffer.shape() != (height, cols) {
         buffer.resize(height, cols);
@@ -1046,23 +1030,33 @@ mod tests {
     fn forward_at_releases_stage_buffers_past_the_bound() {
         // A 36 000-node universe leaves GCN a 36 000 × 64 stage-0 matrix
         // (18.4 MB), past the bound: released. A small call then keeps
-        // its own, and both answers are the full forward's.
+        // its own, and both answers are the full forward's. Prepared for
+        // the Spectral backend, GCN keeps `T` as a stage matrix too.
         let kept_bytes = |model: &mut dyn GnnModel| -> usize {
             let kept = model.stage_buffers().expect("GCN keeps stage buffers");
             kept.iter().map(|m| m.capacity() * 8).sum()
         };
-        let mut model = build_model(ModelKind::Gcn, 4, 64, 2, Compression::Dense, 1).unwrap();
-        for n in [36_000, 130] {
-            let (g, x) = (hub_graph(n), testutil::tiny_features(n, 4));
-            let rows = [0, n as u32 - 1, 7];
-            let want =
-                model.forward(&g, &x, false).gather_rows(rows.iter().map(|&v| v as usize));
-            assert_same_bits(&model.forward_at(&g, &x, &rows), &want, &format!("n={n}"));
-            let kept = kept_bytes(model.as_mut());
-            if n > 1_000 {
-                assert_eq!(kept, 0, "n={n}: released");
-            } else {
-                assert!(kept > 0 && kept < crate::batch::KEPT_SCRATCH_BYTES, "n={n}: {kept}");
+        for mode in [None, Some(ExecMode::Spectral)] {
+            let mut model =
+                build_model(ModelKind::Gcn, 4, 64, 2, Compression::Dense, 1).unwrap();
+            if let Some(mode) = mode {
+                model.prepare(mode);
+            }
+            for n in [36_000, 130] {
+                let what = format!("{mode:?} n={n}");
+                let (g, x) = (hub_graph(n), testutil::tiny_features(n, 4));
+                let rows = [0, n as u32 - 1, 7];
+                let want =
+                    model.forward(&g, &x, false).gather_rows(rows.iter().map(|&v| v as usize));
+                assert_same_bits(&model.forward_at(&g, &x, &rows), &want, &what);
+                let kept = kept_bytes(model.as_mut());
+                if n > 1_000 {
+                    assert_eq!(kept, 0, "{what}: released");
+                } else {
+                    let bound = crate::batch::KEPT_SCRATCH_BYTES;
+                    assert!(kept > 0 && kept < bound, "{what}: {kept}");
+                    assert!(model.scratch_bytes() < bound, "{what}");
+                }
             }
         }
     }
@@ -1075,19 +1069,29 @@ mod tests {
         let g = CsrGraph::from_edges(11, &edges, true).unwrap();
         let targets = [5, 1, 9, 1];
         let halo = vec![0, 1, 4, 5, 6, 9];
-        for kind in ModelKind::all() {
-            let model = build_model(kind, 4, 4, 2, Compression::Dense, 1).unwrap();
-            let want = if kind == ModelKind::Gcn {
-                vec![halo.clone(), targets.to_vec()]
-            } else {
+        // Two aggregations below the targets reach these, which leave out
+        // 8 and 10.
+        let two_hops = vec![0, 1, 2, 3, 4, 5, 6, 7, 9];
+        let models = ModelKind::all().into_iter().map(|kind| (kind, None));
+        for (kind, mode) in models.chain([(ModelKind::Gcn, Some(ExecMode::Spectral))]) {
+            let mut model = build_model(kind, 4, 4, 2, Compression::Dense, 1).unwrap();
+            if let Some(mode) = mode {
+                model.prepare(mode);
+            }
+            let want = match (kind, mode) {
+                (ModelKind::Gcn, None) => vec![halo.clone(), targets.to_vec()],
+                // Stage 1 aggregates `T` at its rows' halo, so node-local
+                // stage 0 computes the two hops.
+                (ModelKind::Gcn, Some(_)) => {
+                    vec![two_hops.clone(), halo.clone(), targets.to_vec()]
+                }
                 // Stage 2 is node-local, so stage 1 computes stage 2's
-                // rows; stage 0 adds their halo, which leaves out 8 and 10.
-                let two_hops = vec![0, 1, 2, 3, 4, 5, 6, 7, 9];
-                vec![two_hops, halo.clone(), halo.clone(), targets.to_vec()]
+                // rows; stage 0 adds their halo.
+                _ => vec![two_hops.clone(), halo.clone(), halo.clone(), targets.to_vec()],
             };
-            assert_eq!(model.stage_rows(&g, &targets), want, "{kind}");
+            assert_eq!(model.stage_rows(&g, &targets), want, "{kind} {mode:?}");
             let nothing: Vec<Vec<u32>> = vec![Vec::new(); want.len()];
-            assert_eq!(model.stage_rows(&g, &[]), nothing, "{kind}");
+            assert_eq!(model.stage_rows(&g, &[]), nothing, "{kind} {mode:?}");
         }
     }
 

@@ -9,9 +9,11 @@
 //! filled the first time a request reads it and tracked by a presence
 //! bitmap; the serving engine holds one per graph epoch, shared by every
 //! replica that serves it, and a new version (or a cleared cache) starts
-//! an empty one. A full-graph pass fills every row. A version whose
-//! table would pass [`ROW_TABLE_BYTES`] gets none, and its requests
-//! compute the rows they read.
+//! an empty one. Only sampled batches read and fill it: a full-graph pass
+//! transforms every row anyway, into a stage matrix of its own, and
+//! leaves the table alone. A version whose table would pass
+//! [`ROW_TABLE_BYTES`] gets none, and its batches compute the rows they
+//! read.
 //!
 //! This is GNNIE's graph-specific caching (PAPERS.md), applied where it
 //! is exact: a kept row holds the bits the computing path would produce.

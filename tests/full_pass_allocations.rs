@@ -1,18 +1,15 @@
 //! A warm full-graph pass allocates only its answer.
 //!
 //! The inference pass keeps everything graph-sized it writes before the
-//! logits — each stage's node-indexed output, the block buffers, a
-//! transform-first GCN's table — from one pass to the next. This binary
-//! counts the bytes the global allocator hands the measuring thread
-//! during one warm full-graph engine pass per model kind on the two
-//! software backends, and holds them to the two logits-sized matrices
-//! the pass returns (the epoch's cached logits and the response's copy)
-//! plus a constant for the response and the request path. It has a
-//! binary of its own so no other test allocates under the counter.
-//!
-//! The simulated accelerator is left out: its Q16.16 product quantizes
-//! each block's input and output into fresh buffers
-//! (`FixedSpectralBlockCirculant::matmul_f64_into`).
+//! logits — each stage's node-indexed output (a transform-first GCN's
+//! `T` among them), the block buffers, the Q16.16 product's quantized
+//! blocks — from one pass to the next. This binary counts the bytes the
+//! global allocator hands the measuring thread during one warm full-graph
+//! engine pass per model kind on every backend, and holds them to the two
+//! logits-sized matrices the pass returns (the epoch's cached logits and
+//! the response's copy) plus a constant for the response, the request
+//! path and the simulated accelerator's cost report. It has a binary of
+//! its own so no other test allocates under the counter.
 
 use blockgnn::engine::{BackendKind, EngineBuilder, InferRequest};
 use blockgnn::gnn::ModelKind;
@@ -88,7 +85,7 @@ fn a_warm_full_graph_pass_allocates_only_its_logits() {
     let logits_bytes = dataset.num_nodes() * dataset.num_classes * 8;
     let all = InferRequest::all_nodes();
     for kind in ModelKind::all() {
-        for backend in [BackendKind::Dense, BackendKind::Spectral] {
+        for backend in BackendKind::all() {
             let mut engine = EngineBuilder::new(kind, backend)
                 .hidden_dim(32)
                 .build(Arc::clone(&dataset))

@@ -639,7 +639,8 @@ fn widened_engines_match_fresh_rebuilds_under_deltas() {
 #[test]
 fn spectral_gcn_row_tables_start_over_after_every_delta_kind() {
     // The Spectral GCN keeps its first layer's transformed feature rows in
-    // a table per graph version. Warm it by sampled and full reads, apply
+    // a table per graph version, which sampled reads fill and full reads
+    // leave alone. Warm it by a sampled read (a full read follows), apply
     // one delta of each kind (edge add, edge remove, feature overwrite,
     // node append) and compare against a fresh engine on the rebuilt
     // dataset: sampled first, on the new version's cold table, then full,
@@ -652,7 +653,7 @@ fn spectral_gcn_row_tables_start_over_after_every_delta_kind() {
     for step in 0..4 {
         let n = mirror.versioned.num_nodes();
         engine.session().infer(&wide_sampled(n, step)).expect("warms sampled rows");
-        engine.session().infer(&all).expect("warms every row");
+        engine.session().infer(&all).expect("serves every row");
         let delta = stream_delta(step, &mirror.versioned, &mut rng);
         let version = engine.apply_delta(&delta).expect("valid delta applies");
         mirror.apply(&delta);
