@@ -480,6 +480,27 @@ mod tests {
     }
 
     #[test]
+    fn first_layer_lists_past_the_bound_are_released() {
+        // Lists a huge universe left (reserved, never touched) go after
+        // the next call; a small call then keeps its own, and both answer
+        // as before. Each pass fills a fresh table, so each lists the
+        // rows it lacks.
+        let (mut model, g, x, want) = spectral_gcn();
+        let n = g.num_nodes() as u32;
+        let rows = [0, n - 1, n / 2, 0, 7];
+        model.first.missing.reserve(KEPT_SCRATCH_BYTES / 4 + 1);
+        assert!(model.first.bytes() > KEPT_SCRATCH_BYTES);
+        for (pass, released) in [("released", true), ("kept", false)] {
+            model.attach_row_table(Some(Arc::new(RowTable::new(130, 12).expect("fits"))));
+            assert_eq!(bits(&[model.forward_at(&g, &x, &rows)])[0], want[1], "{pass}");
+            let first = model.first.bytes();
+            assert_eq!(first == 0, released, "{pass}: {first} bytes");
+            assert!(model.scratch_bytes() < KEPT_SCRATCH_BYTES, "{pass}");
+        }
+        assert_eq!(model.scratch_bytes(), model.scratch.stage.bytes() + model.first.bytes());
+    }
+
+    #[test]
     fn forward_shape() {
         let g = tiny_graph();
         let x = tiny_features(6, 10);
