@@ -531,15 +531,15 @@ impl Engine {
         // Every member's target rows, member after member: the execution
         // returns exactly these, so each member's logits are a contiguous
         // run of its output.
-        let worker = &mut self.workers[0];
-        worker.attach(Some(epoch));
-        let logits = worker.model.forward_at_indexed(
+        let model = &mut self.workers[0].model;
+        let table = model.row_table_width().and_then(|width| epoch.row_table(width));
+        let logits = model.forward_at_indexed(
             universe.graph,
             &epoch.dataset.features,
             Some(universe.local_to_global),
             universe.rows,
+            table.as_deref(),
         );
-        worker.attach(None);
         timings.add("execute", start.elapsed());
         let start = Instant::now();
         let feature_dim = epoch.dataset.feature_dim();
@@ -834,6 +834,7 @@ mod tests {
             &dataset.features,
             Some(universe.local_to_global),
             universe.rows,
+            None,
         );
         let answer = |engine: &mut crate::Engine| {
             let outcome = engine.infer_coalesced(&batch);

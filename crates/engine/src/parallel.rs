@@ -333,7 +333,7 @@ fn run_staged(
             rest = after;
             (part.nodes.as_slice(), mine)
         });
-        let inputs = StageInputs { features, index: None, below };
+        let inputs = StageInputs { features, index: None, below, table: None };
         fan_out(workers, graph, jobs.collect(), |model, (rows, mine)| {
             model.forward_stage(stage, graph, inputs, rows, StageOut::listed(mine));
         });

@@ -23,23 +23,22 @@
 //! any other: a node-local stage 0 writes `T` by node, and stage 1
 //! aggregates it through one kernel, `Gcn::first_rows_into`, so every
 //! route of the prepared model agrees bit for bit. Row `u` of `T` depends
-//! only on node `u`'s features, so the serving engine attaches one
-//! [`RowTable`] per graph version around its sampled batches: stage 0
-//! then transforms only the rows no earlier batch put in the table, and
-//! stage 1 reads `T` from the table in place. Full-graph passes attach
-//! none. The second layer keeps the paper's order everywhere.
+//! only on node `u`'s features, so the model declares its width
+//! ([`GnnModel::row_table_width`]) and the serving engine passes one
+//! [`RowTable`](crate::RowTable) per graph version with each sampled
+//! batch: the staged pass then computes only the `T` rows no earlier
+//! batch put in the table, and stage 1 reads `T` from the table in place
+//! ([`StageInputs::table`]). Full-graph passes pass none. The second
+//! layer keeps the paper's order everywhere.
 
 use crate::adjacency::NormalizedAdjacency;
-use crate::batch::KEPT_SCRATCH_BYTES;
 use crate::models::block::{
     combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output, ROW_BLOCK,
 };
 use crate::models::{staged_pass, GnnModel, ModelKind, StageInputs, StageOut, StageScratch};
-use crate::table::RowTable;
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Compression, ExecMode, Layer, LinearLayer, NnError, Param, Relu};
-use std::sync::Arc;
 
 /// Two-layer GCN: `logits = W₂·Â·ReLU(W₁·Â·X)`.
 #[derive(Debug, Clone)]
@@ -59,37 +58,9 @@ pub struct Gcn {
     /// Whether the first layer runs transform-first: prepared for
     /// [`ExecMode::Spectral`] (see the module docs).
     transform_first: bool,
-    /// The graph version's `T` rows the serving engine attached, if any.
-    table: Option<Arc<RowTable>>,
     /// Block buffer of the inference pass: `Â·H` exists one block of
     /// destination rows at a time, as the combiner's input.
     scratch: BlockScratch,
-    /// What filling a table reuses.
-    first: FirstScratch,
-}
-
-/// What a transform-first stage 0 reuses from call to call when a table
-/// is attached: the rows of its list the table lacks, and the block they
-/// are transformed into. Clones empty; released after a call that leaves
-/// it past [`KEPT_SCRATCH_BYTES`], as [`GnnModel::forward_at_indexed`]
-/// releases its stage scratch.
-#[derive(Debug, Default)]
-struct FirstScratch {
-    missing: Vec<u32>,
-    block: Vec<f64>,
-}
-
-impl Clone for FirstScratch {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl FirstScratch {
-    /// Bytes of everything kept.
-    fn bytes(&self) -> usize {
-        self.missing.capacity() * 4 + self.block.capacity() * 8
-    }
 }
 
 impl Gcn {
@@ -112,9 +83,7 @@ impl Gcn {
             adj: NormalizedAdjacency::default(),
             adj_graph: None,
             transform_first: false,
-            table: None,
             scratch: BlockScratch::default(),
-            first: FirstScratch::default(),
         })
     }
 
@@ -150,39 +119,9 @@ impl Gcn {
         });
     }
 
-    /// Transform-first stage 0: the `T` rows of `rows` — `W₁·x` without
-    /// the bias, node `v`'s feature row through `index` as in
-    /// [`StageInputs`]. With a table attached they go into the table
-    /// instead of `out`: those it lacks are filled ([`Gcn::fill`]), and a
-    /// call that finds it full walks no row.
-    fn first_transform(
-        &mut self,
-        features: &Matrix,
-        index: Option<&[u32]>,
-        rows: &[u32],
-        out: StageOut,
-    ) {
-        let Some(table) = self.table.clone() else {
-            return self.transform(Band::with_index(features, index), rows, out);
-        };
-        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
-        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
-        let mut first = std::mem::take(&mut self.first);
-        first.missing.clear();
-        {
-            let slab = table.read();
-            if slab.rows_present() < table.nodes() {
-                first.missing.extend(rows.iter().filter(|&&v| !slab.has(key(v))));
-            }
-        }
-        self.fill(&table, features, index, &first.missing, &mut first.block);
-        if first.bytes() <= KEPT_SCRATCH_BYTES {
-            self.first = first;
-        }
-    }
-
-    /// The `T` rows of `nodes` — `W₁·x` without the bias, node `v`'s
-    /// input row at `input.row(v)` — streamed through the input block.
+    /// Transform-first stage 0: the `T` rows of `nodes` — `W₁·x` without
+    /// the bias, node `v`'s input row at `input.row(v)` — streamed through
+    /// the input block.
     fn transform(&mut self, input: Band, nodes: &[u32], out: StageOut) {
         let (width, lin1) = (self.lin1.out_dim(), &mut self.lin1);
         transform_blocks(&mut self.scratch, input, nodes, width, out, |z, y, _| {
@@ -190,35 +129,11 @@ impl Gcn {
         });
     }
 
-    /// Transforms the `T` rows of `nodes` (node `v`'s feature row through
-    /// `index`) a block at a time into `block` outside `table`'s lock, and
-    /// writes each block under a short write lock.
-    fn fill(
-        &mut self,
-        table: &RowTable,
-        features: &Matrix,
-        index: Option<&[u32]>,
-        nodes: &[u32],
-        block: &mut Vec<f64>,
-    ) {
-        let key = |v: u32| index.map_or(v, |index| index[v as usize]) as usize;
-        let input = Band::with_index(features, index);
-        let width = table.width();
-        for chunk in nodes.chunks(ROW_BLOCK) {
-            block.resize(chunk.len() * width, 0.0);
-            self.transform(input, chunk, StageOut::listed(block));
-            let mut slab = table.write();
-            for (row, &v) in block.chunks(width).zip(chunk) {
-                slab.put(key(v), row);
-            }
-        }
-    }
-
     /// Transform-first stage 1, `ReLU(Â·T + b₁)` at `rows`: `T` read from
-    /// stage 0's node-indexed output, or, with a table attached, in place
-    /// from the table, keyed by feature row, one block of destination
-    /// rows per read lock, so a replica filling its own missing rows waits
-    /// for one block of this call's aggregation, not all of it.
+    /// stage 0's node-indexed output, or in place from the call's table,
+    /// keyed by feature row, one block of destination rows per read lock,
+    /// so a replica filling its own missing rows waits for one block of
+    /// this call's aggregation, not all of it.
     fn first_aggregate(
         &self,
         graph: &CsrGraph,
@@ -226,7 +141,7 @@ impl Gcn {
         rows: &[u32],
         mut out: StageOut,
     ) {
-        let Some(table) = &self.table else {
+        let Some(table) = inputs.table else {
             return self.first_rows_into(
                 graph,
                 Band::whole(&inputs.below[0]),
@@ -287,7 +202,7 @@ impl GnnModel for Gcn {
         assert_eq!(features.rows(), nodes, "feature rows must equal node count");
         if !train {
             self.act1.clear_cached();
-            return staged_pass(self, graph, features, None, None);
+            return staged_pass(self, graph, features, None, None, None);
         }
         // Reuse the instance-id-keyed coefficients across requests.
         self.prepare_graph(graph);
@@ -322,7 +237,6 @@ impl GnnModel for Gcn {
     fn clone_boxed(&self) -> Box<dyn GnnModel> {
         let mut copy = self.clone();
         copy.act1.clear_cached();
-        copy.table = None;
         Box::new(copy)
     }
 
@@ -343,15 +257,10 @@ impl GnnModel for Gcn {
     fn clear_prepared(&mut self) {
         self.visit_linear_layers(&mut LinearLayer::clear_prepared);
         self.transform_first = false;
-        self.table = None;
     }
 
     fn row_table_width(&self) -> Option<usize> {
         self.transform_first.then(|| self.lin1.out_dim())
-    }
-
-    fn attach_row_table(&mut self, table: Option<Arc<RowTable>>) {
-        self.table = table;
     }
 
     // GCN's aggregator has no weights, so each layer in the paper's order
@@ -391,15 +300,12 @@ impl GnnModel for Gcn {
         // build only once per graph.
         self.prepare_graph(graph);
         let last = self.num_stages() - 1;
-        let (features, index) = (inputs.features, inputs.index);
+        let features = Band::with_index(inputs.features, inputs.index);
         let listed = rows.iter().map(|&v| v as usize);
         match stage {
-            0 if self.transform_first => self.first_transform(features, index, rows, out),
+            0 if self.transform_first => self.transform(features, rows, out),
             1 if self.transform_first => self.first_aggregate(graph, inputs, rows, out),
-            0 => {
-                let input = Band::with_index(features, index);
-                self.layer(0, graph, input, listed, Output::Rows(out));
-            }
+            0 => self.layer(0, graph, features, listed, Output::Rows(out)),
             _ if stage == last => {
                 let input = Band::whole(&inputs.below[stage - 1]);
                 self.layer(1, graph, input, listed, Output::Rows(out));
@@ -411,40 +317,41 @@ impl GnnModel for Gcn {
     fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
         Some(&mut self.scratch.stage)
     }
-
-    fn scratch_bytes(&mut self) -> usize {
-        self.scratch.stage.bytes() + self.first.bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{SampledBlock, UniverseBuilder};
+    use crate::batch::{SampledBlock, UniverseBuilder, KEPT_SCRATCH_BYTES};
     use crate::models::testutil::{
         chain_stages, check_model_gradients, hub_graph, tiny_features, tiny_graph,
     };
+    use crate::table::RowTable;
+    use std::sync::Barrier;
 
     /// The answers a transform-first GCN gives on one graph by every
     /// route, the fullest last: a sampled universe's
-    /// `forward_at_indexed`, `forward_at`, shards of stages and a full
-    /// forward.
-    fn every_route(model: &mut Gcn, g: &CsrGraph, x: &Matrix) -> Vec<Matrix> {
+    /// `forward_at_indexed`, the same at a few rows and at every row (the
+    /// three that read `table`), shards of stages and a full forward.
+    fn every_route(
+        model: &mut Gcn,
+        g: &CsrGraph,
+        x: &Matrix,
+        table: Option<&RowTable>,
+    ) -> Vec<Matrix> {
         let n = g.num_nodes() as u32;
         let blocks = [[3usize, 90, 3], [n as usize - 1, 40, 41]];
         let mut builder = UniverseBuilder::default();
         let universe = builder
             .build(g, blocks.iter().map(|nodes| SampledBlock { nodes, s1: 4, s2: 3, seed: 5 }));
-        let sampled = model.forward_at_indexed(
-            universe.graph,
-            x,
-            Some(universe.local_to_global),
-            universe.rows,
-        );
-        let at = model.forward_at(g, x, &[0, n - 1, n / 2, 0, 7]);
+        let (index, rows) = (Some(universe.local_to_global), universe.rows);
+        let sampled = model.forward_at_indexed(universe.graph, x, index, rows, table);
+        let at = model.forward_at_indexed(g, x, None, &[0, n - 1, n / 2, 0, 7], table);
+        let every: Vec<u32> = (0..n).collect();
+        let every = model.forward_at_indexed(g, x, None, &every, table);
         let (a, b): (Vec<u32>, Vec<u32>) = (0..n).rev().partition(|v| v % 3 == 1);
         let staged = chain_stages(model, g, x, &[a, b]);
-        vec![sampled, at, staged, model.forward(g, x, false)]
+        vec![sampled, at, every, staged, model.forward(g, x, false)]
     }
 
     fn bits(answers: &[Matrix]) -> Vec<Vec<u64>> {
@@ -452,52 +359,142 @@ mod tests {
     }
 
     /// A GCN prepared for the Spectral backend on a 130-node hub graph,
-    /// with what it answers on every route with no table attached.
+    /// with what it answers on every route with no table.
     fn spectral_gcn() -> (Gcn, CsrGraph, Matrix, Vec<Vec<u64>>) {
         let (g, x) = (hub_graph(130), tiny_features(130, 20));
         let compression = Compression::BlockCirculant { block_size: 4 };
         let mut model = Gcn::new(20, 12, 5, compression, 7).unwrap();
         model.prepare(ExecMode::Spectral);
         assert_eq!(model.row_table_width(), Some(12));
-        let want = bits(&every_route(&mut model, &g, &x));
+        let want = bits(&every_route(&mut model, &g, &x, None));
         (model, g, x, want)
     }
 
     #[test]
     fn absent_table_rows_are_never_read() {
         // Every row the table lacks is NaN before the routes run: a route
-        // reading one would answer NaN. Cold, each route fills what it
-        // reads and the next reads some of those; warm, every route reads
-        // rows a full forward filled.
+        // reading one would answer NaN. Cold, each tabled route fills what
+        // it reads and the next reads some of those, the every-row route
+        // last; warm, every tabled route finds the table full. The
+        // full-graph routes take no table.
         let (mut model, g, x, want) = spectral_gcn();
-        let table = Arc::new(RowTable::new(130, 12).expect("fits"));
-        model.attach_row_table(Some(Arc::clone(&table)));
+        let table = RowTable::new(130, 12).expect("fits");
         for pass in ["cold", "warm"] {
             table.poison_absent_rows();
-            assert_eq!(bits(&every_route(&mut model, &g, &x)), want, "{pass}");
-            assert_eq!(table.rows_present(), 130, "{pass}: a full forward fills every row");
+            assert_eq!(bits(&every_route(&mut model, &g, &x, Some(&table))), want, "{pass}");
+            assert_eq!(
+                table.rows_present(),
+                130,
+                "{pass}: the every-row route fills every row"
+            );
         }
     }
 
     #[test]
     fn first_layer_lists_past_the_bound_are_released() {
-        // Lists a huge universe left (reserved, never touched) go after
-        // the next call; a small call then keeps its own, and both answer
-        // as before. Each pass fills a fresh table, so each lists the
-        // rows it lacks.
+        // A list of missing rows a huge universe left (reserved, never
+        // touched) goes after the next call with the rest of the stage
+        // scratch; a small call then keeps its own, and both answer as
+        // before. Each pass fills a fresh table, so each lists the rows it
+        // lacks.
         let (mut model, g, x, want) = spectral_gcn();
         let n = g.num_nodes() as u32;
         let rows = [0, n - 1, n / 2, 0, 7];
-        model.first.missing.reserve(KEPT_SCRATCH_BYTES / 4 + 1);
-        assert!(model.first.bytes() > KEPT_SCRATCH_BYTES);
+        model.scratch.stage.missing.reserve(KEPT_SCRATCH_BYTES / 4 + 1);
+        assert!(model.scratch_bytes() > KEPT_SCRATCH_BYTES);
         for (pass, released) in [("released", true), ("kept", false)] {
-            model.attach_row_table(Some(Arc::new(RowTable::new(130, 12).expect("fits"))));
-            assert_eq!(bits(&[model.forward_at(&g, &x, &rows)])[0], want[1], "{pass}");
-            let first = model.first.bytes();
-            assert_eq!(first == 0, released, "{pass}: {first} bytes");
-            assert!(model.scratch_bytes() < KEPT_SCRATCH_BYTES, "{pass}");
+            let table = RowTable::new(130, 12).expect("fits");
+            let got = model.forward_at_indexed(&g, &x, None, &rows, Some(&table));
+            assert_eq!(bits(&[got])[0], want[1], "{pass}");
+            let kept = model.scratch_bytes();
+            assert_eq!(kept == 0, released, "{pass}: {kept} bytes");
+            assert!(kept < KEPT_SCRATCH_BYTES, "{pass}");
+            assert_eq!(model.scratch.stage.missing.is_empty(), released, "{pass}");
         }
-        assert_eq!(model.scratch_bytes(), model.scratch.stage.bytes() + model.first.bytes());
+    }
+
+    #[test]
+    fn four_forks_filling_one_cold_table_answer_as_computing_every_row() {
+        // A 1 000-node ring with chords 7 apart, so each batch's two-hop
+        // closure is a few dozen rows. Four forks serve distinct batches of
+        // two sampled blocks on threads, filling and reading one shared
+        // cold table at once; their targets sit 5 apart, so their closures
+        // overlap and forks compute some of the same rows.
+        let n = 1_000;
+        let edges: Vec<(usize, usize)> =
+            (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + 7) % n)]).collect();
+        let g = CsrGraph::from_edges(n, &edges, true).unwrap();
+        let x = tiny_features(n, 20);
+        let compression = Compression::BlockCirculant { block_size: 4 };
+        let mut model = Gcn::new(20, 12, 5, compression, 7).unwrap();
+        model.prepare(ExecMode::Spectral);
+        let batches: Vec<Vec<[Vec<usize>; 2]>> = (0..4)
+            .map(|fork| {
+                (0..6)
+                    .map(|b| {
+                        let at = |k: usize| (fork * 5 + b * 157 + k * 389) % n;
+                        [vec![at(0), at(1)], vec![at(2), at(0)]]
+                    })
+                    .collect()
+            })
+            .collect();
+        let sample = |builder: &mut UniverseBuilder, blocks: &[Vec<usize>; 2]| {
+            let blocks =
+                blocks.iter().map(|nodes| SampledBlock { nodes, s1: 4, s2: 3, seed: 9 });
+            let universe = builder.build(&g, blocks);
+            let index = universe.local_to_global.to_vec();
+            (universe.graph.clone(), index, universe.rows.to_vec())
+        };
+        // The no-table oracle, and the feature rows each batch's stage-0
+        // list names.
+        let mut oracle = model.clone_boxed();
+        let (mut builder, mut named) = (UniverseBuilder::default(), vec![false; n]);
+        let mut want = Vec::new();
+        for blocks in batches.iter().flatten() {
+            let (graph, index, rows) = sample(&mut builder, blocks);
+            for &v in &oracle.stage_rows(&graph, &rows)[0] {
+                named[index[v as usize] as usize] = true;
+            }
+            want.push(bits(&[oracle.forward_at_indexed(
+                &graph,
+                &x,
+                Some(&index),
+                &rows,
+                None,
+            )]));
+        }
+        let named = named.iter().filter(|&&named| named).count();
+        assert!(named < n, "the table never fills: every call lists its stage 0");
+
+        let table = RowTable::new(n, 12).expect("fits");
+        let start = Barrier::new(batches.len());
+        let got: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+            let forks: Vec<_> = batches
+                .iter()
+                .map(|mine| {
+                    let (mut fork, x, table, start) = (model.clone_boxed(), &x, &table, &start);
+                    scope.spawn(move || {
+                        let mut builder = UniverseBuilder::default();
+                        start.wait();
+                        let answer = |blocks| {
+                            let (graph, index, rows) = sample(&mut builder, blocks);
+                            let got = fork.forward_at_indexed(
+                                &graph,
+                                x,
+                                Some(&index),
+                                &rows,
+                                Some(table),
+                            );
+                            bits(&[got])
+                        };
+                        mine.iter().map(answer).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            forks.into_iter().flat_map(|fork| fork.join().expect("no fork panics")).collect()
+        });
+        assert_eq!(got, want, "every fork answers as computing every row");
+        assert_eq!(table.rows_present(), named, "the forks filled exactly the rows named");
     }
 
     #[test]

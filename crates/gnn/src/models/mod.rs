@@ -10,7 +10,7 @@ pub use gcn::Gcn;
 
 use crate::table::RowTable;
 pub(crate) use block::Band;
-use block::BlockScratch;
+use block::{BlockScratch, ROW_BLOCK};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Compression, ExecMode, LinearLayer, NnError, Param};
@@ -18,7 +18,6 @@ use gat::Gat;
 use ggcn::Ggcn;
 use gs_pool::GsPool;
 use std::fmt;
-use std::sync::Arc;
 
 /// Which of the paper's four GNN algorithms a model implements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -109,8 +108,8 @@ impl fmt::Display for ModelKind {
 ///
 /// * **GCN** — the hidden layer; `Â·H` exists a block at a time. Prepared
 ///   for [`ExecMode::Spectral`], also `T = X·W₁`, read by the aggregation,
-///   or, with a [`RowTable`] attached (sampled batches only), the rows of
-///   it the table lacks, put there instead.
+///   or, when a call passes a [`RowTable`] (sampled batches only), none:
+///   the rows of `T` the table lacks go there a block at a time.
 /// * **GS-Pool** — `t = ReLU(W_pool·h)`, read by the max-pool.
 /// * **G-GCN** — the gate terms `[p ‖ q]`, `p = W_H·h` (read per source)
 ///   and `q = W_C·h` (per target).
@@ -210,29 +209,21 @@ pub trait GnnModel: Send {
     }
 
     /// Bytes of the inference buffers this model keeps from call to
-    /// call: its [`GnnModel::stage_scratch`], and what a transform-first
-    /// GCN keeps for filling a table. Each part is released after a call that
+    /// call: its [`GnnModel::stage_scratch`], released after a call that
     /// leaves it past [`crate::batch::KEPT_SCRATCH_BYTES`].
     fn scratch_bytes(&mut self) -> usize {
         self.stage_scratch().map_or(0, |scratch| scratch.bytes())
     }
 
-    /// Width of the node-local rows this prepared model reads from a
-    /// [`RowTable`] when one is attached, or `None` (the default) when it
-    /// reads none. A GCN prepared for [`ExecMode::Spectral`] reads its
+    /// Width of stage 0's rows when this prepared model can read them
+    /// from a [`RowTable`] passed to [`GnnModel::forward_at_indexed`], or
+    /// `None` (the default) when it reads none. Such a stage 0 is
+    /// node-local, so its row for a node depends only on the node's
+    /// feature row. A GCN prepared for [`ExecMode::Spectral`] declares its
     /// first layer's `T = X·W₁` rows.
     fn row_table_width(&self) -> Option<usize> {
         None
     }
-
-    /// Reads node-local rows from `table` until the next call, or, with
-    /// `None`, computes them per call into a stage matrix. The table
-    /// belongs to one graph version and is keyed by the rows of its
-    /// feature matrix, so the calls made while it is attached must pass
-    /// that matrix: the serving engine attaches its epoch's table around
-    /// each sampled batch on the epoch's features and detaches it after.
-    /// Models that read no such rows ignore it.
-    fn attach_row_table(&mut self, _table: Option<Arc<RowTable>>) {}
 
     /// Whether stage `stage` reads its inputs at a target's graph
     /// neighbours (an aggregation) and not only at the target's own row
@@ -256,7 +247,7 @@ pub trait GnnModel: Send {
     /// Panics if a row id is out of range for `graph`.
     fn stage_rows(&self, graph: &CsrGraph, rows: &[u32]) -> Vec<Vec<u32>> {
         let mut lists = Vec::new();
-        stage_rows_into(self, graph, rows, &mut Vec::new(), &mut lists);
+        stage_rows_into(self, graph, rows, 0, &mut Vec::new(), &mut lists);
         lists
     }
 
@@ -275,7 +266,7 @@ pub trait GnnModel: Send {
     /// Panics if `features` has the wrong shape for `graph` or a row id
     /// is out of range.
     fn forward_at(&mut self, graph: &CsrGraph, features: &Matrix, rows: &[u32]) -> Matrix {
-        self.forward_at_indexed(graph, features, None, rows)
+        self.forward_at_indexed(graph, features, None, rows, None)
     }
 
     /// [`GnnModel::forward_at`] over a graph whose node `v` has feature
@@ -289,18 +280,27 @@ pub trait GnnModel: Send {
     /// outgrow [`crate::batch::KEPT_SCRATCH_BYTES`] together are released
     /// before the call returns.
     ///
+    /// `table` holds stage 0's rows of `features`, keyed by feature row,
+    /// for a model whose [`GnnModel::row_table_width`] is `Some`; other
+    /// models ignore it. Stage 0 then computes only the rows of its list
+    /// the table lacks and puts them there, and the stage above reads
+    /// stage 0's rows from the table. A full table leaves stage 0 nothing
+    /// to list. The answer is the same bits with or without it.
+    ///
     /// # Panics
     ///
     /// Panics if `features` (through `index`) has the wrong shape for
-    /// `graph` or a row id is out of range.
+    /// `graph`, a row id is out of range, or a read `table` is not of
+    /// `features`' rows at stage 0's width.
     fn forward_at_indexed(
         &mut self,
         graph: &CsrGraph,
         features: &Matrix,
         index: Option<&[u32]>,
         rows: &[u32],
+        table: Option<&RowTable>,
     ) -> Matrix {
-        staged_pass(self, graph, features, index, Some(rows))
+        staged_pass(self, graph, features, index, Some(rows), table)
     }
 
     /// Prepares every linear layer for inference under `mode` (see
@@ -341,6 +341,10 @@ pub struct StageInputs<'a> {
     /// Stage `k`'s output at `below[k]`, one row per node, for every
     /// stage `k` below the one computed.
     pub below: &'a [Matrix],
+    /// Stage 0's output in a [`RowTable`] instead of `below[0]`: node
+    /// `v`'s row at its feature row (through `index`). Present only above
+    /// stage 0 of a model with a [`GnnModel::row_table_width`].
+    pub table: Option<&'a RowTable>,
 }
 
 /// Where [`GnnModel::forward_stage`] writes its output rows, each
@@ -382,13 +386,17 @@ impl<'a> StageOut<'a> {
 }
 
 /// What [`GnnModel::forward_at`] reuses from call to call: the
-/// node-indexed stage matrices, one row list per stage and the marks the
-/// lists are deduplicated with (left all clear between calls).
+/// node-indexed stage matrices, one row list per stage, the marks the
+/// lists are deduplicated with (left all clear between calls), and, when
+/// a call fills a [`RowTable`], the stage-0 rows it lacked and the block
+/// they are computed into.
 #[derive(Debug, Default)]
 pub struct StageScratch {
     stages: Vec<Matrix>,
     lists: Vec<Vec<u32>>,
     marks: Vec<bool>,
+    missing: Vec<u32>,
+    block: Vec<f64>,
 }
 
 impl StageScratch {
@@ -396,16 +404,19 @@ impl StageScratch {
     pub(crate) fn bytes(&self) -> usize {
         let matrices: usize = self.stages.iter().map(|m| m.capacity() * 8).sum();
         let lists: usize = self.lists.iter().map(|l| l.capacity() * 4).sum();
-        matrices + lists + self.marks.capacity()
+        let fill = self.missing.capacity() * 4 + self.block.capacity() * 8;
+        matrices + lists + self.marks.capacity() + fill
     }
 }
 
 /// [`GnnModel::stage_rows`] into reused `lists` (one per stage after the
-/// call), deduplicating through `marks`.
+/// call), deduplicating through `marks`, but with the lists of the stages
+/// below `lowest` left empty.
 fn stage_rows_into<M: GnnModel + ?Sized>(
     model: &M,
     graph: &CsrGraph,
     rows: &[u32],
+    lowest: usize,
     marks: &mut Vec<bool>,
     lists: &mut Vec<Vec<u32>>,
 ) {
@@ -413,7 +424,8 @@ fn stage_rows_into<M: GnnModel + ?Sized>(
     lists.resize_with(last + 1, Vec::new);
     lists[last].clear();
     lists[last].extend_from_slice(rows);
-    for stage in (1..=last).rev() {
+    lists[..lowest].iter_mut().for_each(Vec::clear);
+    for stage in (lowest + 1..=last).rev() {
         let (below, above) = lists.split_at_mut(stage);
         let below = &mut below[stage - 1];
         widen(graph, &above[0], model.stage_reads_neighbors(stage), marks, below);
@@ -452,20 +464,32 @@ fn widen(graph: &CsrGraph, rows: &[u32], hop: bool, marks: &mut Vec<bool>, out: 
 /// every model's inference `forward` (`None`: every stage at every row,
 /// `0..n`, listing no arc). Every stage but the last writes by node into
 /// its kept matrix of [`GnnModel::stage_scratch`]; the last writes the
-/// returned rows, listed.
+/// returned rows, listed. With a `table` the model reads, stage 0 fills
+/// the table instead ([`fill_table`]) and is not listed at all once the
+/// table is full.
 fn staged_pass<M: GnnModel + ?Sized>(
     model: &mut M,
     graph: &CsrGraph,
     features: &Matrix,
     index: Option<&[u32]>,
     rows: Option<&[u32]>,
+    table: Option<&RowTable>,
 ) -> Matrix {
     model.prepare_graph(graph);
+    let feature_dim = features.cols();
+    let table = table.filter(|_| model.row_table_width().is_some());
+    if let Some(table) = table {
+        assert_eq!(features.rows(), table.nodes(), "the table holds these features' rows");
+        assert_eq!(table.width(), model.stage_width(0, feature_dim), "stage 0's width");
+    }
     let mut scratch = model.stage_scratch().map(std::mem::take).unwrap_or_default();
-    let StageScratch { stages: kept, lists, marks } = &mut scratch;
+    let StageScratch { stages: kept, lists, marks, missing, block } = &mut scratch;
     let nodes = graph.num_nodes();
     match rows {
-        Some(rows) => stage_rows_into(model, graph, rows, marks, lists),
+        Some(rows) => {
+            let full = table.is_some_and(|table| table.rows_present() == table.nodes());
+            stage_rows_into(model, graph, rows, usize::from(full), marks, lists);
+        }
         None => {
             lists.resize_with(lists.len().max(1), Vec::new);
             lists[0].clear();
@@ -474,18 +498,22 @@ fn staged_pass<M: GnnModel + ?Sized>(
     }
     let list = |stage: usize| &lists[if rows.is_some() { stage } else { 0 }];
     let last = model.num_stages() - 1;
-    let feature_dim = features.cols();
-    let inputs = StageInputs { features, index, below: &[] };
+    let inputs = StageInputs { features, index, below: &[], table: None };
     kept.resize_with(last, Matrix::default);
     for stage in 0..last {
+        if let (0, Some(table)) = (stage, table) {
+            fill_table(model, graph, inputs, table, list(0), missing, block);
+            continue;
+        }
         let (below, above) = kept.split_at_mut(stage);
         fit_rows(&mut above[0], nodes, model.stage_width(stage, feature_dim));
         let out = StageOut::by_node(above[0].as_mut_slice());
-        model.forward_stage(stage, graph, StageInputs { below, ..inputs }, list(stage), out);
+        let inputs = StageInputs { below, table, ..inputs };
+        model.forward_stage(stage, graph, inputs, list(stage), out);
     }
     let at = list(last);
     let mut out = Matrix::zeros(at.len(), model.stage_width(last, feature_dim));
-    let inputs = StageInputs { below: kept, ..inputs };
+    let inputs = StageInputs { below: kept, table, ..inputs };
     model.forward_stage(last, graph, inputs, at, StageOut::listed(out.as_mut_slice()));
     if scratch.bytes() > crate::batch::KEPT_SCRATCH_BYTES {
         scratch = StageScratch::default();
@@ -494,6 +522,36 @@ fn staged_pass<M: GnnModel + ?Sized>(
         *slot = scratch;
     }
     out
+}
+
+/// Puts stage 0's rows of `rows` that `table` lacks into it: listed by
+/// feature row (through `inputs.index`) under a read lock, computed
+/// [`ROW_BLOCK`] rows at a time into `block` outside the lock, and each
+/// chunk written under a short write lock, so a replica reading the table
+/// waits for one chunk's writes at most.
+fn fill_table<M: GnnModel + ?Sized>(
+    model: &mut M,
+    graph: &CsrGraph,
+    inputs: StageInputs,
+    table: &RowTable,
+    rows: &[u32],
+    missing: &mut Vec<u32>,
+    block: &mut Vec<f64>,
+) {
+    let key = |v: u32| inputs.index.map_or(v, |index| index[v as usize]) as usize;
+    missing.clear();
+    let slab = table.read();
+    missing.extend(rows.iter().filter(|&&v| !slab.has(key(v))));
+    drop(slab);
+    let width = table.width();
+    for chunk in missing.chunks(ROW_BLOCK) {
+        block.resize(chunk.len() * width, 0.0);
+        model.forward_stage(0, graph, inputs, chunk, StageOut::listed(block));
+        let mut slab = table.write();
+        for (row, &v) in block.chunks(width).zip(chunk) {
+            slab.put(key(v), row);
+        }
+    }
 }
 
 /// Shapes a kept node-indexed `buffer` to hold at least `nodes` rows of
@@ -655,7 +713,7 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         if !train {
             self.layer1.clear_backward_state();
             self.layer2.clear_backward_state();
-            return staged_pass(self, graph, features, None, None);
+            return staged_pass(self, graph, features, None, None, None);
         }
         let h1 = self.layer1.forward(graph, features, &mut self.scratch);
         self.layer2.forward(graph, &h1, &mut self.scratch)
@@ -776,7 +834,8 @@ pub(crate) mod testutil {
             let width = model.stage_width(stage, x.cols());
             let mut merged = Matrix::filled(x.rows(), width, f64::NAN);
             for (i, rows) in shards.iter().enumerate() {
-                let inputs = StageInputs { features: x, index: None, below: &below };
+                let inputs =
+                    StageInputs { features: x, index: None, below: &below, table: None };
                 if i % 2 == 0 {
                     let out = StageOut::by_node(merged.as_mut_slice());
                     model.forward_stage(stage, g, inputs, rows, out);
@@ -1095,6 +1154,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_full_table_leaves_stage_zero_unlisted() {
+        // A call that finds the table full lists no stage-0 row and
+        // computes none, though the call before left a list of every row,
+        // and answers as computing them all.
+        let n = 130;
+        let (g, x) = (hub_graph(n), testutil::tiny_features(n, 20));
+        let compression = Compression::BlockCirculant { block_size: 4 };
+        let mut model = build_model(ModelKind::Gcn, 20, 12, 5, compression, 7).unwrap();
+        model.prepare(ExecMode::Spectral);
+        let rows = [0, n as u32 - 1, 7, 0, 3];
+        let want = model.forward_at(&g, &x, &rows);
+        let table = RowTable::new(n, 12).expect("fits");
+        let every: Vec<u32> = (0..n as u32).collect();
+        let _ = model.forward_at_indexed(&g, &x, None, &every, Some(&table));
+        assert_eq!(table.rows_present(), n, "a call at every row fills the table");
+        let scratch = model.stage_scratch().expect("GCN keeps a stage scratch");
+        assert_eq!(scratch.lists[0].len(), n, "that call listed every row");
+        let got = model.forward_at_indexed(&g, &x, None, &rows, Some(&table));
+        assert_same_bits(&got, &want, "warm");
+        let lists = model.stage_rows(&g, &rows);
+        let scratch = model.stage_scratch().expect("GCN keeps a stage scratch");
+        assert!(scratch.lists[0].is_empty(), "stage 0 listed no row");
+        assert!(scratch.missing.is_empty(), "stage 0 computed no row");
+        assert_eq!(scratch.lists[1..], lists[1..], "the stages above are listed as ever");
+    }
+
     /// The oracle for `forward_at`: every stage but the last chained over
     /// every row of `g`, the last at `rows`.
     fn every_row_forward_at(
@@ -1110,7 +1196,7 @@ mod tests {
         for stage in 0..=last {
             let at = if stage == last { rows } else { &every_row };
             let mut out = Matrix::zeros(at.len(), model.stage_width(stage, x.cols()));
-            let inputs = StageInputs { features: x, index: None, below: &below };
+            let inputs = StageInputs { features: x, index: None, below: &below, table: None };
             model.forward_stage(stage, g, inputs, at, StageOut::listed(out.as_mut_slice()));
             below.push(out);
         }

@@ -103,6 +103,7 @@ pub fn sampled_forward(
         features,
         Some(universe.local_to_global),
         universe.rows,
+        None,
     )
 }
 

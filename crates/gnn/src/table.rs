@@ -9,11 +9,13 @@
 //! filled the first time a request reads it and tracked by a presence
 //! bitmap; the serving engine holds one per graph epoch, shared by every
 //! replica that serves it, and a new version (or a cleared cache) starts
-//! an empty one. Only sampled batches read and fill it: a full-graph pass
-//! transforms every row anyway, into a stage matrix of its own, and
-//! leaves the table alone. A version whose table would pass
-//! [`ROW_TABLE_BYTES`] gets none, and its batches compute the rows they
-//! read.
+//! an empty one. The engine passes it into each sampled batch's model
+//! call ([`crate::GnnModel::forward_at_indexed`]), whose staged pass fills
+//! the rows its stage-0 list lacks and lists none once the table is full;
+//! the stage above reads the rows in place. A full-graph pass takes no
+//! table: it transforms every row anyway, into a stage matrix of its own.
+//! A version whose table would pass [`ROW_TABLE_BYTES`] gets none, and
+//! its batches compute the rows they read.
 //!
 //! This is GNNIE's graph-specific caching (PAPERS.md), applied where it
 //! is exact: a kept row holds the bits the computing path would produce.

@@ -32,8 +32,11 @@
 //!   `∂X`, and
 //!   [`blockgnn_core::RealSpectralBlockCirculant::kernel_grad_into`] for
 //!   `∂W`. [`CirculantDense::prepare`] builds the weights once and keeps
-//!   them behind an `Arc` shared by every fork of the layer; the training
-//!   forward rebuilds them from the current kernels on each call.
+//!   them behind an `Arc` shared by every fork of the layer. Unprepared,
+//!   an inference call builds them from the current kernels once and
+//!   keeps them until a parameter visit, `prepare` or `clear_prepared`
+//!   supersedes them; the training forward builds its own on each call,
+//!   kept for its `backward`.
 //! * Prepared for [`ExecMode::FixedSpectral`], the layer serves the
 //!   accelerator's arithmetic: the same `Ŵ` quantized to Q16.16 and
 //!   [`blockgnn_core::RealSpectralBlockCirculant::matmul_f64_into`]'s
@@ -106,6 +109,9 @@ pub struct CirculantDense {
     bias: Param,
     cache: Option<Cache>,
     prepared: Option<Arc<Prepared>>,
+    /// The spectral weights an unprepared inference call built from the
+    /// current kernels, kept until the kernels may change.
+    built: Option<RealSpectralBlockCirculant>,
     /// Per-layer half-spectrum workspace, reused across rows and
     /// requests. `SpectralScratch::clone` yields an empty scratch, so
     /// forked serving replicas grow their own on first use and never
@@ -159,6 +165,7 @@ impl CirculantDense {
             bias: Param::new(vec![0.0; out_dim]),
             cache: None,
             prepared: None,
+            built: None,
             scratch: SpectralScratch::new(),
             fixed_scratch: SpectralScratch::new(),
         })
@@ -222,6 +229,7 @@ impl CirculantDense {
     /// parameter updates after `prepare` require re-preparing.
     pub fn prepare(&mut self, mode: ExecMode) {
         self.cache = None;
+        self.built = None;
         self.prepared = Some(Arc::new(match mode {
             ExecMode::Gemm => Prepared::Gemm(self.to_block_circulant().to_dense()),
             ExecMode::Spectral => Prepared::Spectral(self.spectral_weights()),
@@ -235,6 +243,7 @@ impl CirculantDense {
     /// form.
     pub fn clear_prepared(&mut self) {
         self.prepared = None;
+        self.built = None;
     }
 
     /// Whether a prepared fast path is active.
@@ -257,9 +266,10 @@ impl CirculantDense {
     /// `W·x + b` for every row of the row-major `rows × in_dim` input,
     /// written into the row-major `rows × out_dim` output (every entry
     /// overwritten): the prepared representation when there is one,
-    /// spectral weights built from the current kernels otherwise. Nothing
-    /// is cached for `backward` — the write-into inference entry, over
-    /// the same kernel calls [`Layer::forward`] makes.
+    /// spectral weights built from the current kernels (and kept for the
+    /// next call) otherwise. Nothing is cached for `backward` — the
+    /// write-into inference entry, over the same kernel calls
+    /// [`Layer::forward`] makes.
     ///
     /// # Panics
     ///
@@ -302,7 +312,11 @@ impl CirculantDense {
                 let bias = biased.then_some(self.bias.data.as_slice());
                 weights.matmul_f64_into(x, bias, &mut self.fixed_scratch, out);
             }
-            None => self.spectral_apply(x, &self.spectral_weights(), biased, out),
+            None => {
+                let weights = self.built.take().unwrap_or_else(|| self.spectral_weights());
+                self.spectral_apply(x, &weights, biased, out);
+                self.built = Some(weights);
+            }
         }
     }
 
@@ -372,6 +386,8 @@ impl Layer for CirculantDense {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // `f` may change the kernels.
+        self.built = None;
         f(&mut self.kernels);
         f(&mut self.bias);
     }
@@ -491,6 +507,28 @@ mod tests {
         assert!(!layer.is_prepared());
         let back = layer.forward(&x, false);
         assert!(back.linf_distance(&reference) < 1e-15);
+    }
+
+    #[test]
+    fn unprepared_inference_rebuilds_its_weights_only_when_they_may_change() {
+        let mut layer = CirculantDense::new(6, 10, 4, 3).unwrap();
+        let x = Matrix::from_fn(3, 10, |i, j| ((i * 10 + j) as f64 * 0.3).sin());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let before = layer.forward(&x, false);
+        assert!(layer.built.is_some(), "the first call keeps what it built");
+        assert_eq!(bits(&layer.forward(&x, false)), bits(&before), "the kept weights serve");
+        layer.visit_params(&mut |p| p.data[0] += 0.5);
+        assert!(layer.built.is_none(), "a parameter visit drops them");
+        let after = layer.forward(&x, false);
+        assert_ne!(bits(&after), bits(&before));
+        assert_eq!(bits(&after), bits(&layer.forward(&x, true)), "built from the new kernels");
+        let _ = layer.forward(&x, false);
+        layer.prepare(ExecMode::Spectral);
+        assert!(layer.built.is_none(), "prepare supersedes them");
+        layer.clear_prepared();
+        let _ = layer.forward(&x, false);
+        layer.clear_prepared();
+        assert!(layer.built.is_none(), "and so does clear_prepared");
     }
 
     #[test]
