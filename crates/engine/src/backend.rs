@@ -7,16 +7,15 @@
 //! stored and in which scalar the weight products run (one
 //! [`blockgnn_nn::ExecMode`] per [`BackendKind`]), and in whether a cost
 //! model rides along — nothing else — so there is one backend type: it
-//! owns a prepared copy of the model and turns a computation graph +
-//! features into logits, and when it carries the CirCore cost model the
-//! Eq. 3–7 cycle report and an energy estimate come back from the same
-//! call.
+//! owns a prepared copy of the model, whose inference stages the engine
+//! runs, and when it carries the CirCore cost model it prices each
+//! execution with the Eq. 3–7 cycle report and an energy estimate.
 
 use crate::error::EngineError;
 use blockgnn_accel::{AccelError, BlockGnnAccelerator, GlobalBuffer, SimReport};
 use blockgnn_gnn::workload::GnnWorkload;
 use blockgnn_gnn::GnnModel;
-use blockgnn_graph::{CsrGraph, DatasetSpec};
+use blockgnn_graph::DatasetSpec;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{ExecMode, LinearLayer};
 use blockgnn_perf::coeffs::HardwareCoeffs;
@@ -125,8 +124,8 @@ struct CostModel {
 /// circulant kernels to dense matrices; [`ExecMode::Spectral`] caches
 /// packed half-spectra and RFFT plans, so steady-state execution does no
 /// spectral-path allocation; [`ExecMode::FixedSpectral`] caches them in
-/// Q16.16) and whether executions are also priced on CirCore. Staged execution reaches the model's row-parallel hooks
-/// ([`GnnModel::forward_stage`] and friends) through `model` directly.
+/// Q16.16) and whether executions are also priced on CirCore
+/// ([`Backend::charge`]). The engine runs `model`'s inference stages.
 pub(crate) struct Backend {
     kind: BackendKind,
     pub(crate) model: Box<dyn GnnModel>,
@@ -153,10 +152,13 @@ impl Backend {
     /// Buffer of a simulated accelerator.
     pub(crate) fn new(
         kind: BackendKind,
-        mut model: Box<dyn GnnModel>,
+        model: Box<dyn GnnModel>,
         params: CirCoreParams,
         coeffs: HardwareCoeffs,
     ) -> Result<Self, EngineError> {
+        // The engine never runs `forward`, so it serves a copy:
+        // `clone_boxed` drops what a training forward kept for `backward`.
+        let mut model = model.clone_boxed();
         let (mut weight_bytes, mut block_size) = (0usize, 1usize);
         model.visit_linear_layers(&mut |layer| {
             if let LinearLayer::Circulant(c) = layer {
@@ -191,19 +193,6 @@ impl Backend {
         self.weight_bytes
     }
 
-    /// Runs one full inference pass over `graph`/`features`, charged on
-    /// the cost model (if any) for `shape`: logits for every node.
-    pub(crate) fn execute(
-        &mut self,
-        graph: &CsrGraph,
-        features: &Matrix,
-        shape: RequestShape,
-    ) -> BackendOutput {
-        let logits = self.model.forward(graph, features, false);
-        let (sim, energy_joules) = self.charge(features.cols(), shape).unzip();
-        BackendOutput { logits, sim, energy_joules }
-    }
-
     /// An independent replica for another worker thread or session.
     /// Prepared weights and spectra stay `Arc`-shared (see [`ExecMode`]);
     /// per-call scratch clones *empty*, so replicas own private hot
@@ -220,9 +209,9 @@ impl Backend {
 
     /// Hardware cost of serving `shape` over `feature_dim`-wide inputs:
     /// the Eq. 3–7 [`SimReport`] and an energy estimate in joules. `None`
-    /// without a cost model. A partitioned full-graph pass calls this
-    /// once per part and merges with [`SimReport::merge`] (the §IV-C
-    /// sub-graph accounting).
+    /// without a cost model. A full-graph pass, partitioned or not, is
+    /// charged once for every node: Eq. 7 is linear in the node count, so
+    /// §IV-C's sub-graphs run in sequence cost what the whole graph does.
     pub(crate) fn charge(
         &self,
         feature_dim: usize,

@@ -11,14 +11,16 @@
 //! into [`GraphPart`]s (contiguous node ranges with their one-hop halos,
 //! sized so every part's resident features fit
 //! [`DEFAULT_PART_BUDGET_BYTES`]), cut on the degree curve so power-law
-//! graphs stop handing one worker all the hubs — running the model's
-//! row-parallel inference stages over a [`std::thread::scope`] pool with
-//! a barrier between stages. Sampled executions (solo or a coalesced
-//! batch's merged universe) are what the paper serves on one
+//! graphs stop handing one worker all the hubs. The pass is the model's
+//! one staged pass ([`forward_runs`]) given each part's run of node ids:
+//! every stage's runs fan out over a [`std::thread::scope`] pool, joined
+//! before the next stage. A one-worker engine gives it one run over
+//! every node, on the calling thread. Sampled executions (solo or a
+//! coalesced batch's merged universe) are what the paper serves on one
 //! accelerator, and they run on the first replica exactly as on a
 //! one-worker engine. Everything else about the engine — sessions,
 //! coalescing, forks, graph deltas — is unchanged, and a one-worker
-//! engine never builds or touches any of this.
+//! engine never builds a plan.
 //!
 //! The plan is a pure function of (graph version, worker count), so it
 //! lives on its epoch, one per worker count: the first pass that
@@ -41,28 +43,24 @@
 //!
 //! # Hardware accounting
 //!
-//! Per-part hardware cost is accounted the §IV-C way: the simulated
-//! accelerator charges each part's target nodes separately and the
-//! per-part [`SimReport`]s merge by summation ([`SimReport::merge`] —
-//! cycles combine as in the paper's two-sub-graph Reddit evaluation,
-//! energy sums), reproducing the monolithic report exactly. Like the
-//! paper's accelerator, which keeps no aggregation cache (§III-C: "we
-//! just leverage node prefetching"), every pass runs every stage over
-//! every part, so a repeated pass is billed like the first.
+//! §IV-C runs the sub-graphs one after another on one accelerator, and
+//! Eq. 7 prices a pass at per-node cycles × nodes, so a partitioned pass
+//! costs what the whole graph costs: the simulated accelerator charges
+//! the pass once, for every node, whatever the plan. Like the paper's
+//! accelerator, which keeps no aggregation cache (§III-C: "we just
+//! leverage node prefetching"), every pass runs every stage over every
+//! part, so a repeated pass is billed like the first.
 
-use crate::backend::{Backend, BackendOutput, RequestShape};
+use crate::backend::{BackendOutput, RequestShape};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::versioned::{lock_recover, GraphEpoch};
-use blockgnn_accel::SimReport;
-use blockgnn_gnn::batch::KEPT_SCRATCH_BYTES;
-use blockgnn_gnn::models::{fit_rows, StageInputs, StageOut};
+use blockgnn_gnn::models::forward_runs;
 use blockgnn_gnn::GnnModel;
 use blockgnn_graph::partition::{
     partition_balance, partition_contiguous, partition_degree_balanced, GraphPart,
 };
 use blockgnn_graph::{CsrGraph, Dataset};
-use blockgnn_linalg::Matrix;
 use blockgnn_perf::resources::NODE_FEATURE_BUFFER_BYTES;
 use std::sync::Arc;
 
@@ -84,15 +82,17 @@ impl Engine {
     /// Widens this engine to `workers` worker threads: the existing
     /// backend is forked until there is one replica per worker (forks
     /// share the prepared weights and cached spectra behind `Arc`s, so
-    /// this is cheap in memory), and full-graph passes from now on run
-    /// the partition plan — a degree-balanced split that is at least
+    /// this is cheap in memory), and full-graph passes from now on hand
+    /// the one staged pass ([`forward_runs`]) the partition plan's runs,
+    /// one thread per worker — a degree-balanced split that is at least
     /// `workers` parts **and** fits every part's resident
     /// features (targets + one-hop halo, at the backend's
     /// [`crate::BackendKind::bytes_per_feature`] scalar width) in
-    /// [`DEFAULT_PART_BUDGET_BYTES`]. The plan follows the graph
-    /// version, so [`Engine::apply_delta`], [`Engine::fork`] and
+    /// [`DEFAULT_PART_BUDGET_BYTES`]. A pass is charged once, for every
+    /// node, as on one worker. The plan follows the graph version, so
+    /// [`Engine::apply_delta`], [`Engine::fork`] and
     /// [`Engine::infer_coalesced`] keep working. `into_parallel(1)`
-    /// leaves a one-worker engine, which runs every stage over every row
+    /// leaves a one-worker engine, whose pass is one run over every row
     /// on the calling thread.
     ///
     /// ```
@@ -265,162 +265,43 @@ impl Engine {
     }
 
     /// One uncached full-graph pass over `epoch`, returning the output
-    /// and the parts executed. One worker runs the model's `forward`;
-    /// a widened engine runs the version's plan and charges every part's
-    /// targets.
+    /// and the parts executed: the staged pass over one run of every
+    /// node on one worker, over the version's plan on a widened engine,
+    /// charged once for every node.
     pub(crate) fn full_graph_pass(&mut self, epoch: &GraphEpoch) -> (BackendOutput, usize) {
         let dataset = &epoch.dataset;
-        if self.workers.len() == 1 {
-            let shape =
-                RequestShape { target_nodes: dataset.num_nodes(), fanouts: self.fanouts };
-            let out = self.workers[0].execute(&dataset.graph, &dataset.features, shape);
-            return (out, 1);
-        }
-        let plan = self.plan_for(epoch);
-        let logits =
-            run_staged(&mut self.workers, &dataset.graph, &dataset.features, &plan.parts);
-        let (sim, energy_joules) = merge_part_charges(
-            &self.workers[0],
-            dataset.feature_dim(),
-            self.fanouts,
-            plan.parts.iter().map(|part| part.nodes.len()),
-        );
-        (BackendOutput { logits, sim, energy_joules }, plan.parts.len())
-    }
-}
-
-/// Executes the model's inference stages over `parts`, fanning each
-/// stage's parts out to the worker pool: each part's rows are written in
-/// place into the stage's node-indexed matrix, which the stages above
-/// read once every part is done; returns the last stage's matrix. The
-/// matrices below it are the first replica's kept stage matrices
-/// ([`GnnModel::stage_buffers`]), grown and never zeroed as a one-worker
-/// pass keeps them, and released past [`KEPT_SCRATCH_BYTES`].
-///
-/// # Panics
-///
-/// Panics unless `parts` tile the nodes in order, each a run of
-/// consecutive ids (as [`partition_degree_balanced`] cuts them).
-fn run_staged(
-    workers: &mut [Backend],
-    graph: &CsrGraph,
-    features: &Matrix,
-    parts: &[GraphPart],
-) -> Matrix {
-    let n = graph.num_nodes();
-    let feature_dim = features.cols();
-    let tiled = parts.iter().flat_map(|part| &part.nodes).map(|&v| v as usize).eq(0..n);
-    assert!(tiled, "parts must tile the nodes in order, each a run of consecutive ids");
-    let model = &mut workers[0].model;
-    let last = model.num_stages() - 1;
-    let mut logits = Matrix::zeros(n, model.stage_width(last, feature_dim));
-    let mut kept = model.stage_buffers().map(std::mem::take).unwrap_or_default();
-    kept.resize_with(last, Matrix::default);
-    for stage in 0..=last {
-        let width = workers[0].model.stage_width(stage, feature_dim);
-        let (below, above) = kept.split_at_mut(stage);
-        let out = match above.first_mut() {
-            Some(out) => {
-                fit_rows(out, n, width);
-                out
-            }
-            None => &mut logits,
+        let n = dataset.num_nodes();
+        let ends = match self.workers.len() {
+            1 => vec![n],
+            _ => self.plan_for(epoch).parts.iter().map(end_of).collect(),
         };
-        let mut rest = out.as_mut_slice();
-        let jobs = parts.iter().map(|part| {
-            let (mine, after) =
-                std::mem::take(&mut rest).split_at_mut(part.nodes.len() * width);
-            rest = after;
-            (part.nodes.as_slice(), mine)
-        });
-        let inputs = StageInputs { features, index: None, below, table: None };
-        fan_out(workers, graph, jobs.collect(), |model, (rows, mine)| {
-            model.forward_stage(stage, graph, inputs, rows, StageOut::listed(mine));
-        });
+        let mut replicas: Vec<&mut dyn GnnModel> =
+            self.workers.iter_mut().map(|backend| backend.model.as_mut()).collect();
+        let logits = forward_runs(&mut replicas, &dataset.graph, &dataset.features, &ends);
+        let shape = RequestShape { target_nodes: n, fanouts: self.fanouts };
+        let (sim, energy_joules) = self.workers[0].charge(dataset.feature_dim(), shape).unzip();
+        (BackendOutput { logits, sim, energy_joules }, ends.len())
     }
-    let bytes: usize = kept.iter().map(|m| m.capacity() * 8).sum();
-    if let Some(slot) = workers[0].model.stage_buffers().filter(|_| bytes <= KEPT_SCRATCH_BYTES)
-    {
-        *slot = kept;
-    }
-    logits
 }
 
-/// Runs `task` on every job over a [`std::thread::scope`] pool, one
-/// thread per worker, job `i` on worker `i mod workers`.
-fn fan_out<J: Send>(
-    workers: &mut [Backend],
-    graph: &CsrGraph,
-    jobs: Vec<J>,
-    task: impl Fn(&mut dyn GnnModel, J) + Sync,
-) {
-    let num_workers = workers.len();
-    let mut assigned: Vec<Vec<J>> = (0..num_workers).map(|_| Vec::new()).collect();
-    // Round-robin assignment: degree-balanced parts are near-equal in
-    // work, so stride-W interleaving balances the load.
-    for (i, job) in jobs.into_iter().enumerate() {
-        assigned[i % num_workers].push(job);
-    }
-    let task = &task;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .zip(assigned)
-            .filter(|(_, jobs)| !jobs.is_empty())
-            .map(|(backend, jobs)| {
-                scope.spawn(move || {
-                    // Per-graph precomputation happens inside the worker
-                    // (in parallel, not serially on the caller thread);
-                    // it is idempotent, so later calls hit a warm cache.
-                    let model = backend.model.as_mut();
-                    model.prepare_graph(graph);
-                    jobs.into_iter().for_each(|job| task(model, job));
-                })
-            })
-            .collect();
-        // A worker's panic is the model's: re-raise its own payload, so
-        // the caller's fault domain sees that panic rather than a second
-        // one raised by the join.
-        for handle in handles {
-            handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
-    });
-}
-
-/// Charges each part's target nodes on the hardware model and merges
-/// the reports (§IV-C: sub-graphs run in sequence on one accelerator,
-/// so cycles and energy sum). `None`/`None` for software backends.
-fn merge_part_charges(
-    backend: &Backend,
-    feature_dim: usize,
-    fanouts: (usize, usize),
-    part_targets: impl Iterator<Item = usize>,
-) -> (Option<SimReport>, Option<f64>) {
-    let mut reports = Vec::new();
-    let mut energy_total = 0.0;
-    for targets in part_targets {
-        let shape = RequestShape { target_nodes: targets, fanouts };
-        match backend.charge(feature_dim, shape) {
-            Some((sim, energy)) => {
-                reports.push(sim);
-                energy_total += energy;
-            }
-            None => return (None, None),
-        }
-    }
-    match SimReport::merge(reports) {
-        Some(merged) => (Some(merged), Some(energy_total)),
-        None => (None, None),
-    }
+/// Where `part`'s run of node ids ends: the plan cuts runs of
+/// consecutive ids, in order ([`partition_degree_balanced`]).
+fn end_of(part: &GraphPart) -> usize {
+    part.nodes.last().map_or(0, |&v| v as usize + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use crate::versioned::lock_recover;
     use crate::{BackendKind, EngineBuilder, GraphDelta, InferRequest};
-    use blockgnn_gnn::ModelKind;
-    use blockgnn_graph::datasets;
-    use std::sync::Arc;
+    use blockgnn_gnn::models::{StageInputs, StageOut, StageScratch};
+    use blockgnn_gnn::{build_model, GnnModel, ModelKind};
+    use blockgnn_graph::{datasets, CsrGraph};
+    use blockgnn_linalg::Matrix;
+    use blockgnn_nn::{Compression, LinearLayer, Param};
+    use std::collections::HashSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     #[test]
     fn a_one_worker_engine_never_builds_a_plan() {
@@ -449,5 +330,94 @@ mod tests {
         let plans = lock_recover(&epoch.plans);
         assert_eq!((epoch.version, plans.len()), (1, 1));
         assert!(plans[&2].parts.len() >= 2);
+    }
+
+    /// Delegates to a zoo model and records each stage with the thread
+    /// it ran on. Clones share the record.
+    struct ThreadLog {
+        inner: Box<dyn GnnModel>,
+        threads: Arc<Mutex<HashSet<(usize, ThreadId)>>>,
+    }
+
+    impl GnnModel for ThreadLog {
+        fn kind(&self) -> ModelKind {
+            self.inner.kind()
+        }
+        fn hidden_dim(&self) -> usize {
+            self.inner.hidden_dim()
+        }
+        fn forward(&mut self, graph: &CsrGraph, features: &Matrix, train: bool) -> Matrix {
+            self.inner.forward(graph, features, train)
+        }
+        fn backward(&mut self, graph: &CsrGraph, grad_logits: &Matrix) -> Matrix {
+            self.inner.backward(graph, grad_logits)
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.inner.visit_params(f);
+        }
+        fn visit_linear_layers(&mut self, f: &mut dyn FnMut(&mut LinearLayer)) {
+            self.inner.visit_linear_layers(f);
+        }
+        fn clone_boxed(&self) -> Box<dyn GnnModel> {
+            let threads = Arc::clone(&self.threads);
+            Box::new(Self { inner: self.inner.clone_boxed(), threads })
+        }
+        fn num_stages(&self) -> usize {
+            self.inner.num_stages()
+        }
+        fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
+            self.inner.stage_width(stage, feature_dim)
+        }
+        fn stage_reads_neighbors(&self, stage: usize) -> bool {
+            self.inner.stage_reads_neighbors(stage)
+        }
+        fn stage_scratch(&mut self) -> Option<&mut StageScratch> {
+            self.inner.stage_scratch()
+        }
+        fn forward_stage(
+            &mut self,
+            stage: usize,
+            graph: &CsrGraph,
+            inputs: StageInputs<'_>,
+            rows: &[u32],
+            out: StageOut<'_>,
+        ) {
+            lock_recover(&self.threads).insert((stage, std::thread::current().id()));
+            self.inner.forward_stage(stage, graph, inputs, rows, out);
+        }
+    }
+
+    #[test]
+    fn a_one_worker_pass_stays_on_the_calling_thread_and_a_widened_one_fans_out() {
+        // A ~1.5 ms one-worker pass would pay for a thread spawn per
+        // stage; it runs every stage on the caller's thread. Widened to
+        // two workers, each stage runs on two threads, neither the caller
+        // (a scoped thread per worker per stage, joined between stages).
+        let dataset = Arc::new(datasets::cora_like_small(5));
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let (features, classes) = (dataset.feature_dim(), dataset.num_classes);
+        let inner = build_model(ModelKind::GsPool, features, 8, classes, Compression::Dense, 3)
+            .expect("builds");
+        let model = ThreadLog { inner, threads: Arc::clone(&threads) };
+        let mut engine = EngineBuilder::new(ModelKind::GsPool, BackendKind::Dense)
+            .build_with_model(Box::new(model), dataset)
+            .expect("builds");
+        let all = InferRequest::all_nodes();
+        engine.execute_request(&all).expect("serves");
+        let caller = std::thread::current().id();
+        let stages = 0..4;
+        let on_caller: HashSet<_> = stages.clone().map(|stage| (stage, caller)).collect();
+        assert_eq!(*lock_recover(&threads), on_caller);
+        lock_recover(&threads).clear();
+        let mut widened = engine.into_parallel(2).expect("widens");
+        widened.clear_full_graph_cache();
+        let response = widened.execute_request(&all).expect("serves");
+        assert!(response.parts >= 2 && !response.from_cache);
+        let seen = lock_recover(&threads);
+        assert!(seen.iter().all(|&(_, thread)| thread != caller), "{seen:?}");
+        for stage in stages {
+            let threads = seen.iter().filter(|&&(s, _)| s == stage).count();
+            assert_eq!(threads, 2, "stage {stage}: {seen:?}");
+        }
     }
 }

@@ -35,7 +35,7 @@ use crate::adjacency::NormalizedAdjacency;
 use crate::models::block::{
     combine_backward, combine_blocks, transform_blocks, Band, BlockScratch, Output, ROW_BLOCK,
 };
-use crate::models::{staged_pass, GnnModel, ModelKind, StageInputs, StageOut, StageScratch};
+use crate::models::{forward_runs, GnnModel, ModelKind, StageInputs, StageOut, StageScratch};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Compression, ExecMode, Layer, LinearLayer, NnError, Param, Relu};
@@ -202,7 +202,7 @@ impl GnnModel for Gcn {
         assert_eq!(features.rows(), nodes, "feature rows must equal node count");
         if !train {
             self.act1.clear_cached();
-            return staged_pass(self, graph, features, None, None, None);
+            return forward_runs(&mut [self], graph, features, &[nodes]);
         }
         // Reuse the instance-id-keyed coefficients across requests.
         self.prepare_graph(graph);
@@ -242,7 +242,7 @@ impl GnnModel for Gcn {
 
     fn prepare_graph(&mut self, graph: &CsrGraph) {
         // Idempotent: repeat preparations for the same graph (one per
-        // request in the parallel scheduler) cost O(1).
+        // pass, and one per stage call) cost O(1).
         if self.adj_graph != Some(graph.instance_id()) {
             self.adj.refill(graph);
             self.adj_graph = Some(graph.instance_id());

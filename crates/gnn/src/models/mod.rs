@@ -80,10 +80,11 @@ impl fmt::Display for ModelKind {
 /// node-indexed outputs of the stages below it ([`StageInputs`]). Within
 /// a stage, rows are independent — each target row reads those matrices
 /// only at its own row and, if [`GnnModel::stage_reads_neighbors`], at its
-/// neighbours — so a scheduler can shard a stage's rows across worker
-/// threads and barrier between stages, and [`GnnModel::forward_at`] can
-/// leave every row no later stage reads uncomputed. This is the one
-/// inference body: `forward(graph, features, false)` runs every stage
+/// neighbours — so [`forward_runs`] can cut a stage's rows into runs
+/// across worker threads and join them between stages, and
+/// [`GnnModel::forward_at`] can leave every row no later stage reads
+/// uncomputed. One loop runs the stages for both: `forward(graph,
+/// features, false)` is [`forward_runs`] with one replica and one run
 /// over every row, and the contract is *bit-exactness* — any shard of a
 /// stage's rows gets the bits the full pass gives them, which is what
 /// makes partition-parallel serving indistinguishable from the
@@ -156,9 +157,9 @@ pub trait GnnModel: Send {
 
     /// Staged-inference hook: precomputes per-graph state the stages
     /// reuse (e.g. GCN's degree normalization, an `O(n)` pass otherwise
-    /// repeated per part per stage). A staged scheduler calls this once
-    /// per request, before fanning [`GnnModel::forward_stage`] calls
-    /// out; callers must re-prepare before switching graphs.
+    /// repeated per run per stage). The staged pass calls it before the
+    /// first replica's stages; callers must re-prepare before switching
+    /// graphs.
     /// `forward_stage` stays correct (just slower) if this was never
     /// called. Models without per-graph precomputation ignore it.
     fn prepare_graph(&mut self, _graph: &CsrGraph) {}
@@ -300,7 +301,7 @@ pub trait GnnModel: Send {
         rows: &[u32],
         table: Option<&RowTable>,
     ) -> Matrix {
-        staged_pass(self, graph, features, index, Some(rows), table)
+        staged_pass(&mut [self], graph, features, index, Rows::At(rows), table)
     }
 
     /// Prepares every linear layer for inference under `mode` (see
@@ -460,21 +461,53 @@ fn widen(graph: &CsrGraph, rows: &[u32], hop: bool, marks: &mut Vec<bool>, out: 
     }
 }
 
-/// The staged pass under [`GnnModel::forward_at_indexed`] (`rows`) and
-/// every model's inference `forward` (`None`: every stage at every row,
-/// `0..n`, listing no arc). Every stage but the last writes by node into
-/// its kept matrix of [`GnnModel::stage_scratch`]; the last writes the
-/// returned rows, listed. With a `table` the model reads, stage 0 fills
-/// the table instead ([`fill_table`]) and is not listed at all once the
-/// table is full.
+/// Which rows a [`staged_pass`] computes.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    /// [`GnnModel::forward_at_indexed`]'s, on the first replica.
+    At(&'a [u32]),
+    /// Every row, in runs ending at these ids, over the replicas.
+    Runs(&'a [usize]),
+}
+
+/// `forward(graph, features, false)` over `replicas` of one prepared
+/// model, each stage's rows cut into runs of node ids that end at `ends`:
+/// run `i` is computed by replica `i mod replicas.len()`, written in place
+/// into the stage's node-indexed matrix. One replica runs on the calling
+/// thread; more run on a [`std::thread::scope`] pool, one thread each,
+/// joined before the next stage. The logits are the same bits however
+/// the rows are cut, and the first replica keeps the stage matrices.
+///
+/// # Panics
+///
+/// Panics if `replicas` is empty, `features` has the wrong shape for
+/// `graph`, or `ends` is not ascending to `graph.num_nodes()`. A
+/// replica's panic is re-raised with its own payload.
+pub fn forward_runs<M: GnnModel + ?Sized>(
+    replicas: &mut [&mut M],
+    graph: &CsrGraph,
+    features: &Matrix,
+    ends: &[usize],
+) -> Matrix {
+    staged_pass(replicas, graph, features, None, Rows::Runs(ends), None)
+}
+
+/// The one loop over inference stages, under [`forward_runs`] (and so
+/// every model's inference `forward`, one run `0..n`, listing no arc) and
+/// [`GnnModel::forward_at_indexed`]. Every stage but the last writes into
+/// its node-indexed matrix of the first replica's
+/// [`GnnModel::stage_scratch`]; the last writes the returned rows. With a
+/// `table` the model reads, stage 0 fills the table instead
+/// ([`fill_table`]) and is not listed at all once the table is full.
 fn staged_pass<M: GnnModel + ?Sized>(
-    model: &mut M,
+    replicas: &mut [&mut M],
     graph: &CsrGraph,
     features: &Matrix,
     index: Option<&[u32]>,
-    rows: Option<&[u32]>,
+    rows: Rows,
     table: Option<&RowTable>,
 ) -> Matrix {
+    let model = &mut *replicas[0];
     model.prepare_graph(graph);
     let feature_dim = features.cols();
     let table = table.filter(|_| model.row_table_width().is_some());
@@ -485,43 +518,106 @@ fn staged_pass<M: GnnModel + ?Sized>(
     let mut scratch = model.stage_scratch().map(std::mem::take).unwrap_or_default();
     let StageScratch { stages: kept, lists, marks, missing, block } = &mut scratch;
     let nodes = graph.num_nodes();
-    match rows {
-        Some(rows) => {
+    let answers = match rows {
+        Rows::At(rows) => {
             let full = table.is_some_and(|table| table.rows_present() == table.nodes());
             stage_rows_into(model, graph, rows, usize::from(full), marks, lists);
+            rows.len()
         }
-        None => {
+        Rows::Runs(ends) => {
+            assert_eq!(features.rows(), nodes, "feature rows must equal node count");
+            let ascending = ends.windows(2).all(|w| w[0] <= w[1]);
+            let end = ends.last().copied().unwrap_or(0);
+            assert!(ascending && end == nodes, "runs must tile the nodes");
             lists.resize_with(lists.len().max(1), Vec::new);
             lists[0].clear();
             lists[0].extend(0..nodes as u32);
+            nodes
         }
-    }
-    let list = |stage: usize| &lists[if rows.is_some() { stage } else { 0 }];
+    };
     let last = model.num_stages() - 1;
+    let mut out = Matrix::zeros(answers, model.stage_width(last, feature_dim));
     let inputs = StageInputs { features, index, below: &[], table: None };
     kept.resize_with(last, Matrix::default);
-    for stage in 0..last {
+    for stage in 0..=last {
         if let (0, Some(table)) = (stage, table) {
-            fill_table(model, graph, inputs, table, list(0), missing, block);
+            fill_table(&mut *replicas[0], graph, inputs, table, &lists[0], missing, block);
             continue;
         }
+        let width = replicas[0].stage_width(stage, feature_dim);
         let (below, above) = kept.split_at_mut(stage);
-        fit_rows(&mut above[0], nodes, model.stage_width(stage, feature_dim));
-        let out = StageOut::by_node(above[0].as_mut_slice());
+        let dest = match above.first_mut() {
+            Some(matrix) => {
+                fit_rows(matrix, nodes, width);
+                matrix.as_mut_slice()
+            }
+            None => out.as_mut_slice(),
+        };
         let inputs = StageInputs { below, table, ..inputs };
-        model.forward_stage(stage, graph, inputs, list(stage), out);
+        match rows {
+            Rows::At(_) => {
+                let dest =
+                    if stage < last { StageOut::by_node(dest) } else { StageOut::listed(dest) };
+                replicas[0].forward_stage(stage, graph, inputs, &lists[stage], dest);
+            }
+            Rows::Runs(ends) => {
+                let (mut rest, mut start) = (dest, 0);
+                let jobs = ends.iter().map(|&end| {
+                    let (mine, after) =
+                        std::mem::take(&mut rest).split_at_mut((end - start) * width);
+                    rest = after;
+                    (&lists[0][std::mem::replace(&mut start, end)..end], mine)
+                });
+                fan_out(replicas, jobs, |model, (rows, mine)| {
+                    model.forward_stage(stage, graph, inputs, rows, StageOut::listed(mine));
+                });
+            }
+        }
     }
-    let at = list(last);
-    let mut out = Matrix::zeros(at.len(), model.stage_width(last, feature_dim));
-    let inputs = StageInputs { below: kept, table, ..inputs };
-    model.forward_stage(last, graph, inputs, at, StageOut::listed(out.as_mut_slice()));
     if scratch.bytes() > crate::batch::KEPT_SCRATCH_BYTES {
         scratch = StageScratch::default();
     }
-    if let Some(slot) = model.stage_scratch() {
+    if let Some(slot) = replicas[0].stage_scratch() {
         *slot = scratch;
     }
     out
+}
+
+/// Runs `task` on every job: on the calling thread when there is one
+/// replica, else over a [`std::thread::scope`] pool, one thread per
+/// replica with jobs, job `i` on replica `i mod replicas.len()`.
+fn fan_out<M: GnnModel + ?Sized, J: Send>(
+    replicas: &mut [&mut M],
+    jobs: impl Iterator<Item = J>,
+    task: impl Fn(&mut M, J) + Sync,
+) {
+    if let [model] = replicas {
+        jobs.for_each(|job| task(model, job));
+        return;
+    }
+    let mut assigned: Vec<Vec<J>> = replicas.iter().map(|_| Vec::new()).collect();
+    // Round-robin assignment: degree-balanced parts are near-equal in
+    // work, so stride-W interleaving balances the load.
+    for (i, job) in jobs.enumerate() {
+        assigned[i % replicas.len()].push(job);
+    }
+    let task = &task;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = replicas
+            .iter_mut()
+            .zip(assigned)
+            .filter(|(_, jobs)| !jobs.is_empty())
+            .map(|(model, jobs)| {
+                scope.spawn(move || jobs.into_iter().for_each(|job| task(model, job)))
+            })
+            .collect();
+        // A worker's panic is the model's: re-raise its own payload, so
+        // the caller's fault domain sees that panic rather than a second
+        // one raised by the join.
+        for handle in handles {
+            handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
+    });
 }
 
 /// Puts stage 0's rows of `rows` that `table` lacks into it: listed by
@@ -557,7 +653,7 @@ fn fill_table<M: GnnModel + ?Sized>(
 /// Shapes a kept node-indexed `buffer` to hold at least `nodes` rows of
 /// `cols`, never zeroing it: a buffer of that width keeps a taller
 /// height, one of another width is reshaped.
-pub fn fit_rows(buffer: &mut Matrix, nodes: usize, cols: usize) {
+fn fit_rows(buffer: &mut Matrix, nodes: usize, cols: usize) {
     let height = if buffer.cols() == cols { buffer.rows().max(nodes) } else { nodes };
     if buffer.shape() != (height, cols) {
         buffer.resize(height, cols);
@@ -713,7 +809,7 @@ impl<L: GnnLayer> GnnModel for TwoLayer<L> {
         if !train {
             self.layer1.clear_backward_state();
             self.layer2.clear_backward_state();
-            return staged_pass(self, graph, features, None, None, None);
+            return forward_runs(&mut [self], graph, features, &[graph.num_nodes()]);
         }
         let h1 = self.layer1.forward(graph, features, &mut self.scratch);
         self.layer2.forward(graph, &h1, &mut self.scratch)
@@ -1117,6 +1213,34 @@ mod tests {
                     assert!(model.scratch_bytes() < bound, "{what}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_widened_pass_releases_the_first_replicas_scratch_past_the_bound() {
+        // Three replicas over uneven runs, one of them empty. The first
+        // replica's scratch was left past the bound by a reserved, never
+        // touched row list: the pass releases all of it, lists and marks
+        // counted with the matrices. The next pass keeps its own, the other
+        // replicas keep nothing, and both answer the one-run pass's bits.
+        let n = 130;
+        let (g, x) = (hub_graph(n), testutil::tiny_features(n, 20));
+        let compression = Compression::BlockCirculant { block_size: 8 };
+        let mut model = build_model(ModelKind::Gat, 20, 18, 5, compression, 7).unwrap();
+        model.prepare(ExecMode::Spectral);
+        let want = model.forward(&g, &x, false);
+        let (mut second, mut third) = (model.clone_boxed(), model.clone_boxed());
+        let bound = crate::batch::KEPT_SCRATCH_BYTES;
+        model.stage_scratch().expect("kept").lists[0].reserve(bound / 4 + 1);
+        assert!(model.scratch_bytes() > bound);
+        for (pass, released) in [("released", true), ("kept", false)] {
+            let mut replicas = [model.as_mut(), second.as_mut(), third.as_mut()];
+            let got = forward_runs(&mut replicas, &g, &x, &[40, 40, 100, n]);
+            assert_same_bits(&got, &want, pass);
+            let kept = model.scratch_bytes();
+            assert_eq!(kept == 0, released, "{pass}: {kept} bytes");
+            assert!(kept < bound, "{pass}");
+            assert_eq!(second.scratch_bytes() + third.scratch_bytes(), 0, "{pass}");
         }
     }
 

@@ -101,11 +101,12 @@ fn parts_have_overlapping_halos_and_cover_every_node_once() {
 
 #[test]
 fn simulated_accel_merged_report_equals_the_sequential_report() {
-    // §IV-C accounting: per-part cycle reports merged by summation must
-    // reproduce the unpartitioned report exactly (the cycle model is
-    // per-node linear), and energy must sum to the sequential estimate.
-    // A repeated pass (logits cache dropped) is billed like the first:
-    // the accelerator has no aggregation cache, so every node costs again.
+    // §IV-C accounting: the sub-graphs run in sequence on one
+    // accelerator and Eq. 7 is linear in the node count, so a widened
+    // pass is charged once for every node — its whole report and its
+    // energy are the one-worker engine's, exactly. A repeated pass
+    // (logits cache dropped) is billed like the first: the accelerator
+    // has no aggregation cache, so every node costs again.
     let ds = task();
     let request = InferRequest::all_nodes();
     for kind in ModelKind::all() {
@@ -121,15 +122,10 @@ fn simulated_accel_merged_report_equals_the_sequential_report() {
             let what = format!("{kind} {pass} pass");
             assert!(!response.from_cache, "{what}: a real pass");
             assert_eq!(response.logits.linf_distance(&reference.logits), 0.0, "{what} logits");
-            let (seq_sim, par_sim) = (
-                reference.sim.as_ref().expect("accel reports"),
-                response.sim.expect("accel reports"),
-            );
-            assert_eq!(par_sim.total_cycles, seq_sim.total_cycles, "{what}: merged cycles");
-            assert_eq!(par_sim.num_nodes, seq_sim.num_nodes, "{what}: merged node count");
-            let (seq_e, par_e) =
-                (reference.energy_joules.unwrap(), response.energy_joules.unwrap());
-            assert!((seq_e - par_e).abs() < 1e-9 * seq_e.abs().max(1.0), "{what}: energy");
+            assert!(response.sim.is_some(), "{what}: accel reports");
+            assert_eq!(response.sim, reference.sim, "{what}: the whole report");
+            assert!(response.energy_joules.is_some(), "{what}: accel reports energy");
+            assert_eq!(response.energy_joules, reference.energy_joules, "{what}: energy");
         }
     }
 }
